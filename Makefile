@@ -4,9 +4,9 @@ GO ?= go
 # How long `make fuzz` spends per fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check build binaries vet test race fuzz crash restart bench perf blocking-smoke tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke
+.PHONY: check build binaries vet test race fuzz crash restart bench perf benchmark-check blocking-smoke tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke
 
-check: build binaries vet test race crash restart fuzz blocking-smoke tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke
+check: build binaries vet test race crash restart fuzz benchmark-check blocking-smoke tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedSigned$$' -fuzztime $(FUZZTIME) ./internal/paillier
 	$(GO) test -run '^$$' -fuzz '^FuzzDiceTier$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzLaplaceBins$$' -fuzztime $(FUZZTIME) ./internal/dpblock
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveBudget$$' -fuzztime $(FUZZTIME) ./internal/resolve
+
+# The end-to-end benchmark is a nested module (benchmark/), so tier-1
+# `go build ./... && go test ./...` neither builds nor runs it. Its own
+# short-scale pass reads seams of this module — the Progress cadence, the
+# journal.Sink burst shape, ChunkHint, session.QueryConfig — so a change
+# that breaks one fails here rather than in the pipeline (≈40 s).
+benchmark-check:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test -count=1 .
 
 # Crash-injection matrix: every generated world is killed at seeded pair
 # boundaries (plus a torn-tail variant) and resumed from its journal; the

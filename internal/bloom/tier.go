@@ -53,6 +53,36 @@ func Classify(dice, low, high float64) Band {
 	}
 }
 
+// DefaultKey is the CLK secret of engines that host both encoders in one
+// address space; the distributed session's holders require an explicit
+// shared secret instead.
+const DefaultKey = "pprl-tier-default-key"
+
+// TierDefaults fills the tier knobs every engine shares: zero-valued CLK
+// parameters take the conventional 1000/30/2, and thresholds left both
+// zero take (0.60, 0.95) — a tight Match band, since false matches are the
+// costly error under MaximizePrecision, and a NonMatch band that discards
+// only clearly-dissimilar encodings. It rejects thresholds outside
+// 0 ≤ low ≤ high ≤ 1.
+func TierDefaults(m, k, q *int, low, high *float64) error {
+	if *m == 0 {
+		*m = 1000
+	}
+	if *k == 0 {
+		*k = 30
+	}
+	if *q == 0 {
+		*q = 2
+	}
+	if *high == 0 && *low == 0 {
+		*high, *low = 0.95, 0.60
+	}
+	if *low < 0 || *high > 1 || *low > *high {
+		return fmt.Errorf("tier thresholds must satisfy 0 ≤ low ≤ high ≤ 1 (got low=%v high=%v)", *low, *high)
+	}
+	return nil
+}
+
 // Marshal serializes the filter's bit array as little-endian 64-bit
 // words. The filter size m is not embedded — both sides already share the
 // CLK parameters out of band (MsgParams in the session protocol), and

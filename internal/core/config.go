@@ -7,7 +7,8 @@
 // the blocking step labels equivalence-class pairs Match / NonMatch /
 // Unknown with the slack decision rule; Unknown pairs are ordered by a
 // selection heuristic and resolved by the SMC comparator until the SMC
-// allowance is exhausted; the residual-labeling strategy decides the rest.
+// allowance is exhausted (the loop itself is internal/resolve, DESIGN.md
+// §16); the residual-labeling strategy decides the rest.
 // Under the default maximize-precision strategy every reported match is
 // certain, so precision is always 100% and recall varies with the
 // allowance — the paper's privacy/cost/accuracy trade-off.
@@ -20,6 +21,7 @@ import (
 
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
+	"pprl/internal/bloom"
 	"pprl/internal/dataset"
 	"pprl/internal/distance"
 	"pprl/internal/dpblock"
@@ -309,10 +311,10 @@ type Config struct {
 	Context context.Context
 	// Progress, when set, receives coarse stage events during Link:
 	// "anonymize-alice", "anonymize-bob", "blocking" (done == total on
-	// completion), periodic "tier" events with Unknown pairs scored vs
-	// the Unknown total (TierBloom only), and periodic "smc" events with
-	// comparisons done vs the allowance. Called synchronously on the
-	// linking goroutine; keep it fast.
+	// completion), one "tier" event once both relations are CLK-encoded
+	// (TierBloom only; the labels themselves come out of the smc walk),
+	// and periodic "smc" events with comparisons done vs the allowance.
+	// Called synchronously on the linking goroutine; keep it fast.
 	Progress func(stage string, done, total int64)
 }
 
@@ -413,23 +415,11 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 	switch c.Tier {
 	case TierOff:
 	case TierBloom:
-		if c.TierM == 0 {
-			c.TierM = 1000
-		}
-		if c.TierK == 0 {
-			c.TierK = 30
-		}
-		if c.TierQ == 0 {
-			c.TierQ = 2
+		if err := bloom.TierDefaults(&c.TierM, &c.TierK, &c.TierQ, &c.TierLow, &c.TierHigh); err != nil {
+			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 		if len(c.TierKey) == 0 {
-			c.TierKey = []byte(defaultTierKey)
-		}
-		if c.TierHigh == 0 && c.TierLow == 0 {
-			c.TierHigh, c.TierLow = defaultTierHigh, defaultTierLow
-		}
-		if c.TierLow < 0 || c.TierHigh > 1 || c.TierLow > c.TierHigh {
-			return nil, nil, fmt.Errorf("core: tier thresholds must satisfy 0 ≤ low ≤ high ≤ 1 (got low=%v high=%v)", c.TierLow, c.TierHigh)
+			c.TierKey = []byte(bloom.DefaultKey)
 		}
 	default:
 		return nil, nil, fmt.Errorf("core: unknown Tier mode %d", int(c.Tier))
@@ -451,12 +441,3 @@ func (c *Config) dpParams(holder int64) dpblock.Params {
 
 // DPEnabled reports whether the run uses differentially private blocking.
 func (c *Config) DPEnabled() bool { return c.Epsilon > 0 }
-
-// Tier defaults: the conservative thresholds keep the Match band tight
-// (false matches are the costly error under MaximizePrecision) while the
-// NonMatch band discards only clearly-dissimilar encodings.
-const (
-	defaultTierHigh = 0.95
-	defaultTierLow  = 0.60
-	defaultTierKey  = "pprl-tier-default-key"
-)

@@ -6,10 +6,13 @@ import (
 
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
+	"pprl/internal/bloom"
 	"pprl/internal/dataset"
 	"pprl/internal/dpblock"
 	"pprl/internal/heuristic"
 	"pprl/internal/index"
+	"pprl/internal/journal"
+	"pprl/internal/resolve"
 	"pprl/internal/smc"
 )
 
@@ -76,7 +79,7 @@ func Link(alice, bob Holder, cfg Config) (*Result, error) {
 	timings.Blocking = time.Since(start)
 	cfg.report("blocking", 1, 1)
 
-	res, err := resolve(alice, bob, block, rule, qids, &cfg)
+	res, err := resolveBlocked(alice, bob, block, rule, qids, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +114,7 @@ func LinkPrepared(alice, bob Holder, block *blocking.Result, cfg Config) (*Resul
 			return nil, fmt.Errorf("core: config QID %d (%d) disagrees with blocking result (%d)", i, qids[i], block.R.QIDs[i])
 		}
 	}
-	return resolve(alice, bob, block, rule, qids, &cfg)
+	return resolveBlocked(alice, bob, block, rule, qids, &cfg)
 }
 
 // blockViews dispatches the blocking step per Config.Blocking. The dense
@@ -147,9 +150,9 @@ func blockViews(aView, bView *anonymize.Result, rule *blocking.Rule, cfg *Config
 	}
 }
 
-// resolve implements steps 3-5: heuristic ordering, budgeted SMC, and
-// residual labeling.
-func resolve(alice, bob Holder, block *blocking.Result, rule *blocking.Rule, qids []int, cfg *Config) (*Result, error) {
+// resolveBlocked implements steps 3-5: heuristic ordering, budgeted SMC
+// (through the resolution kernel), and residual labeling.
+func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Rule, qids []int, cfg *Config) (*Result, error) {
 	res := &Result{cfg: *cfg, rule: rule, qids: qids, bobLen: bob.Data.Len(), Block: block}
 
 	// DP mode and the blocking result must agree: a prepared block built
@@ -192,6 +195,10 @@ func resolve(alice, bob Holder, block *blocking.Result, rule *blocking.Rule, qid
 	// the padding cost the noise induced. DummyPairs sums over exactly
 	// the candidate (Unknown) bin pairs — dummies in bins that never met
 	// a candidate cost nothing.
+	excess := func(gp blocking.GroupPair) int64 {
+		real := int64(block.R.Classes[gp.RI].Size()) * int64(block.S.Classes[gp.SI].Size())
+		return block.R.DP.NoisedCounts[gp.RI]*block.S.DP.NoisedCounts[gp.SI] - real
+	}
 	if dp {
 		res.DP = &DPStats{
 			AliceEpsilon: block.R.DP.Epsilon,
@@ -206,9 +213,7 @@ func resolve(alice, bob Holder, block *blocking.Result, rule *blocking.Rule, qid
 			BobDummies:   block.S.Dummies(),
 		}
 		for _, gp := range ordered {
-			real := int64(block.R.Classes[gp.RI].Size()) * int64(block.S.Classes[gp.SI].Size())
-			padded := block.R.DP.NoisedCounts[gp.RI] * block.S.DP.NoisedCounts[gp.SI]
-			res.DP.DummyPairs += padded - real
+			res.DP.DummyPairs += excess(gp)
 		}
 	}
 
@@ -224,55 +229,38 @@ func resolve(alice, bob Holder, block *blocking.Result, rule *blocking.Rule, qid
 	// fresh journal persists the manifest, a resumed one validates it
 	// (refusing a run whose config or inputs changed) and hands back the
 	// verdicts already purchased by the interrupted run.
-	var replayed map[int64]bool
+	var journaled []journal.Verdict
 	if cfg.Journal != nil {
-		prior, err := cfg.Journal.Begin(runManifest(alice, bob, block, cfg, allowance))
-		if err != nil {
+		var err error
+		if journaled, err = cfg.Journal.Begin(runManifest(alice, bob, block, cfg, allowance)); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
-		}
-		if len(prior) > 0 {
-			replayed = make(map[int64]bool, len(prior))
-			for _, v := range prior {
-				replayed[pairKey(int(v.I), int(v.J), res.bobLen)] = v.Matched
-			}
 		}
 	}
 
 	// The SMC step resolves at most min(allowance, unknown pairs) entries;
 	// size the verdict map once instead of growing it through rehashes.
-	sized := allowance
-	if block.UnknownPairs < sized {
-		sized = block.UnknownPairs
-	}
-	if sized < 0 {
-		sized = 0
-	}
-	res.smcLabels = make(map[int64]bool, sized)
+	res.smcLabels = make(map[int64]bool, max(min(allowance, block.UnknownPairs), 0))
 	res.resolvedInGroup = make(map[[2]int]int, len(ordered))
 
-	// Replayed verdicts are applied upfront rather than stitched into the
-	// ordered iteration: the ordering the interrupted run purchased under
-	// may differ from this run's (the tier mode or thresholds may have
-	// changed — both are deliberately outside the manifest digest), but a
-	// purchased verdict is exact under any tier configuration. Each one
-	// consumes allowance exactly once, here.
-	for key, matched := range replayed {
-		i := int(key / int64(res.bobLen))
-		j := int(key % int64(res.bobLen))
-		res.applySMC(key, [2]int{block.R.ClassOf[i], block.S.ClassOf[j]}, matched)
-		res.Resume.ResumedPairs++
-		res.Resume.ReplayedAllowance++
-	}
-
-	// The triage tier labels the confident Unknown pairs for free before
-	// any allowance is spent; only the uncertain band reaches the budget
-	// loop below.
+	// The triage tier labels the confident Unknown pairs for free, in the
+	// same walk that spends the budget; CLK-encoding both relations is its
+	// dominant cost and what Timings.Tier reports.
+	var tier func(i, j int) bloom.Band
 	if cfg.Tier == TierBloom {
 		start := time.Now()
-		if err := applyTier(alice, bob, ordered, block, qids, cfg, res, replayed); err != nil {
-			return nil, err
+		enc, err := bloom.NewEncoder(cfg.TierM, cfg.TierK, cfg.TierQ, cfg.TierKey)
+		if err != nil {
+			return nil, fmt.Errorf("core: tier encoder: %w", err)
+		}
+		aF := bloom.EncodeRecords(enc, alice.Data, qids)
+		bF := bloom.EncodeRecords(enc, bob.Data, qids)
+		res.tierLabels = make(map[int64]bool)
+		res.tierInGroup = make(map[[2]int]int)
+		tier = func(i, j int) bloom.Band {
+			return bloom.Classify(aF[i].Dice(bF[j]), cfg.TierLow, cfg.TierHigh)
 		}
 		res.Timings.Tier = time.Since(start)
+		cfg.report("tier", 1, 1)
 	}
 
 	spec, err := smc.SpecFromRule(rule, cfg.Scale)
@@ -292,181 +280,78 @@ func resolve(alice, bob Holder, block *blocking.Result, rule *blocking.Rule, qid
 	defer cmp.Close()
 	res.SMCWorkers = cfg.SMCWorkers
 
+	// The resolution kernel (DESIGN.md §16) walks the ordered groups and
+	// spends the budget; this adapter supplies the class-pair walks with
+	// their DP padding excess and files every event into the Result maps —
+	// a purchased verdict, journaled or live, the same way: it is exact
+	// under any tier configuration. Events are filed a few hundred at a
+	// time, their verdict-map slots probed first: at paper scale the map
+	// holds millions of entries and every insert is a cache miss;
+	// independent probes in a tight loop overlap their misses, and the
+	// inserts that follow hit.
+	filing := make([]resolve.Event, 0, 256)
+	file := func() {
+		for _, ev := range filing {
+			_ = res.smcLabels[pairKey(ev.I, ev.J, res.bobLen)]
+		}
+		for _, ev := range filing {
+			key := pairKey(ev.I, ev.J, res.bobLen)
+			group := [2]int{block.R.ClassOf[ev.I], block.S.ClassOf[ev.J]}
+			if ev.Kind == resolve.Tiered {
+				res.tierLabels[key] = ev.Matched
+				if ev.Matched {
+					res.tierMatched++
+				} else {
+					res.tierNonMatched++
+				}
+				res.tierInGroup[group]++
+				continue
+			}
+			res.smcLabels[key] = ev.Matched
+			if ev.Matched {
+				res.smcMatched++
+			}
+			res.resolvedInGroup[group]++
+			if ev.Kind == resolve.Replayed {
+				res.Resume.ResumedPairs++
+				res.Resume.ReplayedAllowance++
+			}
+			if dp {
+				res.DP.DummySpent += ev.Padding
+			}
+		}
+		filing = filing[:0]
+	}
 	start := time.Now()
-	// Resolve the budgeted pairs in heuristic order, streaming: a small
-	// chunk buffer feeds the pipelined batch path when the comparator
-	// supports it (the real SMC protocol), per-pair calls otherwise —
-	// never materializing the whole budget (which can be millions of
-	// pairs at full allowance). The chunk grows with the worker count so
-	// a sharded comparator always has enough pairs to keep every lane's
-	// pipeline full.
-	type job struct {
-		i, j  int
-		group [2]int
-	}
-	batcher, batched := cmp.(interface {
-		CompareBatch([][2]int) ([]bool, error)
+	uncertain, err := resolve.Run(resolve.Input{
+		Groups: len(ordered),
+		Group: func(k int) resolve.Group {
+			gp := ordered[k]
+			g := resolve.Group{A: block.R.Classes[gp.RI].Members, B: block.S.Classes[gp.SI].Members}
+			if dp {
+				g.Excess = excess(gp)
+			}
+			return g
+		},
+		Budget:     allowance,
+		Journaled:  journaled,
+		Tier:       tier,
+		Comparator: cmp,
+		Workers:    cfg.SMCWorkers,
+		Journal:    cfg.Journal,
+		Context:    cfg.Context,
+		Progress:   func(done, total int64) { cfg.report("smc", done, total) },
+		Sink: func(ev resolve.Event) {
+			if filing = append(filing, ev); len(filing) == cap(filing) {
+				file()
+			}
+		},
 	})
-	chunkSize := 256 * cfg.SMCWorkers
-	if chunkSize > 4096 {
-		chunkSize = 4096
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	// A comparator that knows its own ideal batch size — a distributed
-	// pool whose capacity is worker fleet width, not cfg.SMCWorkers —
-	// overrides the heuristic. Clamped so a bad hint can neither stall
-	// the pipeline nor re-materialize the budget.
-	if hinter, ok := cmp.(interface{ ChunkHint() int }); ok {
-		if h := hinter.ChunkHint(); h > 0 {
-			if h > 16384 {
-				h = 16384
-			}
-			chunkSize = h
-		}
-	}
-	chunk := make([]job, 0, chunkSize)
-	pairs := make([][2]int, 0, chunkSize)
-	// Progress and budget both start past the replayed verdicts, which
-	// were applied (and their allowance consumed) upfront.
-	done := res.Resume.ReplayedAllowance
-	record := func(jb job, matched bool) error {
-		res.applySMC(pairKey(jb.i, jb.j, res.bobLen), jb.group, matched)
-		done++
-		if done%smcProgressStride == 0 {
-			cfg.report("smc", done, allowance)
-		}
-		if cfg.Journal != nil {
-			if err := cfg.Journal.Record(jb.i, jb.j, matched); err != nil {
-				return fmt.Errorf("core: journal append (%d,%d): %w", jb.i, jb.j, err)
-			}
-		}
-		return nil
-	}
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		if batched {
-			pairs = pairs[:0]
-			for _, jb := range chunk {
-				pairs = append(pairs, [2]int{jb.i, jb.j})
-			}
-			verdicts, err := batcher.CompareBatch(pairs)
-			if err != nil {
-				return fmt.Errorf("core: SMC batch: %w", err)
-			}
-			for x, jb := range chunk {
-				if err := record(jb, verdicts[x]); err != nil {
-					return err
-				}
-			}
-		} else {
-			for _, jb := range chunk {
-				matched, err := cmp.Compare(jb.i, jb.j)
-				if err != nil {
-					return fmt.Errorf("core: SMC comparison (%d,%d): %w", jb.i, jb.j, err)
-				}
-				if err := record(jb, matched); err != nil {
-					return err
-				}
-			}
-		}
-		chunk = chunk[:0]
-		return nil
-	}
-	// interrupted checkpoints the run at a chunk boundary: every verdict
-	// resolved so far is already journaled (record trails the
-	// comparator), so a sync makes the prefix durable and the run
-	// resumable.
-	interrupted := func() error {
-		if cfg.Context == nil || cfg.Context.Err() == nil {
-			return nil
-		}
-		if cfg.Journal != nil {
-			if err := cfg.Journal.Sync(); err != nil {
-				return err
-			}
-		}
-		return fmt.Errorf("core: %w after %d of %d budgeted comparisons: %v",
-			ErrInterrupted, done, allowance, cfg.Context.Err())
-	}
-	if err := interrupted(); err != nil {
-		return nil, err
-	}
-	// Announce the SMC phase before the first stride so pollers (the job
-	// service's progress endpoint) see the phase change immediately.
-	cfg.report("smc", done, allowance)
-	budget := allowance - res.Resume.ReplayedAllowance
-	// Under DP every purchased pair also pays its bin's dummy share: the
-	// charger interleaves the group's padding cost across its real pairs,
-	// so the allowance funds real + dummy comparisons exactly as a
-	// protocol run over the padded bins would spend it. Tier-labeled
-	// pairs skip both charges (they never reach the protocol), and
-	// replayed purchases pay only their dummy share here — their unit
-	// cost was already consumed upfront — so a resumed run's total spend
-	// equals the uninterrupted run's.
-	var charger dpblock.DummyCharger
-groups:
-	for _, gp := range ordered {
-		rc := &block.R.Classes[gp.RI]
-		sc := &block.S.Classes[gp.SI]
-		if dp {
-			charger = dpblock.NewDummyCharger(
-				int64(rc.Size()), block.R.DP.NoisedCounts[gp.RI],
-				int64(sc.Size()), block.S.DP.NoisedCounts[gp.SI])
-		}
-		for _, i := range rc.Members {
-			for _, j := range sc.Members {
-				key := pairKey(i, j, res.bobLen)
-				// A pair already carrying a verdict never reaches the
-				// comparator: replayed purchased verdicts were applied
-				// (and their allowance consumed) upfront, and tier labels
-				// are free — the budget below is spent exclusively on the
-				// still-uncertain band.
-				if _, ok := res.smcLabels[key]; ok {
-					if dp {
-						d := charger.Next()
-						budget -= d
-						res.DP.DummySpent += d
-					}
-					continue
-				}
-				if _, ok := res.tierLabels[key]; ok {
-					continue
-				}
-				cost := int64(1)
-				if dp {
-					cost += charger.Next()
-				}
-				if budget < cost {
-					break groups
-				}
-				budget -= cost
-				if dp {
-					res.DP.DummySpent += cost - 1
-				}
-				chunk = append(chunk, job{i: i, j: j, group: [2]int{gp.RI, gp.SI}})
-				if len(chunk) == chunkSize {
-					if err := flush(); err != nil {
-						return nil, err
-					}
-					if err := interrupted(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	if cfg.Journal != nil {
-		// Completion checkpoint: the residual phase is derived state, so
-		// a durable journal here means the whole run is reconstructible.
-		if err := cfg.Journal.Sync(); err != nil {
-			return nil, err
-		}
-	}
-	cfg.report("smc", done, allowance)
+	file()
+	res.TierUncertainPairs = uncertain
 	res.Invocations = cmp.Invocations()
 	res.SMCBytes = cmp.BytesTransferred()
 	res.Timings.SMC = time.Since(start)
@@ -496,9 +381,6 @@ func sharedSchema(alice, bob Holder) (*dataset.Schema, error) {
 
 // pairKey packs a record pair into an int64 map key.
 func pairKey(i, j, bobLen int) int64 { return int64(i)*int64(bobLen) + int64(j) }
-
-// smcProgressStride is how often the SMC loop emits progress events.
-const smcProgressStride = 4096
 
 // report invokes the progress callback if configured.
 func (c *Config) report(stage string, done, total int64) {

@@ -2,21 +2,20 @@ package core
 
 import (
 	"crypto/sha256"
-	"errors"
-	"fmt"
 	"hash"
 	"strconv"
 
 	"pprl/internal/blocking"
 	"pprl/internal/dataset"
 	"pprl/internal/journal"
+	"pprl/internal/resolve"
 )
 
 // ErrInterrupted is returned (wrapped) by Link when Config.Context is
-// cancelled mid-run: the engine drains the in-flight SMC chunk, syncs the
-// journal so every resolved verdict is durable, and stops. A journaled
-// run interrupted this way is resumable via journal.Resume.
-var ErrInterrupted = errors.New("run interrupted")
+// cancelled mid-run; a journaled run interrupted this way is resumable via
+// journal.Resume. It is the resolution kernel's sentinel (see there for
+// the checkpoint it guarantees), the same value as session.ErrInterrupted.
+var ErrInterrupted = resolve.ErrInterrupted
 
 // runManifest describes the run for the journal: digests of everything
 // that determines the heuristic ordering and the pair verdicts, plus the
@@ -45,26 +44,26 @@ func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowan
 // deterministic, free to recompute, and journaled separately from
 // purchased verdicts, while a purchased verdict is exact under any tier
 // configuration — so a journaled run may resume with the tier switched
-// on, off, or retuned, and the engine applies the replayed purchases
-// upfront before recomputing tier labels around them.
+// on, off, or retuned: the resolution kernel charges the journaled
+// purchases first and recomputes tier labels around them.
 func configDigest(cfg *Config, allowance int64) [32]byte {
 	h := sha256.New()
 	for _, q := range cfg.QIDs {
-		hashField(h, "qid", q)
+		journal.HashField(h, "qid", q)
 	}
-	hashField(h, "theta", strconv.FormatFloat(cfg.Theta, 'g', -1, 64))
+	journal.HashField(h, "theta", strconv.FormatFloat(cfg.Theta, 'g', -1, 64))
 	for _, th := range cfg.Thresholds {
-		hashField(h, "threshold", strconv.FormatFloat(th, 'g', -1, 64))
+		journal.HashField(h, "threshold", strconv.FormatFloat(th, 'g', -1, 64))
 	}
-	hashField(h, "aliceK", strconv.Itoa(cfg.AliceK))
-	hashField(h, "bobK", strconv.Itoa(cfg.BobK))
-	hashField(h, "anonA", cfg.AliceAnonymizer.Name())
-	hashField(h, "anonB", cfg.BobAnonymizer.Name())
-	hashField(h, "heuristic", cfg.Heuristic.Name())
-	hashField(h, "strategy", cfg.Strategy.String())
-	hashField(h, "allowance", strconv.FormatInt(allowance, 10))
-	hashField(h, "scale", strconv.FormatInt(cfg.Scale, 10))
-	hashField(h, "seed", strconv.FormatInt(cfg.Seed, 10))
+	journal.HashField(h, "aliceK", strconv.Itoa(cfg.AliceK))
+	journal.HashField(h, "bobK", strconv.Itoa(cfg.BobK))
+	journal.HashField(h, "anonA", cfg.AliceAnonymizer.Name())
+	journal.HashField(h, "anonB", cfg.BobAnonymizer.Name())
+	journal.HashField(h, "heuristic", cfg.Heuristic.Name())
+	journal.HashField(h, "strategy", cfg.Strategy.String())
+	journal.HashField(h, "allowance", strconv.FormatInt(allowance, 10))
+	journal.HashField(h, "scale", strconv.FormatInt(cfg.Scale, 10))
+	journal.HashField(h, "seed", strconv.FormatInt(cfg.Seed, 10))
 	// The DP parameters are hashed only when DP is enabled, so digests of
 	// k-anonymous runs are unchanged from before the mode existed. A dp
 	// run and a k-anonymous run already differ via the anonymizer names;
@@ -72,10 +71,10 @@ func configDigest(cfg *Config, allowance int64) [32]byte {
 	// noise seed or binning level — any of which changes the padded bins
 	// and therefore what every purchased verdict cost.
 	if cfg.DPEnabled() {
-		hashField(h, "epsilon", strconv.FormatFloat(cfg.Epsilon, 'g', -1, 64))
-		hashField(h, "dpdelta", strconv.FormatFloat(cfg.DPDelta, 'g', -1, 64))
-		hashField(h, "dpseed", strconv.FormatInt(cfg.DPSeed, 10))
-		hashField(h, "dplevel", strconv.Itoa(cfg.DPLevel))
+		journal.HashField(h, "epsilon", strconv.FormatFloat(cfg.Epsilon, 'g', -1, 64))
+		journal.HashField(h, "dpdelta", strconv.FormatFloat(cfg.DPDelta, 'g', -1, 64))
+		journal.HashField(h, "dpseed", strconv.FormatInt(cfg.DPSeed, 10))
+		journal.HashField(h, "dplevel", strconv.Itoa(cfg.DPLevel))
 	}
 	return [32]byte(h.Sum(nil))
 }
@@ -86,35 +85,40 @@ func configDigest(cfg *Config, allowance int64) [32]byte {
 // the QID set.
 func inputsDigest(alice, bob *dataset.Dataset) [32]byte {
 	h := sha256.New()
-	schema := alice.Schema()
-	for i := 0; i < schema.Len(); i++ {
-		a := schema.Attr(i)
-		hashField(h, "attr", a.Name)
-		hashField(h, "kind", a.Kind.String())
-		hashField(h, "range", strconv.FormatFloat(a.Range(), 'g', -1, 64))
-	}
+	HashSchema(h, alice.Schema())
 	for _, d := range []*dataset.Dataset{alice, bob} {
-		hashField(h, "relation", strconv.Itoa(d.Len()))
+		journal.HashField(h, "relation", strconv.Itoa(d.Len()))
 		for i := 0; i < d.Len(); i++ {
-			rec := d.Record(i)
-			hashField(h, "id", strconv.Itoa(rec.EntityID))
-			if rec.Class != "" {
-				hashField(h, "class", rec.Class)
-			}
-			for _, c := range rec.Cells {
-				if c.Node != nil {
-					hashField(h, "cat", c.Node.Value)
-				} else {
-					hashField(h, "num", strconv.FormatFloat(c.Num, 'g', -1, 64))
-				}
-			}
+			HashRecord(h, d.Record(i))
 		}
 	}
 	return [32]byte(h.Sum(nil))
 }
 
-// hashField writes a length-delimited key/value into the digest, so
-// adjacent fields cannot alias ("ab"+"c" vs "a"+"bc").
-func hashField(h hash.Hash, key, value string) {
-	fmt.Fprintf(h, "%s=%d:%s;", key, len(value), value)
+// HashSchema writes a schema's shape into a manifest digest. The live
+// dataset engine digests registrations and batches with the same two
+// helpers, so a record hashes alike in a frozen and an incremental run.
+func HashSchema(h hash.Hash, schema *dataset.Schema) {
+	for i := 0; i < schema.Len(); i++ {
+		a := schema.Attr(i)
+		journal.HashField(h, "attr", a.Name)
+		journal.HashField(h, "kind", a.Kind.String())
+		journal.HashField(h, "range", strconv.FormatFloat(a.Range(), 'g', -1, 64))
+	}
+}
+
+// HashRecord writes one record's identity, class label and cells into a
+// manifest digest.
+func HashRecord(h hash.Hash, rec dataset.Record) {
+	journal.HashField(h, "id", strconv.Itoa(rec.EntityID))
+	if rec.Class != "" {
+		journal.HashField(h, "class", rec.Class)
+	}
+	for _, c := range rec.Cells {
+		if c.Node != nil {
+			journal.HashField(h, "cat", c.Node.Value)
+		} else {
+			journal.HashField(h, "num", strconv.FormatFloat(c.Num, 'g', -1, 64))
+		}
+	}
 }

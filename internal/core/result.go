@@ -116,16 +116,6 @@ type Result struct {
 	tierInGroup map[[2]int]int
 }
 
-// applySMC stores one exact SMC verdict — live or replayed — with its
-// group accounting.
-func (r *Result) applySMC(key int64, group [2]int, matched bool) {
-	r.smcLabels[key] = matched
-	if matched {
-		r.smcMatched++
-	}
-	r.resolvedInGroup[group]++
-}
-
 // QIDs returns the resolved quasi-identifier positions.
 func (r *Result) QIDs() []int { return r.qids }
 

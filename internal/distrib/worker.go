@@ -196,9 +196,7 @@ func buildEngine(engine Engine, spec *smc.Spec, alice, bob [][]int64, keyBits, l
 // compareAll resolves a chunk through the engine's batch path when it
 // has one, per-pair calls otherwise.
 func compareAll(cmp smc.Comparator, pairs [][2]int) ([]bool, error) {
-	if b, ok := cmp.(interface {
-		CompareBatch([][2]int) ([]bool, error)
-	}); ok {
+	if b, ok := cmp.(smc.BatchComparator); ok {
 		return b.CompareBatch(pairs)
 	}
 	out := make([]bool, len(pairs))

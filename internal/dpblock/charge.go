@@ -14,22 +14,14 @@ type DummyCharger struct {
 	bought, charged int64
 }
 
-// NewDummyCharger sizes the charger for one candidate bin pair with true
-// sizes (realA, realB) and published sizes (noisedA, noisedB).
-func NewDummyCharger(realA, noisedA, realB, noisedB int64) DummyCharger {
-	real := realA * realB
-	return DummyCharger{real: real, extra: noisedA*noisedB - real}
-}
-
-// NewDeltaCharger sizes a charger directly from a real-pair count and a
-// dummy surplus, for callers that compute the pair arithmetic themselves.
-// The incremental engine uses it to telescope DP padding cost across
-// append batches: each batch charges only the surplus the new records
-// added (excess-now minus excess-already-charged), spread over that
-// batch's new real pairs, so the per-batch charges sum exactly to the
-// frozen run's dummy spend.
-func NewDeltaCharger(real, extra int64) DummyCharger {
-	return DummyCharger{real: real, extra: extra}
+// NewDummyCharger sizes a charger from a candidate bin pair's real-pair
+// count and the dummy-pair excess still unpaid on it: all of
+// ñ_A·ñ_B − n_A·n_B in a frozen run, while the incremental engine passes
+// each batch's new real pairs and only the excess they added over what
+// earlier batches paid, so the per-batch charges telescope to the frozen
+// run's dummy spend.
+func NewDummyCharger(realPairs, excess int64) DummyCharger {
+	return DummyCharger{real: realPairs, extra: excess}
 }
 
 // Next advances one real purchase and returns the dummy comparisons to

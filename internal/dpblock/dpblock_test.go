@@ -199,9 +199,9 @@ func TestDummyCharger(t *testing.T) {
 		{7, 8, 1, 30},
 	}
 	for _, c := range cases {
-		ch := NewDummyCharger(c.ra, c.na, c.rb, c.nb)
 		real := c.ra * c.rb
 		extra := c.na*c.nb - real
+		ch := NewDummyCharger(real, extra)
 		var total int64
 		for k := int64(0); k < real; k++ {
 			d := ch.Next()

@@ -86,7 +86,7 @@ func smcPerfSpec(attrs int, packing smc.Packing) *smc.Spec {
 // reads; both secure engines implement it.
 type smcPerfComparator interface {
 	smc.Comparator
-	CompareBatch(pairs [][2]int) ([]bool, error)
+	smc.BatchComparator
 	ResultBytes() int64
 	Decryptions() int64
 }

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -13,6 +14,7 @@ import (
 	"pprl/internal/dpblock"
 	"pprl/internal/index"
 	"pprl/internal/journal"
+	"pprl/internal/resolve"
 	"pprl/internal/smc"
 	"pprl/internal/vgh"
 )
@@ -120,8 +122,6 @@ type Engine struct {
 
 	nextBatch int
 	frames    []journal.BatchFrame
-	replay    map[[2]int32]bool
-	tierOnWAL map[[2]int32]bool
 	// dummyCharged tracks, per candidate bin pair, the DP dummy
 	// comparisons already paid for, so each batch charges only the
 	// increment its records added (the telescoping sum).
@@ -139,8 +139,8 @@ type Engine struct {
 // from the journal at zero live cost, the uncommitted tail batch
 // re-processes with its journaled verdict prefix applied free.
 func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.normalize()
+	if err != nil {
 		return nil, err
 	}
 	qids, err := schema.Resolve(cfg.QIDs)
@@ -170,8 +170,6 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 		spec:         spec,
 		dp:           cfg.Epsilon > 0,
 		tier:         cfg.Tier == core.TierBloom,
-		replay:       make(map[[2]int32]bool),
-		tierOnWAL:    make(map[[2]int32]bool),
 		dummyCharged: make(map[[2]int32]int64),
 	}
 	if e.tier {
@@ -198,14 +196,6 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 		}
 		if cfg.Recovered != nil {
 			e.frames = cfg.Recovered.Batches
-			for _, fr := range e.frames {
-				for _, v := range fr.Verdicts {
-					e.replay[[2]int32{int32(v.I), int32(v.J)}] = v.Matched
-				}
-				for _, v := range fr.TierVerdicts {
-					e.tierOnWAL[[2]int32{int32(v.I), int32(v.J)}] = true
-				}
-			}
 		}
 	}
 	return e, nil
@@ -317,7 +307,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	if err != nil {
 		return nil, err
 	}
-	s.enc = smc.EncodeRecords(s.data, e.qids, e.cfg.Scale)
+	s.enc = smc.AppendEncoded(s.enc, s.data, e.qids, e.cfg.Scale)
 	if e.tier {
 		for i := base; i < s.data.Len(); i++ {
 			s.clk = append(s.clk, e.tenc.Encode(bloom.FieldsOf(s.data, e.qids, i)...))
@@ -342,7 +332,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		return gx.b < gy.b
 	})
 
-	spent, err := e.resolve(sideIdx, groups, batch, committedReplay, &batchDeltas)
+	spent, err := e.resolve(groups, batch, frame, committedReplay, &batchDeltas)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +434,7 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 		}
 		if label == blocking.Match {
 			for _, p := range pairs {
-				*deltas = append(*deltas, e.delta(batch, p))
+				*deltas = append(*deltas, e.delta(batch, int(p[0]), int(p[1])))
 				e.stats.BlockingMatches++
 			}
 			return
@@ -539,176 +529,124 @@ func newMembers(members []int32, base int) []int32 {
 	return members[i:]
 }
 
-// resolve runs the budget loop over the batch's uncertain groups: tier
-// triage first (free), then journal replay (free), then purchased SMC
-// comparisons until the lifetime pool runs dry, then residual labeling
-// per the strategy.
-func (e *Engine) resolve(sideIdx int, groups []group, batch int, committedReplay bool, deltas *[]Delta) (int64, error) {
-	if len(groups) == 0 {
-		return 0, nil
-	}
+// resolve hands the batch's uncertain groups to the resolution kernel
+// (DESIGN.md §16) and files its events into the delta log and the
+// lifetime accounting. What stays here is what only a live dataset has:
+// the budget is what the lifetime pool has left, the journaled purchases
+// are the batch's own frame, the padding excess is telescoped against
+// what earlier batches paid, and a committed frame replays without buying
+// or journaling anything.
+func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
+	// Side b is side 1, or side 0 again when the dataset links itself.
+	a, b := e.sides[0], e.sides[len(e.sides)-1]
+	// The comparator is built at the batch's first purchase: most batches
+	// of a drained pool, and every committed replay, buy nothing, and a
+	// secure comparator costs a key generation to build.
 	var cmp smc.Comparator
 	defer func() {
 		if cmp != nil {
 			cmp.Close()
 		}
 	}()
-	getCmp := func() (smc.Comparator, error) {
-		if cmp != nil {
-			return cmp, nil
+	buy := func(i, j int) (matched bool, err error) {
+		if cmp == nil {
+			if committed {
+				return false, fmt.Errorf("committed batch %d needs a fresh purchase: journal and engine state diverged", batch)
+			}
+			if cmp, err = e.cfg.Comparator(a.enc, b.enc, e.spec, e.cfg.SMCWorkers); err != nil {
+				return false, fmt.Errorf("building comparator: %w", err)
+			}
 		}
-		encA := e.sides[0].enc
-		encB := encA
-		if !e.cfg.Dedup {
-			encB = e.sides[1].enc
-		}
-		var err error
-		cmp, err = e.cfg.Comparator(encA, encB, e.spec, e.cfg.SMCWorkers)
-		if err != nil {
-			return nil, fmt.Errorf("incremental: building comparator: %w", err)
-		}
-		return cmp, nil
+		return cmp.Compare(i, j)
 	}
 
 	var spent int64
-	exhausted := false
-	for _, g := range groups {
-		var charger dpblock.DummyCharger
-		gkey := [2]int32{g.a, g.b}
-		if e.dp {
-			extra := e.groupExcess(sideIdx, g) - e.dummyCharged[gkey]
-			if extra < 0 {
-				extra = 0
+	in := resolve.Input{
+		Groups: len(groups),
+		Group: func(k int) resolve.Group {
+			g := groups[k]
+			rg := resolve.Group{Pairs: g.pairs}
+			if e.dp {
+				rg.Excess = e.groupExcess(g) - e.dummyCharged[[2]int32{g.a, g.b}]
 			}
-			charger = dpblock.NewDeltaCharger(int64(len(g.pairs)), extra)
-		}
-		var paidDummies int64
-		for _, p := range g.pairs {
-			key := p
-			// An exact purchased verdict always wins; replay is free of
-			// live cost but advances the lifetime pool at original price.
-			if matched, ok := e.replay[key]; ok {
-				cost := int64(1)
-				if e.dp {
-					cost += charger.Next()
-				}
-				e.stats.Used += cost
-				e.stats.ReplaySpent += cost
-				e.stats.Replayed++
-				if e.dp {
-					paidDummies += cost - 1
-					e.stats.DummySpent += cost - 1
-				}
-				spent += cost
-				if matched {
-					*deltas = append(*deltas, e.delta(batch, p))
-				}
-				continue
+			return rg
+		},
+		Budget:     math.MaxInt64,
+		Comparator: compareFunc(buy),
+		Workers:    e.cfg.SMCWorkers,
+		Sink: func(ev resolve.Event) {
+			if ev.Matched {
+				*deltas = append(*deltas, e.delta(batch, ev.I, ev.J))
 			}
-			// Tier triage: deterministic, free, recomputed on replay.
-			if e.tier {
-				var dice float64
-				if e.cfg.Dedup {
-					dice = e.sides[0].clk[p[0]].Dice(e.sides[0].clk[p[1]])
-				} else {
-					dice = e.sides[0].clk[p[0]].Dice(e.sides[1].clk[p[1]])
-				}
-				switch bloom.Classify(dice, e.cfg.TierLow, e.cfg.TierHigh) {
-				case bloom.BandMatch:
+			switch ev.Kind {
+			case resolve.Tiered:
+				if ev.Matched {
 					e.stats.TierMatches++
-					*deltas = append(*deltas, e.delta(batch, p))
-					if err := e.journalTier(p, true, committedReplay); err != nil {
-						return spent, err
-					}
-					continue
-				case bloom.BandNonMatch:
+				} else {
 					e.stats.TierNonMatches++
-					if err := e.journalTier(p, false, committedReplay); err != nil {
-						return spent, err
-					}
-					continue
 				}
+				return
+			case resolve.Replayed:
+				// Free live, but the lifetime pool advances at the old price.
+				e.stats.ReplaySpent += 1 + ev.Padding
+				e.stats.Replayed++
+			case resolve.Purchased:
+				e.stats.LiveSpent += 1 + ev.Padding
+				e.stats.Purchased++
 			}
-			if exhausted {
-				e.residual(batch, p, deltas)
-				continue
+			e.stats.Used += 1 + ev.Padding
+			spent += 1 + ev.Padding
+			if ev.Padding > 0 {
+				e.stats.DummySpent += ev.Padding
+				g := groups[ev.Group]
+				e.dummyCharged[[2]int32{g.a, g.b}] += ev.Padding
 			}
-			cost := int64(1)
-			var dummy int64
-			if e.dp {
-				dummy = charger.Next()
-				cost += dummy
-			}
-			if e.cfg.Allowance > 0 && e.stats.Used+cost > e.cfg.Allowance {
-				// Mirror the frozen engine's break: once a pair is
-				// unaffordable, everything after it in this batch is
-				// residual — partial groups stay honest and the pool is
-				// never overdrawn by a cheaper later pair.
-				exhausted = true
-				e.residual(batch, p, deltas)
-				continue
-			}
-			if committedReplay {
-				return spent, fmt.Errorf("incremental: committed batch %d needs a fresh purchase for pair (%d,%d): journal and engine state diverged", batch, p[0], p[1])
-			}
-			c, err := getCmp()
-			if err != nil {
-				return spent, err
-			}
-			matched, err := c.Compare(int(p[0]), int(p[1]))
-			if err != nil {
-				return spent, fmt.Errorf("incremental: SMC comparison (%d,%d): %w", p[0], p[1], err)
-			}
-			if e.cfg.Journal != nil {
-				if err := e.cfg.Journal.Record(int(p[0]), int(p[1]), matched); err != nil {
-					return spent, fmt.Errorf("incremental: journal append (%d,%d): %w", p[0], p[1], err)
-				}
-			}
-			e.stats.Used += cost
-			e.stats.LiveSpent += cost
-			e.stats.Purchased++
-			if e.dp {
-				paidDummies += dummy
-				e.stats.DummySpent += dummy
-			}
-			spent += cost
-			if matched {
-				*deltas = append(*deltas, e.delta(batch, p))
-			}
+		},
+	}
+	if e.cfg.Allowance > 0 {
+		in.Budget = e.cfg.Allowance - e.stats.Used
+	}
+	if frame != nil {
+		in.Journaled = frame.Verdicts
+	}
+	if e.tier {
+		in.Tier = func(i, j int) bloom.Band {
+			return bloom.Classify(a.clk[i].Dice(b.clk[j]), e.cfg.TierLow, e.cfg.TierHigh)
 		}
-		if e.dp {
-			e.dummyCharged[gkey] += paidDummies
+	}
+	if e.cfg.Strategy == core.MaximizeRecall {
+		// Residuals default to match; under MaximizePrecision they are
+		// never emitted, which is what keeps precision structural.
+		in.Residual = func(ev resolve.Event) {
+			e.stats.ResidualMatches++
+			*deltas = append(*deltas, e.delta(batch, ev.I, ev.J))
 		}
+	}
+	if e.cfg.Journal != nil && !committed {
+		in.Journal = frameJournal{e.cfg.Journal}
+	}
+	if _, err := resolve.Run(in); err != nil {
+		return spent, fmt.Errorf("incremental: %w", err)
 	}
 	return spent, nil
 }
 
-// residual labels a pair the pool could not afford: non-match under
-// MaximizePrecision (structural precision preserved — residuals are
-// never emitted), match under MaximizeRecall.
-func (e *Engine) residual(batch int, p [2]int32, deltas *[]Delta) {
-	if e.cfg.Strategy == core.MaximizeRecall {
-		e.stats.ResidualMatches++
-		*deltas = append(*deltas, e.delta(batch, p))
-	}
-}
+// compareFunc is a per-pair purchase function as the kernel's comparator.
+type compareFunc func(i, j int) (bool, error)
 
-// journalTier records a tier label unless the journal already holds it
-// (the pair was labeled before a crash, or the whole batch is replaying).
-func (e *Engine) journalTier(p [2]int32, matched, committedReplay bool) error {
-	if e.cfg.Journal == nil || committedReplay || e.tierOnWAL[p] {
-		return nil
-	}
-	if err := e.cfg.Journal.RecordTier(int(p[0]), int(p[1]), matched); err != nil {
-		return fmt.Errorf("incremental: journal tier append (%d,%d): %w", p[0], p[1], err)
-	}
-	return nil
-}
+func (f compareFunc) Compare(i, j int) (bool, error) { return f(i, j) }
+
+// frameJournal is the kernel's view of the dataset journal inside an open
+// batch frame: the completion sync is left to the batch commit record,
+// which syncs — one fsync per batch, not two.
+type frameJournal struct{ journal.BatchSink }
+
+func (frameJournal) Sync() error { return nil }
 
 // groupExcess is the candidate bin pair's current dummy-pair surplus:
 // padded products minus real products, with self-pair arithmetic for
 // dedup.
-func (e *Engine) groupExcess(sideIdx int, g group) int64 {
+func (e *Engine) groupExcess(g group) int64 {
 	if !e.cfg.Dedup {
 		a, b := e.sides[0], e.sides[1]
 		nA := int64(len(a.bins[g.a].members))
@@ -731,8 +669,8 @@ func (e *Engine) groupExcess(sideIdx int, g group) int64 {
 }
 
 // delta materializes one emitted Match pair.
-func (e *Engine) delta(batch int, p [2]int32) Delta {
-	d := Delta{Batch: batch, I: int(p[0]), J: int(p[1])}
+func (e *Engine) delta(batch, i, j int) Delta {
+	d := Delta{Batch: batch, I: i, J: j}
 	d.AliceID = e.sides[0].data.Record(d.I).EntityID
 	if e.cfg.Dedup {
 		d.BobID = e.sides[0].data.Record(d.J).EntityID

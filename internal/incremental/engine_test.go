@@ -477,6 +477,83 @@ func TestIncrementalCrashResume(t *testing.T) {
 	}
 }
 
+// TestIncrementalTierRetuneResumeNeverOverdraws crashes at the tail
+// batch's commit barrier and resumes with the tier switched the other
+// way — the tier knobs are outside the manifest digest, so the journal
+// accepts it. The resumed walk then differs from the one that bought the
+// journaled verdicts (pairs the tier labeled now compete for the pool, or
+// the reverse), and those purchases must still be charged before anything
+// new is bought: the lifetime pool is never overdrawn.
+func TestIncrementalTierRetuneResumeNeverOverdraws(t *testing.T) {
+	const allowance = 20
+	w := testkit.Generate(1)
+	steps := []struct {
+		side int
+		recs []dataset.Record
+	}{{1, w.Bob.Records()}, {0, w.Alice.Records()}}
+	for _, first := range []core.TierMode{core.TierBloom, core.TierOff} {
+		second := core.TierBloom
+		if first == core.TierBloom {
+			second = core.TierOff
+		}
+		path := filepath.Join(t.TempDir(), "live.wal")
+		jw, err := journal.Create(path, journal.Options{SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg1 := incrementalConfig(w, allowance)
+		cfg1.Tier = first
+		cfg1.Journal = &commitCrash{Writer: jw, failBatch: 1}
+		eng1, err := incremental.New(w.Alice.Schema(), cfg1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng1.Append(steps[0].side, steps[0].recs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng1.Append(steps[1].side, steps[1].recs); err == nil {
+			t.Fatal("injected commit crash did not surface")
+		}
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		jw2, err := journal.Resume(path, journal.Options{SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(jw2.Recovered().Verdicts); n == 0 {
+			t.Fatalf("tier %v: the crashed run journaled no purchases; the fixture exercises nothing", first)
+		}
+		cfg2 := incrementalConfig(w, allowance)
+		cfg2.Tier = second
+		cfg2.Journal = jw2
+		cfg2.Recovered = jw2.Recovered()
+		eng2, err := incremental.New(w.Alice.Schema(), cfg2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range steps {
+			if _, err := eng2.Append(s.side, s.recs); err != nil {
+				t.Fatalf("tier %v→%v: %v", first, second, err)
+			}
+		}
+		if err := jw2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := eng2.Stats()
+		if st.Used > allowance {
+			t.Errorf("tier %v→%v: pool overdrawn: used %d of %d", first, second, st.Used, allowance)
+		}
+		if st.LiveSpent+st.ReplaySpent != st.Used {
+			t.Errorf("tier %v→%v: live %d + replay %d ≠ used %d", first, second, st.LiveSpent, st.ReplaySpent, st.Used)
+		}
+		if st.Replayed != int64(len(cfg2.Recovered.Verdicts)) {
+			t.Errorf("tier %v→%v: replayed %d of %d journaled purchases", first, second, st.Replayed, len(cfg2.Recovered.Verdicts))
+		}
+	}
+}
+
 // TestIncrementalBindingAllowance checks the weaker invariants of an
 // exhausted pool: precision mode emits only true matches and never
 // overdraws; recall mode emits a superset of the true matches.

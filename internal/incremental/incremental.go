@@ -2,7 +2,8 @@
 // engine state that absorbs append-only record batches and emits, per
 // batch, only the *delta* of newly discovered Match pairs, spending the
 // SMC allowance once per pair over the dataset's lifetime instead of
-// once per re-run.
+// once per re-run. Each batch's budget loop is internal/resolve
+// (DESIGN.md §16), fed the batch's new candidate pairs.
 //
 // The equivalence contract (DESIGN.md §15) is what makes deltas
 // meaningful: the union of deltas across K batches is pair-identical to
@@ -30,9 +31,9 @@ package incremental
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"strconv"
 
+	"pprl/internal/bloom"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/dpblock"
@@ -101,9 +102,10 @@ type Config struct {
 	Recovered *journal.Recovered
 }
 
-// withDefaults fills the zero-value knobs, mirroring core.DefaultConfig
-// where the knob has a frozen-run counterpart.
-func (c Config) withDefaults() Config {
+// normalize fills the zero-value knobs, mirroring core.DefaultConfig where
+// the knob has a frozen-run counterpart, and rejects configurations the
+// incremental engine cannot honor.
+func (c Config) normalize() (Config, error) {
 	if c.Theta == 0 && c.Thresholds == nil {
 		c.Theta = 0.05
 	}
@@ -123,51 +125,34 @@ func (c Config) withDefaults() Config {
 		c.Scale = 1
 	}
 	if c.Tier == core.TierBloom {
-		if c.TierHigh == 0 {
-			c.TierHigh = 0.95
-		}
-		if c.TierLow == 0 {
-			c.TierLow = 0.60
-		}
-		if c.TierM == 0 {
-			c.TierM = 1000
-		}
-		if c.TierK == 0 {
-			c.TierK = 30
-		}
-		if c.TierQ == 0 {
-			c.TierQ = 2
+		if err := bloom.TierDefaults(&c.TierM, &c.TierK, &c.TierQ, &c.TierLow, &c.TierHigh); err != nil {
+			return c, fmt.Errorf("incremental: %w", err)
 		}
 		if len(c.TierKey) == 0 {
-			c.TierKey = []byte("pprl-tier-default-key")
+			c.TierKey = []byte(bloom.DefaultKey)
 		}
 	}
 	if c.Epsilon > 0 && c.DPDelta == 0 {
 		c.DPDelta = dpblock.DefaultDelta
 	}
-	return c
-}
-
-// validate rejects configurations the incremental engine cannot honor.
-func (c Config) validate() error {
 	if len(c.QIDs) == 0 {
-		return fmt.Errorf("incremental: QIDs are required")
+		return c, fmt.Errorf("incremental: QIDs are required")
 	}
 	if c.Strategy == core.TrainClassifier {
-		return fmt.Errorf("incremental: the TrainClassifier strategy needs the full residual population and cannot run incrementally")
+		return c, fmt.Errorf("incremental: the TrainClassifier strategy needs the full residual population and cannot run incrementally")
 	}
 	if c.Allowance < 0 {
-		return fmt.Errorf("incremental: negative allowance %d", c.Allowance)
+		return c, fmt.Errorf("incremental: negative allowance %d", c.Allowance)
 	}
 	if c.Epsilon > 0 {
 		if err := (dpblock.Params{Epsilon: c.Epsilon, Delta: c.DPDelta, Seed: c.DPSeed, Level: c.Level}).Validate(); err != nil {
-			return err
+			return c, err
 		}
 	}
 	if c.Journal == nil && c.Recovered != nil {
-		return fmt.Errorf("incremental: Recovered set without a Journal")
+		return c, fmt.Errorf("incremental: Recovered set without a Journal")
 	}
-	return nil
+	return c, nil
 }
 
 // manifest builds the journal manifest for the run. TotalPairs and
@@ -192,23 +177,23 @@ func (c *Config) manifest(schema *dataset.Schema, qids []int) journal.Manifest {
 func (c *Config) configDigest() [32]byte {
 	h := sha256.New()
 	for _, q := range c.QIDs {
-		hashField(h, "qid", q)
+		journal.HashField(h, "qid", q)
 	}
-	hashField(h, "theta", strconv.FormatFloat(c.Theta, 'g', -1, 64))
+	journal.HashField(h, "theta", strconv.FormatFloat(c.Theta, 'g', -1, 64))
 	for _, th := range c.Thresholds {
-		hashField(h, "threshold", strconv.FormatFloat(th, 'g', -1, 64))
+		journal.HashField(h, "threshold", strconv.FormatFloat(th, 'g', -1, 64))
 	}
-	hashField(h, "level", strconv.Itoa(c.Level))
-	hashField(h, "allowance", strconv.FormatInt(c.Allowance, 10))
-	hashField(h, "heuristic", c.Heuristic.Name())
-	hashField(h, "strategy", c.Strategy.String())
-	hashField(h, "scale", strconv.FormatInt(c.Scale, 10))
-	hashField(h, "seed", strconv.FormatInt(c.Seed, 10))
-	hashField(h, "dedup", strconv.FormatBool(c.Dedup))
+	journal.HashField(h, "level", strconv.Itoa(c.Level))
+	journal.HashField(h, "allowance", strconv.FormatInt(c.Allowance, 10))
+	journal.HashField(h, "heuristic", c.Heuristic.Name())
+	journal.HashField(h, "strategy", c.Strategy.String())
+	journal.HashField(h, "scale", strconv.FormatInt(c.Scale, 10))
+	journal.HashField(h, "seed", strconv.FormatInt(c.Seed, 10))
+	journal.HashField(h, "dedup", strconv.FormatBool(c.Dedup))
 	if c.Epsilon > 0 {
-		hashField(h, "epsilon", strconv.FormatFloat(c.Epsilon, 'g', -1, 64))
-		hashField(h, "dpdelta", strconv.FormatFloat(c.DPDelta, 'g', -1, 64))
-		hashField(h, "dpseed", strconv.FormatInt(c.DPSeed, 10))
+		journal.HashField(h, "epsilon", strconv.FormatFloat(c.Epsilon, 'g', -1, 64))
+		journal.HashField(h, "dpdelta", strconv.FormatFloat(c.DPDelta, 'g', -1, 64))
+		journal.HashField(h, "dpseed", strconv.FormatInt(c.DPSeed, 10))
 	}
 	return [32]byte(h.Sum(nil))
 }
@@ -217,16 +202,11 @@ func (c *Config) configDigest() [32]byte {
 // shape and the linkage arity.
 func registrationDigest(schema *dataset.Schema, qids []int, dedup bool) [32]byte {
 	h := sha256.New()
-	for i := 0; i < schema.Len(); i++ {
-		a := schema.Attr(i)
-		hashField(h, "attr", a.Name)
-		hashField(h, "kind", a.Kind.String())
-		hashField(h, "range", strconv.FormatFloat(a.Range(), 'g', -1, 64))
-	}
+	core.HashSchema(h, schema)
 	for _, q := range qids {
-		hashField(h, "qid", strconv.Itoa(q))
+		journal.HashField(h, "qid", strconv.Itoa(q))
 	}
-	hashField(h, "dedup", strconv.FormatBool(dedup))
+	journal.HashField(h, "dedup", strconv.FormatBool(dedup))
 	return [32]byte(h.Sum(nil))
 }
 
@@ -236,26 +216,10 @@ func registrationDigest(schema *dataset.Schema, qids []int, dedup bool) [32]byte
 // changed.
 func BatchDigest(side int, recs []dataset.Record) [32]byte {
 	h := sha256.New()
-	hashField(h, "side", strconv.Itoa(side))
-	hashField(h, "records", strconv.Itoa(len(recs)))
+	journal.HashField(h, "side", strconv.Itoa(side))
+	journal.HashField(h, "records", strconv.Itoa(len(recs)))
 	for _, rec := range recs {
-		hashField(h, "id", strconv.Itoa(rec.EntityID))
-		if rec.Class != "" {
-			hashField(h, "class", rec.Class)
-		}
-		for _, c := range rec.Cells {
-			if c.Node != nil {
-				hashField(h, "cat", c.Node.Value)
-			} else {
-				hashField(h, "num", strconv.FormatFloat(c.Num, 'g', -1, 64))
-			}
-		}
+		core.HashRecord(h, rec)
 	}
 	return [32]byte(h.Sum(nil))
-}
-
-// hashField writes a length-delimited key/value into the digest, so
-// adjacent fields cannot alias.
-func hashField(h hash.Hash, key, value string) {
-	fmt.Fprintf(h, "%s=%d:%s;", key, len(value), value)
 }

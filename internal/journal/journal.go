@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"os"
 )
@@ -95,6 +96,13 @@ type Manifest struct {
 	Seed int64
 	// Heuristic names the selection heuristic that ordered the pairs.
 	Heuristic string
+}
+
+// HashField writes a length-delimited key/value into a manifest digest,
+// so adjacent fields cannot alias ("ab"+"c" vs "a"+"bc"). Every layer
+// that computes a ConfigDigest or InputsDigest builds it from these.
+func HashField(h hash.Hash, key, value string) {
+	fmt.Fprintf(h, "%s=%d:%s;", key, len(value), value)
 }
 
 // CheckCompatible reports whether a journal recorded under m can resume a

@@ -20,7 +20,8 @@ func TestTierRecordSeparation(t *testing.T) {
 	if _, err := w.Begin(m); err != nil {
 		t.Fatal(err)
 	}
-	// The engine's real write order: the tier pass first, then purchases.
+	// The engines interleave the two record types in walk order; any order
+	// must replay into the two lists.
 	tier := []Verdict{{I: 1, J: 2, Matched: true}, {I: 3, J: 4, Matched: false}, {I: 5, J: 6, Matched: true}}
 	for _, v := range tier {
 		if err := w.RecordTier(int(v.I), int(v.J), v.Matched); err != nil {

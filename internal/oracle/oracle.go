@@ -169,9 +169,7 @@ func (o *Oracle) CheckBlocking(block *blocking.Result) error {
 // engine takes in production is the path under test.
 func (o *Oracle) CheckComparator(cmp smc.Comparator, pairs [][2]int) error {
 	verdicts := make([]bool, len(pairs))
-	if batcher, ok := cmp.(interface {
-		CompareBatch([][2]int) ([]bool, error)
-	}); ok {
+	if batcher, ok := cmp.(smc.BatchComparator); ok {
 		out, err := batcher.CompareBatch(pairs)
 		if err != nil {
 			return fmt.Errorf("oracle: comparator batch failed: %w", err)

@@ -1,0 +1,152 @@
+package resolve
+
+import (
+	"math/rand"
+	"testing"
+
+	"pprl/internal/bloom"
+	"pprl/internal/journal"
+)
+
+// FuzzResolveBudget drives the kernel over random group shapes, budgets,
+// padding, tier bands and journaled sets (some of them pairs no walk
+// meets) and checks what every adapter relies on: the budget is never
+// overdrawn, every walked pair is delivered exactly once and in walk
+// order, every journaled purchase is delivered exactly once, and the
+// per-pair and batch paths agree.
+func FuzzResolveBudget(f *testing.F) {
+	f.Add(int64(1), uint16(10), uint8(0))
+	f.Add(int64(2), uint16(0), uint8(1))
+	f.Add(int64(3), uint16(40), uint8(2))
+	f.Add(int64(4), uint16(7), uint8(3))
+	f.Add(int64(5), uint16(300), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, budget uint16, flags uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		sc := scenario{budget: int64(budget), residual: flags&1 != 0, hint: rng.Intn(6)}
+		if flags&2 != 0 {
+			sc.tier = map[[2]int]bloom.Band{}
+		}
+		// Group k's pairs have first index in [8k, 8k+8), so every pair
+		// belongs to exactly one group; walk lists them in walk order.
+		var walk [][2]int
+		for k, n := 0, rng.Intn(6); k < n; k++ {
+			var g Group
+			na, nb := 1+rng.Intn(3), 1+rng.Intn(4)
+			var pairs [][2]int
+			for a := 0; a < na; a++ {
+				for b := 0; b < nb; b++ {
+					pairs = append(pairs, [2]int{8*k + a, b})
+				}
+			}
+			if rng.Intn(2) == 0 {
+				for a := 0; a < na; a++ {
+					g.A = append(g.A, 8*k+a)
+				}
+				for b := 0; b < nb; b++ {
+					g.B = append(g.B, b)
+				}
+			} else {
+				rng.Shuffle(len(pairs), func(x, y int) { pairs[x], pairs[y] = pairs[y], pairs[x] })
+				for _, p := range pairs {
+					g.Pairs = append(g.Pairs, [2]int32{int32(p[0]), int32(p[1])})
+				}
+			}
+			if flags&4 != 0 {
+				g.Excess = int64(rng.Intn(9)) - 2 // sometimes none, sometimes negative
+			}
+			sc.groups = append(sc.groups, g)
+			walk = append(walk, pairs...)
+		}
+		for _, p := range walk {
+			if sc.tier != nil {
+				sc.tier[p] = bloom.Band(rng.Intn(3))
+			}
+			if rng.Intn(4) == 0 && len(sc.journaled) < int(budget) {
+				sc.journaled = append(sc.journaled, journal.Verdict{I: uint32(p[0]), J: uint32(p[1]), Matched: rng.Intn(2) == 0})
+			}
+		}
+		if rng.Intn(3) == 0 && len(sc.journaled) < int(budget) {
+			sc.journaled = append(sc.journaled, journal.Verdict{I: 999, J: 7, Matched: true})
+		}
+		rng.Shuffle(len(sc.journaled), func(x, y int) { sc.journaled[x], sc.journaled[y] = sc.journaled[y], sc.journaled[x] })
+
+		got := runBoth(t, sc, nil)
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+
+		journaled := make(map[[2]int]bool, len(sc.journaled))
+		for _, v := range sc.journaled {
+			journaled[[2]int{int(v.I), int(v.J)}] = v.Matched
+		}
+		seen := make(map[[2]int]bool, len(got.trace))
+		var spent int64
+		var walked [][2]int
+		for _, e := range got.trace {
+			p := [2]int{e.I, e.J}
+			if seen[p] {
+				t.Fatalf("pair %v delivered twice", p)
+			}
+			seen[p] = true
+			if e.Group >= 0 {
+				walked = append(walked, p)
+			} else if e.Kind != Replayed {
+				t.Fatalf("event %+v outside the walk is not a replay", e)
+			}
+			if e.Padding < 0 {
+				t.Fatalf("negative padding in %+v", e)
+			}
+			matched, isJournaled := journaled[p]
+			switch e.Kind {
+			case Replayed:
+				if !isJournaled || e.Matched != matched {
+					t.Fatalf("replayed %+v, journal says %v/%v", e, matched, isJournaled)
+				}
+				spent += 1 + e.Padding
+			case Purchased:
+				if isJournaled || e.Matched != verdictOf(e.I, e.J) {
+					t.Fatalf("purchase %+v re-buys a journaled pair or carries the wrong verdict", e)
+				}
+				spent += 1 + e.Padding
+			case Tiered:
+				if isJournaled || sc.tier[p] == bloom.BandUncertain || e.Matched != (sc.tier[p] == bloom.BandMatch) {
+					t.Fatalf("tier event %+v disagrees with band %v (journaled %v)", e, sc.tier[p], isJournaled)
+				}
+			}
+		}
+		if spent > int64(budget) {
+			t.Fatalf("overdrawn: charged %d of %d", spent, budget)
+		}
+		for p := range journaled {
+			if !seen[p] {
+				t.Fatalf("journaled purchase %v never delivered", p)
+			}
+		}
+		// The walked events are the walk itself — all of it when a tier or
+		// a residual sink keeps it going, a prefix otherwise — except that
+		// with the tier on and no residual sink the unaffordable uncertain
+		// pairs are walked but have no event.
+		if sc.tier != nil && !sc.residual {
+			x := 0
+			for _, p := range walk {
+				if x < len(walked) && walked[x] == p {
+					x++
+				} else if _, bought := journaled[p]; bought || sc.tier[p] != bloom.BandUncertain {
+					t.Fatalf("walk pair %v has a label but no event in order (next event %d of %v)", p, x, walked)
+				}
+			}
+			if x != len(walked) {
+				t.Fatalf("events %v are not a subsequence of the walk %v", walked, walk)
+			}
+			return
+		}
+		if len(walked) > len(walk) || (sc.residual && len(walked) != len(walk)) {
+			t.Fatalf("%d walked events for a walk of %d", len(walked), len(walk))
+		}
+		for x, p := range walked {
+			if walk[x] != p {
+				t.Fatalf("event %d is pair %v, the walk has %v there", x, p, walk[x])
+			}
+		}
+	})
+}

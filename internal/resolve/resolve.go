@@ -1,0 +1,388 @@
+// Package resolve is the budgeted-resolution kernel: the paper's Section
+// V loop — walk the heuristic-ordered Unknown pairs, buy exact SMC
+// verdicts until the allowance is gone, label the residue — implemented
+// once. It owns the resolution policy (DESIGN.md §16): per-pair
+// precedence, the unit + DP-padding charge against one budget, chunked
+// purchase through the comparator's batch path, journal-after-verdict,
+// the interrupt checkpoint, the completion sync and the progress cadence.
+// It knows nothing about where pairs come from or where labels go:
+// core.Link, session.RunQuery and incremental.Engine.Append are adapters
+// that hand it groups and receive events.
+package resolve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"pprl/internal/bloom"
+	"pprl/internal/dpblock"
+	"pprl/internal/journal"
+	"pprl/internal/smc"
+)
+
+// ErrInterrupted is returned (wrapped) by Run when Input.Context is
+// cancelled mid-run: the chunk in flight is drained, the journal synced so
+// every delivered verdict is durable, and the walk stops. A journaled run
+// interrupted this way is resumable. core.ErrInterrupted and
+// session.ErrInterrupted are this value.
+var ErrInterrupted = errors.New("run interrupted")
+
+// Group is one Unknown group pair: a deterministic walk over its record
+// pairs — A × B in row-major order, or Pairs as listed when that is set
+// (int32 halves the candidate lists the incremental engine materializes)
+// — and Excess, the DP dummy-pair surplus still unpaid on it. Every
+// purchase in the group, journaled or live, also pays its proportional
+// share of the excess (dpblock.DummyCharger).
+type Group struct {
+	A, B   []int
+	Pairs  [][2]int32
+	Excess int64
+}
+
+// Kind says how a walked pair was resolved.
+type Kind uint8
+
+const (
+	Replayed  Kind = iota // a purchase the journal already holds: exact, never re-bought
+	Tiered                // a free, heuristic label from the tier hook
+	Purchased             // a live comparator verdict
+	Residual              // a pair the budget could not afford
+)
+
+// Event is the resolution of one pair. Group indexes the group whose walk
+// met it (-1 for a journaled purchase the walk never met), Matched is the
+// verdict (meaningless for Residual), and Padding the DP dummy share
+// charged along with a Replayed or Purchased pair.
+type Event struct {
+	Kind    Kind
+	Matched bool
+	Group   int
+	I, J    int
+	Padding int64
+}
+
+// Input is one budgeted resolution.
+type Input struct {
+	// Group(k) for k in [0, Groups) is the group sequence, in the order
+	// the budget is to be spent.
+	Groups int
+	Group  func(k int) Group
+	// Budget is the allowance in comparisons, journaled purchases
+	// included: Journaled — the purchases of an interrupted run — are
+	// charged one unit each before the walk starts, so however the walk
+	// differs from the one that bought them (the tier knobs are outside
+	// the journal manifest) live purchases never overdraw the budget.
+	Budget    int64
+	Journaled []journal.Verdict
+	// Tier, when set, labels confident pairs for free; BandUncertain
+	// sends the pair on to the budget.
+	Tier func(i, j int) bloom.Band
+	// Comparator buys verdicts, through its batch path
+	// (smc.BatchComparator) in chunks of its ChunkHint when it has them;
+	// Workers scales the chunk otherwise.
+	Comparator interface {
+		Compare(i, j int) (bool, error)
+	}
+	Workers int
+	// Journal, when set, records every Purchased and Tiered event before
+	// the sink sees it and is synced at an interrupt and at completion.
+	// The caller has already declared the run to it (Begin).
+	Journal journal.Sink
+	// Context, when set, is polled before the walk and after every chunk.
+	Context context.Context
+	// Progress, when set, sees purchases done (journaled + live) against
+	// Budget: before the walk, every progressStride, and at the end.
+	Progress func(done, total int64)
+	// Sink receives every Replayed, Tiered and Purchased pair exactly
+	// once, in walk order: an event behind a purchase still in flight
+	// waits for that verdict. Journaled purchases the walk never met
+	// follow the walk, in journal order.
+	Sink func(Event)
+	// Residual, when set, receives the walked pairs the budget could not
+	// afford, in the same ordered stream. The walk ends at the first
+	// unaffordable pair unless Tier or Residual is set — only they have
+	// anything left to do there.
+	Residual func(Event)
+}
+
+// progressStride is how many purchases apart Progress events are.
+const progressStride = 4096
+
+// maxQueuedChunks bounds the delivery queue, in chunks: tier labels and
+// replays between two sparse purchases wait in it, so a long free stretch
+// flushes a partial chunk rather than grow without limit.
+const maxQueuedChunks = 64
+
+// run is the state of one Run.
+type run struct {
+	in      Input
+	batcher smc.BatchComparator
+	chunk   int
+
+	budget    int64
+	done      int64
+	exhausted bool
+	journaled map[[2]uint32]bool
+
+	group   int
+	padded  bool
+	charger dpblock.DummyCharger
+
+	// queue holds the events since the oldest unflushed purchase, in walk
+	// order; pending counts the purchases among them.
+	queue   []Event
+	pending int
+	pairs   [][2]int
+
+	uncertain int64
+	err       error
+}
+
+// Run walks the groups and resolves every pair it meets by precedence:
+// journaled purchase, tier label, live purchase, residual. It returns how
+// many walked pairs the tier hook passed on as uncertain.
+func Run(in Input) (uncertain int64, err error) {
+	r := &run{in: in, budget: in.Budget}
+	r.batcher, _ = in.Comparator.(smc.BatchComparator)
+	// The chunk grows with the worker count so a sharded comparator always
+	// has enough pairs to keep every lane's pipeline full. A comparator
+	// that knows its own ideal batch size — a distributed pool whose
+	// capacity is fleet width, not Workers — overrides the heuristic;
+	// clamped so a bad hint can neither stall the pipeline nor
+	// materialize the budget.
+	r.chunk = min(256*max(in.Workers, 1), 4096)
+	if hinter, ok := in.Comparator.(interface{ ChunkHint() int }); ok {
+		if h := hinter.ChunkHint(); h > 0 {
+			r.chunk = min(h, 16384)
+		}
+	}
+	if len(in.Journaled) > 0 {
+		r.journaled = make(map[[2]uint32]bool, len(in.Journaled))
+		for _, v := range in.Journaled {
+			r.journaled[[2]uint32{v.I, v.J}] = v.Matched
+		}
+		r.done = int64(len(r.journaled))
+		r.budget -= r.done
+	}
+
+	if err := r.interrupted(); err != nil {
+		return 0, err
+	}
+	// Announce the phase before the first stride so pollers see it start.
+	r.progress()
+	r.walk()
+	ok := r.err == nil && r.flush()
+	// Journaled purchases the walk never met — it stopped early, or the
+	// interrupted run walked a different order — are exact all the same.
+	for _, v := range in.Journaled {
+		key := [2]uint32{v.I, v.J}
+		if matched, unmet := r.journaled[key]; ok && unmet {
+			delete(r.journaled, key)
+			ok = r.deliver(Event{Kind: Replayed, Matched: matched, Group: -1, I: int(v.I), J: int(v.J)})
+		}
+	}
+	if !ok {
+		return 0, r.err
+	}
+	if in.Journal != nil {
+		// Completion checkpoint: everything after the purchases is derived
+		// state, so a durable journal here makes the run reconstructible.
+		if err := in.Journal.Sync(); err != nil {
+			return 0, err
+		}
+	}
+	r.progress()
+	return r.uncertain, nil
+}
+
+func (r *run) progress() {
+	if r.in.Progress != nil {
+		r.in.Progress(r.done, r.in.Budget)
+	}
+}
+
+// interrupted checkpoints the run: every verdict delivered so far is
+// already journaled (delivery trails the comparator), so a sync makes the
+// prefix durable and the run resumable.
+func (r *run) interrupted() error {
+	if r.in.Context == nil || r.in.Context.Err() == nil {
+		return nil
+	}
+	if r.in.Journal != nil {
+		if err := r.in.Journal.Sync(); err != nil {
+			return err
+		}
+	}
+	return fmt.Errorf("%w after %d of %d budgeted comparisons: %v",
+		ErrInterrupted, r.done, r.in.Budget, r.in.Context.Err())
+}
+
+func (r *run) walk() {
+	for k := 0; k < r.in.Groups; k++ {
+		g := r.in.Group(k)
+		r.group = k
+		if r.padded = g.Excess > 0; r.padded {
+			n := int64(len(g.Pairs))
+			if g.Pairs == nil {
+				n = int64(len(g.A)) * int64(len(g.B))
+			}
+			r.charger = dpblock.NewDummyCharger(n, g.Excess)
+		}
+		if g.Pairs != nil {
+			for _, p := range g.Pairs {
+				if !r.visit(int(p[0]), int(p[1])) {
+					return
+				}
+			}
+			continue
+		}
+		for _, i := range g.A {
+			for _, j := range g.B {
+				if !r.visit(i, j) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// visit resolves one walked pair; false ends the walk.
+func (r *run) visit(i, j int) bool {
+	if r.journaled != nil {
+		key := [2]uint32{uint32(i), uint32(j)}
+		if matched, ok := r.journaled[key]; ok {
+			delete(r.journaled, key)
+			// The unit was charged before the walk; the padding share is
+			// charged here, as far as the budget still reaches.
+			var pad int64
+			if r.padded {
+				pad = max(min(r.charger.Next(), r.budget), 0)
+				r.budget -= pad
+			}
+			return r.emit(Event{Kind: Replayed, Matched: matched, Group: r.group, I: i, J: j, Padding: pad})
+		}
+	}
+	if r.in.Tier != nil {
+		if band := r.in.Tier(i, j); band != bloom.BandUncertain {
+			return r.emit(Event{Kind: Tiered, Matched: band == bloom.BandMatch, Group: r.group, I: i, J: j})
+		}
+		r.uncertain++
+	}
+	if !r.exhausted {
+		var pad int64
+		if r.padded {
+			pad = r.charger.Next()
+		}
+		if r.budget >= 1+pad {
+			r.budget -= 1 + pad
+			r.queue = append(r.queue, Event{Kind: Purchased, Group: r.group, I: i, J: j, Padding: pad})
+			if r.pending++; r.pending == r.chunk {
+				return r.checkpoint()
+			}
+			return true
+		}
+		// Once a pair is unaffordable everything after it is residual,
+		// even a later pair with a smaller padding share: partial groups
+		// stay honest and resumed runs stop where the first run did.
+		r.exhausted = true
+	}
+	if r.in.Residual != nil {
+		return r.emit(Event{Kind: Residual, Group: r.group, I: i, J: j})
+	}
+	return r.in.Tier != nil
+}
+
+// emit delivers a non-purchase event, or queues it behind the purchases
+// still in flight so the sink sees walk order.
+func (r *run) emit(ev Event) bool {
+	if r.pending == 0 {
+		return r.deliver(ev)
+	}
+	r.queue = append(r.queue, ev)
+	if len(r.queue) >= maxQueuedChunks*r.chunk {
+		return r.checkpoint()
+	}
+	return true
+}
+
+// checkpoint ends a chunk mid-walk: flush it, then poll the interrupt.
+func (r *run) checkpoint() bool {
+	if !r.flush() {
+		return false
+	}
+	r.err = r.interrupted()
+	return r.err == nil
+}
+
+// flush buys the queued purchases — through the batch path when the
+// comparator has one — and delivers the queue in order. It reports
+// whether the run may go on.
+func (r *run) flush() bool {
+	if r.pending == 0 {
+		return true
+	}
+	var verdicts []bool
+	if r.batcher != nil {
+		r.pairs = r.pairs[:0]
+		for x := range r.queue {
+			if ev := &r.queue[x]; ev.Kind == Purchased {
+				r.pairs = append(r.pairs, [2]int{ev.I, ev.J})
+			}
+		}
+		var err error
+		if verdicts, err = r.batcher.CompareBatch(r.pairs); err != nil {
+			r.err = fmt.Errorf("SMC batch: %w", err)
+			return false
+		}
+		if len(verdicts) != len(r.pairs) {
+			r.err = fmt.Errorf("SMC batch: %d verdicts for %d pairs", len(verdicts), len(r.pairs))
+			return false
+		}
+	}
+	bought := 0
+	for x := range r.queue {
+		ev := r.queue[x]
+		if ev.Kind == Purchased {
+			if verdicts != nil {
+				ev.Matched = verdicts[bought]
+			} else if ev.Matched, r.err = r.in.Comparator.Compare(ev.I, ev.J); r.err != nil {
+				r.err = fmt.Errorf("SMC comparison (%d,%d): %w", ev.I, ev.J, r.err)
+				return false
+			}
+			bought++
+		}
+		if !r.deliver(ev) {
+			return false
+		}
+	}
+	r.queue, r.pending = r.queue[:0], 0
+	return true
+}
+
+// deliver journals an event, then hands it to its sink.
+func (r *run) deliver(ev Event) bool {
+	if ev.Kind == Residual {
+		r.in.Residual(ev)
+		return true
+	}
+	if r.in.Journal != nil && ev.Kind != Replayed {
+		var err error
+		if ev.Kind == Tiered {
+			err = r.in.Journal.RecordTier(ev.I, ev.J, ev.Matched)
+		} else {
+			err = r.in.Journal.Record(ev.I, ev.J, ev.Matched)
+		}
+		if err != nil {
+			r.err = fmt.Errorf("journal append (%d,%d): %w", ev.I, ev.J, err)
+			return false
+		}
+	}
+	if ev.Kind == Purchased {
+		if r.done++; r.done%progressStride == 0 {
+			r.progress()
+		}
+	}
+	r.in.Sink(ev)
+	return true
+}

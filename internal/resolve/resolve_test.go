@@ -1,0 +1,451 @@
+package resolve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"pprl/internal/bloom"
+	"pprl/internal/journal"
+)
+
+// verdictOf is the fake comparators' ground truth.
+func verdictOf(i, j int) bool { return (i+2*j)%3 == 0 }
+
+// pairCmp offers only per-pair Compare; batchCmp adds the batch path and
+// remembers the batch sizes it was handed. Both declare hint as their
+// ChunkHint (0 = none).
+type pairCmp struct{ calls, hint int }
+
+func (c *pairCmp) ChunkHint() int { return c.hint }
+
+func (c *pairCmp) Compare(i, j int) (bool, error) {
+	c.calls++
+	return verdictOf(i, j), nil
+}
+
+type batchCmp struct {
+	pairCmp
+	batches []int
+}
+
+func (c *batchCmp) CompareBatch(pairs [][2]int) ([]bool, error) {
+	c.batches = append(c.batches, len(pairs))
+	out := make([]bool, len(pairs))
+	for x, p := range pairs {
+		out[x], _ = c.Compare(p[0], p[1])
+	}
+	return out, nil
+}
+
+// memJournal records what the kernel journals, in order.
+type memJournal struct {
+	entries []Event
+	syncs   int
+	onEntry func(n int)
+}
+
+func (m *memJournal) add(k Kind, i, j int, matched bool) error {
+	m.entries = append(m.entries, Event{Kind: k, I: i, J: j, Matched: matched})
+	if m.onEntry != nil {
+		m.onEntry(len(m.entries))
+	}
+	return nil
+}
+func (m *memJournal) Begin(journal.Manifest) ([]journal.Verdict, error) { return nil, nil }
+func (m *memJournal) Record(i, j int, matched bool) error               { return m.add(Purchased, i, j, matched) }
+func (m *memJournal) RecordTier(i, j int, matched bool) error           { return m.add(Tiered, i, j, matched) }
+func (m *memJournal) Sync() error                                       { m.syncs++; return nil }
+
+// scenario is one kernel input, minus the parts every run re-creates.
+type scenario struct {
+	groups    []Group
+	budget    int64
+	journaled []journal.Verdict
+	tier      map[[2]int]bloom.Band // nil = tier off; missing pairs are uncertain
+	residual  bool
+	hint      int // chunk size both comparator variants run at (0 = default)
+}
+
+// outcome is everything observable about one run.
+type outcome struct {
+	trace     []Event // Sink and Residual events in delivery order
+	journal   *memJournal
+	uncertain int64
+	calls     int
+	batches   []int
+	err       error
+}
+
+func (sc scenario) input(cmp interface {
+	Compare(i, j int) (bool, error)
+}, out *outcome) Input {
+	in := Input{
+		Groups:     len(sc.groups),
+		Group:      func(k int) Group { return sc.groups[k] },
+		Budget:     sc.budget,
+		Journaled:  sc.journaled,
+		Comparator: cmp,
+		Journal:    out.journal,
+		Sink:       func(ev Event) { out.trace = append(out.trace, ev) },
+	}
+	if sc.tier != nil {
+		in.Tier = func(i, j int) bloom.Band { return sc.tier[[2]int{i, j}] }
+	}
+	if sc.residual {
+		in.Residual = func(ev Event) { out.trace = append(out.trace, ev) }
+	}
+	return in
+}
+
+// runBoth runs the scenario through the per-pair and the batch comparator
+// and fails unless both produce the same sink trace, journal and stats.
+func runBoth(t *testing.T, sc scenario, tweak func(*Input, *outcome)) *outcome {
+	t.Helper()
+	per := &outcome{journal: &memJournal{}}
+	pc := &pairCmp{hint: sc.hint}
+	in := sc.input(pc, per)
+	if tweak != nil {
+		tweak(&in, per)
+	}
+	per.uncertain, per.err = Run(in)
+	per.calls = pc.calls
+
+	bat := &outcome{journal: &memJournal{}}
+	bc := &batchCmp{pairCmp: pairCmp{hint: sc.hint}}
+	in = sc.input(bc, bat)
+	if tweak != nil {
+		tweak(&in, bat)
+	}
+	bat.uncertain, bat.err = Run(in)
+	bat.calls, bat.batches = bc.calls, bc.batches
+
+	if !reflect.DeepEqual(per.trace, bat.trace) {
+		t.Fatalf("sink traces differ:\nper-pair %v\nbatch    %v", per.trace, bat.trace)
+	}
+	if !reflect.DeepEqual(per.journal.entries, bat.journal.entries) || per.journal.syncs != bat.journal.syncs {
+		t.Fatalf("journals differ:\nper-pair %v\nbatch    %v", per.journal.entries, bat.journal.entries)
+	}
+	if per.uncertain != bat.uncertain || per.calls != bat.calls || (per.err == nil) != (bat.err == nil) {
+		t.Fatalf("per-pair run: uncertain %d calls %d err %v; batch run: uncertain %d calls %d err %v",
+			per.uncertain, per.calls, per.err, bat.uncertain, bat.calls, bat.err)
+	}
+	return bat
+}
+
+func ev(k Kind, group, i, j int, matched bool, padding int64) Event {
+	return Event{Kind: k, Group: group, I: i, J: j, Matched: matched, Padding: padding}
+}
+
+func journaledPairs(ps ...[3]int) []journal.Verdict {
+	var out []journal.Verdict
+	for _, p := range ps {
+		out = append(out, journal.Verdict{I: uint32(p[0]), J: uint32(p[1]), Matched: p[2] == 1})
+	}
+	return out
+}
+
+// TestRunTraces pins the exact event stream of small scenarios.
+func TestRunTraces(t *testing.T) {
+	cross := func(a, b []int) Group { return Group{A: a, B: b} }
+	cases := []struct {
+		name string
+		sc   scenario
+		want []Event
+		// calls is the comparator invocations, uncertain what Run returns.
+		calls, uncertain int
+		batches          []int
+	}{
+		{
+			// Journaled beats a contradicting tier label; tier beats the
+			// budget; the first unaffordable pair and everything after it
+			// are residual.
+			name: "precedence",
+			sc: scenario{
+				groups:    []Group{cross([]int{0, 1}, []int{0, 1, 2})},
+				budget:    3,
+				journaled: journaledPairs([3]int{0, 1, 1}),
+				tier: map[[2]int]bloom.Band{
+					{0, 1}: bloom.BandNonMatch, {0, 2}: bloom.BandMatch, {1, 0}: bloom.BandNonMatch,
+				},
+				residual: true,
+			},
+			want: []Event{
+				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
+				ev(Replayed, 0, 0, 1, true, 0),
+				ev(Tiered, 0, 0, 2, true, 0),
+				ev(Tiered, 0, 1, 0, false, 0),
+				ev(Purchased, 0, 1, 1, verdictOf(1, 1), 0),
+				ev(Residual, 0, 1, 2, false, 0),
+			},
+			calls: 2, uncertain: 3, batches: []int{2},
+		},
+		{
+			// Both journaled purchases are charged before the walk, so one
+			// unit is left. (0,1) is met in-line; the walk stops at (0,2)
+			// and never reaches (1,1), which follows it.
+			name: "journaled met and unmet",
+			sc: scenario{
+				groups:    []Group{cross([]int{0}, []int{0, 1, 2}), cross([]int{1}, []int{0, 1})},
+				budget:    3,
+				journaled: journaledPairs([3]int{1, 1, 0}, [3]int{0, 1, 1}),
+			},
+			want: []Event{
+				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
+				ev(Replayed, 0, 0, 1, true, 0),
+				ev(Replayed, -1, 1, 1, false, 0),
+			},
+			calls: 1, batches: []int{1},
+		},
+		{
+			// Chunks of two: the tier label and the replay between pending
+			// purchases wait for the verdicts ahead of them, and the stream
+			// still comes out in walk order.
+			name: "order across chunks",
+			sc: scenario{
+				groups: []Group{
+					cross([]int{0}, []int{0, 1, 2, 3}),
+					{Pairs: [][2]int32{{5, 0}, {5, 1}, {5, 2}}},
+				},
+				budget:    100,
+				journaled: journaledPairs([3]int{5, 0, 1}),
+				tier:      map[[2]int]bloom.Band{{0, 1}: bloom.BandMatch, {5, 1}: bloom.BandNonMatch},
+				hint:      2,
+			},
+			want: []Event{
+				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
+				ev(Tiered, 0, 0, 1, true, 0),
+				ev(Purchased, 0, 0, 2, verdictOf(0, 2), 0),
+				ev(Purchased, 0, 0, 3, verdictOf(0, 3), 0),
+				ev(Replayed, 1, 5, 0, true, 0),
+				ev(Tiered, 1, 5, 1, false, 0),
+				ev(Purchased, 1, 5, 2, verdictOf(5, 2), 0),
+			},
+			calls: 4, uncertain: 4, batches: []int{2, 2},
+		},
+		{
+			// A fully bought padded group pays exactly its excess, the
+			// journaled pair its share of it.
+			name: "padding sums to excess",
+			sc: scenario{
+				groups:    []Group{{A: []int{0, 1}, B: []int{0, 1}, Excess: 7}},
+				budget:    100,
+				journaled: journaledPairs([3]int{0, 1, 0}),
+			},
+			want: []Event{
+				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 1),
+				ev(Replayed, 0, 0, 1, false, 2),
+				ev(Purchased, 0, 1, 0, verdictOf(1, 0), 2),
+				ev(Purchased, 0, 1, 1, verdictOf(1, 1), 2),
+			},
+			calls: 3, batches: []int{3},
+		},
+		{
+			// The padded first pair costs 1+3 and is unaffordable; the
+			// cheaper pairs behind it are not bought either.
+			name: "exhaustion is sticky",
+			sc: scenario{
+				groups:   []Group{{A: []int{0}, B: []int{0}, Excess: 3}, cross([]int{1}, []int{0, 1})},
+				budget:   2,
+				residual: true,
+			},
+			want: []Event{
+				ev(Residual, 0, 0, 0, false, 0),
+				ev(Residual, 1, 1, 0, false, 0),
+				ev(Residual, 1, 1, 1, false, 0),
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := runBoth(t, c.sc, nil)
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			if !reflect.DeepEqual(got.trace, c.want) {
+				t.Errorf("trace\n got %v\nwant %v", got.trace, c.want)
+			}
+			if got.calls != c.calls || got.uncertain != int64(c.uncertain) {
+				t.Errorf("calls %d uncertain %d, want %d and %d", got.calls, got.uncertain, c.calls, c.uncertain)
+			}
+			if !reflect.DeepEqual(got.batches, c.batches) {
+				t.Errorf("batch sizes %v, want %v", got.batches, c.batches)
+			}
+			// Journal-after-verdict: the journal is the Purchased and
+			// Tiered events, in delivery order, synced once at the end.
+			var want []Event
+			for _, e := range got.trace {
+				if e.Kind == Purchased || e.Kind == Tiered {
+					want = append(want, Event{Kind: e.Kind, I: e.I, J: e.J, Matched: e.Matched})
+				}
+			}
+			if !reflect.DeepEqual(got.journal.entries, want) || got.journal.syncs != 1 {
+				t.Errorf("journal %v (%d syncs), want %v (1 sync)", got.journal.entries, got.journal.syncs, want)
+			}
+		})
+	}
+}
+
+// TestEarlyStop: with neither a tier nor a residual sink the walk ends at
+// the first unaffordable pair; either of them keeps it going to the end.
+func TestEarlyStop(t *testing.T) {
+	var groups []Group
+	for k := 0; k < 5; k++ {
+		groups = append(groups, Group{A: []int{k}, B: []int{0, 1, 2}})
+	}
+	for _, c := range []struct {
+		name           string
+		tier, residual bool
+		wantGroups     int
+		wantEvents     int
+	}{
+		{"plain", false, false, 2, 4},
+		{"tier on", true, false, 5, 4},
+		{"residual wanted", false, true, 5, 15},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc := scenario{groups: groups, budget: 4, residual: c.residual}
+			if c.tier {
+				sc.tier = map[[2]int]bloom.Band{}
+			}
+			asked := 0
+			got := runBoth(t, sc, func(in *Input, _ *outcome) {
+				asked = 0
+				group := in.Group
+				in.Group = func(k int) Group { asked++; return group(k) }
+			})
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			if asked != c.wantGroups || len(got.trace) != c.wantEvents || got.calls != 4 {
+				t.Errorf("walked %d groups, %d events, %d purchases; want %d, %d, 4",
+					asked, len(got.trace), got.calls, c.wantGroups, c.wantEvents)
+			}
+		})
+	}
+}
+
+// TestInterruptAtChunkBoundary cancels the context from inside the
+// journal: the chunk in flight is delivered whole, the journal holds
+// exactly what the sink saw, it is synced, and the error is
+// ErrInterrupted.
+func TestInterruptAtChunkBoundary(t *testing.T) {
+	sc := scenario{
+		groups: []Group{{A: []int{0, 1, 2}, B: []int{0, 1, 2, 3}}},
+		budget: 100,
+		tier:   map[[2]int]bloom.Band{{0, 2}: bloom.BandMatch},
+		hint:   4,
+	}
+	full := runBoth(t, sc, nil)
+	if full.err != nil {
+		t.Fatal(full.err)
+	}
+	got := runBoth(t, sc, func(in *Input, out *outcome) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		in.Context = ctx
+		out.journal.onEntry = func(n int) {
+			if n == 2 {
+				cancel()
+			}
+		}
+	})
+	if !errors.Is(got.err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", got.err)
+	}
+	// The first chunk is four purchases with the tier label among them.
+	if len(got.trace) != 5 || !reflect.DeepEqual(got.trace, full.trace[:5]) {
+		t.Errorf("interrupted trace %v is not the 5-event prefix of %v", got.trace, full.trace)
+	}
+	if len(got.journal.entries) != len(got.trace) || got.journal.syncs != 1 {
+		t.Errorf("journal holds %d entries (%d syncs) for %d delivered events", len(got.journal.entries), got.journal.syncs, len(got.trace))
+	}
+
+	// A context cancelled before the walk buys nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pre := runBoth(t, sc, func(in *Input, _ *outcome) { in.Context = ctx })
+	if !errors.Is(pre.err, ErrInterrupted) || len(pre.trace) != 0 || pre.calls != 0 {
+		t.Errorf("pre-cancelled run: err %v, %d events, %d purchases", pre.err, len(pre.trace), pre.calls)
+	}
+}
+
+// TestProgressCadence: one event before the walk, one per stride counting
+// journaled purchases as done, one at the end.
+func TestProgressCadence(t *testing.T) {
+	n := progressStride + 10
+	b := make([]int, n)
+	for j := range b {
+		b[j] = j
+	}
+	sc := scenario{
+		groups:    []Group{{A: []int{0}, B: b}},
+		budget:    int64(n),
+		journaled: journaledPairs([3]int{0, 3, 1}, [3]int{0, 4, 0}),
+	}
+	var seen [][2]int64
+	got := runBoth(t, sc, func(in *Input, _ *outcome) {
+		seen = nil
+		in.Progress = func(done, total int64) { seen = append(seen, [2]int64{done, total}) }
+	})
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	want := [][2]int64{{2, int64(n)}, {progressStride, int64(n)}, {int64(n), int64(n)}}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("progress events %v, want %v", seen, want)
+	}
+}
+
+// TestDefaultChunk pins the chunk rule: 256 per worker capped at 4096, a
+// ChunkHint overriding it up to 16384.
+func TestDefaultChunk(t *testing.T) {
+	b := make([]int, 40000)
+	for j := range b {
+		b[j] = j
+	}
+	for _, c := range []struct{ workers, hint, want int }{
+		{0, 0, 256}, {1, 0, 256}, {2, 0, 512}, {64, 0, 4096}, {2, 32, 32}, {1, 1 << 20, 16384},
+	} {
+		cmp := &batchCmp{pairCmp: pairCmp{hint: c.hint}}
+		_, err := Run(Input{
+			Groups: 1, Group: func(int) Group { return Group{A: []int{0}, B: b} },
+			Budget: int64(len(b)), Comparator: cmp, Workers: c.workers, Sink: func(Event) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmp.batches[0] != c.want {
+			t.Errorf("workers=%d hint=%d: first batch %d, want %d", c.workers, c.hint, cmp.batches[0], c.want)
+		}
+	}
+}
+
+// TestComparatorErrors: a failing comparator and a short batch reply both
+// stop the run with the pair or the count in the error.
+func TestComparatorErrors(t *testing.T) {
+	in := Input{
+		Groups: 1, Group: func(int) Group { return Group{A: []int{0}, B: []int{0, 1}} },
+		Budget: 5, Sink: func(Event) {},
+	}
+	in.Comparator = failingCmp{}
+	if _, err := Run(in); err == nil {
+		t.Error("comparator error was swallowed")
+	}
+	in.Comparator = shortBatch{}
+	if _, err := Run(in); err == nil {
+		t.Error("short batch reply was accepted")
+	}
+}
+
+type failingCmp struct{}
+
+func (failingCmp) Compare(i, j int) (bool, error) { return false, fmt.Errorf("boom") }
+
+type shortBatch struct{ failingCmp }
+
+func (shortBatch) CompareBatch(pairs [][2]int) ([]bool, error) {
+	return make([]bool, len(pairs)-1), nil
+}

@@ -2,21 +2,19 @@ package session
 
 import (
 	"crypto/sha256"
-	"errors"
-	"fmt"
-	"hash"
 	"strconv"
 
 	"pprl/internal/blocking"
 	"pprl/internal/journal"
+	"pprl/internal/resolve"
 )
 
 // ErrInterrupted is returned (wrapped) by RunQuery when
-// QueryConfig.Context is cancelled mid-run: the querying party finishes
-// the in-flight SMC batch, syncs the journal, shuts the holder sessions
-// down, and stops. A journaled session interrupted this way is resumable
-// via Resume.
-var ErrInterrupted = errors.New("session interrupted")
+// QueryConfig.Context is cancelled mid-run, after the holder sessions are
+// shut down; a journaled session interrupted this way is resumable via
+// Resume. It is the resolution kernel's sentinel (see there for the
+// checkpoint it guarantees), the same value as core.ErrInterrupted.
+var ErrInterrupted = resolve.ErrInterrupted
 
 // Resume reopens an interrupted session's journal for continuation with
 // default fsync batching; set the returned writer as QueryConfig.Journal
@@ -53,27 +51,21 @@ func queryManifest(cfg *QueryConfig, block *blocking.Result, allowance int64, al
 func queryConfigDigest(cfg *QueryConfig, allowance int64) [32]byte {
 	h := sha256.New()
 	for _, q := range cfg.QIDs {
-		hashField(h, "qid", q)
+		journal.HashField(h, "qid", q)
 	}
-	hashField(h, "theta", strconv.FormatFloat(cfg.Theta, 'g', -1, 64))
-	hashField(h, "heuristic", cfg.Heuristic.Name())
-	hashField(h, "allowance", strconv.FormatInt(allowance, 10))
-	hashField(h, "scale", strconv.FormatInt(cfg.Scale, 10))
+	journal.HashField(h, "theta", strconv.FormatFloat(cfg.Theta, 'g', -1, 64))
+	journal.HashField(h, "heuristic", cfg.Heuristic.Name())
+	journal.HashField(h, "allowance", strconv.FormatInt(allowance, 10))
+	journal.HashField(h, "scale", strconv.FormatInt(cfg.Scale, 10))
 	return [32]byte(h.Sum(nil))
 }
 
 // viewsDigest hashes the holders' published views byte for byte.
 func viewsDigest(aliceView, bobView []byte) [32]byte {
 	h := sha256.New()
-	hashField(h, "alice", strconv.Itoa(len(aliceView)))
+	journal.HashField(h, "alice", strconv.Itoa(len(aliceView)))
 	h.Write(aliceView)
-	hashField(h, "bob", strconv.Itoa(len(bobView)))
+	journal.HashField(h, "bob", strconv.Itoa(len(bobView)))
 	h.Write(bobView)
 	return [32]byte(h.Sum(nil))
-}
-
-// hashField writes a length-delimited key/value into the digest, so
-// adjacent fields cannot alias.
-func hashField(h hash.Hash, key, value string) {
-	fmt.Fprintf(h, "%s=%d:%s;", key, len(value), value)
 }

@@ -9,7 +9,8 @@
 //     and publishes the serialized view,
 //  3. the querying party blocks on the two views, orders the Unknown
 //     pairs with a selection heuristic, and
-//  4. drives the budgeted Paillier SMC protocol against both holders.
+//  4. drives the budgeted Paillier SMC protocol against both holders
+//     (the budget loop itself is internal/resolve, DESIGN.md §16).
 //
 // Raw records never leave their holder: the wire carries parameters,
 // anonymized views, and ciphertexts. cmd/pprl-party wraps the three roles
@@ -19,6 +20,7 @@ package session
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 
 	"pprl/internal/anonymize"
@@ -31,6 +33,7 @@ import (
 	"pprl/internal/journal"
 	"pprl/internal/match"
 	"pprl/internal/metrics"
+	"pprl/internal/resolve"
 	"pprl/internal/smc"
 )
 
@@ -360,20 +363,8 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	spec.ShuffleAttributes = cfg.ShuffleAttributes
 	spec.Packing = cfg.Packing
 	if cfg.Tier != nil {
-		if cfg.Tier.M == 0 {
-			cfg.Tier.M = 1000
-		}
-		if cfg.Tier.K == 0 {
-			cfg.Tier.K = 30
-		}
-		if cfg.Tier.Q == 0 {
-			cfg.Tier.Q = 2
-		}
-		if cfg.TierHigh == 0 && cfg.TierLow == 0 {
-			cfg.TierHigh, cfg.TierLow = 0.95, 0.60
-		}
-		if cfg.TierLow < 0 || cfg.TierHigh > 1 || cfg.TierLow > cfg.TierHigh {
-			return nil, fmt.Errorf("session: tier thresholds must satisfy 0 ≤ low ≤ high ≤ 1 (got low=%v high=%v)", cfg.TierLow, cfg.TierHigh)
+		if err := bloom.TierDefaults(&cfg.Tier.M, &cfg.Tier.K, &cfg.Tier.Q, &cfg.TierLow, &cfg.TierHigh); err != nil {
+			return nil, fmt.Errorf("session: %w", err)
 		}
 	}
 
@@ -454,32 +445,11 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	// fresh journal persists the manifest, a resumed one validates it
 	// (refusing a run whose classifier or views changed) and hands back
 	// the verdicts already purchased by the interrupted run.
-	var replayed map[[2]int]bool
+	var journaled []journal.Verdict
 	if cfg.Journal != nil {
-		prior, err := cfg.Journal.Begin(queryManifest(&cfg, block, allowance, aRaw, bRaw))
-		if err != nil {
+		if journaled, err = cfg.Journal.Begin(queryManifest(&cfg, block, allowance, aRaw, bRaw)); err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
-		if len(prior) > 0 {
-			replayed = make(map[[2]int]bool, len(prior))
-			for _, v := range prior {
-				replayed[[2]int{int(v.I), int(v.J)}] = v.Matched
-			}
-		}
-	}
-
-	// Replayed verdicts are applied upfront rather than stitched into the
-	// ordered iteration: the ordering the interrupted session purchased
-	// under may differ from this one's (the tier mode or thresholds may
-	// have changed — both are outside the manifest digest), but a
-	// purchased verdict is exact under any tier configuration. Each one
-	// consumes allowance exactly once, here.
-	for p, matched := range replayed {
-		if matched {
-			res.Matches = append(res.Matches, match.Pair{I: p[0], J: p[1]})
-		}
-		res.Resume.ResumedPairs++
-		res.Resume.ReplayedAllowance++
 	}
 
 	sess, err := smc.NewQuerySession(alice, bob, spec, cfg.KeyBits)
@@ -487,133 +457,54 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		return nil, err
 	}
 	ordered := heuristic.Order(block, rule, cfg.Heuristic, false)
-	// Budgeted pairs stream through a bounded chunk buffer straight into
-	// pipelined CompareBatch calls — the full budget (potentially millions
-	// of pairs at high allowance) is never materialized. The chunk grows
-	// with the worker count so a sharded engine keeps every lane full.
-	chunk := 256
-	if cfg.SMCWorkers > 1 {
-		chunk *= cfg.SMCWorkers
-		if chunk > 4096 {
-			chunk = 4096
+	var tier func(i, j int) bloom.Band
+	if cfg.Tier != nil {
+		tier = func(i, j int) bloom.Band {
+			return bloom.Classify(aFilters[i].Dice(bFilters[j]), cfg.TierLow, cfg.TierHigh)
 		}
 	}
-	pairs := make([][2]int, 0, chunk)
-	resolved := 0
-	// interrupted checkpoints the session between batches: every verdict
-	// resolved so far is already journaled, so a sync makes the prefix
-	// durable; closing the session tells the holders to shut down cleanly.
-	interrupted := func() error {
-		if cfg.Context == nil || cfg.Context.Err() == nil {
-			return nil
-		}
-		if cfg.Journal != nil {
-			if err := cfg.Journal.Sync(); err != nil {
-				return err
+	// The resolution kernel (DESIGN.md §16) spends the budget over the
+	// published views' member lists. Under DP the holders have already
+	// padded those lists, so the dummy comparisons the in-process engine
+	// charges as padding excess are ordinary unit-price pairs here, and
+	// which purchases paid for padding only the holders know.
+	uncertain, err := resolve.Run(resolve.Input{
+		Groups: len(ordered),
+		Group: func(k int) resolve.Group {
+			gp := ordered[k]
+			return resolve.Group{A: aView.Classes[gp.RI].Members, B: bView.Classes[gp.SI].Members}
+		},
+		Budget:     allowance,
+		Journaled:  journaled,
+		Tier:       tier,
+		Comparator: sess,
+		Workers:    cfg.SMCWorkers,
+		Journal:    cfg.Journal,
+		Context:    cfg.Context,
+		Sink: func(ev resolve.Event) {
+			switch {
+			case ev.Kind == resolve.Replayed:
+				res.Resume.ResumedPairs++
+				res.Resume.ReplayedAllowance++
+			case ev.Kind == resolve.Tiered && ev.Matched:
+				res.TierMatchedPairs++
+			case ev.Kind == resolve.Tiered:
+				res.TierNonMatchedPairs++
 			}
-		}
-		sess.Close()
-		return fmt.Errorf("session: %w after %d budgeted comparisons: %v",
-			ErrInterrupted, resolved, cfg.Context.Err())
-	}
-	flush := func() error {
-		if len(pairs) == 0 {
-			return nil
-		}
-		if err := interrupted(); err != nil {
-			return err
-		}
-		verdicts, err := sess.CompareBatch(pairs)
-		if err != nil {
-			return fmt.Errorf("session: SMC batch: %w", err)
-		}
-		for x, v := range verdicts {
-			p := pairs[x]
-			if v {
-				res.Matches = append(res.Matches, match.Pair{I: p[0], J: p[1]})
+			if ev.Matched {
+				res.Matches = append(res.Matches, match.Pair{I: ev.I, J: ev.J})
 			}
-			if cfg.Journal != nil {
-				if err := cfg.Journal.Record(p[0], p[1], v); err != nil {
-					return fmt.Errorf("session: journal append (%d,%d): %w", p[0], p[1], err)
-				}
-			}
+		},
+	})
+	if err != nil {
+		if errors.Is(err, ErrInterrupted) {
+			// The journal is synced; closing the session tells the holders
+			// to shut down cleanly.
+			sess.Close()
 		}
-		resolved += len(pairs)
-		pairs = pairs[:0]
-		return nil
+		return nil, fmt.Errorf("session: %w", err)
 	}
-	budget := allowance - res.Resume.ReplayedAllowance
-	// Under DP the member lists this party iterates are already padded by
-	// the holders, so the dummy comparisons DummyCharger models in the
-	// in-process engine happen here as ordinary pairs: every purchase
-	// costs exactly one unit, and which of them paid for padding is
-	// something only the holders know.
-	budgetDone := false
-groups:
-	for _, gp := range ordered {
-		for _, i := range aView.Classes[gp.RI].Members {
-			for _, j := range bView.Classes[gp.SI].Members {
-				// Already purchased by the interrupted session; applied
-				// upfront above, never re-bought.
-				if _, ok := replayed[[2]int{i, j}]; ok {
-					continue
-				}
-				// The triage tier labels the confident bands for free;
-				// only the uncertain band competes for the budget.
-				if cfg.Tier != nil {
-					band := bloom.Classify(aFilters[i].Dice(bFilters[j]), cfg.TierLow, cfg.TierHigh)
-					if band != bloom.BandUncertain {
-						matched := band == bloom.BandMatch
-						if matched {
-							res.Matches = append(res.Matches, match.Pair{I: i, J: j})
-							res.TierMatchedPairs++
-						} else {
-							res.TierNonMatchedPairs++
-						}
-						if cfg.Journal != nil {
-							if err := cfg.Journal.RecordTier(i, j, matched); err != nil {
-								return nil, fmt.Errorf("session: journal tier append (%d,%d): %w", i, j, err)
-							}
-						}
-						continue
-					}
-					res.TierUncertainPairs++
-				}
-				if budgetDone {
-					if cfg.Tier == nil {
-						break groups
-					}
-					// Tier labeling is free; keep scanning for confident
-					// bands even though the budget is gone.
-					continue
-				}
-				if budget < 1 {
-					budgetDone = true
-					if cfg.Tier == nil {
-						break groups
-					}
-					continue
-				}
-				budget--
-				pairs = append(pairs, [2]int{i, j})
-				if len(pairs) == chunk {
-					if err := flush(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	if cfg.Journal != nil {
-		// Completion checkpoint: a durable journal here means the whole
-		// run is reconstructible without touching the holders again.
-		if err := cfg.Journal.Sync(); err != nil {
-			return nil, err
-		}
-	}
+	res.TierUncertainPairs = uncertain
 	res.Invocations = sess.Invocations()
 	if err := sess.Close(); err != nil {
 		return nil, fmt.Errorf("session: closing: %w", err)

@@ -22,6 +22,14 @@ type Comparator interface {
 	Close() error
 }
 
+// BatchComparator is the pipelined purchase path the secure engines
+// (SecureComparator, ShardedComparator, QuerySession, the distributed
+// pool's comparator) offer beside Compare: verdict i answers pairs[i].
+// Callers discover it by type assertion and fall back to Compare.
+type BatchComparator interface {
+	CompareBatch(pairs [][2]int) ([]bool, error)
+}
+
 // PlainComparator is the plaintext oracle: it evaluates exactly the
 // integer arithmetic of the secure circuit (Spec.Matches) with zero
 // cryptographic cost. Experiments at paper scale use it while charging

@@ -220,11 +220,16 @@ func SpecFromRule(rule *blocking.Rule, scale int64) (*Spec, error) {
 // vectors the protocol encrypts: categorical leaves become their leaf
 // index, continuous values are fixed-point scaled.
 func EncodeRecords(d *dataset.Dataset, qids []int, scale int64) [][]int64 {
-	out := make([][]int64, d.Len())
-	for i := 0; i < d.Len(); i++ {
-		out[i] = encodeRecord(d.Schema(), d.Record(i), qids, scale)
+	return AppendEncoded(make([][]int64, 0, d.Len()), d, qids, scale)
+}
+
+// AppendEncoded extends rows, the encodings of d's first len(rows) records,
+// with the records d has grown by: a growing dataset pays once per record.
+func AppendEncoded(rows [][]int64, d *dataset.Dataset, qids []int, scale int64) [][]int64 {
+	for i := len(rows); i < d.Len(); i++ {
+		rows = append(rows, encodeRecord(d.Schema(), d.Record(i), qids, scale))
 	}
-	return out
+	return rows
 }
 
 // encodeRecord encodes one record's QID projection.

@@ -201,6 +201,8 @@ func TestIncrementalCrashMatrix(t *testing.T) {
 		}
 		tested++
 
+		tierRetuneArm(t, w, steps)
+
 		kills := killPoints(baseStats.Purchased)
 		for ki, kill := range kills {
 			tearTail := ki == len(kills)/2
@@ -306,6 +308,122 @@ func TestIncrementalCrashMatrix(t *testing.T) {
 	}
 	if tested == 0 {
 		t.Fatal("no generated world produced ≥ 2 purchases; incremental crash matrix never ran — adjust seeds")
+	}
+}
+
+// firstFrameCrash kills the run at the commit barrier of the first batch
+// that journaled anything: every earlier batch had no candidate pairs, so
+// the resumed run may flip the tier without a committed batch needing a
+// purchase it never made.
+type firstFrameCrash struct {
+	*journal.Writer
+	journaled bool
+}
+
+func (c *firstFrameCrash) Record(i, j int, matched bool) error {
+	c.journaled = true
+	return c.Writer.Record(i, j, matched)
+}
+
+func (c *firstFrameCrash) RecordTier(i, j int, matched bool) error {
+	c.journaled = true
+	return c.Writer.RecordTier(i, j, matched)
+}
+
+func (c *firstFrameCrash) RecordBatchCommit(b journal.BatchCommit) error {
+	if c.journaled {
+		return ErrCrash
+	}
+	return c.Writer.RecordBatchCommit(b)
+}
+
+// tierRetuneArm is the crash matrix's tier-retune arm: under a binding
+// pool, crash with the tail batch's verdicts journaled but uncommitted,
+// then resume with the tier switched the other way (the journal manifest
+// allows it). The resumed walk differs from the one that bought the
+// journaled verdicts, and still every one of them must be replayed exactly
+// once, charged before anything new is bought, and the pool never
+// overdrawn.
+func tierRetuneArm(t *testing.T, w *World, steps []incStep) {
+	t.Helper()
+	for _, first := range []core.TierMode{core.TierBloom, core.TierOff} {
+		second := core.TierBloom
+		if first == core.TierBloom {
+			second = core.TierOff
+		}
+		name := fmt.Sprintf("world=%d tier %v→%v", w.Seed, first, second)
+		icfg := incrementalConfigFor(w, "plain")
+		icfg.Tier = first
+		free, err := incremental.New(w.Alice.Schema(), icfg)
+		if err != nil {
+			t.Fatal(repro(w, err))
+		}
+		runSteps(t, free, steps)
+		if icfg.Allowance = free.Stats().Purchased / 2; icfg.Allowance < 2 {
+			continue
+		}
+
+		path := filepath.Join(t.TempDir(), "retune.wal")
+		wr, err := journal.Create(path, journal.Options{SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg1 := icfg
+		cfg1.Journal = &firstFrameCrash{Writer: wr}
+		eng1, err := incremental.New(w.Alice.Schema(), cfg1)
+		if err != nil {
+			t.Fatal(repro(w, err))
+		}
+		crashed := false
+		for _, s := range steps {
+			if _, err := eng1.Append(s.side, s.recs); err != nil {
+				if !errors.Is(err, ErrCrash) {
+					t.Fatalf("%s: append failed with %v, want ErrCrash", name, err)
+				}
+				crashed = true
+				break
+			}
+		}
+		if err := wr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !crashed {
+			continue // no batch had a candidate pair
+		}
+
+		rw, err := journal.Resume(path, journal.Options{SyncEvery: 1})
+		if err != nil {
+			t.Fatalf("%s: resume: %v", name, err)
+		}
+		cfg2 := icfg
+		cfg2.Tier = second
+		cfg2.Journal = rw
+		cfg2.Recovered = rw.Recovered()
+		eng2, err := incremental.New(w.Alice.Schema(), cfg2)
+		if err != nil {
+			t.Fatal(repro(w, err))
+		}
+		exposed, _ := runSteps(t, eng2, steps)
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[[2]int]bool, len(exposed))
+		for _, p := range exposed {
+			if seen[p] {
+				t.Fatal(repro(w, fmt.Errorf("%s: pair (%d,%d) exposed twice", name, p[0], p[1])))
+			}
+			seen[p] = true
+		}
+		st := eng2.Stats()
+		if st.Used > icfg.Allowance {
+			t.Fatal(repro(w, fmt.Errorf("%s: pool overdrawn: used %d of %d", name, st.Used, icfg.Allowance)))
+		}
+		if st.LiveSpent+st.ReplaySpent != st.Used {
+			t.Fatal(repro(w, fmt.Errorf("%s: live %d + replay %d ≠ used %d", name, st.LiveSpent, st.ReplaySpent, st.Used)))
+		}
+		if journaled := int64(len(cfg2.Recovered.Verdicts)); st.Replayed != journaled {
+			t.Fatal(repro(w, fmt.Errorf("%s: replayed %d of %d journaled purchases", name, st.Replayed, journaled)))
+		}
 	}
 }
 
