@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexPrune$$' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedSigned$$' -fuzztime $(FUZZTIME) ./internal/paillier
+	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseNoise$$' -fuzztime $(FUZZTIME) ./internal/paillier
 	$(GO) test -run '^$$' -fuzz '^FuzzDiceTier$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzLaplaceBins$$' -fuzztime $(FUZZTIME) ./internal/dpblock
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveBudget$$' -fuzztime $(FUZZTIME) ./internal/resolve
@@ -111,7 +112,7 @@ bench:
 # BENCH_tier.json, BENCH_dp.json, BENCH_distributed.json,
 # BENCH_incremental.json).
 perf:
-	$(GO) run ./cmd/pprl-bench -exp smcperf -json
+	$(GO) run ./cmd/pprl-bench -exp smcperf -json -perf-keybits 1024
 	$(GO) run ./cmd/pprl-bench -exp blocking -json
 	$(GO) run ./cmd/pprl-bench -exp tier -json
 	$(GO) run ./cmd/pprl-bench -exp dp -json

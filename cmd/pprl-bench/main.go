@@ -136,7 +136,7 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 		}
 	}
 	if want("smcperf") {
-		rep, t, err := experiment.SMCPerf(perfBits, 4, 32, 0)
+		rep, t, err := experiment.SMCPerf(perfBits, 4, 1024, 0)
 		if err != nil {
 			return err
 		}

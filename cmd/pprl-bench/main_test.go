@@ -103,7 +103,7 @@ func TestRunBaselines(t *testing.T) {
 func TestRunSMCPerfJSON(t *testing.T) {
 	perfOut := filepath.Join(t.TempDir(), "BENCH_smc.json")
 	var buf bytes.Buffer
-	if err := run(&buf, "smcperf", 240, false, 3, true, 512, perfOut, "", "", "", 24, "", ""); err != nil {
+	if err := run(&buf, "smcperf", 240, false, 3, true, 256, perfOut, "", "", "", 24, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(perfOut)
@@ -128,7 +128,7 @@ func TestRunSMCPerfJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report does not parse: %v", err)
 	}
-	if rep.GOMAXPROCS < 1 || rep.Workers < 1 || rep.KeyBits != 512 {
+	if rep.GOMAXPROCS < 1 || rep.Workers < 1 || rep.KeyBits != 256 {
 		t.Errorf("report header wrong: %+v", rep)
 	}
 	if len(rep.Engines) != 4 {
@@ -262,7 +262,7 @@ func TestRunTierJSON(t *testing.T) {
 func TestRunSMCPerfTextNoFile(t *testing.T) {
 	perfOut := filepath.Join(t.TempDir(), "BENCH_smc.json")
 	var buf bytes.Buffer
-	if err := run(&buf, "smcperf", 240, false, 3, false, 512, perfOut, "", "", "", 24, "", ""); err != nil {
+	if err := run(&buf, "smcperf", 240, false, 3, false, 256, perfOut, "", "", "", 24, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(perfOut); err == nil {

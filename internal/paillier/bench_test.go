@@ -153,3 +153,48 @@ func BenchmarkPackUnpack(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkNoiseUnit is the uniform unit r^N mod N²: one full-width
+// exponentiation, what Encrypt, Rerandomize and every RandomizerPool
+// unit cost.
+func BenchmarkNoiseUnit(b *testing.B) {
+	sk := benchKey(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sk.noiseUnit(rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFixedBaseNoise is the fixed-base unit that replaces it on the
+// key-less holder's side: ≤ 128 table multiplications. Allocations must
+// stay at the returned unit alone (the window loop works in pooled
+// scratch), or the end-to-end alloc_mb moves.
+func BenchmarkFixedBaseNoise(b *testing.B) {
+	sk := benchKey(b)
+	f, err := NewFixedBaseNoise(rand.Reader, sk.Public())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.unit(rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFixedBaseTable is the one-time table build on key receipt.
+func BenchmarkFixedBaseTable(b *testing.B) {
+	sk := benchKey(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewFixedBaseNoise(rand.Reader, sk.Public()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -343,11 +343,16 @@ func (pk *PublicKey) Rerandomize(random io.Reader, ct *Ciphertext) (*Ciphertext,
 	if err != nil {
 		return nil, err
 	}
-	// A noise unit r^n is itself an encryption of zero, so one modular
-	// multiplication completes the rerandomization.
+	return pk.mulNoise(ct, rn), nil
+}
+
+// mulNoise multiplies a noise unit into ct. A unit is itself an
+// encryption of zero, so the one modular multiplication completes a
+// rerandomization.
+func (pk *PublicKey) mulNoise(ct *Ciphertext, rn *big.Int) *Ciphertext {
 	c := new(big.Int).Mul(ct.C, rn)
 	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}, nil
+	return &Ciphertext{C: c}
 }
 
 // randomUnit draws r ∈ [1, N) with gcd(r, N) = 1.

@@ -108,9 +108,7 @@ func (p *RandomizerPool) Rerandomize(ct *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := new(big.Int).Mul(ct.C, rn)
-	c.Mod(c, p.pk.N2)
-	return &Ciphertext{C: c}, nil
+	return p.pk.mulNoise(ct, rn), nil
 }
 
 // Close stops the background workers and waits for them to exit. The

@@ -1,0 +1,243 @@
+package smc
+
+import (
+	"crypto/rand"
+	"math/big"
+	"testing"
+
+	"pprl/internal/paillier"
+)
+
+// Which party draws which noise is a security property (PROTOCOL.md,
+// "Security argument"), so it is pinned from the wire: ciphertexts whose
+// noise comes from Alice's fixed-base source lie in the square subgroup
+// and have Jacobi symbol (c mod N | N) = +1, ciphertexts carrying one of
+// Bob's uniform r^N units have a uniform ±1.
+
+func jacobiModN(c, n *big.Int) int {
+	return big.Jacobi(new(big.Int).Mod(c, n), n)
+}
+
+// checkShares verifies one MsgShares of record rec: arity, plaintexts,
+// Jacobi symbols, and that no ciphertext repeats one seen before.
+func checkShares(t *testing.T, sk *paillier.PrivateKey, m *Message, rec []int64, active []int, seen map[string]bool) {
+	t.Helper()
+	if m.Kind != MsgShares || len(m.Sq) != len(active) || len(m.Lin) != len(active) {
+		t.Fatalf("malformed shares message: kind %d, %d sq, %d lin", m.Kind, len(m.Sq), len(m.Lin))
+	}
+	for k, ai := range active {
+		a := rec[ai]
+		for name, c := range map[string]struct {
+			ct   *big.Int
+			want int64
+		}{"Enc(a²)": {m.Sq[k], a * a}, "Enc(−2a)": {m.Lin[k], -2 * a}} {
+			got, err := sk.DecryptSigned(&paillier.Ciphertext{C: c.ct})
+			if err != nil {
+				t.Fatalf("attr %d %s: %v", ai, name, err)
+			}
+			if got.Int64() != c.want {
+				t.Errorf("attr %d %s decrypts to %v, want %d", ai, name, got, c.want)
+			}
+			if j := jacobiModN(c.ct, sk.N); j != 1 {
+				t.Errorf("attr %d %s has Jacobi symbol %d: a unit from outside Alice's one noise source", ai, name, j)
+			}
+			if key := c.ct.String(); seen[key] {
+				t.Errorf("attr %d %s repeats a ciphertext already sent for this record", ai, name)
+			} else {
+				seen[key] = true
+			}
+		}
+	}
+}
+
+// TestAliceSharesOneNoiseSource: repeated requests for one record send
+// byte-different shares, and every ciphertext of every MsgShares has
+// Jacobi symbol +1. A cached share encrypted from a uniform unit but
+// rerandomized from the square subgroup would carry a constant ±1 per
+// ciphertext — a 2d-bit fingerprint of the record that Bob could compute
+// without the key — so half of such ciphertexts fail here.
+func TestAliceSharesOneNoiseSource(t *testing.T) {
+	spec := testSpec()
+	records := [][]int64{{2, -5, 9}, {1, 4, 0}}
+	active := spec.activeAttrs()
+	const requests = 12
+
+	t.Run("serial", func(t *testing.T) {
+		qa, ba, errs := startAlice(t, records, spec)
+		sk := sendKey(t, qa)
+		for rec := range records {
+			seen := map[string]bool{}
+			for r := 0; r < requests; r++ {
+				if err := qa.Send(&Message{Kind: MsgCompare, Record: rec}); err != nil {
+					t.Fatal(err)
+				}
+				m, err := ba.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkShares(t, sk, m, records[rec], active, seen)
+			}
+		}
+		if err := qa.Send(&Message{Kind: MsgShutdown}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errs; err != nil {
+			t.Fatalf("alice: %v", err)
+		}
+	})
+
+	// Sharded: the lanes of one ShardedComparator share one engine, so
+	// every lane must draw from the same source as the cache it reads.
+	t.Run("sharded", func(t *testing.T) {
+		const lanes = 3
+		sk, err := paillier.GenerateKey(rand.Reader, testKeyBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := newAliceEngine(records, spec)
+		errs := make(chan error, lanes)
+		queries, bobs := make([]Conn, lanes), make([]Conn, lanes)
+		for l := 0; l < lanes; l++ {
+			qa, aq := NewConnPair()
+			ab, ba := NewConnPair()
+			queries[l], bobs[l] = qa, ba
+			go func() { errs <- runAlice(aq, ab, records, spec, eng) }()
+			if err := qa.Send(&Message{Kind: MsgPublicKey, N: sk.N}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for rec := range records {
+			seen := map[string]bool{}
+			for r := 0; r < requests; r++ {
+				// All lanes hold a request for the record at once.
+				for _, qa := range queries {
+					if err := qa.Send(&Message{Kind: MsgCompare, Record: rec}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, ba := range bobs {
+					m, err := ba.Recv()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkShares(t, sk, m, records[rec], active, seen)
+				}
+			}
+		}
+		for _, qa := range queries {
+			if err := qa.Send(&Message{Kind: MsgShutdown}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for l := 0; l < lanes; l++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("alice lane: %v", err)
+			}
+		}
+	})
+}
+
+// The key owner's view must not depend on Alice's noise source: Bob's
+// engine holds a RandomizerPool and nothing else (checked by the
+// compiler here, by the wire below).
+var _ = func(e *bobEngine) *paillier.RandomizerPool { return e.pool }
+
+// TestBobResultsCarryUniformUnits: every MsgResult ciphertext is Bob's
+// homomorphic combination of Alice's square-subgroup shares times one of
+// Bob's own units. With full-width uniform units the Jacobi symbols of
+// the results are fair coins; were Bob ever switched to the fixed-base
+// source they would all be +1, in every result mode.
+func TestBobResultsCarryUniformUnits(t *testing.T) {
+	aliceRec, bobRec := []int64{2, -5, 9}, []int64{2, -3, 1}
+	for _, tc := range []struct {
+		name string
+		spec func(*Spec)
+		// perResult is the number of ciphertexts in one MsgResult.
+		perResult int
+	}{
+		{"unpacked", func(s *Spec) { s.Packing = PackingOff }, 2},
+		{"packed", func(s *Spec) { s.Packing = PackingPacked }, 1},
+		{"reveal-distance", func(s *Spec) { s.RevealDistance = true }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec()
+			tc.spec(spec)
+			active := spec.activeAttrs()
+			qb, ab, errs := startBob(t, [][]int64{bobRec}, spec)
+			// A real query session reads Bob's results through the tap; the
+			// test plays Alice on the peer link, and her query link is a
+			// pair nobody reads (its frames stay within the conn's buffer).
+			tap := &tapConn{Conn: qb}
+			qa, _ := NewConnPair()
+			sk, err := paillier.GenerateKey(rand.Reader, testKeyBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := newQuerySessionWithKey(qa, tap, spec, sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noise, err := paillier.NewFixedBaseNoise(rand.Reader, sk.Public())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := spec.Matches(aliceRec, bobRec)
+
+			counts := map[int]int{}
+			const requests = 40 // ≥ 40 fair coins: all-equal has probability ≤ 2^-39
+			for r := 0; r < requests; r++ {
+				shares := &Message{Kind: MsgShares}
+				for _, ai := range active {
+					a := aliceRec[ai]
+					sq, err := noise.EncryptInt64(a * a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lin, err := noise.EncryptInt64(-2 * a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					shares.Sq, shares.Lin = append(shares.Sq, sq.C), append(shares.Lin, lin.C)
+				}
+				if err := ab.Send(shares); err != nil {
+					t.Fatal(err)
+				}
+				got, err := q.Compare(0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("request %d: verdict %v, want %v", r, got, want)
+				}
+				if len(tap.last.Res) != tc.perResult {
+					t.Fatalf("%d result ciphertexts, want %d", len(tap.last.Res), tc.perResult)
+				}
+				for _, c := range tap.last.Res {
+					counts[jacobiModN(c, sk.N)]++
+				}
+			}
+			if counts[1] == 0 || counts[-1] == 0 || counts[1]+counts[-1] != requests*tc.perResult {
+				t.Errorf("Jacobi symbols of %d result ciphertexts: %v; want a mix of +1 and −1 (uniform units)",
+					requests*tc.perResult, counts)
+			}
+			if err := q.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errs; err != nil {
+				t.Fatalf("bob: %v", err)
+			}
+		})
+	}
+}
+
+// tapConn remembers the last message received through it.
+type tapConn struct {
+	Conn
+	last *Message
+}
+
+func (c *tapConn) Recv() (*Message, error) {
+	m, err := c.Conn.Recv()
+	c.last = m
+	return m, err
+}

@@ -127,23 +127,32 @@ func forEachAttr(n int, f func(k int) error) error {
 	return nil
 }
 
-// aliceEngine is the first data holder's crypto state: the randomizer
-// pool and the per-record share cache. Enc(a²) and Enc(−2a) depend only
-// on the record, so they are computed once and rerandomized from the pool
+// aliceEngine is the first data holder's crypto state: the fixed-base
+// noise source and the per-record share cache. Enc(a²) and Enc(−2a)
+// depend only on the record, so they are computed once and rerandomized
 // before every send — repeated transmissions of one record stay
-// unlinkable on the wire (a rerandomized ciphertext carries a fresh
-// uniform unit, exactly the distribution of a fresh encryption).
+// unlinkable on the wire.
+//
+// Both the cached encryptions and every rerandomization draw from the one
+// fixed-base source (paillier.FixedBaseNoise): Alice's ciphertexts go to
+// key-less Bob only, and everything Bob forwards to the key owner carries
+// one of Bob's own uniform units, so the short-exponent units never reach
+// a party the factoring-based argument does not bind (PROTOCOL.md). One
+// source, never two: a share encrypted from a uniform unit but
+// rerandomized from the square subgroup would keep a constant Jacobi
+// symbol per ciphertext, a record fingerprint Bob could read without the
+// key.
 //
 // One engine may be shared by several runAlice loops (the sharded
 // comparator runs W loops over the same records), so every method is safe
-// for concurrent use. close is the owner's duty, after all loops exited.
+// for concurrent use.
 type aliceEngine struct {
 	records [][]int64
 	active  []int
 
-	mu   sync.Mutex
-	pk   *paillier.PublicKey
-	pool *paillier.RandomizerPool
+	mu    sync.Mutex
+	pk    *paillier.PublicKey
+	noise *paillier.FixedBaseNoise
 
 	entries []shareEntry
 }
@@ -159,8 +168,9 @@ func newAliceEngine(records [][]int64, spec *Spec) *aliceEngine {
 	return &aliceEngine{records: records, active: spec.activeAttrs()}
 }
 
-// init installs the session key on first call; later calls (parallel
-// loops of a sharded session) must present the same modulus.
+// init installs the session key on first call and builds the noise table
+// for it; later calls (parallel loops of a sharded session) must present
+// the same modulus.
 func (e *aliceEngine) init(pk *paillier.PublicKey) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -170,8 +180,11 @@ func (e *aliceEngine) init(pk *paillier.PublicKey) error {
 		}
 		return nil
 	}
-	e.pk = pk
-	e.pool = paillier.NewRandomizerPool(pk, 0, 0)
+	noise, err := paillier.NewFixedBaseNoise(rand.Reader, pk)
+	if err != nil {
+		return err
+	}
+	e.pk, e.noise = pk, noise
 	e.entries = make([]shareEntry, len(e.records))
 	return nil
 }
@@ -187,11 +200,11 @@ func (e *aliceEngine) shares(i int) ([]*paillier.Ciphertext, []*paillier.Ciphert
 		rec := e.records[i]
 		ent.err = forEachAttr(len(e.active), func(k int) error {
 			a := rec[e.active[k]]
-			sq, err := e.pool.EncryptInt64(a * a)
+			sq, err := e.noise.EncryptInt64(a * a)
 			if err != nil {
 				return fmt.Errorf("encrypting a²: %w", err)
 			}
-			lin, err := e.pool.EncryptInt64(-2 * a)
+			lin, err := e.noise.EncryptInt64(-2 * a)
 			if err != nil {
 				return fmt.Errorf("encrypting −2a: %w", err)
 			}
@@ -202,17 +215,10 @@ func (e *aliceEngine) shares(i int) ([]*paillier.Ciphertext, []*paillier.Ciphert
 	return ent.sq, ent.lin, ent.err
 }
 
-func (e *aliceEngine) close() {
-	e.mu.Lock()
-	pool := e.pool
-	e.mu.Unlock()
-	if pool != nil {
-		pool.Close()
-	}
-}
-
 // bobEngine is the second data holder's crypto state: the randomizer pool
-// feeding Rerandomize. Shareable by parallel runBob loops.
+// feeding Rerandomize. Shareable by parallel runBob loops. Its units are
+// full-width uniform r^N — never the fixed-base source: Bob's ciphertexts
+// go to the key owner, who can tell a subgroup from the whole group.
 type bobEngine struct {
 	mu   sync.Mutex
 	pk   *paillier.PublicKey
@@ -247,9 +253,7 @@ func (e *bobEngine) close() {
 // requested record's cached encrypted shares to Bob. It returns when it
 // receives MsgShutdown or its connections close.
 func RunAlice(query, bob Conn, records [][]int64, spec *Spec) error {
-	eng := newAliceEngine(records, spec)
-	defer eng.close()
-	return runAlice(query, bob, records, spec, eng)
+	return runAlice(query, bob, records, spec, newAliceEngine(records, spec))
 }
 
 // runAlice serves one query link with a possibly shared engine.
@@ -286,11 +290,11 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 		}
 		out := &Message{Kind: MsgShares, Sq: make([]*big.Int, len(active)), Lin: make([]*big.Int, len(active))}
 		if err := forEachAttr(len(active), func(k int) error {
-			rsq, err := eng.pool.Rerandomize(sq[k])
+			rsq, err := eng.noise.Rerandomize(sq[k])
 			if err != nil {
 				return err
 			}
-			rlin, err := eng.pool.Rerandomize(lin[k])
+			rlin, err := eng.noise.Rerandomize(lin[k])
 			if err != nil {
 				return err
 			}

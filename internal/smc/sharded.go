@@ -12,13 +12,15 @@ import (
 // ShardedComparator runs the three-party protocol over W independent
 // lanes: one Paillier key, W connection pairs per link, W Alice/Bob party
 // loops, and W query sessions. CompareBatch stripes a pair list across
-// the lanes so the five modular exponentiations of each comparison run on
-// all cores instead of one goroutine.
+// the lanes so each comparison's crypto — Alice's 2d table-multiplied
+// rerandomizations, Bob's d small exponentiations, packing and one
+// full-width unit, the querying party's decryption — runs on all cores
+// instead of one goroutine.
 //
-// The lanes share the holders' crypto engines — one randomizer pool and
-// one share cache per party — so Alice encrypts each record's shares once
-// no matter how many lanes request it, and every lane's hot path draws
-// pregenerated noise. Verdicts are positionally aligned with the input
+// The lanes share the holders' crypto engines — Alice's noise table and
+// share cache, Bob's randomizer pool — so Alice encrypts each record's
+// shares once no matter how many lanes request it, and the table is built
+// once per key. Verdicts are positionally aligned with the input
 // pairs, Invocations and BytesTransferred aggregate across lanes, and the
 // per-pair messages are byte-for-byte the same protocol the serial
 // SecureComparator speaks: semantics are pinned to it by
@@ -88,7 +90,6 @@ func NewLocalSecureSharded(spec *Spec, alice, bob [][]int64, keyBits, workers in
 				conn.Close()
 			}
 			c.wg.Wait()
-			c.aliceEng.close()
 			c.bobEng.close()
 			return nil, err
 		}
@@ -229,7 +230,6 @@ func (c *ShardedComparator) Close() error {
 		}
 	}
 	c.wg.Wait()
-	c.aliceEng.close()
 	c.bobEng.close()
 	for _, conn := range c.conns {
 		conn.Close()
