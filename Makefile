@@ -75,9 +75,12 @@ tier-smoke:
 
 # 1/2/4-worker fleet scaling at a smoke scale: the run stripes a real
 # batch across in-process workers and fails on any verdict divergence
-# from the single-process oracle.
+# from the single-process oracle. Then the worker-death reassignment
+# test twenty times over: the death is injected with a chunk in flight,
+# so every run must see the failure counted and the fleet shrunk.
 distributed-smoke:
 	$(GO) run ./cmd/pprl-bench -exp distributed -records 400
+	$(GO) test -run '^TestWorkerDeathReassignment$$' -count=20 ./internal/distrib
 
 # ε-sweep of noised blocking against the k-anonymous baseline at a
 # smoke scale, then the golden-schema test over the emitted BENCH_dp
@@ -97,8 +100,9 @@ incremental-smoke:
 	$(GO) test -race -count=1 -run '^TestService(IncrementalSmoke|DedupDataset)$$' ./internal/service
 
 # One-iteration compile-and-run of every crypto micro-benchmark: keeps
-# the paillier kernels and the SMC engine benches from bit-rotting
-# without paying for a real measurement run.
+# the paillier kernels and the SMC engine benches — BenchmarkSecureRun's
+# run-length fan-out curve among them — from bit-rotting without paying
+# for a real measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc
 

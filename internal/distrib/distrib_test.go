@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +51,13 @@ func allPairs(na, nb int) [][2]int {
 func startWorker(t *testing.T, p *Pool, opts WorkerOptions) {
 	t.Helper()
 	coord, work := net.Pipe()
+	serveWorker(t, p, coord, work, opts)
+}
+
+// serveWorker runs a worker on its end of a connection — which a test may
+// have wrapped — and registers the other end with the pool.
+func serveWorker(t *testing.T, p *Pool, coord, work net.Conn, opts WorkerOptions) {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- ServeWorker(work, opts) }()
 	t.Cleanup(func() {
@@ -116,9 +124,27 @@ func TestFleetMatchesLocalOracle(t *testing.T) {
 	}
 }
 
-// TestWorkerDeathReassignment kills one of two workers after its first
-// chunk; the batch still completes, verdict-identical, with the dead
-// worker's chunk reassigned to the survivor.
+// heldConn is a worker's end of its link whose writes wait, once the hold
+// is armed, for release to close.
+type heldConn struct {
+	net.Conn
+	armed   *atomic.Bool
+	release <-chan struct{}
+}
+
+func (c heldConn) Write(b []byte) (int, error) {
+	if c.armed.Load() {
+		<-c.release
+	}
+	return c.Conn.Write(b)
+}
+
+// TestWorkerDeathReassignment kills one of two workers on the chunk after
+// its first; the batch still completes, verdict-identical, with the dead
+// worker's chunk reassigned to the survivor. The survivor's replies are
+// held back until the pool has marked the doomed worker dead, so the
+// doomed one is always handed its second chunk — no schedule lets the
+// survivor drain the queue first.
 func TestWorkerDeathReassignment(t *testing.T) {
 	spec := testSpec()
 	alice := testRecords(30, 3)
@@ -133,13 +159,19 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	})
 	defer p.Close()
 	startWorker(t, p, WorkerOptions{Name: "doomed", HeartbeatEvery: 50 * time.Millisecond, FailAfterChunks: 1})
-	startWorker(t, p, WorkerOptions{Name: "survivor", HeartbeatEvery: 50 * time.Millisecond})
+	p.mu.Lock()
+	doomed := p.workers["doomed"]
+	p.mu.Unlock()
+	var hold atomic.Bool
+	coord, work := net.Pipe()
+	serveWorker(t, p, coord, heldConn{work, &hold, doomed.dead}, WorkerOptions{Name: "survivor", HeartbeatEvery: 50 * time.Millisecond})
 
 	cmp, err := p.NewComparator(spec, alice, bob, JobConfig{Job: "churn", ChunkPairs: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cmp.Close()
+	hold.Store(true)
 	got, err := cmp.CompareBatch(pairs)
 	if err != nil {
 		t.Fatalf("batch failed despite a surviving worker: %v", err)

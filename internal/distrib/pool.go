@@ -154,12 +154,13 @@ func (p *Pool) AddConn(conn net.Conn) error {
 
 // readLoop drains one worker's connection: heartbeats refresh liveness,
 // everything else is queued for the coordinator goroutine that owns the
-// worker. Exit (decode error = connection lost) marks the worker dead
-// and removes it from the fleet.
+// worker. Exit (decode error = connection lost) removes the worker from
+// the fleet and then marks it dead, so whoever saw dead close sees the
+// fleet without it.
 func (p *Pool) readLoop(w *worker) {
 	defer func() {
-		close(w.dead)
 		p.remove(w)
+		close(w.dead)
 		p.logf("distrib: worker=%s disconnected", w.name)
 	}()
 	for {
@@ -309,7 +310,19 @@ func (p *Pool) failWorker(w *worker, job string, chunk int, err error) {
 		p.opts.FailuresVec.With(w.name).Inc()
 	}
 	p.logf("distrib: job=%s chunk=%d worker=%s failed: %v (reassigning)", job, chunk, w.name, err)
-	w.link.close() // readLoop observes the close, marks dead, removes
+	// readLoop observes the close, removes the worker and marks it dead.
+	// Waiting for that keeps the death inside the batch that met it: the
+	// next batch's live() never offers this worker a chunk, and Workers()
+	// no longer lists it once CompareBatch returns. Messages still queued
+	// are dropped, so a readLoop caught delivering one gets to the close.
+	w.link.close()
+	for {
+		select {
+		case <-w.dead:
+			return
+		case <-w.incoming:
+		}
+	}
 }
 
 // JobConfig parameterizes one distributed comparison job.

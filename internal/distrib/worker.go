@@ -23,9 +23,12 @@ type WorkerOptions struct {
 	HeartbeatEvery time.Duration
 	// Logger receives worker lifecycle lines; nil is silent.
 	Logger *log.Logger
-	// FailAfterChunks, when > 0, drops the connection after serving
-	// that many chunks — the fault-injection hook the testkit uses to
-	// kill a worker at a deterministic chunk boundary.
+	// FailAfterChunks, when > 0, drops the connection on receipt of the
+	// chunk after that many served ones, before replying — the
+	// fault-injection hook the testkit uses to kill a worker at a
+	// deterministic chunk boundary. Dying with a chunk in flight means
+	// the coordinator always has one to reassign and always sees the
+	// death inside the batch.
 	FailAfterChunks int
 }
 
@@ -140,6 +143,11 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 				l.send(&message{Kind: kindError, Job: job, Chunk: m.Chunk, Err: "chunk dispatched before setup completed"})
 				continue
 			}
+			if opts.FailAfterChunks > 0 && served >= opts.FailAfterChunks {
+				logf("distrib-worker: job=%s worker=%s injected fault on chunk %d, after %d served", job, name, m.Chunk, served)
+				conn.Close()
+				return nil
+			}
 			verdicts, err := compareAll(cmp, m.Pairs)
 			if err != nil {
 				l.send(&message{Kind: kindError, Job: job, Chunk: m.Chunk, Err: err.Error()})
@@ -159,11 +167,6 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 				return fmt.Errorf("distrib: sending verdicts: %w", err)
 			}
 			served++
-			if opts.FailAfterChunks > 0 && served >= opts.FailAfterChunks {
-				logf("distrib-worker: job=%s worker=%s injected fault after %d chunks", job, name, served)
-				conn.Close()
-				return nil
-			}
 		case kindTeardown:
 			logf("distrib-worker: job=%s worker=%s teardown", job, name)
 			closeEngine()

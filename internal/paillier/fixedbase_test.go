@@ -69,8 +69,8 @@ func TestFixedBaseUnitIsNoise(t *testing.T) {
 	}
 }
 
-// TestFixedBaseRoundTrip: Encrypt, EncryptInt64 and Rerandomize decrypt
-// like their PublicKey counterparts, unsigned and signed.
+// TestFixedBaseRoundTrip: Encrypt and EncryptInt64 decrypt like their
+// PublicKey counterparts, unsigned and signed.
 func TestFixedBaseRoundTrip(t *testing.T) {
 	for _, bits := range fixedBaseKeyBits {
 		sk, f := fixedBaseFor(t, bits)
@@ -79,9 +79,6 @@ func TestFixedBaseRoundTrip(t *testing.T) {
 			ct, err := f.Encrypt(m)
 			if err != nil {
 				t.Fatalf("%d bits: Encrypt(%v): %v", bits, m, err)
-			}
-			if ct, err = f.Rerandomize(ct); err != nil {
-				t.Fatal(err)
 			}
 			got, err := sk.Decrypt(ct)
 			if err != nil {
@@ -96,14 +93,7 @@ func TestFixedBaseRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d bits: EncryptInt64(%d): %v", bits, v, err)
 			}
-			rr, err := f.Rerandomize(ct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rr.C.Cmp(ct.C) == 0 {
-				t.Errorf("%d bits: rerandomized ciphertext equals its input", bits)
-			}
-			got, err := sk.DecryptSigned(rr)
+			got, err := sk.DecryptSigned(ct)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,9 +187,6 @@ func TestFixedBaseConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				v := int64(g*1000+i) - 4000
 				ct, err := f.EncryptInt64(v)
-				if err == nil && i%3 == 0 {
-					ct, err = f.Rerandomize(ct)
-				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -222,7 +209,7 @@ func TestFixedBaseConcurrent(t *testing.T) {
 // FuzzFixedBaseNoise runs the source over random small keys (every bit
 // length from 64 to 128, so every exponent-length remainder mod 4 and
 // mod 8) and random messages: units are noise in the square subgroup and
-// encryptions round-trip through a rerandomization.
+// encryptions round-trip.
 func FuzzFixedBaseNoise(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(12345))
 	f.Add(int64(2), uint8(1), int64(-1))
@@ -258,9 +245,6 @@ func FuzzFixedBaseNoise(f *testing.F) {
 		ct, err := fb.EncryptInt64(msg)
 		if err != nil {
 			t.Fatalf("%s: EncryptInt64(%d): %v", desc, msg, err)
-		}
-		if ct, err = fb.Rerandomize(ct); err != nil {
-			t.Fatal(err)
 		}
 		got, err := sk.Decrypt(ct)
 		if err != nil {

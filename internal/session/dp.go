@@ -23,7 +23,7 @@ import (
 
 // dpDummyRow builds the one SMC encoding all of this holder's dummy
 // handles share (semantic security hides the repetition: shares are
-// rerandomized per request, results blinded per comparison). The values
+// encrypted afresh per run, results blinded per comparison). The values
 // are chosen so a dummy can match nothing — not the peer's records,
 // whose encodings lie inside the schema's domain, and not the peer's
 // dummies, which sit on the opposite side of it:

@@ -25,7 +25,10 @@ type Comparator interface {
 // BatchComparator is the pipelined purchase path the secure engines
 // (SecureComparator, ShardedComparator, QuerySession, the distributed
 // pool's comparator) offer beside Compare: verdict i answers pairs[i].
-// Callers discover it by type assertion and fall back to Compare.
+// Consecutive pairs that share Alice's record are bought as one run — one
+// share set from Alice for all of them — so a caller walking A × B should
+// hand the pairs over in walk order. Callers discover the path by type
+// assertion and fall back to Compare.
 type BatchComparator interface {
 	CompareBatch(pairs [][2]int) ([]bool, error)
 }
@@ -127,23 +130,18 @@ func (c *SecureComparator) record(err error) {
 	}
 }
 
-// Compare implements Comparator.
+// Compare implements Comparator: a batch of one.
 func (c *SecureComparator) Compare(i, j int) (bool, error) {
-	match, err := c.session.Compare(i, j)
+	out, err := c.CompareBatch([][2]int{{i, j}})
 	if err != nil {
-		c.errMu.Lock()
-		pe := c.partyErr
-		c.errMu.Unlock()
-		if pe != nil {
-			return false, fmt.Errorf("%w (party error: %v)", err, pe)
-		}
 		return false, err
 	}
-	return match, nil
+	return out[0], nil
 }
 
-// CompareBatch resolves many pairs with request pipelining (see
-// QuerySession.CompareBatch); the linkage engine uses it when available.
+// CompareBatch resolves many pairs run by run with request pipelining
+// (see QuerySession.CompareBatch); the linkage engine uses it when
+// available.
 func (c *SecureComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
 	out, err := c.session.CompareBatch(pairs)
 	if err != nil {

@@ -22,27 +22,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 )
-
-// encodeMessage and decodeMessage frame messages for the in-memory
-// transport with the same gob encoding the TCP transport uses, so byte
-// counts are comparable across transports.
-func encodeMessage(m *Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("smc: encoding message: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeMessage(b []byte) (*Message, error) {
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("smc: decoding message: %w", err)
-	}
-	return &m, nil
-}
 
 // Conn is a reliable, ordered message pipe between two parties.
 type Conn interface {
@@ -67,7 +49,9 @@ type FrameBuffered interface {
 }
 
 // chanConn is the in-memory transport: gob-encoded frames over channels,
-// so byte accounting matches a real wire.
+// one frame per message. Each direction is one gob stream, as on a
+// net.Conn — the type descriptor crosses once, with the first message — so
+// byte counts are the same as on a real wire.
 type chanConn struct {
 	in    <-chan []byte
 	out   chan<- []byte
@@ -75,6 +59,22 @@ type chanConn struct {
 	peer  *chanConn
 	sent  atomic.Int64
 	owner bool // the side that closes `done`
+
+	// A stream's frames must be queued in the order they were encoded and
+	// decoded in the order they were queued, so each lock is held across
+	// its channel operation; closing the connection releases both.
+	sendMu sync.Mutex
+	wbuf   bytes.Buffer
+	enc    *gob.Encoder // into wbuf
+	recvMu sync.Mutex
+	rbuf   bytes.Reader
+	dec    *gob.Decoder // from rbuf
+}
+
+func newChanConn(in <-chan []byte, out chan<- []byte, done chan struct{}, owner bool) *chanConn {
+	c := &chanConn{in: in, out: out, done: done, owner: owner}
+	c.enc, c.dec = gob.NewEncoder(&c.wbuf), gob.NewDecoder(&c.rbuf)
+	return c
 }
 
 // NewConnPair returns the two ends of an in-memory connection with the
@@ -93,8 +93,8 @@ func NewConnPairBuffer(buffer int) (Conn, Conn) {
 	ab := make(chan []byte, buffer)
 	ba := make(chan []byte, buffer)
 	done := make(chan struct{})
-	a := &chanConn{in: ba, out: ab, done: done, owner: true}
-	b := &chanConn{in: ab, out: ba, done: done}
+	a := newChanConn(ba, ab, done, true)
+	b := newChanConn(ab, ba, done, false)
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -105,13 +105,16 @@ func (c *chanConn) Send(m *Message) error {
 		return io.ErrClosedPipe
 	default:
 	}
-	buf, err := encodeMessage(m)
-	if err != nil {
-		return err
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	c.wbuf.Reset()
+	if err := c.enc.Encode(m); err != nil {
+		return fmt.Errorf("smc: encoding message: %w", err)
 	}
+	frame := bytes.Clone(c.wbuf.Bytes())
 	select {
-	case c.out <- buf:
-		c.sent.Add(int64(len(buf)))
+	case c.out <- frame:
+		c.sent.Add(int64(len(frame)))
 		return nil
 	case <-c.done:
 		return io.ErrClosedPipe
@@ -119,18 +122,25 @@ func (c *chanConn) Send(m *Message) error {
 }
 
 func (c *chanConn) Recv() (*Message, error) {
+	c.recvMu.Lock()
+	defer c.recvMu.Unlock()
+	var frame []byte
 	select {
-	case buf := <-c.in:
-		return decodeMessage(buf)
+	case frame = <-c.in:
 	case <-c.done:
 		// Drain any frame that raced with close.
 		select {
-		case buf := <-c.in:
-			return decodeMessage(buf)
+		case frame = <-c.in:
 		default:
 			return nil, io.EOF
 		}
 	}
+	c.rbuf.Reset(frame)
+	var m Message
+	if err := c.dec.Decode(&m); err != nil {
+		return nil, fmt.Errorf("smc: decoding message: %w", err)
+	}
+	return &m, nil
 }
 
 func (c *chanConn) Close() error {

@@ -84,7 +84,7 @@ func TestBobRejectsMalformedShares(t *testing.T) {
 	spec := testSpec()
 	qb, alice, errs := startBob(t, [][]int64{{1, 2, 3}}, spec)
 	sendKey(t, qb)
-	if err := qb.Send(&Message{Kind: MsgCompare, Record: 0}); err != nil {
+	if err := qb.Send(&Message{Kind: MsgCompare, Records: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong arity: the spec has two active attributes.
@@ -97,15 +97,34 @@ func TestBobRejectsMalformedShares(t *testing.T) {
 	}
 }
 
-func TestBobRejectsOutOfRangeRecord(t *testing.T) {
-	spec := testSpec()
-	qb, _, errs := startBob(t, [][]int64{{1, 2, 3}}, spec)
-	sendKey(t, qb)
-	if err := qb.Send(&Message{Kind: MsgCompare, Record: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errs; err == nil {
-		t.Error("bob should reject a negative record index")
+// TestBobRejectsBadRun: Bob checks the whole list of a run before he reads
+// Alice's shares or answers any of it — a run answered in part would shift
+// every later verdict. The alice link is never written to, so a Bob that
+// validated lazily would hang here instead of failing.
+func TestBobRejectsBadRun(t *testing.T) {
+	for name, records := range map[string][]int{
+		"empty":             nil,
+		"negative":          {-1},
+		"out of range":      {1},
+		"bad tail":          {0, 0, 1},
+		"longer than a run": make([]int, maxRun+1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec := testSpec()
+			qb, _, errs := startBob(t, [][]int64{{1, 2, 3}}, spec)
+			sendKey(t, qb)
+			if err := qb.Send(&Message{Kind: MsgCompare, Records: records}); err != nil {
+				t.Fatal(err)
+			}
+			err := <-errs
+			if err == nil || !(strings.Contains(err.Error(), "out of range") || strings.Contains(err.Error(), "run of")) {
+				t.Errorf("bob error = %v, want a complaint about the run", err)
+			}
+			qb.Close() // a closed link still hands over a frame already sent
+			if m, rerr := qb.Recv(); rerr == nil {
+				t.Errorf("bob answered part of a bad run: %+v", m)
+			}
+		})
 	}
 }
 

@@ -50,12 +50,12 @@ func checkShares(t *testing.T, sk *paillier.PrivateKey, m *Message, rec []int64,
 	}
 }
 
-// TestAliceSharesOneNoiseSource: repeated requests for one record send
-// byte-different shares, and every ciphertext of every MsgShares has
-// Jacobi symbol +1. A cached share encrypted from a uniform unit but
-// rerandomized from the square subgroup would carry a constant ±1 per
-// ciphertext — a 2d-bit fingerprint of the record that Bob could compute
-// without the key — so half of such ciphertexts fail here.
+// TestAliceSharesOneNoiseSource: every run of one record gets a share set
+// encrypted afresh — correct plaintexts, no ciphertext ever repeated, so
+// two runs of a record are unlinkable — and every ciphertext has Jacobi
+// symbol +1. A share carrying a uniform unit anywhere in its history would
+// show a ±1 that Bob can compute without the key, so half of such
+// ciphertexts fail here.
 func TestAliceSharesOneNoiseSource(t *testing.T) {
 	spec := testSpec()
 	records := [][]int64{{2, -5, 9}, {1, 4, 0}}
@@ -86,15 +86,15 @@ func TestAliceSharesOneNoiseSource(t *testing.T) {
 		}
 	})
 
-	// Sharded: the lanes of one ShardedComparator share one engine, so
-	// every lane must draw from the same source as the cache it reads.
+	// Sharded: the lanes of one ShardedComparator share one engine and so
+	// one source.
 	t.Run("sharded", func(t *testing.T) {
 		const lanes = 3
 		sk, err := paillier.GenerateKey(rand.Reader, testKeyBits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := newAliceEngine(records, spec)
+		eng := &aliceEngine{}
 		errs := make(chan error, lanes)
 		queries, bobs := make([]Conn, lanes), make([]Conn, lanes)
 		for l := 0; l < lanes; l++ {
@@ -109,7 +109,7 @@ func TestAliceSharesOneNoiseSource(t *testing.T) {
 		for rec := range records {
 			seen := map[string]bool{}
 			for r := 0; r < requests; r++ {
-				// All lanes hold a request for the record at once.
+				// All lanes hold a run of the record at once.
 				for _, qa := range queries {
 					if err := qa.Send(&Message{Kind: MsgCompare, Record: rec}); err != nil {
 						t.Fatal(err)
@@ -144,9 +144,12 @@ var _ = func(e *bobEngine) *paillier.RandomizerPool { return e.pool }
 
 // TestBobResultsCarryUniformUnits: every MsgResult ciphertext is Bob's
 // homomorphic combination of Alice's square-subgroup shares times one of
-// Bob's own units. With full-width uniform units the Jacobi symbols of
-// the results are fair coins; were Bob ever switched to the fixed-base
-// source they would all be +1, in every result mode.
+// Bob's own units — a fresh one per result, also inside a run, where all
+// results grow from the same share set. With full-width uniform units the
+// Jacobi symbols of one run's results are fair coins; were Bob ever
+// switched to the fixed-base source they would all be +1, and were he to
+// draw one unit per run they would all be equal within it, in every
+// result mode.
 func TestBobResultsCarryUniformUnits(t *testing.T) {
 	aliceRec, bobRec := []int64{2, -5, 9}, []int64{2, -3, 1}
 	for _, tc := range []struct {
@@ -183,9 +186,14 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 			}
 			want := spec.Matches(aliceRec, bobRec)
 
-			counts := map[int]int{}
-			const requests = 40 // ≥ 40 fair coins: all-equal has probability ≤ 2^-39
-			for r := 0; r < requests; r++ {
+			// Every run is the one Alice record against the one Bob record,
+			// as often as a run is long: same shares, same inputs, so the
+			// results differ by Bob's blinds and units alone.
+			const runs = 6 // 6 runs × ≥ 8 fair coins: no mixed run has probability ≤ 2^-42
+			run := make([][2]int, q.window/2)
+			mixed := 0
+			seen := map[string]bool{}
+			for r := 0; r < runs; r++ {
 				shares := &Message{Kind: MsgShares}
 				for _, ai := range active {
 					a := aliceRec[ai]
@@ -202,23 +210,42 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 				if err := ab.Send(shares); err != nil {
 					t.Fatal(err)
 				}
-				got, err := q.Compare(0, 0)
+				tap.seen = nil
+				got, err := q.CompareBatch(run)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
-					t.Fatalf("request %d: verdict %v, want %v", r, got, want)
+				for x, v := range got {
+					if v != want {
+						t.Fatalf("run %d result %d: verdict %v, want %v", r, x, v, want)
+					}
 				}
-				if len(tap.last.Res) != tc.perResult {
-					t.Fatalf("%d result ciphertexts, want %d", len(tap.last.Res), tc.perResult)
+				if len(tap.seen) != len(run) {
+					t.Fatalf("run %d: %d result frames for %d pairs", r, len(tap.seen), len(run))
 				}
-				for _, c := range tap.last.Res {
-					counts[jacobiModN(c, sk.N)]++
+				counts := map[int]int{}
+				for _, m := range tap.seen {
+					if len(m.Res) != tc.perResult {
+						t.Fatalf("%d result ciphertexts, want %d", len(m.Res), tc.perResult)
+					}
+					for _, c := range m.Res {
+						counts[jacobiModN(c, sk.N)]++
+						if key := c.String(); seen[key] {
+							t.Error("two results carry the same ciphertext: a unit was reused")
+						} else {
+							seen[key] = true
+						}
+					}
+				}
+				if counts[1]+counts[-1] != len(run)*tc.perResult {
+					t.Fatalf("run %d: Jacobi symbols %v, want only ±1", r, counts)
+				}
+				if counts[1] > 0 && counts[-1] > 0 {
+					mixed++
 				}
 			}
-			if counts[1] == 0 || counts[-1] == 0 || counts[1]+counts[-1] != requests*tc.perResult {
-				t.Errorf("Jacobi symbols of %d result ciphertexts: %v; want a mix of +1 and −1 (uniform units)",
-					requests*tc.perResult, counts)
+			if mixed == 0 {
+				t.Errorf("no run of %d shows both Jacobi symbols among its results; want fair coins (a uniform unit per result)", runs)
 			}
 			if err := q.Close(); err != nil {
 				t.Fatal(err)
@@ -230,14 +257,16 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 	}
 }
 
-// tapConn remembers the last message received through it.
+// tapConn remembers the messages received through it.
 type tapConn struct {
 	Conn
-	last *Message
+	seen []*Message
 }
 
 func (c *tapConn) Recv() (*Message, error) {
 	m, err := c.Conn.Recv()
-	c.last = m
+	if err == nil {
+		c.seen = append(c.seen, m)
+	}
 	return m, err
 }

@@ -16,14 +16,15 @@ const (
 	// MsgPublicKey carries the querying party's Paillier modulus to the
 	// data holders.
 	MsgPublicKey MsgKind = iota
-	// MsgCompare asks a data holder to engage the circuit for one of its
-	// records.
+	// MsgCompare opens a run: the comparisons of one of Alice's records
+	// against n ≥ 1 of Bob's. Alice's copy names her record, Bob's copy
+	// lists his n.
 	MsgCompare
 	// MsgShares carries Alice's encrypted shares Enc(a²), Enc(−2a) per
-	// active attribute to Bob.
+	// active attribute to Bob, once per run.
 	MsgShares
-	// MsgResult carries Bob's per-attribute output ciphertexts to the
-	// querying party.
+	// MsgResult carries Bob's output ciphertexts for one record of the run
+	// to the querying party: n frames per run, in list order.
 	MsgResult
 	// MsgShutdown ends a party's loop.
 	MsgShutdown
@@ -49,8 +50,18 @@ type Message struct {
 	Kind MsgKind
 	// N is the public modulus (MsgPublicKey).
 	N *big.Int
-	// Record is the index of the record to compare (MsgCompare).
+	// Record is Alice's record of the run (her MsgCompare), or the record
+	// of Bob's a result answers (MsgResult).
 	Record int
+	// Records are Bob's records of the run, in verdict order (his
+	// MsgCompare): between 1 and maxRun handles.
+	Records []int
+	// Left is how many results of the run are still to follow this one
+	// (MsgResult). Results are matched to requests by order alone, so the
+	// querying party rejects a frame whose Record and Left are not the
+	// ones it is waiting for: a lost, extra or misrouted frame is an
+	// error, never a verdict on the wrong pair.
+	Left int
 	// Sq and Lin are Alice's Enc(aᵢ²) and Enc(−2aᵢ), one per active
 	// (non-ModeAlways) attribute, in spec order (MsgShares).
 	Sq, Lin []*big.Int
@@ -128,44 +139,24 @@ func forEachAttr(n int, f func(k int) error) error {
 }
 
 // aliceEngine is the first data holder's crypto state: the fixed-base
-// noise source and the per-record share cache. Enc(a²) and Enc(−2a)
-// depend only on the record, so they are computed once and rerandomized
-// before every send — repeated transmissions of one record stay
-// unlinkable on the wire.
+// noise source every share is encrypted from. Enc(a²) and Enc(−2a) are
+// encrypted afresh for every run — with the table a fresh encryption
+// costs the one unit a rerandomization would — so repeated transmissions
+// of one record stay unlinkable on the wire and one noise source per
+// party holds by construction.
 //
-// Both the cached encryptions and every rerandomization draw from the one
-// fixed-base source (paillier.FixedBaseNoise): Alice's ciphertexts go to
-// key-less Bob only, and everything Bob forwards to the key owner carries
-// one of Bob's own uniform units, so the short-exponent units never reach
-// a party the factoring-based argument does not bind (PROTOCOL.md). One
-// source, never two: a share encrypted from a uniform unit but
-// rerandomized from the square subgroup would keep a constant Jacobi
-// symbol per ciphertext, a record fingerprint Bob could read without the
-// key.
+// Alice's ciphertexts go to key-less Bob only, and everything Bob
+// forwards to the key owner carries one of Bob's own uniform units, so
+// the short-exponent units never reach a party the factoring-based
+// argument does not bind (PROTOCOL.md).
 //
 // One engine may be shared by several runAlice loops (the sharded
 // comparator runs W loops over the same records), so every method is safe
 // for concurrent use.
 type aliceEngine struct {
-	records [][]int64
-	active  []int
-
 	mu    sync.Mutex
 	pk    *paillier.PublicKey
 	noise *paillier.FixedBaseNoise
-
-	entries []shareEntry
-}
-
-// shareEntry caches one record's encrypted shares, computed once.
-type shareEntry struct {
-	once    sync.Once
-	sq, lin []*paillier.Ciphertext
-	err     error
-}
-
-func newAliceEngine(records [][]int64, spec *Spec) *aliceEngine {
-	return &aliceEngine{records: records, active: spec.activeAttrs()}
 }
 
 // init installs the session key on first call and builds the noise table
@@ -185,34 +176,7 @@ func (e *aliceEngine) init(pk *paillier.PublicKey) error {
 		return err
 	}
 	e.pk, e.noise = pk, noise
-	e.entries = make([]shareEntry, len(e.records))
 	return nil
-}
-
-// shares returns record i's cached Enc(a²), Enc(−2a) per active
-// attribute, encrypting them (in parallel across attributes) on first
-// use.
-func (e *aliceEngine) shares(i int) ([]*paillier.Ciphertext, []*paillier.Ciphertext, error) {
-	ent := &e.entries[i]
-	ent.once.Do(func() {
-		ent.sq = make([]*paillier.Ciphertext, len(e.active))
-		ent.lin = make([]*paillier.Ciphertext, len(e.active))
-		rec := e.records[i]
-		ent.err = forEachAttr(len(e.active), func(k int) error {
-			a := rec[e.active[k]]
-			sq, err := e.noise.EncryptInt64(a * a)
-			if err != nil {
-				return fmt.Errorf("encrypting a²: %w", err)
-			}
-			lin, err := e.noise.EncryptInt64(-2 * a)
-			if err != nil {
-				return fmt.Errorf("encrypting −2a: %w", err)
-			}
-			ent.sq[k], ent.lin[k] = sq, lin
-			return nil
-		})
-	})
-	return ent.sq, ent.lin, ent.err
 }
 
 // bobEngine is the second data holder's crypto state: the randomizer pool
@@ -248,12 +212,12 @@ func (e *bobEngine) close() {
 	}
 }
 
-// RunAlice is the first data holder's protocol loop: on every compare
-// request from the querying party it sends rerandomized copies of the
-// requested record's cached encrypted shares to Bob. It returns when it
-// receives MsgShutdown or its connections close.
+// RunAlice is the first data holder's protocol loop: for every run the
+// querying party opens on one of her records she sends Bob one freshly
+// encrypted share set. It returns when it receives MsgShutdown or its
+// connections close.
 func RunAlice(query, bob Conn, records [][]int64, spec *Spec) error {
-	return runAlice(query, bob, records, spec, newAliceEngine(records, spec))
+	return runAlice(query, bob, records, spec, &aliceEngine{})
 }
 
 // runAlice serves one query link with a possibly shared engine.
@@ -284,24 +248,22 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 		if m.Record < 0 || m.Record >= len(records) {
 			return fmt.Errorf("smc: alice: record %d out of range", m.Record)
 		}
-		sq, lin, err := eng.shares(m.Record)
-		if err != nil {
-			return fmt.Errorf("smc: alice: %w", err)
-		}
+		rec := records[m.Record]
 		out := &Message{Kind: MsgShares, Sq: make([]*big.Int, len(active)), Lin: make([]*big.Int, len(active))}
 		if err := forEachAttr(len(active), func(k int) error {
-			rsq, err := eng.noise.Rerandomize(sq[k])
+			a := rec[active[k]]
+			sq, err := eng.noise.EncryptInt64(a * a)
 			if err != nil {
-				return err
+				return fmt.Errorf("encrypting a²: %w", err)
 			}
-			rlin, err := eng.noise.Rerandomize(lin[k])
+			lin, err := eng.noise.EncryptInt64(-2 * a)
 			if err != nil {
-				return err
+				return fmt.Errorf("encrypting −2a: %w", err)
 			}
-			out.Sq[k], out.Lin[k] = rsq.C, rlin.C
+			out.Sq[k], out.Lin[k] = sq.C, lin.C
 			return nil
 		}); err != nil {
-			return fmt.Errorf("smc: alice: rerandomizing shares: %w", err)
+			return fmt.Errorf("smc: alice: %w", err)
 		}
 		if err := bob.Send(out); err != nil {
 			return fmt.Errorf("smc: alice: sending shares: %w", err)
@@ -309,12 +271,13 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 	}
 }
 
-// RunBob is the second data holder's protocol loop: for every compare
-// request it combines Alice's shares with its own record homomorphically,
-// producing Enc((a−b)²) per attribute, then either forwards the distances
-// (RevealDistance) or the sign-only blinding ρ·((a−b)² − T − 1) + δ with
-// 0 ≤ δ < ρ, so the querying party learns only whether the squared
-// distance is within the threshold.
+// RunBob is the second data holder's protocol loop: for every run it
+// combines Alice's one share set with each listed record of his own
+// homomorphically, producing Enc((a−b)²) per attribute, then either
+// forwards the distances (RevealDistance) or the sign-only blinding
+// ρ·((a−b)² − T − 1) + δ with 0 ≤ δ < ρ, so the querying party learns only
+// whether the squared distance is within the threshold. Every record gets
+// its own result frame with its own blinds, shuffle and uniform units.
 func RunBob(query, alice Conn, records [][]int64, spec *Spec) error {
 	eng := &bobEngine{}
 	defer eng.close()
@@ -352,8 +315,16 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 		default:
 			return fmt.Errorf("smc: bob: unexpected message kind %d", m.Kind)
 		}
-		if m.Record < 0 || m.Record >= len(records) {
-			return fmt.Errorf("smc: bob: record %d out of range", m.Record)
+		// The whole list is checked before Alice's shares are read: results
+		// are matched to requests by order, so a run must be answered in
+		// full or not at all.
+		if len(m.Records) < 1 || len(m.Records) > maxRun {
+			return fmt.Errorf("smc: bob: run of %d records, want 1 to %d", len(m.Records), maxRun)
+		}
+		for _, j := range m.Records {
+			if j < 0 || j >= len(records) {
+				return fmt.Errorf("smc: bob: record %d out of range", j)
+			}
 		}
 		shares, err := alice.Recv()
 		if err != nil {
@@ -362,42 +333,44 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 		if shares.Kind != MsgShares || len(shares.Sq) != len(active) || len(shares.Lin) != len(active) {
 			return fmt.Errorf("smc: bob: malformed shares message")
 		}
-		rec := records[m.Record]
-		out := &Message{Kind: MsgResult, Res: make([]*big.Int, len(active))}
-		if err := forEachAttr(len(active), func(k int) error {
-			b := rec[active[k]]
-			// Enc((a−b)²) = Enc(a²) +h (Enc(−2a) ×h b) +h Enc(b²).
-			encSq := &paillier.Ciphertext{C: shares.Sq[k]}
-			encLin := &paillier.Ciphertext{C: shares.Lin[k]}
-			dist := pk.Add(encSq, pk.MulConst(encLin, big.NewInt(b)))
-			dist = pk.AddConst(dist, big.NewInt(b*b))
-			res, err := bobFinalize(pk, eng.pool, dist, spec.Attrs[active[k]], spec.RevealDistance, spec.packActive())
-			if err != nil {
-				return err
+		for x, j := range m.Records {
+			rec := records[j]
+			out := &Message{Kind: MsgResult, Record: j, Left: len(m.Records) - 1 - x, Res: make([]*big.Int, len(active))}
+			if err := forEachAttr(len(active), func(k int) error {
+				b := rec[active[k]]
+				// Enc((a−b)²) = Enc(a²) +h (Enc(−2a) ×h b) +h Enc(b²).
+				encSq := &paillier.Ciphertext{C: shares.Sq[k]}
+				encLin := &paillier.Ciphertext{C: shares.Lin[k]}
+				dist := pk.Add(encSq, pk.MulConst(encLin, big.NewInt(b)))
+				dist = pk.AddConst(dist, big.NewInt(b*b))
+				res, err := bobFinalize(pk, eng.pool, dist, spec.Attrs[active[k]], spec.RevealDistance, spec.packActive())
+				if err != nil {
+					return err
+				}
+				out.Res[k] = res.C
+				return nil
+			}); err != nil {
+				return fmt.Errorf("smc: bob: %w", err)
 			}
-			out.Res[k] = res.C
-			return nil
-		}); err != nil {
-			return fmt.Errorf("smc: bob: %w", err)
-		}
-		if spec.ShuffleAttributes && !spec.RevealDistance {
-			if err := shuffleCiphertexts(out.Res); err != nil {
-				return fmt.Errorf("smc: bob: shuffling results: %w", err)
+			if spec.ShuffleAttributes && !spec.RevealDistance {
+				if err := shuffleCiphertexts(out.Res); err != nil {
+					return fmt.Errorf("smc: bob: shuffling results: %w", err)
+				}
 			}
-		}
-		// Packing runs strictly after the shuffle: the slot assignment is
-		// a public deterministic function of the already-permuted order,
-		// so the querying party's view stays a shuffled multiset of
-		// blinded values (see PROTOCOL.md).
-		if spec.packActive() {
-			packed, err := packResults(pk, eng.pool, out.Res, plan)
-			if err != nil {
-				return fmt.Errorf("smc: bob: packing results: %w", err)
+			// Packing runs strictly after the shuffle: the slot assignment
+			// is a public deterministic function of the already-permuted
+			// order, so the querying party's view stays a shuffled multiset
+			// of blinded values (see PROTOCOL.md).
+			if spec.packActive() {
+				packed, err := packResults(pk, eng.pool, out.Res, plan)
+				if err != nil {
+					return fmt.Errorf("smc: bob: packing results: %w", err)
+				}
+				out.Res = packed
 			}
-			out.Res = packed
-		}
-		if err := query.Send(out); err != nil {
-			return fmt.Errorf("smc: bob: sending result: %w", err)
+			if err := query.Send(out); err != nil {
+				return fmt.Errorf("smc: bob: sending result: %w", err)
+			}
 		}
 	}
 }
@@ -527,35 +500,37 @@ func newQuerySessionWithKey(alice, bob Conn, spec *Spec, sk *paillier.PrivateKey
 	return q, nil
 }
 
-// Compare runs one secure comparison: does Alice's record i match Bob's
-// record j under the spec?
+// Compare runs one secure comparison — a run of length one: does Alice's
+// record i match Bob's record j under the spec?
 func (q *QuerySession) Compare(i, j int) (bool, error) {
-	if q.closed {
-		return false, fmt.Errorf("smc: session closed")
+	out, err := q.CompareBatch([][2]int{{i, j}})
+	if err != nil {
+		return false, err
 	}
-	if err := q.alice.Send(&Message{Kind: MsgCompare, Record: i}); err != nil {
-		return false, fmt.Errorf("smc: requesting alice: %w", err)
-	}
-	if err := q.bob.Send(&Message{Kind: MsgCompare, Record: j}); err != nil {
-		return false, fmt.Errorf("smc: requesting bob: %w", err)
-	}
-	return q.receiveVerdict()
+	return out[0], nil
 }
 
-// receiveVerdict collects and decrypts one result message from Bob; the
-// per-ciphertext decryptions run in parallel. Under packing, Bob's d
-// blinded outputs arrive in ⌈d/slots⌉ packed ciphertexts, each costing a
-// single decryption.
-func (q *QuerySession) receiveVerdict() (bool, error) {
+// receiveVerdict collects and decrypts the result message for Bob's
+// record j, with left more owed by its run; the per-ciphertext decryptions
+// run in parallel. Under packing, Bob's d blinded outputs arrive in
+// ⌈d/slots⌉ packed ciphertexts, each costing a single decryption.
+func (q *QuerySession) receiveVerdict(j, left int) (bool, error) {
 	res, err := q.bob.Recv()
 	if err != nil {
 		return false, fmt.Errorf("smc: receiving result: %w", err)
+	}
+	if res.Kind != MsgResult {
+		return false, fmt.Errorf("smc: malformed result message")
+	}
+	if res.Record != j || res.Left != left {
+		return false, fmt.Errorf("smc: result for bob's record %d with %d to follow, while waiting for record %d with %d to follow",
+			res.Record, res.Left, j, left)
 	}
 	active := q.spec.activeAttrs()
 	vals := make([]*big.Int, len(active))
 	if q.packed {
 		want := q.plan.Ciphertexts(len(active))
-		if res.Kind != MsgResult || len(res.Res) != want {
+		if len(res.Res) != want {
 			return false, fmt.Errorf("smc: malformed result message")
 		}
 		q.invocations++
@@ -573,7 +548,7 @@ func (q *QuerySession) receiveVerdict() (bool, error) {
 		}
 		return q.verdict(vals, active), nil
 	}
-	if res.Kind != MsgResult || len(res.Res) != len(active) {
+	if len(res.Res) != len(active) {
 		return false, fmt.Errorf("smc: malformed result message")
 	}
 	q.invocations++
@@ -606,13 +581,18 @@ func (q *QuerySession) verdict(vals []*big.Int, active []int) bool {
 	return match
 }
 
-// defaultPipelineWindow bounds how many comparison requests may be in
-// flight during CompareBatch when the transport does not advertise a
-// frame buffer.
+// defaultPipelineWindow bounds how many result frames may be in flight
+// during CompareBatch when the transport does not advertise a frame
+// buffer.
 const defaultPipelineWindow = 16
 
+// maxRun is the protocol's cap on the records of one run. A run is in
+// flight as a whole, so none can outgrow the largest window.
+const maxRun = defaultPipelineWindow
+
 // pipelineWindowFor derives the pipelining depth from the connections'
-// frame buffers: with at most min(buffer) requests in flight, no link can
+// frame buffers: with at most min(buffer) result frames in flight — and
+// so no more requests or share sets, one of each per run — no link can
 // ever accumulate more unread frames than its buffer holds, so request
 // fan-out cannot deadlock against unread results. Transports without a
 // declared buffer (e.g. TCP, which buffers in the kernel) use the
@@ -632,30 +612,57 @@ func pipelineWindowFor(conns ...Conn) int {
 	return w
 }
 
-// CompareBatch resolves many pairs with request pipelining: up to the
-// session's window of comparisons are in flight at once, so Alice's
-// encryptions, Bob's homomorphic evaluation and this party's decryptions
-// overlap instead of serializing. Results are positionally aligned with
-// pairs. The protocol messages are identical to sequential Compare calls
-// — data holders cannot distinguish the two.
+// runLen is the length of the run that opens pairs: the consecutive pairs
+// sharing its first pair's Alice record, cut at half the window. A run is
+// sent only when the window has room for all of it; at half the window
+// the next run always fits once the previous one has drained, so the
+// holders stay busy while this party decrypts. Sizing runs to whatever
+// room the last received result left would shrink them to one pair.
+func (q *QuerySession) runLen(pairs [][2]int) int {
+	n := 1
+	for n < len(pairs) && n < q.window/2 && pairs[n][0] == pairs[0][0] {
+		n++
+	}
+	return n
+}
+
+// CompareBatch resolves many pairs run by run, with pipelining: Alice is
+// asked for one share set per run and Bob answers every pair of it with
+// its own result frame, up to the session's window of result frames in
+// flight, so Alice's encryptions, Bob's homomorphic evaluation and this
+// party's decryptions overlap instead of serializing. Results are
+// positionally aligned with pairs. A data holder sees the same requests
+// whether the pairs arrive in one call or many.
 func (q *QuerySession) CompareBatch(pairs [][2]int) ([]bool, error) {
 	if q.closed {
 		return nil, fmt.Errorf("smc: session closed")
 	}
 	results := make([]bool, len(pairs))
 	sent, received := 0, 0
+	left := 0 // results the run being received still owes
 	for received < len(pairs) {
-		for sent < len(pairs) && sent-received < q.window {
-			p := pairs[sent]
-			if err := q.alice.Send(&Message{Kind: MsgCompare, Record: p[0]}); err != nil {
+		for sent < len(pairs) {
+			n := q.runLen(pairs[sent:])
+			if sent-received+n > q.window {
+				break
+			}
+			js := make([]int, n)
+			for x := range js {
+				js[x] = pairs[sent+x][1]
+			}
+			if err := q.alice.Send(&Message{Kind: MsgCompare, Record: pairs[sent][0]}); err != nil {
 				return nil, fmt.Errorf("smc: requesting alice: %w", err)
 			}
-			if err := q.bob.Send(&Message{Kind: MsgCompare, Record: p[1]}); err != nil {
+			if err := q.bob.Send(&Message{Kind: MsgCompare, Records: js}); err != nil {
 				return nil, fmt.Errorf("smc: requesting bob: %w", err)
 			}
-			sent++
+			sent += n
 		}
-		match, err := q.receiveVerdict()
+		if left == 0 {
+			left = q.runLen(pairs[received:]) // the same cut the send side made
+		}
+		left--
+		match, err := q.receiveVerdict(pairs[received][1], left)
 		if err != nil {
 			return nil, err
 		}

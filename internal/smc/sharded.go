@@ -12,19 +12,17 @@ import (
 // ShardedComparator runs the three-party protocol over W independent
 // lanes: one Paillier key, W connection pairs per link, W Alice/Bob party
 // loops, and W query sessions. CompareBatch stripes a pair list across
-// the lanes so each comparison's crypto — Alice's 2d table-multiplied
-// rerandomizations, Bob's d small exponentiations, packing and one
-// full-width unit, the querying party's decryption — runs on all cores
-// instead of one goroutine.
+// the lanes so the crypto — Alice's 2d table-multiplied encryptions per
+// run, Bob's d small exponentiations, packing and one full-width unit per
+// pair, the querying party's decryption — runs on all cores instead of
+// one goroutine.
 //
-// The lanes share the holders' crypto engines — Alice's noise table and
-// share cache, Bob's randomizer pool — so Alice encrypts each record's
-// shares once no matter how many lanes request it, and the table is built
-// once per key. Verdicts are positionally aligned with the input
-// pairs, Invocations and BytesTransferred aggregate across lanes, and the
-// per-pair messages are byte-for-byte the same protocol the serial
-// SecureComparator speaks: semantics are pinned to it by
-// TestShardedMatchesSerial.
+// The lanes share the holders' crypto engines — Alice's noise table, Bob's
+// randomizer pool — so each is built once per key. Verdicts are
+// positionally aligned with the input pairs, Invocations and
+// BytesTransferred aggregate across lanes, and every lane speaks the
+// protocol of the serial SecureComparator, run by run: semantics are
+// pinned to it by TestShardedMatchesSerial.
 type ShardedComparator struct {
 	sessions []*QuerySession
 	conns    []Conn
@@ -56,7 +54,7 @@ func NewLocalSecureSharded(spec *Spec, alice, bob [][]int64, keyBits, workers in
 		return nil, fmt.Errorf("smc: generating key: %w", err)
 	}
 	c := &ShardedComparator{
-		aliceEng: newAliceEngine(alice, spec),
+		aliceEng: &aliceEngine{},
 		bobEng:   &bobEngine{},
 	}
 	// All lanes' connections are created up front so record() can walk
@@ -140,7 +138,9 @@ func (c *ShardedComparator) Compare(i, j int) (bool, error) {
 }
 
 // CompareBatch stripes the pair list across the lanes in contiguous
-// chunks and runs them concurrently. Verdicts are positionally aligned
+// chunks and runs them concurrently. Contiguous, not interleaved: a lane
+// sees the list's runs of equal Alice records whole, and each of the W−1
+// cuts splits at most one of them. Verdicts are positionally aligned
 // with pairs; the first lane's error (in lane order) wins.
 func (c *ShardedComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
 	n := len(pairs)

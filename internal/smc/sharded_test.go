@@ -83,8 +83,11 @@ func TestShardedMatchesSerial(t *testing.T) {
 	if b := sharded.BytesTransferred(); b <= 0 {
 		t.Errorf("sharded BytesTransferred = %d, want > 0", b)
 	}
-	// Each lane speaks the serial protocol, so the per-comparison cost
-	// must agree up to the per-lane handshake overhead (W key broadcasts
+	// Each lane speaks the serial protocol run by run, and the contiguous
+	// stripes cut at most W−1 of the list's runs in two: the serial engine
+	// sends one share set per Alice record here (6 runs of 6), four lanes
+	// of 9 pairs send two each. The per-comparison cost must agree up to
+	// those extra share sets and the per-lane handshake (W key broadcasts
 	// instead of 1).
 	perSerial := float64(serial.BytesTransferred()) / float64(len(pairs))
 	perSharded := float64(sharded.BytesTransferred()) / float64(len(pairs))
@@ -187,9 +190,9 @@ func TestShardedPartyDeathMidBatch(t *testing.T) {
 	}
 }
 
-// TestShardedSharedEngines hammers the shared randomizer pools and the
-// Alice share cache: many lanes over few records, so every lane races to
-// initialize and then rerandomize the same cached shares. Run with -race.
+// TestShardedSharedEngines hammers the shared noise table and randomizer
+// pool: many lanes over few records, so every lane races to initialize
+// the engines and then draws from them at once. Run with -race.
 func TestShardedSharedEngines(t *testing.T) {
 	spec := testSpec()
 	alice := shardedTestRecords(3, 9)

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pprl/internal/core"
 	"pprl/internal/distrib"
 	"pprl/internal/journal"
+	"pprl/internal/smc"
 )
 
 // startFleet builds a pool with the given in-process workers attached
@@ -35,6 +37,49 @@ func startFleet(t *testing.T, workers []distrib.WorkerOptions) *distrib.Pool {
 		t.Fatal(err)
 	}
 	return pool
+}
+
+// heldConn is a worker's end of its link whose writes wait, once the hold
+// is armed, for release to close.
+type heldConn struct {
+	net.Conn
+	armed   *atomic.Bool
+	release <-chan struct{}
+}
+
+func (c heldConn) Write(b []byte) (int, error) {
+	if c.armed.Load() {
+		<-c.release
+	}
+	return c.Conn.Write(b)
+}
+
+// startDoomedFleet is a two-worker fleet whose "doomed" worker serves one
+// chunk and drops its connection on receipt of the next. From arm() —
+// to be called once the job is set up — until that worker has exited, everything the survivor writes is held back, so
+// the doomed worker is always handed its second chunk — no schedule lets
+// the survivor drain the job first.
+func startDoomedFleet(t *testing.T) (pool *distrib.Pool, arm func()) {
+	t.Helper()
+	pool = distrib.NewPool(distrib.PoolOptions{HeartbeatTimeout: 30 * time.Second})
+	t.Cleanup(func() { pool.Close() })
+	var armed atomic.Bool
+	gone := make(chan struct{})
+	for _, name := range []string{"doomed", "survivor"} {
+		coord, side := net.Pipe()
+		if name == "doomed" {
+			go func() {
+				distrib.ServeWorker(side, distrib.WorkerOptions{Name: name, FailAfterChunks: 1})
+				close(gone)
+			}()
+		} else {
+			go distrib.ServeWorker(heldConn{side, &armed, gone}, distrib.WorkerOptions{Name: name})
+		}
+		if err := pool.AddConn(coord); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pool, func() { armed.Store(true) }
 }
 
 // assertSameLabeling fails unless both runs label every record pair
@@ -101,8 +146,9 @@ func TestDistributedFleetMatchesLocal(t *testing.T) {
 
 // TestDistributedWorkerDeathMidChunk kills one fleet worker at a seeded
 // chunk boundary mid-job: the doomed worker serves exactly one chunk and
-// drops its connection. The coordinator must reassign the worker's
-// remaining chunks to the survivor and finish with a stitched result
+// drops its connection with the next in flight. The coordinator must
+// reassign that chunk and the rest to the survivor and finish with a
+// stitched result
 // that is verdict-identical to the local baseline — and because every
 // chunk is delivered exactly once, the allowance spend and the journal's
 // verdict count must both equal the baseline's (nothing re-purchased).
@@ -119,10 +165,7 @@ func TestDistributedWorkerDeathMidChunk(t *testing.T) {
 			continue
 		}
 
-		pool := startFleet(t, []distrib.WorkerOptions{
-			{Name: "doomed", FailAfterChunks: 1},
-			{Name: "survivor"},
-		})
+		pool, arm := startDoomedFleet(t)
 		path := filepath.Join(t.TempDir(), "dist.wal")
 		wr, err := journal.Create(path, journal.Options{})
 		if err != nil {
@@ -130,10 +173,15 @@ func TestDistributedWorkerDeathMidChunk(t *testing.T) {
 		}
 		cfg := w.Cfg
 		cfg.Journal = wr
-		cfg.Comparator = pool.Factory(distrib.JobConfig{
+		factory := pool.Factory(distrib.JobConfig{
 			Job:        fmt.Sprintf("world-%d-kill", w.Seed),
 			ChunkPairs: 3,
 		})
+		cfg.Comparator = func(alice, bob [][]int64, spec *smc.Spec, workers int) (smc.Comparator, error) {
+			cmp, err := factory(alice, bob, spec, workers)
+			arm() // set-up needs the survivor's replies; the chunks do not
+			return cmp, err
+		}
 		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 		if err != nil {
 			t.Fatal(repro(w, err))

@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -19,11 +20,14 @@ func faultSpec() *smc.Spec {
 	}, Scale: 1}
 }
 
+// The pair list is four runs — 3, 2, 1 and 2 pairs — so on every link the
+// frame positions are known: requests 1–4 on the query links (0 is the
+// key), share sets 0–3 on the peer link, results 0–2 | 3–4 | 5 | 6–7.
 var (
 	faultAlice = [][]int64{{3, 10}, {5, 40}, {7, 0}}
-	faultBob   = [][]int64{{3, 12}, {6, 40}, {7, 100}}
-	faultPairs = [][2]int{{0, 0}, {1, 1}, {2, 2}, {0, 1}}
-	faultWant  = []bool{true, false, false, false}
+	faultBob   = [][]int64{{3, 12}, {5, 43}, {7, 100}}
+	faultPairs = [][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}, {0, 1}, {0, 0}}
+	faultWant  = []bool{true, false, false, true, false, false, false, true}
 )
 
 // faultLinks exposes every protocol connection end so a scenario can
@@ -154,9 +158,9 @@ func TestFaultTruncatedShares(t *testing.T) {
 }
 
 func TestFaultGarbledShares(t *testing.T) {
-	// Garbling the second shares frame lets the first comparison finish,
-	// proving a mid-batch fault still fails the whole batch instead of
-	// returning partial verdicts.
+	// Garbling the second run's shares lets the first run finish, proving
+	// a mid-batch fault still fails the whole batch instead of returning
+	// partial verdicts.
 	verdicts, queryErr, _ := runFaulty(t, func(l *faultLinks) {
 		l.ab = WrapFaulty(l.ab, Fault{Pos: 1, Kind: FaultGarble})
 	})
@@ -219,5 +223,78 @@ func TestFaultDelayPreservesCorrectness(t *testing.T) {
 		if verdicts[k] != want {
 			t.Errorf("pair %v: verdict %v, want %v", faultPairs[k], verdicts[k], want)
 		}
+	}
+}
+
+// TestFaultMatrixAcrossRuns walks the fault kinds over the frames a run
+// adds: a result inside a run, the last of one run and the first of the
+// next, the requests that open a run on either query link, the final
+// (two-pair) run's request. A lost, cut or garbled frame must be an error
+// on the query side with no verdicts — results are matched to requests by
+// order alone, so anything less risks a verdict on the wrong pair — and
+// must never hang; a delayed frame must change nothing.
+func TestFaultMatrixAcrossRuns(t *testing.T) {
+	links := []struct {
+		name string
+		wrap func(*faultLinks, ...Fault)
+		pos  []int
+		// truncatable is false for Alice's requests: they carry one
+		// handle and no vector, so there is nothing to cut.
+		truncatable bool
+	}{
+		{"result", func(l *faultLinks, f ...Fault) { l.bq = WrapFaulty(l.bq, f...) }, []int{1, 2, 3, 7}, true},
+		{"shares", func(l *faultLinks, f ...Fault) { l.ab = WrapFaulty(l.ab, f...) }, []int{1, 3}, true},
+		{"bob request", func(l *faultLinks, f ...Fault) { l.qb = WrapFaulty(l.qb, f...) }, []int{1, 2, 3, 4}, true},
+		{"alice request", func(l *faultLinks, f ...Fault) { l.qa = WrapFaulty(l.qa, f...) }, []int{1, 2, 4}, false},
+	}
+	for _, link := range links {
+		for _, pos := range link.pos {
+			for _, kind := range []FaultKind{FaultDrop, FaultTruncate, FaultGarble, FaultDelay} {
+				if kind == FaultTruncate && !link.truncatable {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s %d %s", link.name, pos, kind), func(t *testing.T) {
+					verdicts, queryErr, partyErr := runFaulty(t, func(l *faultLinks) {
+						link.wrap(l, Fault{Pos: pos, Kind: kind})
+					})
+					if kind != FaultDelay {
+						assertFailedCleanly(t, verdicts, queryErr)
+						return
+					}
+					if queryErr != nil || partyErr != nil {
+						t.Fatalf("delayed run failed: query=%v party=%v", queryErr, partyErr)
+					}
+					for k, want := range faultWant {
+						if verdicts[k] != want {
+							t.Errorf("pair %v: verdict %v, want %v", faultPairs[k], verdicts[k], want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFaultShortRunList: a run list that loses an entry on the way to Bob
+// yields one result too few. The querying party must notice on the run's
+// first frame — also when the run is the batch's last and no later frame
+// would ever show the gap — and a list cut to nothing must stop Bob before
+// he reads Alice's shares.
+func TestFaultShortRunList(t *testing.T) {
+	for _, pos := range []int{1, 4} { // the 3-pair first run, the 2-pair last
+		verdicts, queryErr, _ := runFaulty(t, func(l *faultLinks) {
+			l.qb = WrapFaulty(l.qb, Fault{Pos: pos, Kind: FaultTruncate})
+		})
+		assertFailedCleanly(t, verdicts, queryErr)
+		if !strings.Contains(queryErr.Error(), "while waiting for") {
+			t.Errorf("request %d: a short run should be rejected by its echo, got: %v", pos, queryErr)
+		}
+	}
+	verdicts, queryErr, partyErr := runFaulty(t, func(l *faultLinks) {
+		l.qb = WrapFaulty(l.qb, Fault{Pos: 3, Kind: FaultTruncate}) // the 1-pair run
+	})
+	assertFailedCleanly(t, verdicts, queryErr)
+	if partyErr == nil || !strings.Contains(partyErr.Error(), "run of 0 records") {
+		t.Errorf("bob should reject an empty run, got party error: %v", partyErr)
 	}
 }

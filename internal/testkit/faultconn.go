@@ -16,11 +16,13 @@ const (
 	// transport: the peer's Recv fails instead of blocking forever on a
 	// frame that will never arrive.
 	FaultDrop FaultKind = iota
-	// FaultTruncate delivers the frame with its ciphertext vectors (or
-	// key material) cut short, modeling a partially written message.
+	// FaultTruncate delivers the frame with its vectors — ciphertexts, a
+	// run's record list — (or key material) cut short, modeling a
+	// partially written message.
 	FaultTruncate
 	// FaultGarble delivers the frame with every ciphertext replaced by
-	// zero, an invalid Paillier ciphertext the receiver must reject.
+	// zero and every record handle by −1: an invalid Paillier ciphertext,
+	// a record nobody holds — the receiver must reject both.
 	FaultGarble
 	// FaultDelay delivers the frame intact after a pause; ordering is
 	// preserved, so the protocol must still produce correct verdicts.
@@ -109,11 +111,16 @@ func (c *FaultConn) FrameBuffer() int {
 	return 0
 }
 
-// truncateMessage returns a copy with ciphertext vectors shortened by
-// one element; a message with no vectors loses its key material instead.
+// truncateMessage returns a copy with its vectors — ciphertexts, a run's
+// record list — shortened by one element; a message with no vectors loses
+// its key material instead.
 func truncateMessage(m *smc.Message) *smc.Message {
 	out := *m
 	cut := false
+	if len(out.Records) > 0 {
+		out.Records = out.Records[:len(out.Records)-1]
+		cut = true
+	}
 	if len(out.Sq) > 0 {
 		out.Sq = out.Sq[:len(out.Sq)-1]
 		cut = true
@@ -133,9 +140,17 @@ func truncateMessage(m *smc.Message) *smc.Message {
 }
 
 // garbleMessage returns a copy with every big integer replaced by zero —
-// never a valid Paillier ciphertext or modulus.
+// never a valid Paillier ciphertext or modulus — and every record handle
+// of a compare request by −1, never a valid record.
 func garbleMessage(m *smc.Message) *smc.Message {
 	out := *m
+	if m.Kind == smc.MsgCompare {
+		out.Record = -1
+		out.Records = make([]int, len(m.Records))
+		for i := range out.Records {
+			out.Records[i] = -1
+		}
+	}
 	zero := func(xs []*big.Int) []*big.Int {
 		if len(xs) == 0 {
 			return xs
