@@ -4,7 +4,7 @@ GO ?= go
 # How long `make fuzz` spends per fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check build binaries vet test race fuzz crash restart bench perf benchmark-check blocking-smoke tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke
+.PHONY: check build binaries vet test race fuzz crash restart bench perf perf-diff benchmark-check blocking-smoke tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke
 
 check: build binaries vet test race crash restart fuzz benchmark-check blocking-smoke tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke
 
@@ -48,6 +48,21 @@ fuzz:
 benchmark-check:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test -count=1 .
+
+# The end-to-end benchmark on BASE (default HEAD~1) and on this checkout,
+# three runs of every workload each, then the bound check between them.
+# BASE is checked out into a git worktree under .bench_build/ — run.sh
+# builds from the checkout it sits in — which is removed on every exit
+# path. Takes minutes, so it is not part of `make check`.
+BASE ?= HEAD~1
+perf-diff:
+	@set -e; wt=.bench_build/perf-diff-base; out=$$PWD/.bench_build/perf-diff; \
+	mkdir -p $$out; git worktree remove --force $$wt 2>/dev/null || true; \
+	trap 'git worktree remove --force '$$wt' 2>/dev/null || true' EXIT; trap 'exit 130' INT TERM; \
+	git worktree add --detach $$wt $(BASE) >/dev/null; \
+	bash $$wt/benchmark/run.sh -runs 3 -out $$out/base.json; \
+	bash benchmark/run.sh -runs 3 -out $$out/head.json; \
+	bash benchmark/run.sh -compare $$out/base.json $$out/head.json
 
 # Crash-injection matrix: every generated world is killed at seeded pair
 # boundaries (plus a torn-tail variant) and resumed from its journal; the
@@ -99,12 +114,13 @@ incremental-smoke:
 	$(GO) test -run '^TestRunIncrementalJSON$$' -count=1 ./cmd/pprl-bench
 	$(GO) test -race -count=1 -run '^TestService(IncrementalSmoke|DedupDataset)$$' ./internal/service
 
-# One-iteration compile-and-run of every crypto micro-benchmark: keeps
-# the paillier kernels and the SMC engine benches — BenchmarkSecureRun's
-# run-length fan-out curve among them — from bit-rotting without paying
-# for a real measurement run.
+# One-iteration compile-and-run of every micro-benchmark: keeps the
+# paillier kernels, the SMC engine benches — BenchmarkSecureRun's
+# run-length fan-out curve among them — and core's plaintext-oracle link
+# (BenchmarkLinkPlain: the label store's pairs/s and B/pair) from
+# bit-rotting without paying for a real measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core
 
 # Serial-vs-sharded throughput of the secure comparator (1024-bit key),
 # plus the dense-vs-indexed blocking engine comparison.

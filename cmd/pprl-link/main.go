@@ -347,12 +347,8 @@ func run(out io.Writer, opts options) error {
 	if opts.showPairs {
 		w := bufio.NewWriter(out)
 		defer w.Flush()
-		for i := 0; i < alice.Len(); i++ {
-			for j := 0; j < bob.Len(); j++ {
-				if res.PairMatched(i, j) {
-					fmt.Fprintf(w, "%d\t%d\n", alice.Record(i).EntityID, bob.Record(j).EntityID)
-				}
-			}
+		for _, m := range res.Matches() {
+			fmt.Fprintf(w, "%d\t%d\n", alice.Record(m[0]).EntityID, bob.Record(m[1]).EntityID)
 		}
 	}
 	return nil
@@ -380,12 +376,8 @@ func writeJSON(out io.Writer, opts options, alice, bob *pprl.Dataset, res *pprl.
 	}
 	if opts.showPairs {
 		doc.Matches = make([][2]int, 0)
-		for i := 0; i < alice.Len(); i++ {
-			for j := 0; j < bob.Len(); j++ {
-				if res.PairMatched(i, j) {
-					doc.Matches = append(doc.Matches, [2]int{alice.Record(i).EntityID, bob.Record(j).EntityID})
-				}
-			}
+		for _, m := range res.Matches() {
+			doc.Matches = append(doc.Matches, [2]int{alice.Record(m[0]).EntityID, bob.Record(m[1]).EntityID})
 		}
 	}
 	enc := json.NewEncoder(out)

@@ -2,7 +2,10 @@ package anonymize_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -165,5 +168,41 @@ func TestDPViewUnpaddedRefused(t *testing.T) {
 	var buf bytes.Buffer
 	if err := anonymize.WriteView(&buf, d.Schema(), res); err == nil {
 		t.Fatal("WriteView accepted a DP view whose member lists reveal true bin sizes")
+	}
+}
+
+// TestTopDownViewHashes pins the published view of the two topDown
+// anonymizers on a larger Adult sample than the golden files hold, at a
+// fine and a coarse k: child groups are keyed by value and ordered by
+// their formatted key, and any change to either must leave every view
+// byte-identical. The hashes were taken before child groups stopped
+// formatting a key per member.
+func TestTopDownViewHashes(t *testing.T) {
+	d := adult.Generate(3000, 7)
+	qids, err := d.Schema().Resolve(adult.DefaultQIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"Entropy/2":  "3c47674aac8031f95c0116d926499e3ec0a8831a878c0408b22d5edde9c22eec",
+		"Entropy/32": "cd43a1d168b79efa5552510fb4a34210f4ac74846f9188db0da213e4d210cd7b",
+		"TDS/2":      "2130084687b9b22a93447220d5f51f94077997f5a8851066ba00a6433a8de247",
+		"TDS/32":     "c5fb091df6346ec920aa0788c53188139d12eb3a03d897a719cfba9a9da223ac",
+	}
+	for _, a := range []anonymize.Anonymizer{anonymize.NewMaxEntropy(), anonymize.NewTDS()} {
+		for _, k := range []int{2, 32} {
+			res, err := a.Anonymize(d, qids, k)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", a.Name(), k, err)
+			}
+			h := sha256.New()
+			if err := anonymize.WriteView(h, d.Schema(), res); err != nil {
+				t.Fatalf("%s k=%d: WriteView: %v", a.Name(), k, err)
+			}
+			name := fmt.Sprintf("%s/%d", a.Name(), k)
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+				t.Errorf("%s: view hash %s, want %s", name, got, want[name])
+			}
+		}
 	}
 }

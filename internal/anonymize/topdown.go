@@ -111,7 +111,7 @@ func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j in
 	attr := d.Schema().Attr(qids[j])
 	cur := p.seq[j]
 	s := &split{attr: j, groups: make(map[string]*partition)}
-	add := func(key string, v vgh.Value, member int) {
+	group := func(key string, v vgh.Value) *partition {
 		g, ok := s.groups[key]
 		if !ok {
 			child := p.seq.Clone()
@@ -120,7 +120,7 @@ func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j in
 			s.groups[key] = g
 			s.keys = append(s.keys, key)
 		}
-		g.members = append(g.members, member)
+		return g
 	}
 	switch attr.Kind {
 	case dataset.Categorical:
@@ -131,7 +131,8 @@ func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j in
 		for _, m := range p.members {
 			leaf := d.Record(m).Cells[qids[j]].Node
 			child := h.GeneralizeToDepth(leaf, cur.Node.Depth()+1)
-			add(child.Value, vgh.CatValue(child), m)
+			g := group(child.Value, vgh.CatValue(child))
+			g.members = append(g.members, m)
 		}
 	case dataset.Continuous:
 		ih := attr.Intervals
@@ -143,19 +144,23 @@ func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j in
 		if level >= limit {
 			return nil
 		}
-		if level >= ih.Depth() {
-			// Specialize the leaf interval to the exact values present.
-			for _, m := range p.members {
-				v := d.Record(m).Cells[qids[j]].Num
-				pt := vgh.Point(v)
-				add(pt.String(), vgh.NumValue(pt), m)
+		// Members are grouped by the child interval's value and a key is
+		// formatted once per distinct child, not per member; two values
+		// that format alike (NaN) still merge through the string key.
+		byIv := make(map[vgh.Interval]*partition)
+		for _, m := range p.members {
+			v := d.Record(m).Cells[qids[j]].Num
+			// Below the leaf intervals, specialize to the exact values present.
+			child := vgh.Point(v)
+			if level < ih.Depth() {
+				child = ih.At(v, level+1)
 			}
-		} else {
-			for _, m := range p.members {
-				v := d.Record(m).Cells[qids[j]].Num
-				child := ih.At(v, level+1)
-				add(child.String(), vgh.NumValue(child), m)
+			g := byIv[child]
+			if g == nil {
+				g = group(child.String(), vgh.NumValue(child))
+				byIv[child] = g
 			}
+			g.members = append(g.members, m)
 		}
 	}
 	// A "split" into zero groups cannot happen (members non-empty); a

@@ -61,6 +61,23 @@ func (res *Result) Label(ri, si int) Label {
 	return NonMatch
 }
 
+// EachLabeled calls fn once for every class pair labeled Match or
+// Unknown — the pairs the sparse form stores — under either
+// representation: row-major over the dense matrix, in no fixed order
+// once it is released.
+func (res *Result) EachLabeled(fn func(ri, si int, l Label)) {
+	for key, l := range res.sparse {
+		fn(int(key[0]), int(key[1]), l)
+	}
+	for ri, row := range res.Labels {
+		for si, l := range row {
+			if l != NonMatch {
+				fn(ri, si, l)
+			}
+		}
+	}
+}
+
 // ReleaseLabels converts a dense result to the sparse representation,
 // dropping the |R-classes| × |S-classes| matrix while keeping Label and
 // UnknownGroupPairs working. The engine calls it once the heuristic
@@ -73,21 +90,12 @@ func (res *Result) ReleaseLabels() {
 	}
 	sparse := make(map[[2]int32]Label, res.UnknownGroups)
 	unknown := make([]GroupPair, 0, res.UnknownGroups)
-	for ri, row := range res.Labels {
-		for si, l := range row {
-			switch l {
-			case Match:
-				sparse[[2]int32{int32(ri), int32(si)}] = Match
-			case Unknown:
-				sparse[[2]int32{int32(ri), int32(si)}] = Unknown
-				unknown = append(unknown, GroupPair{
-					RI:    ri,
-					SI:    si,
-					Pairs: res.R.Classes[ri].Size() * res.S.Classes[si].Size(),
-				})
-			}
+	res.EachLabeled(func(ri, si int, l Label) {
+		sparse[[2]int32{int32(ri), int32(si)}] = l
+		if l == Unknown {
+			unknown = append(unknown, GroupPair{RI: ri, SI: si, Pairs: res.R.Classes[ri].Size() * res.S.Classes[si].Size()})
 		}
-	}
+	})
 	res.sparse = sparse
 	res.unknownList = unknown
 	res.Labels = nil

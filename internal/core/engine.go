@@ -153,7 +153,7 @@ func blockViews(aView, bView *anonymize.Result, rule *blocking.Rule, cfg *Config
 // resolveBlocked implements steps 3-5: heuristic ordering, budgeted SMC
 // (through the resolution kernel), and residual labeling.
 func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Rule, qids []int, cfg *Config) (*Result, error) {
-	res := &Result{cfg: *cfg, rule: rule, qids: qids, bobLen: bob.Data.Len(), Block: block}
+	res := &Result{cfg: *cfg, rule: rule, qids: qids, Block: block}
 
 	// DP mode and the blocking result must agree: a prepared block built
 	// under different ε or seed would charge the wrong dummy shares.
@@ -237,10 +237,11 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 		}
 	}
 
-	// The SMC step resolves at most min(allowance, unknown pairs) entries;
-	// size the verdict map once instead of growing it through rehashes.
-	res.smcLabels = make(map[int64]bool, max(min(allowance, block.UnknownPairs), 0))
-	res.resolvedInGroup = make(map[[2]int]int, len(ordered))
+	// Both label stores exist from here on; each allocates per class pair,
+	// on that pair's first label.
+	posA, posB := memberPositions(block.R), memberPositions(block.S)
+	res.purchased = newLabelStore(block, posA, posB)
+	res.tiered = newLabelStore(block, posA, posB)
 
 	// The triage tier labels the confident Unknown pairs for free, in the
 	// same walk that spends the budget; CLK-encoding both relations is its
@@ -254,8 +255,6 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 		}
 		aF := bloom.EncodeRecords(enc, alice.Data, qids)
 		bF := bloom.EncodeRecords(enc, bob.Data, qids)
-		res.tierLabels = make(map[int64]bool)
-		res.tierInGroup = make(map[[2]int]int)
 		tier = func(i, j int) bloom.Band {
 			return bloom.Classify(aF[i].Dice(bF[j]), cfg.TierLow, cfg.TierHigh)
 		}
@@ -282,46 +281,9 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 
 	// The resolution kernel (DESIGN.md §16) walks the ordered groups and
 	// spends the budget; this adapter supplies the class-pair walks with
-	// their DP padding excess and files every event into the Result maps —
+	// their DP padding excess and files every event into the label stores —
 	// a purchased verdict, journaled or live, the same way: it is exact
-	// under any tier configuration. Events are filed a few hundred at a
-	// time, their verdict-map slots probed first: at paper scale the map
-	// holds millions of entries and every insert is a cache miss;
-	// independent probes in a tight loop overlap their misses, and the
-	// inserts that follow hit.
-	filing := make([]resolve.Event, 0, 256)
-	file := func() {
-		for _, ev := range filing {
-			_ = res.smcLabels[pairKey(ev.I, ev.J, res.bobLen)]
-		}
-		for _, ev := range filing {
-			key := pairKey(ev.I, ev.J, res.bobLen)
-			group := [2]int{block.R.ClassOf[ev.I], block.S.ClassOf[ev.J]}
-			if ev.Kind == resolve.Tiered {
-				res.tierLabels[key] = ev.Matched
-				if ev.Matched {
-					res.tierMatched++
-				} else {
-					res.tierNonMatched++
-				}
-				res.tierInGroup[group]++
-				continue
-			}
-			res.smcLabels[key] = ev.Matched
-			if ev.Matched {
-				res.smcMatched++
-			}
-			res.resolvedInGroup[group]++
-			if ev.Kind == resolve.Replayed {
-				res.Resume.ResumedPairs++
-				res.Resume.ReplayedAllowance++
-			}
-			if dp {
-				res.DP.DummySpent += ev.Padding
-			}
-		}
-		filing = filing[:0]
-	}
+	// under any tier configuration.
 	start := time.Now()
 	uncertain, err := resolve.Run(resolve.Input{
 		Groups: len(ordered),
@@ -342,15 +304,23 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 		Context:    cfg.Context,
 		Progress:   func(done, total int64) { cfg.report("smc", done, total) },
 		Sink: func(ev resolve.Event) {
-			if filing = append(filing, ev); len(filing) == cap(filing) {
-				file()
+			if ev.Kind == resolve.Tiered {
+				res.tiered.set(ev.I, ev.J, ev.Matched)
+				return
+			}
+			res.purchased.set(ev.I, ev.J, ev.Matched)
+			if ev.Kind == resolve.Replayed {
+				res.Resume.ResumedPairs++
+				res.Resume.ReplayedAllowance++
+			}
+			if dp {
+				res.DP.DummySpent += ev.Padding
 			}
 		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	file()
 	res.TierUncertainPairs = uncertain
 	res.Invocations = cmp.Invocations()
 	res.SMCBytes = cmp.BytesTransferred()
@@ -378,9 +348,6 @@ func sharedSchema(alice, bob Holder) (*dataset.Schema, error) {
 	}
 	return schema, nil
 }
-
-// pairKey packs a record pair into an int64 map key.
-func pairKey(i, j, bobLen int) int64 { return int64(i)*int64(bobLen) + int64(j) }
 
 // report invokes the progress callback if configured.
 func (c *Config) report(stage string, done, total int64) {

@@ -47,8 +47,8 @@ func (r *Result) Summarize() ResultJSON {
 		Strategy:           r.cfg.Strategy.String(),
 		Heuristic:          r.cfg.Heuristic.Name(),
 		Tier:               r.cfg.Tier.String(),
-		TierMatchedPairs:   r.tierMatched,
-		TierNonMatched:     r.tierNonMatched,
+		TierMatchedPairs:   r.TierMatchedPairs(),
+		TierNonMatched:     r.TierNonMatchedPairs(),
 		TierUncertainPairs: r.TierUncertainPairs,
 		DP:                 r.DP,
 		Resume:             r.Resume,

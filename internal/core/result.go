@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
 	"pprl/internal/blocking"
@@ -87,33 +90,21 @@ type Result struct {
 	// Timings holds per-stage durations.
 	Timings Timings
 
-	cfg    Config
-	rule   *blocking.Rule
-	qids   []int
-	bobLen int
+	cfg  Config
+	rule *blocking.Rule
+	qids []int
 
-	// smcLabels maps resolved pair keys to their verdicts.
-	smcLabels  map[int64]bool
-	smcMatched int64
-	// resolvedInGroup counts how many pairs of each Unknown group pair
-	// were resolved by SMC.
-	resolvedInGroup map[[2]int]int
+	// purchased holds the SMC verdicts — exact, journaled or live — and
+	// tiered the triage tier's heuristic labels (empty when the tier is
+	// off). A pair is never in both: purchased verdicts are exact and the
+	// walk does not offer them to the tier.
+	purchased, tiered *labelStore
 	// residualMatch is true under MaximizeRecall: unresolved Unknown
 	// pairs default to match.
 	residualMatch bool
 	// groupVerdicts, under TrainClassifier, labels whole Unknown group
 	// pairs via the trained classifier.
 	groupVerdicts map[[2]int]bool
-
-	// tierLabels maps pair keys the triage tier labeled (heuristically)
-	// to their verdicts; nil when the tier is off. A pair never appears
-	// in both tierLabels and smcLabels: purchased verdicts are exact and
-	// the tier skips them.
-	tierLabels                  map[int64]bool
-	tierMatched, tierNonMatched int64
-	// tierInGroup counts how many pairs of each Unknown group pair the
-	// tier labeled, mirroring resolvedInGroup for the SMC step.
-	tierInGroup map[[2]int]int
 }
 
 // QIDs returns the resolved quasi-identifier positions.
@@ -140,17 +131,57 @@ func (r *Result) PairMatched(i, j int) bool {
 	case blocking.NonMatch:
 		return false
 	}
-	key := pairKey(i, j, r.bobLen)
-	if v, ok := r.smcLabels[key]; ok {
+	if v, ok := r.purchased.get(i, j); ok {
 		return v
 	}
-	if v, ok := r.tierLabels[key]; ok {
+	if v, ok := r.tiered.get(i, j); ok {
 		return v
 	}
 	if r.groupVerdicts != nil {
 		return r.groupVerdicts[[2]int{ri, si}]
 	}
 	return r.residualMatch
+}
+
+// Matches lists every pair PairMatched reports as matching, in row-major
+// (i, j) order, by walking the labeled class pairs instead of the pair
+// space: a blocked-Match pair emits A × B, an Unknown one the set bits of
+// its labels under PairMatched's precedence, the residual filling the
+// unlabeled rest.
+func (r *Result) Matches() [][2]int {
+	var out [][2]int
+	r.Block.EachLabeled(func(ri, si int, l blocking.Label) {
+		a, b := r.Block.R.Classes[ri].Members, r.Block.S.Classes[si].Members
+		n := len(a) * len(b)
+		p, t := r.purchased.group(ri, si), r.tiered.group(ri, si)
+		residual := r.residualMatch
+		if r.groupVerdicts != nil {
+			residual = r.groupVerdicts[[2]int{ri, si}]
+		}
+		for base := 0; base < n; base += 64 {
+			var pk, pm, tk, tm uint64
+			if p != nil {
+				pk, pm = p.known[base/64], p.matched[base/64]
+			}
+			if t != nil {
+				tk, tm = t.known[base/64], t.matched[base/64]
+			}
+			m := pm | tm&^pk
+			if residual {
+				m |= ^(pk | tk)
+			}
+			if l == blocking.Match {
+				m = ^uint64(0)
+			}
+			for ; m != 0; m &= m - 1 {
+				if bit := base + bits.TrailingZeros64(m); bit < n {
+					out = append(out, [2]int{a[bit/len(b)], b[bit%len(b)]})
+				}
+			}
+		}
+	})
+	slices.SortFunc(out, func(x, y [2]int) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
+	return out
 }
 
 // TierMode reports the tier configuration this result ran under.
@@ -163,29 +194,23 @@ func (r *Result) TierThresholds() (low, high float64) { return r.cfg.TierLow, r.
 // TierLabel reports the tier's verdict for pair (i, j), and whether the
 // tier labeled it at all. Pairs resolved by blocking or SMC are never
 // tier-labeled.
-func (r *Result) TierLabel(i, j int) (matched, ok bool) {
-	matched, ok = r.tierLabels[pairKey(i, j, r.bobLen)]
-	return matched, ok
-}
+func (r *Result) TierLabel(i, j int) (matched, ok bool) { return r.tiered.get(i, j) }
 
 // SMCLabel reports the purchased (exact) SMC verdict for pair (i, j),
 // and whether the SMC step resolved it at all.
-func (r *Result) SMCLabel(i, j int) (matched, ok bool) {
-	matched, ok = r.smcLabels[pairKey(i, j, r.bobLen)]
-	return matched, ok
-}
+func (r *Result) SMCLabel(i, j int) (matched, ok bool) { return r.purchased.get(i, j) }
 
 // TierResolvedPairs returns how many Unknown pairs the tier labeled.
-func (r *Result) TierResolvedPairs() int64 { return int64(len(r.tierLabels)) }
+func (r *Result) TierResolvedPairs() int64 { return r.tiered.n }
 
 // TierMatchedPairs and TierNonMatchedPairs split the tier's labels.
-func (r *Result) TierMatchedPairs() int64    { return r.tierMatched }
-func (r *Result) TierNonMatchedPairs() int64 { return r.tierNonMatched }
+func (r *Result) TierMatchedPairs() int64    { return r.tiered.matched }
+func (r *Result) TierNonMatchedPairs() int64 { return r.tiered.n - r.tiered.matched }
 
 // MatchedPairCount returns |reported matches| exactly, without
 // enumerating the pair space.
 func (r *Result) MatchedPairCount() int64 {
-	total := r.Block.MatchedPairs + r.smcMatched + r.tierMatched
+	total := r.Block.MatchedPairs + r.purchased.matched + r.tiered.matched
 	switch {
 	case r.groupVerdicts != nil:
 		for key, matched := range r.groupVerdicts {
@@ -193,18 +218,18 @@ func (r *Result) MatchedPairCount() int64 {
 				continue
 			}
 			gpPairs := int64(r.Block.R.Classes[key[0]].Size()) * int64(r.Block.S.Classes[key[1]].Size())
-			resolved := int64(r.resolvedInGroup[key]) + int64(r.tierInGroup[key])
-			total += gpPairs - resolved
+			bought, _ := r.purchased.group(key[0], key[1]).counts()
+			free, _ := r.tiered.group(key[0], key[1]).counts()
+			total += gpPairs - int64(bought+free)
 		}
 	case r.residualMatch:
-		resolved := int64(len(r.smcLabels)) + int64(len(r.tierLabels))
-		total += r.Block.UnknownPairs - resolved
+		total += r.Block.UnknownPairs - r.purchased.n - r.tiered.n
 	}
 	return total
 }
 
 // SMCResolvedPairs returns how many pairs the SMC step labeled.
-func (r *Result) SMCResolvedPairs() int64 { return int64(len(r.smcLabels)) }
+func (r *Result) SMCResolvedPairs() int64 { return r.purchased.n }
 
 // SMCRate returns the SMC step's throughput in comparisons per second,
 // or 0 when no comparisons ran.
@@ -243,7 +268,7 @@ func (r *Result) Summary() string {
 		r.Allowance, r.Invocations, r.MatchedPairCount(), r.cfg.Strategy)
 	if r.cfg.Tier != TierOff {
 		s += fmt.Sprintf(" tier=%v tier-labeled=%d/%d uncertain=%d",
-			r.cfg.Tier, r.tierMatched, r.tierNonMatched, r.TierUncertainPairs)
+			r.cfg.Tier, r.TierMatchedPairs(), r.TierNonMatchedPairs(), r.TierUncertainPairs)
 	}
 	if r.DP != nil {
 		s += fmt.Sprintf(" dp-eps=%v dp-delta=%v dummies=%d dummy-spent=%d",
@@ -257,8 +282,7 @@ func (r *Result) Summary() string {
 // learns a threshold τ on the average expected distance of a group pair's
 // generalizations that minimizes training error, then labels every
 // Unknown group pair by comparing its feature to τ. Pairs already
-// resolved by SMC keep their exact labels (PairMatched checks smcLabels
-// first).
+// resolved by SMC keep their exact labels (PairMatched checks them first).
 func trainResidualClassifier(res *Result, ordered []blocking.GroupPair, rule *blocking.Rule) map[[2]int]bool {
 	type example struct {
 		feature float64
@@ -279,7 +303,10 @@ func trainResidualClassifier(res *Result, ordered []blocking.GroupPair, rule *bl
 	// SMC pairs behind it. Walk the same order the budget was spent in.
 	var examples []example
 	for _, gp := range ordered {
-		resolved := res.resolvedInGroup[[2]int{gp.RI, gp.SI}]
+		// The store counts the group's SMC outcomes wherever they sit in the
+		// member enumeration: tier labels and replayed cross-mode verdicts
+		// interleave with live purchases.
+		resolved, matchedCount := res.purchased.group(gp.RI, gp.SI).counts()
 		if resolved == 0 {
 			if res.cfg.Tier == TierOff {
 				break // budget ran out here; later groups are unresolved
@@ -290,25 +317,6 @@ func trainResidualClassifier(res *Result, ordered []blocking.GroupPair, rule *bl
 			continue
 		}
 		f := feature(gp)
-		// Count the group's SMC outcomes by lookup rather than assuming
-		// they occupy a prefix of the member enumeration: tier labels and
-		// replayed cross-mode verdicts interleave with live purchases.
-		matchedCount, seen := 0, 0
-		rc := &res.Block.R.Classes[gp.RI]
-		sc := &res.Block.S.Classes[gp.SI]
-	count:
-		for _, i := range rc.Members {
-			for _, j := range sc.Members {
-				if v, ok := res.smcLabels[pairKey(i, j, res.bobLen)]; ok {
-					if v {
-						matchedCount++
-					}
-					if seen++; seen == resolved {
-						break count
-					}
-				}
-			}
-		}
 		if matchedCount > 0 {
 			examples = append(examples, example{feature: f, matched: true, weight: matchedCount})
 		}

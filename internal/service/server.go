@@ -695,14 +695,7 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 		return err
 	}
 
-	jr := &JobResult{Result: res.Summarize()}
-	for i := 0; i < alice.Len(); i++ {
-		for j := 0; j < bob.Len(); j++ {
-			if res.PairMatched(i, j) {
-				jr.Matches = append(jr.Matches, [2]int{i, j})
-			}
-		}
-	}
+	jr := &JobResult{Result: res.Summarize(), Matches: res.Matches()}
 	if spec.Evaluate {
 		truth, err := match.TruePairs(alice, bob, res.QIDs(), res.Rule())
 		if err != nil {
