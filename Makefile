@@ -50,18 +50,20 @@ benchmark-check:
 	$(GO) -C benchmark test -count=1 .
 
 # The end-to-end benchmark on BASE (default HEAD~1) and on this checkout,
-# three runs of every workload each, then the bound check between them.
+# RUNS runs of every workload each (default 3; a claimed gain wants 10),
+# then the bound check between them.
 # BASE is checked out into a git worktree under .bench_build/ — run.sh
 # builds from the checkout it sits in — which is removed on every exit
 # path. Takes minutes, so it is not part of `make check`.
 BASE ?= HEAD~1
+RUNS ?= 3
 perf-diff:
 	@set -e; wt=.bench_build/perf-diff-base; out=$$PWD/.bench_build/perf-diff; \
 	mkdir -p $$out; git worktree remove --force $$wt 2>/dev/null || true; \
 	trap 'git worktree remove --force '$$wt' 2>/dev/null || true' EXIT; trap 'exit 130' INT TERM; \
 	git worktree add --detach $$wt $(BASE) >/dev/null; \
-	bash $$wt/benchmark/run.sh -runs 3 -out $$out/base.json; \
-	bash benchmark/run.sh -runs 3 -out $$out/head.json; \
+	bash $$wt/benchmark/run.sh -runs $(RUNS) -out $$out/base.json; \
+	bash benchmark/run.sh -runs $(RUNS) -out $$out/head.json; \
 	bash benchmark/run.sh -compare $$out/base.json $$out/head.json
 
 # Crash-injection matrix: every generated world is killed at seeded pair
@@ -116,11 +118,12 @@ incremental-smoke:
 
 # One-iteration compile-and-run of every micro-benchmark: keeps the
 # paillier kernels, the SMC engine benches — BenchmarkSecureRun's
-# run-length fan-out curve among them — and core's plaintext-oracle link
-# (BenchmarkLinkPlain: the label store's pairs/s and B/pair) from
+# run-length fan-out curve among them — core's plaintext-oracle link
+# (BenchmarkLinkPlain: the label store's pairs/s and B/pair) and the
+# journal writer's cost per verdict (BenchmarkWriterRecord) from
 # bit-rotting without paying for a real measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal
 
 # Serial-vs-sharded throughput of the secure comparator (1024-bit key),
 # plus the dense-vs-indexed blocking engine comparison.

@@ -542,23 +542,17 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 	// The comparator is built at the batch's first purchase: most batches
 	// of a drained pool, and every committed replay, buy nothing, and a
 	// secure comparator costs a key generation to build.
-	var cmp smc.Comparator
-	defer func() {
-		if cmp != nil {
-			cmp.Close()
+	cmp := &lazyComparator{build: func() (smc.Comparator, error) {
+		if committed {
+			return nil, fmt.Errorf("committed batch %d needs a fresh purchase: journal and engine state diverged", batch)
 		}
-	}()
-	buy := func(i, j int) (matched bool, err error) {
-		if cmp == nil {
-			if committed {
-				return false, fmt.Errorf("committed batch %d needs a fresh purchase: journal and engine state diverged", batch)
-			}
-			if cmp, err = e.cfg.Comparator(a.enc, b.enc, e.spec, e.cfg.SMCWorkers); err != nil {
-				return false, fmt.Errorf("building comparator: %w", err)
-			}
+		c, err := e.cfg.Comparator(a.enc, b.enc, e.spec, e.cfg.SMCWorkers)
+		if err != nil {
+			return nil, fmt.Errorf("building comparator: %w", err)
 		}
-		return cmp.Compare(i, j)
-	}
+		return c, nil
+	}}
+	defer cmp.close()
 
 	var spent int64
 	in := resolve.Input{
@@ -572,7 +566,7 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 			return rg
 		},
 		Budget:     math.MaxInt64,
-		Comparator: compareFunc(buy),
+		Comparator: cmp,
 		Workers:    e.cfg.SMCWorkers,
 		Sink: func(ev resolve.Event) {
 			if ev.Matched {
@@ -631,10 +625,51 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 	return spent, nil
 }
 
-// compareFunc is a per-pair purchase function as the kernel's comparator.
-type compareFunc func(i, j int) (bool, error)
+// lazyComparator is the kernel's comparator for one batch: built on the
+// first purchase, and always offering the batch path so a secure
+// comparator is handed its runs (a per-pair loop stands in for a built
+// comparator that has none).
+type lazyComparator struct {
+	build    func() (smc.Comparator, error)
+	cmp      smc.Comparator
+	verdicts []bool
+}
 
-func (f compareFunc) Compare(i, j int) (bool, error) { return f(i, j) }
+// Compare is the batch of one; the kernel, finding a batch path, never
+// calls it.
+func (l *lazyComparator) Compare(i, j int) (bool, error) {
+	out, err := l.CompareBatch([][2]int{{i, j}})
+	if err != nil {
+		return false, err
+	}
+	return out[0], nil
+}
+
+func (l *lazyComparator) CompareBatch(pairs [][2]int) (_ []bool, err error) {
+	if l.cmp == nil {
+		if l.cmp, err = l.build(); err != nil {
+			return nil, err
+		}
+	}
+	if b, ok := l.cmp.(smc.BatchComparator); ok {
+		return b.CompareBatch(pairs)
+	}
+	l.verdicts = l.verdicts[:0]
+	for _, p := range pairs {
+		m, err := l.cmp.Compare(p[0], p[1])
+		if err != nil {
+			return nil, fmt.Errorf("(%d,%d): %w", p[0], p[1], err)
+		}
+		l.verdicts = append(l.verdicts, m)
+	}
+	return l.verdicts, nil
+}
+
+func (l *lazyComparator) close() {
+	if l.cmp != nil {
+		l.cmp.Close()
+	}
+}
 
 // frameJournal is the kernel's view of the dataset journal inside an open
 // batch frame: the completion sync is left to the batch commit record,

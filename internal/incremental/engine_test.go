@@ -1,8 +1,11 @@
 package incremental_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pprl/internal/blocking"
@@ -12,6 +15,7 @@ import (
 	"pprl/internal/dpblock"
 	"pprl/internal/incremental"
 	"pprl/internal/journal"
+	"pprl/internal/smc"
 	"pprl/internal/testkit"
 )
 
@@ -632,5 +636,145 @@ func TestIncrementalRejects(t *testing.T) {
 	}
 	if _, err := deng.Append(1, w.Alice.Records()); err == nil {
 		t.Error("dedup engine accepted side 1")
+	}
+}
+
+// purchaseLog is what the comparators of one engine were asked, across
+// every batch's build.
+type purchaseLog struct {
+	builds  int
+	single  [][2]int   // pairs that arrived through Compare
+	batches [][][2]int // lists that arrived through CompareBatch
+}
+
+// pairOnly is the plaintext oracle, logged; it has no batch path.
+type pairOnly struct {
+	smc.Comparator
+	log *purchaseLog
+}
+
+func (c pairOnly) Compare(i, j int) (bool, error) {
+	c.log.single = append(c.log.single, [2]int{i, j})
+	return c.Comparator.Compare(i, j)
+}
+
+// batching adds the batch path a secure comparator has.
+type batching struct{ pairOnly }
+
+func (c batching) CompareBatch(pairs [][2]int) ([]bool, error) {
+	c.log.batches = append(c.log.batches, append([][2]int(nil), pairs...))
+	out := make([]bool, len(pairs))
+	for x, p := range pairs {
+		var err error
+		if out[x], err = c.Comparator.Compare(p[0], p[1]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (l *purchaseLog) factory(batch bool) core.ComparatorFactory {
+	return func(alice, bob [][]int64, spec *smc.Spec, workers int) (smc.Comparator, error) {
+		l.builds++
+		plain, err := core.PlainComparatorFactory(alice, bob, spec, workers)
+		if batch {
+			return batching{pairOnly{plain, l}}, err
+		}
+		return pairOnly{plain, l}, err
+	}
+}
+
+// TestIncrementalBuysThroughBatchPath: a comparator with a batch path is
+// handed the walk in CompareBatch lists — the same pairs in the same
+// order a per-pair comparator is asked one at a time — with identical
+// deltas, accounting and journal bytes, and a committed replay builds no
+// comparator at all.
+func TestIncrementalBuysThroughBatchPath(t *testing.T) {
+	w := testkit.Generate(5)
+	dir := t.TempDir()
+	type batch struct {
+		side int
+		recs []dataset.Record
+	}
+	var feed []batch
+	for _, b := range batchesOf(w.Bob, w.Bob.Len()/2+1) {
+		feed = append(feed, batch{1, b})
+	}
+	for _, b := range batchesOf(w.Alice, w.Alice.Len()/3+1) {
+		feed = append(feed, batch{0, b})
+	}
+	run := func(name string, log *purchaseLog, batchPath, resume bool) ([][]incremental.Delta, incremental.Stats, []byte) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		jw, _, err := journal.Open(path, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := incrementalConfig(w, ample)
+		cfg.Comparator = log.factory(batchPath)
+		cfg.Journal = jw
+		if resume {
+			cfg.Recovered = jw.Recovered()
+		}
+		eng, err := incremental.New(w.Alice.Schema(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deltas [][]incremental.Delta
+		for _, b := range feed {
+			res, err := eng.Append(b.side, b.recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltas = append(deltas, res.Deltas)
+		}
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return deltas, eng.Stats(), raw
+	}
+
+	var perPair, batched, replay purchaseLog
+	wantDeltas, wantStats, wantWAL := run("pair.wal", &perPair, false, false)
+	gotDeltas, gotStats, gotWAL := run("batch.wal", &batched, true, false)
+	if wantStats.Purchased == 0 || len(perPair.single) != int(wantStats.Purchased) {
+		t.Fatalf("fixture: %d purchases, %d Compare calls", wantStats.Purchased, len(perPair.single))
+	}
+	if len(batched.single) != 0 {
+		t.Errorf("%d pairs reached a batch-capable comparator through Compare", len(batched.single))
+	}
+	var flat [][2]int
+	for _, list := range batched.batches {
+		flat = append(flat, list...)
+	}
+	if !reflect.DeepEqual(flat, perPair.single) {
+		t.Errorf("CompareBatch lists carry %d pairs, not the %d-pair walk the per-pair path buys in order", len(flat), len(perPair.single))
+	}
+	if batched.builds != perPair.builds {
+		t.Errorf("batch path built %d comparators, per-pair path %d", batched.builds, perPair.builds)
+	}
+	if !reflect.DeepEqual(gotDeltas, wantDeltas) {
+		t.Error("deltas differ between the batch path and the per-pair path")
+	}
+	if gotStats != wantStats {
+		t.Errorf("stats differ: batch path %+v, per-pair path %+v", gotStats, wantStats)
+	}
+	if !bytes.Equal(gotWAL, wantWAL) {
+		t.Error("journal bytes differ between the batch path and the per-pair path")
+	}
+
+	replayDeltas, replayStats, replayWAL := run("batch.wal", &replay, true, true)
+	if replay.builds != 0 || len(replay.single)+len(replay.batches) != 0 {
+		t.Errorf("committed replay built %d comparators and asked them %d times", replay.builds, len(replay.single)+len(replay.batches))
+	}
+	if replayStats.Purchased != 0 || replayStats.Replayed != wantStats.Purchased {
+		t.Errorf("committed replay purchased %d and replayed %d, want 0 and %d", replayStats.Purchased, replayStats.Replayed, wantStats.Purchased)
+	}
+	if !reflect.DeepEqual(replayDeltas, wantDeltas) || !bytes.Equal(replayWAL, wantWAL) {
+		t.Error("committed replay changed the delta stream or the journal")
 	}
 }

@@ -62,8 +62,8 @@ type BatchSink interface {
 // RecordBatch implements BatchSink: appends a batch mark opening a new
 // verdict frame.
 func (w *Writer) RecordBatch(m BatchMark) error {
-	if !w.began {
-		return fmt.Errorf("journal: RecordBatch before Begin")
+	if err := w.ready("RecordBatch"); err != nil {
+		return err
 	}
 	var payload [batchMarkPayloadLen]byte
 	payload[0] = recBatch
@@ -71,14 +71,8 @@ func (w *Writer) RecordBatch(m BatchMark) error {
 	payload[5] = m.Side
 	binary.LittleEndian.PutUint32(payload[6:10], m.Records)
 	copy(payload[10:42], m.Digest[:])
-	if err := w.appendRecord(payload[:]); err != nil {
-		return err
-	}
-	w.unsynced++
-	if w.unsynced >= w.syncEvery {
-		return w.Sync()
-	}
-	return nil
+	w.appendFrame(payload[:])
+	return w.appended()
 }
 
 // RecordBatchCommit implements BatchSink: appends the commit record and
@@ -86,17 +80,15 @@ func (w *Writer) RecordBatch(m BatchMark) error {
 // exposed once the commit is durable, so this call returning nil is the
 // engine's license to release them.
 func (w *Writer) RecordBatchCommit(c BatchCommit) error {
-	if !w.began {
-		return fmt.Errorf("journal: RecordBatchCommit before Begin")
+	if err := w.ready("RecordBatchCommit"); err != nil {
+		return err
 	}
 	var payload [batchCommitPayloadLen]byte
 	payload[0] = recBatchCommit
 	binary.LittleEndian.PutUint32(payload[1:5], c.Batch)
 	binary.LittleEndian.PutUint32(payload[5:9], c.Deltas)
 	binary.LittleEndian.PutUint64(payload[9:17], uint64(c.Spent))
-	if err := w.appendRecord(payload[:]); err != nil {
-		return err
-	}
+	w.appendFrame(payload[:])
 	return w.Sync()
 }
 

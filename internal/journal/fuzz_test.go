@@ -3,7 +3,6 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
 )
 
@@ -32,6 +31,14 @@ func FuzzJournalReplay(f *testing.F) {
 	corrupt := append([]byte(nil), valid...) // CRC-breaking flip
 	corrupt[len(corrupt)-3] ^= 0x80
 	f.Add(corrupt)
+	// One multi-frame window (batch marks, verdicts, a commit) cut where
+	// its single write can tear: mid-frame and on either side of a frame
+	// boundary.
+	window := refImage(m, windowEvents())
+	const last = 4 + verdictPayloadLen + 4 // the window's final frame
+	for _, cut := range []int{len(window) - 1, len(window) - last + 1, len(window) - last, len(window) - last - 1, len(window) / 2} {
+		f.Add(window[:cut])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := parse(data)
@@ -54,29 +61,17 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
-// buildImage assembles a journal byte image in memory via the writer's
-// own encoders, so corpus entries track the real format.
+// buildImage assembles a journal byte image in memory: header, manifest
+// and one frame per verdict, through the tests' reference framing.
 func buildImage(m Manifest, verdicts []Verdict) []byte {
 	var out []byte
 	var hdr [headerLen]byte
 	copy(hdr[:8], magic[:])
 	binary.LittleEndian.PutUint16(hdr[8:10], formatVersion)
 	out = append(out, hdr[:]...)
-	frame := func(payload []byte) {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	}
-	frame(encodeManifest(m))
+	out = refFrame(out, encodeManifest(m))
 	for _, v := range verdicts {
-		p := make([]byte, verdictPayloadLen)
-		p[0] = recVerdict
-		binary.LittleEndian.PutUint32(p[1:5], v.I)
-		binary.LittleEndian.PutUint32(p[5:9], v.J)
-		if v.Matched {
-			p[9] = 1
-		}
-		frame(p)
+		out = refFrame(out, event{kind: recVerdict, v: v}.payload())
 	}
 	return out
 }

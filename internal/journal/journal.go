@@ -7,13 +7,14 @@
 // resolution order as the comparator returns them.
 //
 // The on-disk format is length-prefixed, CRC-checksummed and versioned
-// (see DESIGN.md §8 for the byte layout). Appends are fsync-batched under
-// the SyncEvery knob: a crash loses at most the un-synced tail, and those
-// pairs are simply re-compared on resume. Opening a journal for resumption
-// truncates a torn tail (a record cut short mid-write) at the last intact
-// record and refuses — with a descriptive error, never a silent fresh
-// start — to continue a run whose configuration or inputs changed, or one
-// written by a newer format version.
+// (see DESIGN.md §8 for the byte layout). Appends are group-committed
+// under the SyncEvery knob — a window of records is written and fsynced
+// together — so a crash or a kill loses at most the un-synced tail, and
+// those pairs are simply re-compared on resume. Opening a journal for
+// resumption truncates a torn tail (a record cut short mid-write) at the
+// last intact record and refuses — with a descriptive error, never a
+// silent fresh start — to continue a run whose configuration or inputs
+// changed, or one written by a newer format version.
 package journal
 
 import (
@@ -153,14 +154,19 @@ type Sink interface {
 
 // Options tunes a journal writer.
 type Options struct {
-	// SyncEvery is how many verdict records may accumulate before an
-	// fsync. 1 syncs every record (maximum durability, slowest); larger
-	// values amortize the fsync over a batch, risking at most that many
-	// re-comparisons after a crash. ≤ 0 selects the default (64).
+	// SyncEvery is how many verdict records may accumulate before they
+	// are written and fsynced. 1 syncs every record (maximum durability,
+	// slowest); larger values amortize the write and the fsync over a
+	// window, risking at most that many re-comparisons after a crash or a
+	// kill. ≤ 0 selects the default (64).
 	SyncEvery int
 }
 
 const defaultSyncEvery = 64
+
+// flushBytes bounds the window buffer: a window that grows this large is
+// written (not fsynced) early, so a huge SyncEvery cannot grow it.
+const flushBytes = 64 << 10
 
 // Writer appends a run to a journal file. It implements Sink. Writers are
 // not safe for concurrent use; the engines call them from the linking
@@ -175,6 +181,12 @@ type Writer struct {
 	// recovered is non-nil when the writer was opened with Resume: Begin
 	// then validates instead of writing a second manifest.
 	recovered *Recovered
+	// buf holds the frames appended since the last flush — the current
+	// sync window — which reach the file in one Write.
+	buf []byte
+	// err is the first write or fsync failure. It is sticky: the file may
+	// end in a half-written window, which no good frame may follow.
+	err error
 }
 
 // Create starts a fresh journal at path. It refuses to overwrite an
@@ -243,9 +255,7 @@ func (w *Writer) Begin(m Manifest) ([]Verdict, error) {
 		}
 		return w.recovered.Verdicts, nil
 	}
-	if err := w.appendRecord(encodeManifest(m)); err != nil {
-		return nil, fmt.Errorf("journal: writing manifest: %w", err)
-	}
+	w.appendFrame(encodeManifest(m))
 	// The manifest must be durable before any verdict that cites it.
 	if err := w.Sync(); err != nil {
 		return nil, err
@@ -265,8 +275,8 @@ func (w *Writer) RecordTier(i, j int, matched bool) error {
 }
 
 func (w *Writer) record(kind byte, i, j int, matched bool) error {
-	if !w.began {
-		return fmt.Errorf("journal: Record before Begin")
+	if err := w.ready("Record"); err != nil {
+		return err
 	}
 	if i < 0 || j < 0 || int64(i) > int64(^uint32(0)) || int64(j) > int64(^uint32(0)) {
 		return fmt.Errorf("journal: pair (%d,%d) outside the uint32 record-index range", i, j)
@@ -278,21 +288,54 @@ func (w *Writer) record(kind byte, i, j int, matched bool) error {
 	if matched {
 		payload[9] = 1
 	}
-	if err := w.appendRecord(payload[:]); err != nil {
-		return err
-	}
+	w.appendFrame(payload[:])
 	w.recorded++
+	return w.appended()
+}
+
+// ready reports why the writer cannot take a record: an earlier write
+// failed, or Begin has not run.
+func (w *Writer) ready(op string) error {
+	if w.err == nil && !w.began {
+		return fmt.Errorf("journal: %s before Begin", op)
+	}
+	return w.err
+}
+
+// appended counts one buffered record against the sync cadence, and
+// writes the window out early once it reaches flushBytes.
+func (w *Writer) appended() error {
 	w.unsynced++
 	if w.unsynced >= w.syncEvery {
 		return w.Sync()
 	}
+	if len(w.buf) >= flushBytes {
+		return w.flush()
+	}
 	return nil
 }
 
-// Sync implements Sink: flushes appended records to stable storage.
+// flush hands the window to the file in one Write. os.File.Write reports
+// a short write as an error, so a window that came up short fails closed.
+func (w *Writer) flush() error {
+	if w.err == nil && len(w.buf) > 0 {
+		if _, err := w.f.Write(w.buf); err != nil {
+			w.err = fmt.Errorf("journal: append: %w", err)
+		}
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+// Sync implements Sink: writes the window and flushes it to stable
+// storage.
 func (w *Writer) Sync() error {
+	if err := w.flush(); err != nil {
+		return err
+	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
+		w.err = fmt.Errorf("journal: fsync: %w", err)
+		return w.err
 	}
 	w.unsynced = 0
 	return nil
@@ -300,11 +343,11 @@ func (w *Writer) Sync() error {
 
 // Close syncs and releases the file.
 func (w *Writer) Close() error {
-	if err := w.Sync(); err != nil {
-		w.f.Close()
-		return err
+	err := w.Sync()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return w.f.Close()
+	return err
 }
 
 // Path returns the journal's file path, for operator messaging.
@@ -316,18 +359,16 @@ func (w *Writer) Path() string { return w.path }
 // is exactly the work done since the crash.
 func (w *Writer) Recorded() int { return w.recorded }
 
-// appendRecord frames and writes one payload:
+// appendFrame encodes one payload's frame at the end of the window:
 //
 //	uint32 LE payload length | payload | uint32 LE CRC32-C(payload)
-func (w *Writer) appendRecord(payload []byte) error {
-	frame := make([]byte, 4+len(payload)+4)
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[4:], payload)
-	binary.LittleEndian.PutUint32(frame[4+len(payload):], crc32.Checksum(payload, crcTable))
-	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	return nil
+//
+// The checksum reads the buffered copy, so a caller's stack payload does
+// not escape.
+func (w *Writer) appendFrame(payload []byte) {
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
+	w.buf = append(w.buf, payload...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf[len(w.buf)-len(payload):], crcTable))
 }
 
 // encodeManifest renders the manifest payload:

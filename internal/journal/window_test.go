@@ -1,0 +1,394 @@
+package journal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// event is one call on a writer, with a reference encoding of the frame
+// it must produce that shares no code with the writer's.
+type event struct {
+	kind   byte // a record type, or 0 for an explicit Sync
+	v      Verdict
+	mark   BatchMark
+	commit BatchCommit
+}
+
+func (e event) apply(w *Writer) error {
+	switch e.kind {
+	case recVerdict:
+		return w.Record(int(e.v.I), int(e.v.J), e.v.Matched)
+	case recTierVerdict:
+		return w.RecordTier(int(e.v.I), int(e.v.J), e.v.Matched)
+	case recBatch:
+		return w.RecordBatch(e.mark)
+	case recBatchCommit:
+		return w.RecordBatchCommit(e.commit)
+	}
+	return w.Sync()
+}
+
+// payload is the record's on-disk payload per DESIGN.md §8/§15; nil for a
+// Sync, which writes nothing.
+func (e event) payload() []byte {
+	le := binary.LittleEndian
+	switch e.kind {
+	case recVerdict, recTierVerdict:
+		p := le.AppendUint32(le.AppendUint32([]byte{e.kind}, e.v.I), e.v.J)
+		if e.v.Matched {
+			return append(p, 1)
+		}
+		return append(p, 0)
+	case recBatch:
+		p := append(le.AppendUint32([]byte{e.kind}, e.mark.Batch), e.mark.Side)
+		return append(le.AppendUint32(p, e.mark.Records), e.mark.Digest[:]...)
+	case recBatchCommit:
+		p := le.AppendUint32(le.AppendUint32([]byte{e.kind}, e.commit.Batch), e.commit.Deltas)
+		return le.AppendUint64(p, uint64(e.commit.Spent))
+	}
+	return nil
+}
+
+// refFrame appends payload's frame: length | payload | CRC32-C.
+func refFrame(out, payload []byte) []byte {
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+}
+
+// refImage is the file the events must produce after header and manifest.
+func refImage(m Manifest, events []event) []byte {
+	out := buildImage(m, nil)
+	for _, e := range events {
+		if p := e.payload(); p != nil {
+			out = refFrame(out, p)
+		}
+	}
+	return out
+}
+
+// randomEvents draws a replayable stream: verdicts and tier verdicts
+// inside and outside batch frames, dense batch marks, commits that close
+// the open frame, and stray Syncs.
+func randomEvents(rng *rand.Rand, n int) []event {
+	var out []event
+	open, next := false, uint32(0)
+	for len(out) < n {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			out = append(out, event{})
+		case r == 1 && !open:
+			e := event{kind: recBatch, mark: BatchMark{Batch: next, Side: uint8(rng.Intn(2)), Records: rng.Uint32()}}
+			rng.Read(e.mark.Digest[:])
+			out, open = append(out, e), true
+		case r == 2 && open:
+			out = append(out, event{kind: recBatchCommit, commit: BatchCommit{Batch: next, Deltas: rng.Uint32(), Spent: rng.Int63()}})
+			open, next = false, next+1
+		case r < 6:
+			out = append(out, event{kind: recTierVerdict, v: Verdict{I: rng.Uint32(), J: rng.Uint32(), Matched: rng.Intn(2) == 0}})
+		default:
+			out = append(out, event{kind: recVerdict, v: Verdict{I: rng.Uint32(), J: rng.Uint32(), Matched: rng.Intn(2) == 0}})
+		}
+	}
+	return out
+}
+
+func beginAt(t testing.TB, path string, opts Options) *Writer {
+	t.Helper()
+	w, err := Create(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Begin(testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestWindowVisibility: records reach the file a window at a time — when
+// the sync cadence fires, on Sync, on Close, and when the window reaches
+// flushBytes (a write, not an fsync).
+func TestWindowVisibility(t *testing.T) {
+	const frame = 4 + verdictPayloadLen + 4
+	base := int64(len(buildImage(testManifest(), nil)))
+	record := func(t *testing.T, w *Writer, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := w.Record(i, i+1, i%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("cadence", func(t *testing.T) {
+		const n = 8
+		path := filepath.Join(t.TempDir(), "run.wal")
+		w := beginAt(t, path, Options{SyncEvery: n})
+		defer w.Close()
+		if got := fileSize(t, path); got != base {
+			t.Fatalf("after Begin: %d bytes on file, want header + manifest = %d", got, base)
+		}
+		record(t, w, n-1)
+		if got := fileSize(t, path); got != base {
+			t.Fatalf("after %d of %d records: %d bytes on file, want %d", n-1, n, got, base)
+		}
+		record(t, w, 1)
+		if got := fileSize(t, path); got != base+n*frame {
+			t.Fatalf("after the window's last record: %d bytes on file, want %d", got, base+n*frame)
+		}
+		if w.Recorded() != n {
+			t.Fatalf("Recorded() = %d, want %d", w.Recorded(), n)
+		}
+	})
+
+	t.Run("sync and close flush a partial window", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "run.wal")
+		w := beginAt(t, path, Options{SyncEvery: 100})
+		record(t, w, 3)
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileSize(t, path); got != base+3*frame {
+			t.Fatalf("after Sync: %d bytes on file, want %d", got, base+3*frame)
+		}
+		record(t, w, 2)
+		if got := fileSize(t, path); got != base+3*frame {
+			t.Fatalf("window visible before its flush: %d bytes on file, want %d", got, base+3*frame)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileSize(t, path); got != base+5*frame {
+			t.Fatalf("after Close: %d bytes on file, want %d", got, base+5*frame)
+		}
+	})
+
+	t.Run("size bound", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "run.wal")
+		w := beginAt(t, path, Options{SyncEvery: 1 << 30})
+		defer w.Close()
+		n := (flushBytes + frame - 1) / frame
+		record(t, w, n-1)
+		if got := fileSize(t, path); got != base {
+			t.Fatalf("window of %d bytes already written (file %d, want %d)", (n-1)*frame, got, base)
+		}
+		record(t, w, 1)
+		if got := fileSize(t, path); got != base+int64(n)*frame {
+			t.Fatalf("window of %d ≥ %d bytes not written: file %d, want %d", n*frame, flushBytes, got, base+int64(n)*frame)
+		}
+		if w.unsynced != n {
+			t.Fatalf("size-bound flush reset the sync cadence: unsynced = %d, want %d", w.unsynced, n)
+		}
+		if cap(w.buf) > 2*flushBytes {
+			t.Fatalf("window buffer grew to %d bytes", cap(w.buf))
+		}
+	})
+}
+
+// TestWindowByteIdentity: whatever the sync cadence and wherever explicit
+// Syncs fall, the file is the plain concatenation of the records' frames.
+func TestWindowByteIdentity(t *testing.T) {
+	dir := t.TempDir()
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Mostly short windows; now and then one only the size bound ends.
+		events := randomEvents(rng, 20+rng.Intn(400))
+		syncEvery := 1 + rng.Intn(70)
+		if seed%5 == 0 {
+			events, syncEvery = randomEvents(rng, 5000), 1<<20
+		}
+		path := filepath.Join(dir, fmt.Sprintf("run-%d.wal", seed))
+		w := beginAt(t, path, Options{SyncEvery: syncEvery})
+		for i, e := range events {
+			if err := e.apply(w); err != nil {
+				t.Fatalf("seed %d event %d: %v", seed, i, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refImage(testManifest(), events)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d (SyncEvery %d, %d events): file differs from the reference framing (%d vs %d bytes)",
+				seed, syncEvery, len(events), len(got), len(want))
+		}
+		if rec, err := parse(got); err != nil || rec.TornBytes != 0 {
+			t.Fatalf("seed %d: written file does not replay cleanly: %+v, %v", seed, rec, err)
+		}
+	}
+}
+
+// windowEvents is one multi-frame window of every record type: a batch
+// frame opened, filled and committed, and a second one left open.
+func windowEvents() []event {
+	events := []event{{kind: recBatch, mark: BatchMark{Batch: 0, Records: 4, Digest: [32]byte{9}}}}
+	for i, v := range someVerdicts(6) {
+		kind := recVerdict
+		if i%3 == 2 {
+			kind = recTierVerdict
+		}
+		events = append(events, event{kind: kind, v: v})
+	}
+	return append(events,
+		event{kind: recBatchCommit, commit: BatchCommit{Batch: 0, Deltas: 2, Spent: 4}},
+		event{kind: recBatch, mark: BatchMark{Batch: 1, Side: 1, Records: 2, Digest: [32]byte{7}}},
+		event{kind: recVerdict, v: Verdict{I: 40, J: 41, Matched: true}})
+}
+
+// TestTornWindow cuts a window's single write at every byte: replay keeps
+// the intact frames, Resume truncates there, the rest of the run appends,
+// and the stitched file is the uninterrupted one.
+func TestTornWindow(t *testing.T) {
+	events := windowEvents()
+	whole := refImage(testManifest(), events)
+	// ends[k] is the file offset just past the k-th event's frame.
+	ends := []int{len(buildImage(testManifest(), nil))}
+	for _, e := range events {
+		ends = append(ends, ends[len(ends)-1]+4+len(e.payload())+4)
+	}
+	path := filepath.Join(t.TempDir(), "torn.wal")
+	for cut := ends[0]; cut < len(whole); cut++ {
+		intact := 0
+		for intact < len(events) && ends[intact+1] <= cut {
+			intact++
+		}
+		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Replay(path)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if rec.goodOffset != int64(ends[intact]) || rec.TornBytes != int64(cut-ends[intact]) {
+			t.Fatalf("cut at %d: replay kept %d bytes and dropped %d, want %d and %d",
+				cut, rec.goodOffset, rec.TornBytes, ends[intact], cut-ends[intact])
+		}
+		// A large cadence, so the remainder is again one window.
+		w, err := Resume(path, Options{SyncEvery: 1 << 20})
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if got := fileSize(t, path); got != int64(ends[intact]) {
+			t.Fatalf("cut at %d: Resume left %d bytes on file, want %d", cut, got, ends[intact])
+		}
+		if _, err := w.Begin(testManifest()); err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		for _, e := range events[intact:] {
+			if err := e.apply(w); err != nil {
+				t.Fatalf("cut at %d: %v", cut, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stitched, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stitched, whole) {
+			t.Fatalf("cut at %d: stitched file differs from the uninterrupted one", cut)
+		}
+		full, err := parse(stitched)
+		if err != nil || full.TornBytes != 0 || len(full.Verdicts) != 5 || len(full.TierVerdicts) != 2 ||
+			len(full.Batches) != 2 || !full.Batches[0].Committed || full.Batches[1].Committed {
+			t.Fatalf("cut at %d: stitched file replays as %+v, %v", cut, full, err)
+		}
+		os.Remove(path)
+	}
+}
+
+// TestWriterFailsClosed: once a window fails to reach the file, the
+// writer is dead — every later call returns that first error, so no good
+// frame can land behind a half-written window.
+func TestWriterFailsClosed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wal")
+	w := beginAt(t, path, Options{SyncEvery: 4})
+	w.f.Close() // the file goes away underneath the writer
+	for i := 0; i < 3; i++ {
+		if err := w.Record(i, i, true); err != nil {
+			t.Fatalf("buffered record %d: %v", i, err)
+		}
+	}
+	first := w.Record(3, 3, true)
+	if first == nil {
+		t.Fatal("the window's flush onto a closed file succeeded")
+	}
+	for name, call := range map[string]func() error{
+		"Record":            func() error { return w.Record(4, 4, false) },
+		"RecordTier":        func() error { return w.RecordTier(4, 4, false) },
+		"RecordBatch":       func() error { return w.RecordBatch(BatchMark{}) },
+		"RecordBatchCommit": func() error { return w.RecordBatchCommit(BatchCommit{}) },
+		"Sync":              w.Sync,
+		"Close":             w.Close,
+	} {
+		if err := call(); err != first {
+			t.Errorf("%s after the failed flush = %v, want the first error %v", name, err, first)
+		}
+	}
+	if len(w.buf) != 0 {
+		t.Errorf("a dead writer still buffers %d bytes", len(w.buf))
+	}
+	if got, want := fileSize(t, path), int64(len(buildImage(testManifest(), nil))); got != want {
+		t.Errorf("file is %d bytes, want the %d written before the failure", got, want)
+	}
+}
+
+func TestRecordDoesNotAllocate(t *testing.T) {
+	w := beginAt(t, filepath.Join(t.TempDir(), "run.wal"), Options{SyncEvery: 1 << 30})
+	defer w.Close()
+	i := 0
+	record := func() {
+		if err := w.Record(i, i+1, i%2 == 0); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 2*flushBytes/18 { // grow the buffer through its first flushes
+		record()
+	}
+	if allocs := testing.AllocsPerRun(10000, record); allocs != 0 {
+		t.Errorf("Record allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkWriterRecord is the journal's cost per purchased verdict at
+// the default cadence and at the live-dataset benchmark's.
+func BenchmarkWriterRecord(b *testing.B) {
+	for _, syncEvery := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("sync=%d", syncEvery), func(b *testing.B) {
+			w := beginAt(b, filepath.Join(b.TempDir(), "run.wal"), Options{SyncEvery: syncEvery})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.Record(i, i+1, i%3 == 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -139,8 +139,17 @@ func getDeltas(t *testing.T, ts *httptest.Server, id string, from int) DeltasRes
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("deltas returned %d: %s", resp.StatusCode, raw)
 	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A delta page is five numbers per match; indenting it nearly doubles
+	// the bytes on the wire.
+	if bytes.Contains(raw, []byte("\n ")) {
+		t.Fatalf("deltas page is pretty-printed:\n%s", raw)
+	}
 	var dr DeltasResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
+	if err := json.Unmarshal(raw, &dr); err != nil {
 		t.Fatal(err)
 	}
 	return dr

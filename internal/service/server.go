@@ -363,9 +363,7 @@ func (s *Server) Handler() http.Handler {
 func writeAPI(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeAPIError(w http.ResponseWriter, code int, format string, args ...any) {
