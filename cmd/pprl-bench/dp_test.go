@@ -17,7 +17,7 @@ import (
 func TestRunDPJSON(t *testing.T) {
 	dpOut := filepath.Join(t.TempDir(), "BENCH_dp.json")
 	var buf bytes.Buffer
-	if err := run(&buf, "dp", 240, false, 3, true, 512, "", "", "", dpOut, 24, "", ""); err != nil {
+	if err := run(&buf, "dp", 240, false, 3, true, "", dpOut); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(dpOut)

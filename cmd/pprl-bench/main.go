@@ -23,28 +23,22 @@ import (
 
 func main() {
 	var (
-		exps        = flag.String("exp", "all", "comma-separated artifact IDs: fig2..fig8, strategies, anonymizers, baselines, diversity, strings, bloom, timing, smcperf, blocking, tier, dp, distributed, incremental, example, or all")
-		records     = flag.Int("records", 0, "workload size (records before the overlap split); 0 = default 1800")
-		full        = flag.Bool("full", false, "paper-scale workload: 30,162 records (slow)")
-		seed        = flag.Int64("seed", 0, "workload seed; 0 = default")
-		asJSON      = flag.Bool("json", false, "emit tables as JSON for external plotting; smcperf and blocking additionally write their report files")
-		perfBits    = flag.Int("perf-keybits", 512, "smcperf: Paillier key size (512 keeps the default run fast; use 1024 for acceptance-grade numbers)")
-		perfOut     = flag.String("perf-out", "BENCH_smc.json", "smcperf: path of the machine-readable benchmark report (with -json)")
-		blockingOut = flag.String("blocking-out", "BENCH_blocking.json", "blocking: path of the machine-readable benchmark report (with -json)")
-		tierOut     = flag.String("tier-out", "BENCH_tier.json", "tier: path of the machine-readable benchmark report (with -json)")
-		dpOut       = flag.String("dp-out", "BENCH_dp.json", "dp: path of the machine-readable benchmark report (with -json)")
-		distPairs   = flag.Int("dist-pairs", 256, "distributed: SMC comparisons striped across each fleet size")
-		distOut     = flag.String("distributed-out", "BENCH_distributed.json", "distributed: path of the machine-readable benchmark report (with -json)")
-		incrOut     = flag.String("incremental-out", "BENCH_incremental.json", "incremental: path of the machine-readable benchmark report (with -json)")
+		exps    = flag.String("exp", "all", "comma-separated artifact IDs: fig2..fig8, strategies, anonymizers, baselines, diversity, strings, bloom, timing, tier, dp, example, or all")
+		records = flag.Int("records", 0, "workload size (records before the overlap split); 0 = default 1800")
+		full    = flag.Bool("full", false, "paper-scale workload: 30,162 records (slow)")
+		seed    = flag.Int64("seed", 0, "workload seed; 0 = default")
+		asJSON  = flag.Bool("json", false, "emit tables as JSON for external plotting; tier and dp additionally write their report files")
+		tierOut = flag.String("tier-out", "BENCH_tier.json", "tier: path of the machine-readable benchmark report (with -json)")
+		dpOut   = flag.String("dp-out", "BENCH_dp.json", "dp: path of the machine-readable benchmark report (with -json)")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *exps, *records, *full, *seed, *asJSON, *perfBits, *perfOut, *blockingOut, *tierOut, *dpOut, *distPairs, *distOut, *incrOut); err != nil {
+	if err := run(os.Stdout, *exps, *records, *full, *seed, *asJSON, *tierOut, *dpOut); err != nil {
 		fmt.Fprintln(os.Stderr, "pprl-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON bool, perfBits int, perfOut, blockingOut, tierOut, dpOut string, distPairs int, distOut, incrOut string) error {
+func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON bool, tierOut, dpOut string) error {
 	render := func(t *experiment.Table) error {
 		if asJSON {
 			return t.RenderJSON(out)
@@ -135,52 +129,6 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 			return err
 		}
 	}
-	if want("smcperf") {
-		rep, t, err := experiment.SMCPerf(perfBits, 4, 1024, 0)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if asJSON && perfOut != "" {
-			f, err := os.Create(perfOut)
-			if err != nil {
-				return fmt.Errorf("smcperf: %w", err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return fmt.Errorf("smcperf: writing report: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "smcperf: report written to %s\n", perfOut)
-		}
-	}
-	if want("blocking") {
-		rep, t, err := experiment.BlockingPerf(opts)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if asJSON && blockingOut != "" {
-			f, err := os.Create(blockingOut)
-			if err != nil {
-				return fmt.Errorf("blocking: %w", err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return fmt.Errorf("blocking: writing report: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "blocking: report written to %s\n", blockingOut)
-		}
-	}
 	if want("tier") {
 		rep, t, err := experiment.TierPerf(opts)
 		if err != nil {
@@ -190,18 +138,9 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 			return err
 		}
 		if asJSON && tierOut != "" {
-			f, err := os.Create(tierOut)
-			if err != nil {
-				return fmt.Errorf("tier: %w", err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return fmt.Errorf("tier: writing report: %w", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := writeReport("tier", tierOut, rep); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "tier: report written to %s\n", tierOut)
 		}
 	}
 	if want("dp") {
@@ -213,66 +152,28 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 			return err
 		}
 		if asJSON && dpOut != "" {
-			f, err := os.Create(dpOut)
-			if err != nil {
-				return fmt.Errorf("dp: %w", err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return fmt.Errorf("dp: writing report: %w", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := writeReport("dp", dpOut, rep); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "dp: report written to %s\n", dpOut)
 		}
 	}
-	if want("distributed") {
-		rep, t, err := experiment.DistPerf(opts, perfBits, distPairs)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if asJSON && distOut != "" {
-			f, err := os.Create(distOut)
-			if err != nil {
-				return fmt.Errorf("distributed: %w", err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return fmt.Errorf("distributed: writing report: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "distributed: report written to %s\n", distOut)
-		}
+	return nil
+}
+
+// writeReport writes one arm's machine-readable report to path.
+func writeReport(arm, path string, rep interface{ WriteJSON(io.Writer) error }) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("%s: %w", arm, err)
 	}
-	if want("incremental") {
-		rep, t, err := experiment.IncrementalPerf(opts)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if asJSON && incrOut != "" {
-			f, err := os.Create(incrOut)
-			if err != nil {
-				return fmt.Errorf("incremental: %w", err)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				f.Close()
-				return fmt.Errorf("incremental: writing report: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "incremental: report written to %s\n", incrOut)
-		}
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: writing report: %w", arm, err)
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%s: report written to %s\n", arm, path)
 	return nil
 }
 

@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite the golden file")
 // `go test ./cmd/pprl-bench -run Golden -update`.
 func TestGoldenOutput(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "example,fig2,fig3,fig8,strategies,baselines", 600, false, 0, false, 512, "", "", "", "", 24, "", ""); err != nil {
+	if err := run(&buf, "example,fig2,fig3,fig8,strategies,baselines", 600, false, 0, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "golden.txt")
@@ -44,7 +44,7 @@ func TestGoldenOutput(t *testing.T) {
 
 func TestRunSelectedArtifacts(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "example,fig3", 240, false, 3, false, 512, "", "", "", "", 24, "", ""); err != nil {
+	if err := run(&buf, "example,fig3", 240, false, 3, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -61,7 +61,7 @@ func TestRunSelectedArtifacts(t *testing.T) {
 
 func TestRunFig6And7Selection(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig7", 240, false, 3, false, 512, "", "", "", "", 24, "", ""); err != nil {
+	if err := run(&buf, "fig7", 240, false, 3, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -72,7 +72,7 @@ func TestRunFig6And7Selection(t *testing.T) {
 
 func TestRunJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "fig3", 240, false, 3, true, 512, "", "", "", "", 24, "", ""); err != nil {
+	if err := run(&buf, "fig3", 240, false, 3, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	var tab struct {
@@ -90,115 +90,11 @@ func TestRunJSON(t *testing.T) {
 
 func TestRunBaselines(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "baselines", 240, false, 3, false, 512, "", "", "", "", 24, "", ""); err != nil {
+	if err := run(&buf, "baselines", 240, false, 3, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "pure SMC") {
 		t.Error("baselines table missing")
-	}
-}
-
-// TestRunSMCPerfJSON: -json with the smcperf artifact must write a
-// parseable machine-readable report to the -perf-out path.
-func TestRunSMCPerfJSON(t *testing.T) {
-	perfOut := filepath.Join(t.TempDir(), "BENCH_smc.json")
-	var buf bytes.Buffer
-	if err := run(&buf, "smcperf", 240, false, 3, true, 256, perfOut, "", "", "", 24, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(perfOut)
-	if err != nil {
-		t.Fatalf("report not written: %v", err)
-	}
-	var rep struct {
-		GOMAXPROCS int `json:"gomaxprocs"`
-		Workers    int `json:"workers"`
-		KeyBits    int `json:"key_bits"`
-		Engines    []struct {
-			Engine      string  `json:"engine"`
-			Packing     string  `json:"packing"`
-			Rate        float64 `json:"comparisons_per_sec"`
-			Bytes       int64   `json:"bytes_per_comparison"`
-			ResultBytes int64   `json:"result_bytes_per_comparison"`
-			Decryptions float64 `json:"decryptions_per_comparison"`
-		} `json:"engines"`
-		Speedup             float64 `json:"speedup"`
-		DecryptionReduction float64 `json:"decryption_reduction"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
-	if rep.GOMAXPROCS < 1 || rep.Workers < 1 || rep.KeyBits != 256 {
-		t.Errorf("report header wrong: %+v", rep)
-	}
-	if len(rep.Engines) != 4 {
-		t.Fatalf("report has %d engine cells, want 4 (serial/sharded × off/packed)", len(rep.Engines))
-	}
-	cells := map[string]int{}
-	for i, e := range rep.Engines {
-		cells[e.Engine+"/"+e.Packing] = i
-		if e.Rate <= 0 || e.Bytes <= 0 || e.ResultBytes <= 0 || e.Decryptions <= 0 {
-			t.Errorf("engine cell %s/%s metrics not populated: %+v", e.Engine, e.Packing, e)
-		}
-	}
-	for _, want := range []string{"serial/off", "serial/packed", "sharded/off", "sharded/packed"} {
-		if _, ok := cells[want]; !ok {
-			t.Errorf("missing engine cell %s", want)
-		}
-	}
-	if rep.Speedup <= 0 || rep.DecryptionReduction <= 1 {
-		t.Errorf("derived ratios not populated: speedup=%v decryption_reduction=%v", rep.Speedup, rep.DecryptionReduction)
-	}
-	// Packing must shrink the result leg and the decryption count.
-	off, packed := rep.Engines[cells["serial/off"]], rep.Engines[cells["serial/packed"]]
-	if packed.ResultBytes >= off.ResultBytes {
-		t.Errorf("packed result bytes %d not below unpacked %d", packed.ResultBytes, off.ResultBytes)
-	}
-	if packed.Decryptions >= off.Decryptions {
-		t.Errorf("packed decryptions %v not below unpacked %v", packed.Decryptions, off.Decryptions)
-	}
-	// The stdout table rides along for humans.
-	if !strings.Contains(buf.String(), "smcperf") {
-		t.Error("smcperf table missing from output")
-	}
-}
-
-// TestRunBlockingJSON: -json with the blocking artifact must write a
-// parseable dense-vs-indexed report to the -blocking-out path.
-func TestRunBlockingJSON(t *testing.T) {
-	blockingOut := filepath.Join(t.TempDir(), "BENCH_blocking.json")
-	var buf bytes.Buffer
-	if err := run(&buf, "blocking", 240, false, 3, true, 512, "", blockingOut, "", "", 24, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(blockingOut)
-	if err != nil {
-		t.Fatalf("report not written: %v", err)
-	}
-	var rep struct {
-		Records        int     `json:"records"`
-		ClassPairs     int64   `json:"class_pairs"`
-		DenseRate      float64 `json:"dense_class_pairs_per_sec"`
-		IndexedRate    float64 `json:"indexed_class_pairs_per_sec"`
-		RuleEvals      int64   `json:"rule_evaluations"`
-		Pruned         int64   `json:"pruned_class_pairs"`
-		PrunedFraction float64 `json:"pruned_fraction"`
-		LabelsBytes    int64   `json:"dense_labels_bytes"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
-	if rep.Records != 240 || rep.ClassPairs <= 0 || rep.LabelsBytes <= 0 {
-		t.Errorf("report header wrong: %+v", rep)
-	}
-	if rep.DenseRate <= 0 || rep.IndexedRate <= 0 {
-		t.Errorf("report rates not populated: %+v", rep)
-	}
-	if rep.RuleEvals+rep.Pruned != rep.ClassPairs || rep.PrunedFraction < 0 {
-		t.Errorf("pruning accounting inconsistent: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), "blocking engines") {
-		t.Error("blocking table missing from output")
 	}
 }
 
@@ -207,7 +103,7 @@ func TestRunBlockingJSON(t *testing.T) {
 func TestRunTierJSON(t *testing.T) {
 	tierOut := filepath.Join(t.TempDir(), "BENCH_tier.json")
 	var buf bytes.Buffer
-	if err := run(&buf, "tier", 240, false, 3, true, 512, "", "", tierOut, "", 24, "", ""); err != nil {
+	if err := run(&buf, "tier", 240, false, 3, true, tierOut, ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(tierOut)
@@ -255,61 +151,5 @@ func TestRunTierJSON(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "three-tier triage") {
 		t.Error("tier table missing from output")
-	}
-}
-
-// TestRunSMCPerfTextNoFile: without -json no report file is produced.
-func TestRunSMCPerfTextNoFile(t *testing.T) {
-	perfOut := filepath.Join(t.TempDir(), "BENCH_smc.json")
-	var buf bytes.Buffer
-	if err := run(&buf, "smcperf", 240, false, 3, false, 256, perfOut, "", "", "", 24, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(perfOut); err == nil {
-		t.Error("report written without -json")
-	}
-	if !strings.Contains(buf.String(), "comparisons/sec") {
-		t.Error("smcperf text table missing")
-	}
-}
-
-// TestRunDistributedJSON: -json with the distributed artifact must write
-// a parseable fleet-scaling report to the -distributed-out path.
-func TestRunDistributedJSON(t *testing.T) {
-	distOut := filepath.Join(t.TempDir(), "BENCH_distributed.json")
-	var buf bytes.Buffer
-	if err := run(&buf, "distributed", 120, false, 3, true, 64, "", "", "", "", 24, distOut, ""); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(distOut)
-	if err != nil {
-		t.Fatalf("report not written: %v", err)
-	}
-	var rep struct {
-		Pairs         int     `json:"pairs"`
-		CostMsPerPair float64 `json:"cost_ms_per_pair"`
-		Fleets        []struct {
-			Workers int     `json:"workers"`
-			Rate    float64 `json:"comparisons_per_sec"`
-			Speedup float64 `json:"speedup"`
-		} `json:"fleets"`
-		Speedup2 float64 `json:"speedup_2_workers"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
-	if rep.Pairs != 24 || rep.CostMsPerPair <= 0 {
-		t.Errorf("report header wrong: %+v", rep)
-	}
-	if len(rep.Fleets) != 3 || rep.Speedup2 <= 0 {
-		t.Errorf("fleet cells not populated: %+v", rep)
-	}
-	for _, f := range rep.Fleets {
-		if f.Rate <= 0 {
-			t.Errorf("%d-worker rate not populated", f.Workers)
-		}
-	}
-	if !strings.Contains(buf.String(), "distributed SMC fleet scaling") {
-		t.Error("distributed table missing from output")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
 	"pprl/internal/cliutil"
-	"pprl/internal/core"
 	"pprl/internal/distance"
 	"pprl/internal/index"
 )
@@ -34,22 +33,17 @@ func main() {
 		bPath      = flag.String("b", "", "second holder's view file (required)")
 		theta      = flag.Float64("theta", 0.05, "matching threshold θ for every attribute")
 		schemaPath = flag.String("schema", "", "schema manifest path (default: built-in Adult schema)")
-		mode       = flag.String("blocking", "dense", "blocking engine: dense (full class-pair scan) or indexed (hierarchy index with candidate pruning)")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *schemaPath, *aPath, *bPath, *theta, *mode); err != nil {
+	if err := run(os.Stdout, *schemaPath, *aPath, *bPath, *theta); err != nil {
 		fmt.Fprintln(os.Stderr, "pprl-block:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, schemaPath, aPath, bPath string, theta float64, mode string) error {
+func run(out io.Writer, schemaPath, aPath, bPath string, theta float64) error {
 	if aPath == "" || bPath == "" {
 		return fmt.Errorf("-a and -b are required")
-	}
-	blockingMode, err := cliutil.BlockingModeByName(mode)
-	if err != nil {
-		return err
 	}
 	schema, err := loadSchema(schemaPath)
 	if err != nil {
@@ -67,12 +61,7 @@ func run(out io.Writer, schemaPath, aPath, bPath string, theta float64, mode str
 	if err != nil {
 		return err
 	}
-	var res *blocking.Result
-	if blockingMode == core.BlockingIndexed {
-		res, err = index.Block(aView, bView, rule)
-	} else {
-		res, err = blocking.Block(aView, bView, rule)
-	}
+	res, err := index.Block(aView, bView, rule)
 	if err != nil {
 		return err
 	}
@@ -89,16 +78,15 @@ func run(out io.Writer, schemaPath, aPath, bPath string, theta float64, mode str
 			100*float64(res.UnknownPairs)/float64(total), res.UnknownPairs)
 	}
 	fmt.Fprintf(out, "unknown group pairs: %d\n", len(res.UnknownGroupPairs()))
-	if st := res.Stats; st != nil {
-		fmt.Fprintf(out, "index: evaluated %d of %d class pairs (%.2f%% pruned)\n",
-			st.RuleEvaluations, st.ClassPairs, 100*st.PrunedFraction())
-		for _, a := range st.Attrs {
-			if !a.Indexed {
-				fmt.Fprintf(out, "  attr %-10s not indexed\n", a.Name)
-				continue
-			}
-			fmt.Fprintf(out, "  attr %-10s admitted %d of %d class pairs alone\n", a.Name, a.Admitted, st.ClassPairs)
+	st := res.Stats
+	fmt.Fprintf(out, "index: evaluated %d of %d class pairs (%.2f%% pruned)\n",
+		st.RuleEvaluations, st.ClassPairs, 100*st.PrunedFraction())
+	for _, a := range st.Attrs {
+		if !a.Indexed {
+			fmt.Fprintf(out, "  attr %-10s not indexed\n", a.Name)
+			continue
 		}
+		fmt.Fprintf(out, "  attr %-10s admitted %d of %d class pairs alone\n", a.Name, a.Admitted, st.ClassPairs)
 	}
 	return nil
 }

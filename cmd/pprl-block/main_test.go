@@ -41,7 +41,7 @@ func TestRunBlock(t *testing.T) {
 	a := writeView(t, dir, "a.view", 11, 8)
 	b := writeView(t, dir, "b.view", 12, 4)
 	var buf bytes.Buffer
-	if err := run(&buf, "", a, b, 0.05, "dense"); err != nil {
+	if err := run(&buf, "", a, b, 0.05); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -54,47 +54,25 @@ func TestRunBlock(t *testing.T) {
 	if !strings.Contains(out, "k=8") || !strings.Contains(out, "k=4") {
 		t.Error("missing per-view metadata")
 	}
-}
-
-// TestRunBlockIndexed runs both engines over the same views: the summary
-// lines must agree exactly, and the indexed run must add pruning stats.
-func TestRunBlockIndexed(t *testing.T) {
-	dir := t.TempDir()
-	a := writeView(t, dir, "a.view", 11, 8)
-	b := writeView(t, dir, "b.view", 12, 4)
-	var dense, indexed bytes.Buffer
-	if err := run(&dense, "", a, b, 0.05, "dense"); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&indexed, "", a, b, 0.05, "indexed"); err != nil {
-		t.Fatal(err)
-	}
-	out := indexed.String()
-	if !strings.HasPrefix(out, dense.String()) {
-		t.Errorf("indexed summary diverges from dense:\ndense:\n%s\nindexed:\n%s", dense.String(), out)
-	}
 	if !strings.Contains(out, "% pruned)") {
-		t.Errorf("indexed output missing pruning stats: %q", out)
-	}
-	if err := run(nil, "", a, b, 0.05, "bogus"); err == nil {
-		t.Error("unknown blocking mode should fail")
+		t.Errorf("output missing the index's pruning stats: %q", out)
 	}
 }
 
 func TestRunBlockErrors(t *testing.T) {
 	dir := t.TempDir()
 	a := writeView(t, dir, "a.view", 13, 8)
-	if err := run(nil, "", "", a, 0.05, "dense"); err == nil {
+	if err := run(nil, "", "", a, 0.05); err == nil {
 		t.Error("missing -a should fail")
 	}
-	if err := run(nil, "", a, "/nonexistent.view", 0.05, "dense"); err == nil {
+	if err := run(nil, "", a, "/nonexistent.view", 0.05); err == nil {
 		t.Error("missing file should fail")
 	}
 	bad := filepath.Join(dir, "bad.view")
 	if err := os.WriteFile(bad, []byte("not a view\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(nil, "", a, bad, 0.05, "dense"); err == nil {
+	if err := run(nil, "", a, bad, 0.05); err == nil {
 		t.Error("malformed view should fail")
 	}
 }

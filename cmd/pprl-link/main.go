@@ -77,7 +77,6 @@ type options struct {
 	allowance float64
 	heurName  string
 	strategy     string
-	blocking     string
 	qids         string
 	secure       bool
 	keyBits      int
@@ -121,7 +120,6 @@ func main() {
 	flag.Float64Var(&opts.allowance, "allowance", 0.015, "SMC allowance as a fraction of all record pairs")
 	flag.StringVar(&opts.heurName, "heuristic", "minAvgFirst", "SMC selection heuristic: minFirst, maxLast, minAvgFirst")
 	flag.StringVar(&opts.strategy, "strategy", "precision", "residual labeling: precision, recall, classifier")
-	flag.StringVar(&opts.blocking, "blocking", "dense", "blocking engine: dense or indexed (hierarchy index, same labels)")
 	flag.StringVar(&opts.qids, "qids", strings.Join(pprl.DefaultAdultQIDs(), ","), "comma-separated quasi-identifier attributes")
 	flag.BoolVar(&opts.secure, "secure", false, "run the real Paillier SMC protocol instead of the cost-model oracle")
 	flag.IntVar(&opts.keyBits, "keybits", 1024, "Paillier key size for -secure")
@@ -249,9 +247,6 @@ func run(out io.Writer, opts options) error {
 		return err
 	}
 	if cfg.Strategy, err = cliutil.StrategyByName(opts.strategy); err != nil {
-		return err
-	}
-	if cfg.Blocking, err = cliutil.BlockingModeByName(opts.blocking); err != nil {
 		return err
 	}
 	if opts.secure {

@@ -20,6 +20,7 @@ import (
 	"pprl"
 	"pprl/internal/blocking"
 	"pprl/internal/heuristic"
+	"pprl/internal/index"
 	"pprl/internal/smc"
 )
 
@@ -54,7 +55,7 @@ func main() {
 		anonA.NumSequences(), anonB.NumSequences())
 
 	// --- Step 2: the researcher blocks on the public views ---------------
-	block, err := blocking.Block(anonA, anonB, rule)
+	block, err := index.Block(anonA, anonB, rule)
 	if err != nil {
 		log.Fatal(err)
 	}

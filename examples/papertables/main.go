@@ -12,6 +12,7 @@ import (
 
 	"pprl/internal/blocking"
 	"pprl/internal/experiment"
+	"pprl/internal/index"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 		fmt.Printf("  s%d %-16s ->  %s\n", j+1, rec, d.S.Classes[d.S.ClassOf[j]].Sequence)
 	}
 
-	res, err := blocking.Block(d.R, d.S, d.Rule)
+	res, err := index.Block(d.R, d.S, d.Rule)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func main() {
 	for i := range d.RRecords {
 		fmt.Printf("  r%d  ", i+1)
 		for j := range d.SRecords {
-			l := res.Labels[d.R.ClassOf[i]][d.S.ClassOf[j]]
+			l := res.Label(d.R.ClassOf[i], d.S.ClassOf[j])
 			counts[l]++
 			fmt.Printf("%-4s", l)
 		}
@@ -59,7 +60,7 @@ func main() {
 	wrong := 0
 	for i, r := range d.RRecords {
 		for j, s := range d.SRecords {
-			l := res.Labels[d.R.ClassOf[i]][d.S.ClassOf[j]]
+			l := res.Label(d.R.ClassOf[i], d.S.ClassOf[j])
 			if l == blocking.Unknown {
 				continue
 			}

@@ -24,6 +24,7 @@ import (
 	"pprl/internal/blocking"
 	"pprl/internal/distance"
 	"pprl/internal/heuristic"
+	"pprl/internal/index"
 	"pprl/internal/names"
 )
 
@@ -82,7 +83,7 @@ func link(alice, bob *pprl.Dataset, qids []int, rule *blocking.Rule, truth map[[
 	if err != nil {
 		log.Fatal(err)
 	}
-	block, err := blocking.Block(aView, bView, rule)
+	block, err := index.Block(aView, bView, rule)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,20 +92,18 @@ func link(alice, bob *pprl.Dataset, qids []int, rule *blocking.Rule, truth map[[
 
 	matchedTruth := 0
 	// Pairs already matched by blocking.
-	for ri, row := range block.Labels {
-		for si, l := range row {
-			if l != blocking.Match {
-				continue
-			}
-			for _, i := range aView.Classes[ri].Members {
-				for _, j := range bView.Classes[si].Members {
-					if truth[[2]int{i, j}] {
-						matchedTruth++
-					}
+	block.EachLabeled(func(ri, si int, l blocking.Label) {
+		if l != blocking.Match {
+			return
+		}
+		for _, i := range aView.Classes[ri].Members {
+			for _, j := range bView.Classes[si].Members {
+				if truth[[2]int{i, j}] {
+					matchedTruth++
 				}
 			}
 		}
-	}
+	})
 	// Budgeted resolution of unknown pairs, most-likely matches first.
 	budget := int64(0.02 * float64(block.TotalPairs()))
 	ordered := heuristic.Order(block, rule, heuristic.MinAvgFirst{}, false)

@@ -172,31 +172,29 @@ type GroupPair struct {
 }
 
 // Result is the outcome of the blocking step over two anonymized views.
+// It stores only the Match and Unknown class pairs — NonMatch, the
+// overwhelming majority under effective blocking, is the implicit label —
+// so its memory scales with what the later stages consume, not with
+// |R classes| × |S classes|. Read labels through Label and EachLabeled.
 type Result struct {
 	// R and S are the data holders' published views.
 	R, S *anonymize.Result
-	// Labels[ri][si] is the slack rule's label for the class pair. It is
-	// nil for streamed results and after ReleaseLabels; use Label, which
-	// works in both representations.
-	Labels [][]Label
 	// MatchedPairs, NonMatchedPairs and UnknownPairs count *record* pairs
 	// under each label.
 	MatchedPairs    int64
 	NonMatchedPairs int64
 	UnknownPairs    int64
-	// UnknownGroups counts the *class* pairs labeled Unknown, so
-	// UnknownGroupPairs can size its output exactly.
+	// UnknownGroups counts the *class* pairs labeled Unknown.
 	UnknownGroups int64
 	// Stats carries the per-attribute pruning statistics when the result
-	// was produced by the hierarchy index (nil for dense Block).
+	// was produced by the hierarchy index (nil for the exhaustive Block).
 	Stats *Stats
 
-	// sparse holds only the M and U class pairs when Labels is nil; a
-	// missing key is NonMatch (which is why NonMatch, not the zero-valued
-	// Unknown, is the implicit label).
+	// sparse holds the M and U class pairs; a missing key is NonMatch
+	// (which is why NonMatch, not the zero-valued Unknown, is the implicit
+	// label).
 	sparse map[[2]int32]Label
-	// unknownList is the precomputed U class-pair list for the sparse
-	// representation, sorted by (RI, SI) to match the dense scan order.
+	// unknownList is the U class-pair list in row-major (RI, SI) order.
 	unknownList []GroupPair
 }
 
@@ -205,7 +203,9 @@ type Result struct {
 var parallelThreshold = 1 << 14
 
 // Block evaluates the slack decision rule on every pair of equivalence
-// classes. The rule's attribute order must correspond to the views' QID
+// classes: the exhaustive reference the hierarchy index (internal/index,
+// the engine every pipeline runs) is tested, fuzzed and benchmarked
+// against. The rule's attribute order must correspond to the views' QID
 // order, and both views must have been built over the same QID list.
 // Large inputs are processed in parallel; the result is identical either
 // way.
@@ -213,64 +213,60 @@ func Block(r, s *anonymize.Result, rule *Rule) (*Result, error) {
 	if err := ValidateViews(r, s, rule); err != nil {
 		return nil, err
 	}
-	res := &Result{R: r, S: s, Labels: make([][]Label, len(r.Classes))}
 	workers := runtime.GOMAXPROCS(0)
 	if len(r.Classes)*len(s.Classes) < parallelThreshold || workers < 2 {
 		workers = 1
 	}
+	b := NewBuilder(r, s)
 	var (
-		wg                           sync.WaitGroup
-		nextRow                      atomic.Int64
-		matched, nonMatched, unknown atomic.Int64
-		unknownGroups                atomic.Int64
+		wg      sync.WaitGroup
+		nextRow atomic.Int64
+		// mu guards the merge of worker-local observations into the builder.
+		mu sync.Mutex
 	)
 	worker := func() {
 		defer wg.Done()
-		var m, n, u, ug int64
+		type labeled struct {
+			ri, si int32
+			l      Label
+		}
+		var (
+			kept       []labeled
+			nonMatched int64
+		)
 		for {
 			ri := int(nextRow.Add(1)) - 1
 			if ri >= len(r.Classes) {
 				break
 			}
-			row := make([]Label, len(s.Classes))
 			rc := &r.Classes[ri]
 			for si := range s.Classes {
 				sc := &s.Classes[si]
-				l := rule.Decide(rc.Sequence, sc.Sequence)
-				row[si] = l
-				pairs := int64(rc.Size()) * int64(sc.Size())
-				switch l {
-				case Match:
-					m += pairs
-				case NonMatch:
-					n += pairs
-				default:
-					u += pairs
-					ug++
+				if l := rule.Decide(rc.Sequence, sc.Sequence); l == NonMatch {
+					nonMatched += int64(rc.Size()) * int64(sc.Size())
+				} else {
+					kept = append(kept, labeled{int32(ri), int32(si), l})
 				}
 			}
-			res.Labels[ri] = row
 		}
-		matched.Add(m)
-		nonMatched.Add(n)
-		unknown.Add(u)
-		unknownGroups.Add(ug)
+		mu.Lock()
+		defer mu.Unlock()
+		for _, e := range kept {
+			b.Observe(int(e.ri), int(e.si), e.l)
+		}
+		b.AddNonMatched(nonMatched)
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go worker()
 	}
 	wg.Wait()
-	res.MatchedPairs = matched.Load()
-	res.NonMatchedPairs = nonMatched.Load()
-	res.UnknownPairs = unknown.Load()
-	res.UnknownGroups = unknownGroups.Load()
-	return res, nil
+	return b.Result(nil), nil
 }
 
 // ValidateViews checks that two anonymized views and a rule agree on the
-// QID list, the precondition shared by every blocking path (dense Block
-// and the hierarchy index).
+// QID list, the precondition shared by every blocking path (Block and the
+// hierarchy index).
 func ValidateViews(r, s *anonymize.Result, rule *Rule) error {
 	if len(r.QIDs) != rule.Len() || len(s.QIDs) != rule.Len() {
 		return fmt.Errorf("blocking: rule has %d attributes, views have %d and %d QIDs",
@@ -300,25 +296,8 @@ func (res *Result) Efficiency() float64 {
 }
 
 // UnknownGroupPairs lists the class pairs labeled U, the SMC step's
-// candidate set, in row-major (RI, SI) order under both representations.
-// The output is sized from the counts Block already took, so a sweep
-// calling this per configuration does one allocation instead of
-// log₂(|U|) slice growths. Callers may reorder the returned slice.
+// candidate set, in row-major (RI, SI) order. Callers may reorder the
+// returned slice.
 func (res *Result) UnknownGroupPairs() []GroupPair {
-	if res.Labels == nil {
-		return append([]GroupPair(nil), res.unknownList...)
-	}
-	out := make([]GroupPair, 0, res.UnknownGroups)
-	for ri, row := range res.Labels {
-		for si, l := range row {
-			if l == Unknown {
-				out = append(out, GroupPair{
-					RI:    ri,
-					SI:    si,
-					Pairs: res.R.Classes[ri].Size() * res.S.Classes[si].Size(),
-				})
-			}
-		}
-	}
-	return out
+	return append([]GroupPair(nil), res.unknownList...)
 }

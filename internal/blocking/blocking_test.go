@@ -114,8 +114,8 @@ func TestPaperWorkedExample(t *testing.T) {
 	}
 	for ri := range want {
 		for si := range want[ri] {
-			if res.Labels[ri][si] != want[ri][si] {
-				t.Errorf("Labels[%d][%d] = %v, want %v", ri, si, res.Labels[ri][si], want[ri][si])
+			if got := res.Label(ri, si); got != want[ri][si] {
+				t.Errorf("Label(%d, %d) = %v, want %v", ri, si, got, want[ri][si])
 			}
 		}
 	}
@@ -148,7 +148,7 @@ func TestBlockingSound(t *testing.T) {
 			for _, i := range rc.Members {
 				for _, j := range sc.Members {
 					truth := rule.DecideExact(rRecs[i], sRecs[j])
-					switch res.Labels[ri][si] {
+					switch res.Label(ri, si) {
 					case Match:
 						if !truth {
 							t.Errorf("pair (r%d,s%d) labeled M but does not match", i+1, j+1)
@@ -275,7 +275,7 @@ func TestBlockingSoundnessProperty(t *testing.T) {
 		}
 		for ri, rc := range ar.Classes {
 			for si, sc := range as.Classes {
-				l := res.Labels[ri][si]
+				l := res.Label(ri, si)
 				if l == Unknown {
 					continue
 				}

@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pprl/internal/anonymize"
@@ -73,11 +74,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 			serial.MatchedPairs, serial.NonMatchedPairs, serial.UnknownPairs,
 			parallel.MatchedPairs, parallel.NonMatchedPairs, parallel.UnknownPairs)
 	}
-	for ri := range serial.Labels {
-		for si := range serial.Labels[ri] {
-			if serial.Labels[ri][si] != parallel.Labels[ri][si] {
+	for ri := range av.Classes {
+		for si := range bv.Classes {
+			if serial.Label(ri, si) != parallel.Label(ri, si) {
 				t.Fatalf("label (%d,%d) differs", ri, si)
 			}
 		}
+	}
+	if !reflect.DeepEqual(serial.UnknownGroupPairs(), parallel.UnknownGroupPairs()) {
+		t.Fatal("UnknownGroupPairs order differs between serial and parallel")
 	}
 }

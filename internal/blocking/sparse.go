@@ -2,7 +2,6 @@ package blocking
 
 import (
 	"sort"
-	"unsafe"
 
 	"pprl/internal/anonymize"
 )
@@ -48,13 +47,9 @@ func (s *Stats) PrunedFraction() float64 {
 	return float64(s.PrunedClassPairs) / float64(s.ClassPairs)
 }
 
-// Label returns the slack rule's label for class pair (ri, si) under
-// either representation: the dense matrix when present, otherwise the
-// sparse map (where a missing entry is NonMatch).
+// Label returns the slack rule's label for class pair (ri, si); a pair
+// the result does not store is NonMatch.
 func (res *Result) Label(ri, si int) Label {
-	if res.Labels != nil {
-		return res.Labels[ri][si]
-	}
 	if l, ok := res.sparse[[2]int32{int32(ri), int32(si)}]; ok {
 		return l
 	}
@@ -62,63 +57,23 @@ func (res *Result) Label(ri, si int) Label {
 }
 
 // EachLabeled calls fn once for every class pair labeled Match or
-// Unknown — the pairs the sparse form stores — under either
-// representation: row-major over the dense matrix, in no fixed order
-// once it is released.
+// Unknown, in no fixed order; callers that need one sort what they
+// collect (UnknownGroupPairs is already row-major).
 func (res *Result) EachLabeled(fn func(ri, si int, l Label)) {
 	for key, l := range res.sparse {
 		fn(int(key[0]), int(key[1]), l)
 	}
-	for ri, row := range res.Labels {
-		for si, l := range row {
-			if l != NonMatch {
-				fn(ri, si, l)
-			}
-		}
-	}
 }
 
-// ReleaseLabels converts a dense result to the sparse representation,
-// dropping the |R-classes| × |S-classes| matrix while keeping Label and
-// UnknownGroupPairs working. The engine calls it once the heuristic
-// ordering is fixed, so the matrix is garbage before the SMC phase
-// starts; NonMatch pairs — the overwhelming majority under effective
-// blocking — cost nothing in the sparse form. Idempotent.
-func (res *Result) ReleaseLabels() {
-	if res.Labels == nil {
-		return
-	}
-	sparse := make(map[[2]int32]Label, res.UnknownGroups)
-	unknown := make([]GroupPair, 0, res.UnknownGroups)
-	res.EachLabeled(func(ri, si int, l Label) {
-		sparse[[2]int32{int32(ri), int32(si)}] = l
-		if l == Unknown {
-			unknown = append(unknown, GroupPair{RI: ri, SI: si, Pairs: res.R.Classes[ri].Size() * res.S.Classes[si].Size()})
-		}
-	})
-	res.sparse = sparse
-	res.unknownList = unknown
-	res.Labels = nil
-}
-
-// DenseLabelsBytes estimates the memory the dense Labels matrix commits
-// for a view pair: one Label per class pair plus a row header per R
-// class. This is what Config.BlockingBudgetBytes is checked against.
-func DenseLabelsBytes(r, s *anonymize.Result) int64 {
-	rows, cols := int64(len(r.Classes)), int64(len(s.Classes))
-	const sliceHeader = int64(unsafe.Sizeof([]Label(nil)))
-	return rows*cols*int64(unsafe.Sizeof(Label(0))) + rows*sliceHeader
-}
-
-// ResultBuilder assembles a Result incrementally without ever holding the
-// dense matrix — the back end of streaming blocking paths such as the
-// hierarchy index. Builders are not safe for concurrent use; parallel
-// producers collect locally and merge under their own lock.
+// ResultBuilder assembles a Result incrementally — the back end of every
+// blocking path (Block, the hierarchy index, DP bin intersection).
+// Builders are not safe for concurrent use; parallel producers collect
+// locally and merge under their own lock.
 type ResultBuilder struct {
 	res *Result
 }
 
-// NewBuilder starts a sparse result over two validated views.
+// NewBuilder starts a result over two validated views.
 func NewBuilder(r, s *anonymize.Result) *ResultBuilder {
 	return &ResultBuilder{res: &Result{
 		R:      r,
@@ -147,7 +102,7 @@ func (b *ResultBuilder) Observe(ri, si int, l Label) {
 }
 
 // AddNonMatched adds record pairs to the NonMatch tally in bulk: both
-// evaluated NonMatch pairs (which the sparse form never stores) and pairs
+// evaluated NonMatch pairs (which the result never stores) and pairs
 // the index pruned without evaluation (certain NonMatches by
 // construction).
 func (b *ResultBuilder) AddNonMatched(recordPairs int64) {
@@ -156,7 +111,7 @@ func (b *ResultBuilder) AddNonMatched(recordPairs int64) {
 
 // Result finalizes: the unknown list is sorted into row-major (RI, SI)
 // order so downstream consumers (heuristic ordering, journaled resume)
-// see exactly the sequence a dense scan would have produced.
+// see one sequence however the observations were interleaved.
 func (b *ResultBuilder) Result(stats *Stats) *Result {
 	res := b.res
 	sort.Slice(res.unknownList, func(i, j int) bool {

@@ -39,19 +39,6 @@ func StrategyByName(name string) (core.Strategy, error) {
 	}
 }
 
-// BlockingModeByName resolves a blocking engine from its
-// case-insensitive CLI/API name.
-func BlockingModeByName(name string) (core.BlockingMode, error) {
-	switch strings.ToLower(name) {
-	case "", "dense":
-		return core.BlockingDense, nil
-	case "indexed":
-		return core.BlockingIndexed, nil
-	default:
-		return 0, fmt.Errorf("unknown blocking mode %q (want dense or indexed)", name)
-	}
-}
-
 // PackingModeByName resolves the SMC result-packing mode from its
 // case-insensitive CLI/API name.
 func PackingModeByName(name string) (core.PackingMode, error) {

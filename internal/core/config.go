@@ -64,32 +64,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// BlockingMode selects the blocking engine.
-type BlockingMode int
-
-const (
-	// BlockingDense (default) evaluates the slack rule on every class
-	// pair and materializes the dense Labels matrix, exactly the paper's
-	// formulation.
-	BlockingDense BlockingMode = iota
-	// BlockingIndexed builds the hierarchy-aware inverted index over
-	// Bob's view and streams only the candidate class pairs through the
-	// rule (see internal/index): label-identical to BlockingDense, but
-	// sub-quadratic in practice and never allocating the dense matrix.
-	BlockingIndexed
-)
-
-func (m BlockingMode) String() string {
-	switch m {
-	case BlockingDense:
-		return "dense"
-	case BlockingIndexed:
-		return "indexed"
-	default:
-		return fmt.Sprintf("BlockingMode(%d)", int(m))
-	}
-}
-
 // PackingMode selects the secure comparator's result-message encoding
 // (Config.SMCPacking).
 type PackingMode int
@@ -215,17 +189,6 @@ type Config struct {
 	// AllowanceFraction is the budget as a fraction of all record pairs
 	// (paper default 0.015, i.e. 1.5%).
 	AllowanceFraction float64
-
-	// Blocking selects the blocking engine (default BlockingDense). Both
-	// modes produce identical labels; BlockingIndexed prunes class pairs
-	// via the hierarchy index and keeps memory proportional to the M/U
-	// pairs instead of the full class-pair matrix.
-	Blocking BlockingMode
-	// BlockingBudgetBytes, when positive, caps the memory the dense
-	// Labels matrix may commit: a dense run whose matrix estimate exceeds
-	// the budget fails fast with a hint to switch to BlockingIndexed,
-	// whose footprint does not depend on the matrix size.
-	BlockingBudgetBytes int64
 
 	// Tier selects the triage tier between blocking and SMC (default
 	// TierOff). Like SMCWorkers and SMCPacking it is excluded from the

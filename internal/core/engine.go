@@ -117,14 +117,11 @@ func LinkPrepared(alice, bob Holder, block *blocking.Result, cfg Config) (*Resul
 	return resolveBlocked(alice, bob, block, rule, qids, &cfg)
 }
 
-// blockViews dispatches the blocking step per Config.Blocking. The dense
-// path is checked against the memory budget first; the indexed path's
-// footprint does not depend on the matrix size, so it runs under any
-// budget and reports per-row progress while it streams.
+// blockViews runs the blocking step: the hierarchy index over the
+// k-anonymous views (label-identical to the exhaustive blocking.Block,
+// DESIGN.md §10), reporting per-row progress while it streams, or bin
+// intersection over the noised releases in DP mode.
 func blockViews(aView, bView *anonymize.Result, rule *blocking.Rule, cfg *Config) (*blocking.Result, error) {
-	// DP mode has its own blocking engine — bin intersection over the
-	// noised releases — and ignores Config.Blocking: there is no dense
-	// rule evaluation to budget and no hierarchy index to build.
 	if cfg.DPEnabled() {
 		if aView.DP == nil || bView.DP == nil {
 			return nil, fmt.Errorf("dp blocking needs noised releases on both views")
@@ -132,22 +129,9 @@ func blockViews(aView, bView *anonymize.Result, rule *blocking.Rule, cfg *Config
 		block, _, err := dpblock.Block(aView, bView, rule)
 		return block, err
 	}
-	switch cfg.Blocking {
-	case BlockingDense:
-		if cfg.BlockingBudgetBytes > 0 {
-			if need := blocking.DenseLabelsBytes(aView, bView); need > cfg.BlockingBudgetBytes {
-				return nil, fmt.Errorf("dense Labels matrix needs %d bytes, over the %d-byte budget; use Config.Blocking = BlockingIndexed",
-					need, cfg.BlockingBudgetBytes)
-			}
-		}
-		return blocking.Block(aView, bView, rule)
-	case BlockingIndexed:
-		return index.Stream(aView, bView, rule, index.Options{
-			Progress: func(done, total int64) { cfg.report("blocking", done, total) },
-		}, nil)
-	default:
-		return nil, fmt.Errorf("unknown blocking mode %v", cfg.Blocking)
-	}
+	return index.Stream(aView, bView, rule, index.Options{
+		Progress: func(done, total int64) { cfg.report("blocking", done, total) },
+	}, nil)
 }
 
 // resolveBlocked implements steps 3-5: heuristic ordering, budgeted SMC
@@ -185,12 +169,6 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
 	}
-	// The ordering fixed above is the last consumer that scans all class
-	// pairs; drop the dense matrix (when one exists) before the SMC phase
-	// so its memory is reclaimable during the long crypto loop. Label
-	// lookups from here on use the sparse form transparently.
-	block.ReleaseLabels()
-
 	// DP accounting: the composed privacy spend of the two releases and
 	// the padding cost the noise induced. DummyPairs sums over exactly
 	// the candidate (Unknown) bin pairs — dummies in bins that never met
@@ -344,7 +322,7 @@ func sharedSchema(alice, bob Holder) (*dataset.Schema, error) {
 	}
 	schema := alice.Data.Schema()
 	if bob.Data.Schema() != schema {
-		return nil, fmt.Errorf("core: holders must share one schema instance (run private schema matching first)")
+		return nil, fmt.Errorf("core: holders must share one schema instance: build both datasets over the same *dataset.Schema (e.g. one LoadSchema result)")
 	}
 	return schema, nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -248,33 +250,52 @@ func TestInterruptCheckpointsAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := journal.Replay(path)
+	// testdata/dense_era.hex is this run's interrupted journal as the last
+	// commit with a dense blocking engine wrote it (same workload, same
+	// config): the journal never recorded the engine, so it must resume
+	// under the index exactly like the journal written above.
+	raw, err := os.ReadFile(filepath.Join("testdata", "dense_era.hex"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Verdicts) == 0 || int64(len(rec.Verdicts)) >= base.Invocations {
-		t.Fatalf("interrupt checkpointed %d verdicts of %d; wanted a strict prefix", len(rec.Verdicts), base.Invocations)
+	fixture, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	denseEra := filepath.Join(t.TempDir(), "dense_era.wal")
+	if err := os.WriteFile(denseEra, fixture, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	rw, err := journal.Resume(path, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := interruptCfg()
-	cfg2.Journal = rw
-	res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sameLabeling(t, base, res, alice.Len(), bob.Len())
-	if res.Resume.ResumedPairs != int64(len(rec.Verdicts)) {
-		t.Errorf("resumed %d pairs, journal held %d", res.Resume.ResumedPairs, len(rec.Verdicts))
-	}
-	if res.Invocations+res.Resume.ReplayedAllowance != base.Invocations {
-		t.Errorf("stitched accounting: %d live + %d replayed != %d uninterrupted",
-			res.Invocations, res.Resume.ReplayedAllowance, base.Invocations)
+	for _, wal := range []string{path, denseEra} {
+		rec, err := journal.Replay(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Verdicts) == 0 || int64(len(rec.Verdicts)) >= base.Invocations {
+			t.Fatalf("%s: interrupt checkpointed %d verdicts of %d; wanted a strict prefix", wal, len(rec.Verdicts), base.Invocations)
+		}
+
+		rw, err := journal.Resume(wal, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg2 := interruptCfg()
+		cfg2.Journal = rw
+		res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg2)
+		if err != nil {
+			t.Fatalf("%s: %v", wal, err)
+		}
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sameLabeling(t, base, res, alice.Len(), bob.Len())
+		if res.Resume.ResumedPairs != int64(len(rec.Verdicts)) {
+			t.Errorf("%s: resumed %d pairs, journal held %d", wal, res.Resume.ResumedPairs, len(rec.Verdicts))
+		}
+		if res.Invocations+res.Resume.ReplayedAllowance != base.Invocations {
+			t.Errorf("%s: stitched accounting: %d live + %d replayed != %d uninterrupted",
+				wal, res.Invocations, res.Resume.ReplayedAllowance, base.Invocations)
+		}
 	}
 }

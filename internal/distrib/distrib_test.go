@@ -329,32 +329,14 @@ func TestDialWorker(t *testing.T) {
 	}
 }
 
-// TestModeledEngineSleeps: the modeled engine charges the calibrated
-// per-pair cost in wall time.
-func TestModeledEngineSleeps(t *testing.T) {
-	spec := testSpec()
-	alice := testRecords(10, 9)
-	bob := testRecords(10, 10)
-	pairs := allPairs(10, 10)
+// TestUnknownEngineRefused: a job naming an engine this worker does not
+// build — Engine(2), the sleep-calibrated engine older coordinators
+// could name — gets the worker's refusal as a setup error, not a hang.
+func TestUnknownEngineRefused(t *testing.T) {
 	p := newTestPool(t)
-	startWorker(t, p, WorkerOptions{Name: "m1", HeartbeatEvery: 50 * time.Millisecond})
-	cost := 200 * time.Microsecond
-	cmp, err := p.NewComparator(spec, alice, bob, JobConfig{Engine: EngineModeled, ModeledCost: cost, ChunkPairs: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cmp.Close()
-	start := time.Now()
-	got, err := cmp.CompareBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < time.Duration(len(pairs))*cost {
-		t.Errorf("modeled batch took %v, want ≥ %v", elapsed, time.Duration(len(pairs))*cost)
-	}
-	for x, pr := range pairs {
-		if got[x] != spec.Matches(alice[pr[0]], bob[pr[1]]) {
-			t.Fatalf("modeled pair %v wrong", pr)
-		}
+	startWorker(t, p, WorkerOptions{Name: "u1", HeartbeatEvery: 50 * time.Millisecond})
+	_, err := p.NewComparator(testSpec(), testRecords(4, 9), testRecords(4, 10), JobConfig{Engine: Engine(2)})
+	if err == nil || !strings.Contains(err.Error(), "unknown engine 2") {
+		t.Fatalf("Engine(2) job returned %v, want the worker's unknown-engine refusal", err)
 	}
 }

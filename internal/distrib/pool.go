@@ -337,8 +337,6 @@ type JobConfig struct {
 	// Lanes caps per-worker SMC lanes; 0 keeps each worker's own
 	// advertised parallelism.
 	Lanes int
-	// ModeledCost is the per-pair sleep for EngineModeled.
-	ModeledCost time.Duration
 	// ChunkPairs is the pairs per dispatched chunk — the reassignment
 	// granularity. ≤ 0 means 64.
 	ChunkPairs int
@@ -417,7 +415,7 @@ func firstErr(errs []error) error {
 func (p *Pool) setupWorker(w *worker, spec *smc.Spec, alice, bob [][]int64, cfg JobConfig) error {
 	setup := &message{
 		Kind: kindSetup, Job: cfg.Job, Engine: cfg.Engine, KeyBits: cfg.KeyBits,
-		Spec: spec, CostNs: int64(cfg.ModeledCost), Lanes: cfg.Lanes,
+		Spec: spec, Lanes: cfg.Lanes,
 		Total: [2]int{len(alice), len(bob)},
 	}
 	if err := w.link.send(setup); err != nil {

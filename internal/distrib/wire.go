@@ -43,12 +43,6 @@ const (
 	// EngineSecure runs the full three-party Paillier protocol inside
 	// each worker, sharded across the worker's lanes.
 	EngineSecure
-	// EngineModeled runs the oracle but sleeps a calibrated per-pair
-	// cost, so fleet scheduling, reassignment, and scaling behave as
-	// they would under real cryptographic load without burning CPU on
-	// ciphertexts. The calibration source is recorded by the benchmark
-	// that uses it.
-	EngineModeled
 )
 
 func (e Engine) String() string {
@@ -57,8 +51,6 @@ func (e Engine) String() string {
 		return "oracle"
 	case EngineSecure:
 		return "secure"
-	case EngineModeled:
-		return "modeled"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
@@ -96,7 +88,6 @@ type message struct {
 	Engine  Engine
 	KeyBits int
 	Spec    *smc.Spec
-	CostNs  int64 // modeled per-pair cost, nanoseconds
 
 	// Record shipping: rows [Base, Base+len(Rows)) of holder Holder
 	// (0 = Alice, 1 = Bob); Total carries both relation sizes in the

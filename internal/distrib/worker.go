@@ -91,7 +91,6 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 		kBits  int
 		lanes  int
 		spec   *smc.Spec
-		costNs int64
 		rows   [2][][]int64
 		cmp    smc.Comparator
 		served int
@@ -114,7 +113,7 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 		switch m.Kind {
 		case kindSetup:
 			closeEngine()
-			job, engine, kBits, spec, costNs = m.Job, m.Engine, m.KeyBits, m.Spec, m.CostNs
+			job, engine, kBits, spec = m.Job, m.Engine, m.KeyBits, m.Spec
 			lanes = opts.Lanes
 			if m.Lanes > 0 && m.Lanes < lanes {
 				lanes = m.Lanes
@@ -153,9 +152,6 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 				l.send(&message{Kind: kindError, Job: job, Chunk: m.Chunk, Err: err.Error()})
 				continue
 			}
-			if engine == EngineModeled && costNs > 0 {
-				time.Sleep(time.Duration(costNs * int64(len(m.Pairs))))
-			}
 			reply := &message{Kind: kindVerdicts, Job: job, Chunk: m.Chunk, Verdicts: verdicts, Bytes: cmp.BytesTransferred()}
 			if rb, ok := cmp.(interface{ ResultBytes() int64 }); ok {
 				reply.ResultB = rb.ResultBytes()
@@ -184,7 +180,7 @@ func buildEngine(engine Engine, spec *smc.Spec, alice, bob [][]int64, keyBits, l
 		return nil, errors.New("distrib: setup carried no spec")
 	}
 	switch engine {
-	case EngineOracle, EngineModeled:
+	case EngineOracle:
 		return smc.NewPlainComparator(spec, alice, bob), nil
 	case EngineSecure:
 		if lanes > 1 {

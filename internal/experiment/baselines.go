@@ -74,8 +74,6 @@ func Baselines(opts Options) (*Table, error) {
 // optimistic, non-match when pessimistic.
 func sanitizationOnly(p *prepared, w Workload, optimistic bool) metrics.Confusion {
 	block := p.block
-	// Label() works on both the dense and the released/streamed sparse
-	// representation, so this matcher is independent of blocking mode.
 	guessMatch := make([][]bool, len(block.R.Classes))
 	for ri := range block.R.Classes {
 		guesses := make([]bool, len(block.S.Classes))

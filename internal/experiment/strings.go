@@ -9,6 +9,7 @@ import (
 	"pprl/internal/dataset"
 	"pprl/internal/distance"
 	"pprl/internal/heuristic"
+	"pprl/internal/index"
 	"pprl/internal/names"
 )
 
@@ -105,25 +106,23 @@ func stringRecall(alice, bob *dataset.Dataset, qids []int, rule *blocking.Rule, 
 	if err != nil {
 		return 0, err
 	}
-	block, err := blocking.Block(aView, bView, rule)
+	block, err := index.Block(aView, bView, rule)
 	if err != nil {
 		return 0, err
 	}
 	matched := 0
-	for ri, row := range block.Labels {
-		for si, l := range row {
-			if l != blocking.Match {
-				continue
-			}
-			for _, i := range aView.Classes[ri].Members {
-				for _, j := range bView.Classes[si].Members {
-					if truth[[2]int{i, j}] {
-						matched++
-					}
+	block.EachLabeled(func(ri, si int, l blocking.Label) {
+		if l != blocking.Match {
+			return
+		}
+		for _, i := range aView.Classes[ri].Members {
+			for _, j := range bView.Classes[si].Members {
+				if truth[[2]int{i, j}] {
+					matched++
 				}
 			}
 		}
-	}
+	})
 	budget := int64(0.02 * float64(block.TotalPairs()))
 	ordered := heuristic.Order(block, rule, heuristic.MinAvgFirst{}, false)
 groups:

@@ -4,6 +4,7 @@ import (
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
 	"pprl/internal/distance"
+	"pprl/internal/index"
 	"pprl/internal/vgh"
 )
 
@@ -84,5 +85,5 @@ func WorkedExample() (*blocking.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return blocking.Block(d.R, d.S, d.Rule)
+	return index.Block(d.R, d.S, d.Rule)
 }

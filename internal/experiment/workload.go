@@ -9,6 +9,7 @@ import (
 	"pprl/internal/blocking"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
+	"pprl/internal/index"
 	"pprl/internal/match"
 )
 
@@ -153,7 +154,7 @@ func (w Workload) prepare(cfg core.Config) (*prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: anonymizing bob: %w", err)
 	}
-	block, err := blocking.Block(aView, bView, rule)
+	block, err := index.Block(aView, bView, rule)
 	if err != nil {
 		return nil, err
 	}

@@ -158,7 +158,7 @@ func FuzzIndexPrune(f *testing.F) {
 		}
 		for ri := range dense.R.Classes {
 			for si := range dense.S.Classes {
-				d, x := dense.Labels[ri][si], indexed.Label(ri, si)
+				d, x := dense.Label(ri, si), indexed.Label(ri, si)
 				if d != x {
 					t.Fatalf("class pair (%d,%d) %q × %q: dense %v, indexed %v",
 						ri, si, dense.R.Classes[ri].Sequence, dense.S.Classes[si].Sequence, d, x)

@@ -5,8 +5,8 @@
 // class pairs whose infimum distance on some indexed attribute provably
 // exceeds its threshold are never enumerated. The slack decision rule
 // runs only on the surviving candidates, which makes blocking
-// sub-quadratic in practice while staying label-identical to the dense
-// scan (see DESIGN.md §10).
+// sub-quadratic in practice while staying label-identical to the
+// exhaustive scan, blocking.Block (see DESIGN.md §10).
 //
 // Soundness rests on the direction of the exclusion: the index may admit
 // a class the rule then labels NonMatch (harmless — the rule decides),
@@ -14,7 +14,7 @@
 // would run (node leaf-range overlap for Hamming, interval gap over the
 // normalization factor for Euclidean) already proves inf > θ, the
 // condition under which the rule returns NonMatch unconditionally. A
-// pruned pair is therefore never one the dense scan labels Match or
+// pruned pair is therefore never one the exhaustive scan labels Match or
 // Unknown, which the oracle harness and FuzzIndexPrune verify
 // exhaustively.
 package index

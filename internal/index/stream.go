@@ -40,9 +40,8 @@ type emitRec struct {
 	l  blocking.Label
 }
 
-// Block is Stream without a consumer callback: indexed candidate
-// generation producing a sparse blocking.Result, a drop-in replacement
-// for blocking.Block that never allocates the dense Labels matrix.
+// Block is Stream without a consumer callback: the blocking step as
+// every pipeline runs it.
 func Block(r, s *anonymize.Result, rule *blocking.Rule) (*blocking.Result, error) {
 	return Stream(r, s, rule, Options{}, nil)
 }
@@ -53,9 +52,8 @@ func Block(r, s *anonymize.Result, rule *blocking.Rule) (*blocking.Result, error
 // candidates, and emits each evaluated (GroupPair, Label) through emit
 // (when non-nil). Pairs the index excludes are accounted as NonMatch
 // record pairs without ever being enumerated. The returned result is
-// label-identical to blocking.Block's — same counts, same Label(ri, si)
-// for every class pair, same UnknownGroupPairs order — but sparse:
-// memory scales with the M and U pairs, not |R classes| × |S classes|.
+// label-identical to the exhaustive blocking.Block's — same counts, same
+// Label(ri, si) for every class pair, same UnknownGroupPairs order.
 func Stream(r, s *anonymize.Result, rule *blocking.Rule, opts Options, emit Emit) (*blocking.Result, error) {
 	if err := blocking.ValidateViews(r, s, rule); err != nil {
 		return nil, err

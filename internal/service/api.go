@@ -12,6 +12,7 @@ package service
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"pprl/internal/cliutil"
@@ -59,9 +60,10 @@ type JobSpec struct {
 	DPDelta float64 `json:"dp_delta,omitempty"`
 	DPSeed  int64   `json:"dp_seed,omitempty"`
 	DPLevel int     `json:"dp_level,omitempty"`
-	// Blocking selects the blocking engine: "dense" (default) or
-	// "indexed" (hierarchy index with candidate pruning and streaming
-	// pair emission; same labels, sub-quadratic enumeration).
+	// Blocking is deprecated and ignored: there is one blocking engine
+	// (the hierarchy index). The field still decodes so older clients
+	// and persisted specs keep working — "", "dense" and "indexed" have
+	// always produced identical labels — and any other value is refused.
 	Blocking string `json:"blocking,omitempty"`
 	// Secure runs the real Paillier protocol in-process with KeyBits
 	// keys; false uses the plaintext cost-model oracle.
@@ -149,8 +151,10 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("dp_level must be ≥ 0, got %d", s.DPLevel)
 		}
 	}
-	if _, err := cliutil.BlockingModeByName(s.Blocking); err != nil {
-		return err
+	switch strings.ToLower(s.Blocking) {
+	case "", "dense", "indexed":
+	default:
+		return fmt.Errorf("unknown blocking mode %q (the field is deprecated; omit it)", s.Blocking)
 	}
 	if _, err := cliutil.PackingModeByName(s.Packing); err != nil {
 		return err
@@ -200,9 +204,6 @@ func (s *JobSpec) Config(qids []string) (core.Config, error) {
 			return cfg, err
 		}
 		cfg.AliceAnonymizer, cfg.BobAnonymizer = anon, anon
-	}
-	if cfg.Blocking, err = cliutil.BlockingModeByName(s.Blocking); err != nil {
-		return cfg, err
 	}
 	if s.Secure {
 		keyBits := s.KeyBits

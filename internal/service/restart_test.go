@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -46,7 +49,15 @@ func TestServiceRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	jid := submit(t, ts1, spec).ID
+	// The crashed daemon's client still named a blocking engine: the
+	// persisted spec.json carries the deprecated field, and the restart
+	// must recover it to the control's (field-less) result.
+	legacy := spec
+	legacy.Blocking = "dense"
+	jid := submit(t, ts1, legacy).ID
+	if raw, err := os.ReadFile(filepath.Join(s1.store.JobDir(jid), "spec.json")); err != nil || !bytes.Contains(raw, []byte(`"blocking": "dense"`)) {
+		t.Fatalf("persisted spec does not carry the deprecated field (err %v):\n%s", err, raw)
+	}
 	interrupted := waitState(t, ts1, jid, StateInterrupted)
 	if interrupted.Error == "" {
 		t.Error("interrupted job carries no error")

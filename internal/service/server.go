@@ -712,13 +712,10 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	s.mBlockClasses.Add(int64(len(block.R.Classes) + len(block.S.Classes)))
 	classPairs := int64(len(block.R.Classes)) * int64(len(block.S.Classes))
 	s.mBlockClassPairs.Add(classPairs)
-	if st := block.Stats; st != nil {
-		s.mBlockEvals.Add(st.RuleEvaluations)
-		s.mBlockPruned.Add(st.PrunedClassPairs)
-	} else {
-		// Dense blocking evaluates the full candidate space.
-		s.mBlockEvals.Add(classPairs)
-	}
+	// Every route core.Link blocks through (the index, DP bin
+	// intersection) reports its evaluation counts.
+	s.mBlockEvals.Add(block.Stats.RuleEvaluations)
+	s.mBlockPruned.Add(block.Stats.PrunedClassPairs)
 	s.mBlockMatched.Add(block.MatchedPairs)
 	s.mBlockNonMatched.Add(block.NonMatchedPairs)
 	s.mBlockUnknown.Add(block.UnknownPairs)

@@ -308,29 +308,25 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
-// TestServiceIndexedBlocking: the same workload linked under both
-// blocking engines returns identical results over the API, and the
-// indexed run feeds the blocking counters (including pruned pairs).
+// TestServiceIndexedBlocking: the deprecated "blocking" field is accepted
+// and ignored — every value it ever took returns the result of a spec
+// without it — and every job runs the hierarchy index, which feeds the
+// blocking counters (including pruned pairs).
 func TestServiceIndexedBlocking(t *testing.T) {
 	dataDir := writeDataDir(t, 120, 9)
 	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir, Workers: 1})
 
-	dense := submit(t, ts, testSpec())
-	waitState(t, ts, dense.ID, StateDone)
-	denseRes := getResult(t, ts, dense.ID)
+	plain := submit(t, ts, testSpec())
+	waitState(t, ts, plain.ID, StateDone)
+	want := getResult(t, ts, plain.ID)
 
-	spec := testSpec()
-	spec.Blocking = "indexed"
-	indexed := submit(t, ts, spec)
-	waitState(t, ts, indexed.ID, StateDone)
-	indexedRes := getResult(t, ts, indexed.ID)
-
-	if len(denseRes.Matches) != len(indexedRes.Matches) {
-		t.Fatalf("match counts diverge: dense %d, indexed %d", len(denseRes.Matches), len(indexedRes.Matches))
-	}
-	for i := range denseRes.Matches {
-		if denseRes.Matches[i] != indexedRes.Matches[i] {
-			t.Fatalf("match %d diverges: dense %v, indexed %v", i, denseRes.Matches[i], indexedRes.Matches[i])
+	for _, mode := range []string{"dense", "Indexed"} {
+		spec := testSpec()
+		spec.Blocking = mode
+		legacy := submit(t, ts, spec)
+		waitState(t, ts, legacy.ID, StateDone)
+		if got := getResult(t, ts, legacy.ID); !reflect.DeepEqual(got.Matches, want.Matches) {
+			t.Fatalf("blocking %q: %d matches, %d without the field", mode, len(got.Matches), len(want.Matches))
 		}
 	}
 
@@ -350,10 +346,9 @@ func TestServiceIndexedBlocking(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, mraw)
 		}
 	}
-	// Two jobs ran; only the indexed one can prune, and at this scale the
-	// index always prunes something.
+	// At this scale the index always prunes something.
 	if strings.Contains(string(mraw), "pprl_blocking_pruned_class_pairs_total 0\n") {
-		t.Errorf("indexed job pruned nothing:\n%s", mraw)
+		t.Errorf("the jobs pruned nothing:\n%s", mraw)
 	}
 }
 

@@ -19,9 +19,11 @@ package session
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
@@ -30,6 +32,7 @@ import (
 	"pprl/internal/distance"
 	"pprl/internal/dpblock"
 	"pprl/internal/heuristic"
+	"pprl/internal/index"
 	"pprl/internal/journal"
 	"pprl/internal/match"
 	"pprl/internal/metrics"
@@ -234,8 +237,8 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 // QueryConfig is the querying party's configuration: the classifier and
 // the cost budget.
 type QueryConfig struct {
-	// Schema describes the relations being linked (agreed out of band or
-	// via private schema matching, as the paper assumes).
+	// Schema describes the relations being linked (agreed out of band;
+	// the paper assumes private schema matching as a preprocessing step).
 	Schema *dataset.Schema
 	// QIDs are the classifier's quasi-identifier attribute names.
 	QIDs []string
@@ -408,7 +411,7 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if dp {
 		block, acct, err = dpblock.Block(aView, bView, rule)
 	} else {
-		block, err = blocking.Block(aView, bView, rule)
+		block, err = index.Block(aView, bView, rule)
 	}
 	if err != nil {
 		return nil, err
@@ -421,16 +424,19 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		BobView:            bView,
 		DP:                 acct,
 	}
-	// Pairs certain from blocking alone.
-	for ri, row := range block.Labels {
-		for si, l := range row {
-			if l != blocking.Match {
-				continue
-			}
-			for _, i := range aView.Classes[ri].Members {
-				for _, j := range bView.Classes[si].Members {
-					res.Matches = append(res.Matches, match.Pair{I: i, J: j})
-				}
+	// Pairs certain from blocking alone, in (RI, SI) order: EachLabeled
+	// is map-ordered, and Matches must not vary from run to run.
+	var certain [][2]int
+	block.EachLabeled(func(ri, si int, l blocking.Label) {
+		if l == blocking.Match {
+			certain = append(certain, [2]int{ri, si})
+		}
+	})
+	slices.SortFunc(certain, func(x, y [2]int) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
+	for _, c := range certain {
+		for _, i := range aView.Classes[c[0]].Members {
+			for _, j := range bView.Classes[c[1]].Members {
+				res.Matches = append(res.Matches, match.Pair{I: i, J: j})
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package session
 import (
 	"math/rand"
 	"net"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -255,5 +256,36 @@ func TestIdentifyRejectsGarbage(t *testing.T) {
 	go a2.Send(&smc.Message{Kind: smc.MsgHello, Role: "mallory"})
 	if _, err := Identify(b2); err == nil {
 		t.Error("unknown role should fail identification")
+	}
+}
+
+// TestSessionMatchesDeterministic: blocking labels live in a map, so the
+// blocked-Match pairs must be emitted in sorted class-pair order — two
+// runs over the same views return the same Matches slice, not merely the
+// same set.
+func TestSessionMatchesDeterministic(t *testing.T) {
+	aliceData, bobData := sessionWorkload(t, 240)
+	cfg := QueryConfig{
+		Schema:    aliceData.Schema(),
+		QIDs:      adult.DefaultQIDs(),
+		Theta:     0.05,
+		Allowance: 5,
+		KeyBits:   testKeyBits,
+	}
+	first, err := runLocalSession(t, aliceData, bobData, cfg, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Matches) < 8 {
+		t.Fatalf("only %d matches; the order check needs several blocked-Match class pairs (k = 1 decides every pair in blocking)", len(first.Matches))
+	}
+	for run := 0; run < 3; run++ {
+		again, err := runLocalSession(t, aliceData, bobData, cfg, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first.Matches, again.Matches) {
+			t.Fatalf("run %d returned Matches in a different order", run)
+		}
 	}
 }

@@ -83,7 +83,7 @@ func TestIndexedBlockingMatchesDenseOnWorlds(t *testing.T) {
 		}
 		for ri := range dense.R.Classes {
 			for si := range dense.S.Classes {
-				if d, x := dense.Labels[ri][si], indexed.Label(ri, si); d != x {
+				if d, x := dense.Label(ri, si), indexed.Label(ri, si); d != x {
 					t.Fatalf("world %s: class pair (%d,%d) labeled %v dense, %v indexed",
 						w.Describe(), ri, si, d, x)
 				}
@@ -109,15 +109,15 @@ func TestIndexedBlockingMatchesDenseOnWorlds(t *testing.T) {
 				t.Fatalf("world %s: class pair (%d,%d) emitted twice", w.Describe(), e.ri, e.si)
 			}
 			seen[[2]int{e.ri, e.si}] = true
-			if d := dense.Labels[e.ri][e.si]; d != e.l {
+			if d := dense.Label(e.ri, e.si); d != e.l {
 				t.Fatalf("world %s: emitted (%d,%d)=%v but dense says %v", w.Describe(), e.ri, e.si, e.l, d)
 			}
 		}
 		for ri := range dense.R.Classes {
 			for si := range dense.S.Classes {
-				if !seen[[2]int{ri, si}] && dense.Labels[ri][si] != blocking.NonMatch {
+				if !seen[[2]int{ri, si}] && dense.Label(ri, si) != blocking.NonMatch {
 					t.Fatalf("world %s: pruned class pair (%d,%d) is %v under dense — unsound prune",
-						w.Describe(), ri, si, dense.Labels[ri][si])
+						w.Describe(), ri, si, dense.Label(ri, si))
 				}
 			}
 		}

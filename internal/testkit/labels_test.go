@@ -98,8 +98,8 @@ func checkLabelsAgainstLog(w *World, res *core.Result, log *eventLog) error {
 
 // TestLabelStoreAgainstEventStream is the label store's differential test
 // at the level of whole runs. Every generated world runs under one of the
-// residual strategies and one of the blocking engines, in six arms —
-// plain, tier on, DP blocking, and three resumes: crashed mid-purchase,
+// residual strategies, in six arms — plain, tier on, DP blocking, and
+// three resumes: crashed mid-purchase,
 // crashed with the tier on and resumed with it off, and resumed from a
 // journal holding only the later half of a run's purchases, which the
 // budget-bound walk never reaches (they arrive as Group −1 replays) —
@@ -118,10 +118,8 @@ func TestLabelStoreAgainstEventStream(t *testing.T) {
 	for wi := 0; wi < n; wi++ {
 		w := Generate(base + int64(wi))
 		strategy := []core.Strategy{core.MaximizePrecision, core.MaximizeRecall, core.TrainClassifier}[wi%3]
-		blockingMode := []core.BlockingMode{core.BlockingDense, core.BlockingIndexed}[wi/3%2]
 		arm := func(name string, cfg core.Config, resumeFrom int) {
 			t.Helper()
-			cfg.Blocking = blockingMode
 			if cfg.Epsilon == 0 {
 				cfg.Strategy = strategy
 			}
@@ -157,7 +155,7 @@ func TestLabelStoreAgainstEventStream(t *testing.T) {
 				replays += res.Resume.ResumedPairs
 			}
 			if err := checkLabelsAgainstLog(w, res, log); err != nil {
-				t.Fatal(repro(w, fmt.Errorf("%s (strategy %v, blocking %v): %w", name, cfg.Strategy, cfg.Blocking, err)))
+				t.Fatal(repro(w, fmt.Errorf("%s (strategy %v): %w", name, cfg.Strategy, err)))
 			}
 			purchases += res.SMCResolvedPairs()
 			tierLabels += res.TierResolvedPairs()

@@ -72,11 +72,6 @@ func Generate(seed int64) *World {
 		cfg.Strategy = core.TrainClassifier
 	}
 	cfg.AllowanceFraction = rng.Float64() * 0.04
-	// Drawn last so earlier draws — and therefore all pre-existing seeded
-	// worlds — are unchanged by the mode's introduction.
-	if rng.Intn(2) == 1 {
-		cfg.Blocking = core.BlockingIndexed
-	}
 	cfg.Seed = seed
 
 	return &World{Seed: seed, Alice: alice, Bob: bob, Cfg: cfg}
@@ -98,11 +93,11 @@ func (w *World) Run() (*core.Result, *oracle.Oracle, error) {
 
 // Describe renders the world's parameters for failure output.
 func (w *World) Describe() string {
-	return fmt.Sprintf("seed=%d |alice|=%d |bob|=%d attrs=%d kA=%d kB=%d θ=%.3f thresholds=%v anonA=%s anonB=%s heuristic=%s strategy=%v allowance=%.4f blocking=%s",
+	return fmt.Sprintf("seed=%d |alice|=%d |bob|=%d attrs=%d kA=%d kB=%d θ=%.3f thresholds=%v anonA=%s anonB=%s heuristic=%s strategy=%v allowance=%.4f",
 		w.Seed, w.Alice.Len(), w.Bob.Len(), w.Alice.Schema().Len(),
 		w.Cfg.AliceK, w.Cfg.BobK, w.Cfg.Theta, w.Cfg.Thresholds,
 		w.Cfg.AliceAnonymizer.Name(), w.Cfg.BobAnonymizer.Name(),
-		w.Cfg.Heuristic.Name(), w.Cfg.Strategy, w.Cfg.AllowanceFraction, w.Cfg.Blocking)
+		w.Cfg.Heuristic.Name(), w.Cfg.Strategy, w.Cfg.AllowanceFraction)
 }
 
 // randomSchema draws 1–3 attributes, each one of three shapes: a random

@@ -37,14 +37,12 @@ package pprl
 import (
 	"pprl/internal/adult"
 	"pprl/internal/anonymize"
-	"pprl/internal/commutative"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distance"
 	"pprl/internal/journal"
 	"pprl/internal/match"
 	"pprl/internal/metrics"
-	"pprl/internal/schemamatch"
 	"pprl/internal/smc"
 	"pprl/internal/vgh"
 )
@@ -187,19 +185,6 @@ const (
 	TrainClassifier = core.TrainClassifier
 )
 
-// BlockingMode selects the blocking engine (Config.Blocking).
-type BlockingMode = core.BlockingMode
-
-// Blocking engines (DESIGN.md §10).
-const (
-	// BlockingDense evaluates the slack rule on every class pair and
-	// materializes the dense Labels matrix (the default).
-	BlockingDense = core.BlockingDense
-	// BlockingIndexed prunes class pairs through the hierarchy index and
-	// streams labels without the dense matrix; label-identical to dense.
-	BlockingIndexed = core.BlockingIndexed
-)
-
 // PackingMode selects the secure comparator's result encoding
 // (Config.SMCPacking).
 type PackingMode = core.PackingMode
@@ -299,23 +284,6 @@ var (
 	RunSMCAlice = smc.RunAlice
 	// RunSMCBob runs the second data holder's protocol loop.
 	RunSMCBob = smc.RunBob
-)
-
-// ---- Private schema matching (the paper's assumed preprocessing) ----
-
-// CommutativeGroup is the shared public group for commutative-encryption
-// protocols.
-type CommutativeGroup = commutative.Group
-
-var (
-	// DefaultCommutativeGroup is the standard 1536-bit RFC 3526 group.
-	DefaultCommutativeGroup = commutative.DefaultGroup
-	// PrivateSetIntersect runs two-party PSI over a stream; both parties
-	// learn which of their own elements are shared, nothing else.
-	PrivateSetIntersect = commutative.Intersect
-	// MatchSchemas privately discovers the attributes two holders'
-	// schemas share (Section II's private schema matching step).
-	MatchSchemas = schemamatch.Match
 )
 
 // ---- Adult workload ----

@@ -1,9 +1,7 @@
 package pprl_test
 
 import (
-	rand2 "crypto/rand"
 	"math/rand"
-	"net"
 	"testing"
 
 	"pprl"
@@ -83,37 +81,6 @@ func TestFacadeCustomSchema(t *testing.T) {
 	conf := res.Evaluate(truth)
 	if conf.Precision() != 1 || conf.Recall() != 1 {
 		t.Errorf("full-allowance linkage should be perfect, got %v", conf)
-	}
-}
-
-// TestFacadePSI exercises the private set intersection surface through
-// the facade, the way a downstream user would.
-func TestFacadePSI(t *testing.T) {
-	group := pprl.DefaultCommutativeGroup()
-	ca, cb := net.Pipe()
-	defer ca.Close()
-	defer cb.Close()
-	a := [][]byte{[]byte("ssn"), []byte("age")}
-	b := [][]byte{[]byte("age"), []byte("zip")}
-	ch := make(chan []int, 1)
-	go func() {
-		idx, err := pprl.PrivateSetIntersect(cb, group, b, false, rand2.Reader)
-		if err != nil {
-			ch <- nil
-			return
-		}
-		ch <- idx
-	}()
-	ia, err := pprl.PrivateSetIntersect(ca, group, a, true, rand2.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ib := <-ch
-	if len(ia) != 1 || string(a[ia[0]]) != "age" {
-		t.Errorf("initiator intersection = %v", ia)
-	}
-	if len(ib) != 1 || string(b[ib[0]]) != "age" {
-		t.Errorf("responder intersection = %v", ib)
 	}
 }
 
