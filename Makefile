@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiceTier$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzLaplaceBins$$' -fuzztime $(FUZZTIME) ./internal/dpblock
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveBudget$$' -fuzztime $(FUZZTIME) ./internal/resolve
+	$(GO) test -run '^$$' -fuzz '^FuzzResultStream$$' -fuzztime $(FUZZTIME) ./internal/smc
 
 # The end-to-end benchmark is a nested module (benchmark/), so tier-1
 # `go build ./... && go test ./...` neither builds nor runs it. Its own
@@ -109,7 +110,9 @@ incremental-smoke:
 
 # One-iteration compile-and-run of every micro-benchmark: keeps the
 # paillier kernels, the SMC engine benches — BenchmarkSecureRun's
-# run-length fan-out curve among them — core's plaintext-oracle link
+# run-length fan-out curve at both slot geometries (the schema-less
+# 30-bit value bound and the 7 bits derived for Adult) among them —
+# core's plaintext-oracle link
 # (BenchmarkLinkPlain: the label store's pairs/s and B/pair) and the
 # journal writer's cost per verdict (BenchmarkWriterRecord) from
 # bit-rotting without paying for a real measurement run.

@@ -70,9 +70,11 @@ type PackingMode int
 
 const (
 	// PackingPacked (default) slot-packs Bob's blinded per-attribute
-	// outputs into ⌈d/slots⌉ ciphertexts, cutting the querying party's
-	// decryptions and the MsgResult bytes by ~d×. Verdict-identical to
-	// PackingOff.
+	// outputs, as many consecutive pairs of a run to a ciphertext as its
+	// schema-derived slots hold, so the querying party's decryptions,
+	// Bob's noise units and the MsgResult bytes are paid per ciphertext
+	// (one per three pairs at Adult's defaults and 1024 bits) instead of d
+	// per pair. Verdict-identical to PackingOff.
 	PackingPacked PackingMode = iota
 	// PackingOff sends one result ciphertext per active attribute.
 	PackingOff

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -420,5 +421,42 @@ func TestStrategyString(t *testing.T) {
 		MaximizeRecall.String() != "maximize-recall" ||
 		TrainClassifier.String() != "train-classifier" {
 		t.Error("Strategy.String broken")
+	}
+}
+
+// TestSecureLinkRefusesOutOfDomainRecord: the packed slot width is derived
+// from the schema's published domains, so a record outside them cannot be
+// compared packed. Either holder's is refused when the comparator is
+// built, before anything is encrypted — and compared all the same once
+// packing is off.
+func TestSecureLinkRefusesOutOfDomainRecord(t *testing.T) {
+	alice, bob := workload(t, 45, 29)
+	cfg := DefaultConfig(adult.DefaultQIDs())
+	cfg.AliceK, cfg.BobK = 8, 8
+	cfg.Allowance = 20
+	cfg.Comparator = SecureComparatorFactory(256)
+	age, _ := alice.Schema().Index(adult.AttrAge)
+	outside := func(d *dataset.Dataset) *dataset.Dataset {
+		out := dataset.New(d.Schema())
+		for i, rec := range d.Records() {
+			if i == 3 {
+				rec.Cells = append([]dataset.Cell(nil), rec.Cells...)
+				rec.Cells[age] = dataset.NumCell(500) // the hierarchy ends at 81
+			}
+			out.MustAppend(rec)
+		}
+		return out
+	}
+	if _, err := Link(Holder{Data: outside(alice)}, Holder{Data: bob}, cfg); err == nil ||
+		!strings.Contains(err.Error(), "alice: record 3") || !strings.Contains(err.Error(), "published domain") {
+		t.Errorf("alice's record: error %v, want a refusal naming it", err)
+	}
+	if _, err := Link(Holder{Data: alice}, Holder{Data: outside(bob)}, cfg); err == nil ||
+		!strings.Contains(err.Error(), "bob: record 3") || !strings.Contains(err.Error(), "published domain") {
+		t.Errorf("bob's record: error %v, want a refusal naming it", err)
+	}
+	cfg.SMCPacking = PackingOff
+	if _, err := Link(Holder{Data: outside(alice)}, Holder{Data: bob}, cfg); err != nil {
+		t.Errorf("unpacked results carry any value, but: %v", err)
 	}
 }

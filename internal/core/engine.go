@@ -245,6 +245,7 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 		return nil, fmt.Errorf("core: building SMC spec: %w", err)
 	}
 	spec.Packing = cfg.SMCPacking.SMC()
+	spec.BoundBySchema(alice.Data.Schema(), qids)
 	cmp, err := cfg.Comparator(
 		smc.EncodeRecords(alice.Data, qids, cfg.Scale),
 		smc.EncodeRecords(bob.Data, qids, cfg.Scale),

@@ -262,12 +262,18 @@ func TestInterruptCheckpointsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same fixture predates schema-derived slot widths and run-major
+	// result packing too, and neither is in the manifest: its second copy
+	// resumes under the secure comparator, which buys the rest that way.
 	denseEra := filepath.Join(t.TempDir(), "dense_era.wal")
-	if err := os.WriteFile(denseEra, fixture, 0o644); err != nil {
-		t.Fatal(err)
+	denseEraSecure := filepath.Join(t.TempDir(), "dense_era_secure.wal")
+	for _, wal := range []string{denseEra, denseEraSecure} {
+		if err := os.WriteFile(wal, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	for _, wal := range []string{path, denseEra} {
+	for _, wal := range []string{path, denseEra, denseEraSecure} {
 		rec, err := journal.Replay(wal)
 		if err != nil {
 			t.Fatal(err)
@@ -282,6 +288,9 @@ func TestInterruptCheckpointsAndResumes(t *testing.T) {
 		}
 		cfg2 := interruptCfg()
 		cfg2.Journal = rw
+		if wal == denseEraSecure {
+			cfg2.Comparator = SecureComparatorFactory(256)
+		}
 		res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg2)
 		if err != nil {
 			t.Fatalf("%s: %v", wal, err)

@@ -161,6 +161,7 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("incremental: building SMC spec: %w", err)
 	}
 	spec.Packing = cfg.SMCPacking.SMC()
+	spec.BoundBySchema(schema, qids)
 
 	e := &Engine{
 		cfg:          cfg,

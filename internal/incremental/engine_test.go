@@ -3,11 +3,14 @@ package incremental_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"pprl/internal/adult"
 	"pprl/internal/blocking"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
@@ -776,5 +779,43 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(replayDeltas, wantDeltas) || !bytes.Equal(replayWAL, wantWAL) {
 		t.Error("committed replay changed the delta stream or the journal")
+	}
+}
+
+// TestIncrementalSecureRefusesOutOfDomainAppend: a live dataset's slot
+// width comes from the schema like a frozen run's, and the holders' bound
+// check runs over every row the batch's comparator is built on — the ones
+// just appended included. A record outside its attribute's published
+// domain is refused before anything is encrypted; in-domain batches before
+// it buy their comparisons packed.
+func TestIncrementalSecureRefusesOutOfDomainAppend(t *testing.T) {
+	alice, bob := dataset.SplitOverlap(adult.Generate(60, 31), rand.New(rand.NewSource(32)))
+	eng, err := incremental.New(alice.Schema(), incremental.Config{
+		QIDs:       adult.DefaultQIDs(),
+		Theta:      0.05,
+		Allowance:  ample,
+		Strategy:   core.MaximizePrecision,
+		Comparator: core.SecureComparatorFactory(256),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Append(0, alice.Records()); err != nil {
+		t.Fatal(err)
+	}
+	half := bob.Len() / 2
+	if _, err := eng.Append(1, bob.Records()[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Stats().Purchased == 0 {
+		t.Fatal("the in-domain batches bought nothing; the fixture exercises no comparator")
+	}
+	age, _ := alice.Schema().Index(adult.AttrAge)
+	rest := append([]dataset.Record(nil), bob.Records()[half:]...)
+	rest[1].Cells = append([]dataset.Cell(nil), rest[1].Cells...)
+	rest[1].Cells[age] = dataset.NumCell(500) // the hierarchy ends at 81
+	_, err = eng.Append(1, rest)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bob: record %d", half+1)) || !strings.Contains(err.Error(), "published domain") {
+		t.Errorf("appending a record of age 500: error %v, want a refusal naming bob's record %d", err, half+1)
 	}
 }

@@ -32,7 +32,9 @@ import (
 var ErrPackedOverflow = errors.New("paillier: packed plaintext overflows its slots")
 
 // PackPlan fixes the slot geometry both ends of a packed exchange must
-// share: the slot width and how many slots one ciphertext carries.
+// share: the slot width and how many slots one ciphertext carries. Build
+// it with NewPackPlan, which also computes the geometry's constants; a
+// plan is read-only afterwards and safe to share between goroutines.
 type PackPlan struct {
 	// SlotBits is the slot width w; packed values must satisfy
 	// |v| < 2^{w-1}.
@@ -40,6 +42,12 @@ type PackPlan struct {
 	// Slots is the per-ciphertext capacity: ⌊(modBits−1)/w⌋, so a full
 	// ciphertext's plaintext stays strictly below 2^{modBits−1} ≤ N.
 	Slots int
+
+	// offsets[m-1] is Σ 2^{w-1}·2^{i·w} for i < m: the sum of the first m
+	// per-slot sign offsets, added homomorphically in one AddConst.
+	offsets []*big.Int
+	// mask is 2^w − 1 and half the one-slot sign offset 2^{w-1}.
+	mask, half *big.Int
 }
 
 // NewPackPlan derives the packing geometry for a modulus of modBits bits
@@ -53,23 +61,21 @@ func NewPackPlan(modBits, slotBits int) (PackPlan, error) {
 	if slots < 1 {
 		return PackPlan{}, fmt.Errorf("paillier: %d-bit slots do not fit a %d-bit modulus", slotBits, modBits)
 	}
-	return PackPlan{SlotBits: slotBits, Slots: slots}, nil
+	plan := PackPlan{SlotBits: slotBits, Slots: slots, offsets: make([]*big.Int, slots)}
+	plan.half = new(big.Int).Lsh(one, uint(slotBits-1))
+	plan.mask = new(big.Int).Sub(new(big.Int).Lsh(one, uint(slotBits)), one)
+	sum := new(big.Int)
+	for i := range plan.offsets {
+		sum.SetBit(sum, i*slotBits+slotBits-1, 1)
+		plan.offsets[i] = new(big.Int).Set(sum)
+	}
+	return plan, nil
 }
 
 // Ciphertexts returns how many packed ciphertexts carry count values:
 // ⌈count/Slots⌉.
 func (p PackPlan) Ciphertexts(count int) int {
 	return (count + p.Slots - 1) / p.Slots
-}
-
-// offset returns the public constant Σ 2^{w-1}·2^{i·w} for i < m: the sum
-// of all m per-slot sign offsets, added homomorphically in one AddConst.
-func (p PackPlan) offset(m int) *big.Int {
-	o := new(big.Int)
-	for i := 0; i < m; i++ {
-		o.SetBit(o, i*p.SlotBits+p.SlotBits-1, 1)
-	}
-	return o
 }
 
 // PackSigned packs the signed plaintexts of cts into ⌈len(cts)/Slots⌉
@@ -79,8 +85,8 @@ func (p PackPlan) offset(m int) *big.Int {
 // The output randomness is a product of the inputs' units; rerandomize
 // before sending anything adversarial-facing.
 func (pk *PublicKey) PackSigned(cts []*Ciphertext, plan PackPlan) ([]*Ciphertext, error) {
-	if plan.Slots < 1 || plan.SlotBits < 2 {
-		return nil, fmt.Errorf("paillier: invalid pack plan %+v", plan)
+	if len(plan.offsets) != plan.Slots || plan.Slots < 1 {
+		return nil, fmt.Errorf("paillier: pack plan (%d slots of %d bits) was not built by NewPackPlan", plan.Slots, plan.SlotBits)
 	}
 	out := make([]*Ciphertext, 0, plan.Ciphertexts(len(cts)))
 	shift := new(big.Int).Lsh(one, uint(plan.SlotBits)) // exponent 2^w: one slot left
@@ -96,7 +102,7 @@ func (pk *PublicKey) PackSigned(cts []*Ciphertext, plan PackPlan) ([]*Ciphertext
 			acc.Mod(acc, pk.N2)
 		}
 		// All sign offsets land in one homomorphic constant addition.
-		out = append(out, pk.AddConst(&Ciphertext{C: acc}, plan.offset(len(group))))
+		out = append(out, pk.AddConst(&Ciphertext{C: acc}, plan.offsets[len(group)-1]))
 	}
 	return out, nil
 }
@@ -105,21 +111,18 @@ func (pk *PublicKey) PackSigned(cts []*Ciphertext, plan PackPlan) ([]*Ciphertext
 // count signed slot values, in packing order. It returns
 // ErrPackedOverflow when plaintext bits remain above the occupied slots.
 func (sk *PrivateKey) UnpackSigned(ct *Ciphertext, plan PackPlan, count int) ([]*big.Int, error) {
-	if count < 1 || count > plan.Slots {
-		return nil, fmt.Errorf("paillier: unpacking %d values from a %d-slot plan", count, plan.Slots)
+	if count < 1 || count > len(plan.offsets) {
+		return nil, fmt.Errorf("paillier: unpacking %d values from a %d-slot plan", count, len(plan.offsets))
 	}
 	m, err := sk.Decrypt(ct)
 	if err != nil {
 		return nil, err
 	}
-	w := uint(plan.SlotBits)
-	mask := new(big.Int).Sub(new(big.Int).Lsh(one, w), one)
-	half := new(big.Int).Lsh(one, w-1)
 	out := make([]*big.Int, count)
 	for i := 0; i < count; i++ {
-		v := new(big.Int).And(m, mask)
-		out[i] = v.Sub(v, half)
-		m.Rsh(m, w)
+		v := new(big.Int).And(m, plan.mask)
+		out[i] = v.Sub(v, plan.half)
+		m.Rsh(m, uint(plan.SlotBits))
 	}
 	if m.Sign() != 0 {
 		return nil, ErrPackedOverflow

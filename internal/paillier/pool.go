@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // RandomizerPool pregenerates the message-independent factor r^N mod N²
@@ -25,6 +26,7 @@ type RandomizerPool struct {
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
+	draws     atomic.Int64
 }
 
 // NewRandomizerPool starts workers goroutines (≤ 0 means GOMAXPROCS)
@@ -74,6 +76,7 @@ func (p *RandomizerPool) fill() {
 // noise returns a pregenerated unit when one is buffered, computing one
 // inline otherwise.
 func (p *RandomizerPool) noise() (*big.Int, error) {
+	p.draws.Add(1)
 	select {
 	case rn := <-p.units:
 		return rn, nil
@@ -81,6 +84,10 @@ func (p *RandomizerPool) noise() (*big.Int, error) {
 		return p.pk.noiseUnit(rand.Reader)
 	}
 }
+
+// Draws returns how many units the pool's operations have consumed,
+// buffered or computed inline: one per Encrypt or Rerandomize.
+func (p *RandomizerPool) Draws() int64 { return p.draws.Load() }
 
 // Public returns the key the pool generates noise for.
 func (p *RandomizerPool) Public() *PublicKey { return p.pk }

@@ -78,7 +78,8 @@ type JobSpec struct {
 	// when the daemon has no fleet configured.
 	Distributed bool `json:"distributed,omitempty"`
 	// Packing selects the secure comparator's result encoding: "packed"
-	// (default; slot-packed responses, ~d× fewer decryptions) or "off".
+	// (default; slot-packed responses, one decryption per ciphertext of
+	// up to ⌊slots/d⌋ pairs instead of d per pair) or "off".
 	// Verdict-identical either way; ignored by the plaintext oracle.
 	Packing string `json:"packing,omitempty"`
 	// Tier selects the triage tier between blocking and SMC: "off"

@@ -11,6 +11,7 @@ import (
 	"pprl/internal/dpblock"
 	"pprl/internal/match"
 	"pprl/internal/smc"
+	"pprl/internal/vgh"
 )
 
 // reconstructPad replays a holder's deterministic padding pass (same
@@ -222,5 +223,66 @@ func TestSessionDPHolderValidation(t *testing.T) {
 	err = RunHolder(aq, ab, HolderConfig{Data: aliceData, Epsilon: -2}, true)
 	if err == nil {
 		t.Fatal("negative epsilon accepted")
+	}
+}
+
+// TestSessionDPSentinelsInsideValueBound: the padding sentinels sit
+// outside the attributes' domains by construction, and the holders refuse
+// rows beyond the schema-derived value bound before encrypting anything —
+// so the bound has to admit them. The tightest geometries: domains that
+// end one short of a power of two, and a two-leaf equality attribute
+// against the sentinel −2.
+func TestSessionDPSentinelsInsideValueBound(t *testing.T) {
+	flag := vgh.Flat("flag", "ANY", "n", "y")
+	for _, tc := range []struct {
+		name     string
+		min, max float64
+		theta    float64
+	}{
+		{"ends at 2^7−1", 0, 127, 0.05},
+		{"ends at 2^7−1, wide threshold", 0, 127, 0.9},
+		{"negative end at −(2^6−1)", -63, 10, 0.3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			schema := dataset.MustSchema(dataset.CatAttr(flag), dataset.NumAttr(vgh.MustIntervalHierarchy("num", tc.min, tc.max, 2, 2)))
+			qids := []int{0, 1}
+			rule, err := blocking.RuleFor(schema, qids, tc.theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := smc.SpecFromRule(rule, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Packing = smc.PackingPacked
+			spec.BoundBySchema(schema, qids)
+			a, err := dpDummyRow(schema, qids, spec, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := dpDummyRow(schema, qids, spec, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The domain's corners beside each side's sentinel.
+			alice := [][]int64{a, {0, int64(tc.min)}, {1, int64(tc.max)}}
+			bob := [][]int64{b, {0, int64(tc.min)}, {1, int64(tc.max)}}
+			cmp, err := smc.NewLocalSecure(spec, alice, bob, testKeyBits)
+			if err != nil {
+				t.Fatalf("sentinel rows %v / %v under ValueBits %d: %v", a, b, spec.ValueBits, err)
+			}
+			defer cmp.Close()
+			for i := range alice {
+				for j := range bob {
+					got, err := cmp.Compare(i, j)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := i == j && i > 0; got != want {
+						t.Errorf("rows %v and %v: matched = %v, want %v", alice[i], bob[j], got, want)
+					}
+				}
+			}
+		})
 	}
 }

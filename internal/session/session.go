@@ -256,9 +256,10 @@ type QueryConfig struct {
 	Scale int64
 	// ShuffleAttributes hides which attribute failed from this party.
 	ShuffleAttributes bool
-	// Packing selects Bob's result encoding (smc.PackingPacked packs the
-	// blinded per-attribute outputs into ⌈d/slots⌉ ciphertexts; the zero
-	// value keeps the one-ciphertext-per-attribute format). The spec
+	// Packing selects Bob's result encoding (smc.PackingPacked slot-packs
+	// the blinded per-attribute outputs, several pairs of a run to a
+	// ciphertext where the schema-derived slots allow; the zero value
+	// keeps the one-ciphertext-per-attribute format). The spec
 	// broadcast in MsgParams carries it to the holders, so no separate
 	// negotiation happens; pprl-party defaults its -packing flag to
 	// packed. Like SMCWorkers it never changes verdicts and is excluded
@@ -365,6 +366,7 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	}
 	spec.ShuffleAttributes = cfg.ShuffleAttributes
 	spec.Packing = cfg.Packing
+	spec.BoundBySchema(cfg.Schema, qids)
 	if cfg.Tier != nil {
 		if err := bloom.TierDefaults(&cfg.Tier.M, &cfg.Tier.K, &cfg.Tier.Q, &cfg.TierLow, &cfg.TierHigh); err != nil {
 			return nil, fmt.Errorf("session: %w", err)

@@ -1,16 +1,19 @@
 package session
 
 import (
+	crand "crypto/rand"
 	"math/rand"
 	"net"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"pprl/internal/adult"
 	"pprl/internal/blocking"
 	"pprl/internal/dataset"
 	"pprl/internal/match"
+	"pprl/internal/paillier"
 	"pprl/internal/smc"
 )
 
@@ -286,6 +289,61 @@ func TestSessionMatchesDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(first.Matches, again.Matches) {
 			t.Fatalf("run %d returned Matches in a different order", run)
+		}
+	}
+}
+
+// TestHolderRefusesOutOfDomainRecord: the querying party derives the
+// packed slot width from the schema's published domains and broadcasts it
+// in the parameters; a holder with a record outside them — either holder —
+// publishes its view, receives the key, and stops before encrypting
+// anything.
+func TestHolderRefusesOutOfDomainRecord(t *testing.T) {
+	data, _ := sessionWorkload(t, 30)
+	schema := data.Schema()
+	age, _ := schema.Index(adult.AttrAge)
+	bad := dataset.New(schema)
+	for i, rec := range data.Records() {
+		if i == 2 {
+			rec.Cells = append([]dataset.Cell(nil), rec.Cells...)
+			rec.Cells[age] = dataset.NumCell(500) // the hierarchy ends at 81
+		}
+		bad.MustAppend(rec)
+	}
+	qids, err := schema.Resolve(adult.DefaultQIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule, err := blocking.RuleFor(schema, qids, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := smc.SpecFromRule(rule, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Packing = smc.PackingPacked
+	spec.BoundBySchema(schema, qids)
+	sk, err := paillier.GenerateKey(crand.Reader, testKeyBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, isAlice := range []bool{true, false} {
+		query, holder := smc.NewConnPair()
+		_, peer := smc.NewConnPair()
+		errs := make(chan error, 1)
+		go func() { errs <- RunHolder(holder, peer, HolderConfig{Data: bad, K: 4}, isAlice) }()
+		if err := query.Send(&smc.Message{Kind: smc.MsgParams, QIDs: adult.DefaultQIDs(), Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := query.Recv(); err != nil || m.Kind != smc.MsgView {
+			t.Fatalf("expected the holder's view, got %+v, %v", m, err)
+		}
+		if err := query.Send(&smc.Message{Kind: smc.MsgPublicKey, N: sk.N}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "record 2") || !strings.Contains(err.Error(), "published domain") {
+			t.Errorf("holder (alice=%v) returned %v, want a refusal naming record 2", isAlice, err)
 		}
 	}
 }

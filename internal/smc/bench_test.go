@@ -85,13 +85,13 @@ func BenchmarkSecureBatch(b *testing.B) {
 // BenchmarkSecureRun is the fan-out curve: throughput of the default
 // deployment geometry (5 attributes, packed results, 1024-bit key) when
 // every Alice record meets len of Bob's in a row. len=1 is the per-pair
-// protocol; at 8 and beyond a run fills half the window and the share
-// sets per pair bottom out at 1/8.
+// protocol; at 8 and beyond a run fills half the window, the share sets
+// per pair bottom out at 1/8 and — at a slot width with room for more than
+// one pair per ciphertext — so do the ciphertexts per pair. bits=30 is the
+// width of a spec built without a schema (9 slots: one pair per
+// ciphertext), bits=7 what BoundBySchema derives for Adult's default
+// quasi-identifiers (17 slots: three pairs).
 func BenchmarkSecureRun(b *testing.B) {
-	spec := &Spec{Scale: 1, Packing: PackingPacked, Attrs: []AttrSpec{
-		{Mode: ModeEquality}, {Mode: ModeThreshold, T: 16}, {Mode: ModeEquality},
-		{Mode: ModeThreshold, T: 64}, {Mode: ModeEquality},
-	}}
 	records := func(n int, seed int64) [][]int64 {
 		recs := make([][]int64, n)
 		for i := range recs {
@@ -101,24 +101,33 @@ func BenchmarkSecureRun(b *testing.B) {
 		return recs
 	}
 	alice, bob := records(64, 1), records(32, 2)
-	for _, length := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("len=%d", length), func(b *testing.B) {
-			pairs := make([][2]int, 64)
-			for k := range pairs {
-				pairs[k] = [2]int{k / length, k % len(bob)}
-			}
-			cmp, shares := startLanes(b, spec, alice, bob, 1, 64, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cmp.CompareBatch(pairs); err != nil {
-					b.Fatal(err)
+	for _, valueBits := range []int{DefaultValueBits, 7} {
+		spec := &Spec{Scale: 1, Packing: PackingPacked, ValueBits: valueBits, Attrs: []AttrSpec{
+			{Mode: ModeEquality}, {Mode: ModeThreshold, T: 16}, {Mode: ModeEquality},
+			{Mode: ModeThreshold, T: 64}, {Mode: ModeEquality},
+		}}
+		for _, length := range []int{1, 8, 32} {
+			b.Run(fmt.Sprintf("bits=%d/len=%d", valueBits, length), func(b *testing.B) {
+				pairs := make([][2]int, 64)
+				for k := range pairs {
+					pairs[k] = [2]int{k / length, k % len(bob)}
 				}
-			}
-			b.StopTimer()
-			total := float64(b.N * len(pairs))
-			b.ReportMetric(total/b.Elapsed().Seconds(), "pairs/s")
-			b.ReportMetric(float64(shares.Load())/total, "share-sets/pair")
-		})
+				cmp, shares := startLanes(b, spec, alice, bob, 1, 64, 1024)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := cmp.CompareBatch(pairs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				total := float64(b.N * len(pairs))
+				b.ReportMetric(total/b.Elapsed().Seconds(), "pairs/s")
+				b.ReportMetric(float64(shares.Load())/total, "share-sets/pair")
+				// One decryption per ciphertext received.
+				b.ReportMetric(float64(cmp.Decryptions())/total, "ciphertexts/pair")
+				b.ReportMetric(float64(cmp.Decryptions())/float64(cmp.Invocations()), "decryptions/comparison")
+			})
+		}
 	}
 }

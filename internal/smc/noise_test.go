@@ -144,29 +144,38 @@ var _ = func(e *bobEngine) *paillier.RandomizerPool { return e.pool }
 
 // TestBobResultsCarryUniformUnits: every MsgResult ciphertext is Bob's
 // homomorphic combination of Alice's square-subgroup shares times one of
-// Bob's own units — a fresh one per result, also inside a run, where all
-// results grow from the same share set. With full-width uniform units the
-// Jacobi symbols of one run's results are fair coins; were Bob ever
-// switched to the fixed-base source they would all be +1, and were he to
-// draw one unit per run they would all be equal within it, in every
-// result mode.
+// Bob's own units — a fresh one per ciphertext, also inside a run, where
+// all results grow from the same share set, and also when one ciphertext
+// holds several pairs. With full-width uniform units the Jacobi symbols of
+// one run's ciphertexts are fair coins; were Bob ever switched to the
+// fixed-base source they would all be +1, and were he to draw one unit
+// per run they would all be equal within it, in every result mode. The
+// pool is drawn from once per ciphertext that crosses the link and for
+// nothing else.
 func TestBobResultsCarryUniformUnits(t *testing.T) {
 	aliceRec, bobRec := []int64{2, -5, 9}, []int64{2, -3, 1}
 	for _, tc := range []struct {
 		name string
 		spec func(*Spec)
-		// perResult is the number of ciphertexts in one MsgResult.
-		perResult int
+		// perRun is the number of ciphertexts Bob sends for a run of 8.
+		perRun int
 	}{
-		{"unpacked", func(s *Spec) { s.Packing = PackingOff }, 2},
-		{"packed", func(s *Spec) { s.Packing = PackingPacked }, 1},
-		{"reveal-distance", func(s *Spec) { s.RevealDistance = true }, 2},
+		{"unpacked", func(s *Spec) { s.Packing = PackingOff }, 16},
+		{"packed", func(s *Spec) { s.Packing = PackingPacked }, 8},
+		// 60-bit slots: two pairs of two values fill a 256-bit ciphertext.
+		{"packed-across-the-run", func(s *Spec) { s.Packing, s.ValueBits = PackingPacked, 7 }, 4},
+		{"reveal-distance", func(s *Spec) { s.RevealDistance = true }, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := testSpec()
 			tc.spec(spec)
 			active := spec.activeAttrs()
-			qb, ab, errs := startBob(t, [][]int64{bobRec}, spec)
+			qb, bq := NewConnPair()
+			ab, ba := NewConnPair()
+			eng := &bobEngine{}
+			defer eng.close()
+			errs := make(chan error, 1)
+			go func() { errs <- runBob(bq, ba, [][]int64{bobRec}, spec, eng) }()
 			// A real query session reads Bob's results through the tap; the
 			// test plays Alice on the peer link, and her query link is a
 			// pair nobody reads (its frames stay within the conn's buffer).
@@ -189,7 +198,7 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 			// Every run is the one Alice record against the one Bob record,
 			// as often as a run is long: same shares, same inputs, so the
 			// results differ by Bob's blinds and units alone.
-			const runs = 6 // 6 runs × ≥ 8 fair coins: no mixed run has probability ≤ 2^-42
+			const runs = 12 // 12 runs × ≥ 4 fair coins: no mixed run has probability 2^-36
 			run := make([][2]int, q.window/2)
 			mixed := 0
 			seen := map[string]bool{}
@@ -225,9 +234,6 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 				}
 				counts := map[int]int{}
 				for _, m := range tap.seen {
-					if len(m.Res) != tc.perResult {
-						t.Fatalf("%d result ciphertexts, want %d", len(m.Res), tc.perResult)
-					}
 					for _, c := range m.Res {
 						counts[jacobiModN(c, sk.N)]++
 						if key := c.String(); seen[key] {
@@ -237,21 +243,24 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 						}
 					}
 				}
-				if counts[1]+counts[-1] != len(run)*tc.perResult {
-					t.Fatalf("run %d: Jacobi symbols %v, want only ±1", r, counts)
+				if counts[1]+counts[-1] != tc.perRun {
+					t.Fatalf("run %d: Jacobi symbols %v, want %d ciphertexts with ±1", r, counts, tc.perRun)
 				}
 				if counts[1] > 0 && counts[-1] > 0 {
 					mixed++
 				}
 			}
 			if mixed == 0 {
-				t.Errorf("no run of %d shows both Jacobi symbols among its results; want fair coins (a uniform unit per result)", runs)
+				t.Errorf("no run of %d shows both Jacobi symbols among its ciphertexts; want fair coins (a uniform unit per ciphertext)", runs)
 			}
 			if err := q.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-errs; err != nil {
 				t.Fatalf("bob: %v", err)
+			}
+			if draws := eng.pool.Draws(); draws != int64(runs*tc.perRun) {
+				t.Errorf("bob drew %d units from his pool for %d ciphertexts sent", draws, runs*tc.perRun)
 			}
 		})
 	}

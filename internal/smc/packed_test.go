@@ -1,9 +1,15 @@
 package smc
 
 import (
+	"fmt"
 	"math/big"
 	"strings"
 	"testing"
+
+	"pprl/internal/adult"
+	"pprl/internal/blocking"
+	"pprl/internal/dataset"
+	"pprl/internal/vgh"
 )
 
 // packedSpec returns testSpec with packed results.
@@ -260,10 +266,123 @@ func TestPackedQueryRejectsWrongArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.packed || q.plan.Ciphertexts(len(spec.activeAttrs())) != 1 {
-		t.Fatalf("expected a packed session wanting 1 ciphertext, got packed=%v plan=%+v", q.packed, q.plan)
+	if pairs, cts := q.plan.frame(0, 0); pairs != 1 || cts != 1 {
+		t.Fatalf("expected a packed session wanting 1 ciphertext for the run of one, got %d for %d pairs (plan %+v)", cts, pairs, q.plan)
 	}
 	if _, err := q.Compare(0, 0); err == nil || !strings.Contains(err.Error(), "malformed") {
 		t.Errorf("error = %v, want malformed-result complaint", err)
+	}
+}
+
+// TestBoundBySchema: the value bound, and with it the slot geometry, is a
+// function of the published domains — the last leaf index of a categorical
+// attribute, the larger end of a continuous one times the scale — and
+// every encoded value of an in-domain record lies under it.
+func TestBoundBySchema(t *testing.T) {
+	flat := func(name string, leaves int) *vgh.Hierarchy {
+		values := make([]string, leaves)
+		for i := range values {
+			values[i] = fmt.Sprintf("%s%d", name, i)
+		}
+		return vgh.Flat(name, "ANY", values...)
+	}
+	adultSchema := adult.Schema()
+	adultQIDs, err := adultSchema.Resolve(adult.DefaultQIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := dataset.MustSchema(
+		dataset.CatAttr(flat("c", 256)),                                     // leaf indexes 0…255: 8 bits
+		dataset.CatAttr(flat("one", 1)),                                     // a single leaf: the floor of 1 bit
+		dataset.NumAttr(vgh.MustIntervalHierarchy("debt", -300, 100, 2, 2)), // |Min| is the larger end: 9 bits
+		dataset.NumAttr(vgh.MustIntervalHierarchy("rate", 0, 2.5, 2, 2)),    // 2.5: 2 bits, 250 at scale 100: 8
+	)
+	for _, tc := range []struct {
+		name             string
+		schema           *dataset.Schema
+		qids             []int
+		scale            int64
+		theta            float64
+		bits             int
+		widest           string
+		slotBits         int
+		slots1024, slots int // at 1024 and 512 bits
+	}{
+		// Age runs to 81 and its threshold is T = ⌊(0.05·64)²⌋ = 10: a
+		// padding sentinel sits at 81 + 4.
+		{"adult default QIDs", adultSchema, adultQIDs, 1, 0.05, 7, adult.AttrAge, 60, 17, 8},
+		{"adult at scale 100", adultSchema, adultQIDs, 100, 0.05, 14, adult.AttrAge, 74, 13, 6}, // 8100 + 321
+		{"categorical only", mixed, []int{0, 1}, 1, 0.05, 8, "c", 62, 16, 8},
+		{"single leaf", mixed, []int{1}, 1, 0.05, 2, "one", 50, 20, 10},                      // the sentinels −1, −2
+		{"negative Min", mixed, []int{1, 2}, 1, 0.01, 9, "debt", 64, 15, 7},                  // 300 + 5 of T = 16
+		{"fractional Max", mixed, []int{3}, 1, 0.05, 3, "rate", 52, 19, 9},                   // ⌈2.5⌉ + 1 of T = 0
+		{"fractional Max at scale 100", mixed, []int{0, 3}, 100, 0.05, 9, "rate", 64, 15, 7}, // 250 + 14 of T = 156
+		{"negative Min at scale 7", mixed, []int{2, 3}, 7, 0.01, 12, "debt", 70, 14, 7},      // 2100 + 29 of T = 784
+		{"θ ≥ 1 compares nothing", mixed, []int{0, 1}, 1, 1, 1, "", 48, 21, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rule, err := blocking.RuleFor(tc.schema, tc.qids, tc.theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := SpecFromRule(rule, tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Packing = PackingPacked
+			spec.BoundBySchema(tc.schema, tc.qids)
+			if spec.ValueBits != tc.bits || spec.widest != tc.widest {
+				t.Errorf("ValueBits = %d set by %q, want %d by %q", spec.ValueBits, spec.widest, tc.bits, tc.widest)
+			}
+			if w := spec.slotBits(); w != tc.slotBits {
+				t.Errorf("slot width = %d, want %d", w, tc.slotBits)
+			}
+			for bits, want := range map[int]int{1024: tc.slots1024, 512: tc.slots} {
+				plan, err := spec.packPlan(bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan.Slots != want {
+					t.Errorf("%d slots at %d bits, want %d", plan.Slots, bits, want)
+				}
+			}
+			// The domains' extreme records pass the holders' check; one step
+			// past the bound does not.
+			d := dataset.New(tc.schema)
+			for _, hi := range []bool{false, true} {
+				rec := dataset.Record{Cells: make([]dataset.Cell, tc.schema.Len())}
+				for a := 0; a < tc.schema.Len(); a++ {
+					attr := tc.schema.Attr(a)
+					switch {
+					case attr.Kind == dataset.Continuous && hi:
+						rec.Cells[a] = dataset.NumCell(attr.Intervals.Max())
+					case attr.Kind == dataset.Continuous:
+						rec.Cells[a] = dataset.NumCell(attr.Intervals.Min())
+					case hi:
+						rec.Cells[a] = dataset.Cell{Node: attr.Hierarchy.Leaf(attr.Hierarchy.NumLeaves() - 1)}
+					default:
+						rec.Cells[a] = dataset.Cell{Node: attr.Hierarchy.Leaf(0)}
+					}
+				}
+				d.MustAppend(rec)
+			}
+			rows := EncodeRecords(d, tc.qids, tc.scale)
+			if err := spec.checkRecords(rows); err != nil {
+				t.Errorf("the domain's extreme records are refused: %v", err)
+			}
+			if active := spec.activeAttrs(); len(active) > 0 {
+				rows[0][active[0]] = 1 << tc.bits
+				if err := spec.checkRecords(rows); err == nil || !strings.Contains(err.Error(), "published domain") {
+					t.Errorf("a value of 2^%d passed the check: %v", tc.bits, err)
+				}
+			}
+		})
+	}
+
+	// A key too small for one slot names the attribute that widened it.
+	spec := &Spec{Scale: 1 << 40, Packing: PackingPacked, Attrs: make([]AttrSpec, len(adultQIDs))}
+	spec.BoundBySchema(adultSchema, adultQIDs)
+	if _, err := spec.packPlan(128); err == nil || !strings.Contains(err.Error(), `"`+adult.AttrAge+`"`) {
+		t.Errorf("error = %v, want one naming %q", err, adult.AttrAge)
 	}
 }

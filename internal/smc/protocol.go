@@ -23,8 +23,10 @@ const (
 	// MsgShares carries Alice's encrypted shares Enc(a²), Enc(−2a) per
 	// active attribute to Bob, once per run.
 	MsgShares
-	// MsgResult carries Bob's output ciphertexts for one record of the run
-	// to the querying party: n frames per run, in list order.
+	// MsgResult answers one record of the run to the querying party: n
+	// frames per run, in list order. Under packing a ciphertext holds the
+	// values of several consecutive pairs and rides on the frame of the
+	// last of them; the frames before it carry no ciphertext.
 	MsgResult
 	// MsgShutdown ends a party's loop.
 	MsgShutdown
@@ -65,7 +67,9 @@ type Message struct {
 	// Sq and Lin are Alice's Enc(aᵢ²) and Enc(−2aᵢ), one per active
 	// (non-ModeAlways) attribute, in spec order (MsgShares).
 	Sq, Lin []*big.Int
-	// Res are Bob's output ciphertexts per active attribute (MsgResult).
+	// Res are Bob's output ciphertexts (MsgResult): one per active
+	// attribute, or what the spec's result plan puts on this frame — the
+	// packed values of this pair and the ones before it, or nothing.
 	Res []*big.Int
 	// Role identifies the sender (MsgHello): "alice" or "bob".
 	Role string
@@ -277,7 +281,8 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 // forwards the distances (RevealDistance) or the sign-only blinding
 // ρ·((a−b)² − T − 1) + δ with 0 ≤ δ < ρ, so the querying party learns only
 // whether the squared distance is within the threshold. Every record gets
-// its own result frame with its own blinds, shuffle and uniform units.
+// its own result frame, blinds and shuffle, and every ciphertext that
+// crosses the query link its own uniform unit.
 func RunBob(query, alice Conn, records [][]int64, spec *Spec) error {
 	eng := &bobEngine{}
 	defer eng.close()
@@ -296,12 +301,12 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 	if err := spec.checkRecords(records); err != nil {
 		return fmt.Errorf("smc: bob: %w", err)
 	}
-	var plan paillier.PackPlan
-	if spec.packActive() {
-		if plan, err = spec.packPlan(pk.N.BitLen()); err != nil {
-			return fmt.Errorf("smc: bob: %w", err)
-		}
+	plan, err := spec.resultPlan(pk.N.BitLen())
+	if err != nil {
+		return fmt.Errorf("smc: bob: %w", err)
 	}
+	// held are the blinded values of the pairs still owed a ciphertext.
+	held := make([]*big.Int, 0, plan.group*plan.d)
 	active := spec.activeAttrs()
 	for {
 		m, err := query.Recv()
@@ -357,16 +362,21 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 					return fmt.Errorf("smc: bob: shuffling results: %w", err)
 				}
 			}
-			// Packing runs strictly after the shuffle: the slot assignment
-			// is a public deterministic function of the already-permuted
-			// order, so the querying party's view stays a shuffled multiset
-			// of blinded values (see PROTOCOL.md).
+			// Packing runs strictly after the shuffle, and the shuffle stays
+			// inside the pair: which slots a pair takes is a public function
+			// of its place in the run, so the querying party's view of every
+			// pair stays a shuffled multiset of blinded values (see
+			// PROTOCOL.md). The values wait in held until the frame the plan
+			// puts their ciphertext on.
 			if spec.packActive() {
-				packed, err := packResults(pk, eng.pool, out.Res, plan)
-				if err != nil {
-					return fmt.Errorf("smc: bob: packing results: %w", err)
+				held = append(held, out.Res...)
+				out.Res = nil
+				if pairs, _ := plan.frame(x, out.Left); pairs > 0 {
+					if out.Res, err = packResults(pk, eng.pool, held, plan.pack); err != nil {
+						return fmt.Errorf("smc: bob: packing results: %w", err)
+					}
+					held = held[:0]
 				}
-				out.Res = packed
 			}
 			if err := query.Send(out); err != nil {
 				return fmt.Errorf("smc: bob: sending result: %w", err)
@@ -379,7 +389,7 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 // party, per mode, drawing rerandomization noise from the pool. When the
 // result will be slot-packed (packing), the per-attribute rerandomization
 // is skipped: these ciphertexts never cross the wire — only the packed
-// aggregate does, and packResults gives it a fresh noise unit of its own.
+// aggregates do, and packResults gives each a fresh noise unit of its own.
 func bobFinalize(pk *paillier.PublicKey, pool *paillier.RandomizerPool, dist *paillier.Ciphertext, attr AttrSpec, reveal, packing bool) (*paillier.Ciphertext, error) {
 	if reveal {
 		return pool.Rerandomize(dist)
@@ -457,9 +467,11 @@ type QuerySession struct {
 	window      int
 	invocations int64
 	decryptions int64
-	packed      bool
-	plan        paillier.PackPlan
-	closed      bool
+	plan        resultPlan
+	// thresholds are the active attributes' T, which RevealDistance
+	// compares the decrypted distances with.
+	thresholds []*big.Int
+	closed     bool
 }
 
 // NewQuerySession generates a fresh key pair of the given size (the
@@ -474,21 +486,22 @@ func NewQuerySession(alice, bob Conn, spec *Spec, keyBits int) (*QuerySession, e
 }
 
 func newQuerySessionWithKey(alice, bob Conn, spec *Spec, sk *paillier.PrivateKey) (*QuerySession, error) {
+	// The plan is derived before the key is distributed, so an infeasible
+	// slot width fails here, not asynchronously inside Bob's loop.
+	plan, err := spec.resultPlan(sk.N.BitLen())
+	if err != nil {
+		return nil, fmt.Errorf("smc: %w", err)
+	}
 	q := &QuerySession{
 		alice:  alice,
 		bob:    bob,
 		sk:     sk,
 		spec:   spec,
 		window: pipelineWindowFor(alice, bob),
+		plan:   plan,
 	}
-	if spec.packActive() {
-		// Derive the plan before distributing the key so an infeasible
-		// slot width fails here, not asynchronously inside Bob's loop.
-		plan, err := spec.packPlan(sk.N.BitLen())
-		if err != nil {
-			return nil, fmt.Errorf("smc: %w", err)
-		}
-		q.packed, q.plan = true, plan
+	for _, ai := range spec.activeAttrs() {
+		q.thresholds = append(q.thresholds, big.NewInt(spec.Attrs[ai].T))
 	}
 	pkMsg := &Message{Kind: MsgPublicKey, N: sk.N}
 	if err := alice.Send(pkMsg); err != nil {
@@ -510,71 +523,74 @@ func (q *QuerySession) Compare(i, j int) (bool, error) {
 	return out[0], nil
 }
 
-// receiveVerdict collects and decrypts the result message for Bob's
-// record j, with left more owed by its run; the per-ciphertext decryptions
-// run in parallel. Under packing, Bob's d blinded outputs arrive in
-// ⌈d/slots⌉ packed ciphertexts, each costing a single decryption.
-func (q *QuerySession) receiveVerdict(j, left int) (bool, error) {
+// receiveResult collects the result frame of the run's pair at position x
+// — Bob's record j, with left more owed by the run — and, when the plan
+// puts ciphertexts on that frame, decrypts them and folds the values into
+// the verdicts of the pairs they hold: verdicts[len(verdicts)-pairs:], this
+// pair's last. A frame that is not the one awaited, or carries another
+// number of ciphertexts than the plan gives its position — one too early,
+// none on a run's last frame — is an error: no verdict is ever taken from
+// a ciphertext whose pairs are in doubt.
+func (q *QuerySession) receiveResult(j, x, left int, verdicts []bool) error {
 	res, err := q.bob.Recv()
 	if err != nil {
-		return false, fmt.Errorf("smc: receiving result: %w", err)
+		return fmt.Errorf("smc: receiving result: %w", err)
 	}
 	if res.Kind != MsgResult {
-		return false, fmt.Errorf("smc: malformed result message")
+		return fmt.Errorf("smc: malformed result message")
 	}
 	if res.Record != j || res.Left != left {
-		return false, fmt.Errorf("smc: result for bob's record %d with %d to follow, while waiting for record %d with %d to follow",
+		return fmt.Errorf("smc: result for bob's record %d with %d to follow, while waiting for record %d with %d to follow",
 			res.Record, res.Left, j, left)
 	}
-	active := q.spec.activeAttrs()
-	vals := make([]*big.Int, len(active))
-	if q.packed {
-		want := q.plan.Ciphertexts(len(active))
-		if len(res.Res) != want {
-			return false, fmt.Errorf("smc: malformed result message")
-		}
-		q.invocations++
-		q.decryptions += int64(want)
-		if err := forEachAttr(want, func(c int) error {
-			count := min(q.plan.Slots, len(active)-c*q.plan.Slots)
-			vs, err := q.sk.UnpackSigned(&paillier.Ciphertext{C: res.Res[c]}, q.plan, count)
+	pairs, cts := q.plan.frame(x, left)
+	if len(res.Res) != cts {
+		return fmt.Errorf("smc: malformed result message: %d ciphertexts on the frame of a run's pair %d with %d to follow, want %d",
+			len(res.Res), x, left, cts)
+	}
+	if pairs == 0 {
+		return nil
+	}
+	vals := make([]*big.Int, pairs*q.plan.d)
+	per := max(q.plan.pack.Slots, 1) // values per ciphertext: one when unpacked
+	if err := forEachAttr(cts, func(c int) error {
+		ct := &paillier.Ciphertext{C: res.Res[c]}
+		if q.plan.pack.Slots == 0 {
+			v, err := q.sk.DecryptSigned(ct)
 			if err != nil {
-				return fmt.Errorf("smc: unpacking result ciphertext %d: %w", c, err)
+				return fmt.Errorf("smc: decrypting result ciphertext %d: %w", c, err)
 			}
-			copy(vals[c*q.plan.Slots:], vs)
+			vals[c] = v
 			return nil
-		}); err != nil {
-			return false, err
 		}
-		return q.verdict(vals, active), nil
-	}
-	if len(res.Res) != len(active) {
-		return false, fmt.Errorf("smc: malformed result message")
-	}
-	q.invocations++
-	q.decryptions += int64(len(active))
-	if err := forEachAttr(len(active), func(k int) error {
-		v, err := q.sk.DecryptSigned(&paillier.Ciphertext{C: res.Res[k]})
+		vs, err := q.sk.UnpackSigned(ct, q.plan.pack, min(per, len(vals)-c*per))
 		if err != nil {
-			return fmt.Errorf("smc: decrypting attribute %d: %w", active[k], err)
+			return fmt.Errorf("smc: unpacking result ciphertext %d: %w", c, err)
 		}
-		vals[k] = v
+		copy(vals[c*per:], vs)
 		return nil
 	}); err != nil {
-		return false, err
+		return err
 	}
-	return q.verdict(vals, active), nil
+	q.invocations += int64(pairs)
+	q.decryptions += int64(cts)
+	verdicts = verdicts[len(verdicts)-pairs:]
+	for p := range verdicts {
+		verdicts[p] = q.verdict(vals[p*q.plan.d : (p+1)*q.plan.d])
+	}
+	return nil
 }
 
-// verdict folds the decrypted per-attribute values into the match bit.
-func (q *QuerySession) verdict(vals []*big.Int, active []int) bool {
+// verdict folds one pair's decrypted per-attribute values into the match
+// bit.
+func (q *QuerySession) verdict(vals []*big.Int) bool {
 	match := true
-	for k, ai := range active {
+	for k, v := range vals {
 		if q.spec.RevealDistance {
-			if vals[k].Cmp(big.NewInt(q.spec.Attrs[ai].T)) > 0 {
+			if v.Cmp(q.thresholds[k]) > 0 {
 				match = false
 			}
-		} else if vals[k].Sign() >= 0 {
+		} else if v.Sign() >= 0 {
 			match = false
 		}
 	}
@@ -628,7 +644,8 @@ func (q *QuerySession) runLen(pairs [][2]int) int {
 
 // CompareBatch resolves many pairs run by run, with pipelining: Alice is
 // asked for one share set per run and Bob answers every pair of it with
-// its own result frame, up to the session's window of result frames in
+// its own result frame — a pair's verdict is known once the frame carrying
+// its ciphertext is in — up to the session's window of result frames in
 // flight, so Alice's encryptions, Bob's homomorphic evaluation and this
 // party's decryptions overlap instead of serializing. Results are
 // positionally aligned with pairs. A data holder sees the same requests
@@ -639,7 +656,7 @@ func (q *QuerySession) CompareBatch(pairs [][2]int) ([]bool, error) {
 	}
 	results := make([]bool, len(pairs))
 	sent, received := 0, 0
-	left := 0 // results the run being received still owes
+	x, left := 0, 0 // the place in its run of the result awaited, and what the run owes after it
 	for received < len(pairs) {
 		for sent < len(pairs) {
 			n := q.runLen(pairs[sent:])
@@ -659,14 +676,13 @@ func (q *QuerySession) CompareBatch(pairs [][2]int) ([]bool, error) {
 			sent += n
 		}
 		if left == 0 {
-			left = q.runLen(pairs[received:]) // the same cut the send side made
+			x, left = 0, q.runLen(pairs[received:]) // the same cut the send side made
 		}
 		left--
-		match, err := q.receiveVerdict(pairs[received][1], left)
-		if err != nil {
+		if err := q.receiveResult(pairs[received][1], x, left, results[:received+1]); err != nil {
 			return nil, err
 		}
-		results[received] = match
+		x++
 		received++
 	}
 	return results, nil
@@ -677,8 +693,9 @@ func (q *QuerySession) CompareBatch(pairs [][2]int) ([]bool, error) {
 func (q *QuerySession) Invocations() int64 { return q.invocations }
 
 // Decryptions returns how many Paillier decryptions the session has
-// performed — the querying party's dominant cost, which packing reduces
-// from d to ⌈d/slots⌉ per comparison.
+// performed — the querying party's dominant cost: one per result
+// ciphertext, so d per comparison unpacked and, packed, ⌈d/slots⌉ or one
+// per ⌊slots/d⌋ comparisons of a run.
 func (q *QuerySession) Decryptions() int64 { return q.decryptions }
 
 // Close sends shutdown to both data holders.

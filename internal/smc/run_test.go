@@ -123,6 +123,8 @@ func TestRunsMatchOracle(t *testing.T) {
 		t.Fatalf("the test's splitter cuts the group walk into %d runs, want 18", n)
 	}
 
+	t.Run("frame-plan", testRunFramePlan)
+
 	for _, eng := range []struct {
 		name          string
 		lanes, buffer int
@@ -179,28 +181,196 @@ func TestRunsMatchOracle(t *testing.T) {
 	}
 }
 
+// planSpec is a packed spec of d active attributes, equality and threshold
+// circuits alternating, at the given value bound.
+func planSpec(d, valueBits int, shuffle bool) *Spec {
+	spec := &Spec{Scale: 1, Packing: PackingPacked, ValueBits: valueBits, ShuffleAttributes: shuffle}
+	for k := 0; k < d; k++ {
+		if k%2 == 0 {
+			spec.Attrs = append(spec.Attrs, AttrSpec{Mode: ModeEquality})
+		} else {
+			spec.Attrs = append(spec.Attrs, AttrSpec{Mode: ModeThreshold, T: 16})
+		}
+	}
+	return spec
+}
+
+// wantCiphertexts is the test's own statement of the frame plan: how many
+// ciphertexts the frame of a run's pair x carries, n pairs in the run, d
+// values per pair, slots per ciphertext. A ciphertext is filled with whole
+// pairs and sent with the last of them; a pair too wide for one ciphertext
+// gets ⌈d/slots⌉ of its own.
+func wantCiphertexts(x, n, d, slots int) int {
+	g := slots / d
+	if g <= 1 {
+		return (d + slots - 1) / slots
+	}
+	if (x+1)%g == 0 || x == n-1 {
+		return 1
+	}
+	return 0
+}
+
+// testRunFramePlan walks every run length the protocol allows through
+// every slot geometry — several pairs per ciphertext, exactly one (the
+// per-pair form: every frame carries its own pair's ⌈d/slots⌉ ciphertexts,
+// as before run-major packing), and several ciphertexts per pair — and
+// pins verdicts to the oracle, the frames to one per pair in list order
+// with the (Record, Left) echo, and the ciphertexts on every frame to the
+// plan.
+func testRunFramePlan(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(16))
+	const n = maxRun
+	for _, geo := range []struct{ keyBits, valueBits int }{
+		{512, DefaultValueBits}, // 106-bit slots, 4 per ciphertext: d ≥ 5 chunks, d = 3, 4 is per-pair
+		{1024, 7},               // 60-bit slots, 17 per ciphertext: the Adult geometry
+	} {
+		sk, err := paillier.GenerateKey(rand.Reader, geo.keyBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 1; d <= 8; d++ {
+			// Bob holds Alice's records, every other one perturbed: pairs of
+			// equal handles match or narrowly miss.
+			alice, bob := make([][]int64, n), make([][]int64, n)
+			for i := range alice {
+				alice[i], bob[i] = make([]int64, d), make([]int64, d)
+				for k := range alice[i] {
+					alice[i][k] = int64(rng.Intn(7) - 3)
+					bob[i][k] = alice[i][k] + int64(i%2*rng.Intn(3)*(k%2*4+1))
+				}
+			}
+			// One run of every length 1…maxRun, each on its own record of
+			// Alice's, each meeting the record that may match it.
+			var pairs [][2]int
+			var runOf []int // the length of the run a pair belongs to
+			for length := 1; length <= n; length++ {
+				for x := 0; x < length; x++ {
+					pairs = append(pairs, [2]int{length - 1, (length - 1 + x) % n})
+					runOf = append(runOf, length)
+				}
+			}
+			for _, shuffle := range []bool{false, true} {
+				spec := planSpec(d, geo.valueBits, shuffle)
+				plan, err := spec.resultPlan(geo.keyBits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slots := plan.pack.Slots
+				qa, aq := NewConnPair()
+				qb, bq := NewConnPair()
+				ab, ba := NewConnPair()
+				errs := make(chan error, 2)
+				go func() { errs <- RunAlice(aq, ab, alice, spec) }()
+				go func() { errs <- RunBob(bq, ba, bob, spec) }()
+				tap := &tapConn{Conn: qb}
+				q, err := newQuerySessionWithKey(qa, tap, spec, sk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Runs are cut at half the window: widen it (the links hold
+				// 64 frames) so that they reach the protocol's cap.
+				q.window = 2 * maxRun
+				got, err := q.CompareBatch(pairs)
+				if err != nil {
+					t.Fatalf("%d bits, d=%d, shuffle=%v: %v", geo.keyBits, d, shuffle, err)
+				}
+				if len(tap.seen) != len(pairs) {
+					t.Fatalf("%d bits, d=%d: %d result frames for %d pairs", geo.keyBits, d, len(tap.seen), len(pairs))
+				}
+				var sent int64
+				matches := 0
+				for k, p := range pairs {
+					if want := spec.Matches(alice[p[0]], bob[p[1]]); got[k] != want {
+						t.Errorf("%d bits, d=%d, shuffle=%v, pair %d %v: verdict %v, want %v", geo.keyBits, d, shuffle, k, p, got[k], want)
+					} else if want {
+						matches++
+					}
+					x := k - runOf[k]*(runOf[k]-1)/2 // runs of 1, 2, … precede this one
+					m := tap.seen[k]
+					if m.Record != p[1] || m.Left != runOf[k]-1-x {
+						t.Fatalf("frame %d echoes record %d with %d to follow, want %d with %d", k, m.Record, m.Left, p[1], runOf[k]-1-x)
+					}
+					if want := wantCiphertexts(x, runOf[k], d, slots); len(m.Res) != want {
+						t.Errorf("%d bits, d=%d (%d slots): pair %d of a run of %d carries %d ciphertexts, want %d",
+							geo.keyBits, d, slots, x, runOf[k], len(m.Res), want)
+					}
+					sent += int64(len(m.Res))
+				}
+				if matches == 0 || matches == len(pairs) {
+					t.Errorf("d=%d: %d of %d pairs match; the list should show both verdicts", d, matches, len(pairs))
+				}
+				if q.Invocations() != int64(len(pairs)) || q.Decryptions() != sent {
+					t.Errorf("%d bits, d=%d: %d invocations and %d decryptions for %d pairs and %d ciphertexts",
+						geo.keyBits, d, q.Invocations(), q.Decryptions(), len(pairs), sent)
+				}
+				if err := q.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					if err := <-errs; err != nil {
+						t.Errorf("party loop: %v", err)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestQueryRejectsMisalignedResult: results are matched to requests by
 // order, so the querying party checks every frame's echo — Bob's record
 // and how many results of the run are still to come — and turns a shifted
 // stream into an error instead of verdicts on the wrong pairs.
 func TestQueryRejectsMisalignedResult(t *testing.T) {
-	spec := testSpec()
 	two := func() []*big.Int { return []*big.Int{big.NewInt(5), big.NewInt(5)} }
+	one := func() []*big.Int { return []*big.Int{big.NewInt(5)} }
+	// Two active attributes in 60-bit slots, four to the test key's
+	// ciphertext: two pairs share one, and the first frame of a run of two
+	// is empty.
+	grouped := packedSpec()
+	grouped.ValueBits = 7
+	if plan, err := grouped.resultPlan(testKeyBits); err != nil || plan.group != 2 {
+		t.Fatalf("grouped plan %+v, %v; want two pairs per ciphertext", plan, err)
+	}
+	// Five in 106-bit slots, two to a ciphertext: three ciphertexts per pair.
+	chunked := planSpec(5, DefaultValueBits, false)
+	if plan, err := chunked.resultPlan(testKeyBits); err != nil || plan.pack.Ciphertexts(plan.d) != 3 {
+		t.Fatalf("chunked plan %+v, %v; want three ciphertexts per pair", plan, err)
+	}
+	const misaligned, malformed = "while waiting for", "malformed result"
 	for name, tc := range map[string]struct {
+		spec    *Spec
 		pairs   [][2]int
 		results []*Message
+		want    string
 	}{
 		"wrong record": {
-			[][2]int{{0, 1}},
-			[]*Message{{Kind: MsgResult, Record: 2, Res: two()}},
+			testSpec(), [][2]int{{0, 1}},
+			[]*Message{{Kind: MsgResult, Record: 2, Res: two()}}, misaligned,
 		},
 		"short run": { // Bob answers two of three: the first frame already says so
-			[][2]int{{0, 1}, {0, 2}, {0, 3}},
-			[]*Message{{Kind: MsgResult, Record: 1, Left: 1, Res: two()}},
+			testSpec(), [][2]int{{0, 1}, {0, 2}, {0, 3}},
+			[]*Message{{Kind: MsgResult, Record: 1, Left: 1, Res: two()}}, misaligned,
 		},
 		"long run": {
-			[][2]int{{0, 1}, {0, 2}},
-			[]*Message{{Kind: MsgResult, Record: 1, Left: 2, Res: two()}},
+			testSpec(), [][2]int{{0, 1}, {0, 2}},
+			[]*Message{{Kind: MsgResult, Record: 1, Left: 2, Res: two()}}, misaligned,
+		},
+		"ciphertext on an empty frame": { // one pair too early
+			grouped, [][2]int{{0, 1}, {0, 2}},
+			[]*Message{{Kind: MsgResult, Record: 1, Left: 1, Res: one()}}, malformed,
+		},
+		"ciphertext on the wrong frame": { // held back past the pair that fills it
+			grouped, [][2]int{{0, 1}, {0, 2}, {0, 3}},
+			[]*Message{{Kind: MsgResult, Record: 1, Left: 2}, {Kind: MsgResult, Record: 2, Left: 1}}, malformed,
+		},
+		"none on the last frame": { // the run ends with two pairs owed theirs
+			grouped, [][2]int{{0, 1}, {0, 2}},
+			[]*Message{{Kind: MsgResult, Record: 1, Left: 1}, {Kind: MsgResult, Record: 2, Left: 0}}, malformed,
+		},
+		"short Res": { // two of a pair's three ciphertexts
+			chunked, [][2]int{{0, 1}},
+			[]*Message{{Kind: MsgResult, Record: 1, Res: two()}}, malformed,
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -213,13 +383,13 @@ func TestQueryRejectsMisalignedResult(t *testing.T) {
 					bq.Send(m)
 				}
 			}()
-			q, err := NewQuerySession(qa, qb, spec, testKeyBits)
+			q, err := NewQuerySession(qa, qb, tc.spec, testKeyBits)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := q.CompareBatch(tc.pairs)
-			if err == nil || !strings.Contains(err.Error(), "while waiting for") {
-				t.Errorf("verdicts %v, error %v; want a misalignment error", got, err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("verdicts %v, error %v; want a %q error", got, err, tc.want)
 			}
 			if q.Invocations() != 0 {
 				t.Errorf("a rejected frame counted as %d invocations", q.Invocations())

@@ -13,9 +13,9 @@ import (
 // lanes: one Paillier key, W connection pairs per link, W Alice/Bob party
 // loops, and W query sessions. CompareBatch stripes a pair list across
 // the lanes so the crypto — Alice's 2d table-multiplied encryptions per
-// run, Bob's d small exponentiations, packing and one full-width unit per
-// pair, the querying party's decryption — runs on all cores instead of
-// one goroutine.
+// run, Bob's d small exponentiations per pair, his packing and one
+// full-width unit per result ciphertext, the querying party's decryption
+// of it — runs on all cores instead of one goroutine.
 //
 // The lanes share the holders' crypto engines — Alice's noise table, Bob's
 // randomizer pool — so each is built once per key. Verdicts are

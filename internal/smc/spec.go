@@ -48,11 +48,14 @@ const (
 	// PackingOff sends one result ciphertext per active attribute — the
 	// original wire format, and the zero value so a zero Spec keeps it.
 	PackingOff Packing = iota
-	// PackingPacked slot-packs the blinded per-attribute outputs into
-	// ⌈d/slots⌉ ciphertexts after the shuffle, cutting MsgResult bytes
-	// and the querying party's decryptions by ~d×. Verdict-identical to
-	// PackingOff; ignored under RevealDistance, whose positional
-	// per-attribute distances cannot be merged.
+	// PackingPacked slot-packs the blinded per-attribute outputs after
+	// the shuffle, filling each ciphertext with the d values of as many
+	// consecutive pairs of a run as it has slots for (⌈d/slots⌉
+	// ciphertexts per pair when d exceeds the slots). MsgResult bytes,
+	// Bob's uniform units and the querying party's decryptions are paid
+	// per ciphertext: d per pair falls to ≈ 1/⌊slots/d⌋ in a run.
+	// Verdict-identical to PackingOff; ignored under RevealDistance,
+	// whose positional per-attribute distances cannot be merged.
 	PackingPacked
 )
 
@@ -68,9 +71,9 @@ func (p Packing) String() string {
 }
 
 // DefaultValueBits bounds encoded attribute magnitudes (|v| < 2^30) when
-// a packing spec does not set its own bound. Leaf indexes and scaled
-// continuous values in this codebase are far below it; the bound exists
-// so the packed slot width is derivable from public parameters alone.
+// a packing spec was built without a schema to take the bound from
+// (BoundBySchema). The bound exists so the packed slot width is derivable
+// from public parameters alone.
 const DefaultValueBits = 30
 
 // packSlackBits is headroom added to the derived slot width so the
@@ -112,10 +115,57 @@ type Spec struct {
 	// no extra negotiation happens on the wire.
 	Packing Packing
 	// ValueBits bounds encoded attribute magnitudes (|v| < 2^ValueBits)
-	// under PackingPacked; 0 means DefaultValueBits. The slot width is
+	// under PackingPacked; BoundBySchema fills it from the attributes'
+	// public domains, 0 means DefaultValueBits. The slot width is
 	// derived from it, and the engines reject out-of-bound records
 	// before any ciphertext is built.
 	ValueBits int
+
+	// widest names the attribute whose domain set ValueBits, for the
+	// error a too-small key gets. It does not cross the wire.
+	widest string
+}
+
+// BoundBySchema derives ValueBits from what all three parties already
+// share for the view exchange: the largest magnitude an encoded value of
+// any compared quasi-identifier can take — the last leaf index of a
+// categorical attribute's hierarchy, max(|Min|, |Max|)·Scale of a
+// continuous one's interval hierarchy. A record outside its published
+// domain is then refused by the holders' bound check instead of widening
+// every slot for every pair. qids are the attributes s.Attrs describes, in
+// order.
+//
+// The one thing compared like a record that is not one is the sentinel row
+// a holder pads a differentially private release with (internal/session):
+// it sits outside the domain so that it matches nothing — at −1 or −2 on
+// an equality attribute, ⌊√T⌋+1 beyond either end on a threshold one — and
+// the bound admits it.
+func (s *Spec) BoundBySchema(schema *dataset.Schema, qids []int) {
+	s.ValueBits, s.widest = 1, ""
+	for j, q := range qids {
+		if s.Attrs[j].Mode == ModeAlways {
+			continue // exchanges no ciphertext, and checkRecords skips it
+		}
+		attr := schema.Attr(q)
+		var top float64 // the largest encoded magnitude
+		if attr.Kind == dataset.Categorical {
+			top = float64(attr.Hierarchy.NumLeaves() - 1)
+		} else {
+			top = math.Ceil(math.Max(math.Abs(attr.Intervals.Min()), math.Abs(attr.Intervals.Max())) * float64(s.Scale))
+		}
+		if s.Attrs[j].Mode == ModeEquality {
+			top = math.Max(top, 2)
+		} else {
+			top += math.Ceil(math.Sqrt(math.Max(float64(s.Attrs[j].T), 0))) + 1
+		}
+		b := 62 // at and beyond it int64 squares overflow; checkRecords stops checking
+		if top < 1<<62 {
+			b = bits.Len64(uint64(top))
+		}
+		if b > s.ValueBits {
+			s.ValueBits, s.widest = b, attr.Name
+		}
+	}
 }
 
 // valueBits resolves the packing magnitude bound.
@@ -159,9 +209,64 @@ func (s *Spec) slotBits() int {
 func (s *Spec) packPlan(modBits int) (paillier.PackPlan, error) {
 	plan, err := paillier.NewPackPlan(modBits, s.slotBits())
 	if err != nil {
-		return paillier.PackPlan{}, fmt.Errorf("packed results need w=%d-bit slots: %w (use a larger key, lower Spec.ValueBits, or disable packing)", s.slotBits(), err)
+		cause := fmt.Sprintf("Spec.ValueBits = %d", s.valueBits())
+		if s.widest != "" {
+			cause = fmt.Sprintf("attribute %q, whose domain × scale takes %d bits", s.widest, s.valueBits())
+		}
+		return paillier.PackPlan{}, fmt.Errorf("packed results need w=%d-bit slots for %s: %w (use a larger key or disable packing)", s.slotBits(), cause, err)
 	}
 	return plan, nil
+}
+
+// resultPlan is the shape of a run's MsgResult stream: which frame carries
+// how many ciphertexts, holding the values of how many pairs. It is a pure
+// function of the spec and the modulus size, so Bob and the querying party
+// derive the same one and nothing about it crosses the wire.
+type resultPlan struct {
+	pack paillier.PackPlan // zero when results travel unpacked
+	// d is the number of active attributes: the values, and under packing
+	// the slots, one pair takes.
+	d int
+	// group is how many consecutive pairs of a run share one packed
+	// ciphertext: ⌊slots/d⌋, and 1 when results travel unpacked, when a
+	// ciphertext has room for one pair only, or when a pair needs several
+	// (d > slots) — every frame then carries its own pair's ciphertexts.
+	group int
+}
+
+// resultPlan derives the run's frame plan, failing fast when packing is on
+// and one slot does not fit the modulus.
+func (s *Spec) resultPlan(modBits int) (resultPlan, error) {
+	p := resultPlan{d: len(s.activeAttrs()), group: 1}
+	if !s.packActive() {
+		return p, nil
+	}
+	var err error
+	if p.pack, err = s.packPlan(modBits); err != nil {
+		return resultPlan{}, err
+	}
+	if p.d > 0 && p.pack.Slots/p.d > 1 {
+		p.group = p.pack.Slots / p.d
+	}
+	return p, nil
+}
+
+// frame describes the result frame of the run's pair at position x with
+// left more to follow: the number of ciphertexts in its Res and the number
+// of pairs — ending with this one — whose values they hold. A pair's
+// values never straddle two groups; the ciphertext of a group rides on the
+// frame of its last pair, which is the g-th of the group or the last of
+// the run, and the frames before it are empty (0, 0).
+func (p resultPlan) frame(x, left int) (pairs, cts int) {
+	switch {
+	case p.pack.Slots == 0:
+		return 1, p.d
+	case p.group == 1:
+		return 1, p.pack.Ciphertexts(p.d)
+	case (x+1)%p.group == 0 || left == 0:
+		return x%p.group + 1, 1
+	}
+	return 0, 0
 }
 
 // checkRecords enforces the packing magnitude bound on a holder's
@@ -177,7 +282,7 @@ func (s *Spec) checkRecords(records [][]int64) error {
 	for i, rec := range records {
 		for _, ai := range active {
 			if v := rec[ai]; v <= -limit || v >= limit {
-				return fmt.Errorf("record %d attribute %d value %d exceeds the packing bound ±2^%d (raise Spec.ValueBits or disable packing)", i, ai, v, s.valueBits())
+				return fmt.Errorf("record %d attribute %d value %d lies outside the attribute's published domain: the packing bound is ±2^%d (Spec.ValueBits)", i, ai, v, s.valueBits())
 			}
 		}
 	}

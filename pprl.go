@@ -191,9 +191,10 @@ type PackingMode = core.PackingMode
 
 // SMC result-packing modes (DESIGN.md §11).
 const (
-	// PackingPacked slot-packs Bob's blinded responses into ⌈d/slots⌉
-	// ciphertexts (the default): ~d× fewer decryptions and result bytes,
-	// verdict-identical to PackingOff.
+	// PackingPacked slot-packs Bob's blinded responses (the default), as
+	// many consecutive pairs to a ciphertext as its slots hold: one
+	// decryption, noise unit and result ciphertext per ⌊slots/d⌋ pairs of
+	// a run instead of d per pair, verdict-identical to PackingOff.
 	PackingPacked = core.PackingPacked
 	// PackingOff keeps one response ciphertext per attribute.
 	PackingOff = core.PackingOff
