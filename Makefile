@@ -113,11 +113,13 @@ incremental-smoke:
 # run-length fan-out curve at both slot geometries (the schema-less
 # 30-bit value bound and the 7 bits derived for Adult) among them —
 # core's plaintext-oracle link
-# (BenchmarkLinkPlain: the label store's pairs/s and B/pair) and the
+# (BenchmarkLinkPlain: the label store's pairs/s and B/pair) with its two
+# halves alone (BenchmarkTopDown: the paper-shaped anonymization;
+# BenchmarkResolveRun: the resolution kernel's ns/pair) and the
 # journal writer's cost per verdict (BenchmarkWriterRecord) from
 # bit-rotting without paying for a real measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal ./internal/anonymize ./internal/resolve
 
 # Serial-vs-sharded throughput of the secure comparator (1024-bit key).
 # End-to-end and per-layer performance is `bash benchmark/run.sh` and

@@ -246,6 +246,25 @@ func buildResult(method string, k int, qids []int, seqs []vgh.Sequence, suppress
 	return res
 }
 
+// buildPartitions is buildResult for an engine that ends up holding the
+// classes themselves — distinct sequences, ascending member lists covering
+// n records: one key is formatted per class, not per record.
+func buildPartitions(method string, k int, qids []int, parts []*partition, n int) *Result {
+	keys := make(map[*partition]string, len(parts))
+	for _, p := range parts {
+		keys[p] = p.seq.Key()
+	}
+	sort.Slice(parts, func(a, b int) bool { return keys[parts[a]] < keys[parts[b]] })
+	res := &Result{Method: method, K: k, QIDs: qids, Classes: make([]Class, len(parts)), ClassOf: make([]int, n)}
+	for ci, p := range parts {
+		res.Classes[ci] = Class{Sequence: p.seq, Members: p.members}
+		for _, m := range p.members {
+			res.ClassOf[m] = ci
+		}
+	}
+	return res
+}
+
 // validateInputs rejects degenerate parameters shared by all algorithms.
 func validateInputs(d *dataset.Dataset, qids []int, k int) error {
 	if d.Len() == 0 {

@@ -1,6 +1,8 @@
 package anonymize
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -199,6 +201,47 @@ func TestDeterminism(t *testing.T) {
 				t.Fatalf("%s: class %d sequences differ between runs", a.Name(), i)
 			}
 		}
+	}
+}
+
+// TestSplitScoreBitStable scores one split a thousand times and wants one
+// bit pattern. With three or more children — or class labels — a sum taken
+// in map order differs in the last ulp from run to run, and bestSplit's
+// strict > then picks a different attribute on a tie: a different view, a
+// different digest, a journal that refuses to resume.
+func TestSplitScoreBitStable(t *testing.T) {
+	src, qids := adultSample(t, 300)
+	d := dataset.New(src.Schema())
+	for i := 0; i < src.Len(); i++ {
+		r := src.Record(i)
+		r.Class = fmt.Sprintf("c%d", i*i%7)
+		d.MustAppend(r)
+	}
+	p := &partition{seq: rootSequence(d.Schema(), qids), members: allRecords(d)}
+	wide := 0 // splits into three or more children; TDS sums seven labels on any split
+	for _, a := range []Anonymizer{NewMaxEntropy(), NewTDS()} {
+		td := a.(*topDown)
+		for j := range qids {
+			var first uint64
+			for run := 0; run < 1000; run++ {
+				s := td.specialize(d, qids, p, j, nil)
+				if s == nil {
+					break
+				}
+				score, _ := td.score(d, p, s)
+				if run == 0 {
+					first = math.Float64bits(score)
+					if len(s.counts) >= 3 {
+						wide++
+					}
+				} else if bits := math.Float64bits(score); bits != first {
+					t.Fatalf("%s attribute %d: run %d scored %x, run 0 scored %x", td.name, j, run, bits, first)
+				}
+			}
+		}
+	}
+	if wide == 0 {
+		t.Fatal("no split had three or more children: the test would prove little")
 	}
 }
 

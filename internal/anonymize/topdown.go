@@ -2,6 +2,7 @@ package anonymize
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"pprl/internal/dataset"
@@ -15,12 +16,18 @@ type partition struct {
 	members []int
 }
 
-// split is one candidate specialization of a partition on one attribute:
-// the child groups the members fall into, keyed deterministically.
+// split is one candidate specialization of a partition on one attribute,
+// count-first: a pass over the members gives each a small child id and
+// counts the children, which is all the ≥ k check and the entropy score
+// read. Member lists exist only for a split someone asks them of
+// (children): the winner, and every candidate of a scorer or validity
+// check that reads members.
 type split struct {
-	attr   int // index into qids
-	keys   []string
-	groups map[string]*partition
+	attr   int         // index into qids
+	vals   []vgh.Value // child id → specialized value, in first-seen order
+	counts []int       // child id → number of members
+	ids    []int32     // member position → child id
+	parts  []*partition
 }
 
 // topDown is the shared recursive specialization engine behind TDS and
@@ -51,47 +58,36 @@ func (t *topDown) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, err
 	if err := validateInputs(d, qids, k); err != nil {
 		return nil, err
 	}
-	all := make([]int, d.Len())
-	for i := range all {
-		all[i] = i
-	}
-	seqs := make([]vgh.Sequence, d.Len())
-	queue := []*partition{{seq: rootSequence(d.Schema(), qids), members: all}}
+	// Child-id scratch for the candidate being scored and for the best one
+	// so far. It belongs to this call: one anonymizer value serves both
+	// holders and concurrent jobs.
+	ids := [2][]int32{make([]int32, d.Len()), make([]int32, d.Len())}
+	var final []*partition
+	queue := []*partition{{seq: rootSequence(d.Schema(), qids), members: allRecords(d)}}
 	for len(queue) > 0 {
 		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		best := t.bestSplit(d, qids, p, k)
-		if best == nil {
-			for _, m := range p.members {
-				seqs[m] = p.seq
-			}
-			continue
-		}
-		for _, key := range best.keys {
-			queue = append(queue, best.groups[key])
+		if best := t.bestSplit(d, qids, p, k, &ids); best != nil {
+			queue = append(queue, best.children(p)...)
+		} else {
+			final = append(final, p)
 		}
 	}
-	return buildResult(t.name, k, qids, seqs, nil), nil
+	return buildPartitions(t.name, k, qids, final, d.Len()), nil
 }
 
 // bestSplit returns the highest-scoring valid, beneficial specialization
-// of p, or nil if none exists.
-func (t *topDown) bestSplit(d *dataset.Dataset, qids []int, p *partition, k int) *split {
+// of p, or nil if none exists. ids[0] is where the next candidate's child
+// ids go; the best candidate so far keeps ids[1].
+func (t *topDown) bestSplit(d *dataset.Dataset, qids []int, p *partition, k int, ids *[2][]int32) *split {
 	var best *split
 	bestScore := math.Inf(-1)
 	for j := range qids {
-		s := t.childGroups(d, qids, p, j)
-		if s == nil {
+		s := t.specialize(d, qids, p, j, ids[0])
+		if s == nil || slices.Min(s.counts) < k {
 			continue
 		}
-		valid := true
-		for _, g := range s.groups {
-			if len(g.members) < k || (t.extraValid != nil && !t.extraValid(g.members)) {
-				valid = false
-				break
-			}
-		}
-		if !valid {
+		if t.extraValid != nil && slices.ContainsFunc(s.children(p), func(g *partition) bool { return !t.extraValid(g.members) }) {
 			continue
 		}
 		score, ok := t.score(d, p, s)
@@ -100,39 +96,44 @@ func (t *topDown) bestSplit(d *dataset.Dataset, qids []int, p *partition, k int)
 		}
 		if score > bestScore {
 			bestScore, best = score, s
+			ids[0], ids[1] = ids[1], ids[0]
 		}
 	}
 	return best
 }
 
-// childGroups computes the specialization of p on QID j, or nil when the
-// value is already fully specialized (or capped for continuous values).
-func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j int) *split {
+// specialize computes the specialization of p on QID j into ids (allocated
+// when too short), or nil when the value is already fully specialized (or
+// capped for continuous values). A "split" into zero children cannot
+// happen (members non-empty); a single-child split is legal and keeps the
+// partition together at a more specific value.
+func (t *topDown) specialize(d *dataset.Dataset, qids []int, p *partition, j int, ids []int32) *split {
+	if cap(ids) < len(p.members) {
+		ids = make([]int32, len(p.members))
+	}
 	attr := d.Schema().Attr(qids[j])
 	cur := p.seq[j]
-	s := &split{attr: j, groups: make(map[string]*partition)}
-	group := func(key string, v vgh.Value) *partition {
-		g, ok := s.groups[key]
-		if !ok {
-			child := p.seq.Clone()
-			child[j] = v
-			g = &partition{seq: child}
-			s.groups[key] = g
-			s.keys = append(s.keys, key)
-		}
-		return g
+	s := &split{attr: j, ids: ids[:len(p.members)]}
+	child := func(v vgh.Value) int32 {
+		s.vals, s.counts = append(s.vals, v), append(s.counts, 0)
+		return int32(len(s.vals) - 1)
 	}
 	switch attr.Kind {
 	case dataset.Categorical:
 		if cur.Node.IsLeaf() {
 			return nil
 		}
-		h := attr.Hierarchy
-		for _, m := range p.members {
-			leaf := d.Record(m).Cells[qids[j]].Node
-			child := h.GeneralizeToDepth(leaf, cur.Node.Depth()+1)
-			g := group(child.Value, vgh.CatValue(child))
-			g.members = append(g.members, m)
+		// A node has few children: a scan over the ones seen so far
+		// beats hashing the pointer.
+		h, depth := attr.Hierarchy, cur.Node.Depth()+1
+		for x, m := range p.members {
+			node := h.GeneralizeToDepth(d.Record(m).Cells[qids[j]].Node, depth)
+			id := int32(slices.IndexFunc(s.vals, func(v vgh.Value) bool { return v.Node == node }))
+			if id < 0 {
+				id = child(vgh.CatValue(node))
+			}
+			s.ids[x] = id
+			s.counts[id]++
 		}
 	case dataset.Continuous:
 		ih := attr.Intervals
@@ -144,59 +145,78 @@ func (t *topDown) childGroups(d *dataset.Dataset, qids []int, p *partition, j in
 		if level >= limit {
 			return nil
 		}
-		// Members are grouped by the child interval's value and a key is
-		// formatted once per distinct child, not per member; two values
-		// that format alike (NaN) still merge through the string key.
-		byIv := make(map[vgh.Interval]*partition)
-		for _, m := range p.members {
+		// Children are keyed by the interval's value. A NaN cell never
+		// equals itself, so it is a child of its own and a split over it
+		// fails the ≥ k check.
+		byIv := make(map[vgh.Interval]int32)
+		for x, m := range p.members {
 			v := d.Record(m).Cells[qids[j]].Num
 			// Below the leaf intervals, specialize to the exact values present.
-			child := vgh.Point(v)
+			iv := vgh.Point(v)
 			if level < ih.Depth() {
-				child = ih.At(v, level+1)
+				iv = ih.At(v, level+1)
 			}
-			g := byIv[child]
-			if g == nil {
-				g = group(child.String(), vgh.NumValue(child))
-				byIv[child] = g
+			id, ok := byIv[iv]
+			if !ok {
+				id = child(vgh.NumValue(iv))
+				byIv[iv] = id
 			}
-			g.members = append(g.members, m)
+			s.ids[x] = id
+			s.counts[id]++
 		}
 	}
-	// A "split" into zero groups cannot happen (members non-empty); a
-	// single-group split is legal and keeps the partition together at a
-	// more specific value.
-	sort.Strings(s.keys)
 	return s
 }
 
-// entropy returns the Shannon entropy (nats) of the member distribution
-// across the split's child groups.
-func (s *split) entropy() float64 {
-	total := 0
-	for _, g := range s.groups {
-		total += len(g.members)
+// children materializes the split's member lists — each at its exact size,
+// all from one backing array, in child-id order — once.
+func (s *split) children(p *partition) []*partition {
+	if s.parts != nil {
+		return s.parts
 	}
+	backing, off := make([]int, len(p.members)), 0
+	for c, n := range s.counts {
+		seq := p.seq.Clone()
+		seq[s.attr] = s.vals[c]
+		s.parts = append(s.parts, &partition{seq: seq, members: backing[off : off : off+n]})
+		off += n
+	}
+	for x, m := range p.members {
+		g := s.parts[s.ids[x]]
+		g.members = append(g.members, m)
+	}
+	return s.parts
+}
+
+// entropy returns the Shannon entropy (nats) of the member distribution
+// across the split's children, summed in child-id order: a sum in map
+// order could differ in the last ulp from run to run and flip a tie
+// between two attributes — a different view, and a journal that refuses
+// to resume.
+func (s *split) entropy() float64 {
 	h := 0.0
-	for _, g := range s.groups {
-		p := float64(len(g.members)) / float64(total)
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
+	for _, n := range s.counts {
+		p := float64(n) / float64(len(s.ids))
+		h -= p * math.Log(p)
 	}
 	return h
 }
 
 // classEntropy returns the Shannon entropy of the Class-label distribution
-// over the given records.
+// over the given records, summed in sorted-label order (see entropy).
 func classEntropy(d *dataset.Dataset, members []int) float64 {
 	counts := make(map[string]int)
 	for _, m := range members {
 		counts[d.Record(m).Class]++
 	}
+	labels := make([]string, 0, len(counts))
+	for label := range counts {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
 	h := 0.0
-	for _, c := range counts {
-		p := float64(c) / float64(len(members))
+	for _, label := range labels {
+		p := float64(counts[label]) / float64(len(members))
 		h -= p * math.Log(p)
 	}
 	return h
@@ -232,7 +252,7 @@ func NewTDS() Anonymizer {
 		score: func(d *dataset.Dataset, p *partition, s *split) (float64, bool) {
 			base := classEntropy(d, p.members)
 			cond := 0.0
-			for _, g := range s.groups {
+			for _, g := range s.children(p) {
 				w := float64(len(g.members)) / float64(len(p.members))
 				cond += w * classEntropy(d, g.members)
 			}
@@ -258,10 +278,6 @@ func (m *mondrian) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, er
 	if err := validateInputs(d, qids, k); err != nil {
 		return nil, err
 	}
-	all := make([]int, d.Len())
-	for i := range all {
-		all[i] = i
-	}
 	seqs := make([]vgh.Sequence, d.Len())
 	var recurse func(p *partition)
 	recurse = func(p *partition) {
@@ -275,7 +291,7 @@ func (m *mondrian) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, er
 			seqs[r] = p.seq
 		}
 	}
-	recurse(&partition{seq: rootSequence(d.Schema(), qids), members: all})
+	recurse(&partition{seq: rootSequence(d.Schema(), qids), members: allRecords(d)})
 	return buildResult(m.Name(), k, qids, seqs, nil), nil
 }
 
@@ -295,14 +311,11 @@ func (m *mondrian) bestSplit(d *dataset.Dataset, qids []int, p *partition, k int
 			groups, spread = m.medianSplit(d, q, j, p)
 			spread /= attr.Intervals.Range()
 		} else {
-			td := topDown{}
-			s := td.childGroups(d, qids, p, j)
+			s := (&topDown{}).specialize(d, qids, p, j, nil)
 			if s == nil {
 				continue
 			}
-			for _, key := range s.keys {
-				groups = append(groups, s.groups[key])
-			}
+			groups = s.children(p)
 			spread = float64(p.seq[j].Node.LeafCount()) / float64(attr.Hierarchy.NumLeaves())
 		}
 		if len(groups) < 2 {

@@ -284,10 +284,10 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 		Progress:   func(done, total int64) { cfg.report("smc", done, total) },
 		Sink: func(ev resolve.Event) {
 			if ev.Kind == resolve.Tiered {
-				res.tiered.set(ev.I, ev.J, ev.Matched)
+				res.tiered.setSpan(ev.I, ev.Js, ev.Verdicts)
 				return
 			}
-			res.purchased.set(ev.I, ev.J, ev.Matched)
+			res.purchased.setSpan(ev.I, ev.Js, ev.Verdicts)
 			if ev.Kind == resolve.Replayed {
 				res.Resume.ResumedPairs++
 				res.Resume.ReplayedAllowance++

@@ -10,9 +10,10 @@ import (
 // labelStore holds per-pair verdicts group-major: each class pair that has
 // received a label owns two bitsets over the row-major |A| × |B| walk of
 // its members, allocated on its first label. The resolve kernel walks
-// group-major, so set caches the last group and an insert is four array
-// reads and two bit operations; memory is 2 bits × pairs of the groups
-// actually touched, however large the allowance. A store is keyed by
+// group-major and delivers row spans, so setSpan caches the last group and
+// pays its array reads once per span, two bit operations per pair; memory
+// is 2 bits × pairs of the groups actually touched, however large the
+// allowance. A store is keyed by
 // (ClassOf[i], ClassOf[j]) and sized from the two classes, so any pair is
 // storable — a journaled purchase the walk never met included.
 type labelStore struct {
@@ -46,10 +47,12 @@ func newLabelStore(block *blocking.Result, posA, posB []int32) *labelStore {
 	return &labelStore{r: block.R, s: block.S, posA: posA, posB: posB, groups: make(map[[2]int32]*labelGroup)}
 }
 
-// set records the verdict of pair (i, j); setting a pair again overwrites
-// the verdict and counts once.
-func (s *labelStore) set(i, j int, matched bool) {
-	key := [2]int32{int32(s.r.ClassOf[i]), int32(s.s.ClassOf[j])}
+// setSpan records the verdicts of record i against js, a contiguous stretch
+// of one class's Members as the resolve kernel delivers it (a lone pair is
+// the span of one): one group lookup and one row base for the whole span.
+// Setting a pair again overwrites the verdict and counts once.
+func (s *labelStore) setSpan(i int, js []int, verdicts []bool) {
+	key := [2]int32{int32(s.r.ClassOf[i]), int32(s.s.ClassOf[js[0]])}
 	g := s.last
 	if g == nil || key != s.lastKey {
 		if g = s.groups[key]; g == nil {
@@ -60,19 +63,22 @@ func (s *labelStore) set(i, j int, matched bool) {
 		}
 		s.lastKey, s.last = key, g
 	}
-	w, m := g.bit(s.posA[i], s.posB[j])
-	switch {
-	case g.known[w]&m == 0:
-		g.known[w] |= m
-		g.n++
-		s.n++
-	case g.matched[w]&m != 0:
-		g.matched[w] &^= m
-		s.matched--
-	}
-	if matched {
-		g.matched[w] |= m
-		s.matched++
+	base := int(s.posA[i])*g.cols + int(s.posB[js[0]])
+	for x, matched := range verdicts {
+		w, m := (base+x)>>6, uint64(1)<<((base+x)&63)
+		switch {
+		case g.known[w]&m == 0:
+			g.known[w] |= m
+			g.n++
+			s.n++
+		case g.matched[w]&m != 0:
+			g.matched[w] &^= m
+			s.matched--
+		}
+		if matched {
+			g.matched[w] |= m
+			s.matched++
+		}
 	}
 }
 

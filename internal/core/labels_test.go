@@ -31,7 +31,7 @@ func randomClasses(rng *rand.Rand, n int) *anonymize.Result {
 }
 
 // TestLabelStoreMatchesReferenceMap files random event streams — group-
-// major stretches as the kernel delivers them, jumps to arbitrary class
+// major row spans as the kernel delivers them, jumps to arbitrary class
 // pairs as unmet journaled purchases do, repeated pairs, both verdicts —
 // into a store and into a per-pair map: every get, every per-group count
 // and the totals must agree.
@@ -49,20 +49,25 @@ func TestLabelStoreMatchesReferenceMap(t *testing.T) {
 				// One stray pair, as a Group −1 replay lands.
 				i, j := a[rng.Intn(len(a))], b[rng.Intn(len(b))]
 				v := rng.Intn(2) == 0
-				store.set(i, j, v)
+				store.setSpan(i, []int{j}, []bool{v})
 				ref[[2]int{i, j}] = v
 				continue
 			}
-			// A row-major walk of part of the group, some pairs skipped.
+			// A row-major walk of part of the group in spans of random
+			// length, some stretches skipped.
 			stop := rng.Intn(len(a)*len(b) + 1)
 			for n, i := range a {
-				for m, j := range b {
-					if n*len(b)+m >= stop || rng.Intn(4) == 0 {
-						continue
+				for m := 0; m < len(b) && n*len(b)+m < stop; {
+					span := 1 + rng.Intn(min(len(b)-m, stop-n*len(b)-m))
+					if rng.Intn(4) != 0 {
+						verdicts := make([]bool, span)
+						for x := range verdicts {
+							verdicts[x] = rng.Intn(3) == 0
+							ref[[2]int{i, b[m+x]}] = verdicts[x]
+						}
+						store.setSpan(i, b[m:m+span], verdicts)
 					}
-					v := rng.Intn(3) == 0
-					store.set(i, j, v)
-					ref[[2]int{i, j}] = v
+					m += span
 				}
 			}
 		}

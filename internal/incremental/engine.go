@@ -570,27 +570,29 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 		Comparator: cmp,
 		Workers:    e.cfg.SMCWorkers,
 		Sink: func(ev resolve.Event) {
-			if ev.Matched {
-				*deltas = append(*deltas, e.delta(batch, ev.I, ev.J))
+			n, matches := int64(len(ev.Js)), int64(0)
+			for x, j := range ev.Js {
+				if ev.Verdicts[x] {
+					*deltas = append(*deltas, e.delta(batch, ev.I, j))
+					matches++
+				}
 			}
+			cost := n + ev.Padding
 			switch ev.Kind {
 			case resolve.Tiered:
-				if ev.Matched {
-					e.stats.TierMatches++
-				} else {
-					e.stats.TierNonMatches++
-				}
+				e.stats.TierMatches += matches
+				e.stats.TierNonMatches += n - matches
 				return
 			case resolve.Replayed:
 				// Free live, but the lifetime pool advances at the old price.
-				e.stats.ReplaySpent += 1 + ev.Padding
-				e.stats.Replayed++
+				e.stats.ReplaySpent += cost
+				e.stats.Replayed += n
 			case resolve.Purchased:
-				e.stats.LiveSpent += 1 + ev.Padding
-				e.stats.Purchased++
+				e.stats.LiveSpent += cost
+				e.stats.Purchased += n
 			}
-			e.stats.Used += 1 + ev.Padding
-			spent += 1 + ev.Padding
+			e.stats.Used += cost
+			spent += cost
 			if ev.Padding > 0 {
 				e.stats.DummySpent += ev.Padding
 				g := groups[ev.Group]
@@ -613,8 +615,10 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 		// Residuals default to match; under MaximizePrecision they are
 		// never emitted, which is what keeps precision structural.
 		in.Residual = func(ev resolve.Event) {
-			e.stats.ResidualMatches++
-			*deltas = append(*deltas, e.delta(batch, ev.I, ev.J))
+			for _, j := range ev.Js {
+				e.stats.ResidualMatches++
+				*deltas = append(*deltas, e.delta(batch, ev.I, j))
+			}
 		}
 	}
 	if e.cfg.Journal != nil && !committed {

@@ -11,8 +11,8 @@ import (
 // TestGoldenFormat pins the v1 binary layout — magic, version, frame
 // framing, manifest field order, verdict encoding — to a golden hex dump,
 // so any byte-level drift (which would silently orphan every journal
-// written by released builds) breaks CI instead. Mirrors the BENCH_smc
-// golden-schema test. Regenerate deliberately, with a version bump, via
+// written by released builds) breaks CI instead. Regenerate deliberately,
+// with a version bump, via
 // PPRL_UPDATE_GOLDEN=1 go test ./internal/journal -run TestGoldenFormat.
 func TestGoldenFormat(t *testing.T) {
 	var m Manifest

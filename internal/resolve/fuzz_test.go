@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pprl/internal/bloom"
@@ -13,7 +14,9 @@ import (
 // meets) and checks what every adapter relies on: the budget is never
 // overdrawn, every walked pair is delivered exactly once and in walk
 // order, every journaled purchase is delivered exactly once, and the
-// per-pair and batch paths agree.
+// per-pair and batch paths agree — all on the flattened span stream — and
+// that every span is one group's, one record's, a contiguous stretch of
+// that group's B, inside one chunk and one progress stride.
 func FuzzResolveBudget(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint8(0))
 	f.Add(int64(2), uint16(0), uint8(1))
@@ -73,6 +76,33 @@ func FuzzResolveBudget(f *testing.F) {
 		got := runBoth(t, sc, nil)
 		if got.err != nil {
 			t.Fatal(got.err)
+		}
+
+		chunk, bought := sc.hint, 0
+		if chunk == 0 {
+			chunk = 256
+		}
+		for _, e := range got.spans {
+			n := len(e.Js)
+			if n == 0 || len(e.Verdicts) != n {
+				t.Fatalf("event %+v carries %d verdicts for %d pairs", e, len(e.Verdicts), n)
+			}
+			if n > 1 {
+				if e.Kind != Purchased || e.Padding != 0 || e.Group < 0 || len(sc.journaled) > 0 || sc.tier != nil {
+					t.Fatalf("span %+v where precedence is not uniform", e)
+				}
+				g := sc.groups[e.Group]
+				at := slices.Index(g.B, e.Js[0])
+				if g.Pairs != nil || g.Excess > 0 || !slices.Contains(g.A, e.I) || at < 0 || at+n > len(g.B) || !slices.Equal(g.B[at:at+n], e.Js) {
+					t.Fatalf("span %+v is not a stretch of one row of group %+v", e, g)
+				}
+				if bought%chunk+n > chunk || bought%progressStride+n > progressStride {
+					t.Fatalf("span %+v after %d purchases crosses a chunk (%d) or stride boundary", e, bought, chunk)
+				}
+			}
+			if e.Kind == Purchased {
+				bought += n
+			}
 		}
 
 		journaled := make(map[[2]int]bool, len(sc.journaled))

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pprl/internal/bloom"
 	"pprl/internal/dpblock"
@@ -50,16 +51,33 @@ const (
 	Residual              // a pair the budget could not afford
 )
 
-// Event is the resolution of one pair. Group indexes the group whose walk
-// met it (-1 for a journaled purchase the walk never met), Matched is the
-// verdict (meaningless for Residual), and Padding the DP dummy share
-// charged along with a Replayed or Purchased pair.
+// Event is the resolution of a row span: record I of the group's A against
+// Js, a contiguous stretch of its B, Verdicts[x] answering (I, Js[x])
+// (meaningless for Residual). Only live purchases under uniform precedence
+// travel as longer spans (DESIGN.md §22); every other pair is the span of
+// one. Group indexes the group whose walk met the span (-1 for a journaled
+// purchase the walk never met) and Padding is the DP dummy share charged
+// along with a Replayed or Purchased pair. Js and Verdicts belong to the
+// kernel and are only valid during the call that delivers them.
 type Event struct {
-	Kind    Kind
-	Matched bool
-	Group   int
-	I, J    int
-	Padding int64
+	Kind     Kind
+	Group    int
+	I        int
+	Js       []int
+	Verdicts []bool
+	Padding  int64
+}
+
+// queued is an event waiting in the delivery queue, in 40 bytes however
+// long the span: a span's columns sit in run.spans, in queue order, and its
+// verdicts arrive with the chunk.
+type queued struct {
+	kind    Kind
+	matched bool
+	span    bool
+	group   int
+	i, j    int
+	padding int64
 }
 
 // Input is one budgeted resolution.
@@ -95,9 +113,9 @@ type Input struct {
 	// Budget: before the walk, every progressStride, and at the end.
 	Progress func(done, total int64)
 	// Sink receives every Replayed, Tiered and Purchased pair exactly
-	// once, in walk order: an event behind a purchase still in flight
-	// waits for that verdict. Journaled purchases the walk never met
-	// follow the walk, in journal order.
+	// once, in walk order, one event per span: an event behind a purchase
+	// still in flight waits for that verdict. Journaled purchases the walk
+	// never met follow the walk, in journal order.
 	Sink func(Event)
 	// Residual, when set, receives the walked pairs the budget could not
 	// afford, in the same ordered stream. The walk ends at the first
@@ -130,10 +148,16 @@ type run struct {
 	charger dpblock.DummyCharger
 
 	// queue holds the events since the oldest unflushed purchase, in walk
-	// order; pending counts the purchases among them.
-	queue   []Event
-	pending int
-	pairs   [][2]int
+	// order; pending counts the purchases among them, spans the columns of
+	// the row spans among them.
+	queue    []queued
+	spans    [][]int
+	pending  int
+	pairs    [][2]int
+	verdicts []bool
+	// oneJ and oneV back the Js and Verdicts of a span of one.
+	oneJ [1]int
+	oneV [1]bool
 
 	uncertain int64
 	err       error
@@ -179,7 +203,7 @@ func Run(in Input) (uncertain int64, err error) {
 		key := [2]uint32{v.I, v.J}
 		if matched, unmet := r.journaled[key]; ok && unmet {
 			delete(r.journaled, key)
-			ok = r.deliver(Event{Kind: Replayed, Matched: matched, Group: -1, I: int(v.I), J: int(v.J)})
+			ok = r.emit(queued{kind: Replayed, matched: matched, group: -1, i: int(v.I), j: int(v.J)})
 		}
 	}
 	if !ok {
@@ -237,14 +261,42 @@ func (r *run) walk() {
 			}
 			continue
 		}
+		// Where precedence is uniform — nothing journaled, no tier, no
+		// padding on the group — a row's pairs are admitted a span at a time.
+		uniform := r.journaled == nil && r.in.Tier == nil && !r.padded
 		for _, i := range g.A {
-			for _, j := range g.B {
-				if !r.visit(i, j) {
+			for col := 0; col < len(g.B); {
+				if uniform && !r.exhausted && r.budget > 0 {
+					n, ok := r.admit(i, g.B[col:])
+					if !ok {
+						return
+					}
+					col += n
+				} else if r.visit(i, g.B[col]) {
+					col++
+				} else {
 					return
 				}
 			}
 		}
 	}
+}
+
+// admit queues the purchase of record i against the longest stretch of b
+// that the budget, the chunk and the progress stride all have room for, so
+// a span never crosses a boundary where the run checkpoints or reports.
+func (r *run) admit(i int, b []int) (int, bool) {
+	n := min(len(b), r.chunk-r.pending, progressStride-int((r.done+int64(r.pending))%progressStride))
+	if int64(n) > r.budget {
+		n = int(r.budget)
+	}
+	r.budget -= int64(n)
+	r.queue = append(r.queue, queued{kind: Purchased, span: true, group: r.group, i: i})
+	r.spans = append(r.spans, b[:n])
+	if r.pending += n; r.pending == r.chunk {
+		return n, r.checkpoint()
+	}
+	return n, true
 }
 
 // visit resolves one walked pair; false ends the walk.
@@ -260,12 +312,12 @@ func (r *run) visit(i, j int) bool {
 				pad = max(min(r.charger.Next(), r.budget), 0)
 				r.budget -= pad
 			}
-			return r.emit(Event{Kind: Replayed, Matched: matched, Group: r.group, I: i, J: j, Padding: pad})
+			return r.emit(queued{kind: Replayed, matched: matched, group: r.group, i: i, j: j, padding: pad})
 		}
 	}
 	if r.in.Tier != nil {
 		if band := r.in.Tier(i, j); band != bloom.BandUncertain {
-			return r.emit(Event{Kind: Tiered, Matched: band == bloom.BandMatch, Group: r.group, I: i, J: j})
+			return r.emit(queued{kind: Tiered, matched: band == bloom.BandMatch, group: r.group, i: i, j: j})
 		}
 		r.uncertain++
 	}
@@ -276,7 +328,7 @@ func (r *run) visit(i, j int) bool {
 		}
 		if r.budget >= 1+pad {
 			r.budget -= 1 + pad
-			r.queue = append(r.queue, Event{Kind: Purchased, Group: r.group, I: i, J: j, Padding: pad})
+			r.queue = append(r.queue, queued{kind: Purchased, group: r.group, i: i, j: j, padding: pad})
 			if r.pending++; r.pending == r.chunk {
 				return r.checkpoint()
 			}
@@ -288,19 +340,19 @@ func (r *run) visit(i, j int) bool {
 		r.exhausted = true
 	}
 	if r.in.Residual != nil {
-		return r.emit(Event{Kind: Residual, Group: r.group, I: i, J: j})
+		return r.emit(queued{kind: Residual, group: r.group, i: i, j: j})
 	}
 	return r.in.Tier != nil
 }
 
-// emit delivers a non-purchase event, or queues it behind the purchases
-// still in flight so the sink sees walk order.
-func (r *run) emit(ev Event) bool {
-	if r.pending == 0 {
-		return r.deliver(ev)
-	}
-	r.queue = append(r.queue, ev)
-	if len(r.queue) >= maxQueuedChunks*r.chunk {
+// emit queues a non-purchase event behind the purchases still in flight, so
+// the sink sees walk order; with none in flight it is delivered at once.
+func (r *run) emit(q queued) bool {
+	r.queue = append(r.queue, q)
+	switch {
+	case r.pending == 0:
+		return r.drain(nil)
+	case len(r.queue) >= maxQueuedChunks*r.chunk:
 		return r.checkpoint()
 	}
 	return true
@@ -315,21 +367,28 @@ func (r *run) checkpoint() bool {
 	return r.err == nil
 }
 
-// flush buys the queued purchases — through the batch path when the
-// comparator has one — and delivers the queue in order. It reports
-// whether the run may go on.
+// flush buys the queued purchases — one pair list in walk order, through
+// the batch path when the comparator has one — and delivers the queue in
+// order. It reports whether the run may go on.
 func (r *run) flush() bool {
 	if r.pending == 0 {
 		return true
 	}
-	var verdicts []bool
-	if r.batcher != nil {
-		r.pairs = r.pairs[:0]
-		for x := range r.queue {
-			if ev := &r.queue[x]; ev.Kind == Purchased {
-				r.pairs = append(r.pairs, [2]int{ev.I, ev.J})
+	r.pairs = slices.Grow(r.pairs[:0], r.pending)[:r.pending]
+	span, next := 0, r.pairs
+	for x := range r.queue {
+		switch q := &r.queue[x]; {
+		case q.span:
+			for c, j := range r.spans[span] {
+				next[c] = [2]int{q.i, j}
 			}
+			next, span = next[len(r.spans[span]):], span+1
+		case q.kind == Purchased:
+			next[0], next = [2]int{q.i, q.j}, next[1:]
 		}
+	}
+	verdicts := r.verdicts[:0]
+	if r.batcher != nil {
 		var err error
 		if verdicts, err = r.batcher.CompareBatch(r.pairs); err != nil {
 			r.err = fmt.Errorf("SMC batch: %w", err)
@@ -339,50 +398,70 @@ func (r *run) flush() bool {
 			r.err = fmt.Errorf("SMC batch: %d verdicts for %d pairs", len(verdicts), len(r.pairs))
 			return false
 		}
-	}
-	bought := 0
-	for x := range r.queue {
-		ev := r.queue[x]
-		if ev.Kind == Purchased {
-			if verdicts != nil {
-				ev.Matched = verdicts[bought]
-			} else if ev.Matched, r.err = r.in.Comparator.Compare(ev.I, ev.J); r.err != nil {
-				r.err = fmt.Errorf("SMC comparison (%d,%d): %w", ev.I, ev.J, r.err)
+	} else {
+		for _, p := range r.pairs {
+			matched, err := r.in.Comparator.Compare(p[0], p[1])
+			if err != nil {
+				r.err = fmt.Errorf("SMC comparison (%d,%d): %w", p[0], p[1], err)
 				return false
 			}
-			bought++
+			verdicts = append(verdicts, matched)
 		}
-		if !r.deliver(ev) {
+		r.verdicts = verdicts
+	}
+	return r.drain(verdicts)
+}
+
+// drain delivers the queue in order and empties it. verdicts answers the
+// purchases among it, in order; a pair resolved alone is the span of one.
+func (r *run) drain(verdicts []bool) bool {
+	span := 0
+	for x := range r.queue {
+		q := &r.queue[x]
+		ev := Event{Kind: q.kind, Group: q.group, I: q.i, Js: r.oneJ[:], Verdicts: r.oneV[:], Padding: q.padding}
+		switch {
+		case q.span:
+			ev.Js, span = r.spans[span], span+1
+			ev.Verdicts, verdicts = verdicts[:len(ev.Js)], verdicts[len(ev.Js):]
+		case q.kind == Purchased:
+			r.oneJ[0], r.oneV[0], verdicts = q.j, verdicts[0], verdicts[1:]
+		default:
+			r.oneJ[0], r.oneV[0] = q.j, q.matched
+		}
+		if !r.deliver(&ev) {
 			return false
 		}
 	}
-	r.queue, r.pending = r.queue[:0], 0
+	r.queue, r.spans, r.pending = r.queue[:0], r.spans[:0], 0
 	return true
 }
 
-// deliver journals an event, then hands it to its sink.
-func (r *run) deliver(ev Event) bool {
+// deliver journals an event pair by pair, then hands it to its sink.
+func (r *run) deliver(ev *Event) bool {
 	if ev.Kind == Residual {
-		r.in.Residual(ev)
+		r.in.Residual(*ev)
 		return true
 	}
 	if r.in.Journal != nil && ev.Kind != Replayed {
-		var err error
-		if ev.Kind == Tiered {
-			err = r.in.Journal.RecordTier(ev.I, ev.J, ev.Matched)
-		} else {
-			err = r.in.Journal.Record(ev.I, ev.J, ev.Matched)
-		}
-		if err != nil {
-			r.err = fmt.Errorf("journal append (%d,%d): %w", ev.I, ev.J, err)
-			return false
+		for x, j := range ev.Js {
+			var err error
+			if ev.Kind == Tiered {
+				err = r.in.Journal.RecordTier(ev.I, j, ev.Verdicts[x])
+			} else {
+				err = r.in.Journal.Record(ev.I, j, ev.Verdicts[x])
+			}
+			if err != nil {
+				r.err = fmt.Errorf("journal append (%d,%d): %w", ev.I, j, err)
+				return false
+			}
 		}
 	}
 	if ev.Kind == Purchased {
-		if r.done++; r.done%progressStride == 0 {
+		// A span ends at a stride boundary or before it, never beyond.
+		if r.done += int64(len(ev.Js)); r.done%progressStride == 0 {
 			r.progress()
 		}
 	}
-	r.in.Sink(ev)
+	r.in.Sink(*ev)
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pprl/internal/bloom"
@@ -40,15 +41,34 @@ func (c *batchCmp) CompareBatch(pairs [][2]int) ([]bool, error) {
 	return out, nil
 }
 
+// pairEvent is one pair of a delivered span: the tests compare the
+// flattened stream, so a trace reads the same at any span grain.
+type pairEvent struct {
+	Kind    Kind
+	Matched bool
+	Group   int
+	I, J    int
+	Padding int64
+}
+
+// flatten appends ev's pairs to trace. A span longer than one is a live
+// purchase and never carries padding.
+func flatten(trace []pairEvent, ev Event) []pairEvent {
+	for x, j := range ev.Js {
+		trace = append(trace, pairEvent{Kind: ev.Kind, Matched: ev.Verdicts[x], Group: ev.Group, I: ev.I, J: j, Padding: ev.Padding})
+	}
+	return trace
+}
+
 // memJournal records what the kernel journals, in order.
 type memJournal struct {
-	entries []Event
+	entries []pairEvent
 	syncs   int
 	onEntry func(n int)
 }
 
 func (m *memJournal) add(k Kind, i, j int, matched bool) error {
-	m.entries = append(m.entries, Event{Kind: k, I: i, J: j, Matched: matched})
+	m.entries = append(m.entries, pairEvent{Kind: k, I: i, J: j, Matched: matched})
 	if m.onEntry != nil {
 		m.onEntry(len(m.entries))
 	}
@@ -71,12 +91,19 @@ type scenario struct {
 
 // outcome is everything observable about one run.
 type outcome struct {
-	trace     []Event // Sink and Residual events in delivery order
+	trace     []pairEvent // Sink and Residual events in delivery order, flattened
+	spans     []Event     // the same events as delivered, Js and Verdicts copied
 	journal   *memJournal
 	uncertain int64
 	calls     int
 	batches   []int
 	err       error
+}
+
+func (out *outcome) sink(ev Event) {
+	out.trace = flatten(out.trace, ev)
+	ev.Js, ev.Verdicts = slices.Clone(ev.Js), slices.Clone(ev.Verdicts)
+	out.spans = append(out.spans, ev)
 }
 
 func (sc scenario) input(cmp interface {
@@ -89,13 +116,13 @@ func (sc scenario) input(cmp interface {
 		Journaled:  sc.journaled,
 		Comparator: cmp,
 		Journal:    out.journal,
-		Sink:       func(ev Event) { out.trace = append(out.trace, ev) },
+		Sink:       out.sink,
 	}
 	if sc.tier != nil {
 		in.Tier = func(i, j int) bloom.Band { return sc.tier[[2]int{i, j}] }
 	}
 	if sc.residual {
-		in.Residual = func(ev Event) { out.trace = append(out.trace, ev) }
+		in.Residual = out.sink
 	}
 	return in
 }
@@ -122,8 +149,8 @@ func runBoth(t *testing.T, sc scenario, tweak func(*Input, *outcome)) *outcome {
 	bat.uncertain, bat.err = Run(in)
 	bat.calls, bat.batches = bc.calls, bc.batches
 
-	if !reflect.DeepEqual(per.trace, bat.trace) {
-		t.Fatalf("sink traces differ:\nper-pair %v\nbatch    %v", per.trace, bat.trace)
+	if !reflect.DeepEqual(per.spans, bat.spans) {
+		t.Fatalf("sink events differ:\nper-pair %v\nbatch    %v", per.spans, bat.spans)
 	}
 	if !reflect.DeepEqual(per.journal.entries, bat.journal.entries) || per.journal.syncs != bat.journal.syncs {
 		t.Fatalf("journals differ:\nper-pair %v\nbatch    %v", per.journal.entries, bat.journal.entries)
@@ -135,8 +162,8 @@ func runBoth(t *testing.T, sc scenario, tweak func(*Input, *outcome)) *outcome {
 	return bat
 }
 
-func ev(k Kind, group, i, j int, matched bool, padding int64) Event {
-	return Event{Kind: k, Group: group, I: i, J: j, Matched: matched, Padding: padding}
+func ev(k Kind, group, i, j int, matched bool, padding int64) pairEvent {
+	return pairEvent{Kind: k, Group: group, I: i, J: j, Matched: matched, Padding: padding}
 }
 
 func journaledPairs(ps ...[3]int) []journal.Verdict {
@@ -153,7 +180,7 @@ func TestRunTraces(t *testing.T) {
 	cases := []struct {
 		name string
 		sc   scenario
-		want []Event
+		want []pairEvent
 		// calls is the comparator invocations, uncertain what Run returns.
 		calls, uncertain int
 		batches          []int
@@ -172,7 +199,7 @@ func TestRunTraces(t *testing.T) {
 				},
 				residual: true,
 			},
-			want: []Event{
+			want: []pairEvent{
 				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
 				ev(Replayed, 0, 0, 1, true, 0),
 				ev(Tiered, 0, 0, 2, true, 0),
@@ -192,7 +219,7 @@ func TestRunTraces(t *testing.T) {
 				budget:    3,
 				journaled: journaledPairs([3]int{1, 1, 0}, [3]int{0, 1, 1}),
 			},
-			want: []Event{
+			want: []pairEvent{
 				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
 				ev(Replayed, 0, 0, 1, true, 0),
 				ev(Replayed, -1, 1, 1, false, 0),
@@ -214,7 +241,7 @@ func TestRunTraces(t *testing.T) {
 				tier:      map[[2]int]bloom.Band{{0, 1}: bloom.BandMatch, {5, 1}: bloom.BandNonMatch},
 				hint:      2,
 			},
-			want: []Event{
+			want: []pairEvent{
 				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
 				ev(Tiered, 0, 0, 1, true, 0),
 				ev(Purchased, 0, 0, 2, verdictOf(0, 2), 0),
@@ -234,7 +261,7 @@ func TestRunTraces(t *testing.T) {
 				budget:    100,
 				journaled: journaledPairs([3]int{0, 1, 0}),
 			},
-			want: []Event{
+			want: []pairEvent{
 				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 1),
 				ev(Replayed, 0, 0, 1, false, 2),
 				ev(Purchased, 0, 1, 0, verdictOf(1, 0), 2),
@@ -251,7 +278,7 @@ func TestRunTraces(t *testing.T) {
 				budget:   2,
 				residual: true,
 			},
-			want: []Event{
+			want: []pairEvent{
 				ev(Residual, 0, 0, 0, false, 0),
 				ev(Residual, 1, 1, 0, false, 0),
 				ev(Residual, 1, 1, 1, false, 0),
@@ -275,10 +302,10 @@ func TestRunTraces(t *testing.T) {
 			}
 			// Journal-after-verdict: the journal is the Purchased and
 			// Tiered events, in delivery order, synced once at the end.
-			var want []Event
+			var want []pairEvent
 			for _, e := range got.trace {
 				if e.Kind == Purchased || e.Kind == Tiered {
-					want = append(want, Event{Kind: e.Kind, I: e.I, J: e.J, Matched: e.Matched})
+					want = append(want, pairEvent{Kind: e.Kind, I: e.I, J: e.J, Matched: e.Matched})
 				}
 			}
 			if !reflect.DeepEqual(got.journal.entries, want) || got.journal.syncs != 1 {
@@ -290,6 +317,8 @@ func TestRunTraces(t *testing.T) {
 
 // TestEarlyStop: with neither a tier nor a residual sink the walk ends at
 // the first unaffordable pair; either of them keeps it going to the end.
+// Without the tier the four purchases arrive as two spans (a row of three,
+// then the one pair the budget still covers).
 func TestEarlyStop(t *testing.T) {
 	var groups []Group
 	for k := 0; k < 5; k++ {
@@ -299,11 +328,12 @@ func TestEarlyStop(t *testing.T) {
 		name           string
 		tier, residual bool
 		wantGroups     int
+		wantPairs      int
 		wantEvents     int
 	}{
-		{"plain", false, false, 2, 4},
-		{"tier on", true, false, 5, 4},
-		{"residual wanted", false, true, 5, 15},
+		{"plain", false, false, 2, 4, 2},
+		{"tier on", true, false, 5, 4, 4},
+		{"residual wanted", false, true, 5, 15, 13},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sc := scenario{groups: groups, budget: 4, residual: c.residual}
@@ -319,9 +349,9 @@ func TestEarlyStop(t *testing.T) {
 			if got.err != nil {
 				t.Fatal(got.err)
 			}
-			if asked != c.wantGroups || len(got.trace) != c.wantEvents || got.calls != 4 {
-				t.Errorf("walked %d groups, %d events, %d purchases; want %d, %d, 4",
-					asked, len(got.trace), got.calls, c.wantGroups, c.wantEvents)
+			if asked != c.wantGroups || len(got.trace) != c.wantPairs || len(got.spans) != c.wantEvents || got.calls != 4 {
+				t.Errorf("walked %d groups, %d pairs in %d events, %d purchases; want %d, %d in %d, 4",
+					asked, len(got.trace), len(got.spans), got.calls, c.wantGroups, c.wantPairs, c.wantEvents)
 			}
 		})
 	}
@@ -373,29 +403,57 @@ func TestInterruptAtChunkBoundary(t *testing.T) {
 }
 
 // TestProgressCadence: one event before the walk, one per stride counting
-// journaled purchases as done, one at the end.
+// journaled purchases as done, one at the end — and under spans exactly the
+// same: every mid-run call lands on a multiple of the stride and none is
+// skipped, whatever the budget, the chunk and the row width.
 func TestProgressCadence(t *testing.T) {
-	n := progressStride + 10
-	b := make([]int, n)
-	for j := range b {
-		b[j] = j
+	row := func(n int) []int {
+		b := make([]int, n)
+		for j := range b {
+			b[j] = j
+		}
+		return b
 	}
-	sc := scenario{
-		groups:    []Group{{A: []int{0}, B: b}},
+	run := func(sc scenario) (seen [][2]int64) {
+		t.Helper()
+		got := runBoth(t, sc, func(in *Input, _ *outcome) {
+			seen = nil
+			in.Progress = func(done, total int64) { seen = append(seen, [2]int64{done, total}) }
+		})
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		return seen
+	}
+
+	n := progressStride + 10
+	seen := run(scenario{
+		groups:    []Group{{A: []int{0}, B: row(n)}},
 		budget:    int64(n),
 		journaled: journaledPairs([3]int{0, 3, 1}, [3]int{0, 4, 0}),
-	}
-	var seen [][2]int64
-	got := runBoth(t, sc, func(in *Input, _ *outcome) {
-		seen = nil
-		in.Progress = func(done, total int64) { seen = append(seen, [2]int64{done, total}) }
 	})
-	if got.err != nil {
-		t.Fatal(got.err)
-	}
 	want := [][2]int64{{2, int64(n)}, {progressStride, int64(n)}, {int64(n), int64(n)}}
 	if !reflect.DeepEqual(seen, want) {
 		t.Errorf("progress events %v, want %v", seen, want)
+	}
+
+	for _, c := range []struct {
+		budget      int64
+		hint, width int
+	}{
+		{3*progressStride + 123, 0, 37}, {2*progressStride + 1, 1000, 5000}, {3 * progressStride, 4097, 33},
+		{2*progressStride - 1, 5000, 4096}, {4*progressStride + 7, 16384, 20000}, {progressStride + 5, 3, 2},
+	} {
+		// More pairs than the budget, so the budget is what ends the run.
+		rows := int(c.budget)/c.width + 2
+		seen := run(scenario{groups: []Group{{A: row(rows), B: row(c.width)}}, budget: c.budget, hint: c.hint})
+		want := [][2]int64{{0, c.budget}}
+		for done := int64(progressStride); done <= c.budget; done += progressStride {
+			want = append(want, [2]int64{done, c.budget})
+		}
+		if want = append(want, [2]int64{c.budget, c.budget}); !reflect.DeepEqual(seen, want) {
+			t.Errorf("budget %d hint %d width %d: progress events %v, want %v", c.budget, c.hint, c.width, seen, want)
+		}
 	}
 }
 

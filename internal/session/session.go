@@ -494,13 +494,15 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 			case ev.Kind == resolve.Replayed:
 				res.Resume.ResumedPairs++
 				res.Resume.ReplayedAllowance++
-			case ev.Kind == resolve.Tiered && ev.Matched:
+			case ev.Kind == resolve.Tiered && ev.Verdicts[0]:
 				res.TierMatchedPairs++
 			case ev.Kind == resolve.Tiered:
 				res.TierNonMatchedPairs++
 			}
-			if ev.Matched {
-				res.Matches = append(res.Matches, match.Pair{I: ev.I, J: ev.J})
+			for x, j := range ev.Js {
+				if ev.Verdicts[x] {
+					res.Matches = append(res.Matches, match.Pair{I: ev.I, J: j})
+				}
 			}
 		},
 	})

@@ -2,6 +2,7 @@ package smc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -42,6 +43,7 @@ type PlainComparator struct {
 	spec        *Spec
 	alice, bob  [][]int64
 	invocations int64
+	verdicts    []bool
 }
 
 // NewPlainComparator builds the oracle over both holders' encoded records.
@@ -56,6 +58,28 @@ func (p *PlainComparator) Compare(i, j int) (bool, error) {
 	}
 	p.invocations++
 	return p.spec.Matches(p.alice[i], p.bob[j]), nil
+}
+
+// CompareBatch implements BatchComparator. The whole list is range-checked
+// before anything is counted, and Alice's record is looked up once per run
+// of pairs sharing it. The verdicts are only valid until the next call.
+func (p *PlainComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
+	for _, pr := range pairs {
+		if pr[0] < 0 || pr[0] >= len(p.alice) || pr[1] < 0 || pr[1] >= len(p.bob) {
+			return nil, fmt.Errorf("smc: pair (%d,%d) out of range", pr[0], pr[1])
+		}
+	}
+	p.verdicts = slices.Grow(p.verdicts[:0], len(pairs))[:len(pairs)]
+	var row []int64
+	for x, last := 0, -1; x < len(pairs); x++ {
+		if pairs[x][0] != last {
+			last = pairs[x][0]
+			row = p.alice[last]
+		}
+		p.verdicts[x] = p.spec.Matches(row, p.bob[pairs[x][1]])
+	}
+	p.invocations += int64(len(pairs))
+	return p.verdicts, nil
 }
 
 // Invocations implements Comparator.
