@@ -115,11 +115,14 @@ incremental-smoke:
 # core's plaintext-oracle link
 # (BenchmarkLinkPlain: the label store's pairs/s and B/pair) with its two
 # halves alone (BenchmarkTopDown: the paper-shaped anonymization;
-# BenchmarkResolveRun: the resolution kernel's ns/pair) and the
-# journal writer's cost per verdict (BenchmarkWriterRecord) from
-# bit-rotting without paying for a real measurement run.
+# BenchmarkResolveRun: the resolution kernel's ns/pair), the
+# journal writer's cost per verdict (BenchmarkWriterRecord), the live
+# engine's ns and B per purchased pair behind a real journal
+# (BenchmarkEngineAppend) and the cost of one accepted batch's schedule
+# line at 16 and at 2,048 entries (BenchmarkAppendBatchEntry: must be
+# flat) from bit-rotting without paying for a real measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal ./internal/anonymize ./internal/resolve
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal ./internal/anonymize ./internal/resolve ./internal/incremental ./internal/service
 
 # Serial-vs-sharded throughput of the secure comparator (1024-bit key).
 # End-to-end and per-layer performance is `bash benchmark/run.sh` and

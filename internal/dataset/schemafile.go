@@ -64,12 +64,12 @@ func LoadSchema(manifestPath string) (*Schema, error) {
 			if len(fields) != 6 {
 				return nil, fmt.Errorf("dataset: %s:%d: continuous needs <name> <min> <max> <branch> <depth>", manifestPath, line)
 			}
-			min, err1 := strconv.ParseFloat(fields[2], 64)
-			max, err2 := strconv.ParseFloat(fields[3], 64)
+			min, err1 := parseFinite(fields[2])
+			max, err2 := parseFinite(fields[3])
 			branch, err3 := strconv.Atoi(fields[4])
 			depth, err4 := strconv.Atoi(fields[5])
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-				return nil, fmt.Errorf("dataset: %s:%d: malformed continuous parameters", manifestPath, line)
+				return nil, fmt.Errorf("dataset: %s:%d: attribute %q: malformed continuous parameters (finite <min> <max>, integer <branch> <depth>)", manifestPath, line, fields[1])
 			}
 			ih, err := vgh.NewIntervalHierarchy(fields[1], min, max, branch, depth)
 			if err != nil {

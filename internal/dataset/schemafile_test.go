@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +80,34 @@ func TestLoadSchemaErrors(t *testing.T) {
 	path := write("badvgh.txt", "categorical edu edu.vgh\n")
 	if _, err := LoadSchema(path); err == nil {
 		t.Error("invalid VGH file should fail")
+	}
+}
+
+// TestLoadSchemaRefusesNonFiniteBounds: a continuous attribute's min and
+// max are parsed by the same strconv.ParseFloat that reads NaN and ±Inf;
+// the manifest is refused with its line and the attribute named.
+func TestLoadSchemaRefusesNonFiniteBounds(t *testing.T) {
+	dir := t.TempDir()
+	for i, c := range []struct {
+		min, max string
+		ok       bool
+	}{
+		{"NaN", "90", false}, {"17", "NaN", false}, {"-Inf", "90", false}, {"17", "+Inf", false},
+		{"17", "Infinity", false}, {"inf", "inf", false}, {"17", "1e999", false},
+		{"17", "90", true}, {"-1.5e1", "9e1", true},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("m%d.txt", i))
+		manifest := fmt.Sprintf("# bounds\ncontinuous age %s %s 2 3\n", c.min, c.max)
+		if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSchema(path)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("bounds [%s, %s]: refused: %v", c.min, c.max, err)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), ":2:") || !strings.Contains(err.Error(), `"age"`)):
+			t.Errorf("bounds [%s, %s]: error %v, want a refusal naming line 2 and attribute \"age\"", c.min, c.max, err)
+		}
 	}
 }
 

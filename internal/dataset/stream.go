@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -115,7 +116,7 @@ func (p *csvParser) next() (rec Record, ok bool, err error) {
 			raw := row[p.colFor[i]]
 			attr := p.schema.Attr(i)
 			if attr.Kind == Continuous {
-				v, err := strconv.ParseFloat(raw, 64)
+				v, err := parseFinite(raw)
 				if err != nil {
 					return Record{}, false, fmt.Errorf("dataset: row %d, attribute %q: bad number %q", p.rowNum, attr.Name, raw)
 				}
@@ -131,6 +132,17 @@ func (p *csvParser) next() (rec Record, ok bool, err error) {
 		p.nextID++
 		return rec, true, nil
 	}
+}
+
+// parseFinite is strconv.ParseFloat less the spellings of NaN and ±Inf it
+// also takes: the anonymizer's interval search, the fixed-point encoder and
+// the SMC value bound have no meaning for a non-finite cell or bound.
+func parseFinite(raw string) (float64, error) {
+	v, err := strconv.ParseFloat(raw, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not a finite number", raw)
+	}
+	return v, err
 }
 
 // StreamOptions parameterizes a chunked dataset stream.

@@ -233,3 +233,35 @@ func TestOpenStreamEdgeCases(t *testing.T) {
 		t.Errorf("missing entity_id cell: err = %v, want row-numbered error", err)
 	}
 }
+
+// TestNonFiniteCellsRefused: strconv.ParseFloat also reads NaN and ±Inf in
+// several spellings; a continuous cell holding one is refused with its row
+// and attribute named, for the stream and for ReadCSV alike, and the finite
+// neighbours of those spellings still parse.
+func TestNonFiniteCellsRefused(t *testing.T) {
+	s := testSchema(t)
+	for _, c := range []struct {
+		cell string
+		ok   bool
+	}{
+		{"NaN", false}, {"nan", false}, {"Inf", false}, {"+Inf", false}, {"-Inf", false},
+		{"inf", false}, {"Infinity", false}, {"-infinity", false}, {"1e999", false},
+		{"40", true}, {"-0", true}, {"4e1", true}, {"0x1p5", true},
+	} {
+		csv := "education,hours\n9th,12\nMasters," + c.cell + "\n"
+		st, err := NewStream(s, strings.NewReader(csv), StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, serr := st.ReadAll()
+		_, rerr := ReadCSV(s, strings.NewReader(csv))
+		for _, err := range []error{serr, rerr} {
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("cell %q: refused: %v", c.cell, err)
+			case !c.ok && (err == nil || !strings.Contains(err.Error(), "row 3") || !strings.Contains(err.Error(), `"hours"`)):
+				t.Errorf("cell %q: error %v, want a refusal naming row 3 and attribute \"hours\"", c.cell, err)
+			}
+		}
+	}
+}

@@ -1,0 +1,123 @@
+package incremental_test
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"pprl/internal/adult"
+	"pprl/internal/dataset"
+	"pprl/internal/incremental"
+	"pprl/internal/journal"
+)
+
+// TestAppendDoesNotMaterializePairs: 64 new records in one bin facing a
+// resident bin of 4,096 are 262,144 Unknown pairs. As a [][2]int32 list that
+// was 2 MB per append before the engine handed the kernel the bins' own
+// member slices; now the append allocates what 64 records cost — their
+// cells' encodings, a group, the kernel's chunk buffers — far below it.
+func TestAppendDoesNotMaterializePairs(t *testing.T) {
+	const resident, fresh = 4096, 64
+	one := adult.Generate(1, 91)
+	schema, base := one.Schema(), one.Records()[0]
+	ageIdx, _ := schema.Index(adult.AttrAge)
+	// Same bin, nine years apart: every pair is bought and none matches, so
+	// the delta log stays out of the measurement.
+	repeat := func(n int, age float64) []dataset.Record {
+		recs := make([]dataset.Record, n)
+		for x := range recs {
+			recs[x] = dataset.Record{EntityID: x, Cells: append([]dataset.Cell(nil), base.Cells...)}
+			recs[x].Cells[ageIdx] = dataset.NumCell(age)
+		}
+		return recs
+	}
+	var bin [2]float64
+	for lo := 17.0; ; lo++ { // two ages the binner puts together
+		eng, err := incremental.New(schema, incremental.Config{QIDs: adult.DefaultQIDs()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Append(0, append(repeat(1, lo), repeat(1, lo+9)...)); err != nil {
+			t.Fatal(err)
+		}
+		if eng.Stats().Bins[0] == 1 {
+			bin = [2]float64{lo, lo + 9}
+			break
+		}
+		if lo > 80 {
+			t.Fatal("no age bin spans nine years; the fixture needs another attribute")
+		}
+	}
+
+	eng, err := incremental.New(schema, incremental.Config{QIDs: adult.DefaultQIDs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Append(1, repeat(resident, bin[0])); err != nil {
+		t.Fatal(err)
+	}
+	warm, batch := repeat(fresh, bin[1]), repeat(fresh, bin[1])
+	if _, err := eng.Append(0, warm); err != nil { // grows the side's slices once
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := eng.Append(0, batch); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	st := eng.Stats()
+	if st.Purchased != 2*fresh*resident || st.Deltas != 0 {
+		t.Fatalf("fixture: %d purchases and %d deltas, want %d and 0", st.Purchased, st.Deltas, 2*fresh*resident)
+	}
+	const pairList = fresh * resident * 8
+	if got := after.TotalAlloc - before.TotalAlloc; got > pairList/8 {
+		t.Errorf("appending %d records against a bin of %d allocated %d bytes; the pair list alone was %d", fresh, resident, got, pairList)
+	}
+}
+
+// BenchmarkEngineAppend is the live engine's cost per purchased pair with
+// everything a served dataset has but the HTTP layer: Adult records, both
+// sides growing in alternating batches, a real journal at the benchmark's
+// SyncEvery 4096 (batch marks, verdicts, commits and their fsyncs).
+func BenchmarkEngineAppend(b *testing.B) {
+	alice, bob := dataset.SplitOverlap(adult.Generate(6000, 93), rand.New(rand.NewSource(94)))
+	const perSide = 20
+	var purchased int64
+	var allocated uint64
+	dir := b.TempDir()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		jw, err := journal.Create(filepath.Join(dir, fmt.Sprintf("ingest-%d.wal", n)), journal.Options{SyncEvery: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := incremental.New(alice.Schema(), incremental.Config{QIDs: adult.DefaultQIDs(), Theta: 0.05, Journal: jw})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for x := 0; x < perSide; x++ {
+			for side, d := range []*dataset.Dataset{alice, bob} {
+				if _, err := eng.Append(side, d.Records()[x*d.Len()/perSide:(x+1)*d.Len()/perSide]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+		purchased += eng.Stats().Purchased
+		if err := jw.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(purchased), "ns/pair")
+	b.ReportMetric(float64(allocated)/float64(purchased), "B/pair")
+}

@@ -1,8 +1,10 @@
 package incremental
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,7 +41,8 @@ type BatchResult struct {
 	Side int
 	// Records is how many records the batch appended.
 	Records int
-	// Deltas are the batch's newly discovered Match pairs.
+	// Deltas are the batch's newly discovered Match pairs: the delta log's
+	// own slice, so read-only.
 	Deltas []Delta
 	// Spent is the allowance the batch consumed (unit purchases plus DP
 	// dummy shares), counting replayed verdicts at their original cost.
@@ -83,10 +86,11 @@ type Stats struct {
 }
 
 // bin is one equivalence bin of a side: the shared fixed-level sequence
-// and its member record positions in append order.
+// and its member record positions in append order — []int because a
+// candidate group hands the kernel these slices themselves, not copies.
 type bin struct {
 	seq     vgh.Sequence
-	members []int32
+	members []int
 }
 
 // side is one holder's live state.
@@ -127,9 +131,13 @@ type Engine struct {
 	// increment its records added (the telescoping sum).
 	dummyCharged map[[2]int32]int64
 
-	deltas []Delta
+	// deltas[b] is what batch b emitted; the log is never copied to grow.
+	deltas [][]Delta
 	stats  Stats
 	failed bool
+	// onEvent, set by the package's tests only, sees what the kernel hands
+	// the sink: the one place a row span is visible from outside.
+	onEvent func(resolve.Event)
 }
 
 // New builds an engine over a schema. When resuming, cfg.Journal must be
@@ -205,13 +213,6 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 // Dedup reports whether the engine links one dataset against itself.
 func (e *Engine) Dedup() bool { return e.cfg.Dedup }
 
-// Batches returns how many batches have been applied.
-func (e *Engine) Batches() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.nextBatch
-}
-
 // PendingReplay reports how many journaled batches have not been
 // re-applied yet; a resuming caller must Append exactly that many stored
 // batches before accepting new traffic.
@@ -231,23 +232,40 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Deltas returns the emitted deltas of all batches with index ≥ from, in
-// emission order.
-func (e *Engine) Deltas(from int) []Delta {
+// Deltas is one snapshot of the delta log: next, how many batches have
+// been applied, and the deltas of batches [from, next), one slice a batch —
+// both read under one lock, so a consumer polling with from = next never
+// reads a delta twice nor misses one. The slices are the log's own (never
+// written after their commit; the log only grows past the view): read-only.
+func (e *Engine) Deltas(from int) (next int, batches [][]Delta) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	i := sort.Search(len(e.deltas), func(i int) bool { return e.deltas[i].Batch >= from })
-	out := make([]Delta, len(e.deltas)-i)
-	copy(out, e.deltas[i:])
-	return out
+	from = min(from, len(e.deltas))
+	return e.nextBatch, e.deltas[from:len(e.deltas):len(e.deltas)]
 }
 
-// group is one candidate bin pair touched by a batch: its uncertain new
-// pairs in deterministic order plus the heuristic score.
+// group is one candidate bin pair touched by a batch, with its heuristic
+// score and its new pairs: across two datasets rows × cols in row-major
+// order, aliasing the bins' own member lists (new members × the resident
+// bin, or the reverse on a bob-side batch) so that the kernel walks row
+// spans and nothing is materialized; for dedup the unordered pairs, listed.
 type group struct {
-	a, b  int32 // cross: side-0 bin, side-1 bin; dedup: a ≤ b
-	score float64
-	pairs [][2]int32
+	a, b       int32 // cross: side-0 bin, side-1 bin; dedup: a ≤ b
+	score      float64
+	rows, cols []int
+	pairs      [][2]int32
+}
+
+// each walks the group's pairs in the order the kernel does.
+func (g *group) each(visit func(i, j int)) {
+	for _, p := range g.pairs {
+		visit(int(p[0]), int(p[1]))
+	}
+	for _, i := range g.rows {
+		for _, j := range g.cols {
+			visit(i, j)
+		}
+	}
 }
 
 // Append applies one batch of records to one side and returns the delta.
@@ -319,18 +337,12 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	// the frozen run uses (slack rule, or bin intersection under DP).
 	var batchDeltas []Delta
 	groups := e.collectGroups(sideIdx, base, touched, batch, &batchDeltas)
-	sort.SliceStable(groups, func(x, y int) bool {
-		gx, gy := groups[x], groups[y]
-		if gx.score != gy.score {
-			if e.cfg.Strategy == core.MaximizeRecall {
-				return gx.score > gy.score
-			}
-			return gx.score < gy.score
-		}
-		if gx.a != gy.a {
-			return gx.a < gy.a
-		}
-		return gx.b < gy.b
+	order := 1 // ascending score; descending under MaximizeRecall
+	if e.cfg.Strategy == core.MaximizeRecall {
+		order = -1
+	}
+	slices.SortStableFunc(groups, func(gx, gy group) int {
+		return cmp.Or(order*cmp.Compare(gx.score, gy.score), cmp.Compare(gx.a, gy.a), cmp.Compare(gx.b, gy.b))
 	})
 
 	spent, err := e.resolve(groups, batch, frame, committedReplay, &batchDeltas)
@@ -346,18 +358,16 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		}
 	}
 
-	e.deltas = append(e.deltas, batchDeltas...)
+	e.deltas = append(e.deltas, batchDeltas)
 	e.nextBatch++
 	e.stats.Batches = e.nextBatch
 	e.stats.Records[sideIdx] = s.data.Len()
 	e.stats.Bins[sideIdx] = len(s.bins)
-	e.stats.Deltas = len(e.deltas)
+	e.stats.Deltas += len(batchDeltas)
 	e.stats.Epoch++
-	out := make([]Delta, len(batchDeltas))
-	copy(out, batchDeltas)
 	return &BatchResult{
 		Batch: batch, Side: sideIdx, Records: len(recs),
-		Deltas: out, Spent: spent, Replayed: committedReplay,
+		Deltas: batchDeltas, Spent: spent, Replayed: committedReplay,
 	}, nil
 }
 
@@ -390,7 +400,7 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 				s.noise[bi] = dpblock.Noise(e.dpSeed(sideIdx), key, e.cfg.Epsilon, e.cfg.DPDelta)
 			}
 		}
-		s.bins[bi].members = append(s.bins[bi].members, int32(i))
+		s.bins[bi].members = append(s.bins[bi].members, i)
 		s.binOf = append(s.binOf, bi)
 		touchedSet[bi] = true
 	}
@@ -416,10 +426,7 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 	buf := make([]float64, e.rule.Len())
 	s := e.sides[sideIdx]
 
-	addGroup := func(a, b int32, seqA, seqB vgh.Sequence, pairs [][2]int32) {
-		if len(pairs) == 0 {
-			return
-		}
+	addGroup := func(g group, seqA, seqB vgh.Sequence) {
 		label := blocking.Unknown
 		if e.dp {
 			// DP blocking has no certain-match evidence; intersecting bins
@@ -434,41 +441,28 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 			}
 		}
 		if label == blocking.Match {
-			for _, p := range pairs {
-				*deltas = append(*deltas, e.delta(batch, int(p[0]), int(p[1])))
+			g.each(func(i, j int) {
+				*deltas = append(*deltas, e.delta(batch, i, j))
 				e.stats.BlockingMatches++
-			}
+			})
 			return
 		}
-		groups = append(groups, group{
-			a: a, b: b,
-			score: e.cfg.Heuristic.Score(e.rule.ExpectedDistances(seqA, seqB, buf)),
-			pairs: pairs,
-		})
+		g.score = e.cfg.Heuristic.Score(e.rule.ExpectedDistances(seqA, seqB, buf))
+		groups = append(groups, g)
 	}
 
 	if !e.cfg.Dedup {
+		// Touched bins have new members and candidates residents: no empty factor.
 		o := e.sides[1-sideIdx]
 		for _, bi := range touched {
 			b := &s.bins[bi]
-			newM := newMembers(b.members, base)
+			newM := b.members[sort.SearchInts(b.members, base):] // ascending positions
 			o.live.Candidates(b.seq, func(ci int) {
 				oc := &o.bins[ci]
-				pairs := make([][2]int32, 0, len(newM)*len(oc.members))
 				if sideIdx == 0 {
-					for _, i := range newM {
-						for _, j := range oc.members {
-							pairs = append(pairs, [2]int32{i, j})
-						}
-					}
-					addGroup(bi, int32(ci), b.seq, oc.seq, pairs)
+					addGroup(group{a: bi, b: int32(ci), rows: newM, cols: oc.members}, b.seq, oc.seq)
 				} else {
-					for _, i := range oc.members {
-						for _, j := range newM {
-							pairs = append(pairs, [2]int32{i, j})
-						}
-					}
-					addGroup(int32(ci), bi, oc.seq, b.seq, pairs)
+					addGroup(group{a: int32(ci), b: bi, rows: oc.members, cols: newM}, oc.seq, b.seq)
 				}
 			})
 		}
@@ -497,37 +491,28 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 				m := lb.members
 				for x := 0; x < len(m); x++ {
 					for y := x + 1; y < len(m); y++ {
-						if m[x] < int32(base) && m[y] < int32(base) {
+						if m[x] < base && m[y] < base {
 							continue
 						}
-						pairs = append(pairs, [2]int32{m[x], m[y]})
+						pairs = append(pairs, [2]int32{int32(m[x]), int32(m[y])})
 					}
 				}
 			} else {
 				for _, i := range lb.members {
 					for _, j := range hb.members {
-						if i < int32(base) && j < int32(base) {
+						if i < base && j < base {
 							continue
 						}
-						if i < j {
-							pairs = append(pairs, [2]int32{i, j})
-						} else {
-							pairs = append(pairs, [2]int32{j, i})
-						}
+						pairs = append(pairs, [2]int32{int32(min(i, j)), int32(max(i, j))})
 					}
 				}
 			}
-			addGroup(lo, hi, lb.seq, hb.seq, pairs)
+			if len(pairs) > 0 {
+				addGroup(group{a: lo, b: hi, pairs: pairs}, lb.seq, hb.seq)
+			}
 		})
 	}
 	return groups
-}
-
-// newMembers returns the suffix of an ascending member list with record
-// position ≥ base.
-func newMembers(members []int32, base int) []int32 {
-	i := sort.Search(len(members), func(i int) bool { return members[i] >= int32(base) })
-	return members[i:]
 }
 
 // resolve hands the batch's uncertain groups to the resolution kernel
@@ -560,7 +545,7 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 		Groups: len(groups),
 		Group: func(k int) resolve.Group {
 			g := groups[k]
-			rg := resolve.Group{Pairs: g.pairs}
+			rg := resolve.Group{A: g.rows, B: g.cols, Pairs: g.pairs}
 			if e.dp {
 				rg.Excess = e.groupExcess(g) - e.dummyCharged[[2]int32{g.a, g.b}]
 			}
@@ -570,6 +555,9 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 		Comparator: cmp,
 		Workers:    e.cfg.SMCWorkers,
 		Sink: func(ev resolve.Event) {
+			if e.onEvent != nil {
+				e.onEvent(ev)
+			}
 			n, matches := int64(len(ev.Js)), int64(0)
 			for x, j := range ev.Js {
 				if ev.Verdicts[x] {

@@ -18,6 +18,7 @@ import (
 	"pprl/internal/dpblock"
 	"pprl/internal/incremental"
 	"pprl/internal/journal"
+	"pprl/internal/resolve"
 	"pprl/internal/smc"
 	"pprl/internal/testkit"
 )
@@ -691,7 +692,9 @@ func (l *purchaseLog) factory(batch bool) core.ComparatorFactory {
 // handed the walk in CompareBatch lists — the same pairs in the same
 // order a per-pair comparator is asked one at a time — with identical
 // deltas, accounting and journal bytes, and a committed replay builds no
-// comparator at all.
+// comparator at all. The engine's groups are A × B, so on an alice-side
+// batch (a new record against a resident bin) the kernel's purchases reach
+// the engine's sink as row spans, not pair by pair.
 func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	w := testkit.Generate(5)
 	dir := t.TempDir()
@@ -706,6 +709,8 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	for _, b := range batchesOf(w.Alice, w.Alice.Len()/3+1) {
 		feed = append(feed, batch{0, b})
 	}
+	// longest[s] is the longest purchased span the sink saw in side s's batches.
+	var longest [2]int
 	run := func(name string, log *purchaseLog, batchPath, resume bool) ([][]incremental.Delta, incremental.Stats, []byte) {
 		t.Helper()
 		path := filepath.Join(dir, name)
@@ -723,8 +728,16 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		side := 0
+		longest = [2]int{}
+		eng.ObserveEvents(func(ev resolve.Event) {
+			if ev.Kind == resolve.Purchased {
+				longest[side] = max(longest[side], len(ev.Js))
+			}
+		})
 		var deltas [][]incremental.Delta
 		for _, b := range feed {
+			side = b.side
 			res, err := eng.Append(b.side, b.recs)
 			if err != nil {
 				t.Fatal(err)
@@ -744,6 +757,9 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	var perPair, batched, replay purchaseLog
 	wantDeltas, wantStats, wantWAL := run("pair.wal", &perPair, false, false)
 	gotDeltas, gotStats, gotWAL := run("batch.wal", &batched, true, false)
+	if longest[0] < 2 {
+		t.Errorf("the longest span the sink was handed in an alice-side batch is %d pairs (bob-side: %d); want a row of a resident bin", longest[0], longest[1])
+	}
 	if wantStats.Purchased == 0 || len(perPair.single) != int(wantStats.Purchased) {
 		t.Fatalf("fixture: %d purchases, %d Compare calls", wantStats.Purchased, len(perPair.single))
 	}

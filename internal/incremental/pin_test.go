@@ -1,0 +1,152 @@
+package incremental_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"pprl/internal/adult"
+	"pprl/internal/core"
+	"pprl/internal/dataset"
+	"pprl/internal/incremental"
+	"pprl/internal/journal"
+)
+
+// pinStep is one append of the pinned schedule.
+type pinStep struct {
+	side int
+	recs []dataset.Record
+}
+
+// pinSchedule is the pinned world: 3,000 Adult records split into two
+// overlapping relations, appended in 2·k alternating batches.
+func pinSchedule(k int) (*dataset.Schema, []pinStep) {
+	alice, bob := dataset.SplitOverlap(adult.Generate(3000, 41), rand.New(rand.NewSource(42)))
+	var steps []pinStep
+	for b := 0; b < k; b++ {
+		steps = append(steps,
+			pinStep{0, alice.Records()[b*alice.Len()/k : (b+1)*alice.Len()/k]},
+			pinStep{1, bob.Records()[b*bob.Len()/k : (b+1)*bob.Len()/k]})
+	}
+	return alice.Schema(), steps
+}
+
+// TestLiveJournalPinned holds the live engine's two outputs — the journal's
+// bytes and the delta sequence — to hashes recorded at the commit before
+// the engine handed the kernel A × B groups (PR 24): what a batch buys, in
+// which order, and what it files where are a format other processes resume
+// from, so a change to how groups are built must not move a byte. The
+// journal runs at the benchmark's SyncEvery 4096.
+func TestLiveJournalPinned(t *testing.T) {
+	const k = 6
+	schema, steps := pinSchedule(k)
+	base := incremental.Config{QIDs: adult.DefaultQIDs(), Theta: 0.05, Strategy: core.MaximizePrecision}
+
+	for _, c := range []struct {
+		name string
+		cfg  func(incremental.Config) incremental.Config
+		// crashAt ≥ 0 fails that batch's commit, then resumes from the journal.
+		crashAt          int
+		wantWAL, wantSeq string
+	}{
+		{"plain", func(c incremental.Config) incremental.Config { return c }, -1,
+			"786c05119934d3b5aacb7c3521f8a56347c50d944bdff5a1946d0d713029cacb",
+			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3"},
+		{"tier", func(c incremental.Config) incremental.Config { c.Tier = core.TierBloom; return c }, -1,
+			"86fb3749a15cbef4ba08995e09a6e5012ac42e5dd26d238d2e2c9ecad85b910b",
+			"7c118218b1baf31f768f409e304da70e582e84469806e6ced5ab9cf907fc6a3d"},
+		{"dp", func(c incremental.Config) incremental.Config { c.Epsilon, c.DPSeed = 1.0, 7; return c }, -1,
+			"2246853f4cec48465cf321b1b2501ad9f23ad61f88beaa3dbf25e0bbbb047c40",
+			"5af60664fca1b740fc459eb2fabe5cdf47865e15b0d4c06c0cb025369465fa1a"},
+		{"bounded recall", func(c incremental.Config) incremental.Config {
+			c.Allowance, c.Strategy = 20000, core.MaximizeRecall
+			return c
+		}, -1,
+			"83e45a6a27da08150495afcc1c6e1ff03b2e23f4d84f22f40553944fe0430df3",
+			"2203299694cae1db398c8aaf4514299ad83a106c7f636c4ce6ca87e21a5103d1"},
+		{"crash-resumed tail", func(c incremental.Config) incremental.Config { return c }, 7,
+			"786c05119934d3b5aacb7c3521f8a56347c50d944bdff5a1946d0d713029cacb",
+			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ingest.wal")
+			seq := sha256.New()
+			// feed appends the schedule and hashes every exposed delta; it
+			// reports the step whose append failed, or len(steps).
+			feed := func(eng *incremental.Engine) int {
+				for b := range steps {
+					res, err := eng.Append(steps[b].side, steps[b].recs)
+					if err != nil {
+						if b == c.crashAt {
+							return b
+						}
+						t.Fatal(err)
+					}
+					if res.Replayed {
+						continue // exposed before the crash
+					}
+					for _, d := range res.Deltas {
+						fmt.Fprintf(seq, "%d:%d:%d:%d:%d;", d.Batch, d.I, d.J, d.AliceID, d.BobID)
+					}
+				}
+				return len(steps)
+			}
+
+			jw, err := journal.Create(path, journal.Options{SyncEvery: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := c.cfg(base)
+			cfg.Journal = jw
+			if c.crashAt >= 0 {
+				cfg.Journal = &commitCrash{Writer: jw, failBatch: uint32(c.crashAt)}
+			}
+			eng, err := incremental.New(schema, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopped := feed(eng)
+			if err := jw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if c.crashAt >= 0 {
+				if stopped != c.crashAt {
+					t.Fatalf("the injected crash surfaced at batch %d, want %d", stopped, c.crashAt)
+				}
+				jw, err = journal.Resume(path, journal.Options{SyncEvery: 4096})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := c.cfg(base)
+				cfg.Journal, cfg.Recovered = jw, jw.Recovered()
+				if eng, err = incremental.New(schema, cfg); err != nil {
+					t.Fatal(err)
+				}
+				feed(eng)
+				if err := jw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if st := eng.Stats(); st.Replayed == 0 || st.Purchased == 0 {
+					t.Fatalf("resume replayed %d and purchased %d verdicts; the fixture wants both", st.Replayed, st.Purchased)
+				}
+			}
+			if st := eng.Stats(); st.Deltas == 0 || st.Used == 0 {
+				t.Fatalf("fixture exercises nothing: %+v", st)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotWAL, gotSeq := fmt.Sprintf("%x", sha256.Sum256(raw)), fmt.Sprintf("%x", seq.Sum(nil))
+			if gotWAL != c.wantWAL {
+				t.Errorf("journal (%d bytes) hashes to %s, pinned %s", len(raw), gotWAL, c.wantWAL)
+			}
+			if gotSeq != c.wantSeq {
+				t.Errorf("delta sequence hashes to %s, pinned %s", gotSeq, c.wantSeq)
+			}
+		})
+	}
+}

@@ -24,6 +24,8 @@ import (
 	"hash"
 	"hash/crc32"
 	"os"
+	"strconv"
+	"sync"
 )
 
 // Format constants. The magic distinguishes journal files from arbitrary
@@ -102,9 +104,19 @@ type Manifest struct {
 // HashField writes a length-delimited key/value into a manifest digest,
 // so adjacent fields cannot alias ("ab"+"c" vs "a"+"bc"). Every layer
 // that computes a ConfigDigest or InputsDigest builds it from these.
+// The field is "key=len:value;", built by appends and written once (a
+// batch digest is 17 per record) in a pooled buffer: what Write gets escapes.
 func HashField(h hash.Hash, key, value string) {
-	fmt.Fprintf(h, "%s=%d:%s;", key, len(value), value)
+	bp := fieldPool.Get().(*[]byte)
+	b := append(append((*bp)[:0], key...), '=')
+	b = append(strconv.AppendInt(b, int64(len(value)), 10), ':')
+	b = append(append(b, value...), ';')
+	h.Write(b)
+	*bp = b
+	fieldPool.Put(bp)
 }
+
+var fieldPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // CheckCompatible reports whether a journal recorded under m can resume a
 // run currently described by cur. Field-specific errors come first so the

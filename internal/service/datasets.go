@@ -205,7 +205,7 @@ func (s *Server) runDataset(ld *liveDataset, stored []batchEntry) {
 	for {
 		select {
 		case <-s.dsStop:
-			// Queued-but-unapplied batches are persisted in batches.json;
+			// Queued-but-unapplied batches are persisted in batches.jsonl;
 			// the next daemon start replays them.
 			return
 		case ib := <-ld.queue:
@@ -436,9 +436,16 @@ func (s *Server) handleDatasetDeltas(w http.ResponseWriter, r *http.Request) {
 		s.streamDeltas(w, r, ld, from)
 		return
 	}
-	writeAPI(w, http.StatusOK, DeltasResponse{
-		Dataset: ld.ID, From: from, Next: ld.eng.Batches(), Deltas: ld.eng.Deltas(from),
-	})
+	next, deltas := ld.eng.Deltas(from)
+	bp := pagePool.Get().(*[]byte)
+	defer pagePool.Put(bp)
+	*bp = append(appendDeltasPage((*bp)[:0], ld.ID, from, next, deltas), '\n')
+	// One write of known length: a page of a few thousand deltas would
+	// otherwise leave through the server's 4 KB chunked writer.
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(*bp)
 }
 
 // streamDeltas is the SSE variant: one event per applied-batch window,
@@ -457,23 +464,13 @@ func (s *Server) streamDeltas(w http.ResponseWriter, r *http.Request, ld *liveDa
 	w.WriteHeader(http.StatusOK)
 	for {
 		changed := ld.watch()
-		next := ld.eng.Batches()
+		next, deltas := ld.eng.Deltas(from)
 		if next > from {
-			resp := DeltasResponse{Dataset: ld.ID, From: from, Next: next, Deltas: ld.eng.Deltas(from)}
-			// Deltas(from) returns everything ≥ from; the window's upper
-			// bound is whatever was applied when we snapshotted next.
-			trimmed := resp.Deltas[:0]
-			for _, d := range resp.Deltas {
-				if d.Batch < next {
-					trimmed = append(trimmed, d)
-				}
-			}
-			resp.Deltas = trimmed
-			raw, err := json.Marshal(resp)
+			bp := pagePool.Get().(*[]byte)
+			*bp = append(appendDeltasPage(append((*bp)[:0], "data: "...), ld.ID, from, next, deltas), "\n\n"...)
+			_, err := w.Write(*bp)
+			pagePool.Put(bp)
 			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", raw); err != nil {
 				return
 			}
 			flusher.Flush()

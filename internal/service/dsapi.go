@@ -1,7 +1,10 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"strconv"
+	"sync"
 	"time"
 
 	"pprl/internal/cliutil"
@@ -206,4 +209,32 @@ type DeltasResponse struct {
 	From    int                 `json:"from"`
 	Next    int                 `json:"next"`
 	Deltas  []incremental.Delta `json:"deltas"`
+}
+
+// pagePool holds the buffers delta pages are encoded in (≈ 150 KB a page
+// at paper scale).
+var pagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendDeltasPage appends the DeltasResponse{dataset, from, next, deltas}
+// — deltas being the batches' deltas end to end — to buf, byte for byte as
+// encoding/json writes it (less the encoder's final newline) but without
+// reflecting over every delta; an empty page has "deltas":[].
+func appendDeltasPage(buf []byte, dataset string, from, next int, batches [][]incremental.Delta) []byte {
+	id, _ := json.Marshal(dataset) // a string always encodes; this is json's escaping
+	buf = append(append(buf, `{"dataset":`...), id...)
+	buf = strconv.AppendInt(append(buf, `,"from":`...), int64(from), 10)
+	buf = strconv.AppendInt(append(buf, `,"next":`...), int64(next), 10)
+	buf = append(buf, `,"deltas":[`...)
+	sep := ""
+	for _, deltas := range batches {
+		for _, d := range deltas {
+			buf = strconv.AppendInt(append(append(buf, sep...), `{"batch":`...), int64(d.Batch), 10)
+			buf = strconv.AppendInt(append(buf, `,"i":`...), int64(d.I), 10)
+			buf = strconv.AppendInt(append(buf, `,"j":`...), int64(d.J), 10)
+			buf = strconv.AppendInt(append(buf, `,"alice_id":`...), int64(d.AliceID), 10)
+			buf = strconv.AppendInt(append(buf, `,"bob_id":`...), int64(d.BobID), 10)
+			buf, sep = append(buf, '}'), ","
+		}
+	}
+	return append(buf, "]}"...)
 }

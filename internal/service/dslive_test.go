@@ -1,0 +1,318 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"pprl/internal/adult"
+	"pprl/internal/dataset"
+	"pprl/internal/incremental"
+	"pprl/internal/oracle"
+)
+
+// TestDeltasPageMatchesEncodingJSON holds the hand-written page encoder to
+// the reflective one it replaced, byte for byte: a consumer parsing pages
+// must not be able to tell which build served them.
+func TestDeltasPageMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	large := make([]incremental.Delta, 5000)
+	for x := range large {
+		large[x] = incremental.Delta{Batch: x / 30, I: rng.Intn(1 << 20), J: rng.Intn(1 << 20), AliceID: rng.Int(), BobID: -rng.Intn(1000)}
+	}
+	extremes := []incremental.Delta{{Batch: math.MaxInt, I: math.MinInt, J: 0, AliceID: -1, BobID: math.MaxInt32}}
+	for _, id := range []string{"ds-000001", "", `a"b\c`, "<ds>&co", "dätäset-✓", "nul\x00tab\tnl\n", "bad\xffutf8", "sep\u2028\u2029"} {
+		for _, c := range []struct {
+			name   string
+			deltas []incremental.Delta
+		}{{"empty", []incremental.Delta{}}, {"one", large[:1]}, {"extremes", extremes}, {"large", large}} {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(DeltasResponse{Dataset: id, From: 3, Next: 170, Deltas: c.deltas}); err != nil {
+				t.Fatal(err)
+			}
+			// The log hands the page one slice a batch, some of them empty.
+			half := len(c.deltas) / 2
+			for _, batches := range [][][]incremental.Delta{{c.deltas}, {nil, c.deltas[:half], {}, c.deltas[half:], nil}} {
+				got := append(appendDeltasPage(nil, id, 3, 170, batches), '\n')
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Errorf("id %q, %s page in %d slices: %d bytes differ from encoding/json's %d\n got %.200s\nwant %.200s", id, c.name, len(batches), len(got), want.Len(), got, want.Bytes())
+				}
+			}
+		}
+	}
+	// A dataset with no batches yet has an empty log; the page still says
+	// [], as the copying Deltas() always made it say.
+	if got := string(appendDeltasPage(nil, "ds-000001", 0, 0, nil)); got != `{"dataset":"ds-000001","from":0,"next":0,"deltas":[]}` {
+		t.Errorf("nil page = %s", got)
+	}
+}
+
+// TestDeltasPagesNeverTear runs an appender and a poller concurrently (the
+// race detector watches in `make race`): the poller integrates pages by
+// from = next, as DeltasResponse promises it may. Every page must hold
+// exactly the batches [from, next) — a page whose next was read before a
+// commit and whose deltas after it would carry batch `next` too, and the
+// following poll would read those again — no pair may arrive twice, and
+// the union must be the frozen run's match set.
+func TestDeltasPagesNeverTear(t *testing.T) {
+	dataDir := t.TempDir()
+	da, db := dataset.SplitOverlap(adult.Generate(900, 71), rand.New(rand.NewSource(72)))
+	const perSide = 20
+	a, b := sliceBatches(t, dataDir, "a", da, perSide), sliceBatches(t, dataDir, "b", db, perSide)
+
+	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir, JournalSync: 4096})
+	ds := registerDataset(t, ts, DatasetSpec{Allowance: serviceAmple})
+
+	appended := make(chan error, 1)
+	go func() {
+		for x := 0; x < 2*perSide; x++ {
+			req := AppendRequest{Side: "alice", Path: a[x/2]}
+			if x%2 == 1 {
+				req = AppendRequest{Side: "bob", Path: b[x/2]}
+			}
+			for {
+				body, _ := json.Marshal(req)
+				resp, err := http.Post(ts.URL+"/v1/datasets/"+ds.ID+"/records", "application/json", bytes.NewReader(body))
+				if err != nil {
+					appended <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusAccepted {
+					break
+				}
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					appended <- fmt.Errorf("append %d answered HTTP %d", x, resp.StatusCode)
+					return
+				}
+				time.Sleep(time.Millisecond) // full queue: the drainer is behind
+			}
+		}
+		appended <- nil
+	}()
+
+	seen := make(map[[2]int]bool)
+	var pairs [][2]int
+	deadline := time.Now().Add(60 * time.Second)
+	for from := 0; from < 2*perSide; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d batches became visible", from, 2*perSide)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/v1/datasets/%s/deltas?from=%d", ts.URL, ds.ID, from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page DeltasResponse
+		err = json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength <= 0 || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("page left with Content-Length %d and Transfer-Encoding %v; want one sized write", resp.ContentLength, resp.TransferEncoding)
+		}
+		if page.From != from || page.Next < from {
+			t.Fatalf("asked from=%d, page says from=%d next=%d", from, page.From, page.Next)
+		}
+		for _, d := range page.Deltas {
+			if d.Batch < from || d.Batch >= page.Next {
+				t.Fatalf("page [%d, %d) carries a delta of batch %d", from, page.Next, d.Batch)
+			}
+			p := [2]int{d.I, d.J}
+			if seen[p] {
+				t.Fatalf("pair (%d,%d) delivered twice (page [%d, %d))", d.I, d.J, from, page.Next)
+			}
+			seen[p] = true
+			pairs = append(pairs, p)
+		}
+		from = page.Next
+	}
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+
+	if len(pairs) == 0 {
+		t.Fatal("the world has no matches; the fixture exercises nothing")
+	}
+	if err := oracle.CheckIncrementalDeltas(pairs, frozenLink(t, da, db), da.Len(), db.Len()); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLegacyBatchScheduleResumes starts the daemon on a state directory
+// written by the commit before PR 24 (testdata/legacy-state: a dataset of
+// three applied batches whose schedule is a batches.json array, 64
+// comparisons bought, 51 deltas). The schedule is converted once, the
+// journal replays all of it — not one comparison is bought again — the
+// dataset takes appends after it, and a second restart finds only the
+// line file.
+func TestLegacyBatchScheduleResumes(t *testing.T) {
+	root := t.TempDir()
+	// A copy: recovery rewrites the schedule.
+	fixture := filepath.Join("testdata", "legacy-state")
+	err := filepath.WalkDir(fixture, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(root, strings.TrimPrefix(path, fixture))
+		if d.IsDir() {
+			return os.MkdirAll(dst, 0o755)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(dst, raw, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsDir := filepath.Join(root, "state", "datasets", "ds-000001")
+	cfg := Config{Dir: filepath.Join(root, "state"), DataDir: filepath.Join(root, "data"), JournalSync: 1}
+
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	st := waitDataset(t, ts1, "ds-000001", "legacy replay done", func(st DatasetStatus) bool {
+		return st.State == DatasetActive && st.Applied == 3
+	})
+	if st.Accepted != 3 || st.Stats.Purchased != 0 || st.Stats.Replayed != 64 || st.Stats.LiveSpent != 0 || st.Stats.Used != 64 {
+		t.Errorf("legacy resume: accepted %d, stats %+v; want 3 accepted, 64 verdicts replayed, nothing bought", st.Accepted, st.Stats)
+	}
+	if got := len(getDeltas(t, ts1, "ds-000001", 0).Deltas); got != 51 {
+		t.Errorf("legacy resume serves %d deltas, the writing daemon served 51", got)
+	}
+	if _, err := os.Stat(filepath.Join(dsDir, "batches.json")); !os.IsNotExist(err) {
+		t.Errorf("batches.json survived its conversion (stat err %v)", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dsDir, "batches.jsonl"))
+	if err != nil || bytes.Count(raw, []byte("\n")) != 3 || !strings.HasPrefix(string(raw), `{"batch":0,"side":0,"ref":"a2.csv","at":"2026-`) {
+		t.Errorf("converted schedule (err %v):\n%s", err, raw)
+	}
+	if code, ack := appendBatch(t, ts1, "ds-000001", AppendRequest{Side: "bob", Path: "b0.csv"}); code != http.StatusAccepted || ack.Batch != 3 {
+		t.Fatalf("append after the conversion: HTTP %d, ack %+v", code, ack)
+	}
+	before := waitDataset(t, ts1, "ds-000001", "fourth batch applied", func(st DatasetStatus) bool { return st.Applied == 4 })
+	ts1.Close()
+	s1.Drain()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer func() {
+		ts2.Close()
+		s2.Drain()
+	}()
+	after := waitDataset(t, ts2, "ds-000001", "second replay done", func(st DatasetStatus) bool {
+		return st.State == DatasetActive && st.Applied == 4
+	})
+	if after.Stats.Purchased != 0 || after.Stats.Used != before.Stats.Used || after.Stats.Deltas != before.Stats.Deltas {
+		t.Errorf("second restart: stats %+v, before it %+v", after.Stats, before.Stats)
+	}
+}
+
+// TestBatchScheduleRecovery: the schedule is one line per accept. A torn
+// final line — a crash inside the write, so never acknowledged — is cut off
+// before anything is appended behind it; damage anywhere else, or an entry
+// out of its place, is refused.
+func TestBatchScheduleRecovery(t *testing.T) {
+	st, err := NewStore(t.TempDir(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	df, err := st.NewDataset(DatasetSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.batchesPath(df.ID)
+	if got, err := st.ReadBatchEntries(df.ID); err != nil || got != nil {
+		t.Fatalf("fresh dataset: entries %v, err %v", got, err)
+	}
+	at := time.Date(2026, 10, 3, 4, 5, 6, 789, time.UTC)
+	for b := 0; b < 3; b++ {
+		if err := st.AppendBatchEntry(df.ID, batchEntry{Batch: b, Side: b % 2, Ref: fmt.Sprintf("r%d.csv", b), At: at}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"batch":0,"side":0,"ref":"r0.csv","at":"2026-10-03T04:05:06.000000789Z"}` + "\n"; !bytes.HasPrefix(whole, []byte(want)) || bytes.Count(whole, []byte("\n")) != 3 {
+		t.Fatalf("schedule file:\n%s", whole)
+	}
+
+	// Every cut of the final line, its missing newline included, reads as
+	// two entries and leaves a file the next accept extends cleanly.
+	second := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
+	for cut := second + 1; cut < len(whole); cut++ {
+		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.ReadBatchEntries(df.ID)
+		if err != nil || len(got) != 2 || got[1].Ref != "r1.csv" || !got[1].At.Equal(at) {
+			t.Fatalf("cut at byte %d: entries %+v, err %v", cut, got, err)
+		}
+		if err := st.AppendBatchEntry(df.ID, batchEntry{Batch: 2, Ref: "again.csv", At: at}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = st.ReadBatchEntries(df.ID); err != nil || len(got) != 3 || got[2].Ref != "again.csv" {
+			t.Fatalf("cut at byte %d, after re-accepting batch 2: entries %+v, err %v", cut, got, err)
+		}
+	}
+
+	for name, content := range map[string]string{
+		"garbled middle line": string(whole[:second-10]) + "\n" + string(whole[second:]),
+		"entry out of place":  string(whole[:second]) + string(whole[:second]),
+		"gap":                 string(whole[:second-1]) + "\n" + strings.Replace(string(whole[second:]), `"batch":2`, `"batch":3`, 1),
+	} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := st.ReadBatchEntries(df.ID); err == nil {
+			t.Errorf("%s: accepted as %+v", name, got)
+		}
+	}
+}
+
+// BenchmarkAppendBatchEntry: an accept behind 16 entries and one behind
+// 2,048 must cost the same — the schedule is appended to, not rewritten.
+func BenchmarkAppendBatchEntry(b *testing.B) {
+	for _, entries := range []int{16, 2048} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			st, err := NewStore(b.TempDir(), "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			df, err := st.NewDataset(DatasetSpec{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			at := time.Now().UTC()
+			for n := 0; n < entries; n++ {
+				if err := st.AppendBatchEntry(df.ID, batchEntry{Batch: n, Side: n % 2, Ref: "alice-000.csv", At: at}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if err := st.AppendBatchEntry(df.ID, batchEntry{Batch: entries + n, Side: n % 2, Ref: "alice-000.csv", At: at}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

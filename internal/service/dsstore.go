@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -15,16 +16,16 @@ import (
 //
 //	<root>/datasets/ds-000001/
 //	    dataset.json  the registration (written before the dataset exists)
-//	    batches.json  the accepted append batches, in order (rewritten
-//	                  atomically on every accept)
+//	    batches.jsonl the accepted append batches, in order: one compact
+//	                  JSON line per accept, appended with one write
 //	    ingest.wal    the incremental engine's batch journal
 //	    status.json   a terminal failure verdict, when one exists
 //
-// The restart contract: batches.json is the authoritative append
+// The restart contract: batches.jsonl is the authoritative append
 // schedule and ingest.wal the verdict history. Recovery re-Appends every
 // stored batch in order; the journal replays the committed prefix at
 // zero live cost and the engine's per-batch digests refuse a batch file
-// that changed since it was accepted. batches.json is always a superset
+// that changed since it was accepted. batches.jsonl is always a superset
 // of the journal's frames — the entry is persisted before the engine
 // sees the batch — so a crash between the two leaves a batch that
 // simply re-processes fresh on resume.
@@ -100,35 +101,89 @@ func (st *Store) NewDataset(spec DatasetSpec) (*datasetFile, error) {
 	return df, nil
 }
 
-// AppendBatchEntry durably accepts one append batch by rewriting
-// batches.json with the entry added. The rewrite is O(batches) per
-// accept — fine for the batch counts a live dataset sees (appends are
-// batched precisely so this list stays short) — and atomic, so the
-// recovery scan never reads a half-accepted schedule.
-func (st *Store) AppendBatchEntry(id string, e batchEntry) error {
-	entries, err := st.ReadBatchEntries(id)
-	if err != nil {
-		return err
-	}
-	if e.Batch != len(entries) {
-		return fmt.Errorf("service: batch entry %d for %s arrives out of order (have %d)", e.Batch, id, len(entries))
-	}
-	return writeJSONFile(filepath.Join(st.DatasetDir(id), "batches.json"), append(entries, e))
+// batchesPath is the dataset's append schedule.
+func (st *Store) batchesPath(id string) string {
+	return filepath.Join(st.DatasetDir(id), "batches.jsonl")
 }
 
-// ReadBatchEntries loads the accepted batch schedule; a dataset with no
-// appends yet has none.
-func (st *Store) ReadBatchEntries(id string) ([]batchEntry, error) {
-	raw, err := os.ReadFile(filepath.Join(st.DatasetDir(id), "batches.json"))
+// AppendBatchEntry accepts one append batch by adding its line to the
+// schedule with one O_APPEND write: nothing is read back, re-encoded or
+// renamed, so an accept costs the same at batch 10,000 as at batch 1. The
+// caller numbers the entries (under the dataset lock); a crash can tear
+// only the final line, which was then never acknowledged — the 202
+// follows the write — and which ReadBatchEntries removes.
+func (st *Store) AppendBatchEntry(id string, e batchEntry) error {
+	line, err := json.Marshal(e)
+	if err != nil {
+		return fmt.Errorf("service: encoding batch entry %d for %s: %w", e.Batch, id, err)
+	}
+	f, err := os.OpenFile(st.batchesPath(id), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err == nil {
+		_, err = f.Write(append(line, '\n'))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("service: appending batch entry %d for %s: %w", e.Batch, id, err)
+	}
+	return nil
+}
+
+// convertLegacySchedule turns the batches.json array an older build kept
+// into the line file — published whole, so a crash before that converts
+// again — retires the array, and returns the lines.
+func (st *Store) convertLegacySchedule(id string) ([]byte, error) {
+	legacy := filepath.Join(st.DatasetDir(id), "batches.json")
+	raw, err := os.ReadFile(legacy)
 	if os.IsNotExist(err) {
 		return nil, nil
+	}
+	var old []batchEntry
+	if err == nil {
+		err = json.Unmarshal(raw, &old)
+	}
+	var lines []byte
+	for _, e := range old {
+		line, _ := json.Marshal(e) // it was just decoded from JSON
+		lines = append(append(lines, line...), '\n')
+	}
+	if err == nil {
+		err = publishFile(st.batchesPath(id), lines)
+	}
+	if err == nil {
+		err = os.Remove(legacy)
+	}
+	return lines, err
+}
+
+// ReadBatchEntries loads the accepted batch schedule at recovery and
+// leaves the file safe to append to: a torn final line (no newline) is
+// truncated away first. A dataset with no appends yet has no entries.
+func (st *Store) ReadBatchEntries(id string) ([]batchEntry, error) {
+	raw, err := os.ReadFile(st.batchesPath(id))
+	if os.IsNotExist(err) {
+		raw, err = st.convertLegacySchedule(id)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("service: reading batches for %s: %w", id, err)
 	}
+	whole := bytes.LastIndexByte(raw, '\n') + 1
+	if whole < len(raw) {
+		if err := os.Truncate(st.batchesPath(id), int64(whole)); err != nil {
+			return nil, fmt.Errorf("service: truncating the torn batch entry of %s: %w", id, err)
+		}
+	}
 	var entries []batchEntry
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		return nil, fmt.Errorf("service: corrupt batch schedule for %s: %w", id, err)
+	for dec := json.NewDecoder(bytes.NewReader(raw[:whole])); dec.More(); {
+		var e batchEntry
+		if err := dec.Decode(&e); err != nil {
+			return nil, fmt.Errorf("service: corrupt batch schedule for %s: %w", id, err)
+		}
+		if e.Batch != len(entries) {
+			return nil, fmt.Errorf("service: batch schedule for %s holds entry %d where %d belongs", id, e.Batch, len(entries))
+		}
+		entries = append(entries, e)
 	}
 	return entries, nil
 }

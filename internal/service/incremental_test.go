@@ -155,6 +155,26 @@ func getDeltas(t *testing.T, ts *httptest.Server, id string, from int) DeltasRes
 	return dr
 }
 
+// frozenLink is the frozen oracle: one run over the final relations under
+// the same fixed-level binning a live dataset uses.
+func frozenLink(t *testing.T, da, db *dataset.Dataset) *core.Result {
+	t.Helper()
+	lb, err := dpblock.NewLevelBinner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg := core.DefaultConfig(adult.DefaultQIDs())
+	fcfg.AliceAnonymizer, fcfg.BobAnonymizer = lb, lb
+	fcfg.AliceK, fcfg.BobK = 1, 1
+	fcfg.Allowance = serviceAmple
+	fcfg.Scale = 1
+	frozen, err := core.Link(core.Holder{Data: da}, core.Holder{Data: db}, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frozen
+}
+
 // TestServiceIncrementalSmoke is the acceptance path for live datasets:
 // register → append batches → simulated kill mid-ingest → restart →
 // journal replay plus fresh appends → the exposed delta union is
@@ -176,21 +196,7 @@ func TestServiceIncrementalSmoke(t *testing.T) {
 		{Side: "alice", Path: aliceRefs[2]},
 	}
 
-	// Frozen oracle: one run over the final relations under the same
-	// fixed-level binning the live dataset uses.
-	lb, err := dpblock.NewLevelBinner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fcfg := core.DefaultConfig(adult.DefaultQIDs())
-	fcfg.AliceAnonymizer, fcfg.BobAnonymizer = lb, lb
-	fcfg.AliceK, fcfg.BobK = 1, 1
-	fcfg.Allowance = serviceAmple
-	fcfg.Scale = 1
-	frozen, err := core.Link(core.Holder{Data: da}, core.Holder{Data: db}, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frozen := frozenLink(t, da, db)
 	if frozen.Invocations < 3 {
 		t.Fatalf("frozen run purchased only %d comparisons; workload too small to crash mid-ingest", frozen.Invocations)
 	}

@@ -233,8 +233,13 @@ func writeJSONFile(path string, v any) error {
 	if err != nil {
 		return fmt.Errorf("service: encoding %s: %w", filepath.Base(path), err)
 	}
+	return publishFile(path, append(raw, '\n'))
+}
+
+// publishFile puts raw at path atomically: temp file, then rename.
+func publishFile(path string, raw []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
 		return fmt.Errorf("service: writing %s: %w", filepath.Base(path), err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

@@ -185,10 +185,11 @@ func TestBatchPathIsReached(t *testing.T) {
 		}
 	})
 
-	// The incremental engine's groups are explicit pair lists, new records
-	// against resident bins, so its runs are as long as a batch makes
-	// them; what must hold is that they reach the batch path in chunks, not
-	// as lists of one.
+	// The incremental engine's groups are A × B too — a batch's new
+	// members against a resident bin — but on a bob-side batch the rows are
+	// the residents and a row is as wide as the batch made the bin, often
+	// one; what must hold is that purchases reach the batch path in chunks,
+	// not as lists of one.
 	t.Run("incremental in 4 batches", func(t *testing.T) {
 		var counters []*runCounter
 		eng, err := incremental.New(alice.Schema(), incremental.Config{
