@@ -62,9 +62,6 @@ func runDedup(out io.Writer, opts options) error {
 		cfg.Comparator = pprl.SecureComparatorFactory(opts.keyBits)
 	}
 	cfg.SMCWorkers = opts.smcWorkers
-	if cfg.SMCPacking, err = cliutil.PackingModeByName(opts.packing); err != nil {
-		return err
-	}
 
 	switch {
 	case opts.journalPath != "":

@@ -69,27 +69,26 @@ type options struct {
 	anonName string
 	// epsilon is the per-holder DP budget; dpDelta, dpSeed and dpLevel
 	// are the remaining dpblock parameters (0 = defaults).
-	epsilon   float64
-	dpDelta   float64
-	dpSeed    int64
-	dpLevel   int
-	theta     float64
-	allowance float64
-	heurName  string
-	strategy     string
-	qids         string
-	secure       bool
-	keyBits      int
-	smcWorkers   int
-	packing      string
+	epsilon    float64
+	dpDelta    float64
+	dpSeed     int64
+	dpLevel    int
+	theta      float64
+	allowance  float64
+	heurName   string
+	strategy   string
+	qids       string
+	secure     bool
+	keyBits    int
+	smcWorkers int
 	// workers are SMC fleet worker addresses (pprl-party -role worker
 	// -worker-listen …); non-empty stripes the SMC step across them.
 	workers []string
 	// tier enables the Bloom triage tier between blocking and SMC;
 	// tierHigh/tierLow are its Dice thresholds (0,0 = defaults).
-	tier      string
-	tierHigh  float64
-	tierLow   float64
+	tier     string
+	tierHigh float64
+	tierLow  float64
 	// dedup links -a against itself through the incremental engine
 	// (unordered pairs i < j); level is its fixed binning depth.
 	dedup     bool
@@ -124,7 +123,6 @@ func main() {
 	flag.BoolVar(&opts.secure, "secure", false, "run the real Paillier SMC protocol instead of the cost-model oracle")
 	flag.IntVar(&opts.keyBits, "keybits", 1024, "Paillier key size for -secure")
 	flag.IntVar(&opts.smcWorkers, "smc-workers", 0, "parallel SMC lanes for -secure (0 = GOMAXPROCS)")
-	flag.StringVar(&opts.packing, "packing", "packed", "SMC result packing for -secure: packed (slot-packed responses) or off")
 	var workerAddrs cliutil.WorkerAddrs
 	flag.Var(&workerAddrs, "worker", "SMC fleet worker address (repeatable, or comma-separated); stripes the SMC step across the fleet")
 	flag.StringVar(&opts.tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
@@ -278,9 +276,6 @@ func run(out io.Writer, opts options) error {
 		cfg.Comparator = pool.Factory(jc)
 	}
 	cfg.SMCWorkers = opts.smcWorkers
-	if cfg.SMCPacking, err = cliutil.PackingModeByName(opts.packing); err != nil {
-		return err
-	}
 	if cfg.Tier, err = cliutil.TierModeByName(opts.tier); err != nil {
 		return err
 	}

@@ -70,7 +70,6 @@ type queryOptions struct {
 	heurName   string
 	keyBits    int
 	smcWorkers int
-	packing    string
 	shuffle    bool
 	// tier enables the Bloom triage tier; tierHigh/tierLow are its Dice
 	// thresholds (0,0 = defaults).
@@ -106,7 +105,6 @@ func main() {
 		heurName    = flag.String("heuristic", "minAvgFirst", "query: selection heuristic")
 		keyBits     = flag.Int("keybits", 1024, "query: Paillier key size")
 		smcWorkers  = flag.Int("smc-workers", 0, "query: SMC batch-size scaling (0 = default chunking)")
-		packing     = flag.String("packing", "packed", "query: SMC result packing (packed or off)")
 		shuffle     = flag.Bool("shuffle", true, "query: hide which attribute failed (attribute shuffling)")
 		tier        = flag.String("tier", "off", "query: triage tier between blocking and SMC (off or bloom)")
 		tierHigh    = flag.Float64("tier-high", 0, "query: tier Dice threshold for Match (0 = default 0.95)")
@@ -140,7 +138,6 @@ func main() {
 			heurName:    *heurName,
 			keyBits:     *keyBits,
 			smcWorkers:  *smcWorkers,
-			packing:     *packing,
 			shuffle:     *shuffle,
 			tier:        *tier,
 			tierHigh:    *tierHigh,
@@ -202,10 +199,6 @@ func runQuery(out io.Writer, opts queryOptions) error {
 		return err
 	}
 	h, err := cliutil.HeuristicByName(opts.heurName)
-	if err != nil {
-		return err
-	}
-	packing, err := cliutil.PackingModeByName(opts.packing)
 	if err != nil {
 		return err
 	}
@@ -273,7 +266,7 @@ func runQuery(out io.Writer, opts queryOptions) error {
 		KeyBits:           opts.keyBits,
 		ShuffleAttributes: opts.shuffle,
 		SMCWorkers:        opts.smcWorkers,
-		Packing:           packing.SMC(),
+		Packing:           smc.PackingPacked,
 		Tier:              tier,
 		TierHigh:          opts.tierHigh,
 		TierLow:           opts.tierLow,

@@ -53,27 +53,42 @@ func Classify(dice, low, high float64) Band {
 	}
 }
 
-// DefaultKey is the CLK secret of engines that host both encoders in one
-// address space; the distributed session's holders require an explicit
-// shared secret instead.
-const DefaultKey = "pprl-tier-default-key"
+// The conventional CLK shape: filter bits, hash functions per q-gram, gram
+// size.
+const defaultM, defaultK, defaultQ = 1000, 30, 2
 
-// TierDefaults fills the tier knobs every engine shares: zero-valued CLK
-// parameters take the conventional 1000/30/2, and thresholds left both
-// zero take (0.60, 0.95) — a tight Match band, since false matches are the
+// NewDefaultEncoder is the encoder of the engines that host both holders
+// in one address space: the conventional shape under a fixed key. The
+// distributed session's holders take the shape from the querying party
+// (TierDefaults) and require an explicit shared secret instead.
+func NewDefaultEncoder() *Encoder {
+	enc, err := NewEncoder(defaultM, defaultK, defaultQ, []byte("pprl-tier-default-key"))
+	if err != nil {
+		panic(err) // the shape is a constant NewEncoder accepts
+	}
+	return enc
+}
+
+// TierDefaults fills zero-valued CLK parameters with the conventional
+// 1000/30/2.
+func TierDefaults(m, k, q *int) {
+	if *m == 0 {
+		*m = defaultM
+	}
+	if *k == 0 {
+		*k = defaultK
+	}
+	if *q == 0 {
+		*q = defaultQ
+	}
+}
+
+// TierBands fills the tier thresholds every engine shares: left both zero
+// they take (0.60, 0.95) — a tight Match band, since false matches are the
 // costly error under MaximizePrecision, and a NonMatch band that discards
 // only clearly-dissimilar encodings. It rejects thresholds outside
 // 0 ≤ low ≤ high ≤ 1.
-func TierDefaults(m, k, q *int, low, high *float64) error {
-	if *m == 0 {
-		*m = 1000
-	}
-	if *k == 0 {
-		*k = 30
-	}
-	if *q == 0 {
-		*q = 2
-	}
+func TierBands(low, high *float64) error {
 	if *high == 0 && *low == 0 {
 		*high, *low = 0.95, 0.60
 	}

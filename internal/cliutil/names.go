@@ -39,19 +39,6 @@ func StrategyByName(name string) (core.Strategy, error) {
 	}
 }
 
-// PackingModeByName resolves the SMC result-packing mode from its
-// case-insensitive CLI/API name.
-func PackingModeByName(name string) (core.PackingMode, error) {
-	switch strings.ToLower(name) {
-	case "", "packed":
-		return core.PackingPacked, nil
-	case "off":
-		return core.PackingOff, nil
-	default:
-		return 0, fmt.Errorf("unknown packing mode %q (want packed or off)", name)
-	}
-}
-
 // TierModeByName resolves the triage-tier mode from its
 // case-insensitive CLI/API name.
 func TierModeByName(name string) (core.TierMode, error) {

@@ -7,30 +7,6 @@ import (
 	"pprl/internal/core"
 )
 
-func TestPackingModeByName(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want core.PackingMode
-	}{
-		{"", core.PackingPacked},
-		{"packed", core.PackingPacked},
-		{"Packed", core.PackingPacked},
-		{"off", core.PackingOff},
-		{"OFF", core.PackingOff},
-	} {
-		got, err := PackingModeByName(tc.name)
-		if err != nil {
-			t.Fatalf("PackingModeByName(%q): %v", tc.name, err)
-		}
-		if got != tc.want {
-			t.Fatalf("PackingModeByName(%q) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	if _, err := PackingModeByName("zip"); err == nil || !strings.Contains(err.Error(), "unknown packing mode") {
-		t.Fatalf("PackingModeByName(\"zip\") = %v, want unknown-mode error", err)
-	}
-}
-
 func TestTierModeByName(t *testing.T) {
 	for _, tc := range []struct {
 		name string

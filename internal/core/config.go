@@ -64,41 +64,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// PackingMode selects the secure comparator's result-message encoding
-// (Config.SMCPacking).
-type PackingMode int
-
-const (
-	// PackingPacked (default) slot-packs Bob's blinded per-attribute
-	// outputs, as many consecutive pairs of a run to a ciphertext as its
-	// schema-derived slots hold, so the querying party's decryptions,
-	// Bob's noise units and the MsgResult bytes are paid per ciphertext
-	// (one per three pairs at Adult's defaults and 1024 bits) instead of d
-	// per pair. Verdict-identical to PackingOff.
-	PackingPacked PackingMode = iota
-	// PackingOff sends one result ciphertext per active attribute.
-	PackingOff
-)
-
-func (m PackingMode) String() string {
-	switch m {
-	case PackingPacked:
-		return "packed"
-	case PackingOff:
-		return "off"
-	default:
-		return fmt.Sprintf("PackingMode(%d)", int(m))
-	}
-}
-
-// SMC maps the engine-level mode onto the protocol spec's packing field.
-func (m PackingMode) SMC() smc.Packing {
-	if m == PackingOff {
-		return smc.PackingOff
-	}
-	return smc.PackingPacked
-}
-
 // TierMode selects the optional triage tier between blocking and the SMC
 // budget (DESIGN.md §12): a cheap encoded comparator that labels the
 // confidently-similar and confidently-dissimilar Unknown pairs so the
@@ -146,15 +111,11 @@ func PlainComparatorFactory(alice, bob [][]int64, spec *smc.Spec, workers int) (
 
 // SecureComparatorFactory returns a factory running the full three-party
 // Paillier protocol in-process with keys of the given size (the paper
-// uses 1024 bits). With workers > 1 it builds the sharded engine —
-// workers protocol lanes under one key, sharing the holders' randomizer
-// pools and Alice's share cache — otherwise the serial comparator.
+// uses 1024 bits): workers protocol lanes under one key, sharing Alice's
+// noise table and Bob's randomizer pool.
 func SecureComparatorFactory(keyBits int) ComparatorFactory {
 	return func(alice, bob [][]int64, spec *smc.Spec, workers int) (smc.Comparator, error) {
-		if workers > 1 {
-			return smc.NewLocalSecureSharded(spec, alice, bob, keyBits, workers)
-		}
-		return smc.NewLocalSecure(spec, alice, bob, keyBits)
+		return smc.NewLocalSecureSharded(spec, alice, bob, keyBits, workers)
 	}
 }
 
@@ -193,11 +154,11 @@ type Config struct {
 	AllowanceFraction float64
 
 	// Tier selects the triage tier between blocking and SMC (default
-	// TierOff). Like SMCWorkers and SMCPacking it is excluded from the
-	// journal manifest: tier labels are deterministic and free to
-	// recompute, so a journaled run may resume with the tier switched on,
-	// off, or retuned — the replayed purchased verdicts stay exact and
-	// always take precedence over tier labels.
+	// TierOff). Like SMCWorkers it is excluded from the journal manifest:
+	// tier labels are deterministic and free to recompute, so a journaled
+	// run may resume with the tier switched on, off, or retuned — the
+	// replayed purchased verdicts stay exact and always take precedence
+	// over tier labels.
 	Tier TierMode
 	// TierHigh and TierLow are the Dice thresholds of the tier's three
 	// bands: ≥ TierHigh labels Match, ≤ TierLow labels NonMatch, the band
@@ -205,15 +166,6 @@ type Config struct {
 	// Both zero selects the defaults (0.95, 0.60); otherwise they must
 	// satisfy 0 ≤ TierLow ≤ TierHigh ≤ 1.
 	TierHigh, TierLow float64
-	// TierM, TierK and TierQ are the CLK encoding parameters (filter
-	// bits, hash functions per q-gram, gram size); zero values select the
-	// conventional 1000/30/2.
-	TierM, TierK, TierQ int
-	// TierKey is the keyed-hash secret the holders share. In this
-	// in-process engine both encoders live in one address space, so an
-	// empty key selects a fixed default; the distributed session requires
-	// an explicit key on the holders and never reveals it to the matcher.
-	TierKey []byte
 
 	// Epsilon, when positive, switches the run to differentially private
 	// blocking (DESIGN.md §14): both holders bin their records on fixed
@@ -252,13 +204,6 @@ type Config struct {
 	// and the scaling factor for the engine's batch size. ≤ 0 (the
 	// default) selects GOMAXPROCS.
 	SMCWorkers int
-	// SMCPacking selects the secure comparator's result encoding:
-	// PackingPacked (the default and the zero value) or PackingOff.
-	// Like SMCWorkers it changes only how verdicts are transported,
-	// never what they are, so it is excluded from the journal manifest
-	// and a journaled run may resume under either mode. The plaintext
-	// oracle ignores it.
-	SMCPacking PackingMode
 	// Seed drives the random pair selection of TrainClassifier.
 	Seed int64
 	// Journal, when set, receives the run manifest and one record per
@@ -374,17 +319,11 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 	if c.SMCWorkers <= 0 {
 		c.SMCWorkers = runtime.GOMAXPROCS(0)
 	}
-	if c.SMCPacking != PackingPacked && c.SMCPacking != PackingOff {
-		return nil, nil, fmt.Errorf("core: unknown SMCPacking mode %d", int(c.SMCPacking))
-	}
 	switch c.Tier {
 	case TierOff:
 	case TierBloom:
-		if err := bloom.TierDefaults(&c.TierM, &c.TierK, &c.TierQ, &c.TierLow, &c.TierHigh); err != nil {
+		if err := bloom.TierBands(&c.TierLow, &c.TierHigh); err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		if len(c.TierKey) == 0 {
-			c.TierKey = []byte(bloom.DefaultKey)
 		}
 	default:
 		return nil, nil, fmt.Errorf("core: unknown Tier mode %d", int(c.Tier))

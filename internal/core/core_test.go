@@ -11,6 +11,7 @@ import (
 	"pprl/internal/dataset"
 	"pprl/internal/heuristic"
 	"pprl/internal/match"
+	"pprl/internal/vgh"
 )
 
 // workload builds the paper's experimental construction at small scale:
@@ -426,9 +427,8 @@ func TestStrategyString(t *testing.T) {
 
 // TestSecureLinkRefusesOutOfDomainRecord: the packed slot width is derived
 // from the schema's published domains, so a record outside them cannot be
-// compared packed. Either holder's is refused when the comparator is
-// built, before anything is encrypted — and compared all the same once
-// packing is off.
+// compared. Either holder's is refused when the comparator is built,
+// before anything is encrypted.
 func TestSecureLinkRefusesOutOfDomainRecord(t *testing.T) {
 	alice, bob := workload(t, 45, 29)
 	cfg := DefaultConfig(adult.DefaultQIDs())
@@ -455,8 +455,54 @@ func TestSecureLinkRefusesOutOfDomainRecord(t *testing.T) {
 		!strings.Contains(err.Error(), "bob: record 3") || !strings.Contains(err.Error(), "published domain") {
 		t.Errorf("bob's record: error %v, want a refusal naming it", err)
 	}
-	cfg.SMCPacking = PackingOff
-	if _, err := Link(Holder{Data: outside(alice)}, Holder{Data: bob}, cfg); err != nil {
-		t.Errorf("unpacked results carry any value, but: %v", err)
+}
+
+// TestScaleResolvesFractions: Scale is the circuit's fixed-point factor,
+// and a continuous attribute with fractional values needs it. 10.0 and
+// 10.4 are 0.4 apart under a threshold that admits 0.25, in a class pair
+// blocking leaves Unknown: at Scale 100 the purchased verdict is the
+// clear-text rule's NonMatch, at Scale 1 both values encode as 10 and the
+// circuit calls them a match — through the oracle and the real protocol.
+func TestScaleResolvesFractions(t *testing.T) {
+	schema, err := dataset.NewSchema(dataset.NumAttr(vgh.MustIntervalHierarchy("x", 0, 16, 2, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := func(values ...float64) *dataset.Dataset {
+		d := dataset.New(schema)
+		for i, v := range values {
+			d.MustAppend(dataset.Record{EntityID: i, Cells: []dataset.Cell{dataset.NumCell(v)}})
+		}
+		return d
+	}
+	// Both classes generalize to [10, 12): the class pair is Unknown.
+	alice, bob := rel(10.0, 11.9), rel(10.4, 11.5)
+	for name, factory := range map[string]ComparatorFactory{"plain": PlainComparatorFactory, "secure": SecureComparatorFactory(256)} {
+		for _, c := range []struct {
+			scale int64
+			want  bool
+		}{{100, false}, {1, true}} {
+			cfg := DefaultConfig([]string{"x"})
+			cfg.Theta = 0.25 / 16 // a difference of 0.25 over the domain's width
+			cfg.AliceK, cfg.BobK = 2, 2
+			cfg.Allowance = 4
+			cfg.Scale = c.scale
+			cfg.Comparator = factory
+			res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg)
+			if err != nil {
+				t.Fatalf("%s, scale %d: %v", name, c.scale, err)
+			}
+			if res.Block.UnknownPairs != 4 || res.Invocations != 4 {
+				t.Fatalf("%s, scale %d: %d Unknown pairs, %d purchased; want all 4 of both", name, c.scale, res.Block.UnknownPairs, res.Invocations)
+			}
+			if got := res.PairMatched(0, 0); got != c.want {
+				t.Errorf("%s, scale %d: 10.0 against 10.4 labeled match=%v, want %v", name, c.scale, got, c.want)
+			}
+			if c.scale == 100 {
+				if conf := res.Evaluate(truth(t, alice, bob, res)); conf.FalsePositives+conf.FalseNegatives != 0 {
+					t.Errorf("%s, scale 100: %+v against the clear-text rule", name, conf)
+				}
+			}
+		}
 	}
 }

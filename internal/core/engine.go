@@ -227,10 +227,7 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	var tier func(i, j int) bloom.Band
 	if cfg.Tier == TierBloom {
 		start := time.Now()
-		enc, err := bloom.NewEncoder(cfg.TierM, cfg.TierK, cfg.TierQ, cfg.TierKey)
-		if err != nil {
-			return nil, fmt.Errorf("core: tier encoder: %w", err)
-		}
+		enc := bloom.NewDefaultEncoder()
 		aF := bloom.EncodeRecords(enc, alice.Data, qids)
 		bF := bloom.EncodeRecords(enc, bob.Data, qids)
 		tier = func(i, j int) bloom.Band {
@@ -244,7 +241,7 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	if err != nil {
 		return nil, fmt.Errorf("core: building SMC spec: %w", err)
 	}
-	spec.Packing = cfg.SMCPacking.SMC()
+	spec.Packing = smc.PackingPacked
 	spec.BoundBySchema(alice.Data.Schema(), qids)
 	cmp, err := cfg.Comparator(
 		smc.EncodeRecords(alice.Data, qids, cfg.Scale),

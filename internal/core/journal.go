@@ -34,18 +34,17 @@ func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowan
 	}
 }
 
-// configDigest hashes the normalized run parameters. SMCWorkers,
-// SMCPacking and the comparator backend are deliberately excluded: they
-// change how fast verdicts arrive (or how they are encoded in transit),
-// never which verdicts arrive, so a run may resume with different
-// parallelism, the other packing mode, or switch between the plaintext
-// oracle and the secure protocol. The Tier knobs (mode, thresholds, CLK
-// parameters) are excluded for a different reason: tier labels are
-// deterministic, free to recompute, and journaled separately from
-// purchased verdicts, while a purchased verdict is exact under any tier
-// configuration — so a journaled run may resume with the tier switched
-// on, off, or retuned: the resolution kernel charges the journaled
-// purchases first and recomputes tier labels around them.
+// configDigest hashes the normalized run parameters. SMCWorkers and the
+// comparator backend are deliberately excluded: they change how fast
+// verdicts arrive, never which verdicts arrive, so a run may resume with
+// different parallelism or switch between the plaintext oracle and the
+// secure protocol. The Tier knobs (mode, thresholds) are excluded for a
+// different reason: tier labels are deterministic, free to recompute, and
+// journaled separately from purchased verdicts, while a purchased verdict
+// is exact under any tier configuration — so a journaled run may resume
+// with the tier switched on, off, or retuned: the resolution kernel
+// charges the journaled purchases first and recomputes tier labels around
+// them.
 func configDigest(cfg *Config, allowance int64) [32]byte {
 	h := sha256.New()
 	for _, q := range cfg.QIDs {

@@ -282,7 +282,7 @@ func TestSecureEngineFleet(t *testing.T) {
 	p := newTestPool(t)
 	startWorker(t, p, WorkerOptions{Name: "s1", Lanes: 2, HeartbeatEvery: 50 * time.Millisecond})
 	startWorker(t, p, WorkerOptions{Name: "s2", HeartbeatEvery: 50 * time.Millisecond})
-	cmp, err := p.NewComparator(spec, alice, bob, JobConfig{Job: "secure", Engine: EngineSecure, KeyBits: 64, ChunkPairs: 9})
+	cmp, err := p.NewComparator(spec, alice, bob, JobConfig{Job: "secure", Engine: EngineSecure, KeyBits: 256, ChunkPairs: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,5 +338,13 @@ func TestUnknownEngineRefused(t *testing.T) {
 	_, err := p.NewComparator(testSpec(), testRecords(4, 9), testRecords(4, 10), JobConfig{Engine: Engine(2)})
 	if err == nil || !strings.Contains(err.Error(), "unknown engine 2") {
 		t.Fatalf("Engine(2) job returned %v, want the worker's unknown-engine refusal", err)
+	}
+	// A secure engine that cannot be built is refused the same way, and the
+	// worker the pool then drops exits cleanly (startWorker waits for it).
+	p = newTestPool(t)
+	startWorker(t, p, WorkerOptions{Name: "u2", HeartbeatEvery: 50 * time.Millisecond})
+	_, err = p.NewComparator(testSpec(), testRecords(4, 9), testRecords(4, 10), JobConfig{Engine: EngineSecure, KeyBits: 64})
+	if err == nil || !strings.Contains(err.Error(), "use a larger key") {
+		t.Fatalf("64-bit secure job returned %v, want the worker's modulus-fit refusal", err)
 	}
 }

@@ -147,7 +147,7 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 				conn.Close()
 				return nil
 			}
-			verdicts, err := compareAll(cmp, m.Pairs)
+			verdicts, err := cmp.CompareBatch(m.Pairs)
 			if err != nil {
 				l.send(&message{Kind: kindError, Job: job, Chunk: m.Chunk, Err: err.Error()})
 				continue
@@ -183,28 +183,12 @@ func buildEngine(engine Engine, spec *smc.Spec, alice, bob [][]int64, keyBits, l
 	case EngineOracle:
 		return smc.NewPlainComparator(spec, alice, bob), nil
 	case EngineSecure:
-		if lanes > 1 {
-			return smc.NewLocalSecureSharded(spec, alice, bob, keyBits, lanes)
+		cmp, err := smc.NewLocalSecureSharded(spec, alice, bob, keyBits, lanes)
+		if err != nil {
+			return nil, err // not a nil *ShardedComparator in a non-nil interface
 		}
-		return smc.NewLocalSecure(spec, alice, bob, keyBits)
+		return cmp, nil
 	default:
 		return nil, fmt.Errorf("distrib: unknown engine %d", int(engine))
 	}
-}
-
-// compareAll resolves a chunk through the engine's batch path when it
-// has one, per-pair calls otherwise.
-func compareAll(cmp smc.Comparator, pairs [][2]int) ([]bool, error) {
-	if b, ok := cmp.(smc.BatchComparator); ok {
-		return b.CompareBatch(pairs)
-	}
-	out := make([]bool, len(pairs))
-	for x, p := range pairs {
-		v, err := cmp.Compare(p[0], p[1])
-		if err != nil {
-			return nil, err
-		}
-		out[x] = v
-	}
-	return out, nil
 }

@@ -168,7 +168,7 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("incremental: building SMC spec: %w", err)
 	}
-	spec.Packing = cfg.SMCPacking.SMC()
+	spec.Packing = smc.PackingPacked
 	spec.BoundBySchema(schema, qids)
 
 	e := &Engine{
@@ -182,10 +182,7 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 		dummyCharged: make(map[[2]int32]int64),
 	}
 	if e.tier {
-		e.tenc, err = bloom.NewEncoder(cfg.TierM, cfg.TierK, cfg.TierQ, cfg.TierKey)
-		if err != nil {
-			return nil, fmt.Errorf("incremental: tier encoder: %w", err)
-		}
+		e.tenc = bloom.NewDefaultEncoder()
 	}
 	nSides := 2
 	if cfg.Dedup {
@@ -618,24 +615,11 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 	return spent, nil
 }
 
-// lazyComparator is the kernel's comparator for one batch: built on the
-// first purchase, and always offering the batch path so a secure
-// comparator is handed its runs (a per-pair loop stands in for a built
-// comparator that has none).
+// lazyComparator is the kernel's comparator for one batch, built on the
+// first purchase.
 type lazyComparator struct {
-	build    func() (smc.Comparator, error)
-	cmp      smc.Comparator
-	verdicts []bool
-}
-
-// Compare is the batch of one; the kernel, finding a batch path, never
-// calls it.
-func (l *lazyComparator) Compare(i, j int) (bool, error) {
-	out, err := l.CompareBatch([][2]int{{i, j}})
-	if err != nil {
-		return false, err
-	}
-	return out[0], nil
+	build func() (smc.Comparator, error)
+	cmp   smc.Comparator
 }
 
 func (l *lazyComparator) CompareBatch(pairs [][2]int) (_ []bool, err error) {
@@ -644,18 +628,7 @@ func (l *lazyComparator) CompareBatch(pairs [][2]int) (_ []bool, err error) {
 			return nil, err
 		}
 	}
-	if b, ok := l.cmp.(smc.BatchComparator); ok {
-		return b.CompareBatch(pairs)
-	}
-	l.verdicts = l.verdicts[:0]
-	for _, p := range pairs {
-		m, err := l.cmp.Compare(p[0], p[1])
-		if err != nil {
-			return nil, fmt.Errorf("(%d,%d): %w", p[0], p[1], err)
-		}
-		l.verdicts = append(l.verdicts, m)
-	}
-	return l.verdicts, nil
+	return l.cmp.CompareBatch(pairs)
 }
 
 func (l *lazyComparator) close() {

@@ -651,50 +651,34 @@ type purchaseLog struct {
 	batches [][][2]int // lists that arrived through CompareBatch
 }
 
-// pairOnly is the plaintext oracle, logged; it has no batch path.
-type pairOnly struct {
+// logged is the plaintext oracle, logged.
+type logged struct {
 	smc.Comparator
 	log *purchaseLog
 }
 
-func (c pairOnly) Compare(i, j int) (bool, error) {
+func (c logged) Compare(i, j int) (bool, error) {
 	c.log.single = append(c.log.single, [2]int{i, j})
 	return c.Comparator.Compare(i, j)
 }
 
-// batching adds the batch path a secure comparator has.
-type batching struct{ pairOnly }
-
-func (c batching) CompareBatch(pairs [][2]int) ([]bool, error) {
+func (c logged) CompareBatch(pairs [][2]int) ([]bool, error) {
 	c.log.batches = append(c.log.batches, append([][2]int(nil), pairs...))
-	out := make([]bool, len(pairs))
-	for x, p := range pairs {
-		var err error
-		if out[x], err = c.Comparator.Compare(p[0], p[1]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return c.Comparator.CompareBatch(pairs)
 }
 
-func (l *purchaseLog) factory(batch bool) core.ComparatorFactory {
-	return func(alice, bob [][]int64, spec *smc.Spec, workers int) (smc.Comparator, error) {
-		l.builds++
-		plain, err := core.PlainComparatorFactory(alice, bob, spec, workers)
-		if batch {
-			return batching{pairOnly{plain, l}}, err
-		}
-		return pairOnly{plain, l}, err
-	}
+func (l *purchaseLog) factory(alice, bob [][]int64, spec *smc.Spec, workers int) (smc.Comparator, error) {
+	l.builds++
+	plain, err := core.PlainComparatorFactory(alice, bob, spec, workers)
+	return logged{plain, l}, err
 }
 
-// TestIncrementalBuysThroughBatchPath: a comparator with a batch path is
-// handed the walk in CompareBatch lists — the same pairs in the same
-// order a per-pair comparator is asked one at a time — with identical
-// deltas, accounting and journal bytes, and a committed replay builds no
-// comparator at all. The engine's groups are A × B, so on an alice-side
-// batch (a new record against a resident bin) the kernel's purchases reach
-// the engine's sink as row spans, not pair by pair.
+// TestIncrementalBuysThroughBatchPath: the comparator is handed the walk
+// in CompareBatch lists — the pairs the sink is delivered, in its order,
+// none through Compare — and a committed replay builds no comparator at
+// all. The engine's groups are A × B, so on an alice-side batch (a new
+// record against a resident bin) the kernel's purchases reach the engine's
+// sink as row spans, not pair by pair.
 func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	w := testkit.Generate(5)
 	dir := t.TempDir()
@@ -709,17 +693,19 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	for _, b := range batchesOf(w.Alice, w.Alice.Len()/3+1) {
 		feed = append(feed, batch{0, b})
 	}
-	// longest[s] is the longest purchased span the sink saw in side s's batches.
+	// longest[s] is the longest purchased span the sink saw in side s's
+	// batches; delivered is every purchased pair, in the sink's order.
 	var longest [2]int
-	run := func(name string, log *purchaseLog, batchPath, resume bool) ([][]incremental.Delta, incremental.Stats, []byte) {
+	var delivered [][2]int
+	run := func(log *purchaseLog, resume bool) ([][]incremental.Delta, incremental.Stats, []byte) {
 		t.Helper()
-		path := filepath.Join(dir, name)
+		path := filepath.Join(dir, "batch.wal")
 		jw, _, err := journal.Open(path, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := incrementalConfig(w, ample)
-		cfg.Comparator = log.factory(batchPath)
+		cfg.Comparator = log.factory
 		cfg.Journal = jw
 		if resume {
 			cfg.Recovered = jw.Recovered()
@@ -729,10 +715,13 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		side := 0
-		longest = [2]int{}
+		longest, delivered = [2]int{}, nil
 		eng.ObserveEvents(func(ev resolve.Event) {
 			if ev.Kind == resolve.Purchased {
 				longest[side] = max(longest[side], len(ev.Js))
+				for _, j := range ev.Js {
+					delivered = append(delivered, [2]int{ev.I, j})
+				}
 			}
 		})
 		var deltas [][]incremental.Delta
@@ -754,39 +743,26 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 		return deltas, eng.Stats(), raw
 	}
 
-	var perPair, batched, replay purchaseLog
-	wantDeltas, wantStats, wantWAL := run("pair.wal", &perPair, false, false)
-	gotDeltas, gotStats, gotWAL := run("batch.wal", &batched, true, false)
+	var first, replay purchaseLog
+	wantDeltas, wantStats, wantWAL := run(&first, false)
 	if longest[0] < 2 {
 		t.Errorf("the longest span the sink was handed in an alice-side batch is %d pairs (bob-side: %d); want a row of a resident bin", longest[0], longest[1])
 	}
-	if wantStats.Purchased == 0 || len(perPair.single) != int(wantStats.Purchased) {
-		t.Fatalf("fixture: %d purchases, %d Compare calls", wantStats.Purchased, len(perPair.single))
+	if wantStats.Purchased == 0 || len(delivered) != int(wantStats.Purchased) {
+		t.Fatalf("fixture: %d purchases, %d delivered", wantStats.Purchased, len(delivered))
 	}
-	if len(batched.single) != 0 {
-		t.Errorf("%d pairs reached a batch-capable comparator through Compare", len(batched.single))
+	if len(first.single) != 0 {
+		t.Errorf("%d pairs reached the comparator through Compare", len(first.single))
 	}
 	var flat [][2]int
-	for _, list := range batched.batches {
+	for _, list := range first.batches {
 		flat = append(flat, list...)
 	}
-	if !reflect.DeepEqual(flat, perPair.single) {
-		t.Errorf("CompareBatch lists carry %d pairs, not the %d-pair walk the per-pair path buys in order", len(flat), len(perPair.single))
-	}
-	if batched.builds != perPair.builds {
-		t.Errorf("batch path built %d comparators, per-pair path %d", batched.builds, perPair.builds)
-	}
-	if !reflect.DeepEqual(gotDeltas, wantDeltas) {
-		t.Error("deltas differ between the batch path and the per-pair path")
-	}
-	if gotStats != wantStats {
-		t.Errorf("stats differ: batch path %+v, per-pair path %+v", gotStats, wantStats)
-	}
-	if !bytes.Equal(gotWAL, wantWAL) {
-		t.Error("journal bytes differ between the batch path and the per-pair path")
+	if !reflect.DeepEqual(flat, delivered) {
+		t.Errorf("CompareBatch lists carry %d pairs, not the %d-pair walk the sink was delivered in order", len(flat), len(delivered))
 	}
 
-	replayDeltas, replayStats, replayWAL := run("batch.wal", &replay, true, true)
+	replayDeltas, replayStats, replayWAL := run(&replay, true)
 	if replay.builds != 0 || len(replay.single)+len(replay.batches) != 0 {
 		t.Errorf("committed replay built %d comparators and asked them %d times", replay.builds, len(replay.single)+len(replay.batches))
 	}

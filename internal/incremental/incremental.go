@@ -70,10 +70,6 @@ type Config struct {
 	Tier     core.TierMode
 	TierHigh float64
 	TierLow  float64
-	TierM    int
-	TierK    int
-	TierQ    int
-	TierKey  []byte
 	// Epsilon > 0 switches blocking to DP bin intersection with noised
 	// counts and dummy charging; DPDelta 0 selects dpblock.DefaultDelta.
 	// DPSeed keys the noise (side 0 draws with DPSeed, side 1 with
@@ -85,15 +81,11 @@ type Config struct {
 	// i<j, self-pairs excluded.
 	Dedup bool
 	// Comparator builds the SMC backend per batch (nil selects the
-	// plaintext oracle); SMCWorkers and SMCPacking pass through to it.
+	// plaintext oracle); SMCWorkers passes through to it.
 	Comparator core.ComparatorFactory
 	SMCWorkers int
-	SMCPacking core.PackingMode
 	// Scale is the fixed-point encoding scale (0 selects 1).
 	Scale int64
-	// Seed goes into the journal manifest for parity with the frozen
-	// manifest; the incremental engine itself has no random choices.
-	Seed int64
 	// Journal, when set, makes the run durable: batch marks, verdicts and
 	// commits are framed per DESIGN.md §15. Recovered must then carry the
 	// replayed state when resuming (journal.Writer.Recovered()); nil for
@@ -125,11 +117,8 @@ func (c Config) normalize() (Config, error) {
 		c.Scale = 1
 	}
 	if c.Tier == core.TierBloom {
-		if err := bloom.TierDefaults(&c.TierM, &c.TierK, &c.TierQ, &c.TierLow, &c.TierHigh); err != nil {
+		if err := bloom.TierBands(&c.TierLow, &c.TierHigh); err != nil {
 			return c, fmt.Errorf("incremental: %w", err)
-		}
-		if len(c.TierKey) == 0 {
-			c.TierKey = []byte(bloom.DefaultKey)
 		}
 	}
 	if c.Epsilon > 0 && c.DPDelta == 0 {
@@ -165,15 +154,16 @@ func (c *Config) manifest(schema *dataset.Schema, qids []int) journal.Manifest {
 		ConfigDigest: c.configDigest(),
 		InputsDigest: registrationDigest(schema, qids, c.Dedup),
 		Allowance:    c.Allowance,
-		Seed:         c.Seed,
 		Heuristic:    c.Heuristic.Name(),
 	}
 }
 
 // configDigest hashes the parameters that determine which pairs are
-// resolved and what they cost. As in the frozen engine, SMCWorkers,
-// SMCPacking, the comparator backend and the tier knobs are excluded:
-// they change speed or free labels, never purchased verdicts.
+// resolved and what they cost. As in the frozen engine, SMCWorkers, the
+// comparator backend and the tier knobs are excluded: they change speed
+// or free labels, never purchased verdicts. The engine makes no random
+// choice; "seed" stays in the hash, at the 0 every journal on disk was
+// written with, so those journals still resume.
 func (c *Config) configDigest() [32]byte {
 	h := sha256.New()
 	for _, q := range c.QIDs {
@@ -188,7 +178,7 @@ func (c *Config) configDigest() [32]byte {
 	journal.HashField(h, "heuristic", c.Heuristic.Name())
 	journal.HashField(h, "strategy", c.Strategy.String())
 	journal.HashField(h, "scale", strconv.FormatInt(c.Scale, 10))
-	journal.HashField(h, "seed", strconv.FormatInt(c.Seed, 10))
+	journal.HashField(h, "seed", "0")
 	journal.HashField(h, "dedup", strconv.FormatBool(c.Dedup))
 	if c.Epsilon > 0 {
 		journal.HashField(h, "epsilon", strconv.FormatFloat(c.Epsilon, 'g', -1, 64))

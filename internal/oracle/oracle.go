@@ -163,26 +163,15 @@ func (o *Oracle) CheckBlocking(block *blocking.Result) error {
 }
 
 // CheckComparator verifies that an SMC comparator's verdict equals the
-// oracle's exact threshold comparison for every listed record pair. It
-// uses the batch path when the comparator offers one (the pipelined
-// secure engines), per-pair Compare otherwise, so the path the linkage
-// engine takes in production is the path under test.
+// oracle's exact threshold comparison for every listed record pair,
+// through the batch path the linkage engine buys with.
 func (o *Oracle) CheckComparator(cmp smc.Comparator, pairs [][2]int) error {
-	verdicts := make([]bool, len(pairs))
-	if batcher, ok := cmp.(smc.BatchComparator); ok {
-		out, err := batcher.CompareBatch(pairs)
-		if err != nil {
-			return fmt.Errorf("oracle: comparator batch failed: %w", err)
-		}
-		copy(verdicts, out)
-	} else {
-		for k, p := range pairs {
-			v, err := cmp.Compare(p[0], p[1])
-			if err != nil {
-				return fmt.Errorf("oracle: comparator failed on pair %v: %w", p, err)
-			}
-			verdicts[k] = v
-		}
+	verdicts, err := cmp.CompareBatch(pairs)
+	if err != nil {
+		return fmt.Errorf("oracle: comparator batch failed: %w", err)
+	}
+	if len(verdicts) != len(pairs) {
+		return fmt.Errorf("oracle: comparator returned %d verdicts for %d pairs", len(verdicts), len(pairs))
 	}
 	var disagreements []string
 	for k, p := range pairs {

@@ -120,15 +120,15 @@ func TestOracleCheckComparator(t *testing.T) {
 }
 
 // lyingComparator inverts every verdict of the wrapped comparator.
-type lyingComparator struct{ inner smc.Comparator }
+type lyingComparator struct{ smc.Comparator }
 
-func (l *lyingComparator) Compare(i, j int) (bool, error) {
-	v, err := l.inner.Compare(i, j)
-	return !v, err
+func (l *lyingComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
+	out, err := l.Comparator.CompareBatch(pairs)
+	for x := range out {
+		out[x] = !out[x]
+	}
+	return out, err
 }
-func (l *lyingComparator) Invocations() int64      { return 0 }
-func (l *lyingComparator) BytesTransferred() int64 { return 0 }
-func (l *lyingComparator) Close() error            { return nil }
 
 // mutantMetric deliberately breaks the slack contract the way ISSUE.md's
 // canary prescribes: sds is computed as the infimum, so the supremum it

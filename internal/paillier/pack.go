@@ -52,7 +52,7 @@ type PackPlan struct {
 
 // NewPackPlan derives the packing geometry for a modulus of modBits bits
 // and the given slot width. It fails fast when even a single slot does
-// not fit — the caller must use a larger key or disable packing.
+// not fit — the caller must use a larger key.
 func NewPackPlan(modBits, slotBits int) (PackPlan, error) {
 	if slotBits < 2 {
 		return PackPlan{}, fmt.Errorf("paillier: slot width %d too small", slotBits)

@@ -89,10 +89,13 @@ var ErrMessageRange = errors.New("paillier: message outside [0, N)")
 // shares a factor with N.
 var ErrCiphertextRange = errors.New("paillier: invalid ciphertext")
 
+// MinKeyBits is the smallest modulus GenerateKey accepts.
+const MinKeyBits = 64
+
 // GenerateKey creates a key pair with an n of the given bit length. The
 // paper's experiments use 1024-bit keys; tests use shorter ones for speed.
 func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
-	if bits < 64 {
+	if bits < MinKeyBits {
 		return nil, fmt.Errorf("paillier: key size %d too small", bits)
 	}
 	for {

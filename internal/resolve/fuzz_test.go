@@ -13,9 +13,8 @@ import (
 // padding, tier bands and journaled sets (some of them pairs no walk
 // meets) and checks what every adapter relies on: the budget is never
 // overdrawn, every walked pair is delivered exactly once and in walk
-// order, every journaled purchase is delivered exactly once, and the
-// per-pair and batch paths agree — all on the flattened span stream — and
-// that every span is one group's, one record's, a contiguous stretch of
+// order, every journaled purchase is delivered exactly once — all on the
+// flattened span stream — and that every span is one group's, one record's, a contiguous stretch of
 // that group's B, inside one chunk and one progress stride.
 func FuzzResolveBudget(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint8(0))
@@ -73,7 +72,7 @@ func FuzzResolveBudget(f *testing.F) {
 		}
 		rng.Shuffle(len(sc.journaled), func(x, y int) { sc.journaled[x], sc.journaled[y] = sc.journaled[y], sc.journaled[x] })
 
-		got := runBoth(t, sc, nil)
+		got := runScenario(t, sc, nil)
 		if got.err != nil {
 			t.Fatal(got.err)
 		}

@@ -19,7 +19,6 @@ import (
 	"pprl/internal/bloom"
 	"pprl/internal/dpblock"
 	"pprl/internal/journal"
-	"pprl/internal/smc"
 )
 
 // ErrInterrupted is returned (wrapped) by Run when Input.Context is
@@ -96,11 +95,12 @@ type Input struct {
 	// Tier, when set, labels confident pairs for free; BandUncertain
 	// sends the pair on to the budget.
 	Tier func(i, j int) bloom.Band
-	// Comparator buys verdicts, through its batch path
-	// (smc.BatchComparator) in chunks of its ChunkHint when it has them;
-	// Workers scales the chunk otherwise.
+	// Comparator buys verdicts, one pair list in walk order per chunk —
+	// the batch method of smc.Comparator, so a secure engine is handed its
+	// runs whole. Chunks are its ChunkHint when it has one; Workers scales
+	// them otherwise.
 	Comparator interface {
-		Compare(i, j int) (bool, error)
+		CompareBatch(pairs [][2]int) ([]bool, error)
 	}
 	Workers int
 	// Journal, when set, records every Purchased and Tiered event before
@@ -134,9 +134,8 @@ const maxQueuedChunks = 64
 
 // run is the state of one Run.
 type run struct {
-	in      Input
-	batcher smc.BatchComparator
-	chunk   int
+	in    Input
+	chunk int
 
 	budget    int64
 	done      int64
@@ -150,11 +149,10 @@ type run struct {
 	// queue holds the events since the oldest unflushed purchase, in walk
 	// order; pending counts the purchases among them, spans the columns of
 	// the row spans among them.
-	queue    []queued
-	spans    [][]int
-	pending  int
-	pairs    [][2]int
-	verdicts []bool
+	queue   []queued
+	spans   [][]int
+	pending int
+	pairs   [][2]int
 	// oneJ and oneV back the Js and Verdicts of a span of one.
 	oneJ [1]int
 	oneV [1]bool
@@ -168,7 +166,6 @@ type run struct {
 // many walked pairs the tier hook passed on as uncertain.
 func Run(in Input) (uncertain int64, err error) {
 	r := &run{in: in, budget: in.Budget}
-	r.batcher, _ = in.Comparator.(smc.BatchComparator)
 	// The chunk grows with the worker count so a sharded comparator always
 	// has enough pairs to keep every lane's pipeline full. A comparator
 	// that knows its own ideal batch size — a distributed pool whose
@@ -367,9 +364,8 @@ func (r *run) checkpoint() bool {
 	return r.err == nil
 }
 
-// flush buys the queued purchases — one pair list in walk order, through
-// the batch path when the comparator has one — and delivers the queue in
-// order. It reports whether the run may go on.
+// flush buys the queued purchases — one pair list in walk order — and
+// delivers the queue in order. It reports whether the run may go on.
 func (r *run) flush() bool {
 	if r.pending == 0 {
 		return true
@@ -387,27 +383,14 @@ func (r *run) flush() bool {
 			next[0], next = [2]int{q.i, q.j}, next[1:]
 		}
 	}
-	verdicts := r.verdicts[:0]
-	if r.batcher != nil {
-		var err error
-		if verdicts, err = r.batcher.CompareBatch(r.pairs); err != nil {
-			r.err = fmt.Errorf("SMC batch: %w", err)
-			return false
-		}
-		if len(verdicts) != len(r.pairs) {
-			r.err = fmt.Errorf("SMC batch: %d verdicts for %d pairs", len(verdicts), len(r.pairs))
-			return false
-		}
-	} else {
-		for _, p := range r.pairs {
-			matched, err := r.in.Comparator.Compare(p[0], p[1])
-			if err != nil {
-				r.err = fmt.Errorf("SMC comparison (%d,%d): %w", p[0], p[1], err)
-				return false
-			}
-			verdicts = append(verdicts, matched)
-		}
-		r.verdicts = verdicts
+	verdicts, err := r.in.Comparator.CompareBatch(r.pairs)
+	if err != nil {
+		r.err = fmt.Errorf("SMC batch: %w", err)
+		return false
+	}
+	if len(verdicts) != len(r.pairs) {
+		r.err = fmt.Errorf("SMC batch: %d verdicts for %d pairs", len(verdicts), len(r.pairs))
+		return false
 	}
 	return r.drain(verdicts)
 }

@@ -15,28 +15,21 @@ import (
 // verdictOf is the fake comparators' ground truth.
 func verdictOf(i, j int) bool { return (i+2*j)%3 == 0 }
 
-// pairCmp offers only per-pair Compare; batchCmp adds the batch path and
-// remembers the batch sizes it was handed. Both declare hint as their
-// ChunkHint (0 = none).
-type pairCmp struct{ calls, hint int }
-
-func (c *pairCmp) ChunkHint() int { return c.hint }
-
-func (c *pairCmp) Compare(i, j int) (bool, error) {
-	c.calls++
-	return verdictOf(i, j), nil
-}
-
+// batchCmp counts the pairs it is asked for and remembers the sizes of the
+// batches they came in; it declares hint as its ChunkHint (0 = none).
 type batchCmp struct {
-	pairCmp
-	batches []int
+	calls, hint int
+	batches     []int
 }
+
+func (c *batchCmp) ChunkHint() int { return c.hint }
 
 func (c *batchCmp) CompareBatch(pairs [][2]int) ([]bool, error) {
 	c.batches = append(c.batches, len(pairs))
+	c.calls += len(pairs)
 	out := make([]bool, len(pairs))
 	for x, p := range pairs {
-		out[x], _ = c.Compare(p[0], p[1])
+		out[x] = verdictOf(p[0], p[1])
 	}
 	return out, nil
 }
@@ -86,7 +79,7 @@ type scenario struct {
 	journaled []journal.Verdict
 	tier      map[[2]int]bloom.Band // nil = tier off; missing pairs are uncertain
 	residual  bool
-	hint      int // chunk size both comparator variants run at (0 = default)
+	hint      int // the comparator's ChunkHint (0 = default)
 }
 
 // outcome is everything observable about one run.
@@ -106,9 +99,7 @@ func (out *outcome) sink(ev Event) {
 	out.spans = append(out.spans, ev)
 }
 
-func (sc scenario) input(cmp interface {
-	Compare(i, j int) (bool, error)
-}, out *outcome) Input {
+func (sc scenario) input(cmp *batchCmp, out *outcome) Input {
 	in := Input{
 		Groups:     len(sc.groups),
 		Group:      func(k int) Group { return sc.groups[k] },
@@ -127,39 +118,18 @@ func (sc scenario) input(cmp interface {
 	return in
 }
 
-// runBoth runs the scenario through the per-pair and the batch comparator
-// and fails unless both produce the same sink trace, journal and stats.
-func runBoth(t *testing.T, sc scenario, tweak func(*Input, *outcome)) *outcome {
+// runScenario runs the scenario once; tweak may adjust the input first.
+func runScenario(t *testing.T, sc scenario, tweak func(*Input, *outcome)) *outcome {
 	t.Helper()
-	per := &outcome{journal: &memJournal{}}
-	pc := &pairCmp{hint: sc.hint}
-	in := sc.input(pc, per)
+	out := &outcome{journal: &memJournal{}}
+	cmp := &batchCmp{hint: sc.hint}
+	in := sc.input(cmp, out)
 	if tweak != nil {
-		tweak(&in, per)
+		tweak(&in, out)
 	}
-	per.uncertain, per.err = Run(in)
-	per.calls = pc.calls
-
-	bat := &outcome{journal: &memJournal{}}
-	bc := &batchCmp{pairCmp: pairCmp{hint: sc.hint}}
-	in = sc.input(bc, bat)
-	if tweak != nil {
-		tweak(&in, bat)
-	}
-	bat.uncertain, bat.err = Run(in)
-	bat.calls, bat.batches = bc.calls, bc.batches
-
-	if !reflect.DeepEqual(per.spans, bat.spans) {
-		t.Fatalf("sink events differ:\nper-pair %v\nbatch    %v", per.spans, bat.spans)
-	}
-	if !reflect.DeepEqual(per.journal.entries, bat.journal.entries) || per.journal.syncs != bat.journal.syncs {
-		t.Fatalf("journals differ:\nper-pair %v\nbatch    %v", per.journal.entries, bat.journal.entries)
-	}
-	if per.uncertain != bat.uncertain || per.calls != bat.calls || (per.err == nil) != (bat.err == nil) {
-		t.Fatalf("per-pair run: uncertain %d calls %d err %v; batch run: uncertain %d calls %d err %v",
-			per.uncertain, per.calls, per.err, bat.uncertain, bat.calls, bat.err)
-	}
-	return bat
+	out.uncertain, out.err = Run(in)
+	out.calls, out.batches = cmp.calls, cmp.batches
+	return out
 }
 
 func ev(k Kind, group, i, j int, matched bool, padding int64) pairEvent {
@@ -287,7 +257,7 @@ func TestRunTraces(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := runBoth(t, c.sc, nil)
+			got := runScenario(t, c.sc, nil)
 			if got.err != nil {
 				t.Fatal(got.err)
 			}
@@ -341,7 +311,7 @@ func TestEarlyStop(t *testing.T) {
 				sc.tier = map[[2]int]bloom.Band{}
 			}
 			asked := 0
-			got := runBoth(t, sc, func(in *Input, _ *outcome) {
+			got := runScenario(t, sc, func(in *Input, _ *outcome) {
 				asked = 0
 				group := in.Group
 				in.Group = func(k int) Group { asked++; return group(k) }
@@ -368,11 +338,11 @@ func TestInterruptAtChunkBoundary(t *testing.T) {
 		tier:   map[[2]int]bloom.Band{{0, 2}: bloom.BandMatch},
 		hint:   4,
 	}
-	full := runBoth(t, sc, nil)
+	full := runScenario(t, sc, nil)
 	if full.err != nil {
 		t.Fatal(full.err)
 	}
-	got := runBoth(t, sc, func(in *Input, out *outcome) {
+	got := runScenario(t, sc, func(in *Input, out *outcome) {
 		ctx, cancel := context.WithCancel(context.Background())
 		t.Cleanup(cancel)
 		in.Context = ctx
@@ -396,7 +366,7 @@ func TestInterruptAtChunkBoundary(t *testing.T) {
 	// A context cancelled before the walk buys nothing.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pre := runBoth(t, sc, func(in *Input, _ *outcome) { in.Context = ctx })
+	pre := runScenario(t, sc, func(in *Input, _ *outcome) { in.Context = ctx })
 	if !errors.Is(pre.err, ErrInterrupted) || len(pre.trace) != 0 || pre.calls != 0 {
 		t.Errorf("pre-cancelled run: err %v, %d events, %d purchases", pre.err, len(pre.trace), pre.calls)
 	}
@@ -416,7 +386,7 @@ func TestProgressCadence(t *testing.T) {
 	}
 	run := func(sc scenario) (seen [][2]int64) {
 		t.Helper()
-		got := runBoth(t, sc, func(in *Input, _ *outcome) {
+		got := runScenario(t, sc, func(in *Input, _ *outcome) {
 			seen = nil
 			in.Progress = func(done, total int64) { seen = append(seen, [2]int64{done, total}) }
 		})
@@ -467,7 +437,7 @@ func TestDefaultChunk(t *testing.T) {
 	for _, c := range []struct{ workers, hint, want int }{
 		{0, 0, 256}, {1, 0, 256}, {2, 0, 512}, {64, 0, 4096}, {2, 32, 32}, {1, 1 << 20, 16384},
 	} {
-		cmp := &batchCmp{pairCmp: pairCmp{hint: c.hint}}
+		cmp := &batchCmp{hint: c.hint}
 		_, err := Run(Input{
 			Groups: 1, Group: func(int) Group { return Group{A: []int{0}, B: b} },
 			Budget: int64(len(b)), Comparator: cmp, Workers: c.workers, Sink: func(Event) {},
@@ -482,7 +452,7 @@ func TestDefaultChunk(t *testing.T) {
 }
 
 // TestComparatorErrors: a failing comparator and a short batch reply both
-// stop the run with the pair or the count in the error.
+// stop the run.
 func TestComparatorErrors(t *testing.T) {
 	in := Input{
 		Groups: 1, Group: func(int) Group { return Group{A: []int{0}, B: []int{0, 1}} },
@@ -500,9 +470,9 @@ func TestComparatorErrors(t *testing.T) {
 
 type failingCmp struct{}
 
-func (failingCmp) Compare(i, j int) (bool, error) { return false, fmt.Errorf("boom") }
+func (failingCmp) CompareBatch([][2]int) ([]bool, error) { return nil, fmt.Errorf("boom") }
 
-type shortBatch struct{ failingCmp }
+type shortBatch struct{}
 
 func (shortBatch) CompareBatch(pairs [][2]int) ([]bool, error) {
 	return make([]bool, len(pairs)-1), nil

@@ -18,6 +18,7 @@ import (
 	"pprl/internal/cliutil"
 	"pprl/internal/core"
 	"pprl/internal/metrics"
+	"pprl/internal/paillier"
 )
 
 // JobSpec is the body of POST /v1/jobs: dataset references plus the
@@ -77,11 +78,6 @@ type JobSpec struct {
 	// Paillier protocol under its own fresh key. Rejected at submit time
 	// when the daemon has no fleet configured.
 	Distributed bool `json:"distributed,omitempty"`
-	// Packing selects the secure comparator's result encoding: "packed"
-	// (default; slot-packed responses, one decryption per ciphertext of
-	// up to ⌊slots/d⌋ pairs instead of d per pair) or "off".
-	// Verdict-identical either way; ignored by the plaintext oracle.
-	Packing string `json:"packing,omitempty"`
 	// Tier selects the triage tier between blocking and SMC: "off"
 	// (default) or "bloom" (Dice over keyed CLK encodings; confident
 	// bands labeled free, allowance reserved for the uncertain middle).
@@ -110,6 +106,9 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Allowance < 0 || s.K < 0 {
 		return fmt.Errorf("negative parameters are invalid")
+	}
+	if err := validKeyBits(s.KeyBits); err != nil {
+		return err
 	}
 	if s.Theta != 0 {
 		if err := cliutil.ThetaRange.Named("theta").Validate(s.Theta); err != nil {
@@ -157,14 +156,20 @@ func (s *JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown blocking mode %q (the field is deprecated; omit it)", s.Blocking)
 	}
-	if _, err := cliutil.PackingModeByName(s.Packing); err != nil {
-		return err
-	}
 	if _, err := cliutil.TierModeByName(s.Tier); err != nil {
 		return err
 	}
 	if err := cliutil.TierBand(s.TierLow, s.TierHigh); err != nil {
 		return err
+	}
+	return nil
+}
+
+// validKeyBits refuses a key size paillier.GenerateKey would refuse only
+// after the job was queued or the dataset registered; 0 is the default.
+func validKeyBits(bits int) error {
+	if bits != 0 && bits < paillier.MinKeyBits {
+		return fmt.Errorf("key_bits must be at least %d (or 0 for the default 1024), got %d", paillier.MinKeyBits, bits)
 	}
 	return nil
 }
@@ -214,9 +219,6 @@ func (s *JobSpec) Config(qids []string) (core.Config, error) {
 		cfg.Comparator = core.SecureComparatorFactory(keyBits)
 	}
 	cfg.SMCWorkers = s.SMCWorkers
-	if cfg.SMCPacking, err = cliutil.PackingModeByName(s.Packing); err != nil {
-		return cfg, err
-	}
 	if cfg.Tier, err = cliutil.TierModeByName(s.Tier); err != nil {
 		return cfg, err
 	}

@@ -54,12 +54,8 @@ type DatasetSpec struct {
 	// uses the plaintext cost-model oracle.
 	Secure  bool `json:"secure,omitempty"`
 	KeyBits int  `json:"key_bits,omitempty"`
-	// SMCWorkers is the SMC parallelism; Packing the secure comparator's
-	// result encoding ("packed" default, "off").
-	SMCWorkers int    `json:"smc_workers,omitempty"`
-	Packing    string `json:"packing,omitempty"`
-	// Seed is recorded in the journal manifest.
-	Seed int64 `json:"seed,omitempty"`
+	// SMCWorkers is the SMC parallelism.
+	SMCWorkers int `json:"smc_workers,omitempty"`
 	// Dedup links the dataset against itself: one side, unordered delta
 	// pairs i < j. Append batches must then target side "alice".
 	Dedup bool `json:"dedup,omitempty"`
@@ -75,8 +71,11 @@ func (s *DatasetSpec) Validate() error {
 			return err
 		}
 	}
-	if s.Allowance < 0 || s.Level < 0 || s.KeyBits < 0 || s.QueueDepth < 0 {
+	if s.Allowance < 0 || s.Level < 0 || s.QueueDepth < 0 {
 		return fmt.Errorf("negative parameters are invalid")
+	}
+	if err := validKeyBits(s.KeyBits); err != nil {
+		return err
 	}
 	if _, err := cliutil.HeuristicByName(s.Heuristic); err != nil {
 		return err
@@ -104,9 +103,6 @@ func (s *DatasetSpec) Validate() error {
 	if err := cliutil.TierBand(s.TierLow, s.TierHigh); err != nil {
 		return err
 	}
-	if _, err := cliutil.PackingModeByName(s.Packing); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -123,7 +119,6 @@ func (s *DatasetSpec) Config(qids []string) (incremental.Config, error) {
 		DPSeed:    s.DPSeed,
 		TierHigh:  s.TierHigh,
 		TierLow:   s.TierLow,
-		Seed:      s.Seed,
 		Dedup:     s.Dedup,
 	}
 	var err error
@@ -144,9 +139,6 @@ func (s *DatasetSpec) Config(qids []string) (incremental.Config, error) {
 		cfg.Comparator = core.SecureComparatorFactory(keyBits)
 	}
 	cfg.SMCWorkers = s.SMCWorkers
-	if cfg.SMCPacking, err = cliutil.PackingModeByName(s.Packing); err != nil {
-		return cfg, err
-	}
 	return cfg, nil
 }
 

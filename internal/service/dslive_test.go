@@ -148,17 +148,11 @@ func TestDeltasPagesNeverTear(t *testing.T) {
 	}
 }
 
-// TestLegacyBatchScheduleResumes starts the daemon on a state directory
-// written by the commit before PR 24 (testdata/legacy-state: a dataset of
-// three applied batches whose schedule is a batches.json array, 64
-// comparisons bought, 51 deltas). The schedule is converted once, the
-// journal replays all of it — not one comparison is bought again — the
-// dataset takes appends after it, and a second restart finds only the
-// line file.
-func TestLegacyBatchScheduleResumes(t *testing.T) {
-	root := t.TempDir()
-	// A copy: recovery rewrites the schedule.
-	fixture := filepath.Join("testdata", "legacy-state")
+// copyFixture copies testdata/<name> into a fresh directory and returns it:
+// a daemon started on a state directory writes to it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	root, fixture := t.TempDir(), filepath.Join("testdata", name)
 	err := filepath.WalkDir(fixture, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -176,8 +170,32 @@ func TestLegacyBatchScheduleResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return root
+}
+
+// TestLegacyBatchScheduleResumes starts the daemon on a state directory
+// written by the commit before PR 24 (testdata/legacy-state: a dataset of
+// three applied batches whose schedule is a batches.json array, 64
+// comparisons bought, 51 deltas). The schedule is converted once, the
+// journal replays all of it — not one comparison is bought again — the
+// dataset takes appends after it, and a second restart finds only the
+// line file.
+func TestLegacyBatchScheduleResumes(t *testing.T) {
+	// A copy: recovery rewrites the schedule.
+	root := copyFixture(t, "legacy-state")
 	dsDir := filepath.Join(root, "state", "datasets", "ds-000001")
 	cfg := Config{Dir: filepath.Join(root, "state"), DataDir: filepath.Join(root, "data"), JournalSync: 1}
+	// A registration of that era could also name the result encoding.
+	// Recovery decodes leniently and the manifest never recorded the field,
+	// so the dataset resumes — packed, as every dataset now runs.
+	reg, err := os.ReadFile(filepath.Join(dsDir, "dataset.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg = bytes.Replace(reg, []byte(`"allowance": 1073741824`), []byte(`"allowance": 1073741824, "packing": "off"`), 1)
+	if err := os.WriteFile(filepath.Join(dsDir, "dataset.json"), reg, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s1, err := New(cfg)
 	if err != nil {
@@ -221,6 +239,23 @@ func TestLegacyBatchScheduleResumes(t *testing.T) {
 	})
 	if after.Stats.Purchased != 0 || after.Stats.Used != before.Stats.Used || after.Stats.Deltas != before.Stats.Deltas {
 		t.Errorf("second restart: stats %+v, before it %+v", after.Stats, before.Stats)
+	}
+}
+
+// TestLegacySeedRefusedAtRecovery: a registration of an older build that
+// set "seed" (testdata/legacy-seed, seed 7, one applied batch) wrote a
+// manifest hashing it. The field is gone and the manifest now hashes the
+// constant 0, so recovery refuses the journal by its manifest check rather
+// than resume the dataset under another configuration.
+func TestLegacySeedRefusedAtRecovery(t *testing.T) {
+	root := copyFixture(t, "legacy-seed")
+	s, err := New(Config{Dir: root, DataDir: filepath.Join("testdata", "legacy-state", "data"), JournalSync: 1})
+	if err == nil {
+		s.Drain()
+		t.Fatal("a dataset registered with seed 7 was recovered")
+	}
+	if !strings.Contains(err.Error(), "ds-000001") || !strings.Contains(err.Error(), "journal recorded 7, run uses 0") {
+		t.Errorf("recovery refused with %v, want the dataset's manifest mismatch on the seed", err)
 	}
 }
 

@@ -436,9 +436,17 @@ func TestServiceDatasetValidation(t *testing.T) {
 		{Heuristic: "nope"},          // unknown heuristic
 		{Epsilon: -2},                // bad DP budget
 		{SchemaPath: "missing.json"}, // unloadable schema
+		{Secure: true, KeyBits: -1},  // negative key size
+		{Secure: true, KeyBits: 32},  // below the engine's floor
 	}
-	for i, spec := range bad {
+	var bodies [][]byte
+	for _, spec := range bad {
 		body, _ := json.Marshal(spec)
+		bodies = append(bodies, body)
+	}
+	// Fields older builds accepted are unknown to the strict decoder now.
+	bodies = append(bodies, []byte(`{"packing":"off"}`), []byte(`{"seed":7}`))
+	for i, body := range bodies {
 		resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -64,6 +64,18 @@ func TestServiceRestartRecovery(t *testing.T) {
 	}
 	ts1.Close()
 	s1.Drain()
+	// An older daemon's spec.json could also name the result encoding.
+	// Recovery decodes leniently, and the manifest never recorded the
+	// field: the job resumes packed, as every job now runs.
+	specPath := filepath.Join(s1.store.JobDir(jid), "spec.json")
+	raw, err := os.ReadFile(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte(`"blocking": "dense"`), []byte(`"blocking": "dense", "packing": "off"`), 1)
+	if err := os.WriteFile(specPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Restart on the same service root, crash hooks gone. Recovery must
 	// re-queue the job and the journal replay must carry the prefix.

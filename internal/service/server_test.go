@@ -260,6 +260,8 @@ func TestServiceValidation(t *testing.T) {
 		{AlicePath: "../a.csv", BobPath: "b.csv"},                 // escapes data dir
 		{AlicePath: "/etc/passwd", BobPath: "b.csv"},              // absolute ref
 		{AlicePath: "a.csv", BobPath: "b.csv", Theta: -1},         // negative parameter
+		{AlicePath: "a.csv", BobPath: "b.csv", KeyBits: -512},     // negative key size
+		{AlicePath: "a.csv", BobPath: "b.csv", KeyBits: 63},       // below the engine's floor
 	}
 	for i, spec := range cases {
 		if _, code := submitCode(t, ts, spec); code != http.StatusBadRequest {
@@ -267,16 +269,19 @@ func TestServiceValidation(t *testing.T) {
 		}
 	}
 
-	// Unknown field in the body is a client error too.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"alice_path":"a.csv","bob_path":"b.csv","bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field returned %d, want 400", resp.StatusCode)
+	// Unknown field in the body is a client error too — "packing", which
+	// older builds accepted, included.
+	for _, field := range []string{`"bogus":1`, `"packing":"off"`} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"alice_path":"a.csv","bob_path":"b.csv",`+field+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field %s returned %d, want 400", field, resp.StatusCode)
+		}
 	}
 
 	for _, path := range []string{"/v1/jobs/job-000099", "/v1/jobs/job-000099/result", "/v1/jobs/job-000099/events"} {

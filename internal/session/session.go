@@ -368,7 +368,8 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	spec.Packing = cfg.Packing
 	spec.BoundBySchema(cfg.Schema, qids)
 	if cfg.Tier != nil {
-		if err := bloom.TierDefaults(&cfg.Tier.M, &cfg.Tier.K, &cfg.Tier.Q, &cfg.TierLow, &cfg.TierHigh); err != nil {
+		bloom.TierDefaults(&cfg.Tier.M, &cfg.Tier.K, &cfg.Tier.Q)
+		if err := bloom.TierBands(&cfg.TierLow, &cfg.TierHigh); err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
 	}

@@ -30,10 +30,11 @@ var fuzzKey = sync.OnceValue(func() *paillier.PrivateKey {
 // plaintext of a value is d² − T − 1, the sign the circuit's blind keeps.
 func scriptedFrames(t *testing.T, pk *paillier.PublicKey, spec *Spec, pairs [][2]int, alice, bob [][]int64, window int) []*Message {
 	t.Helper()
-	pack, err := spec.packPlan(pk.N.BitLen())
+	rp, err := spec.resultPlan(pk.N.BitLen())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pack := rp.pack
 	active := spec.activeAttrs()
 	var frames []*Message
 	var held []*paillier.Ciphertext

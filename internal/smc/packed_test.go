@@ -73,10 +73,11 @@ func TestPackedMatchesUnpacked(t *testing.T) {
 		}
 		// Two active attributes fit one 106-bit-slot ciphertext at 256
 		// bits: exactly one decryption per comparison.
-		plan, err := spec.packPlan(256)
+		rp, err := spec.resultPlan(256)
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan := rp.pack
 		wantDec := int64(len(pairs) * plan.Ciphertexts(len(spec.activeAttrs())))
 		if packed.Decryptions() != wantDec {
 			t.Errorf("decryptions = %d, want %d", packed.Decryptions(), wantDec)
@@ -153,10 +154,11 @@ func TestPackedChunksAcrossCiphertexts(t *testing.T) {
 			{Mode: ModeEquality},
 		},
 	}
-	plan, err := spec.packPlan(testKeyBits)
+	rp, err := spec.resultPlan(testKeyBits)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := rp.pack
 	if plan.Ciphertexts(len(spec.activeAttrs())) < 2 {
 		t.Fatalf("want a chunked plan at %d bits, got %d slots for %d attrs",
 			testKeyBits, plan.Slots, len(spec.activeAttrs()))
@@ -217,14 +219,21 @@ func TestPackedRejectsOversizedRecords(t *testing.T) {
 	spec.ValueBits = 8
 	bad := [][]int64{{1, 300, 0}} // 300 ≥ 2^8 on an active attribute
 	ok := [][]int64{{1, 5, 0}}
-	if _, err := NewLocalSecure(spec, bad, ok, testKeyBits); err == nil || !strings.Contains(err.Error(), "packing bound") {
-		t.Errorf("serial alice error = %v, want packing-bound complaint", err)
+	if _, err := NewLocalSecure(spec, bad, ok, testKeyBits); err == nil || !strings.Contains(err.Error(), "published domain") {
+		t.Errorf("serial alice error = %v, want the bound complaint", err)
 	}
-	if _, err := NewLocalSecure(spec, ok, bad, testKeyBits); err == nil || !strings.Contains(err.Error(), "packing bound") {
-		t.Errorf("serial bob error = %v, want packing-bound complaint", err)
+	if _, err := NewLocalSecure(spec, ok, bad, testKeyBits); err == nil || !strings.Contains(err.Error(), "published domain") {
+		t.Errorf("serial bob error = %v, want the bound complaint", err)
 	}
-	if _, err := NewLocalSecureSharded(spec, bad, ok, testKeyBits, 2); err == nil || !strings.Contains(err.Error(), "packing bound") {
-		t.Errorf("sharded error = %v, want packing-bound complaint", err)
+	if _, err := NewLocalSecureSharded(spec, bad, ok, testKeyBits, 2); err == nil || !strings.Contains(err.Error(), "published domain") {
+		t.Errorf("sharded error = %v, want the bound complaint", err)
+	}
+	// Unpacked results are held to the same bound: the modulus was checked
+	// against values inside it.
+	unpacked := *spec
+	unpacked.Packing = PackingOff
+	if _, err := NewLocalSecure(&unpacked, bad, ok, testKeyBits); err == nil || !strings.Contains(err.Error(), "published domain") {
+		t.Errorf("unpacked error = %v, want the bound complaint", err)
 	}
 	// ModeAlways attributes exchange no ciphertexts and are exempt.
 	exempt := [][]int64{{1, 5, 1 << 40}}
@@ -242,7 +251,7 @@ func TestPackedPlanInfeasibleFailsFast(t *testing.T) {
 	spec := packedSpec()
 	spec.ValueBits = 120 // w = 40 + 242 + 4 ≫ 256
 	alice, bob, _ := packedRecords()
-	if _, err := NewLocalSecure(spec, alice, bob, testKeyBits); err == nil || !strings.Contains(err.Error(), "slots") {
+	if _, err := NewLocalSecure(spec, alice, bob, testKeyBits); err == nil || !strings.Contains(err.Error(), "use a larger key") {
 		t.Errorf("error = %v, want infeasible-slot complaint", err)
 	}
 }
@@ -338,12 +347,12 @@ func TestBoundBySchema(t *testing.T) {
 				t.Errorf("slot width = %d, want %d", w, tc.slotBits)
 			}
 			for bits, want := range map[int]int{1024: tc.slots1024, 512: tc.slots} {
-				plan, err := spec.packPlan(bits)
+				plan, err := spec.resultPlan(bits)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if plan.Slots != want {
-					t.Errorf("%d slots at %d bits, want %d", plan.Slots, bits, want)
+				if plan.pack.Slots != want {
+					t.Errorf("%d slots at %d bits, want %d", plan.pack.Slots, bits, want)
 				}
 			}
 			// The domains' extreme records pass the holders' check; one step
@@ -382,7 +391,7 @@ func TestBoundBySchema(t *testing.T) {
 	// A key too small for one slot names the attribute that widened it.
 	spec := &Spec{Scale: 1 << 40, Packing: PackingPacked, Attrs: make([]AttrSpec, len(adultQIDs))}
 	spec.BoundBySchema(adultSchema, adultQIDs)
-	if _, err := spec.packPlan(128); err == nil || !strings.Contains(err.Error(), `"`+adult.AttrAge+`"`) {
+	if _, err := spec.resultPlan(128); err == nil || !strings.Contains(err.Error(), `"`+adult.AttrAge+`"`) {
 		t.Errorf("error = %v, want one naming %q", err, adult.AttrAge)
 	}
 }

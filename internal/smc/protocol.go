@@ -284,12 +284,14 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 // its own result frame, blinds and shuffle, and every ciphertext that
 // crosses the query link its own uniform unit.
 func RunBob(query, alice Conn, records [][]int64, spec *Spec) error {
-	eng := &bobEngine{}
-	defer eng.close()
-	return runBob(query, alice, records, spec, eng)
+	return runBob(query, alice, records, spec, &bobEngine{})
 }
 
-// runBob serves one query link with a possibly shared engine.
+// runBob serves one query link with a possibly shared engine. The loop
+// stops the engine's refill workers as it ends — loops end together, at
+// shutdown or on the first party error, and a pool stays usable closed —
+// rather than leave them competing for a core until every other loop of
+// the comparator is done.
 func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) error {
 	pk, err := receiveKey(query)
 	if err != nil {
@@ -298,6 +300,7 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 	if err := eng.init(pk); err != nil {
 		return fmt.Errorf("smc: bob: %w", err)
 	}
+	defer eng.close()
 	if err := spec.checkRecords(records); err != nil {
 		return fmt.Errorf("smc: bob: %w", err)
 	}

@@ -43,7 +43,7 @@ func startLanes(t testing.TB, spec *Spec, alice, bob [][]int64, lanes, buffer, k
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &ShardedComparator{aliceEng: &aliceEngine{}, bobEng: &bobEngine{}}
+	c, aliceEng, bobEng := &ShardedComparator{}, &aliceEngine{}, &bobEngine{}
 	shares := new(atomic.Int64)
 	for l := 0; l < lanes; l++ {
 		qa, aq := NewConnPairBuffer(buffer)
@@ -53,11 +53,11 @@ func startLanes(t testing.TB, spec *Spec, alice, bob [][]int64, lanes, buffer, k
 		c.wg.Add(2)
 		go func() {
 			defer c.wg.Done()
-			c.record(runAlice(aq, ab, alice, spec, c.aliceEng))
+			c.record(runAlice(aq, ab, alice, spec, aliceEng))
 		}()
 		go func() {
 			defer c.wg.Done()
-			c.record(runBob(bq, shareCounter{ba, shares}, bob, spec, c.bobEng))
+			c.record(runBob(bq, shareCounter{ba, shares}, bob, spec, bobEng))
 		}()
 		session, err := newQuerySessionWithKey(qa, qb, spec, sk)
 		if err != nil {

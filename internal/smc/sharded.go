@@ -9,31 +9,37 @@ import (
 	"pprl/internal/paillier"
 )
 
-// ShardedComparator runs the three-party protocol over W independent
-// lanes: one Paillier key, W connection pairs per link, W Alice/Bob party
-// loops, and W query sessions. CompareBatch stripes a pair list across
-// the lanes so the crypto — Alice's 2d table-multiplied encryptions per
-// run, Bob's d small exponentiations per pair, his packing and one
-// full-width unit per result ciphertext, the querying party's decryption
-// of it — runs on all cores instead of one goroutine.
+// ShardedComparator runs the three-party protocol in-process over W
+// independent lanes: one Paillier key, W connection pairs per link, W
+// Alice/Bob party loops, and W query sessions. CompareBatch stripes a pair
+// list across the lanes so the crypto — Alice's 2d table-multiplied
+// encryptions per run, Bob's d small exponentiations per pair, his packing
+// and one full-width unit per result ciphertext, the querying party's
+// decryption of it — runs on all cores instead of one goroutine. For a
+// distributed deployment, run RunAlice/RunBob remotely over NewNetConn
+// transports and drive a QuerySession directly.
 //
 // The lanes share the holders' crypto engines — Alice's noise table, Bob's
 // randomizer pool — so each is built once per key. Verdicts are
 // positionally aligned with the input pairs, Invocations and
-// BytesTransferred aggregate across lanes, and every lane speaks the
-// protocol of the serial SecureComparator, run by run: semantics are
-// pinned to it by TestShardedMatchesSerial.
+// BytesTransferred aggregate across lanes, and every lane speaks the same
+// protocol, run by run: W lanes are pinned to one by
+// TestShardedMatchesSerial.
 type ShardedComparator struct {
 	sessions []*QuerySession
 	conns    []Conn
 	// bobSends are Bob's ends of every lane's query link; their sent
 	// bytes sum to the MsgResult traffic.
 	bobSends []Conn
-	aliceEng *aliceEngine
-	bobEng   *bobEngine
 	wg       sync.WaitGroup
 	errMu    sync.Mutex
 	partyErr error
+}
+
+// NewLocalSecure hosts all three parties in-process on one protocol lane
+// under a fresh key of keyBits.
+func NewLocalSecure(spec *Spec, alice, bob [][]int64, keyBits int) (*ShardedComparator, error) {
+	return NewLocalSecureSharded(spec, alice, bob, keyBits, 1)
 }
 
 // NewLocalSecureSharded spawns workers lanes of in-process Alice/Bob
@@ -53,10 +59,8 @@ func NewLocalSecureSharded(spec *Spec, alice, bob [][]int64, keyBits, workers in
 	if err != nil {
 		return nil, fmt.Errorf("smc: generating key: %w", err)
 	}
-	c := &ShardedComparator{
-		aliceEng: &aliceEngine{},
-		bobEng:   &bobEngine{},
-	}
+	// The lanes share one engine per holder.
+	c, aliceEng, bobEng := &ShardedComparator{}, &aliceEngine{}, &bobEngine{}
 	// All lanes' connections are created up front so record() can walk
 	// c.conns without racing the construction loop's appends.
 	type lane struct{ qa, aq, qb, bq, ab, ba Conn }
@@ -74,11 +78,11 @@ func NewLocalSecureSharded(spec *Spec, alice, bob [][]int64, keyBits, workers in
 		c.wg.Add(2)
 		go func() {
 			defer c.wg.Done()
-			c.record(runAlice(l.aq, l.ab, alice, spec, c.aliceEng))
+			c.record(runAlice(l.aq, l.ab, alice, spec, aliceEng))
 		}()
 		go func() {
 			defer c.wg.Done()
-			c.record(runBob(l.bq, l.ba, bob, spec, c.bobEng))
+			c.record(runBob(l.bq, l.ba, bob, spec, bobEng))
 		}()
 		session, err := newQuerySessionWithKey(l.qa, l.qb, spec, sk)
 		if err != nil {
@@ -88,7 +92,6 @@ func NewLocalSecureSharded(spec *Spec, alice, bob [][]int64, keyBits, workers in
 				conn.Close()
 			}
 			c.wg.Wait()
-			c.bobEng.close()
 			return nil, err
 		}
 		c.sessions = append(c.sessions, session)
@@ -220,8 +223,8 @@ func (c *ShardedComparator) Decryptions() int64 {
 	return total
 }
 
-// Close shuts every lane down, waits for the party loops, and releases
-// the shared engines and connections.
+// Close shuts every lane down, waits for the party loops — Bob's release
+// the shared randomizer pool as they end — and closes the connections.
 func (c *ShardedComparator) Close() error {
 	var err error
 	for _, s := range c.sessions {
@@ -230,7 +233,6 @@ func (c *ShardedComparator) Close() error {
 		}
 	}
 	c.wg.Wait()
-	c.bobEng.close()
 	for _, conn := range c.conns {
 		conn.Close()
 	}

@@ -31,8 +31,8 @@ func allPairs(na, nb int) [][2]int {
 	return pairs
 }
 
-// TestShardedMatchesSerial pins the sharded comparator's semantics to the
-// serial SecureComparator: identical verdicts (positionally aligned),
+// TestShardedMatchesSerial pins W lanes to one lane of the same engine —
+// what NewLocalSecure builds: identical verdicts (positionally aligned),
 // identical invocation counts, and nonzero byte accounting over the same
 // pair list.
 func TestShardedMatchesSerial(t *testing.T) {
@@ -51,8 +51,8 @@ func TestShardedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sharded.Close()
-	if got := sharded.Workers(); got != 4 {
-		t.Fatalf("Workers() = %d, want 4", got)
+	if one, four := serial.Workers(), sharded.Workers(); one != 1 || four != 4 {
+		t.Fatalf("Workers() = %d and %d, want 1 and 4", one, four)
 	}
 
 	want, err := serial.CompareBatch(pairs)
@@ -83,10 +83,10 @@ func TestShardedMatchesSerial(t *testing.T) {
 	if b := sharded.BytesTransferred(); b <= 0 {
 		t.Errorf("sharded BytesTransferred = %d, want > 0", b)
 	}
-	// Each lane speaks the serial protocol run by run, and the contiguous
-	// stripes cut at most W−1 of the list's runs in two: the serial engine
-	// sends one share set per Alice record here (6 runs of 6), four lanes
-	// of 9 pairs send two each. The per-comparison cost must agree up to
+	// Each lane speaks the one-lane protocol run by run, and the contiguous
+	// stripes cut at most W−1 of the list's runs in two: one lane sends one
+	// share set per Alice record here (6 runs of 6), four lanes of 9 pairs
+	// send two each. The per-comparison cost must agree up to
 	// those extra share sets and the per-lane handshake (W key broadcasts
 	// instead of 1).
 	perSerial := float64(serial.BytesTransferred()) / float64(len(pairs))
@@ -96,7 +96,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedSingleLane: one lane degenerates to the serial protocol.
+// TestShardedSingleLane: one lane answers as the plaintext rule does.
 func TestShardedSingleLane(t *testing.T) {
 	spec := testSpec()
 	alice := shardedTestRecords(4, 3)
@@ -151,8 +151,8 @@ func TestShardedEmptyBatch(t *testing.T) {
 }
 
 // TestShardedPartyDeathMidBatch: an out-of-range record index kills
-// Alice's loop mid-batch. Both the serial and sharded comparators must
-// surface her error instead of hanging, matching each other's behavior.
+// Alice's loop mid-batch. One lane and three must both surface her error
+// instead of hanging.
 func TestShardedPartyDeathMidBatch(t *testing.T) {
 	spec := testSpec()
 	alice := shardedTestRecords(4, 7)
@@ -175,13 +175,7 @@ func TestShardedPartyDeathMidBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cmp.Close()
-			batcher, ok := cmp.(interface {
-				CompareBatch([][2]int) ([]bool, error)
-			})
-			if !ok {
-				t.Fatal("comparator does not batch")
-			}
-			if _, err := batcher.CompareBatch(pairs); err == nil {
+			if _, err := cmp.CompareBatch(pairs); err == nil {
 				t.Fatal("CompareBatch with dead party succeeded")
 			} else if !strings.Contains(err.Error(), "out of range") {
 				t.Errorf("error %q does not carry the party's cause", err)

@@ -3,6 +3,7 @@ package smc
 import (
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -419,5 +420,55 @@ func TestQuerySessionClosedCompare(t *testing.T) {
 	}
 	if _, err := sec.Compare(0, 0); err == nil {
 		t.Error("Compare after Close should fail")
+	}
+}
+
+// TestSmallKeyRefusedUnpacked: a modulus too small for one result value is
+// refused at construction whether or not results travel packed — the
+// unpacked blinded form and RevealDistance used to wrap mod N there and
+// return verdicts the clear-text rule does not. A key the value does fit
+// (a revealed d² below 2⁶² at 64 bits) must answer as Spec.Matches does.
+func TestSmallKeyRefusedUnpacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	mk := func(n int) [][]int64 {
+		out := make([][]int64, n)
+		for i := range out {
+			out[i] = []int64{rng.Int63n(1 << 29)}
+		}
+		return out
+	}
+	alice, bob := mk(6), mk(10)
+	pairs := allPairs(len(alice), len(bob))
+	for _, keyBits := range []int{64, 96} {
+		for _, reveal := range []bool{false, true} {
+			// In-domain values are up to 2²⁹ apart, so half the pairs sit
+			// either side of T = (2²⁸)².
+			spec := &Spec{Scale: 1, RevealDistance: reveal, Attrs: []AttrSpec{{Mode: ModeThreshold, T: 1 << 56}}}
+			cmp, err := NewLocalSecure(spec, alice, bob, keyBits)
+			if err != nil {
+				if !strings.Contains(err.Error(), "use a larger key") {
+					t.Errorf("%d bits, reveal=%v: refused with %v, want the modulus-fit error", keyBits, reveal, err)
+				}
+				continue
+			}
+			if !reveal {
+				t.Errorf("%d bits: a 106-bit blinded result was accepted", keyBits)
+			}
+			got, err := cmp.CompareBatch(pairs)
+			cmp.Close()
+			if err != nil {
+				t.Fatalf("%d bits, reveal=%v: %v", keyBits, reveal, err)
+			}
+			for x, p := range pairs {
+				if want := spec.Matches(alice[p[0]], bob[p[1]]); got[x] != want {
+					t.Errorf("%d bits, reveal=%v: pair %v = %v, the rule says %v", keyBits, reveal, p, got[x], want)
+				}
+			}
+		}
+	}
+	// One more value bit and a revealed d² no longer fits 64 bits.
+	wide := &Spec{Scale: 1, RevealDistance: true, ValueBits: 31, Attrs: []AttrSpec{{Mode: ModeThreshold, T: 1 << 56}}}
+	if _, err := NewLocalSecure(wide, alice, bob, 64); err == nil || !strings.Contains(err.Error(), "revealed distance") {
+		t.Errorf("a 65-bit revealed distance under a 64-bit key: %v, want the modulus-fit error", err)
 	}
 }

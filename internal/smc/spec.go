@@ -46,7 +46,9 @@ type Packing int
 
 const (
 	// PackingOff sends one result ciphertext per active attribute — the
-	// original wire format, and the zero value so a zero Spec keeps it.
+	// original wire format, and the zero value so a zero Spec keeps it. No
+	// engine above this package selects it: it is RevealDistance's form and
+	// the reference the tests hold PackingPacked to.
 	PackingOff Packing = iota
 	// PackingPacked slot-packs the blinded per-attribute outputs after
 	// the shuffle, filling each ciphertext with the d values of as many
@@ -71,9 +73,9 @@ func (p Packing) String() string {
 }
 
 // DefaultValueBits bounds encoded attribute magnitudes (|v| < 2^30) when
-// a packing spec was built without a schema to take the bound from
-// (BoundBySchema). The bound exists so the packed slot width is derivable
-// from public parameters alone.
+// a spec was built without a schema to take the bound from
+// (BoundBySchema). The bound exists so the width of a result value — the
+// packed slot width — is derivable from public parameters alone.
 const DefaultValueBits = 30
 
 // packSlackBits is headroom added to the derived slot width so the
@@ -114,11 +116,11 @@ type Spec struct {
 	// derive the same PackPlan from the spec and the public modulus, so
 	// no extra negotiation happens on the wire.
 	Packing Packing
-	// ValueBits bounds encoded attribute magnitudes (|v| < 2^ValueBits)
-	// under PackingPacked; BoundBySchema fills it from the attributes'
-	// public domains, 0 means DefaultValueBits. The slot width is
-	// derived from it, and the engines reject out-of-bound records
-	// before any ciphertext is built.
+	// ValueBits bounds encoded attribute magnitudes (|v| < 2^ValueBits);
+	// BoundBySchema fills it from the attributes' public domains, 0 means
+	// DefaultValueBits. The width of a result value is derived from it,
+	// and the engines reject out-of-bound records before any ciphertext
+	// is built.
 	ValueBits int
 
 	// widest names the attribute whose domain set ValueBits, for the
@@ -203,19 +205,24 @@ func (s *Spec) slotBits() int {
 	return blindBits + mag + 2 + packSlackBits
 }
 
-// packPlan derives the packing geometry shared by Bob and the querying
-// party from the spec and the public modulus size, failing fast when the
-// derived slot does not fit the modulus.
-func (s *Spec) packPlan(modBits int) (paillier.PackPlan, error) {
-	plan, err := paillier.NewPackPlan(modBits, s.slotBits())
-	if err != nil {
-		cause := fmt.Sprintf("Spec.ValueBits = %d", s.valueBits())
-		if s.widest != "" {
-			cause = fmt.Sprintf("attribute %q, whose domain × scale takes %d bits", s.widest, s.valueBits())
-		}
-		return paillier.PackPlan{}, fmt.Errorf("packed results need w=%d-bit slots for %s: %w (use a larger key or disable packing)", s.slotBits(), cause, err)
+// fits refuses a modulus whose signed range cannot hold one result value:
+// a blinded output, slotBits wide, or under RevealDistance a squared
+// distance below 2^{2·ValueBits+2} and its sign. The querying party reads
+// a verdict from the value decrypted mod N, so a wider one would wrap into
+// a wrong verdict whether or not results travel packed.
+func (s *Spec) fits(modBits int) error {
+	width, what := s.slotBits(), "blinded result"
+	if s.RevealDistance {
+		width, what = 2*s.valueBits()+3, "revealed distance"
 	}
-	return plan, nil
+	if width <= modBits-1 {
+		return nil
+	}
+	cause := fmt.Sprintf("Spec.ValueBits = %d", s.valueBits())
+	if s.widest != "" {
+		cause = fmt.Sprintf("attribute %q, whose domain × scale takes %d bits", s.widest, s.valueBits())
+	}
+	return fmt.Errorf("a %s takes %d bits for %s, which a %d-bit modulus cannot hold: use a larger key", what, width, cause, modBits)
 }
 
 // resultPlan is the shape of a run's MsgResult stream: which frame carries
@@ -234,15 +241,18 @@ type resultPlan struct {
 	group int
 }
 
-// resultPlan derives the run's frame plan, failing fast when packing is on
-// and one slot does not fit the modulus.
+// resultPlan derives the run's frame plan, failing fast when one result
+// value does not fit the modulus.
 func (s *Spec) resultPlan(modBits int) (resultPlan, error) {
 	p := resultPlan{d: len(s.activeAttrs()), group: 1}
+	if err := s.fits(modBits); err != nil {
+		return resultPlan{}, err
+	}
 	if !s.packActive() {
 		return p, nil
 	}
 	var err error
-	if p.pack, err = s.packPlan(modBits); err != nil {
+	if p.pack, err = paillier.NewPackPlan(modBits, s.slotBits()); err != nil {
 		return resultPlan{}, err
 	}
 	if p.d > 0 && p.pack.Slots/p.d > 1 {
@@ -269,12 +279,13 @@ func (p resultPlan) frame(x, left int) (pairs, cts int) {
 	return 0, 0
 }
 
-// checkRecords enforces the packing magnitude bound on a holder's
-// encoded records before any of them is encrypted: a value at or beyond
-// 2^ValueBits could overflow its slot, which packing cannot detect
-// after the fact (the carry lands in a neighbouring slot).
+// checkRecords enforces the magnitude bound on a holder's encoded records
+// before any of them is encrypted: the modulus was checked against values
+// below 2^ValueBits (fits), and packed, a value at or beyond it could
+// overflow its slot, which packing cannot detect after the fact (the
+// carry lands in a neighbouring slot).
 func (s *Spec) checkRecords(records [][]int64) error {
-	if !s.packActive() || s.valueBits() >= 62 {
+	if s.valueBits() >= 62 {
 		return nil
 	}
 	limit := int64(1) << uint(s.valueBits())
@@ -282,7 +293,7 @@ func (s *Spec) checkRecords(records [][]int64) error {
 	for i, rec := range records {
 		for _, ai := range active {
 			if v := rec[ai]; v <= -limit || v >= limit {
-				return fmt.Errorf("record %d attribute %d value %d lies outside the attribute's published domain: the packing bound is ±2^%d (Spec.ValueBits)", i, ai, v, s.valueBits())
+				return fmt.Errorf("record %d attribute %d value %d lies outside the attribute's published domain: the bound is ±2^%d (Spec.ValueBits)", i, ai, v, s.valueBits())
 			}
 		}
 	}

@@ -17,8 +17,8 @@ import (
 // drives it: per-pair calls, and the lengths of the runs — consecutive
 // pairs of one CompareBatch list sharing Alice's record — the batch path
 // is handed. The run is what the secure protocol amortizes over (one share
-// set from Alice, shared result ciphertexts), so a kernel that quietly fell
-// back to one pair at a time would keep every verdict right and lose the
+// set from Alice, shared result ciphertexts), so an adapter that quietly
+// bought one pair at a time would keep every verdict right and lose the
 // protocol's whole fan-out.
 type runCounter struct {
 	smc.Comparator
@@ -42,7 +42,7 @@ func (c *runCounter) CompareBatch(pairs [][2]int) ([]bool, error) {
 		c.runs = append(c.runs, n)
 		x += n
 	}
-	return c.Comparator.(smc.BatchComparator).CompareBatch(pairs)
+	return c.Comparator.CompareBatch(pairs)
 }
 
 // counted wraps every comparator the factory builds (the incremental

@@ -168,10 +168,11 @@ func checkKMonotone(t *testing.T, w *World, o *oracle.Oracle) bool {
 	return true
 }
 
-// TestSecureEnginesAgainstOracle verifies the real Paillier protocol —
-// the serial comparator and the sharded engine, each in both result
-// encodings — against the oracle's exact verdicts on generated worlds,
-// not merely against each other. Test-size keys keep the run fast; the
+// TestSecureEnginesAgainstOracle verifies the real Paillier protocol — on
+// one lane and on two, each in both result encodings: this is where packed
+// is pinned to the unpacked reference above internal/smc — against the
+// oracle's exact verdicts on generated worlds, not merely against each
+// other. Test-size keys keep the run fast; the
 // circuit arithmetic is key-size independent.
 func TestSecureEnginesAgainstOracle(t *testing.T) {
 	base := baseSeed(t)
@@ -192,25 +193,16 @@ func TestSecureEnginesAgainstOracle(t *testing.T) {
 		for _, packing := range []smc.Packing{smc.PackingOff, smc.PackingPacked} {
 			spec := *baseSpec
 			spec.Packing = packing
-
-			serial, err := smc.NewLocalSecure(&spec, aliceEnc, bobEnc, 256)
-			if err != nil {
-				t.Fatal(repro(w, err))
-			}
-			err = o.CheckComparator(serial, pairs)
-			serial.Close()
-			if err != nil {
-				t.Fatalf("serial engine (%s): %s", packing, repro(w, err))
-			}
-
-			sharded, err := smc.NewLocalSecureSharded(&spec, aliceEnc, bobEnc, 256, 2)
-			if err != nil {
-				t.Fatal(repro(w, err))
-			}
-			err = o.CheckComparator(sharded, pairs)
-			sharded.Close()
-			if err != nil {
-				t.Fatalf("sharded engine (%s): %s", packing, repro(w, err))
+			for _, lanes := range []int{1, 2} {
+				cmp, err := smc.NewLocalSecureSharded(&spec, aliceEnc, bobEnc, 256, lanes)
+				if err != nil {
+					t.Fatal(repro(w, err))
+				}
+				err = o.CheckComparator(cmp, pairs)
+				cmp.Close()
+				if err != nil {
+					t.Fatalf("%d lanes (%s): %s", lanes, packing, repro(w, err))
+				}
 			}
 		}
 	}

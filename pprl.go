@@ -185,21 +185,6 @@ const (
 	TrainClassifier = core.TrainClassifier
 )
 
-// PackingMode selects the secure comparator's result encoding
-// (Config.SMCPacking).
-type PackingMode = core.PackingMode
-
-// SMC result-packing modes (DESIGN.md §11).
-const (
-	// PackingPacked slot-packs Bob's blinded responses (the default), as
-	// many consecutive pairs to a ciphertext as its slots hold: one
-	// decryption, noise unit and result ciphertext per ⌊slots/d⌋ pairs of
-	// a run instead of d per pair, verdict-identical to PackingOff.
-	PackingPacked = core.PackingPacked
-	// PackingOff keeps one response ciphertext per attribute.
-	PackingOff = core.PackingOff
-)
-
 // TierMode selects the triage tier between blocking and SMC
 // (Config.Tier, DESIGN.md §12).
 type TierMode = core.TierMode
