@@ -4,9 +4,9 @@ GO ?= go
 # How long `make fuzz` spends per fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check build binaries vet test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke loc
+.PHONY: check build binaries vet test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
 
-check: build binaries vet test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke
+check: build binaries vet test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,20 @@ incremental-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal ./internal/anonymize ./internal/resolve ./internal/incremental ./internal/service
 
+# The reproduction as a gate: regenerate, at the paper's 20,108 × 20,108
+# scale, every section experiments_full.txt holds (the worked example,
+# Figs. 2–8, strategies … timing; ≈ 1–2 min) and diff it against the
+# committed file. Every line must match except the measured and quoted
+# columns of the timing table, which are wall-clock: of that section only
+# the title and the stage labels (the invocation counts among them) are
+# compared.
+paper:
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/pprl-bench -full -exp "$$(sed -n 's/^\([a-z0-9]*\) — .*/\1/p' experiments_full.txt | paste -sd, -)" > .bench_build/experiments_full.txt
+	@untimed() { awk '/^timing — /{t=1} t&&/^$$/{t=0} t{sub(/  .*/,"")} {print}' "$$1"; }; \
+	untimed experiments_full.txt > .bench_build/paper.want; untimed .bench_build/experiments_full.txt > .bench_build/paper.got; \
+	diff -u .bench_build/paper.want .bench_build/paper.got && echo "paper: every table matches experiments_full.txt"
+
 # Serial-vs-sharded throughput of the secure comparator (1024-bit key).
 # End-to-end and per-layer performance is `bash benchmark/run.sh` and
 # `make perf-diff`.
@@ -138,7 +152,9 @@ perf:
 
 # Code size, so the next audit reads the number instead of recounting it:
 # non-test Go lines outside the frozen benchmark/, then test lines, then
-# the option count (config-struct fields and cmd/ flags; TestOptionCount
+# the option count (the fields of the engine configs, of the shared
+# parameter block — counted once — and of what each API body adds to it,
+# and the flag definitions under cmd/ and internal/cliutil; TestOptionCount
 # fails, and this target with it, when one rises above its written cap).
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1

@@ -7,7 +7,7 @@
 //
 //	pprl-bench                 # the full suite at the default scale
 //	pprl-bench -exp fig3,fig8  # selected artifacts
-//	pprl-bench -full           # paper-scale workload (30,162 records; slow)
+//	pprl-bench -full           # paper-scale workload (30,162 records; ≈ 1.5 min)
 //	pprl-bench -records 6000   # custom scale
 package main
 
@@ -25,7 +25,7 @@ func main() {
 	var (
 		exps    = flag.String("exp", "all", "comma-separated artifact IDs: fig2..fig8, strategies, anonymizers, baselines, diversity, strings, bloom, timing, tier, dp, example, or all")
 		records = flag.Int("records", 0, "workload size (records before the overlap split); 0 = default 1800")
-		full    = flag.Bool("full", false, "paper-scale workload: 30,162 records (slow)")
+		full    = flag.Bool("full", false, "paper-scale workload: 30,162 records (the whole suite ≈ 1.5 min)")
 		seed    = flag.Int64("seed", 0, "workload seed; 0 = default")
 		asJSON  = flag.Bool("json", false, "emit tables as JSON for external plotting; tier and dp additionally write their report files")
 		tierOut = flag.String("tier-out", "BENCH_tier.json", "tier: path of the machine-readable benchmark report (with -json)")

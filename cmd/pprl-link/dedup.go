@@ -5,13 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"pprl"
 	"pprl/internal/blocking"
-	"pprl/internal/cliutil"
 	"pprl/internal/incremental"
-	"pprl/internal/journal"
 	"pprl/internal/metrics"
 	"pprl/internal/oracle"
 )
@@ -24,61 +21,49 @@ func runDedup(out io.Writer, opts options) error {
 	if opts.bPath != "" {
 		return fmt.Errorf("-dedup links -a against itself; -b is not allowed")
 	}
-	if opts.anonName != "" || opts.epsilon != 0 {
+	if opts.anonName != "" || opts.Epsilon != 0 {
 		return fmt.Errorf("-dedup uses fixed-level binning (-level); -anon and -epsilon do not apply")
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"-dp-delta", opts.DPDelta != 0}, {"-dp-seed", opts.DPSeed != 0}, {"-dp-level", opts.DPLevel != 0}} {
+		if f.set {
+			return fmt.Errorf("%s applies only to -anon dp, not -dedup", f.name)
+		}
+	}
+	if opts.level < 0 {
+		return fmt.Errorf("-level must be ≥ 0, got %d", opts.level)
 	}
 	if len(opts.workers) > 0 {
 		return fmt.Errorf("-dedup does not stripe across a worker fleet")
 	}
-	schema, err := loadSchema(opts.schemaPath)
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	schema, qids, err := opts.LoadSchema(nil)
 	if err != nil {
 		return err
 	}
+	cfg, err := opts.Incremental(qids)
+	if err != nil {
+		return err
+	}
+	cfg.Level, cfg.Dedup = opts.level, true
 	data, err := readCSV(schema, opts.aPath)
 	if err != nil {
 		return err
 	}
 	n := int64(data.Len())
-	allowance := int64(opts.allowance * float64(n*(n-1)/2))
+	cfg.Allowance = int64(opts.AllowanceFraction * float64(n*(n-1)/2))
 
-	cfg := incremental.Config{
-		QIDs:      strings.Split(opts.qids, ","),
-		Theta:     opts.theta,
-		Level:     opts.level,
-		Allowance: allowance,
-		Dedup:     true,
-	}
-	if cfg.Heuristic, err = cliutil.HeuristicByName(opts.heurName); err != nil {
+	w, err := opts.OpenJournal()
+	if err != nil {
 		return err
 	}
-	if cfg.Strategy, err = cliutil.StrategyByName(opts.strategy); err != nil {
-		return err
-	}
-	if cfg.Tier, err = cliutil.TierModeByName(opts.tier); err != nil {
-		return err
-	}
-	cfg.TierHigh, cfg.TierLow = opts.tierHigh, opts.tierLow
-	if opts.secure {
-		cfg.Comparator = pprl.SecureComparatorFactory(opts.keyBits)
-	}
-	cfg.SMCWorkers = opts.smcWorkers
-
-	switch {
-	case opts.journalPath != "":
-		w, err := journal.Create(opts.journalPath, journal.Options{SyncEvery: opts.journalSync})
-		if err != nil {
-			return err
-		}
+	if w != nil {
 		defer w.Close()
-		cfg.Journal = w
-	case opts.resumePath != "":
-		w, err := journal.Resume(opts.resumePath, journal.Options{SyncEvery: opts.journalSync})
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		cfg.Journal = w
-		cfg.Recovered = w.Recovered()
+		cfg.Journal, cfg.Recovered = w, w.Recovered()
 	}
 
 	eng, err := incremental.New(schema, cfg)
@@ -94,7 +79,7 @@ func runDedup(out io.Writer, opts options) error {
 	var conf *metrics.Confusion
 	var truthPairs int
 	if opts.eval {
-		c, truth, err := dedupEvaluate(data, cfg.QIDs, opts.theta, res.Deltas)
+		c, truth, err := dedupEvaluate(data, cfg.QIDs, cfg.Theta, res.Deltas)
 		if err != nil {
 			return err
 		}
@@ -110,7 +95,7 @@ func runDedup(out io.Writer, opts options) error {
 			Evaluation *metrics.Confusion  `json:"evaluation,omitempty"`
 			TruthPairs *int                `json:"truth_pairs,omitempty"`
 			Matches    []incremental.Delta `json:"matches,omitempty"`
-		}{Dedup: true, Records: data.Len(), Allowance: allowance, Stats: stats}
+		}{Dedup: true, Records: data.Len(), Allowance: cfg.Allowance, Stats: stats}
 		if conf != nil {
 			doc.Evaluation = conf
 			doc.TruthPairs = &truthPairs
@@ -124,7 +109,7 @@ func runDedup(out io.Writer, opts options) error {
 	}
 
 	fmt.Fprintf(out, "dedup: records=%d bins=%d matched-pairs=%d allowance=%d used=%d purchased=%d replayed=%d\n",
-		data.Len(), stats.Bins[0], stats.Deltas, allowance, stats.Used, stats.Purchased, stats.Replayed)
+		data.Len(), stats.Bins[0], stats.Deltas, cfg.Allowance, stats.Used, stats.Purchased, stats.Replayed)
 	fmt.Fprintf(out, "labels: blocking=%d tier=%d residual=%d purchased=%d\n",
 		stats.BlockingMatches, stats.TierMatches, stats.ResidualMatches,
 		int64(stats.Deltas)-stats.BlockingMatches-stats.TierMatches-stats.ResidualMatches)

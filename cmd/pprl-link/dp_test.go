@@ -15,9 +15,9 @@ func TestRunLinkDP(t *testing.T) {
 	var buf bytes.Buffer
 	opts := baseOpts(a, b)
 	opts.anonName = "dp"
-	opts.epsilon = 8
-	opts.dpSeed = 7
-	opts.allowance = 0.5
+	opts.Epsilon = 8
+	opts.DPSeed = 7
+	opts.AllowanceFraction = 0.5
 	opts.eval = true
 	if err := run(&buf, opts); err != nil {
 		t.Fatal(err)
@@ -39,15 +39,15 @@ func TestRunLinkFlagValidation(t *testing.T) {
 		mut  func(*options)
 		want string
 	}{
-		{"negative theta", func(o *options) { o.theta = -1 }, "-theta"},
-		{"allowance above 1", func(o *options) { o.allowance = 1.5 }, "-allowance"},
-		{"inverted tier band", func(o *options) { o.tierLow, o.tierHigh = 0.9, 0.5 }, "-tier-low"},
-		{"tier high above 1", func(o *options) { o.tierLow, o.tierHigh = 0.5, 1.5 }, "-tier-high"},
+		{"negative theta", func(o *options) { o.Theta = -1 }, "-theta"},
+		{"allowance above 1", func(o *options) { o.AllowanceFraction = 1.5 }, "-allowance"},
+		{"inverted tier band", func(o *options) { o.TierLow, o.TierHigh = 0.9, 0.5 }, "-tier-low"},
+		{"tier high above 1", func(o *options) { o.TierLow, o.TierHigh = 0.5, 1.5 }, "-tier-high"},
 		{"dp without epsilon", func(o *options) { o.anonName = "dp" }, "-epsilon"},
-		{"epsilon without dp", func(o *options) { o.epsilon = 2 }, "-anon dp"},
-		{"negative epsilon", func(o *options) { o.anonName = "dp"; o.epsilon = -2 }, "-epsilon"},
-		{"delta out of range", func(o *options) { o.anonName = "dp"; o.epsilon = 2; o.dpDelta = 0.7 }, "-dp-delta"},
-		{"negative dp level", func(o *options) { o.anonName = "dp"; o.epsilon = 2; o.dpLevel = -1 }, "-dp-level"},
+		{"epsilon without dp", func(o *options) { o.Epsilon = 2 }, "-anon dp"},
+		{"negative epsilon", func(o *options) { o.anonName = "dp"; o.Epsilon = -2 }, "-epsilon"},
+		{"delta out of range", func(o *options) { o.anonName = "dp"; o.Epsilon = 2; o.DPDelta = 0.7 }, "-dp-delta"},
+		{"negative dp level", func(o *options) { o.anonName = "dp"; o.Epsilon = 2; o.DPLevel = -1 }, "-dp-level"},
 	}
 	for _, tc := range cases {
 		// Nonexistent paths prove validation fires before file loads.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pprl"
+	"pprl/internal/cliutil"
 )
 
 // writePair writes two small overlapping Adult CSVs.
@@ -37,14 +38,18 @@ func writePair(t *testing.T) (a, b string) {
 // baseOpts are the defaults the tests vary from.
 func baseOpts(a, b string) options {
 	return options{
-		aPath:     a,
-		bPath:     b,
-		k:         8,
-		theta:     0.05,
-		allowance: 0.01,
-		heurName:  "minAvgFirst",
-		strategy:  "precision",
-		qids:      strings.Join(pprl.DefaultAdultQIDs(), ","),
+		aPath: a,
+		bPath: b,
+		CLI: cliutil.CLI{
+			Params: cliutil.Params{
+				Theta:     0.05,
+				Heuristic: "minAvgFirst",
+				Strategy:  "precision",
+				QIDs:      pprl.DefaultAdultQIDs(),
+			},
+			K:                 8,
+			AllowanceFraction: 0.01,
+		},
 	}
 }
 
@@ -52,7 +57,7 @@ func TestRunLink(t *testing.T) {
 	a, b := writePair(t)
 	var buf bytes.Buffer
 	opts := baseOpts(a, b)
-	opts.allowance = 1.0
+	opts.AllowanceFraction = 1.0
 	opts.eval = true
 	opts.showPairs = true
 	if err := run(&buf, opts); err != nil {
@@ -84,7 +89,7 @@ func TestRunLinkJSON(t *testing.T) {
 	a, b := writePair(t)
 	var buf bytes.Buffer
 	opts := baseOpts(a, b)
-	opts.allowance = 1.0
+	opts.AllowanceFraction = 1.0
 	opts.eval = true
 	opts.showPairs = true
 	opts.jsonOut = true
@@ -126,11 +131,11 @@ func TestRunLinkSecure(t *testing.T) {
 	// Tiny allowance keeps the number of real crypto ops low; 256-bit
 	// keys keep the test fast.
 	opts := baseOpts(a, b)
-	opts.allowance = 0.0005
-	opts.heurName = "maxLast"
-	opts.strategy = "recall"
-	opts.secure = true
-	opts.keyBits = 256
+	opts.AllowanceFraction = 0.0005
+	opts.Heuristic = "maxLast"
+	opts.Strategy = "recall"
+	opts.Secure = true
+	opts.KeyBits = 256
 	if err := run(&buf, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestRunLinkJournalResume(t *testing.T) {
 	// Journaled run.
 	var first bytes.Buffer
 	opts := baseOpts(a, b)
-	opts.journalPath = wal
+	opts.Journal = wal
 	if err := run(&first, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +161,8 @@ func TestRunLinkJournalResume(t *testing.T) {
 	}
 	// -resume replays it: same summary line, zero live comparisons.
 	var second bytes.Buffer
-	opts.journalPath = ""
-	opts.resumePath = wal
+	opts.Journal = ""
+	opts.Resume = wal
 	if err := run(&second, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +173,7 @@ func TestRunLinkJournalResume(t *testing.T) {
 		t.Errorf("resume of a complete journal should spend no comparisons: %q", second.String())
 	}
 	// -resume with changed flags is refused, not silently restarted.
-	opts.theta = 0.2
+	opts.Theta = 0.2
 	if err := run(&bytes.Buffer{}, opts); err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Errorf("resume with changed theta: err = %v, want journal refusal", err)
 	}
@@ -184,22 +189,22 @@ func TestRunLinkErrors(t *testing.T) {
 	if err := bad(func(o *options) { o.aPath = "" }); err == nil {
 		t.Error("missing -a should fail")
 	}
-	if err := bad(func(o *options) { o.heurName = "bogus" }); err == nil {
+	if err := bad(func(o *options) { o.Heuristic = "bogus" }); err == nil {
 		t.Error("bad heuristic should fail")
 	}
-	if err := bad(func(o *options) { o.strategy = "bogus" }); err == nil {
+	if err := bad(func(o *options) { o.Strategy = "bogus" }); err == nil {
 		t.Error("bad strategy should fail")
 	}
-	if err := bad(func(o *options) { o.strategy = "classifier"; o.qids = "nope" }); err == nil {
+	if err := bad(func(o *options) { o.Strategy = "classifier"; o.QIDs = []string{"nope"} }); err == nil {
 		t.Error("bad QIDs should fail")
 	}
 	if err := bad(func(o *options) { o.aPath = "/nonexistent.csv" }); err == nil {
 		t.Error("missing file should fail")
 	}
-	if err := bad(func(o *options) { o.journalPath = "x.wal"; o.resumePath = "y.wal" }); err == nil {
+	if err := bad(func(o *options) { o.Journal = "x.wal"; o.Resume = "y.wal" }); err == nil {
 		t.Error("-journal with -resume should fail")
 	}
-	if err := bad(func(o *options) { o.resumePath = "/nonexistent.wal" }); err == nil {
+	if err := bad(func(o *options) { o.Resume = "/nonexistent.wal" }); err == nil {
 		t.Error("missing resume journal should fail")
 	}
 }
@@ -211,7 +216,7 @@ func TestRunLinkTier(t *testing.T) {
 	a, b := writePair(t)
 	var buf bytes.Buffer
 	opts := baseOpts(a, b)
-	opts.tier = "bloom"
+	opts.Tier = "bloom"
 	if err := run(&buf, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +252,7 @@ func TestRunLinkTier(t *testing.T) {
 	}
 
 	// Unknown mode is rejected before any work happens.
-	opts.tier = "paillier"
+	opts.Tier = "paillier"
 	if err := run(&bytes.Buffer{}, opts); err == nil || !strings.Contains(err.Error(), "unknown tier mode") {
 		t.Errorf("bad -tier accepted: %v", err)
 	}
@@ -261,7 +266,7 @@ func TestRunLinkDedup(t *testing.T) {
 	var buf bytes.Buffer
 	opts := baseOpts(a, "")
 	opts.dedup = true
-	opts.allowance = 0.5 // ample over n(n-1)/2
+	opts.AllowanceFraction = 0.5 // ample over n(n-1)/2
 	opts.eval = true
 	opts.jsonOut = true
 	opts.showPairs = true
@@ -301,7 +306,7 @@ func TestRunLinkDedup(t *testing.T) {
 	if err := run(nil, func() options { o := baseOpts(a, a); o.dedup = true; return o }()); err == nil {
 		t.Error("-dedup with -b should fail")
 	}
-	if err := run(nil, func() options { o := baseOpts(a, ""); o.dedup = true; o.epsilon = 1; return o }()); err == nil {
+	if err := run(nil, func() options { o := baseOpts(a, ""); o.dedup = true; o.Epsilon = 1; return o }()); err == nil {
 		t.Error("-dedup with -epsilon should fail")
 	}
 	if err := run(nil, func() options { o := baseOpts(a, a); o.level = 2; return o }()); err == nil {

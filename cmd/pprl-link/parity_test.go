@@ -1,0 +1,84 @@
+package main
+
+import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"pprl/internal/cliutil"
+	"pprl/internal/testkit"
+)
+
+// TestSurfaceParity pushes the shared parameter table through run and
+// runDedup. The input files do not exist, so parameters the flags accept
+// surface as the file's not-found error and everything else is a refusal
+// made before any file was opened.
+func TestSurfaceParity(t *testing.T) {
+	refusal := func(err error) error {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err == nil {
+			t.Fatal("run succeeded without input files")
+		}
+		return err
+	}
+	for _, row := range testkit.ParamRows {
+		cli := cliutil.CLI{Params: row.Params, K: 8, AllowanceFraction: row.AllowanceFraction}
+		if row.On&testkit.SurfaceLink != 0 {
+			cli.DPLevel = row.Level
+			opts := options{CLI: cli, aPath: "/nonexistent-a.csv", bPath: "/nonexistent-b.csv", anonName: row.Anonymizer}
+			if msg := row.Judge(testkit.SurfaceLink, refusal(run(nil, opts))); msg != "" {
+				t.Errorf("pprl-link: %s", msg)
+			}
+		}
+		if row.On&testkit.SurfaceDedup != 0 {
+			cli.DPLevel = 0
+			opts := options{CLI: cli, aPath: "/nonexistent-a.csv", dedup: true, level: row.Level}
+			if msg := row.Judge(testkit.SurfaceDedup, refusal(run(nil, opts))); msg != "" {
+				t.Errorf("pprl-link -dedup: %s", msg)
+			}
+		}
+	}
+}
+
+// TestRunLinkSmallKeyRefusedFirst: a key below the engine's floor is a
+// usage error — no input is read and no journal is left behind (the
+// parent read both files, anonymized, blocked and wrote the journal's
+// manifest before paillier refused the key).
+func TestRunLinkSmallKeyRefusedFirst(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "j.wal")
+	for _, dedup := range []bool{false, true} {
+		opts := baseOpts("/nonexistent-a.csv", "/nonexistent-b.csv")
+		if opts.dedup = dedup; dedup {
+			opts.bPath = ""
+		}
+		opts.Secure, opts.KeyBits, opts.Journal = true, 32, wal
+		err := run(nil, opts)
+		if err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("dedup=%v: err = %v, want the -keybits refusal before -a is opened", dedup, err)
+		}
+		if _, statErr := os.Stat(wal); !errors.Is(statErr, fs.ErrNotExist) {
+			t.Errorf("dedup=%v: the refused run left a journal behind (stat: %v)", dedup, statErr)
+		}
+	}
+}
+
+// TestRunLinkDedupRefusesDPFlags: the DP flags -dedup cannot honour are
+// usage errors, not silently ignored.
+func TestRunLinkDedupRefusesDPFlags(t *testing.T) {
+	for flag, set := range map[string]func(*options){
+		"-dp-delta": func(o *options) { o.DPDelta = 1e-6 },
+		"-dp-seed":  func(o *options) { o.DPSeed = 7 },
+		"-dp-level": func(o *options) { o.DPLevel = 2 },
+	} {
+		opts := baseOpts("/nonexistent-a.csv", "")
+		opts.dedup = true
+		set(&opts)
+		if err := run(nil, opts); err == nil || err.Error() != flag+" applies only to -anon dp, not -dedup" {
+			t.Errorf("-dedup %s: err = %v, want the usage error", flag, err)
+		}
+	}
+}

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io/fs"
 	"strings"
 	"testing"
 
-	"pprl"
+	"pprl/internal/cliutil"
 )
 
 // TestThreePartyDPOverTCP runs the distributed deployment with both
@@ -21,22 +23,13 @@ func TestThreePartyDPOverTCP(t *testing.T) {
 	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		done <- runQuery(&out, queryOptions{
-			listen:     queryAddr,
-			qids:       strings.Join(pprl.DefaultAdultQIDs(), ","),
-			theta:      0.05,
-			allowance:  0.02,
-			heurName:   "minAvgFirst",
-			keyBits:    256,
-			smcWorkers: 2,
-			shuffle:    true,
-		})
+		done <- runQuery(&out, baseQuery(queryAddr, 0.02))
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), "", queryAddr, peerAddr, "", aCSV, 8, "dp", "", dpOptions{epsilon: 8, seed: 1}, "alice")
+		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "dp", "", cliutil.Params{Epsilon: 8, DPSeed: 1}), "alice")
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), "", queryAddr, "", peerAddr, bCSV, 8, "dp", "", dpOptions{epsilon: 8, seed: 2}, "bob")
+		errs <- runHolder(context.Background(), holder(queryAddr, "", peerAddr, bCSV, "dp", "", cliutil.Params{Epsilon: 8, DPSeed: 2}), "bob")
 	}()
 	if err := <-done; err != nil {
 		t.Fatalf("query: %v", err)
@@ -61,28 +54,35 @@ func TestThreePartyDPOverTCP(t *testing.T) {
 // TestPartyDPFlagValidation: inconsistent holder DP flags and
 // out-of-range query knobs fail before anything connects.
 func TestPartyDPFlagValidation(t *testing.T) {
-	if err := (dpOptions{}).validate("dp"); err == nil || !strings.Contains(err.Error(), "-epsilon") {
+	// The data file does not exist: flags the holder accepts surface as
+	// its not-found error, after validation and before any dial.
+	dp := func(method string, p cliutil.Params, level int) error {
+		h := holder("127.0.0.1:1", "", "", "/nonexistent.csv", method, "", p)
+		h.DPLevel = level
+		return runHolder(context.Background(), h, "bob")
+	}
+	if err := dp("dp", cliutil.Params{}, 0); err == nil || !strings.Contains(err.Error(), "-epsilon") {
 		t.Errorf("-method dp without -epsilon: err = %v", err)
 	}
-	if err := (dpOptions{epsilon: 2}).validate("entropy"); err == nil || !strings.Contains(err.Error(), "-method dp") {
+	if err := dp("entropy", cliutil.Params{Epsilon: 2}, 0); err == nil || !strings.Contains(err.Error(), "-method dp") {
 		t.Errorf("-epsilon with k-method: err = %v", err)
 	}
-	if err := (dpOptions{epsilon: -1}).validate("dp"); err == nil {
+	if err := dp("dp", cliutil.Params{Epsilon: -1}, 0); err == nil {
 		t.Error("negative epsilon accepted")
 	}
-	if err := (dpOptions{epsilon: 2, delta: 0.9}).validate("dp"); err == nil {
+	if err := dp("dp", cliutil.Params{Epsilon: 2, DPDelta: 0.9}, 0); err == nil {
 		t.Error("out-of-range delta accepted")
 	}
-	if err := (dpOptions{epsilon: 2, level: -1}).validate("dp"); err == nil {
+	if err := dp("dp", cliutil.Params{Epsilon: 2}, -1); err == nil {
 		t.Error("negative level accepted")
 	}
-	if err := (dpOptions{epsilon: 2, delta: 1e-6, seed: 3, level: 2}).validate("dp"); err != nil {
+	if err := dp("dp", cliutil.Params{Epsilon: 2, DPDelta: 1e-6, DPSeed: 3}, 2); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("valid dp options rejected: %v", err)
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", theta: -0.5}); err == nil || !strings.Contains(err.Error(), "-theta") {
+	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{Theta: -0.5}}}); err == nil || !strings.Contains(err.Error(), "-theta") {
 		t.Errorf("negative theta: err = %v", err)
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", theta: 0.05, tierLow: 0.9, tierHigh: 0.5}); err == nil || !strings.Contains(err.Error(), "-tier-low") {
+	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{Theta: 0.05, TierLow: 0.9, TierHigh: 0.5}}}); err == nil || !strings.Contains(err.Error(), "-tier-low") {
 		t.Errorf("inverted tier band: err = %v", err)
 	}
 }

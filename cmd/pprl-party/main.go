@@ -40,7 +40,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,7 +47,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,58 +60,39 @@ import (
 // queryOptions collects the querying party's parameters; flags fill it
 // in main, tests fill it directly.
 type queryOptions struct {
-	schemaPath string
-	listen     string
-	qids       string
-	theta      float64
-	allowance  float64
-	heurName   string
-	keyBits    int
-	smcWorkers int
-	shuffle    bool
-	// tier enables the Bloom triage tier; tierHigh/tierLow are its Dice
-	// thresholds (0,0 = defaults).
-	tier     string
-	tierHigh float64
-	tierLow  float64
-	// journalPath starts a fresh durable journal; resumePath continues an
-	// interrupted one. Mutually exclusive.
-	journalPath string
-	resumePath  string
-	journalSync int
+	// CLI is the parameter block and the flags pprl-link shares.
+	cliutil.CLI
+	listen  string
+	shuffle bool
 	// ctx interrupts the session between SMC batches.
 	ctx context.Context
 }
 
+// holderOptions collects a data holder's parameters. Of the shared block
+// a holder reads the schema, k and the DP parameters (-method dp).
+type holderOptions struct {
+	cliutil.CLI
+	queryAddr  string
+	peerListen string // alice: where bob's peer link is accepted
+	peerAddr   string // bob: alice's peer-link address
+	dataPath   string
+	method     string
+	tierKey    string
+}
+
 func main() {
+	var shared cliutil.CLI
+	shared.Flags(flag.CommandLine)
 	var (
-		role        = flag.String("role", "", "query, alice, or bob (required)")
-		listen      = flag.String("listen", "", "query: address to accept the two holders on")
-		queryAddr   = flag.String("query", "", "holders: the querying party's address")
-		peerListen  = flag.String("peer-listen", "", "alice: address to accept bob's peer link on")
-		peerAddr    = flag.String("peer", "", "bob: alice's peer-link address")
-		data        = flag.String("data", "", "holders: CSV file with this holder's relation")
-		k           = flag.Int("k", 32, "holders: anonymity requirement")
-		method      = flag.String("method", "entropy", "holders: anonymization method (entropy, tds, datafly, mondrian, or dp with -epsilon)")
-		epsilon     = flag.Float64("epsilon", 0, "holders: differential-privacy budget for -method dp")
-		dpDelta     = flag.Float64("dp-delta", 0, "holders: DP truncation mass for -method dp (0 = default)")
-		dpSeed      = flag.Int64("dp-seed", 0, "holders: private DP noise/padding seed (never sent; role-separated, so a shared default is safe)")
-		dpLevel     = flag.Int("dp-level", 0, "holders: VGH binning depth for -method dp (0 = default)")
-		qids        = flag.String("qids", strings.Join(pprl.DefaultAdultQIDs(), ","), "query: quasi-identifier attributes")
-		theta       = flag.Float64("theta", 0.05, "query: matching threshold")
-		allowance   = flag.Float64("allowance", 0.015, "query: SMC allowance fraction")
-		heurName    = flag.String("heuristic", "minAvgFirst", "query: selection heuristic")
-		keyBits     = flag.Int("keybits", 1024, "query: Paillier key size")
-		smcWorkers  = flag.Int("smc-workers", 0, "query: SMC batch-size scaling (0 = default chunking)")
-		shuffle     = flag.Bool("shuffle", true, "query: hide which attribute failed (attribute shuffling)")
-		tier        = flag.String("tier", "off", "query: triage tier between blocking and SMC (off or bloom)")
-		tierHigh    = flag.Float64("tier-high", 0, "query: tier Dice threshold for Match (0 = default 0.95)")
-		tierLow     = flag.Float64("tier-low", 0, "query: tier Dice threshold for NonMatch (0 = default 0.60)")
-		tierKey     = flag.String("tier-key", "", "holders: shared secret keying the tier's CLK encodings (required when the query enables the tier)")
-		schemaPath  = flag.String("schema", "", "schema manifest path (default: built-in Adult schema)")
-		journalPath = flag.String("journal", "", "query: record the run to a durable journal at this path (crash-resumable)")
-		resumePath  = flag.String("resume", "", "query: resume an interrupted run from its journal")
-		journalSync = flag.Int("journal-sync", 0, "query: fsync the journal every N verdicts (0 = default batching)")
+		role       = flag.String("role", "", "query, alice, bob, or worker (required)")
+		listen     = flag.String("listen", "", "query: address to accept the two holders on")
+		queryAddr  = flag.String("query", "", "holders: the querying party's address")
+		peerListen = flag.String("peer-listen", "", "alice: address to accept bob's peer link on")
+		peerAddr   = flag.String("peer", "", "bob: alice's peer-link address")
+		data       = flag.String("data", "", "holders: CSV file with this holder's relation")
+		method     = flag.String("method", "entropy", "holders: anonymization method (entropy, tds, datafly, mondrian, or dp with -epsilon)")
+		shuffle    = flag.Bool("shuffle", true, "query: hide which attribute failed (attribute shuffling)")
+		tierKey    = flag.String("tier-key", "", "holders: shared secret keying the tier's CLK encodings (required when the query enables the tier)")
 
 		coordinator  = flag.String("coordinator", "", "worker: dial this coordinator (pprl-serve -fleet-listen address) and register")
 		workerListen = flag.String("worker-listen", "", "worker: listen here for a coordinator that dials out (-worker on pprl-serve)")
@@ -129,103 +108,50 @@ func main() {
 	var err error
 	switch *role {
 	case "query":
-		err = runQuery(os.Stdout, queryOptions{
-			schemaPath:  *schemaPath,
-			listen:      *listen,
-			qids:        *qids,
-			theta:       *theta,
-			allowance:   *allowance,
-			heurName:    *heurName,
-			keyBits:     *keyBits,
-			smcWorkers:  *smcWorkers,
-			shuffle:     *shuffle,
-			tier:        *tier,
-			tierHigh:    *tierHigh,
-			tierLow:     *tierLow,
-			journalPath: *journalPath,
-			resumePath:  *resumePath,
-			journalSync: *journalSync,
-			ctx:         ctx,
-		})
-	case "alice":
-		err = runHolder(ctx, *schemaPath, *queryAddr, *peerListen, "", *data, *k, *method, *tierKey, dpOptions{*epsilon, *dpDelta, *dpSeed, *dpLevel}, session.RoleAlice)
-	case "bob":
-		err = runHolder(ctx, *schemaPath, *queryAddr, "", *peerAddr, *data, *k, *method, *tierKey, dpOptions{*epsilon, *dpDelta, *dpSeed, *dpLevel}, session.RoleBob)
+		err = runQuery(os.Stdout, queryOptions{CLI: shared, listen: *listen, shuffle: *shuffle, ctx: ctx})
+	case session.RoleAlice, session.RoleBob:
+		err = runHolder(ctx, holderOptions{CLI: shared, queryAddr: *queryAddr, peerListen: *peerListen, peerAddr: *peerAddr,
+			dataPath: *data, method: *method, tierKey: *tierKey}, *role)
 	case "worker":
 		err = runWorker(ctx, *coordinator, *workerListen, *workerName, *lanes)
 	default:
 		err = fmt.Errorf("-role must be query, alice, bob, or worker")
 	}
 	if err != nil {
-		if errors.Is(err, session.ErrInterrupted) {
-			journal := *journalPath
-			if journal == "" {
-				journal = *resumePath
-			}
-			if journal != "" {
-				fmt.Fprintf(os.Stderr, "pprl-party: %v\npprl-party: checkpoint saved; continue with -resume %s\n", err, journal)
-			} else {
-				fmt.Fprintln(os.Stderr, "pprl-party:", err)
-			}
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, "pprl-party:", err)
-		os.Exit(1)
+		shared.Fail("pprl-party", err)
 	}
 }
 
 // runQuery accepts both holders, identifies them, runs the session and
 // prints the results.
 func runQuery(out io.Writer, opts queryOptions) error {
-	schema, err := cliutil.LoadSchemaOrAdult(opts.schemaPath)
-	if err != nil {
-		return err
-	}
 	if opts.listen == "" {
 		return fmt.Errorf("query role needs -listen")
 	}
-	if opts.journalPath != "" && opts.resumePath != "" {
-		return fmt.Errorf("-journal and -resume are mutually exclusive (resume appends to the existing journal)")
-	}
-	// Range-check the float knobs before any holder connects, with the
-	// shared error text (cliutil ranges).
-	if err := cliutil.ThetaRange.Validate(opts.theta); err != nil {
+	// Everything the flags alone decide is refused here, before the
+	// journal exists or a holder can connect (one rule set, shared with
+	// pprl-link and the API).
+	if err := opts.Validate(); err != nil {
 		return err
 	}
-	if err := cliutil.AllowanceFractionRange.Validate(opts.allowance); err != nil {
-		return err
-	}
-	if err := cliutil.TierBand(opts.tierLow, opts.tierHigh); err != nil {
-		return err
-	}
-	h, err := cliutil.HeuristicByName(opts.heurName)
+	schema, qids, err := opts.LoadSchema(nil)
 	if err != nil {
 		return err
 	}
-	tierMode, err := cliutil.TierModeByName(opts.tier)
+	cfg, err := opts.Query(schema, qids)
 	if err != nil {
 		return err
 	}
-	var tier *smc.TierParams
-	if tierMode == pprl.TierBloom {
-		tier = &smc.TierParams{} // session fills the CLK defaults
+	cfg.AllowanceFraction = opts.AllowanceFraction
+	cfg.ShuffleAttributes = opts.shuffle
+	cfg.Context = opts.ctx
+	jw, err := opts.OpenJournal()
+	if err != nil {
+		return err
 	}
-	var journal pprl.JournalSink
-	switch {
-	case opts.journalPath != "":
-		w, err := pprl.CreateJournal(opts.journalPath, pprl.JournalOptions{SyncEvery: opts.journalSync})
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		journal = w
-	case opts.resumePath != "":
-		w, err := pprl.ResumeJournal(opts.resumePath, pprl.JournalOptions{SyncEvery: opts.journalSync})
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		journal = w
+	if jw != nil {
+		defer jw.Close()
+		cfg.Journal = jw
 	}
 	l, err := net.Listen("tcp", opts.listen)
 	if err != nil {
@@ -257,22 +183,7 @@ func runQuery(out io.Writer, opts queryOptions) error {
 		fmt.Fprintf(os.Stderr, "query: %s connected\n", role)
 	}
 
-	res, err := session.RunQuery(alice, bob, session.QueryConfig{
-		Schema:            schema,
-		QIDs:              strings.Split(opts.qids, ","),
-		Theta:             opts.theta,
-		AllowanceFraction: opts.allowance,
-		Heuristic:         h,
-		KeyBits:           opts.keyBits,
-		ShuffleAttributes: opts.shuffle,
-		SMCWorkers:        opts.smcWorkers,
-		Packing:           smc.PackingPacked,
-		Tier:              tier,
-		TierHigh:          opts.tierHigh,
-		TierLow:           opts.tierLow,
-		Journal:           journal,
-		Context:           opts.ctx,
-	})
+	res, err := session.RunQuery(alice, bob, cfg)
 	if err != nil {
 		return err
 	}
@@ -285,7 +196,7 @@ func runQuery(out io.Writer, opts queryOptions) error {
 	}
 	fmt.Fprintf(out, "blocking: %.2f%% of %d pairs decided; %d unknown\n",
 		100*res.BlockingEfficiency, res.TotalPairs, res.UnknownPairs)
-	if tier != nil {
+	if cfg.Tier != nil {
 		fmt.Fprintf(out, "tier: %d match / %d non-match labeled free; %d uncertain\n",
 			res.TierMatchedPairs, res.TierNonMatchedPairs, res.TierUncertainPairs)
 	}
@@ -302,73 +213,48 @@ func runQuery(out io.Writer, opts queryOptions) error {
 	return nil
 }
 
-// dpOptions are the holder's differential-privacy parameters (-method
-// dp); the zero value means k-anonymous generalization as before.
-type dpOptions struct {
-	epsilon float64
-	delta   float64
-	seed    int64
-	level   int
-}
-
-// validate rejects inconsistent DP flags before anything connects.
-func (d dpOptions) validate(method string) error {
-	dp := cliutil.IsDPName(method)
-	if dp && d.epsilon == 0 {
-		return fmt.Errorf("-method dp requires -epsilon")
-	}
-	if !dp && d.epsilon != 0 {
-		return fmt.Errorf("-epsilon requires -method dp, got -method %q", method)
-	}
-	if d.epsilon == 0 && d.delta == 0 && d.seed == 0 && d.level == 0 {
-		return nil
-	}
-	if err := cliutil.EpsilonRange.Validate(d.epsilon); err != nil {
-		return err
-	}
-	if d.delta != 0 {
-		if err := cliutil.DeltaRange.Validate(d.delta); err != nil {
-			return err
-		}
-	}
-	if d.level < 0 {
-		return fmt.Errorf("-dp-level must be ≥ 0, got %d", d.level)
-	}
-	return nil
-}
-
 // runHolder connects to the querying party, establishes the peer link,
 // and serves the session.
-func runHolder(ctx context.Context, schemaPath, queryAddr, peerListen, peerAddr, dataPath string, k int, method, tierKey string, dp dpOptions, role string) error {
-	schema, err := cliutil.LoadSchemaOrAdult(schemaPath)
-	if err != nil {
-		return err
-	}
-	if queryAddr == "" || dataPath == "" {
+func runHolder(ctx context.Context, opts holderOptions, role string) error {
+	if opts.queryAddr == "" || opts.dataPath == "" {
 		return fmt.Errorf("holder roles need -query and -data")
 	}
-	if queryAddr, err = cliutil.NormalizeAddr(queryAddr); err != nil {
+	queryAddr, err := cliutil.NormalizeAddr(opts.queryAddr)
+	if err != nil {
 		return fmt.Errorf("-query: %w", err)
 	}
+	peerAddr := opts.peerAddr
 	if peerAddr != "" {
 		if peerAddr, err = cliutil.NormalizeAddr(peerAddr); err != nil {
 			return fmt.Errorf("-peer: %w", err)
 		}
 	}
-	if err := dp.validate(method); err != nil {
+	if err := opts.Validate(); err != nil {
 		return err
 	}
-	var anon pprl.Anonymizer
-	if !cliutil.IsDPName(method) {
-		if anon, err = cliutil.AnonymizerByName(method); err != nil {
-			return err
-		}
+	if err := opts.ValidateAnonymizer(cliutil.FlagNames, "-method", opts.method, opts.DPLevel); err != nil {
+		return err
 	}
-	f, err := os.Open(dataPath)
+	cfg := session.HolderConfig{K: opts.K}
+	if cliutil.IsDPName(opts.method) {
+		// Leave the anonymizer nil: the session installs the deterministic
+		// binner and publishes the noised release (DESIGN.md §14).
+		cfg.Epsilon, cfg.DPDelta, cfg.DPSeed, cfg.DPLevel = opts.Epsilon, opts.DPDelta, opts.DPSeed, opts.DPLevel
+	} else if cfg.Anonymizer, err = cliutil.AnonymizerByName(opts.method); err != nil {
+		return err
+	}
+	if opts.tierKey != "" {
+		cfg.TierKey = []byte(opts.tierKey)
+	}
+	schema, err := cliutil.LoadSchemaOrAdult(opts.SchemaPath)
 	if err != nil {
 		return err
 	}
-	data, err := pprl.ReadCSV(schema, bufio.NewReader(f))
+	f, err := os.Open(opts.dataPath)
+	if err != nil {
+		return err
+	}
+	cfg.Data, err = pprl.ReadCSV(schema, bufio.NewReader(f))
 	f.Close()
 	if err != nil {
 		return err
@@ -385,10 +271,10 @@ func runHolder(ctx context.Context, schemaPath, queryAddr, peerListen, peerAddr,
 
 	var peer smc.Conn
 	if role == session.RoleAlice {
-		if peerListen == "" {
+		if opts.peerListen == "" {
 			return fmt.Errorf("alice needs -peer-listen")
 		}
-		pl, err := net.Listen("tcp", peerListen)
+		pl, err := net.Listen("tcp", opts.peerListen)
 		if err != nil {
 			return err
 		}
@@ -410,18 +296,6 @@ func runHolder(ctx context.Context, schemaPath, queryAddr, peerListen, peerAddr,
 		peer = smc.NewNetConn(pc)
 	}
 
-	cfg := session.HolderConfig{Data: data, K: k, Anonymizer: anon}
-	if cliutil.IsDPName(method) {
-		// Leave the anonymizer nil: the session installs the deterministic
-		// binner and publishes the noised release (DESIGN.md §14).
-		cfg.Epsilon = dp.epsilon
-		cfg.DPDelta = dp.delta
-		cfg.DPSeed = dp.seed
-		cfg.DPLevel = dp.level
-	}
-	if tierKey != "" {
-		cfg.TierKey = []byte(tierKey)
-	}
 	return session.RunHolder(query, peer, cfg, role == session.RoleAlice)
 }
 

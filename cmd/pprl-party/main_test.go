@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pprl"
+	"pprl/internal/cliutil"
 )
 
 func writePairCSVs(t *testing.T) (a, b string) {
@@ -46,6 +47,34 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// baseQuery are the querying party's options the tests vary from:
+// 256-bit keys keep the real crypto fast.
+func baseQuery(listen string, allowance float64) queryOptions {
+	return queryOptions{
+		listen:  listen,
+		shuffle: true,
+		CLI: cliutil.CLI{
+			Params: cliutil.Params{
+				QIDs:       pprl.DefaultAdultQIDs(),
+				Theta:      0.05,
+				Heuristic:  "minAvgFirst",
+				KeyBits:    256,
+				SMCWorkers: 2,
+			},
+			AllowanceFraction: allowance,
+		},
+	}
+}
+
+// holder are a data holder's options: k = 8 over the given file.
+func holder(queryAddr, peerListen, peerAddr, data, method, tierKey string, dp cliutil.Params) holderOptions {
+	return holderOptions{
+		CLI:       cliutil.CLI{Params: dp, K: 8},
+		queryAddr: queryAddr, peerListen: peerListen, peerAddr: peerAddr,
+		dataPath: data, method: method, tierKey: tierKey,
+	}
+}
+
 // TestThreePartyOverTCP runs the complete distributed deployment: three
 // role functions over real TCP sockets on localhost, with real (256-bit)
 // Paillier crypto.
@@ -58,23 +87,15 @@ func TestThreePartyOverTCP(t *testing.T) {
 	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		done <- runQuery(&out, queryOptions{
-			listen:      queryAddr,
-			qids:        strings.Join(pprl.DefaultAdultQIDs(), ","),
-			theta:       0.05,
-			allowance:   0.002,
-			heurName:    "minAvgFirst",
-			keyBits:     256,
-			smcWorkers:  2,
-			shuffle:     true,
-			journalPath: filepath.Join(t.TempDir(), "party.wal"),
-		})
+		q := baseQuery(queryAddr, 0.002)
+		q.Journal = filepath.Join(t.TempDir(), "party.wal")
+		done <- runQuery(&out, q)
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), "", queryAddr, peerAddr, "", aCSV, 8, "entropy", "", dpOptions{}, "alice")
+		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "entropy", "", cliutil.Params{}), "alice")
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), "", queryAddr, "", peerAddr, bCSV, 8, "entropy", "", dpOptions{}, "bob")
+		errs <- runHolder(context.Background(), holder(queryAddr, "", peerAddr, bCSV, "entropy", "", cliutil.Params{}), "bob")
 	}()
 	if err := <-done; err != nil {
 		t.Fatalf("query: %v", err)
@@ -94,25 +115,25 @@ func TestThreePartyOverTCP(t *testing.T) {
 }
 
 func TestRoleValidation(t *testing.T) {
-	if err := runQuery(nil, queryOptions{qids: "age", theta: 0.05, heurName: "minFirst", keyBits: 256}); err == nil {
+	if err := runQuery(nil, queryOptions{CLI: cliutil.CLI{Params: cliutil.Params{QIDs: []string{"age"}, Theta: 0.05, Heuristic: "minFirst", KeyBits: 256}}}); err == nil {
 		t.Error("query without -listen should fail")
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", qids: "age", theta: 0.05, heurName: "bogus", keyBits: 256}); err == nil {
+	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{QIDs: []string{"age"}, Theta: 0.05, Heuristic: "bogus", KeyBits: 256}}}); err == nil {
 		t.Error("bad heuristic should fail")
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", heurName: "minFirst", journalPath: "x.wal", resumePath: "y.wal"}); err == nil {
+	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Journal: "x.wal", Resume: "y.wal"}}); err == nil {
 		t.Error("-journal with -resume should fail")
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", heurName: "minFirst", resumePath: "/nonexistent.wal"}); err == nil {
+	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Resume: "/nonexistent.wal"}}); err == nil {
 		t.Error("missing resume journal should fail")
 	}
-	if err := runHolder(context.Background(), "", "", "", "", "x.csv", 8, "entropy", "", dpOptions{}, "alice"); err == nil {
+	if err := runHolder(context.Background(), holder("", "", "", "x.csv", "entropy", "", cliutil.Params{}), "alice"); err == nil {
 		t.Error("holder without -query should fail")
 	}
-	if err := runHolder(context.Background(), "", "127.0.0.1:1", "", "", "/nonexistent.csv", 8, "entropy", "", dpOptions{}, "bob"); err == nil {
+	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "", "/nonexistent.csv", "entropy", "", cliutil.Params{}), "bob"); err == nil {
 		t.Error("missing data file should fail")
 	}
-	if err := runHolder(context.Background(), "", "127.0.0.1:1", "", "", "x.csv", 8, "bogus", "", dpOptions{}, "bob"); err == nil {
+	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "", "x.csv", "bogus", "", cliutil.Params{}), "bob"); err == nil {
 		t.Error("bad method should fail")
 	}
 }
@@ -129,23 +150,15 @@ func TestThreePartyTierOverTCP(t *testing.T) {
 	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		done <- runQuery(&out, queryOptions{
-			listen:     queryAddr,
-			qids:       strings.Join(pprl.DefaultAdultQIDs(), ","),
-			theta:      0.05,
-			allowance:  0.002,
-			heurName:   "minAvgFirst",
-			keyBits:    256,
-			smcWorkers: 2,
-			shuffle:    true,
-			tier:       "bloom",
-		})
+		q := baseQuery(queryAddr, 0.002)
+		q.Tier = "bloom"
+		done <- runQuery(&out, q)
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), "", queryAddr, peerAddr, "", aCSV, 8, "entropy", "tcp-tier-secret", dpOptions{}, "alice")
+		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "entropy", "tcp-tier-secret", cliutil.Params{}), "alice")
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), "", queryAddr, "", peerAddr, bCSV, 8, "entropy", "tcp-tier-secret", dpOptions{}, "bob")
+		errs <- runHolder(context.Background(), holder(queryAddr, "", peerAddr, bCSV, "entropy", "tcp-tier-secret", cliutil.Params{}), "bob")
 	}()
 	if err := <-done; err != nil {
 		t.Fatalf("query: %v", err)

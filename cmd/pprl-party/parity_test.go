@@ -1,0 +1,58 @@
+package main
+
+import (
+	"errors"
+	"io/fs"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pprl/internal/cliutil"
+	"pprl/internal/testkit"
+)
+
+// TestSurfaceParity pushes the shared parameter table through runQuery.
+// The listen address has no valid port, so parameters the flags accept
+// surface as net.Listen's error and everything else is a refusal made
+// before the port was bound.
+func TestSurfaceParity(t *testing.T) {
+	for _, row := range testkit.ParamRows {
+		if row.On&testkit.SurfaceQuery == 0 {
+			continue
+		}
+		err := runQuery(nil, queryOptions{listen: "127.0.0.1:99999",
+			CLI: cliutil.CLI{Params: row.Params, AllowanceFraction: row.AllowanceFraction}})
+		var listenErr *net.OpError
+		if errors.As(err, &listenErr) {
+			err = nil
+		} else if err == nil {
+			t.Fatal("runQuery returned without listening")
+		}
+		if msg := row.Judge(testkit.SurfaceQuery, err); msg != "" {
+			t.Errorf("pprl-party -role query: %s", msg)
+		}
+	}
+}
+
+// TestQuerySmallKeyRefusedFirst: a key below the engine's floor is refused
+// before the journal exists or the port is bound (the parent created the
+// journal, listened and let both holders publish their views first; here
+// the port is taken, so the parent's order fails with "address in use").
+func TestQuerySmallKeyRefusedFirst(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	wal := filepath.Join(t.TempDir(), "party.wal")
+	q := baseQuery(taken.Addr().String(), 0.002)
+	q.KeyBits, q.Journal = 32, wal
+	if err := runQuery(nil, q); err == nil || !strings.Contains(err.Error(), "-keybits must be at least 64") {
+		t.Errorf("err = %v, want the -keybits refusal", err)
+	}
+	if _, statErr := os.Stat(wal); !errors.Is(statErr, fs.ErrNotExist) {
+		t.Errorf("the refused query left a journal behind (stat: %v)", statErr)
+	}
+}

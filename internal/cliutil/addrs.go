@@ -33,7 +33,7 @@ func NormalizeAddr(raw string) (string, error) {
 //
 //	-worker a:9101 -worker b:9101,c:9101
 //
-// Register with flag.Var(&addrs, "worker", …).
+// pprl-link and pprl-serve each register one as their -worker flag.
 type WorkerAddrs []string
 
 // String implements flag.Value.

@@ -1,4 +1,7 @@
-// Package cliutil holds small helpers shared by the command-line tools.
+// Package cliutil holds what the command-line tools and the job service
+// share: the run's parameter block (Params: one validator, one set of
+// defaults, the engine configurations made from it), the flags that fill
+// it, and small helpers (name tables, ranges, addresses, dial backoff).
 package cliutil
 
 import (

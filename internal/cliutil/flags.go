@@ -1,0 +1,99 @@
+package cliutil
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+
+	"pprl/internal/core"
+	"pprl/internal/journal"
+)
+
+// CLI is the parameter block as pprl-link and pprl-party take it: Params
+// plus what both tools' flags add around it — the allowance as a fraction
+// of the pair matrix, the holders' k and DP binning depth, and the run's
+// journal.
+type CLI struct {
+	Params
+	// AllowanceFraction is -allowance: the SMC budget as a share of all
+	// record pairs. An explicit 0 buys nothing.
+	AllowanceFraction float64
+	// K is the holders' anonymity requirement, DPLevel their VGH binning
+	// depth under DP blocking (0 = default).
+	K       int
+	DPLevel int
+	// Journal starts a fresh durable journal, Resume continues an
+	// interrupted one (mutually exclusive); JournalSync is the fsync
+	// cadence in verdicts (0 = default batching).
+	Journal     string
+	Resume      string
+	JournalSync int
+}
+
+// Flags registers the flags pprl-link and pprl-party share, once, with
+// the paper's defaults.
+func (c *CLI) Flags(fs *flag.FlagSet) {
+	def := core.DefaultConfig(nil)
+	fs.StringVar(&c.SchemaPath, "schema", "", "schema manifest path (default: built-in Adult schema)")
+	fs.Func("qids", "comma-separated quasi-identifier attributes (default: the paper's Adult set, or every attribute of -schema)", func(s string) error {
+		c.QIDs = strings.Split(s, ",")
+		return nil
+	})
+	fs.Float64Var(&c.Theta, "theta", def.Theta, "matching threshold θ for every attribute")
+	fs.Float64Var(&c.AllowanceFraction, "allowance", def.AllowanceFraction, "SMC allowance as a fraction of all record pairs")
+	fs.StringVar(&c.Heuristic, "heuristic", "minAvgFirst", "SMC selection heuristic: minFirst, maxLast, minAvgFirst")
+	fs.IntVar(&c.K, "k", def.AliceK, "holders' anonymity requirement")
+	fs.Float64Var(&c.Epsilon, "epsilon", 0, "per-holder differential-privacy budget for the dp anonymization method")
+	fs.Float64Var(&c.DPDelta, "dp-delta", 0, "DP truncation mass (0 = default)")
+	fs.Int64Var(&c.DPSeed, "dp-seed", 0, "DP noise seed (pprl-link: alice draws with the seed, bob with seed+1; pprl-party: private to the holder and role-separated)")
+	fs.IntVar(&c.DPLevel, "dp-level", 0, "VGH binning depth for the dp method (0 = default)")
+	fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
+	fs.IntVar(&c.SMCWorkers, "smc-workers", 0, "SMC parallelism: protocol lanes for pprl-link -secure (0 = GOMAXPROCS), batch-size scaling for a pprl-party query (0 = default chunking)")
+	fs.StringVar(&c.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
+	fs.Float64Var(&c.TierHigh, "tier-high", 0, "tier Dice threshold for Match (0 = default 0.95)")
+	fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold for NonMatch (0 = default 0.60)")
+	fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path (crash-resumable)")
+	fs.StringVar(&c.Resume, "resume", "", "resume an interrupted run from its journal")
+	fs.IntVar(&c.JournalSync, "journal-sync", 0, "fsync the journal every N verdicts (0 = default batching)")
+}
+
+// Validate refuses flag values no run could use, before any file is
+// opened, journal created or port bound.
+func (c *CLI) Validate() error {
+	if c.Journal != "" && c.Resume != "" {
+		return fmt.Errorf("-journal and -resume are mutually exclusive (resume appends to the existing journal)")
+	}
+	if err := c.Params.Validate(FlagNames); err != nil {
+		return err
+	}
+	return AllowanceFractionRange.Validate(c.AllowanceFraction)
+}
+
+// OpenJournal creates the -journal file or resumes the -resume one; the
+// writer is nil when the run is not journaled.
+func (c *CLI) OpenJournal() (*journal.Writer, error) {
+	opts := journal.Options{SyncEvery: c.JournalSync}
+	switch {
+	case c.Journal != "":
+		return journal.Create(c.Journal, opts)
+	case c.Resume != "":
+		return journal.Resume(c.Resume, opts)
+	}
+	return nil, nil
+}
+
+// Fail reports a run's error as tool and exits: 130 when the run was
+// interrupted (with the command that continues it, if it was journaled
+// and so checkpointed), 1 otherwise.
+func (c *CLI) Fail(tool string, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+	if !errors.Is(err, core.ErrInterrupted) {
+		os.Exit(1)
+	}
+	if path := c.Journal + c.Resume; path != "" { // at most one is set
+		fmt.Fprintf(os.Stderr, "%s: checkpoint saved; continue with -resume %s\n", tool, path)
+	}
+	os.Exit(130)
+}

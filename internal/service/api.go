@@ -18,74 +18,46 @@ import (
 	"pprl/internal/cliutil"
 	"pprl/internal/core"
 	"pprl/internal/metrics"
-	"pprl/internal/paillier"
 )
 
 // JobSpec is the body of POST /v1/jobs: dataset references plus the
 // linkage parameters. Dataset references are server-side paths resolved
 // by the store (relative to its data directory when one is configured);
-// the daemon never accepts record data over the API.
+// the daemon never accepts record data over the API. The embedded block's
+// keys (schema_path, qids, theta, allowance, heuristic, strategy, epsilon,
+// dp_delta, dp_seed, tier, tier_high, tier_low, secure, key_bits,
+// smc_workers) sit beside the ones below in the request body.
 type JobSpec struct {
 	// AlicePath and BobPath reference the two holders' CSV relations.
 	AlicePath string `json:"alice_path"`
 	BobPath   string `json:"bob_path"`
-	// SchemaPath references a schema manifest; empty selects the
-	// built-in Adult schema.
-	SchemaPath string `json:"schema_path,omitempty"`
 
-	// QIDs are the quasi-identifier attributes; empty selects the
-	// paper's default Adult set when the Adult schema is in use.
-	QIDs []string `json:"qids,omitempty"`
-	// Theta is the uniform matching threshold (default 0.05).
-	Theta float64 `json:"theta,omitempty"`
+	cliutil.Params
+
 	// K is the anonymity requirement for both holders (default 32).
 	K int `json:"k,omitempty"`
 	// AllowanceFraction is the SMC budget as a fraction of all record
-	// pairs (default 0.015); Allowance, when set, is the absolute budget
-	// and takes precedence.
+	// pairs (default 0.015); the block's absolute Allowance, when set,
+	// takes precedence.
 	AllowanceFraction float64 `json:"allowance_fraction,omitempty"`
-	Allowance         int64   `json:"allowance,omitempty"`
-	// Heuristic, Strategy, Anonymizer and Blocking take the CLI names
-	// (see cliutil); empty selects the paper defaults. Anonymizer "dp"
-	// selects differentially private blocking and requires Epsilon.
-	Heuristic  string `json:"heuristic,omitempty"`
-	Strategy   string `json:"strategy,omitempty"`
+	// Anonymizer takes the CLI names (see cliutil); empty selects the
+	// paper's max-entropy method, or "dp" when Epsilon is set. "dp"
+	// selects differentially private blocking (composed spend 2ε; see
+	// core.DPStats) and requires Epsilon; DPLevel is then the VGH binning
+	// depth (0 = default).
 	Anonymizer string `json:"anonymizer,omitempty"`
-	// Epsilon, when positive, runs the job under differentially private
-	// blocking: per-holder privacy budget of the noised bin releases
-	// (composed spend is 2ε; see core.DPStats). Requires Anonymizer ""
-	// or "dp". DPDelta is the truncation mass (0 = default 1e-6), DPSeed
-	// the deterministic noise seed, DPLevel the VGH binning depth (0 =
-	// default).
-	Epsilon float64 `json:"epsilon,omitempty"`
-	DPDelta float64 `json:"dp_delta,omitempty"`
-	DPSeed  int64   `json:"dp_seed,omitempty"`
-	DPLevel int     `json:"dp_level,omitempty"`
+	DPLevel    int    `json:"dp_level,omitempty"`
 	// Blocking is deprecated and ignored: there is one blocking engine
 	// (the hierarchy index). The field still decodes so older clients
 	// and persisted specs keep working — "", "dense" and "indexed" have
 	// always produced identical labels — and any other value is refused.
 	Blocking string `json:"blocking,omitempty"`
-	// Secure runs the real Paillier protocol in-process with KeyBits
-	// keys; false uses the plaintext cost-model oracle.
-	Secure  bool `json:"secure,omitempty"`
-	KeyBits int  `json:"key_bits,omitempty"`
-	// SMCWorkers is the SMC parallelism (0 = GOMAXPROCS).
-	SMCWorkers int `json:"smc_workers,omitempty"`
 	// Distributed stripes the SMC step across the daemon's registered
 	// worker fleet (pprl-party -role worker) instead of running it
 	// in-process. Combines with Secure: each worker then runs the real
 	// Paillier protocol under its own fresh key. Rejected at submit time
 	// when the daemon has no fleet configured.
 	Distributed bool `json:"distributed,omitempty"`
-	// Tier selects the triage tier between blocking and SMC: "off"
-	// (default) or "bloom" (Dice over keyed CLK encodings; confident
-	// bands labeled free, allowance reserved for the uncertain middle).
-	Tier string `json:"tier,omitempty"`
-	// TierHigh and TierLow are the tier's Dice thresholds; both zero
-	// selects the defaults (0.95 / 0.60).
-	TierHigh float64 `json:"tier_high,omitempty"`
-	TierLow  float64 `json:"tier_low,omitempty"`
 	// Seed drives the TrainClassifier strategy's random selection.
 	Seed int64 `json:"seed,omitempty"`
 	// Evaluate additionally scores the result against exact ground
@@ -104,51 +76,18 @@ func (s *JobSpec) Validate() error {
 	if s.AlicePath == "" || s.BobPath == "" {
 		return fmt.Errorf("alice_path and bob_path are required")
 	}
-	if s.Allowance < 0 || s.K < 0 {
+	if s.K < 0 {
 		return fmt.Errorf("negative parameters are invalid")
 	}
-	if err := validKeyBits(s.KeyBits); err != nil {
+	if err := s.Params.Validate(cliutil.JSONNames); err != nil {
 		return err
 	}
-	if s.Theta != 0 {
-		if err := cliutil.ThetaRange.Named("theta").Validate(s.Theta); err != nil {
-			return err
-		}
+	if err := s.ValidateAnonymizer(cliutil.JSONNames, "anonymizer", s.Anonymizer, s.DPLevel); err != nil {
+		return err
 	}
 	if s.AllowanceFraction != 0 {
 		if err := cliutil.AllowanceFractionRange.Named("allowance_fraction").Validate(s.AllowanceFraction); err != nil {
 			return err
-		}
-	}
-	if _, err := cliutil.HeuristicByName(s.Heuristic); err != nil {
-		return err
-	}
-	if _, err := cliutil.StrategyByName(s.Strategy); err != nil {
-		return err
-	}
-	if cliutil.IsDPName(s.Anonymizer) {
-		if s.Epsilon == 0 {
-			return fmt.Errorf("anonymizer %q requires epsilon > 0", s.Anonymizer)
-		}
-	} else {
-		if _, err := cliutil.AnonymizerByName(s.Anonymizer); err != nil {
-			return err
-		}
-		if s.Anonymizer != "" && s.Epsilon != 0 {
-			return fmt.Errorf("epsilon requires anonymizer \"dp\", got %q", s.Anonymizer)
-		}
-	}
-	if s.Epsilon != 0 || s.DPDelta != 0 || s.DPSeed != 0 || s.DPLevel != 0 {
-		if err := cliutil.EpsilonRange.Named("epsilon").Validate(s.Epsilon); err != nil {
-			return err
-		}
-		if s.DPDelta != 0 {
-			if err := cliutil.DeltaRange.Named("dp_delta").Validate(s.DPDelta); err != nil {
-				return err
-			}
-		}
-		if s.DPLevel < 0 {
-			return fmt.Errorf("dp_level must be ≥ 0, got %d", s.DPLevel)
 		}
 	}
 	switch strings.ToLower(s.Blocking) {
@@ -156,30 +95,15 @@ func (s *JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown blocking mode %q (the field is deprecated; omit it)", s.Blocking)
 	}
-	if _, err := cliutil.TierModeByName(s.Tier); err != nil {
-		return err
-	}
-	if err := cliutil.TierBand(s.TierLow, s.TierHigh); err != nil {
-		return err
-	}
-	return nil
-}
-
-// validKeyBits refuses a key size paillier.GenerateKey would refuse only
-// after the job was queued or the dataset registered; 0 is the default.
-func validKeyBits(bits int) error {
-	if bits != 0 && bits < paillier.MinKeyBits {
-		return fmt.Errorf("key_bits must be at least %d (or 0 for the default 1024), got %d", paillier.MinKeyBits, bits)
-	}
 	return nil
 }
 
 // Config materializes the core pipeline configuration the spec
 // describes. Validate must have accepted the spec.
 func (s *JobSpec) Config(qids []string) (core.Config, error) {
-	cfg := core.DefaultConfig(qids)
-	if s.Theta > 0 {
-		cfg.Theta = s.Theta
+	cfg, err := s.Core(qids)
+	if err != nil {
+		return cfg, err
 	}
 	if s.K > 0 {
 		cfg.AliceK, cfg.BobK = s.K, s.K
@@ -187,42 +111,16 @@ func (s *JobSpec) Config(qids []string) (core.Config, error) {
 	if s.AllowanceFraction > 0 {
 		cfg.AllowanceFraction = s.AllowanceFraction
 	}
-	if s.Allowance > 0 {
-		cfg.Allowance = s.Allowance
-	}
-	var err error
-	if cfg.Heuristic, err = cliutil.HeuristicByName(s.Heuristic); err != nil {
-		return cfg, err
-	}
-	if cfg.Strategy, err = cliutil.StrategyByName(s.Strategy); err != nil {
-		return cfg, err
-	}
-	if s.Epsilon != 0 {
-		// DP mode: leave the anonymizers nil so the core config installs
-		// the deterministic binner with these parameters.
-		cfg.Epsilon = s.Epsilon
-		cfg.DPDelta = s.DPDelta
-		cfg.DPSeed = s.DPSeed
-		cfg.DPLevel = s.DPLevel
-	} else {
+	cfg.DPLevel = s.DPLevel
+	if s.Epsilon == 0 {
+		// Under DP the anonymizers stay nil: the core config installs the
+		// deterministic binner from the block's parameters.
 		anon, err := cliutil.AnonymizerByName(s.Anonymizer)
 		if err != nil {
 			return cfg, err
 		}
 		cfg.AliceAnonymizer, cfg.BobAnonymizer = anon, anon
 	}
-	if s.Secure {
-		keyBits := s.KeyBits
-		if keyBits == 0 {
-			keyBits = 1024
-		}
-		cfg.Comparator = core.SecureComparatorFactory(keyBits)
-	}
-	cfg.SMCWorkers = s.SMCWorkers
-	if cfg.Tier, err = cliutil.TierModeByName(s.Tier); err != nil {
-		return cfg, err
-	}
-	cfg.TierHigh, cfg.TierLow = s.TierHigh, s.TierLow
 	cfg.Seed = s.Seed
 	return cfg, nil
 }

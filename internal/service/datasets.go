@@ -9,8 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"pprl/internal/adult"
-	"pprl/internal/cliutil"
 	"pprl/internal/dataset"
 	"pprl/internal/incremental"
 	"pprl/internal/journal"
@@ -99,37 +97,11 @@ func (ld *liveDataset) fail(msg string) {
 	ld.mu.Unlock()
 }
 
-// datasetSchema loads the registration's schema and default QIDs,
-// mirroring how job execution resolves them.
-func (s *Server) datasetSchema(spec DatasetSpec) (*dataset.Schema, []string, error) {
-	schemaPath := ""
-	if spec.SchemaPath != "" {
-		p, err := s.store.ResolveData(spec.SchemaPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		schemaPath = p
-	}
-	schema, err := cliutil.LoadSchemaOrAdult(schemaPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	qids := spec.QIDs
-	if len(qids) == 0 {
-		if spec.SchemaPath == "" {
-			qids = adult.DefaultQIDs()
-		} else {
-			qids = schema.Names()
-		}
-	}
-	return schema, qids, nil
-}
-
 // buildDataset constructs the runtime for a registration: engine over
 // the (possibly resumed) ingest journal, bounded queue, drainer
 // goroutine seeded with the stored batches to replay.
 func (s *Server) buildDataset(df datasetFile, stored []batchEntry) (*liveDataset, error) {
-	schema, qids, err := s.datasetSchema(df.Spec)
+	schema, qids, err := df.Spec.LoadSchema(s.store.ResolveData)
 	if err != nil {
 		return nil, fmt.Errorf("service: dataset %s: %w", df.ID, err)
 	}
@@ -283,7 +255,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Prove the schema loads before any state exists; a bad reference is
 	// the submitter's error, not a poisoned dataset.
-	if _, _, err := s.datasetSchema(spec); err != nil {
+	if _, _, err := spec.LoadSchema(s.store.ResolveData); err != nil {
 		writeErr(w, Errf(KindBadRequest, "%v", err))
 		return
 	}

@@ -8,54 +8,28 @@ import (
 	"time"
 
 	"pprl/internal/cliutil"
-	"pprl/internal/core"
 	"pprl/internal/incremental"
 )
 
 // DatasetSpec is the body of POST /v1/datasets: the linkage parameters a
-// live dataset is registered under. They are pinned for the dataset's
-// lifetime — the delta-equivalence contract (DESIGN.md §15) is stated
-// against one fixed configuration, so there is no way to edit a
-// registration; register a new dataset instead.
+// live dataset is registered under — the same block a job takes (a
+// "classifier" strategy is refused: it needs the full residual
+// population; Allowance is the lifetime pool shared by every batch and 0
+// means unlimited, there being no fixed pair matrix to take a fraction
+// of; with Epsilon every append extends the same (ε, δ)-released
+// histogram — see SECURITY.md on repeated releases against a growing
+// dataset). They are pinned for the dataset's lifetime — the
+// delta-equivalence contract (DESIGN.md §15) is stated against one fixed
+// configuration, so there is no way to edit a registration; register a
+// new dataset instead.
 type DatasetSpec struct {
-	// SchemaPath references a schema manifest (server-side, confined to
-	// the data directory when one is configured); empty selects the
-	// built-in Adult schema.
-	SchemaPath string `json:"schema_path,omitempty"`
-	// QIDs are the quasi-identifier attributes; empty selects the paper's
-	// default Adult set (or every schema attribute for a custom schema).
-	QIDs []string `json:"qids,omitempty"`
-	// Theta is the uniform matching threshold (default 0.05).
-	Theta float64 `json:"theta,omitempty"`
+	cliutil.Params
+
 	// Level is the fixed binning depth below each hierarchy root (0 =
 	// default). It replaces the frozen pipeline's anonymizer choice:
 	// live datasets need insertion-stable bins, which only the
 	// fixed-level binner provides.
 	Level int `json:"level,omitempty"`
-	// Allowance is the absolute lifetime SMC pool shared by every batch;
-	// 0 means unlimited. There is no fraction form — the pair matrix it
-	// would be a fraction of grows forever.
-	Allowance int64 `json:"allowance,omitempty"`
-	// Heuristic and Strategy take the CLI names; "classifier" is
-	// rejected (it needs the full residual population).
-	Heuristic string `json:"heuristic,omitempty"`
-	Strategy  string `json:"strategy,omitempty"`
-	// Epsilon > 0 runs the dataset under differentially private blocking.
-	// Every append extends the same (ε, δ)-released histogram — see
-	// SECURITY.md on repeated releases against a growing dataset.
-	Epsilon float64 `json:"epsilon,omitempty"`
-	DPDelta float64 `json:"dp_delta,omitempty"`
-	DPSeed  int64   `json:"dp_seed,omitempty"`
-	// Tier selects the triage tier: "off" (default) or "bloom".
-	Tier     string  `json:"tier,omitempty"`
-	TierHigh float64 `json:"tier_high,omitempty"`
-	TierLow  float64 `json:"tier_low,omitempty"`
-	// Secure runs the real Paillier protocol with KeyBits keys; false
-	// uses the plaintext cost-model oracle.
-	Secure  bool `json:"secure,omitempty"`
-	KeyBits int  `json:"key_bits,omitempty"`
-	// SMCWorkers is the SMC parallelism.
-	SMCWorkers int `json:"smc_workers,omitempty"`
 	// Dedup links the dataset against itself: one side, unordered delta
 	// pairs i < j. Append batches must then target side "alice".
 	Dedup bool `json:"dedup,omitempty"`
@@ -64,82 +38,25 @@ type DatasetSpec struct {
 	QueueDepth int `json:"queue_depth,omitempty"`
 }
 
-// Validate rejects registrations at the door, before any state exists.
+// Validate rejects registrations at the door, before any state exists:
+// the block must be valid and the live engine's configuration must
+// follow from it.
 func (s *DatasetSpec) Validate() error {
-	if s.Theta != 0 {
-		if err := cliutil.ThetaRange.Named("theta").Validate(s.Theta); err != nil {
-			return err
-		}
-	}
-	if s.Allowance < 0 || s.Level < 0 || s.QueueDepth < 0 {
+	if s.Level < 0 || s.QueueDepth < 0 {
 		return fmt.Errorf("negative parameters are invalid")
 	}
-	if err := validKeyBits(s.KeyBits); err != nil {
+	if err := s.Params.Validate(cliutil.JSONNames); err != nil {
 		return err
 	}
-	if _, err := cliutil.HeuristicByName(s.Heuristic); err != nil {
-		return err
-	}
-	strat, err := cliutil.StrategyByName(s.Strategy)
-	if err != nil {
-		return err
-	}
-	if strat == core.TrainClassifier {
-		return fmt.Errorf("strategy %q needs the full residual population and cannot run incrementally", s.Strategy)
-	}
-	if s.Epsilon != 0 || s.DPDelta != 0 || s.DPSeed != 0 {
-		if err := cliutil.EpsilonRange.Named("epsilon").Validate(s.Epsilon); err != nil {
-			return err
-		}
-		if s.DPDelta != 0 {
-			if err := cliutil.DeltaRange.Named("dp_delta").Validate(s.DPDelta); err != nil {
-				return err
-			}
-		}
-	}
-	if _, err := cliutil.TierModeByName(s.Tier); err != nil {
-		return err
-	}
-	if err := cliutil.TierBand(s.TierLow, s.TierHigh); err != nil {
-		return err
-	}
-	return nil
+	_, err := s.Config(nil)
+	return err
 }
 
-// Config materializes the incremental engine configuration. Validate
-// must have accepted the spec.
+// Config materializes the incremental engine configuration.
 func (s *DatasetSpec) Config(qids []string) (incremental.Config, error) {
-	cfg := incremental.Config{
-		QIDs:      qids,
-		Theta:     s.Theta,
-		Level:     s.Level,
-		Allowance: s.Allowance,
-		Epsilon:   s.Epsilon,
-		DPDelta:   s.DPDelta,
-		DPSeed:    s.DPSeed,
-		TierHigh:  s.TierHigh,
-		TierLow:   s.TierLow,
-		Dedup:     s.Dedup,
-	}
-	var err error
-	if cfg.Heuristic, err = cliutil.HeuristicByName(s.Heuristic); err != nil {
-		return cfg, err
-	}
-	if cfg.Strategy, err = cliutil.StrategyByName(s.Strategy); err != nil {
-		return cfg, err
-	}
-	if cfg.Tier, err = cliutil.TierModeByName(s.Tier); err != nil {
-		return cfg, err
-	}
-	if s.Secure {
-		keyBits := s.KeyBits
-		if keyBits == 0 {
-			keyBits = 1024
-		}
-		cfg.Comparator = core.SecureComparatorFactory(keyBits)
-	}
-	cfg.SMCWorkers = s.SMCWorkers
-	return cfg, nil
+	cfg, err := s.Incremental(qids)
+	cfg.Level, cfg.Dedup = s.Level, s.Dedup
+	return cfg, err
 }
 
 // DatasetState is a live dataset's lifecycle position.

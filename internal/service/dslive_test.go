@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pprl/internal/adult"
+	"pprl/internal/cliutil"
 	"pprl/internal/dataset"
 	"pprl/internal/incremental"
 	"pprl/internal/oracle"
@@ -70,7 +71,7 @@ func TestDeltasPagesNeverTear(t *testing.T) {
 	a, b := sliceBatches(t, dataDir, "a", da, perSide), sliceBatches(t, dataDir, "b", db, perSide)
 
 	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir, JournalSync: 4096})
-	ds := registerDataset(t, ts, DatasetSpec{Allowance: serviceAmple})
+	ds := registerDataset(t, ts, DatasetSpec{Params: cliutil.Params{Allowance: serviceAmple}})
 
 	appended := make(chan error, 1)
 	go func() {

@@ -17,6 +17,7 @@ import (
 
 	"pprl/internal/adult"
 	"pprl/internal/blocking"
+	"pprl/internal/cliutil"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/dpblock"
@@ -218,7 +219,7 @@ func TestServiceIncrementalSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	ds := registerDataset(t, ts1, DatasetSpec{Allowance: serviceAmple})
+	ds := registerDataset(t, ts1, DatasetSpec{Params: cliutil.Params{Allowance: serviceAmple}})
 
 	accepted := make([]bool, len(schedule))
 	for i, req := range schedule {
@@ -381,7 +382,7 @@ func TestServiceDedupDataset(t *testing.T) {
 	refs := sliceBatches(t, dataDir, "d", d, 3)
 
 	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir})
-	ds := registerDataset(t, ts, DatasetSpec{Dedup: true, Allowance: serviceAmple})
+	ds := registerDataset(t, ts, DatasetSpec{Dedup: true, Params: cliutil.Params{Allowance: serviceAmple}})
 	if !ds.Dedup {
 		t.Error("registration lost the dedup flag")
 	}
@@ -430,7 +431,7 @@ func TestServiceDatasetValidation(t *testing.T) {
 	ref := writeCSV(t, dataDir, "d.csv", d)
 	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir})
 
-	bad := []DatasetSpec{
+	bad := []cliutil.Params{
 		{Theta: -1},                  // negative threshold
 		{Strategy: "classifier"},     // needs the full residual population
 		{Heuristic: "nope"},          // unknown heuristic
@@ -440,8 +441,8 @@ func TestServiceDatasetValidation(t *testing.T) {
 		{Secure: true, KeyBits: 32},  // below the engine's floor
 	}
 	var bodies [][]byte
-	for _, spec := range bad {
-		body, _ := json.Marshal(spec)
+	for _, p := range bad {
+		body, _ := json.Marshal(DatasetSpec{Params: p})
 		bodies = append(bodies, body)
 	}
 	// Fields older builds accepted are unknown to the strict decoder now.

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"pprl/internal/adult"
 	"pprl/internal/cliutil"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
@@ -615,15 +614,7 @@ func (s *Server) runJob(ctx context.Context, job *Job) {
 func (s *Server) execute(ctx context.Context, job *Job) error {
 	spec := job.Spec
 
-	schemaPath := ""
-	if spec.SchemaPath != "" {
-		p, err := s.store.ResolveData(spec.SchemaPath)
-		if err != nil {
-			return err
-		}
-		schemaPath = p
-	}
-	schema, err := cliutil.LoadSchemaOrAdult(schemaPath)
+	schema, qids, err := spec.LoadSchema(s.store.ResolveData)
 	if err != nil {
 		return err
 	}
@@ -636,14 +627,6 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 		return fmt.Errorf("reading bob: %w", err)
 	}
 
-	qids := spec.QIDs
-	if len(qids) == 0 {
-		if spec.SchemaPath == "" {
-			qids = adult.DefaultQIDs()
-		} else {
-			qids = schema.Names()
-		}
-	}
 	cfg, err := spec.Config(qids)
 	if err != nil {
 		return err
@@ -665,14 +648,7 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 		if err != nil {
 			return err
 		}
-		jc := distrib.JobConfig{Job: job.ID}
-		if spec.Secure {
-			jc.Engine = distrib.EngineSecure
-			jc.KeyBits = spec.KeyBits
-			if jc.KeyBits == 0 {
-				jc.KeyBits = 1024
-			}
-		}
+		jc := spec.FleetJob(job.ID)
 		cfg.Comparator = s.pool.Factory(jc)
 		s.logf("job=%s fleet engine=%s workers=%v", job.ID, jc.Engine, s.pool.Workers())
 	}

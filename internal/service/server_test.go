@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pprl/internal/adult"
+	"pprl/internal/cliutil"
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
 	"pprl/internal/journal"
@@ -64,7 +65,7 @@ func testSpec() JobSpec {
 		AlicePath: "a.csv",
 		BobPath:   "b.csv",
 		K:         8,
-		Allowance: 200,
+		Params:    cliutil.Params{Allowance: 200},
 		Evaluate:  true,
 	}
 }
@@ -255,13 +256,13 @@ func TestServiceValidation(t *testing.T) {
 	cases := []JobSpec{
 		{},                   // missing datasets
 		{AlicePath: "a.csv"}, // missing bob
-		{AlicePath: "a.csv", BobPath: "b.csv", Heuristic: "nope"}, // unknown heuristic
-		{AlicePath: "a.csv", BobPath: "b.csv", Blocking: "nope"},  // unknown blocking mode
-		{AlicePath: "../a.csv", BobPath: "b.csv"},                 // escapes data dir
-		{AlicePath: "/etc/passwd", BobPath: "b.csv"},              // absolute ref
-		{AlicePath: "a.csv", BobPath: "b.csv", Theta: -1},         // negative parameter
-		{AlicePath: "a.csv", BobPath: "b.csv", KeyBits: -512},     // negative key size
-		{AlicePath: "a.csv", BobPath: "b.csv", KeyBits: 63},       // below the engine's floor
+		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{Heuristic: "nope"}}, // unknown heuristic
+		{AlicePath: "a.csv", BobPath: "b.csv", Blocking: "nope"},                          // unknown blocking mode
+		{AlicePath: "../a.csv", BobPath: "b.csv"},                                         // escapes data dir
+		{AlicePath: "/etc/passwd", BobPath: "b.csv"},                                      // absolute ref
+		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{Theta: -1}},         // negative parameter
+		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{KeyBits: -512}},     // negative key size
+		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{KeyBits: 63}},       // below the engine's floor
 	}
 	for i, spec := range cases {
 		if _, code := submitCode(t, ts, spec); code != http.StatusBadRequest {

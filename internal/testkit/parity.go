@@ -1,0 +1,95 @@
+package testkit
+
+import (
+	"fmt"
+	"strings"
+
+	"pprl/internal/cliutil"
+)
+
+// Surface is one door a parameter block comes through.
+type Surface uint
+
+const (
+	// SurfaceJobs is POST /v1/jobs.
+	SurfaceJobs Surface = 1 << iota
+	// SurfaceDatasets is POST /v1/datasets.
+	SurfaceDatasets
+	// SurfaceLink is pprl-link's two-relation run.
+	SurfaceLink
+	// SurfaceDedup is pprl-link -dedup.
+	SurfaceDedup
+	// SurfaceQuery is pprl-party -role query.
+	SurfaceQuery
+
+	frozenSurfaces = SurfaceJobs | SurfaceLink
+	liveSurfaces   = SurfaceDatasets | SurfaceDedup
+	allSurfaces    = frozenSurfaces | liveSurfaces | SurfaceQuery
+)
+
+// ParamRow is one parameter set and what every surface that takes it must
+// say to it. Each surface's own test suite pushes ParamRows through its
+// door (TestSurfaceParity in internal/service, cmd/pprl-link and
+// cmd/pprl-party), so a rule that exists on one surface and not on
+// another fails the row there.
+type ParamRow struct {
+	Name string
+	cliutil.Params
+	// AllowanceFraction is allowance_fraction / -allowance; zero leaves
+	// the surface's default. Live datasets have no fraction.
+	AllowanceFraction float64
+	// Anonymizer is anonymizer / -anon, which only the frozen surfaces
+	// take; the others ignore it.
+	Anonymizer string
+	// Level is the binning depth the surface takes: dp_level / -dp-level
+	// on the frozen surfaces, level / -level on the live ones.
+	Level int
+	// On is the surfaces the row is pushed through, Refuse those of them
+	// that must refuse it (the rest must accept), and Want a substring of
+	// every refusal in either spelling of the field ("" = any text).
+	On, Refuse Surface
+	Want       string
+}
+
+// ParamRows is the surface-parity table.
+var ParamRows = []ParamRow{
+	{Name: "defaults", On: allSurfaces},
+	{Name: "zero theta is the default", Params: cliutil.Params{Theta: 0, Heuristic: "maxLast", Strategy: "recall"}, On: allSurfaces},
+	{Name: "negative theta", Params: cliutil.Params{Theta: -1}, On: allSurfaces, Refuse: allSurfaces, Want: "theta must be in (0, ∞)"},
+	{Name: "allowance fraction above 1", AllowanceFraction: 1.5, On: allSurfaces &^ SurfaceDatasets, Refuse: allSurfaces, Want: "must be in [0, 1]"},
+	{Name: "negative allowance fraction", AllowanceFraction: -0.1, On: allSurfaces &^ SurfaceDatasets, Refuse: allSurfaces, Want: "must be in [0, 1]"},
+	{Name: "unknown heuristic", Params: cliutil.Params{Heuristic: "nope"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown heuristic"},
+	{Name: "unknown strategy", Params: cliutil.Params{Strategy: "nope"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown strategy"},
+	{Name: "unknown tier", Params: cliutil.Params{Tier: "paillier"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown tier mode"},
+	{Name: "tier low above tier high", Params: cliutil.Params{Tier: "bloom", TierLow: 0.9, TierHigh: 0.5}, On: allSurfaces, Refuse: allSurfaces, Want: "must be below"},
+	{Name: "tier high above 1", Params: cliutil.Params{TierLow: 0.5, TierHigh: 1.5}, On: allSurfaces, Refuse: allSurfaces, Want: "must be in (0, 1]"},
+	{Name: "tier band", Params: cliutil.Params{Tier: "bloom", TierLow: 0.4, TierHigh: 0.85}, On: allSurfaces},
+	{Name: "epsilon with a k-anonymizer", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "tds", On: frozenSurfaces, Refuse: frozenSurfaces, Want: "epsilon requires"},
+	{Name: "dp without epsilon", Anonymizer: "dp", On: frozenSurfaces, Refuse: frozenSurfaces, Want: "dp requires"},
+	{Name: "dp", Params: cliutil.Params{Epsilon: 2, DPDelta: 1e-6, DPSeed: 7}, Anonymizer: "dp", Level: 2, On: frozenSurfaces | SurfaceDatasets},
+	{Name: "negative epsilon", Params: cliutil.Params{Epsilon: -2}, Anonymizer: "dp", On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
+	{Name: "delta without epsilon", Params: cliutil.Params{DPDelta: 1e-6}, On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
+	{Name: "delta out of range", Params: cliutil.Params{Epsilon: 2, DPDelta: 0.7}, Anonymizer: "dp", On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "delta must be in [0, 0.5)"},
+	{Name: "negative dp level", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "dp", Level: -1, On: frozenSurfaces, Refuse: allSurfaces, Want: "level must be ≥ 0"},
+	{Name: "dp level without epsilon", Level: 2, On: frozenSurfaces, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
+	{Name: "negative level", Level: -1, On: liveSurfaces, Refuse: allSurfaces},
+	{Name: "negative key size", Params: cliutil.Params{Secure: true, KeyBits: -1}, On: allSurfaces, Refuse: allSurfaces, Want: "must be at least 64"},
+	{Name: "key below the engine's floor", Params: cliutil.Params{Secure: true, KeyBits: 63}, On: allSurfaces, Refuse: allSurfaces, Want: "must be at least 64"},
+	{Name: "floor-sized key, not asked for", Params: cliutil.Params{KeyBits: 64}, On: allSurfaces},
+	{Name: "classifier", Params: cliutil.Params{Strategy: "classifier"}, On: allSurfaces, Refuse: liveSurfaces, Want: "needs the full residual population"},
+}
+
+// Judge compares what surface s did with the row — refusal is the error
+// it refused the parameters with, nil when it accepted them — against the
+// table, and describes the disagreement ("" when there is none).
+func (r ParamRow) Judge(s Surface, refusal error) string {
+	switch refuse := r.Refuse&s != 0; {
+	case refuse && refusal == nil:
+		return fmt.Sprintf("%s: accepted, want a refusal mentioning %q", r.Name, r.Want)
+	case refuse && !strings.Contains(refusal.Error(), r.Want):
+		return fmt.Sprintf("%s: refused with %q, want a mention of %q", r.Name, refusal, r.Want)
+	case !refuse && refusal != nil:
+		return fmt.Sprintf("%s: refused with %q, want it accepted", r.Name, refusal)
+	}
+	return ""
+}
