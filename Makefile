@@ -80,9 +80,10 @@ restart:
 	$(GO) test -race -count=1 -run '^TestService(RestartRecovery|DrainResume)$$' ./internal/service
 	$(GO) test -race -count=1 -run '^TestServeSmoke$$' ./cmd/pprl-serve
 
-# Three-tier triage vs the two-tier baseline at a smoke scale: both arms
-# share one blocking result, so the run also exercises the tier's free
-# labeling end to end and fails on any engine error.
+# Three-tier triage vs the two-tier baseline at a smoke scale, as a gate:
+# both arms share one blocking result, and the run fails on any engine
+# error and unless, on every allowance row, the tier's precision is exactly
+# 1 and its recall is at least the baseline's (TierPerfReport.Gate).
 tier-smoke:
 	$(GO) run ./cmd/pprl-bench -exp tier -records 600
 
@@ -145,10 +146,12 @@ bench:
 	$(GO) test ./internal/smc -run XXX -bench BenchmarkSecureBatch -benchtime 3x
 
 # Machine-readable reports of the paper-question arms that keep one
-# (BENCH_tier.json, BENCH_dp.json).
+# (BENCH_tier.json, BENCH_dp.json), at the paper's scale and stamped with
+# host / Go / commit (≈ 15 s together). The 1,800-record copies are
+# fixtures of cmd/pprl-bench's tests (testdata/), not headlines.
 perf:
-	$(GO) run ./cmd/pprl-bench -exp tier -json
-	$(GO) run ./cmd/pprl-bench -exp dp -json
+	$(GO) run ./cmd/pprl-bench -full -exp tier -json
+	$(GO) run ./cmd/pprl-bench -full -exp dp -json
 
 # Code size, so the next audit reads the number instead of recounting it:
 # non-test Go lines outside the frozen benchmark/, then test lines, then

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
 	"strings"
 
 	"pprl/internal/experiment"
@@ -138,9 +140,13 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 			return err
 		}
 		if asJSON && tierOut != "" {
+			rep.Stamp = stamp()
 			if err := writeReport("tier", tierOut, rep); err != nil {
 				return err
 			}
+		}
+		if err := rep.Gate(); err != nil {
+			return err
 		}
 	}
 	if want("dp") {
@@ -152,12 +158,27 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 			return err
 		}
 		if asJSON && dpOut != "" {
+			rep.Stamp = stamp()
 			if err := writeReport("dp", dpOut, rep); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// stamp identifies the host, toolchain and tree a report is measured on
+// ("unknown" outside a git checkout, "-dirty" when the tree differs).
+func stamp() *experiment.Stamp {
+	host, _ := os.Hostname()
+	commit := "unknown"
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+		if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+			commit += "-dirty"
+		}
+	}
+	return &experiment.Stamp{Host: host, GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version(), Commit: commit}
 }
 
 // writeReport writes one arm's machine-readable report to path.

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pprl/internal/experiment"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden file")
@@ -98,8 +101,10 @@ func TestRunBaselines(t *testing.T) {
 	}
 }
 
-// TestRunTierJSON: -json with the tier artifact must write a parseable
-// three-tier-vs-baseline report to the -tier-out path.
+// TestRunTierJSON: -json with the tier artifact must write a parseable,
+// stamped three-tier-vs-baseline report to the -tier-out path, and the
+// numbers must show the tier's contract: precision exactly 1 on every row,
+// recall never below the baseline's, spend never above it.
 func TestRunTierJSON(t *testing.T) {
 	tierOut := filepath.Join(t.TempDir(), "BENCH_tier.json")
 	var buf bytes.Buffer
@@ -111,36 +116,49 @@ func TestRunTierJSON(t *testing.T) {
 		t.Fatalf("report not written: %v", err)
 	}
 	var rep struct {
+		Stamp *struct {
+			Host      string `json:"host"`
+			GoVersion string `json:"go_version"`
+			Commit    string `json:"commit"`
+		} `json:"stamp"`
 		Records      int     `json:"records"`
-		TierHigh     float64 `json:"tier_high"`
 		TierLow      float64 `json:"tier_low"`
 		UnknownPairs int64   `json:"unknown_pairs"`
 		Points       []struct {
-			Allowance    int64   `json:"allowance"`
-			TierSpent    int64   `json:"tier_spent"`
-			BaseSpent    int64   `json:"baseline_spent"`
-			Gain         float64 `json:"gain"`
-			TierMatched  int64   `json:"tier_matched_pairs"`
-			TierNonMatch int64   `json:"tier_nonmatched_pairs"`
+			Allowance     int64   `json:"allowance"`
+			TierSpent     int64   `json:"tier_spent"`
+			BaseSpent     int64   `json:"baseline_spent"`
+			TierRecall    float64 `json:"tier_recall"`
+			BaseRecall    float64 `json:"baseline_recall"`
+			TierPrecision float64 `json:"tier_precision"`
+			TierNonMatch  int64   `json:"tier_nonmatched_pairs"`
 		} `json:"points"`
-		BestGain float64 `json:"best_gain"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report does not parse: %v", err)
 	}
+	if rep.Stamp == nil || rep.Stamp.GoVersion == "" || rep.Stamp.Commit == "" {
+		t.Errorf("report not stamped with host / Go / commit: %+v", rep.Stamp)
+	}
 	if rep.Records != 240 || rep.UnknownPairs <= 0 {
 		t.Errorf("report header wrong: %+v", rep)
 	}
-	if rep.TierLow >= rep.TierHigh {
-		t.Errorf("thresholds not populated: low=%v high=%v", rep.TierLow, rep.TierHigh)
+	if rep.TierLow <= 0 || rep.TierLow >= 1 {
+		t.Errorf("threshold not populated: low=%v", rep.TierLow)
 	}
-	if len(rep.Points) == 0 || rep.BestGain <= 0 {
-		t.Errorf("sweep points not populated: %+v", rep)
+	if len(rep.Points) == 0 {
+		t.Fatalf("sweep points not populated: %+v", rep)
 	}
 	labeled := false
 	for _, pt := range rep.Points {
-		if pt.TierMatched+pt.TierNonMatch > 0 {
+		if pt.TierNonMatch > 0 {
 			labeled = true
+		}
+		if pt.TierPrecision != 1 {
+			t.Errorf("tier precision %v at allowance %d; the tier can only say NonMatch", pt.TierPrecision, pt.Allowance)
+		}
+		if pt.TierRecall < pt.BaseRecall {
+			t.Errorf("tier recall %v below baseline %v at allowance %d", pt.TierRecall, pt.BaseRecall, pt.Allowance)
 		}
 		if pt.TierSpent > pt.BaseSpent {
 			t.Errorf("tier spent %d above baseline %d at allowance %d", pt.TierSpent, pt.BaseSpent, pt.Allowance)
@@ -151,5 +169,43 @@ func TestRunTierJSON(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "three-tier triage") {
 		t.Error("tier table missing from output")
+	}
+}
+
+// TestReportFixtures pins the tier and dp reports at the 1,800-record
+// smoke scale to testdata/, unstamped: these are the copies that used to
+// sit at the repository root as BENCH_tier.json and BENCH_dp.json, where
+// the paper-scale reports (`make perf`) now are. Regenerate deliberately
+// with `go test ./cmd/pprl-bench -run ReportFixtures -update`.
+func TestReportFixtures(t *testing.T) {
+	tier, _, err := experiment.TierPerf(experiment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, _, err := experiment.DPPerf(experiment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]interface{ WriteJSON(io.Writer) error }{
+		"BENCH_tier.json": tier, "BENCH_dp.json": dp,
+	} {
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", name)
+		if *update {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing fixture (run with -update): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s drifted from its fixture; diff manually or regenerate with -update.\ngot:\n%s", name, buf.String())
+		}
 	}
 }

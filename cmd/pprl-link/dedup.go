@@ -110,9 +110,9 @@ func runDedup(out io.Writer, opts options) error {
 
 	fmt.Fprintf(out, "dedup: records=%d bins=%d matched-pairs=%d allowance=%d used=%d purchased=%d replayed=%d\n",
 		data.Len(), stats.Bins[0], stats.Deltas, cfg.Allowance, stats.Used, stats.Purchased, stats.Replayed)
-	fmt.Fprintf(out, "labels: blocking=%d tier=%d residual=%d purchased=%d\n",
-		stats.BlockingMatches, stats.TierMatches, stats.ResidualMatches,
-		int64(stats.Deltas)-stats.BlockingMatches-stats.TierMatches-stats.ResidualMatches)
+	fmt.Fprintf(out, "labels: blocking=%d residual=%d purchased=%d tier-nonmatch=%d\n",
+		stats.BlockingMatches, stats.ResidualMatches,
+		int64(stats.Deltas)-stats.BlockingMatches-stats.ResidualMatches, stats.TierNonMatches)
 	if conf != nil {
 		fmt.Fprintf(out, "evaluation: %v (|truth|=%d)\n", *conf, truthPairs)
 	}

@@ -41,8 +41,7 @@ func TestRunLinkFlagValidation(t *testing.T) {
 	}{
 		{"negative theta", func(o *options) { o.Theta = -1 }, "-theta"},
 		{"allowance above 1", func(o *options) { o.AllowanceFraction = 1.5 }, "-allowance"},
-		{"inverted tier band", func(o *options) { o.TierLow, o.TierHigh = 0.9, 0.5 }, "-tier-low"},
-		{"tier high above 1", func(o *options) { o.TierLow, o.TierHigh = 0.5, 1.5 }, "-tier-high"},
+		{"tier low of 1", func(o *options) { o.TierLow = 1 }, "-tier-low"},
 		{"dp without epsilon", func(o *options) { o.anonName = "dp" }, "-epsilon"},
 		{"epsilon without dp", func(o *options) { o.Epsilon = 2 }, "-anon dp"},
 		{"negative epsilon", func(o *options) { o.anonName = "dp"; o.Epsilon = -2 }, "-epsilon"},

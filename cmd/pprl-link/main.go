@@ -67,7 +67,7 @@ type options struct {
 	anonName string
 	// workers are SMC fleet worker addresses (pprl-party -role worker
 	// -worker-listen …); non-empty stripes the SMC step across them.
-	workers []string
+	workers cliutil.WorkerAddrs
 	// dedup links -a against itself through the incremental engine
 	// (unordered pairs i < j); level is its fixed binning depth.
 	dedup     bool
@@ -79,23 +79,27 @@ type options struct {
 	ctx context.Context
 }
 
+// register defines the command line on fs: the shared block's flags and
+// pprl-link's own.
+func (opts *options) register(fs *flag.FlagSet) {
+	opts.Flags(fs)
+	fs.StringVar(&opts.aPath, "a", "", "first data holder's CSV (required)")
+	fs.StringVar(&opts.bPath, "b", "", "second data holder's CSV (required)")
+	fs.StringVar(&opts.anonName, "anon", "", "anonymization method: entropy (default), tds, datafly, mondrian, or dp (noised blocking; requires -epsilon)")
+	fs.StringVar(&opts.Strategy, "strategy", "precision", "residual labeling: precision, recall, classifier")
+	fs.BoolVar(&opts.Secure, "secure", false, "run the real Paillier SMC protocol instead of the cost-model oracle")
+	fs.Var(&opts.workers, "worker", "SMC fleet worker address (repeatable, or comma-separated); stripes the SMC step across the fleet")
+	fs.BoolVar(&opts.dedup, "dedup", false, "deduplicate -a against itself (unordered pairs; -b not allowed)")
+	fs.IntVar(&opts.level, "level", 0, "fixed binning depth for -dedup (0 = default)")
+	fs.BoolVar(&opts.eval, "eval", false, "score against exact ground truth (requires both files, which this command has)")
+	fs.BoolVar(&opts.showPairs, "pairs", false, "print matched entity-ID pairs")
+	fs.BoolVar(&opts.jsonOut, "json", false, "emit one machine-readable JSON document instead of text")
+}
+
 func main() {
 	var opts options
-	opts.Flags(flag.CommandLine)
-	flag.StringVar(&opts.aPath, "a", "", "first data holder's CSV (required)")
-	flag.StringVar(&opts.bPath, "b", "", "second data holder's CSV (required)")
-	flag.StringVar(&opts.anonName, "anon", "", "anonymization method: entropy (default), tds, datafly, mondrian, or dp (noised blocking; requires -epsilon)")
-	flag.StringVar(&opts.Strategy, "strategy", "precision", "residual labeling: precision, recall, classifier")
-	flag.BoolVar(&opts.Secure, "secure", false, "run the real Paillier SMC protocol instead of the cost-model oracle")
-	var workerAddrs cliutil.WorkerAddrs
-	flag.Var(&workerAddrs, "worker", "SMC fleet worker address (repeatable, or comma-separated); stripes the SMC step across the fleet")
-	flag.BoolVar(&opts.dedup, "dedup", false, "deduplicate -a against itself (unordered pairs; -b not allowed)")
-	flag.IntVar(&opts.level, "level", 0, "fixed binning depth for -dedup (0 = default)")
-	flag.BoolVar(&opts.eval, "eval", false, "score against exact ground truth (requires both files, which this command has)")
-	flag.BoolVar(&opts.showPairs, "pairs", false, "print matched entity-ID pairs")
-	flag.BoolVar(&opts.jsonOut, "json", false, "emit one machine-readable JSON document instead of text")
+	opts.register(flag.CommandLine)
 	flag.Parse()
-	opts.workers = workerAddrs
 
 	// SIGINT/SIGTERM cancel the run's context: the engine drains the
 	// in-flight SMC chunk (sharded lanes finish cleanly), checkpoints the

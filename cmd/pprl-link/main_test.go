@@ -221,7 +221,7 @@ func TestRunLinkTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "tier=bloom") || !strings.Contains(out, "tier-labeled=") {
+	if !strings.Contains(out, "tier=bloom") || !strings.Contains(out, "tier-nonmatch=") {
 		t.Errorf("summary missing tier accounting: %q", out)
 	}
 	if !strings.Contains(out, "tier=") || !strings.Contains(out, "timings:") {
@@ -236,7 +236,6 @@ func TestRunLinkTier(t *testing.T) {
 	var doc struct {
 		Result struct {
 			Tier               string `json:"tier"`
-			TierMatchedPairs   int64  `json:"tier_matched_pairs"`
 			TierNonMatched     int64  `json:"tier_nonmatched_pairs"`
 			TierUncertainPairs int64  `json:"tier_uncertain_pairs"`
 		} `json:"result"`
@@ -247,7 +246,7 @@ func TestRunLinkTier(t *testing.T) {
 	if doc.Result.Tier != "bloom" {
 		t.Errorf("JSON tier = %q, want bloom", doc.Result.Tier)
 	}
-	if doc.Result.TierMatchedPairs+doc.Result.TierNonMatched+doc.Result.TierUncertainPairs == 0 {
+	if doc.Result.TierNonMatched+doc.Result.TierUncertainPairs == 0 {
 		t.Error("JSON tier counters all zero; the tier never ran")
 	}
 
@@ -280,9 +279,9 @@ func TestRunLinkDedup(t *testing.T) {
 			FalsePositives int64
 			FalseNegatives int64
 		} `json:"evaluation"`
-		TruthPairs int        `json:"truth_pairs"`
-		Matches    [][]int    `json:"-"`
-		RawMatches []struct { I, J int } `json:"matches"`
+		TruthPairs int                  `json:"truth_pairs"`
+		Matches    [][]int              `json:"-"`
+		RawMatches []struct{ I, J int } `json:"matches"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, buf.String())

@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,6 +28,24 @@ func TestSurfaceParity(t *testing.T) {
 		return err
 	}
 	for _, row := range testkit.ParamRows {
+		if row.Unknown != "" {
+			// A flag that no longer exists never reaches run: both arms
+			// share one command line, which refuses it at parse time.
+			for _, s := range []struct {
+				surface testkit.Surface
+				args    []string
+			}{{testkit.SurfaceLink, []string{"-a", "a.csv", "-b", "b.csv"}}, {testkit.SurfaceDedup, []string{"-a", "a.csv", "-dedup"}}} {
+				var opts options
+				fs := flag.NewFlagSet("pprl-link", flag.ContinueOnError)
+				fs.SetOutput(io.Discard)
+				opts.register(fs)
+				err := fs.Parse(append(s.args, cliutil.FlagNames(row.Unknown), "0.95"))
+				if msg := row.Judge(s.surface, err); msg != "" {
+					t.Errorf("pprl-link %v: %s", s.args, msg)
+				}
+			}
+			continue
+		}
 		cli := cliutil.CLI{Params: row.Params, K: 8, AllowanceFraction: row.AllowanceFraction}
 		if row.On&testkit.SurfaceLink != 0 {
 			cli.DPLevel = row.Level

@@ -82,7 +82,7 @@ func TestPartyDPFlagValidation(t *testing.T) {
 	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{Theta: -0.5}}}); err == nil || !strings.Contains(err.Error(), "-theta") {
 		t.Errorf("negative theta: err = %v", err)
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{Theta: 0.05, TierLow: 0.9, TierHigh: 0.5}}}); err == nil || !strings.Contains(err.Error(), "-tier-low") {
-		t.Errorf("inverted tier band: err = %v", err)
+	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{Theta: 0.05, TierLow: 1}}}); err == nil || !strings.Contains(err.Error(), "-tier-low") {
+		t.Errorf("tier low of 1: err = %v", err)
 	}
 }

@@ -80,25 +80,38 @@ type holderOptions struct {
 	tierKey    string
 }
 
-func main() {
-	var shared cliutil.CLI
-	shared.Flags(flag.CommandLine)
-	var (
-		role       = flag.String("role", "", "query, alice, bob, or worker (required)")
-		listen     = flag.String("listen", "", "query: address to accept the two holders on")
-		queryAddr  = flag.String("query", "", "holders: the querying party's address")
-		peerListen = flag.String("peer-listen", "", "alice: address to accept bob's peer link on")
-		peerAddr   = flag.String("peer", "", "bob: alice's peer-link address")
-		data       = flag.String("data", "", "holders: CSV file with this holder's relation")
-		method     = flag.String("method", "entropy", "holders: anonymization method (entropy, tds, datafly, mondrian, or dp with -epsilon)")
-		shuffle    = flag.Bool("shuffle", true, "query: hide which attribute failed (attribute shuffling)")
-		tierKey    = flag.String("tier-key", "", "holders: shared secret keying the tier's CLK encodings (required when the query enables the tier)")
+// partyFlags is pprl-party's command line: the shared block and what each
+// role takes beside it.
+type partyFlags struct {
+	cliutil.CLI
+	role, listen, queryAddr, peerListen, peerAddr, data, method, tierKey string
+	shuffle                                                              bool
+	coordinator, workerListen, workerName                                string
+	lanes                                                                int
+}
 
-		coordinator  = flag.String("coordinator", "", "worker: dial this coordinator (pprl-serve -fleet-listen address) and register")
-		workerListen = flag.String("worker-listen", "", "worker: listen here for a coordinator that dials out (-worker on pprl-serve)")
-		workerName   = flag.String("worker-name", "", "worker: advertised name (empty = coordinator-assigned)")
-		lanes        = flag.Int("lanes", 1, "worker: parallel SMC lanes for secure jobs")
-	)
+// register defines the command line on fs.
+func (p *partyFlags) register(fs *flag.FlagSet) {
+	p.Flags(fs)
+	fs.StringVar(&p.role, "role", "", "query, alice, bob, or worker (required)")
+	fs.StringVar(&p.listen, "listen", "", "query: address to accept the two holders on")
+	fs.StringVar(&p.queryAddr, "query", "", "holders: the querying party's address")
+	fs.StringVar(&p.peerListen, "peer-listen", "", "alice: address to accept bob's peer link on")
+	fs.StringVar(&p.peerAddr, "peer", "", "bob: alice's peer-link address")
+	fs.StringVar(&p.data, "data", "", "holders: CSV file with this holder's relation")
+	fs.StringVar(&p.method, "method", "entropy", "holders: anonymization method (entropy, tds, datafly, mondrian, or dp with -epsilon)")
+	fs.BoolVar(&p.shuffle, "shuffle", true, "query: hide which attribute failed (attribute shuffling)")
+	fs.StringVar(&p.tierKey, "tier-key", "", "holders: shared secret keying the tier's CLK encodings (required when the query enables the tier)")
+
+	fs.StringVar(&p.coordinator, "coordinator", "", "worker: dial this coordinator (pprl-serve -fleet-listen address) and register")
+	fs.StringVar(&p.workerListen, "worker-listen", "", "worker: listen here for a coordinator that dials out (-worker on pprl-serve)")
+	fs.StringVar(&p.workerName, "worker-name", "", "worker: advertised name (empty = coordinator-assigned)")
+	fs.IntVar(&p.lanes, "lanes", 1, "worker: parallel SMC lanes for secure jobs")
+}
+
+func main() {
+	var p partyFlags
+	p.register(flag.CommandLine)
 	flag.Parse()
 	// SIGINT/SIGTERM cancel the querying party's context: it checkpoints
 	// the journal at the next batch boundary, shuts the holders down, and
@@ -106,19 +119,19 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var err error
-	switch *role {
+	switch p.role {
 	case "query":
-		err = runQuery(os.Stdout, queryOptions{CLI: shared, listen: *listen, shuffle: *shuffle, ctx: ctx})
+		err = runQuery(os.Stdout, queryOptions{CLI: p.CLI, listen: p.listen, shuffle: p.shuffle, ctx: ctx})
 	case session.RoleAlice, session.RoleBob:
-		err = runHolder(ctx, holderOptions{CLI: shared, queryAddr: *queryAddr, peerListen: *peerListen, peerAddr: *peerAddr,
-			dataPath: *data, method: *method, tierKey: *tierKey}, *role)
+		err = runHolder(ctx, holderOptions{CLI: p.CLI, queryAddr: p.queryAddr, peerListen: p.peerListen, peerAddr: p.peerAddr,
+			dataPath: p.data, method: p.method, tierKey: p.tierKey}, p.role)
 	case "worker":
-		err = runWorker(ctx, *coordinator, *workerListen, *workerName, *lanes)
+		err = runWorker(ctx, p.coordinator, p.workerListen, p.workerName, p.lanes)
 	default:
 		err = fmt.Errorf("-role must be query, alice, bob, or worker")
 	}
 	if err != nil {
-		shared.Fail("pprl-party", err)
+		p.Fail("pprl-party", err)
 	}
 }
 
@@ -197,8 +210,8 @@ func runQuery(out io.Writer, opts queryOptions) error {
 	fmt.Fprintf(out, "blocking: %.2f%% of %d pairs decided; %d unknown\n",
 		100*res.BlockingEfficiency, res.TotalPairs, res.UnknownPairs)
 	if cfg.Tier != nil {
-		fmt.Fprintf(out, "tier: %d match / %d non-match labeled free; %d uncertain\n",
-			res.TierMatchedPairs, res.TierNonMatchedPairs, res.TierUncertainPairs)
+		fmt.Fprintf(out, "tier: %d non-match labeled free; %d uncertain\n",
+			res.TierNonMatchedPairs, res.TierUncertainPairs)
 	}
 	fmt.Fprintf(out, "smc: %d invocations of %d allowed\n", res.Invocations, res.Allowance)
 	if res.Resume.Resumed() {

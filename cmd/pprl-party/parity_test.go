@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"io/fs"
 	"net"
 	"os"
@@ -20,6 +22,18 @@ import (
 func TestSurfaceParity(t *testing.T) {
 	for _, row := range testkit.ParamRows {
 		if row.On&testkit.SurfaceQuery == 0 {
+			continue
+		}
+		if row.Unknown != "" {
+			// A flag that no longer exists is refused at parse time.
+			var p partyFlags
+			fs := flag.NewFlagSet("pprl-party", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			p.register(fs)
+			err := fs.Parse([]string{"-role", "query", "-listen", "127.0.0.1:99999", cliutil.FlagNames(row.Unknown), "0.95"})
+			if msg := row.Judge(testkit.SurfaceQuery, err); msg != "" {
+				t.Errorf("pprl-party -role query: %s", msg)
+			}
 			continue
 		}
 		err := runQuery(nil, queryOptions{listen: "127.0.0.1:99999",

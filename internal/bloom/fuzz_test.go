@@ -2,14 +2,14 @@ package bloom
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
 // FuzzDiceTier fuzzes CLK inputs and tier thresholds together, asserting
 // the algebra the tier engine relies on: the encoder is deterministic,
 // Dice is symmetric and confined to [0, 1], serialization round-trips,
-// and every similarity lands in exactly one threshold band.
+// and TierLow accepts exactly the thresholds in [0, 1), filling the zero
+// one with the default.
 func FuzzDiceTier(f *testing.F) {
 	f.Add("smith", "smyth", 0.9, 0.5, uint16(512), uint8(8), uint8(2))
 	f.Add("", "jones", 0.95, 0.0, uint16(64), uint8(1), uint8(1))
@@ -50,40 +50,20 @@ func FuzzDiceTier(f *testing.F) {
 			t.Fatalf("identical non-empty inputs: dice=%v, want 1", ab)
 		}
 
-		// Threshold-band exhaustiveness: with any low ≤ high (fuzzed
-		// values are folded into [0,1] and ordered), the similarity lands
-		// in exactly one of Match / NonMatch / Uncertain.
-		lo, hi := fold01(low), fold01(high)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		isMatch := ab >= hi
-		isNon := !isMatch && ab <= lo
-		isUnc := !isMatch && !isNon
-		got := Classify(ab, lo, hi)
-		switch {
-		case isMatch && got != BandMatch,
-			isNon && got != BandNonMatch,
-			isUnc && got != BandUncertain:
-			t.Fatalf("Classify(%v, %v, %v) = %v; bands not exhaustive", ab, lo, hi, got)
+		// The one threshold: any fuzzed float64 — NaN and ±Inf included —
+		// is accepted exactly when it lies in [0, 1), zero becomes the
+		// default, and an accepted value is left as given.
+		for _, low := range []float64{low, high} {
+			got := low
+			err := TierLow(&got)
+			switch inRange := low >= 0 && low < 1; {
+			case inRange != (err == nil):
+				t.Fatalf("TierLow(%v): err = %v, in [0, 1) = %v", low, err, inRange)
+			case low == 0 && got != DefaultTierLow:
+				t.Fatalf("TierLow(0) filled %v, want the default %v", got, DefaultTierLow)
+			case inRange && low != 0 && got != low:
+				t.Fatalf("TierLow(%v) rewrote an accepted threshold to %v", low, got)
+			}
 		}
 	})
-}
-
-// fold01 maps an arbitrary fuzzed float64 into [0, 1], sending the
-// non-finite values to the boundaries.
-func fold01(x float64) float64 {
-	switch {
-	case x != x: // NaN
-		return 0
-	case math.IsInf(x, 0):
-		return 1
-	case x < 0:
-		x = -x
-	}
-	// Fold magnitude into [0,1] without losing low-bit variety.
-	for x > 1 {
-		x /= 2
-	}
-	return x
 }

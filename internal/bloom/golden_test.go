@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"encoding/hex"
+	"math"
 	"testing"
 )
 
@@ -93,25 +94,24 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClassify spans the three bands and both boundaries (inclusive on
-// each side, per the tier contract: ≥ high matches, ≤ low does not).
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		dice, low, high float64
-		want            Band
+// TestTierLow spans the one threshold's domain: zero is the default, the
+// interval is closed at 0 (by way of the default) and open at 1 — at 1 the
+// tier would discard every pair, identical CLKs included.
+func TestTierLow(t *testing.T) {
+	for _, tc := range []struct {
+		in, want float64
+		ok       bool
 	}{
-		{0.95, 0.5, 0.9, BandMatch},
-		{0.9, 0.5, 0.9, BandMatch},
-		{0.89, 0.5, 0.9, BandUncertain},
-		{0.51, 0.5, 0.9, BandUncertain},
-		{0.5, 0.5, 0.9, BandNonMatch},
-		{0.0, 0.5, 0.9, BandNonMatch},
-		{0.7, 0.7, 0.7, BandMatch}, // low == high: no uncertain band
-		{0.69, 0.7, 0.7, BandNonMatch},
-	}
-	for _, tc := range cases {
-		if got := Classify(tc.dice, tc.low, tc.high); got != tc.want {
-			t.Errorf("Classify(%v, %v, %v) = %v, want %v", tc.dice, tc.low, tc.high, got, tc.want)
+		{0, DefaultTierLow, true},
+		{0.4, 0.4, true},
+		{0.99, 0.99, true},
+		{1, 0, false},
+		{-0.1, 0, false},
+		{math.NaN(), 0, false},
+	} {
+		got := tc.in
+		if err := TierLow(&got); (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("TierLow(%v) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Tier support: the three-tier hybrid engine (DESIGN.md §12) triages
 // Unknown record pairs by Dice similarity over CLK encodings before any
 // SMC allowance is spent. This file holds the pieces that tier shares
-// across processes — band classification, a stable byte serialization so
-// holders can ship encodings to the matcher, and the canonical mapping
+// across processes — the NonMatch threshold, a stable byte serialization
+// so holders can ship encodings to the matcher, and the canonical mapping
 // from dataset records to CLK input fields.
 package bloom
 
@@ -13,45 +13,6 @@ import (
 
 	"pprl/internal/dataset"
 )
-
-// Band is a tier classification of one record pair's Dice similarity.
-type Band int
-
-const (
-	// BandUncertain marks a pair the encoding cannot confidently label;
-	// only these pairs compete for the SMC allowance.
-	BandUncertain Band = iota
-	// BandMatch marks a pair at or above the high threshold.
-	BandMatch
-	// BandNonMatch marks a pair at or below the low threshold.
-	BandNonMatch
-)
-
-// String names the band for tables and logs.
-func (b Band) String() string {
-	switch b {
-	case BandMatch:
-		return "match"
-	case BandNonMatch:
-		return "nonmatch"
-	default:
-		return "uncertain"
-	}
-}
-
-// Classify places a Dice similarity into exactly one band: ≥ high is a
-// Match, ≤ low a NonMatch, everything strictly between is Uncertain.
-// Callers must ensure low ≤ high; when low == high no pair is uncertain.
-func Classify(dice, low, high float64) Band {
-	switch {
-	case dice >= high:
-		return BandMatch
-	case dice <= low:
-		return BandNonMatch
-	default:
-		return BandUncertain
-	}
-}
 
 // The conventional CLK shape: filter bits, hash functions per q-gram, gram
 // size.
@@ -83,17 +44,21 @@ func TierDefaults(m, k, q *int) {
 	}
 }
 
-// TierBands fills the tier thresholds every engine shares: left both zero
-// they take (0.60, 0.95) — a tight Match band, since false matches are the
-// costly error under MaximizePrecision, and a NonMatch band that discards
-// only clearly-dissimilar encodings. It rejects thresholds outside
-// 0 ≤ low ≤ high ≤ 1.
-func TierBands(low, high *float64) error {
-	if *high == 0 && *low == 0 {
-		*high, *low = 0.95, 0.60
+// DefaultTierLow is the Dice threshold a zero TierLow selects: the value
+// EXPERIMENTS.md § "Triage tier at paper scale" sized on Adult (0.85 leaves
+// too much to buy, 0.95 starts to drop true matches).
+const DefaultTierLow = 0.90
+
+// TierLow fills the one threshold every engine shares and rejects one
+// outside [0, 1). The tier is a one-sided filter — Dice ≤ low labels an
+// Unknown pair NonMatch for free, every other pair competes for the
+// allowance — so a bad threshold costs recall, never precision.
+func TierLow(low *float64) error {
+	if *low == 0 {
+		*low = DefaultTierLow
 	}
-	if *low < 0 || *high > 1 || *low > *high {
-		return fmt.Errorf("tier thresholds must satisfy 0 ≤ low ≤ high ≤ 1 (got low=%v high=%v)", *low, *high)
+	if !(*low >= 0 && *low < 1) {
+		return fmt.Errorf("tier threshold must satisfy 0 ≤ low < 1 (got low=%v)", *low)
 	}
 	return nil
 }

@@ -52,8 +52,7 @@ func (c *CLI) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
 	fs.IntVar(&c.SMCWorkers, "smc-workers", 0, "SMC parallelism: protocol lanes for pprl-link -secure (0 = GOMAXPROCS), batch-size scaling for a pprl-party query (0 = default chunking)")
 	fs.StringVar(&c.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
-	fs.Float64Var(&c.TierHigh, "tier-high", 0, "tier Dice threshold for Match (0 = default 0.95)")
-	fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold for NonMatch (0 = default 0.60)")
+	fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold: an Unknown pair at or below it is labeled NonMatch for free (0 = default 0.90)")
 	fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path (crash-resumable)")
 	fs.StringVar(&c.Resume, "resume", "", "resume an interrupted run from its journal")
 	fs.IntVar(&c.JournalSync, "journal-sync", 0, "fsync the journal every N verdicts (0 = default batching)")

@@ -21,7 +21,7 @@ const DefaultKeyBits = 1024
 
 // Params is the paper's run as every surface spells it — the decision
 // rule (QIDs, θ), the purchase policy (allowance, heuristic, residual
-// strategy), the privacy and triage modes (ε/δ/seed, tier bands) and the
+// strategy), the privacy and triage modes (ε/δ/seed, tier threshold) and the
 // comparator (secure, key size, lanes). POST /v1/jobs and POST
 // /v1/datasets embed it (encoding/json inlines an embedded struct, so the
 // keys below are the request bodies' and the persisted specs' own), and
@@ -56,11 +56,11 @@ type Params struct {
 	DPDelta float64 `json:"dp_delta,omitempty"`
 	DPSeed  int64   `json:"dp_seed,omitempty"`
 	// Tier selects the triage tier between blocking and SMC: "off"
-	// (default) or "bloom". TierHigh and TierLow are its Dice thresholds;
-	// both zero selects the engine's defaults.
-	Tier     string  `json:"tier,omitempty"`
-	TierHigh float64 `json:"tier_high,omitempty"`
-	TierLow  float64 `json:"tier_low,omitempty"`
+	// (default) or "bloom". TierLow is its Dice threshold — an Unknown
+	// pair at or below it is labeled NonMatch for free; zero selects the
+	// engine's default (0.90).
+	Tier    string  `json:"tier,omitempty"`
+	TierLow float64 `json:"tier_low,omitempty"`
 	// Secure runs the real Paillier protocol with KeyBits keys (default
 	// DefaultKeyBits); false uses the plaintext cost-model oracle. A
 	// pprl-party session is always secure.
@@ -116,7 +116,7 @@ func (p *Params) Validate(n Names) error {
 			}
 		}
 	}
-	return TierBand(p.TierLow, p.TierHigh)
+	return TierLowRange.Named(n("tier_low")).Validate(p.TierLow)
 }
 
 // ValidateAnonymizer checks the anonymization method a surface that links
@@ -199,7 +199,7 @@ func (p *Params) Core(qids []string) (core.Config, error) {
 	}
 	cfg.Allowance = p.Allowance
 	cfg.Epsilon, cfg.DPDelta, cfg.DPSeed = p.Epsilon, p.DPDelta, p.DPSeed
-	cfg.TierHigh, cfg.TierLow = p.TierHigh, p.TierLow
+	cfg.TierLow = p.TierLow
 	cfg.SMCWorkers = p.SMCWorkers
 	if p.Secure {
 		cfg.Comparator = core.SecureComparatorFactory(p.keyBits())
@@ -230,7 +230,6 @@ func (p *Params) Incremental(qids []string) (incremental.Config, error) {
 		Heuristic:  c.Heuristic,
 		Strategy:   c.Strategy,
 		Tier:       c.Tier,
-		TierHigh:   p.TierHigh,
 		TierLow:    p.TierLow,
 		Epsilon:    p.Epsilon,
 		DPDelta:    p.DPDelta,
@@ -256,7 +255,6 @@ func (p *Params) Query(schema *dataset.Schema, qids []string) (session.QueryConf
 		KeyBits:    p.keyBits(),
 		SMCWorkers: p.SMCWorkers,
 		Packing:    smc.PackingPacked,
-		TierHigh:   p.TierHigh,
 		TierLow:    p.TierLow,
 	}
 	if c.Tier == core.TierBloom {

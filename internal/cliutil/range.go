@@ -31,8 +31,8 @@ var (
 	EpsilonRange = Range{Name: "-epsilon", Lo: 0, LoOpen: true, Hi: math.Inf(1), HiOpen: true}
 	// DeltaRange bounds the DP truncation mass; 0 selects the default.
 	DeltaRange = Range{Name: "-dp-delta", Lo: 0, Hi: 0.5, HiOpen: true}
-	// TierHighRange and TierLowRange bound the bloom-tier score bands.
-	TierHighRange = Range{Name: "-tier-high", Lo: 0, LoOpen: true, Hi: 1}
+	// TierLowRange bounds the bloom tier's NonMatch threshold; 0 selects
+	// the default.
 	TierLowRange = Range{Name: "-tier-low", Lo: 0, Hi: 1, HiOpen: true}
 	// AllowanceFractionRange bounds the SMC budget as a share of the
 	// Unknown region.
@@ -77,23 +77,4 @@ func formatBound(v float64) string {
 		return "-∞"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// TierBand validates the bloom-tier score band as a pair. Both zero
-// means "use the engine defaults" and is always accepted; otherwise both
-// thresholds must sit in their ranges with low strictly below high.
-func TierBand(low, high float64) error {
-	if low == 0 && high == 0 {
-		return nil
-	}
-	if err := TierHighRange.Validate(high); err != nil {
-		return err
-	}
-	if err := TierLowRange.Validate(low); err != nil {
-		return err
-	}
-	if low >= high {
-		return fmt.Errorf("%s must be below %s, got %v ≥ %v", TierLowRange.Name, TierHighRange.Name, low, high)
-	}
-	return nil
 }

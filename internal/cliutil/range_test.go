@@ -8,9 +8,9 @@ import (
 
 func TestRangeValidate(t *testing.T) {
 	cases := []struct {
-		r    Range
-		v    float64
-		ok   bool
+		r  Range
+		v  float64
+		ok bool
 	}{
 		{ThetaRange, 0.05, true},
 		{ThetaRange, 1.5, true}, // thresholds ≥ 1 are legal (always-match attribute)
@@ -26,12 +26,10 @@ func TestRangeValidate(t *testing.T) {
 		{DeltaRange, 1e-6, true},
 		{DeltaRange, 0.5, false},
 		{DeltaRange, -0.1, false},
-		{TierHighRange, 1, true},
-		{TierHighRange, 0.85, true},
-		{TierHighRange, 0, false},
-		{TierHighRange, 1.0001, false},
 		{TierLowRange, 0, true},
 		{TierLowRange, 0.4, true},
+		{TierLowRange, 0.99, true},
+		{TierLowRange, math.NaN(), false},
 		{TierLowRange, 1, false},
 		{TierLowRange, -0.2, false},
 		{AllowanceFractionRange, 0, true},
@@ -47,11 +45,11 @@ func TestRangeValidate(t *testing.T) {
 }
 
 func TestRangeErrorText(t *testing.T) {
-	err := TierHighRange.Validate(1.5)
+	err := TierLowRange.Validate(1.5)
 	if err == nil {
 		t.Fatal("want error")
 	}
-	want := "-tier-high must be in (0, 1], got 1.5"
+	want := "-tier-low must be in [0, 1), got 1.5"
 	if err.Error() != want {
 		t.Errorf("error text %q, want %q", err.Error(), want)
 	}
@@ -60,28 +58,5 @@ func TestRangeErrorText(t *testing.T) {
 	}
 	if err := EpsilonRange.Named("epsilon").Validate(0); err == nil || !strings.HasPrefix(err.Error(), "epsilon must") {
 		t.Errorf("Named did not rename: %v", err)
-	}
-}
-
-func TestTierBand(t *testing.T) {
-	cases := []struct {
-		low, high float64
-		ok        bool
-	}{
-		{0, 0, true},      // both unset: engine defaults
-		{0.4, 0.85, true}, // the engine's own defaults, explicit
-		{0, 0.85, true},   // explicit low of 0 = never label NonMatch
-		{0.4, 0, false},   // high unset but low set
-		{0.9, 0.8, false}, // inverted
-		{0.8, 0.8, false}, // empty band
-		{-0.1, 0.8, false},
-		{0.4, 1.2, false},
-		{math.NaN(), 0.9, false},
-	}
-	for _, c := range cases {
-		err := TierBand(c.low, c.high)
-		if (err == nil) != c.ok {
-			t.Errorf("TierBand(%v, %v): got %v, want ok=%v", c.low, c.high, err, c.ok)
-		}
 	}
 }

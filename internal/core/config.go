@@ -65,9 +65,9 @@ func (s Strategy) String() string {
 }
 
 // TierMode selects the optional triage tier between blocking and the SMC
-// budget (DESIGN.md §12): a cheap encoded comparator that labels the
-// confidently-similar and confidently-dissimilar Unknown pairs so the
-// Paillier allowance is spent only inside the uncertain band.
+// budget (DESIGN.md §12): a cheap encoded comparator that discards the
+// confidently-dissimilar Unknown pairs so the Paillier allowance is spent
+// only on the pairs that could match.
 type TierMode int
 
 const (
@@ -76,11 +76,11 @@ const (
 	TierOff TierMode = iota
 	// TierBloom triages Unknown pairs by Dice similarity over CLK Bloom
 	// encodings (internal/bloom) before any allowance is spent: pairs
-	// with similarity ≥ TierHigh are labeled Match, ≤ TierLow NonMatch,
-	// and only the band in between is ordered for the SMC budget. Tier
-	// labels are heuristic — unlike blocking and SMC verdicts they can be
-	// wrong — so precision is no longer structurally 1.0 under
-	// MaximizePrecision; the thresholds price that risk.
+	// with similarity ≤ TierLow are labeled NonMatch, every other pair is
+	// ordered for the SMC budget. The tier never labels a Match, so
+	// precision stays structurally 1.0 under MaximizePrecision; a tier
+	// label can only be a missed match, which is what TierLow prices
+	// (Result.TierNonMatchedPairs bounds the loss).
 	TierBloom
 )
 
@@ -160,12 +160,11 @@ type Config struct {
 	// replayed purchased verdicts stay exact and always take precedence
 	// over tier labels.
 	Tier TierMode
-	// TierHigh and TierLow are the Dice thresholds of the tier's three
-	// bands: ≥ TierHigh labels Match, ≤ TierLow labels NonMatch, the band
-	// strictly between stays Unknown and competes for the SMC allowance.
-	// Both zero selects the defaults (0.95, 0.60); otherwise they must
-	// satisfy 0 ≤ TierLow ≤ TierHigh ≤ 1.
-	TierHigh, TierLow float64
+	// TierLow is the tier's Dice threshold: an Unknown pair scoring
+	// ≤ TierLow is labeled NonMatch, everything above competes for the SMC
+	// allowance. Zero selects bloom.DefaultTierLow (0.90); otherwise it
+	// must satisfy 0 ≤ TierLow < 1.
+	TierLow float64
 
 	// Epsilon, when positive, switches the run to differentially private
 	// blocking (DESIGN.md §14): both holders bin their records on fixed
@@ -322,7 +321,7 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 	switch c.Tier {
 	case TierOff:
 	case TierBloom:
-		if err := bloom.TierBands(&c.TierLow, &c.TierHigh); err != nil {
+		if err := bloom.TierLow(&c.TierLow); err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
 	default:

@@ -221,18 +221,17 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	res.purchased = newLabelStore(block, posA, posB)
 	res.tiered = newLabelStore(block, posA, posB)
 
-	// The triage tier labels the confident Unknown pairs for free, in the
-	// same walk that spends the budget; CLK-encoding both relations is its
-	// dominant cost and what Timings.Tier reports.
-	var tier func(i, j int) bloom.Band
+	// The triage tier labels the confidently dissimilar Unknown pairs
+	// NonMatch for free, in the same walk that spends the budget;
+	// CLK-encoding both relations is its dominant cost and what
+	// Timings.Tier reports.
+	var tier func(i, j int) bool
 	if cfg.Tier == TierBloom {
 		start := time.Now()
 		enc := bloom.NewDefaultEncoder()
 		aF := bloom.EncodeRecords(enc, alice.Data, qids)
 		bF := bloom.EncodeRecords(enc, bob.Data, qids)
-		tier = func(i, j int) bloom.Band {
-			return bloom.Classify(aF[i].Dice(bF[j]), cfg.TierLow, cfg.TierHigh)
-		}
+		tier = func(i, j int) bool { return aF[i].Dice(bF[j]) <= cfg.TierLow }
 		res.Timings.Tier = time.Since(start)
 		cfg.report("tier", 1, 1)
 	}

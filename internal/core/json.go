@@ -24,7 +24,6 @@ type ResultJSON struct {
 	Strategy           string              `json:"strategy"`
 	Heuristic          string              `json:"heuristic"`
 	Tier               string              `json:"tier"`
-	TierMatchedPairs   int64               `json:"tier_matched_pairs"`
 	TierNonMatched     int64               `json:"tier_nonmatched_pairs"`
 	TierUncertainPairs int64               `json:"tier_uncertain_pairs"`
 	DP                 *DPStats            `json:"dp,omitempty"`
@@ -47,7 +46,6 @@ func (r *Result) Summarize() ResultJSON {
 		Strategy:           r.cfg.Strategy.String(),
 		Heuristic:          r.cfg.Heuristic.Name(),
 		Tier:               r.cfg.Tier.String(),
-		TierMatchedPairs:   r.TierMatchedPairs(),
 		TierNonMatched:     r.TierNonMatchedPairs(),
 		TierUncertainPairs: r.TierUncertainPairs,
 		DP:                 r.DP,

@@ -121,7 +121,7 @@ func (r *Result) Rule() *blocking.Rule { return r.rule }
 // PairMatched returns the final label of record pair (i, j): i indexes
 // Alice's relation, j Bob's. Precedence mirrors the labels' certainty:
 // blocking (certain) → SMC verdicts (exact, purchased) → tier labels
-// (heuristic) → the residual strategy.
+// (heuristic, NonMatch only) → the residual strategy.
 func (r *Result) PairMatched(i, j int) bool {
 	ri := r.Block.R.ClassOf[i]
 	si := r.Block.S.ClassOf[j]
@@ -134,8 +134,8 @@ func (r *Result) PairMatched(i, j int) bool {
 	if v, ok := r.purchased.get(i, j); ok {
 		return v
 	}
-	if v, ok := r.tiered.get(i, j); ok {
-		return v
+	if r.TierLabeled(i, j) {
+		return false
 	}
 	if r.groupVerdicts != nil {
 		return r.groupVerdicts[[2]int{ri, si}]
@@ -159,14 +159,14 @@ func (r *Result) Matches() [][2]int {
 			residual = r.groupVerdicts[[2]int{ri, si}]
 		}
 		for base := 0; base < n; base += 64 {
-			var pk, pm, tk, tm uint64
+			var pk, pm, tk uint64
 			if p != nil {
 				pk, pm = p.known[base/64], p.matched[base/64]
 			}
 			if t != nil {
-				tk, tm = t.known[base/64], t.matched[base/64]
+				tk = t.known[base/64]
 			}
-			m := pm | tm&^pk
+			m := pm
 			if residual {
 				m |= ^(pk | tk)
 			}
@@ -187,30 +187,29 @@ func (r *Result) Matches() [][2]int {
 // TierMode reports the tier configuration this result ran under.
 func (r *Result) TierMode() TierMode { return r.cfg.Tier }
 
-// TierThresholds returns the (low, high) Dice thresholds in effect;
-// (0, 0) when the tier is off.
-func (r *Result) TierThresholds() (low, high float64) { return r.cfg.TierLow, r.cfg.TierHigh }
+// TierLow returns the Dice threshold in effect; 0 when the tier is off.
+func (r *Result) TierLow() float64 { return r.cfg.TierLow }
 
-// TierLabel reports the tier's verdict for pair (i, j), and whether the
-// tier labeled it at all. Pairs resolved by blocking or SMC are never
+// TierLabeled reports whether the tier labeled pair (i, j) — NonMatch, the
+// only label it has. Pairs resolved by blocking or SMC are never
 // tier-labeled.
-func (r *Result) TierLabel(i, j int) (matched, ok bool) { return r.tiered.get(i, j) }
+func (r *Result) TierLabeled(i, j int) bool {
+	_, ok := r.tiered.get(i, j)
+	return ok
+}
 
 // SMCLabel reports the purchased (exact) SMC verdict for pair (i, j),
 // and whether the SMC step resolved it at all.
 func (r *Result) SMCLabel(i, j int) (matched, ok bool) { return r.purchased.get(i, j) }
 
-// TierResolvedPairs returns how many Unknown pairs the tier labeled.
-func (r *Result) TierResolvedPairs() int64 { return r.tiered.n }
-
-// TierMatchedPairs and TierNonMatchedPairs split the tier's labels.
-func (r *Result) TierMatchedPairs() int64    { return r.tiered.matched }
-func (r *Result) TierNonMatchedPairs() int64 { return r.tiered.n - r.tiered.matched }
+// TierNonMatchedPairs returns how many Unknown pairs the tier labeled
+// NonMatch: the bound on what the tier can have cost in recall.
+func (r *Result) TierNonMatchedPairs() int64 { return r.tiered.n }
 
 // MatchedPairCount returns |reported matches| exactly, without
 // enumerating the pair space.
 func (r *Result) MatchedPairCount() int64 {
-	total := r.Block.MatchedPairs + r.purchased.matched + r.tiered.matched
+	total := r.Block.MatchedPairs + r.purchased.matched
 	switch {
 	case r.groupVerdicts != nil:
 		for key, matched := range r.groupVerdicts {
@@ -267,8 +266,8 @@ func (r *Result) Summary() string {
 		r.Block.TotalPairs(), 100*r.BlockingEfficiency(), r.Block.UnknownPairs,
 		r.Allowance, r.Invocations, r.MatchedPairCount(), r.cfg.Strategy)
 	if r.cfg.Tier != TierOff {
-		s += fmt.Sprintf(" tier=%v tier-labeled=%d/%d uncertain=%d",
-			r.cfg.Tier, r.TierMatchedPairs(), r.TierNonMatchedPairs(), r.TierUncertainPairs)
+		s += fmt.Sprintf(" tier=%v tier-nonmatch=%d uncertain=%d",
+			r.cfg.Tier, r.TierNonMatchedPairs(), r.TierUncertainPairs)
 	}
 	if r.DP != nil {
 		s += fmt.Sprintf(" dp-eps=%v dp-delta=%v dummies=%d dummy-spent=%d",

@@ -49,6 +49,7 @@ type DPKPoint struct {
 // differentially private blocking against the k-anonymous sweep on the
 // Adult workload.
 type DPPerfReport struct {
+	Stamp             *Stamp  `json:"stamp,omitempty"`
 	Records           int     `json:"records"`
 	Theta             float64 `json:"theta"`
 	AllowanceFraction float64 `json:"allowance_fraction"`
@@ -174,7 +175,7 @@ func DPPerf(opts Options) (*DPPerfReport, *Table, error) {
 		ID: "dp",
 		Title: fmt.Sprintf("differentially private blocking vs k-anonymous baseline (Adult %d records, θ=%.2f, allowance %.3f, δ=%g, level %d)",
 			o.Records, o.Theta, o.AllowanceFraction, rep.Delta, rep.Level),
-		Columns: []string{"mode", "allowance", "live spent", "dummy spent", "recall", "precision", "recall/unit"},
+		Columns: []string{"mode", "allowance", "live spent", "dummy spent", "recall", "precision", "recall/1e6 units"},
 	}
 	for _, pt := range rep.EpsilonPoints {
 		t.AddRow(
@@ -184,7 +185,7 @@ func DPPerf(opts Options) (*DPPerfReport, *Table, error) {
 			fmt.Sprintf("%d", pt.DummySpent),
 			fmt.Sprintf("%.4f", pt.Recall),
 			fmt.Sprintf("%.4f", pt.Precision),
-			fmt.Sprintf("%.6f", pt.RecallPerUnit),
+			fmt.Sprintf("%.4f", 1e6*pt.RecallPerUnit),
 		)
 	}
 	for _, pt := range rep.KPoints {
@@ -195,7 +196,7 @@ func DPPerf(opts Options) (*DPPerfReport, *Table, error) {
 			"0",
 			fmt.Sprintf("%.4f", pt.Recall),
 			fmt.Sprintf("%.4f", pt.Precision),
-			fmt.Sprintf("%.6f", pt.RecallPerUnit),
+			fmt.Sprintf("%.4f", 1e6*pt.RecallPerUnit),
 		)
 	}
 	return rep, t, nil

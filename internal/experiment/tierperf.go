@@ -27,40 +27,48 @@ type TierPerfPoint struct {
 	BaselinePrecision float64 `json:"baseline_precision"`
 	TierPrecision     float64 `json:"tier_precision"`
 
-	// Efficiency is recall per allowance unit actually spent, with spend
-	// floored at 1 so the zero-allowance point stays finite; Gain is the
-	// three-tier efficiency over the two-tier one. When the baseline buys
-	// zero true matches the true ratio is unbounded, so the baseline is
-	// floored at one recovered truth pair and Gain is a lower bound.
-	BaselineEfficiency float64 `json:"baseline_recall_per_unit"`
-	TierEfficiency     float64 `json:"tier_recall_per_unit"`
-	Gain               float64 `json:"gain"`
-
-	TierMatched   int64 `json:"tier_matched_pairs"`
+	// TierNonMatch counts the Unknown pairs the tier discarded — the bound
+	// on its recall cost — TierUncertain those it passed on to the allowance.
 	TierNonMatch  int64 `json:"tier_nonmatched_pairs"`
 	TierUncertain int64 `json:"tier_uncertain_pairs"`
 }
 
 // TierPerfReport is the machine-readable benchmark `pprl-bench -exp
-// tier -json` writes to BENCH_tier.json: the recall-per-allowance-unit
-// gain of the Bloom triage tier over the two-tier baseline across an
-// allowance sweep on the Adult workload.
+// tier -json` writes to BENCH_tier.json: recall, spend and precision of the
+// Bloom triage tier against the two-tier baseline across an allowance sweep
+// on the Adult workload.
 type TierPerfReport struct {
+	Stamp        *Stamp  `json:"stamp,omitempty"`
 	Records      int     `json:"records"`
 	K            int     `json:"k"`
 	Theta        float64 `json:"theta"`
-	TierHigh     float64 `json:"tier_high"`
 	TierLow      float64 `json:"tier_low"`
 	TotalPairs   int64   `json:"total_pairs"`
 	UnknownPairs int64   `json:"unknown_pairs"`
 	TruthPairs   int     `json:"truth_pairs"`
 
 	Points []TierPerfPoint `json:"points"`
+}
 
-	// BestGain is the largest per-point gain and the allowance fraction
-	// it occurred at — the figure the acceptance gate reads.
-	BestGain              float64 `json:"best_gain"`
-	BestGainAllowanceFrac float64 `json:"best_gain_allowance_fraction"`
+// Stamp says where a report was measured; pprl-bench fills it on write.
+type Stamp struct {
+	Host       string `json:"host"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+// Gate is the tier's contract as the arm sees it, and pprl-bench fails the
+// arm on it: on every row precision is exactly 1 (the tier only discards)
+// and recall is at least the baseline's at the same allowance.
+func (r *TierPerfReport) Gate() error {
+	for _, pt := range r.Points {
+		if pt.TierPrecision != 1 || pt.TierRecall < pt.BaselineRecall {
+			return fmt.Errorf("tier: at allowance %.4f precision is %v and recall %.4f against the baseline's %.4f; want exactly 1 and no less",
+				pt.AllowanceFraction, pt.TierPrecision, pt.TierRecall, pt.BaselineRecall)
+		}
+	}
+	return nil
 }
 
 // WriteJSON renders the report as indented JSON.
@@ -73,9 +81,9 @@ func (r *TierPerfReport) WriteJSON(w io.Writer) error {
 // TierPerf benchmarks the three-tier pipeline against the two-tier
 // baseline on the standard Adult workload. Both arms share one blocking
 // result and one heuristic ordering; the only difference is the triage
-// tier. The headline metric is recall per allowance unit: the tier
-// labels the confident Dice bands for free, so at small allowances the
-// three-tier arm reaches recall the baseline can only buy.
+// tier. The tier discards the confidently dissimilar pairs for free, so
+// the same allowance reaches further down the heuristic order; what it
+// may cost is recall (a discarded true match), never precision.
 func TierPerf(opts Options) (*TierPerfReport, *Table, error) {
 	w := NewWorkload(opts)
 	o := w.Opts
@@ -116,13 +124,7 @@ func TierPerf(opts Options) (*TierPerfReport, *Table, error) {
 		if rep.TotalPairs == 0 {
 			rep.TotalPairs = bRes.Block.TotalPairs()
 			rep.UnknownPairs = bRes.Block.UnknownPairs
-			rep.TierLow, rep.TierHigh = tRes.TierThresholds()
-		}
-		spend := func(n int64) int64 {
-			if n < 1 {
-				return 1
-			}
-			return n
+			rep.TierLow = tRes.TierLow()
 		}
 		pt := TierPerfPoint{
 			AllowanceFraction: frac,
@@ -133,32 +135,17 @@ func TierPerf(opts Options) (*TierPerfReport, *Table, error) {
 			TierRecall:        tConf.Recall(),
 			BaselinePrecision: bConf.Precision(),
 			TierPrecision:     tConf.Precision(),
-			TierMatched:       tRes.TierMatchedPairs(),
 			TierNonMatch:      tRes.TierNonMatchedPairs(),
 			TierUncertain:     tRes.TierUncertainPairs,
-		}
-		pt.BaselineEfficiency = pt.BaselineRecall / float64(spend(pt.BaselineSpent))
-		pt.TierEfficiency = pt.TierRecall / float64(spend(pt.TierSpent))
-		minRecall := 1.0
-		if rep.TruthPairs > 0 {
-			minRecall = 1.0 / float64(rep.TruthPairs)
-		}
-		floor := pt.BaselineEfficiency
-		if minEff := minRecall / float64(spend(pt.BaselineSpent)); floor < minEff {
-			floor = minEff
-		}
-		pt.Gain = pt.TierEfficiency / floor
-		if pt.Gain > rep.BestGain {
-			rep.BestGain, rep.BestGainAllowanceFrac = pt.Gain, frac
 		}
 		rep.Points = append(rep.Points, pt)
 	}
 
 	t := &Table{
 		ID: "tier",
-		Title: fmt.Sprintf("three-tier triage vs two-tier baseline (Adult %d records, k=%d, θ=%.2f, dice bands [%.2f, %.2f], %d unknown pairs)",
-			o.Records, rep.K, o.Theta, rep.TierLow, rep.TierHigh, rep.UnknownPairs),
-		Columns: []string{"allowance", "base spent", "tier spent", "base recall", "tier recall", "tier precision", "recall/unit gain"},
+		Title: fmt.Sprintf("three-tier triage vs two-tier baseline (Adult %d records, k=%d, θ=%.2f, dice ≤ %.2f is NonMatch, %d unknown pairs)",
+			o.Records, rep.K, o.Theta, rep.TierLow, rep.UnknownPairs),
+		Columns: []string{"allowance", "base spent", "tier spent", "base recall", "tier recall", "tier precision", "free NonMatch"},
 	}
 	for _, pt := range rep.Points {
 		t.AddRow(
@@ -168,7 +155,7 @@ func TierPerf(opts Options) (*TierPerfReport, *Table, error) {
 			fmt.Sprintf("%.4f", pt.BaselineRecall),
 			fmt.Sprintf("%.4f", pt.TierRecall),
 			fmt.Sprintf("%.4f", pt.TierPrecision),
-			fmt.Sprintf("%.1f×", pt.Gain),
+			fmt.Sprintf("%d", pt.TierNonMatch),
 		)
 	}
 	return rep, t, nil

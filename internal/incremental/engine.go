@@ -60,12 +60,11 @@ type Stats struct {
 	// Records and Bins are per side; side 1 stays zero for dedup.
 	Records [2]int
 	Bins    [2]int
-	// Deltas counts emitted Match pairs; BlockingMatches, TierMatches and
+	// Deltas counts emitted Match pairs; BlockingMatches and
 	// ResidualMatches break out the free ones (the remainder were
-	// purchased).
+	// purchased). TierNonMatches counts the pairs the tier discarded.
 	Deltas          int
 	BlockingMatches int64
-	TierMatches     int64
 	TierNonMatches  int64
 	ResidualMatches int64
 	// Purchased counts live comparator invocations by this process;
@@ -120,8 +119,7 @@ type Engine struct {
 	rule   *blocking.Rule
 	spec   *smc.Spec
 	dp     bool
-	tier   bool
-	tenc   *bloom.Encoder
+	tenc   *bloom.Encoder // nil with the tier off
 	sides  []*side
 
 	nextBatch int
@@ -178,10 +176,9 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 		rule:         rule,
 		spec:         spec,
 		dp:           cfg.Epsilon > 0,
-		tier:         cfg.Tier == core.TierBloom,
 		dummyCharged: make(map[[2]int32]int64),
 	}
-	if e.tier {
+	if cfg.Tier == core.TierBloom {
 		e.tenc = bloom.NewDefaultEncoder()
 	}
 	nSides := 2
@@ -324,7 +321,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		return nil, err
 	}
 	s.enc = smc.AppendEncoded(s.enc, s.data, e.qids, e.cfg.Scale)
-	if e.tier {
+	if e.tenc != nil {
 		for i := base; i < s.data.Len(); i++ {
 			s.clk = append(s.clk, e.tenc.Encode(bloom.FieldsOf(s.data, e.qids, i)...))
 		}
@@ -347,6 +344,10 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		return nil, err
 	}
 
+	if committedReplay && uint32(len(batchDeltas)) != frame.Commit.Deltas {
+		return nil, fmt.Errorf("incremental: batch %d replayed with %d deltas, its commit record exposed %d: journal and engine state diverged",
+			batch, len(batchDeltas), frame.Commit.Deltas)
+	}
 	if e.cfg.Journal != nil && !committedReplay {
 		if err := e.cfg.Journal.RecordBatchCommit(journal.BatchCommit{
 			Batch: uint32(batch), Deltas: uint32(len(batchDeltas)), Spent: spent,
@@ -518,7 +519,9 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 // the budget is what the lifetime pool has left, the journaled purchases
 // are the batch's own frame, the padding excess is telescoped against
 // what earlier batches paid, and a committed frame replays without buying
-// or journaling anything.
+// or journaling anything — from the frame alone: its purchases and its
+// tier labels stand whatever the tier is set to now, which applies only
+// to batches without a committed frame.
 func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
 	// Side b is side 1, or side 0 again when the dataset links itself.
 	a, b := e.sides[0], e.sides[len(e.sides)-1]
@@ -537,6 +540,10 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 	}}
 	defer cmp.close()
 
+	// frameTier is a committed frame's tier labels by pair. One written
+	// while the tier had a Match band may hold Match labels; the commit
+	// exposed their deltas, so they are emitted again, in place.
+	var frameTier map[[2]uint32]bool
 	var spent int64
 	in := resolve.Input{
 		Groups: len(groups),
@@ -555,19 +562,22 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 			if e.onEvent != nil {
 				e.onEvent(ev)
 			}
-			n, matches := int64(len(ev.Js)), int64(0)
+			n := int64(len(ev.Js))
+			if ev.Kind == resolve.Tiered { // a span of one
+				if frameTier[[2]uint32{uint32(ev.I), uint32(ev.Js[0])}] {
+					*deltas = append(*deltas, e.delta(batch, ev.I, ev.Js[0]))
+				} else {
+					e.stats.TierNonMatches++
+				}
+				return
+			}
 			for x, j := range ev.Js {
 				if ev.Verdicts[x] {
 					*deltas = append(*deltas, e.delta(batch, ev.I, j))
-					matches++
 				}
 			}
 			cost := n + ev.Padding
 			switch ev.Kind {
-			case resolve.Tiered:
-				e.stats.TierMatches += matches
-				e.stats.TierNonMatches += n - matches
-				return
 			case resolve.Replayed:
 				// Free live, but the lifetime pool advances at the old price.
 				e.stats.ReplaySpent += cost
@@ -591,10 +601,18 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 	if frame != nil {
 		in.Journaled = frame.Verdicts
 	}
-	if e.tier {
-		in.Tier = func(i, j int) bloom.Band {
-			return bloom.Classify(a.clk[i].Dice(b.clk[j]), e.cfg.TierLow, e.cfg.TierHigh)
+	switch {
+	case committed:
+		frameTier = make(map[[2]uint32]bool, len(frame.TierVerdicts))
+		for _, v := range frame.TierVerdicts {
+			frameTier[[2]uint32{v.I, v.J}] = v.Matched
 		}
+		in.Tier = func(i, j int) bool {
+			_, ok := frameTier[[2]uint32{uint32(i), uint32(j)}]
+			return ok
+		}
+	case e.tenc != nil:
+		in.Tier = func(i, j int) bool { return a.clk[i].Dice(b.clk[j]) <= e.cfg.TierLow }
 	}
 	if e.cfg.Strategy == core.MaximizeRecall {
 		// Residuals default to match; under MaximizePrecision they are

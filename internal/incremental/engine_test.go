@@ -560,6 +560,117 @@ func TestIncrementalTierRetuneResumeNeverOverdraws(t *testing.T) {
 			t.Errorf("tier %v→%v: replayed %d of %d journaled purchases", first, second, st.Replayed, len(cfg2.Recovered.Verdicts))
 		}
 	}
+	t.Run("committed", tierRetuneCommitted)
+}
+
+// tierRetuneCommitted is the same retune over batches that committed: a dataset shut down cleanly with the tier one way restarts
+// with it the other way (or narrowed). A committed frame is reconstructed
+// from the frame alone — its purchases and its tier labels — so every
+// replayed batch carries the deltas it committed with, in order, buys
+// nothing and journals nothing; the new setting applies from the first
+// batch without a frame. Before the frame's tier labels were read, a
+// bloom → off restart hit "committed batch N needs a fresh purchase" on
+// every world here and poisoned the engine, and an off → bloom restart
+// under maximize-recall re-labelled the residual pairs of a drained pool.
+func tierRetuneCommitted(t *testing.T) {
+	type setting struct {
+		mode core.TierMode
+		low  float64
+	}
+	bloom, off, narrow := setting{core.TierBloom, 0}, setting{core.TierOff, 0}, setting{core.TierBloom, 0.5}
+	for seed := int64(1); seed <= 6; seed++ {
+		w := testkit.Generate(seed)
+		half := w.Alice.Len() / 2
+		committed := []struct {
+			side int
+			recs []dataset.Record
+		}{{1, w.Bob.Records()}, {0, w.Alice.Records()[:half]}}
+		tail := w.Alice.Records()[half:]
+		for _, arm := range []struct {
+			first, second setting
+			allowance     int64
+			strategy      core.Strategy
+		}{
+			{bloom, off, 0, core.MaximizePrecision},
+			{bloom, narrow, 0, core.MaximizePrecision},
+			{off, bloom, 0, core.MaximizePrecision},
+			{off, bloom, 20, core.MaximizeRecall},
+			{bloom, off, 20, core.MaximizeRecall},
+		} {
+			name := fmt.Sprintf("world %d, tier %v/%v → %v/%v, allowance %d, %v",
+				seed, arm.first.mode, arm.first.low, arm.second.mode, arm.second.low, arm.allowance, arm.strategy)
+			config := func(s setting) incremental.Config {
+				cfg := incrementalConfig(w, arm.allowance)
+				cfg.Strategy, cfg.Tier, cfg.TierLow = arm.strategy, s.mode, s.low
+				return cfg
+			}
+			path := filepath.Join(t.TempDir(), "live.wal")
+			jw, err := journal.Create(path, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg1 := config(arm.first)
+			cfg1.Journal = jw
+			eng1, err := incremental.New(w.Alice.Schema(), cfg1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want [][]incremental.Delta
+			for _, s := range committed {
+				res, err := eng1.Append(s.side, s.recs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want = append(want, res.Deltas)
+			}
+			before := eng1.Stats()
+			if err := jw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			size, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			jw2, err := journal.Resume(path, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg2 := config(arm.second)
+			cfg2.Journal, cfg2.Recovered = jw2, jw2.Recovered()
+			eng2, err := incremental.New(w.Alice.Schema(), cfg2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b, s := range committed {
+				res, err := eng2.Append(s.side, s.recs)
+				if err != nil {
+					t.Fatalf("%s: replaying committed batch %d: %v", name, b, err)
+				}
+				if !res.Replayed || !reflect.DeepEqual(res.Deltas, want[b]) {
+					t.Fatalf("%s: batch %d replayed=%v with %d deltas, committed with %d: a committed batch moved",
+						name, b, res.Replayed, len(res.Deltas), len(want[b]))
+				}
+			}
+			after := eng2.Stats()
+			if after.Purchased != 0 || after.Used != before.Used || after.TierNonMatches != before.TierNonMatches || after.Deltas != before.Deltas {
+				t.Errorf("%s: restart accounting %+v, the first life ended at %+v", name, after, before)
+			}
+			if now, err := os.Stat(path); err != nil || now.Size() != size.Size() {
+				t.Errorf("%s: replaying committed batches grew the journal from %d to %v bytes (%v)", name, size.Size(), now, err)
+			}
+			// The batch without a frame runs under the setting of this life.
+			if _, err := eng2.Append(0, tail); err != nil {
+				t.Fatalf("%s: appending after the restart: %v", name, err)
+			}
+			if grew := eng2.Stats().TierNonMatches > after.TierNonMatches; grew && arm.second.mode == core.TierOff {
+				t.Errorf("%s: the tier is off in this life and still labeled pairs of the new batch", name)
+			}
+			if err := jw2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestIncrementalBindingAllowance checks the weaker invariants of an

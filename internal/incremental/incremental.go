@@ -65,11 +65,12 @@ type Config struct {
 	// dry (TrainClassifier is not supported incrementally).
 	Heuristic heuristic.Heuristic
 	Strategy  core.Strategy
-	// Tier enables the CLK triage tier with the same knobs as the frozen
-	// engine.
-	Tier     core.TierMode
-	TierHigh float64
-	TierLow  float64
+	// Tier enables the CLK triage tier with the frozen engine's knobs, like
+	// there outside the journal manifest: a dataset may restart with the
+	// tier switched or retuned — a committed batch replays from its frame
+	// (purchases and tier labels), the new setting applies after it.
+	Tier    core.TierMode
+	TierLow float64
 	// Epsilon > 0 switches blocking to DP bin intersection with noised
 	// counts and dummy charging; DPDelta 0 selects dpblock.DefaultDelta.
 	// DPSeed keys the noise (side 0 draws with DPSeed, side 1 with
@@ -117,7 +118,7 @@ func (c Config) normalize() (Config, error) {
 		c.Scale = 1
 	}
 	if c.Tier == core.TierBloom {
-		if err := bloom.TierBands(&c.TierLow, &c.TierHigh); err != nil {
+		if err := bloom.TierLow(&c.TierLow); err != nil {
 			return c, fmt.Errorf("incremental: %w", err)
 		}
 	}

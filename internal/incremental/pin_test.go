@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pprl/internal/adult"
+	"pprl/internal/blocking"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/incremental"
@@ -38,8 +40,9 @@ func pinSchedule(k int) (*dataset.Schema, []pinStep) {
 // bytes and the delta sequence — to hashes recorded at the commit before
 // the engine handed the kernel A × B groups (PR 24): what a batch buys, in
 // which order, and what it files where are a format other processes resume
-// from, so a change to how groups are built must not move a byte. The
-// journal runs at the benchmark's SyncEvery 4096.
+// from, so a change to how groups are built must not move a byte (the tier
+// variant alone was re-pinned since, see its row). The journal runs at the
+// benchmark's SyncEvery 4096.
 func TestLiveJournalPinned(t *testing.T) {
 	const k = 6
 	schema, steps := pinSchedule(k)
@@ -56,8 +59,12 @@ func TestLiveJournalPinned(t *testing.T) {
 			"786c05119934d3b5aacb7c3521f8a56347c50d944bdff5a1946d0d713029cacb",
 			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3"},
 		{"tier", func(c incremental.Config) incremental.Config { c.Tier = core.TierBloom; return c }, -1,
-			"86fb3749a15cbef4ba08995e09a6e5012ac42e5dd26d238d2e2c9ecad85b910b",
-			"7c118218b1baf31f768f409e304da70e582e84469806e6ced5ab9cf907fc6a3d"},
+			// Re-pinned once, when the tier lost its Match band and its default
+			// threshold moved to 0.90: the journal now holds NonMatch tier
+			// records only, and the delta sequence is the plain run's — the
+			// tier changed no delta.
+			"628970927c3f0eaf59821e1ad5b9a0fe07ac3b094ad421e52cb7ab529970e614",
+			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3"},
 		{"dp", func(c incremental.Config) incremental.Config { c.Epsilon, c.DPSeed = 1.0, 7; return c }, -1,
 			"2246853f4cec48465cf321b1b2501ad9f23ad61f88beaa3dbf25e0bbbb047c40",
 			"5af60664fca1b740fc459eb2fabe5cdf47865e15b0d4c06c0cb025369465fa1a"},
@@ -148,5 +155,110 @@ func TestLiveJournalPinned(t *testing.T) {
 				t.Errorf("delta sequence hashes to %s, pinned %s", gotSeq, c.wantSeq)
 			}
 		})
+	}
+}
+
+// TestLegacyTierMatchJournalRestarts: testdata/legacy-tier-match/ingest.wal
+// was written by the build before the tier lost its Match band (400 Adult
+// records in four batches, tier on at that build's bands, pool of 1,500):
+// every one of its 400 deltas came from a tier Match record. Those batches
+// committed and their deltas were exposed, so a restart under this build —
+// tier on or off — must replay every frame with the deltas it committed
+// with, in order (deltas.txt, written by the same run), buy nothing, and
+// go on accepting batches, whose tier labels can only be NonMatch.
+func TestLegacyTierMatchJournalRestarts(t *testing.T) {
+	fixture := filepath.Join("testdata", "legacy-tier-match")
+	wantDeltas, err := os.ReadFile(filepath.Join(fixture, "deltas.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(fixture, "ingest.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, bob := dataset.SplitOverlap(adult.Generate(400, 41), rand.New(rand.NewSource(42)))
+	const k = 2
+	var steps []pinStep
+	for b := 0; b < k; b++ {
+		steps = append(steps,
+			pinStep{0, alice.Records()[b*alice.Len()/k : (b+1)*alice.Len()/k]},
+			pinStep{1, bob.Records()[b*bob.Len()/k : (b+1)*bob.Len()/k]})
+	}
+	for _, tier := range []core.TierMode{core.TierOff, core.TierBloom} {
+		path := filepath.Join(t.TempDir(), "ingest.wal")
+		if err := os.WriteFile(path, wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jw, err := journal.Resume(path, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacyMatches := 0
+		for _, f := range jw.Recovered().Batches {
+			for _, v := range f.TierVerdicts {
+				if v.Matched {
+					legacyMatches++
+				}
+			}
+		}
+		if legacyMatches == 0 {
+			t.Fatal("the fixture holds no tier Match record; it exercises nothing")
+		}
+		eng, err := incremental.New(alice.Schema(), incremental.Config{
+			QIDs: adult.DefaultQIDs(), Theta: 0.05, Strategy: core.MaximizePrecision, Allowance: 1500,
+			Tier: tier, Journal: jw, Recovered: jw.Recovered(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, s := range steps {
+			res, err := eng.Append(s.side, s.recs)
+			if err != nil {
+				t.Fatalf("tier %v: %v", tier, err)
+			}
+			if !res.Replayed {
+				t.Fatalf("tier %v: committed batch %d was not replayed", tier, res.Batch)
+			}
+			for _, d := range res.Deltas {
+				fmt.Fprintf(&got, "%d %d %d %d %d\n", d.Batch, d.I, d.J, d.AliceID, d.BobID)
+			}
+		}
+		if got.String() != string(wantDeltas) {
+			t.Errorf("tier %v: the restart moved the committed delta stream (%d bytes, the first life wrote %d)", tier, got.Len(), len(wantDeltas))
+		}
+		if st := eng.Stats(); st.Purchased != 0 || st.Used != 162 || st.Deltas != legacyMatches {
+			t.Errorf("tier %v: restart accounting %+v; want nothing bought, 162 used, %d deltas", tier, st, legacyMatches)
+		}
+		// A new batch (bob's first records again, on alice's side, so it
+		// holds true matches): whatever the tier labels now is a NonMatch, so
+		// every new delta is a match of the exact decision rule.
+		more := bob.Records()[:60]
+		res, err := eng.Append(0, more)
+		if err != nil {
+			t.Fatalf("tier %v: appending after the restart: %v", tier, err)
+		}
+		grown := dataset.New(alice.Schema())
+		for _, rec := range append(alice.Records(), more...) {
+			if err := grown.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		qids, err := alice.Schema().Resolve(adult.DefaultQIDs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rule := mustRule(t, alice.Schema(), qids, 0.05, nil)
+		if len(res.Deltas) == 0 {
+			t.Errorf("tier %v: the new batch emitted no delta; it checks nothing", tier)
+		}
+		for _, d := range res.Deltas {
+			if !rule.DecideExact(blocking.RecordSequence(grown, qids, d.I), blocking.RecordSequence(bob, qids, d.J)) {
+				t.Errorf("tier %v: new delta (%d,%d) is not a match of the exact rule: a free Match got through", tier, d.I, d.J)
+			}
+		}
+		if err := jw.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

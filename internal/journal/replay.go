@@ -15,10 +15,14 @@ type Recovered struct {
 	// Verdicts holds the purchased SMC resolutions — the ones a resumed
 	// run replays instead of re-spending allowance on.
 	Verdicts []Verdict
-	// TierVerdicts holds the tier-labeled resolutions. A resumed engine
-	// ignores them (tier labels are deterministic and recomputed fresh,
-	// possibly under different thresholds); they exist so auditors can
-	// distinguish heuristic labels from exact purchased verdicts.
+	// TierVerdicts holds the tier-labeled resolutions. A resumed frozen
+	// run ignores them (tier labels are deterministic and recomputed
+	// fresh, possibly under a different threshold); they let auditors
+	// distinguish heuristic labels from exact purchased verdicts, and a
+	// live dataset replays a committed batch from its frame's copy
+	// (BatchFrame.TierVerdicts). Journals written while the tier still had
+	// a Match band hold Matched records here; today's writers record
+	// NonMatch only.
 	TierVerdicts []Verdict
 	// Batches holds the incremental batch frames, in append order; empty
 	// for frozen-run journals. Verdicts recorded inside a batch frame

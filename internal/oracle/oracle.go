@@ -196,19 +196,14 @@ type Report struct {
 	// Reported is the number of pairs the result labeled match, counted
 	// by enumeration (cross-checked against Result.MatchedPairCount).
 	Reported int64
-	// TierFalsePositives counts the false positives whose match label
-	// came from the triage tier. Tier labels are heuristic by design, so
-	// these are excluded from the maximize-precision zero-FP invariant —
-	// the invariant covers the exact layers (blocking, SMC, residual),
-	// whose false positives remain hard failures.
-	TierFalsePositives int64
 }
 
 // CheckResult enumerates the full |R|×|S| pair space of a linkage
 // result and verifies it against the oracle:
 //
 //   - under the maximize-precision strategy, every reported match is a
-//     true match — precision is exactly 1.0, never approximately;
+//     true match — precision is exactly 1.0, never approximately, with
+//     the triage tier on or off (the tier can only say NonMatch);
 //   - MatchedPairCount agrees with the enumerated count (the closed-form
 //     accounting cannot drift from the actual labeling);
 //   - the returned confusion is computed independently of
@@ -226,9 +221,7 @@ func (o *Oracle) CheckResult(res *core.Result) (Report, error) {
 					rep.Confusion.TruePositives++
 				} else {
 					rep.Confusion.FalsePositives++
-					if matched, ok := res.TierLabel(i, j); ok && matched {
-						rep.TierFalsePositives++
-					} else if firstFalse == nil {
+					if firstFalse == nil {
 						firstFalse = &pairFault{i: i, j: j, msg: fmt.Sprintf(
 							"reported as match but the exact rule says non-match (raw %v / %v)",
 							o.aliceSeqs[i], o.bobSeqs[j])}
@@ -242,30 +235,55 @@ func (o *Oracle) CheckResult(res *core.Result) (Report, error) {
 	if got := res.MatchedPairCount(); got != rep.Reported {
 		return rep, fmt.Errorf("oracle: MatchedPairCount reports %d, enumeration finds %d", got, rep.Reported)
 	}
-	if exact := rep.Confusion.FalsePositives - rep.TierFalsePositives; res.Strategy() == core.MaximizePrecision && exact > 0 {
-		return rep, fmt.Errorf("oracle: maximize-precision produced %d false positives outside the tier (precision %.6f): %w",
-			exact, rep.Confusion.Precision(), firstFalse)
+	if fp := rep.Confusion.FalsePositives; res.Strategy() == core.MaximizePrecision && fp > 0 {
+		return rep, fmt.Errorf("oracle: maximize-precision produced %d false positives (precision %.6f): %w",
+			fp, rep.Confusion.Precision(), firstFalse)
 	}
 	return rep, nil
 }
 
+// CheckMatches is CheckResult's precision invariant for the shapes that
+// report a match list instead of a core.Result — a session's handle pairs,
+// a live engine's deltas — under maximize-precision: every listed pair
+// lies in the pair space, is listed once, and is a true match. It returns
+// the confusion against the exact rule.
+func (o *Oracle) CheckMatches(pairs [][2]int) (metrics.Confusion, error) {
+	var conf metrics.Confusion
+	seen := make(map[[2]int]bool, len(pairs))
+	for _, p := range pairs {
+		switch {
+		case p[0] < 0 || p[0] >= o.alice.Len() || p[1] < 0 || p[1] >= o.bob.Len():
+			return conf, fmt.Errorf("oracle: reported pair (%d,%d) outside the %d×%d pair space", p[0], p[1], o.alice.Len(), o.bob.Len())
+		case seen[p]:
+			return conf, fmt.Errorf("oracle: pair (%d,%d) reported twice", p[0], p[1])
+		case !o.Matches(p[0], p[1]):
+			return conf, fmt.Errorf("oracle: maximize-precision produced a false positive: %w", &pairFault{i: p[0], j: p[1], msg: fmt.Sprintf(
+				"reported as match but the exact rule says non-match (raw %v / %v)", o.aliceSeqs[p[0]], o.bobSeqs[p[1]])})
+		}
+		seen[p] = true
+	}
+	conf.TruePositives = int64(len(pairs))
+	conf.FalseNegatives = o.TrueMatchCount() - conf.TruePositives
+	return conf, nil
+}
+
 // TierReport is the oracle's scoring of the triage tier's heuristic
-// labels against exact ground truth.
+// NonMatch labels against exact ground truth.
 type TierReport struct {
 	// Labeled is the number of tier-labeled pairs found by enumeration.
 	Labeled int64
-	// FalseMatches counts tier Match labels the exact rule rejects;
-	// FalseNonMatches counts tier NonMatch labels the rule accepts.
-	FalseMatches, FalseNonMatches int64
+	// FalseNonMatches counts the tier labels the exact rule calls a match:
+	// the only way a tier label can be wrong.
+	FalseNonMatches int64
 }
 
-// FalseRate is the fraction of tier labels the exact rule disagrees
-// with; 0 when the tier labeled nothing.
-func (r TierReport) FalseRate() float64 {
+// MissRate is the fraction of tier labels that discarded a true match;
+// 0 when the tier labeled nothing.
+func (r TierReport) MissRate() float64 {
 	if r.Labeled == 0 {
 		return 0
 	}
-	return float64(r.FalseMatches+r.FalseNonMatches) / float64(r.Labeled)
+	return float64(r.FalseNonMatches) / float64(r.Labeled)
 }
 
 // CheckTier enumerates the full pair space and verifies the triage
@@ -275,21 +293,19 @@ func (r TierReport) FalseRate() float64 {
 //     tier-labeled — the tier only ever touches the Unknown band;
 //   - a pair holding a purchased SMC verdict is never tier-labeled — an
 //     exact verdict is never shadowed by a heuristic one;
-//   - the result's tier counters agree with enumeration.
+//   - the result's tier counter agrees with enumeration.
 //
 // It scores every tier label against the exact rule and, when
-// maxFalseRate ≥ 0, fails if the tier's false-classification rate
-// exceeds it. Pass a negative maxFalseRate to collect the report
-// without enforcing a bound (accuracy depends on thresholds and data;
-// the structural invariants above are enforced unconditionally).
-func (o *Oracle) CheckTier(res *core.Result, maxFalseRate float64) (TierReport, error) {
+// maxMissRate ≥ 0, fails if the share of labels that discarded a true
+// match exceeds it. Pass a negative maxMissRate to collect the report
+// without enforcing a bound (the rate depends on the threshold and the
+// data; the structural invariants above are enforced unconditionally).
+func (o *Oracle) CheckTier(res *core.Result, maxMissRate float64) (TierReport, error) {
 	var rep TierReport
-	var matched, nonMatched int64
 	for i := 0; i < o.alice.Len(); i++ {
 		ri := res.Block.R.ClassOf[i]
 		for j := 0; j < o.bob.Len(); j++ {
-			tierMatched, ok := res.TierLabel(i, j)
-			if !ok {
+			if !res.TierLabeled(i, j) {
 				continue
 			}
 			si := res.Block.S.ClassOf[j]
@@ -302,28 +318,18 @@ func (o *Oracle) CheckTier(res *core.Result, maxFalseRate float64) (TierReport, 
 					&pairFault{i: i, j: j, msg: "pair holds both a tier label and an SMC verdict"})
 			}
 			rep.Labeled++
-			if tierMatched {
-				matched++
-			} else {
-				nonMatched++
-			}
-			truth := o.Matches(i, j)
-			switch {
-			case tierMatched && !truth:
-				rep.FalseMatches++
-			case !tierMatched && truth:
+			if o.Matches(i, j) {
 				rep.FalseNonMatches++
 			}
 		}
 	}
-	if rep.Labeled != res.TierResolvedPairs() || matched != res.TierMatchedPairs() || nonMatched != res.TierNonMatchedPairs() {
-		return rep, fmt.Errorf("oracle: tier counters disagree with enumeration: counted %d (%d/%d), result reports %d (%d/%d)",
-			rep.Labeled, matched, nonMatched,
-			res.TierResolvedPairs(), res.TierMatchedPairs(), res.TierNonMatchedPairs())
+	if rep.Labeled != res.TierNonMatchedPairs() {
+		return rep, fmt.Errorf("oracle: tier counter disagrees with enumeration: counted %d, result reports %d",
+			rep.Labeled, res.TierNonMatchedPairs())
 	}
-	if rate := rep.FalseRate(); maxFalseRate >= 0 && rate > maxFalseRate {
-		return rep, fmt.Errorf("oracle: tier false-classification rate %.6f exceeds bound %.6f (%d false matches, %d false non-matches of %d labels)",
-			rate, maxFalseRate, rep.FalseMatches, rep.FalseNonMatches, rep.Labeled)
+	if rate := rep.MissRate(); maxMissRate >= 0 && rate > maxMissRate {
+		return rep, fmt.Errorf("oracle: tier miss rate %.6f exceeds bound %.6f (%d false non-matches of %d labels)",
+			rate, maxMissRate, rep.FalseNonMatches, rep.Labeled)
 	}
 	return rep, nil
 }

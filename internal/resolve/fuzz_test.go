@@ -5,12 +5,11 @@ import (
 	"slices"
 	"testing"
 
-	"pprl/internal/bloom"
 	"pprl/internal/journal"
 )
 
 // FuzzResolveBudget drives the kernel over random group shapes, budgets,
-// padding, tier bands and journaled sets (some of them pairs no walk
+// padding, tier labels and journaled sets (some of them pairs no walk
 // meets) and checks what every adapter relies on: the budget is never
 // overdrawn, every walked pair is delivered exactly once and in walk
 // order, every journaled purchase is delivered exactly once — all on the
@@ -26,7 +25,7 @@ func FuzzResolveBudget(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		sc := scenario{budget: int64(budget), residual: flags&1 != 0, hint: rng.Intn(6)}
 		if flags&2 != 0 {
-			sc.tier = map[[2]int]bloom.Band{}
+			sc.tier = map[[2]int]bool{}
 		}
 		// Group k's pairs have first index in [8k, 8k+8), so every pair
 		// belongs to exactly one group; walk lists them in walk order.
@@ -61,7 +60,7 @@ func FuzzResolveBudget(f *testing.F) {
 		}
 		for _, p := range walk {
 			if sc.tier != nil {
-				sc.tier[p] = bloom.Band(rng.Intn(3))
+				sc.tier[p] = rng.Intn(3) != 0
 			}
 			if rng.Intn(4) == 0 && len(sc.journaled) < int(budget) {
 				sc.journaled = append(sc.journaled, journal.Verdict{I: uint32(p[0]), J: uint32(p[1]), Matched: rng.Intn(2) == 0})
@@ -138,8 +137,8 @@ func FuzzResolveBudget(f *testing.F) {
 				}
 				spent += 1 + e.Padding
 			case Tiered:
-				if isJournaled || sc.tier[p] == bloom.BandUncertain || e.Matched != (sc.tier[p] == bloom.BandMatch) {
-					t.Fatalf("tier event %+v disagrees with band %v (journaled %v)", e, sc.tier[p], isJournaled)
+				if isJournaled || !sc.tier[p] || e.Matched {
+					t.Fatalf("tier event %+v disagrees with the hook's %v (journaled %v)", e, sc.tier[p], isJournaled)
 				}
 			}
 		}
@@ -160,7 +159,7 @@ func FuzzResolveBudget(f *testing.F) {
 			for _, p := range walk {
 				if x < len(walked) && walked[x] == p {
 					x++
-				} else if _, bought := journaled[p]; bought || sc.tier[p] != bloom.BandUncertain {
+				} else if _, bought := journaled[p]; bought || sc.tier[p] {
 					t.Fatalf("walk pair %v has a label but no event in order (next event %d of %v)", p, x, walked)
 				}
 			}

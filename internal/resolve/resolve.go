@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pprl/internal/bloom"
 	"pprl/internal/dpblock"
 	"pprl/internal/journal"
 )
@@ -45,19 +44,20 @@ type Kind uint8
 
 const (
 	Replayed  Kind = iota // a purchase the journal already holds: exact, never re-bought
-	Tiered                // a free, heuristic label from the tier hook
+	Tiered                // a free, heuristic NonMatch from the tier hook
 	Purchased             // a live comparator verdict
 	Residual              // a pair the budget could not afford
 )
 
 // Event is the resolution of a row span: record I of the group's A against
 // Js, a contiguous stretch of its B, Verdicts[x] answering (I, Js[x])
-// (meaningless for Residual). Only live purchases under uniform precedence
-// travel as longer spans (DESIGN.md §22); every other pair is the span of
-// one. Group indexes the group whose walk met the span (-1 for a journaled
-// purchase the walk never met) and Padding is the DP dummy share charged
-// along with a Replayed or Purchased pair. Js and Verdicts belong to the
-// kernel and are only valid during the call that delivers them.
+// (false for Tiered, meaningless for Residual). Only live purchases under
+// uniform precedence travel as longer spans (DESIGN.md §22); every other
+// pair is the span of one. Group indexes the group whose walk met the span
+// (-1 for a journaled purchase the walk never met) and Padding is the DP
+// dummy share charged along with a Replayed or Purchased pair. Js and
+// Verdicts belong to the kernel and are only valid during the call that
+// delivers them.
 type Event struct {
 	Kind     Kind
 	Group    int
@@ -92,9 +92,11 @@ type Input struct {
 	// the journal manifest) live purchases never overdraw the budget.
 	Budget    int64
 	Journaled []journal.Verdict
-	// Tier, when set, labels confident pairs for free; BandUncertain
-	// sends the pair on to the budget.
-	Tier func(i, j int) bloom.Band
+	// Tier, when set, reports the pairs it is confident do not match: they
+	// are labeled NonMatch for free, every other pair goes on to the
+	// budget. A filter may discard, it may not assert — there is no free
+	// Match.
+	Tier func(i, j int) bool
 	// Comparator buys verdicts, one pair list in walk order per chunk —
 	// the batch method of smc.Comparator, so a secure engine is handed its
 	// runs whole. Chunks are its ChunkHint when it has one; Workers scales
@@ -313,8 +315,8 @@ func (r *run) visit(i, j int) bool {
 		}
 	}
 	if r.in.Tier != nil {
-		if band := r.in.Tier(i, j); band != bloom.BandUncertain {
-			return r.emit(queued{kind: Tiered, matched: band == bloom.BandMatch, group: r.group, i: i, j: j})
+		if r.in.Tier(i, j) {
+			return r.emit(queued{kind: Tiered, group: r.group, i: i, j: j})
 		}
 		r.uncertain++
 	}

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"pprl/internal/bloom"
 	"pprl/internal/journal"
 )
 
@@ -77,7 +76,7 @@ type scenario struct {
 	groups    []Group
 	budget    int64
 	journaled []journal.Verdict
-	tier      map[[2]int]bloom.Band // nil = tier off; missing pairs are uncertain
+	tier      map[[2]int]bool // nil = tier off; true = confidently NonMatch, missing pairs are uncertain
 	residual  bool
 	hint      int // the comparator's ChunkHint (0 = default)
 }
@@ -110,7 +109,7 @@ func (sc scenario) input(cmp *batchCmp, out *outcome) Input {
 		Sink:       out.sink,
 	}
 	if sc.tier != nil {
-		in.Tier = func(i, j int) bloom.Band { return sc.tier[[2]int{i, j}] }
+		in.Tier = func(i, j int) bool { return sc.tier[[2]int{i, j}] }
 	}
 	if sc.residual {
 		in.Residual = out.sink
@@ -164,15 +163,13 @@ func TestRunTraces(t *testing.T) {
 				groups:    []Group{cross([]int{0, 1}, []int{0, 1, 2})},
 				budget:    3,
 				journaled: journaledPairs([3]int{0, 1, 1}),
-				tier: map[[2]int]bloom.Band{
-					{0, 1}: bloom.BandNonMatch, {0, 2}: bloom.BandMatch, {1, 0}: bloom.BandNonMatch,
-				},
-				residual: true,
+				tier:      map[[2]int]bool{{0, 1}: true, {0, 2}: true, {1, 0}: true},
+				residual:  true,
 			},
 			want: []pairEvent{
 				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
 				ev(Replayed, 0, 0, 1, true, 0),
-				ev(Tiered, 0, 0, 2, true, 0),
+				ev(Tiered, 0, 0, 2, false, 0),
 				ev(Tiered, 0, 1, 0, false, 0),
 				ev(Purchased, 0, 1, 1, verdictOf(1, 1), 0),
 				ev(Residual, 0, 1, 2, false, 0),
@@ -208,12 +205,12 @@ func TestRunTraces(t *testing.T) {
 				},
 				budget:    100,
 				journaled: journaledPairs([3]int{5, 0, 1}),
-				tier:      map[[2]int]bloom.Band{{0, 1}: bloom.BandMatch, {5, 1}: bloom.BandNonMatch},
+				tier:      map[[2]int]bool{{0, 1}: true, {5, 1}: true},
 				hint:      2,
 			},
 			want: []pairEvent{
 				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
-				ev(Tiered, 0, 0, 1, true, 0),
+				ev(Tiered, 0, 0, 1, false, 0),
 				ev(Purchased, 0, 0, 2, verdictOf(0, 2), 0),
 				ev(Purchased, 0, 0, 3, verdictOf(0, 3), 0),
 				ev(Replayed, 1, 5, 0, true, 0),
@@ -308,7 +305,7 @@ func TestEarlyStop(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			sc := scenario{groups: groups, budget: 4, residual: c.residual}
 			if c.tier {
-				sc.tier = map[[2]int]bloom.Band{}
+				sc.tier = map[[2]int]bool{}
 			}
 			asked := 0
 			got := runScenario(t, sc, func(in *Input, _ *outcome) {
@@ -335,7 +332,7 @@ func TestInterruptAtChunkBoundary(t *testing.T) {
 	sc := scenario{
 		groups: []Group{{A: []int{0, 1, 2}, B: []int{0, 1, 2, 3}}},
 		budget: 100,
-		tier:   map[[2]int]bloom.Band{{0, 2}: bloom.BandMatch},
+		tier:   map[[2]int]bool{{0, 2}: true},
 		hint:   4,
 	}
 	full := runScenario(t, sc, nil)

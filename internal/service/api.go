@@ -25,8 +25,7 @@ import (
 // by the store (relative to its data directory when one is configured);
 // the daemon never accepts record data over the API. The embedded block's
 // keys (schema_path, qids, theta, allowance, heuristic, strategy, epsilon,
-// dp_delta, dp_seed, tier, tier_high, tier_low, secure, key_bits,
-// smc_workers) sit beside the ones below in the request body.
+// dp_delta, dp_seed, tier, tier_low, secure, key_bits, smc_workers) sit beside the ones below in the request body.
 type JobSpec struct {
 	// AlicePath and BobPath reference the two holders' CSV relations.
 	AlicePath string `json:"alice_path"`

@@ -23,9 +23,9 @@ func dumpCore(c core.Config) string {
 	if c.BobAnonymizer != nil {
 		bob = c.BobAnonymizer.Name()
 	}
-	return fmt.Sprintf("core qids=%v theta=%v thresholds=%v k=%d/%d anonymizer=%s/%s heuristic=%s strategy=%v allowance=%d fraction=%v tier=%v[%v,%v] epsilon=%v delta=%v dpseed=%d dplevel=%d scale=%d secure=%v workers=%d seed=%d",
+	return fmt.Sprintf("core qids=%v theta=%v thresholds=%v k=%d/%d anonymizer=%s/%s heuristic=%s strategy=%v allowance=%d fraction=%v tier=%v[%v] epsilon=%v delta=%v dpseed=%d dplevel=%d scale=%d secure=%v workers=%d seed=%d",
 		c.QIDs, c.Theta, c.Thresholds, c.AliceK, c.BobK, alice, bob, c.Heuristic.Name(), c.Strategy, c.Allowance, c.AllowanceFraction,
-		c.Tier, c.TierLow, c.TierHigh, c.Epsilon, c.DPDelta, c.DPSeed, c.DPLevel, c.Scale, c.Comparator != nil, c.SMCWorkers, c.Seed)
+		c.Tier, c.TierLow, c.Epsilon, c.DPDelta, c.DPSeed, c.DPLevel, c.Scale, c.Comparator != nil, c.SMCWorkers, c.Seed)
 }
 
 // dumpIncremental is dumpCore for the live engine's configuration. θ is
@@ -37,9 +37,9 @@ func dumpIncremental(c incremental.Config) string {
 	if theta == 0 {
 		theta = 0.05
 	}
-	return fmt.Sprintf("incremental qids=%v theta=%v thresholds=%v level=%d heuristic=%s strategy=%v allowance=%d tier=%v[%v,%v] epsilon=%v delta=%v dpseed=%d dedup=%v scale=%d secure=%v workers=%d",
+	return fmt.Sprintf("incremental qids=%v theta=%v thresholds=%v level=%d heuristic=%s strategy=%v allowance=%d tier=%v[%v] epsilon=%v delta=%v dpseed=%d dedup=%v scale=%d secure=%v workers=%d",
 		c.QIDs, theta, c.Thresholds, c.Level, c.Heuristic.Name(), c.Strategy, c.Allowance,
-		c.Tier, c.TierLow, c.TierHigh, c.Epsilon, c.DPDelta, c.DPSeed, c.Dedup, c.Scale, c.Comparator != nil, c.SMCWorkers)
+		c.Tier, c.TierLow, c.Epsilon, c.DPDelta, c.DPSeed, c.Dedup, c.Scale, c.Comparator != nil, c.SMCWorkers)
 }
 
 // TestSpecFixturesMaterialize: spec.json and dataset.json files written
@@ -53,11 +53,16 @@ func dumpIncremental(c incremental.Config) string {
 // spec's meaning. Each file's "spec" object is also a request body of its
 // day: the strict decoder the two POST handlers use must take every key
 // the old specs declared, from the embedded block or not, and still
-// refuse the two keys PR 25 removed.
+// refuse the two keys PR 25 removed and the tier_high that went with the
+// tier's Match band (job-full and dataset-full persist "tier_high": 0.85;
+// the recovery decode drops the key, and materialized.golden lost its
+// second threshold with it — once).
 func TestSpecFixturesMaterialize(t *testing.T) {
 	removedKey := map[string]string{
 		"job-restart/spec.json":                       "packing",
 		"legacy-seed/datasets/ds-000001/dataset.json": "seed",
+		"job-full/spec.json":                          "tier_high",
+		"dataset-full/dataset.json":                   "tier_high",
 	}
 	strict := func(label string, raw []byte, into any) {
 		var file struct {

@@ -108,7 +108,6 @@ type Server struct {
 	mBlockNonMatched *metrics.Var
 	mBlockUnknown    *metrics.Var
 
-	mTierMatched    *metrics.Var
 	mTierNonMatched *metrics.Var
 	mTierUncertain  *metrics.Var
 
@@ -174,7 +173,6 @@ func New(cfg Config) (*Server, error) {
 	s.mBlockMatched = s.reg.Counter("blocking_matched_pairs_total", "Record pairs blocking labeled Match across completed jobs.")
 	s.mBlockNonMatched = s.reg.Counter("blocking_nonmatched_pairs_total", "Record pairs blocking labeled NonMatch across completed jobs.")
 	s.mBlockUnknown = s.reg.Counter("blocking_unknown_pairs_total", "Record pairs blocking left Unknown for SMC across completed jobs.")
-	s.mTierMatched = s.reg.Counter("tier_matched_pairs_total", "Unknown pairs the triage tier labeled Match for free across completed jobs.")
 	s.mTierNonMatched = s.reg.Counter("tier_nonmatched_pairs_total", "Unknown pairs the triage tier labeled NonMatch for free across completed jobs.")
 	s.mTierUncertain = s.reg.Counter("tier_uncertain_pairs_total", "Unknown pairs the tier left for the SMC allowance across completed jobs.")
 	s.mDPJobs = s.reg.Counter("dp_jobs_total", "Jobs completed under differentially private blocking.")
@@ -695,7 +693,6 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	s.mBlockMatched.Add(block.MatchedPairs)
 	s.mBlockNonMatched.Add(block.NonMatchedPairs)
 	s.mBlockUnknown.Add(block.UnknownPairs)
-	s.mTierMatched.Add(res.TierMatchedPairs())
 	s.mTierNonMatched.Add(res.TierNonMatchedPairs())
 	s.mTierUncertain.Add(res.TierUncertainPairs)
 	if res.DP != nil {

@@ -531,7 +531,8 @@ func TestServiceConcurrencyBoundUnderLoad(t *testing.T) {
 
 // TestServiceTierJob: a job submitted with the triage tier on reports
 // the tier's accounting in its result and feeds the tier counters in
-// /metrics; a tier spec with inverted thresholds is rejected at submit.
+// /metrics — which no longer has a counter for free Match labels; a tier
+// spec with an out-of-range threshold is rejected at submit.
 func TestServiceTierJob(t *testing.T) {
 	dataDir := writeDataDir(t, 120, 11)
 	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir, Workers: 1})
@@ -545,7 +546,7 @@ func TestServiceTierJob(t *testing.T) {
 	if res.Result.Tier != "bloom" {
 		t.Errorf("result tier = %q, want bloom", res.Result.Tier)
 	}
-	if res.Result.TierMatchedPairs+res.Result.TierNonMatched+res.Result.TierUncertainPairs == 0 {
+	if res.Result.TierNonMatched+res.Result.TierUncertainPairs == 0 {
 		t.Error("tier counters all zero; the tier never ran")
 	}
 
@@ -556,7 +557,6 @@ func TestServiceTierJob(t *testing.T) {
 	mraw, _ := io.ReadAll(mt.Body)
 	mt.Body.Close()
 	for _, want := range []string{
-		"pprl_tier_matched_pairs_total",
 		"pprl_tier_nonmatched_pairs_total",
 		"pprl_tier_uncertain_pairs_total",
 	} {
@@ -564,12 +564,15 @@ func TestServiceTierJob(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, mraw)
 		}
 	}
+	if strings.Contains(string(mraw), "pprl_tier_matched") {
+		t.Errorf("metrics still count free tier Match labels:\n%s", mraw)
+	}
 
 	bad := testSpec()
 	bad.Tier = "bloom"
-	bad.TierLow, bad.TierHigh = 0.9, 0.5
+	bad.TierLow = 1
 	if _, code := submitCode(t, ts, bad); code != http.StatusBadRequest {
-		t.Errorf("inverted tier thresholds accepted with HTTP %d", code)
+		t.Errorf("tier_low 1 accepted with HTTP %d", code)
 	}
 	unknown := testSpec()
 	unknown.Tier = "paillier"

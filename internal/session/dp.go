@@ -112,9 +112,9 @@ func dpPadEncodings(enc [][]int64, dummy []int64, pad *dpblock.PadMap) [][]int64
 // form: uniform bit positions, with the popcount sampled from the
 // holder's real filters so the dummies blend into the population. A
 // uniform filter's Dice against anything concentrates near the density
-// overlap — the same place unrelated real pairs land — so dummies
-// neither clear the tier's match band (no free false matches) nor sit
-// in a recognizable band of their own. This is a statistical blend, not
+// overlap — the same place unrelated real pairs land — so dummies do
+// not sit in a recognizable band of their own. The tier can only label a
+// padded handle NonMatch, which it is. This is a statistical blend, not
 // a cryptographic one; SECURITY.md states the residual distinguishing
 // risk.
 func dpDummyFilterBytes(rng *dpblock.PRNG, m int, real []*bloom.Filter) []byte {

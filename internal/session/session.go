@@ -274,15 +274,16 @@ type QueryConfig struct {
 	// Tier, when non-nil, enables the triage tier: the holders publish
 	// CLK encodings of their raw records (keyed with a secret the
 	// querying party never sees), and Unknown pairs whose Dice similarity
-	// clears TierHigh / falls below TierLow are labeled without spending
-	// SMC allowance. Zero-valued M/K/Q select the conventional 1000/30/2.
+	// is ≤ TierLow are labeled NonMatch without spending SMC allowance —
+	// the tier never labels a Match, so every reported match stays exact.
+	// Zero-valued M/K/Q select the conventional 1000/30/2.
 	// Like the packing mode, the tier knobs are excluded from the journal
 	// manifest: a journaled session may resume with the tier switched on,
 	// off, or retuned, and replayed purchased verdicts always win.
 	Tier *smc.TierParams
-	// TierHigh and TierLow are the tier's Dice thresholds (≥ high labels
-	// Match, ≤ low NonMatch). Both zero selects the defaults (0.95, 0.60).
-	TierHigh, TierLow float64
+	// TierLow is the tier's Dice threshold (≤ TierLow labels NonMatch);
+	// zero selects bloom.DefaultTierLow (0.90).
+	TierLow float64
 	// Journal, when set, receives the run manifest and one record per
 	// resolved SMC pair, making the session crash-resumable: a writer from
 	// journal.Create records a fresh run, one from Resume additionally
@@ -315,12 +316,10 @@ type QueryResult struct {
 	// Resume accounts for verdicts stitched in from a durable journal
 	// when the session continued an interrupted one; zero for fresh runs.
 	Resume metrics.ResumeStats
-	// TierMatchedPairs, TierNonMatchedPairs and TierUncertainPairs
-	// account for the triage tier: how many Unknown pairs it labeled
-	// Match (these join Matches) or NonMatch for free, and how many fell
-	// in the uncertain band that competes for the allowance. All zero
-	// when the tier is off.
-	TierMatchedPairs    int64
+	// TierNonMatchedPairs and TierUncertainPairs account for the triage
+	// tier: how many Unknown pairs it labeled NonMatch for free — the
+	// bound on what it can have cost in recall — and how many it passed on
+	// to compete for the allowance. Both zero when the tier is off.
 	TierNonMatchedPairs int64
 	TierUncertainPairs  int64
 	// AliceView and BobView are the published views (K, method,
@@ -369,7 +368,7 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	spec.BoundBySchema(cfg.Schema, qids)
 	if cfg.Tier != nil {
 		bloom.TierDefaults(&cfg.Tier.M, &cfg.Tier.K, &cfg.Tier.Q)
-		if err := bloom.TierBands(&cfg.TierLow, &cfg.TierHigh); err != nil {
+		if err := bloom.TierLow(&cfg.TierLow); err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
 	}
@@ -466,11 +465,9 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		return nil, err
 	}
 	ordered := heuristic.Order(block, rule, cfg.Heuristic, false)
-	var tier func(i, j int) bloom.Band
+	var tier func(i, j int) bool
 	if cfg.Tier != nil {
-		tier = func(i, j int) bloom.Band {
-			return bloom.Classify(aFilters[i].Dice(bFilters[j]), cfg.TierLow, cfg.TierHigh)
-		}
+		tier = func(i, j int) bool { return aFilters[i].Dice(bFilters[j]) <= cfg.TierLow }
 	}
 	// The resolution kernel (DESIGN.md §16) spends the budget over the
 	// published views' member lists. Under DP the holders have already
@@ -491,14 +488,13 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		Journal:    cfg.Journal,
 		Context:    cfg.Context,
 		Sink: func(ev resolve.Event) {
-			switch {
-			case ev.Kind == resolve.Replayed:
+			switch ev.Kind {
+			case resolve.Replayed:
 				res.Resume.ResumedPairs++
 				res.Resume.ReplayedAllowance++
-			case ev.Kind == resolve.Tiered && ev.Verdicts[0]:
-				res.TierMatchedPairs++
-			case ev.Kind == resolve.Tiered:
+			case resolve.Tiered:
 				res.TierNonMatchedPairs++
+				return
 			}
 			for x, j := range ev.Js {
 				if ev.Verdicts[x] {

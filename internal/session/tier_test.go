@@ -51,7 +51,7 @@ func TestSessionTierTriage(t *testing.T) {
 	}
 	res := runTierSession(t, 100, cfg)
 
-	labeled := res.TierMatchedPairs + res.TierNonMatchedPairs
+	labeled := res.TierNonMatchedPairs
 	if labeled+res.TierUncertainPairs != res.UnknownPairs {
 		t.Errorf("tier accounting does not partition the Unknown space: %d+%d != %d",
 			labeled, res.TierUncertainPairs, res.UnknownPairs)
@@ -91,12 +91,11 @@ func TestSessionTierBudgetIndependence(t *testing.T) {
 	if starvedRes.Invocations > 3 {
 		t.Errorf("budget exceeded: %d invocations", starvedRes.Invocations)
 	}
-	if fullRes.TierMatchedPairs != starvedRes.TierMatchedPairs ||
-		fullRes.TierNonMatchedPairs != starvedRes.TierNonMatchedPairs ||
+	if fullRes.TierNonMatchedPairs != starvedRes.TierNonMatchedPairs ||
 		fullRes.TierUncertainPairs != starvedRes.TierUncertainPairs {
-		t.Errorf("tier labels depend on the allowance: full=(%d,%d,%d) starved=(%d,%d,%d)",
-			fullRes.TierMatchedPairs, fullRes.TierNonMatchedPairs, fullRes.TierUncertainPairs,
-			starvedRes.TierMatchedPairs, starvedRes.TierNonMatchedPairs, starvedRes.TierUncertainPairs)
+		t.Errorf("tier labels depend on the allowance: full=(%d,%d) starved=(%d,%d)",
+			fullRes.TierNonMatchedPairs, fullRes.TierUncertainPairs,
+			starvedRes.TierNonMatchedPairs, starvedRes.TierUncertainPairs)
 	}
 }
 
@@ -132,16 +131,17 @@ func TestQueryRejectsBadTierThresholds(t *testing.T) {
 	aliceData, _ := sessionWorkload(t, 20)
 	qa, _ := smc.NewConnPair()
 	qb, _ := smc.NewConnPair()
-	cfg := QueryConfig{
-		Schema:   aliceData.Schema(),
-		QIDs:     adult.DefaultQIDs(),
-		Theta:    0.05,
-		KeyBits:  testKeyBits,
-		Tier:     &smc.TierParams{},
-		TierLow:  0.9,
-		TierHigh: 0.5, // low > high
-	}
-	if _, err := RunQuery(qa, qb, cfg); err == nil {
-		t.Error("low > high should fail validation")
+	for _, low := range []float64{-0.1, 1} {
+		cfg := QueryConfig{
+			Schema:  aliceData.Schema(),
+			QIDs:    adult.DefaultQIDs(),
+			Theta:   0.05,
+			KeyBits: testKeyBits,
+			Tier:    &smc.TierParams{},
+			TierLow: low,
+		}
+		if _, err := RunQuery(qa, qb, cfg); err == nil {
+			t.Errorf("TierLow %v should fail validation", low)
+		}
 	}
 }

@@ -90,8 +90,8 @@ type Message struct {
 
 // TierParams are the public tier parameters the querying party broadcasts
 // in MsgParams: the CLK shape every holder must encode with. The Dice
-// thresholds stay querying-party-local (they affect only how the matcher
-// spends its budget), and the encoding key is shared between the holders
+// threshold stays querying-party-local (it affects only which pairs the
+// matcher discards before spending its budget), and the encoding key is shared between the holders
 // out of band — it deliberately has no field here.
 type TierParams struct {
 	M, K, Q int

@@ -59,8 +59,8 @@ func checkLabelsAgainstLog(w *World, res *core.Result, log *eventLog) error {
 				return fmt.Errorf("SMCLabel(%d,%d) = %v,%v; the event stream says %v,%v", i, j, got, ok, want, wantOK)
 			}
 			want, wantOK = log.tiered[[2]int{i, j}]
-			if got, ok := res.TierLabel(i, j); ok != wantOK || got != want {
-				return fmt.Errorf("TierLabel(%d,%d) = %v,%v; the event stream says %v,%v", i, j, got, ok, want, wantOK)
+			if got := res.TierLabeled(i, j); got != wantOK || want {
+				return fmt.Errorf("TierLabeled(%d,%d) = %v; the event stream says labeled=%v matched=%v (a tier label is a NonMatch)", i, j, got, wantOK, want)
 			}
 			if res.PairMatched(i, j) {
 				scan = append(scan, [2]int{i, j})
@@ -70,18 +70,8 @@ func checkLabelsAgainstLog(w *World, res *core.Result, log *eventLog) error {
 	if got, want := res.SMCResolvedPairs(), int64(len(log.purchased)); got != want {
 		return fmt.Errorf("SMCResolvedPairs = %d, the event stream purchased %d distinct pairs", got, want)
 	}
-	if got, want := res.TierResolvedPairs(), int64(len(log.tiered)); got != want {
-		return fmt.Errorf("TierResolvedPairs = %d, the event stream tier-labeled %d distinct pairs", got, want)
-	}
-	var tierMatched int64
-	for _, v := range log.tiered {
-		if v {
-			tierMatched++
-		}
-	}
-	if res.TierMatchedPairs() != tierMatched || res.TierNonMatchedPairs() != int64(len(log.tiered))-tierMatched {
-		return fmt.Errorf("tier split %d/%d, the event stream says %d/%d",
-			res.TierMatchedPairs(), res.TierNonMatchedPairs(), tierMatched, int64(len(log.tiered))-tierMatched)
+	if got, want := res.TierNonMatchedPairs(), int64(len(log.tiered)); got != want {
+		return fmt.Errorf("TierNonMatchedPairs = %d, the event stream tier-labeled %d distinct pairs", got, want)
 	}
 	matches := res.Matches()
 	if len(matches) != len(scan) || res.MatchedPairCount() != int64(len(scan)) {
@@ -104,7 +94,7 @@ func checkLabelsAgainstLog(w *World, res *core.Result, log *eventLog) error {
 // journal holding only the later half of a run's purchases, which the
 // budget-bound walk never reaches (they arrive as Group −1 replays) —
 // with an in-memory journal recording the event stream. Whatever the run
-// filed must read back exactly: SMCLabel, TierLabel and the counters
+// filed must read back exactly: SMCLabel, TierLabeled and the counters
 // against the recorded events, Matches against the PairMatched scan.
 func TestLabelStoreAgainstEventStream(t *testing.T) {
 	const (
@@ -158,7 +148,7 @@ func TestLabelStoreAgainstEventStream(t *testing.T) {
 				t.Fatal(repro(w, fmt.Errorf("%s (strategy %v): %w", name, cfg.Strategy, err)))
 			}
 			purchases += res.SMCResolvedPairs()
-			tierLabels += res.TierResolvedPairs()
+			tierLabels += res.TierNonMatchedPairs()
 			matches += res.MatchedPairCount()
 		}
 		arm("plain", w.Cfg, fresh)

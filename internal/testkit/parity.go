@@ -44,6 +44,11 @@ type ParamRow struct {
 	// Level is the binning depth the surface takes: dp_level / -dp-level
 	// on the frozen surfaces, level / -level on the live ones.
 	Level int
+	// Unknown, when set, is the JSON key of a parameter that no longer
+	// exists, pushed beside the block with the value 0.95 (as the key in a
+	// request body, as FlagNames(key) on a command line): every surface
+	// must refuse it as unknown, by name.
+	Unknown string
 	// On is the surfaces the row is pushed through, Refuse those of them
 	// that must refuse it (the rest must accept), and Want a substring of
 	// every refusal in either spelling of the field ("" = any text).
@@ -61,9 +66,10 @@ var ParamRows = []ParamRow{
 	{Name: "unknown heuristic", Params: cliutil.Params{Heuristic: "nope"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown heuristic"},
 	{Name: "unknown strategy", Params: cliutil.Params{Strategy: "nope"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown strategy"},
 	{Name: "unknown tier", Params: cliutil.Params{Tier: "paillier"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown tier mode"},
-	{Name: "tier low above tier high", Params: cliutil.Params{Tier: "bloom", TierLow: 0.9, TierHigh: 0.5}, On: allSurfaces, Refuse: allSurfaces, Want: "must be below"},
-	{Name: "tier high above 1", Params: cliutil.Params{TierLow: 0.5, TierHigh: 1.5}, On: allSurfaces, Refuse: allSurfaces, Want: "must be in (0, 1]"},
-	{Name: "tier band", Params: cliutil.Params{Tier: "bloom", TierLow: 0.4, TierHigh: 0.85}, On: allSurfaces},
+	{Name: "tier high is gone", Params: cliutil.Params{Tier: "bloom"}, Unknown: "tier_high", On: allSurfaces, Refuse: allSurfaces},
+	{Name: "negative tier low", Params: cliutil.Params{Tier: "bloom", TierLow: -0.1}, On: allSurfaces, Refuse: allSurfaces, Want: "low must be in [0, 1)"},
+	{Name: "tier low of 1", Params: cliutil.Params{Tier: "bloom", TierLow: 1}, On: allSurfaces, Refuse: allSurfaces, Want: "low must be in [0, 1)"},
+	{Name: "tier threshold", Params: cliutil.Params{Tier: "bloom", TierLow: 0.4}, On: allSurfaces},
 	{Name: "epsilon with a k-anonymizer", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "tds", On: frozenSurfaces, Refuse: frozenSurfaces, Want: "epsilon requires"},
 	{Name: "dp without epsilon", Anonymizer: "dp", On: frozenSurfaces, Refuse: frozenSurfaces, Want: "dp requires"},
 	{Name: "dp", Params: cliutil.Params{Epsilon: 2, DPDelta: 1e-6, DPSeed: 7}, Anonymizer: "dp", Level: 2, On: frozenSurfaces | SurfaceDatasets},
@@ -88,6 +94,8 @@ func (r ParamRow) Judge(s Surface, refusal error) string {
 		return fmt.Sprintf("%s: accepted, want a refusal mentioning %q", r.Name, r.Want)
 	case refuse && !strings.Contains(refusal.Error(), r.Want):
 		return fmt.Sprintf("%s: refused with %q, want a mention of %q", r.Name, refusal, r.Want)
+	case refuse && r.Unknown != "" && !strings.Contains(refusal.Error(), r.Unknown) && !strings.Contains(refusal.Error(), cliutil.FlagNames(r.Unknown)):
+		return fmt.Sprintf("%s: refused with %q, want %q named as unknown", r.Name, refusal, r.Unknown)
 	case !refuse && refusal != nil:
 		return fmt.Sprintf("%s: refused with %q, want it accepted", r.Name, refusal)
 	}

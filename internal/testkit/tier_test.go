@@ -9,8 +9,11 @@ import (
 	"testing"
 
 	"pprl/internal/core"
+	"pprl/internal/incremental"
 	"pprl/internal/journal"
 	"pprl/internal/oracle"
+	"pprl/internal/session"
+	"pprl/internal/smc"
 )
 
 // tierCfg returns the world's config with the Bloom triage tier enabled
@@ -40,77 +43,148 @@ func degenerateThresholds(w *World) bool {
 	return false
 }
 
-// tierFalseRateBound returns the accuracy bound for the aggregate tier
-// false-classification rate, overridable via PPRL_TIER_MAX_FALSE_RATE.
-// The default is an empirically measured ceiling with headroom over the
-// seeded worlds; the point of the bound is to catch regressions that
-// break the encoder or the banding wholesale (rates shooting toward
-// 0.5+), not to certify a particular accuracy.
-func tierFalseRateBound(t testing.TB) float64 {
+// tierMissRateBound returns the bound on the aggregate share of tier
+// labels that discarded a true match, overridable via
+// PPRL_TIER_MAX_MISS_RATE. Measured over the 25 default worlds at the
+// default threshold: 0.1944 (7,749 false non-matches of 39,862 labels in
+// the 21 non-degenerate worlds). That is far above Adult's (0 of 9.3 M at
+// paper scale, EXPERIMENTS.md) because the generated rules draw θ up to
+// 0.30 over numeric attributes, where two records the rule matches can
+// differ in every digit the CLK hashes — the worlds are the embedding's
+// worst case, on purpose. The default leaves headroom over the measured
+// rate; the point of the bound is to catch a change that breaks the
+// encoder or the comparison wholesale (a rate heading for 0.5), not to
+// certify a recall — what the tier costs is recall, and only recall.
+func tierMissRateBound(t testing.TB) float64 {
 	t.Helper()
-	if s := os.Getenv("PPRL_TIER_MAX_FALSE_RATE"); s != "" {
+	if s := os.Getenv("PPRL_TIER_MAX_MISS_RATE"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v < 0 || v > 1 {
-			t.Fatalf("PPRL_TIER_MAX_FALSE_RATE=%q is not a rate in [0,1]", s)
+			t.Fatalf("PPRL_TIER_MAX_MISS_RATE=%q is not a rate in [0,1]", s)
 		}
 		return v
 	}
-	return 0.30
+	return 0.25
 }
 
-// TestTierOracleProperties runs the generated worlds with the triage
-// tier enabled and checks the tier's contract against the plaintext
-// oracle:
+// tierSessionMatches runs the world through an in-memory three-party
+// session with the tier on at the given threshold and returns the matched
+// handle pairs (record indexes: the session is not a DP one).
+func tierSessionMatches(t *testing.T, w *World, low float64) [][2]int {
+	t.Helper()
+	key := []byte("testkit-tier-key")
+	qa, aq := smc.NewConnPair()
+	qb, bq := smc.NewConnPair()
+	ab, ba := smc.NewConnPair()
+	errs := make(chan error, 2)
+	go func() {
+		errs <- session.RunHolder(aq, ab, session.HolderConfig{Data: w.Alice, K: w.Cfg.AliceK, Anonymizer: w.Cfg.AliceAnonymizer, TierKey: key}, true)
+	}()
+	go func() {
+		errs <- session.RunHolder(bq, ba, session.HolderConfig{Data: w.Bob, K: w.Cfg.BobK, Anonymizer: w.Cfg.BobAnonymizer, TierKey: key}, false)
+	}()
+	res, err := session.RunQuery(qa, qb, session.QueryConfig{
+		Schema: w.Alice.Schema(), QIDs: w.Alice.Schema().Names(), Theta: w.Cfg.Theta, Heuristic: w.Cfg.Heuristic,
+		Allowance: 40, KeyBits: 256, Tier: &smc.TierParams{}, TierLow: low,
+	})
+	if err != nil {
+		t.Fatal(repro(w, err))
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(repro(w, fmt.Errorf("holder: %w", err)))
+		}
+	}
+	pairs := make([][2]int, len(res.Matches))
+	for x, m := range res.Matches {
+		pairs[x] = [2]int{m.I, m.J}
+	}
+	return pairs
+}
+
+// TestTierOracleProperties pins the tier's contract where it used to be
+// waived: the tier may only say NonMatch, so under maximize-precision the
+// referee's "precision is exactly 1.0" holds with the tier on, with no
+// exception — at the default threshold and at an absurd one (0.99 discards
+// nearly every Unknown pair: a bad threshold may cost recall, never
+// precision) — on all three shapes: core.Link (oracle.CheckResult), a live
+// incremental.Engine fed in batches and the in-memory session
+// (oracle.CheckMatches over the deltas and the handles). On core.Link it
+// also checks
 //
 //  1. structural soundness in every world — no Certain blocking label is
 //     ever re-labeled by the tier, no purchased SMC verdict is shadowed
-//     by a heuristic label, and the tier counters agree with full
+//     by a heuristic label, and the tier counter agrees with full
 //     enumeration (oracle.CheckTier);
-//  2. the exact layers stay exact — CheckResult still holds, i.e. under
-//     maximize-precision every false positive traces to a tier label,
-//     never to blocking, SMC or the residual strategy;
-//  3. accuracy — the tier's aggregate false-classification rate across
-//     the non-degenerate worlds stays under a configurable bound.
+//  2. accuracy — the aggregate share of tier labels that discarded a true
+//     match, across the non-degenerate worlds at the default threshold,
+//     stays under a written-down bound (PPRL_TIER_MAX_MISS_RATE).
 func TestTierOracleProperties(t *testing.T) {
 	base := baseSeed(t)
 	n := worldCount(t)
 	var agg oracle.TierReport
-	labeledWorlds := 0
+	labeledWorlds, sessions := 0, 0
 	for wi := 0; wi < n; wi++ {
 		w := Generate(base + int64(wi))
-		cfg := tierCfg(w)
-		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-		o, err := oracle.New(w.Alice, w.Bob, res.QIDs(), res.Rule())
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-		rep, err := o.CheckTier(res, -1) // structural invariants only
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-		if _, err := o.CheckResult(res); err != nil {
-			t.Fatal(repro(w, err))
-		}
-		if degenerateThresholds(w) {
-			continue
-		}
-		agg.Labeled += rep.Labeled
-		agg.FalseMatches += rep.FalseMatches
-		agg.FalseNonMatches += rep.FalseNonMatches
-		if rep.Labeled > 0 {
-			labeledWorlds++
+		for _, low := range []float64{0, 0.99} {
+			cfg := tierCfg(w)
+			cfg.TierLow = low
+			cfg.Strategy = core.MaximizePrecision
+			res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
+			if err != nil {
+				t.Fatal(repro(w, err))
+			}
+			o, err := oracle.New(w.Alice, w.Bob, res.QIDs(), res.Rule())
+			if err != nil {
+				t.Fatal(repro(w, err))
+			}
+			rep, err := o.CheckTier(res, -1) // structural invariants only
+			if err != nil {
+				t.Fatal(repro(w, err))
+			}
+			if _, err := o.CheckResult(res); err != nil {
+				t.Fatal(repro(w, fmt.Errorf("core.Link, tier low %v: %w", low, err)))
+			}
+
+			icfg := incrementalConfigFor(w, "tier")
+			icfg.TierLow = low
+			eng, err := incremental.New(w.Alice.Schema(), icfg)
+			if err != nil {
+				t.Fatal(repro(w, err))
+			}
+			deltas, _ := runSteps(t, eng, incrementalSteps(w))
+			if _, err := o.CheckMatches(deltas); err != nil {
+				t.Fatal(repro(w, fmt.Errorf("live engine, tier low %v: %w", low, err)))
+			}
+
+			// The session takes one θ for every attribute and real keys: the
+			// first few worlds without per-attribute thresholds stand for it.
+			if w.Cfg.Thresholds == nil && sessions < 6 {
+				sessions++
+				if _, err := o.CheckMatches(tierSessionMatches(t, w, low)); err != nil {
+					t.Fatal(repro(w, fmt.Errorf("session, tier low %v: %w", low, err)))
+				}
+			}
+
+			if low != 0 || degenerateThresholds(w) {
+				continue
+			}
+			agg.Labeled += rep.Labeled
+			agg.FalseNonMatches += rep.FalseNonMatches
+			if rep.Labeled > 0 {
+				labeledWorlds++
+			}
 		}
 	}
-	if labeledWorlds == 0 {
-		t.Fatal("no world produced tier labels; the accuracy bound never fired (non-vacuous run required)")
+	if labeledWorlds == 0 || sessions == 0 {
+		t.Fatalf("%d worlds produced tier labels, %d sessions ran; the contract was never exercised (non-vacuous run required)", labeledWorlds, sessions)
 	}
-	bound := tierFalseRateBound(t)
-	if rate := agg.FalseRate(); rate > bound {
-		t.Fatalf("aggregate tier false-classification rate %.4f exceeds bound %.4f (%d false matches + %d false non-matches over %d labels in %d worlds)",
-			rate, bound, agg.FalseMatches, agg.FalseNonMatches, agg.Labeled, labeledWorlds)
+	bound := tierMissRateBound(t)
+	t.Logf("aggregate tier miss rate %.4f (%d false non-matches over %d labels in %d worlds), bound %.4f",
+		agg.MissRate(), agg.FalseNonMatches, agg.Labeled, labeledWorlds, bound)
+	if rate := agg.MissRate(); rate > bound {
+		t.Fatalf("aggregate tier miss rate %.4f exceeds bound %.4f (%d false non-matches over %d labels in %d worlds)",
+			rate, bound, agg.FalseNonMatches, agg.Labeled, labeledWorlds)
 	}
 }
 
@@ -257,7 +331,7 @@ func TestTierCrossModeResume(t *testing.T) {
 					t.Fatal(repro(w, fmt.Errorf("%s: purchased verdict (%d,%d) flipped from %v to %v",
 						dir.name, v.I, v.J, v.Matched, got)))
 				}
-				if _, shadowed := res.TierLabel(int(v.I), int(v.J)); shadowed {
+				if res.TierLabeled(int(v.I), int(v.J)) {
 					t.Fatal(repro(w, fmt.Errorf("%s: replayed verdict (%d,%d) shadowed by a tier label", dir.name, v.I, v.J)))
 				}
 			}

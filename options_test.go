@@ -44,11 +44,11 @@ func TestOptionCount(t *testing.T) {
 		cfg  any
 		most int
 	}{
-		{core.Config{}, 25},
-		{incremental.Config{}, 19},
-		{session.QueryConfig{}, 16},
+		{core.Config{}, 24},
+		{incremental.Config{}, 18},
+		{session.QueryConfig{}, 15},
 		{session.HolderConfig{}, 8},
-		{cliutil.Params{}, 15},
+		{cliutil.Params{}, 14},
 		{service.JobSpec{}, 11},
 		{service.DatasetSpec{}, 3},
 	}
@@ -82,6 +82,6 @@ func TestOptionCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count("flags", flags, 73)
+	count("flags", flags, 72)
 	t.Logf("%-22s %3d", "options", total)
 }

@@ -195,8 +195,12 @@ const (
 	// allowance directly (the paper's two-tier pipeline).
 	TierOff = core.TierOff
 	// TierBloom scores Unknown pairs with the Dice coefficient over
-	// keyed CLK Bloom encodings and labels the confident bands for free,
-	// reserving the allowance for the uncertain middle band.
+	// keyed CLK Bloom encodings and labels those at or below
+	// Config.TierLow NonMatch for free, so the allowance reaches further.
+	// It never labels a Match: under MaximizePrecision every reported
+	// match stays exact, and what the tier may cost is recall, bounded by
+	// Result.TierNonMatchedPairs (under MaximizeRecall a tier NonMatch
+	// overrides the residual Match).
 	TierBloom = core.TierBloom
 )
 
