@@ -96,9 +96,11 @@ distributed-smoke:
 	$(GO) test -run '^TestWorkerDeathReassignment$$' -count=20 ./internal/distrib
 
 # ε-sweep of noised blocking against the k-anonymous baseline at a
-# smoke scale, then the golden-schema test over the emitted BENCH_dp
-# report: fails on any engine error, overspend, padding that grows with
-# ε, or schema drift.
+# smoke scale, as a gate: the run fails on any engine error and unless, on
+# every ε row, precision is exactly 1, live + dummy purchases fit the
+# allowance and the dummies bought fit the padding (DPPerfReport.Gate);
+# then the schema test over the emitted BENCH_dp report (padding that
+# grows with ε, schema drift).
 dp-smoke:
 	$(GO) run ./cmd/pprl-bench -exp dp -records 600
 	$(GO) test -run '^TestRunDPJSON$$' -count=1 ./cmd/pprl-bench

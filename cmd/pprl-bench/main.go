@@ -163,6 +163,9 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 				return err
 			}
 		}
+		if err := rep.Gate(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

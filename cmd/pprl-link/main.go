@@ -10,8 +10,9 @@
 //
 // -anon dp replaces k-anonymous generalization with differentially
 // private blocking: each holder publishes Laplace-noised bin counts
-// (per-holder budget ε, so a run composes to 2ε) and the dummy padding
-// is charged against the SMC allowance (DESIGN.md §14).
+// (per-holder budget ε, so a run composes to 2ε), padded with dummy
+// records the walk compares like any other, so the padding is paid for
+// out of the SMC allowance (DESIGN.md §14).
 //
 // With -secure the Unknown pairs are resolved by the real three-party
 // Paillier protocol; without it the plaintext cost-model oracle is used
@@ -205,9 +206,9 @@ func run(out io.Writer, opts options) error {
 	}
 	fmt.Fprintln(out, res.Summary())
 	if res.DP != nil {
-		fmt.Fprintf(out, "dp: ε=%v per holder (composed ε=%v, δ=%v) bins=%d+%d dummies=%d dummy-spent=%d\n",
-			res.DP.AliceEpsilon, res.DP.TotalEpsilon, res.DP.TotalDelta,
-			res.DP.AliceBins, res.DP.BobBins, res.DP.AliceDummies+res.DP.BobDummies, res.DP.DummySpent)
+		fmt.Fprintf(out, "dp: ε=%v per holder (composed ε=%v, δ=%v) bins=%d+%d dummies=%d dummy-pairs=%d of which bought=%d (of smc=%d)\n",
+			res.DP.AliceEpsilon, res.DP.TotalEpsilon, res.DP.TotalDelta, res.DP.AliceBins, res.DP.BobBins,
+			res.DP.AliceDummies+res.DP.BobDummies, res.DP.DummyPairs, res.DP.DummySpent, res.Invocations)
 	}
 	if res.TierMode() != pprl.TierOff {
 		fmt.Fprintf(out, "timings: anonymize=%v+%v blocking=%v tier=%v smc=%v\n",

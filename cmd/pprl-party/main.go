@@ -203,9 +203,9 @@ func runQuery(out io.Writer, opts queryOptions) error {
 	fmt.Fprintf(out, "views: alice %s k=%d (%d sequences), bob %s k=%d (%d sequences)\n",
 		res.AliceView.Method, res.AliceView.K, res.AliceView.NumSequences(),
 		res.BobView.Method, res.BobView.K, res.BobView.NumSequences())
-	if res.DP != nil {
+	if a, b := res.AliceView.DP, res.BobView.DP; a != nil {
 		fmt.Fprintf(out, "dp: composed ε=%v δ=%v over %d×%d published bins\n",
-			res.DP.TotalEpsilon(), res.DP.TotalDelta(), res.DP.AliceBins, res.DP.BobBins)
+			a.Epsilon+b.Epsilon, a.Delta+b.Delta, len(res.AliceView.Classes), len(res.BobView.Classes))
 	}
 	fmt.Fprintf(out, "blocking: %.2f%% of %d pairs decided; %d unknown\n",
 		100*res.BlockingEfficiency, res.TotalPairs, res.UnknownPairs)

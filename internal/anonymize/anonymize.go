@@ -87,22 +87,6 @@ type DPInfo struct {
 	NoisedCounts []int64
 }
 
-// Dummies returns the total dummy records the noised release implies
-// beyond the member lists: Σ (NoisedCounts[i] − |Classes[i]|). Only
-// meaningful on an in-process (unpadded) view; once dpblock.Pad has
-// stretched the member lists — i.e. on any view that crossed the wire —
-// it returns 0, which is exactly what a recipient is allowed to know.
-func (r *Result) Dummies() int64 {
-	if r.DP == nil {
-		return 0
-	}
-	var total int64
-	for i, c := range r.Classes {
-		total += r.DP.NoisedCounts[i] - int64(c.Size())
-	}
-	return total
-}
-
 // NumSequences returns the number of distinct generalization sequences,
 // the quality metric of the paper's Figure 2.
 func (r *Result) NumSequences() int { return len(r.Classes) }

@@ -47,7 +47,7 @@ func (c *CLI) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&c.K, "k", def.AliceK, "holders' anonymity requirement")
 	fs.Float64Var(&c.Epsilon, "epsilon", 0, "per-holder differential-privacy budget for the dp anonymization method")
 	fs.Float64Var(&c.DPDelta, "dp-delta", 0, "DP truncation mass (0 = default)")
-	fs.Int64Var(&c.DPSeed, "dp-seed", 0, "DP noise seed (pprl-link: alice draws with the seed, bob with seed+1; pprl-party: private to the holder and role-separated)")
+	fs.Int64Var(&c.DPSeed, "dp-seed", 0, "DP noise seed, private to each holder and separated by its role (pprl-link walks the release two pprl-party holders at this seed publish)")
 	fs.IntVar(&c.DPLevel, "dp-level", 0, "VGH binning depth for the dp method (0 = default)")
 	fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
 	fs.IntVar(&c.SMCWorkers, "smc-workers", 0, "SMC parallelism: protocol lanes for pprl-link -secure (0 = GOMAXPROCS), batch-size scaling for a pprl-party query (0 = default chunking)")

@@ -171,9 +171,10 @@ type Config struct {
 	// VGH ancestors via the deterministic dpblock binner and publish
 	// Laplace-noised bin counts, so the exchanged view sizes are
 	// (ε, δ)-DP instead of k-anonymous. The noise is pure padding — it
-	// never hides a real bin member — but every padded (dummy) pair a
-	// candidate bin contributes is charged against the SMC allowance, so
-	// smaller ε buys stronger privacy at the price of recall. Epsilon is
+	// never hides a real bin member — but the run walks the padded
+	// releases, so every dummy pair of a candidate bin is a comparison
+	// bought with the SMC allowance, and smaller ε buys stronger privacy
+	// at the price of recall. Epsilon is
 	// the per-holder budget; the run's total spend (alice + bob, by
 	// sequential composition across the two releases) is reported in
 	// Result.DP. Zero (the default) keeps the paper's k-anonymization
@@ -183,9 +184,9 @@ type Config struct {
 	// DPDelta is the truncation failure mass δ of the one-sided Laplace
 	// mechanism; 0 selects dpblock.DefaultDelta.
 	DPDelta float64
-	// DPSeed derives both holders' deterministic noise streams (alice
-	// uses DPSeed, bob DPSeed+1). It is part of the journal manifest: a
-	// resumed run must re-derive identical noised counts.
+	// DPSeed derives both holders' noise and pad permutations, separated
+	// by role (dpblock.HolderSeed) as a session holder's are. It is part of
+	// the journal manifest: a resumed run must re-derive the same releases.
 	DPSeed int64
 	// DPLevel is the VGH depth records are binned at (0 selects
 	// dpblock.DefaultLevel). Coarser levels (smaller DPLevel) mean fewer,
@@ -277,7 +278,7 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 		if c.Epsilon == 0 {
 			return nil, nil, fmt.Errorf("core: DP parameters set without Epsilon > 0")
 		}
-		binner, err := dpblock.New(c.dpParams(0))
+		binner, err := dpblock.New(c.dpParams("alice"))
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %w", err)
 		}
@@ -312,6 +313,16 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
+	if c.DPEnabled() {
+		// Refuses a classifier that cannot hide padding, before anything runs.
+		spec, err := smc.SpecFromRule(rule, c.Scale)
+		if err == nil {
+			_, err = dpblock.DummyRow(schema, qids, spec, true)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: %w", err)
+		}
+	}
 	if c.Comparator == nil {
 		c.Comparator = PlainComparatorFactory
 	}
@@ -330,14 +341,13 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 	return qids, rule, nil
 }
 
-// dpParams assembles the dpblock parameters for one holder. holder 0 is
-// Alice, 1 is Bob: each release draws from its own seed so the two noise
-// streams are independent even when the holders share bin keys.
-func (c *Config) dpParams(holder int64) dpblock.Params {
+// dpParams assembles the dpblock parameters for one holder ("alice" or
+// "bob"), seeded as a session holder of that role would be.
+func (c *Config) dpParams(role string) dpblock.Params {
 	return dpblock.Params{
 		Epsilon: c.Epsilon,
 		Delta:   c.DPDelta,
-		Seed:    c.DPSeed + holder,
+		Seed:    dpblock.HolderSeed(c.DPSeed, role),
 		Level:   c.DPLevel,
 	}
 }

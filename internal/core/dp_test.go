@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -52,17 +54,16 @@ func TestDPLinkEndToEnd(t *testing.T) {
 	if conf := res.Evaluate(tr); conf.Precision() != 1 {
 		t.Errorf("precision = %v, want exactly 1 under maximize-precision", conf.Precision())
 	}
-	// The allowance funds real comparisons plus the dummy shares; both
-	// together never exceed it, and dummies charged never exceed the
-	// total padding cost of the candidate bins.
-	if spent := res.Invocations + res.DP.DummySpent; spent > res.Allowance {
-		t.Errorf("spent %d (real %d + dummy %d) over allowance %d",
-			spent, res.Invocations, res.DP.DummySpent, res.Allowance)
+	// A dummy is a walked pair: the allowance bounds every purchase,
+	// dummies included, and the dummy part of them never exceeds the
+	// padding of the candidate bins.
+	if res.Invocations > res.Allowance {
+		t.Errorf("bought %d over allowance %d", res.Invocations, res.Allowance)
 	}
-	if res.DP.DummySpent > res.DP.DummyPairs {
-		t.Errorf("charged %d dummy pairs, only %d exist", res.DP.DummySpent, res.DP.DummyPairs)
+	if res.DP.DummySpent > res.Invocations || res.DP.DummySpent > res.DP.DummyPairs {
+		t.Errorf("%d of %d purchases touched a dummy, and %d dummy pairs exist", res.DP.DummySpent, res.Invocations, res.DP.DummyPairs)
 	}
-	if res.Invocations == 0 {
+	if res.Invocations == res.DP.DummySpent {
 		t.Error("workload bought no real comparisons; tests need a live budget")
 	}
 	if !strings.Contains(res.Summary(), "dp-eps=16") {
@@ -71,18 +72,24 @@ func TestDPLinkEndToEnd(t *testing.T) {
 }
 
 // TestDPCostShrinksWithEpsilon is the bench's key coupling at unit-test
-// scale: with the seed fixed, a larger ε scales every Laplace draw and
-// the truncation shift down, so noised counts — and therefore dummy
-// charges — are pointwise no larger, the same allowance buys a superset
-// of real comparisons, and matches can only be found, never lost.
+// scale: with the seed fixed, a larger ε scales every Laplace draw and the
+// truncation shift down, so noised counts — and the dummy pairs of the
+// candidate bins — are pointwise no larger. An allowance that buys every
+// candidate buys the same real pairs under both and finds the same
+// matches; what the padding costs is the dummies bought beside them, all of
+// DummyPairs.
 func TestDPCostShrinksWithEpsilon(t *testing.T) {
 	alice, bob := workload(t, 600, 43)
 	run := func(eps float64) *Result {
 		cfg := dpCfg()
 		cfg.Epsilon = eps
+		cfg.Allowance = 1 << 40
 		res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.DP.DummySpent != res.DP.DummyPairs {
+			t.Errorf("ε=%v: an unbounded allowance bought %d dummy pairs of %d", eps, res.DP.DummySpent, res.DP.DummyPairs)
 		}
 		return res
 	}
@@ -91,12 +98,11 @@ func TestDPCostShrinksWithEpsilon(t *testing.T) {
 		t.Errorf("padding cost: ε=8 has %d dummy pairs, ε=0.5 has %d; want strictly fewer",
 			loose.DP.DummyPairs, tight.DP.DummyPairs)
 	}
-	if loose.Invocations < tight.Invocations {
-		t.Errorf("ε=8 bought %d real comparisons, ε=0.5 bought %d; want at least as many",
-			loose.Invocations, tight.Invocations)
+	if lr, tr := loose.Invocations-loose.DP.DummySpent, tight.Invocations-tight.DP.DummySpent; lr != tr || lr != tight.Block.UnknownPairs {
+		t.Errorf("real purchases: ε=8 %d, ε=0.5 %d, candidate pairs %d; want all of them under both", lr, tr, tight.Block.UnknownPairs)
 	}
-	if loose.MatchedPairCount() < tight.MatchedPairCount() {
-		t.Errorf("ε=8 matched %d, ε=0.5 matched %d; a longer purchase prefix cannot lose matches",
+	if loose.MatchedPairCount() != tight.MatchedPairCount() || loose.MatchedPairCount() == 0 {
+		t.Errorf("ε=8 matched %d, ε=0.5 matched %d; every candidate bought, the noise cannot move a match",
 			loose.MatchedPairCount(), tight.MatchedPairCount())
 	}
 }
@@ -123,7 +129,25 @@ func TestDPConfigValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "dp binner") {
 		t.Errorf("Epsilon with a k-anonymizer: err = %v", err)
 	}
+	// A classifier that accepts every pair cannot hide padding: refused
+	// before anything is anonymized or journaled.
+	begun := &beginCount{}
+	if err := link(func(c *Config) {
+		c.QIDs = []string{adult.AttrWorkclass, adult.AttrRace, adult.AttrSex}
+		c.Thresholds = []float64{1, 1, 1}
+		c.Journal = begun
+	}); err == nil || !strings.Contains(err.Error(), "padding cannot be hidden") || begun.n != 0 {
+		t.Errorf("all-ModeAlways classifier under DP: err = %v, journal begun %d times", err, begun.n)
+	}
 }
+
+// beginCount is a journal that counts Begin calls and records nothing.
+type beginCount struct{ n int }
+
+func (b *beginCount) Begin(journal.Manifest) ([]journal.Verdict, error) { b.n++; return nil, nil }
+func (*beginCount) Record(int, int, bool) error                         { return nil }
+func (*beginCount) RecordTier(int, int, bool) error                     { return nil }
+func (*beginCount) Sync() error                                         { return nil }
 
 // TestDPLinkPrepared sweeps allowances over one prepared DP blocking
 // result, and checks resolve refuses a block whose DP release disagrees
@@ -169,9 +193,9 @@ func TestDPLinkPrepared(t *testing.T) {
 }
 
 // TestDPInterruptResumesExactly: a DP run interrupted mid-budget resumes
-// into the identical labeling with identical spend — replayed purchases
-// re-charge their dummy shares, so the stitched accounting matches an
-// uninterrupted run's to the pair.
+// into the identical labeling with identical spend — the journal holds
+// handle pairs, dummies among them, so the stitched accounting (dummy bill
+// included) matches an uninterrupted run's to the pair.
 func TestDPInterruptResumesExactly(t *testing.T) {
 	alice, bob := workload(t, 600, 45)
 	path := filepath.Join(t.TempDir(), "dp.wal")
@@ -308,5 +332,40 @@ func TestDPResumeRefusals(t *testing.T) {
 	dcfg.Journal = rw
 	if _, err := Link(Holder{Data: alice}, Holder{Data: bob}, dcfg); err == nil {
 		t.Error("k-anonymous journal resumed a dp run")
+	}
+}
+
+// TestDPLegacyJournalRefused: testdata/legacy_dp.hex is a DP journal the
+// build before padded walks wrote (this file's dpCfg at allowance 40 over
+// workload(300, 46)): its pairs are record pairs. Resumed now, where a DP
+// journal holds handle pairs, it is refused by name — not replayed as
+// pairs it does not describe.
+func TestDPLegacyJournalRefused(t *testing.T) {
+	alice, bob := workload(t, 300, 46)
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_dp.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "legacy_dp.wal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rw, err := journal.Resume(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	if len(rw.Recovered().Verdicts) == 0 {
+		t.Fatal("the fixture holds no purchase; it exercises nothing")
+	}
+	cfg := dpCfg()
+	cfg.Allowance = 40
+	cfg.Journal = rw
+	if _, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg); !errors.Is(err, ErrUnpaddedJournal) || !strings.Contains(err.Error(), "padded") {
+		t.Errorf("resuming a record-pair DP journal: err = %v, want ErrUnpaddedJournal", err)
 	}
 }

@@ -60,10 +60,10 @@ func Link(alice, bob Holder, cfg Config) (*Result, error) {
 	// so the bench can report the mechanism's own cost.
 	if cfg.DPEnabled() {
 		start = time.Now()
-		if err := dpblock.Publish(aView, cfg.dpParams(0)); err != nil {
+		if err := dpblock.Publish(aView, cfg.dpParams("alice")); err != nil {
 			return nil, fmt.Errorf("core: noising alice: %w", err)
 		}
-		if err := dpblock.Publish(bView, cfg.dpParams(1)); err != nil {
+		if err := dpblock.Publish(bView, cfg.dpParams("bob")); err != nil {
 			return nil, fmt.Errorf("core: noising bob: %w", err)
 		}
 		timings.DPNoise = time.Since(start)
@@ -123,11 +123,7 @@ func LinkPrepared(alice, bob Holder, block *blocking.Result, cfg Config) (*Resul
 // intersection over the noised releases in DP mode.
 func blockViews(aView, bView *anonymize.Result, rule *blocking.Rule, cfg *Config) (*blocking.Result, error) {
 	if cfg.DPEnabled() {
-		if aView.DP == nil || bView.DP == nil {
-			return nil, fmt.Errorf("dp blocking needs noised releases on both views")
-		}
-		block, _, err := dpblock.Block(aView, bView, rule)
-		return block, err
+		return dpblock.Block(aView, bView, rule)
 	}
 	return index.Stream(aView, bView, rule, index.Options{
 		Progress: func(done, total int64) { cfg.report("blocking", done, total) },
@@ -140,14 +136,14 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	res := &Result{cfg: *cfg, rule: rule, qids: qids, Block: block}
 
 	// DP mode and the blocking result must agree: a prepared block built
-	// under different ε or seed would charge the wrong dummy shares.
+	// under different ε or seed would pad to a different release.
 	dp := cfg.DPEnabled()
 	if dp {
 		if block.R.DP == nil || block.S.DP == nil {
 			return nil, fmt.Errorf("core: Epsilon set but the blocking result has no DP release")
 		}
-		if block.R.DP.Epsilon != cfg.Epsilon || block.R.DP.Seed != cfg.DPSeed ||
-			block.S.DP.Epsilon != cfg.Epsilon || block.S.DP.Seed != cfg.DPSeed+1 {
+		if block.R.DP.Epsilon != cfg.Epsilon || block.R.DP.Seed != cfg.dpParams("alice").Seed ||
+			block.S.DP.Epsilon != cfg.Epsilon || block.S.DP.Seed != cfg.dpParams("bob").Seed {
 			return nil, fmt.Errorf("core: config DP parameters (ε=%v seed=%d) disagree with the blocking result's release (ε=%v/%v seeds=%d/%d)",
 				cfg.Epsilon, cfg.DPSeed, block.R.DP.Epsilon, block.S.DP.Epsilon, block.R.DP.Seed, block.S.DP.Seed)
 		}
@@ -169,15 +165,20 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
 	}
-	// DP accounting: the composed privacy spend of the two releases and
-	// the padding cost the noise induced. DummyPairs sums over exactly
-	// the candidate (Unknown) bin pairs — dummies in bins that never met
-	// a candidate cost nothing.
-	excess := func(gp blocking.GroupPair) int64 {
-		real := int64(block.R.Classes[gp.RI].Size()) * int64(block.S.Classes[gp.SI].Size())
-		return block.R.DP.NoisedCounts[gp.RI]*block.S.DP.NoisedCounts[gp.SI] - real
-	}
+	// DP: the walk runs over padded copies of both releases — what a
+	// session's holders at the same seeds publish — while Block stays in
+	// record space. DummyPairs is the padding of the candidate (Unknown) bin
+	// pairs only: dummies no candidate meets cost nothing.
+	walkA, walkB := block.R, block.S
 	if dp {
+		var err error
+		if res.pads[0], err = dpblock.PadCopy(block.R); err == nil {
+			res.pads[1], err = dpblock.PadCopy(block.S)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		walkA, walkB = res.pads[0].View, res.pads[1].View
 		res.DP = &DPStats{
 			AliceEpsilon: block.R.DP.Epsilon,
 			BobEpsilon:   block.S.DP.Epsilon,
@@ -187,11 +188,12 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 			Level:        block.R.DP.Level,
 			AliceBins:    len(block.R.Classes),
 			BobBins:      len(block.S.Classes),
-			AliceDummies: block.R.Dummies(),
-			BobDummies:   block.S.Dummies(),
+			AliceDummies: res.pads[0].Map.Dummies(),
+			BobDummies:   res.pads[1].Map.Dummies(),
 		}
 		for _, gp := range ordered {
-			res.DP.DummyPairs += excess(gp)
+			real := int64(block.R.Classes[gp.RI].Size()) * int64(block.S.Classes[gp.SI].Size())
+			res.DP.DummyPairs += block.R.DP.NoisedCounts[gp.RI]*block.S.DP.NoisedCounts[gp.SI] - real
 		}
 	}
 
@@ -209,8 +211,15 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	// verdicts already purchased by the interrupted run.
 	var journaled []journal.Verdict
 	if cfg.Journal != nil {
-		var err error
-		if journaled, err = cfg.Journal.Begin(runManifest(alice, bob, block, cfg, allowance)); err != nil {
+		var rec *journal.Recovered
+		if w, ok := cfg.Journal.(interface{ Recovered() *journal.Recovered }); ok {
+			rec = w.Recovered()
+		}
+		m, err := runManifest(alice, bob, block, cfg, allowance, rec)
+		if err == nil {
+			journaled, err = cfg.Journal.Begin(m)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
@@ -224,13 +233,17 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	// The triage tier labels the confidently dissimilar Unknown pairs
 	// NonMatch for free, in the same walk that spends the budget;
 	// CLK-encoding both relations is its dominant cost and what
-	// Timings.Tier reports.
+	// Timings.Tier reports. A dummy handle gets a synthetic filter.
 	var tier func(i, j int) bool
 	if cfg.Tier == TierBloom {
 		start := time.Now()
 		enc := bloom.NewDefaultEncoder()
 		aF := bloom.EncodeRecords(enc, alice.Data, qids)
 		bF := bloom.EncodeRecords(enc, bob.Data, qids)
+		if dp {
+			aF = dpblock.PadFilters(aF, res.pads[0].Map, block.R.DP.Seed)
+			bF = dpblock.PadFilters(bF, res.pads[1].Map, block.S.DP.Seed)
+		}
 		tier = func(i, j int) bool { return aF[i].Dice(bF[j]) <= cfg.TierLow }
 		res.Timings.Tier = time.Since(start)
 		cfg.report("tier", 1, 1)
@@ -242,12 +255,18 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	}
 	spec.Packing = smc.PackingPacked
 	spec.BoundBySchema(alice.Data.Schema(), qids)
-	cmp, err := cfg.Comparator(
-		smc.EncodeRecords(alice.Data, qids, cfg.Scale),
-		smc.EncodeRecords(bob.Data, qids, cfg.Scale),
-		spec,
-		cfg.SMCWorkers,
-	)
+	encA, encB := smc.EncodeRecords(alice.Data, qids, cfg.Scale), smc.EncodeRecords(bob.Data, qids, cfg.Scale)
+	if dp {
+		// A dummy handle answers with its side's sentinel row.
+		for x, enc := range []*[][]int64{&encA, &encB} {
+			row, err := dpblock.DummyRow(alice.Data.Schema(), qids, spec, x == 0)
+			if err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
+			*enc = dpblock.PadEncodings(*enc, row, res.pads[x].Map)
+		}
+	}
+	cmp, err := cfg.Comparator(encA, encB, spec, cfg.SMCWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("core: building comparator: %w", err)
 	}
@@ -255,20 +274,16 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	res.SMCWorkers = cfg.SMCWorkers
 
 	// The resolution kernel (DESIGN.md §16) walks the ordered groups and
-	// spends the budget; this adapter supplies the class-pair walks with
-	// their DP padding excess and files every event into the label stores —
-	// a purchased verdict, journaled or live, the same way: it is exact
-	// under any tier configuration.
+	// spends the budget; this adapter supplies the class-pair walks and
+	// files every event into the label stores — a purchased verdict,
+	// journaled or live, the same way: it is exact under any tier
+	// configuration.
 	start := time.Now()
 	uncertain, err := resolve.Run(resolve.Input{
 		Groups: len(ordered),
 		Group: func(k int) resolve.Group {
 			gp := ordered[k]
-			g := resolve.Group{A: block.R.Classes[gp.RI].Members, B: block.S.Classes[gp.SI].Members}
-			if dp {
-				g.Excess = excess(gp)
-			}
-			return g
+			return resolve.Group{A: walkA.Classes[gp.RI].Members, B: walkB.Classes[gp.SI].Members}
 		},
 		Budget:     allowance,
 		Journaled:  journaled,
@@ -279,17 +294,18 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 		Context:    cfg.Context,
 		Progress:   func(done, total int64) { cfg.report("smc", done, total) },
 		Sink: func(ev resolve.Event) {
-			if ev.Kind == resolve.Tiered {
-				res.tiered.setSpan(ev.I, ev.Js, ev.Verdicts)
-				return
-			}
-			res.purchased.setSpan(ev.I, ev.Js, ev.Verdicts)
-			if ev.Kind == resolve.Replayed {
+			store := res.purchased
+			switch ev.Kind {
+			case resolve.Tiered:
+				store = res.tiered
+			case resolve.Replayed:
 				res.Resume.ResumedPairs++
 				res.Resume.ReplayedAllowance++
 			}
 			if dp {
-				res.DP.DummySpent += ev.Padding
+				res.fileHandles(store, ev)
+			} else {
+				store.setSpan(ev.I, ev.Js, ev.Verdicts)
 			}
 		},
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"hash"
 	"strconv"
 
@@ -21,10 +22,10 @@ var ErrInterrupted = resolve.ErrInterrupted
 // that determines the heuristic ordering and the pair verdicts, plus the
 // blocking summary and resolved allowance. Two runs with equal manifests
 // resolve the same pairs in the same order to the same verdicts, which is
-// what makes replaying a journaled prefix sound.
-func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowance int64) journal.Manifest {
-	return journal.Manifest{
-		ConfigDigest: configDigest(cfg, allowance),
+// what makes replaying a journaled prefix sound. rec is the journal being
+// resumed, nil for a fresh one (HashPadded).
+func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowance int64, rec *journal.Recovered) (m journal.Manifest, err error) {
+	m = journal.Manifest{
 		InputsDigest: inputsDigest(alice.Data, bob.Data),
 		TotalPairs:   block.TotalPairs(),
 		UnknownPairs: block.UnknownPairs,
@@ -32,6 +33,23 @@ func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowan
 		Seed:         cfg.Seed,
 		Heuristic:    cfg.Heuristic.Name(),
 	}
+	m.ConfigDigest, err = configDigest(cfg, allowance, rec)
+	return m, err
+}
+
+// ErrUnpaddedJournal refuses a DP journal written before DP runs walked
+// their padded releases: its pairs are records, not handles.
+var ErrUnpaddedJournal = errors.New("journal: a DP journal from before DP runs walked the padded release — its pairs are records, this build's are padded handles; refusing to resume, start a fresh journal")
+
+// HashPadded ends a DP config digest with the field that says its pairs
+// are padded handles, and refuses rec, the journal a run resumes (nil when
+// fresh), if its digest is the one without it: a journal of record pairs.
+func HashPadded(h hash.Hash, rec *journal.Recovered) error {
+	if rec != nil && rec.Manifest.ConfigDigest == [32]byte(h.Sum(nil)) {
+		return ErrUnpaddedJournal
+	}
+	journal.HashField(h, "dppairs", "padded handles")
+	return nil
 }
 
 // configDigest hashes the normalized run parameters. SMCWorkers and the
@@ -45,7 +63,7 @@ func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowan
 // with the tier switched on, off, or retuned: the resolution kernel
 // charges the journaled purchases first and recomputes tier labels around
 // them.
-func configDigest(cfg *Config, allowance int64) [32]byte {
+func configDigest(cfg *Config, allowance int64, rec *journal.Recovered) ([32]byte, error) {
 	h := sha256.New()
 	for _, q := range cfg.QIDs {
 		journal.HashField(h, "qid", q)
@@ -68,14 +86,17 @@ func configDigest(cfg *Config, allowance int64) [32]byte {
 	// run and a k-anonymous run already differ via the anonymizer names;
 	// these fields refuse resumption across a silently changed ε, δ,
 	// noise seed or binning level — any of which changes the padded bins
-	// and therefore what every purchased verdict cost.
+	// and therefore which handle pairs the walk buys.
 	if cfg.DPEnabled() {
 		journal.HashField(h, "epsilon", strconv.FormatFloat(cfg.Epsilon, 'g', -1, 64))
 		journal.HashField(h, "dpdelta", strconv.FormatFloat(cfg.DPDelta, 'g', -1, 64))
 		journal.HashField(h, "dpseed", strconv.FormatInt(cfg.DPSeed, 10))
 		journal.HashField(h, "dplevel", strconv.Itoa(cfg.DPLevel))
+		if err := HashPadded(h, rec); err != nil {
+			return [32]byte{}, err
+		}
 	}
-	return [32]byte(h.Sum(nil))
+	return [32]byte(h.Sum(nil)), nil
 }
 
 // inputsDigest hashes both relations: schema shape plus every record's

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"pprl/internal/blocking"
+	"pprl/internal/dpblock"
 	"pprl/internal/match"
 	"pprl/internal/metrics"
+	"pprl/internal/resolve"
 )
 
 // Timings records wall-clock durations of the pipeline stages, the
@@ -50,12 +52,11 @@ type DPStats struct {
 	AliceDummies int64 `json:"alice_dummies"`
 	BobDummies   int64 `json:"bob_dummies"`
 	// DummyPairs is the padding cost over candidate bin pairs: the
-	// comparisons a protocol run over the padded bins would waste on at
-	// least one dummy record.
+	// comparisons the walk over the padded bins spends on at least one
+	// dummy record.
 	DummyPairs int64 `json:"dummy_pairs"`
-	// DummySpent is the share of the SMC allowance charged for dummy
-	// comparisons (Allowance = Invocations + replayed + DummySpent +
-	// unspent remainder).
+	// DummySpent is how many purchased pairs, live or replayed, touched a
+	// dummy: part of Invocations + Resume.ReplayedAllowance, not more.
 	DummySpent int64 `json:"dummy_spent"`
 }
 
@@ -105,6 +106,28 @@ type Result struct {
 	// groupVerdicts, under TrainClassifier, labels whole Unknown group
 	// pairs via the trained classifier.
 	groupVerdicts map[[2]int]bool
+	// pads are a DP run's padded releases, Alice's then Bob's.
+	pads [2]dpblock.Padded
+}
+
+// Padded returns a DP run's two padded releases — the views its walk ran
+// over, with the maps from their handles back to records; zero without DP.
+func (r *Result) Padded() (alice, bob dpblock.Padded) { return r.pads[0], r.pads[1] }
+
+// fileHandles files a DP event through the pad maps: a pair that touches a
+// dummy labels nothing and, if it was bought, adds to DummySpent.
+func (r *Result) fileHandles(store *labelStore, ev resolve.Event) {
+	i := r.pads[0].Map.RecordOf[ev.I]
+	for x, h := range ev.Js {
+		j := r.pads[1].Map.RecordOf[h]
+		if i < 0 || j < 0 {
+			if ev.Kind != resolve.Tiered {
+				r.DP.DummySpent++
+			}
+			continue
+		}
+		store.setSpan(i, []int{j}, ev.Verdicts[x:x+1])
+	}
 }
 
 // QIDs returns the resolved quasi-identifier positions.

@@ -8,47 +8,6 @@ import (
 	"pprl/internal/vgh"
 )
 
-// Accounting is the per-run DP bookkeeping the matcher can derive from
-// the two noised releases: composed budget, bin counts, and the dummy
-// comparisons the padding implies. DummyPairs is the cost of privacy —
-// a faithful deployment cannot tell dummies from real records, so every
-// padded slot in a candidate bin pair is an SMC comparison the budget
-// must cover.
-//
-// The dummy fields are only nonzero for in-process (unpadded) views,
-// where the engine simulates the padding cost with DummyCharger. Views
-// that crossed the wire were padded by their holders first (Pad), so
-// their member lists already equal the noised counts: the matcher's
-// accounting reads AliceDummies/BobDummies/DummyPairs as 0 and
-// CandidatePairs in the padded handle space — which is exactly the
-// matcher's view of the world, since distinguishing dummies from
-// records is what the padding prevents.
-type Accounting struct {
-	// AliceEpsilon/BobEpsilon are the two releases' budgets; the run's
-	// composed leakage bound is their sum (sequential composition over
-	// the two publications).
-	AliceEpsilon, BobEpsilon float64
-	// AliceDelta/BobDelta are the truncation failure masses.
-	AliceDelta, BobDelta float64
-	// AliceBins/BobBins count the published bins.
-	AliceBins, BobBins int
-	// AliceDummies/BobDummies are the total padded records per release.
-	AliceDummies, BobDummies int64
-	// CandidateBinPairs counts bin pairs whose keys intersect.
-	CandidateBinPairs int64
-	// CandidatePairs counts true record pairs inside candidate bins.
-	CandidatePairs int64
-	// DummyPairs = Σ over candidate bin pairs of ñ_A·ñ_B − n_A·n_B: the
-	// comparisons attributable to padding.
-	DummyPairs int64
-}
-
-// TotalEpsilon returns the composed budget of the run's two releases.
-func (a *Accounting) TotalEpsilon() float64 { return a.AliceEpsilon + a.BobEpsilon }
-
-// TotalDelta returns the composed truncation mass.
-func (a *Accounting) TotalDelta() float64 { return a.AliceDelta + a.BobDelta }
-
 // Block intersects two published DP releases: bin pairs whose sequences
 // share at least one concrete value become Unknown (candidates for the
 // bloom/SMC tiers), every other record pair is NonMatch. No pair is ever
@@ -60,40 +19,27 @@ func (a *Accounting) TotalDelta() float64 { return a.AliceDelta + a.BobDelta }
 // Both views must have been through Publish; refusing un-noised views
 // here is what keeps "exchange only noised bins" an invariant rather
 // than a convention.
-func Block(a, b *anonymize.Result, rule *blocking.Rule) (*blocking.Result, *Accounting, error) {
+func Block(a, b *anonymize.Result, rule *blocking.Rule) (*blocking.Result, error) {
 	if a.DP == nil || b.DP == nil {
-		return nil, nil, fmt.Errorf("dpblock: both views must carry a DP release (got %v/%v)", a.DP != nil, b.DP != nil)
+		return nil, fmt.Errorf("dpblock: both views must carry a DP release (got %v/%v)", a.DP != nil, b.DP != nil)
 	}
 	if err := blocking.ValidateViews(a, b, rule); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(a.DP.NoisedCounts) != len(a.Classes) || len(b.DP.NoisedCounts) != len(b.Classes) {
-		return nil, nil, fmt.Errorf("dpblock: noised counts do not cover the classes")
-	}
-
-	acct := &Accounting{
-		AliceEpsilon: a.DP.Epsilon, BobEpsilon: b.DP.Epsilon,
-		AliceDelta: a.DP.Delta, BobDelta: b.DP.Delta,
-		AliceBins: len(a.Classes), BobBins: len(b.Classes),
-		AliceDummies: a.Dummies(), BobDummies: b.Dummies(),
+		return nil, fmt.Errorf("dpblock: noised counts do not cover the classes")
 	}
 
 	builder := blocking.NewBuilder(a, b)
 	var candidatePairs int64
 	for ri, rc := range a.Classes {
 		for si, sc := range b.Classes {
-			if !SequencesIntersect(rc.Sequence, sc.Sequence) {
-				continue
+			if SequencesIntersect(rc.Sequence, sc.Sequence) {
+				builder.Observe(ri, si, blocking.Unknown)
+				candidatePairs += int64(rc.Size()) * int64(sc.Size())
 			}
-			builder.Observe(ri, si, blocking.Unknown)
-			real := int64(rc.Size()) * int64(sc.Size())
-			padded := a.DP.NoisedCounts[ri] * b.DP.NoisedCounts[si]
-			candidatePairs += real
-			acct.CandidateBinPairs++
-			acct.DummyPairs += padded - real
 		}
 	}
-	acct.CandidatePairs = candidatePairs
 	total := int64(len(a.ClassOf)) * int64(len(b.ClassOf))
 	builder.AddNonMatched(total - candidatePairs)
 
@@ -104,7 +50,7 @@ func Block(a, b *anonymize.Result, rule *blocking.Rule) (*blocking.Result, *Acco
 		ClassPairs:      classPairs,
 		RuleEvaluations: classPairs,
 	}
-	return builder.Result(stats), acct, nil
+	return builder.Result(stats), nil
 }
 
 // SequencesIntersect reports whether two bins share at least one concrete

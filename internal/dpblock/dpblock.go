@@ -5,9 +5,9 @@
 // bins with Laplace-noised, dummy-padded sizes so the released histogram
 // is (ε, δ)-DP. The matcher intersects the two noised releases — equal
 // or overlapping bins become candidate (Unknown) pairs for the existing
-// bloom/SMC tiers, everything else is NonMatch — and charges the dummy
-// padding against the SMC allowance, which is where the privacy level
-// shows up as linkage cost.
+// bloom/SMC tiers, everything else is NonMatch — and walks the padded
+// member lists, dummies included, against the SMC allowance, which is
+// where the privacy level shows up as linkage cost.
 //
 // Unlike the slack decision rule over k-anonymous views, bin
 // intersection is not sound: a true match whose records straddle a bin
@@ -46,8 +46,7 @@ type Params struct {
 	// DefaultDelta.
 	Delta float64
 	// Seed keys the deterministic noise draws. The two holders of a run
-	// must use distinct seeds (the engine derives holder seeds from
-	// Config.DPSeed).
+	// must use distinct seeds (every shape derives them with HolderSeed).
 	Seed int64
 	// Level is the binning depth below the root (0 selects
 	// DefaultLevel). Deeper bins prune more pairs but miss more

@@ -100,9 +100,6 @@ func TestPublishPadsNeverDrops(t *testing.T) {
 			t.Fatalf("bin %d: noised count %d below true size %d", i, res.DP.NoisedCounts[i], c.Size())
 		}
 	}
-	if res.Dummies() < 0 {
-		t.Fatalf("negative dummy total %d", res.Dummies())
-	}
 	// Determinism: republishing draws identical noise.
 	res2, _ := b.Anonymize(d, qids, 1)
 	if err := Publish(res2, b.Params()); err != nil {
@@ -144,7 +141,7 @@ func TestBlockIntersection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Block(aView, bView, rule); err == nil {
+	if _, err := Block(aView, bView, rule); err == nil {
 		t.Fatal("Block accepted un-published views")
 	}
 	if err := Publish(aView, b.Params()); err != nil {
@@ -155,7 +152,7 @@ func TestBlockIntersection(t *testing.T) {
 	if err := Publish(bView, p); err != nil {
 		t.Fatal(err)
 	}
-	res, acct, err := Block(aView, bView, rule)
+	res, err := Block(aView, bView, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +162,6 @@ func TestBlockIntersection(t *testing.T) {
 	total := int64(alice.Len()) * int64(bob.Len())
 	if got := res.TotalPairs(); got != total {
 		t.Fatalf("pair accounting: %d labeled of %d total", got, total)
-	}
-	if res.UnknownPairs != acct.CandidatePairs {
-		t.Fatalf("unknown pairs %d != accounted candidates %d", res.UnknownPairs, acct.CandidatePairs)
-	}
-	if acct.DummyPairs < 0 || acct.AliceDummies < 0 || acct.BobDummies < 0 {
-		t.Fatalf("negative dummy accounting: %+v", acct)
-	}
-	if acct.TotalEpsilon() != 2 {
-		t.Fatalf("composed ε = %v, want 2", acct.TotalEpsilon())
 	}
 	// Intersection must label exactly the same-bin pairs Unknown: verify
 	// per record pair against the bins themselves.
@@ -187,31 +175,6 @@ func TestBlockIntersection(t *testing.T) {
 			if got := res.Label(ri, si); got != want {
 				t.Fatalf("pair (%d,%d) labeled %v, want %v", i, j, got, want)
 			}
-		}
-	}
-}
-
-func TestDummyCharger(t *testing.T) {
-	cases := []struct{ ra, na, rb, nb int64 }{
-		{3, 5, 4, 4},
-		{1, 1, 1, 1},
-		{2, 9, 3, 11},
-		{7, 8, 1, 30},
-	}
-	for _, c := range cases {
-		real := c.ra * c.rb
-		extra := c.na*c.nb - real
-		ch := NewDummyCharger(real, extra)
-		var total int64
-		for k := int64(0); k < real; k++ {
-			d := ch.Next()
-			if d < 0 {
-				t.Fatalf("charger %+v returned negative delta %d", c, d)
-			}
-			total += d
-		}
-		if total != extra || ch.Charged() != extra {
-			t.Fatalf("charger %+v charged %d of %d dummies", c, total, extra)
 		}
 	}
 }

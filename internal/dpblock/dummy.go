@@ -1,0 +1,165 @@
+package dpblock
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"pprl/internal/anonymize"
+	"pprl/internal/bloom"
+	"pprl/internal/dataset"
+	"pprl/internal/smc"
+)
+
+// Padding is real on every shape — a session holder pads the release it
+// publishes, core.Link copies of both releases, a live dataset each bin as
+// it is born — and whoever walks the padded lists pays for a dummy at the
+// price of a record. The helpers below make a dummy behave like a record
+// (an SMC row that never matches, a CLK like any other) for all three.
+
+// Padded is a published view after Pad, with the holder-private map from
+// its handles back to records.
+type Padded struct {
+	View *anonymize.Result
+	Map  *PadMap
+}
+
+// PadCopy pads a copy of a published view, leaving the view itself — and a
+// record-space blocking result built over it — untouched.
+func PadCopy(v *anonymize.Result) (Padded, error) {
+	cp := *v
+	cp.Classes = slices.Clone(v.Classes)
+	m, err := Pad(&cp)
+	return Padded{View: &cp, Map: m}, err
+}
+
+// DummyRow builds the one SMC encoding all of a holder's dummy handles
+// share (semantic security hides the repetition: shares are encrypted
+// afresh per run, results blinded per comparison). The values are chosen so
+// a dummy can match nothing — not the peer's records, whose encodings lie
+// inside the schema's domain, and not the peer's dummies, which sit on the
+// opposite side of it:
+//
+//   - equality attributes: real leaves encode as indexes ≥ 0, so Alice's
+//     dummies use −1 and Bob's −2;
+//   - threshold attributes: the peer's values are bounded by the
+//     attribute's root domain, so Alice sits ⌊√T⌋+1 below its low edge
+//     and Bob the same margin above its high edge — every cross
+//     difference exceeds the circuit's threshold.
+//
+// A table compared against itself (dedup) carries Alice's row in the A
+// role and Bob's in the B role. A classifier whose every attribute is
+// ModeAlways (θ ≥ 1 on all-categorical QIDs) accepts any pair, dummies
+// included, and is refused: every shape asks here before anything is
+// anonymized, published or journaled.
+func DummyRow(schema *dataset.Schema, qids []int, spec *smc.Spec, isAlice bool) ([]int64, error) {
+	row := make([]int64, len(qids))
+	hideable := false
+	for j, q := range qids {
+		hideable = hideable || spec.Attrs[j].Mode != smc.ModeAlways
+		switch spec.Attrs[j].Mode {
+		case smc.ModeEquality:
+			row[j] = -2
+			if isAlice {
+				row[j] = -1
+			}
+		case smc.ModeThreshold:
+			attr := schema.Attr(q)
+			var lo, hi int64
+			if attr.Kind == dataset.Categorical {
+				l, h := attr.Hierarchy.Root().LeafRange()
+				lo, hi = int64(l), int64(h)
+			} else {
+				iv := attr.Intervals.Root()
+				lo = int64(math.Round(iv.Lo * float64(spec.Scale)))
+				hi = int64(math.Round(iv.Hi * float64(spec.Scale)))
+			}
+			sep := isqrt(spec.Attrs[j].T) + 1
+			row[j] = hi + sep
+			if isAlice {
+				row[j] = lo - sep
+			}
+		}
+		// ModeAlways exchanges no ciphertexts for the attribute.
+	}
+	if !hideable {
+		return nil, fmt.Errorf("every classifier attribute is unconditionally accepted (θ ≥ 1), so DP padding cannot be hidden; tighten θ or disable DP blocking")
+	}
+	return row, nil
+}
+
+// isqrt returns ⌊√t⌋ for t ≥ 0.
+func isqrt(t int64) int64 {
+	if t <= 0 {
+		return 0
+	}
+	s := int64(math.Sqrt(float64(t)))
+	for s > 0 && s*s > t {
+		s--
+	}
+	for s < math.MaxInt32 && (s+1)*(s+1) <= t {
+		s++
+	}
+	return s
+}
+
+// PadEncodings lifts a holder's encoded records into the padded handle
+// space: real handles carry their record's encoding, dummy handles the
+// sentinel row.
+func PadEncodings(enc [][]int64, dummy []int64, pad *PadMap) [][]int64 {
+	rows := make([][]int64, len(pad.RecordOf))
+	for h, rec := range pad.RecordOf {
+		if rec >= 0 {
+			rows[h] = enc[rec]
+		} else {
+			rows[h] = dummy
+		}
+	}
+	return rows
+}
+
+// PadFilters lifts a holder's tier CLKs into the padded handle space: real
+// handles carry their record's filter, dummy handles synthetic ones drawn
+// in handle order from the holder's seed.
+func PadFilters(real []*bloom.Filter, pad *PadMap, seed int64) []*bloom.Filter {
+	rng := NewPRNG(seed, "tier-dummy")
+	out := make([]*bloom.Filter, len(pad.RecordOf))
+	for h, rec := range pad.RecordOf {
+		if rec >= 0 {
+			out[h] = real[rec]
+		} else {
+			out[h] = DummyFilter(rng, real)
+		}
+	}
+	return out
+}
+
+// DummyFilter draws one synthetic tier CLK: uniform bit positions, with the
+// popcount sampled from the holder's real filters (never empty: a dummy
+// only exists in a bin a record created) so the dummies blend into the
+// population. A uniform filter's Dice against anything concentrates near
+// the density overlap — the same place unrelated real pairs land — so
+// dummies do not sit in a recognizable band of their own. The tier can only
+// label a padded handle NonMatch, which it is. This is a statistical blend,
+// not a cryptographic one; SECURITY.md states the residual distinguishing
+// risk.
+func DummyFilter(rng *PRNG, real []*bloom.Filter) *bloom.Filter {
+	m := real[0].M()
+	out := make([]byte, 8*((m+63)/64))
+	ones := min(real[rng.Intn(len(real))].Ones(), m)
+	for set := 0; set < ones; {
+		pos := rng.Intn(m)
+		// Little-endian 64-bit words make overall bit p exactly byte p/8,
+		// bit p%8 — the layout Unmarshal expects.
+		b, bit := &out[pos/8], byte(1)<<(pos%8)
+		if *b&bit == 0 {
+			*b |= bit
+			set++
+		}
+	}
+	f, err := bloom.Unmarshal(out, m)
+	if err != nil {
+		panic(err) // every bit set lies below m
+	}
+	return f
+}

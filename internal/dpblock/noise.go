@@ -24,22 +24,22 @@ import (
 // stateful PRNG, so the noise for a bin does not depend on map iteration
 // order, class indexes, or how many other bins exist. Two holders with
 // the same seed and the same bin still draw independent-looking noise
-// when their domain separation strings differ (see Params.Seed handling
-// in the engine: holders get distinct seeds).
+// when their domain separation strings differ (HolderSeed: every shape
+// gives the two holders distinct seeds).
 
 // noiseDomain versions the draw derivation; bump if the mapping from
 // (seed, key) to noise ever changes so journals cannot silently mix.
 const noiseDomain = "pprl-dpblock-v1"
 
-// HolderSeed derives the noise seed one party of a distributed session
-// actually draws from, domain-separating the configured seed by role.
-// Two holders that both leave their seed at the default (or happen to
-// pick the same value) would otherwise draw identical noise for
-// identical bin keys, correlating the two releases and weakening the
-// composed guarantee; hashing the role in makes the draws independent
-// regardless of what the operators configured. The in-process engine
-// achieves the same separation arithmetically (DPSeed for Alice,
-// DPSeed+1 for Bob).
+// HolderSeed derives the noise seed one holder actually draws from,
+// domain-separating the configured seed by role ("alice", "bob"). Two
+// holders that both leave their seed at the default (or happen to pick
+// the same value) would otherwise draw identical noise for identical bin
+// keys, correlating the two releases and weakening the composed
+// guarantee; hashing the role in makes the draws independent regardless
+// of what the operators configured. Session holders, core.Link and live
+// datasets all derive their seeds here, so one seed gives one release on
+// every shape.
 func HolderSeed(seed int64, role string) int64 {
 	h := sha256.New()
 	h.Write([]byte(noiseDomain))

@@ -29,10 +29,10 @@ import (
 //     same way it keeps the noise seed private.
 //
 // Everything downstream of the exchange — blocking, the tier, the SMC
-// loop — addresses records by handle, and the session layer gives dummy
-// handles encodings that can never produce a match, so the querying
-// party pays for dummy comparisons exactly as DummyCharger models them
-// in the in-process engine, without ever learning which they were.
+// loop — addresses records by handle, and dummy handles get encodings
+// that can never produce a match (dummy.go), so whoever walks the padded
+// release pays for dummy comparisons at unit price without ever learning
+// which they were.
 
 // PadMap is the holder-private record of a padding pass: which published
 // handle names which record, and which are dummies.

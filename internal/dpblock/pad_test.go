@@ -56,10 +56,6 @@ func TestPadInvariants(t *testing.T) {
 	if got := pm.Dummies(); got != total-int64(records) {
 		t.Fatalf("Dummies() = %d, want %d", got, total-int64(records))
 	}
-	// The padded view reveals no surplus — that is the point.
-	if res.Dummies() != 0 {
-		t.Fatalf("padded view still reveals %d dummies", res.Dummies())
-	}
 	// RecordOf and HandleOf are inverse on the real records, and each
 	// real handle stays in its record's class.
 	seen := make(map[int]bool, records)

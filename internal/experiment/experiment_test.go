@@ -321,3 +321,23 @@ func TestWorkloadCapK(t *testing.T) {
 		t.Errorf("capK(5) = %d", got)
 	}
 }
+
+// TestDPPerfGate: the dp arm fails on a row that is imprecise, buys past
+// its allowance, or buys more dummy pairs than the padding holds.
+func TestDPPerfGate(t *testing.T) {
+	ok := DPPerfPoint{Epsilon: 1, Allowance: 10, RecordSpent: 6, DummySpent: 4, DummyPairs: 4, Precision: 1}
+	if err := (&DPPerfReport{EpsilonPoints: []DPPerfPoint{ok}}).Gate(); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]func(*DPPerfPoint){
+		"imprecise":          func(p *DPPerfPoint) { p.Precision = 0.99 },
+		"over the allowance": func(p *DPPerfPoint) { p.RecordSpent++ },
+		"over the padding":   func(p *DPPerfPoint) { p.DummyPairs-- },
+	} {
+		pt := ok
+		bad(&pt)
+		if err := (&DPPerfReport{EpsilonPoints: []DPPerfPoint{ok, pt}}).Gate(); err == nil {
+			t.Errorf("%s: row %+v passed the gate", name, pt)
+		}
+	}
+}

@@ -44,8 +44,8 @@ type BatchResult struct {
 	// Deltas are the batch's newly discovered Match pairs: the delta log's
 	// own slice, so read-only.
 	Deltas []Delta
-	// Spent is the allowance the batch consumed (unit purchases plus DP
-	// dummy shares), counting replayed verdicts at their original cost.
+	// Spent is the allowance the batch consumed — the pairs it bought or
+	// replayed, DP dummies among them.
 	Spent int64
 	// Replayed reports the batch was reconstructed wholesale from a
 	// committed journal frame: verdicts applied from disk, zero allowance
@@ -71,22 +71,19 @@ type Stats struct {
 	// Replayed counts verdicts applied from the journal instead.
 	Purchased int64
 	Replayed  int64
-	// Used is the lifetime pool position: unit purchases plus DP dummy
-	// shares, including the replayed share. LiveSpent/ReplaySpent split
-	// it by who paid in this process's lifetime; DummySpent is the DP
-	// padding portion.
-	Used        int64
-	LiveSpent   int64
-	ReplaySpent int64
-	DummySpent  int64
+	// Used is the lifetime pool position, Purchased + Replayed; DummySpent
+	// is the part of it that touched a DP dummy handle.
+	Used       int64
+	DummySpent int64
 	// Epoch advances once per applied batch; readers use it to detect
 	// growth between snapshots.
 	Epoch uint64
 }
 
 // bin is one equivalence bin of a side: the shared fixed-level sequence
-// and its member record positions in append order — []int because a
-// candidate group hands the kernel these slices themselves, not copies.
+// and its members in append order — record positions, or under DP handles
+// of the padded release — []int because a candidate group hands the kernel
+// these slices themselves, not copies.
 type bin struct {
 	seq     vgh.Sequence
 	members []int
@@ -95,17 +92,57 @@ type bin struct {
 // side is one holder's live state.
 type side struct {
 	data  *dataset.Dataset
-	enc   [][]int64
-	clk   []*bloom.Filter
-	binOf []int32
+	enc   [][]int64       // per record
+	clk   []*bloom.Filter // per record, with the tier on
 	bins  []bin
 	byKey map[string]int32
 	live  *index.Live
-	// noise is the DP padding per bin: the same deterministic draw the
-	// frozen release uses, computed once when the bin first appears and
-	// constant forever after — which is exactly why K appends remain one
-	// logical release.
-	noise map[int32]int64
+	// pad is the side's padded release under DP, nil otherwise.
+	pad *livePad
+}
+
+// livePad is a side's DP release as it grows. A bin gets its noised count
+// of dummy handles (the frozen release's constant draw) when it is born,
+// right behind the record that created it: handles stay in append order,
+// and each dummy is walked in exactly one batch — the one that created it.
+type livePad struct {
+	dpblock.PadMap // RecordOf: handle → record, −1 for a dummy
+	seed           int64
+	sentinel       [2][]int64      // the dummies' row as A and as B
+	clks           []*bloom.Filter // per handle, with the tier on
+	rng            *dpblock.PRNG   // draws the dummies' CLKs
+}
+
+// add gives the next handle to record rec, or to a dummy of its new bin.
+func (p *livePad) add(s *side, rec int, dummy bool) int {
+	if s.clk != nil {
+		f := s.clk[rec]
+		if dummy {
+			f = dpblock.DummyFilter(p.rng, s.clk[:rec+1])
+		}
+		p.clks = append(p.clks, f)
+	}
+	if dummy {
+		rec = -1
+	}
+	p.RecordOf = append(p.RecordOf, rec)
+	return len(p.RecordOf) - 1
+}
+
+// record maps a handle back to its record, −1 for a dummy.
+func (s *side) record(h int) int {
+	if s.pad == nil {
+		return h
+	}
+	return s.pad.RecordOf[h]
+}
+
+// rows is the side's encoding table by handle in role r (0 = A, 1 = B).
+func (s *side) rows(r int) [][]int64 {
+	if s.pad == nil {
+		return s.enc
+	}
+	return dpblock.PadEncodings(s.enc, s.pad.sentinel[r], &s.pad.PadMap)
 }
 
 // Engine owns one live dataset (dedup) or one live dataset pair. Append
@@ -124,10 +161,6 @@ type Engine struct {
 
 	nextBatch int
 	frames    []journal.BatchFrame
-	// dummyCharged tracks, per candidate bin pair, the DP dummy
-	// comparisons already paid for, so each batch charges only the
-	// increment its records added (the telescoping sum).
-	dummyCharged map[[2]int32]int64
 
 	// deltas[b] is what batch b emitted; the log is never copied to grow.
 	deltas [][]Delta
@@ -170,13 +203,12 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 	spec.BoundBySchema(schema, qids)
 
 	e := &Engine{
-		cfg:          cfg,
-		schema:       schema,
-		qids:         qids,
-		rule:         rule,
-		spec:         spec,
-		dp:           cfg.Epsilon > 0,
-		dummyCharged: make(map[[2]int32]int64),
+		cfg:    cfg,
+		schema: schema,
+		qids:   qids,
+		rule:   rule,
+		spec:   spec,
+		dp:     cfg.Epsilon > 0,
 	}
 	if cfg.Tier == core.TierBloom {
 		e.tenc = bloom.NewDefaultEncoder()
@@ -185,16 +217,30 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 	if cfg.Dedup {
 		nSides = 1
 	}
-	for s := 0; s < nSides; s++ {
-		e.sides = append(e.sides, &side{
+	for _, role := range []string{"alice", "bob"}[:nSides] {
+		s := &side{
 			data:  dataset.New(schema),
 			byKey: make(map[string]int32),
 			live:  index.NewLive(rule),
-			noise: make(map[int32]int64),
-		})
+		}
+		if e.dp {
+			seed := dpblock.HolderSeed(cfg.DPSeed, role)
+			s.pad = &livePad{seed: seed, rng: dpblock.NewPRNG(seed, "tier-dummy")}
+			for r := range s.pad.sentinel {
+				// Refuses a classifier that cannot hide padding.
+				if s.pad.sentinel[r], err = dpblock.DummyRow(schema, qids, spec, r == 0); err != nil {
+					return nil, fmt.Errorf("incremental: %w", err)
+				}
+			}
+		}
+		e.sides = append(e.sides, s)
 	}
 	if cfg.Journal != nil {
-		if _, err := cfg.Journal.Begin(cfg.manifest(schema, qids)); err != nil {
+		m, err := cfg.manifest(schema, qids)
+		if err == nil {
+			_, err = cfg.Journal.Begin(m)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("incremental: %w", err)
 		}
 		if cfg.Recovered != nil {
@@ -308,17 +354,16 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		}
 	}
 
-	// Grow the side: records, bins, live index, encodings.
+	// Grow the side: records, encodings, bins, live index.
 	s := e.sides[sideIdx]
-	base := s.data.Len()
+	base, hbase := s.data.Len(), s.data.Len()
+	if s.pad != nil {
+		hbase = len(s.pad.RecordOf)
+	}
 	for _, rec := range recs {
 		if err := s.data.Append(rec); err != nil {
 			return nil, fmt.Errorf("incremental: %w", err)
 		}
-	}
-	touched, err := e.binNew(sideIdx, base)
-	if err != nil {
-		return nil, err
 	}
 	s.enc = smc.AppendEncoded(s.enc, s.data, e.qids, e.cfg.Scale)
 	if e.tenc != nil {
@@ -326,11 +371,15 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 			s.clk = append(s.clk, e.tenc.Encode(bloom.FieldsOf(s.data, e.qids, i)...))
 		}
 	}
+	touched, err := e.binNew(sideIdx, base)
+	if err != nil {
+		return nil, err
+	}
 
 	// Candidate generation: new pairs only, labeled by the same predicate
 	// the frozen run uses (slack rule, or bin intersection under DP).
 	var batchDeltas []Delta
-	groups := e.collectGroups(sideIdx, base, touched, batch, &batchDeltas)
+	groups := e.collectGroups(sideIdx, hbase, touched, batch, &batchDeltas)
 	order := 1 // ascending score; descending under MaximizeRecall
 	if e.cfg.Strategy == core.MaximizeRecall {
 		order = -1
@@ -371,8 +420,8 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 
 // binNew assigns every record appended at or after base to its
 // fixed-level bin, inserting unseen bins into the live index (and, in DP
-// mode, drawing their constant noise). It returns the touched bin ids in
-// ascending order.
+// mode, giving each its constant noise in dummy handles). It returns the
+// touched bin ids in ascending order.
 func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 	s := e.sides[sideIdx]
 	touchedSet := make(map[int32]bool)
@@ -394,12 +443,18 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 			}
 			s.bins = append(s.bins, bin{seq: seq})
 			s.byKey[key] = bi
-			if e.dp {
-				s.noise[bi] = dpblock.Noise(e.dpSeed(sideIdx), key, e.cfg.Epsilon, e.cfg.DPDelta)
+		}
+		b := &s.bins[bi]
+		if s.pad == nil {
+			b.members = append(b.members, i)
+		} else {
+			b.members = append(b.members, s.pad.add(s, i, false))
+			if !ok {
+				for n := dpblock.Noise(s.pad.seed, key, e.cfg.Epsilon, e.cfg.DPDelta); n > 0; n-- {
+					b.members = append(b.members, s.pad.add(s, i, true))
+				}
 			}
 		}
-		s.bins[bi].members = append(s.bins[bi].members, i)
-		s.binOf = append(s.binOf, bi)
 		touchedSet[bi] = true
 	}
 	touched := make([]int32, 0, len(touchedSet))
@@ -410,15 +465,11 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 	return touched, nil
 }
 
-// dpSeed is the holder's noise seed, matching the frozen engine's
-// arithmetic separation (DPSeed for side 0, DPSeed+1 for side 1).
-func (e *Engine) dpSeed(sideIdx int) int64 { return e.cfg.DPSeed + int64(sideIdx) }
-
-// collectGroups enumerates the batch's new candidate pairs. Certain
-// blocking Matches are emitted as deltas immediately (they cost
-// nothing); Unknown groups are returned scored for the budget loop;
-// everything else is a certain NonMatch and is dropped unenumerated
-// where the live index excluded it.
+// collectGroups enumerates the batch's new candidate pairs (base is the
+// side's first new member). Certain blocking Matches are emitted as deltas
+// immediately (they cost nothing); Unknown groups are returned scored for
+// the budget loop; everything else is a certain NonMatch and is dropped
+// unenumerated where the live index excluded it.
 func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, deltas *[]Delta) []group {
 	var groups []group
 	buf := make([]float64, e.rule.Len())
@@ -468,7 +519,7 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 	}
 
 	// Dedup: unordered bin pairs over one side, each processed once per
-	// batch; pairs are unordered record pairs with at least one new
+	// batch; pairs are unordered member pairs with at least one new
 	// endpoint, self-pairs excluded.
 	seen := make(map[[2]int32]bool)
 	for _, bi := range touched {
@@ -515,13 +566,14 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 
 // resolve hands the batch's uncertain groups to the resolution kernel
 // (DESIGN.md §16) and files its events into the delta log and the
-// lifetime accounting. What stays here is what only a live dataset has:
-// the budget is what the lifetime pool has left, the journaled purchases
-// are the batch's own frame, the padding excess is telescoped against
-// what earlier batches paid, and a committed frame replays without buying
-// or journaling anything — from the frame alone: its purchases and its
-// tier labels stand whatever the tier is set to now, which applies only
-// to batches without a committed frame.
+// lifetime accounting; a pair that touches a DP dummy emits nothing and,
+// if paid for, is DummySpent. What stays here is what only a live dataset
+// has: the budget
+// is what the lifetime pool has left, the journaled purchases are the
+// batch's own frame, and a committed frame replays without buying or
+// journaling anything — from the frame alone: its purchases and its tier
+// labels stand whatever the tier is set to now, which applies only to
+// batches without a committed frame.
 func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
 	// Side b is side 1, or side 0 again when the dataset links itself.
 	a, b := e.sides[0], e.sides[len(e.sides)-1]
@@ -532,7 +584,7 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 		if committed {
 			return nil, fmt.Errorf("committed batch %d needs a fresh purchase: journal and engine state diverged", batch)
 		}
-		c, err := e.cfg.Comparator(a.enc, b.enc, e.spec, e.cfg.SMCWorkers)
+		c, err := e.cfg.Comparator(a.rows(0), b.rows(1), e.spec, e.cfg.SMCWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("building comparator: %w", err)
 		}
@@ -544,16 +596,12 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 	// while the tier had a Match band may hold Match labels; the commit
 	// exposed their deltas, so they are emitted again, in place.
 	var frameTier map[[2]uint32]bool
-	var spent int64
+	used := e.stats.Used
 	in := resolve.Input{
 		Groups: len(groups),
 		Group: func(k int) resolve.Group {
 			g := groups[k]
-			rg := resolve.Group{A: g.rows, B: g.cols, Pairs: g.pairs}
-			if e.dp {
-				rg.Excess = e.groupExcess(g) - e.dummyCharged[[2]int32{g.a, g.b}]
-			}
-			return rg
+			return resolve.Group{A: g.rows, B: g.cols, Pairs: g.pairs}
 		},
 		Budget:     math.MaxInt64,
 		Comparator: cmp,
@@ -562,36 +610,32 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 			if e.onEvent != nil {
 				e.onEvent(ev)
 			}
-			n := int64(len(ev.Js))
-			if ev.Kind == resolve.Tiered { // a span of one
-				if frameTier[[2]uint32{uint32(ev.I), uint32(ev.Js[0])}] {
-					*deltas = append(*deltas, e.delta(batch, ev.I, ev.Js[0]))
+			if n := int64(len(ev.Js)); ev.Kind != resolve.Tiered {
+				// A replay is free live, but the lifetime pool advances by it.
+				if ev.Kind == resolve.Replayed {
+					e.stats.Replayed += n
 				} else {
+					e.stats.Purchased += n
+				}
+				e.stats.Used += n
+			}
+			i := a.record(ev.I)
+			for x, hj := range ev.Js {
+				j := b.record(hj)
+				switch {
+				case i < 0 || j < 0:
+					if ev.Kind != resolve.Tiered {
+						e.stats.DummySpent++
+					}
+				case ev.Kind != resolve.Tiered:
+					if ev.Verdicts[x] {
+						*deltas = append(*deltas, e.delta(batch, i, j))
+					}
+				case frameTier[[2]uint32{uint32(ev.I), uint32(hj)}]:
+					*deltas = append(*deltas, e.delta(batch, i, j))
+				default:
 					e.stats.TierNonMatches++
 				}
-				return
-			}
-			for x, j := range ev.Js {
-				if ev.Verdicts[x] {
-					*deltas = append(*deltas, e.delta(batch, ev.I, j))
-				}
-			}
-			cost := n + ev.Padding
-			switch ev.Kind {
-			case resolve.Replayed:
-				// Free live, but the lifetime pool advances at the old price.
-				e.stats.ReplaySpent += cost
-				e.stats.Replayed += n
-			case resolve.Purchased:
-				e.stats.LiveSpent += cost
-				e.stats.Purchased += n
-			}
-			e.stats.Used += cost
-			spent += cost
-			if ev.Padding > 0 {
-				e.stats.DummySpent += ev.Padding
-				g := groups[ev.Group]
-				e.dummyCharged[[2]int32{g.a, g.b}] += ev.Padding
 			}
 		},
 	}
@@ -612,15 +656,22 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 			return ok
 		}
 	case e.tenc != nil:
-		in.Tier = func(i, j int) bool { return a.clk[i].Dice(b.clk[j]) <= e.cfg.TierLow }
+		aF, bF := a.clk, b.clk
+		if e.dp {
+			aF, bF = a.pad.clks, b.pad.clks
+		}
+		in.Tier = func(i, j int) bool { return aF[i].Dice(bF[j]) <= e.cfg.TierLow }
 	}
 	if e.cfg.Strategy == core.MaximizeRecall {
 		// Residuals default to match; under MaximizePrecision they are
 		// never emitted, which is what keeps precision structural.
 		in.Residual = func(ev resolve.Event) {
-			for _, j := range ev.Js {
-				e.stats.ResidualMatches++
-				*deltas = append(*deltas, e.delta(batch, ev.I, j))
+			i := a.record(ev.I)
+			for _, hj := range ev.Js {
+				if j := b.record(hj); i >= 0 && j >= 0 {
+					e.stats.ResidualMatches++
+					*deltas = append(*deltas, e.delta(batch, i, j))
+				}
 			}
 		}
 	}
@@ -628,9 +679,9 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 		in.Journal = frameJournal{e.cfg.Journal}
 	}
 	if _, err := resolve.Run(in); err != nil {
-		return spent, fmt.Errorf("incremental: %w", err)
+		return 0, fmt.Errorf("incremental: %w", err)
 	}
-	return spent, nil
+	return e.stats.Used - used, nil
 }
 
 // lazyComparator is the kernel's comparator for one batch, built on the
@@ -661,31 +712,6 @@ func (l *lazyComparator) close() {
 type frameJournal struct{ journal.BatchSink }
 
 func (frameJournal) Sync() error { return nil }
-
-// groupExcess is the candidate bin pair's current dummy-pair surplus:
-// padded products minus real products, with self-pair arithmetic for
-// dedup.
-func (e *Engine) groupExcess(g group) int64 {
-	if !e.cfg.Dedup {
-		a, b := e.sides[0], e.sides[1]
-		nA := int64(len(a.bins[g.a].members))
-		nB := int64(len(b.bins[g.b].members))
-		pA := nA + a.noise[g.a]
-		pB := nB + b.noise[g.b]
-		return pA*pB - nA*nB
-	}
-	s := e.sides[0]
-	if g.a == g.b {
-		n := int64(len(s.bins[g.a].members))
-		p := n + s.noise[g.a]
-		return p*(p-1)/2 - n*(n-1)/2
-	}
-	nA := int64(len(s.bins[g.a].members))
-	nB := int64(len(s.bins[g.b].members))
-	pA := nA + s.noise[g.a]
-	pB := nB + s.noise[g.b]
-	return pA*pB - nA*nB
-}
 
 // delta materializes one emitted Match pair.
 func (e *Engine) delta(batch, i, j int) Delta {

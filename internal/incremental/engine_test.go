@@ -2,6 +2,7 @@ package incremental_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"pprl/internal/resolve"
 	"pprl/internal/smc"
 	"pprl/internal/testkit"
+	"pprl/internal/vgh"
 )
 
 // ample is an allowance no test workload can exhaust.
@@ -160,8 +162,8 @@ func TestIncrementalMatchesFrozen(t *testing.T) {
 		if st.Purchased != frozen.Invocations {
 			t.Errorf("seed %d: incremental purchased %d comparisons, frozen run %d", seed, st.Purchased, frozen.Invocations)
 		}
-		if st.Used != st.LiveSpent || st.Used != st.Purchased {
-			t.Errorf("seed %d: accounting drift: used=%d live=%d purchased=%d", seed, st.Used, st.LiveSpent, st.Purchased)
+		if st.Used != st.Purchased || st.Replayed != 0 {
+			t.Errorf("seed %d: accounting drift: used=%d purchased=%d replayed=%d", seed, st.Used, st.Purchased, st.Replayed)
 		}
 		if st.Epoch == 0 || st.Batches == 0 {
 			t.Errorf("seed %d: stats not advancing: %+v", seed, st)
@@ -170,8 +172,9 @@ func TestIncrementalMatchesFrozen(t *testing.T) {
 }
 
 // TestIncrementalDPMatchesFrozen checks the DP mode: same delta set, and
-// the telescoped dummy charges sum to exactly the frozen run's padding
-// spend, so K appends cost what one release over the final counts costs.
+// the dummies bought across the batches are exactly the frozen run's
+// padding — every one of its DummyPairs, at an ample pool — so K appends
+// cost what one release over the final counts costs.
 func TestIncrementalDPMatchesFrozen(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		w := testkit.Generate(seed)
@@ -197,11 +200,11 @@ func TestIncrementalDPMatchesFrozen(t *testing.T) {
 		if frozen.DP == nil {
 			t.Fatalf("dp seed %d: frozen run has no DP stats", seed)
 		}
-		if st.DummySpent != frozen.DP.DummySpent {
-			t.Errorf("dp seed %d: incremental dummy spend %d, frozen %d", seed, st.DummySpent, frozen.DP.DummySpent)
+		if st.DummySpent != frozen.DP.DummySpent || st.DummySpent != frozen.DP.DummyPairs {
+			t.Errorf("dp seed %d: incremental dummy spend %d, frozen %d of %d dummy pairs", seed, st.DummySpent, frozen.DP.DummySpent, frozen.DP.DummyPairs)
 		}
-		if st.Used != st.Purchased+st.DummySpent {
-			t.Errorf("dp seed %d: used=%d ≠ purchased+dummies=%d", seed, st.Used, st.Purchased+st.DummySpent)
+		if st.Used != st.Purchased || st.DummySpent == 0 || st.DummySpent >= st.Purchased {
+			t.Errorf("dp seed %d: used=%d purchased=%d dummies=%d", seed, st.Used, st.Purchased, st.DummySpent)
 		}
 	}
 }
@@ -432,8 +435,8 @@ func TestIncrementalCrashResume(t *testing.T) {
 			}
 		}
 	}
-	if live := eng2.Stats().LiveSpent; live != 0 {
-		t.Fatalf("committed replay spent %d live allowance, want 0", live)
+	if live := eng2.Stats().Purchased; live != 0 {
+		t.Fatalf("committed replay bought %d comparisons, want 0", live)
 	}
 	// The torn batch re-processes: its journaled verdict prefix is free,
 	// its deltas are exposed now (the crash preceded the barrier).
@@ -553,8 +556,8 @@ func TestIncrementalTierRetuneResumeNeverOverdraws(t *testing.T) {
 		if st.Used > allowance {
 			t.Errorf("tier %v→%v: pool overdrawn: used %d of %d", first, second, st.Used, allowance)
 		}
-		if st.LiveSpent+st.ReplaySpent != st.Used {
-			t.Errorf("tier %v→%v: live %d + replay %d ≠ used %d", first, second, st.LiveSpent, st.ReplaySpent, st.Used)
+		if st.Purchased+st.Replayed != st.Used {
+			t.Errorf("tier %v→%v: purchased %d + replayed %d ≠ used %d", first, second, st.Purchased, st.Replayed, st.Used)
 		}
 		if st.Replayed != int64(len(cfg2.Recovered.Verdicts)) {
 			t.Errorf("tier %v→%v: replayed %d of %d journaled purchases", first, second, st.Replayed, len(cfg2.Recovered.Verdicts))
@@ -752,6 +755,26 @@ func TestIncrementalRejects(t *testing.T) {
 	if _, err := deng.Append(1, w.Alice.Records()); err == nil {
 		t.Error("dedup engine accepted side 1")
 	}
+
+	// A classifier that accepts every pair cannot hide DP padding: refused
+	// before the journal is begun.
+	adultSchema := adult.Generate(10, 1).Schema()
+	path := filepath.Join(t.TempDir(), "live.wal")
+	jw, err := journal.Create(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw.Close()
+	_, err = incremental.New(adultSchema, incremental.Config{
+		QIDs: []string{adult.AttrWorkclass, adult.AttrRace, adult.AttrSex}, Thresholds: []float64{1, 1, 1},
+		Epsilon: 1, Journal: jw,
+	})
+	if err == nil || !strings.Contains(err.Error(), "padding cannot be hidden") {
+		t.Errorf("all-ModeAlways classifier under DP: err = %v", err)
+	}
+	if _, err := journal.Replay(path); !errors.Is(err, journal.ErrNoManifest) {
+		t.Errorf("the refused registration left a journal behind (replay err %v)", err)
+	}
 }
 
 // purchaseLog is what the comparators of one engine were asked, across
@@ -920,5 +943,118 @@ func TestIncrementalSecureRefusesOutOfDomainAppend(t *testing.T) {
 	_, err = eng.Append(1, rest)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bob: record %d", half+1)) || !strings.Contains(err.Error(), "published domain") {
 		t.Errorf("appending a record of age 500: error %v, want a refusal naming bob's record %d", err, half+1)
+	}
+}
+
+// TestIncrementalDPDedupHandles pins the handle space of a DP dataset that
+// links itself. Its one table plays both roles, so the B role carries
+// Bob's sentinel: two dummies of one bin meet (many times, at ε = 1) and
+// never match, no delta names a dummy, the delta union is the exact rule's
+// matches among the candidate pairs, and — fed in one batch or four — the
+// dummies bought are exactly the padding of the final release, counted
+// here from the bins and the noise directly.
+func TestIncrementalDPDedupHandles(t *testing.T) {
+	const eps, seed = 1.0, 3
+	for _, world := range []int64{1, 2} {
+		w := testkit.Generate(world)
+		d, err := w.Alice.Concat(w.Bob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qids, err := d.Schema().Resolve(d.Schema().Names())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The final release: every record's bin, and per unordered candidate
+		// bin pair the padded pairs less the real ones.
+		type binCount struct {
+			seq      vgh.Sequence
+			n, noise int64
+		}
+		var bins []*binCount
+		byKey := map[string]*binCount{}
+		seqs := make([]vgh.Sequence, d.Len())
+		for i := 0; i < d.Len(); i++ {
+			seq, err := dpblock.BinRecord(d, qids, i, dpblock.DefaultLevel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs[i] = seq
+			b := byKey[seq.Key()]
+			if b == nil {
+				b = &binCount{seq: seq, noise: dpblock.Noise(dpblock.HolderSeed(seed, "alice"), seq.Key(), eps, dpblock.DefaultDelta)}
+				byKey[seq.Key()] = b
+				bins = append(bins, b)
+			}
+			b.n++
+		}
+		var dummyPairs int64
+		for x, a := range bins {
+			p := a.n + a.noise
+			dummyPairs += p*(p-1)/2 - a.n*(a.n-1)/2
+			for _, b := range bins[x+1:] {
+				if dpblock.SequencesIntersect(a.seq, b.seq) {
+					dummyPairs += (a.n+a.noise)*(b.n+b.noise) - a.n*b.n
+				}
+			}
+		}
+		// What an ample pool finds: the exact rule's matches among the
+		// candidates (bin intersection may prune a true match; never adds one).
+		rule := mustRule(t, d.Schema(), qids, w.Cfg.Theta, w.Cfg.Thresholds)
+		truth := make(map[[2]int]bool)
+		for i := 0; i < d.Len(); i++ {
+			for j := i + 1; j < d.Len(); j++ {
+				if dpblock.SequencesIntersect(seqs[i], seqs[j]) &&
+					rule.DecideExact(blocking.RecordSequence(d, qids, i), blocking.RecordSequence(d, qids, j)) {
+					truth[[2]int{i, j}] = true
+				}
+			}
+		}
+
+		for _, size := range []int{d.Len(), d.Len()/4 + 1} {
+			name := fmt.Sprintf("world %d, batches of %d", world, size)
+			icfg := incrementalConfig(w, ample)
+			icfg.Dedup, icfg.Epsilon, icfg.DPSeed = true, eps, seed
+			eng, err := incremental.New(d.Schema(), icfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBin := 0
+			eng.ObserveEvents(func(ev resolve.Event) {
+				if ev.Kind == resolve.Tiered {
+					return
+				}
+				ri, bi := eng.Handle(0, ev.I)
+				for x, j := range ev.Js {
+					rj, bj := eng.Handle(0, j)
+					if (ri < 0 || rj < 0) && ev.Verdicts[x] {
+						t.Errorf("%s: handle pair (%d,%d) touches a dummy and matched", name, ev.I, j)
+					}
+					if ri < 0 && rj < 0 && bi == bj {
+						sameBin++
+					}
+				}
+			})
+			got := make(map[[2]int]bool)
+			for _, b := range batchesOf(d, size) {
+				res, err := eng.Append(0, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, dl := range res.Deltas {
+					if dl.I < 0 || dl.J >= d.Len() || dl.I >= dl.J || dl.AliceID != d.Record(dl.I).EntityID || dl.BobID != d.Record(dl.J).EntityID {
+						t.Fatalf("%s: delta %+v does not name two records i < j", name, dl)
+					}
+				}
+				addDeltas(t, got, res.Deltas)
+			}
+			diffPairSets(t, got, truth, name)
+			if sameBin == 0 {
+				t.Errorf("%s: no two dummies of one bin met; the sentinel roles go untested", name)
+			}
+			if st := eng.Stats(); st.DummySpent != dummyPairs || st.Used != st.Purchased {
+				t.Errorf("%s: bought %d dummy pairs (used %d, purchased %d), the final release pads %d", name, st.DummySpent, st.Used, st.Purchased, dummyPairs)
+			}
+		}
 	}
 }

@@ -21,11 +21,10 @@
 // In DP mode the engine keeps the composition ledger honest across
 // batches: bin noise is the same deterministic draw the frozen run uses
 // — constant per (seed, bin key) — so K appends still constitute one
-// logical (ε, δ) release of the growing histogram, and the dummy-pair
-// padding cost telescopes: each batch charges the surplus its records
-// added over what previous batches already charged, so the lifetime
-// dummy spend never exceeds the frozen run's padding for the final
-// counts.
+// logical (ε, δ) release of the growing histogram. A bin gets its dummy
+// handles the moment it is born and the walk buys a dummy pair like any
+// other; each dummy is new in exactly one batch, so the padding telescopes
+// to the frozen run's for the final counts.
 package incremental
 
 import (
@@ -71,10 +70,9 @@ type Config struct {
 	// (purchases and tier labels), the new setting applies after it.
 	Tier    core.TierMode
 	TierLow float64
-	// Epsilon > 0 switches blocking to DP bin intersection with noised
-	// counts and dummy charging; DPDelta 0 selects dpblock.DefaultDelta.
-	// DPSeed keys the noise (side 0 draws with DPSeed, side 1 with
-	// DPSeed+1, exactly as the frozen engine).
+	// Epsilon > 0 switches blocking to DP bin intersection over padded
+	// releases; DPDelta 0 selects dpblock.DefaultDelta. DPSeed keys the
+	// noise per role (dpblock.HolderSeed; side 0 is alice) as everywhere.
 	Epsilon float64
 	DPDelta float64
 	DPSeed  int64
@@ -150,13 +148,14 @@ func (c Config) normalize() (Config, error) {
 // summarize — and InputsDigest covers the registration (schema shape,
 // QIDs, dedup flag), not the record data: the records are watermarked
 // per batch by the recBatch digests instead.
-func (c *Config) manifest(schema *dataset.Schema, qids []int) journal.Manifest {
-	return journal.Manifest{
-		ConfigDigest: c.configDigest(),
+func (c *Config) manifest(schema *dataset.Schema, qids []int) (m journal.Manifest, err error) {
+	m = journal.Manifest{
 		InputsDigest: registrationDigest(schema, qids, c.Dedup),
 		Allowance:    c.Allowance,
 		Heuristic:    c.Heuristic.Name(),
 	}
+	m.ConfigDigest, err = c.configDigest()
+	return m, err
 }
 
 // configDigest hashes the parameters that determine which pairs are
@@ -165,7 +164,7 @@ func (c *Config) manifest(schema *dataset.Schema, qids []int) journal.Manifest {
 // or free labels, never purchased verdicts. The engine makes no random
 // choice; "seed" stays in the hash, at the 0 every journal on disk was
 // written with, so those journals still resume.
-func (c *Config) configDigest() [32]byte {
+func (c *Config) configDigest() ([32]byte, error) {
 	h := sha256.New()
 	for _, q := range c.QIDs {
 		journal.HashField(h, "qid", q)
@@ -185,8 +184,11 @@ func (c *Config) configDigest() [32]byte {
 		journal.HashField(h, "epsilon", strconv.FormatFloat(c.Epsilon, 'g', -1, 64))
 		journal.HashField(h, "dpdelta", strconv.FormatFloat(c.DPDelta, 'g', -1, 64))
 		journal.HashField(h, "dpseed", strconv.FormatInt(c.DPSeed, 10))
+		if err := core.HashPadded(h, c.Recovered); err != nil {
+			return [32]byte{}, err
+		}
 	}
-	return [32]byte(h.Sum(nil))
+	return [32]byte(h.Sum(nil)), nil
 }
 
 // registrationDigest hashes what a dataset registration pins: the schema

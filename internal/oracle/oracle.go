@@ -361,7 +361,7 @@ func (r DPBlockReport) MissRate() float64 {
 //
 //   - the result carries a noised release for both relations, with one
 //     padded count ≥ the true size per class (published sizes never
-//     understate, so the dummy charge is never negative);
+//     understate, so padding never hides a real member);
 //   - no class pair is labeled Match — DP blocking only ever prunes;
 //     match authority stays with the exact layers, which is why noised
 //     blocking cannot create false positives;

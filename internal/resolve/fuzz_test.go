@@ -9,12 +9,14 @@ import (
 )
 
 // FuzzResolveBudget drives the kernel over random group shapes, budgets,
-// padding, tier labels and journaled sets (some of them pairs no walk
-// meets) and checks what every adapter relies on: the budget is never
-// overdrawn, every walked pair is delivered exactly once and in walk
-// order, every journaled purchase is delivered exactly once — all on the
-// flattened span stream — and that every span is one group's, one record's, a contiguous stretch of
-// that group's B, inside one chunk and one progress stride.
+// tier labels and journaled sets (some of them pairs no walk meets) and
+// checks what every adapter relies on: what was spent — the comparator's
+// pairs plus the journaled units charged up front — is exactly the
+// delivered purchases and never over the budget, every walked pair is
+// delivered exactly once and in walk order, every journaled purchase is
+// delivered exactly once — all on the flattened span stream — and that
+// every span is one group's, one record's, a contiguous stretch of that
+// group's B, inside one chunk and one progress stride.
 func FuzzResolveBudget(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint8(0))
 	f.Add(int64(2), uint16(0), uint8(1))
@@ -52,9 +54,6 @@ func FuzzResolveBudget(f *testing.F) {
 					g.Pairs = append(g.Pairs, [2]int32{int32(p[0]), int32(p[1])})
 				}
 			}
-			if flags&4 != 0 {
-				g.Excess = int64(rng.Intn(9)) - 2 // sometimes none, sometimes negative
-			}
 			sc.groups = append(sc.groups, g)
 			walk = append(walk, pairs...)
 		}
@@ -86,12 +85,12 @@ func FuzzResolveBudget(f *testing.F) {
 				t.Fatalf("event %+v carries %d verdicts for %d pairs", e, len(e.Verdicts), n)
 			}
 			if n > 1 {
-				if e.Kind != Purchased || e.Padding != 0 || e.Group < 0 || len(sc.journaled) > 0 || sc.tier != nil {
+				if e.Kind != Purchased || e.Group < 0 || len(sc.journaled) > 0 || sc.tier != nil {
 					t.Fatalf("span %+v where precedence is not uniform", e)
 				}
 				g := sc.groups[e.Group]
 				at := slices.Index(g.B, e.Js[0])
-				if g.Pairs != nil || g.Excess > 0 || !slices.Contains(g.A, e.I) || at < 0 || at+n > len(g.B) || !slices.Equal(g.B[at:at+n], e.Js) {
+				if g.Pairs != nil || !slices.Contains(g.A, e.I) || at < 0 || at+n > len(g.B) || !slices.Equal(g.B[at:at+n], e.Js) {
 					t.Fatalf("span %+v is not a stretch of one row of group %+v", e, g)
 				}
 				if bought%chunk+n > chunk || bought%progressStride+n > progressStride {
@@ -108,7 +107,7 @@ func FuzzResolveBudget(f *testing.F) {
 			journaled[[2]int{int(v.I), int(v.J)}] = v.Matched
 		}
 		seen := make(map[[2]int]bool, len(got.trace))
-		var spent int64
+		var delivered int64
 		var walked [][2]int
 		for _, e := range got.trace {
 			p := [2]int{e.I, e.J}
@@ -121,29 +120,26 @@ func FuzzResolveBudget(f *testing.F) {
 			} else if e.Kind != Replayed {
 				t.Fatalf("event %+v outside the walk is not a replay", e)
 			}
-			if e.Padding < 0 {
-				t.Fatalf("negative padding in %+v", e)
-			}
 			matched, isJournaled := journaled[p]
 			switch e.Kind {
 			case Replayed:
 				if !isJournaled || e.Matched != matched {
 					t.Fatalf("replayed %+v, journal says %v/%v", e, matched, isJournaled)
 				}
-				spent += 1 + e.Padding
+				delivered++
 			case Purchased:
 				if isJournaled || e.Matched != verdictOf(e.I, e.J) {
 					t.Fatalf("purchase %+v re-buys a journaled pair or carries the wrong verdict", e)
 				}
-				spent += 1 + e.Padding
+				delivered++
 			case Tiered:
 				if isJournaled || !sc.tier[p] || e.Matched {
 					t.Fatalf("tier event %+v disagrees with the hook's %v (journaled %v)", e, sc.tier[p], isJournaled)
 				}
 			}
 		}
-		if spent > int64(budget) {
-			t.Fatalf("overdrawn: charged %d of %d", spent, budget)
+		if spent := int64(got.calls + len(sc.journaled)); spent != delivered || spent > int64(budget) {
+			t.Fatalf("spent %d (%d bought, %d journaled) for %d delivered purchases, budget %d", spent, got.calls, len(sc.journaled), delivered, budget)
 		}
 		for p := range journaled {
 			if !seen[p] {

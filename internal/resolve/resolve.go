@@ -2,7 +2,7 @@
 // V loop — walk the heuristic-ordered Unknown pairs, buy exact SMC
 // verdicts until the allowance is gone, label the residue — implemented
 // once. It owns the resolution policy (DESIGN.md §16): per-pair
-// precedence, the unit + DP-padding charge against one budget, chunked
+// precedence, one unit per purchase against one budget, chunked
 // purchase through the comparator's batch path, journal-after-verdict,
 // the interrupt checkpoint, the completion sync and the progress cadence.
 // It knows nothing about where pairs come from or where labels go:
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pprl/internal/dpblock"
 	"pprl/internal/journal"
 )
 
@@ -27,16 +26,14 @@ import (
 // session.ErrInterrupted are this value.
 var ErrInterrupted = errors.New("run interrupted")
 
-// Group is one Unknown group pair: a deterministic walk over its record
-// pairs — A × B in row-major order, or Pairs as listed when that is set
-// (int32 halves the candidate lists the incremental engine materializes)
-// — and Excess, the DP dummy-pair surplus still unpaid on it. Every
-// purchase in the group, journaled or live, also pays its proportional
-// share of the excess (dpblock.DummyCharger).
+// Group is one Unknown group pair: a deterministic walk over its pairs —
+// A × B in row-major order, or Pairs as listed when that is set (int32
+// halves the candidate lists the incremental engine materializes). Under
+// DP blocking the indexes are handles of the padded releases, dummies
+// among them: a dummy is walked, and paid for, like any other pair.
 type Group struct {
-	A, B   []int
-	Pairs  [][2]int32
-	Excess int64
+	A, B  []int
+	Pairs [][2]int32
 }
 
 // Kind says how a walked pair was resolved.
@@ -54,20 +51,17 @@ const (
 // (false for Tiered, meaningless for Residual). Only live purchases under
 // uniform precedence travel as longer spans (DESIGN.md §22); every other
 // pair is the span of one. Group indexes the group whose walk met the span
-// (-1 for a journaled purchase the walk never met) and Padding is the DP
-// dummy share charged along with a Replayed or Purchased pair. Js and
-// Verdicts belong to the kernel and are only valid during the call that
-// delivers them.
+// (-1 for a journaled purchase the walk never met). Js and Verdicts belong
+// to the kernel and are only valid during the call that delivers them.
 type Event struct {
 	Kind     Kind
 	Group    int
 	I        int
 	Js       []int
 	Verdicts []bool
-	Padding  int64
 }
 
-// queued is an event waiting in the delivery queue, in 40 bytes however
+// queued is an event waiting in the delivery queue, in 32 bytes however
 // long the span: a span's columns sit in run.spans, in queue order, and its
 // verdicts arrive with the chunk.
 type queued struct {
@@ -76,7 +70,6 @@ type queued struct {
 	span    bool
 	group   int
 	i, j    int
-	padding int64
 }
 
 // Input is one budgeted resolution.
@@ -143,10 +136,7 @@ type run struct {
 	done      int64
 	exhausted bool
 	journaled map[[2]uint32]bool
-
-	group   int
-	padded  bool
-	charger dpblock.DummyCharger
+	group     int
 
 	// queue holds the events since the oldest unflushed purchase, in walk
 	// order; pending counts the purchases among them, spans the columns of
@@ -245,13 +235,6 @@ func (r *run) walk() {
 	for k := 0; k < r.in.Groups; k++ {
 		g := r.in.Group(k)
 		r.group = k
-		if r.padded = g.Excess > 0; r.padded {
-			n := int64(len(g.Pairs))
-			if g.Pairs == nil {
-				n = int64(len(g.A)) * int64(len(g.B))
-			}
-			r.charger = dpblock.NewDummyCharger(n, g.Excess)
-		}
 		if g.Pairs != nil {
 			for _, p := range g.Pairs {
 				if !r.visit(int(p[0]), int(p[1])) {
@@ -260,9 +243,9 @@ func (r *run) walk() {
 			}
 			continue
 		}
-		// Where precedence is uniform — nothing journaled, no tier, no
-		// padding on the group — a row's pairs are admitted a span at a time.
-		uniform := r.journaled == nil && r.in.Tier == nil && !r.padded
+		// Where precedence is uniform — nothing journaled, no tier — a row's
+		// pairs are admitted a span at a time.
+		uniform := r.journaled == nil && r.in.Tier == nil
 		for _, i := range g.A {
 			for col := 0; col < len(g.B); {
 				if uniform && !r.exhausted && r.budget > 0 {
@@ -304,14 +287,8 @@ func (r *run) visit(i, j int) bool {
 		key := [2]uint32{uint32(i), uint32(j)}
 		if matched, ok := r.journaled[key]; ok {
 			delete(r.journaled, key)
-			// The unit was charged before the walk; the padding share is
-			// charged here, as far as the budget still reaches.
-			var pad int64
-			if r.padded {
-				pad = max(min(r.charger.Next(), r.budget), 0)
-				r.budget -= pad
-			}
-			return r.emit(queued{kind: Replayed, matched: matched, group: r.group, i: i, j: j, padding: pad})
+			// Its unit was charged before the walk.
+			return r.emit(queued{kind: Replayed, matched: matched, group: r.group, i: i, j: j})
 		}
 	}
 	if r.in.Tier != nil {
@@ -321,21 +298,15 @@ func (r *run) visit(i, j int) bool {
 		r.uncertain++
 	}
 	if !r.exhausted {
-		var pad int64
-		if r.padded {
-			pad = r.charger.Next()
-		}
-		if r.budget >= 1+pad {
-			r.budget -= 1 + pad
-			r.queue = append(r.queue, queued{kind: Purchased, group: r.group, i: i, j: j, padding: pad})
+		if r.budget > 0 {
+			r.budget--
+			r.queue = append(r.queue, queued{kind: Purchased, group: r.group, i: i, j: j})
 			if r.pending++; r.pending == r.chunk {
 				return r.checkpoint()
 			}
 			return true
 		}
-		// Once a pair is unaffordable everything after it is residual,
-		// even a later pair with a smaller padding share: partial groups
-		// stay honest and resumed runs stop where the first run did.
+		// Once a pair is unaffordable everything after it is residual.
 		r.exhausted = true
 	}
 	if r.in.Residual != nil {
@@ -403,7 +374,7 @@ func (r *run) drain(verdicts []bool) bool {
 	span := 0
 	for x := range r.queue {
 		q := &r.queue[x]
-		ev := Event{Kind: q.kind, Group: q.group, I: q.i, Js: r.oneJ[:], Verdicts: r.oneV[:], Padding: q.padding}
+		ev := Event{Kind: q.kind, Group: q.group, I: q.i, Js: r.oneJ[:], Verdicts: r.oneV[:]}
 		switch {
 		case q.span:
 			ev.Js, span = r.spans[span], span+1

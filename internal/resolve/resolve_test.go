@@ -40,14 +40,12 @@ type pairEvent struct {
 	Matched bool
 	Group   int
 	I, J    int
-	Padding int64
 }
 
-// flatten appends ev's pairs to trace. A span longer than one is a live
-// purchase and never carries padding.
+// flatten appends ev's pairs to trace.
 func flatten(trace []pairEvent, ev Event) []pairEvent {
 	for x, j := range ev.Js {
-		trace = append(trace, pairEvent{Kind: ev.Kind, Matched: ev.Verdicts[x], Group: ev.Group, I: ev.I, J: j, Padding: ev.Padding})
+		trace = append(trace, pairEvent{Kind: ev.Kind, Matched: ev.Verdicts[x], Group: ev.Group, I: ev.I, J: j})
 	}
 	return trace
 }
@@ -131,8 +129,8 @@ func runScenario(t *testing.T, sc scenario, tweak func(*Input, *outcome)) *outco
 	return out
 }
 
-func ev(k Kind, group, i, j int, matched bool, padding int64) pairEvent {
-	return pairEvent{Kind: k, Group: group, I: i, J: j, Matched: matched, Padding: padding}
+func ev(k Kind, group, i, j int, matched bool) pairEvent {
+	return pairEvent{Kind: k, Group: group, I: i, J: j, Matched: matched}
 }
 
 func journaledPairs(ps ...[3]int) []journal.Verdict {
@@ -167,12 +165,12 @@ func TestRunTraces(t *testing.T) {
 				residual:  true,
 			},
 			want: []pairEvent{
-				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
-				ev(Replayed, 0, 0, 1, true, 0),
-				ev(Tiered, 0, 0, 2, false, 0),
-				ev(Tiered, 0, 1, 0, false, 0),
-				ev(Purchased, 0, 1, 1, verdictOf(1, 1), 0),
-				ev(Residual, 0, 1, 2, false, 0),
+				ev(Purchased, 0, 0, 0, verdictOf(0, 0)),
+				ev(Replayed, 0, 0, 1, true),
+				ev(Tiered, 0, 0, 2, false),
+				ev(Tiered, 0, 1, 0, false),
+				ev(Purchased, 0, 1, 1, verdictOf(1, 1)),
+				ev(Residual, 0, 1, 2, false),
 			},
 			calls: 2, uncertain: 3, batches: []int{2},
 		},
@@ -187,9 +185,9 @@ func TestRunTraces(t *testing.T) {
 				journaled: journaledPairs([3]int{1, 1, 0}, [3]int{0, 1, 1}),
 			},
 			want: []pairEvent{
-				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
-				ev(Replayed, 0, 0, 1, true, 0),
-				ev(Replayed, -1, 1, 1, false, 0),
+				ev(Purchased, 0, 0, 0, verdictOf(0, 0)),
+				ev(Replayed, 0, 0, 1, true),
+				ev(Replayed, -1, 1, 1, false),
 			},
 			calls: 1, batches: []int{1},
 		},
@@ -209,47 +207,15 @@ func TestRunTraces(t *testing.T) {
 				hint:      2,
 			},
 			want: []pairEvent{
-				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 0),
-				ev(Tiered, 0, 0, 1, false, 0),
-				ev(Purchased, 0, 0, 2, verdictOf(0, 2), 0),
-				ev(Purchased, 0, 0, 3, verdictOf(0, 3), 0),
-				ev(Replayed, 1, 5, 0, true, 0),
-				ev(Tiered, 1, 5, 1, false, 0),
-				ev(Purchased, 1, 5, 2, verdictOf(5, 2), 0),
+				ev(Purchased, 0, 0, 0, verdictOf(0, 0)),
+				ev(Tiered, 0, 0, 1, false),
+				ev(Purchased, 0, 0, 2, verdictOf(0, 2)),
+				ev(Purchased, 0, 0, 3, verdictOf(0, 3)),
+				ev(Replayed, 1, 5, 0, true),
+				ev(Tiered, 1, 5, 1, false),
+				ev(Purchased, 1, 5, 2, verdictOf(5, 2)),
 			},
 			calls: 4, uncertain: 4, batches: []int{2, 2},
-		},
-		{
-			// A fully bought padded group pays exactly its excess, the
-			// journaled pair its share of it.
-			name: "padding sums to excess",
-			sc: scenario{
-				groups:    []Group{{A: []int{0, 1}, B: []int{0, 1}, Excess: 7}},
-				budget:    100,
-				journaled: journaledPairs([3]int{0, 1, 0}),
-			},
-			want: []pairEvent{
-				ev(Purchased, 0, 0, 0, verdictOf(0, 0), 1),
-				ev(Replayed, 0, 0, 1, false, 2),
-				ev(Purchased, 0, 1, 0, verdictOf(1, 0), 2),
-				ev(Purchased, 0, 1, 1, verdictOf(1, 1), 2),
-			},
-			calls: 3, batches: []int{3},
-		},
-		{
-			// The padded first pair costs 1+3 and is unaffordable; the
-			// cheaper pairs behind it are not bought either.
-			name: "exhaustion is sticky",
-			sc: scenario{
-				groups:   []Group{{A: []int{0}, B: []int{0}, Excess: 3}, cross([]int{1}, []int{0, 1})},
-				budget:   2,
-				residual: true,
-			},
-			want: []pairEvent{
-				ev(Residual, 0, 0, 0, false, 0),
-				ev(Residual, 1, 1, 0, false, 0),
-				ev(Residual, 1, 1, 1, false, 0),
-			},
 		},
 	}
 	for _, c := range cases {

@@ -326,6 +326,10 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, Errf(KindNotFound, "no such dataset"))
 		return
 	}
+	if ld.eng == nil { // failed at recovery: no schema to parse against
+		writeErr(w, Errf(KindConflict, "dataset is failed: %s", ld.errMsg))
+		return
+	}
 	var req AppendRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()

@@ -206,7 +206,7 @@ func TestLegacyBatchScheduleResumes(t *testing.T) {
 	st := waitDataset(t, ts1, "ds-000001", "legacy replay done", func(st DatasetStatus) bool {
 		return st.State == DatasetActive && st.Applied == 3
 	})
-	if st.Accepted != 3 || st.Stats.Purchased != 0 || st.Stats.Replayed != 64 || st.Stats.LiveSpent != 0 || st.Stats.Used != 64 {
+	if st.Accepted != 3 || st.Stats.Purchased != 0 || st.Stats.Replayed != 64 || st.Stats.Used != 64 {
 		t.Errorf("legacy resume: accepted %d, stats %+v; want 3 accepted, 64 verdicts replayed, nothing bought", st.Accepted, st.Stats)
 	}
 	if got := len(getDeltas(t, ts1, "ds-000001", 0).Deltas); got != 51 {
@@ -257,6 +257,34 @@ func TestLegacySeedRefusedAtRecovery(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "ds-000001") || !strings.Contains(err.Error(), "journal recorded 7, run uses 0") {
 		t.Errorf("recovery refused with %v, want the dataset's manifest mismatch on the seed", err)
+	}
+}
+
+// TestLegacyDPDatasetFailsReadOnly: testdata/legacy-dp is a DP dataset
+// (ε 2, dp_seed 7, a0.csv then b0.csv applied) written by the build before
+// DP walks were walks of the padded release: its journal holds record
+// pairs, where this build journals handle pairs. Recovery refuses to
+// replay one as the other — by name — and, rather than keep the daemon
+// from starting, fails that dataset for good: it comes back failed and
+// read-only, and stays so at the next start.
+func TestLegacyDPDatasetFailsReadOnly(t *testing.T) {
+	root := copyFixture(t, "legacy-dp")
+	cfg := Config{Dir: root, DataDir: filepath.Join("testdata", "legacy-state", "data"), JournalSync: 1}
+	for life := 0; life < 2; life++ {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("life %d: recovery refused the daemon: %v", life, err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		st := getDatasetStatus(t, ts, "ds-000001")
+		if st.State != DatasetFailed || !strings.Contains(st.Error, "padded") || st.Accepted != 2 {
+			t.Errorf("life %d: legacy DP dataset came back %+v; want failed, naming the padding change, 2 batches accepted", life, st)
+		}
+		if code, _ := appendBatch(t, ts, "ds-000001", AppendRequest{Side: "alice", Path: "a1.csv"}); code != http.StatusConflict {
+			t.Errorf("life %d: append to the failed dataset answered HTTP %d, want 409", life, code)
+		}
+		ts.Close()
+		s.Drain()
 	}
 }
 

@@ -178,7 +178,7 @@ func New(cfg Config) (*Server, error) {
 	s.mDPJobs = s.reg.Counter("dp_jobs_total", "Jobs completed under differentially private blocking.")
 	s.mDPEpsilonMilli = s.reg.Counter("dp_epsilon_spent_milli_total", "Composed epsilon spent across completed DP jobs, in thousandths.")
 	s.mDPDummyPairs = s.reg.Counter("dp_dummy_pairs_total", "Dummy candidate pairs introduced by noise padding across completed DP jobs.")
-	s.mDPDummySpent = s.reg.Counter("dp_dummy_spent_total", "SMC allowance consumed by dummy-pair charges across completed DP jobs.")
+	s.mDPDummySpent = s.reg.Counter("dp_dummy_spent_total", "SMC comparisons bought on a padded dummy handle across completed DP jobs (part of the invocations, not on top of them).")
 	s.mDatasets = s.reg.Counter("datasets_registered_total", "Live datasets registered over the API.")
 	s.mDatasetBatches = s.reg.Counter("dataset_batches_total", "Append batches applied across live datasets (excluding journal replays).")
 	s.mDatasetRecords = s.reg.Counter("dataset_records_total", "Records ingested across live datasets (excluding journal replays).")
@@ -221,9 +221,18 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	for _, rd := range recoveredDS {
+		var ld *liveDataset
+		var err error
+		if rd.Failed == "" {
+			// A DP journal of record pairs can never resume: that dataset
+			// alone comes back failed.
+			if ld, err = s.buildDataset(rd.File, rd.Batches); errors.Is(err, core.ErrUnpaddedJournal) {
+				rd.Failed = err.Error()
+			}
+		}
 		if rd.Failed != "" {
-			// A persisted ingest failure: surface the dataset read-only
-			// instead of replaying into the same wall.
+			// Surface the dataset read-only instead of replaying into the
+			// same wall.
 			s.datasets[rd.File.ID] = &liveDataset{
 				ID: rd.File.ID, Seq: rd.File.Seq, Spec: rd.File.Spec,
 				CreatedAt: rd.File.CreatedAt, accepted: len(rd.Batches),
@@ -232,7 +241,6 @@ func New(cfg Config) (*Server, error) {
 			}
 			continue
 		}
-		ld, err := s.buildDataset(rd.File, rd.Batches)
 		if err != nil {
 			s.Drain()
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pprl/internal/adult"
+	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
 	"pprl/internal/dataset"
 	"pprl/internal/dpblock"
@@ -87,34 +88,26 @@ func TestSessionDPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DP == nil {
-		t.Fatal("DP session carries no accounting")
+	if res.AliceView.DP == nil || res.BobView.DP == nil {
+		t.Fatal("views lost their noised releases in transit")
 	}
-	if got := res.DP.TotalEpsilon(); got != 16 {
-		t.Errorf("TotalEpsilon = %v, want 8 + 8", got)
+	if got := res.AliceView.DP.Epsilon + res.BobView.DP.Epsilon; got != 16 {
+		t.Errorf("composed ε = %v, want 8 + 8", got)
 	}
 	if res.AliceView.Method != "dp" || res.BobView.Method != "dp" {
 		t.Errorf("view methods = %q/%q", res.AliceView.Method, res.BobView.Method)
 	}
-	if res.AliceView.DP == nil || res.BobView.DP == nil {
-		t.Fatal("views lost their noised releases in transit")
-	}
 	// The wire form withholds the holder's secrets: no noise seed, and
 	// member lists stretched to exactly the noised counts so true bin
 	// sizes are not recoverable from the release.
-	if d := res.AliceView.Dummies(); d != 0 {
-		t.Errorf("alice view reveals %d dummies on the wire", d)
-	}
-	if d := res.BobView.Dummies(); d != 0 {
-		t.Errorf("bob view reveals %d dummies on the wire", d)
-	}
 	if res.AliceView.DP.Seed != 0 || res.BobView.DP.Seed != 0 {
 		t.Errorf("noise seeds crossed the wire: %d/%d", res.AliceView.DP.Seed, res.BobView.DP.Seed)
 	}
-	for i, c := range res.AliceView.Classes {
-		if int64(c.Size()) != res.AliceView.DP.NoisedCounts[i] {
-			t.Fatalf("alice class %d: %d members on the wire, published count %d",
-				i, c.Size(), res.AliceView.DP.NoisedCounts[i])
+	for _, v := range []*anonymize.Result{res.AliceView, res.BobView} {
+		for i, c := range v.Classes {
+			if int64(c.Size()) != v.DP.NoisedCounts[i] {
+				t.Fatalf("class %d: %d members on the wire, published count %d", i, c.Size(), v.DP.NoisedCounts[i])
+			}
 		}
 	}
 	if res.Invocations > res.Allowance {
@@ -203,7 +196,7 @@ func TestSessionDPAlwaysSpecRefused(t *testing.T) {
 	for i := range spec.Attrs {
 		spec.Attrs[i] = smc.AttrSpec{Mode: smc.ModeAlways}
 	}
-	if _, err := dpDummyRow(schema, qids, spec, true); err == nil {
+	if _, err := dpblock.DummyRow(schema, qids, spec, true); err == nil {
 		t.Fatal("all-ModeAlways spec accepted; DP padding cannot be hidden in it")
 	}
 }
@@ -256,11 +249,11 @@ func TestSessionDPSentinelsInsideValueBound(t *testing.T) {
 			}
 			spec.Packing = smc.PackingPacked
 			spec.BoundBySchema(schema, qids)
-			a, err := dpDummyRow(schema, qids, spec, true)
+			a, err := dpblock.DummyRow(schema, qids, spec, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := dpDummyRow(schema, qids, spec, false)
+			b, err := dpblock.DummyRow(schema, qids, spec, false)
 			if err != nil {
 				t.Fatal(err)
 			}

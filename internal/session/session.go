@@ -169,7 +169,7 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 		if err := dpblock.Publish(view, dpParams); err != nil {
 			return fmt.Errorf("session: noising view: %w", err)
 		}
-		if dummyRow, err = dpDummyRow(cfg.Data.Schema(), qids, params.Spec, isAlice); err != nil {
+		if dummyRow, err = dpblock.DummyRow(cfg.Data.Schema(), qids, params.Spec, isAlice); err != nil {
 			return fmt.Errorf("session: %w", err)
 		}
 		if pad, err = dpblock.Pad(view); err != nil {
@@ -196,26 +196,16 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 			return fmt.Errorf("session: tier encoder: %w", err)
 		}
 		filters := bloom.EncodeRecords(tierEnc, cfg.Data, qids)
-		var encodings [][]byte
-		if pad == nil {
-			encodings = make([][]byte, len(filters))
-			for i, f := range filters {
-				encodings[i] = f.Marshal()
-			}
-		} else {
+		if pad != nil {
 			// One CLK per published handle: real handles get their
 			// record's filter, dummy handles a synthetic one whose
 			// density is drawn from the real population, so the tier
 			// release does not separate padding from records either.
-			rng := dpblock.NewPRNG(dpParams.Seed, "tier-dummy")
-			encodings = make([][]byte, len(pad.RecordOf))
-			for h, rec := range pad.RecordOf {
-				if rec >= 0 {
-					encodings[h] = filters[rec].Marshal()
-				} else {
-					encodings[h] = dpDummyFilterBytes(rng, params.Tier.M, filters)
-				}
-			}
+			filters = dpblock.PadFilters(filters, pad, dpParams.Seed)
+		}
+		encodings := make([][]byte, len(filters))
+		for i, f := range filters {
+			encodings[i] = f.Marshal()
 		}
 		if err := query.Send(&smc.Message{Kind: smc.MsgEncodings, Encodings: encodings}); err != nil {
 			return fmt.Errorf("session: publishing tier encodings: %w", err)
@@ -226,7 +216,7 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 		// The SMC loop addresses records by published handle; dummy
 		// handles answer with the sentinel row, so a compare request
 		// against one runs the full protocol and verdicts NonMatch.
-		enc = dpPadEncodings(enc, dummyRow, pad)
+		enc = dpblock.PadEncodings(enc, dummyRow, pad)
 	}
 	if isAlice {
 		return smc.RunAlice(query, peer, enc, params.Spec)
@@ -245,7 +235,8 @@ type QueryConfig struct {
 	// Theta is the uniform matching threshold.
 	Theta float64
 	// AllowanceFraction bounds the SMC budget as a fraction of all
-	// record pairs; Allowance (absolute pairs) wins when non-zero.
+	// record pairs — under DP of the padded pairs, the only ones this
+	// party sees; Allowance (absolute pairs) wins when non-zero.
 	AllowanceFraction float64
 	Allowance         int64
 	// Heuristic orders the Unknown pairs; nil = minAvgFirst.
@@ -323,17 +314,13 @@ type QueryResult struct {
 	TierNonMatchedPairs int64
 	TierUncertainPairs  int64
 	// AliceView and BobView are the published views (K, method,
-	// sequence counts — everything this party may inspect).
-	AliceView, BobView *anonymize.Result
-	// DP, when both holders published differentially private releases,
-	// carries the composed privacy accounting of the DP blocking step;
-	// nil otherwise. The dummy fields of a wire accounting read 0: the
-	// holders pad their releases before publishing (dpblock.Pad), so
-	// dummies arrive as ordinary handles this party cannot distinguish
-	// from records — their comparisons spend allowance at unit price
-	// like any other pair, and Matches under DP are handle pairs the
+	// sequence counts — everything this party may inspect). Under DP they
+	// carry the releases' ε and δ (composed, the run's is their sum) and
+	// are padded (dpblock.Pad): dummies arrive as ordinary handles this
+	// party cannot tell from records — their comparisons spend allowance at
+	// unit price like any other pair, and Matches are handle pairs the
 	// holders translate back through their private PadMaps.
-	DP *dpblock.Accounting
+	AliceView, BobView *anonymize.Result
 }
 
 // RunQuery executes the querying party: broadcast parameters, collect
@@ -409,9 +396,8 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		return nil, fmt.Errorf("session: one holder published a DP release and the other did not")
 	}
 	var block *blocking.Result
-	var acct *dpblock.Accounting
 	if dp {
-		block, acct, err = dpblock.Block(aView, bView, rule)
+		block, err = dpblock.Block(aView, bView, rule)
 	} else {
 		block, err = index.Block(aView, bView, rule)
 	}
@@ -424,7 +410,6 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		UnknownPairs:       block.UnknownPairs,
 		AliceView:          aView,
 		BobView:            bView,
-		DP:                 acct,
 	}
 	// Pairs certain from blocking alone, in (RI, SI) order: EachLabeled
 	// is map-ordered, and Matches must not vary from run to run.
@@ -471,9 +456,9 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	}
 	// The resolution kernel (DESIGN.md §16) spends the budget over the
 	// published views' member lists. Under DP the holders have already
-	// padded those lists, so the dummy comparisons the in-process engine
-	// charges as padding excess are ordinary unit-price pairs here, and
-	// which purchases paid for padding only the holders know.
+	// padded those lists, so a dummy comparison is an ordinary unit-price
+	// pair here — as it is on every shape — and which purchases paid for
+	// padding only the holders know.
 	uncertain, err := resolve.Run(resolve.Input{
 		Groups: len(ordered),
 		Group: func(k int) resolve.Group {

@@ -138,7 +138,7 @@ type Spec struct {
 // order.
 //
 // The one thing compared like a record that is not one is the sentinel row
-// a holder pads a differentially private release with (internal/session):
+// a holder pads a differentially private release with (dpblock.DummyRow):
 // it sits outside the domain so that it matches nothing — at −1 or −2 on
 // an equality attribute, ⌊√T⌋+1 beyond either end on a threshold one — and
 // the bound admits it.

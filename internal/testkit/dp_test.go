@@ -1,16 +1,23 @@
 package testkit
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
+	"pprl/internal/anonymize"
 	"pprl/internal/core"
+	"pprl/internal/dataset"
+	"pprl/internal/dpblock"
 	"pprl/internal/journal"
 	"pprl/internal/oracle"
+	"pprl/internal/session"
+	"pprl/internal/smc"
 )
 
 // dpEpsilons is the per-holder budget rotation for the DP harness:
@@ -31,6 +38,22 @@ func dpCfg(w *World, wi int) core.Config {
 	cfg.DPSeed = w.Seed
 	cfg.Strategy = core.MaximizePrecision
 	return cfg
+}
+
+// unpaddable reports whether the world's classifier accepts every pair —
+// θ ≥ 1 on all-categorical QIDs — so DP padding could not be hidden in it:
+// every shape refuses such a world under DP, and the DP harnesses skip it,
+// the way the tier harness sets θ ≥ 1 worlds aside.
+func unpaddable(w *World) bool {
+	if w.Cfg.Thresholds == nil {
+		return false // the uniform θ stays below 0.30
+	}
+	for a, th := range w.Cfg.Thresholds {
+		if th < 1 || w.Alice.Schema().Attr(a).Kind != dataset.Categorical {
+			return false
+		}
+	}
+	return true
 }
 
 // dpMissRateBound returns the accuracy bound for the aggregate DP
@@ -61,8 +84,9 @@ func dpMissRateBound(t testing.TB) float64 {
 //  2. the exact layers stay exact — under maximize-precision the run
 //     reports zero false positives; DP noise may lose matches but can
 //     never fabricate one;
-//  3. the composed budget is ε_alice + ε_bob and spend (live + dummy
-//     charges) never exceeds the allowance;
+//  3. the composed budget is ε_alice + ε_bob, the purchases (dummy pairs
+//     among them) never exceed the allowance, and the dummy part never
+//     exceeds the padding of the candidate bins;
 //  4. accuracy — the aggregate missed-match rate across worlds stays
 //     under a configurable bound (PPRL_DP_MAX_MISS_RATE).
 func TestDPOracleProperties(t *testing.T) {
@@ -71,6 +95,9 @@ func TestDPOracleProperties(t *testing.T) {
 	var agg oracle.DPBlockReport
 	for wi := 0; wi < n; wi++ {
 		w := Generate(base + int64(wi))
+		if unpaddable(w) {
+			continue
+		}
 		cfg := dpCfg(w, wi)
 		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 		if err != nil {
@@ -93,9 +120,9 @@ func TestDPOracleProperties(t *testing.T) {
 		if got, want := res.DP.TotalEpsilon, 2*cfg.Epsilon; got != want {
 			t.Fatal(repro(w, fmt.Errorf("composed epsilon %v, want %v", got, want)))
 		}
-		if spent := res.Invocations + res.DP.DummySpent; spent > res.Allowance {
-			t.Fatal(repro(w, fmt.Errorf("spent %d (live %d + dummy %d) over allowance %d",
-				spent, res.Invocations, res.DP.DummySpent, res.Allowance)))
+		if res.Invocations > res.Allowance || res.DP.DummySpent > res.Invocations || res.DP.DummySpent > res.DP.DummyPairs {
+			t.Fatal(repro(w, fmt.Errorf("bought %d (%d of them dummy pairs, of %d) on allowance %d",
+				res.Invocations, res.DP.DummySpent, res.DP.DummyPairs, res.Allowance)))
 		}
 		agg.TrueMatches += rep.TrueMatches
 		agg.Missed += rep.Missed
@@ -115,10 +142,10 @@ func TestDPOracleProperties(t *testing.T) {
 }
 
 // TestDPCrashResumeExact crashes a journaled DP run mid-purchase and
-// resumes it: the resumed run must preserve every purchased verdict bit
-// for bit, re-spend nothing (the dummy charge of a replayed pair is
-// re-charged, never its unit cost, so total spend equals the
-// uninterrupted run's), and produce the identical labeling.
+// resumes it: the journal holds handle pairs, dummies among them, and the
+// resumed run must preserve every purchased verdict bit for bit, re-spend
+// nothing, bill the same dummies as the uninterrupted run, and produce the
+// identical labeling.
 func TestDPCrashResumeExact(t *testing.T) {
 	seed := baseSeed(t)
 	for wi := 0; ; wi++ {
@@ -126,6 +153,9 @@ func TestDPCrashResumeExact(t *testing.T) {
 			t.Fatal("no generated world produced ≥ 2 DP purchases; crash-resume never checked — adjust seeds")
 		}
 		w := Generate(seed + int64(wi))
+		if unpaddable(w) {
+			continue
+		}
 		cfg := dpCfg(w, wi)
 		base, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 		if err != nil {
@@ -177,16 +207,24 @@ func TestDPCrashResumeExact(t *testing.T) {
 				res.Invocations, res.Resume.ReplayedAllowance, got, want)))
 		}
 		if res.DP.DummySpent != base.DP.DummySpent {
-			t.Fatal(repro(w, fmt.Errorf("resumed run charged %d dummy units, uninterrupted run %d — resume must not change the dummy bill",
+			t.Fatal(repro(w, fmt.Errorf("resumed run bought %d dummy pairs, uninterrupted run %d — resume must not change the dummy bill",
 				res.DP.DummySpent, base.DP.DummySpent)))
 		}
+		pa, pb := res.Padded()
 		for _, v := range recovered.Verdicts {
-			got, ok := res.SMCLabel(int(v.I), int(v.J))
+			i, j := pa.Map.RecordOf[v.I], pb.Map.RecordOf[v.J]
+			if i < 0 || j < 0 {
+				if v.Matched {
+					t.Fatal(repro(w, fmt.Errorf("handle pair (%d,%d) touches a dummy and was journaled a match", v.I, v.J)))
+				}
+				continue
+			}
+			got, ok := res.SMCLabel(i, j)
 			if !ok {
-				t.Fatal(repro(w, fmt.Errorf("purchased verdict (%d,%d) lost on resume", v.I, v.J)))
+				t.Fatal(repro(w, fmt.Errorf("purchased verdict (%d,%d) lost on resume", i, j)))
 			}
 			if got != v.Matched {
-				t.Fatal(repro(w, fmt.Errorf("purchased verdict (%d,%d) flipped from %v to %v", v.I, v.J, v.Matched, got)))
+				t.Fatal(repro(w, fmt.Errorf("purchased verdict (%d,%d) flipped from %v to %v", i, j, v.Matched, got)))
 			}
 		}
 		for i := 0; i < w.Alice.Len(); i++ {
@@ -212,6 +250,9 @@ func TestDPCrossModeResumeRefused(t *testing.T) {
 			t.Fatal("no generated world produced ≥ 2 purchases in both modes; cross-mode refusal never checked — adjust seeds")
 		}
 		w := Generate(seed + int64(wi))
+		if unpaddable(w) {
+			continue
+		}
 		dcfg := dpCfg(w, wi)
 		kcfg := w.Cfg
 		kcfg.Strategy = core.MaximizePrecision
@@ -262,5 +303,165 @@ func TestDPCrossModeResumeRefused(t *testing.T) {
 			}
 		}
 		return
+	}
+}
+
+// purchaseLog is a journal that remembers what a run bought and
+// tier-labeled, in walk order.
+type purchaseLog struct{ pairs []journal.Verdict }
+
+func (l *purchaseLog) Begin(journal.Manifest) ([]journal.Verdict, error) { return nil, nil }
+func (l *purchaseLog) Sync() error                                       { return nil }
+func (l *purchaseLog) Record(i, j int, matched bool) error {
+	l.pairs = append(l.pairs, journal.Verdict{I: uint32(i), J: uint32(j), Matched: matched})
+	return nil
+}
+
+// RecordTier logs a tier label as a purchase of the mirrored pair, so one
+// sequence keeps both kinds in order.
+func (l *purchaseLog) RecordTier(i, j int, matched bool) error {
+	return l.Record(-1-i, j, matched)
+}
+
+// viewTap remembers the view a holder publishes on the querying party's
+// end of its link.
+type viewTap struct {
+	smc.Conn
+	view []byte
+}
+
+func (c *viewTap) Recv() (*smc.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Kind == smc.MsgView {
+		c.view = m.View
+	}
+	return m, err
+}
+
+// holderPad replays a session holder's padding pass — what its release
+// maps back to — from its data, role and parameters alone.
+func holderPad(t *testing.T, d *dataset.Dataset, role string, cfg core.Config) *dpblock.PadMap {
+	t.Helper()
+	binner, err := dpblock.New(dpblock.Params{Epsilon: cfg.Epsilon, Seed: dpblock.HolderSeed(cfg.DPSeed, role)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qids, err := d.Schema().Resolve(cfg.QIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := binner.Anonymize(d, qids, 1)
+	if err == nil {
+		err = dpblock.Publish(view, binner.Params())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad, err := dpblock.Pad(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pad
+}
+
+// TestDPShapesWalkOneRelease is the one DP cost model, across shapes:
+// core.Link and the in-memory three-party session, both holders at the
+// world's seed, ε and level and the same absolute allowance, publish
+// byte-identical padded views and buy the same handle-pair sequence — the
+// tier off and on — and with an allowance that buys every candidate, each
+// spends exactly DummyPairs on pairs that touch a dummy: core.Link by its
+// own count, the session counted through its holders' pad maps. At the
+// build before this one core.Link walked record pairs and paid for padding
+// in simulated shares, and the sequences had nothing in common.
+func TestDPShapesWalkOneRelease(t *testing.T) {
+	base := baseSeed(t)
+	checked := 0
+	for wi := int64(0); wi < 40 && checked < 2; wi++ {
+		w := Generate(base + wi)
+		if w.Cfg.Thresholds != nil {
+			continue // the session takes one θ for every attribute
+		}
+		checked++
+		for _, tier := range []bool{false, true} {
+			name := fmt.Sprintf("world=%d tier=%v", w.Seed, tier)
+			cfg := dpCfg(w, 2) // ε = 8: little padding, so the secure walk is short
+			cfg.Allowance = 1 << 40
+			if tier {
+				cfg.Tier = core.TierBloom
+			}
+			var coreLog, sessionLog purchaseLog
+			ccfg := cfg
+			ccfg.Journal = &coreLog
+			res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, ccfg)
+			if err != nil {
+				t.Fatal(repro(w, err))
+			}
+
+			qa, aq := smc.NewConnPair()
+			qb, bq := smc.NewConnPair()
+			ab, ba := smc.NewConnPair()
+			tapA, tapB := &viewTap{Conn: qa}, &viewTap{Conn: qb}
+			key := []byte("pprl-tier-default-key") // bloom.NewDefaultEncoder's, which core.Link uses
+			errs := make(chan error, 2)
+			go func() {
+				errs <- session.RunHolder(aq, ab, session.HolderConfig{Data: w.Alice, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed, TierKey: key}, true)
+			}()
+			go func() {
+				errs <- session.RunHolder(bq, ba, session.HolderConfig{Data: w.Bob, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed, TierKey: key}, false)
+			}()
+			qcfg := session.QueryConfig{
+				Schema: w.Alice.Schema(), QIDs: cfg.QIDs, Theta: cfg.Theta, Heuristic: cfg.Heuristic,
+				Allowance: cfg.Allowance, KeyBits: 256, Journal: &sessionLog,
+			}
+			if tier {
+				qcfg.Tier = &smc.TierParams{}
+			}
+			qres, err := session.RunQuery(tapA, tapB, qcfg)
+			if err != nil {
+				t.Fatal(repro(w, fmt.Errorf("%s: session: %w", name, err)))
+			}
+			for range 2 {
+				if err := <-errs; err != nil {
+					t.Fatal(repro(w, fmt.Errorf("%s: holder: %w", name, err)))
+				}
+			}
+
+			pa, pb := res.Padded()
+			for x, v := range []*anonymize.Result{pa.View, pb.View} {
+				var buf bytes.Buffer
+				if err := anonymize.WriteView(&buf, w.Alice.Schema(), v); err != nil {
+					t.Fatal(err)
+				}
+				if wire := []*viewTap{tapA, tapB}[x].view; !bytes.Equal(buf.Bytes(), wire) {
+					t.Fatal(repro(w, fmt.Errorf("%s: core.Link walks a %d-byte release for holder %d, the session's holder publishes %d bytes that differ", name, buf.Len(), x, len(wire))))
+				}
+			}
+			if !slices.Equal(coreLog.pairs, sessionLog.pairs) {
+				n := 0
+				for n < min(len(coreLog.pairs), len(sessionLog.pairs)) && coreLog.pairs[n] == sessionLog.pairs[n] {
+					n++
+				}
+				t.Fatal(repro(w, fmt.Errorf("%s: core.Link journaled %d pairs, the session %d; they part at %d", name, len(coreLog.pairs), len(sessionLog.pairs), n)))
+			}
+			if res.Invocations != qres.Invocations {
+				t.Fatal(repro(w, fmt.Errorf("%s: core.Link bought %d, the session %d", name, res.Invocations, qres.Invocations)))
+			}
+			if tier {
+				continue // a tier label is free, so not every dummy pair is bought
+			}
+			aPad, bPad := holderPad(t, w.Alice, "alice", cfg), holderPad(t, w.Bob, "bob", cfg)
+			var dummies int64
+			for _, v := range sessionLog.pairs {
+				if aPad.RecordOf[v.I] < 0 || bPad.RecordOf[v.J] < 0 {
+					dummies++
+				}
+			}
+			if res.DP.DummySpent != res.DP.DummyPairs || dummies != res.DP.DummyPairs {
+				t.Fatal(repro(w, fmt.Errorf("%s: dummy pairs bought: core.Link %d, the session %d; the release pads %d", name, res.DP.DummySpent, dummies, res.DP.DummyPairs)))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no generated world has a single θ; the shapes were never compared — adjust seeds")
 	}
 }
