@@ -119,13 +119,15 @@ incremental-smoke:
 # (BenchmarkLinkPlain: the label store's pairs/s and B/pair) with its two
 # halves alone (BenchmarkTopDown: the paper-shaped anonymization;
 # BenchmarkResolveRun: the resolution kernel's ns/pair), the
-# journal writer's cost per verdict (BenchmarkWriterRecord), the live
+# journal writer's cost per verdict (BenchmarkWriterRecord: a verdict a
+# row at two cadences, and rows of 29 in span records), one live-ingest
+# batch's probes of the live index (BenchmarkLiveCandidates), the live
 # engine's ns and B per purchased pair behind a real journal
 # (BenchmarkEngineAppend) and the cost of one accepted batch's schedule
 # line at 16 and at 2,048 entries (BenchmarkAppendBatchEntry: must be
 # flat) from bit-rotting without paying for a real measurement run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal ./internal/anonymize ./internal/resolve ./internal/incremental ./internal/service
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal ./internal/anonymize ./internal/resolve ./internal/index ./internal/incremental ./internal/service
 
 # The reproduction as a gate: regenerate, at the paper's 20,108 × 20,108
 # scale, every section experiments_full.txt holds (the worked example,

@@ -167,8 +167,10 @@ type Engine struct {
 	stats  Stats
 	failed bool
 	// onEvent, set by the package's tests only, sees what the kernel hands
-	// the sink: the one place a row span is visible from outside.
-	onEvent func(resolve.Event)
+	// the sink: the one place a row span is visible from outside. onGroups,
+	// likewise, sees each batch's candidate groups before they are ordered.
+	onEvent  func(resolve.Event)
+	onGroups func([]group)
 }
 
 // New builds an engine over a schema. When resuming, cfg.Journal must be
@@ -380,15 +382,17 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	// the frozen run uses (slack rule, or bin intersection under DP).
 	var batchDeltas []Delta
 	groups := e.collectGroups(sideIdx, hbase, touched, batch, &batchDeltas)
-	order := 1 // ascending score; descending under MaximizeRecall
-	if e.cfg.Strategy == core.MaximizeRecall {
-		order = -1
+	if e.onGroups != nil {
+		e.onGroups(groups)
 	}
-	slices.SortStableFunc(groups, func(gx, gy group) int {
-		return cmp.Or(order*cmp.Compare(gx.score, gy.score), cmp.Compare(gx.a, gy.a), cmp.Compare(gx.b, gy.b))
-	})
+	// Sorted by index: a group is 88 bytes, too much to move per swap.
+	order := make([]int32, len(groups))
+	for k := range order {
+		order[k] = int32(k)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return e.compareGroups(&groups[x], &groups[y]) })
 
-	spent, err := e.resolve(groups, batch, frame, committedReplay, &batchDeltas)
+	spent, err := e.resolve(groups, order, batch, frame, committedReplay, &batchDeltas)
 	if err != nil {
 		return nil, err
 	}
@@ -463,6 +467,18 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 	}
 	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
 	return touched, nil
+}
+
+// compareGroups is the order a batch resolves its groups in: ascending
+// heuristic score (descending under MaximizeRecall), ties broken by the
+// bin pair (a, b). No two groups of a batch share (a, b), so the order is
+// total and an unstable sort finds the one a stable sort would.
+func (e *Engine) compareGroups(gx, gy *group) int {
+	score := cmp.Compare(gx.score, gy.score)
+	if e.cfg.Strategy == core.MaximizeRecall {
+		score = -score
+	}
+	return cmp.Or(score, cmp.Compare(gx.a, gy.a), cmp.Compare(gx.b, gy.b))
 }
 
 // collectGroups enumerates the batch's new candidate pairs (base is the
@@ -565,8 +581,9 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 }
 
 // resolve hands the batch's uncertain groups to the resolution kernel
-// (DESIGN.md §16) and files its events into the delta log and the
-// lifetime accounting; a pair that touches a DP dummy emits nothing and,
+// (DESIGN.md §16) in order — groups[order[k]] is the k-th — and files its
+// events into the delta log and the lifetime accounting; a pair that
+// touches a DP dummy emits nothing and,
 // if paid for, is DummySpent. What stays here is what only a live dataset
 // has: the budget
 // is what the lifetime pool has left, the journaled purchases are the
@@ -574,7 +591,7 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 // journaling anything — from the frame alone: its purchases and its tier
 // labels stand whatever the tier is set to now, which applies only to
 // batches without a committed frame.
-func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
+func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
 	// Side b is side 1, or side 0 again when the dataset links itself.
 	a, b := e.sides[0], e.sides[len(e.sides)-1]
 	// The comparator is built at the batch's first purchase: most batches
@@ -600,7 +617,7 @@ func (e *Engine) resolve(groups []group, batch int, frame *journal.BatchFrame, c
 	in := resolve.Input{
 		Groups: len(groups),
 		Group: func(k int) resolve.Group {
-			g := groups[k]
+			g := &groups[order[k]]
 			return resolve.Group{A: g.rows, B: g.cols, Pairs: g.pairs}
 		},
 		Budget:     math.MaxInt64,

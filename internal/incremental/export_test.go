@@ -20,3 +20,19 @@ func (e *Engine) Handle(s, h int) (rec, bin int) {
 	}
 	return e.sides[s].record(h), -1
 }
+
+// ObserveGroupTies shows fn, for every batch, how many candidate groups it
+// ordered and how many pairs of them the order cannot tell apart.
+func (e *Engine) ObserveGroupTies(fn func(groups, ties int)) {
+	e.onGroups = func(gs []group) {
+		ties := 0
+		for x := range gs {
+			for y := x + 1; y < len(gs); y++ {
+				if e.compareGroups(&gs[x], &gs[y]) == 0 {
+					ties++
+				}
+			}
+		}
+		fn(len(gs), ties)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,8 +42,12 @@ func pinSchedule(k int) (*dataset.Schema, []pinStep) {
 // the engine handed the kernel A × B groups (PR 24): what a batch buys, in
 // which order, and what it files where are a format other processes resume
 // from, so a change to how groups are built must not move a byte (the tier
-// and DP journals alone were re-pinned since, see their rows). The journal
-// runs at the benchmark's SyncEvery 4096.
+// and DP journals were re-pinned since, see their rows, and every journal
+// once for format v2, whose span records frame a row's verdicts together;
+// no delta hash moved). The journal runs at the benchmark's SyncEvery 4096.
+// The tier variant's journal as the last v1 build wrote it is
+// testdata/pinned-v1-tier/ingest.wal: both files must replay to the same
+// verdicts, tier labels and batch frames.
 func TestLiveJournalPinned(t *testing.T) {
 	const k = 6
 	schema, steps := pinSchedule(k)
@@ -54,33 +59,36 @@ func TestLiveJournalPinned(t *testing.T) {
 		// crashAt ≥ 0 fails that batch's commit, then resumes from the journal.
 		crashAt          int
 		wantWAL, wantSeq string
+		// v1 is the variant's journal as the v1 writer made it, if kept.
+		v1 string
 	}{
 		{"plain", func(c incremental.Config) incremental.Config { return c }, -1,
-			"786c05119934d3b5aacb7c3521f8a56347c50d944bdff5a1946d0d713029cacb",
-			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3"},
+			"6027cbd4aced56c4e15f6158a60e67671acf9caebee894262301efe4d7fdf363",
+			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3", ""},
 		{"tier", func(c incremental.Config) incremental.Config { c.Tier = core.TierBloom; return c }, -1,
 			// Re-pinned once, when the tier lost its Match band and its default
 			// threshold moved to 0.90: the journal now holds NonMatch tier
 			// records only, and the delta sequence is the plain run's — the
 			// tier changed no delta.
-			"628970927c3f0eaf59821e1ad5b9a0fe07ac3b094ad421e52cb7ab529970e614",
-			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3"},
+			"f01e43d27a1979510ad528e1b770ef1665fb110aa3df8b6656a7f028dbbb3491",
+			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3",
+			filepath.Join("testdata", "pinned-v1-tier", "ingest.wal")},
 		{"dp", func(c incremental.Config) incremental.Config { c.Epsilon, c.DPSeed = 1.0, 7; return c }, -1,
 			// Re-pinned once, when DP walks became walks of the padded
 			// release (PR 29): the journal now holds handle pairs, the dummy
 			// pairs among them, and its manifest says so; the delta sequence
 			// did not move.
-			"7d8a466e883c178a5589e99b52939836fe4ab59ff419a34cab3a2ef8e34c1044",
-			"5af60664fca1b740fc459eb2fabe5cdf47865e15b0d4c06c0cb025369465fa1a"},
+			"1de4bfc4d0fc0bcfe6c3146faf654cda10ab6b38f52c2e9ffe91d944f0d8c200",
+			"5af60664fca1b740fc459eb2fabe5cdf47865e15b0d4c06c0cb025369465fa1a", ""},
 		{"bounded recall", func(c incremental.Config) incremental.Config {
 			c.Allowance, c.Strategy = 20000, core.MaximizeRecall
 			return c
 		}, -1,
-			"83e45a6a27da08150495afcc1c6e1ff03b2e23f4d84f22f40553944fe0430df3",
-			"2203299694cae1db398c8aaf4514299ad83a106c7f636c4ce6ca87e21a5103d1"},
+			"55dfda1478282ae1f495cb71d1a1759e538d3595e645c50d6fbd8338c1b98674",
+			"2203299694cae1db398c8aaf4514299ad83a106c7f636c4ce6ca87e21a5103d1", ""},
 		{"crash-resumed tail", func(c incremental.Config) incremental.Config { return c }, 7,
-			"786c05119934d3b5aacb7c3521f8a56347c50d944bdff5a1946d0d713029cacb",
-			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3"},
+			"6027cbd4aced56c4e15f6158a60e67671acf9caebee894262301efe4d7fdf363",
+			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3", ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ingest.wal")
@@ -157,6 +165,34 @@ func TestLiveJournalPinned(t *testing.T) {
 			}
 			if gotSeq != c.wantSeq {
 				t.Errorf("delta sequence hashes to %s, pinned %s", gotSeq, c.wantSeq)
+			}
+			if c.v1 == "" {
+				return
+			}
+			v1, err := journal.Replay(c.v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2, err := journal.Replay(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct {
+				name     string
+				old, new any
+			}{
+				{"manifest", v1.Manifest, v2.Manifest},
+				{"verdicts", v1.Verdicts, v2.Verdicts},
+				{"tier verdicts", v1.TierVerdicts, v2.TierVerdicts},
+				{"batch frames", v1.Batches, v2.Batches},
+				{"torn bytes", v1.TornBytes, v2.TornBytes},
+			} {
+				if !reflect.DeepEqual(f.old, f.new) {
+					t.Errorf("the v1 and v2 journals of one run replay to different %s", f.name)
+				}
+			}
+			if len(v2.TierVerdicts) == 0 || len(v2.Verdicts) == 0 {
+				t.Errorf("the run journals %d purchases and %d tier labels; the comparison wants both", len(v2.Verdicts), len(v2.TierVerdicts))
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -31,6 +32,11 @@ type livePostings interface {
 // always sees a consistent snapshot (never a half-inserted bin). The
 // epoch lets readers detect growth between queries without holding the
 // lock across both.
+//
+// Candidates asks each attribute once per value and epoch: the admission
+// set of (attribute, value) is memoized until the next Insert, so the bins
+// of one batch — which share a few dozen values an attribute — walk the
+// postings once per value, not once per bin.
 type Live struct {
 	mu    sync.RWMutex
 	rule  *blocking.Rule
@@ -40,6 +46,28 @@ type Live struct {
 	// constrain candidates, exactly as in Index.
 	attrs       []livePostings
 	constrained []int
+	// memo[i] maps a value of attribute i to its admission set at epoch
+	// memoEpoch; the first reader of a later epoch drops it. Readers share
+	// it, so memoMu guards it.
+	memoMu    sync.Mutex
+	memoEpoch uint64
+	memo      []map[valueKey]bitset
+}
+
+// valueKey identifies an attribute value for the memo: the node of a
+// categorical value, the bit patterns of a continuous one's bounds — bits,
+// not floats, so that a NaN bound, unequal to itself, finds its entry
+// instead of adding one per call.
+type valueKey struct {
+	node   *vgh.Node
+	lo, hi uint64
+}
+
+func keyOf(v vgh.Value) valueKey {
+	if v.Node != nil {
+		return valueKey{node: v.Node}
+	}
+	return valueKey{lo: math.Float64bits(v.Iv.Lo), hi: math.Float64bits(v.Iv.Hi)}
 }
 
 // NewLive builds an empty live index for the rule. The rule's attribute
@@ -66,9 +94,11 @@ func NewLive(rule *blocking.Rule) *Live {
 			// Unknown metric: no exclusion model, leave unconstrained.
 		}
 	}
+	l.memo = make([]map[valueKey]bitset, rule.Len())
 	for i, p := range l.attrs {
 		if p != nil {
 			l.constrained = append(l.constrained, i)
+			l.memo[i] = make(map[valueKey]bitset)
 		}
 	}
 	return l
@@ -128,17 +158,37 @@ func (l *Live) Candidates(seq vgh.Sequence, emit func(si int)) {
 		}
 		return
 	}
-	cand, tmp := newBitset(n), newBitset(n)
+	l.intersect(seq, n).forEach(emit)
+}
+
+// intersect ANDs the admission sets of seq's values into a fresh bitset of
+// n bins, taking each from the memo — or, on the epoch's first ask, from
+// the postings into the memo. The caller holds the read lock.
+func (l *Live) intersect(seq vgh.Sequence, n int) bitset {
+	l.memoMu.Lock()
+	defer l.memoMu.Unlock()
+	if l.memoEpoch != l.epoch {
+		for _, ai := range l.constrained {
+			clear(l.memo[ai])
+		}
+		l.memoEpoch = l.epoch
+	}
+	cand := newBitset(n)
 	for k, ai := range l.constrained {
-		tmp.clear()
-		l.attrs[ai].admit(seq[ai], tmp)
+		key := keyOf(seq[ai])
+		set, ok := l.memo[ai][key]
+		if !ok {
+			set = newBitset(n)
+			l.attrs[ai].admit(seq[ai], set)
+			l.memo[ai][key] = set
+		}
 		if k == 0 {
-			copy(cand, tmp)
+			copy(cand, set)
 		} else {
-			cand.and(tmp)
+			cand.and(set)
 		}
 	}
-	cand.forEach(emit)
+	return cand
 }
 
 // Sequence returns the sequence of bin si.

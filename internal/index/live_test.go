@@ -1,10 +1,23 @@
 package index_test
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"pprl/internal/adult"
+	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
+	"pprl/internal/dataset"
+	"pprl/internal/distance"
+	"pprl/internal/dpblock"
 	"pprl/internal/index"
+	"pprl/internal/testkit"
+	"pprl/internal/vgh"
 )
 
 // TestLiveIndexSoundness grows a live index one bin at a time and checks
@@ -85,4 +98,251 @@ func TestLiveIndexMatchesStaticAdmission(t *testing.T) {
 			}
 		}
 	}
+}
+
+// staticCandidates is the reference admission: the bins a static index
+// built anew over seqs admits for probe — index.Stream evaluates,
+// and so emits, exactly the classes its admission sets leave.
+func staticCandidates(t testing.TB, rule *blocking.Rule, seqs []vgh.Sequence, probe vgh.Sequence) []int {
+	t.Helper()
+	view := func(ss []vgh.Sequence) *anonymize.Result {
+		res := &anonymize.Result{QIDs: make([]int, rule.Len())}
+		for i := range res.QIDs {
+			res.QIDs[i] = i
+		}
+		for i, s := range ss {
+			res.Classes = append(res.Classes, anonymize.Class{Sequence: s, Members: []int{i}})
+		}
+		return res
+	}
+	var got []int
+	if _, err := index.Stream(view([]vgh.Sequence{probe}), view(seqs), rule, index.Options{Workers: 1},
+		func(gp blocking.GroupPair, _ blocking.Label) error {
+			got = append(got, gp.SI)
+			return nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// liveCandidates is what the live index emits for probe, in emit order.
+func liveCandidates(live *index.Live, probe vgh.Sequence) []int {
+	var got []int
+	live.Candidates(probe, func(si int) { got = append(got, si) })
+	return got
+}
+
+// checkAcrossEpochs inserts seqs one at a time and, after each insert,
+// probes with the sequences probes(step) names — repeating values within
+// the epoch and across epochs — comparing every emission, order included,
+// with the static index over the inserted prefix.
+func checkAcrossEpochs(t *testing.T, name string, rule *blocking.Rule, seqs []vgh.Sequence, probes func(step int) []vgh.Sequence) {
+	t.Helper()
+	live := index.NewLive(rule)
+	for step, seq := range seqs {
+		if _, err := live.Insert(seq); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range probes(step) {
+			got, want := liveCandidates(live, p), staticCandidates(t, rule, seqs[:step+1], p)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: after %d inserts the live index emits %v, a static index over them %v", name, step+1, got, want)
+			}
+		}
+	}
+}
+
+// TestLiveCandidatesAcrossEpochs: with admission sets memoized per epoch,
+// Candidates still emits exactly the static index's admission over the
+// bins inserted so far, whatever was asked in earlier epochs — on Adult
+// views, on generated worlds, and for a dedup index probed with its own
+// side's sequences.
+func TestLiveCandidatesAcrossEpochs(t *testing.T) {
+	av, bv, rule := fixture(t, 700, 4, 0.05)
+	seqsOf := func(v *anonymize.Result) []vgh.Sequence {
+		out := make([]vgh.Sequence, len(v.Classes))
+		for i := range v.Classes {
+			out[i] = v.Classes[i].Sequence
+		}
+		return out
+	}
+	a, b := seqsOf(av), seqsOf(bv)
+	// Two probes every epoch, two that move on, and the one asked twice.
+	cross := func(q []vgh.Sequence) func(int) []vgh.Sequence {
+		return func(step int) []vgh.Sequence {
+			return []vgh.Sequence{q[0], q[len(q)/2], q[step%len(q)], q[(7*step)%len(q)], q[0]}
+		}
+	}
+	checkAcrossEpochs(t, "adult", rule, b, cross(a))
+	// Dedup: one side's index probed with its own sequences, the newest
+	// among them.
+	checkAcrossEpochs(t, "adult dedup", rule, a, func(step int) []vgh.Sequence {
+		return []vgh.Sequence{a[step], a[step/2], a[0], a[step]}
+	})
+
+	for seed := int64(1); seed <= 12; seed++ {
+		w := testkit.Generate(seed)
+		schema := w.Alice.Schema()
+		qids, err := schema.Resolve(w.Cfg.QIDs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rule *blocking.Rule
+		if w.Cfg.Thresholds != nil {
+			rule, err = blocking.NewRule(distance.MetricsFor(schema, qids), w.Cfg.Thresholds)
+		} else {
+			rule, err = blocking.RuleFor(schema, qids, w.Cfg.Theta)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wa, err := w.Cfg.AliceAnonymizer.Anonymize(w.Alice, qids, w.Cfg.AliceK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := w.Cfg.BobAnonymizer.Anonymize(w.Bob, qids, w.Cfg.BobK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := seqsOf(wa), seqsOf(wb)
+		checkAcrossEpochs(t, fmt.Sprintf("world %d", seed), rule, b, cross(a))
+		checkAcrossEpochs(t, fmt.Sprintf("world %d dedup", seed), rule, a, func(step int) []vgh.Sequence {
+			return []vgh.Sequence{a[step], a[0], a[step/2]}
+		})
+	}
+}
+
+// TestLiveCandidatesConcurrentReaders: four readers probe while one
+// writer inserts (run it under -race). A reader that sees the same epoch
+// before and after its call must have been given the static admission
+// over that many bins.
+func TestLiveCandidatesConcurrentReaders(t *testing.T) {
+	av, bv, rule := fixture(t, 3000, 2, 0.05)
+	live := index.NewLive(rule)
+	type seen struct {
+		epoch uint64
+		probe int
+		got   []int
+	}
+	var (
+		wg      sync.WaitGroup
+		started sync.WaitGroup
+		done    atomic.Bool
+		views   [4][]seen
+	)
+	for r := range views {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			for x := 0; !done.Load(); x++ {
+				p := (x*5 + r) % len(av.Classes)
+				before := live.Epoch()
+				got := liveCandidates(live, av.Classes[p].Sequence)
+				if live.Epoch() == before {
+					views[r] = append(views[r], seen{before, p, got})
+				}
+			}
+		}()
+	}
+	started.Wait()
+	var insertErr error
+	for si := 0; si < len(bv.Classes) && insertErr == nil; si++ {
+		_, insertErr = live.Insert(bv.Classes[si].Sequence)
+		runtime.Gosched()
+	}
+	done.Store(true)
+	wg.Wait()
+	if insertErr != nil {
+		t.Fatal(insertErr)
+	}
+
+	seqs := make([]vgh.Sequence, len(bv.Classes))
+	for i := range seqs {
+		seqs[i] = bv.Classes[i].Sequence
+	}
+	var all []seen
+	for r := range views {
+		all = append(all, views[r]...)
+	}
+	if len(all) == 0 {
+		t.Fatal("no reader finished a probe inside one epoch")
+	}
+	// The reference rebuilds a static index per probe: check a spread.
+	for x := 0; x < len(all); x += 1 + len(all)/500 {
+		v := all[x]
+		if want := staticCandidates(t, rule, seqs[:v.epoch], av.Classes[v.probe].Sequence); !slices.Equal(v.got, want) {
+			t.Fatalf("at epoch %d: probe %d emitted %v, the static index %v", v.epoch, v.probe, v.got, want)
+		}
+	}
+}
+
+// BenchmarkLiveCandidates is one live-ingest batch's probes: the distinct
+// fixed-level bins of 240 new alice records probing bob's index of
+// 12,000 records' bins, after the one insert that starts a new epoch.
+func BenchmarkLiveCandidates(b *testing.B) {
+	alice, bob := dataset.SplitOverlap(adult.Generate(48000, 13), rand.New(rand.NewSource(14)))
+	qids, err := alice.Schema().Resolve(adult.DefaultQIDs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rule, err := blocking.RuleFor(alice.Schema(), qids, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	binner, err := dpblock.NewLevelBinner(dpblock.DefaultLevel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	av, err := binner.Anonymize(alice, qids, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bv, err := binner.Anonymize(bob, qids, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := index.NewLive(rule)
+	inserted := make(map[string]bool)
+	for i := 0; i < 12000; i++ {
+		if seq := bv.SequenceOf(i); !inserted[seq.Key()] {
+			inserted[seq.Key()] = true
+			if _, err := live.Insert(seq); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	const batch = 240
+	var batches [][]vgh.Sequence
+	for lo := 0; lo+batch <= 24000; lo += batch {
+		var bins []vgh.Sequence
+		touched := make(map[int]bool)
+		for i := lo; i < lo+batch; i++ {
+			if c := av.ClassOf[i]; !touched[c] {
+				touched[c] = true
+				bins = append(bins, av.Classes[c].Sequence)
+			}
+		}
+		batches = append(batches, bins)
+	}
+	probes, hits := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		// The insert that starts the epoch: a bin bob's batch created.
+		if _, err := live.Insert(bv.SequenceOf(12000 + n%12000)); err != nil {
+			b.Fatal(err)
+		}
+		for _, seq := range batches[n%len(batches)] {
+			live.Candidates(seq, func(int) { hits++ })
+			probes++
+		}
+	}
+	b.StopTimer()
+	if hits == 0 {
+		b.Fatal("no probe admitted a bin")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "ns/probe")
 }

@@ -14,8 +14,8 @@ import (
 // durable, so a crash anywhere before it re-processes the batch (replaying
 // the journaled verdict prefix at zero allowance cost) and a crash after
 // it replays the batch wholesale without re-emitting a single delta.
-// The format version is unchanged: v1 journals written by the frozen-run
-// engines simply contain no batch records.
+// Batch records arrived within format v1, without a version bump: a
+// frozen-run journal simply contains none.
 const (
 	recBatch       byte = 4
 	recBatchCommit byte = 5

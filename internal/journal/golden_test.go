@@ -4,17 +4,13 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestGoldenFormat pins the v1 binary layout — magic, version, frame
-// framing, manifest field order, verdict encoding — to a golden hex dump,
-// so any byte-level drift (which would silently orphan every journal
-// written by released builds) breaks CI instead. Regenerate deliberately,
-// with a version bump, via
-// PPRL_UPDATE_GOLDEN=1 go test ./internal/journal -run TestGoldenFormat.
-func TestGoldenFormat(t *testing.T) {
+// goldenManifest is the manifest both golden files carry.
+func goldenManifest() Manifest {
 	var m Manifest
 	for i := range m.ConfigDigest {
 		m.ConfigDigest[i] = byte(i)
@@ -25,11 +21,48 @@ func TestGoldenFormat(t *testing.T) {
 	m.Allowance = 15_000
 	m.Seed = 42
 	m.Heuristic = "minAvgFirst"
-	verdicts := []Verdict{
-		{I: 0, J: 0, Matched: true},
-		{I: 7, J: 4095, Matched: false},
-		{I: 4294967295, J: 1, Matched: true},
+	return m
+}
+
+// readGolden decodes a hex dump from testdata.
+func readGolden(t *testing.T, name string) (dump string, raw []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
+	raw, err = hex.DecodeString(strings.Join(strings.Fields(string(want)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(want), raw
+}
+
+// TestGoldenFormat pins the v2 binary layout — magic, version, frame
+// framing, manifest field order, the lone verdict record, the purchased and
+// tier span records with their verdict bitmaps, batch mark and commit — to
+// a golden hex dump, so any byte-level drift (which would silently orphan
+// every journal written by released builds) breaks CI instead. Regenerate
+// deliberately, with a version bump, via
+// PPRL_UPDATE_GOLDEN=1 go test ./internal/journal -run TestGoldenFormat.
+func TestGoldenFormat(t *testing.T) {
+	m := goldenManifest()
+	// A span of nine (its bitmap takes two bytes), a lone verdict, a tier
+	// span of three, then a batch frame holding a span of two.
+	var events []event
+	for x, j := range []uint32{0, 4095, 1, 2, 3, 5, 8, 13, 21} {
+		events = append(events, event{kind: recVerdict, v: Verdict{I: 7, J: j, Matched: x%3 == 0 || x == 8}})
+	}
+	events = append(events, event{kind: recVerdict, v: Verdict{I: 4294967295, J: 1, Matched: true}})
+	for _, j := range []uint32{10, 11, 12} {
+		events = append(events, event{kind: recTierVerdict, v: Verdict{I: 3, J: j}})
+	}
+	mark := BatchMark{Batch: 0, Side: 1, Records: 2, Digest: [32]byte{0: 0xaa, 31: 0x55}}
+	events = append(events,
+		event{kind: recBatch, mark: mark},
+		event{kind: recVerdict, v: Verdict{I: 5, J: 6, Matched: true}},
+		event{kind: recVerdict, v: Verdict{I: 5, J: 7}},
+		event{kind: recBatchCommit, commit: BatchCommit{Batch: 0, Deltas: 1, Spent: 2}})
 
 	path := filepath.Join(t.TempDir(), "golden.wal")
 	w, err := Create(path, Options{})
@@ -39,8 +72,8 @@ func TestGoldenFormat(t *testing.T) {
 	if _, err := w.Begin(m); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range verdicts {
-		if err := w.Record(int(v.I), int(v.J), v.Matched); err != nil {
+	for _, e := range events {
+		if err := e.apply(w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,30 +86,32 @@ func TestGoldenFormat(t *testing.T) {
 	}
 	got := hexDump(raw)
 
-	goldenPath := filepath.Join("testdata", "golden_v1.hex")
 	if os.Getenv("PPRL_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", "golden_v2.hex"), []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("golden file updated — this is a format change; bump formatVersion if released journals exist")
 	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
+	want, goldenBytes := readGolden(t, "golden_v2.hex")
+	if got != want {
+		t.Errorf("journal v2 binary format drifted:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if got != string(want) {
-		t.Errorf("journal v1 binary format drifted:\ngot:\n%s\nwant:\n%s", got, want)
+	// Seven frames for seventeen records: the manifest, a span, a lone
+	// verdict, a tier span, the mark, a span, the commit.
+	frames := 0
+	for off := int64(headerLen); off < int64(len(raw)); frames++ {
+		_, next, ok := nextFrame(raw, off)
+		if !ok {
+			t.Fatalf("frame %d at offset %d does not decode", frames, off)
+		}
+		off = next
+	}
+	if frames != 7 {
+		t.Errorf("golden journal has %d frames, want 7", frames)
 	}
 
 	// The golden bytes must also replay: a reader regression that still
 	// round-trips its own writes would pass the dump comparison alone.
-	goldenBytes, err := hex.DecodeString(strings.Join(strings.Fields(string(want)), ""))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec, err := parse(goldenBytes)
 	if err != nil {
 		t.Fatalf("golden journal does not replay: %v", err)
@@ -84,13 +119,43 @@ func TestGoldenFormat(t *testing.T) {
 	if rec.Manifest != m {
 		t.Errorf("golden manifest decoded as %+v", rec.Manifest)
 	}
-	if len(rec.Verdicts) != len(verdicts) {
-		t.Fatalf("golden journal replays %d verdicts, want %d", len(rec.Verdicts), len(verdicts))
-	}
-	for i, v := range verdicts {
-		if rec.Verdicts[i] != v {
-			t.Errorf("golden verdict %d decoded as %+v, want %+v", i, rec.Verdicts[i], v)
+	var bought, tier []Verdict
+	for _, e := range events {
+		switch e.kind {
+		case recVerdict:
+			bought = append(bought, e.v)
+		case recTierVerdict:
+			tier = append(tier, e.v)
 		}
+	}
+	if !reflect.DeepEqual(rec.Verdicts, bought) || !reflect.DeepEqual(rec.TierVerdicts, tier) {
+		t.Errorf("golden journal replays %+v / %+v, want %+v / %+v", rec.Verdicts, rec.TierVerdicts, bought, tier)
+	}
+	if len(rec.Batches) != 1 || rec.Batches[0].Mark != mark || !rec.Batches[0].Committed ||
+		!reflect.DeepEqual(rec.Batches[0].Verdicts, bought[len(bought)-2:]) {
+		t.Errorf("golden batch frame replays as %+v", rec.Batches)
+	}
+}
+
+// TestGoldenV1StillReads: golden_v1.hex is what the v1 writer made of a
+// manifest and three verdicts. This build writes v2, so the file is a
+// read-only fixture: it must replay to the same manifest and verdicts.
+func TestGoldenV1StillReads(t *testing.T) {
+	_, raw := readGolden(t, "golden_v1.hex")
+	rec, err := parse(raw)
+	if err != nil {
+		t.Fatalf("golden v1 journal does not replay: %v", err)
+	}
+	if rec.Manifest != goldenManifest() {
+		t.Errorf("golden v1 manifest decoded as %+v", rec.Manifest)
+	}
+	want := []Verdict{
+		{I: 0, J: 0, Matched: true},
+		{I: 7, J: 4095, Matched: false},
+		{I: 4294967295, J: 1, Matched: true},
+	}
+	if !reflect.DeepEqual(rec.Verdicts, want) || rec.TornBytes != 0 {
+		t.Errorf("golden v1 journal replays %+v (torn %d), want %+v", rec.Verdicts, rec.TornBytes, want)
 	}
 }
 

@@ -3,8 +3,10 @@
 // never re-spent after a crash. A journal file starts with a manifest
 // describing the run (digests of the configuration and the input
 // relations, the blocking summary, the resolved allowance, the heuristic
-// and its seed) followed by one record per SMC pair verdict, appended in
-// resolution order as the comparator returns them.
+// and its seed) followed by the SMC pair verdicts, appended in resolution
+// order as the comparator returns them: one frame per row span — the
+// consecutive verdicts of one record i — and a lone verdict's frame for a
+// span of one.
 //
 // The on-disk format is length-prefixed, CRC-checksummed and versioned
 // (see DESIGN.md §8 for the byte layout). Appends are group-committed
@@ -30,36 +32,54 @@ import (
 
 // Format constants. The magic distinguishes journal files from arbitrary
 // data; the version gates forward compatibility: a reader refuses files
-// written by a newer version instead of guessing at their layout.
+// written by a newer version instead of guessing at their layout. Version
+// 2 added the span records; a v1 file is read as before and becomes a v2
+// file when it is resumed (see Resume).
 const (
-	formatVersion = 1
+	formatVersion = 2
 	headerLen     = 10 // 8-byte magic + uint16 version
 )
 
 var magic = [8]byte{'P', 'P', 'R', 'L', 'W', 'A', 'L', 0}
 
 // Record types inside the framed payloads. Purchased SMC verdicts
-// (recVerdict) and tier-labeled verdicts (recTierVerdict) are distinct
-// types on disk because resume accounting treats them differently: only
-// purchased verdicts were paid for out of the allowance and must never be
-// re-spent, while tier labels are deterministic and free to recompute —
-// a resumed run replays the former and regenerates the latter. Old
-// journals simply contain no tier records, so the format version is
-// unchanged.
+// (recVerdict, recSpan) and tier-labeled verdicts (recTierVerdict,
+// recTierSpan) are distinct types on disk because resume accounting treats
+// them differently: only purchased verdicts were paid for out of the
+// allowance and must never be re-spent, while tier labels are
+// deterministic and free to recompute — a resumed run replays the former
+// and regenerates the latter. A span record holds two or more consecutive
+// verdicts of one record i (format v2); a lone verdict keeps its v1 record.
 const (
 	recManifest    byte = 1
 	recVerdict     byte = 2
 	recTierVerdict byte = 3
+	recSpan        byte = 6
+	recTierSpan    byte = 7
 )
 
 // maxPayload bounds a single record's payload so a corrupt length prefix
 // cannot make the reader allocate gigabytes. The largest legitimate
-// record is the manifest, whose only variable part is the heuristic name.
+// record is a span, which the writer closes once the sync window holding
+// it reaches flushBytes (no larger than maxPayload); the manifest, whose
+// only variable part is the heuristic name, stays far below it.
 const maxPayload = 1 << 16
+
+// A span's frame is part of the window it grows in, so a window bound
+// above maxPayload could let one span's payload outgrow it.
+const _ = uint(maxPayload - flushBytes)
 
 // verdictPayloadLen is the fixed payload size of a verdict record:
 // type byte, two uint32 record indexes, one verdict byte.
 const verdictPayloadLen = 1 + 4 + 4 + 1
+
+// spanHeaderLen is the fixed part of a span record's payload: type byte,
+// the uint32 record index i, the uint16 verdict count n. The n uint32
+// indexes j and an n-bit verdict bitmap follow.
+const spanHeaderLen = 1 + 4 + 2
+
+// spanPayloadLen is the payload size of a span of n verdicts.
+func spanPayloadLen(n int) int { return spanHeaderLen + 4*n + (n+7)/8 }
 
 // crcTable is the Castagnoli polynomial, chosen over IEEE for its
 // hardware support and better burst-error detection.
@@ -196,6 +216,16 @@ type Writer struct {
 	// buf holds the frames appended since the last flush — the current
 	// sync window — which reach the file in one Write.
 	buf []byte
+	// The open span: the verdicts of consecutive Record (or RecordTier)
+	// calls on row spanI, of kind spanKind (recVerdict or recTierVerdict, 0
+	// when none is open), spanBits their bitmap. The first one waits in
+	// spanJ; from the second on, the span's frame grows unfinished at
+	// buf[spanAt:] — length prefix, header and j's so far.
+	spanKind     byte
+	spanI, spanJ uint32
+	spanAt       int
+	spanN        int
+	spanBits     []byte
 	// err is the first write or fsync failure. It is sticky: the file may
 	// end in a half-written window, which no good frame may follow.
 	err error
@@ -225,9 +255,12 @@ func Create(path string, opts Options) (*Writer, error) {
 // Resume opens an interrupted run's journal for continuation: it replays
 // the manifest and verdicts, truncates any torn tail at the last intact
 // record, and positions the writer to append. The recovered verdicts are
-// handed to the engine by Begin after manifest validation.
+// handed to the engine by Begin after manifest validation. A v1 file gets
+// a v2 header, synced before anything else is written, because the writer
+// appends span records: a build that reads only v1 then refuses the file
+// with ErrNewerVersion instead of meeting a record type it does not know.
 func Resume(path string, opts Options) (*Writer, error) {
-	rec, err := Replay(path)
+	rec, version, err := replay(path)
 	if err != nil {
 		return nil, err
 	}
@@ -239,6 +272,16 @@ func Resume(path string, opts Options) (*Writer, error) {
 		if err := f.Truncate(rec.goodOffset); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("journal: truncating torn tail (%d bytes): %w", rec.TornBytes, err)
+		}
+	}
+	if version < formatVersion {
+		_, err := f.WriteAt(binary.LittleEndian.AppendUint16(nil, formatVersion), headerLen-2)
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal: upgrading the v%d header: %w", version, err)
 		}
 	}
 	if _, err := f.Seek(rec.goodOffset, 0); err != nil {
@@ -286,6 +329,10 @@ func (w *Writer) RecordTier(i, j int, matched bool) error {
 	return w.record(recTierVerdict, i, j, matched)
 }
 
+// record adds one verdict to the open span, first closing it and opening
+// another when the verdict's kind or row differs. (A long row is cut by
+// the window bound: appended flushes, closing the span, before its payload
+// can exceed maxPayload.)
 func (w *Writer) record(kind byte, i, j int, matched bool) error {
 	if err := w.ready("Record"); err != nil {
 		return err
@@ -293,16 +340,73 @@ func (w *Writer) record(kind byte, i, j int, matched bool) error {
 	if i < 0 || j < 0 || int64(i) > int64(^uint32(0)) || int64(j) > int64(^uint32(0)) {
 		return fmt.Errorf("journal: pair (%d,%d) outside the uint32 record-index range", i, j)
 	}
-	var payload [verdictPayloadLen]byte
-	payload[0] = kind
-	binary.LittleEndian.PutUint32(payload[1:5], uint32(i))
-	binary.LittleEndian.PutUint32(payload[5:9], uint32(j))
-	if matched {
-		payload[9] = 1
+	switch {
+	case kind != w.spanKind || uint32(i) != w.spanI:
+		w.closeSpan()
+		w.spanKind, w.spanI, w.spanJ, w.spanN = kind, uint32(i), uint32(j), 0
+		w.spanBits = w.spanBits[:0]
+	case w.spanN == 1:
+		// The row's second verdict: the span's frame begins. Length and
+		// count are filled in when it closes.
+		spanType := recSpan
+		if kind == recTierVerdict {
+			spanType = recTierSpan
+		}
+		w.spanAt = len(w.buf)
+		w.buf = append(w.buf, 0, 0, 0, 0, spanType)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, w.spanI)
+		w.buf = append(w.buf, 0, 0)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, w.spanJ)
+		fallthrough
+	default:
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(j))
 	}
-	w.appendFrame(payload[:])
+	if w.spanN%8 == 0 {
+		w.spanBits = append(w.spanBits, 0)
+	}
+	if matched {
+		w.spanBits[w.spanN/8] |= 1 << (w.spanN % 8)
+	}
+	w.spanN++
 	w.recorded++
 	return w.appended()
+}
+
+// closeSpan finishes the open span's frame: a span record, or the v1
+// verdict record when it holds one verdict, so a run of one costs what it
+// always did.
+func (w *Writer) closeSpan() {
+	if w.spanKind == 0 {
+		return
+	}
+	kind := w.spanKind
+	w.spanKind = 0
+	if w.spanN == 1 {
+		var one [verdictPayloadLen]byte
+		one[0] = kind
+		binary.LittleEndian.PutUint32(one[1:5], w.spanI)
+		binary.LittleEndian.PutUint32(one[5:9], w.spanJ)
+		one[9] = w.spanBits[0]
+		w.frame(one[:])
+		return
+	}
+	binary.LittleEndian.PutUint16(w.buf[w.spanAt+4+5:], uint16(w.spanN))
+	w.buf = append(w.buf, w.spanBits...)
+	payload := w.buf[w.spanAt+4:]
+	binary.LittleEndian.PutUint32(w.buf[w.spanAt:], uint32(len(payload)))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(payload, crcTable))
+}
+
+// windowLen is the size the window will have on the file: its frames,
+// the open span's counted as if it closed now.
+func (w *Writer) windowLen() int {
+	switch {
+	case w.spanKind == 0:
+		return len(w.buf)
+	case w.spanN == 1:
+		return len(w.buf) + 4 + verdictPayloadLen + 4
+	}
+	return w.spanAt + 4 + spanPayloadLen(w.spanN) + 4
 }
 
 // ready reports why the writer cannot take a record: an earlier write
@@ -314,22 +418,25 @@ func (w *Writer) ready(op string) error {
 	return w.err
 }
 
-// appended counts one buffered record against the sync cadence, and
-// writes the window out early once it reaches flushBytes.
+// appended counts one buffered record — a verdict or a batch mark, not a
+// frame — against the sync cadence, and writes the window out early once
+// it reaches flushBytes.
 func (w *Writer) appended() error {
 	w.unsynced++
 	if w.unsynced >= w.syncEvery {
 		return w.Sync()
 	}
-	if len(w.buf) >= flushBytes {
+	if w.windowLen() >= flushBytes {
 		return w.flush()
 	}
 	return nil
 }
 
-// flush hands the window to the file in one Write. os.File.Write reports
-// a short write as an error, so a window that came up short fails closed.
+// flush closes the open span and hands the window to the file in one
+// Write. os.File.Write reports a short write as an error, so a window that
+// came up short fails closed.
 func (w *Writer) flush() error {
+	w.closeSpan()
 	if w.err == nil && len(w.buf) > 0 {
 		if _, err := w.f.Write(w.buf); err != nil {
 			w.err = fmt.Errorf("journal: append: %w", err)
@@ -371,13 +478,19 @@ func (w *Writer) Path() string { return w.path }
 // is exactly the work done since the crash.
 func (w *Writer) Recorded() int { return w.recorded }
 
-// appendFrame encodes one payload's frame at the end of the window:
+// appendFrame closes the open span and appends one payload's frame.
+func (w *Writer) appendFrame(payload []byte) {
+	w.closeSpan()
+	w.frame(payload)
+}
+
+// frame encodes one payload's frame at the end of the window:
 //
 //	uint32 LE payload length | payload | uint32 LE CRC32-C(payload)
 //
 // The checksum reads the buffered copy, so a caller's stack payload does
 // not escape.
-func (w *Writer) appendFrame(payload []byte) {
+func (w *Writer) frame(payload []byte) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
 	w.buf = append(w.buf, payload...)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf[len(w.buf)-len(payload):], crcTable))

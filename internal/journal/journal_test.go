@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -151,32 +152,52 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 }
 
-// TestCorruptionTruncatesFromFirstBadFrame garbles a mid-file record:
-// everything from the first bad frame on is discarded, even later frames
-// that would checksum.
+// TestCorruptionTruncatesFromFirstBadFrame garbles a mid-file record —
+// a lone verdict's, then a span's: everything from the first bad frame on
+// is discarded, even later frames that would checksum, and everything
+// before it survives.
 func TestCorruptionTruncatesFromFirstBadFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.wal")
-	writeRun(t, path, testManifest(), someVerdicts(5), Options{})
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Two lone verdicts, a span of five on row 100, two lone verdicts.
+	verdicts := someVerdicts(2)
+	for j := uint32(0); j < 5; j++ {
+		verdicts = append(verdicts, Verdict{I: 100, J: j, Matched: j == 3})
 	}
-	// Flip a payload byte of the third verdict record.
-	recSize := int64(verdictPayloadLen + 8)
-	third := int64(len(data)) - 3*recSize + 5
-	data[third] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Verdicts) != 2 {
-		t.Errorf("replay past a corrupt frame: got %d verdicts, want 2", len(rec.Verdicts))
-	}
-	if rec.TornBytes != 3*recSize {
-		t.Errorf("TornBytes = %d, want %d", rec.TornBytes, 3*recSize)
+	verdicts = append(verdicts, someVerdicts(5)[3:]...)
+	lone := int64(4 + verdictPayloadLen + 4)
+	span := int64(4 + spanPayloadLen(5) + 4)
+	for _, c := range []struct {
+		name    string
+		flip    int64 // bytes before the end of the file
+		kept    int   // verdicts that survive
+		dropped int64
+	}{
+		{"lone verdict", 2*lone - 5, 7, 2 * lone},
+		{"span count", 2*lone + span - 9, 2, 2*lone + span},
+		{"span j", 2*lone + span - 15, 2, 2*lone + span},
+		{"span bitmap", 2*lone + 5, 2, 2*lone + span},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.wal")
+			writeRun(t, path, testManifest(), verdicts, Options{})
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[int64(len(data))-c.flip] ^= 0xff
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Replay(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rec.Verdicts, verdicts[:c.kept]) {
+				t.Errorf("replay past a corrupt frame: got %+v, want the first %d verdicts", rec.Verdicts, c.kept)
+			}
+			if rec.TornBytes != c.dropped {
+				t.Errorf("TornBytes = %d, want %d", rec.TornBytes, c.dropped)
+			}
+		})
 	}
 }
 

@@ -44,13 +44,25 @@ type Recovered struct {
 // the manifest — wrong magic, a newer format version, a manifest record
 // that never made it to disk intact — are errors: there is nothing safe
 // to resume. A torn tail after the manifest is not an error; the intact
-// prefix is returned and TornBytes reports what was dropped.
+// prefix is returned and TornBytes reports what was dropped. Every span
+// record is expanded into its verdicts, so a v1 file and a v2 file of one
+// run replay to the same lists.
 func Replay(path string) (*Recovered, error) {
+	rec, _, err := replay(path)
+	return rec, err
+}
+
+// replay is Replay that also reports the file's format version.
+func replay(path string) (*Recovered, uint16, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
-	return parse(data)
+	rec, err := parse(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rec, binary.LittleEndian.Uint16(data[8:10]), nil
 }
 
 // parse decodes a journal image. Framing faults (short frame, oversized
@@ -76,11 +88,12 @@ func parse(data []byte) (*Recovered, error) {
 	if [8]byte(data[:8]) != magic {
 		return nil, fmt.Errorf("journal: bad magic: not a pprl run journal")
 	}
-	if v := binary.LittleEndian.Uint16(data[8:10]); v != formatVersion {
-		if v > formatVersion {
-			return nil, fmt.Errorf("%w: file is v%d, this build reads v%d", ErrNewerVersion, v, formatVersion)
-		}
-		return nil, fmt.Errorf("journal: unsupported format version %d", v)
+	version := binary.LittleEndian.Uint16(data[8:10])
+	if version > formatVersion {
+		return nil, fmt.Errorf("%w: file is v%d, this build reads v1–v%d", ErrNewerVersion, version, formatVersion)
+	}
+	if version == 0 {
+		return nil, fmt.Errorf("journal: unsupported format version %d", version)
 	}
 	rec := &Recovered{goodOffset: headerLen}
 	sawManifest := false
@@ -105,27 +118,31 @@ func parse(data []byte) (*Recovered, error) {
 			}
 			rec.Manifest = m
 			sawManifest = true
+		case recSpan, recTierSpan:
+			if version < 2 {
+				return nil, fmt.Errorf("journal: span record type %d at offset %d in a v%d journal", payload[0], off, version)
+			}
+			fallthrough
 		case recVerdict, recTierVerdict:
 			if !sawManifest {
 				return nil, fmt.Errorf("journal: verdict record before the manifest at offset %d", off)
 			}
-			if len(payload) != verdictPayloadLen {
-				return nil, fmt.Errorf("journal: verdict record has %d payload bytes, want %d", len(payload), verdictPayloadLen)
+			tier := payload[0] == recTierVerdict || payload[0] == recTierSpan
+			flat := &rec.Verdicts
+			if tier {
+				flat = &rec.TierVerdicts
 			}
-			v := Verdict{
-				I:       binary.LittleEndian.Uint32(payload[1:5]),
-				J:       binary.LittleEndian.Uint32(payload[5:9]),
-				Matched: payload[9] != 0,
+			from := len(*flat)
+			var err error
+			if *flat, err = appendVerdicts(*flat, payload); err != nil {
+				return nil, err
 			}
-			if payload[0] == recTierVerdict {
-				rec.TierVerdicts = append(rec.TierVerdicts, v)
-				if open >= 0 {
-					rec.Batches[open].TierVerdicts = append(rec.Batches[open].TierVerdicts, v)
-				}
-			} else {
-				rec.Verdicts = append(rec.Verdicts, v)
-				if open >= 0 {
-					rec.Batches[open].Verdicts = append(rec.Batches[open].Verdicts, v)
+			if open >= 0 {
+				b := &rec.Batches[open]
+				if tier {
+					b.TierVerdicts = append(b.TierVerdicts, (*flat)[from:]...)
+				} else {
+					b.Verdicts = append(b.Verdicts, (*flat)[from:]...)
 				}
 			}
 		case recBatch:
@@ -190,6 +207,39 @@ func nextFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
 		return nil, 0, false
 	}
 	return payload, end, true
+}
+
+// appendVerdicts appends the verdicts of a CRC-valid verdict or span
+// payload to out:
+//
+//	verdict := type | i u32 | j u32 | matched u8
+//	span    := type | i u32 | n u16 | j u32 × n | bitmap ⌈n/8⌉ bytes
+//
+// Bit x of the bitmap (byte x/8, least significant bit first) is the
+// verdict on j[x]; the bits past n are zero.
+func appendVerdicts(out []Verdict, payload []byte) ([]Verdict, error) {
+	le := binary.LittleEndian
+	if payload[0] == recVerdict || payload[0] == recTierVerdict {
+		if len(payload) != verdictPayloadLen {
+			return nil, fmt.Errorf("journal: verdict record has %d payload bytes, want %d", len(payload), verdictPayloadLen)
+		}
+		return append(out, Verdict{I: le.Uint32(payload[1:5]), J: le.Uint32(payload[5:9]), Matched: payload[9] != 0}), nil
+	}
+	if len(payload) < spanHeaderLen {
+		return nil, fmt.Errorf("journal: span record has %d payload bytes, want ≥ %d", len(payload), spanHeaderLen)
+	}
+	i, n := le.Uint32(payload[1:5]), int(le.Uint16(payload[5:7]))
+	if n == 0 || len(payload) != spanPayloadLen(n) {
+		return nil, fmt.Errorf("journal: span record of %d verdicts has %d payload bytes, want %d", n, len(payload), spanPayloadLen(n))
+	}
+	js, bits := payload[spanHeaderLen:spanHeaderLen+4*n], payload[spanHeaderLen+4*n:]
+	if bits[len(bits)-1]>>((n-1)%8+1) != 0 {
+		return nil, fmt.Errorf("journal: span record of %d verdicts sets bits past its last verdict", n)
+	}
+	for x := 0; x < n; x++ {
+		out = append(out, Verdict{I: i, J: le.Uint32(js[4*x:]), Matched: bits[x/8]>>(x%8)&1 != 0})
+	}
+	return out, nil
 }
 
 // decodeManifest parses a CRC-valid manifest payload.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -62,23 +63,118 @@ func refFrame(out, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
 }
 
-// refImage is the file the events must produce after header and manifest.
-func refImage(m Manifest, events []event) []byte {
-	out := buildImage(m, nil)
-	for _, e := range events {
-		if p := e.payload(); p != nil {
-			out = refFrame(out, p)
+// spanPayload is the span record of verdicts vs, all on row vs[0].I, of
+// kind's span type: type | i | n u16 | j's | bitmap, verdict x at bit x%8
+// of byte x/8.
+func spanPayload(kind byte, vs []Verdict) []byte {
+	le := binary.LittleEndian
+	t := byte(6)
+	if kind == recTierVerdict {
+		t = 7
+	}
+	p := le.AppendUint16(le.AppendUint32([]byte{t}, vs[0].I), uint16(len(vs)))
+	for _, v := range vs {
+		p = le.AppendUint32(p, v.J)
+	}
+	bits := make([]byte, (len(vs)+7)/8)
+	for x, v := range vs {
+		if v.Matched {
+			bits[x/8] |= 1 << (x % 8)
 		}
+	}
+	return append(p, bits...)
+}
+
+// refFrameAt is one frame of the reference framing and the number of
+// events up to and including the last one it holds.
+type refFrameAt struct {
+	bytes  []byte
+	events int
+}
+
+// refFrames is what the events must produce after header and manifest
+// under a sync cadence. Verdicts of one kind on one row coalesce into a
+// span until something else happens — a verdict of another row or kind,
+// another record, a Sync (explicit, the cadence's, a commit's), or the
+// window, the open span counted, reaching flushBytes; a span of one is
+// the verdict's own record.
+func refFrames(events []event, syncEvery int) []refFrameAt {
+	var (
+		frames           []refFrameAt
+		run              []Verdict
+		runKind          byte
+		runEnd           int
+		window, unsynced int // bytes since the last write; records since the last sync
+	)
+	runLen := func() int {
+		switch len(run) {
+		case 0:
+			return 0
+		case 1:
+			return 4 + 10 + 4
+		}
+		return 4 + 7 + 4*len(run) + (len(run)+7)/8 + 4
+	}
+	add := func(f []byte, end int) {
+		frames = append(frames, refFrameAt{f, end})
+		window += len(f)
+	}
+	closeRun := func() {
+		switch {
+		case len(run) == 1:
+			add(refFrame(nil, event{kind: runKind, v: run[0]}.payload()), runEnd)
+		case len(run) > 1:
+			add(refFrame(nil, spanPayload(runKind, run)), runEnd)
+		}
+		run = run[:0]
+	}
+	write := func() { closeRun(); window = 0 }
+	sync := func() { write(); unsynced = 0 }
+	for k, e := range events {
+		switch e.kind {
+		case 0:
+			sync()
+			continue
+		case recVerdict, recTierVerdict:
+			if len(run) > 0 && (e.kind != runKind || e.v.I != run[0].I) {
+				closeRun()
+			}
+			run, runKind, runEnd = append(run, e.v), e.kind, k+1
+		default:
+			closeRun()
+			add(refFrame(nil, e.payload()), k+1)
+			if e.kind == recBatchCommit {
+				sync()
+				continue
+			}
+		}
+		if unsynced++; unsynced >= syncEvery {
+			sync()
+		} else if window+runLen() >= flushBytes {
+			write()
+		}
+	}
+	closeRun()
+	return frames
+}
+
+// refImage is the file the events must produce under a sync cadence.
+func refImage(m Manifest, events []event, syncEvery int) []byte {
+	out := buildImage(m, nil)
+	for _, f := range refFrames(events, syncEvery) {
+		out = append(out, f.bytes...)
 	}
 	return out
 }
 
 // randomEvents draws a replayable stream: verdicts and tier verdicts
-// inside and outside batch frames, dense batch marks, commits that close
-// the open frame, and stray Syncs.
+// inside and outside batch frames, most of them in runs on one row (the
+// spans the kernel delivers), dense batch marks, commits that close the
+// open frame, and stray Syncs.
 func randomEvents(rng *rand.Rand, n int) []event {
 	var out []event
 	open, next := false, uint32(0)
+	var last event
 	for len(out) < n {
 		switch r := rng.Intn(20); {
 		case r == 0:
@@ -90,10 +186,15 @@ func randomEvents(rng *rand.Rand, n int) []event {
 		case r == 2 && open:
 			out = append(out, event{kind: recBatchCommit, commit: BatchCommit{Batch: next, Deltas: rng.Uint32(), Spent: rng.Int63()}})
 			open, next = false, next+1
-		case r < 6:
-			out = append(out, event{kind: recTierVerdict, v: Verdict{I: rng.Uint32(), J: rng.Uint32(), Matched: rng.Intn(2) == 0}})
 		default:
-			out = append(out, event{kind: recVerdict, v: Verdict{I: rng.Uint32(), J: rng.Uint32(), Matched: rng.Intn(2) == 0}})
+			e := event{kind: recVerdict, v: Verdict{I: rng.Uint32(), J: rng.Uint32(), Matched: rng.Intn(2) == 0}}
+			if r < 6 {
+				e.kind = recTierVerdict
+			}
+			if last.kind != 0 && rng.Intn(5) != 0 {
+				e.kind, e.v.I = last.kind, last.v.I // the row's run goes on
+			}
+			out, last = append(out, e), e
 		}
 	}
 	return out
@@ -201,9 +302,11 @@ func TestWindowVisibility(t *testing.T) {
 }
 
 // TestWindowByteIdentity: whatever the sync cadence and wherever explicit
-// Syncs fall, the file is the plain concatenation of the records' frames.
+// Syncs fall, the file is the plain concatenation of the reference
+// framing's frames — spans cut exactly where the writer must cut them.
 func TestWindowByteIdentity(t *testing.T) {
 	dir := t.TempDir()
+	spans := 0
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		// Mostly short windows; now and then one only the size bound ends.
@@ -226,19 +329,100 @@ func TestWindowByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refImage(testManifest(), events)
+		want := refImage(testManifest(), events, syncEvery)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d (SyncEvery %d, %d events): file differs from the reference framing (%d vs %d bytes)",
 				seed, syncEvery, len(events), len(got), len(want))
 		}
-		if rec, err := parse(got); err != nil || rec.TornBytes != 0 {
+		rec, err := parse(got)
+		if err != nil || rec.TornBytes != 0 {
 			t.Fatalf("seed %d: written file does not replay cleanly: %+v, %v", seed, rec, err)
 		}
+		if !reflect.DeepEqual(rec, replayEvents(testManifest(), events, len(got))) {
+			t.Fatalf("seed %d: replay does not expand the spans back into the recorded verdicts", seed)
+		}
+		for _, f := range refFrames(events, syncEvery) {
+			if typ := f.bytes[4]; typ == recSpan || typ == recTierSpan {
+				spans++
+			}
+		}
+	}
+	if spans == 0 {
+		t.Fatal("no seed wrote a span record; the test checks the v1 framing only")
+	}
+}
+
+// replayEvents is the Recovered a clean file of the events must replay to.
+func replayEvents(m Manifest, events []event, size int) *Recovered {
+	rec := &Recovered{Manifest: m, goodOffset: int64(size)}
+	open := -1
+	for _, e := range events {
+		switch e.kind {
+		case recVerdict, recTierVerdict:
+			flat := &rec.Verdicts
+			if e.kind == recTierVerdict {
+				flat = &rec.TierVerdicts
+			}
+			*flat = append(*flat, e.v)
+			if open >= 0 && e.kind == recTierVerdict {
+				rec.Batches[open].TierVerdicts = append(rec.Batches[open].TierVerdicts, e.v)
+			} else if open >= 0 {
+				rec.Batches[open].Verdicts = append(rec.Batches[open].Verdicts, e.v)
+			}
+		case recBatch:
+			rec.Batches = append(rec.Batches, BatchFrame{Mark: e.mark})
+			open = len(rec.Batches) - 1
+		case recBatchCommit:
+			rec.Batches[open].Committed, rec.Batches[open].Commit = true, e.commit
+			open = -1
+		}
+	}
+	return rec
+}
+
+// TestLongRowSplits: one row's run longer than any payload may be is cut
+// into spans by the window bound — every frame's payload at most
+// maxPayload, the file the reference framing's, every verdict replayed.
+func TestLongRowSplits(t *testing.T) {
+	var events []event
+	for j := uint32(0); j < 40000; j++ {
+		events = append(events, event{kind: recVerdict, v: Verdict{I: 9, J: j, Matched: j%7 == 0}})
+	}
+	path := filepath.Join(t.TempDir(), "run.wal")
+	w := beginAt(t, path, Options{SyncEvery: 1 << 30})
+	for _, e := range events {
+		if err := e.apply(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := refFrames(events, 1<<30)
+	if want := refImage(testManifest(), events, 1<<30); !bytes.Equal(got, want) {
+		t.Fatalf("file differs from the reference framing (%d vs %d bytes)", len(got), len(want))
+	}
+	if len(frames) < 3 {
+		t.Fatalf("40,000 verdicts of one row in %d frames", len(frames))
+	}
+	for _, f := range frames {
+		if n := len(f.bytes) - 8; n > maxPayload {
+			t.Fatalf("a span payload of %d bytes exceeds maxPayload %d", n, maxPayload)
+		}
+	}
+	rec, err := parse(got)
+	if err != nil || !reflect.DeepEqual(rec, replayEvents(testManifest(), events, len(got))) {
+		t.Fatalf("the split row does not replay to its verdicts: %v", err)
 	}
 }
 
 // windowEvents is one multi-frame window of every record type: a batch
-// frame opened, filled and committed, and a second one left open.
+// frame opened, filled — lone verdicts, a purchased span, a tier span — and
+// committed, and a second one left open inside a span.
 func windowEvents() []event {
 	events := []event{{kind: recBatch, mark: BatchMark{Batch: 0, Records: 4, Digest: [32]byte{9}}}}
 	for i, v := range someVerdicts(6) {
@@ -248,27 +432,39 @@ func windowEvents() []event {
 		}
 		events = append(events, event{kind: kind, v: v})
 	}
-	return append(events,
+	for j := uint32(0); j < 9; j++ {
+		events = append(events, event{kind: recVerdict, v: Verdict{I: 30, J: j, Matched: j%4 == 0}})
+	}
+	for j := uint32(0); j < 3; j++ {
+		events = append(events, event{kind: recTierVerdict, v: Verdict{I: 30, J: 20 + j}})
+	}
+	events = append(events,
 		event{kind: recBatchCommit, commit: BatchCommit{Batch: 0, Deltas: 2, Spent: 4}},
-		event{kind: recBatch, mark: BatchMark{Batch: 1, Side: 1, Records: 2, Digest: [32]byte{7}}},
-		event{kind: recVerdict, v: Verdict{I: 40, J: 41, Matched: true}})
+		event{kind: recBatch, mark: BatchMark{Batch: 1, Side: 1, Records: 2, Digest: [32]byte{7}}})
+	for j := uint32(41); j < 45; j++ {
+		events = append(events, event{kind: recVerdict, v: Verdict{I: 40, J: j, Matched: j == 43}})
+	}
+	return events
 }
 
-// TestTornWindow cuts a window's single write at every byte: replay keeps
-// the intact frames, Resume truncates there, the rest of the run appends,
-// and the stitched file is the uninterrupted one.
+// TestTornWindow cuts a window's single write at every byte, inside the
+// span frames too: replay keeps the frames before the cut, Resume
+// truncates there, the rest of the run appends — a torn span re-recorded
+// whole — and the stitched file is the uninterrupted one.
 func TestTornWindow(t *testing.T) {
 	events := windowEvents()
-	whole := refImage(testManifest(), events)
-	// ends[k] is the file offset just past the k-th event's frame.
-	ends := []int{len(buildImage(testManifest(), nil))}
-	for _, e := range events {
-		ends = append(ends, ends[len(ends)-1]+4+len(e.payload())+4)
+	whole := refImage(testManifest(), events, 1<<20)
+	want := replayEvents(testManifest(), events, len(whole))
+	// ends[k] is the file offset just past the k-th frame, done[k] how many
+	// events the first k frames hold.
+	ends, done := []int{len(buildImage(testManifest(), nil))}, []int{0}
+	for _, f := range refFrames(events, 1<<20) {
+		ends, done = append(ends, ends[len(ends)-1]+len(f.bytes)), append(done, f.events)
 	}
 	path := filepath.Join(t.TempDir(), "torn.wal")
 	for cut := ends[0]; cut < len(whole); cut++ {
 		intact := 0
-		for intact < len(events) && ends[intact+1] <= cut {
+		for intact+1 < len(ends) && ends[intact+1] <= cut {
 			intact++
 		}
 		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
@@ -282,6 +478,10 @@ func TestTornWindow(t *testing.T) {
 			t.Fatalf("cut at %d: replay kept %d bytes and dropped %d, want %d and %d",
 				cut, rec.goodOffset, rec.TornBytes, ends[intact], cut-ends[intact])
 		}
+		kept := replayEvents(testManifest(), events[:done[intact]], ends[intact])
+		if kept.TornBytes = int64(cut - ends[intact]); !reflect.DeepEqual(rec, kept) {
+			t.Fatalf("cut at %d: replay of the intact frames is %+v, want %+v", cut, rec, kept)
+		}
 		// A large cadence, so the remainder is again one window.
 		w, err := Resume(path, Options{SyncEvery: 1 << 20})
 		if err != nil {
@@ -293,7 +493,7 @@ func TestTornWindow(t *testing.T) {
 		if _, err := w.Begin(testManifest()); err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
-		for _, e := range events[intact:] {
+		for _, e := range events[done[intact]:] {
 			if err := e.apply(w); err != nil {
 				t.Fatalf("cut at %d: %v", cut, err)
 			}
@@ -309,8 +509,7 @@ func TestTornWindow(t *testing.T) {
 			t.Fatalf("cut at %d: stitched file differs from the uninterrupted one", cut)
 		}
 		full, err := parse(stitched)
-		if err != nil || full.TornBytes != 0 || len(full.Verdicts) != 5 || len(full.TierVerdicts) != 2 ||
-			len(full.Batches) != 2 || !full.Batches[0].Committed || full.Batches[1].Committed {
+		if err != nil || !reflect.DeepEqual(full, want) {
 			t.Fatalf("cut at %d: stitched file replays as %+v, %v", cut, full, err)
 		}
 		os.Remove(path)
@@ -353,34 +552,50 @@ func TestWriterFailsClosed(t *testing.T) {
 	}
 }
 
+// TestRecordDoesNotAllocate: a verdict costs no allocation once the
+// window buffer has grown — a lone one (every call a new row) or one that
+// extends the open span (rows of 29, the live-ingest alice-side mean).
 func TestRecordDoesNotAllocate(t *testing.T) {
-	w := beginAt(t, filepath.Join(t.TempDir(), "run.wal"), Options{SyncEvery: 1 << 30})
-	defer w.Close()
-	i := 0
-	record := func() {
-		if err := w.Record(i, i+1, i%2 == 0); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	}
-	for i < 2*flushBytes/18 { // grow the buffer through its first flushes
-		record()
-	}
-	if allocs := testing.AllocsPerRun(10000, record); allocs != 0 {
-		t.Errorf("Record allocates %.1f times per call, want 0", allocs)
+	for _, span := range []int{1, 29} {
+		t.Run(fmt.Sprintf("span=%d", span), func(t *testing.T) {
+			w := beginAt(t, filepath.Join(t.TempDir(), "run.wal"), Options{SyncEvery: 1 << 30})
+			defer w.Close()
+			i := 0
+			record := func() {
+				if err := w.Record(i/span, i, i%2 == 0); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for i < 2*flushBytes/4 { // grow the buffers through their first flushes
+				record()
+			}
+			if allocs := testing.AllocsPerRun(10000, record); allocs != 0 {
+				t.Errorf("Record allocates %.1f times per call, want 0", allocs)
+			}
+			if span > 1 && w.spanN == 0 {
+				t.Error("no span is open")
+			}
+		})
 	}
 }
 
 // BenchmarkWriterRecord is the journal's cost per purchased verdict at
-// the default cadence and at the live-dataset benchmark's.
+// the default cadence and at the live-dataset benchmark's, a verdict a
+// row, and at the live-ingest cadence with the alice-side mean span of 29
+// verdicts a row.
 func BenchmarkWriterRecord(b *testing.B) {
-	for _, syncEvery := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("sync=%d", syncEvery), func(b *testing.B) {
-			w := beginAt(b, filepath.Join(b.TempDir(), "run.wal"), Options{SyncEvery: syncEvery})
+	for _, c := range []struct{ syncEvery, span int }{{64, 1}, {4096, 1}, {4096, 29}} {
+		name := fmt.Sprintf("sync=%d", c.syncEvery)
+		if c.span > 1 {
+			name = fmt.Sprintf("span=%d", c.span)
+		}
+		b.Run(name, func(b *testing.B) {
+			w := beginAt(b, filepath.Join(b.TempDir(), "run.wal"), Options{SyncEvery: c.syncEvery})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := w.Record(i, i+1, i%3 == 0); err != nil {
+				if err := w.Record(i/c.span, i+1, i%3 == 0); err != nil {
 					b.Fatal(err)
 				}
 			}
