@@ -4,9 +4,21 @@ GO ?= go
 # How long `make fuzz` spends per fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check build binaries vet test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
+.PHONY: check tracked-files build binaries vet test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
 
-check: build binaries vet test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper
+check: tracked-files build binaries vet test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper
+
+# No build output in the tree: every tracked file (as staged) is under
+# 1 MiB, and none is a compiled binary — an executable file must be a
+# script that starts with #!. The largest legitimate file is a journal
+# fixture of ≈ 460 KB.
+tracked-files:
+	@git ls-files -s | { bad=0; while read -r mode sha _ path; do \
+		size=$$(git cat-file -s $$sha); head=$$(git cat-file -p $$sha | head -c 4 | od -An -tx1 | tr -d ' '); \
+		if [ "$$size" -gt 1048576 ]; then echo "tracked-files: $$path is $$size bytes (limit 1 MiB)"; bad=1; fi; \
+		if [ "$$head" = 7f454c46 ] || { [ "$$mode" = 100755 ] && [ "$${head#2321}" = "$$head" ]; }; then \
+			echo "tracked-files: $$path is an executable, not a script"; bad=1; fi; \
+	done; exit $$bad; }
 
 build:
 	$(GO) build ./...

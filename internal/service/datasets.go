@@ -1,9 +1,8 @@
 package service
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -32,13 +31,17 @@ type ingestBatch struct {
 // engine, its journal, and the bounded ingest queue drained by a
 // dedicated goroutine. Appends are accepted (persisted + queued) on the
 // request path and applied asynchronously; deltas become queryable once
-// their batch is applied.
+// their batch is applied. The notifier wakes the delta streams at every
+// applied batch and state change.
 type liveDataset struct {
+	notifier
+
 	ID        string
-	Seq       int
 	Spec      DatasetSpec
 	CreatedAt time.Time
 
+	// schema, eng, jw and queue stay nil for a dataset that failed at
+	// recovery: it is read-only.
 	schema *dataset.Schema
 	eng    *incremental.Engine
 	jw     *journal.Writer
@@ -48,10 +51,13 @@ type liveDataset struct {
 	state    DatasetState
 	errMsg   string
 	accepted int
-	changed  chan struct{}
 }
 
-// Status renders the wire form. A failed-at-recovery dataset has no
+func newLiveDataset(df datasetFile, accepted int) *liveDataset {
+	return &liveDataset{ID: df.ID, Spec: df.Spec, CreatedAt: df.CreatedAt, accepted: accepted}
+}
+
+// StatusView renders the wire form. A failed-at-recovery dataset has no
 // engine; its stats are zero.
 func (ld *liveDataset) StatusView() DatasetStatus {
 	ld.mu.Lock()
@@ -71,51 +77,34 @@ func (ld *liveDataset) StatusView() DatasetStatus {
 	return st
 }
 
-// watch returns a channel closed at the next applied batch or state
-// change, for the SSE stream.
-func (ld *liveDataset) watch() <-chan struct{} {
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
-	return ld.changed
-}
-
-// bump wakes watchers.
-func (ld *liveDataset) bump() {
-	ld.mu.Lock()
-	close(ld.changed)
-	ld.changed = make(chan struct{})
-	ld.mu.Unlock()
-}
-
 // fail moves the dataset to failed and wakes watchers.
 func (ld *liveDataset) fail(msg string) {
 	ld.mu.Lock()
 	ld.state = DatasetFailed
 	ld.errMsg = msg
-	close(ld.changed)
-	ld.changed = make(chan struct{})
 	ld.mu.Unlock()
+	ld.Notify()
 }
 
-// buildDataset constructs the runtime for a registration: engine over
-// the (possibly resumed) ingest journal, bounded queue, drainer
-// goroutine seeded with the stored batches to replay.
-func (s *Server) buildDataset(df datasetFile, stored []batchEntry) (*liveDataset, error) {
-	schema, qids, err := df.Spec.LoadSchema(s.store.ResolveData)
+// startDataset gives a registration its runtime: engine over the
+// (possibly resumed) ingest journal, bounded queue, drainer goroutine
+// seeded with the stored batches to replay.
+func (s *Server) startDataset(ld *liveDataset, stored []batchEntry) error {
+	schema, qids, err := ld.Spec.LoadSchema(s.store.ResolveData)
 	if err != nil {
-		return nil, fmt.Errorf("service: dataset %s: %w", df.ID, err)
+		return fmt.Errorf("service: dataset %s: %w", ld.ID, err)
 	}
-	cfg, err := df.Spec.Config(qids)
+	cfg, err := ld.Spec.Config(qids)
 	if err != nil {
-		return nil, fmt.Errorf("service: dataset %s: %w", df.ID, err)
+		return fmt.Errorf("service: dataset %s: %w", ld.ID, err)
 	}
-	jw, resumed, err := journal.Open(s.store.DatasetJournalPath(df.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
+	jw, resumed, err := journal.Open(s.store.JournalPath(datasetKind, ld.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
 	if err != nil {
-		return nil, fmt.Errorf("service: dataset %s: %w", df.ID, err)
+		return fmt.Errorf("service: dataset %s: %w", ld.ID, err)
 	}
 	var sink journal.BatchSink = jw
 	if s.cfg.Hooks.WrapDatasetJournal != nil {
-		sink = s.cfg.Hooks.WrapDatasetJournal(df.ID, jw)
+		sink = s.cfg.Hooks.WrapDatasetJournal(ld.ID, jw)
 	}
 	cfg.Journal = sink
 	if resumed {
@@ -124,32 +113,22 @@ func (s *Server) buildDataset(df datasetFile, stored []batchEntry) (*liveDataset
 	eng, err := incremental.New(schema, cfg)
 	if err != nil {
 		jw.Close()
-		return nil, fmt.Errorf("service: dataset %s: %w", df.ID, err)
+		return fmt.Errorf("service: dataset %s: %w", ld.ID, err)
 	}
 
-	depth := df.Spec.QueueDepth
+	depth := ld.Spec.QueueDepth
 	if depth <= 0 {
 		depth = defaultQueueDepth
 	}
-	ld := &liveDataset{
-		ID:        df.ID,
-		Seq:       df.Seq,
-		Spec:      df.Spec,
-		CreatedAt: df.CreatedAt,
-		schema:    schema,
-		eng:       eng,
-		jw:        jw,
-		queue:     make(chan ingestBatch, depth),
-		state:     DatasetActive,
-		accepted:  len(stored),
-		changed:   make(chan struct{}),
-	}
+	ld.schema, ld.eng, ld.jw = schema, eng, jw
+	ld.queue = make(chan ingestBatch, depth)
+	ld.state = DatasetActive
 	if len(stored) > 0 {
 		ld.state = DatasetReplaying
 	}
 	s.dsWG.Add(1)
 	go s.runDataset(ld, stored)
-	return ld, nil
+	return nil
 }
 
 // runDataset is a dataset's drainer: re-apply the stored schedule first
@@ -176,7 +155,7 @@ func (s *Server) runDataset(ld *liveDataset, stored []batchEntry) {
 	ld.mu.Unlock()
 	for {
 		select {
-		case <-s.dsStop:
+		case <-s.stop:
 			// Queued-but-unapplied batches are persisted in batches.jsonl;
 			// the next daemon start replays them.
 			return
@@ -208,20 +187,18 @@ func (s *Server) applyBatch(ld *liveDataset, ib ingestBatch) bool {
 	}
 	s.logf("dataset=%s batch=%d side=%d records=%d deltas=%d spent=%d replayed=%v",
 		ld.ID, br.Batch, br.Side, br.Records, len(br.Deltas), br.Spent, br.Replayed)
-	ld.bump()
+	ld.Notify()
 	return true
 }
 
 func (s *Server) failDataset(ld *liveDataset, be batchEntry, err error) {
-	ld.fail(err.Error())
-	if s.cfg.Hooks.HardStop != nil && errors.Is(err, s.cfg.Hooks.HardStop) {
+	if s.hardStop(err) {
 		// Simulated SIGKILL: no terminal state on disk, resumable.
+		ld.fail(err.Error())
 		s.logf("dataset=%s batch=%d interrupted error=%q", ld.ID, be.Batch, err)
 		return
 	}
-	if werr := s.store.WriteDatasetTerminal(ld.ID, err.Error()); werr != nil {
-		s.logf("dataset=%s persisting failure: %v", ld.ID, werr)
-	}
+	ld.fail(s.persistTerminal(datasetKind, ld.ID, StateFailed, err.Error()))
 	s.logf("dataset=%s batch=%d state=failed error=%q", ld.ID, be.Batch, err)
 }
 
@@ -234,40 +211,28 @@ func (s *Server) readBatchRecords(schema *dataset.Schema, ref string) ([]dataset
 	return d.Records(), nil
 }
 
-// dataset looks a runtime up by id.
-func (s *Server) dataset(id string) *liveDataset {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.datasets[id]
-}
-
-func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) error {
 	var spec DatasetSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, Errf(KindBadRequest, "decoding dataset spec: %v", err))
-		return
+	if err := decodeBody(w, r, "dataset spec", &spec); err != nil {
+		return err
 	}
 	if err := spec.Validate(); err != nil {
-		writeErr(w, Errf(KindBadRequest, "%v", err))
-		return
+		return Errf(KindBadRequest, "%v", err)
 	}
 	// Prove the schema loads before any state exists; a bad reference is
 	// the submitter's error, not a poisoned dataset.
 	if _, _, err := spec.LoadSchema(s.store.ResolveData); err != nil {
-		writeErr(w, Errf(KindBadRequest, "%v", err))
-		return
+		return Errf(KindBadRequest, "%v", err)
 	}
-	df, err := s.store.NewDataset(spec)
+	df, err := register(s.store, datasetKind, func(id string, seq int) datasetFile {
+		return datasetFile{ID: id, Seq: seq, CreatedAt: time.Now().UTC(), Spec: spec}
+	})
 	if err != nil {
-		writeErr(w, err)
-		return
+		return err
 	}
-	ld, err := s.buildDataset(*df, nil)
-	if err != nil {
-		writeErr(w, err)
-		return
+	ld := newLiveDataset(df, 0)
+	if err := s.startDataset(ld, nil); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.datasets[ld.ID] = ld
@@ -275,34 +240,21 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 	s.mDatasets.Inc()
 	s.logf("req=%s dataset=%s registered dedup=%v", requestID(r.Context()), ld.ID, spec.Dedup)
 	writeAPI(w, http.StatusCreated, ld.StatusView())
+	return nil
 }
 
-func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	lds := make([]*liveDataset, 0, len(s.datasets))
-	for _, ld := range s.datasets {
-		lds = append(lds, ld)
-	}
-	s.mu.Unlock()
-	statuses := make([]DatasetStatus, 0, len(lds))
-	for _, ld := range lds {
-		statuses = append(statuses, ld.StatusView())
-	}
-	for i := 1; i < len(statuses); i++ {
-		for k := i; k > 0 && statuses[k-1].ID > statuses[k].ID; k-- {
-			statuses[k-1], statuses[k] = statuses[k], statuses[k-1]
-		}
-	}
-	writeAPI(w, http.StatusOK, statuses)
+func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) error {
+	writeAPI(w, http.StatusOK, list(s, s.datasets, (*liveDataset).StatusView))
+	return nil
 }
 
-func (s *Server) handleDatasetStatus(w http.ResponseWriter, r *http.Request) {
-	ld := s.dataset(r.PathValue("id"))
-	if ld == nil {
-		writeErr(w, Errf(KindNotFound, "no such dataset"))
-		return
+func (s *Server) handleDatasetStatus(w http.ResponseWriter, r *http.Request) error {
+	ld, err := lookup(s, s.datasets, datasetKind, r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	writeAPI(w, http.StatusOK, ld.StatusView())
+	return nil
 }
 
 // parseSide maps the wire side name to the engine's index.
@@ -320,97 +272,106 @@ func parseSide(name string, dedup bool) (int, error) {
 	}
 }
 
-func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
-	ld := s.dataset(r.PathValue("id"))
-	if ld == nil {
-		writeErr(w, Errf(KindNotFound, "no such dataset"))
-		return
+// liveOnly looks up a dataset for an operation that needs its engine.
+func (s *Server) liveOnly(id string) (*liveDataset, error) {
+	ld, err := lookup(s, s.datasets, datasetKind, id)
+	if err == nil && ld.eng == nil { // failed at recovery: read-only
+		err = Errf(KindConflict, "dataset is failed: %s", ld.errMsg)
 	}
-	if ld.eng == nil { // failed at recovery: no schema to parse against
-		writeErr(w, Errf(KindConflict, "dataset is failed: %s", ld.errMsg))
-		return
+	return ld, err
+}
+
+func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) error {
+	ld, err := s.liveOnly(r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	var req AppendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, Errf(KindBadRequest, "decoding append request: %v", err))
-		return
+	if err := decodeBody(w, r, "append request", &req); err != nil {
+		return err
 	}
 	sideIdx, err := parseSide(req.Side, ld.Spec.Dedup)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return err
 	}
 	if req.Path == "" {
-		writeErr(w, Errf(KindBadRequest, "path is required"))
-		return
+		return Errf(KindBadRequest, "path is required")
 	}
 	// Parse the batch on the request path so a bad reference is the
 	// caller's 400, not a poisoned engine later.
 	recs, err := s.readBatchRecords(ld.schema, req.Path)
 	if err != nil {
-		writeErr(w, Errf(KindBadRequest, "reading batch: %v", err))
-		return
+		return Errf(KindBadRequest, "reading batch: %v", err)
 	}
 	if len(recs) == 0 {
-		writeErr(w, Errf(KindBadRequest, "batch %q holds no records", req.Path))
-		return
+		return Errf(KindBadRequest, "batch %q holds no records", req.Path)
 	}
 
 	// Accept under the dataset lock: the durable schedule entry and the
 	// queue slot move together, and only the drainer frees slots, so the
 	// capacity check cannot race into a blocked send.
 	ld.mu.Lock()
-	if ld.state == DatasetFailed {
-		ld.mu.Unlock()
-		writeErr(w, Errf(KindConflict, "dataset is failed: %s", ld.errMsg))
-		return
-	}
-	if len(ld.queue) == cap(ld.queue) {
-		ld.mu.Unlock()
-		writeErr(w, Errf(KindUnavailable, "ingest queue is full (%d batches pending); retry shortly", cap(ld.queue)))
-		return
-	}
 	entry := batchEntry{Batch: ld.accepted, Side: sideIdx, Ref: req.Path, At: time.Now().UTC()}
-	if err := s.store.AppendBatchEntry(ld.ID, entry); err != nil {
-		ld.mu.Unlock()
-		writeErr(w, err)
-		return
+	switch {
+	case ld.state == DatasetFailed:
+		err = Errf(KindConflict, "dataset is failed: %s", ld.errMsg)
+	case len(ld.queue) == cap(ld.queue):
+		err = Errf(KindUnavailable, "ingest queue is full (%d batches pending); retry shortly", cap(ld.queue))
+	default:
+		if err = s.store.AppendBatchEntry(ld.ID, entry); err == nil {
+			ld.accepted++
+			ld.queue <- ingestBatch{entry: entry, recs: recs}
+		}
 	}
-	ld.accepted++
-	ld.queue <- ingestBatch{entry: entry, recs: recs}
 	ld.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	s.logf("req=%s dataset=%s batch=%d side=%d records=%d accepted",
 		requestID(r.Context()), ld.ID, entry.Batch, sideIdx, len(recs))
 	writeAPI(w, http.StatusAccepted, AppendAck{
 		Dataset: ld.ID, Batch: entry.Batch, Side: sideIdx, Records: len(recs),
 	})
+	return nil
 }
 
-func (s *Server) handleDatasetDeltas(w http.ResponseWriter, r *http.Request) {
-	ld := s.dataset(r.PathValue("id"))
-	if ld == nil {
-		writeErr(w, Errf(KindNotFound, "no such dataset"))
-		return
-	}
-	if ld.eng == nil {
-		writeErr(w, Errf(KindConflict, "dataset is failed: %s", ld.StatusView().Error))
-		return
+// handleDatasetDeltas serves a page of deltas or, with ?stream=1, an SSE
+// stream: one event per applied-batch window, each carrying the deltas
+// since the previous event, so a consumer who integrates every event
+// (starting at ?from=N) holds exactly the match set of a frozen run — the
+// delta-equivalence contract over a live connection.
+func (s *Server) handleDatasetDeltas(w http.ResponseWriter, r *http.Request) error {
+	ld, err := s.liveOnly(r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	from := 0
 	if raw := r.URL.Query().Get("from"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			writeErr(w, Errf(KindBadRequest, "from must be a non-negative batch index, got %q", raw))
-			return
+			return Errf(KindBadRequest, "from must be a non-negative batch index, got %q", raw)
 		}
 		from = v
 	}
 	if r.URL.Query().Get("stream") != "" {
-		s.streamDeltas(w, r, ld, from)
-		return
+		return s.stream(w, r, ld.Watch, func(w io.Writer) bool {
+			if next, deltas := ld.eng.Deltas(from); next > from {
+				bp := pagePool.Get().(*[]byte)
+				*bp = append(appendDeltasPage(append((*bp)[:0], "data: "...), ld.ID, from, next, deltas), "\n\n"...)
+				_, err := w.Write(*bp)
+				pagePool.Put(bp)
+				if err != nil {
+					return true
+				}
+				from = next
+			}
+			if st := ld.StatusView(); st.State == DatasetFailed {
+				fmt.Fprintf(w, "event: error\ndata: %q\n\n", st.Error)
+				return true
+			}
+			return false
+		})
 	}
 	next, deltas := ld.eng.Deltas(from)
 	bp := pagePool.Get().(*[]byte)
@@ -422,47 +383,5 @@ func (s *Server) handleDatasetDeltas(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(*bp)
-}
-
-// streamDeltas is the SSE variant: one event per applied-batch window,
-// each carrying the deltas since the previous event, so a consumer who
-// integrates every event (starting at ?from=N) holds exactly the match
-// set of a frozen run — the delta-equivalence contract over a live
-// connection.
-func (s *Server) streamDeltas(w http.ResponseWriter, r *http.Request, ld *liveDataset, from int) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, Errf(KindInternal, "streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	for {
-		changed := ld.watch()
-		next, deltas := ld.eng.Deltas(from)
-		if next > from {
-			bp := pagePool.Get().(*[]byte)
-			*bp = append(appendDeltasPage(append((*bp)[:0], "data: "...), ld.ID, from, next, deltas), "\n\n"...)
-			_, err := w.Write(*bp)
-			pagePool.Put(bp)
-			if err != nil {
-				return
-			}
-			flusher.Flush()
-			from = next
-		}
-		if st := ld.StatusView(); st.State == DatasetFailed {
-			fmt.Fprintf(w, "event: error\ndata: %q\n\n", st.Error)
-			flusher.Flush()
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		case <-s.dsStop:
-			return
-		}
-	}
+	return nil
 }

@@ -27,8 +27,8 @@ type DatasetSpec struct {
 
 	// Level is the fixed binning depth below each hierarchy root (0 =
 	// default). It replaces the frozen pipeline's anonymizer choice:
-	// live datasets need insertion-stable bins, which only the
-	// fixed-level binner provides.
+	// live datasets need bins that stay put as records arrive, which
+	// only the fixed-level binner provides.
 	Level int `json:"level,omitempty"`
 	// Dedup links the dataset against itself: one side, unordered delta
 	// pairs i < j. Append batches must then target side "alice".

@@ -297,7 +297,7 @@ func TestBatchScheduleRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	df, err := st.NewDataset(DatasetSpec{})
+	df, err := register(st, datasetKind, func(id string, seq int) datasetFile { return datasetFile{ID: id, Seq: seq} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func BenchmarkAppendBatchEntry(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			df, err := st.NewDataset(DatasetSpec{})
+			df, err := register(st, datasetKind, func(id string, seq int) datasetFile { return datasetFile{ID: id, Seq: seq} })
 			if err != nil {
 				b.Fatal(err)
 			}

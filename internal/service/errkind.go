@@ -56,25 +56,6 @@ func (k ErrKind) HTTPStatus() int {
 // without the caller changing anything.
 func (k ErrKind) Retryable() bool { return k == KindUnavailable }
 
-// kindFromStatus recovers the kind for handlers that still speak in raw
-// status codes, keeping every error body uniformly classified.
-func kindFromStatus(code int) ErrKind {
-	switch code {
-	case http.StatusBadRequest:
-		return KindBadRequest
-	case http.StatusUnprocessableEntity:
-		return KindInvalid
-	case http.StatusNotFound:
-		return KindNotFound
-	case http.StatusConflict:
-		return KindConflict
-	case http.StatusServiceUnavailable:
-		return KindUnavailable
-	default:
-		return KindInternal
-	}
-}
-
 // kindError carries a classification along an error chain.
 type kindError struct {
 	kind ErrKind

@@ -252,6 +252,20 @@ func TestServiceIncrementalSmoke(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Errorf("append to failed dataset returned %d, want 409", code)
 	}
+	// A delta stream on the failed dataset delivers the committed deltas,
+	// then names the failure and ends.
+	failResp, err := http.Get(fmt.Sprintf("%s/v1/datasets/%s/deltas?from=0&stream=1", ts1.URL, ds.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(failResp.Body)
+	failResp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("event: error\ndata: %q\n\n", failed.Error); !strings.HasSuffix(string(raw), want) || strings.Count(string(raw), "event: error") != 1 {
+		t.Errorf("failed dataset's stream does not end on its error:\n%s", raw)
+	}
 	ts1.Close()
 	s1.Drain()
 

@@ -2,19 +2,45 @@ package service
 
 import "sync"
 
-// tracker holds a job's latest progress snapshot and wakes event-stream
-// subscribers on every update. The core pipeline calls Update
-// synchronously on the linking goroutine (the hook contract says keep it
-// fast), so Update is a field copy plus a channel close — no I/O.
-type tracker struct {
-	mu      sync.Mutex
-	snap    Progress
-	any     bool
-	changed chan struct{}
+// notifier wakes watchers: Watch returns a channel the next Notify
+// closes, so a watcher loops read, emit, wait. A Notify nobody watches
+// costs a lock and nothing else.
+type notifier struct {
+	mu sync.Mutex
+	ch chan struct{}
 }
 
-func newTracker() *tracker {
-	return &tracker{changed: make(chan struct{})}
+// Watch returns a channel closed at the next Notify.
+func (n *notifier) Watch() <-chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.ch == nil {
+		n.ch = make(chan struct{})
+	}
+	return n.ch
+}
+
+// Notify wakes every watcher.
+func (n *notifier) Notify() {
+	n.mu.Lock()
+	if n.ch != nil {
+		close(n.ch)
+		n.ch = nil
+	}
+	n.mu.Unlock()
+}
+
+// tracker holds a job's latest progress snapshot; its notifier wakes the
+// job's event streams at every update and when the job settles. The core
+// pipeline calls Update synchronously on the linking goroutine (the hook
+// contract says keep it fast), so Update is a field copy plus a wake-up —
+// no I/O.
+type tracker struct {
+	notifier
+
+	mu   sync.Mutex
+	snap Progress
+	any  bool
 }
 
 // Update implements the core.Config.Progress contract.
@@ -28,9 +54,8 @@ func (t *tracker) Update(stage string, done, total int64) {
 		}
 	}
 	t.any = true
-	close(t.changed)
-	t.changed = make(chan struct{})
 	t.mu.Unlock()
+	t.Notify()
 }
 
 // Snapshot returns the latest position, or nil before the first update.
@@ -42,17 +67,4 @@ func (t *tracker) Snapshot() *Progress {
 	}
 	snap := t.snap
 	return &snap
-}
-
-// Watch returns the latest position plus a channel closed at the next
-// update, so a subscriber loops: read, emit, wait.
-func (t *tracker) Watch() (*Progress, <-chan struct{}) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ch := t.changed
-	if !t.any {
-		return nil, ch
-	}
-	snap := t.snap
-	return &snap, ch
 }

@@ -2,10 +2,13 @@ package service
 
 import (
 	"bytes"
+	"log"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"pprl/internal/journal"
@@ -55,7 +58,7 @@ func TestServiceRestartRecovery(t *testing.T) {
 	legacy := spec
 	legacy.Blocking = "dense"
 	jid := submit(t, ts1, legacy).ID
-	if raw, err := os.ReadFile(filepath.Join(s1.store.JobDir(jid), "spec.json")); err != nil || !bytes.Contains(raw, []byte(`"blocking": "dense"`)) {
+	if raw, err := os.ReadFile(filepath.Join(s1.store.Dir(jobKind, jid), "spec.json")); err != nil || !bytes.Contains(raw, []byte(`"blocking": "dense"`)) {
 		t.Fatalf("persisted spec does not carry the deprecated field (err %v):\n%s", err, raw)
 	}
 	interrupted := waitState(t, ts1, jid, StateInterrupted)
@@ -67,7 +70,7 @@ func TestServiceRestartRecovery(t *testing.T) {
 	// An older daemon's spec.json could also name the result encoding.
 	// Recovery decodes leniently, and the manifest never recorded the
 	// field: the job resumes packed, as every job now runs.
-	specPath := filepath.Join(s1.store.JobDir(jid), "spec.json")
+	specPath := filepath.Join(s1.store.Dir(jobKind, jid), "spec.json")
 	raw, err := os.ReadFile(specPath)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +150,11 @@ func TestServiceDrainResume(t *testing.T) {
 	s1.Drain() // what the daemon does on SIGTERM
 	ts1.Close()
 
-	st := s1.job(jid).Status()
+	j, err := lookup(s1, s1.jobs, jobKind, jid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := j.Status()
 	if st.State != StateInterrupted && st.State != StateDone {
 		t.Fatalf("drained job settled as %q", st.State)
 	}
@@ -171,5 +178,53 @@ func TestServiceDrainResume(t *testing.T) {
 	}
 	if total := res.Result.Invocations + res.Result.Resume.ReplayedAllowance; total > res.Result.Allowance {
 		t.Errorf("spent %d > allowance %d", total, res.Result.Allowance)
+	}
+}
+
+// lockedBuffer is a log sink the test reads while the daemon writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestTerminalWriteFailureIsKept: a job whose verdict cannot reach disk —
+// a directory sits at status.json, so the rename fails even for root —
+// still settles failed in memory, and both the log and its status say the
+// verdict was not persisted (a restart will run it again).
+func TestTerminalWriteFailureIsKept(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := register(st, jobKind, func(id string, seq int) specFile {
+		return specFile{ID: id, Seq: seq, Spec: JobSpec{AlicePath: "missing-a.csv", BobPath: "missing-b.csv"}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(st.Dir(jobKind, sf.ID), "status.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var logs lockedBuffer
+	_, ts := newTestServer(t, Config{Dir: dir, DataDir: t.TempDir(), Logger: log.New(&logs, "", 0)})
+	got := waitState(t, ts, sf.ID, StateFailed)
+	if !strings.Contains(got.Error, "reading alice") || !strings.Contains(got.Error, "; persisting terminal state: ") {
+		t.Errorf("failed job's error %q does not say its verdict was lost", got.Error)
+	}
+	if want := "job=" + sf.ID + " persisting terminal state: "; !strings.Contains(logs.String(), want) {
+		t.Errorf("log lacks %q:\n%s", want, logs.String())
 	}
 }

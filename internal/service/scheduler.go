@@ -12,11 +12,11 @@ import (
 // terminal (or resumable) state.
 type Job struct {
 	ID          string
-	Seq         int
 	Spec        JobSpec
 	SubmittedAt time.Time
 
-	// Progress is fed by the core pipeline's progress hook.
+	// Progress is fed by the core pipeline's progress hook; its notifier
+	// also wakes watchers when the job settles.
 	Progress *tracker
 
 	mu           sync.Mutex
@@ -25,18 +25,15 @@ type Job struct {
 	resumed      int
 	cancel       context.CancelFunc
 	userCanceled bool
-	settled      chan struct{}
 }
 
-func newJob(id string, seq int, spec JobSpec, submitted time.Time) *Job {
+func newJob(id string, spec JobSpec, submitted time.Time) *Job {
 	return &Job{
 		ID:          id,
-		Seq:         seq,
 		Spec:        spec,
 		SubmittedAt: submitted,
-		Progress:    newTracker(),
+		Progress:    new(tracker),
 		state:       StateQueued,
-		settled:     make(chan struct{}),
 	}
 }
 
@@ -62,10 +59,6 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Settled is closed once the job stops executing in this process —
-// terminal states and checkpointed interruptions alike.
-func (j *Job) Settled() <-chan struct{} { return j.settled }
-
 // UserCanceled reports whether a DELETE requested this job's end (which
 // distinguishes a cancellation from a daemon-drain checkpoint when the
 // engine returns ErrInterrupted).
@@ -88,16 +81,15 @@ func (j *Job) begin(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish records the post-execution state and wakes Settled watchers.
-// An interrupted job may be re-queued (by recovery in a later process);
-// the settled channel is refreshed when that happens.
+// finish records the post-execution state and wakes Progress watchers. An interrupted job is re-queued only by recovery in
+// a later process, as a new Job.
 func (j *Job) finish(state State, errMsg string) {
 	j.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
 	j.cancel = nil
-	close(j.settled)
 	j.mu.Unlock()
+	j.Progress.Notify()
 }
 
 // markRecovered resets a non-terminal job found on disk back to queued,
@@ -156,18 +148,17 @@ func (s *Scheduler) Enqueue(j *Job) error {
 	return nil
 }
 
-// Cancel ends the job: a queued job settles to canceled immediately and
-// reports wasQueued = true so the caller can persist the terminal state;
-// a running job has its context cancelled (the executor settles it) and
-// reports wasQueued = false. Settled jobs are left alone.
+// Cancel ends the job: a queued job leaves the queue — no worker will
+// run it — and reports wasQueued = true, so the caller settles it and
+// persists the terminal state; a running job has its context cancelled
+// (the executor settles it) and reports wasQueued = false. Settled jobs
+// are left alone.
 func (s *Scheduler) Cancel(j *Job) (wasQueued bool) {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
 		j.state = StateCanceled
-		j.errMsg = "canceled while queued"
 		j.userCanceled = true
-		close(j.settled)
 		j.mu.Unlock()
 		return true
 	case StateRunning:

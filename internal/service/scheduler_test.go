@@ -10,12 +10,21 @@ import (
 
 func specN(n string) JobSpec { return JobSpec{AlicePath: n + "-a.csv", BobPath: n + "-b.csv"} }
 
+// waitSettled waits until j stops executing in this process — terminal
+// states and checkpointed interruptions alike.
 func waitSettled(t *testing.T, j *Job) {
 	t.Helper()
-	select {
-	case <-j.Settled():
-	case <-time.After(10 * time.Second):
-		t.Fatalf("job %s never settled (state %s)", j.ID, j.State())
+	timeout := time.After(10 * time.Second)
+	for {
+		changed := j.Progress.Watch()
+		if st := j.State(); st != StateQueued && st != StateRunning {
+			return
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			t.Fatalf("job %s never settled (state %s)", j.ID, j.State())
+		}
 	}
 }
 
@@ -34,7 +43,7 @@ func TestSchedulerFIFO(t *testing.T) {
 
 	var jobs []*Job
 	for i := 1; i <= 5; i++ {
-		j := newJob(formatJobID(i), i, specN("x"), time.Now())
+		j := newJob(jobKind.id(i), specN("x"), time.Now())
 		jobs = append(jobs, j)
 		if err := s.Enqueue(j); err != nil {
 			t.Fatal(err)
@@ -49,7 +58,7 @@ func TestSchedulerFIFO(t *testing.T) {
 		t.Fatalf("ran %d jobs, want 5", len(order))
 	}
 	for i, id := range order {
-		if want := formatJobID(i + 1); id != want {
+		if want := jobKind.id(i + 1); id != want {
 			t.Errorf("position %d ran %s, want %s", i, id, want)
 		}
 	}
@@ -76,7 +85,7 @@ func TestSchedulerConcurrencyBound(t *testing.T) {
 
 	var jobs []*Job
 	for i := 1; i <= n; i++ {
-		j := newJob(formatJobID(i), i, specN("x"), time.Now())
+		j := newJob(jobKind.id(i), specN("x"), time.Now())
 		jobs = append(jobs, j)
 		if err := s.Enqueue(j); err != nil {
 			t.Fatal(err)
@@ -109,14 +118,14 @@ func blockingExec(started chan<- *Job) func(ctx context.Context, j *Job) {
 	}
 }
 
-// TestSchedulerCancelQueued: canceling a job that has not started
-// settles it immediately and it never runs.
+// TestSchedulerCancelQueued: canceling a job that has not started takes
+// it out of the queue at once, and it never runs.
 func TestSchedulerCancelQueued(t *testing.T) {
 	started := make(chan *Job, 2)
 	s := NewScheduler(1, blockingExec(started))
 
-	first := newJob(formatJobID(1), 1, specN("x"), time.Now())
-	second := newJob(formatJobID(2), 2, specN("y"), time.Now())
+	first := newJob(jobKind.id(1), specN("x"), time.Now())
+	second := newJob(jobKind.id(2), specN("y"), time.Now())
 	if err := s.Enqueue(first); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +137,7 @@ func TestSchedulerCancelQueued(t *testing.T) {
 	if wasQueued := s.Cancel(second); !wasQueued {
 		t.Fatal("Cancel of a queued job should report wasQueued")
 	}
+	second.finish(StateCanceled, "canceled while queued") // the caller settles it
 	waitSettled(t, second)
 	if st := second.State(); st != StateCanceled {
 		t.Fatalf("queued job canceled into %s", st)
@@ -152,8 +162,8 @@ func TestSchedulerCancelRunning(t *testing.T) {
 	s := NewScheduler(1, blockingExec(started))
 	defer s.Drain()
 
-	first := newJob(formatJobID(1), 1, specN("x"), time.Now())
-	second := newJob(formatJobID(2), 2, specN("y"), time.Now())
+	first := newJob(jobKind.id(1), specN("x"), time.Now())
+	second := newJob(jobKind.id(2), specN("y"), time.Now())
 	for _, j := range []*Job{first, second} {
 		if err := s.Enqueue(j); err != nil {
 			t.Fatal(err)
@@ -185,8 +195,8 @@ func TestSchedulerDrainKeepsQueue(t *testing.T) {
 	started := make(chan *Job, 1)
 	s := NewScheduler(1, blockingExec(started))
 
-	running := newJob(formatJobID(1), 1, specN("x"), time.Now())
-	queued := newJob(formatJobID(2), 2, specN("y"), time.Now())
+	running := newJob(jobKind.id(1), specN("x"), time.Now())
+	queued := newJob(jobKind.id(2), specN("y"), time.Now())
 	for _, j := range []*Job{running, queued} {
 		if err := s.Enqueue(j); err != nil {
 			t.Fatal(err)
@@ -201,7 +211,7 @@ func TestSchedulerDrainKeepsQueue(t *testing.T) {
 	if st := queued.State(); st != StateQueued {
 		t.Errorf("queued job drained into %s, want queued", st)
 	}
-	if err := s.Enqueue(newJob(formatJobID(3), 3, specN("z"), time.Now())); err == nil {
+	if err := s.Enqueue(newJob(jobKind.id(3), specN("z"), time.Now())); err == nil {
 		t.Error("Enqueue accepted a job after Drain")
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,7 +41,8 @@ type Hooks struct {
 
 // Config configures a Server.
 type Config struct {
-	// Dir is the service root; job state lives under Dir/jobs.
+	// Dir is the service root; job state lives under Dir/jobs, dataset
+	// state under Dir/datasets.
 	Dir string
 	// DataDir, when set, confines spec dataset references to this
 	// directory.
@@ -85,9 +88,10 @@ type Server struct {
 	byKey    map[string]string // idempotency key → job ID
 	datasets map[string]*liveDataset
 
-	// dsStop ends every dataset drainer at Drain; dsWG waits for them.
-	dsStop chan struct{}
-	dsWG   sync.WaitGroup
+	// stop ends every dataset drainer and event stream at Drain; dsWG
+	// waits for the drainers.
+	stop chan struct{}
+	dsWG sync.WaitGroup
 
 	mJobsSubmitted *metrics.Var
 	mJobsDone      *metrics.Var
@@ -135,8 +139,8 @@ type Server struct {
 	fleetCancel context.CancelFunc
 }
 
-// New opens the service root, recovers jobs left behind by a previous
-// daemon, and starts the worker pool. In-flight jobs from before the
+// New opens the service root, recovers jobs and datasets left behind by a
+// previous daemon, and starts the worker pool. In-flight jobs from before the
 // restart re-enter the queue in their original FIFO order and resume
 // from their journals.
 func New(cfg Config) (*Server, error) {
@@ -154,7 +158,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:     make(map[string]*Job),
 		byKey:    make(map[string]string),
 		datasets: make(map[string]*liveDataset),
-		dsStop:   make(chan struct{}),
+		stop:     make(chan struct{}),
 	}
 	s.mJobsSubmitted = s.reg.Counter("jobs_submitted_total", "Jobs accepted over the API.")
 	s.mJobsDone = s.reg.Counter("jobs_done_total", "Jobs completed successfully.")
@@ -195,60 +199,79 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	recovered, err := store.Recover()
-	if err != nil {
-		if s.pool != nil {
-			s.pool.Close()
-		}
-		return nil, err
-	}
 	s.sched = NewScheduler(cfg.Workers, s.runJob)
-	for _, j := range recovered {
-		s.jobs[j.ID] = j
-		if key := j.Spec.IdempotencyKey; key != "" {
-			s.byKey[key] = j.ID
-		}
-		if j.State() == StateQueued {
-			s.mJobsRecovered.Inc()
-			if err := s.sched.Enqueue(j); err != nil {
-				return nil, err
-			}
-		}
-	}
-	recoveredDS, err := store.RecoverDatasets()
-	if err != nil {
+	if err := s.recover(); err != nil {
 		s.Drain()
 		return nil, err
 	}
-	for _, rd := range recoveredDS {
-		var ld *liveDataset
-		var err error
-		if rd.Failed == "" {
+	return s, nil
+}
+
+// recover rebuilds every resource the store holds. A job with a result is
+// done and one with a verdict keeps it; any other job — including one
+// whose journal holds a partial (or even complete) run — is re-queued, and
+// the journal replay guarantees already-purchased SMC verdicts are never
+// bought again. A dataset re-Appends its stored schedule unless a verdict
+// (or a journal that can never resume) leaves it failed and read-only.
+func (s *Server) recover() error {
+	jobs, err := scan[specFile](s.store, jobKind)
+	if err != nil {
+		return err
+	}
+	for _, f := range jobs {
+		j := newJob(f.ID, f.Head.Spec, f.Head.SubmittedAt)
+		s.addJob(j)
+		switch {
+		case s.store.hasResult(f.ID):
+			j.finish(StateDone, "")
+		case f.Verdict.State != "":
+			j.finish(f.Verdict.State, f.Verdict.Error)
+		default: // in flight at the previous daemon's death
+			j.markRecovered()
+			s.mJobsRecovered.Inc()
+			if err := s.sched.Enqueue(j); err != nil {
+				return err
+			}
+		}
+	}
+	datasets, err := scan[datasetFile](s.store, datasetKind)
+	if err != nil {
+		return err
+	}
+	for _, f := range datasets {
+		stored, err := s.store.ReadBatchEntries(f.ID)
+		if err != nil {
+			return err
+		}
+		ld := newLiveDataset(f.Head, len(stored))
+		s.datasets[ld.ID] = ld
+		failed := f.Verdict.Error
+		if f.Verdict.State == "" {
 			// A DP journal of record pairs can never resume: that dataset
 			// alone comes back failed.
-			if ld, err = s.buildDataset(rd.File, rd.Batches); errors.Is(err, core.ErrUnpaddedJournal) {
-				rd.Failed = err.Error()
+			if err := s.startDataset(ld, stored); errors.Is(err, core.ErrUnpaddedJournal) {
+				failed = err.Error()
+			} else if err != nil {
+				return err
 			}
 		}
-		if rd.Failed != "" {
+		if ld.eng == nil {
 			// Surface the dataset read-only instead of replaying into the
 			// same wall.
-			s.datasets[rd.File.ID] = &liveDataset{
-				ID: rd.File.ID, Seq: rd.File.Seq, Spec: rd.File.Spec,
-				CreatedAt: rd.File.CreatedAt, accepted: len(rd.Batches),
-				state: DatasetFailed, errMsg: rd.Failed,
-				changed: make(chan struct{}),
-			}
+			ld.state, ld.errMsg = DatasetFailed, failed
 			continue
 		}
-		if err != nil {
-			s.Drain()
-			return nil, err
-		}
-		s.datasets[ld.ID] = ld
-		s.logf("dataset=%s recovered batches=%d", ld.ID, len(rd.Batches))
+		s.logf("dataset=%s recovered batches=%d", ld.ID, len(stored))
 	}
-	return s, nil
+	return nil
+}
+
+// addJob registers j under its id and idempotency key.
+func (s *Server) addJob(j *Job) {
+	s.jobs[j.ID] = j
+	if key := j.Spec.IdempotencyKey; key != "" {
+		s.byKey[key] = j.ID
+	}
 }
 
 // Metrics returns the server's registry, e.g. for expvar.Publish.
@@ -323,9 +346,9 @@ func (s *Server) Drain() {
 		s.sched.Drain()
 	}
 	select {
-	case <-s.dsStop:
+	case <-s.stop:
 	default:
-		close(s.dsStop)
+		close(s.stop)
 	}
 	s.dsWG.Wait()
 	if s.fleetCancel != nil {
@@ -339,17 +362,17 @@ func (s *Server) Drain() {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("POST /v1/datasets", s.handleDatasetCreate)
-	mux.HandleFunc("GET /v1/datasets", s.handleDatasetList)
-	mux.HandleFunc("GET /v1/datasets/{id}", s.handleDatasetStatus)
-	mux.HandleFunc("POST /v1/datasets/{id}/records", s.handleDatasetAppend)
-	mux.HandleFunc("GET /v1/datasets/{id}/deltas", s.handleDatasetDeltas)
+	mux.Handle("POST /v1/jobs", apiHandler(s.handleSubmit))
+	mux.Handle("GET /v1/jobs", apiHandler(s.handleList))
+	mux.Handle("GET /v1/jobs/{id}", apiHandler(s.handleStatus))
+	mux.Handle("DELETE /v1/jobs/{id}", apiHandler(s.handleCancel))
+	mux.Handle("GET /v1/jobs/{id}/result", apiHandler(s.handleResult))
+	mux.Handle("GET /v1/jobs/{id}/events", apiHandler(s.handleEvents))
+	mux.Handle("POST /v1/datasets", apiHandler(s.handleDatasetCreate))
+	mux.Handle("GET /v1/datasets", apiHandler(s.handleDatasetList))
+	mux.Handle("GET /v1/datasets/{id}", apiHandler(s.handleDatasetStatus))
+	mux.Handle("POST /v1/datasets/{id}/records", apiHandler(s.handleDatasetAppend))
+	mux.Handle("GET /v1/datasets/{id}/deltas", apiHandler(s.handleDatasetDeltas))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.cfg.EnablePprof {
@@ -365,201 +388,218 @@ func (s *Server) Handler() http.Handler {
 	}))
 }
 
+// apiHandler is an API route: it writes its response, or returns an
+// error — classified with Errf, or an internal one — for writeErr to
+// render.
+type apiHandler func(w http.ResponseWriter, r *http.Request) error
+
+func (h apiHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if err := h(w, r); err != nil {
+		writeErr(w, err)
+	}
+}
+
 func writeAPI(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeAPIError(w http.ResponseWriter, code int, format string, args ...any) {
-	kind := kindFromStatus(code)
-	if kind.Retryable() {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeAPI(w, code, apiError{
-		Error:     fmt.Sprintf(format, args...),
-		Kind:      kind,
-		Retryable: kind.Retryable(),
-	})
-}
-
-// maxSpecBytes bounds a submission body; specs are a page of JSON, not
+// maxSpecBytes bounds a request body; bodies are a page of JSON, not
 // record data.
 const maxSpecBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
+// decodeBody decodes a request body of at most maxSpecBytes into v,
+// refusing unknown fields.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeAPIError(w, http.StatusBadRequest, "decoding spec: %v", err)
-		return
+	if err := dec.Decode(v); err != nil {
+		return Errf(KindBadRequest, "decoding %s: %v", what, err)
+	}
+	return nil
+}
+
+// lookup finds a registered resource of kind k.
+func lookup[T any](s *Server, m map[string]T, k *kind, id string) (T, error) {
+	s.mu.Lock()
+	v, ok := m[id]
+	s.mu.Unlock()
+	if !ok {
+		return v, Errf(KindNotFound, "no such %s", k.noun)
+	}
+	return v, nil
+}
+
+// list renders every registered resource in m, in id (FIFO) order.
+func list[T, V any](s *Server, m map[string]T, view func(T) V) []V {
+	s.mu.Lock()
+	ids := make([]string, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	items := make([]T, len(ids))
+	for i, id := range ids {
+		items[i] = m[id]
+	}
+	s.mu.Unlock()
+	views := make([]V, len(items))
+	for i, it := range items {
+		views[i] = view(it)
+	}
+	return views
+}
+
+// stream serves a server-sent event stream: it writes what emit renders,
+// then waits for the channel watch returned before that render to close,
+// until emit reports its event the last (or a write failed), the client
+// leaves or the daemon drains.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, watch func() <-chan struct{}, emit func(io.Writer) (last bool)) error {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		return Errf(KindInternal, "streaming unsupported")
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	for {
+		changed := watch()
+		last := emit(w)
+		flusher.Flush()
+		if last {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-r.Context().Done():
+			return nil
+		case <-s.stop:
+			return nil
+		}
+	}
+}
+
+// persistTerminal writes a resource's terminal verdict, after which a
+// restart neither re-runs nor replays it. A failed write is logged and
+// returned joined to msg, so the in-memory status says the verdict will
+// not outlive this process.
+func (s *Server) persistTerminal(k *kind, id string, state State, msg string) string {
+	if err := s.store.WriteTerminal(k, id, state, msg); err != nil {
+		s.logf("%s=%s persisting terminal state: %v", k.noun, id, err)
+		return msg + "; persisting terminal state: " + err.Error()
+	}
+	return msg
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) error {
+	var spec JobSpec
+	if err := decodeBody(w, r, "spec", &spec); err != nil {
+		return err
 	}
 	if err := spec.Validate(); err != nil {
-		writeAPIError(w, http.StatusBadRequest, "%v", err)
-		return
+		return Errf(KindBadRequest, "%v", err)
 	}
 	if spec.Distributed && s.pool == nil {
 		// The spec is well-formed; it's this daemon that can't honor it —
 		// 422, terminal, so clients don't retry into the same wall.
-		writeErr(w, Errf(KindInvalid, "distributed jobs need a worker fleet: start the daemon with -fleet-listen or -worker"))
-		return
+		return Errf(KindInvalid, "distributed jobs need a worker fleet: start the daemon with -fleet-listen or -worker")
 	}
 	// Reject unresolvable dataset references at submit time rather than
 	// letting the job fail later in the queue.
 	for _, ref := range []string{spec.AlicePath, spec.BobPath} {
 		if _, err := s.store.ResolveData(ref); err != nil {
-			writeAPIError(w, http.StatusBadRequest, "%v", err)
-			return
+			return Errf(KindBadRequest, "%v", err)
 		}
 	}
 
 	s.mu.Lock()
-	if key := spec.IdempotencyKey; key != "" {
-		if id, ok := s.byKey[key]; ok {
-			j := s.jobs[id]
-			s.mu.Unlock()
-			writeAPI(w, http.StatusOK, j.Status())
-			return
-		}
+	if id, ok := s.byKey[spec.IdempotencyKey]; ok {
+		j := s.jobs[id]
+		s.mu.Unlock()
+		writeAPI(w, http.StatusOK, j.Status())
+		return nil
 	}
-	// Holding the lock across NewJob serializes submissions, keeping the
+	// Holding the lock across register serializes submissions, keeping the
 	// key→job mapping race-free; job creation is two small file writes.
-	j, err := s.store.NewJob(spec)
+	sf, err := register(s.store, jobKind, func(id string, seq int) specFile {
+		return specFile{ID: id, Seq: seq, SubmittedAt: time.Now().UTC(), Spec: spec}
+	})
 	if err != nil {
 		s.mu.Unlock()
-		writeAPIError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return err
 	}
-	s.jobs[j.ID] = j
-	if key := spec.IdempotencyKey; key != "" {
-		s.byKey[key] = j.ID
-	}
+	j := newJob(sf.ID, spec, sf.SubmittedAt)
+	s.addJob(j)
 	s.mu.Unlock()
 
 	if err := s.sched.Enqueue(j); err != nil {
-		writeAPIError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		return Errf(KindUnavailable, "%v", err)
 	}
 	s.mJobsSubmitted.Inc()
 	s.logf("req=%s job=%s state=queued", requestID(r.Context()), j.ID)
 	writeAPI(w, http.StatusCreated, j.Status())
+	return nil
 }
 
-func (s *Server) job(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
+	writeAPI(w, http.StatusOK, list(s, s.jobs, (*Job).Status))
+	return nil
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	statuses := make([]JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		statuses = append(statuses, j.Status())
-	}
-	// FIFO order, matching the scheduler.
-	for i := 1; i < len(statuses); i++ {
-		for k := i; k > 0 && statuses[k-1].ID > statuses[k].ID; k-- {
-			statuses[k-1], statuses[k] = statuses[k], statuses[k-1]
-		}
-	}
-	writeAPI(w, http.StatusOK, statuses)
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeAPIError(w, http.StatusNotFound, "no such job")
-		return
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) error {
+	j, err := lookup(s, s.jobs, jobKind, r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	writeAPI(w, http.StatusOK, j.Status())
+	return nil
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeAPIError(w, http.StatusNotFound, "no such job")
-		return
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) error {
+	j, err := lookup(s, s.jobs, jobKind, r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	if wasQueued := s.sched.Cancel(j); wasQueued {
 		// A queued job settles here; a running one settles on its worker
 		// once the engine checkpoints.
-		if err := s.store.WriteTerminal(j.ID, StateCanceled, "canceled while queued"); err != nil {
-			writeAPIError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.mJobsCanceled.Inc()
+		s.settleJob(j, StateCanceled, "canceled while queued")
 	}
 	s.logf("req=%s job=%s cancel requested", requestID(r.Context()), j.ID)
 	writeAPI(w, http.StatusAccepted, j.Status())
+	return nil
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeAPIError(w, http.StatusNotFound, "no such job")
-		return
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) error {
+	j, err := lookup(s, s.jobs, jobKind, r.PathValue("id"))
+	if err != nil {
+		return err
 	}
 	if st := j.State(); st != StateDone {
-		writeAPIError(w, http.StatusConflict, "job is %s, not done", st)
-		return
+		return Errf(KindConflict, "job is %s, not done", st)
 	}
 	res, err := s.store.ReadResult(j.ID)
 	if err != nil {
-		writeAPIError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return err
 	}
 	writeAPI(w, http.StatusOK, res)
+	return nil
 }
 
 // handleEvents streams job status updates as server-sent events: one
-// `data:` line per progress change, a final one when the job settles.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeAPIError(w, http.StatusNotFound, "no such job")
-		return
+// `data:` line per progress change, the last one once the job settles.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) error {
+	j, err := lookup(s, s.jobs, jobKind, r.PathValue("id"))
+	if err != nil {
+		return err
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeAPIError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	emit := func() bool {
-		raw, err := json.Marshal(j.Status())
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", raw); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	for {
-		_, changed := j.Progress.Watch()
-		if !emit() {
-			return
-		}
-		select {
-		case <-j.Settled():
-			emit()
-			return
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	return s.stream(w, r, j.Progress.Watch, func(w io.Writer) bool {
+		st := j.Status()
+		raw, _ := json.Marshal(st) // a JobStatus always encodes
+		_, err := fmt.Fprintf(w, "data: %s\n\n", raw)
+		return err != nil || (st.State != StateQueued && st.State != StateRunning)
+	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -592,28 +632,37 @@ func (s *Server) runJob(ctx context.Context, job *Job) {
 	case err == nil:
 		job.finish(StateDone, "")
 		s.mJobsDone.Inc()
-	case errors.Is(err, core.ErrInterrupted):
-		if job.UserCanceled() {
-			s.store.WriteTerminal(job.ID, StateCanceled, err.Error())
-			job.finish(StateCanceled, err.Error())
-			s.mJobsCanceled.Inc()
-		} else {
-			job.finish(StateInterrupted, err.Error())
-		}
-	case s.cfg.Hooks.HardStop != nil && errors.Is(err, s.cfg.Hooks.HardStop):
-		// Simulated SIGKILL: settle in memory, leave the disk exactly as
-		// the crash would — journaled prefix, no terminal state.
+	case errors.Is(err, core.ErrInterrupted) && job.UserCanceled():
+		s.settleJob(job, StateCanceled, err.Error())
+	case errors.Is(err, core.ErrInterrupted), s.hardStop(err):
+		// A drain checkpoint, or a simulated SIGKILL: settle in memory and
+		// leave the disk exactly as the crash would — journaled prefix, no
+		// terminal state.
 		job.finish(StateInterrupted, err.Error())
 	default:
-		s.store.WriteTerminal(job.ID, StateFailed, err.Error())
-		job.finish(StateFailed, err.Error())
-		s.mJobsFailed.Inc()
+		s.settleJob(job, StateFailed, err.Error())
 	}
 	if err == nil {
 		s.logf("job=%s state=done", job.ID)
 	} else {
 		s.logf("job=%s state=%s error=%q", job.ID, job.State(), err)
 	}
+}
+
+// settleJob ends j in a canceled or failed state that outlives the
+// process.
+func (s *Server) settleJob(j *Job, state State, msg string) {
+	j.finish(state, s.persistTerminal(jobKind, j.ID, state, msg))
+	if state == StateCanceled {
+		s.mJobsCanceled.Inc()
+	} else {
+		s.mJobsFailed.Inc()
+	}
+}
+
+// hardStop reports whether err is the test harness's simulated SIGKILL.
+func (s *Server) hardStop(err error) bool {
+	return s.cfg.Hooks.HardStop != nil && errors.Is(err, s.cfg.Hooks.HardStop)
 }
 
 // execute runs one job through the core pipeline under its journal.
@@ -659,7 +708,7 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 		s.logf("job=%s fleet engine=%s workers=%v", job.ID, jc.Engine, s.pool.Workers())
 	}
 
-	jw, _, err := journal.Open(s.store.JournalPath(job.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
+	jw, _, err := journal.Open(s.store.JournalPath(jobKind, job.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
 	if err != nil {
 		return err
 	}

@@ -192,7 +192,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Errorf("evaluation missing: %+v truth=%d", res.Evaluation, res.TruthPairs)
 	}
 
-	// The events stream replays the settled status and closes.
+	// The events stream replays the settled status once and closes.
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +204,9 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Errorf("events content type %q", ct)
+	}
+	if n := strings.Count(string(raw), "data: "); n != 1 {
+		t.Errorf("a settled job's stream carries %d events, want 1:\n%s", n, raw)
 	}
 	lines := strings.Split(strings.TrimSpace(string(raw)), "\n\n")
 	var last JobStatus
@@ -410,7 +413,7 @@ func TestServiceCancel(t *testing.T) {
 		Dir: dir, DataDir: dataDir, Workers: 1,
 		Hooks: Hooks{
 			WrapJournal: func(id string, w *journal.Writer) journal.Sink {
-				if id == formatJobID(1) {
+				if id == jobKind.id(1) {
 					return &gatedSink{Sink: w, gate: gate}
 				}
 				return w

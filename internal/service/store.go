@@ -1,74 +1,71 @@
 package service
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Store owns the service's on-disk layout. Every job lives in its own
-// directory under <root>/jobs:
+// Store owns the service's on-disk layout. Jobs and live datasets are one
+// durable resource: a sequence-numbered directory under the kind's root, a
+// spec file written before the resource exists, a payload, and a
+// status.json terminal verdict.
 //
 //	<root>/jobs/job-000001/
-//	    spec.json    the accepted submission (written before queuing)
-//	    run.wal      the core pipeline's journal (written while running)
-//	    result.json  the final labeling summary (written on success)
-//	    status.json  the terminal state for failed/canceled jobs
+//	    spec.json     the accepted submission (written before queuing)
+//	    run.wal       the core pipeline's journal (written while running)
+//	    result.json   the final labeling summary (written on success)
+//	    status.json   the terminal state of a failed or canceled job
+//	<root>/datasets/ds-000001/
+//	    dataset.json  the registration (written before the dataset exists)
+//	    batches.jsonl the accepted append batches, in order: one compact
+//	                  JSON line per accept, appended with one write
+//	    ingest.wal    the incremental engine's batch journal
+//	    status.json   the terminal failure of an ingest
 //
-// The layout is the restart contract: a directory with neither
-// result.json nor status.json is a job the daemon still owes the
-// submitter, and the recovery scan re-queues it. Sequence-numbered IDs
-// sort lexicographically, so recovery preserves the original FIFO
-// order.
+// The layout is the restart contract. A resource with no terminal verdict
+// (status.json, or a job's result.json) is one the daemon still owes, and
+// the recovery scan brings it back in sequence (FIFO) order: a job is
+// re-queued, a dataset re-Appends every stored batch. Either way the
+// journal replays what was already purchased at zero live cost. A crash
+// writes no verdict, so it resumes; a real failure or a cancellation does.
+// batches.jsonl is always a superset of the journal's batches — the entry
+// is persisted before the engine sees the batch — so a crash between the
+// two leaves a batch that re-processes fresh, and the engine's per-batch
+// digests refuse a batch file that changed since it was accepted.
 type Store struct {
-	jobsDir string
+	root    string
 	dataDir string
 
-	mu        sync.Mutex
-	nextSeq   int
-	nextDSSeq int
+	mu  sync.Mutex
+	seq map[*kind]int
 }
 
-// NewStore opens (creating if needed) the service root. dataDir, when
-// non-empty, confines dataset references: specs may only name paths
-// inside it.
-func NewStore(root, dataDir string) (*Store, error) {
-	jobsDir := filepath.Join(root, "jobs")
-	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: creating job root: %w", err)
-	}
-	st := &Store{jobsDir: jobsDir, dataDir: dataDir}
-	entries, err := os.ReadDir(jobsDir)
-	if err != nil {
-		return nil, fmt.Errorf("service: scanning job root: %w", err)
-	}
-	for _, e := range entries {
-		if seq, ok := parseJobID(e.Name()); ok && seq > st.nextSeq {
-			st.nextSeq = seq
-		}
-	}
-	if dsEntries, err := os.ReadDir(st.datasetsDir()); err == nil {
-		for _, e := range dsEntries {
-			if seq, ok := parseDatasetID(e.Name()); ok && seq > st.nextDSSeq {
-				st.nextDSSeq = seq
-			}
-		}
-	}
-	return st, nil
+// kind is one durable resource type.
+type kind struct {
+	noun, dir, prefix string
+	// specName is the file that brings a resource into existence, walName
+	// its journal.
+	specName, walName string
 }
 
-const jobIDPrefix = "job-"
+var (
+	jobKind     = &kind{"job", "jobs", "job-", "spec.json", "run.wal"}
+	datasetKind = &kind{"dataset", "datasets", "ds-", "dataset.json", "ingest.wal"}
+)
 
-func formatJobID(seq int) string { return fmt.Sprintf("%s%06d", jobIDPrefix, seq) }
+func (k *kind) id(seq int) string { return fmt.Sprintf("%s%06d", k.prefix, seq) }
 
-func parseJobID(id string) (seq int, ok bool) {
-	rest, found := strings.CutPrefix(id, jobIDPrefix)
+func (k *kind) parse(id string) (seq int, ok bool) {
+	rest, found := strings.CutPrefix(id, k.prefix)
 	if !found {
 		return 0, false
 	}
@@ -79,7 +76,58 @@ func parseJobID(id string) (seq int, ok bool) {
 	return seq, true
 }
 
-// specFile is the durable form of an accepted submission.
+// NewStore opens (creating if needed) the service root. dataDir, when
+// non-empty, confines dataset references: specs may only name paths
+// inside it.
+func NewStore(root, dataDir string) (*Store, error) {
+	if err := os.MkdirAll(filepath.Join(root, jobKind.dir), 0o755); err != nil {
+		return nil, fmt.Errorf("service: creating job root: %w", err)
+	}
+	st := &Store{root: root, dataDir: dataDir, seq: make(map[*kind]int)}
+	for _, k := range []*kind{jobKind, datasetKind} {
+		ids, err := st.ids(k)
+		if err != nil {
+			return nil, err
+		}
+		if len(ids) > 0 {
+			st.seq[k], _ = k.parse(ids[len(ids)-1])
+		}
+	}
+	return st, nil
+}
+
+// Dir returns a resource's directory.
+func (st *Store) Dir(k *kind, id string) string { return filepath.Join(st.root, k.dir, id) }
+
+func (st *Store) path(k *kind, id, name string) string { return filepath.Join(st.Dir(k, id), name) }
+
+// JournalPath returns a resource's journal.
+func (st *Store) JournalPath(k *kind, id string) string { return st.path(k, id, k.walName) }
+
+// ids lists k's resource directories in sequence order.
+func (st *Store) ids(k *kind) ([]string, error) {
+	entries, err := os.ReadDir(filepath.Join(st.root, k.dir))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: scanning %s root: %w", k.noun, err)
+	}
+	var ids []string
+	for _, e := range entries {
+		if _, ok := k.parse(e.Name()); ok && e.IsDir() {
+			ids = append(ids, e.Name())
+		}
+	}
+	slices.SortFunc(ids, func(a, b string) int {
+		x, _ := k.parse(a)
+		y, _ := k.parse(b)
+		return cmp.Compare(x, y)
+	})
+	return ids, nil
+}
+
+// specFile is the durable form of an accepted job submission.
 type specFile struct {
 	ID          string    `json:"id"`
 	Seq         int       `json:"seq"`
@@ -87,50 +135,89 @@ type specFile struct {
 	Spec        JobSpec   `json:"spec"`
 }
 
-// statusFile records a terminal state that is not a result.
+// datasetFile is the durable form of a dataset registration.
+type datasetFile struct {
+	ID        string      `json:"id"`
+	Seq       int         `json:"seq"`
+	CreatedAt time.Time   `json:"created_at"`
+	Spec      DatasetSpec `json:"spec"`
+}
+
+// statusFile is a terminal verdict.
 type statusFile struct {
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
 }
 
-// NewJob allocates the next job ID, creates its directory, and persists
-// the spec — after which the job survives a daemon crash.
-func (st *Store) NewJob(spec JobSpec) (*Job, error) {
+// register allocates k's next id, creates its directory and persists the
+// spec file head renders for it, after which the resource survives a
+// daemon crash.
+func register[H any](st *Store, k *kind, head func(id string, seq int) H) (H, error) {
 	st.mu.Lock()
-	st.nextSeq++
-	seq := st.nextSeq
+	st.seq[k]++
+	seq := st.seq[k]
 	st.mu.Unlock()
-	id := formatJobID(seq)
-	dir := st.JobDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: creating job dir: %w", err)
+	id := k.id(seq)
+	h := head(id, seq)
+	if err := os.MkdirAll(st.Dir(k, id), 0o755); err != nil {
+		return h, fmt.Errorf("service: creating %s dir: %w", k.noun, err)
 	}
-	j := newJob(id, seq, spec, time.Now().UTC())
-	sf := specFile{ID: id, Seq: seq, SubmittedAt: j.SubmittedAt, Spec: spec}
-	if err := writeJSONFile(filepath.Join(dir, "spec.json"), sf); err != nil {
+	return h, writeJSONFile(st.path(k, id, k.specName), h)
+}
+
+// found is one resource on disk at daemon start.
+type found[H any] struct {
+	ID   string
+	Head H
+	// Verdict is the persisted terminal state; its State is empty while
+	// the resource is still owed.
+	Verdict statusFile
+}
+
+// scan reads every resource of kind k, in sequence order: its spec file
+// and its terminal verdict, when one exists.
+func scan[H any](st *Store, k *kind) ([]found[H], error) {
+	ids, err := st.ids(k)
+	if err != nil {
 		return nil, err
 	}
-	return j, nil
+	out := make([]found[H], len(ids))
+	for i, id := range ids {
+		f := &out[i]
+		f.ID = id
+		raw, err := os.ReadFile(st.path(k, id, k.specName))
+		if err == nil {
+			err = json.Unmarshal(raw, &f.Head)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("service: %s %s has no readable %s: %w", k.noun, id, k.specName, err)
+		}
+		if raw, err := os.ReadFile(st.path(k, id, "status.json")); err == nil {
+			// An unreadable verdict is no verdict: the resource is still owed.
+			if json.Unmarshal(raw, &f.Verdict) != nil || !f.Verdict.State.Terminal() {
+				f.Verdict = statusFile{}
+			}
+		}
+	}
+	return out, nil
 }
 
-// JobDir returns the job's directory.
-func (st *Store) JobDir(id string) string { return filepath.Join(st.jobsDir, id) }
-
-// JournalPath returns the job's run journal.
-func (st *Store) JournalPath(id string) string {
-	return filepath.Join(st.JobDir(id), "run.wal")
+// WriteTerminal persists a terminal verdict, after which recovery neither
+// re-runs the job nor replays the dataset.
+func (st *Store) WriteTerminal(k *kind, id string, state State, errMsg string) error {
+	return writeJSONFile(st.path(k, id, "status.json"), statusFile{State: state, Error: errMsg})
 }
 
-// WriteResult persists the successful outcome atomically (write-rename),
-// so a crash can never leave a readable-but-truncated result: either the
-// job looks done or it looks resumable.
+// WriteResult persists a job's successful outcome atomically
+// (write-rename), so a crash can never leave a readable-but-truncated
+// result: either the job looks done or it looks resumable.
 func (st *Store) WriteResult(id string, res *JobResult) error {
-	return writeJSONFile(filepath.Join(st.JobDir(id), "result.json"), res)
+	return writeJSONFile(st.path(jobKind, id, "result.json"), res)
 }
 
 // ReadResult loads a completed job's result.
 func (st *Store) ReadResult(id string) (*JobResult, error) {
-	raw, err := os.ReadFile(filepath.Join(st.JobDir(id), "result.json"))
+	raw, err := os.ReadFile(st.path(jobKind, id, "result.json"))
 	if err != nil {
 		return nil, err
 	}
@@ -141,10 +228,106 @@ func (st *Store) ReadResult(id string) (*JobResult, error) {
 	return &res, nil
 }
 
-// WriteTerminal persists a failed/canceled verdict so recovery does not
-// re-run the job.
-func (st *Store) WriteTerminal(id string, state State, errMsg string) error {
-	return writeJSONFile(filepath.Join(st.JobDir(id), "status.json"), statusFile{State: state, Error: errMsg})
+// hasResult reports whether a job completed.
+func (st *Store) hasResult(id string) bool {
+	_, err := os.Stat(st.path(jobKind, id, "result.json"))
+	return err == nil
+}
+
+// batchEntry is one accepted append batch: which side grew and the
+// server-side CSV reference holding its records. The reference — not a
+// copy of the records — is the durable form; the engine's recBatch
+// digest watermark detects a reference whose content changed.
+type batchEntry struct {
+	Batch int       `json:"batch"`
+	Side  int       `json:"side"`
+	Ref   string    `json:"ref"`
+	At    time.Time `json:"at"`
+}
+
+// batchesPath is the dataset's append schedule.
+func (st *Store) batchesPath(id string) string { return st.path(datasetKind, id, "batches.jsonl") }
+
+// AppendBatchEntry accepts one append batch by adding its line to the
+// schedule with one O_APPEND write: nothing is read back, re-encoded or
+// renamed, so an accept costs the same at batch 10,000 as at batch 1. The
+// caller numbers the entries (under the dataset lock); a crash can tear
+// only the final line, which was then never acknowledged — the 202
+// follows the write — and which ReadBatchEntries removes.
+func (st *Store) AppendBatchEntry(id string, e batchEntry) error {
+	line, err := json.Marshal(e)
+	if err != nil {
+		return fmt.Errorf("service: encoding batch entry %d for %s: %w", e.Batch, id, err)
+	}
+	f, err := os.OpenFile(st.batchesPath(id), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err == nil {
+		_, err = f.Write(append(line, '\n'))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("service: appending batch entry %d for %s: %w", e.Batch, id, err)
+	}
+	return nil
+}
+
+// convertLegacySchedule turns the batches.json array an older build kept
+// into the line file — published whole, so a crash before that converts
+// again — retires the array, and returns the lines.
+func (st *Store) convertLegacySchedule(id string) ([]byte, error) {
+	legacy := st.path(datasetKind, id, "batches.json")
+	raw, err := os.ReadFile(legacy)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	var old []batchEntry
+	if err == nil {
+		err = json.Unmarshal(raw, &old)
+	}
+	var lines []byte
+	for _, e := range old {
+		line, _ := json.Marshal(e) // it was just decoded from JSON
+		lines = append(append(lines, line...), '\n')
+	}
+	if err == nil {
+		err = publishFile(st.batchesPath(id), lines)
+	}
+	if err == nil {
+		err = os.Remove(legacy)
+	}
+	return lines, err
+}
+
+// ReadBatchEntries loads the accepted batch schedule at recovery and
+// leaves the file safe to append to: a torn final line (no newline) is
+// truncated away first. A dataset with no appends yet has no entries.
+func (st *Store) ReadBatchEntries(id string) ([]batchEntry, error) {
+	raw, err := os.ReadFile(st.batchesPath(id))
+	if os.IsNotExist(err) {
+		raw, err = st.convertLegacySchedule(id)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: reading batches for %s: %w", id, err)
+	}
+	whole := bytes.LastIndexByte(raw, '\n') + 1
+	if whole < len(raw) {
+		if err := os.Truncate(st.batchesPath(id), int64(whole)); err != nil {
+			return nil, fmt.Errorf("service: truncating the torn batch entry of %s: %w", id, err)
+		}
+	}
+	var entries []batchEntry
+	for dec := json.NewDecoder(bytes.NewReader(raw[:whole])); dec.More(); {
+		var e batchEntry
+		if err := dec.Decode(&e); err != nil {
+			return nil, fmt.Errorf("service: corrupt batch schedule for %s: %w", id, err)
+		}
+		if e.Batch != len(entries) {
+			return nil, fmt.Errorf("service: batch schedule for %s holds entry %d where %d belongs", id, e.Batch, len(entries))
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
 }
 
 // ResolveData maps a spec's dataset reference to a real path. With a
@@ -165,65 +348,6 @@ func (st *Store) ResolveData(ref string) (string, error) {
 		return "", fmt.Errorf("service: dataset reference %q escapes the data directory", ref)
 	}
 	return filepath.Join(st.dataDir, clean), nil
-}
-
-// Recover scans the job root and rebuilds the in-memory jobs in FIFO
-// order. Jobs with a result are done; jobs with a terminal status keep
-// it; everything else — including a job whose journal holds a partial
-// (or even complete) run — is re-queued, and the journal replay
-// guarantees already-purchased SMC verdicts are never bought again.
-func (st *Store) Recover() ([]*Job, error) {
-	entries, err := os.ReadDir(st.jobsDir)
-	if err != nil {
-		return nil, fmt.Errorf("service: scanning job root: %w", err)
-	}
-	var jobs []*Job
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if _, ok := parseJobID(e.Name()); !ok {
-			continue
-		}
-		j, err := st.recoverOne(e.Name())
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, j)
-	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].Seq < jobs[b].Seq })
-	return jobs, nil
-}
-
-func (st *Store) recoverOne(id string) (*Job, error) {
-	dir := st.JobDir(id)
-	raw, err := os.ReadFile(filepath.Join(dir, "spec.json"))
-	if err != nil {
-		return nil, fmt.Errorf("service: job %s has no readable spec: %w", id, err)
-	}
-	var sf specFile
-	if err := json.Unmarshal(raw, &sf); err != nil {
-		return nil, fmt.Errorf("service: job %s has a corrupt spec: %w", id, err)
-	}
-	j := newJob(id, sf.Seq, sf.Spec, sf.SubmittedAt)
-
-	if _, err := os.Stat(filepath.Join(dir, "result.json")); err == nil {
-		j.state = StateDone
-		close(j.settled)
-		return j, nil
-	}
-	if raw, err := os.ReadFile(filepath.Join(dir, "status.json")); err == nil {
-		var stf statusFile
-		if err := json.Unmarshal(raw, &stf); err == nil && stf.State.Terminal() {
-			j.state = stf.State
-			j.errMsg = stf.Error
-			close(j.settled)
-			return j, nil
-		}
-	}
-	// In-flight at the previous daemon's death: back to the queue.
-	j.markRecovered()
-	return j, nil
 }
 
 // writeJSONFile writes v as indented JSON via a temp file + rename, so
