@@ -137,7 +137,9 @@ incremental-smoke:
 # engine's ns and B per purchased pair behind a real journal
 # (BenchmarkEngineAppend) and the cost of one accepted batch's schedule
 # line at 16 and at 2,048 entries (BenchmarkAppendBatchEntry: must be
-# flat) from bit-rotting without paying for a real measurement run.
+# flat) and the blocking step on a 30,162-record Adult split at k = 32
+# and k = 2 (BenchmarkBlock: ns/op and class counts) from bit-rotting
+# without paying for a real measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/paillier ./internal/smc ./internal/core ./internal/journal ./internal/anonymize ./internal/resolve ./internal/index ./internal/incremental ./internal/service
 

@@ -3,7 +3,9 @@
 // holders published (see pprl-anon -view) — never raw records — and
 // reports how much of the pair space the slack decision rule decides, how
 // many pairs remain for the SMC step, and the SMC allowance needed for
-// full recall.
+// full recall. Two DP releases are blocked by bin intersection instead,
+// which decides no pair Match; a DP release against a k-anonymous view is
+// refused.
 //
 // Usage:
 //

@@ -176,7 +176,7 @@ func run(out io.Writer, opts options) error {
 		dctx, cancel := context.WithTimeout(dctx, time.Minute)
 		defer cancel()
 		for _, addr := range opts.workers {
-			conn, err := cliutil.DialRetry(dctx, "tcp", addr, cliutil.Backoff{})
+			conn, err := cliutil.DialRetry(dctx, "tcp", addr)
 			if err != nil {
 				return fmt.Errorf("worker %s: %w", addr, err)
 			}

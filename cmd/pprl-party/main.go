@@ -367,7 +367,7 @@ func runWorker(ctx context.Context, coordinator, workerListen, name string, lane
 func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
 	dctx, cancel := context.WithTimeout(ctx, dialDeadline)
 	defer cancel()
-	return cliutil.DialRetry(dctx, "tcp", addr, cliutil.Backoff{})
+	return cliutil.DialRetry(dctx, "tcp", addr)
 }
 
 // dialDeadline bounds how long a holder waits for a peer to start

@@ -114,7 +114,7 @@ func run(out io.Writer, opts options) error {
 		ctx = context.Background()
 	}
 	bindCtx, cancel := context.WithTimeout(ctx, time.Minute)
-	ln, err := cliutil.ListenRetry(bindCtx, "tcp", opts.addr, cliutil.Backoff{})
+	ln, err := cliutil.ListenRetry(bindCtx, "tcp", opts.addr)
 	cancel()
 	if err != nil {
 		return err

@@ -8,62 +8,34 @@ import (
 	"time"
 )
 
-// Backoff generates exponentially growing retry delays with jitter. The
-// zero value uses the defaults below; parties that start in arbitrary
-// order (holders dialing the querying party, a daemon rebinding a port
-// still in TIME_WAIT) retry under it instead of hammering a fixed
-// interval.
-type Backoff struct {
-	// Base is the first delay (default 50ms).
-	Base time.Duration
-	// Max caps the grown delay before jitter (default 2s).
-	Max time.Duration
-	// Factor is the per-attempt growth multiplier (default 2).
-	Factor float64
-	// Jitter is the fraction of the delay randomized symmetrically
-	// around it, so synchronized peers do not retry in lockstep
-	// (default 0.25; 0 < Jitter ≤ 1 keeps delays positive).
-	Jitter float64
-}
-
+// The retry schedule: delays grow geometrically from backoffBase by
+// backoffFactor per attempt up to backoffMax, each spread by ±backoffJitter
+// of itself, so parties that start in arbitrary order (holders dialing
+// the querying party, a daemon rebinding a port still in TIME_WAIT) retry
+// without hammering a fixed interval or retrying in lockstep.
 const (
-	defaultBackoffBase   = 50 * time.Millisecond
-	defaultBackoffMax    = 2 * time.Second
-	defaultBackoffFactor = 2
-	defaultBackoffJitter = 0.25
+	backoffBase   = 50 * time.Millisecond
+	backoffMax    = 2 * time.Second
+	backoffFactor = 2
+	backoffJitter = 0.25
 )
 
-// Delay returns the jittered delay for a 0-based attempt number.
-func (b Backoff) Delay(attempt int) time.Duration {
-	base, max, factor, jitter := b.Base, b.Max, b.Factor, b.Jitter
-	if base <= 0 {
-		base = defaultBackoffBase
+// backoff returns the jittered delay for a 0-based attempt number.
+func backoff(attempt int) time.Duration {
+	d := float64(backoffBase)
+	for i := 0; i < attempt && d < float64(backoffMax); i++ {
+		d *= backoffFactor
 	}
-	if max <= 0 {
-		max = defaultBackoffMax
-	}
-	if factor <= 1 {
-		factor = defaultBackoffFactor
-	}
-	if jitter <= 0 || jitter > 1 {
-		jitter = defaultBackoffJitter
-	}
-	d := float64(base)
-	for i := 0; i < attempt && d < float64(max); i++ {
-		d *= factor
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
+	d = min(d, float64(backoffMax))
 	// Spread the delay over [d·(1−jitter), d·(1+jitter)].
-	d *= 1 + jitter*(2*rand.Float64()-1)
+	d *= 1 + backoffJitter*(2*rand.Float64()-1)
 	return time.Duration(d)
 }
 
 // retry runs op with backoff until it succeeds or ctx ends. The context
 // carries the deadline: a caller that wants "give up after a minute"
 // passes context.WithTimeout.
-func retry(ctx context.Context, b Backoff, what string, op func() error) error {
+func retry(ctx context.Context, what string, op func() error) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -78,7 +50,7 @@ func retry(ctx context.Context, b Backoff, what string, op func() error) error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("%s: %w (last attempt: %v)", what, ctx.Err(), lastErr)
-		case <-time.After(b.Delay(attempt)):
+		case <-time.After(backoff(attempt)):
 		}
 	}
 }
@@ -86,10 +58,10 @@ func retry(ctx context.Context, b Backoff, what string, op func() error) error {
 // DialRetry dials addr with exponential backoff and jitter until it
 // connects or ctx ends. The peer may not be listening yet when the
 // parties start in arbitrary order.
-func DialRetry(ctx context.Context, network, addr string, b Backoff) (net.Conn, error) {
+func DialRetry(ctx context.Context, network, addr string) (net.Conn, error) {
 	var conn net.Conn
 	var d net.Dialer
-	err := retry(ctx, b, "dial "+addr, func() error {
+	err := retry(ctx, "dial "+addr, func() error {
 		c, err := d.DialContext(ctx, network, addr)
 		if err != nil {
 			return err
@@ -104,10 +76,10 @@ func DialRetry(ctx context.Context, network, addr string, b Backoff) (net.Conn, 
 // succeeds or ctx ends. A daemon restarted immediately after a crash may
 // find its port briefly unavailable; retrying the bind makes restarts
 // (the whole point of journal-backed recovery) reliable.
-func ListenRetry(ctx context.Context, network, addr string, b Backoff) (net.Listener, error) {
+func ListenRetry(ctx context.Context, network, addr string) (net.Listener, error) {
 	var l net.Listener
 	var lc net.ListenConfig
-	err := retry(ctx, b, "listen "+addr, func() error {
+	err := retry(ctx, "listen "+addr, func() error {
 		got, err := lc.Listen(ctx, network, addr)
 		if err != nil {
 			return err

@@ -7,37 +7,33 @@ import (
 	"time"
 )
 
-// TestBackoffDelayGrowsAndCaps: delays grow geometrically from Base and
-// never exceed Max·(1+Jitter), even far past the cap attempt.
+// TestBackoffDelayGrowsAndCaps: delays double from 50ms and never exceed
+// 2s·(1+jitter), even far past the cap attempt.
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 0.25}
 	for attempt := 0; attempt < 20; attempt++ {
-		want := 10 * time.Millisecond << uint(attempt)
-		if want > 80*time.Millisecond {
-			want = 80 * time.Millisecond
-		}
+		want := min(50*time.Millisecond<<uint(attempt), 2*time.Second)
 		lo := time.Duration(float64(want) * 0.75)
 		hi := time.Duration(float64(want) * 1.25)
 		for trial := 0; trial < 50; trial++ {
-			d := b.Delay(attempt)
-			if d < lo || d > hi {
+			if d := backoff(attempt); d < lo || d > hi {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, lo, hi)
 			}
 		}
 	}
 }
 
-// TestBackoffZeroValueDefaults: the zero value is usable and positive.
-func TestBackoffZeroValueDefaults(t *testing.T) {
-	var b Backoff
-	for attempt := 0; attempt < 10; attempt++ {
-		d := b.Delay(attempt)
-		if d <= 0 {
-			t.Fatalf("attempt %d: non-positive delay %v", attempt, d)
-		}
-		if d > time.Duration(float64(defaultBackoffMax)*(1+defaultBackoffJitter)) {
-			t.Fatalf("attempt %d: delay %v exceeds jittered default cap", attempt, d)
-		}
+// TestBackoffJitterSpreads: the jitter really spreads one attempt's
+// delays across both sides of the nominal delay, so peers that failed
+// together do not retry together.
+func TestBackoffJitterSpreads(t *testing.T) {
+	const nominal = 200 * time.Millisecond // attempt 2
+	lo, hi := time.Duration(1<<62), time.Duration(0)
+	for trial := 0; trial < 1000; trial++ {
+		d := backoff(2)
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	if lo > nominal*9/10 || hi < nominal*11/10 {
+		t.Fatalf("1000 delays at attempt 2 span only [%v, %v] around %v", lo, hi, nominal)
 	}
 }
 
@@ -69,7 +65,7 @@ func TestDialRetryConnectsToLateListener(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	c, err := DialRetry(ctx, "tcp", addr, Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond})
+	c, err := DialRetry(ctx, "tcp", addr)
 	if err != nil {
 		t.Fatalf("DialRetry: %v", err)
 	}
@@ -94,7 +90,7 @@ func TestDialRetryHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := DialRetry(ctx, "tcp", addr, Backoff{Base: 5 * time.Millisecond}); err == nil {
+	if _, err := DialRetry(ctx, "tcp", addr); err == nil {
 		t.Fatal("DialRetry succeeded with no listener")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
@@ -106,7 +102,7 @@ func TestDialRetryHonorsDeadline(t *testing.T) {
 func TestListenRetryBindsImmediately(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	l, err := ListenRetry(ctx, "tcp", "127.0.0.1:0", Backoff{})
+	l, err := ListenRetry(ctx, "tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ListenRetry: %v", err)
 	}

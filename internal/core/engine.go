@@ -117,17 +117,12 @@ func LinkPrepared(alice, bob Holder, block *blocking.Result, cfg Config) (*Resul
 	return resolveBlocked(alice, bob, block, rule, qids, &cfg)
 }
 
-// blockViews runs the blocking step: the hierarchy index over the
-// k-anonymous views (label-identical to the exhaustive blocking.Block,
-// DESIGN.md §10), reporting per-row progress while it streams, or bin
-// intersection over the noised releases in DP mode.
+// blockViews runs the blocking step through the hierarchy index —
+// label-identical to the exhaustive scan (DESIGN.md §10), bin
+// intersection when the views are DP releases — reporting per-row
+// progress while it runs.
 func blockViews(aView, bView *anonymize.Result, rule *blocking.Rule, cfg *Config) (*blocking.Result, error) {
-	if cfg.DPEnabled() {
-		return dpblock.Block(aView, bView, rule)
-	}
-	return index.Stream(aView, bView, rule, index.Options{
-		Progress: func(done, total int64) { cfg.report("blocking", done, total) },
-	}, nil)
+	return index.Stream(aView, bView, rule, func(done, total int64) { cfg.report("blocking", done, total) })
 }
 
 // resolveBlocked implements steps 3-5: heuristic ordering, budgeted SMC

@@ -3,7 +3,8 @@
 // its records on VGH ancestor nodes (categorical attributes) and interval
 // buckets (continuous attributes) at a fixed depth, then publishes the
 // bins with Laplace-noised, dummy-padded sizes so the released histogram
-// is (ε, δ)-DP. The matcher intersects the two noised releases — equal
+// is (ε, δ)-DP. The matcher intersects the two noised releases through
+// the one blocking loop (index.Stream, index.Decide) — equal
 // or overlapping bins become candidate (Unknown) pairs for the existing
 // bloom/SMC tiers, everything else is NonMatch — and walks the padded
 // member lists, dummies included, against the SMC allowance, which is

@@ -7,6 +7,7 @@ import (
 	"pprl/internal/adult"
 	"pprl/internal/blocking"
 	"pprl/internal/dataset"
+	"pprl/internal/index"
 )
 
 func testQIDs(t *testing.T, d *dataset.Dataset) []int {
@@ -141,23 +142,26 @@ func TestBlockIntersection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Block(aView, bView, rule); err == nil {
-		t.Fatal("Block accepted un-published views")
-	}
 	if err := Publish(aView, b.Params()); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := index.Block(aView, bView, rule); err == nil {
+		t.Fatal("Block accepted a DP release against an un-published view")
 	}
 	p := b.Params()
 	p.Seed = 6
 	if err := Publish(bView, p); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Block(aView, bView, rule)
+	res, err := index.Block(aView, bView, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MatchedPairs != 0 {
 		t.Fatalf("DP blocking labeled %d pairs Match; must label none", res.MatchedPairs)
+	}
+	if st := res.Stats; st.RuleEvaluations+st.PrunedClassPairs != st.ClassPairs || st.PrunedClassPairs == 0 {
+		t.Fatalf("DP blocking stats: %d evaluated + %d pruned of %d class pairs", st.RuleEvaluations, st.PrunedClassPairs, st.ClassPairs)
 	}
 	total := int64(alice.Len()) * int64(bob.Len())
 	if got := res.TotalPairs(); got != total {
@@ -169,7 +173,7 @@ func TestBlockIntersection(t *testing.T) {
 		for j := 0; j < bob.Len(); j += 41 {
 			ri, si := aView.ClassOf[i], bView.ClassOf[j]
 			want := blocking.NonMatch
-			if SequencesIntersect(aView.Classes[ri].Sequence, bView.Classes[si].Sequence) {
+			if index.SequencesIntersect(aView.Classes[ri].Sequence, bView.Classes[si].Sequence) {
 				want = blocking.Unknown
 			}
 			if got := res.Label(ri, si); got != want {

@@ -492,18 +492,9 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 	s := e.sides[sideIdx]
 
 	addGroup := func(g group, seqA, seqB vgh.Sequence) {
-		label := blocking.Unknown
-		if e.dp {
-			// DP blocking has no certain-match evidence; intersecting bins
-			// are Unknown, the rest NonMatch (dpblock.Block's predicate).
-			if !dpblock.SequencesIntersect(seqA, seqB) {
-				return
-			}
-		} else {
-			label = e.rule.Decide(seqA, seqB)
-			if label == blocking.NonMatch {
-				return
-			}
+		label := index.Decide(e.rule, e.dp, seqA, seqB)
+		if label == blocking.NonMatch {
+			return
 		}
 		if label == blocking.Match {
 			g.each(func(i, j int) {

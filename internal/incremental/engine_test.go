@@ -18,6 +18,7 @@ import (
 	"pprl/internal/distance"
 	"pprl/internal/dpblock"
 	"pprl/internal/incremental"
+	"pprl/internal/index"
 	"pprl/internal/journal"
 	"pprl/internal/resolve"
 	"pprl/internal/smc"
@@ -993,7 +994,7 @@ func TestIncrementalDPDedupHandles(t *testing.T) {
 			p := a.n + a.noise
 			dummyPairs += p*(p-1)/2 - a.n*(a.n-1)/2
 			for _, b := range bins[x+1:] {
-				if dpblock.SequencesIntersect(a.seq, b.seq) {
+				if index.SequencesIntersect(a.seq, b.seq) {
 					dummyPairs += (a.n+a.noise)*(b.n+b.noise) - a.n*b.n
 				}
 			}
@@ -1004,7 +1005,7 @@ func TestIncrementalDPDedupHandles(t *testing.T) {
 		truth := make(map[[2]int]bool)
 		for i := 0; i < d.Len(); i++ {
 			for j := i + 1; j < d.Len(); j++ {
-				if dpblock.SequencesIntersect(seqs[i], seqs[j]) &&
+				if index.SequencesIntersect(seqs[i], seqs[j]) &&
 					rule.DecideExact(blocking.RecordSequence(d, qids, i), blocking.RecordSequence(d, qids, j)) {
 					truth[[2]int{i, j}] = true
 				}

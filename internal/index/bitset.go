@@ -12,12 +12,6 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-func (b bitset) clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // and intersects b with o in place.
 func (b bitset) and(o bitset) {
 	for i := range b {

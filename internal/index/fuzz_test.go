@@ -102,12 +102,67 @@ func fuzzView(r *fuzzReader, shapes []int) *anonymize.Result {
 	return res
 }
 
+// intersectScan is the exhaustive DP blocking loop Block replaced, kept
+// as the reference: every class pair is Unknown when the two bins share a
+// value on every attribute and NonMatch otherwise.
+func intersectScan(r, s *anonymize.Result) *blocking.Result {
+	b := blocking.NewBuilder(r, s)
+	for ri := range r.Classes {
+		for si := range s.Classes {
+			l := blocking.NonMatch
+			if SequencesIntersect(r.Classes[ri].Sequence, s.Classes[si].Sequence) {
+				l = blocking.Unknown
+			}
+			b.Observe(ri, si, l)
+		}
+	}
+	return b.Result(nil)
+}
+
+// release attaches a DP release to a copy of v: the noised counts are the
+// class sizes, all Block checks of a release.
+func release(v *anonymize.Result) *anonymize.Result {
+	dp := *v
+	dp.DP = &anonymize.DPInfo{Epsilon: 1, NoisedCounts: make([]int64, len(v.Classes))}
+	for i := range v.Classes {
+		dp.DP.NoisedCounts[i] = int64(v.Classes[i].Size())
+	}
+	return &dp
+}
+
+// sameLabels fails unless got, the indexed result, carries want's counts
+// and labels for every class pair, and its stats add up.
+func sameLabels(t *testing.T, arm string, want, got *blocking.Result) {
+	t.Helper()
+	if want.MatchedPairs != got.MatchedPairs ||
+		want.NonMatchedPairs != got.NonMatchedPairs ||
+		want.UnknownPairs != got.UnknownPairs ||
+		want.UnknownGroups != got.UnknownGroups {
+		t.Fatalf("%s: counts diverge: reference M/N/U/UG %d/%d/%d/%d, indexed %d/%d/%d/%d", arm,
+			want.MatchedPairs, want.NonMatchedPairs, want.UnknownPairs, want.UnknownGroups,
+			got.MatchedPairs, got.NonMatchedPairs, got.UnknownPairs, got.UnknownGroups)
+	}
+	for ri := range want.R.Classes {
+		for si := range want.S.Classes {
+			w, x := want.Label(ri, si), got.Label(ri, si)
+			if w != x {
+				t.Fatalf("%s: class pair (%d,%d) %q × %q: reference %v, indexed %v", arm,
+					ri, si, want.R.Classes[ri].Sequence, want.S.Classes[si].Sequence, w, x)
+			}
+		}
+	}
+	if st := got.Stats; st.RuleEvaluations+st.PrunedClassPairs != st.ClassPairs {
+		t.Fatalf("%s: %d evaluated + %d pruned != %d class pairs", arm, st.RuleEvaluations, st.PrunedClassPairs, st.ClassPairs)
+	}
+}
+
 // FuzzIndexPrune is the index soundness fuzzer: for arbitrary worlds —
 // every hierarchy shape, arbitrary generalization levels, arbitrary
 // per-attribute thresholds including θ ≥ 1 — the indexed engine must
-// label every class pair exactly as the dense scan does. Any divergence
-// means the index pruned a Match or Unknown pair, the one failure mode
-// the whole subsystem exists to rule out.
+// label every class pair exactly as the dense scan does, and, with both
+// views carrying a DP release, exactly as the exhaustive intersection
+// scan does. Any divergence means the index pruned a Match or Unknown
+// pair, the one failure mode the whole subsystem exists to rule out.
 func FuzzIndexPrune(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -149,21 +204,13 @@ func FuzzIndexPrune(f *testing.F) {
 		if err != nil {
 			t.Fatalf("indexed: %v", err)
 		}
-		if dense.MatchedPairs != indexed.MatchedPairs ||
-			dense.NonMatchedPairs != indexed.NonMatchedPairs ||
-			dense.UnknownPairs != indexed.UnknownPairs {
-			t.Fatalf("counts diverge: dense M/N/U %d/%d/%d, indexed %d/%d/%d",
-				dense.MatchedPairs, dense.NonMatchedPairs, dense.UnknownPairs,
-				indexed.MatchedPairs, indexed.NonMatchedPairs, indexed.UnknownPairs)
+		sameLabels(t, "slack rule", dense, indexed)
+
+		rDP, sDP := release(rView), release(sView)
+		dp, err := Block(rDP, sDP, rule)
+		if err != nil {
+			t.Fatalf("indexed DP: %v", err)
 		}
-		for ri := range dense.R.Classes {
-			for si := range dense.S.Classes {
-				d, x := dense.Label(ri, si), indexed.Label(ri, si)
-				if d != x {
-					t.Fatalf("class pair (%d,%d) %q × %q: dense %v, indexed %v",
-						ri, si, dense.R.Classes[ri].Sequence, dense.S.Classes[si].Sequence, d, x)
-				}
-			}
-		}
+		sameLabels(t, "DP", intersectScan(rDP, sDP), dp)
 	})
 }

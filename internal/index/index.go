@@ -1,12 +1,12 @@
 // Package index implements hierarchy-aware candidate generation for the
-// blocking step: an inverted index over the generalization-hierarchy
-// nodes (and intervals, for continuous attributes) of one anonymized
-// view, queried with the other view's generalization sequences so that
-// class pairs whose infimum distance on some indexed attribute provably
-// exceeds its threshold are never enumerated. The slack decision rule
-// runs only on the surviving candidates, which makes blocking
-// sub-quadratic in practice while staying label-identical to the
-// exhaustive scan, blocking.Block (see DESIGN.md §10).
+// blocking step: an inverted index (Live) over the generalization-
+// hierarchy nodes (and intervals, for continuous attributes) of one
+// view's classes, queried with the other view's generalization sequences
+// so that class pairs whose infimum distance on some indexed attribute
+// provably exceeds its threshold are never enumerated. Decide runs only on
+// the surviving candidates, which makes blocking sub-quadratic in
+// practice while staying label-identical to the exhaustive scan,
+// blocking.Block (see DESIGN.md §10).
 //
 // Soundness rests on the direction of the exclusion: the index may admit
 // a class the rule then labels NonMatch (harmless — the rule decides),
@@ -16,224 +16,148 @@
 // condition under which the rule returns NonMatch unconditionally. A
 // pruned pair is therefore never one the exhaustive scan labels Match or
 // Unknown, which the oracle harness and FuzzIndexPrune verify
-// exhaustively.
+// exhaustively. Two bins that share a value on every attribute have
+// inf = 0 everywhere, so the same index also serves DP bin intersection.
 package index
 
 import (
 	"fmt"
-	"sort"
 
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
-	"pprl/internal/distance"
 	"pprl/internal/vgh"
 )
 
-// postings is one attribute's admission structure over the S view's
-// equivalence classes.
-type postings interface {
-	// admit sets the bit of every S class whose infimum distance to v on
-	// this attribute is not provably over the threshold.
-	admit(v vgh.Value, bs bitset)
+// Block is Stream without progress reports.
+func Block(r, s *anonymize.Result, rule *blocking.Rule) (*blocking.Result, error) {
+	return Stream(r, s, rule, nil)
 }
 
-// Index is the inverted hierarchy index over one anonymized view (the
-// "S side"), queried with the other view's class sequences. Build once
-// per blocking run; queries are read-only and safe for concurrent use.
-type Index struct {
-	s    *anonymize.Result
-	rule *blocking.Rule
-	// attrs[i] is attribute i's postings; nil when the attribute cannot
-	// constrain candidates (threshold admits everything, or a metric the
-	// index does not understand).
-	attrs       []postings
-	constrained []int
-}
-
-// New builds the index over view s for the given rule. The rule's
-// attribute order must correspond to the view's QID order, as in
-// blocking.Block.
-func New(s *anonymize.Result, rule *blocking.Rule) (*Index, error) {
-	if len(s.QIDs) != rule.Len() {
-		return nil, fmt.Errorf("index: rule has %d attributes, view has %d QIDs", rule.Len(), len(s.QIDs))
-	}
-	ix := &Index{s: s, rule: rule, attrs: make([]postings, rule.Len())}
-	for i := 0; i < rule.Len(); i++ {
-		theta := rule.Threshold(i)
-		switch m := rule.Metric(i).(type) {
-		case distance.Hamming:
-			// Hamming distances are 0 or 1, so θ ≥ 1 admits every pair.
-			if theta >= 1 {
-				continue
-			}
-			p, err := newCatPostings(s, i)
-			if err != nil {
-				return nil, err
-			}
-			ix.attrs[i] = p
-		case distance.Euclidean:
-			// A non-positive normalization factor makes the rule's inf
-			// non-positive for every pair: nothing is excludable.
-			if m.Norm <= 0 {
-				continue
-			}
-			p, err := newNumPostings(s, i, m.Norm, theta)
-			if err != nil {
-				return nil, err
-			}
-			ix.attrs[i] = p
-		default:
-			// Unknown metric: no exclusion model, leave unconstrained.
-		}
-	}
-	for i, p := range ix.attrs {
-		if p != nil {
-			ix.constrained = append(ix.constrained, i)
-		}
-	}
-	return ix, nil
-}
-
-// Constrained reports how many attributes actually prune candidates.
-func (ix *Index) Constrained() int { return len(ix.constrained) }
-
-// catPostings indexes a categorical attribute. Hamming's infimum is 0
-// exactly when the two nodes' leaf ranges overlap, i.e. one is an
-// ancestor of the other (vgh.Node.Overlaps); with θ < 1 every
-// non-overlapping pair is excludable. The admissible S classes for a
-// query node v are those whose node lies at or below v (the "under"
-// posting list of v itself) plus those whose node is a proper ancestor
-// of v (the "at" lists along v's ancestor path) — two disjoint walks
-// that never touch the rest of the hierarchy.
-type catPostings struct {
-	// under[n] lists the classes whose node is n or a descendant of n.
-	under map[*vgh.Node][]int32
-	// at[n] lists the classes whose node is exactly n.
-	at map[*vgh.Node][]int32
-}
-
-func newCatPostings(s *anonymize.Result, attr int) (*catPostings, error) {
-	p := &catPostings{
-		under: make(map[*vgh.Node][]int32),
-		at:    make(map[*vgh.Node][]int32),
-	}
-	for si := range s.Classes {
-		v := s.Classes[si].Sequence[attr]
-		if v.Node == nil {
-			return nil, fmt.Errorf("index: attribute %d: categorical metric over continuous value", attr)
-		}
-		p.at[v.Node] = append(p.at[v.Node], int32(si))
-		for n := v.Node; n != nil; n = n.Parent {
-			p.under[n] = append(p.under[n], int32(si))
-		}
-	}
-	return p, nil
-}
-
-func (p *catPostings) admit(v vgh.Value, bs bitset) {
-	if v.Node == nil {
-		panic("distance: Hamming applies to categorical values")
-	}
-	for _, si := range p.under[v.Node] {
-		bs.set(int(si))
-	}
-	for n := v.Node.Parent; n != nil; n = n.Parent {
-		for _, si := range p.at[n] {
-			bs.set(int(si))
-		}
-	}
-}
-
-// numPostings indexes a continuous attribute. S classes are bucketed by
-// interval width (one bucket per hierarchy level, plus one for fully
-// specialized points), each bucket sorted by Lo; a query finds the
-// admissible run of each bucket with two binary searches.
+// Stream runs the blocking step over two published views: it fills a Live
+// index with s's class sequences, probes it with each r class's, and
+// labels every admitted class pair with Decide — the slack rule over
+// k-anonymous views, bin intersection when both views carry a DP release
+// (a pair where only one does is refused). Pairs the index excludes are
+// accounted as NonMatch record pairs without ever being enumerated.
+// progress, when non-nil, receives (r classes done, r classes total)
+// every hundredth of the rows and on completion.
 //
-// Exclusion uses the exact float expressions of Euclidean.Bounds — the
-// gap (other.Lo − iv.Hi, or iv.Lo − other.Hi) divided by Norm — so a
-// class is dropped only when the rule's own inf computation would exceed
-// θ. The left boundary searches over the prefix maximum of Hi rather
-// than Hi itself, which keeps the predicate monotone even if float
-// rounding makes Hi not strictly ordered within a bucket; any slack this
-// introduces only admits extra candidates, never excludes one.
-type numPostings struct {
-	norm, theta float64
-	levels      []numLevel
-}
-
-type numLevel struct {
-	lo    []float64 // ascending
-	hi    []float64
-	maxHi []float64 // maxHi[i] = max(hi[0..i])
-	si    []int32
-}
-
-func newNumPostings(s *anonymize.Result, attr int, norm, theta float64) (*numPostings, error) {
-	type entry struct {
-		lo, hi float64
-		si     int32
+// The result is label-identical to the exhaustive scan's — same counts,
+// same Label(ri, si) for every class pair, same UnknownGroupPairs order —
+// and its Stats say how many class pairs reached Decide.
+func Stream(r, s *anonymize.Result, rule *blocking.Rule, progress func(done, total int64)) (*blocking.Result, error) {
+	if err := blocking.ValidateViews(r, s, rule); err != nil {
+		return nil, err
 	}
-	byWidth := make(map[float64][]entry)
+	dp, err := releases(r, s)
+	if err != nil {
+		return nil, err
+	}
+	l := NewLive(rule)
+	var totalS int64
 	for si := range s.Classes {
-		v := s.Classes[si].Sequence[attr]
-		if v.Node != nil {
-			return nil, fmt.Errorf("index: attribute %d: continuous metric over categorical value", attr)
+		if _, err := l.Insert(s.Classes[si].Sequence); err != nil {
+			return nil, err
 		}
-		byWidth[v.Iv.Width()] = append(byWidth[v.Iv.Width()], entry{lo: v.Iv.Lo, hi: v.Iv.Hi, si: int32(si)})
+		totalS += int64(s.Classes[si].Size())
 	}
-	p := &numPostings{norm: norm, theta: theta}
-	widths := make([]float64, 0, len(byWidth))
-	for w := range byWidth {
-		widths = append(widths, w)
-	}
-	sort.Float64s(widths) // deterministic level order
-	for _, w := range widths {
-		entries := byWidth[w]
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].lo != entries[j].lo {
-				return entries[i].lo < entries[j].lo
+
+	nR, nS := len(r.Classes), len(s.Classes)
+	b := blocking.NewBuilder(r, s)
+	stats := &blocking.Stats{RClasses: nR, SClasses: nS, ClassPairs: int64(nR) * int64(nS)}
+	admitted := make([]int64, rule.Len())
+	cand := newBitset(nS)
+	var nonMatched int64
+	stride := max(nR/100, 1)
+	for ri := range r.Classes {
+		rc := &r.Classes[ri]
+		rcSize := int64(rc.Size())
+		l.intersect(rc.Sequence, cand, admitted)
+		var candSize int64
+		cand.forEach(func(si int) {
+			sc := &s.Classes[si]
+			stats.RuleEvaluations++
+			candSize += int64(sc.Size())
+			if lab := Decide(rule, dp, rc.Sequence, sc.Sequence); lab == blocking.NonMatch {
+				nonMatched += rcSize * int64(sc.Size())
+			} else {
+				b.Observe(ri, si, lab)
 			}
-			return entries[i].si < entries[j].si
 		})
-		lv := numLevel{
-			lo:    make([]float64, len(entries)),
-			hi:    make([]float64, len(entries)),
-			maxHi: make([]float64, len(entries)),
-			si:    make([]int32, len(entries)),
+		// Everything the intersection dropped is a certain NonMatch: rc's
+		// records against every s record not in a candidate class.
+		nonMatched += rcSize * (totalS - candSize)
+		if done := ri + 1; progress != nil && done%stride == 0 {
+			progress(int64(done), int64(nR))
 		}
-		for i, e := range entries {
-			lv.lo[i], lv.hi[i], lv.si[i] = e.lo, e.hi, e.si
-			lv.maxHi[i] = e.hi
-			if i > 0 && lv.maxHi[i-1] > e.hi {
-				lv.maxHi[i] = lv.maxHi[i-1]
-			}
-		}
-		p.levels = append(p.levels, lv)
 	}
-	return p, nil
+	b.AddNonMatched(nonMatched)
+
+	stats.PrunedClassPairs = stats.ClassPairs - stats.RuleEvaluations
+	stats.Attrs = make([]blocking.AttrStats, rule.Len())
+	for i := range stats.Attrs {
+		a := blocking.AttrStats{Name: rule.Metric(i).Name(), Indexed: l.attrs[i] != nil, Admitted: admitted[i]}
+		if !a.Indexed {
+			a.Admitted = stats.ClassPairs
+		}
+		stats.Attrs[i] = a
+	}
+	if progress != nil {
+		progress(int64(nR), int64(nR))
+	}
+	return b.Result(stats), nil
 }
 
-func (p *numPostings) admit(v vgh.Value, bs bitset) {
-	if v.Node != nil {
-		panic("distance: Euclidean applies to continuous values")
+// releases reports whether both views carry a DP release. Exchanging only
+// noised bins is an invariant, not a convention: a release on one side
+// only would fall back to slack-rule blocking over a k = 1 binning, which
+// guarantees neither privacy model, so it is refused.
+func releases(r, s *anonymize.Result) (bool, error) {
+	if (r.DP == nil) != (s.DP == nil) {
+		return false, fmt.Errorf("index: one view carries a DP release and the other does not")
 	}
-	vi := v.Iv
-	for li := range p.levels {
-		lv := &p.levels[li]
-		n := len(lv.lo)
-		// Entries before start satisfy (vi.Lo − hi)/norm > θ: the query
-		// interval lies more than θ·norm above them, the rule's exact
-		// left-gap exclusion.
-		start := sort.Search(n, func(i int) bool {
-			return (vi.Lo-lv.maxHi[i])/p.norm <= p.theta
-		})
-		// Entries from end on satisfy (lo − vi.Hi)/norm > θ, the exact
-		// right-gap exclusion.
-		end := sort.Search(n, func(i int) bool {
-			return (lv.lo[i]-vi.Hi)/p.norm > p.theta
-		})
-		for i := start; i < end; i++ {
-			bs.set(int(lv.si[i]))
+	if r.DP == nil {
+		return false, nil
+	}
+	if len(r.DP.NoisedCounts) != len(r.Classes) || len(s.DP.NoisedCounts) != len(s.Classes) {
+		return false, fmt.Errorf("index: noised counts do not cover the classes")
+	}
+	return true, nil
+}
+
+// Decide labels one class (or bin) pair: the slack rule's label over
+// k-anonymous sequences, or, over DP releases (dp), Unknown for bins that
+// share a concrete value on every attribute and NonMatch otherwise. DP
+// blocking has no certain-match evidence, so it never labels Match and
+// the exact layers keep sole authority over Match verdicts.
+func Decide(rule *blocking.Rule, dp bool, v, w vgh.Sequence) blocking.Label {
+	if !dp {
+		return rule.Decide(v, w)
+	}
+	if SequencesIntersect(v, w) {
+		return blocking.Unknown
+	}
+	return blocking.NonMatch
+}
+
+// SequencesIntersect reports whether two bins share at least one concrete
+// record value on every attribute. With both holders binning at the same
+// depth this degenerates to bin-key equality (sibling bins never share
+// values); the general form also handles releases binned at different
+// depths.
+func SequencesIntersect(a, b vgh.Sequence) bool {
+	for j := range a {
+		av, bv := a[j], b[j]
+		if av.IsCategorical() != bv.IsCategorical() {
+			return false
+		}
+		if av.IsCategorical() {
+			if !av.Node.Overlaps(bv.Node) {
+				return false
+			}
+		} else if !av.Iv.Overlaps(bv.Iv) {
+			return false
 		}
 	}
+	return true
 }

@@ -1,9 +1,8 @@
 package index_test
 
 import (
-	"errors"
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"pprl/internal/adult"
@@ -11,6 +10,7 @@ import (
 	"pprl/internal/blocking"
 	"pprl/internal/dataset"
 	"pprl/internal/distance"
+	"pprl/internal/dpblock"
 	"pprl/internal/index"
 )
 
@@ -95,64 +95,70 @@ func TestIndexedMatchesDenseAdult(t *testing.T) {
 	}
 }
 
-func TestStreamEmitCoversEvaluations(t *testing.T) {
-	av, bv, rule := fixture(t, 600, 4, 0.05)
-	type rec struct {
-		gp blocking.GroupPair
-		l  blocking.Label
-	}
-	var got []rec
-	streamed, err := index.Stream(av, bv, rule, index.Options{}, func(gp blocking.GroupPair, l blocking.Label) error {
-		got = append(got, rec{gp, l})
-		return nil
-	})
+// TestBlockDPMatchesIntersectionScan: over two published DP releases the
+// one blocking loop labels every class pair as the exhaustive bin
+// intersection scan does — Unknown where the bins share a value, NonMatch
+// elsewhere, never Match — while the index still prunes, and a release
+// on one side only is refused.
+func TestBlockDPMatchesIntersectionScan(t *testing.T) {
+	full := adult.Generate(1200, 13)
+	alice, bob := dataset.SplitOverlap(full, rand.New(rand.NewSource(14)))
+	qids, err := full.Schema().Resolve(adult.DefaultQIDs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(got)) != streamed.Stats.RuleEvaluations {
-		t.Fatalf("emit saw %d pairs, stats report %d evaluations", len(got), streamed.Stats.RuleEvaluations)
-	}
-	dense, err := blocking.Block(av, bv, rule)
+	rule, err := blocking.RuleFor(full.Schema(), qids, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(got, func(i, j int) bool {
-		if got[i].gp.RI != got[j].gp.RI {
-			return got[i].gp.RI < got[j].gp.RI
+	release := func(d *dataset.Dataset, seed int64) *anonymize.Result {
+		b, err := dpblock.New(dpblock.Params{Epsilon: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return got[i].gp.SI < got[j].gp.SI
-	})
-	seen := make(map[[2]int]bool, len(got))
-	for _, r := range got {
-		if seen[[2]int{r.gp.RI, r.gp.SI}] {
-			t.Fatalf("pair (%d,%d) emitted twice", r.gp.RI, r.gp.SI)
+		v, err := b.Anonymize(d, qids, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[[2]int{r.gp.RI, r.gp.SI}] = true
-		if want := dense.Label(r.gp.RI, r.gp.SI); r.l != want {
-			t.Fatalf("emitted label for (%d,%d) = %v, dense says %v", r.gp.RI, r.gp.SI, r.l, want)
+		if err := dpblock.Publish(v, b.Params()); err != nil {
+			t.Fatal(err)
 		}
-		if want := av.Classes[r.gp.RI].Size() * bv.Classes[r.gp.SI].Size(); r.gp.Pairs != want {
-			t.Fatalf("emitted Pairs for (%d,%d) = %d, want %d", r.gp.RI, r.gp.SI, r.gp.Pairs, want)
-		}
+		return v
 	}
-	// Every M or U pair must have been emitted: pruning only ever drops
-	// certain NonMatches.
+	av, bv := release(alice, 5), release(bob, 6)
+	res, err := index.Block(av, bv, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MatchedPairs != 0 {
+		t.Fatalf("DP blocking labeled %d record pairs Match", res.MatchedPairs)
+	}
+	var unknown int64
 	for ri := range av.Classes {
 		for si := range bv.Classes {
-			if l := dense.Label(ri, si); l != blocking.NonMatch && !seen[[2]int{ri, si}] {
-				t.Fatalf("pair (%d,%d) labeled %v by dense was never emitted", ri, si, l)
+			want := blocking.NonMatch
+			if index.SequencesIntersect(av.Classes[ri].Sequence, bv.Classes[si].Sequence) {
+				want = blocking.Unknown
+				unknown += int64(av.Classes[ri].Size()) * int64(bv.Classes[si].Size())
+			}
+			if got := res.Label(ri, si); got != want {
+				t.Fatalf("class pair (%d,%d): labeled %v, the intersection scan says %v", ri, si, got, want)
 			}
 		}
 	}
-}
-
-func TestStreamEmitErrorAborts(t *testing.T) {
-	av, bv, rule := fixture(t, 600, 4, 0.05)
-	boom := errors.New("boom")
-	if _, err := index.Stream(av, bv, rule, index.Options{}, func(blocking.GroupPair, blocking.Label) error {
-		return boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("emit error not propagated: %v", err)
+	if res.UnknownPairs != unknown || res.TotalPairs() != int64(alice.Len())*int64(bob.Len()) {
+		t.Fatalf("pair accounting: %d unknown (scan %d) of %d", res.UnknownPairs, unknown, res.TotalPairs())
+	}
+	st := res.Stats
+	if st.RuleEvaluations+st.PrunedClassPairs != st.ClassPairs || st.PrunedClassPairs == 0 {
+		t.Fatalf("stats: %d evaluated + %d pruned of %d class pairs", st.RuleEvaluations, st.PrunedClassPairs, st.ClassPairs)
+	}
+	plain, err := anonymize.NewMaxEntropy().Anonymize(bob, qids, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := index.Block(av, plain, rule); err == nil {
+		t.Fatal("Block accepted a DP release against a k-anonymous view")
 	}
 }
 
@@ -170,15 +176,6 @@ func TestUnconstrainedThresholdStillEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.New(bv, rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Euclidean attributes stay indexed even at θ = 1; only Hamming ones
-	// drop out. The Adult QID set has one continuous attribute (age).
-	if ix.Constrained() != 1 {
-		t.Fatalf("constrained attributes at θ=1: got %d, want 1 (age only)", ix.Constrained())
-	}
 	dense, err := blocking.Block(av, bv, rule)
 	if err != nil {
 		t.Fatal(err)
@@ -188,14 +185,23 @@ func TestUnconstrainedThresholdStillEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEquivalent(t, dense, streamed)
+	// Euclidean attributes stay indexed even at θ = 1; only Hamming ones
+	// drop out. The Adult QID set has one continuous attribute (age).
+	indexed := 0
+	for _, a := range streamed.Stats.Attrs {
+		if a.Indexed {
+			indexed++
+		}
+	}
+	if indexed != 1 {
+		t.Fatalf("indexed attributes at θ=1: got %d, want 1 (age only)", indexed)
+	}
 }
 
 func TestProgressReported(t *testing.T) {
 	av, bv, rule := fixture(t, 600, 4, 0.05)
 	var last, total int64
-	if _, err := index.Stream(av, bv, rule, index.Options{
-		Progress: func(done, tot int64) { last, total = done, tot },
-	}, nil); err != nil {
+	if _, err := index.Stream(av, bv, rule, func(done, tot int64) { last, total = done, tot }); err != nil {
 		t.Fatal(err)
 	}
 	if last != int64(len(av.Classes)) || total != int64(len(av.Classes)) {
@@ -213,11 +219,11 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := index.New(bv, wide); err == nil {
-		t.Error("New accepted a rule with the wrong attribute count")
+	if _, err := index.Block(av, bv, wide); err == nil {
+		t.Error("Block accepted a rule with the wrong attribute count")
 	}
-	if _, err := index.Stream(av, bv, wide, index.Options{}, nil); err == nil {
-		t.Error("Stream accepted a rule with the wrong attribute count")
+	if _, err := index.NewLive(wide).Insert(bv.Classes[0].Sequence); err == nil {
+		t.Error("Insert accepted a sequence of the wrong length")
 	}
 	// A categorical metric over a continuous attribute is a build error.
 	catOnly := make([]distance.Metric, rule.Len())
@@ -228,7 +234,43 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := index.New(bv, catRule); err == nil {
-		t.Error("New accepted Hamming over the continuous age attribute")
+	if _, err := index.Block(av, bv, catRule); err == nil {
+		t.Error("Block accepted Hamming over the continuous age attribute")
+	}
+}
+
+// BenchmarkBlock is the blocking step as every pipeline runs it: index.Block
+// over both halves of a 30,162-record Adult split, at the paper's k = 32
+// and at k = 2, where the class-pair space is largest.
+func BenchmarkBlock(b *testing.B) {
+	full := adult.Generate(30162, 13)
+	alice, bob := dataset.SplitOverlap(full, rand.New(rand.NewSource(14)))
+	qids, err := full.Schema().Resolve(adult.DefaultQIDs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rule, err := blocking.RuleFor(full.Schema(), qids, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{32, 2} {
+		av, err := anonymize.NewMaxEntropy().Anonymize(alice, qids, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bv, err := anonymize.NewMaxEntropy().Anonymize(bob, qids, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, err := index.Block(av, bv, rule); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(av.Classes)), "r-classes")
+			b.ReportMetric(float64(len(bv.Classes)), "s-classes")
+		})
 	}
 }

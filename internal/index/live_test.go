@@ -21,10 +21,10 @@ import (
 )
 
 // TestLiveIndexSoundness grows a live index one bin at a time and checks
-// the same exclusion contract the static index carries: a bin the
-// admission sets drop is always one the rule labels NonMatch, at every
-// prefix of the insertion order, so candidate generation over a growing
-// population never loses a Match or Unknown pair.
+// the exclusion contract Block relies on: a bin the admission sets drop
+// is always one the rule labels NonMatch, at every prefix of the
+// insertion order, so candidate generation over a growing population
+// never loses a Match or Unknown pair.
 func TestLiveIndexSoundness(t *testing.T) {
 	av, bv, rule := fixture(t, 900, 3, 0.05)
 	live := index.NewLive(rule)
@@ -56,21 +56,12 @@ func TestLiveIndexSoundness(t *testing.T) {
 		}
 	}
 	check(len(bv.Classes))
-
-	if got, want := live.Len(), len(bv.Classes); got != want {
-		t.Fatalf("Len = %d, want %d", got, want)
-	}
-	if got, want := live.Epoch(), uint64(len(bv.Classes)); got != want {
-		t.Fatalf("Epoch = %d, want %d (one bump per insert)", got, want)
-	}
 }
 
-// TestLiveIndexMatchesStaticAdmission pins live admission to the static
-// index's: blocking the same views through index.Stream (static) and
-// through a fully populated live index must yield identical candidate
-// label sets for every class pair. The static path is already proven
-// label-identical to the dense scan, so transitively the live index is
-// too.
+// TestLiveIndexMatchesStaticAdmission pins a live index filled through the
+// public Insert/Candidates surface to the exhaustive scan over the same
+// static views: every class pair the dense scan labels Match or Unknown
+// must be emitted, and labeled the same by the rule.
 func TestLiveIndexMatchesStaticAdmission(t *testing.T) {
 	av, bv, rule := fixture(t, 700, 4, 0.05)
 	dense, err := blocking.Block(av, bv, rule)
@@ -100,30 +91,17 @@ func TestLiveIndexMatchesStaticAdmission(t *testing.T) {
 	}
 }
 
-// staticCandidates is the reference admission: the bins a static index
-// built anew over seqs admits for probe — index.Stream evaluates,
-// and so emits, exactly the classes its admission sets leave.
-func staticCandidates(t testing.TB, rule *blocking.Rule, seqs []vgh.Sequence, probe vgh.Sequence) []int {
+// freshCandidates is the reference admission: what a live index filled
+// from scratch over seqs, and asked nothing before, emits for probe.
+func freshCandidates(t testing.TB, rule *blocking.Rule, seqs []vgh.Sequence, probe vgh.Sequence) []int {
 	t.Helper()
-	view := func(ss []vgh.Sequence) *anonymize.Result {
-		res := &anonymize.Result{QIDs: make([]int, rule.Len())}
-		for i := range res.QIDs {
-			res.QIDs[i] = i
+	fresh := index.NewLive(rule)
+	for _, seq := range seqs {
+		if _, err := fresh.Insert(seq); err != nil {
+			t.Fatal(err)
 		}
-		for i, s := range ss {
-			res.Classes = append(res.Classes, anonymize.Class{Sequence: s, Members: []int{i}})
-		}
-		return res
 	}
-	var got []int
-	if _, err := index.Stream(view([]vgh.Sequence{probe}), view(seqs), rule, index.Options{Workers: 1},
-		func(gp blocking.GroupPair, _ blocking.Label) error {
-			got = append(got, gp.SI)
-			return nil
-		}); err != nil {
-		t.Fatal(err)
-	}
-	return got
+	return liveCandidates(fresh, probe)
 }
 
 // liveCandidates is what the live index emits for probe, in emit order.
@@ -136,7 +114,7 @@ func liveCandidates(live *index.Live, probe vgh.Sequence) []int {
 // checkAcrossEpochs inserts seqs one at a time and, after each insert,
 // probes with the sequences probes(step) names — repeating values within
 // the epoch and across epochs — comparing every emission, order included,
-// with the static index over the inserted prefix.
+// with a live index filled from scratch over the inserted prefix.
 func checkAcrossEpochs(t *testing.T, name string, rule *blocking.Rule, seqs []vgh.Sequence, probes func(step int) []vgh.Sequence) {
 	t.Helper()
 	live := index.NewLive(rule)
@@ -145,16 +123,16 @@ func checkAcrossEpochs(t *testing.T, name string, rule *blocking.Rule, seqs []vg
 			t.Fatal(err)
 		}
 		for _, p := range probes(step) {
-			got, want := liveCandidates(live, p), staticCandidates(t, rule, seqs[:step+1], p)
+			got, want := liveCandidates(live, p), freshCandidates(t, rule, seqs[:step+1], p)
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s: after %d inserts the live index emits %v, a static index over them %v", name, step+1, got, want)
+				t.Fatalf("%s: after %d inserts the live index emits %v, a fresh index over them %v", name, step+1, got, want)
 			}
 		}
 	}
 }
 
 // TestLiveCandidatesAcrossEpochs: with admission sets memoized per epoch,
-// Candidates still emits exactly the static index's admission over the
+// Candidates still emits exactly a fresh index's admission over the
 // bins inserted so far, whatever was asked in earlier epochs — on Adult
 // views, on generated worlds, and for a dedup index probed with its own
 // side's sequences.
@@ -214,22 +192,24 @@ func TestLiveCandidatesAcrossEpochs(t *testing.T) {
 }
 
 // TestLiveCandidatesConcurrentReaders: four readers probe while one
-// writer inserts (run it under -race). A reader that sees the same epoch
-// before and after its call must have been given the static admission
-// over that many bins.
+// writer inserts (run it under -race). The writer publishes its insert
+// count after each Insert, so a reader that reads the same count n before
+// and after its call ran against n or n+1 bins, and must have been given
+// a fresh index's admission over one of those prefixes.
 func TestLiveCandidatesConcurrentReaders(t *testing.T) {
 	av, bv, rule := fixture(t, 3000, 2, 0.05)
 	live := index.NewLive(rule)
 	type seen struct {
-		epoch uint64
+		bins  int
 		probe int
 		got   []int
 	}
 	var (
-		wg      sync.WaitGroup
-		started sync.WaitGroup
-		done    atomic.Bool
-		views   [4][]seen
+		wg       sync.WaitGroup
+		started  sync.WaitGroup
+		done     atomic.Bool
+		inserted atomic.Int64
+		views    [4][]seen
 	)
 	for r := range views {
 		wg.Add(1)
@@ -239,10 +219,10 @@ func TestLiveCandidatesConcurrentReaders(t *testing.T) {
 			started.Done()
 			for x := 0; !done.Load(); x++ {
 				p := (x*5 + r) % len(av.Classes)
-				before := live.Epoch()
+				before := inserted.Load()
 				got := liveCandidates(live, av.Classes[p].Sequence)
-				if live.Epoch() == before {
-					views[r] = append(views[r], seen{before, p, got})
+				if inserted.Load() == before {
+					views[r] = append(views[r], seen{int(before), p, got})
 				}
 			}
 		}()
@@ -251,6 +231,7 @@ func TestLiveCandidatesConcurrentReaders(t *testing.T) {
 	var insertErr error
 	for si := 0; si < len(bv.Classes) && insertErr == nil; si++ {
 		_, insertErr = live.Insert(bv.Classes[si].Sequence)
+		inserted.Store(int64(si + 1))
 		runtime.Gosched()
 	}
 	done.Store(true)
@@ -268,13 +249,18 @@ func TestLiveCandidatesConcurrentReaders(t *testing.T) {
 		all = append(all, views[r]...)
 	}
 	if len(all) == 0 {
-		t.Fatal("no reader finished a probe inside one epoch")
+		t.Fatal("no reader finished a probe between two inserts")
 	}
-	// The reference rebuilds a static index per probe: check a spread.
+	// The reference fills a fresh index per probe: check a spread.
 	for x := 0; x < len(all); x += 1 + len(all)/500 {
 		v := all[x]
-		if want := staticCandidates(t, rule, seqs[:v.epoch], av.Classes[v.probe].Sequence); !slices.Equal(v.got, want) {
-			t.Fatalf("at epoch %d: probe %d emitted %v, the static index %v", v.epoch, v.probe, v.got, want)
+		probe := av.Classes[v.probe].Sequence
+		if slices.Equal(v.got, freshCandidates(t, rule, seqs[:v.bins], probe)) {
+			continue
+		}
+		if n := min(v.bins+1, len(seqs)); !slices.Equal(v.got, freshCandidates(t, rule, seqs[:n], probe)) {
+			t.Fatalf("after %d inserts: probe %d emitted %v, matching a fresh index over neither %d nor %d bins",
+				v.bins, v.probe, v.got, v.bins, n)
 		}
 	}
 }

@@ -307,7 +307,7 @@ func (s *Server) startFleet() error {
 	}
 	for _, addr := range s.cfg.FleetWorkers {
 		go func(addr string) {
-			conn, err := cliutil.DialRetry(ctx, "tcp", addr, cliutil.Backoff{})
+			conn, err := cliutil.DialRetry(ctx, "tcp", addr)
 			if err != nil {
 				s.logf("fleet: worker %s unreachable: %v", addr, err)
 				return

@@ -388,21 +388,11 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		}
 	}
 
-	// Both holders must agree on the blocking mode: a DP release on one
-	// side only would silently fall back to slack-rule blocking over a
-	// k=1 binning, which guarantees neither privacy model.
-	dp := aView.DP != nil && bView.DP != nil
-	if (aView.DP != nil) != (bView.DP != nil) {
-		return nil, fmt.Errorf("session: one holder published a DP release and the other did not")
-	}
-	var block *blocking.Result
-	if dp {
-		block, err = dpblock.Block(aView, bView, rule)
-	} else {
-		block, err = index.Block(aView, bView, rule)
-	}
+	// Both holders must agree on the blocking mode: index.Block refuses a
+	// DP release on one side only.
+	block, err := index.Block(aView, bView, rule)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	res := &QueryResult{
 		BlockingEfficiency: block.Efficiency(),
