@@ -48,6 +48,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexPrune$$' -fuzztime $(FUZZTIME) ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedSigned$$' -fuzztime $(FUZZTIME) ./internal/paillier
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseNoise$$' -fuzztime $(FUZZTIME) ./internal/paillier
+	$(GO) test -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime $(FUZZTIME) ./internal/paillier
+	$(GO) test -run '^$$' -fuzz '^FuzzPackBlinded$$' -fuzztime $(FUZZTIME) ./internal/paillier
 	$(GO) test -run '^$$' -fuzz '^FuzzDiceTier$$' -fuzztime $(FUZZTIME) ./internal/bloom
 	$(GO) test -run '^$$' -fuzz '^FuzzLaplaceBins$$' -fuzztime $(FUZZTIME) ./internal/dpblock
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveBudget$$' -fuzztime $(FUZZTIME) ./internal/resolve
@@ -124,7 +126,9 @@ incremental-smoke:
 	$(GO) test -race -count=1 -run '^TestService(IncrementalSmoke|DedupDataset)$$' ./internal/service
 
 # One-iteration compile-and-run of every micro-benchmark: keeps the
-# paillier kernels, the SMC engine benches — BenchmarkSecureRun's
+# paillier kernels (the Montgomery step, BenchmarkMontMul: ns per step;
+# one packed ciphertext of Bob's at 60-bit slots, BenchmarkPackBlinded:
+# ns per slot), the SMC engine benches — BenchmarkSecureRun's
 # run-length fan-out curve at both slot geometries (the schema-less
 # 30-bit value bound and the 7 bits derived for Adult) among them —
 # core's plaintext-oracle link

@@ -123,7 +123,7 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 		}
 	}
 	if want("timing") {
-		t, err := experiment.Timing(opts, 1024, 5)
+		t, err := experiment.Timing(opts, 1024, 256)
 		if err != nil {
 			return err
 		}
