@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,32 @@ func TestKeyUnmarshalRejectsCorruption(t *testing.T) {
 		t.Error("wrong CRT factors should fail validation")
 	}
 	_ = data
+}
+
+// TestKeyUnmarshalRejectsBadModulus: a modulus without an odd N² has no
+// Montgomery context, so both key forms refuse it instead of building one.
+func TestKeyUnmarshalRejectsBadModulus(t *testing.T) {
+	for _, n := range []int64{1, 2, 10, 1 << 40} {
+		pub, err := (&PublicKey{N: big.NewInt(n)}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pk PublicKey
+		if err := pk.UnmarshalBinary(pub); !errors.Is(err, ErrModulus) {
+			t.Errorf("public key with N = %d: got %v, want ErrModulus", n, err)
+		}
+		priv, err := (&PrivateKey{PublicKey: PublicKey{N: big.NewInt(n)}, Lambda: one, Mu: one}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sk PrivateKey
+		if err := sk.UnmarshalBinary(priv); !errors.Is(err, ErrModulus) {
+			t.Errorf("private key with N = %d: got %v, want ErrModulus", n, err)
+		}
+		if _, err := NewPublicKey(big.NewInt(n)); !errors.Is(err, ErrModulus) {
+			t.Errorf("NewPublicKey(%d): got %v, want ErrModulus", n, err)
+		}
+	}
 }
 
 func TestKeyWithoutFactorsStillDecrypts(t *testing.T) {

@@ -186,9 +186,11 @@ func TestQueryRejectsWrongArityResult(t *testing.T) {
 }
 
 func TestReceiveKeyRejectsBadModulus(t *testing.T) {
-	a, b := NewConnPair()
-	go a.Send(&Message{Kind: MsgPublicKey, N: big.NewInt(-5)})
-	if _, err := receiveKey(b); err == nil {
-		t.Error("non-positive modulus should be rejected")
+	for _, n := range []int64{-5, 0, 1, 4, 1 << 40} {
+		a, b := NewConnPair()
+		go a.Send(&Message{Kind: MsgPublicKey, N: big.NewInt(n)})
+		if _, err := receiveKey(b); err == nil {
+			t.Errorf("modulus %d should be rejected", n)
+		}
 	}
 }
