@@ -4,9 +4,9 @@ GO ?= go
 # How long `make fuzz` spends per fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check tracked-files build binaries vet test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
+.PHONY: check tracked-files build binaries vet purego test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
 
-check: tracked-files build binaries vet test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper
+check: tracked-files build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper
 
 # No build output in the tree: every tracked file (as staged) is under
 # 1 MiB, and none is a compiled binary — an executable file must be a
@@ -30,6 +30,15 @@ binaries:
 
 vet:
 	$(GO) vet ./...
+
+# The Montgomery step reaches math/big's row kernel by go:linkname, which
+# only its assembly build exports: under math_big_pure_go a Go copy of the
+# loop stands in. Both builds must link, and vet must pass on an arch
+# other than the host's.
+purego:
+	$(GO) build -tags math_big_pure_go ./...
+	$(GO) test -tags math_big_pure_go ./internal/paillier
+	GOARCH=arm64 $(GO) vet ./internal/paillier
 
 test:
 	$(GO) test ./...
@@ -126,7 +135,8 @@ incremental-smoke:
 	$(GO) test -race -count=1 -run '^TestService(IncrementalSmoke|DedupDataset)$$' ./internal/service
 
 # One-iteration compile-and-run of every micro-benchmark: keeps the
-# paillier kernels (the Montgomery step, BenchmarkMontMul: ns per step;
+# paillier kernels (the Montgomery step, BenchmarkMontMul: ns per CIOS
+# step beside the three-multiplication step it replaced and Mul+Mod;
 # one packed ciphertext of Bob's at 60-bit slots, BenchmarkPackBlinded:
 # ns per slot), the SMC engine benches — BenchmarkSecureRun's
 # run-length fan-out curve at both slot geometries (the schema-less

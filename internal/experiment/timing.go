@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"pprl/internal/core"
@@ -21,8 +22,12 @@ const paperPerAttribute = 430 * time.Millisecond
 // run again with the three-party protocol at keyBits (the paper's 1024)
 // and its allowance cut to smcSamples pairs, so the group walk's runs, the
 // schema's slot width and packed results are all in the per-pair cost. It
-// runs on one SMC lane, so the per-pair cost is one core's, whatever the
-// host's core count.
+// runs on one SMC lane under GOMAXPROCS(1), so the per-pair cost is one
+// core's, whatever the host's core count: one lane still runs three
+// parties at once, spreads Alice's and Q's attributes over the cores and
+// fills Bob's randomizer pool in the background. GOMAXPROCS is
+// process-wide, so the arm must run alone; the previous value is
+// restored.
 func Timing(opts Options, keyBits, smcSamples int) (*Table, error) {
 	w := NewWorkload(opts)
 	cfg := w.baseConfig()
@@ -35,6 +40,7 @@ func Timing(opts Options, keyBits, smcSamples int) (*Table, error) {
 	secure.Comparator = core.SecureComparatorFactory(keyBits)
 	secure.Allowance = int64(smcSamples)
 	secure.SMCWorkers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sres, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, secure)
 	if err != nil {
 		return nil, fmt.Errorf("timing: secure link: %w", err)

@@ -200,8 +200,9 @@ func BenchmarkFixedBaseTable(b *testing.B) {
 }
 
 // BenchmarkMontMul is one step of the Montgomery chain at 1024 bits (ns
-// per step), against the Mul+Mod step math/big's one-word exponent path
-// takes per exponent bit.
+// per step), against the three-multiplication step it replaced (redc3)
+// and the Mul+Mod step math/big's one-word exponent path takes per
+// exponent bit.
 func BenchmarkMontMul(b *testing.B) {
 	sk := benchKey(b)
 	c := sk.mont
@@ -218,6 +219,12 @@ func BenchmarkMontMul(b *testing.B) {
 		z.Set(x)
 		for i := 0; i < b.N; i++ {
 			c.mul(&z, &z, &z, s)
+		}
+	})
+	b.Run("redc3", func(b *testing.B) {
+		r := newREDC3(c)
+		for i := 0; i < b.N; i++ {
+			mulREDC3(&z, x, y, r)
 		}
 	})
 	b.Run("mul+mod", func(b *testing.B) {

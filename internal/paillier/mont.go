@@ -12,73 +12,92 @@ import (
 // times the 32-word multiply it reduces. Every chain of multiplications
 // mod N² that is not a full-width Exp — the packing chain, Bob's slot
 // bases, the fixed-base window loop — runs here instead: operands carry a
-// factor R = 2^(64·words of N²), and a product is reduced by three
-// big.Int multiplications and a word shift, no division.
+// factor R = 2^(64·words of N²), and a product is reduced word by word in
+// the pass that forms it, no division.
 
 // montCtx holds the constants of Montgomery arithmetic modulo one N²,
 // built once per public key.
 type montCtx struct {
 	m *big.Int // the modulus N² (odd)
 	n int      // words of R
-	// minv is −m⁻¹ mod R; rr is R² mod m, which a multiplication takes
-	// into Montgomery form; r1 is R mod m, the Montgomery form of 1.
-	minv, rr, r1 *big.Int
+	// m0inv is −m⁻¹ modulo one word, the multiplier that clears one; rr
+	// is R² mod m, which a multiplication takes into Montgomery form; r1
+	// is R mod m, the Montgomery form of 1.
+	m0inv  big.Word
+	rr, r1 *big.Int
 }
 
 // newMontCtx needs an odd m: R is a power of two, and m must be a unit
 // modulo it.
 func newMontCtx(m *big.Int) *montCtx {
 	n := len(m.Bits())
+	inv := new(big.Int).ModInverse(m, new(big.Int).Lsh(one, bits.UintSize))
 	r := new(big.Int).Lsh(one, uint(n*bits.UintSize))
-	minv := new(big.Int).ModInverse(m, r)
-	minv.Sub(r, minv)
 	rr := new(big.Int).Mul(r, r)
-	return &montCtx{m: m, n: n, minv: minv, rr: rr.Mod(rr, m), r1: r.Mod(r, m)}
+	return &montCtx{m: m, n: n, m0inv: -inv.Bits()[0], rr: rr.Mod(rr, m), r1: r.Mod(r, m)}
 }
 
-// montScratch is the working set of one Montgomery step: the product, the
-// reduction multiple and its product with the modulus, and word views
-// into them. Reused across steps, a chain allocates nothing.
+// montScratch is the working set of one Montgomery step: the 2n-word
+// running sum and room to pad a short operand to n words. Reused across
+// steps, a chain allocates nothing.
 type montScratch struct {
-	t, q, p      big.Int
-	lo, hiT, hiP big.Int
+	w []big.Word
 }
 
 var montScratchPool = sync.Pool{New: func() any { return new(montScratch) }}
 
-// words returns x's words [from, to), clamped to its length.
-func words(x *big.Int, from, to int) []big.Word {
-	w := x.Bits()
-	return w[min(from, len(w)):min(to, len(w))]
-}
-
 // mul sets z = a·b·R⁻¹ mod m for a, b < m: the Montgomery product, so a
 // chain whose operands are in Montgomery form stays in it. Multiplying by
-// rr enters the form, by 1 leaves it. z may alias a or b, and a == b
-// takes math/big's squaring.
+// rr enters the form, by 1 leaves it. z may alias a or b.
+//
+// One CIOS pass, the loop math/big's own Exp runs: for each word b[i],
+// add the row a·b[i] to the running sum, then the row of m that clears
+// the sum's lowest word — 2n² word products, where forming a·b and then
+// reducing it took 3n². The result fits m's words, so a z with that
+// capacity is written in place.
 func (c *montCtx) mul(z, a, b *big.Int, s *montScratch) {
-	s.t.Mul(a, b)
-	// q = (t mod R)·(−m⁻¹) mod R makes t + q·m a multiple of R.
-	lo := words(&s.t, 0, c.n)
-	s.lo.SetBits(lo)
-	s.q.Mul(&s.lo, c.minv)
-	s.lo.SetBits(words(&s.q, 0, c.n))
-	s.p.Mul(&s.lo, c.m)
-	// (t + q·m)/R is the sum of the high halves, plus the carry of the low
-	// ones: they add up to 0 when t's low half is zero and to R otherwise.
-	s.hiT.SetBits(words(&s.t, c.n, 2*c.n))
-	s.hiP.SetBits(words(&s.p, c.n, 2*c.n+1))
-	z.Add(&s.hiT, &s.hiP)
-	for _, w := range lo {
-		if w != 0 {
-			z.Add(z, one)
-			break
+	n := c.n
+	if len(s.w) != 3*n {
+		s.w = make([]big.Word, 3*n)
+	}
+	t := s.w[:2*n]
+	clear(t[:n]) // row i sets t[n+i] before a later row adds into it
+	x := a.Bits()
+	if len(x) < n { // the row kernel reads n words of a
+		x = s.w[2*n:]
+		clear(x[copy(x, a.Bits()):])
+	}
+	y, m := b.Bits(), c.m.Bits()
+	var carry big.Word
+	for i := 0; i < n; i++ {
+		var c1 big.Word
+		if i < len(y) {
+			c1 = addMulVVW(t[i:i+n], x, y[i])
 		}
+		c2 := addMulVVW(t[i:i+n], m, t[i]*c.m0inv)
+		// Both rows' carries and the last one land in the untouched word
+		// t[n+i]; their sum is below 2^65, so at most 1 carries on.
+		w, k1 := bits.Add(uint(c1), uint(c2), 0)
+		w, k2 := bits.Add(w, uint(carry), 0)
+		t[n+i], carry = big.Word(w), big.Word(k1+k2)
 	}
-	// t + q·m < m² + R·m < 2R·m, so one subtraction reduces.
-	if z.Cmp(c.m) >= 0 {
-		z.Sub(z, c.m)
+	// carry·R + t[n:] is below 2m (a·b + q·m < m² + R·m): subtract m
+	// unless that borrows where nothing carried.
+	zw := z.Bits()
+	if cap(zw) < n {
+		zw = make([]big.Word, n)
 	}
+	zw = zw[:n]
+	var borrow uint
+	for i, w := range t[n:] {
+		var d uint
+		d, borrow = bits.Sub(uint(w), uint(m[i]), borrow)
+		zw[i] = big.Word(d)
+	}
+	if borrow != uint(carry) {
+		copy(zw, t[n:])
+	}
+	z.SetBits(zw)
 }
 
 // exp sets z = y^e for e ≥ 1, left to right; z must not alias y.

@@ -19,24 +19,104 @@ var wideKey = sync.OnceValue(func() *PrivateKey {
 	return sk
 })
 
-// FuzzMontMul holds the Montgomery step to Mul+Mod on operands below N² of
-// a 256-bit and a 1024-bit key: 0, 1, N²−1, short values and full-width
-// ones, with z = a = b aliased.
-func FuzzMontMul(f *testing.F) {
-	f.Add(false, uint8(0), []byte{1}, uint8(4), []byte{2}, false)
-	f.Add(true, uint8(1), []byte{}, uint8(2), []byte{}, false)
-	f.Add(true, uint8(2), []byte{}, uint8(2), []byte{}, true)
-	f.Add(false, uint8(3), []byte{0xff, 0x01}, uint8(4), []byte{9, 9}, true)
-	f.Add(true, uint8(4), []byte{7}, uint8(4), []byte{8}, false)
-	f.Fuzz(func(t *testing.T, wide bool, aKind uint8, aRaw []byte, bKind uint8, bRaw []byte, alias bool) {
-		sk := key(t)
-		if wide {
-			sk = wideKey()
+// montKeys are keys whose N² has 2, 3, 4 and 32 words: 64-, 96-, 128-
+// and 1024-bit moduli.
+var montKeys = sync.OnceValue(func() []*PrivateKey {
+	keys := []*PrivateKey{nil, nil, nil, wideKey()}
+	for i, bits := range []int{64, 96, 128} {
+		sk, err := GenerateKey(rand.Reader, bits)
+		if err != nil {
+			panic(err)
 		}
-		c := sk.mont
-		m := sk.N2
+		keys[i] = sk
+	}
+	return keys
+})
+
+// montCtxFor returns the Montgomery context of montKeys()[size%4], or,
+// when top is set, of an odd modulus of the same width just below R: a
+// step's sum reaches R there, so the final carry and the subtraction both
+// run.
+func montCtxFor(size uint8, top bool) *montCtx {
+	c := montKeys()[size%4].mont
+	if !top {
+		return c
+	}
+	m := new(big.Int).Lsh(one, uint(c.n*bits.UintSize))
+	return newMontCtx(m.Sub(m, big.NewInt(59)))
+}
+
+// redc3 is the working set of the Montgomery step before the CIOS pass:
+// the full product, its low half times −m⁻¹ mod R, that times m, and a
+// word shift of the sum — three n×n-word multiplications. Kept as the
+// reference mul is held to, and as BenchmarkMontMul's redc3 row.
+type redc3 struct {
+	c                     *montCtx
+	minv                  *big.Int // −m⁻¹ mod R
+	t, q, p, lo, hiT, hiP big.Int
+}
+
+func newREDC3(c *montCtx) *redc3 {
+	r := new(big.Int).Lsh(one, uint(c.n*bits.UintSize))
+	minv := new(big.Int).ModInverse(c.m, r)
+	return &redc3{c: c, minv: minv.Sub(r, minv)}
+}
+
+// words returns x's words [from, to), clamped to its length.
+func words(x *big.Int, from, to int) []big.Word {
+	w := x.Bits()
+	return w[min(from, len(w)):min(to, len(w))]
+}
+
+// mulREDC3 sets z = a·b·R⁻¹ mod m the three-multiplication way. It
+// reports whether the sum before the subtraction reached R — the CIOS
+// pass's final carry — and whether m was subtracted.
+func mulREDC3(z, a, b *big.Int, s *redc3) (carried, subtracted bool) {
+	c := s.c
+	s.t.Mul(a, b)
+	// q = (t mod R)·(−m⁻¹) mod R makes t + q·m a multiple of R.
+	lo := words(&s.t, 0, c.n)
+	s.lo.SetBits(lo)
+	s.q.Mul(&s.lo, s.minv)
+	s.lo.SetBits(words(&s.q, 0, c.n))
+	s.p.Mul(&s.lo, c.m)
+	// (t + q·m)/R is the sum of the high halves, plus the carry of the low
+	// ones: they add up to 0 when t's low half is zero and to R otherwise.
+	s.hiT.SetBits(words(&s.t, c.n, 2*c.n))
+	s.hiP.SetBits(words(&s.p, c.n, 2*c.n+1))
+	z.Add(&s.hiT, &s.hiP)
+	for _, w := range lo {
+		if w != 0 {
+			z.Add(z, one)
+			break
+		}
+	}
+	carried = z.BitLen() > c.n*bits.UintSize
+	// t + q·m < m² + R·m < 2R·m, so one subtraction reduces.
+	if z.Cmp(c.m) >= 0 {
+		z.Sub(z, c.m)
+		return carried, true
+	}
+	return carried, false
+}
+
+// FuzzMontMul holds the CIOS step bit for bit to mulREDC3 and, through
+// the form and back, to Mul+Mod, on N² of 2, 3, 4 and 32 words and on
+// moduli just below R. Operands are 0, 1, m−1, short values (leading zero
+// words), values with zero low words and full-width ones; z, a and b
+// alias in every combination.
+func FuzzMontMul(f *testing.F) {
+	f.Add(uint8(0), false, uint8(0), []byte{1}, uint8(4), []byte{2}, uint8(0))
+	f.Add(uint8(1), true, uint8(1), []byte{}, uint8(2), []byte{}, uint8(1))
+	f.Add(uint8(2), false, uint8(2), []byte{}, uint8(2), []byte{}, uint8(4))
+	f.Add(uint8(3), false, uint8(3), []byte{0xff, 0x01}, uint8(5), []byte{9, 9}, uint8(2))
+	f.Add(uint8(3), true, uint8(4), []byte{7}, uint8(4), []byte{8}, uint8(3))
+	f.Add(uint8(2), true, uint8(2), []byte{}, uint8(4), []byte{3}, uint8(0))
+	f.Fuzz(func(t *testing.T, size uint8, top bool, aKind uint8, aRaw []byte, bKind uint8, bRaw []byte, alias uint8) {
+		c := montCtxFor(size, top)
+		m := c.m
 		pick := func(kind uint8, raw []byte) *big.Int {
-			switch kind % 5 {
+			switch kind % 6 {
 			case 0:
 				return new(big.Int)
 			case 1:
@@ -45,6 +125,9 @@ func FuzzMontMul(f *testing.F) {
 				return new(big.Int).Sub(m, one)
 			case 3:
 				return new(big.Int).Mod(new(big.Int).SetBytes(raw), m)
+			case 4:
+				x := new(big.Int).SetBytes(raw)
+				return x.Mod(x.Lsh(x, uint((c.n-1)*bits.UintSize)), m)
 			}
 			var seed int64
 			for _, b := range raw {
@@ -53,31 +136,83 @@ func FuzzMontMul(f *testing.F) {
 			return new(big.Int).Rand(mrand.New(mrand.NewSource(seed)), m)
 		}
 		a, b := pick(aKind, aRaw), pick(bKind, bRaw)
-		s := new(montScratch)
 		z := new(big.Int)
-		if alias {
+		switch alias % 5 {
+		case 1: // z = a
+			z = a
+		case 2: // z = b
+			z = b
+		case 3: // a = b
 			b = a
-			z.Set(a)
-			c.mul(z, z, z, s)
-		} else {
-			c.mul(z, a, b, s)
+		case 4: // z = a = b
+			b, z = a, a
 		}
-		want := new(big.Int).Mul(a, b)
-		want.Mod(want, m)
-		// z = a·b·R⁻¹ mod N², reduced.
-		r := new(big.Int).Lsh(one, uint(c.n*bits.UintSize))
-		got := new(big.Int).Mul(z, r)
-		if z.Sign() < 0 || z.Cmp(m) >= 0 || got.Mod(got, m).Cmp(want) != 0 {
-			t.Fatalf("%d-bit key: mul(%v, %v) = %v, not a·b·R⁻¹ mod N²", sk.N.BitLen(), a, b, z)
+		a0, b0 := new(big.Int).Set(a), new(big.Int).Set(b) // z may overwrite a or b
+		want := new(big.Int)
+		mulREDC3(want, a, b, newREDC3(c))
+		s := new(montScratch)
+		if c.mul(z, a, b, s); z.Cmp(want) != 0 {
+			t.Fatalf("%d-word modulus %v: mul(%v, %v) = %v, mulREDC3 = %v", c.n, m, a0, b0, z, want)
 		}
 		// Into the form, one step, and out again is the plain product.
-		am, bm := sk.ToMont(&Ciphertext{C: a}), sk.ToMont(&Ciphertext{C: b})
-		c.mul(z, &am.v, &bm.v, s)
+		am, bm := new(big.Int), new(big.Int)
+		c.mul(am, a0, c.rr, s)
+		c.mul(bm, b0, c.rr, s)
+		c.mul(z, am, bm, s)
 		c.mul(z, z, one, s)
-		if z.Cmp(want) != 0 {
-			t.Fatalf("%d-bit key: a·b through the form = %v, want %v", sk.N.BitLen(), z, want)
+		if plain := new(big.Int).Mul(a0, b0); z.Cmp(plain.Mod(plain, m)) != 0 {
+			t.Fatalf("%d-word modulus %v: a·b through the form = %v, want %v", c.n, m, z, plain)
 		}
 	})
+}
+
+// TestMontMulCarryAndSubtraction walks random operands under every
+// modulus FuzzMontMul uses: the step matches mulREDC3, the final carry
+// occurs just below R, and a subtraction without it under every key.
+func TestMontMulCarryAndSubtraction(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(1))
+	for size := uint8(0); size < 4; size++ {
+		for _, top := range []bool{false, true} {
+			c := montCtxFor(size, top)
+			ref := newREDC3(c)
+			var s montScratch
+			var carries, subtractions int
+			z, want := new(big.Int), new(big.Int)
+			for i := 0; i < 400; i++ {
+				a, b := new(big.Int).Rand(rng, c.m), new(big.Int).Rand(rng, c.m)
+				carried, subtracted := mulREDC3(want, a, b, ref)
+				if carried {
+					carries++
+				} else if subtracted {
+					subtractions++
+				}
+				if c.mul(z, a, b, &s); z.Cmp(want) != 0 {
+					t.Fatalf("%d words, top %v: mul(%v, %v) = %v, want %v", c.n, top, a, b, z, want)
+				}
+			}
+			if top && carries == 0 || !top && subtractions == 0 {
+				t.Errorf("%d words, top %v: %d carries, %d plain subtractions in 400 steps", c.n, top, carries, subtractions)
+			}
+		}
+	}
+}
+
+// TestMontMulAllocatesNothing: a step into a target and scratch that
+// already hold n words allocates nothing, whatever aliases what.
+func TestMontMulAllocatesNothing(t *testing.T) {
+	c := wideKey().mont
+	rng := mrand.New(mrand.NewSource(2))
+	a, b := new(big.Int).Rand(rng, c.m), new(big.Int).Rand(rng, c.m)
+	z := new(big.Int).SetBits(make([]big.Word, 0, c.n))
+	s := &montScratch{w: make([]big.Word, 3*c.n)}
+	if n := testing.AllocsPerRun(100, func() {
+		c.mul(z, a, b, s)
+		c.mul(z, z, z, s)
+		c.mul(z, z, b, s)
+		c.mul(z, z, one, s)
+	}); n != 0 {
+		t.Errorf("%v allocations per four steps, want 0", n)
+	}
 }
 
 // hornerPackSigned is the packing PackSigned did before the chain: Exp by
