@@ -62,8 +62,7 @@ import (
 type queryOptions struct {
 	// CLI is the parameter block and the flags pprl-link shares.
 	cliutil.CLI
-	listen  string
-	shuffle bool
+	listen string
 	// ctx interrupts the session between SMC batches.
 	ctx context.Context
 }
@@ -85,7 +84,6 @@ type holderOptions struct {
 type partyFlags struct {
 	cliutil.CLI
 	role, listen, queryAddr, peerListen, peerAddr, data, method, tierKey string
-	shuffle                                                              bool
 	coordinator, workerListen, workerName                                string
 	lanes                                                                int
 }
@@ -100,7 +98,6 @@ func (p *partyFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&p.peerAddr, "peer", "", "bob: alice's peer-link address")
 	fs.StringVar(&p.data, "data", "", "holders: CSV file with this holder's relation")
 	fs.StringVar(&p.method, "method", "entropy", "holders: anonymization method (entropy, tds, datafly, mondrian, or dp with -epsilon)")
-	fs.BoolVar(&p.shuffle, "shuffle", true, "query: hide which attribute failed (attribute shuffling)")
 	fs.StringVar(&p.tierKey, "tier-key", "", "holders: shared secret keying the tier's CLK encodings (required when the query enables the tier)")
 
 	fs.StringVar(&p.coordinator, "coordinator", "", "worker: dial this coordinator (pprl-serve -fleet-listen address) and register")
@@ -121,7 +118,7 @@ func main() {
 	var err error
 	switch p.role {
 	case "query":
-		err = runQuery(os.Stdout, queryOptions{CLI: p.CLI, listen: p.listen, shuffle: p.shuffle, ctx: ctx})
+		err = runQuery(os.Stdout, queryOptions{CLI: p.CLI, listen: p.listen, ctx: ctx})
 	case session.RoleAlice, session.RoleBob:
 		err = runHolder(ctx, holderOptions{CLI: p.CLI, queryAddr: p.queryAddr, peerListen: p.peerListen, peerAddr: p.peerAddr,
 			dataPath: p.data, method: p.method, tierKey: p.tierKey}, p.role)
@@ -156,7 +153,6 @@ func runQuery(out io.Writer, opts queryOptions) error {
 		return err
 	}
 	cfg.AllowanceFraction = opts.AllowanceFraction
-	cfg.ShuffleAttributes = opts.shuffle
 	cfg.Context = opts.ctx
 	jw, err := opts.OpenJournal()
 	if err != nil {

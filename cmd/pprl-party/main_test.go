@@ -51,8 +51,7 @@ func freePort(t *testing.T) string {
 // 256-bit keys keep the real crypto fast.
 func baseQuery(listen string, allowance float64) queryOptions {
 	return queryOptions{
-		listen:  listen,
-		shuffle: true,
+		listen: listen,
 		CLI: cliutil.CLI{
 			Params: cliutil.Params{
 				QIDs:       pprl.DefaultAdultQIDs(),

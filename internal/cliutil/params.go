@@ -242,8 +242,7 @@ func (p *Params) Incremental(qids []string) (incremental.Config, error) {
 
 // Query materializes the block for the querying party of a three-party
 // session, which always runs the real protocol and labels residual pairs
-// NonMatch; the allowance fraction, attribute shuffling, journal and
-// context are the caller's.
+// NonMatch; the allowance fraction, journal and context are the caller's.
 func (p *Params) Query(schema *dataset.Schema, qids []string) (session.QueryConfig, error) {
 	c, err := p.Core(qids)
 	cfg := session.QueryConfig{
@@ -254,7 +253,6 @@ func (p *Params) Query(schema *dataset.Schema, qids []string) (session.QueryConf
 		Heuristic:  c.Heuristic,
 		KeyBits:    p.keyBits(),
 		SMCWorkers: p.SMCWorkers,
-		Packing:    smc.PackingPacked,
 		TierLow:    p.TierLow,
 	}
 	if c.Tier == core.TierBloom {

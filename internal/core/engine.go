@@ -248,7 +248,6 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	if err != nil {
 		return nil, fmt.Errorf("core: building SMC spec: %w", err)
 	}
-	spec.Packing = smc.PackingPacked
 	spec.BoundBySchema(alice.Data.Schema(), qids)
 	encA, encB := smc.EncodeRecords(alice.Data, qids, cfg.Scale), smc.EncodeRecords(bob.Data, qids, cfg.Scale)
 	if dp {

@@ -136,13 +136,12 @@ func PadFilters(real []*bloom.Filter, pad *PadMap, seed int64) []*bloom.Filter {
 
 // DummyFilter draws one synthetic tier CLK: uniform bit positions, with the
 // popcount sampled from the holder's real filters (never empty: a dummy
-// only exists in a bin a record created) so the dummies blend into the
-// population. A uniform filter's Dice against anything concentrates near
-// the density overlap — the same place unrelated real pairs land — so
-// dummies do not sit in a recognizable band of their own. The tier can only
-// label a padded handle NonMatch, which it is. This is a statistical blend,
-// not a cryptographic one; SECURITY.md states the residual distinguishing
-// risk.
+// only exists in a bin a record created). The tier can only label a padded
+// handle NonMatch, which it is. The filter does not hide that it is a
+// dummy: a uniform filter lacks the q-gram overlap real records share, and
+// at paper scale a handle's best Dice against either side's filters alone
+// separates dummies from records with AUC 1.0000 (SECURITY.md, "Noised
+// bins"; the fix is open on ROADMAP.md).
 func DummyFilter(rng *PRNG, real []*bloom.Filter) *bloom.Filter {
 	m := real[0].M()
 	out := make([]byte, 8*((m+63)/64))

@@ -201,7 +201,6 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("incremental: building SMC spec: %w", err)
 	}
-	spec.Packing = smc.PackingPacked
 	spec.BoundBySchema(schema, qids)
 
 	e := &Engine{

@@ -247,7 +247,6 @@ func TestSessionDPSentinelsInsideValueBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Packing = smc.PackingPacked
 			spec.BoundBySchema(schema, qids)
 			a, err := dpblock.DummyRow(schema, qids, spec, true)
 			if err != nil {

@@ -40,10 +40,9 @@ func queryManifest(cfg *QueryConfig, block *blocking.Result, allowance int64, al
 }
 
 // queryConfigDigest hashes the classifier parameters that determine the
-// verdicts. KeyBits, SMCWorkers and Packing are deliberately excluded:
-// they change the cost or the encoding of a comparison, never its
-// outcome, so a resumed session may use a different key size, pipeline
-// depth, or result packing. The triage tier (Tier, TierLow) is
+// verdicts. KeyBits and SMCWorkers are deliberately excluded: they change
+// the cost of a comparison, never its outcome, so a resumed session may
+// use a different key size or pipeline depth. The triage tier (Tier, TierLow) is
 // excluded for the same reason: tier labels are free, deterministic,
 // and journaled as a separate record type, while purchased SMC verdicts
 // stay exact under any tier configuration — so a session journaled with

@@ -199,8 +199,10 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 		if pad != nil {
 			// One CLK per published handle: real handles get their
 			// record's filter, dummy handles a synthetic one whose
-			// density is drawn from the real population, so the tier
-			// release does not separate padding from records either.
+			// density is drawn from the real population. This does not
+			// hide the padding: at paper scale a handle's best Dice alone
+			// tells dummies from records with AUC 1.0000 (SECURITY.md,
+			// "Noised bins"; the fix is open on ROADMAP.md).
 			filters = dpblock.PadFilters(filters, pad, dpParams.Seed)
 		}
 		encodings := make([][]byte, len(filters))
@@ -245,16 +247,16 @@ type QueryConfig struct {
 	KeyBits int
 	// Scale is the fixed-point factor for continuous values (default 1).
 	Scale int64
-	// ShuffleAttributes hides which attribute failed from this party.
+	// ShuffleAttributes is ignored: Bob always shuffles a pair's results,
+	// so this party never learns which attribute failed.
+	//
+	// Deprecated: shuffling is unconditional.
 	ShuffleAttributes bool
-	// Packing selects Bob's result encoding (smc.PackingPacked slot-packs
-	// the blinded per-attribute outputs, several pairs of a run to a
-	// ciphertext where the schema-derived slots allow; the zero value
-	// keeps the one-ciphertext-per-attribute format). The spec
-	// broadcast in MsgParams carries it to the holders, so no separate
-	// negotiation happens; pprl-party defaults its -packing flag to
-	// packed. Like SMCWorkers it never changes verdicts and is excluded
-	// from the journal manifest.
+	// Packing names Bob's result encoding. smc.PackingPacked, the zero
+	// value, is the only one — the blinded per-attribute outputs slot-packed,
+	// several pairs of a run to a ciphertext where the schema-derived slots
+	// allow — and any other value is refused. The spec broadcast in
+	// MsgParams carries it to the holders.
 	Packing smc.Packing
 	// SMCWorkers scales the SMC batch size. A distributed session runs
 	// one protocol lane per transport, so unlike core.Config.SMCWorkers
@@ -329,6 +331,9 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if cfg.Schema == nil || len(cfg.QIDs) == 0 {
 		return nil, fmt.Errorf("session: query needs a schema and QIDs")
 	}
+	if cfg.Packing != smc.PackingPacked {
+		return nil, fmt.Errorf("session: result encoding %d is not spoken here: the only one is packed (%d)", cfg.Packing, smc.PackingPacked)
+	}
 	if cfg.Heuristic == nil {
 		cfg.Heuristic = heuristic.MinAvgFirst{}
 	}
@@ -350,8 +355,6 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec.ShuffleAttributes = cfg.ShuffleAttributes
-	spec.Packing = cfg.Packing
 	spec.BoundBySchema(cfg.Schema, qids)
 	if cfg.Tier != nil {
 		bloom.TierDefaults(&cfg.Tier.M, &cfg.Tier.K, &cfg.Tier.Q)

@@ -108,12 +108,11 @@ func TestSessionEndToEnd(t *testing.T) {
 func TestSessionBudgeted(t *testing.T) {
 	aliceData, bobData := sessionWorkload(t, 90)
 	cfg := QueryConfig{
-		Schema:            aliceData.Schema(),
-		QIDs:              adult.DefaultQIDs(),
-		Theta:             0.05,
-		Allowance:         25,
-		KeyBits:           testKeyBits,
-		ShuffleAttributes: true,
+		Schema:    aliceData.Schema(),
+		QIDs:      adult.DefaultQIDs(),
+		Theta:     0.05,
+		Allowance: 25,
+		KeyBits:   testKeyBits,
 	}
 	res, err := runLocalSession(t, aliceData, bobData, cfg, 8, 8)
 	if err != nil {
@@ -237,6 +236,13 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := RunQuery(qa, qb, QueryConfig{Schema: aliceData.Schema(), QIDs: []string{"nope"}, Theta: 0.05}); err == nil {
 		t.Error("unknown QID should fail")
 	}
+	foreign := QueryConfig{Schema: aliceData.Schema(), QIDs: adult.DefaultQIDs(), Theta: 0.05, Packing: 1}
+	if _, err := RunQuery(qa, qb, foreign); err == nil || !strings.Contains(err.Error(), "result encoding 1") {
+		t.Errorf("a result encoding other than packed: %v, want it refused by name", err)
+	}
+	if qa.Bytes() != 0 || qb.Bytes() != 0 {
+		t.Errorf("refused configurations sent %d and %d bytes", qa.Bytes(), qb.Bytes())
+	}
 	conn, _ := smc.NewConnPair()
 	if err := Hello(conn, "mallory"); err == nil {
 		t.Error("invalid role should fail")
@@ -322,7 +328,6 @@ func TestHolderRefusesOutOfDomainRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Packing = smc.PackingPacked
 	spec.BoundBySchema(schema, qids)
 	sk, err := paillier.GenerateKey(crand.Reader, testKeyBits)
 	if err != nil {

@@ -30,10 +30,9 @@ func benchRecords4(n int, seed int64) [][]int64 {
 }
 
 // BenchmarkSecureBatch measures pipelined batch throughput at a 1024-bit
-// key with 4 attributes, serial versus sharded across GOMAXPROCS lanes,
-// each with packed and unpacked result encoding. The acceptance bar for
-// the sharded engine is ≥ 2× the serial comparisons/sec at GOMAXPROCS
-// ≥ 4; packing must cut decryptions/comparison from 4 to 1 at this
+// key with 4 attributes, serial versus sharded across GOMAXPROCS lanes.
+// The acceptance bar for the sharded engine is ≥ 2× the serial
+// comparisons/sec at GOMAXPROCS ≥ 4; decryptions/comparison is 1 at this
 // geometry (4 × 106-bit slots in a 1024-bit modulus).
 func BenchmarkSecureBatch(b *testing.B) {
 	alice := benchRecords4(32, 1)
@@ -62,24 +61,21 @@ func BenchmarkSecureBatch(b *testing.B) {
 		b.ReportMetric(float64(cmp.Decryptions())/float64(cmp.Invocations()), "decryptions/comparison")
 	}
 
-	for _, packing := range []Packing{PackingOff, PackingPacked} {
-		spec := benchSpec4()
-		spec.Packing = packing
-		b.Run("serial-"+packing.String(), func(b *testing.B) {
-			cmp, err := NewLocalSecure(spec, alice, bob, 1024)
-			if err != nil {
-				b.Fatal(err)
-			}
-			run(b, cmp)
-		})
-		b.Run(fmt.Sprintf("sharded-%d-%s", runtime.GOMAXPROCS(0), packing), func(b *testing.B) {
-			cmp, err := NewLocalSecureSharded(spec, alice, bob, 1024, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			run(b, cmp)
-		})
-	}
+	spec := benchSpec4()
+	b.Run("serial", func(b *testing.B) {
+		cmp, err := NewLocalSecure(spec, alice, bob, 1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, cmp)
+	})
+	b.Run(fmt.Sprintf("sharded-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
+		cmp, err := NewLocalSecureSharded(spec, alice, bob, 1024, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, cmp)
+	})
 }
 
 // BenchmarkSecureRun is the fan-out curve: throughput of the default
@@ -102,7 +98,7 @@ func BenchmarkSecureRun(b *testing.B) {
 	}
 	alice, bob := records(64, 1), records(32, 2)
 	for _, valueBits := range []int{DefaultValueBits, 7} {
-		spec := &Spec{Scale: 1, Packing: PackingPacked, ValueBits: valueBits, Attrs: []AttrSpec{
+		spec := &Spec{Scale: 1, ValueBits: valueBits, Attrs: []AttrSpec{
 			{Mode: ModeEquality}, {Mode: ModeThreshold, T: 16}, {Mode: ModeEquality},
 			{Mode: ModeThreshold, T: 64}, {Mode: ModeEquality},
 		}}

@@ -83,7 +83,7 @@ func FuzzResultStream(f *testing.F) {
 			return
 		}
 		// Two pairs per ciphertext, one, and three ciphertexts per pair.
-		spec := [](*Spec){planSpec(2, 7, false), planSpec(2, DefaultValueBits, false), planSpec(5, DefaultValueBits, false)}[geometry%3]
+		spec := [](*Spec){planSpec(2, 7), planSpec(2, DefaultValueBits), planSpec(5, DefaultValueBits)}[geometry%3]
 		d := len(spec.Attrs)
 		// Neighbouring records differ in verdict against most partners, so a
 		// stream shifted by one pair shows.

@@ -5,7 +5,10 @@ import (
 	"math/big"
 	"testing"
 
+	"pprl/internal/blocking"
+	"pprl/internal/dataset"
 	"pprl/internal/paillier"
+	"pprl/internal/vgh"
 )
 
 // Which party draws which noise is a security property (PROTOCOL.md,
@@ -149,7 +152,7 @@ var _ = func(e *bobEngine) *paillier.RandomizerPool { return e.pool }
 // holds several pairs. With full-width uniform units the Jacobi symbols of
 // one run's ciphertexts are fair coins; were Bob ever switched to the
 // fixed-base source they would all be +1, and were he to draw one unit
-// per run they would all be equal within it, in every result mode. The
+// per run they would all be equal within it, at every slot geometry. The
 // pool is drawn from once per ciphertext that crosses the link and for
 // nothing else.
 func TestBobResultsCarryUniformUnits(t *testing.T) {
@@ -160,11 +163,9 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 		// perRun is the number of ciphertexts Bob sends for a run of 8.
 		perRun int
 	}{
-		{"unpacked", func(s *Spec) { s.Packing = PackingOff }, 16},
-		{"packed", func(s *Spec) { s.Packing = PackingPacked }, 8},
+		{"packed", func(*Spec) {}, 8},
 		// 60-bit slots: two pairs of two values fill a 256-bit ciphertext.
-		{"packed-across-the-run", func(s *Spec) { s.Packing, s.ValueBits = PackingPacked, 7 }, 4},
-		{"reveal-distance", func(s *Spec) { s.RevealDistance = true }, 16},
+		{"packed-across-the-run", func(s *Spec) { s.ValueBits = 7 }, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := testSpec()
@@ -263,6 +264,82 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 				t.Errorf("bob drew %d units from his pool for %d ciphertexts sent", draws, runs*tc.perRun)
 			}
 		})
+	}
+}
+
+// TestBobShufflesEveryShape: the spec every engine builds — SpecFromRule
+// and BoundBySchema, as core.Link, incremental and the fleet do, nothing
+// set on top — has Bob shuffle each pair's slots, so the querying party
+// never learns which attribute failed. One pair that fails its first
+// attribute only is compared 32 times and its values are read with the
+// querying party's key: the failing value must land in both slots. A Bob
+// that never shuffles fails always, a fair one with probability 2⁻³¹.
+func TestBobShufflesEveryShape(t *testing.T) {
+	edu := vgh.Flat("edu", "ANY", "a", "b", "c", "d")
+	schema := dataset.MustSchema(dataset.CatAttr(edu), dataset.NumAttr(vgh.MustIntervalHierarchy("num", 0, 64, 2, 3)))
+	qids := []int{0, 1}
+	rule, err := blocking.RuleFor(schema, qids, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := SpecFromRule(rule, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.BoundBySchema(schema, qids)
+	alice, bob := [][]int64{{0, 10}}, [][]int64{{1, 11}}
+	if d := len(spec.activeAttrs()); d != 2 || spec.Matches(alice[0], bob[0]) || !spec.Matches([]int64{1, 10}, bob[0]) {
+		t.Fatalf("want two active attributes and a pair failing the first only, got %+v", spec)
+	}
+
+	qa, aq := NewConnPair()
+	qb, bq := NewConnPair()
+	ab, ba := NewConnPair()
+	errs := make(chan error, 2)
+	go func() { errs <- RunAlice(aq, ab, alice, spec) }()
+	go func() { errs <- RunBob(bq, ba, bob, spec) }()
+	tap := &tapConn{Conn: qb}
+	sk, err := paillier.GenerateKey(rand.Reader, testKeyBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := newQuerySessionWithKey(qa, tap, spec, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const comparisons = 32
+	failedIn := make([]int, 2) // how often each slot held the failing value
+	for c := 0; c < comparisons; c++ {
+		tap.seen = nil
+		if match, err := q.Compare(0, 0); err != nil || match {
+			t.Fatalf("comparison %d: %v, %v; want a non-match", c, match, err)
+		}
+		if len(tap.seen) != 1 || len(tap.seen[0].Res) != 1 {
+			t.Fatalf("comparison %d: want one frame with one ciphertext, got %d frames", c, len(tap.seen))
+		}
+		vals, err := sk.UnpackSigned(&paillier.Ciphertext{C: tap.seen[0].Res[0]}, q.plan.pack, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range vals {
+			if v.Sign() >= 0 {
+				failedIn[k]++
+			}
+		}
+	}
+	if failedIn[0]+failedIn[1] != comparisons {
+		t.Fatalf("%v failing values in %d comparisons of a pair failing one attribute", failedIn, comparisons)
+	}
+	if failedIn[0] == 0 || failedIn[1] == 0 {
+		t.Errorf("the failing value sat in slot 0 %d times and in slot 1 %d times: Bob does not shuffle", failedIn[0], failedIn[1])
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatalf("party loop: %v", err)
+		}
 	}
 }
 

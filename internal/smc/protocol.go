@@ -67,9 +67,9 @@ type Message struct {
 	// Sq and Lin are Alice's Enc(aᵢ²) and Enc(−2aᵢ), one per active
 	// (non-ModeAlways) attribute, in spec order (MsgShares).
 	Sq, Lin []*big.Int
-	// Res are Bob's output ciphertexts (MsgResult): one per active
-	// attribute, or what the spec's result plan puts on this frame — the
-	// packed values of this pair and the ones before it, or nothing.
+	// Res are Bob's output ciphertexts (MsgResult): what the spec's result
+	// plan puts on this frame — the packed values of this pair and the
+	// ones before it, or nothing.
 	Res []*big.Int
 	// Role identifies the sender (MsgHello): "alice" or "bob".
 	Role string
@@ -277,12 +277,12 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 
 // RunBob is the second data holder's protocol loop: for every run it
 // combines Alice's one share set with each listed record of his own
-// homomorphically, producing Enc((a−b)²) per attribute, then either
-// forwards the distances (RevealDistance) or the sign-only blinding
-// ρ·((a−b)² − T − 1) + δ with 0 ≤ δ < ρ, so the querying party learns only
-// whether the squared distance is within the threshold. Every record gets
-// its own result frame, blinds and shuffle, and every ciphertext that
-// crosses the query link its own uniform unit.
+// homomorphically into the sign-only blinding ρ·((a−b)² − T − 1) + δ per
+// attribute, 0 ≤ δ < ρ, so the querying party learns only whether each
+// squared distance is within its threshold — and, the slots of a pair
+// being shuffled, not which attribute's. Every record gets its own result
+// frame, blinds and shuffle, and every ciphertext that crosses the query
+// link its own uniform unit.
 func RunBob(query, alice Conn, records [][]int64, spec *Spec) error {
 	return runBob(query, alice, records, spec, &bobEngine{})
 }
@@ -342,83 +342,40 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 		if shares.Kind != MsgShares || len(shares.Sq) != len(active) || len(shares.Lin) != len(active) {
 			return fmt.Errorf("smc: bob: malformed shares message")
 		}
-		if spec.packActive() {
-			for k := range active {
-				sq[k] = pk.ToMont(&paillier.Ciphertext{C: shares.Sq[k]})
-				lin[k] = pk.ToMont(&paillier.Ciphertext{C: shares.Lin[k]})
-			}
+		for k := range active {
+			sq[k] = pk.ToMont(&paillier.Ciphertext{C: shares.Sq[k]})
+			lin[k] = pk.ToMont(&paillier.Ciphertext{C: shares.Lin[k]})
 		}
 		for x, j := range m.Records {
 			rec := records[j]
 			out := &Message{Kind: MsgResult, Record: j, Left: len(m.Records) - 1 - x}
-			if !spec.packActive() {
-				out.Res = make([]*big.Int, len(active))
-				if err := forEachAttr(len(active), func(k int) error {
-					res, err := bobFinalize(pk, eng.pool, shares.Sq[k], shares.Lin[k], rec[active[k]], spec.Attrs[active[k]], spec.RevealDistance)
-					if err != nil {
-						return err
-					}
-					out.Res[k] = res.C
-					return nil
-				}); err != nil {
+			pair := len(held)
+			for k, ai := range active {
+				slot, err := blindedSlot(pk, sq[k], lin[k], rec[ai], spec.Attrs[ai])
+				if err != nil {
 					return fmt.Errorf("smc: bob: %w", err)
 				}
-				if spec.ShuffleAttributes && !spec.RevealDistance {
-					if err := shuffle(out.Res); err != nil {
-						return fmt.Errorf("smc: bob: shuffling results: %w", err)
-					}
+				held = append(held, slot)
+			}
+			// The shuffle stays inside the pair: which slots a pair takes is a
+			// public function of its place in the run, so the querying party's
+			// view of every pair stays a shuffled multiset of blinded values
+			// (see PROTOCOL.md). The slots wait in held until the frame the
+			// plan puts their ciphertext on.
+			if err := shuffle(held[pair:]); err != nil {
+				return fmt.Errorf("smc: bob: shuffling results: %w", err)
+			}
+			if pairs, _ := plan.frame(x, out.Left); pairs > 0 {
+				if out.Res, err = packSlots(pk, eng.pool, held, plan.pack); err != nil {
+					return fmt.Errorf("smc: bob: packing results: %w", err)
 				}
-			} else {
-				pair := len(held)
-				for k, ai := range active {
-					slot, err := blindedSlot(pk, sq[k], lin[k], rec[ai], spec.Attrs[ai])
-					if err != nil {
-						return fmt.Errorf("smc: bob: %w", err)
-					}
-					held = append(held, slot)
-				}
-				// The shuffle stays inside the pair: which slots a pair takes is
-				// a public function of its place in the run, so the querying
-				// party's view of every pair stays a shuffled multiset of
-				// blinded values (see PROTOCOL.md). The slots wait in held until
-				// the frame the plan puts their ciphertext on.
-				if spec.ShuffleAttributes {
-					if err := shuffle(held[pair:]); err != nil {
-						return fmt.Errorf("smc: bob: shuffling results: %w", err)
-					}
-				}
-				if pairs, _ := plan.frame(x, out.Left); pairs > 0 {
-					if out.Res, err = packSlots(pk, eng.pool, held, plan.pack); err != nil {
-						return fmt.Errorf("smc: bob: packing results: %w", err)
-					}
-					held = held[:0]
-				}
+				held = held[:0]
 			}
 			if err := query.Send(out); err != nil {
 				return fmt.Errorf("smc: bob: sending result: %w", err)
 			}
 		}
 	}
-}
-
-// bobFinalize is the unpacked result, one ciphertext per attribute:
-// Enc((a−b)²) = Enc(a²) +h (Enc(−2a) ×h b) +h Enc(b²) from Alice's shares
-// and Bob's value b, forwarded as is (RevealDistance) or blinded to
-// ρ·((a−b)² − T − 1) + δ, and rerandomized with a unit from the pool.
-// PackingOff is the reference the tests hold packing to.
-func bobFinalize(pk *paillier.PublicKey, pool *paillier.RandomizerPool, sq, lin *big.Int, b int64, attr AttrSpec, reveal bool) (*paillier.Ciphertext, error) {
-	dist := pk.Add(&paillier.Ciphertext{C: sq}, pk.MulConst(&paillier.Ciphertext{C: lin}, big.NewInt(b)))
-	dist = pk.AddConst(dist, big.NewInt(b*b))
-	if reveal {
-		return pool.Rerandomize(dist)
-	}
-	rho, delta, err := blinds(pk)
-	if err != nil {
-		return nil, err
-	}
-	shifted := pk.AddConst(dist, big.NewInt(-(attr.T + 1))) // ModeEquality has T = 0: match iff d² < 1
-	blinded := pk.MulConst(shifted, rho)
-	return pool.Rerandomize(pk.AddConst(blinded, delta))
 }
 
 // blinds draws one value's multiplicative blind ρ ∈ [1, 2^blindBits) and
@@ -433,8 +390,8 @@ func blinds(pk *paillier.PublicKey) (rho, delta *big.Int, err error) {
 	return rho, delta, nil
 }
 
-// blindedSlot is one attribute's packed value, the same
-// ρ·((a−b)² − T − 1) + δ bobFinalize blinds: the slot's base is
+// blindedSlot is one attribute's packed value ρ·((a−b)² − T − 1) + δ
+// (ModeEquality has T = 0: a match iff (a−b)² < 1): the slot's base is
 // Enc(a² − 2ab) = Sq·Lin^b, in Montgomery form, and the public rest,
 // ρ·(b² − T − 1) + δ, rides in the slot's constant.
 func blindedSlot(pk *paillier.PublicKey, sq, lin *paillier.MontCiphertext, b int64, attr AttrSpec) (paillier.Slot, error) {
@@ -492,15 +449,11 @@ func shuffle[T any](cs []T) error {
 type QuerySession struct {
 	alice, bob  Conn
 	sk          *paillier.PrivateKey
-	spec        *Spec
 	window      int
 	invocations int64
 	decryptions int64
 	plan        resultPlan
-	// thresholds are the active attributes' T, which RevealDistance
-	// compares the decrypted distances with.
-	thresholds []*big.Int
-	closed     bool
+	closed      bool
 }
 
 // NewQuerySession generates a fresh key pair of the given size (the
@@ -515,8 +468,9 @@ func NewQuerySession(alice, bob Conn, spec *Spec, keyBits int) (*QuerySession, e
 }
 
 func newQuerySessionWithKey(alice, bob Conn, spec *Spec, sk *paillier.PrivateKey) (*QuerySession, error) {
-	// The plan is derived before the key is distributed, so an infeasible
-	// slot width fails here, not asynchronously inside Bob's loop.
+	// The plan is derived before the key is distributed, so a foreign
+	// result encoding or an infeasible slot width fails here, not
+	// asynchronously inside Bob's loop.
 	plan, err := spec.resultPlan(sk.N.BitLen())
 	if err != nil {
 		return nil, fmt.Errorf("smc: %w", err)
@@ -525,12 +479,8 @@ func newQuerySessionWithKey(alice, bob Conn, spec *Spec, sk *paillier.PrivateKey
 		alice:  alice,
 		bob:    bob,
 		sk:     sk,
-		spec:   spec,
 		window: pipelineWindowFor(alice, bob),
 		plan:   plan,
-	}
-	for _, ai := range spec.activeAttrs() {
-		q.thresholds = append(q.thresholds, big.NewInt(spec.Attrs[ai].T))
 	}
 	pkMsg := &Message{Kind: MsgPublicKey, N: sk.N}
 	if err := alice.Send(pkMsg); err != nil {
@@ -581,18 +531,9 @@ func (q *QuerySession) receiveResult(j, x, left int, verdicts []bool) error {
 		return nil
 	}
 	vals := make([]*big.Int, pairs*q.plan.d)
-	per := max(q.plan.pack.Slots, 1) // values per ciphertext: one when unpacked
+	per := q.plan.pack.Slots // values per ciphertext
 	if err := forEachAttr(cts, func(c int) error {
-		ct := &paillier.Ciphertext{C: res.Res[c]}
-		if q.plan.pack.Slots == 0 {
-			v, err := q.sk.DecryptSigned(ct)
-			if err != nil {
-				return fmt.Errorf("smc: decrypting result ciphertext %d: %w", c, err)
-			}
-			vals[c] = v
-			return nil
-		}
-		vs, err := q.sk.UnpackSigned(ct, q.plan.pack, min(per, len(vals)-c*per))
+		vs, err := q.sk.UnpackSigned(&paillier.Ciphertext{C: res.Res[c]}, q.plan.pack, min(per, len(vals)-c*per))
 		if err != nil {
 			return fmt.Errorf("smc: unpacking result ciphertext %d: %w", c, err)
 		}
@@ -605,25 +546,21 @@ func (q *QuerySession) receiveResult(j, x, left int, verdicts []bool) error {
 	q.decryptions += int64(cts)
 	verdicts = verdicts[len(verdicts)-pairs:]
 	for p := range verdicts {
-		verdicts[p] = q.verdict(vals[p*q.plan.d : (p+1)*q.plan.d])
+		verdicts[p] = verdict(vals[p*q.plan.d : (p+1)*q.plan.d])
 	}
 	return nil
 }
 
 // verdict folds one pair's decrypted per-attribute values into the match
-// bit.
-func (q *QuerySession) verdict(vals []*big.Int) bool {
-	match := true
-	for k, v := range vals {
-		if q.spec.RevealDistance {
-			if v.Cmp(q.thresholds[k]) > 0 {
-				match = false
-			}
-		} else if v.Sign() >= 0 {
-			match = false
+// bit: every blinded value is negative exactly when its attribute is
+// within threshold.
+func verdict(vals []*big.Int) bool {
+	for _, v := range vals {
+		if v.Sign() >= 0 {
+			return false
 		}
 	}
-	return match
+	return true
 }
 
 // defaultPipelineWindow bounds how many result frames may be in flight
@@ -723,8 +660,8 @@ func (q *QuerySession) Invocations() int64 { return q.invocations }
 
 // Decryptions returns how many Paillier decryptions the session has
 // performed — the querying party's dominant cost: one per result
-// ciphertext, so d per comparison unpacked and, packed, ⌈d/slots⌉ or one
-// per ⌊slots/d⌋ comparisons of a run.
+// ciphertext, so ⌈d/slots⌉ per comparison or one per ⌊slots/d⌋
+// comparisons of a run.
 func (q *QuerySession) Decryptions() int64 { return q.decryptions }
 
 // Close sends shutdown to both data holders.

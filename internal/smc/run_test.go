@@ -181,10 +181,10 @@ func TestRunsMatchOracle(t *testing.T) {
 	}
 }
 
-// planSpec is a packed spec of d active attributes, equality and threshold
+// planSpec is a spec of d active attributes, equality and threshold
 // circuits alternating, at the given value bound.
-func planSpec(d, valueBits int, shuffle bool) *Spec {
-	spec := &Spec{Scale: 1, Packing: PackingPacked, ValueBits: valueBits, ShuffleAttributes: shuffle}
+func planSpec(d, valueBits int) *Spec {
+	spec := &Spec{Scale: 1, ValueBits: valueBits}
 	for k := 0; k < d; k++ {
 		if k%2 == 0 {
 			spec.Attrs = append(spec.Attrs, AttrSpec{Mode: ModeEquality})
@@ -250,67 +250,65 @@ func testRunFramePlan(t *testing.T) {
 					runOf = append(runOf, length)
 				}
 			}
-			for _, shuffle := range []bool{false, true} {
-				spec := planSpec(d, geo.valueBits, shuffle)
-				plan, err := spec.resultPlan(geo.keyBits)
-				if err != nil {
-					t.Fatal(err)
+			spec := planSpec(d, geo.valueBits)
+			plan, err := spec.resultPlan(geo.keyBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := plan.pack.Slots
+			qa, aq := NewConnPair()
+			qb, bq := NewConnPair()
+			ab, ba := NewConnPair()
+			errs := make(chan error, 2)
+			go func() { errs <- RunAlice(aq, ab, alice, spec) }()
+			go func() { errs <- RunBob(bq, ba, bob, spec) }()
+			tap := &tapConn{Conn: qb}
+			q, err := newQuerySessionWithKey(qa, tap, spec, sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Runs are cut at half the window: widen it (the links hold
+			// 64 frames) so that they reach the protocol's cap.
+			q.window = 2 * maxRun
+			got, err := q.CompareBatch(pairs)
+			if err != nil {
+				t.Fatalf("%d bits, d=%d: %v", geo.keyBits, d, err)
+			}
+			if len(tap.seen) != len(pairs) {
+				t.Fatalf("%d bits, d=%d: %d result frames for %d pairs", geo.keyBits, d, len(tap.seen), len(pairs))
+			}
+			var sent int64
+			matches := 0
+			for k, p := range pairs {
+				if want := spec.Matches(alice[p[0]], bob[p[1]]); got[k] != want {
+					t.Errorf("%d bits, d=%d, pair %d %v: verdict %v, want %v", geo.keyBits, d, k, p, got[k], want)
+				} else if want {
+					matches++
 				}
-				slots := plan.pack.Slots
-				qa, aq := NewConnPair()
-				qb, bq := NewConnPair()
-				ab, ba := NewConnPair()
-				errs := make(chan error, 2)
-				go func() { errs <- RunAlice(aq, ab, alice, spec) }()
-				go func() { errs <- RunBob(bq, ba, bob, spec) }()
-				tap := &tapConn{Conn: qb}
-				q, err := newQuerySessionWithKey(qa, tap, spec, sk)
-				if err != nil {
-					t.Fatal(err)
+				x := k - runOf[k]*(runOf[k]-1)/2 // runs of 1, 2, … precede this one
+				m := tap.seen[k]
+				if m.Record != p[1] || m.Left != runOf[k]-1-x {
+					t.Fatalf("frame %d echoes record %d with %d to follow, want %d with %d", k, m.Record, m.Left, p[1], runOf[k]-1-x)
 				}
-				// Runs are cut at half the window: widen it (the links hold
-				// 64 frames) so that they reach the protocol's cap.
-				q.window = 2 * maxRun
-				got, err := q.CompareBatch(pairs)
-				if err != nil {
-					t.Fatalf("%d bits, d=%d, shuffle=%v: %v", geo.keyBits, d, shuffle, err)
+				if want := wantCiphertexts(x, runOf[k], d, slots); len(m.Res) != want {
+					t.Errorf("%d bits, d=%d (%d slots): pair %d of a run of %d carries %d ciphertexts, want %d",
+						geo.keyBits, d, slots, x, runOf[k], len(m.Res), want)
 				}
-				if len(tap.seen) != len(pairs) {
-					t.Fatalf("%d bits, d=%d: %d result frames for %d pairs", geo.keyBits, d, len(tap.seen), len(pairs))
-				}
-				var sent int64
-				matches := 0
-				for k, p := range pairs {
-					if want := spec.Matches(alice[p[0]], bob[p[1]]); got[k] != want {
-						t.Errorf("%d bits, d=%d, shuffle=%v, pair %d %v: verdict %v, want %v", geo.keyBits, d, shuffle, k, p, got[k], want)
-					} else if want {
-						matches++
-					}
-					x := k - runOf[k]*(runOf[k]-1)/2 // runs of 1, 2, … precede this one
-					m := tap.seen[k]
-					if m.Record != p[1] || m.Left != runOf[k]-1-x {
-						t.Fatalf("frame %d echoes record %d with %d to follow, want %d with %d", k, m.Record, m.Left, p[1], runOf[k]-1-x)
-					}
-					if want := wantCiphertexts(x, runOf[k], d, slots); len(m.Res) != want {
-						t.Errorf("%d bits, d=%d (%d slots): pair %d of a run of %d carries %d ciphertexts, want %d",
-							geo.keyBits, d, slots, x, runOf[k], len(m.Res), want)
-					}
-					sent += int64(len(m.Res))
-				}
-				if matches == 0 || matches == len(pairs) {
-					t.Errorf("d=%d: %d of %d pairs match; the list should show both verdicts", d, matches, len(pairs))
-				}
-				if q.Invocations() != int64(len(pairs)) || q.Decryptions() != sent {
-					t.Errorf("%d bits, d=%d: %d invocations and %d decryptions for %d pairs and %d ciphertexts",
-						geo.keyBits, d, q.Invocations(), q.Decryptions(), len(pairs), sent)
-				}
-				if err := q.Close(); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 2; i++ {
-					if err := <-errs; err != nil {
-						t.Errorf("party loop: %v", err)
-					}
+				sent += int64(len(m.Res))
+			}
+			if matches == 0 || matches == len(pairs) {
+				t.Errorf("d=%d: %d of %d pairs match; the list should show both verdicts", d, matches, len(pairs))
+			}
+			if q.Invocations() != int64(len(pairs)) || q.Decryptions() != sent {
+				t.Errorf("%d bits, d=%d: %d invocations and %d decryptions for %d pairs and %d ciphertexts",
+					geo.keyBits, d, q.Invocations(), q.Decryptions(), len(pairs), sent)
+			}
+			if err := q.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil {
+					t.Errorf("party loop: %v", err)
 				}
 			}
 		}
@@ -327,13 +325,13 @@ func TestQueryRejectsMisalignedResult(t *testing.T) {
 	// Two active attributes in 60-bit slots, four to the test key's
 	// ciphertext: two pairs share one, and the first frame of a run of two
 	// is empty.
-	grouped := packedSpec()
+	grouped := testSpec()
 	grouped.ValueBits = 7
 	if plan, err := grouped.resultPlan(testKeyBits); err != nil || plan.group != 2 {
 		t.Fatalf("grouped plan %+v, %v; want two pairs per ciphertext", plan, err)
 	}
 	// Five in 106-bit slots, two to a ciphertext: three ciphertexts per pair.
-	chunked := planSpec(5, DefaultValueBits, false)
+	chunked := planSpec(5, DefaultValueBits)
 	if plan, err := chunked.resultPlan(testKeyBits); err != nil || plan.pack.Ciphertexts(plan.d) != 3 {
 		t.Fatalf("chunked plan %+v, %v; want three ciphertexts per pair", plan, err)
 	}

@@ -151,47 +151,43 @@ func TestPlainComparator(t *testing.T) {
 }
 
 // TestSecureMatchesPlain is the protocol's correctness theorem: the full
-// three-party Paillier circuit returns exactly the oracle's verdicts, in
-// both the blinded-sign mode and the distance-revealing mode.
+// three-party Paillier circuit returns exactly the oracle's verdicts.
 func TestSecureMatchesPlain(t *testing.T) {
-	for _, reveal := range []bool{false, true} {
-		spec := testSpec()
-		spec.RevealDistance = reveal
-		rng := rand.New(rand.NewSource(21))
-		mk := func(n int) [][]int64 {
-			out := make([][]int64, n)
-			for i := range out {
-				out[i] = []int64{int64(rng.Intn(3)), int64(rng.Intn(12)), int64(rng.Intn(5))}
+	spec := testSpec()
+	rng := rand.New(rand.NewSource(21))
+	mk := func(n int) [][]int64 {
+		out := make([][]int64, n)
+		for i := range out {
+			out[i] = []int64{int64(rng.Intn(3)), int64(rng.Intn(12)), int64(rng.Intn(5))}
+		}
+		return out
+	}
+	alice, bob := mk(6), mk(6)
+	sec, err := NewLocalSecure(spec, alice, bob, testKeyBits)
+	if err != nil {
+		t.Fatalf("NewLocalSecure: %v", err)
+	}
+	plain := NewPlainComparator(spec, alice, bob)
+	for i := range alice {
+		for j := range bob {
+			want, _ := plain.Compare(i, j)
+			got, err := sec.Compare(i, j)
+			if err != nil {
+				t.Fatalf("Compare(%d,%d): %v", i, j, err)
 			}
-			return out
-		}
-		alice, bob := mk(6), mk(6)
-		sec, err := NewLocalSecure(spec, alice, bob, testKeyBits)
-		if err != nil {
-			t.Fatalf("reveal=%v: NewLocalSecure: %v", reveal, err)
-		}
-		plain := NewPlainComparator(spec, alice, bob)
-		for i := range alice {
-			for j := range bob {
-				want, _ := plain.Compare(i, j)
-				got, err := sec.Compare(i, j)
-				if err != nil {
-					t.Fatalf("reveal=%v: Compare(%d,%d): %v", reveal, i, j, err)
-				}
-				if got != want {
-					t.Fatalf("reveal=%v: Compare(%d,%d) = %v, oracle says %v", reveal, i, j, got, want)
-				}
+			if got != want {
+				t.Fatalf("Compare(%d,%d) = %v, oracle says %v", i, j, got, want)
 			}
 		}
-		if sec.Invocations() != 36 {
-			t.Errorf("Invocations = %d, want 36", sec.Invocations())
-		}
-		if sec.BytesTransferred() <= 0 {
-			t.Error("BytesTransferred should be positive")
-		}
-		if err := sec.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
+	}
+	if sec.Invocations() != 36 {
+		t.Errorf("Invocations = %d, want 36", sec.Invocations())
+	}
+	if sec.BytesTransferred() <= 0 {
+		t.Error("BytesTransferred should be positive")
+	}
+	if err := sec.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
 
@@ -280,12 +276,11 @@ func TestCompareBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShuffledAttributesSameVerdicts: with attribute shuffling Bob hides
-// which attribute failed, but every verdict stays identical to the
+// TestShuffledAttributesSameVerdicts: Bob shuffles every pair's values to
+// hide which attribute failed, and every verdict stays identical to the
 // oracle's.
 func TestShuffledAttributesSameVerdicts(t *testing.T) {
 	spec := testSpec()
-	spec.ShuffleAttributes = true
 	rng := rand.New(rand.NewSource(33))
 	mk := func(n int) [][]int64 {
 		out := make([][]int64, n)
@@ -423,52 +418,17 @@ func TestQuerySessionClosedCompare(t *testing.T) {
 	}
 }
 
-// TestSmallKeyRefusedUnpacked: a modulus too small for one result value is
-// refused at construction whether or not results travel packed — the
-// unpacked blinded form and RevealDistance used to wrap mod N there and
-// return verdicts the clear-text rule does not. A key the value does fit
-// (a revealed d² below 2⁶² at 64 bits) must answer as Spec.Matches does.
+// TestSmallKeyRefusedUnpacked: a modulus too small for one blinded result
+// value is refused at construction — the blinded form used to wrap mod N
+// there and return verdicts the clear-text rule does not.
 func TestSmallKeyRefusedUnpacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	mk := func(n int) [][]int64 {
-		out := make([][]int64, n)
-		for i := range out {
-			out[i] = []int64{rng.Int63n(1 << 29)}
-		}
-		return out
-	}
-	alice, bob := mk(6), mk(10)
-	pairs := allPairs(len(alice), len(bob))
+	alice, bob := [][]int64{{0}, {1 << 28}}, [][]int64{{1 << 29}}
+	// In-domain values are up to 2²⁹ apart, either side of T = (2²⁸)²: a
+	// 106-bit blinded result.
+	spec := &Spec{Scale: 1, Attrs: []AttrSpec{{Mode: ModeThreshold, T: 1 << 56}}}
 	for _, keyBits := range []int{64, 96} {
-		for _, reveal := range []bool{false, true} {
-			// In-domain values are up to 2²⁹ apart, so half the pairs sit
-			// either side of T = (2²⁸)².
-			spec := &Spec{Scale: 1, RevealDistance: reveal, Attrs: []AttrSpec{{Mode: ModeThreshold, T: 1 << 56}}}
-			cmp, err := NewLocalSecure(spec, alice, bob, keyBits)
-			if err != nil {
-				if !strings.Contains(err.Error(), "use a larger key") {
-					t.Errorf("%d bits, reveal=%v: refused with %v, want the modulus-fit error", keyBits, reveal, err)
-				}
-				continue
-			}
-			if !reveal {
-				t.Errorf("%d bits: a 106-bit blinded result was accepted", keyBits)
-			}
-			got, err := cmp.CompareBatch(pairs)
-			cmp.Close()
-			if err != nil {
-				t.Fatalf("%d bits, reveal=%v: %v", keyBits, reveal, err)
-			}
-			for x, p := range pairs {
-				if want := spec.Matches(alice[p[0]], bob[p[1]]); got[x] != want {
-					t.Errorf("%d bits, reveal=%v: pair %v = %v, the rule says %v", keyBits, reveal, p, got[x], want)
-				}
-			}
+		if _, err := NewLocalSecure(spec, alice, bob, keyBits); err == nil || !strings.Contains(err.Error(), "use a larger key") {
+			t.Errorf("%d bits: %v, want the modulus-fit error", keyBits, err)
 		}
-	}
-	// One more value bit and a revealed d² no longer fits 64 bits.
-	wide := &Spec{Scale: 1, RevealDistance: true, ValueBits: 31, Attrs: []AttrSpec{{Mode: ModeThreshold, T: 1 << 56}}}
-	if _, err := NewLocalSecure(wide, alice, bob, 64); err == nil || !strings.Contains(err.Error(), "revealed distance") {
-		t.Errorf("a 65-bit revealed distance under a 64-bit key: %v, want the modulus-fit error", err)
 	}
 }

@@ -41,36 +41,18 @@ func (m AttrMode) String() string {
 	}
 }
 
-// Packing selects the encoding of Bob's result message (DESIGN.md §11).
+// Packing names the encoding of Bob's result message (DESIGN.md §11).
 type Packing int
 
-const (
-	// PackingOff sends one result ciphertext per active attribute — the
-	// original wire format, and the zero value so a zero Spec keeps it. No
-	// engine above this package selects it: it is RevealDistance's form and
-	// the reference the tests hold PackingPacked to.
-	PackingOff Packing = iota
-	// PackingPacked slot-packs the blinded per-attribute outputs after
-	// the shuffle, filling each ciphertext with the d values of as many
-	// consecutive pairs of a run as it has slots for (⌈d/slots⌉
-	// ciphertexts per pair when d exceeds the slots). MsgResult bytes,
-	// Bob's uniform units and the querying party's decryptions are paid
-	// per ciphertext: d per pair falls to ≈ 1/⌊slots/d⌋ in a run.
-	// Verdict-identical to PackingOff; ignored under RevealDistance,
-	// whose positional per-attribute distances cannot be merged.
-	PackingPacked
-)
-
-func (p Packing) String() string {
-	switch p {
-	case PackingOff:
-		return "off"
-	case PackingPacked:
-		return "packed"
-	default:
-		return fmt.Sprintf("Packing(%d)", int(p))
-	}
-}
+// PackingPacked, the zero value and the only encoding, slot-packs the
+// shuffled, blinded per-attribute outputs, filling each ciphertext with
+// the d values of as many consecutive pairs of a run as it has slots for
+// (⌈d/slots⌉ ciphertexts per pair when d exceeds the slots). MsgResult
+// bytes, Bob's uniform units and the querying party's decryptions are paid
+// per ciphertext: d per pair falls to ≈ 1/⌊slots/d⌋ in a run. A spec that
+// arrives over the wire naming any other value — a peer built when 1 meant
+// packed and 0 one ciphertext per attribute — is refused (resultPlan).
+const PackingPacked Packing = 0
 
 // DefaultValueBits bounds encoded attribute magnitudes (|v| < 2^30) when
 // a spec was built without a schema to take the bound from
@@ -98,23 +80,9 @@ type Spec struct {
 	// Scale is the fixed-point factor applied to continuous values
 	// before encryption (v ↦ round(v·Scale)).
 	Scale int64
-	// RevealDistance switches to the paper's base protocol where the
-	// querying party decrypts the squared distances themselves and
-	// compares locally, instead of learning only the sign of a blinded,
-	// threshold-shifted value.
-	RevealDistance bool
-	// ShuffleAttributes makes Bob permute the per-attribute result
-	// ciphertexts randomly for every comparison, so the querying party
-	// learns how many attributes violated their thresholds but not which
-	// ones. The match verdict is order-independent (a pair matches iff
-	// every attribute is within threshold), so correctness is unchanged.
-	// Ignored under RevealDistance, whose per-attribute comparison needs
-	// positional thresholds.
-	ShuffleAttributes bool
-	// Packing selects Bob's result encoding: PackingOff (one ciphertext
-	// per active attribute) or PackingPacked (slot-packed). Both ends
-	// derive the same PackPlan from the spec and the public modulus, so
-	// no extra negotiation happens on the wire.
+	// Packing names Bob's result encoding; PackingPacked is the only one.
+	// Both ends derive the same PackPlan from the spec and the public
+	// modulus, so no extra negotiation happens on the wire.
 	Packing Packing
 	// ValueBits bounds encoded attribute magnitudes (|v| < 2^ValueBits);
 	// BoundBySchema fills it from the attributes' public domains, 0 means
@@ -178,11 +146,6 @@ func (s *Spec) valueBits() int {
 	return DefaultValueBits
 }
 
-// packActive reports whether this spec's results travel packed.
-func (s *Spec) packActive() bool {
-	return s.Packing == PackingPacked && !s.RevealDistance
-}
-
 // slotBits derives the packed slot width w from the public parameters:
 // Bob's blinded output is ρ·(d²−T−1)+δ with ρ,δ < 2^blindBits,
 // |d| < 2^{ValueBits+1} and T the largest threshold, so its magnitude is
@@ -205,16 +168,11 @@ func (s *Spec) slotBits() int {
 	return blindBits + mag + 2 + packSlackBits
 }
 
-// fits refuses a modulus whose signed range cannot hold one result value:
-// a blinded output, slotBits wide, or under RevealDistance a squared
-// distance below 2^{2·ValueBits+2} and its sign. The querying party reads
-// a verdict from the value decrypted mod N, so a wider one would wrap into
-// a wrong verdict whether or not results travel packed.
+// fits refuses a modulus whose signed range cannot hold one blinded
+// result value, slotBits wide. The querying party reads a verdict from the
+// value decrypted mod N, so a wider one would wrap into a wrong verdict.
 func (s *Spec) fits(modBits int) error {
-	width, what := s.slotBits(), "blinded result"
-	if s.RevealDistance {
-		width, what = 2*s.valueBits()+3, "revealed distance"
-	}
+	width := s.slotBits()
 	if width <= modBits-1 {
 		return nil
 	}
@@ -222,7 +180,7 @@ func (s *Spec) fits(modBits int) error {
 	if s.widest != "" {
 		cause = fmt.Sprintf("attribute %q, whose domain × scale takes %d bits", s.widest, s.valueBits())
 	}
-	return fmt.Errorf("a %s takes %d bits for %s, which a %d-bit modulus cannot hold: use a larger key", what, width, cause, modBits)
+	return fmt.Errorf("a blinded result takes %d bits for %s, which a %d-bit modulus cannot hold: use a larger key", width, cause, modBits)
 }
 
 // resultPlan is the shape of a run's MsgResult stream: which frame carries
@@ -230,33 +188,34 @@ func (s *Spec) fits(modBits int) error {
 // function of the spec and the modulus size, so Bob and the querying party
 // derive the same one and nothing about it crosses the wire.
 type resultPlan struct {
-	pack paillier.PackPlan // zero when results travel unpacked
-	// d is the number of active attributes: the values, and under packing
-	// the slots, one pair takes.
+	pack paillier.PackPlan
+	// d is the number of active attributes: the values, and the slots,
+	// one pair takes.
 	d int
 	// group is how many consecutive pairs of a run share one packed
-	// ciphertext: ⌊slots/d⌋, and 1 when results travel unpacked, when a
-	// ciphertext has room for one pair only, or when a pair needs several
-	// (d > slots) — every frame then carries its own pair's ciphertexts.
+	// ciphertext: ⌊slots/d⌋, and 1 when a ciphertext has room for one pair
+	// only or a pair needs several (d > slots) — every frame then carries
+	// its own pair's ciphertexts.
 	group int
 }
 
-// resultPlan derives the run's frame plan, failing fast when one result
-// value does not fit the modulus.
+// resultPlan derives the run's frame plan, failing fast on a result
+// encoding this code does not speak and when one result value does not
+// fit the modulus.
 func (s *Spec) resultPlan(modBits int) (resultPlan, error) {
-	p := resultPlan{d: len(s.activeAttrs()), group: 1}
+	if s.Packing != PackingPacked {
+		return resultPlan{}, fmt.Errorf("result encoding %d is not spoken here: the only one is packed (%d)", s.Packing, PackingPacked)
+	}
 	if err := s.fits(modBits); err != nil {
 		return resultPlan{}, err
 	}
-	if !s.packActive() {
-		return p, nil
-	}
-	var err error
-	if p.pack, err = paillier.NewPackPlan(modBits, s.slotBits()); err != nil {
+	pack, err := paillier.NewPackPlan(modBits, s.slotBits())
+	if err != nil {
 		return resultPlan{}, err
 	}
-	if p.d > 0 && p.pack.Slots/p.d > 1 {
-		p.group = p.pack.Slots / p.d
+	p := resultPlan{pack: pack, d: len(s.activeAttrs()), group: 1}
+	if p.d > 0 && pack.Slots/p.d > 1 {
+		p.group = pack.Slots / p.d
 	}
 	return p, nil
 }
@@ -269,8 +228,6 @@ func (s *Spec) resultPlan(modBits int) (resultPlan, error) {
 // the run, and the frames before it are empty (0, 0).
 func (p resultPlan) frame(x, left int) (pairs, cts int) {
 	switch {
-	case p.pack.Slots == 0:
-		return 1, p.d
 	case p.group == 1:
 		return 1, p.pack.Ciphertexts(p.d)
 	case (x+1)%p.group == 0 || left == 0:
@@ -281,9 +238,9 @@ func (p resultPlan) frame(x, left int) (pairs, cts int) {
 
 // checkRecords enforces the magnitude bound on a holder's encoded records
 // before any of them is encrypted: the modulus was checked against values
-// below 2^ValueBits (fits), and packed, a value at or beyond it could
-// overflow its slot, which packing cannot detect after the fact (the
-// carry lands in a neighbouring slot).
+// below 2^ValueBits (fits), and a value at or beyond it could overflow its
+// slot, which packing cannot detect after the fact (the carry lands in a
+// neighbouring slot).
 func (s *Spec) checkRecords(records [][]int64) error {
 	if s.valueBits() >= 62 {
 		return nil

@@ -169,11 +169,9 @@ func checkKMonotone(t *testing.T, w *World, o *oracle.Oracle) bool {
 }
 
 // TestSecureEnginesAgainstOracle verifies the real Paillier protocol — on
-// one lane and on two, each in both result encodings: this is where packed
-// is pinned to the unpacked reference above internal/smc — against the
-// oracle's exact verdicts on generated worlds, not merely against each
-// other. Test-size keys keep the run fast; the
-// circuit arithmetic is key-size independent.
+// one lane and on two — against the oracle's exact verdicts on generated
+// worlds, not merely against each other. Test-size keys keep the run
+// fast; the circuit arithmetic is key-size independent.
 func TestSecureEnginesAgainstOracle(t *testing.T) {
 	base := baseSeed(t)
 	for wi := int64(0); wi < 3; wi++ {
@@ -182,7 +180,7 @@ func TestSecureEnginesAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(repro(w, err))
 		}
-		baseSpec, err := smc.SpecFromRule(res.Rule(), 1)
+		spec, err := smc.SpecFromRule(res.Rule(), 1)
 		if err != nil {
 			t.Fatal(repro(w, err))
 		}
@@ -190,19 +188,15 @@ func TestSecureEnginesAgainstOracle(t *testing.T) {
 		bobEnc := smc.EncodeRecords(w.Bob, res.QIDs(), 1)
 		pairs := samplePairs(w, o, 10)
 
-		for _, packing := range []smc.Packing{smc.PackingOff, smc.PackingPacked} {
-			spec := *baseSpec
-			spec.Packing = packing
-			for _, lanes := range []int{1, 2} {
-				cmp, err := smc.NewLocalSecureSharded(&spec, aliceEnc, bobEnc, 256, lanes)
-				if err != nil {
-					t.Fatal(repro(w, err))
-				}
-				err = o.CheckComparator(cmp, pairs)
-				cmp.Close()
-				if err != nil {
-					t.Fatalf("%d lanes (%s): %s", lanes, packing, repro(w, err))
-				}
+		for _, lanes := range []int{1, 2} {
+			cmp, err := smc.NewLocalSecureSharded(spec, aliceEnc, bobEnc, 256, lanes)
+			if err != nil {
+				t.Fatal(repro(w, err))
+			}
+			err = o.CheckComparator(cmp, pairs)
+			cmp.Close()
+			if err != nil {
+				t.Fatalf("%d lanes: %s", lanes, repro(w, err))
 			}
 		}
 	}

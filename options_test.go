@@ -82,6 +82,6 @@ func TestOptionCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count("flags", flags, 72)
+	count("flags", flags, 71)
 	t.Logf("%-22s %3d", "options", total)
 }
