@@ -98,9 +98,10 @@ crash:
 
 # Job-service restart recovery under the race detector: a daemon killed
 # mid-SMC (and one drained on SIGTERM) must resume from its journals
-# with verdict-identical results and exact allowance accounting.
+# with verdict-identical results and exact allowance accounting, and a
+# dataset no build can resume must come back failed and read-only.
 restart:
-	$(GO) test -race -count=1 -run '^TestService(RestartRecovery|DrainResume)$$' ./internal/service
+	$(GO) test -race -count=1 -run '^TestService(RestartRecovery|DrainResume)$$|^Test(Legacy|Tier)DPDatasetFailsReadOnly$$' ./internal/service
 	$(GO) test -race -count=1 -run '^TestServeSmoke$$' ./cmd/pprl-serve
 
 # Three-tier triage vs the two-tier baseline at a smoke scale, as a gate:

@@ -8,6 +8,7 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
+	"pprl/internal/dpblock"
 	"pprl/internal/incremental"
 	"pprl/internal/paillier"
 	"pprl/internal/session"
@@ -51,7 +52,8 @@ type Params struct {
 	// Epsilon, when positive, switches blocking to differentially private
 	// bin releases with that per-holder budget. DPDelta is the truncation
 	// mass (0 = dpblock's default) and DPSeed the deterministic noise
-	// seed; either without Epsilon is refused.
+	// seed; either without Epsilon is refused, and so is Epsilon with the
+	// tier on (dpblock.ErrTierUnderDP).
 	Epsilon float64 `json:"epsilon,omitempty"`
 	DPDelta float64 `json:"dp_delta,omitempty"`
 	DPSeed  int64   `json:"dp_seed,omitempty"`
@@ -114,6 +116,9 @@ func (p *Params) Validate(n Names) error {
 			if err := DeltaRange.Named(n("dp_delta")).Validate(p.DPDelta); err != nil {
 				return err
 			}
+		}
+		if tier, _ := TierModeByName(p.Tier); tier != core.TierOff {
+			return fmt.Errorf("%s %s excludes %s: %w", n("tier"), p.Tier, n("epsilon"), dpblock.ErrTierUnderDP)
 		}
 	}
 	return TierLowRange.Named(n("tier_low")).Validate(p.TierLow)

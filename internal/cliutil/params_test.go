@@ -1,11 +1,14 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+
+	"pprl/internal/dpblock"
 )
 
 // TestFlagsCoverTheBlock: every parameter of the block that has a flag is
@@ -57,5 +60,12 @@ func TestValidateSpellsTheSurface(t *testing.T) {
 	}
 	if err := p.Validate(FlagNames); err == nil || !strings.HasPrefix(err.Error(), "-dp-delta must be in [0, 0.5)") {
 		t.Errorf("flag spelling: %v", err)
+	}
+	// The tier under DP names both fields, and the sentinel survives.
+	p = Params{Epsilon: 2, Tier: "bloom"}
+	for prefix, names := range map[string]Names{"tier bloom excludes epsilon: ": JSONNames, "-tier bloom excludes -epsilon: ": FlagNames} {
+		if err := p.Validate(names); !errors.Is(err, dpblock.ErrTierUnderDP) || !strings.HasPrefix(err.Error(), prefix) {
+			t.Errorf("tier under DP: err = %v, want ErrTierUnderDP after %q", err, prefix)
+		}
 	}
 }

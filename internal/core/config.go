@@ -179,7 +179,8 @@ type Config struct {
 	// sequential composition across the two releases) is reported in
 	// Result.DP. Zero (the default) keeps the paper's k-anonymization
 	// pipeline. When set, AliceAnonymizer/BobAnonymizer must be nil or
-	// dpblock binners, and AliceK/BobK are ignored by the binner.
+	// dpblock binners, AliceK/BobK are ignored by the binner, and Tier
+	// must be off (dpblock.ErrTierUnderDP).
 	Epsilon float64
 	// DPDelta is the truncation failure mass δ of the one-sided Laplace
 	// mechanism; 0 selects dpblock.DefaultDelta.
@@ -277,6 +278,9 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 	if c.Epsilon != 0 || c.DPDelta != 0 || c.DPSeed != 0 || c.DPLevel != 0 {
 		if c.Epsilon == 0 {
 			return nil, nil, fmt.Errorf("core: DP parameters set without Epsilon > 0")
+		}
+		if c.Tier != TierOff {
+			return nil, nil, fmt.Errorf("core: %w", dpblock.ErrTierUnderDP)
 		}
 		binner, err := dpblock.New(c.dpParams("alice"))
 		if err != nil {

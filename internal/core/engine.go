@@ -228,17 +228,13 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	// The triage tier labels the confidently dissimilar Unknown pairs
 	// NonMatch for free, in the same walk that spends the budget;
 	// CLK-encoding both relations is its dominant cost and what
-	// Timings.Tier reports. A dummy handle gets a synthetic filter.
+	// Timings.Tier reports.
 	var tier func(i, j int) bool
 	if cfg.Tier == TierBloom {
 		start := time.Now()
 		enc := bloom.NewDefaultEncoder()
 		aF := bloom.EncodeRecords(enc, alice.Data, qids)
 		bF := bloom.EncodeRecords(enc, bob.Data, qids)
-		if dp {
-			aF = dpblock.PadFilters(aF, res.pads[0].Map, block.R.DP.Seed)
-			bF = dpblock.PadFilters(bF, res.pads[1].Map, block.S.DP.Seed)
-		}
 		tier = func(i, j int) bool { return aF[i].Dice(bF[j]) <= cfg.TierLow }
 		res.Timings.Tier = time.Since(start)
 		cfg.report("tier", 1, 1)

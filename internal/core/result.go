@@ -115,15 +115,14 @@ type Result struct {
 func (r *Result) Padded() (alice, bob dpblock.Padded) { return r.pads[0], r.pads[1] }
 
 // fileHandles files a DP event through the pad maps: a pair that touches a
-// dummy labels nothing and, if it was bought, adds to DummySpent.
+// dummy labels nothing and adds to DummySpent (the tier is refused under
+// DP, so every event is a purchase, live or replayed).
 func (r *Result) fileHandles(store *labelStore, ev resolve.Event) {
 	i := r.pads[0].Map.RecordOf[ev.I]
 	for x, h := range ev.Js {
 		j := r.pads[1].Map.RecordOf[h]
 		if i < 0 || j < 0 {
-			if ev.Kind != resolve.Tiered {
-				r.DP.DummySpent++
-			}
+			r.DP.DummySpent++
 			continue
 		}
 		store.setSpan(i, []int{j}, ev.Verdicts[x:x+1])

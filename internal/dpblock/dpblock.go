@@ -4,11 +4,11 @@
 // buckets (continuous attributes) at a fixed depth, then publishes the
 // bins with Laplace-noised, dummy-padded sizes so the released histogram
 // is (ε, δ)-DP. The matcher intersects the two noised releases through
-// the one blocking loop (index.Stream, index.Decide) — equal
-// or overlapping bins become candidate (Unknown) pairs for the existing
-// bloom/SMC tiers, everything else is NonMatch — and walks the padded
-// member lists, dummies included, against the SMC allowance, which is
-// where the privacy level shows up as linkage cost.
+// the one blocking loop (index.Stream, index.Decide) — equal or
+// overlapping bins become candidate (Unknown) pairs for the SMC tier (the
+// bloom tier is refused, ErrTierUnderDP), everything else is NonMatch —
+// and walks the padded member lists, dummies included, against the SMC
+// allowance, which is where the privacy level shows up as linkage cost.
 //
 // Unlike the slack decision rule over k-anonymous views, bin
 // intersection is not sound: a true match whose records straddle a bin

@@ -1,12 +1,12 @@
 package dpblock
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"pprl/internal/anonymize"
-	"pprl/internal/bloom"
 	"pprl/internal/dataset"
 	"pprl/internal/smc"
 )
@@ -15,7 +15,7 @@ import (
 // publishes, core.Link copies of both releases, a live dataset each bin as
 // it is born — and whoever walks the padded lists pays for a dummy at the
 // price of a record. The helpers below make a dummy behave like a record
-// (an SMC row that never matches, a CLK like any other) for all three.
+// (an SMC row that never matches) for all three.
 
 // Padded is a published view after Pad, with the holder-private map from
 // its handles back to records.
@@ -32,6 +32,12 @@ func PadCopy(v *anonymize.Result) (Padded, error) {
 	m, err := Pad(&cp)
 	return Padded{View: &cp, Map: m}, err
 }
+
+// ErrTierUnderDP refuses the triage tier over a DP release: the tier sends
+// the querying party one CLK per published handle, and no dummy CLK made
+// from the noised release alone passes for a record's (SECURITY.md,
+// "Noised bins"). Every shape asks before anything is published.
+var ErrTierUnderDP = errors.New("the triage tier cannot run over DP blocking: a dummy handle's CLK would tell the querying party it is padding; drop the tier or epsilon")
 
 // DummyRow builds the one SMC encoding all of a holder's dummy handles
 // share (semantic security hides the repetition: shares are encrypted
@@ -116,49 +122,4 @@ func PadEncodings(enc [][]int64, dummy []int64, pad *PadMap) [][]int64 {
 		}
 	}
 	return rows
-}
-
-// PadFilters lifts a holder's tier CLKs into the padded handle space: real
-// handles carry their record's filter, dummy handles synthetic ones drawn
-// in handle order from the holder's seed.
-func PadFilters(real []*bloom.Filter, pad *PadMap, seed int64) []*bloom.Filter {
-	rng := NewPRNG(seed, "tier-dummy")
-	out := make([]*bloom.Filter, len(pad.RecordOf))
-	for h, rec := range pad.RecordOf {
-		if rec >= 0 {
-			out[h] = real[rec]
-		} else {
-			out[h] = DummyFilter(rng, real)
-		}
-	}
-	return out
-}
-
-// DummyFilter draws one synthetic tier CLK: uniform bit positions, with the
-// popcount sampled from the holder's real filters (never empty: a dummy
-// only exists in a bin a record created). The tier can only label a padded
-// handle NonMatch, which it is. The filter does not hide that it is a
-// dummy: a uniform filter lacks the q-gram overlap real records share, and
-// at paper scale a handle's best Dice against either side's filters alone
-// separates dummies from records with AUC 1.0000 (SECURITY.md, "Noised
-// bins"; the fix is open on ROADMAP.md).
-func DummyFilter(rng *PRNG, real []*bloom.Filter) *bloom.Filter {
-	m := real[0].M()
-	out := make([]byte, 8*((m+63)/64))
-	ones := min(real[rng.Intn(len(real))].Ones(), m)
-	for set := 0; set < ones; {
-		pos := rng.Intn(m)
-		// Little-endian 64-bit words make overall bit p exactly byte p/8,
-		// bit p%8 — the layout Unmarshal expects.
-		b, bit := &out[pos/8], byte(1)<<(pos%8)
-		if *b&bit == 0 {
-			*b |= bit
-			set++
-		}
-	}
-	f, err := bloom.Unmarshal(out, m)
-	if err != nil {
-		panic(err) // every bit set lies below m
-	}
-	return f
 }

@@ -110,10 +110,9 @@ func Pad(res *anonymize.Result) (*PadMap, error) {
 
 // PRNG is a deterministic keyed generator (SHA-256 in counter mode) for
 // the draws that must be reproducible across a resumed session yet
-// unpredictable to anyone without the seed: the padding permutation and
-// the synthetic tier filters. It is deliberately independent of
-// math/rand so the byte-exact view a journal digest pins cannot drift
-// with the standard library.
+// unpredictable to anyone without the seed: the padding permutation. It
+// is deliberately independent of math/rand so the byte-exact view a
+// journal digest pins cannot drift with the standard library.
 type PRNG struct {
 	key [sha256.Size]byte
 	ctr uint64

@@ -108,20 +108,11 @@ type side struct {
 type livePad struct {
 	dpblock.PadMap // RecordOf: handle → record, −1 for a dummy
 	seed           int64
-	sentinel       [2][]int64      // the dummies' row as A and as B
-	clks           []*bloom.Filter // per handle, with the tier on
-	rng            *dpblock.PRNG   // draws the dummies' CLKs
+	sentinel       [2][]int64 // the dummies' row as A and as B
 }
 
 // add gives the next handle to record rec, or to a dummy of its new bin.
-func (p *livePad) add(s *side, rec int, dummy bool) int {
-	if s.clk != nil {
-		f := s.clk[rec]
-		if dummy {
-			f = dpblock.DummyFilter(p.rng, s.clk[:rec+1])
-		}
-		p.clks = append(p.clks, f)
-	}
+func (p *livePad) add(rec int, dummy bool) int {
 	if dummy {
 		rec = -1
 	}
@@ -225,8 +216,7 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 			live:  index.NewLive(rule),
 		}
 		if e.dp {
-			seed := dpblock.HolderSeed(cfg.DPSeed, role)
-			s.pad = &livePad{seed: seed, rng: dpblock.NewPRNG(seed, "tier-dummy")}
+			s.pad = &livePad{seed: dpblock.HolderSeed(cfg.DPSeed, role)}
 			for r := range s.pad.sentinel {
 				// Refuses a classifier that cannot hide padding.
 				if s.pad.sentinel[r], err = dpblock.DummyRow(schema, qids, spec, r == 0); err != nil {
@@ -451,10 +441,10 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 		if s.pad == nil {
 			b.members = append(b.members, i)
 		} else {
-			b.members = append(b.members, s.pad.add(s, i, false))
+			b.members = append(b.members, s.pad.add(i, false))
 			if !ok {
 				for n := dpblock.Noise(s.pad.seed, key, e.cfg.Epsilon, e.cfg.DPDelta); n > 0; n-- {
-					b.members = append(b.members, s.pad.add(s, i, true))
+					b.members = append(b.members, s.pad.add(i, true))
 				}
 			}
 		}
@@ -573,14 +563,13 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 // resolve hands the batch's uncertain groups to the resolution kernel
 // (DESIGN.md §16) in order — groups[order[k]] is the k-th — and files its
 // events into the delta log and the lifetime accounting; a pair that
-// touches a DP dummy emits nothing and,
-// if paid for, is DummySpent. What stays here is what only a live dataset
-// has: the budget
-// is what the lifetime pool has left, the journaled purchases are the
-// batch's own frame, and a committed frame replays without buying or
-// journaling anything — from the frame alone: its purchases and its tier
-// labels stand whatever the tier is set to now, which applies only to
-// batches without a committed frame.
+// touches a DP dummy emits nothing and is DummySpent (the tier is refused
+// under DP, so every such pair was bought). What stays here is what only a
+// live dataset has: the budget is what the lifetime pool has left, the
+// journaled purchases are the batch's own frame, and a committed frame
+// replays without buying or journaling anything — from the frame alone:
+// its purchases and its tier labels stand whatever the tier is set to now,
+// which applies only to batches without a committed frame.
 func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
 	// Side b is side 1, or side 0 again when the dataset links itself.
 	a, b := e.sides[0], e.sides[len(e.sides)-1]
@@ -631,9 +620,7 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 				j := b.record(hj)
 				switch {
 				case i < 0 || j < 0:
-					if ev.Kind != resolve.Tiered {
-						e.stats.DummySpent++
-					}
+					e.stats.DummySpent++
 				case ev.Kind != resolve.Tiered:
 					if ev.Verdicts[x] {
 						*deltas = append(*deltas, e.delta(batch, i, j))
@@ -663,11 +650,7 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 			return ok
 		}
 	case e.tenc != nil:
-		aF, bF := a.clk, b.clk
-		if e.dp {
-			aF, bF = a.pad.clks, b.pad.clks
-		}
-		in.Tier = func(i, j int) bool { return aF[i].Dice(bF[j]) <= e.cfg.TierLow }
+		in.Tier = func(i, j int) bool { return a.clk[i].Dice(b.clk[j]) <= e.cfg.TierLow }
 	}
 	if e.cfg.Strategy == core.MaximizeRecall {
 		// Residuals default to match; under MaximizePrecision they are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -775,6 +776,41 @@ func TestIncrementalRejects(t *testing.T) {
 	}
 	if _, err := journal.Replay(path); !errors.Is(err, journal.ErrNoManifest) {
 		t.Errorf("the refused registration left a journal behind (replay err %v)", err)
+	}
+}
+
+// TestIncrementalRefusesBadDP: a caller who asks for privacy never gets
+// none. DP parameters the engine cannot honor are refused with the wording
+// core.Config uses, where the engine used to run them without DP. So is a
+// DP journal whose frames hold tier labels over the padded release, written
+// before tier and DP refused each other (TestTierRefusedUnderDP has the
+// plain refusal), by the same sentinel.
+func TestIncrementalRefusesBadDP(t *testing.T) {
+	w := testkit.Generate(1)
+	jw, err := journal.Create(filepath.Join(t.TempDir(), "live.wal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw.Close()
+	for _, tc := range []struct {
+		name string
+		set  func(*incremental.Config)
+		want string
+	}{
+		{"negative epsilon", func(c *incremental.Config) { c.Epsilon = -1 }, "epsilon must be a positive finite number"},
+		{"NaN epsilon", func(c *incremental.Config) { c.Epsilon = math.NaN() }, "epsilon must be a positive finite number"},
+		{"seed without epsilon", func(c *incremental.Config) { c.DPSeed = 7 }, "DP parameters set without Epsilon > 0"},
+		{"delta without epsilon", func(c *incremental.Config) { c.DPDelta = 0.7 }, "DP parameters set without Epsilon > 0"},
+		{"tier labels in a dp journal", func(c *incremental.Config) {
+			c.Epsilon, c.Journal = 2, jw
+			c.Recovered = &journal.Recovered{TierVerdicts: []journal.Verdict{{I: 0, J: 1}}}
+		}, dpblock.ErrTierUnderDP.Error()},
+	} {
+		cfg := incrementalConfig(w, 0)
+		tc.set(&cfg)
+		if _, err := incremental.New(w.Alice.Schema(), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a refusal mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -18,13 +18,14 @@
 // inverted index), and a pair's verdict is fixed the moment it is
 // resolved.
 //
-// In DP mode the engine keeps the composition ledger honest across
-// batches: bin noise is the same deterministic draw the frozen run uses
-// — constant per (seed, bin key) — so K appends still constitute one
-// logical (ε, δ) release of the growing histogram. A bin gets its dummy
-// handles the moment it is born and the walk buys a dummy pair like any
-// other; each dummy is new in exactly one batch, so the padding telescopes
-// to the frozen run's for the final counts.
+// In DP mode the engine reuses those layers but the tier, which DP
+// refuses (dpblock.ErrTierUnderDP), and keeps the composition ledger
+// honest across batches: bin noise is the same deterministic draw the
+// frozen run uses — constant per (seed, bin key) — so K appends still
+// constitute one logical (ε, δ) release of the growing histogram. A bin
+// gets its dummy handles the moment it is born and the walk buys a dummy
+// pair like any other; each dummy is new in exactly one batch, so the
+// padding telescopes to the frozen run's for the final counts.
 package incremental
 
 import (
@@ -67,12 +68,14 @@ type Config struct {
 	// Tier enables the CLK triage tier with the frozen engine's knobs, like
 	// there outside the journal manifest: a dataset may restart with the
 	// tier switched or retuned — a committed batch replays from its frame
-	// (purchases and tier labels), the new setting applies after it.
+	// (purchases and tier labels), the new setting applies after it. It
+	// excludes Epsilon (dpblock.ErrTierUnderDP).
 	Tier    core.TierMode
 	TierLow float64
 	// Epsilon > 0 switches blocking to DP bin intersection over padded
 	// releases; DPDelta 0 selects dpblock.DefaultDelta. DPSeed keys the
 	// noise per role (dpblock.HolderSeed; side 0 is alice) as everywhere.
+	// Either without a positive finite Epsilon is refused.
 	Epsilon float64
 	DPDelta float64
 	DPSeed  int64
@@ -120,9 +123,6 @@ func (c Config) normalize() (Config, error) {
 			return c, fmt.Errorf("incremental: %w", err)
 		}
 	}
-	if c.Epsilon > 0 && c.DPDelta == 0 {
-		c.DPDelta = dpblock.DefaultDelta
-	}
 	if len(c.QIDs) == 0 {
 		return c, fmt.Errorf("incremental: QIDs are required")
 	}
@@ -132,9 +132,21 @@ func (c Config) normalize() (Config, error) {
 	if c.Allowance < 0 {
 		return c, fmt.Errorf("incremental: negative allowance %d", c.Allowance)
 	}
-	if c.Epsilon > 0 {
+	if c.Epsilon != 0 || c.DPDelta != 0 || c.DPSeed != 0 {
+		if c.Epsilon == 0 {
+			return c, fmt.Errorf("incremental: DP parameters set without Epsilon > 0")
+		}
+		if c.DPDelta == 0 {
+			c.DPDelta = dpblock.DefaultDelta
+		}
 		if err := (dpblock.Params{Epsilon: c.Epsilon, Delta: c.DPDelta, Seed: c.DPSeed, Level: c.Level}).Validate(); err != nil {
-			return c, err
+			return c, fmt.Errorf("incremental: %w", err)
+		}
+		if c.Tier != core.TierOff {
+			return c, fmt.Errorf("incremental: %w", dpblock.ErrTierUnderDP)
+		}
+		if c.Recovered != nil && len(c.Recovered.TierVerdicts) > 0 {
+			return c, fmt.Errorf("incremental: the journal holds tier labels over the padded release: %w", dpblock.ErrTierUnderDP)
 		}
 	}
 	if c.Journal == nil && c.Recovered != nil {

@@ -288,6 +288,41 @@ func TestLegacyDPDatasetFailsReadOnly(t *testing.T) {
 	}
 }
 
+// TestTierDPDatasetFailsReadOnly: a dataset registered with ε and the tier
+// on, by a build before the two refused each other, is refused by the
+// sentinel at recovery (dpblock.ErrTierUnderDP). Like a legacy DP journal
+// it must not keep the daemon from starting: at every start it comes back
+// failed and read-only, naming the refusal.
+func TestTierDPDatasetFailsReadOnly(t *testing.T) {
+	root := t.TempDir()
+	store, err := NewStore(root, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := register(store, datasetKind, func(id string, seq int) datasetFile {
+		return datasetFile{ID: id, Seq: seq, Spec: DatasetSpec{Params: cliutil.Params{Epsilon: 2, Tier: "bloom"}}}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Dir: root, DataDir: filepath.Join("testdata", "legacy-state", "data"), JournalSync: 1}
+	for life := 0; life < 2; life++ {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("life %d: recovery refused the daemon: %v", life, err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		st := getDatasetStatus(t, ts, "ds-000001")
+		if st.State != DatasetFailed || !strings.Contains(st.Error, "DP blocking") {
+			t.Errorf("life %d: DP + tier dataset came back %+v; want failed, naming the refusal", life, st)
+		}
+		if code, _ := appendBatch(t, ts, "ds-000001", AppendRequest{Side: "alice", Path: "a1.csv"}); code != http.StatusConflict {
+			t.Errorf("life %d: append to the failed dataset answered HTTP %d, want 409", life, code)
+		}
+		ts.Close()
+		s.Drain()
+	}
+}
+
 // TestBatchScheduleRecovery: the schedule is one line per accept. A torn
 // final line — a crash inside the write, so never acknowledged — is cut off
 // before anything is appended behind it; damage anywhere else, or an entry

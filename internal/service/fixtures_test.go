@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"pprl/internal/core"
+	"pprl/internal/dpblock"
 	"pprl/internal/incremental"
 )
 
@@ -56,13 +58,27 @@ func dumpIncremental(c incremental.Config) string {
 // refuse the two keys PR 25 removed and the tier_high that went with the
 // tier's Match band (job-full and dataset-full persist "tier_high": 0.85;
 // the recovery decode drops the key, and materialized.golden lost its
-// second threshold with it — once).
+// second threshold with it — once). dataset-full also persists ε with the
+// tier on, which Validate now refuses (dpblock.ErrTierUnderDP); it still
+// materializes as it did.
 func TestSpecFixturesMaterialize(t *testing.T) {
 	removedKey := map[string]string{
 		"job-restart/spec.json":                       "packing",
 		"legacy-seed/datasets/ds-000001/dataset.json": "seed",
 		"job-full/spec.json":                          "tier_high",
 		"dataset-full/dataset.json":                   "tier_high",
+	}
+	refusedBy := map[string]error{
+		"dataset-full/dataset.json": dpblock.ErrTierUnderDP,
+	}
+	validate := func(label string, err error) {
+		if want := refusedBy[label]; want != nil {
+			if !errors.Is(err, want) {
+				t.Errorf("%s validates with err = %v, want %q", label, err, want)
+			}
+		} else if err != nil {
+			t.Errorf("%s no longer validates: %v", label, err)
+		}
 	}
 	strict := func(label string, raw []byte, into any) {
 		var file struct {
@@ -108,9 +124,7 @@ func TestSpecFixturesMaterialize(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			strict(label, raw, new(JobSpec))
-			if err := sf.Spec.Validate(); err != nil {
-				t.Errorf("%s no longer validates: %v", label, err)
-			}
+			validate(label, sf.Spec.Validate())
 			_, qids, err := sf.Spec.LoadSchema(nil)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -126,9 +140,7 @@ func TestSpecFixturesMaterialize(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			strict(label, raw, new(DatasetSpec))
-			if err := df.Spec.Validate(); err != nil {
-				t.Errorf("%s no longer validates: %v", label, err)
-			}
+			validate(label, df.Spec.Validate())
 			_, qids, err := df.Spec.LoadSchema(nil)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

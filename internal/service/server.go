@@ -18,6 +18,7 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
+	"pprl/internal/dpblock"
 	"pprl/internal/journal"
 	"pprl/internal/match"
 	"pprl/internal/metrics"
@@ -247,9 +248,9 @@ func (s *Server) recover() error {
 		s.datasets[ld.ID] = ld
 		failed := f.Verdict.Error
 		if f.Verdict.State == "" {
-			// A DP journal of record pairs can never resume: that dataset
-			// alone comes back failed.
-			if err := s.startDataset(ld, stored); errors.Is(err, core.ErrUnpaddedJournal) {
+			// A DP journal of record pairs, or a DP dataset with the tier
+			// on, can never resume: that dataset alone comes back failed.
+			if err := s.startDataset(ld, stored); errors.Is(err, core.ErrUnpaddedJournal) || errors.Is(err, dpblock.ErrTierUnderDP) {
 				failed = err.Error()
 			} else if err != nil {
 				return err

@@ -100,7 +100,8 @@ type HolderConfig struct {
 	// (out of band, like the schema) and withheld from the querying
 	// party. Required when the broadcast parameters enable the triage
 	// tier; a holder without it refuses the session rather than encode
-	// with a guessable key.
+	// with a guessable key. A DP holder refuses the tier outright
+	// (dpblock.ErrTierUnderDP), before it publishes anything.
 	TierKey []byte
 }
 
@@ -149,6 +150,9 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 	if params.Kind != smc.MsgParams || params.Spec == nil || len(params.QIDs) == 0 {
 		return fmt.Errorf("session: expected parameters, got kind %d", params.Kind)
 	}
+	if dp && params.Tier != nil {
+		return fmt.Errorf("session: query enabled the triage tier: %w", dpblock.ErrTierUnderDP)
+	}
 	qids, err := cfg.Data.Schema().Resolve(params.QIDs)
 	if err != nil {
 		return fmt.Errorf("session: resolving classifier QIDs: %w", err)
@@ -196,15 +200,6 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 			return fmt.Errorf("session: tier encoder: %w", err)
 		}
 		filters := bloom.EncodeRecords(tierEnc, cfg.Data, qids)
-		if pad != nil {
-			// One CLK per published handle: real handles get their
-			// record's filter, dummy handles a synthetic one whose
-			// density is drawn from the real population. This does not
-			// hide the padding: at paper scale a handle's best Dice alone
-			// tells dummies from records with AUC 1.0000 (SECURITY.md,
-			// "Noised bins"; the fix is open on ROADMAP.md).
-			filters = dpblock.PadFilters(filters, pad, dpParams.Seed)
-		}
 		encodings := make([][]byte, len(filters))
 		for i, f := range filters {
 			encodings[i] = f.Marshal()
@@ -269,6 +264,8 @@ type QueryConfig struct {
 	// querying party never sees), and Unknown pairs whose Dice similarity
 	// is ≤ TierLow are labeled NonMatch without spending SMC allowance —
 	// the tier never labels a Match, so every reported match stays exact.
+	// A DP holder refuses it (dpblock.ErrTierUnderDP) before publishing
+	// its view.
 	// Zero-valued M/K/Q select the conventional 1000/30/2.
 	// Like the packing mode, the tier knobs are excluded from the journal
 	// manifest: a journaled session may resume with the tier switched on,

@@ -9,11 +9,13 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+	"time"
 
 	"pprl/internal/anonymize"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/dpblock"
+	"pprl/internal/incremental"
 	"pprl/internal/journal"
 	"pprl/internal/oracle"
 	"pprl/internal/session"
@@ -367,12 +369,13 @@ func holderPad(t *testing.T, d *dataset.Dataset, role string, cfg core.Config) *
 // TestDPShapesWalkOneRelease is the one DP cost model, across shapes:
 // core.Link and the in-memory three-party session, both holders at the
 // world's seed, ε and level and the same absolute allowance, publish
-// byte-identical padded views and buy the same handle-pair sequence — the
-// tier off and on — and with an allowance that buys every candidate, each
-// spends exactly DummyPairs on pairs that touch a dummy: core.Link by its
-// own count, the session counted through its holders' pad maps. At the
-// build before this one core.Link walked record pairs and paid for padding
-// in simulated shares, and the sequences had nothing in common.
+// byte-identical padded views and buy the same handle-pair sequence, and
+// with an allowance that buys every candidate, each spends exactly
+// DummyPairs on pairs that touch a dummy: core.Link by its own count, the
+// session counted through its holders' pad maps. At the build before this
+// one core.Link walked record pairs and paid for padding in simulated
+// shares, and the sequences had nothing in common. The tier is refused
+// under DP (TestTierRefusedUnderDP).
 func TestDPShapesWalkOneRelease(t *testing.T) {
 	base := baseSeed(t)
 	checked := 0
@@ -382,86 +385,158 @@ func TestDPShapesWalkOneRelease(t *testing.T) {
 			continue // the session takes one θ for every attribute
 		}
 		checked++
-		for _, tier := range []bool{false, true} {
-			name := fmt.Sprintf("world=%d tier=%v", w.Seed, tier)
-			cfg := dpCfg(w, 2) // ε = 8: little padding, so the secure walk is short
-			cfg.Allowance = 1 << 40
-			if tier {
-				cfg.Tier = core.TierBloom
-			}
-			var coreLog, sessionLog purchaseLog
-			ccfg := cfg
-			ccfg.Journal = &coreLog
-			res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, ccfg)
-			if err != nil {
-				t.Fatal(repro(w, err))
-			}
+		name := fmt.Sprintf("world=%d", w.Seed)
+		cfg := dpCfg(w, 2) // ε = 8: little padding, so the secure walk is short
+		cfg.Allowance = 1 << 40
+		var coreLog, sessionLog purchaseLog
+		ccfg := cfg
+		ccfg.Journal = &coreLog
+		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, ccfg)
+		if err != nil {
+			t.Fatal(repro(w, err))
+		}
 
-			qa, aq := smc.NewConnPair()
-			qb, bq := smc.NewConnPair()
-			ab, ba := smc.NewConnPair()
-			tapA, tapB := &viewTap{Conn: qa}, &viewTap{Conn: qb}
-			key := []byte("pprl-tier-default-key") // bloom.NewDefaultEncoder's, which core.Link uses
-			errs := make(chan error, 2)
-			go func() {
-				errs <- session.RunHolder(aq, ab, session.HolderConfig{Data: w.Alice, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed, TierKey: key}, true)
-			}()
-			go func() {
-				errs <- session.RunHolder(bq, ba, session.HolderConfig{Data: w.Bob, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed, TierKey: key}, false)
-			}()
-			qcfg := session.QueryConfig{
-				Schema: w.Alice.Schema(), QIDs: cfg.QIDs, Theta: cfg.Theta, Heuristic: cfg.Heuristic,
-				Allowance: cfg.Allowance, KeyBits: 256, Journal: &sessionLog,
+		qa, aq := smc.NewConnPair()
+		qb, bq := smc.NewConnPair()
+		ab, ba := smc.NewConnPair()
+		tapA, tapB := &viewTap{Conn: qa}, &viewTap{Conn: qb}
+		errs := make(chan error, 2)
+		go func() {
+			errs <- session.RunHolder(aq, ab, session.HolderConfig{Data: w.Alice, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed}, true)
+		}()
+		go func() {
+			errs <- session.RunHolder(bq, ba, session.HolderConfig{Data: w.Bob, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed}, false)
+		}()
+		qcfg := session.QueryConfig{
+			Schema: w.Alice.Schema(), QIDs: cfg.QIDs, Theta: cfg.Theta, Heuristic: cfg.Heuristic,
+			Allowance: cfg.Allowance, KeyBits: 256, Journal: &sessionLog,
+		}
+		qres, err := session.RunQuery(tapA, tapB, qcfg)
+		if err != nil {
+			t.Fatal(repro(w, fmt.Errorf("%s: session: %w", name, err)))
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatal(repro(w, fmt.Errorf("%s: holder: %w", name, err)))
 			}
-			if tier {
-				qcfg.Tier = &smc.TierParams{}
-			}
-			qres, err := session.RunQuery(tapA, tapB, qcfg)
-			if err != nil {
-				t.Fatal(repro(w, fmt.Errorf("%s: session: %w", name, err)))
-			}
-			for range 2 {
-				if err := <-errs; err != nil {
-					t.Fatal(repro(w, fmt.Errorf("%s: holder: %w", name, err)))
-				}
-			}
+		}
 
-			pa, pb := res.Padded()
-			for x, v := range []*anonymize.Result{pa.View, pb.View} {
-				var buf bytes.Buffer
-				if err := anonymize.WriteView(&buf, w.Alice.Schema(), v); err != nil {
-					t.Fatal(err)
-				}
-				if wire := []*viewTap{tapA, tapB}[x].view; !bytes.Equal(buf.Bytes(), wire) {
-					t.Fatal(repro(w, fmt.Errorf("%s: core.Link walks a %d-byte release for holder %d, the session's holder publishes %d bytes that differ", name, buf.Len(), x, len(wire))))
-				}
+		pa, pb := res.Padded()
+		for x, v := range []*anonymize.Result{pa.View, pb.View} {
+			var buf bytes.Buffer
+			if err := anonymize.WriteView(&buf, w.Alice.Schema(), v); err != nil {
+				t.Fatal(err)
 			}
-			if !slices.Equal(coreLog.pairs, sessionLog.pairs) {
-				n := 0
-				for n < min(len(coreLog.pairs), len(sessionLog.pairs)) && coreLog.pairs[n] == sessionLog.pairs[n] {
-					n++
-				}
-				t.Fatal(repro(w, fmt.Errorf("%s: core.Link journaled %d pairs, the session %d; they part at %d", name, len(coreLog.pairs), len(sessionLog.pairs), n)))
+			if wire := []*viewTap{tapA, tapB}[x].view; !bytes.Equal(buf.Bytes(), wire) {
+				t.Fatal(repro(w, fmt.Errorf("%s: core.Link walks a %d-byte release for holder %d, the session's holder publishes %d bytes that differ", name, buf.Len(), x, len(wire))))
 			}
-			if res.Invocations != qres.Invocations {
-				t.Fatal(repro(w, fmt.Errorf("%s: core.Link bought %d, the session %d", name, res.Invocations, qres.Invocations)))
+		}
+		if !slices.Equal(coreLog.pairs, sessionLog.pairs) {
+			n := 0
+			for n < min(len(coreLog.pairs), len(sessionLog.pairs)) && coreLog.pairs[n] == sessionLog.pairs[n] {
+				n++
 			}
-			if tier {
-				continue // a tier label is free, so not every dummy pair is bought
+			t.Fatal(repro(w, fmt.Errorf("%s: core.Link journaled %d pairs, the session %d; they part at %d", name, len(coreLog.pairs), len(sessionLog.pairs), n)))
+		}
+		if res.Invocations != qres.Invocations {
+			t.Fatal(repro(w, fmt.Errorf("%s: core.Link bought %d, the session %d", name, res.Invocations, qres.Invocations)))
+		}
+		aPad, bPad := holderPad(t, w.Alice, "alice", cfg), holderPad(t, w.Bob, "bob", cfg)
+		var dummies int64
+		for _, v := range sessionLog.pairs {
+			if aPad.RecordOf[v.I] < 0 || bPad.RecordOf[v.J] < 0 {
+				dummies++
 			}
-			aPad, bPad := holderPad(t, w.Alice, "alice", cfg), holderPad(t, w.Bob, "bob", cfg)
-			var dummies int64
-			for _, v := range sessionLog.pairs {
-				if aPad.RecordOf[v.I] < 0 || bPad.RecordOf[v.J] < 0 {
-					dummies++
-				}
-			}
-			if res.DP.DummySpent != res.DP.DummyPairs || dummies != res.DP.DummyPairs {
-				t.Fatal(repro(w, fmt.Errorf("%s: dummy pairs bought: core.Link %d, the session %d; the release pads %d", name, res.DP.DummySpent, dummies, res.DP.DummyPairs)))
-			}
+		}
+		if res.DP.DummySpent != res.DP.DummyPairs || dummies != res.DP.DummyPairs {
+			t.Fatal(repro(w, fmt.Errorf("%s: dummy pairs bought: core.Link %d, the session %d; the release pads %d", name, res.DP.DummySpent, dummies, res.DP.DummyPairs)))
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no generated world has a single θ; the shapes were never compared — adjust seeds")
+	}
+}
+
+// sentTap records the kinds of message a holder sends the querying party
+// (read once the holder has returned).
+type sentTap struct {
+	smc.Conn
+	kinds []smc.MsgKind
+}
+
+func (c *sentTap) Send(m *smc.Message) error {
+	c.kinds = append(c.kinds, m.Kind)
+	return c.Conn.Send(m)
+}
+
+// TestTierRefusedUnderDP: the triage tier and a DP release refuse each
+// other on every shape, by one sentinel, before anything is published. A
+// dummy handle's CLK would tell the querying party it is padding
+// (SECURITY.md, "Noised bins"). core.Link and incremental.New refuse the
+// config; a session holder with ε refuses a query that asks for the tier
+// before it sends its view or any encoding, and the querying party, its
+// links closed as a refusing holder's process would close them, returns
+// an error rather than wait.
+func TestTierRefusedUnderDP(t *testing.T) {
+	w := Generate(baseSeed(t))
+	cfg := dpCfg(w, 2)
+	cfg.Tier = core.TierBloom
+	if _, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg); !errors.Is(err, dpblock.ErrTierUnderDP) {
+		t.Errorf("core.Link: err = %v, want ErrTierUnderDP", err)
+	}
+	icfg := incremental.Config{QIDs: cfg.QIDs, Tier: core.TierBloom, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed}
+	if _, err := incremental.New(w.Alice.Schema(), icfg); !errors.Is(err, dpblock.ErrTierUnderDP) {
+		t.Errorf("incremental.New: err = %v, want ErrTierUnderDP", err)
+	}
+
+	qa, aq := smc.NewConnPair()
+	qb, bq := smc.NewConnPair()
+	ab, ba := smc.NewConnPair()
+	taps := []*sentTap{{Conn: aq}, {Conn: bq}}
+	errs := make(chan error, 2)
+	for x, d := range []*dataset.Dataset{w.Alice, w.Bob} {
+		go func() {
+			peer := []smc.Conn{ab, ba}[x]
+			hc := session.HolderConfig{Data: d, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed, TierKey: []byte("shared tier key")}
+			err := session.RunHolder(taps[x], peer, hc, x == 0)
+			taps[x].Close() // the holder's process exits
+			errs <- err
+		}()
+	}
+	qerr := make(chan error, 1)
+	go func() {
+		_, err := session.RunQuery(qa, qb, session.QueryConfig{
+			Schema: w.Alice.Schema(), QIDs: cfg.QIDs, Theta: cfg.Theta,
+			Allowance: 1000, KeyBits: 256, Tier: &smc.TierParams{},
+		})
+		qa.Close() // the querying party's process exits
+		qb.Close()
+		qerr <- err
+	}()
+	deadline := time.After(10 * time.Second)
+	select {
+	case err := <-qerr:
+		if err == nil {
+			t.Error("the querying party finished a session both holders refused")
+		}
+	case <-deadline:
+		t.Fatal("the querying party still waits after 10 s")
+	}
+	for range 2 {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, dpblock.ErrTierUnderDP) {
+				t.Errorf("holder: err = %v, want ErrTierUnderDP", err)
+			}
+		case <-deadline:
+			t.Fatal("a holder still runs after 10 s")
+		}
+	}
+	for x, tap := range taps {
+		for _, k := range tap.kinds {
+			if k == smc.MsgView || k == smc.MsgEncodings {
+				t.Errorf("holder %d published message kind %d before refusing", x, k)
+			}
+		}
 	}
 }

@@ -73,6 +73,7 @@ var ParamRows = []ParamRow{
 	{Name: "epsilon with a k-anonymizer", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "tds", On: frozenSurfaces, Refuse: frozenSurfaces, Want: "epsilon requires"},
 	{Name: "dp without epsilon", Anonymizer: "dp", On: frozenSurfaces, Refuse: frozenSurfaces, Want: "dp requires"},
 	{Name: "dp", Params: cliutil.Params{Epsilon: 2, DPDelta: 1e-6, DPSeed: 7}, Anonymizer: "dp", Level: 2, On: frozenSurfaces | SurfaceDatasets},
+	{Name: "tier under dp", Params: cliutil.Params{Epsilon: 2, Tier: "bloom"}, Anonymizer: "dp", On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "DP blocking"},
 	{Name: "negative epsilon", Params: cliutil.Params{Epsilon: -2}, Anonymizer: "dp", On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
 	{Name: "delta without epsilon", Params: cliutil.Params{DPDelta: 1e-6}, On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
 	{Name: "delta out of range", Params: cliutil.Params{Epsilon: 2, DPDelta: 0.7}, Anonymizer: "dp", On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "delta must be in [0, 0.5)"},
