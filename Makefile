@@ -35,9 +35,11 @@ vet:
 # only its assembly build exports: under math_big_pure_go a Go copy of the
 # loop stands in. Both builds must link, and vet must pass on an arch
 # other than the host's.
+# The conformance matrix's secure cells run on that build too.
 purego:
 	$(GO) build -tags math_big_pure_go ./...
 	$(GO) test -tags math_big_pure_go ./internal/paillier
+	$(GO) test -tags math_big_pure_go ./internal/testkit -run '^TestConformance$$/secure' -count=1
 	GOARCH=arm64 $(GO) vet ./internal/paillier
 
 test:
@@ -90,11 +92,13 @@ perf-diff:
 	bash benchmark/run.sh -runs $(RUNS) -out $$out/head.json; \
 	bash benchmark/run.sh -compare $$out/base.json $$out/head.json
 
-# Crash-injection matrix: every generated world is killed at seeded pair
-# boundaries (plus a torn-tail variant) and resumed from its journal; the
-# stitched result must be verdict-identical to the uninterrupted run.
+# Crash injection: the conformance matrix's killed-and-resumed column.
+# Every generated world's core.Link run (and the first eight worlds' live
+# engine) is killed a quarter in, halfway and on the final pair, the middle
+# kill with a torn journal tail, and every shape's killed row at a seeded
+# pair; each stitched run must equal its uninterrupted reference.
 crash:
-	$(GO) test ./internal/testkit -run '^TestCrashResumeMatrix$$' -count=1
+	$(GO) test ./internal/testkit -run '^TestConformance$$/journal=killed' -count=1
 
 # Job-service restart recovery under the race detector: a daemon killed
 # mid-SMC (and one drained on SIGTERM) must resume from its journals
@@ -113,8 +117,8 @@ tier-smoke:
 
 # The worker-death reassignment test twenty times over: the death is
 # injected with a chunk in flight, so every run must see the failure
-# counted and the fleet shrunk. (Fleet-vs-local verdict equality is
-# TestFleetMatchesLocalOracle and TestDistributedFleetMatchesLocal, in
+# counted and the fleet shrunk. (Fleet-vs-local verdict equality is the
+# conformance matrix's fleet cells, TestConformance/…,fleet,…, in
 # `make test`.)
 distributed-smoke:
 	$(GO) test -run '^TestWorkerDeathReassignment$$' -count=20 ./internal/distrib
@@ -130,8 +134,8 @@ dp-smoke:
 	$(GO) test -run '^TestRunDPJSON$$' -count=1 ./cmd/pprl-bench
 
 # The service-level live-dataset crash/replay smoke under the race
-# detector. (Incremental-vs-frozen verdict equality is
-# TestIncrementalMatchesFrozen and TestIncrementalWorlds, in `make test`.)
+# detector. (Incremental-vs-frozen verdict equality is the conformance
+# matrix's live cells, TestConformance/…,live,…, in `make test`.)
 incremental-smoke:
 	$(GO) test -race -count=1 -run '^TestService(IncrementalSmoke|DedupDataset)$$' ./internal/service
 
@@ -187,13 +191,17 @@ perf:
 	$(GO) run ./cmd/pprl-bench -full -exp dp -json
 
 # Code size, so the next audit reads the number instead of recounting it:
-# non-test Go lines outside the frozen benchmark/, then test lines, then
-# the option count (the fields of the engine configs, of the shared
-# parameter block — counted once — and of what each API body adds to it,
-# and the flag definitions under cmd/ and internal/cliutil; TestOptionCount
-# fails, and this target with it, when one rises above its written cap).
+# non-test Go lines outside the frozen benchmark/, then test lines —
+# internal/testkit counts as test code whole: only tests import it, and the
+# target fails if a non-test file elsewhere ever does — then the option
+# count (the fields of the engine configs, of the shared parameter block —
+# counted once — and of what each API body adds to it, and the flag
+# definitions under cmd/ and internal/cliutil; TestOptionCount fails, and
+# this target with it, when one rises above its written cap).
 loc:
-	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
-	@printf 'test Go lines:     '; find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
+	@bad=$$(grep -l '"pprl/internal/testkit"' $$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/testkit/*' -not -path './benchmark/*' -not -path './.bench_build/*')); \
+	if [ -n "$$bad" ]; then echo "loc: non-test files import internal/testkit: $$bad"; exit 1; fi
+	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './internal/testkit/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
+	@printf 'test Go lines:     '; find . \( -name '*_test.go' -o -path './internal/testkit/*.go' \) -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
 	@out=$$($(GO) test -count=1 -run '^TestOptionCount$$' -v .); status=$$?; \
 	printf '%s\n' "$$out" | sed -n 's/^ *options_test.go:[0-9]*: //p'; exit $$status

@@ -1,6 +1,8 @@
 package anonymize
 
 import (
+	"sort"
+
 	"pprl/internal/dataset"
 	"pprl/internal/vgh"
 )
@@ -90,6 +92,7 @@ func (f *dataFly) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, err
 			}
 		}
 	}
+	sort.Ints(suppressed) // the view lists them; map order would make it differ run to run
 	return buildResult(f.Name(), k, qids, seqs, suppressed), nil
 }
 

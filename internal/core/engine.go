@@ -129,6 +129,13 @@ func blockViews(aView, bView *anonymize.Result, rule *blocking.Rule, cfg *Config
 // (through the resolution kernel), and residual labeling.
 func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Rule, qids []int, cfg *Config) (*Result, error) {
 	res := &Result{cfg: *cfg, rule: rule, qids: qids, Block: block}
+	// A fractional value would be bought rounded; refuse it before anything
+	// is journaled or encrypted.
+	for x, d := range []*dataset.Dataset{alice.Data, bob.Data} {
+		if err := smc.CheckIntegral(d.Schema(), d.Records(), qids, cfg.Scale, 0); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", [2]string{"alice", "bob"}[x], err)
+		}
+	}
 
 	// DP mode and the blocking result must agree: a prepared block built
 	// under different ε or seed would pad to a different release.

@@ -35,96 +35,6 @@ func sameLabeling(t *testing.T, a, b *Result, aliceLen, bobLen int) {
 	}
 }
 
-// TestJournaledRunIsTransparent: journaling must not change a run's
-// outcome, and the journal must hold exactly the comparisons performed.
-func TestJournaledRunIsTransparent(t *testing.T) {
-	alice, bob := workload(t, 300, 91)
-	path := filepath.Join(t.TempDir(), "run.wal")
-
-	base, err := Link(Holder{Data: alice}, Holder{Data: bob}, journalCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := journal.Create(path, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := journalCfg()
-	cfg.Journal = w
-	res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sameLabeling(t, base, res, alice.Len(), bob.Len())
-	if res.Resume.Resumed() {
-		t.Errorf("fresh journaled run reports resume stats %v", res.Resume)
-	}
-
-	rec, err := journal.Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(rec.Verdicts)) != res.Invocations {
-		t.Errorf("journal holds %d verdicts, run performed %d comparisons", len(rec.Verdicts), res.Invocations)
-	}
-	if rec.Manifest.Allowance != res.Allowance || rec.Manifest.Heuristic != "minAvgFirst" {
-		t.Errorf("manifest = %+v", rec.Manifest)
-	}
-}
-
-// TestResumeNeverRespends: resuming a completed journal replays every
-// verdict and performs zero live comparisons.
-func TestResumeNeverRespends(t *testing.T) {
-	alice, bob := workload(t, 300, 92)
-	path := filepath.Join(t.TempDir(), "run.wal")
-
-	w, err := journal.Create(path, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := journalCfg()
-	cfg.Journal = w
-	first, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if first.Invocations == 0 {
-		t.Fatal("workload produced no SMC comparisons; test needs a live budget")
-	}
-
-	rw, err := journal.Resume(path, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := journalCfg()
-	cfg2.Journal = rw
-	second, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if second.Invocations != 0 {
-		t.Errorf("resume of a complete journal re-spent %d comparisons", second.Invocations)
-	}
-	if second.Resume.ResumedPairs != first.Invocations {
-		t.Errorf("ResumedPairs = %d, journal held %d", second.Resume.ResumedPairs, first.Invocations)
-	}
-	if second.Resume.ReplayedAllowance != second.Resume.ResumedPairs {
-		t.Errorf("ReplayedAllowance %d != ResumedPairs %d under the uniform cost model",
-			second.Resume.ReplayedAllowance, second.Resume.ResumedPairs)
-	}
-	sameLabeling(t, first, second, alice.Len(), bob.Len())
-}
-
 // TestResumeRefusals: a journal must not resume a run whose parameters
 // or inputs changed, and the error must say what changed.
 func TestResumeRefusals(t *testing.T) {

@@ -54,18 +54,6 @@ func New(schema *Schema) *Dataset {
 	return &Dataset{schema: schema}
 }
 
-// FromRecords creates a dataset and validates every record against the
-// schema.
-func FromRecords(schema *Schema, records []Record) (*Dataset, error) {
-	d := New(schema)
-	for i, r := range records {
-		if err := d.Append(r); err != nil {
-			return nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
-	}
-	return d, nil
-}
-
 // Schema returns the dataset's schema.
 func (d *Dataset) Schema() *Schema { return d.schema }
 

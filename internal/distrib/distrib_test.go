@@ -80,50 +80,6 @@ func newTestPool(t *testing.T) *Pool {
 	return p
 }
 
-// TestFleetMatchesLocalOracle pins a 3-worker oracle fleet's verdicts
-// and invocation count to the single-process comparator's.
-func TestFleetMatchesLocalOracle(t *testing.T) {
-	spec := testSpec()
-	alice := testRecords(40, 1)
-	bob := testRecords(37, 2)
-	pairs := allPairs(len(alice), len(bob))
-
-	local := smc.NewPlainComparator(spec, alice, bob)
-	want := make([]bool, len(pairs))
-	for x, pr := range pairs {
-		v, err := local.Compare(pr[0], pr[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[x] = v
-	}
-
-	p := newTestPool(t)
-	for _, name := range []string{"w-a", "w-b", "w-c"} {
-		startWorker(t, p, WorkerOptions{Name: name, HeartbeatEvery: 50 * time.Millisecond})
-	}
-	cmp, err := p.NewComparator(spec, alice, bob, JobConfig{Job: "parity", ChunkPairs: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cmp.Close()
-	got, err := cmp.CompareBatch(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range want {
-		if got[x] != want[x] {
-			t.Fatalf("pair %v: fleet says %v, local oracle %v", pairs[x], got[x], want[x])
-		}
-	}
-	if cmp.Invocations() != local.Invocations() {
-		t.Errorf("fleet invocations = %d, local = %d", cmp.Invocations(), local.Invocations())
-	}
-	if hint := cmp.ChunkHint(); hint <= 0 || hint > 16384 {
-		t.Errorf("ChunkHint = %d out of range", hint)
-	}
-}
-
 // heldConn is a worker's end of its link whose writes wait, once the hold
 // is armed, for release to close.
 type heldConn struct {

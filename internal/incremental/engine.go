@@ -337,6 +337,10 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		}
 	}
 	committedReplay := frame != nil && frame.Committed
+	s := e.sides[sideIdx]
+	if err := smc.CheckIntegral(s.data.Schema(), recs, e.qids, e.cfg.Scale, s.data.Len()); err != nil {
+		return nil, fmt.Errorf("incremental: %s: %w", [2]string{"alice", "bob"}[sideIdx], err) // refused before the batch mark is journaled
+	}
 	if frame == nil && e.cfg.Journal != nil {
 		if err := e.cfg.Journal.RecordBatch(journal.BatchMark{
 			Batch: uint32(batch), Side: uint8(sideIdx), Records: uint32(len(recs)), Digest: digest,
@@ -346,7 +350,6 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	}
 
 	// Grow the side: records, encodings, bins, live index.
-	s := e.sides[sideIdx]
 	base, hbase := s.data.Len(), s.data.Len()
 	if s.pad != nil {
 		hbase = len(s.pad.RecordOf)

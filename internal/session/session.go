@@ -157,6 +157,9 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 	if err != nil {
 		return fmt.Errorf("session: resolving classifier QIDs: %w", err)
 	}
+	if err := smc.CheckIntegral(cfg.Data.Schema(), cfg.Data.Records(), qids, params.Spec.Scale, 0); err != nil {
+		return fmt.Errorf("session: %s: %w", role, err) // refused before the view is published
+	}
 	view, err := cfg.Anonymizer.Anonymize(cfg.Data, qids, cfg.K)
 	if err != nil {
 		return fmt.Errorf("session: anonymizing: %w", err)

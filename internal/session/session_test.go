@@ -3,16 +3,13 @@ package session
 import (
 	crand "crypto/rand"
 	"math/rand"
-	"net"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"pprl/internal/adult"
 	"pprl/internal/blocking"
 	"pprl/internal/dataset"
-	"pprl/internal/match"
 	"pprl/internal/paillier"
 	"pprl/internal/smc"
 )
@@ -27,203 +24,29 @@ func sessionWorkload(t testing.TB, n int) (alice, bob *dataset.Dataset) {
 }
 
 // runLocalSession wires the three roles over in-memory conns and returns
-// the querying party's result.
-func runLocalSession(t *testing.T, aliceData, bobData *dataset.Dataset, cfg QueryConfig, aliceK, bobK int) (*QueryResult, error) {
+// the querying party's result. A holder's error fails the test unless the
+// query failed first: then its links close under the holders, as a
+// refusing or interrupted querying party's would.
+func runLocalSession(t *testing.T, aliceData, bobData *dataset.Dataset, cfg QueryConfig, alice, bob HolderConfig) (*QueryResult, error) {
 	t.Helper()
 	qa, aq := smc.NewConnPair()
 	qb, bq := smc.NewConnPair()
 	ab, ba := smc.NewConnPair()
+	alice.Data, bob.Data = aliceData, bobData
 	errs := make(chan error, 2)
-	go func() {
-		errs <- RunHolder(aq, ab, HolderConfig{Data: aliceData, K: aliceK}, true)
-	}()
-	go func() {
-		errs <- RunHolder(bq, ba, HolderConfig{Data: bobData, K: bobK}, false)
-	}()
+	go func() { errs <- RunHolder(aq, ab, alice, true) }()
+	go func() { errs <- RunHolder(bq, ba, bob, false) }()
 	res, err := RunQuery(qa, qb, cfg)
 	if err != nil {
-		return nil, err
+		qa.Close()
+		qb.Close()
 	}
-	for i := 0; i < 2; i++ {
-		if herr := <-errs; herr != nil {
+	for range 2 {
+		if herr := <-errs; err == nil && herr != nil {
 			t.Fatalf("holder error: %v", herr)
 		}
 	}
-	return res, nil
-}
-
-func TestSessionEndToEnd(t *testing.T) {
-	aliceData, bobData := sessionWorkload(t, 120)
-	cfg := QueryConfig{
-		Schema:            aliceData.Schema(),
-		QIDs:              adult.DefaultQIDs(),
-		Theta:             0.05,
-		AllowanceFraction: 1.0, // resolve everything: session result must be exact
-		KeyBits:           testKeyBits,
-	}
-	res, err := runLocalSession(t, aliceData, bobData, cfg, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AliceView.K != 4 || res.BobView.K != 8 {
-		t.Errorf("views carry k=%d,%d, want 4,8", res.AliceView.K, res.BobView.K)
-	}
-	// With full allowance the session's matches equal ground truth.
-	qids, err := aliceData.Schema().Resolve(cfg.QIDs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rule, err := blocking.RuleFor(aliceData.Schema(), qids, cfg.Theta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, err := match.TruePairs(aliceData, bobData, qids, rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := func(p match.Pair) int64 { return p.Key(bobData.Len()) }
-	got := make([]int64, len(res.Matches))
-	for i, p := range res.Matches {
-		got[i] = key(p)
-	}
-	want := make([]int64, len(truth))
-	for i, p := range truth {
-		want[i] = key(p)
-	}
-	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-	sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-	if len(got) != len(want) {
-		t.Fatalf("session found %d matches, truth has %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("match set differs at %d", i)
-		}
-	}
-	if res.Invocations <= 0 || res.Invocations > res.Allowance {
-		t.Errorf("invocations = %d, allowance = %d", res.Invocations, res.Allowance)
-	}
-}
-
-func TestSessionBudgeted(t *testing.T) {
-	aliceData, bobData := sessionWorkload(t, 90)
-	cfg := QueryConfig{
-		Schema:    aliceData.Schema(),
-		QIDs:      adult.DefaultQIDs(),
-		Theta:     0.05,
-		Allowance: 25,
-		KeyBits:   testKeyBits,
-	}
-	res, err := runLocalSession(t, aliceData, bobData, cfg, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Invocations > 25 {
-		t.Errorf("budget exceeded: %d invocations", res.Invocations)
-	}
-	// Every reported match is correct (precision guarantee end to end).
-	qids, _ := aliceData.Schema().Resolve(cfg.QIDs)
-	rule, _ := blocking.RuleFor(aliceData.Schema(), qids, cfg.Theta)
-	for _, p := range res.Matches {
-		if !rule.DecideExact(
-			blocking.RecordSequence(aliceData, qids, p.I),
-			blocking.RecordSequence(bobData, qids, p.J),
-		) {
-			t.Fatalf("session reported a false match (%d,%d)", p.I, p.J)
-		}
-	}
-}
-
-func TestSessionOverTCP(t *testing.T) {
-	aliceData, bobData := sessionWorkload(t, 60)
-
-	// Query party listens; holders dial and identify themselves.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	// Alice listens for Bob's peer link.
-	pl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
-
-	holderErrs := make(chan error, 2)
-	go func() { // Alice
-		qc, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			holderErrs <- err
-			return
-		}
-		query := smc.NewNetConn(qc)
-		if err := Hello(query, RoleAlice); err != nil {
-			holderErrs <- err
-			return
-		}
-		pc, err := pl.Accept()
-		if err != nil {
-			holderErrs <- err
-			return
-		}
-		holderErrs <- RunHolder(query, smc.NewNetConn(pc), HolderConfig{Data: aliceData, K: 4}, true)
-	}()
-	go func() { // Bob
-		qc, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			holderErrs <- err
-			return
-		}
-		query := smc.NewNetConn(qc)
-		if err := Hello(query, RoleBob); err != nil {
-			holderErrs <- err
-			return
-		}
-		pc, err := net.Dial("tcp", pl.Addr().String())
-		if err != nil {
-			holderErrs <- err
-			return
-		}
-		holderErrs <- RunHolder(query, smc.NewNetConn(pc), HolderConfig{Data: bobData, K: 4}, false)
-	}()
-
-	// Query party: accept both, identify, run.
-	var alice, bob smc.Conn
-	for i := 0; i < 2; i++ {
-		c, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn := smc.NewNetConn(c)
-		role, err := Identify(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if role == RoleAlice {
-			alice = conn
-		} else {
-			bob = conn
-		}
-	}
-	res, err := RunQuery(alice, bob, QueryConfig{
-		Schema:    aliceData.Schema(),
-		QIDs:      adult.DefaultQIDs(),
-		Theta:     0.05,
-		Allowance: 10,
-		KeyBits:   testKeyBits,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-holderErrs; err != nil {
-			t.Fatalf("holder: %v", err)
-		}
-	}
-	if res.TotalPairs != int64(aliceData.Len())*int64(bobData.Len()) {
-		t.Errorf("TotalPairs = %d", res.TotalPairs)
-	}
+	return res, err
 }
 
 func TestSessionValidation(t *testing.T) {
@@ -281,7 +104,7 @@ func TestSessionMatchesDeterministic(t *testing.T) {
 		Allowance: 5,
 		KeyBits:   testKeyBits,
 	}
-	first, err := runLocalSession(t, aliceData, bobData, cfg, 1, 1)
+	first, err := runLocalSession(t, aliceData, bobData, cfg, HolderConfig{K: 1}, HolderConfig{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +112,7 @@ func TestSessionMatchesDeterministic(t *testing.T) {
 		t.Fatalf("only %d matches; the order check needs several blocked-Match class pairs (k = 1 decides every pair in blocking)", len(first.Matches))
 	}
 	for run := 0; run < 3; run++ {
-		again, err := runLocalSession(t, aliceData, bobData, cfg, 1, 1)
+		again, err := runLocalSession(t, aliceData, bobData, cfg, HolderConfig{K: 1}, HolderConfig{K: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,19 +126,12 @@ func TestSessionMatchesDeterministic(t *testing.T) {
 // packed slot width from the schema's published domains and broadcasts it
 // in the parameters; a holder with a record outside them — either holder —
 // publishes its view, receives the key, and stops before encrypting
-// anything.
+// anything. A continuous value the circuit would round (40.5 at Scale 1)
+// is refused earlier, before the view is published.
 func TestHolderRefusesOutOfDomainRecord(t *testing.T) {
 	data, _ := sessionWorkload(t, 30)
 	schema := data.Schema()
 	age, _ := schema.Index(adult.AttrAge)
-	bad := dataset.New(schema)
-	for i, rec := range data.Records() {
-		if i == 2 {
-			rec.Cells = append([]dataset.Cell(nil), rec.Cells...)
-			rec.Cells[age] = dataset.NumCell(500) // the hierarchy ends at 81
-		}
-		bad.MustAppend(rec)
-	}
 	qids, err := schema.Resolve(adult.DefaultQIDs())
 	if err != nil {
 		t.Fatal(err)
@@ -333,22 +149,44 @@ func TestHolderRefusesOutOfDomainRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, isAlice := range []bool{true, false} {
-		query, holder := smc.NewConnPair()
-		_, peer := smc.NewConnPair()
-		errs := make(chan error, 1)
-		go func() { errs <- RunHolder(holder, peer, HolderConfig{Data: bad, K: 4}, isAlice) }()
-		if err := query.Send(&smc.Message{Kind: smc.MsgParams, QIDs: adult.DefaultQIDs(), Spec: spec}); err != nil {
-			t.Fatal(err)
+	for _, row := range []struct {
+		age       float64
+		published bool // the holder publishes its view before refusing
+		want      string
+	}{
+		{500, true, "published domain"}, // the hierarchy ends at 81
+		{40.5, false, `attribute "age" value 40.5 is not a whole multiple`},
+	} {
+		bad := dataset.New(schema)
+		for i, rec := range data.Records() {
+			if i == 2 {
+				rec.Cells = append([]dataset.Cell(nil), rec.Cells...)
+				rec.Cells[age] = dataset.NumCell(row.age)
+			}
+			bad.MustAppend(rec)
 		}
-		if m, err := query.Recv(); err != nil || m.Kind != smc.MsgView {
-			t.Fatalf("expected the holder's view, got %+v, %v", m, err)
-		}
-		if err := query.Send(&smc.Message{Kind: smc.MsgPublicKey, N: sk.N}); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-errs; err == nil || !strings.Contains(err.Error(), "record 2") || !strings.Contains(err.Error(), "published domain") {
-			t.Errorf("holder (alice=%v) returned %v, want a refusal naming record 2", isAlice, err)
+		for _, isAlice := range []bool{true, false} {
+			query, holder := smc.NewConnPair()
+			_, peer := smc.NewConnPair()
+			errs := make(chan error, 1)
+			go func() { errs <- RunHolder(holder, peer, HolderConfig{Data: bad, K: 4}, isAlice) }()
+			if err := query.Send(&smc.Message{Kind: smc.MsgParams, QIDs: adult.DefaultQIDs(), Spec: spec}); err != nil {
+				t.Fatal(err)
+			}
+			if row.published {
+				if m, err := query.Recv(); err != nil || m.Kind != smc.MsgView {
+					t.Fatalf("expected the holder's view, got %+v, %v", m, err)
+				}
+				if err := query.Send(&smc.Message{Kind: smc.MsgPublicKey, N: sk.N}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-errs; err == nil || !strings.Contains(err.Error(), "record 2") || !strings.Contains(err.Error(), row.want) {
+				t.Errorf("age %v, holder (alice=%v) returned %v, want a refusal naming record 2", row.age, isAlice, err)
+			}
+			if !row.published && holder.Bytes() != 0 {
+				t.Errorf("age %v, holder (alice=%v) sent %d bytes before refusing", row.age, isAlice, holder.Bytes())
+			}
 		}
 	}
 }

@@ -12,62 +12,13 @@ import (
 func runTierSession(t *testing.T, n int, cfg QueryConfig) *QueryResult {
 	t.Helper()
 	aliceData, bobData := sessionWorkload(t, n)
-	if cfg.Schema == nil {
-		cfg.Schema = aliceData.Schema()
-	}
-	key := []byte("session-tier-test-key")
-	qa, aq := smc.NewConnPair()
-	qb, bq := smc.NewConnPair()
-	ab, ba := smc.NewConnPair()
-	errs := make(chan error, 2)
-	go func() {
-		errs <- RunHolder(aq, ab, HolderConfig{Data: aliceData, K: 6, TierKey: key}, true)
-	}()
-	go func() {
-		errs <- RunHolder(bq, ba, HolderConfig{Data: bobData, K: 6, TierKey: key}, false)
-	}()
-	res, err := RunQuery(qa, qb, cfg)
+	cfg.Schema = aliceData.Schema()
+	hc := HolderConfig{K: 6, TierKey: []byte("session-tier-test-key")}
+	res, err := runLocalSession(t, aliceData, bobData, cfg, hc, hc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if herr := <-errs; herr != nil {
-			t.Fatalf("holder error: %v", herr)
-		}
-	}
 	return res
-}
-
-// TestSessionTierTriage: with the tier on and a full allowance, the tier
-// partitions the Unknown pair space exactly and the SMC budget is spent
-// only on the uncertain band.
-func TestSessionTierTriage(t *testing.T) {
-	cfg := QueryConfig{
-		QIDs:              adult.DefaultQIDs(),
-		Theta:             0.05,
-		AllowanceFraction: 1.0,
-		KeyBits:           testKeyBits,
-		Tier:              &smc.TierParams{}, // defaults: m=1000, k=30, q=2
-	}
-	res := runTierSession(t, 100, cfg)
-
-	labeled := res.TierNonMatchedPairs
-	if labeled+res.TierUncertainPairs != res.UnknownPairs {
-		t.Errorf("tier accounting does not partition the Unknown space: %d+%d != %d",
-			labeled, res.TierUncertainPairs, res.UnknownPairs)
-	}
-	if labeled == 0 {
-		t.Error("tier labeled nothing; thresholds or encodings are broken")
-	}
-	// Full allowance: every uncertain pair is purchased, nothing more.
-	if res.Invocations != res.TierUncertainPairs {
-		t.Errorf("invocations = %d, want exactly the uncertain band %d",
-			res.Invocations, res.TierUncertainPairs)
-	}
-	if res.Invocations >= res.UnknownPairs {
-		t.Errorf("tier saved no SMC work: %d invocations for %d unknown pairs",
-			res.Invocations, res.UnknownPairs)
-	}
 }
 
 // TestSessionTierBudgetIndependence: tier labels are free, so exhausting

@@ -2,7 +2,6 @@ package smc
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 
@@ -319,26 +318,25 @@ func encodeRecord(schema *dataset.Schema, rec dataset.Record, qids []int, scale 
 	return row
 }
 
-// EncodeStream is the out-of-core counterpart of EncodeRecords: it drains
-// a chunked dataset.Stream and encodes each chunk as it arrives, so the
-// only full-relation state ever resident is the encoded rows themselves —
-// 8 bytes per quasi-identifier per record, not parsed Records or a
-// Dataset. A million-record holder feeds the SMC engines (or ships rows
-// to a distributed worker fleet) through this path.
-func EncodeStream(s *dataset.Stream, qids []int, scale int64) ([][]int64, error) {
-	var out [][]int64
-	for {
-		chunk, err := s.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range chunk {
-			out = append(out, encodeRecord(s.Schema(), rec, qids, scale))
+// CheckIntegral refuses a record whose continuous quasi-identifier, times
+// scale, is not a whole number. The circuit compares integers, so encoding
+// would round it: at scale 1, 10.0 and 10.4 both become 10, and a pair the
+// clear-text rule tells apart is bought as a match. Float rounding error
+// passes (|x − round(x)| ≤ 1e-9·max(1, |x|)). Records are numbered from
+// first in the error.
+func CheckIntegral(schema *dataset.Schema, recs []dataset.Record, qids []int, scale int64, first int) error {
+	for i, rec := range recs {
+		for _, q := range qids {
+			if schema.Attr(q).Kind == dataset.Categorical {
+				continue
+			}
+			v := rec.Cells[q].Num
+			if x := v * float64(scale); math.Abs(x-math.Round(x)) > 1e-9*math.Max(1, math.Abs(x)) {
+				return fmt.Errorf("record %d attribute %q value %v is not a whole multiple of 1/%d: the circuit compares integers and would round it", first+i, schema.Attr(q).Name, v, scale)
+			}
 		}
 	}
+	return nil
 }
 
 // Matches evaluates the spec's integer arithmetic in the clear: the

@@ -1,17 +1,14 @@
 package testkit
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"testing"
 	"time"
 
-	"pprl/internal/anonymize"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/dpblock"
@@ -143,103 +140,6 @@ func TestDPOracleProperties(t *testing.T) {
 	}
 }
 
-// TestDPCrashResumeExact crashes a journaled DP run mid-purchase and
-// resumes it: the journal holds handle pairs, dummies among them, and the
-// resumed run must preserve every purchased verdict bit for bit, re-spend
-// nothing, bill the same dummies as the uninterrupted run, and produce the
-// identical labeling.
-func TestDPCrashResumeExact(t *testing.T) {
-	seed := baseSeed(t)
-	for wi := 0; ; wi++ {
-		if wi == 12 {
-			t.Fatal("no generated world produced ≥ 2 DP purchases; crash-resume never checked — adjust seeds")
-		}
-		w := Generate(seed + int64(wi))
-		if unpaddable(w) {
-			continue
-		}
-		cfg := dpCfg(w, wi)
-		base, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-		if base.Invocations < 2 {
-			continue
-		}
-		kill := base.Invocations / 2
-		path := filepath.Join(t.TempDir(), "dp-crash.wal")
-
-		wr, err := journal.Create(path, journal.Options{SyncEvery: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ccfg := cfg
-		ccfg.Journal = &CrashSink{W: wr, Remaining: int(kill)}
-		_, err = core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, ccfg)
-		if !errors.Is(err, ErrCrash) {
-			t.Fatalf("crashed run returned %v, want ErrCrash", err)
-		}
-		if err := wr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		recovered, err := journal.Replay(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		rw, err := journal.Resume(path, journal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rcfg := cfg
-		rcfg.Journal = rw
-		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, rcfg)
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-		if err := rw.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		if res.Resume.ResumedPairs != kill || res.Resume.ReplayedAllowance != kill {
-			t.Fatalf("resume stats %+v, want %d replayed", res.Resume, kill)
-		}
-		if got, want := res.Invocations+res.Resume.ReplayedAllowance, base.Invocations; got != want {
-			t.Fatal(repro(w, fmt.Errorf("live %d + replayed %d = %d purchases, uninterrupted run bought %d",
-				res.Invocations, res.Resume.ReplayedAllowance, got, want)))
-		}
-		if res.DP.DummySpent != base.DP.DummySpent {
-			t.Fatal(repro(w, fmt.Errorf("resumed run bought %d dummy pairs, uninterrupted run %d — resume must not change the dummy bill",
-				res.DP.DummySpent, base.DP.DummySpent)))
-		}
-		pa, pb := res.Padded()
-		for _, v := range recovered.Verdicts {
-			i, j := pa.Map.RecordOf[v.I], pb.Map.RecordOf[v.J]
-			if i < 0 || j < 0 {
-				if v.Matched {
-					t.Fatal(repro(w, fmt.Errorf("handle pair (%d,%d) touches a dummy and was journaled a match", v.I, v.J)))
-				}
-				continue
-			}
-			got, ok := res.SMCLabel(i, j)
-			if !ok {
-				t.Fatal(repro(w, fmt.Errorf("purchased verdict (%d,%d) lost on resume", i, j)))
-			}
-			if got != v.Matched {
-				t.Fatal(repro(w, fmt.Errorf("purchased verdict (%d,%d) flipped from %v to %v", i, j, v.Matched, got)))
-			}
-		}
-		for i := 0; i < w.Alice.Len(); i++ {
-			for j := 0; j < w.Bob.Len(); j++ {
-				if res.PairMatched(i, j) != base.PairMatched(i, j) {
-					t.Fatal(repro(w, fmt.Errorf("labeling diverged at (%d,%d) after resume", i, j)))
-				}
-			}
-		}
-		return
-	}
-}
-
 // TestDPCrossModeResumeRefused crashes a journaled run in one blocking
 // mode and tries to resume it in the other, both directions: a dp
 // journal must refuse a k-anonymous resume and vice versa — silently
@@ -305,155 +205,6 @@ func TestDPCrossModeResumeRefused(t *testing.T) {
 			}
 		}
 		return
-	}
-}
-
-// purchaseLog is a journal that remembers what a run bought and
-// tier-labeled, in walk order.
-type purchaseLog struct{ pairs []journal.Verdict }
-
-func (l *purchaseLog) Begin(journal.Manifest) ([]journal.Verdict, error) { return nil, nil }
-func (l *purchaseLog) Sync() error                                       { return nil }
-func (l *purchaseLog) Record(i, j int, matched bool) error {
-	l.pairs = append(l.pairs, journal.Verdict{I: uint32(i), J: uint32(j), Matched: matched})
-	return nil
-}
-
-// RecordTier logs a tier label as a purchase of the mirrored pair, so one
-// sequence keeps both kinds in order.
-func (l *purchaseLog) RecordTier(i, j int, matched bool) error {
-	return l.Record(-1-i, j, matched)
-}
-
-// viewTap remembers the view a holder publishes on the querying party's
-// end of its link.
-type viewTap struct {
-	smc.Conn
-	view []byte
-}
-
-func (c *viewTap) Recv() (*smc.Message, error) {
-	m, err := c.Conn.Recv()
-	if err == nil && m.Kind == smc.MsgView {
-		c.view = m.View
-	}
-	return m, err
-}
-
-// holderPad replays a session holder's padding pass — what its release
-// maps back to — from its data, role and parameters alone.
-func holderPad(t *testing.T, d *dataset.Dataset, role string, cfg core.Config) *dpblock.PadMap {
-	t.Helper()
-	binner, err := dpblock.New(dpblock.Params{Epsilon: cfg.Epsilon, Seed: dpblock.HolderSeed(cfg.DPSeed, role)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qids, err := d.Schema().Resolve(cfg.QIDs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := binner.Anonymize(d, qids, 1)
-	if err == nil {
-		err = dpblock.Publish(view, binner.Params())
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	pad, err := dpblock.Pad(view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pad
-}
-
-// TestDPShapesWalkOneRelease is the one DP cost model, across shapes:
-// core.Link and the in-memory three-party session, both holders at the
-// world's seed, ε and level and the same absolute allowance, publish
-// byte-identical padded views and buy the same handle-pair sequence, and
-// with an allowance that buys every candidate, each spends exactly
-// DummyPairs on pairs that touch a dummy: core.Link by its own count, the
-// session counted through its holders' pad maps. At the build before this
-// one core.Link walked record pairs and paid for padding in simulated
-// shares, and the sequences had nothing in common. The tier is refused
-// under DP (TestTierRefusedUnderDP).
-func TestDPShapesWalkOneRelease(t *testing.T) {
-	base := baseSeed(t)
-	checked := 0
-	for wi := int64(0); wi < 40 && checked < 2; wi++ {
-		w := Generate(base + wi)
-		if w.Cfg.Thresholds != nil {
-			continue // the session takes one θ for every attribute
-		}
-		checked++
-		name := fmt.Sprintf("world=%d", w.Seed)
-		cfg := dpCfg(w, 2) // ε = 8: little padding, so the secure walk is short
-		cfg.Allowance = 1 << 40
-		var coreLog, sessionLog purchaseLog
-		ccfg := cfg
-		ccfg.Journal = &coreLog
-		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, ccfg)
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-
-		qa, aq := smc.NewConnPair()
-		qb, bq := smc.NewConnPair()
-		ab, ba := smc.NewConnPair()
-		tapA, tapB := &viewTap{Conn: qa}, &viewTap{Conn: qb}
-		errs := make(chan error, 2)
-		go func() {
-			errs <- session.RunHolder(aq, ab, session.HolderConfig{Data: w.Alice, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed}, true)
-		}()
-		go func() {
-			errs <- session.RunHolder(bq, ba, session.HolderConfig{Data: w.Bob, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed}, false)
-		}()
-		qcfg := session.QueryConfig{
-			Schema: w.Alice.Schema(), QIDs: cfg.QIDs, Theta: cfg.Theta, Heuristic: cfg.Heuristic,
-			Allowance: cfg.Allowance, KeyBits: 256, Journal: &sessionLog,
-		}
-		qres, err := session.RunQuery(tapA, tapB, qcfg)
-		if err != nil {
-			t.Fatal(repro(w, fmt.Errorf("%s: session: %w", name, err)))
-		}
-		for range 2 {
-			if err := <-errs; err != nil {
-				t.Fatal(repro(w, fmt.Errorf("%s: holder: %w", name, err)))
-			}
-		}
-
-		pa, pb := res.Padded()
-		for x, v := range []*anonymize.Result{pa.View, pb.View} {
-			var buf bytes.Buffer
-			if err := anonymize.WriteView(&buf, w.Alice.Schema(), v); err != nil {
-				t.Fatal(err)
-			}
-			if wire := []*viewTap{tapA, tapB}[x].view; !bytes.Equal(buf.Bytes(), wire) {
-				t.Fatal(repro(w, fmt.Errorf("%s: core.Link walks a %d-byte release for holder %d, the session's holder publishes %d bytes that differ", name, buf.Len(), x, len(wire))))
-			}
-		}
-		if !slices.Equal(coreLog.pairs, sessionLog.pairs) {
-			n := 0
-			for n < min(len(coreLog.pairs), len(sessionLog.pairs)) && coreLog.pairs[n] == sessionLog.pairs[n] {
-				n++
-			}
-			t.Fatal(repro(w, fmt.Errorf("%s: core.Link journaled %d pairs, the session %d; they part at %d", name, len(coreLog.pairs), len(sessionLog.pairs), n)))
-		}
-		if res.Invocations != qres.Invocations {
-			t.Fatal(repro(w, fmt.Errorf("%s: core.Link bought %d, the session %d", name, res.Invocations, qres.Invocations)))
-		}
-		aPad, bPad := holderPad(t, w.Alice, "alice", cfg), holderPad(t, w.Bob, "bob", cfg)
-		var dummies int64
-		for _, v := range sessionLog.pairs {
-			if aPad.RecordOf[v.I] < 0 || bPad.RecordOf[v.J] < 0 {
-				dummies++
-			}
-		}
-		if res.DP.DummySpent != res.DP.DummyPairs || dummies != res.DP.DummyPairs {
-			t.Fatal(repro(w, fmt.Errorf("%s: dummy pairs bought: core.Link %d, the session %d; the release pads %d", name, res.DP.DummySpent, dummies, res.DP.DummyPairs)))
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no generated world has a single θ; the shapes were never compared — adjust seeds")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/distance"
 	"pprl/internal/oracle"
-	"pprl/internal/smc"
 	"pprl/internal/vgh"
 )
 
@@ -166,67 +165,6 @@ func checkKMonotone(t *testing.T, w *World, o *oracle.Oracle) bool {
 			w.Describe(), repFine.Confusion.Recall(), k, repCoarse.Confusion.Recall(), 2*k)
 	}
 	return true
-}
-
-// TestSecureEnginesAgainstOracle verifies the real Paillier protocol — on
-// one lane and on two — against the oracle's exact verdicts on generated
-// worlds, not merely against each other. Test-size keys keep the run
-// fast; the circuit arithmetic is key-size independent.
-func TestSecureEnginesAgainstOracle(t *testing.T) {
-	base := baseSeed(t)
-	for wi := int64(0); wi < 3; wi++ {
-		w := Generate(base + wi)
-		res, o, err := w.Run()
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-		spec, err := smc.SpecFromRule(res.Rule(), 1)
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-		aliceEnc := smc.EncodeRecords(w.Alice, res.QIDs(), 1)
-		bobEnc := smc.EncodeRecords(w.Bob, res.QIDs(), 1)
-		pairs := samplePairs(w, o, 10)
-
-		for _, lanes := range []int{1, 2} {
-			cmp, err := smc.NewLocalSecureSharded(spec, aliceEnc, bobEnc, 256, lanes)
-			if err != nil {
-				t.Fatal(repro(w, err))
-			}
-			err = o.CheckComparator(cmp, pairs)
-			cmp.Close()
-			if err != nil {
-				t.Fatalf("%d lanes: %s", lanes, repro(w, err))
-			}
-		}
-	}
-}
-
-// samplePairs picks a deterministic spread of record pairs including at
-// least one true match (overlap records guarantee one exists).
-func samplePairs(w *World, o *oracle.Oracle, n int) [][2]int {
-	var pairs [][2]int
-	strideI := w.Alice.Len()/3 + 1
-	strideJ := w.Bob.Len()/3 + 1
-	for i := 0; i < w.Alice.Len() && len(pairs) < n-1; i += strideI {
-		for j := 0; j < w.Bob.Len() && len(pairs) < n-1; j += strideJ {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	for i := 0; i < w.Alice.Len(); i++ {
-		found := false
-		for j := 0; j < w.Bob.Len(); j++ {
-			if o.Matches(i, j) {
-				pairs = append(pairs, [2]int{i, j})
-				found = true
-				break
-			}
-		}
-		if found {
-			break
-		}
-	}
-	return pairs
 }
 
 // mutantMetric breaks the slack contract the way ISSUE.md's canary

@@ -10,7 +10,6 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distance"
-	"pprl/internal/dpblock"
 	"pprl/internal/incremental"
 	"pprl/internal/journal"
 	"pprl/internal/oracle"
@@ -58,54 +57,14 @@ func splitRecords(recs []dataset.Record, n int) [][]dataset.Record {
 // incrementalConfigFor derives the incremental config a world's pipeline
 // corresponds to (fixed-level binning replaces the per-holder
 // anonymizers; everything else carries over).
-func incrementalConfigFor(w *World, mode string) incremental.Config {
-	cfg := incremental.Config{
+func incrementalConfigFor(w *World) incremental.Config {
+	return incremental.Config{
 		QIDs:       w.Alice.Schema().Names(),
 		Theta:      w.Cfg.Theta,
 		Thresholds: w.Cfg.Thresholds,
 		Heuristic:  w.Cfg.Heuristic,
 		Allowance:  incrementalAmple,
 	}
-	switch mode {
-	case "tier":
-		cfg.Tier = core.TierBloom
-	case "dp":
-		cfg.Epsilon = 1.0
-		cfg.DPSeed = w.Seed
-	}
-	return cfg
-}
-
-// frozenConfigFor is the matching frozen pipeline config.
-func frozenConfigFor(t testing.TB, w *World, mode string) core.Config {
-	t.Helper()
-	cfg := core.DefaultConfig(w.Alice.Schema().Names())
-	cfg.Theta = w.Cfg.Theta
-	cfg.Thresholds = w.Cfg.Thresholds
-	cfg.Heuristic = w.Cfg.Heuristic
-	cfg.Allowance = incrementalAmple
-	cfg.Scale = 1
-	switch mode {
-	case "tier":
-		lb, err := dpblock.NewLevelBinner(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.AliceAnonymizer, cfg.BobAnonymizer = lb, lb
-		cfg.AliceK, cfg.BobK = 1, 1
-		cfg.Tier = core.TierBloom
-	case "dp":
-		cfg.Epsilon = 1.0
-		cfg.DPSeed = w.Seed
-	default:
-		lb, err := dpblock.NewLevelBinner(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.AliceAnonymizer, cfg.BobAnonymizer = lb, lb
-		cfg.AliceK, cfg.BobK = 1, 1
-	}
-	return cfg
 }
 
 // runSteps drives an engine through a step schedule, returning the
@@ -130,192 +89,16 @@ func runSteps(t testing.TB, eng *incremental.Engine, steps []incStep) ([][2]int,
 	return exposed, results
 }
 
-// TestIncrementalWorlds is the incremental subsystem's property harness:
-// for generated worlds across the plain, tier and DP modes, the union of
-// deltas over an interleaved append schedule must be pair-identical to a
-// frozen run over the final relations (oracle.CheckIncrementalDeltas),
-// and the lifetime spend must obey the mode's accounting identity.
-func TestIncrementalWorlds(t *testing.T) {
-	seed := baseSeed(t)
-	worlds := worldCount(t)
-	if worlds > 12 {
-		worlds = 12 // three modes per world; bound the matrix
-	}
-	for n := 0; n < worlds; n++ {
-		w := Generate(seed + int64(n))
-		for _, mode := range []string{"plain", "tier", "dp"} {
-			if mode == "dp" && unpaddable(w) {
-				continue
-			}
-			name := fmt.Sprintf("world=%d mode=%s", w.Seed, mode)
-			frozen, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, frozenConfigFor(t, w, mode))
-			if err != nil {
-				t.Fatal(repro(w, fmt.Errorf("%s: frozen run: %w", name, err)))
-			}
-			eng, err := incremental.New(w.Alice.Schema(), incrementalConfigFor(w, mode))
-			if err != nil {
-				t.Fatal(repro(w, err))
-			}
-			exposed, _ := runSteps(t, eng, incrementalSteps(w))
-			if err := oracle.CheckIncrementalDeltas(exposed, frozen, w.Alice.Len(), w.Bob.Len()); err != nil {
-				t.Fatal(repro(w, fmt.Errorf("%s: %w", name, err)))
-			}
-			st := eng.Stats()
-			if st.Purchased != frozen.Invocations {
-				t.Fatal(repro(w, fmt.Errorf("%s: purchased %d comparisons, frozen run %d", name, st.Purchased, frozen.Invocations)))
-			}
-			if mode == "dp" {
-				// Each dummy is new in exactly one batch: the K batches buy
-				// the frozen release's whole padding, no more.
-				if frozen.DP == nil || st.DummySpent != frozen.DP.DummySpent || st.DummySpent != frozen.DP.DummyPairs {
-					t.Fatal(repro(w, fmt.Errorf("%s: dummy spend %d, frozen %+v", name, st.DummySpent, frozen.DP)))
-				}
-			}
-		}
-	}
-}
-
-// TestIncrementalCrashMatrix kills incremental runs at verdict
-// boundaries — including inside a batch, before its commit barrier —
-// resumes from the journal by re-appending every stored batch, and
-// asserts the exposed delta stream and lifetime pool position are
-// indistinguishable from an uninterrupted run. One kill point per world
-// also tears the journal tail mid-record.
+// TestIncrementalCrashMatrix is the live crash matrix's tier-retune arm:
+// on eight worlds, in both directions, a binding pool crashed with the tail
+// batch journaled but uncommitted resumes with the tier switched. Kills at
+// verdict boundaries in the plain, tier and DP modes, the torn tail among
+// them, are TestConformance's crash column.
 func TestIncrementalCrashMatrix(t *testing.T) {
 	seed := baseSeed(t)
-	worlds := worldCount(t)
-	if worlds > 8 {
-		worlds = 8
-	}
-	tested := 0
-	for n := 0; n < worlds; n++ {
+	for n := 0; n < min(worldCount(t), 8); n++ {
 		w := Generate(seed + int64(n))
-		mode := [...]string{"plain", "tier", "dp"}[n%3]
-		if mode == "dp" && unpaddable(w) {
-			continue
-		}
-		icfg := incrementalConfigFor(w, mode)
-		steps := incrementalSteps(w)
-
-		// Uninterrupted baseline.
-		base, err := incremental.New(w.Alice.Schema(), icfg)
-		if err != nil {
-			t.Fatal(repro(w, err))
-		}
-		baseExposed, _ := runSteps(t, base, steps)
-		baseStats := base.Stats()
-		if baseStats.Purchased < 2 {
-			continue
-		}
-		tested++
-
-		tierRetuneArm(t, w, steps)
-
-		kills := killPoints(baseStats.Purchased)
-		for ki, kill := range kills {
-			tearTail := ki == len(kills)/2
-			name := fmt.Sprintf("world=%d mode=%s kill=%d/%d tear=%v", w.Seed, mode, kill, baseStats.Purchased, tearTail)
-			path := filepath.Join(t.TempDir(), "inc.wal")
-
-			// Phase 1: run until the injected crash; deltas of batches that
-			// committed before it are exposed.
-			wr, err := journal.Create(path, journal.Options{SyncEvery: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg1 := icfg
-			cfg1.Journal = &CrashSink{W: wr, Remaining: int(kill)}
-			eng1, err := incremental.New(w.Alice.Schema(), cfg1)
-			if err != nil {
-				t.Fatal(repro(w, err))
-			}
-			var exposed [][2]int
-			crashed := false
-			for _, s := range steps {
-				res, err := eng1.Append(s.side, s.recs)
-				if err != nil {
-					if !errors.Is(err, ErrCrash) {
-						t.Fatalf("%s: append failed with %v, want ErrCrash", name, err)
-					}
-					crashed = true
-					break
-				}
-				for _, d := range res.Deltas {
-					exposed = append(exposed, [2]int{d.I, d.J})
-				}
-			}
-			if !crashed {
-				t.Fatalf("%s: crash budget %d never fired", name, kill)
-			}
-			if err := wr.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if tearTail {
-				tear(t, path, 2)
-			}
-
-			// Phase 2: rebuild from the journal, re-append everything, then
-			// finish the schedule. Replayed (committed) batches do not
-			// re-expose deltas; the torn batch and fresh batches do.
-			rw, err := journal.Resume(path, journal.Options{SyncEvery: 1})
-			if err != nil {
-				t.Fatalf("%s: resume: %v", name, err)
-			}
-			cfg2 := icfg
-			cfg2.Journal = rw
-			cfg2.Recovered = rw.Recovered()
-			eng2, err := incremental.New(w.Alice.Schema(), cfg2)
-			if err != nil {
-				t.Fatal(repro(w, err))
-			}
-			_, results := runSteps(t, eng2, steps)
-			if err := rw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for _, res := range results {
-				if res.Replayed {
-					continue
-				}
-				for _, d := range res.Deltas {
-					exposed = append(exposed, [2]int{d.I, d.J})
-				}
-			}
-
-			// The exposed stream equals the uninterrupted one as a set (no
-			// duplicates, no gaps) and the pool lands at the same position.
-			seen := make(map[[2]int]bool, len(exposed))
-			for _, p := range exposed {
-				if seen[p] {
-					t.Fatal(repro(w, fmt.Errorf("%s: pair (%d,%d) exposed twice across the crash", name, p[0], p[1])))
-				}
-				seen[p] = true
-			}
-			want := make(map[[2]int]bool, len(baseExposed))
-			for _, p := range baseExposed {
-				want[p] = true
-			}
-			for p := range want {
-				if !seen[p] {
-					t.Fatal(repro(w, fmt.Errorf("%s: pair (%d,%d) lost across the crash", name, p[0], p[1])))
-				}
-			}
-			for p := range seen {
-				if !want[p] {
-					t.Fatal(repro(w, fmt.Errorf("%s: pair (%d,%d) exposed only by the crashed run", name, p[0], p[1])))
-				}
-			}
-			st := eng2.Stats()
-			if st.Used != baseStats.Used || st.DummySpent != baseStats.DummySpent {
-				t.Fatal(repro(w, fmt.Errorf("%s: resumed pool position %d (%d dummy pairs), baseline %d (%d)", name, st.Used, st.DummySpent, baseStats.Used, baseStats.DummySpent)))
-			}
-			if st.Purchased+st.Replayed != baseStats.Purchased {
-				t.Fatal(repro(w, fmt.Errorf("%s: purchased %d + replayed %d ≠ baseline %d — allowance re-spent",
-					name, st.Purchased, st.Replayed, baseStats.Purchased)))
-			}
-		}
-	}
-	if tested == 0 {
-		t.Fatal("no generated world produced ≥ 2 purchases; incremental crash matrix never ran — adjust seeds")
+		tierRetuneArm(t, w, incrementalSteps(w))
 	}
 }
 
@@ -360,7 +143,7 @@ func tierRetuneArm(t *testing.T, w *World, steps []incStep) {
 			second = core.TierOff
 		}
 		name := fmt.Sprintf("world=%d tier %v→%v", w.Seed, first, second)
-		icfg := incrementalConfigFor(w, "plain")
+		icfg := incrementalConfigFor(w)
 		icfg.Tier = first
 		free, err := incremental.New(w.Alice.Schema(), icfg)
 		if err != nil {
@@ -445,7 +228,7 @@ func TestIncrementalDedupOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := incrementalConfigFor(w, "plain")
+		cfg := incrementalConfigFor(w)
 		cfg.Dedup = true
 		eng, err := incremental.New(d.Schema(), cfg)
 		if err != nil {
