@@ -52,6 +52,7 @@ race:
 # accepts one target per run, hence one invocation each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/vgh
+	$(GO) test -run '^$$' -fuzz '^FuzzPathCodeAndIndex$$' -fuzztime $(FUZZTIME) ./internal/vgh
 	$(GO) test -run '^$$' -fuzz '^FuzzReadView$$' -fuzztime $(FUZZTIME) ./internal/anonymize
 	$(GO) test -run '^$$' -fuzz '^FuzzSlackDecisionRule$$' -fuzztime $(FUZZTIME) ./internal/blocking
 	$(GO) test -run '^$$' -fuzz '^FuzzHeuristicOrdering$$' -fuzztime $(FUZZTIME) ./internal/heuristic

@@ -218,13 +218,14 @@ func TestSplitScoreBitStable(t *testing.T) {
 		d.MustAppend(r)
 	}
 	p := &partition{seq: rootSequence(d.Schema(), qids), members: allRecords(d)}
+	r := newRun(d, qids)
 	wide := 0 // splits into three or more children; TDS sums seven labels on any split
 	for _, a := range []Anonymizer{NewMaxEntropy(), NewTDS()} {
 		td := a.(*topDown)
 		for j := range qids {
 			var first uint64
 			for run := 0; run < 1000; run++ {
-				s := td.specialize(d, qids, p, j, nil)
+				s := td.specialize(r, p, j, nil)
 				if s == nil {
 					break
 				}

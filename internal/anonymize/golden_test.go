@@ -173,34 +173,39 @@ func TestDPViewUnpaddedRefused(t *testing.T) {
 }
 
 // TestTopDownViewHashes pins the published view of the two topDown
-// anonymizers on a larger Adult sample than the golden files hold, at a
-// fine and a coarse k: child groups are keyed by value and ordered by
+// anonymizers on larger Adult samples than the golden files hold: 3,000
+// records at a fine and a coarse k, and BenchmarkTopDown's paper-scale input
+// (20,108 records, k = 32). Child groups are keyed by value and ordered by
 // their formatted key, and any change to either must leave every view
-// byte-identical. The hashes were taken before child groups stopped
-// formatting a key per member.
+// byte-identical. The 3,000-record hashes were taken before child groups
+// stopped formatting a key per member; the 20,108-record ones before
+// specialize read path codes and integer interval indexes instead of
+// climbing the taxonomy and hashing intervals.
 func TestTopDownViewHashes(t *testing.T) {
-	d := adult.Generate(3000, 7)
-	qids, err := d.Schema().Resolve(adult.DefaultQIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := map[string]string{
-		"Entropy/2":  "3c47674aac8031f95c0116d926499e3ec0a8831a878c0408b22d5edde9c22eec",
-		"Entropy/32": "cd43a1d168b79efa5552510fb4a34210f4ac74846f9188db0da213e4d210cd7b",
-		"TDS/2":      "2130084687b9b22a93447220d5f51f94077997f5a8851066ba00a6433a8de247",
-		"TDS/32":     "c5fb091df6346ec920aa0788c53188139d12eb3a03d897a719cfba9a9da223ac",
+		"Entropy/3000/2":   "3c47674aac8031f95c0116d926499e3ec0a8831a878c0408b22d5edde9c22eec",
+		"Entropy/3000/32":  "cd43a1d168b79efa5552510fb4a34210f4ac74846f9188db0da213e4d210cd7b",
+		"TDS/3000/2":       "2130084687b9b22a93447220d5f51f94077997f5a8851066ba00a6433a8de247",
+		"TDS/3000/32":      "c5fb091df6346ec920aa0788c53188139d12eb3a03d897a719cfba9a9da223ac",
+		"Entropy/20108/32": "1713886093ec4658276a2c8a84cd60bb8aad3baa4e91357fe703f8704b8ce179",
+		"TDS/20108/32":     "b76f8a86abc8833a64b30b20c4962d950a0998aa30ee74babeea10018e631341",
 	}
-	for _, a := range []anonymize.Anonymizer{anonymize.NewMaxEntropy(), anonymize.NewTDS()} {
-		for _, k := range []int{2, 32} {
-			res, err := a.Anonymize(d, qids, k)
+	for _, c := range []struct{ n, k int }{{3000, 2}, {3000, 32}, {20108, 32}} {
+		d := adult.Generate(c.n, 7)
+		qids, err := d.Schema().Resolve(adult.DefaultQIDs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []anonymize.Anonymizer{anonymize.NewMaxEntropy(), anonymize.NewTDS()} {
+			name := fmt.Sprintf("%s/%d/%d", a.Name(), c.n, c.k)
+			res, err := a.Anonymize(d, qids, c.k)
 			if err != nil {
-				t.Fatalf("%s k=%d: %v", a.Name(), k, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			h := sha256.New()
 			if err := anonymize.WriteView(h, d.Schema(), res); err != nil {
-				t.Fatalf("%s k=%d: WriteView: %v", a.Name(), k, err)
+				t.Fatalf("%s: WriteView: %v", name, err)
 			}
-			name := fmt.Sprintf("%s/%d", a.Name(), k)
 			if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
 				t.Errorf("%s: view hash %s, want %s", name, got, want[name])
 			}

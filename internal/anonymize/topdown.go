@@ -30,6 +30,81 @@ type split struct {
 	parts  []*partition
 }
 
+// column is one QID's compact per-record encoding, built by each Anonymize
+// call, from which specialize reads a member's child key in O(1).
+type column struct {
+	// code[m] is record m's key word. Categorical: its leaf's path code,
+	// whose digit at depth d is the child ordinal of its depth-d ancestor.
+	// Continuous: the number of its value in vals.
+	code []uint32
+	// Continuous only: the distinct values in first-seen order, and
+	// levels[l-1][n], a dense first-seen numbering of the level-l intervals
+	// (by vgh.IntervalHierarchy.Index, l = 1 … Depth) holding vals[n].
+	// Below the leaf intervals the key is the value's own number.
+	vals   []float64
+	levels [][]uint32
+}
+
+// run is one Anonymize call's working state. It belongs to the call: one
+// anonymizer value serves both holders and concurrent jobs.
+type run struct {
+	d    *dataset.Dataset
+	qids []int
+	cols []column
+	// slot[key] is the child id + 1 of the candidate being built, zero for
+	// a key not seen yet; seen lists the keys to zero afterwards.
+	slot []int32
+	seen []uint32
+}
+
+// newRun builds the columns of d's QIDs.
+func newRun(d *dataset.Dataset, qids []int) *run {
+	r := &run{d: d, qids: qids, cols: make([]column, len(qids))}
+	recs := d.Records()
+	keys := 0 // the widest key range: a node's children, or a QID's values
+	for j, q := range qids {
+		col := &r.cols[j]
+		col.code = make([]uint32, len(recs))
+		attr := d.Schema().Attr(q)
+		if attr.Kind == dataset.Categorical {
+			for m := range recs {
+				col.code[m] = recs[m].Cells[q].Node.PathCode()
+			}
+			keys = max(keys, attr.Hierarchy.NumLeaves())
+			continue
+		}
+		byValue := make(map[float64]uint32)
+		for m := range recs {
+			v := recs[m].Cells[q].Num
+			if col.code[m] = number(byValue, v); int(col.code[m]) == len(col.vals) {
+				col.vals = append(col.vals, v)
+			}
+		}
+		ih := attr.Intervals
+		col.levels = make([][]uint32, ih.Depth())
+		for l := range col.levels {
+			byIndex := make(map[int]uint32)
+			col.levels[l] = make([]uint32, len(col.vals))
+			for n, v := range col.vals {
+				col.levels[l][n] = number(byIndex, ih.Index(v, l+1))
+			}
+		}
+		keys = max(keys, len(col.vals))
+	}
+	r.slot = make([]int32, keys)
+	return r
+}
+
+// number returns key's number in seen, giving a key not seen yet the next.
+func number[K comparable](seen map[K]uint32, key K) uint32 {
+	n, ok := seen[key]
+	if !ok {
+		n = uint32(len(seen))
+		seen[key] = n
+	}
+	return n
+}
+
 // topDown is the shared recursive specialization engine behind TDS and
 // MaxEntropy. Starting from the fully generalized partition, it repeatedly
 // picks, per partition, the best valid specialization according to score,
@@ -58,19 +133,26 @@ func (t *topDown) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, err
 	if err := validateInputs(d, qids, k); err != nil {
 		return nil, err
 	}
+	r := newRun(d, qids)
 	// Child-id scratch for the candidate being scored and for the best one
-	// so far. It belongs to this call: one anonymizer value serves both
-	// holders and concurrent jobs.
+	// so far, and a copy of the winner's members while place lays them out
+	// child by child in the partition's own list.
 	ids := [2][]int32{make([]int32, d.Len()), make([]int32, d.Len())}
+	scratch := make([]int, d.Len())
 	var final []*partition
 	queue := []*partition{{seq: rootSequence(d.Schema(), qids), members: allRecords(d)}}
 	for len(queue) > 0 {
 		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		if best := t.bestSplit(d, qids, p, k, &ids); best != nil {
-			queue = append(queue, best.children(p)...)
-		} else {
+		switch best := t.bestSplit(r, p, k, &ids); {
+		case best == nil:
 			final = append(final, p)
+		case best.parts != nil: // a scorer or validity check read them
+			queue = append(queue, best.parts...)
+		default:
+			src := scratch[:len(p.members)]
+			copy(src, p.members)
+			queue = append(queue, best.place(p, src, p.members)...)
 		}
 	}
 	return buildPartitions(t.name, k, qids, final, d.Len()), nil
@@ -79,18 +161,18 @@ func (t *topDown) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, err
 // bestSplit returns the highest-scoring valid, beneficial specialization
 // of p, or nil if none exists. ids[0] is where the next candidate's child
 // ids go; the best candidate so far keeps ids[1].
-func (t *topDown) bestSplit(d *dataset.Dataset, qids []int, p *partition, k int, ids *[2][]int32) *split {
+func (t *topDown) bestSplit(r *run, p *partition, k int, ids *[2][]int32) *split {
 	var best *split
 	bestScore := math.Inf(-1)
-	for j := range qids {
-		s := t.specialize(d, qids, p, j, ids[0])
+	for j := range r.qids {
+		s := t.specialize(r, p, j, ids[0])
 		if s == nil || slices.Min(s.counts) < k {
 			continue
 		}
 		if t.extraValid != nil && slices.ContainsFunc(s.children(p), func(g *partition) bool { return !t.extraValid(g.members) }) {
 			continue
 		}
-		score, ok := t.score(d, p, s)
+		score, ok := t.score(r.d, p, s)
 		if !ok {
 			continue
 		}
@@ -107,34 +189,28 @@ func (t *topDown) bestSplit(d *dataset.Dataset, qids []int, p *partition, k int,
 // capped for continuous values). A "split" into zero children cannot
 // happen (members non-empty); a single-child split is legal and keeps the
 // partition together at a more specific value.
-func (t *topDown) specialize(d *dataset.Dataset, qids []int, p *partition, j int, ids []int32) *split {
+//
+// One pass writes each member's child key — the path-code digit one depth
+// below the partition's node, or the number of the member's interval one
+// level down (of its value, below the leaf intervals) — and a second turns
+// keys into child ids through the slot table, in first-seen order.
+func (t *topDown) specialize(r *run, p *partition, j int, ids []int32) *split {
 	if cap(ids) < len(p.members) {
 		ids = make([]int32, len(p.members))
 	}
-	attr := d.Schema().Attr(qids[j])
-	cur := p.seq[j]
+	col, cur, attr := &r.cols[j], p.seq[j], r.d.Schema().Attr(r.qids[j])
 	s := &split{attr: j, ids: ids[:len(p.members)]}
-	child := func(v vgh.Value) int32 {
-		s.vals, s.counts = append(s.vals, v), append(s.counts, 0)
-		return int32(len(s.vals) - 1)
-	}
+	var child func(m int) vgh.Value // the value of record m's child
 	switch attr.Kind {
 	case dataset.Categorical:
 		if cur.Node.IsLeaf() {
 			return nil
 		}
-		// A node has few children: a scan over the ones seen so far
-		// beats hashing the pointer.
-		h, depth := attr.Hierarchy, cur.Node.Depth()+1
+		digit := attr.Hierarchy.Digit(cur.Node.Depth() + 1)
 		for x, m := range p.members {
-			node := h.GeneralizeToDepth(d.Record(m).Cells[qids[j]].Node, depth)
-			id := int32(slices.IndexFunc(s.vals, func(v vgh.Value) bool { return v.Node == node }))
-			if id < 0 {
-				id = child(vgh.CatValue(node))
-			}
-			s.ids[x] = id
-			s.counts[id]++
+			s.ids[x] = int32(digit.Of(col.code[m]))
 		}
+		child = func(m int) vgh.Value { return vgh.CatValue(cur.Node.Children[digit.Of(col.code[m])]) }
 	case dataset.Continuous:
 		ih := attr.Intervals
 		level := ih.LevelOf(cur.Iv)
@@ -145,43 +221,59 @@ func (t *topDown) specialize(d *dataset.Dataset, qids []int, p *partition, j int
 		if level >= limit {
 			return nil
 		}
-		// Children are keyed by the interval's value. A NaN cell never
-		// equals itself, so it is a child of its own and a split over it
-		// fails the ≥ k check.
-		byIv := make(map[vgh.Interval]int32)
-		for x, m := range p.members {
-			v := d.Record(m).Cells[qids[j]].Num
+		if level == ih.Depth() {
 			// Below the leaf intervals, specialize to the exact values present.
-			iv := vgh.Point(v)
-			if level < ih.Depth() {
-				iv = ih.At(v, level+1)
+			for x, m := range p.members {
+				s.ids[x] = int32(col.code[m])
 			}
-			id, ok := byIv[iv]
-			if !ok {
-				id = child(vgh.NumValue(iv))
-				byIv[iv] = id
-			}
-			s.ids[x] = id
-			s.counts[id]++
+			child = func(m int) vgh.Value { return vgh.NumValue(vgh.Point(col.vals[col.code[m]])) }
+			break
 		}
+		numbers := col.levels[level]
+		for x, m := range p.members {
+			s.ids[x] = int32(numbers[col.code[m]])
+		}
+		child = func(m int) vgh.Value { return vgh.NumValue(ih.At(col.vals[col.code[m]], level+1)) }
 	}
+	for x, key := range s.ids {
+		id := r.slot[key]
+		if id == 0 {
+			s.vals, s.counts = append(s.vals, child(p.members[x])), append(s.counts, 0)
+			id = int32(len(s.vals))
+			r.slot[key] = id
+			r.seen = append(r.seen, uint32(key))
+		}
+		s.ids[x] = id - 1
+		s.counts[id-1]++
+	}
+	for _, key := range r.seen {
+		r.slot[key] = 0
+	}
+	r.seen = r.seen[:0]
 	return s
 }
 
 // children materializes the split's member lists — each at its exact size,
-// all from one backing array, in child-id order — once.
+// all from one new backing array, in child-id order — once.
 func (s *split) children(p *partition) []*partition {
-	if s.parts != nil {
-		return s.parts
+	if s.parts == nil {
+		s.place(p, p.members, make([]int, len(p.members)))
 	}
-	backing, off := make([]int, len(p.members)), 0
+	return s.parts
+}
+
+// place lays src — p's members, in the order s.ids numbers them — out in
+// dst child by child, each child's members in src's order, and returns the
+// children over dst, each list capped at its own length.
+func (s *split) place(p *partition, src, dst []int) []*partition {
+	off := 0
 	for c, n := range s.counts {
 		seq := p.seq.Clone()
 		seq[s.attr] = s.vals[c]
-		s.parts = append(s.parts, &partition{seq: seq, members: backing[off : off : off+n]})
+		s.parts = append(s.parts, &partition{seq: seq, members: dst[off : off : off+n]})
 		off += n
 	}
-	for x, m := range p.members {
+	for x, m := range src {
 		g := s.parts[s.ids[x]]
 		g.members = append(g.members, m)
 	}
@@ -278,10 +370,11 @@ func (m *mondrian) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, er
 	if err := validateInputs(d, qids, k); err != nil {
 		return nil, err
 	}
+	r := newRun(d, qids)
 	seqs := make([]vgh.Sequence, d.Len())
 	var recurse func(p *partition)
 	recurse = func(p *partition) {
-		if sub := m.bestSplit(d, qids, p, k); sub != nil {
+		if sub := m.bestSplit(r, p, k); sub != nil {
 			for _, g := range sub {
 				recurse(g)
 			}
@@ -297,7 +390,8 @@ func (m *mondrian) Anonymize(d *dataset.Dataset, qids []int, k int) (*Result, er
 
 // bestSplit picks the widest-spread attribute whose split keeps every side
 // at ≥ k records. Returns nil when the partition can no longer split.
-func (m *mondrian) bestSplit(d *dataset.Dataset, qids []int, p *partition, k int) []*partition {
+func (m *mondrian) bestSplit(r *run, p *partition, k int) []*partition {
+	d, qids := r.d, r.qids
 	type cand struct {
 		spread float64
 		groups []*partition
@@ -311,7 +405,7 @@ func (m *mondrian) bestSplit(d *dataset.Dataset, qids []int, p *partition, k int
 			groups, spread = m.medianSplit(d, q, j, p)
 			spread /= attr.Intervals.Range()
 		} else {
-			s := (&topDown{}).specialize(d, qids, p, j, nil)
+			s := (&topDown{}).specialize(r, p, j, nil)
 			if s == nil {
 				continue
 			}

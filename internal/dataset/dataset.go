@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"pprl/internal/vgh"
@@ -87,6 +88,9 @@ func (d *Dataset) Append(r Record) error {
 		case Continuous:
 			if c.Node != nil {
 				return fmt.Errorf("attribute %q: continuous cell has a node", attr.Name)
+			}
+			if math.IsNaN(c.Num) || math.IsInf(c.Num, 0) {
+				return fmt.Errorf("attribute %q: %v is not a finite number", attr.Name, c.Num)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -87,6 +88,26 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if d.Len() != 1 {
 		t.Errorf("Len = %d, want 1", d.Len())
+	}
+}
+
+// TestAppendRefusesNonFinite: a continuous cell built in code, not read
+// from CSV, is held to the reader's rule — NaN and ±Inf are refused with
+// parseFinite's wording and the attribute named, and nothing is appended.
+func TestAppendRefusesNonFinite(t *testing.T) {
+	s := testSchema(t)
+	d := New(s)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := d.Append(rec(t, s, 1, "Masters", v))
+		if err == nil || !strings.Contains(err.Error(), "is not a finite number") || !strings.Contains(err.Error(), `"hours"`) {
+			t.Errorf("hours %v: error %v, want a refusal naming attribute \"hours\"", v, err)
+		}
+	}
+	if d.Len() != 0 {
+		t.Errorf("Len = %d after refused appends, want 0", d.Len())
+	}
+	if err := d.Append(rec(t, s, 1, "Masters", math.MaxFloat64)); err != nil {
+		t.Errorf("largest finite value refused: %v", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"pprl/internal/adult"
 )
 
 // benchSpec4 is the acceptance configuration: four attributes mixing the
@@ -126,4 +128,27 @@ func BenchmarkSecureRun(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkEncodeRecords encodes one holder's paper-scale relation — 20,108
+// Adult records, the five default QIDs — as core.Link does before the first
+// purchase, and reports the cost per row.
+func BenchmarkEncodeRecords(b *testing.B) {
+	d := adult.Generate(20108, 7)
+	qids, err := d.Schema().Resolve(adult.DefaultQIDs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		EncodeRecords(d, qids, 1)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	rows := float64(b.N) * float64(d.Len())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/rows, "B/row")
 }

@@ -1,8 +1,10 @@
 package smc
 
 import (
+	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -385,6 +387,90 @@ func TestEncodeRecords(t *testing.T) {
 	}
 	if enc[0][1] != 326 {
 		t.Errorf("scaled 3.26 = %d, want 326", enc[0][1])
+	}
+}
+
+// TestEncodedRowsAreCapped: the rows EncodeRecords and AppendEncoded
+// return are cut from shared backing arrays, so each is capped at its own
+// length — appending to one row must not write into the next, within a
+// block, across a block boundary (2,048 two-value rows a block) or across
+// an extension.
+func TestEncodedRowsAreCapped(t *testing.T) {
+	edu := vgh.Flat("edu", "ANY", "x", "y", "z")
+	ih := vgh.MustIntervalHierarchy("num", 0, 10, 2, 1)
+	d := dataset.New(dataset.MustSchema(dataset.CatAttr(edu), dataset.NumAttr(ih)))
+	appendRows(d, edu, 2049)
+	rows := EncodeRecords(d, []int{0, 1}, 1)
+	appendRows(d, edu, 2)
+	rows = AppendEncoded(rows, d, []int{0, 1}, 1)
+	if len(rows) != 2051 {
+		t.Fatalf("%d rows, want 2051", len(rows))
+	}
+	for i := range rows {
+		if cap(rows[i]) != len(rows[i]) {
+			t.Fatalf("row %d: cap %d, len %d", i, cap(rows[i]), len(rows[i]))
+		}
+		_ = append(rows[i], -1, -1)
+	}
+	for i, row := range rows {
+		if want := []int64{2, int64(i % 2049 % 10)}; !slices.Equal(row, want) {
+			t.Fatalf("row %d = %v after appending to every row, want %v", i, row, want)
+		}
+	}
+}
+
+// TestEncodeRecordsAllocsPerBlock: encoding allocates the row list, the
+// kind table and one backing array per 32 KiB of values — three objects
+// for 10 rows, five for 5,000 two-value rows — never one per row.
+func TestEncodeRecordsAllocsPerBlock(t *testing.T) {
+	edu := vgh.Flat("edu", "ANY", "x", "y", "z")
+	ih := vgh.MustIntervalHierarchy("num", 0, 10, 2, 1)
+	for _, c := range []struct {
+		n    int
+		want float64
+	}{{10, 3}, {5000, 5}} {
+		d := dataset.New(dataset.MustSchema(dataset.CatAttr(edu), dataset.NumAttr(ih)))
+		appendRows(d, edu, c.n)
+		if got := testing.AllocsPerRun(20, func() { EncodeRecords(d, []int{0, 1}, 1) }); got != c.want {
+			t.Errorf("EncodeRecords over %d rows: %v allocations, want %v", c.n, got, c.want)
+		}
+	}
+}
+
+// appendRows appends n records ("z", i % 10) to d, i counting from 0.
+func appendRows(d *dataset.Dataset, edu *vgh.Hierarchy, n int) {
+	for i := 0; i < n; i++ {
+		d.MustAppend(dataset.Record{Cells: []dataset.Cell{dataset.CatCell(edu, "z"), dataset.NumCell(float64(i % 10))}})
+	}
+}
+
+// TestCheckIntegralRefusesNonFinite: NaN and ±Inf pass an integrality test
+// built from comparisons (every comparison with NaN is false) and all
+// encode to the least int64, so two of them compare as equal. They are
+// refused by record and attribute, as are fractional values; whole ones
+// pass.
+func TestCheckIntegralRefusesNonFinite(t *testing.T) {
+	edu := vgh.Flat("edu", "ANY", "x", "y")
+	ih := vgh.MustIntervalHierarchy("age", 0, 100, 2, 2)
+	schema := dataset.MustSchema(dataset.CatAttr(edu), dataset.NumAttr(ih))
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{
+		{math.NaN(), `record 8 attribute "age": NaN is not a finite number`},
+		{math.Inf(1), `record 8 attribute "age": +Inf is not a finite number`},
+		{math.Inf(-1), `record 8 attribute "age": -Inf is not a finite number`},
+		{40.5, `record 8 attribute "age" value 40.5 is not a whole multiple`},
+		{40, ""},
+	} {
+		recs := []dataset.Record{
+			{Cells: []dataset.Cell{dataset.CatCell(edu, "x"), dataset.NumCell(3)}},
+			{Cells: []dataset.Cell{dataset.CatCell(edu, "y"), dataset.NumCell(c.v)}},
+		}
+		err := CheckIntegral(schema, recs, []int{0, 1}, 1, 7)
+		if (err == nil) != (c.want == "") || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("age %v: error %v, want %q", c.v, err, c.want)
+		}
 	}
 }
 

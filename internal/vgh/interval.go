@@ -91,6 +91,10 @@ type IntervalHierarchy struct {
 	max    float64
 	branch int
 	depth  int // number of levels below the root; leaves are at this depth
+	// widths[l] and last[l] are level l's interval width and greatest
+	// interval index.
+	widths []float64
+	last   []float64
 }
 
 // NewIntervalHierarchy builds a hierarchy over [min, max) with the given
@@ -98,6 +102,8 @@ type IntervalHierarchy struct {
 // root (every value generalizes to [min, max)).
 func NewIntervalHierarchy(name string, min, max float64, branch, depth int) (*IntervalHierarchy, error) {
 	switch {
+	case math.IsNaN(max-min) || math.IsInf(max-min, 0):
+		return nil, fmt.Errorf("vgh: interval hierarchy %q: bounds [%v, %v) have no finite width", name, min, max)
 	case max <= min:
 		return nil, fmt.Errorf("vgh: interval hierarchy %q: max %v <= min %v", name, max, min)
 	case branch < 2:
@@ -105,7 +111,20 @@ func NewIntervalHierarchy(name string, min, max float64, branch, depth int) (*In
 	case depth < 0:
 		return nil, fmt.Errorf("vgh: interval hierarchy %q: negative depth %d", name, depth)
 	}
-	return &IntervalHierarchy{name: name, min: min, max: max, branch: branch, depth: depth}, nil
+	// Leaf intervals must be wider than float64 can resolve across the
+	// domain, or two of them could compute to the same bounds: then equal
+	// intervals would not mean equal indexes (Index).
+	m := math.Max(math.Abs(min), math.Abs(max))
+	if leaf := (max - min) / math.Pow(float64(branch), float64(depth)); leaf < 8*(math.Nextafter(m, math.Inf(1))-m) {
+		return nil, fmt.Errorf("vgh: interval hierarchy %q: leaf intervals %g wide are too narrow for float64 near %g", name, leaf, m)
+	}
+	h := &IntervalHierarchy{name: name, min: min, max: max, branch: branch, depth: depth,
+		widths: make([]float64, depth+1), last: make([]float64, depth+1)}
+	for l := range h.widths {
+		n := math.Pow(float64(branch), float64(l)) // intervals at level l
+		h.widths[l], h.last[l] = (max-min)/n, n-1
+	}
+	return h, nil
 }
 
 // MustIntervalHierarchy is NewIntervalHierarchy that panics on error, for
@@ -140,35 +159,30 @@ func (h *IntervalHierarchy) Depth() int { return h.depth }
 func (h *IntervalHierarchy) Branch() int { return h.branch }
 
 // LeafWidth returns the width of a deepest-level interval.
-func (h *IntervalHierarchy) LeafWidth() float64 {
-	return (h.max - h.min) / math.Pow(float64(h.branch), float64(h.depth))
-}
-
-// widthAt returns the interval width at the given level (0 = root).
-func (h *IntervalHierarchy) widthAt(level int) float64 {
-	return (h.max - h.min) / math.Pow(float64(h.branch), float64(level))
-}
+func (h *IntervalHierarchy) LeafWidth() float64 { return h.widths[h.depth] }
 
 // At returns the interval at the given level containing v. Level 0 is the
 // whole domain; level Depth() is a leaf interval. Values outside the
-// domain are clamped to the nearest interval.
+// domain are clamped to the nearest interval. v must not be NaN.
 func (h *IntervalHierarchy) At(v float64, level int) Interval {
 	if level <= 0 {
-		return Interval{Lo: h.min, Hi: h.max}
+		return h.Root()
 	}
-	if level > h.depth {
-		level = h.depth
+	idx, w := h.Index(v, level), h.widths[min(level, h.depth)]
+	return Interval{Lo: h.min + float64(idx)*w, Hi: h.min + float64(idx+1)*w}
+}
+
+// Index returns the position, counting from Min, of the interval At(v,
+// level) among its level's intervals: two values share an interval exactly
+// when they share its index. It reads the level's width and last index,
+// cached at construction. v must not be NaN.
+func (h *IntervalHierarchy) Index(v float64, level int) int {
+	if level <= 0 {
+		return 0
 	}
-	w := h.widthAt(level)
-	idx := math.Floor((v - h.min) / w)
-	maxIdx := math.Pow(float64(h.branch), float64(level)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx > maxIdx {
-		idx = maxIdx
-	}
-	return Interval{Lo: h.min + idx*w, Hi: h.min + (idx+1)*w}
+	level = min(level, h.depth)
+	idx := math.Floor((v - h.min) / h.widths[level])
+	return int(math.Max(0, math.Min(idx, h.last[level])))
 }
 
 // Parent returns the interval one level up from iv, or the root interval

@@ -167,6 +167,22 @@ func TestNewIntervalHierarchyErrors(t *testing.T) {
 	if _, err := NewIntervalHierarchy("x", 0, 10, 2, -1); err == nil {
 		t.Error("negative depth should error")
 	}
+	for _, bounds := range [][2]float64{{0, math.Inf(1)}, {math.Inf(-1), 0}, {math.NaN(), 1}, {-math.MaxFloat64, math.MaxFloat64}} {
+		if _, err := NewIntervalHierarchy("x", bounds[0], bounds[1], 2, 1); err == nil {
+			t.Errorf("bounds %v should error: no finite width", bounds)
+		}
+	}
+	// Leaf intervals float64 cannot tell apart: 10/2^50 is under 8 ulps of
+	// 10, and 1e-12 under one ulp of 1e9.
+	if _, err := NewIntervalHierarchy("x", 0, 10, 2, 50); err == nil {
+		t.Error("2^50 leaf intervals over [0, 10) should error")
+	}
+	if _, err := NewIntervalHierarchy("x", 1e9, 1e9+1e-3, 10, 9); err == nil {
+		t.Error("1e-12-wide leaf intervals near 1e9 should error")
+	}
+	if _, err := NewIntervalHierarchy("x", 0, 10, 2, 40); err != nil {
+		t.Errorf("2^40 leaf intervals over [0, 10): %v", err)
+	}
 }
 
 // Property: At(v, L) always contains v (after clamping into the domain),

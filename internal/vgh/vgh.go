@@ -20,6 +20,7 @@ package vgh
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -34,9 +35,10 @@ type Node struct {
 	// Children are ordered; leaf indexes follow this order.
 	Children []*Node
 
-	depth  int // root = 0
-	leafLo int // first leaf index covered (inclusive)
-	leafHi int // last leaf index covered (exclusive)
+	depth  int    // root = 0
+	leafLo int    // first leaf index covered (inclusive)
+	leafHi int    // last leaf index covered (exclusive)
+	path   uint32 // see PathCode
 }
 
 // IsLeaf reports whether the node is a concrete domain value.
@@ -78,13 +80,30 @@ func (n *Node) IntersectionSize(other *Node) int {
 
 func (n *Node) String() string { return n.Value }
 
+// PathCode returns the node's path from the root as one word: for every
+// depth d from 1 to n.Depth(), the ordinal among its parent's children of
+// n's depth-d ancestor (n itself at its own depth), in the bit field
+// Hierarchy.Digit(d) reads. Fields below n are zero, so the code names n
+// only together with its depth.
+func (n *Node) PathCode() uint32 { return n.path }
+
+// PathDigit is one depth's bit field of a path code.
+type PathDigit struct {
+	Shift uint8
+	Mask  uint32
+}
+
+// Of returns the child ordinal the code holds at the digit's depth.
+func (p PathDigit) Of(code uint32) uint32 { return code >> p.Shift & p.Mask }
+
 // Hierarchy is an immutable categorical value generalization hierarchy.
 type Hierarchy struct {
 	name   string
 	root   *Node
 	byName map[string]*Node
-	leaves []*Node // in leaf-index order
-	height int     // max depth of any leaf
+	leaves []*Node     // in leaf-index order
+	height int         // max depth of any leaf
+	digits []PathDigit // by depth; digits[0] is the root's empty field
 }
 
 // Name returns the attribute name the hierarchy describes.
@@ -138,6 +157,12 @@ func (h *Hierarchy) GeneralizeToDepth(n *Node, depth int) *Node {
 	}
 	return n
 }
+
+// Digit returns the bit field of path codes that holds the child ordinal
+// at depth (1 ≤ depth ≤ Height()): for a node at least that deep,
+// Digit(depth).Of(n.PathCode()) is the position of
+// GeneralizeToDepth(n, depth) among its parent's Children.
+func (h *Hierarchy) Digit(depth int) PathDigit { return h.digits[depth] }
 
 // Ancestors returns the chain from n's parent up to the root, nearest
 // first. A root yields an empty slice.
@@ -222,7 +247,44 @@ func (b *Builder) Build() (*Hierarchy, error) {
 	if len(h.leaves) == 0 {
 		return nil, fmt.Errorf("vgh: hierarchy %q has no leaves", b.name)
 	}
+	if err := h.assignPaths(); err != nil {
+		return nil, err
+	}
 	return h, nil
+}
+
+// assignPaths lays out the path code's digits — depth d's field as wide as
+// the widest child list at depth d-1 needs, shallow depths in the low bits,
+// 32 bits in all — and gives every node its code.
+func (h *Hierarchy) assignPaths() error {
+	fanout := make([]int, h.height+1) // fanout[d]: most children of a node at depth d-1
+	var widest func(n *Node)
+	widest = func(n *Node) {
+		for _, c := range n.Children {
+			fanout[c.depth] = max(fanout[c.depth], len(n.Children))
+			widest(c)
+		}
+	}
+	widest(h.root)
+	h.digits = make([]PathDigit, h.height+1)
+	shift := 0
+	for d := 1; d <= h.height; d++ {
+		w := bits.Len(uint(fanout[d] - 1))
+		if shift+w > 32 {
+			return fmt.Errorf("vgh: hierarchy %q needs more than 32 bits to number its paths", h.name)
+		}
+		h.digits[d] = PathDigit{Shift: uint8(shift), Mask: uint32(1)<<w - 1}
+		shift += w
+	}
+	var code func(n *Node)
+	code = func(n *Node) {
+		for i, c := range n.Children {
+			c.path = n.path | uint32(i)<<h.digits[c.depth].Shift
+			code(c)
+		}
+	}
+	code(h.root)
+	return nil
 }
 
 // MustBuild is Build that panics on error, for static hierarchy literals.

@@ -1,6 +1,7 @@
 package vgh
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -135,6 +136,35 @@ func TestGeneralizeToDepth(t *testing.T) {
 	}
 	if got := h.GeneralizeToDepth(m, 99); got != m {
 		t.Errorf("deeper than node = %v, want node unchanged", got)
+	}
+}
+
+// TestPathCodes: on Figure 1's Education hierarchy each depth's digit of
+// a path code is the ancestor's position among its siblings, and a
+// hierarchy whose widest child lists need more than 32 bits in all is
+// refused by name.
+func TestPathCodes(t *testing.T) {
+	h := education(t)
+	m := h.MustLookup("Masters") // University (1) → Grad School (1) → Masters (0)
+	for d, want := range []uint32{1: 1, 2: 1, 3: 0} {
+		if d > 0 && h.Digit(d).Of(m.PathCode()) != want {
+			t.Errorf("Masters: digit %d = %d, want %d", d, h.Digit(d).Of(m.PathCode()), want)
+		}
+	}
+	if h.Root().PathCode() != 0 {
+		t.Errorf("root path code %d, want 0", h.Root().PathCode())
+	}
+
+	// Eleven levels, each with one node of five children: 3 bits a level.
+	b, parent := NewBuilder("wide", "ANY"), "ANY"
+	for d := 0; d < 11; d++ {
+		for c := 0; c < 5; c++ {
+			b.Add(parent, fmt.Sprintf("d%d-%d", d, c))
+		}
+		parent = fmt.Sprintf("d%d-0", d)
+	}
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), `"wide"`) {
+		t.Errorf("33-bit path codes: err = %v, want a refusal naming the hierarchy", err)
 	}
 }
 
