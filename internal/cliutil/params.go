@@ -221,8 +221,9 @@ func (p *Params) Core(qids []string) (core.Config, error) {
 }
 
 // Incremental materializes the block for a live (or -dedup) engine, which
-// cannot train a classifier; the binning level, the dedup switch and the
-// journal are the caller's.
+// cannot train a classifier and has no DP mode: ε, δ and the seed are not
+// carried over, so a surface that takes them refuses them first. The
+// binning level, the dedup switch and the journal are the caller's.
 func (p *Params) Incremental(qids []string) (incremental.Config, error) {
 	c, err := p.Core(qids) // the named choices, resolved in one place
 	if err == nil && c.Strategy == core.TrainClassifier {
@@ -236,9 +237,6 @@ func (p *Params) Incremental(qids []string) (incremental.Config, error) {
 		Strategy:   c.Strategy,
 		Tier:       c.Tier,
 		TierLow:    p.TierLow,
-		Epsilon:    p.Epsilon,
-		DPDelta:    p.DPDelta,
-		DPSeed:     p.DPSeed,
 		Comparator: c.Comparator,
 		SMCWorkers: p.SMCWorkers,
 	}

@@ -23,7 +23,7 @@ var ErrInterrupted = resolve.ErrInterrupted
 // blocking summary and resolved allowance. Two runs with equal manifests
 // resolve the same pairs in the same order to the same verdicts, which is
 // what makes replaying a journaled prefix sound. rec is the journal being
-// resumed, nil for a fresh one (HashPadded).
+// resumed, nil for a fresh one (hashPadded).
 func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowance int64, rec *journal.Recovered) (m journal.Manifest, err error) {
 	m = journal.Manifest{
 		InputsDigest: inputsDigest(alice.Data, bob.Data),
@@ -41,10 +41,10 @@ func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowan
 // their padded releases: its pairs are records, not handles.
 var ErrUnpaddedJournal = errors.New("journal: a DP journal from before DP runs walked the padded release — its pairs are records, this build's are padded handles; refusing to resume, start a fresh journal")
 
-// HashPadded ends a DP config digest with the field that says its pairs
+// hashPadded ends a DP config digest with the field that says its pairs
 // are padded handles, and refuses rec, the journal a run resumes (nil when
 // fresh), if its digest is the one without it: a journal of record pairs.
-func HashPadded(h hash.Hash, rec *journal.Recovered) error {
+func hashPadded(h hash.Hash, rec *journal.Recovered) error {
 	if rec != nil && rec.Manifest.ConfigDigest == [32]byte(h.Sum(nil)) {
 		return ErrUnpaddedJournal
 	}
@@ -92,7 +92,7 @@ func configDigest(cfg *Config, allowance int64, rec *journal.Recovered) ([32]byt
 		journal.HashField(h, "dpdelta", strconv.FormatFloat(cfg.DPDelta, 'g', -1, 64))
 		journal.HashField(h, "dpseed", strconv.FormatInt(cfg.DPSeed, 10))
 		journal.HashField(h, "dplevel", strconv.Itoa(cfg.DPLevel))
-		if err := HashPadded(h, rec); err != nil {
+		if err := hashPadded(h, rec); err != nil {
 			return [32]byte{}, err
 		}
 	}

@@ -4,7 +4,7 @@
 // buckets (continuous attributes) at a fixed depth, then publishes the
 // bins with Laplace-noised, dummy-padded sizes so the released histogram
 // is (ε, δ)-DP. The matcher intersects the two noised releases through
-// the one blocking loop (index.Stream, index.Decide) — equal or
+// the one blocking loop (index.Stream) — equal or
 // overlapping bins become candidate (Unknown) pairs for the SMC tier (the
 // bloom tier is refused, ErrTierUnderDP), everything else is NonMatch —
 // and walks the padded member lists, dummies included, against the SMC

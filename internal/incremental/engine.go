@@ -45,7 +45,7 @@ type BatchResult struct {
 	// own slice, so read-only.
 	Deltas []Delta
 	// Spent is the allowance the batch consumed — the pairs it bought or
-	// replayed, DP dummies among them.
+	// replayed.
 	Spent int64
 	// Replayed reports the batch was reconstructed wholesale from a
 	// committed journal frame: verdicts applied from disk, zero allowance
@@ -71,19 +71,16 @@ type Stats struct {
 	// Replayed counts verdicts applied from the journal instead.
 	Purchased int64
 	Replayed  int64
-	// Used is the lifetime pool position, Purchased + Replayed; DummySpent
-	// is the part of it that touched a DP dummy handle.
-	Used       int64
-	DummySpent int64
+	// Used is the lifetime pool position, Purchased + Replayed.
+	Used int64
 	// Epoch advances once per applied batch; readers use it to detect
 	// growth between snapshots.
 	Epoch uint64
 }
 
 // bin is one equivalence bin of a side: the shared fixed-level sequence
-// and its members in append order — record positions, or under DP handles
-// of the padded release — []int because a candidate group hands the kernel
-// these slices themselves, not copies.
+// and its members' record positions in append order — []int because a
+// candidate group hands the kernel these slices themselves, not copies.
 type bin struct {
 	seq     vgh.Sequence
 	members []int
@@ -97,43 +94,6 @@ type side struct {
 	bins  []bin
 	byKey map[string]int32
 	live  *index.Live
-	// pad is the side's padded release under DP, nil otherwise.
-	pad *livePad
-}
-
-// livePad is a side's DP release as it grows. A bin gets its noised count
-// of dummy handles (the frozen release's constant draw) when it is born,
-// right behind the record that created it: handles stay in append order,
-// and each dummy is walked in exactly one batch — the one that created it.
-type livePad struct {
-	dpblock.PadMap // RecordOf: handle → record, −1 for a dummy
-	seed           int64
-	sentinel       [2][]int64 // the dummies' row as A and as B
-}
-
-// add gives the next handle to record rec, or to a dummy of its new bin.
-func (p *livePad) add(rec int, dummy bool) int {
-	if dummy {
-		rec = -1
-	}
-	p.RecordOf = append(p.RecordOf, rec)
-	return len(p.RecordOf) - 1
-}
-
-// record maps a handle back to its record, −1 for a dummy.
-func (s *side) record(h int) int {
-	if s.pad == nil {
-		return h
-	}
-	return s.pad.RecordOf[h]
-}
-
-// rows is the side's encoding table by handle in role r (0 = A, 1 = B).
-func (s *side) rows(r int) [][]int64 {
-	if s.pad == nil {
-		return s.enc
-	}
-	return dpblock.PadEncodings(s.enc, s.pad.sentinel[r], &s.pad.PadMap)
 }
 
 // Engine owns one live dataset (dedup) or one live dataset pair. Append
@@ -146,7 +106,6 @@ type Engine struct {
 	qids   []int
 	rule   *blocking.Rule
 	spec   *smc.Spec
-	dp     bool
 	tenc   *bloom.Encoder // nil with the tier off
 	sides  []*side
 
@@ -200,7 +159,6 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 		qids:   qids,
 		rule:   rule,
 		spec:   spec,
-		dp:     cfg.Epsilon > 0,
 	}
 	if cfg.Tier == core.TierBloom {
 		e.tenc = bloom.NewDefaultEncoder()
@@ -209,29 +167,15 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 	if cfg.Dedup {
 		nSides = 1
 	}
-	for _, role := range []string{"alice", "bob"}[:nSides] {
-		s := &side{
+	for range nSides {
+		e.sides = append(e.sides, &side{
 			data:  dataset.New(schema),
 			byKey: make(map[string]int32),
 			live:  index.NewLive(rule),
-		}
-		if e.dp {
-			s.pad = &livePad{seed: dpblock.HolderSeed(cfg.DPSeed, role)}
-			for r := range s.pad.sentinel {
-				// Refuses a classifier that cannot hide padding.
-				if s.pad.sentinel[r], err = dpblock.DummyRow(schema, qids, spec, r == 0); err != nil {
-					return nil, fmt.Errorf("incremental: %w", err)
-				}
-			}
-		}
-		e.sides = append(e.sides, s)
+		})
 	}
 	if cfg.Journal != nil {
-		m, err := cfg.manifest(schema, qids)
-		if err == nil {
-			_, err = cfg.Journal.Begin(m)
-		}
-		if err != nil {
+		if _, err := cfg.Journal.Begin(cfg.manifest(schema, qids)); err != nil {
 			return nil, fmt.Errorf("incremental: %w", err)
 		}
 		if cfg.Recovered != nil {
@@ -350,10 +294,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	}
 
 	// Grow the side: records, encodings, bins, live index.
-	base, hbase := s.data.Len(), s.data.Len()
-	if s.pad != nil {
-		hbase = len(s.pad.RecordOf)
-	}
+	base := s.data.Len()
 	for _, rec := range recs {
 		if err := s.data.Append(rec); err != nil {
 			return nil, fmt.Errorf("incremental: %w", err)
@@ -370,10 +311,10 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		return nil, err
 	}
 
-	// Candidate generation: new pairs only, labeled by the same predicate
-	// the frozen run uses (slack rule, or bin intersection under DP).
+	// Candidate generation: new pairs only, labeled by the slack rule the
+	// frozen run uses.
 	var batchDeltas []Delta
-	groups := e.collectGroups(sideIdx, hbase, touched, batch, &batchDeltas)
+	groups := e.collectGroups(sideIdx, base, touched, batch, &batchDeltas)
 	if e.onGroups != nil {
 		e.onGroups(groups)
 	}
@@ -415,9 +356,8 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 }
 
 // binNew assigns every record appended at or after base to its
-// fixed-level bin, inserting unseen bins into the live index (and, in DP
-// mode, giving each its constant noise in dummy handles). It returns the
-// touched bin ids in ascending order.
+// fixed-level bin, inserting unseen bins into the live index. It returns
+// the touched bin ids in ascending order.
 func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 	s := e.sides[sideIdx]
 	touchedSet := make(map[int32]bool)
@@ -440,17 +380,7 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 			s.bins = append(s.bins, bin{seq: seq})
 			s.byKey[key] = bi
 		}
-		b := &s.bins[bi]
-		if s.pad == nil {
-			b.members = append(b.members, i)
-		} else {
-			b.members = append(b.members, s.pad.add(i, false))
-			if !ok {
-				for n := dpblock.Noise(s.pad.seed, key, e.cfg.Epsilon, e.cfg.DPDelta); n > 0; n-- {
-					b.members = append(b.members, s.pad.add(i, true))
-				}
-			}
-		}
+		s.bins[bi].members = append(s.bins[bi].members, i)
 		touchedSet[bi] = true
 	}
 	touched := make([]int32, 0, len(touchedSet))
@@ -484,7 +414,7 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 	s := e.sides[sideIdx]
 
 	addGroup := func(g group, seqA, seqB vgh.Sequence) {
-		label := index.Decide(e.rule, e.dp, seqA, seqB)
+		label := e.rule.Decide(seqA, seqB)
 		if label == blocking.NonMatch {
 			return
 		}
@@ -565,14 +495,12 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 
 // resolve hands the batch's uncertain groups to the resolution kernel
 // (DESIGN.md §16) in order — groups[order[k]] is the k-th — and files its
-// events into the delta log and the lifetime accounting; a pair that
-// touches a DP dummy emits nothing and is DummySpent (the tier is refused
-// under DP, so every such pair was bought). What stays here is what only a
-// live dataset has: the budget is what the lifetime pool has left, the
-// journaled purchases are the batch's own frame, and a committed frame
-// replays without buying or journaling anything — from the frame alone:
-// its purchases and its tier labels stand whatever the tier is set to now,
-// which applies only to batches without a committed frame.
+// events into the delta log and the lifetime accounting. What stays here
+// is what only a live dataset has: the budget is what the lifetime pool
+// has left, the journaled purchases are the batch's own frame, and a
+// committed frame replays without buying or journaling anything — from the
+// frame alone: its purchases and its tier labels stand whatever the tier
+// is set to now, which applies only to batches without a committed frame.
 func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
 	// Side b is side 1, or side 0 again when the dataset links itself.
 	a, b := e.sides[0], e.sides[len(e.sides)-1]
@@ -583,7 +511,7 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 		if committed {
 			return nil, fmt.Errorf("committed batch %d needs a fresh purchase: journal and engine state diverged", batch)
 		}
-		c, err := e.cfg.Comparator(a.rows(0), b.rows(1), e.spec, e.cfg.SMCWorkers)
+		c, err := e.cfg.Comparator(a.enc, b.enc, e.spec, e.cfg.SMCWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("building comparator: %w", err)
 		}
@@ -618,18 +546,14 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 				}
 				e.stats.Used += n
 			}
-			i := a.record(ev.I)
-			for x, hj := range ev.Js {
-				j := b.record(hj)
+			for x, j := range ev.Js {
 				switch {
-				case i < 0 || j < 0:
-					e.stats.DummySpent++
 				case ev.Kind != resolve.Tiered:
 					if ev.Verdicts[x] {
-						*deltas = append(*deltas, e.delta(batch, i, j))
+						*deltas = append(*deltas, e.delta(batch, ev.I, j))
 					}
-				case frameTier[[2]uint32{uint32(ev.I), uint32(hj)}]:
-					*deltas = append(*deltas, e.delta(batch, i, j))
+				case frameTier[[2]uint32{uint32(ev.I), uint32(j)}]:
+					*deltas = append(*deltas, e.delta(batch, ev.I, j))
 				default:
 					e.stats.TierNonMatches++
 				}
@@ -659,12 +583,9 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 		// Residuals default to match; under MaximizePrecision they are
 		// never emitted, which is what keeps precision structural.
 		in.Residual = func(ev resolve.Event) {
-			i := a.record(ev.I)
-			for _, hj := range ev.Js {
-				if j := b.record(hj); i >= 0 && j >= 0 {
-					e.stats.ResidualMatches++
-					*deltas = append(*deltas, e.delta(batch, i, j))
-				}
+			for _, j := range ev.Js {
+				e.stats.ResidualMatches++
+				*deltas = append(*deltas, e.delta(batch, ev.I, j))
 			}
 		}
 	}

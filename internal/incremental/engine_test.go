@@ -2,9 +2,7 @@ package incremental_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,14 +15,11 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distance"
-	"pprl/internal/dpblock"
 	"pprl/internal/incremental"
-	"pprl/internal/index"
 	"pprl/internal/journal"
 	"pprl/internal/resolve"
 	"pprl/internal/smc"
 	"pprl/internal/testkit"
-	"pprl/internal/vgh"
 )
 
 // ample is an allowance no test workload can exhaust.
@@ -601,16 +596,26 @@ func TestIncrementalBindingAllowance(t *testing.T) {
 }
 
 // TestIncrementalRejects exercises the config and batch validation edges.
+// A negative level is refused by New: it used to pass and panic in the
+// binner on the first Append, after the batch mark was journaled.
 func TestIncrementalRejects(t *testing.T) {
 	w := testkit.Generate(1)
 	schema := w.Alice.Schema()
-	if _, err := incremental.New(schema, incremental.Config{}); err == nil {
-		t.Error("empty config accepted")
-	}
-	bad := incrementalConfig(w, 0)
-	bad.Strategy = core.TrainClassifier
-	if _, err := incremental.New(schema, bad); err == nil {
-		t.Error("TrainClassifier accepted")
+	for _, tc := range []struct {
+		name string
+		set  func(*incremental.Config)
+		want string
+	}{
+		{"empty config", func(c *incremental.Config) { *c = incremental.Config{} }, "QIDs are required"},
+		{"TrainClassifier", func(c *incremental.Config) { c.Strategy = core.TrainClassifier }, "cannot run incrementally"},
+		{"level -1", func(c *incremental.Config) { c.Level = -1 }, "level must be ≥ 0, got -1"},
+		{"level -5", func(c *incremental.Config) { c.Level = -5 }, "level must be ≥ 0, got -5"},
+	} {
+		cfg := incrementalConfig(w, 0)
+		tc.set(&cfg)
+		if _, err := incremental.New(schema, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a refusal mentioning %q", tc.name, err, tc.want)
+		}
 	}
 	eng, err := incremental.New(schema, incrementalConfig(w, 0))
 	if err != nil {
@@ -630,61 +635,6 @@ func TestIncrementalRejects(t *testing.T) {
 	}
 	if _, err := deng.Append(1, w.Alice.Records()); err == nil {
 		t.Error("dedup engine accepted side 1")
-	}
-
-	// A classifier that accepts every pair cannot hide DP padding: refused
-	// before the journal is begun.
-	adultSchema := adult.Generate(10, 1).Schema()
-	path := filepath.Join(t.TempDir(), "live.wal")
-	jw, err := journal.Create(path, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jw.Close()
-	_, err = incremental.New(adultSchema, incremental.Config{
-		QIDs: []string{adult.AttrWorkclass, adult.AttrRace, adult.AttrSex}, Thresholds: []float64{1, 1, 1},
-		Epsilon: 1, Journal: jw,
-	})
-	if err == nil || !strings.Contains(err.Error(), "padding cannot be hidden") {
-		t.Errorf("all-ModeAlways classifier under DP: err = %v", err)
-	}
-	if _, err := journal.Replay(path); !errors.Is(err, journal.ErrNoManifest) {
-		t.Errorf("the refused registration left a journal behind (replay err %v)", err)
-	}
-}
-
-// TestIncrementalRefusesBadDP: a caller who asks for privacy never gets
-// none. DP parameters the engine cannot honor are refused with the wording
-// core.Config uses, where the engine used to run them without DP. So is a
-// DP journal whose frames hold tier labels over the padded release, written
-// before tier and DP refused each other (TestTierRefusedUnderDP has the
-// plain refusal), by the same sentinel.
-func TestIncrementalRefusesBadDP(t *testing.T) {
-	w := testkit.Generate(1)
-	jw, err := journal.Create(filepath.Join(t.TempDir(), "live.wal"), journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jw.Close()
-	for _, tc := range []struct {
-		name string
-		set  func(*incremental.Config)
-		want string
-	}{
-		{"negative epsilon", func(c *incremental.Config) { c.Epsilon = -1 }, "epsilon must be a positive finite number"},
-		{"NaN epsilon", func(c *incremental.Config) { c.Epsilon = math.NaN() }, "epsilon must be a positive finite number"},
-		{"seed without epsilon", func(c *incremental.Config) { c.DPSeed = 7 }, "DP parameters set without Epsilon > 0"},
-		{"delta without epsilon", func(c *incremental.Config) { c.DPDelta = 0.7 }, "DP parameters set without Epsilon > 0"},
-		{"tier labels in a dp journal", func(c *incremental.Config) {
-			c.Epsilon, c.Journal = 2, jw
-			c.Recovered = &journal.Recovered{TierVerdicts: []journal.Verdict{{I: 0, J: 1}}}
-		}, dpblock.ErrTierUnderDP.Error()},
-	} {
-		cfg := incrementalConfig(w, 0)
-		tc.set(&cfg)
-		if _, err := incremental.New(w.Alice.Schema(), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want a refusal mentioning %q", tc.name, err, tc.want)
-		}
 	}
 }
 
@@ -862,119 +812,6 @@ func TestIncrementalSecureRefusesOutOfDomainAppend(t *testing.T) {
 		_, err = eng.Append(1, rest)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bob: record %d", half+1)) || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("appending a record of age %v: error %v, want a refusal naming bob's record %d", row.age, err, half+1)
-		}
-	}
-}
-
-// TestIncrementalDPDedupHandles pins the handle space of a DP dataset that
-// links itself. Its one table plays both roles, so the B role carries
-// Bob's sentinel: two dummies of one bin meet (many times, at ε = 1) and
-// never match, no delta names a dummy, the delta union is the exact rule's
-// matches among the candidate pairs, and — fed in one batch or four — the
-// dummies bought are exactly the padding of the final release, counted
-// here from the bins and the noise directly.
-func TestIncrementalDPDedupHandles(t *testing.T) {
-	const eps, seed = 1.0, 3
-	for _, world := range []int64{1, 2} {
-		w := testkit.Generate(world)
-		d, err := w.Alice.Concat(w.Bob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qids, err := d.Schema().Resolve(d.Schema().Names())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The final release: every record's bin, and per unordered candidate
-		// bin pair the padded pairs less the real ones.
-		type binCount struct {
-			seq      vgh.Sequence
-			n, noise int64
-		}
-		var bins []*binCount
-		byKey := map[string]*binCount{}
-		seqs := make([]vgh.Sequence, d.Len())
-		for i := 0; i < d.Len(); i++ {
-			seq, err := dpblock.BinRecord(d, qids, i, dpblock.DefaultLevel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqs[i] = seq
-			b := byKey[seq.Key()]
-			if b == nil {
-				b = &binCount{seq: seq, noise: dpblock.Noise(dpblock.HolderSeed(seed, "alice"), seq.Key(), eps, dpblock.DefaultDelta)}
-				byKey[seq.Key()] = b
-				bins = append(bins, b)
-			}
-			b.n++
-		}
-		var dummyPairs int64
-		for x, a := range bins {
-			p := a.n + a.noise
-			dummyPairs += p*(p-1)/2 - a.n*(a.n-1)/2
-			for _, b := range bins[x+1:] {
-				if index.SequencesIntersect(a.seq, b.seq) {
-					dummyPairs += (a.n+a.noise)*(b.n+b.noise) - a.n*b.n
-				}
-			}
-		}
-		// What an ample pool finds: the exact rule's matches among the
-		// candidates (bin intersection may prune a true match; never adds one).
-		rule := mustRule(t, d.Schema(), qids, w.Cfg.Theta, w.Cfg.Thresholds)
-		truth := make(map[[2]int]bool)
-		for i := 0; i < d.Len(); i++ {
-			for j := i + 1; j < d.Len(); j++ {
-				if index.SequencesIntersect(seqs[i], seqs[j]) &&
-					rule.DecideExact(blocking.RecordSequence(d, qids, i), blocking.RecordSequence(d, qids, j)) {
-					truth[[2]int{i, j}] = true
-				}
-			}
-		}
-
-		for _, size := range []int{d.Len(), d.Len()/4 + 1} {
-			name := fmt.Sprintf("world %d, batches of %d", world, size)
-			icfg := incrementalConfig(w, ample)
-			icfg.Dedup, icfg.Epsilon, icfg.DPSeed = true, eps, seed
-			eng, err := incremental.New(d.Schema(), icfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameBin := 0
-			eng.ObserveEvents(func(ev resolve.Event) {
-				if ev.Kind == resolve.Tiered {
-					return
-				}
-				ri, bi := eng.Handle(0, ev.I)
-				for x, j := range ev.Js {
-					rj, bj := eng.Handle(0, j)
-					if (ri < 0 || rj < 0) && ev.Verdicts[x] {
-						t.Errorf("%s: handle pair (%d,%d) touches a dummy and matched", name, ev.I, j)
-					}
-					if ri < 0 && rj < 0 && bi == bj {
-						sameBin++
-					}
-				}
-			})
-			got := make(map[[2]int]bool)
-			for _, b := range batchesOf(d, size) {
-				res, err := eng.Append(0, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, dl := range res.Deltas {
-					if dl.I < 0 || dl.J >= d.Len() || dl.I >= dl.J || dl.AliceID != d.Record(dl.I).EntityID || dl.BobID != d.Record(dl.J).EntityID {
-						t.Fatalf("%s: delta %+v does not name two records i < j", name, dl)
-					}
-				}
-				addDeltas(t, got, res.Deltas)
-			}
-			diffPairSets(t, got, truth, name)
-			if sameBin == 0 {
-				t.Errorf("%s: no two dummies of one bin met; the sentinel roles go untested", name)
-			}
-			if st := eng.Stats(); st.DummySpent != dummyPairs || st.Used != st.Purchased {
-				t.Errorf("%s: bought %d dummy pairs (used %d, purchased %d), the final release pads %d", name, st.DummySpent, st.Used, st.Purchased, dummyPairs)
-			}
 		}
 	}
 }

@@ -18,14 +18,8 @@
 // inverted index), and a pair's verdict is fixed the moment it is
 // resolved.
 //
-// In DP mode the engine reuses those layers but the tier, which DP
-// refuses (dpblock.ErrTierUnderDP), and keeps the composition ledger
-// honest across batches: bin noise is the same deterministic draw the
-// frozen run uses — constant per (seed, bin key) — so K appends still
-// constitute one logical (ε, δ) release of the growing histogram. A bin
-// gets its dummy handles the moment it is born and the walk buys a dummy
-// pair like any other; each dummy is new in exactly one batch, so the
-// padding telescopes to the frozen run's for the final counts.
+// The engine has no DP mode: it publishes no view, so there is no release
+// for noise to protect (SECURITY.md, "Repeated releases").
 package incremental
 
 import (
@@ -68,17 +62,9 @@ type Config struct {
 	// Tier enables the CLK triage tier with the frozen engine's knobs, like
 	// there outside the journal manifest: a dataset may restart with the
 	// tier switched or retuned — a committed batch replays from its frame
-	// (purchases and tier labels), the new setting applies after it. It
-	// excludes Epsilon (dpblock.ErrTierUnderDP).
+	// (purchases and tier labels), the new setting applies after it.
 	Tier    core.TierMode
 	TierLow float64
-	// Epsilon > 0 switches blocking to DP bin intersection over padded
-	// releases; DPDelta 0 selects dpblock.DefaultDelta. DPSeed keys the
-	// noise per role (dpblock.HolderSeed; side 0 is alice) as everywhere.
-	// Either without a positive finite Epsilon is refused.
-	Epsilon float64
-	DPDelta float64
-	DPSeed  int64
 	// Dedup links the dataset against itself: one side, unordered pairs
 	// i<j, self-pairs excluded.
 	Dedup bool
@@ -132,22 +118,8 @@ func (c Config) normalize() (Config, error) {
 	if c.Allowance < 0 {
 		return c, fmt.Errorf("incremental: negative allowance %d", c.Allowance)
 	}
-	if c.Epsilon != 0 || c.DPDelta != 0 || c.DPSeed != 0 {
-		if c.Epsilon == 0 {
-			return c, fmt.Errorf("incremental: DP parameters set without Epsilon > 0")
-		}
-		if c.DPDelta == 0 {
-			c.DPDelta = dpblock.DefaultDelta
-		}
-		if err := (dpblock.Params{Epsilon: c.Epsilon, Delta: c.DPDelta, Seed: c.DPSeed, Level: c.Level}).Validate(); err != nil {
-			return c, fmt.Errorf("incremental: %w", err)
-		}
-		if c.Tier != core.TierOff {
-			return c, fmt.Errorf("incremental: %w", dpblock.ErrTierUnderDP)
-		}
-		if c.Recovered != nil && len(c.Recovered.TierVerdicts) > 0 {
-			return c, fmt.Errorf("incremental: the journal holds tier labels over the padded release: %w", dpblock.ErrTierUnderDP)
-		}
+	if c.Level < 0 {
+		return c, fmt.Errorf("incremental: level must be ≥ 0, got %d", c.Level)
 	}
 	if c.Journal == nil && c.Recovered != nil {
 		return c, fmt.Errorf("incremental: Recovered set without a Journal")
@@ -160,14 +132,13 @@ func (c Config) normalize() (Config, error) {
 // summarize — and InputsDigest covers the registration (schema shape,
 // QIDs, dedup flag), not the record data: the records are watermarked
 // per batch by the recBatch digests instead.
-func (c *Config) manifest(schema *dataset.Schema, qids []int) (m journal.Manifest, err error) {
-	m = journal.Manifest{
+func (c *Config) manifest(schema *dataset.Schema, qids []int) journal.Manifest {
+	return journal.Manifest{
 		InputsDigest: registrationDigest(schema, qids, c.Dedup),
+		ConfigDigest: c.configDigest(),
 		Allowance:    c.Allowance,
 		Heuristic:    c.Heuristic.Name(),
 	}
-	m.ConfigDigest, err = c.configDigest()
-	return m, err
 }
 
 // configDigest hashes the parameters that determine which pairs are
@@ -176,7 +147,7 @@ func (c *Config) manifest(schema *dataset.Schema, qids []int) (m journal.Manifes
 // or free labels, never purchased verdicts. The engine makes no random
 // choice; "seed" stays in the hash, at the 0 every journal on disk was
 // written with, so those journals still resume.
-func (c *Config) configDigest() ([32]byte, error) {
+func (c *Config) configDigest() [32]byte {
 	h := sha256.New()
 	for _, q := range c.QIDs {
 		journal.HashField(h, "qid", q)
@@ -192,15 +163,7 @@ func (c *Config) configDigest() ([32]byte, error) {
 	journal.HashField(h, "scale", strconv.FormatInt(c.Scale, 10))
 	journal.HashField(h, "seed", "0")
 	journal.HashField(h, "dedup", strconv.FormatBool(c.Dedup))
-	if c.Epsilon > 0 {
-		journal.HashField(h, "epsilon", strconv.FormatFloat(c.Epsilon, 'g', -1, 64))
-		journal.HashField(h, "dpdelta", strconv.FormatFloat(c.DPDelta, 'g', -1, 64))
-		journal.HashField(h, "dpseed", strconv.FormatInt(c.DPSeed, 10))
-		if err := core.HashPadded(h, c.Recovered); err != nil {
-			return [32]byte{}, err
-		}
-	}
-	return [32]byte(h.Sum(nil)), nil
+	return [32]byte(h.Sum(nil))
 }
 
 // registrationDigest hashes what a dataset registration pins: the schema

@@ -12,12 +12,12 @@ import (
 // TestGroupOrderHasNoTies: the engine sorts a batch's candidate groups
 // with an unstable sort, which picks the stable sort's order only if no
 // two groups compare equal. On every generated world — cross-dataset and
-// dedup, plain and DP, both score directions — no batch holds a tie.
+// dedup, both score directions — no batch holds a tie.
 func TestGroupOrderHasNoTies(t *testing.T) {
 	groups := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		w := testkit.Generate(seed)
-		for _, mode := range []string{"plain", "dp", "recall", "dedup"} {
+		for _, mode := range []string{"plain", "recall", "dedup"} {
 			cfg := incremental.Config{
 				QIDs:       w.Alice.Schema().Names(),
 				Theta:      w.Cfg.Theta,
@@ -26,8 +26,6 @@ func TestGroupOrderHasNoTies(t *testing.T) {
 				Allowance:  1 << 40,
 			}
 			switch mode {
-			case "dp":
-				cfg.Epsilon, cfg.DPSeed = 1.0, seed
 			case "recall":
 				cfg.Strategy = core.MaximizeRecall
 			case "dedup":

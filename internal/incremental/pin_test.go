@@ -42,8 +42,8 @@ func pinSchedule(k int) (*dataset.Schema, []pinStep) {
 // the engine handed the kernel A × B groups (PR 24): what a batch buys, in
 // which order, and what it files where are a format other processes resume
 // from, so a change to how groups are built must not move a byte (the tier
-// and DP journals were re-pinned since, see their rows, and every journal
-// once for format v2, whose span records frame a row's verdicts together;
+// journal was re-pinned since, see its row, and every journal once for
+// format v2, whose span records frame a row's verdicts together;
 // no delta hash moved). The journal runs at the benchmark's SyncEvery 4096.
 // The tier variant's journal as the last v1 build wrote it is
 // testdata/pinned-v1-tier/ingest.wal: both files must replay to the same
@@ -73,13 +73,6 @@ func TestLiveJournalPinned(t *testing.T) {
 			"f01e43d27a1979510ad528e1b770ef1665fb110aa3df8b6656a7f028dbbb3491",
 			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3",
 			filepath.Join("testdata", "pinned-v1-tier", "ingest.wal")},
-		{"dp", func(c incremental.Config) incremental.Config { c.Epsilon, c.DPSeed = 1.0, 7; return c }, -1,
-			// Re-pinned once, when DP walks became walks of the padded
-			// release (PR 29): the journal now holds handle pairs, the dummy
-			// pairs among them, and its manifest says so; the delta sequence
-			// did not move.
-			"1de4bfc4d0fc0bcfe6c3146faf654cda10ab6b38f52c2e9ffe91d944f0d8c200",
-			"5af60664fca1b740fc459eb2fabe5cdf47865e15b0d4c06c0cb025369465fa1a", ""},
 		{"bounded recall", func(c incremental.Config) incremental.Config {
 			c.Allowance, c.Strategy = 20000, core.MaximizeRecall
 			return c

@@ -3,8 +3,8 @@
 // hierarchy nodes (and intervals, for continuous attributes) of one
 // view's classes, queried with the other view's generalization sequences
 // so that class pairs whose infimum distance on some indexed attribute
-// provably exceeds its threshold are never enumerated. Decide runs only on
-// the surviving candidates, which makes blocking sub-quadratic in
+// provably exceeds its threshold are never enumerated. Only the surviving
+// candidates are labeled, which makes blocking sub-quadratic in
 // practice while staying label-identical to the exhaustive scan,
 // blocking.Block (see DESIGN.md §10).
 //
@@ -35,16 +35,19 @@ func Block(r, s *anonymize.Result, rule *blocking.Rule) (*blocking.Result, error
 
 // Stream runs the blocking step over two published views: it fills a Live
 // index with s's class sequences, probes it with each r class's, and
-// labels every admitted class pair with Decide — the slack rule over
-// k-anonymous views, bin intersection when both views carry a DP release
-// (a pair where only one does is refused). Pairs the index excludes are
-// accounted as NonMatch record pairs without ever being enumerated.
+// labels every admitted class pair — by the slack rule over k-anonymous
+// views; over DP releases (a pair where only one view carries one is
+// refused) Unknown for bins that share a concrete value on every attribute
+// and NonMatch otherwise, because DP blocking has no certain-match
+// evidence and the exact layers keep sole authority over Match verdicts.
+// Pairs the index excludes are accounted as NonMatch record pairs without
+// ever being enumerated.
 // progress, when non-nil, receives (r classes done, r classes total)
 // every hundredth of the rows and on completion.
 //
 // The result is label-identical to the exhaustive scan's — same counts,
 // same Label(ri, si) for every class pair, same UnknownGroupPairs order —
-// and its Stats say how many class pairs reached Decide.
+// and its Stats say how many class pairs were labeled.
 func Stream(r, s *anonymize.Result, rule *blocking.Rule, progress func(done, total int64)) (*blocking.Result, error) {
 	if err := blocking.ValidateViews(r, s, rule); err != nil {
 		return nil, err
@@ -78,7 +81,14 @@ func Stream(r, s *anonymize.Result, rule *blocking.Rule, progress func(done, tot
 			sc := &s.Classes[si]
 			stats.RuleEvaluations++
 			candSize += int64(sc.Size())
-			if lab := Decide(rule, dp, rc.Sequence, sc.Sequence); lab == blocking.NonMatch {
+			lab := blocking.NonMatch
+			switch {
+			case !dp:
+				lab = rule.Decide(rc.Sequence, sc.Sequence)
+			case SequencesIntersect(rc.Sequence, sc.Sequence):
+				lab = blocking.Unknown
+			}
+			if lab == blocking.NonMatch {
 				nonMatched += rcSize * int64(sc.Size())
 			} else {
 				b.Observe(ri, si, lab)
@@ -123,21 +133,6 @@ func releases(r, s *anonymize.Result) (bool, error) {
 		return false, fmt.Errorf("index: noised counts do not cover the classes")
 	}
 	return true, nil
-}
-
-// Decide labels one class (or bin) pair: the slack rule's label over
-// k-anonymous sequences, or, over DP releases (dp), Unknown for bins that
-// share a concrete value on every attribute and NonMatch otherwise. DP
-// blocking has no certain-match evidence, so it never labels Match and
-// the exact layers keep sole authority over Match verdicts.
-func Decide(rule *blocking.Rule, dp bool, v, w vgh.Sequence) blocking.Label {
-	if !dp {
-		return rule.Decide(v, w)
-	}
-	if SequencesIntersect(v, w) {
-		return blocking.Unknown
-	}
-	return blocking.NonMatch
 }
 
 // SequencesIntersect reports whether two bins share at least one concrete

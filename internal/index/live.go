@@ -135,7 +135,7 @@ func (l *Live) Insert(seq vgh.Sequence) (int, error) {
 
 // Candidates calls emit, in ascending bin order, for every indexed bin
 // the per-attribute admission sets do not exclude for seq. Admission is
-// an over-approximation: the caller must still run Decide on each
+// an over-approximation: the caller must still label each
 // candidate; what is guaranteed is that every excluded bin is a certain
 // NonMatch under the slack rule and shares no value with seq.
 func (l *Live) Candidates(seq vgh.Sequence, emit func(si int)) {

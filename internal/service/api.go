@@ -11,6 +11,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -24,8 +25,9 @@ import (
 // linkage parameters. Dataset references are server-side paths resolved
 // by the store (relative to its data directory when one is configured);
 // the daemon never accepts record data over the API. The embedded block's
-// keys (schema_path, qids, theta, allowance, heuristic, strategy, epsilon,
-// dp_delta, dp_seed, tier, tier_low, secure, key_bits, smc_workers) sit beside the ones below in the request body.
+// keys (schema_path, qids, theta, allowance, heuristic, strategy, tier,
+// tier_low, secure, key_bits, smc_workers) sit beside the ones below in the
+// request body; its epsilon, dp_delta and dp_seed are refused (ErrNoDP).
 type JobSpec struct {
 	// AlicePath and BobPath reference the two holders' CSV relations.
 	AlicePath string `json:"alice_path"`
@@ -39,13 +41,9 @@ type JobSpec struct {
 	// pairs (default 0.015); the block's absolute Allowance, when set,
 	// takes precedence.
 	AllowanceFraction float64 `json:"allowance_fraction,omitempty"`
-	// Anonymizer takes the CLI names (see cliutil); empty selects the
-	// paper's max-entropy method, or "dp" when Epsilon is set. "dp"
-	// selects differentially private blocking (composed spend 2ε; see
-	// core.DPStats) and requires Epsilon; DPLevel is then the VGH binning
-	// depth (0 = default).
+	// Anonymizer takes the CLI's k-anonymizer names (see cliutil); empty
+	// selects the paper's max-entropy method. "dp" is refused (ErrNoDP).
 	Anonymizer string `json:"anonymizer,omitempty"`
-	DPLevel    int    `json:"dp_level,omitempty"`
 	// Blocking is deprecated and ignored: there is one blocking engine
 	// (the hierarchy index). The field still decodes so older clients
 	// and persisted specs keep working — "", "dense" and "indexed" have
@@ -69,6 +67,21 @@ type JobSpec struct {
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
+// ErrNoDP refuses differentially private blocking on both API bodies, and
+// fails a stored spec that asks for it: a job at execution, a dataset at
+// every start (its result, if the job finished, is still served). The
+// daemon holds both sides' records and serves no view, so a noised
+// release would protect no one (SECURITY.md).
+var ErrNoDP = errors.New("epsilon, dp_delta, dp_seed and anonymizer dp are refused: pprl-serve runs every party in one process, so DP blocking protects no one here; run it across a real boundary with pprl-party")
+
+// refuseDP is the API's one ε check.
+func refuseDP(p *cliutil.Params, anonymizer string) error {
+	if p.Epsilon != 0 || p.DPDelta != 0 || p.DPSeed != 0 || cliutil.IsDPName(anonymizer) {
+		return ErrNoDP
+	}
+	return nil
+}
+
 // Validate checks the parts of a spec that must be rejected at submit
 // time (before the job ever reaches the queue).
 func (s *JobSpec) Validate() error {
@@ -78,10 +91,10 @@ func (s *JobSpec) Validate() error {
 	if s.K < 0 {
 		return fmt.Errorf("negative parameters are invalid")
 	}
-	if err := s.Params.Validate(cliutil.JSONNames); err != nil {
+	if _, err := s.Config(nil); err != nil { // ε and the anonymizer name
 		return err
 	}
-	if err := s.ValidateAnonymizer(cliutil.JSONNames, "anonymizer", s.Anonymizer, s.DPLevel); err != nil {
+	if err := s.Params.Validate(cliutil.JSONNames); err != nil {
 		return err
 	}
 	if s.AllowanceFraction != 0 {
@@ -100,6 +113,9 @@ func (s *JobSpec) Validate() error {
 // Config materializes the core pipeline configuration the spec
 // describes. Validate must have accepted the spec.
 func (s *JobSpec) Config(qids []string) (core.Config, error) {
+	if err := refuseDP(&s.Params, s.Anonymizer); err != nil {
+		return core.Config{}, err
+	}
 	cfg, err := s.Core(qids)
 	if err != nil {
 		return cfg, err
@@ -110,16 +126,11 @@ func (s *JobSpec) Config(qids []string) (core.Config, error) {
 	if s.AllowanceFraction > 0 {
 		cfg.AllowanceFraction = s.AllowanceFraction
 	}
-	cfg.DPLevel = s.DPLevel
-	if s.Epsilon == 0 {
-		// Under DP the anonymizers stay nil: the core config installs the
-		// deterministic binner from the block's parameters.
-		anon, err := cliutil.AnonymizerByName(s.Anonymizer)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.AliceAnonymizer, cfg.BobAnonymizer = anon, anon
+	anon, err := cliutil.AnonymizerByName(s.Anonymizer)
+	if err != nil {
+		return cfg, err
 	}
+	cfg.AliceAnonymizer, cfg.BobAnonymizer = anon, anon
 	cfg.Seed = s.Seed
 	return cfg, nil
 }
@@ -152,7 +163,7 @@ func (s State) Terminal() bool {
 // pipeline's progress hook.
 type Progress struct {
 	// Phase is the pipeline stage: "anonymize-alice", "anonymize-bob",
-	// "dp-noise" (DP jobs only), "blocking", "tier", or "smc".
+	// "blocking", "tier", or "smc".
 	Phase string `json:"phase"`
 	// Done and Total are the stage's position; for the "smc" phase they
 	// are pairs purchased vs the resolved allowance.

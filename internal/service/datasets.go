@@ -13,11 +13,10 @@ import (
 	"pprl/internal/journal"
 )
 
-// defaultQueueDepth bounds a dataset's ingest queue when the
-// registration doesn't choose: enough to smooth a bursty producer,
-// small enough that backpressure (503 + Retry-After) arrives before the
-// daemon hoards unbounded record batches in memory.
-const defaultQueueDepth = 8
+// queueDepth bounds every dataset's ingest queue: enough to smooth a
+// bursty producer, small enough that backpressure (503 + Retry-After)
+// arrives before the daemon hoards unbounded record batches in memory.
+const queueDepth = 8
 
 // ingestBatch is one accepted append travelling from the HTTP handler to
 // the dataset's drainer: the durable entry plus the already-parsed
@@ -116,12 +115,8 @@ func (s *Server) startDataset(ld *liveDataset, stored []batchEntry) error {
 		return fmt.Errorf("service: dataset %s: %w", ld.ID, err)
 	}
 
-	depth := ld.Spec.QueueDepth
-	if depth <= 0 {
-		depth = defaultQueueDepth
-	}
 	ld.schema, ld.eng, ld.jw = schema, eng, jw
-	ld.queue = make(chan ingestBatch, depth)
+	ld.queue = make(chan ingestBatch, queueDepth)
 	ld.state = DatasetActive
 	if len(stored) > 0 {
 		ld.state = DatasetReplaying
@@ -216,12 +211,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) err
 	if err := decodeBody(w, r, "dataset spec", &spec); err != nil {
 		return err
 	}
-	if err := spec.Validate(); err != nil {
-		return Errf(KindBadRequest, "%v", err)
-	}
-	// Prove the schema loads before any state exists; a bad reference is
-	// the submitter's error, not a poisoned dataset.
-	if _, _, err := spec.LoadSchema(s.store.ResolveData); err != nil {
+	if err := spec.Validate(s.store.ResolveData); err != nil {
 		return Errf(KindBadRequest, "%v", err)
 	}
 	df, err := register(s.store, datasetKind, func(id string, seq int) datasetFile {

@@ -1,108 +1,99 @@
 package service
 
 import (
-	"io"
+	"bytes"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"pprl/internal/core"
 )
 
-// TestServiceDPJob: a job submitted with anonymizer "dp" runs under
-// differentially private blocking, reports the ε accounting in its
-// result, and feeds the DP counters in /metrics.
+// TestServiceDPJob: a DP job stored by an older build is never run. One
+// that finished still serves its result.json as written; one in flight
+// fails at execution by the API's refusal, and stays failed at the next
+// start.
 func TestServiceDPJob(t *testing.T) {
-	dataDir := writeDataDir(t, 120, 11)
-	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir, Workers: 1})
-
-	spec := testSpec()
-	spec.K = 0
-	spec.Anonymizer = "dp"
-	spec.Epsilon = 8
-	spec.DPSeed = 3
-	spec.Allowance = 2000
-	job := submit(t, ts, spec)
-	waitState(t, ts, job.ID, StateDone)
-	res := getResult(t, ts, job.ID)
-
-	dp := res.Result.DP
-	if dp == nil {
-		t.Fatal("DP job result carries no dp accounting")
-	}
-	if dp.TotalEpsilon != 16 {
-		t.Errorf("total_epsilon = %v, want 8 + 8", dp.TotalEpsilon)
-	}
-	if dp.AliceBins == 0 || dp.BobBins == 0 {
-		t.Errorf("bin counts zero: %+v", dp)
-	}
-	if spent := res.Result.Invocations + dp.DummySpent; spent > res.Result.Allowance {
-		t.Errorf("spent %d (real %d + dummy %d) over allowance %d",
-			spent, res.Result.Invocations, dp.DummySpent, res.Result.Allowance)
-	}
-	// DP blocking never asserts matches; with Evaluate on, everything
-	// reported came from an exact layer, so precision is 1.
-	if res.Evaluation == nil {
-		t.Fatal("evaluation missing")
-	}
-	if res.Evaluation.FalsePositives != 0 {
-		t.Errorf("DP job reported %d false positives; exact layers own Match labels",
-			res.Evaluation.FalsePositives)
-	}
-
-	mt, err := http.Get(ts.URL + "/metrics")
+	dataDir := writeDataDir(t, 40, 11)
+	root := t.TempDir()
+	store, err := NewStore(root, dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mraw, _ := io.ReadAll(mt.Body)
-	mt.Body.Close()
-	for _, want := range []string{
-		"pprl_dp_jobs_total 1",
-		"pprl_dp_epsilon_spent_milli_total 16000",
-		"pprl_dp_dummy_pairs_total",
-		"pprl_dp_dummy_spent_total",
-	} {
-		if !strings.Contains(string(mraw), want) {
-			t.Errorf("metrics missing %q:\n%s", want, mraw)
+	spec := testSpec()
+	spec.Anonymizer, spec.Epsilon, spec.DPSeed = "dp", 8, 3
+	for range 2 {
+		if _, err := register(store, jobKind, func(id string, seq int) specFile {
+			return specFile{ID: id, Seq: seq, SubmittedAt: time.Now().UTC(), Spec: spec}
+		}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	done := &JobResult{Result: core.ResultJSON{Invocations: 7, DP: &core.DPStats{TotalEpsilon: 16}}, Matches: [][2]int{{1, 2}}}
+	if err := store.WriteResult("job-000001", done); err != nil {
+		t.Fatal(err)
+	}
+	for life := 0; life < 2; life++ {
+		s, err := New(Config{Dir: root, DataDir: dataDir, Workers: 1})
+		if err != nil {
+			t.Fatalf("life %d: %v", life, err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		if got := getResult(t, ts, "job-000001"); !reflect.DeepEqual(&got, done) {
+			t.Errorf("life %d: the finished DP job serves %+v, it stored %+v", life, got, done)
+		}
+		st := waitState(t, ts, "job-000002", StateFailed)
+		if !strings.Contains(st.Error, ErrNoDP.Error()) {
+			t.Errorf("life %d: the in-flight DP job failed with %q, want the API's refusal", life, st.Error)
+		}
+		ts.Close()
+		s.Drain()
 	}
 }
 
-// TestServiceDPSpecValidation: malformed DP specs are rejected at submit
-// time with HTTP 400.
+// TestServiceDPSpecValidation: both API bodies refuse every DP key with
+// HTTP 400 and register nothing — ε, δ and the seed by the one refusal,
+// which names pprl-party; the dp anonymizer on a job by it too; dp_level,
+// and the anonymizer on a dataset, as keys the body does not have.
 func TestServiceDPSpecValidation(t *testing.T) {
-	dataDir := writeDataDir(t, 40, 11)
-	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir, Workers: 1})
-
-	cases := map[string]JobSpec{}
-
-	noEps := testSpec()
-	noEps.Anonymizer = "dp"
-	cases["dp anonymizer without epsilon"] = noEps
-
-	clash := testSpec()
-	clash.Anonymizer = "datafly"
-	clash.Epsilon = 2
-	cases["epsilon with a k-anonymizer"] = clash
-
-	negEps := testSpec()
-	negEps.Anonymizer = "dp"
-	negEps.Epsilon = -1
-	cases["negative epsilon"] = negEps
-
-	badDelta := testSpec()
-	badDelta.Anonymizer = "dp"
-	badDelta.Epsilon = 2
-	badDelta.DPDelta = 0.7
-	cases["delta out of range"] = badDelta
-
-	badLevel := testSpec()
-	badLevel.Anonymizer = "dp"
-	badLevel.Epsilon = 2
-	badLevel.DPLevel = -3
-	cases["negative level"] = badLevel
-
-	for name, spec := range cases {
-		if _, code := submitCode(t, ts, spec); code != http.StatusBadRequest {
-			t.Errorf("%s: accepted with HTTP %d", name, code)
+	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: writeDataDir(t, 40, 11), Workers: 1})
+	for _, tc := range []struct{ field, job, dataset string }{
+		{`"epsilon":2`, "pprl-party", "pprl-party"},
+		{`"dp_delta":0.00001`, "pprl-party", "pprl-party"},
+		{`"dp_seed":7`, "pprl-party", "pprl-party"},
+		{`"anonymizer":"dp"`, "pprl-party", `unknown field "anonymizer"`},
+		{`"dp_level":2`, `unknown field "dp_level"`, `unknown field "dp_level"`},
+	} {
+		for _, post := range []struct{ path, body, want string }{
+			{"/v1/jobs", `{"alice_path":"a.csv","bob_path":"b.csv",` + tc.field + `}`, tc.job},
+			{"/v1/datasets", `{` + tc.field + `}`, tc.dataset},
+		} {
+			resp, err := http.Post(ts.URL+post.path, "application/json", strings.NewReader(post.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ae apiError
+			json.NewDecoder(resp.Body).Decode(&ae)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(ae.Error, post.want) {
+				t.Errorf("POST %s %s: HTTP %d %q, want 400 mentioning %q", post.path, post.body, resp.StatusCode, ae.Error, post.want)
+			}
+		}
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/datasets"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw bytes.Buffer
+		raw.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if strings.Contains(raw.String(), `"id"`) {
+			t.Errorf("GET %s after the refusals: %s", path, raw.String())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -16,12 +15,10 @@ import (
 // "classifier" strategy is refused: it needs the full residual
 // population; Allowance is the lifetime pool shared by every batch and 0
 // means unlimited, there being no fixed pair matrix to take a fraction
-// of; with Epsilon every append extends the same (ε, δ)-released
-// histogram — see SECURITY.md on repeated releases against a growing
-// dataset). They are pinned for the dataset's lifetime — the
-// delta-equivalence contract (DESIGN.md §15) is stated against one fixed
-// configuration, so there is no way to edit a registration; register a
-// new dataset instead.
+// of; epsilon, dp_delta and dp_seed are refused, ErrNoDP). They are
+// pinned for the dataset's lifetime — the delta-equivalence contract
+// (DESIGN.md §15) is stated against one fixed configuration, so there is
+// no way to edit a registration; register a new dataset instead.
 type DatasetSpec struct {
 	cliutil.Params
 
@@ -33,27 +30,35 @@ type DatasetSpec struct {
 	// Dedup links the dataset against itself: one side, unordered delta
 	// pairs i < j. Append batches must then target side "alice".
 	Dedup bool `json:"dedup,omitempty"`
-	// QueueDepth bounds the per-dataset ingest queue (default 8). A POST
-	// arriving at a full queue gets 503 + Retry-After, not a block.
-	QueueDepth int `json:"queue_depth,omitempty"`
 }
 
 // Validate rejects registrations at the door, before any state exists:
-// the block must be valid and the live engine's configuration must
-// follow from it.
-func (s *DatasetSpec) Validate() error {
-	if s.Level < 0 || s.QueueDepth < 0 {
-		return fmt.Errorf("negative parameters are invalid")
+// the block must be valid, the schema must load through resolve, and the
+// live engine must build over it. A registration is persisted once it is
+// accepted, so one that failed after this point could never be started
+// again, by this daemon or the next.
+func (s *DatasetSpec) Validate(resolve func(ref string) (string, error)) error {
+	cfg, err := s.Config(nil)
+	if err != nil {
+		return err
 	}
 	if err := s.Params.Validate(cliutil.JSONNames); err != nil {
 		return err
 	}
-	_, err := s.Config(nil)
+	schema, qids, err := s.LoadSchema(resolve)
+	if err != nil {
+		return err
+	}
+	cfg.QIDs = qids
+	_, err = incremental.New(schema, cfg) // no journal: a dry run
 	return err
 }
 
 // Config materializes the incremental engine configuration.
 func (s *DatasetSpec) Config(qids []string) (incremental.Config, error) {
+	if err := refuseDP(&s.Params, ""); err != nil {
+		return incremental.Config{}, err
+	}
 	cfg, err := s.Incremental(qids)
 	cfg.Level, cfg.Dedup = s.Level, s.Dedup
 	return cfg, err

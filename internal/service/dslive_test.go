@@ -261,38 +261,19 @@ func TestLegacySeedRefusedAtRecovery(t *testing.T) {
 }
 
 // TestLegacyDPDatasetFailsReadOnly: testdata/legacy-dp is a DP dataset
-// (ε 2, dp_seed 7, a0.csv then b0.csv applied) written by the build before
-// DP walks were walks of the padded release: its journal holds record
-// pairs, where this build journals handle pairs. Recovery refuses to
-// replay one as the other — by name — and, rather than keep the daemon
-// from starting, fails that dataset for good: it comes back failed and
-// read-only, and stays so at the next start.
+// (ε 2, dp_seed 7, a0.csv then b0.csv applied, its journal of record pairs
+// written before DP walks were walks of the padded release). A stored DP
+// dataset can never start, and must not keep the daemon from starting
+// either: it comes back failed and read-only at every start, naming the
+// API's refusal (ErrNoDP).
 func TestLegacyDPDatasetFailsReadOnly(t *testing.T) {
-	root := copyFixture(t, "legacy-dp")
-	cfg := Config{Dir: root, DataDir: filepath.Join("testdata", "legacy-state", "data"), JournalSync: 1}
-	for life := 0; life < 2; life++ {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("life %d: recovery refused the daemon: %v", life, err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		st := getDatasetStatus(t, ts, "ds-000001")
-		if st.State != DatasetFailed || !strings.Contains(st.Error, "padded") || st.Accepted != 2 {
-			t.Errorf("life %d: legacy DP dataset came back %+v; want failed, naming the padding change, 2 batches accepted", life, st)
-		}
-		if code, _ := appendBatch(t, ts, "ds-000001", AppendRequest{Side: "alice", Path: "a1.csv"}); code != http.StatusConflict {
-			t.Errorf("life %d: append to the failed dataset answered HTTP %d, want 409", life, code)
-		}
-		ts.Close()
-		s.Drain()
-	}
+	checkDPDatasetFailsReadOnly(t, copyFixture(t, "legacy-dp"), 2)
 }
 
 // TestTierDPDatasetFailsReadOnly: a dataset registered with ε and the tier
-// on, by a build before the two refused each other, is refused by the
-// sentinel at recovery (dpblock.ErrTierUnderDP). Like a legacy DP journal
-// it must not keep the daemon from starting: at every start it comes back
-// failed and read-only, naming the refusal.
+// on, by a build before the two refused each other, is a stored DP dataset
+// like any other: at every start it comes back failed and read-only, naming
+// the API's refusal (ErrNoDP), and the daemon starts.
 func TestTierDPDatasetFailsReadOnly(t *testing.T) {
 	root := t.TempDir()
 	store, err := NewStore(root, "")
@@ -304,6 +285,14 @@ func TestTierDPDatasetFailsReadOnly(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	checkDPDatasetFailsReadOnly(t, root, 0)
+}
+
+// checkDPDatasetFailsReadOnly starts a daemon on root twice and checks that
+// its DP dataset ds-000001 comes back failed by ErrNoDP, with accepted
+// batches on record, and answers an append with 409.
+func checkDPDatasetFailsReadOnly(t *testing.T, root string, accepted int) {
+	t.Helper()
 	cfg := Config{Dir: root, DataDir: filepath.Join("testdata", "legacy-state", "data"), JournalSync: 1}
 	for life := 0; life < 2; life++ {
 		s, err := New(cfg)
@@ -312,8 +301,8 @@ func TestTierDPDatasetFailsReadOnly(t *testing.T) {
 		}
 		ts := httptest.NewServer(s.Handler())
 		st := getDatasetStatus(t, ts, "ds-000001")
-		if st.State != DatasetFailed || !strings.Contains(st.Error, "DP blocking") {
-			t.Errorf("life %d: DP + tier dataset came back %+v; want failed, naming the refusal", life, st)
+		if st.State != DatasetFailed || !strings.Contains(st.Error, ErrNoDP.Error()) || st.Accepted != accepted {
+			t.Errorf("life %d: DP dataset came back %+v; want failed by ErrNoDP, %d batches accepted", life, st, accepted)
 		}
 		if code, _ := appendBatch(t, ts, "ds-000001", AppendRequest{Side: "alice", Path: "a1.csv"}); code != http.StatusConflict {
 			t.Errorf("life %d: append to the failed dataset answered HTTP %d, want 409", life, code)
@@ -321,6 +310,59 @@ func TestTierDPDatasetFailsReadOnly(t *testing.T) {
 		ts.Close()
 		s.Drain()
 	}
+}
+
+// TestQueueDepthIsNotAnOption: a registration's queue_depth used to size
+// the ingest queue, checked for sign only, after the registration was
+// persisted — one POST of 2^62 panicked the handler and every later start
+// in recovery. Every queue is now queueDepth long: the strict decoder
+// answers the key with 400 and registers nothing, and a stored one is
+// ignored, its dataset starting and taking appends.
+func TestQueueDepthIsNotAnOption(t *testing.T) {
+	const huge = `"queue_depth":4611686018427387904`
+	dataDir := filepath.Join("testdata", "legacy-state", "data")
+	root := t.TempDir()
+	s, err := New(Config{Dir: root, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", strings.NewReader(`{`+huge+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/datasets {%s}: HTTP %d, want 400", huge, resp.StatusCode)
+	}
+	if _, err := os.Stat(filepath.Join(root, datasetKind.dir, "ds-000001")); !os.IsNotExist(err) {
+		t.Errorf("the refused registration left state behind (stat err %v)", err)
+	}
+	ds := registerDataset(t, ts, DatasetSpec{})
+	ts.Close()
+	s.Drain()
+
+	path := s.store.path(datasetKind, ds.ID, datasetKind.specName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	file["spec"] = json.RawMessage(`{` + huge + `}`)
+	if raw, err = json.Marshal(file); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts = newTestServer(t, Config{Dir: root, DataDir: dataDir})
+	if code, _ := appendBatch(t, ts, ds.ID, AppendRequest{Side: "alice", Path: "a0.csv"}); code != http.StatusAccepted {
+		t.Fatalf("append after recovery: HTTP %d, want 202", code)
+	}
+	waitDataset(t, ts, ds.ID, "batch applied", func(st DatasetStatus) bool { return st.State == DatasetActive && st.Applied == 1 })
 }
 
 // TestBatchScheduleRecovery: the schedule is one line per accept. A torn

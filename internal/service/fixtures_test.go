@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"pprl/internal/core"
-	"pprl/internal/dpblock"
 	"pprl/internal/incremental"
 )
 
@@ -39,9 +39,9 @@ func dumpIncremental(c incremental.Config) string {
 	if theta == 0 {
 		theta = 0.05
 	}
-	return fmt.Sprintf("incremental qids=%v theta=%v thresholds=%v level=%d heuristic=%s strategy=%v allowance=%d tier=%v[%v] epsilon=%v delta=%v dpseed=%d dedup=%v scale=%d secure=%v workers=%d",
+	return fmt.Sprintf("incremental qids=%v theta=%v thresholds=%v level=%d heuristic=%s strategy=%v allowance=%d tier=%v[%v] dedup=%v scale=%d secure=%v workers=%d",
 		c.QIDs, theta, c.Thresholds, c.Level, c.Heuristic.Name(), c.Strategy, c.Allowance,
-		c.Tier, c.TierLow, c.Epsilon, c.DPDelta, c.DPSeed, c.Dedup, c.Scale, c.Comparator != nil, c.SMCWorkers)
+		c.Tier, c.TierLow, c.Dedup, c.Scale, c.Comparator != nil, c.SMCWorkers)
 }
 
 // TestSpecFixturesMaterialize: spec.json and dataset.json files written
@@ -55,47 +55,67 @@ func dumpIncremental(c incremental.Config) string {
 // spec's meaning. Each file's "spec" object is also a request body of its
 // day: the strict decoder the two POST handlers use must take every key
 // the old specs declared, from the embedded block or not, and still
-// refuse the two keys PR 25 removed and the tier_high that went with the
-// tier's Match band (job-full and dataset-full persist "tier_high": 0.85;
-// the recovery decode drops the key, and materialized.golden lost its
-// second threshold with it — once). dataset-full also persists ε with the
-// tier on, which Validate now refuses (dpblock.ErrTierUnderDP); it still
-// materializes as it did.
+// refuse exactly the keys since removed — packing and seed, the
+// tier_high that went with the tier's Match band (job-full and
+// dataset-full persist "tier_high": 0.85; the recovery decode drops the
+// key, and materialized.golden lost its second threshold with it — once),
+// dp_level and queue_depth. job-dp, job-minimal and dataset-full persist
+// DP parameters, which Validate and Config now refuse (ErrNoDP): their
+// golden lines say so, and dumpIncremental has no DP columns left.
 func TestSpecFixturesMaterialize(t *testing.T) {
-	removedKey := map[string]string{
-		"job-restart/spec.json":                       "packing",
-		"legacy-seed/datasets/ds-000001/dataset.json": "seed",
-		"job-full/spec.json":                          "tier_high",
-		"dataset-full/dataset.json":                   "tier_high",
+	removedKeys := map[string][]string{
+		"job-restart/spec.json":                       {"packing"},
+		"legacy-seed/datasets/ds-000001/dataset.json": {"seed"},
+		"job-full/spec.json":                          {"tier_high"},
+		"job-dp/spec.json":                            {"dp_level"},
+		"dataset-full/dataset.json":                   {"queue_depth", "tier_high"},
 	}
-	refusedBy := map[string]error{
-		"dataset-full/dataset.json": dpblock.ErrTierUnderDP,
-	}
-	validate := func(label string, err error) {
-		if want := refusedBy[label]; want != nil {
-			if !errors.Is(err, want) {
-				t.Errorf("%s validates with err = %v, want %q", label, err, want)
+	refused := map[string]bool{"job-dp/spec.json": true, "job-minimal/spec.json": true, "dataset-full/dataset.json": true}
+	// materialize checks a spec's Validate and Config errors and returns
+	// what its golden line says in place of a dump, "" when it has one.
+	materialize := func(label string, validate, config error) string {
+		for _, err := range []error{validate, config} {
+			switch {
+			case refused[label] && !errors.Is(err, ErrNoDP):
+				t.Errorf("%s: err = %v, want ErrNoDP", label, err)
+			case !refused[label] && err != nil:
+				t.Errorf("%s no longer materializes: %v", label, err)
 			}
-		} else if err != nil {
-			t.Errorf("%s no longer validates: %v", label, err)
 		}
+		if refused[label] {
+			return "refused (ErrNoDP)"
+		}
+		return ""
 	}
+	// strict decodes the file's "spec" object as a request body, dropping
+	// and collecting each key the strict decoder refuses as unknown.
 	strict := func(label string, raw []byte, into any) {
 		var file struct {
-			Spec json.RawMessage `json:"spec"`
+			Spec map[string]json.RawMessage `json:"spec"`
 		}
 		if err := json.Unmarshal(raw, &file); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		dec := json.NewDecoder(bytes.NewReader(file.Spec))
-		dec.DisallowUnknownFields()
-		err := dec.Decode(into)
-		if key := removedKey[label]; key != "" {
-			if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
-				t.Errorf("%s as a request body: err = %v, want %q refused as unknown", label, err, key)
+		var unknown []string
+		for {
+			body, _ := json.Marshal(file.Spec)
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			err := dec.Decode(into)
+			if err == nil {
+				break
 			}
-		} else if err != nil {
-			t.Errorf("%s as a request body: %v", label, err)
+			key, ok := strings.CutPrefix(err.Error(), `json: unknown field "`)
+			if !ok {
+				t.Errorf("%s as a request body: %v", label, err)
+				return
+			}
+			key = strings.TrimSuffix(key, `"`)
+			unknown = append(unknown, key)
+			delete(file.Spec, key)
+		}
+		if slices.Sort(unknown); !slices.Equal(unknown, removedKeys[label]) {
+			t.Errorf("%s as a request body: keys %q refused as unknown, want %q", label, unknown, removedKeys[label])
 		}
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "specs", "materialized.golden"))
@@ -124,32 +144,28 @@ func TestSpecFixturesMaterialize(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			strict(label, raw, new(JobSpec))
-			validate(label, sf.Spec.Validate())
 			_, qids, err := sf.Spec.LoadSchema(nil)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			cfg, err := sf.Spec.Config(qids)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			if dump = materialize(label, sf.Spec.Validate(), err); dump == "" {
+				dump = dumpCore(cfg)
 			}
-			dump = dumpCore(cfg)
 		} else {
 			var df datasetFile
 			if err := json.Unmarshal(raw, &df); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			strict(label, raw, new(DatasetSpec))
-			validate(label, df.Spec.Validate())
 			_, qids, err := df.Spec.LoadSchema(nil)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			cfg, err := df.Spec.Config(qids)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			if dump = materialize(label, df.Spec.Validate(nil), err); dump == "" {
+				dump = dumpIncremental(cfg)
 			}
-			dump = dumpIncremental(cfg)
 		}
 		fmt.Fprintf(&got, "%s: %s\n", label, dump)
 	}

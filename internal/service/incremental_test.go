@@ -449,8 +449,9 @@ func TestServiceDatasetValidation(t *testing.T) {
 		{Theta: -1},                  // negative threshold
 		{Strategy: "classifier"},     // needs the full residual population
 		{Heuristic: "nope"},          // unknown heuristic
-		{Epsilon: -2},                // bad DP budget
+		{Epsilon: -2},                // DP, refused whole (ErrNoDP)
 		{SchemaPath: "missing.json"}, // unloadable schema
+		{QIDs: []string{"nope"}},     // no such attribute: the engine does not build
 		{Secure: true, KeyBits: -1},  // negative key size
 		{Secure: true, KeyBits: 32},  // below the engine's floor
 	}

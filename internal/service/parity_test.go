@@ -45,7 +45,7 @@ func TestSurfaceParity(t *testing.T) {
 		unknown = row.Unknown
 		if row.On&testkit.SurfaceJobs != 0 {
 			spec := JobSpec{AlicePath: "a.csv", BobPath: "b.csv", K: 8, Params: row.Params,
-				AllowanceFraction: row.AllowanceFraction, Anonymizer: row.Anonymizer, DPLevel: row.Level}
+				AllowanceFraction: row.AllowanceFraction, Anonymizer: row.Anonymizer}
 			if msg := row.Judge(testkit.SurfaceJobs, post("/v1/jobs", spec)); msg != "" {
 				t.Errorf("POST /v1/jobs: %s", msg)
 			}

@@ -18,7 +18,6 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
-	"pprl/internal/dpblock"
 	"pprl/internal/journal"
 	"pprl/internal/match"
 	"pprl/internal/metrics"
@@ -116,11 +115,6 @@ type Server struct {
 	mTierNonMatched *metrics.Var
 	mTierUncertain  *metrics.Var
 
-	mDPJobs         *metrics.Var
-	mDPEpsilonMilli *metrics.Var
-	mDPDummyPairs   *metrics.Var
-	mDPDummySpent   *metrics.Var
-
 	mDatasets        *metrics.Var
 	mDatasetBatches  *metrics.Var
 	mDatasetRecords  *metrics.Var
@@ -180,10 +174,6 @@ func New(cfg Config) (*Server, error) {
 	s.mBlockUnknown = s.reg.Counter("blocking_unknown_pairs_total", "Record pairs blocking left Unknown for SMC across completed jobs.")
 	s.mTierNonMatched = s.reg.Counter("tier_nonmatched_pairs_total", "Unknown pairs the triage tier labeled NonMatch for free across completed jobs.")
 	s.mTierUncertain = s.reg.Counter("tier_uncertain_pairs_total", "Unknown pairs the tier left for the SMC allowance across completed jobs.")
-	s.mDPJobs = s.reg.Counter("dp_jobs_total", "Jobs completed under differentially private blocking.")
-	s.mDPEpsilonMilli = s.reg.Counter("dp_epsilon_spent_milli_total", "Composed epsilon spent across completed DP jobs, in thousandths.")
-	s.mDPDummyPairs = s.reg.Counter("dp_dummy_pairs_total", "Dummy candidate pairs introduced by noise padding across completed DP jobs.")
-	s.mDPDummySpent = s.reg.Counter("dp_dummy_spent_total", "SMC comparisons bought on a padded dummy handle across completed DP jobs (part of the invocations, not on top of them).")
 	s.mDatasets = s.reg.Counter("datasets_registered_total", "Live datasets registered over the API.")
 	s.mDatasetBatches = s.reg.Counter("dataset_batches_total", "Append batches applied across live datasets (excluding journal replays).")
 	s.mDatasetRecords = s.reg.Counter("dataset_records_total", "Records ingested across live datasets (excluding journal replays).")
@@ -213,7 +203,8 @@ func New(cfg Config) (*Server, error) {
 // whose journal holds a partial (or even complete) run — is re-queued, and
 // the journal replay guarantees already-purchased SMC verdicts are never
 // bought again. A dataset re-Appends its stored schedule unless a verdict
-// (or a journal that can never resume) leaves it failed and read-only.
+// (or a DP registration, which can never start) leaves it failed and
+// read-only.
 func (s *Server) recover() error {
 	jobs, err := scan[specFile](s.store, jobKind)
 	if err != nil {
@@ -248,9 +239,9 @@ func (s *Server) recover() error {
 		s.datasets[ld.ID] = ld
 		failed := f.Verdict.Error
 		if f.Verdict.State == "" {
-			// A DP journal of record pairs, or a DP dataset with the tier
-			// on, can never resume: that dataset alone comes back failed.
-			if err := s.startDataset(ld, stored); errors.Is(err, core.ErrUnpaddedJournal) || errors.Is(err, dpblock.ErrTierUnderDP) {
+			// A DP registration can never start: that dataset alone comes
+			// back failed.
+			if err := s.startDataset(ld, stored); errors.Is(err, ErrNoDP) {
 				failed = err.Error()
 			} else if err != nil {
 				return err
@@ -744,8 +735,6 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	s.mBlockClasses.Add(int64(len(block.R.Classes) + len(block.S.Classes)))
 	classPairs := int64(len(block.R.Classes)) * int64(len(block.S.Classes))
 	s.mBlockClassPairs.Add(classPairs)
-	// Every route core.Link blocks through (the index, DP bin
-	// intersection) reports its evaluation counts.
 	s.mBlockEvals.Add(block.Stats.RuleEvaluations)
 	s.mBlockPruned.Add(block.Stats.PrunedClassPairs)
 	s.mBlockMatched.Add(block.MatchedPairs)
@@ -753,13 +742,6 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	s.mBlockUnknown.Add(block.UnknownPairs)
 	s.mTierNonMatched.Add(res.TierNonMatchedPairs())
 	s.mTierUncertain.Add(res.TierUncertainPairs)
-	if res.DP != nil {
-		s.mDPJobs.Add(1)
-		// The registry is integer-valued; epsilon is reported in milli-units.
-		s.mDPEpsilonMilli.Add(int64(res.DP.TotalEpsilon*1000 + 0.5))
-		s.mDPDummyPairs.Add(res.DP.DummyPairs)
-		s.mDPDummySpent.Add(res.DP.DummySpent)
-	}
 	return nil
 }
 

@@ -30,7 +30,7 @@ import (
 type cell struct {
 	shape   string // core, session, session-tcp, fleet, live
 	secure  bool   // the 512-bit Paillier protocol, or the plaintext oracle
-	mode    string // plain, tier, dp
+	mode    string // plain, tier, dp (never on live: the engine has no DP mode)
 	journal string // off, on, killed
 	procs   int    // GOMAXPROCS for the run; 0 leaves the host's
 }
@@ -59,24 +59,28 @@ var pairwise = [9]cell{
 }
 
 // row is shape s's pairwise row r. The session speaks only the secure
-// protocol, so its rows all are.
+// protocol, so its rows all are; the live engine has no DP mode, so its
+// dp rows run plain.
 func row(s, r int) cell {
 	c := pairwise[r%len(pairwise)]
 	c.shape = shapes[s]
 	c.secure = c.secure || strings.HasPrefix(c.shape, "session")
+	if c.shape == "live" && c.mode == "dp" {
+		c.mode = "plain"
+	}
 	return c
 }
 
 // cells is what the n-th world runs. The crash column: core.Link on the
 // world's own configuration, and on the first eight worlds a live engine
-// in a mode chosen by the seed, each killed at every kill point and
-// resumed. The first nine worlds also run one pairwise row per shape,
+// in a mode chosen by the seed (tier on every third, plain otherwise),
+// each killed at every kill point and resumed. The first nine worlds also run one pairwise row per shape,
 // chosen by the seed, so that nine consecutive seeds run every row of
 // every shape, and a failing cell reproduces from its seed alone.
 func cells(n int, seed int64) []cell {
 	out := []cell{{shape: "core", mode: "plain", journal: "killed"}}
 	if n < 8 {
-		out = append(out, cell{shape: "live", mode: [...]string{"plain", "tier", "dp"}[seed%3], journal: "killed"})
+		out = append(out, cell{shape: "live", mode: [...]string{"plain", "tier", "plain"}[seed%3], journal: "killed"})
 	}
 	for s := range shapes {
 		if n < len(pairwise) {
@@ -258,7 +262,7 @@ func runCell(t *testing.T, w *World, c cell) error {
 	cfg := cellConfig(w, c)
 	refCfg := cfg
 	if c.shape == "live" {
-		refCfg = frozenOf(t, cfg, c.mode)
+		refCfg = frozenOf(t, cfg)
 	}
 	ref, err := linkOnce(w, refCfg, core.PlainComparatorFactory, nil)
 	if err != nil {
@@ -369,8 +373,6 @@ func conform(c cell, cfg core.Config, o *oracle.Oracle, ref, got *outcome) error
 	switch {
 	case got.res != nil && got.res.DP != nil && got.res.DP.DummySpent != ref.res.DP.DummySpent:
 		return fmt.Errorf("%d dummy pairs bought, the reference %d", got.res.DP.DummySpent, ref.res.DP.DummySpent)
-	case got.live != nil && ref.res.DP != nil && got.live.DummySpent != ref.res.DP.DummyPairs:
-		return fmt.Errorf("%d dummy pairs bought, the frozen release pads %d", got.live.DummySpent, ref.res.DP.DummyPairs)
 	case got.live != nil && got.live.Used != got.live.Purchased+got.live.Replayed:
 		return fmt.Errorf("live pool at %d: %d bought + %d replayed", got.live.Used, got.live.Purchased, got.live.Replayed)
 	case got.live == nil && gotTier != wantTier:
@@ -669,19 +671,16 @@ func (c *requestTap) Recv() (*smc.Message, error) {
 }
 
 // frozenOf is the frozen run the live engine is held to: the same rule and
-// mode over the fixed-level binner (or the DP release), at ample
-// allowance.
-func frozenOf(t *testing.T, cfg core.Config, mode string) core.Config {
+// mode over the fixed-level binner, at ample allowance.
+func frozenOf(t *testing.T, cfg core.Config) core.Config {
 	f := core.DefaultConfig(cfg.QIDs)
 	f.Theta, f.Thresholds, f.Heuristic, f.Tier, f.TierLow = cfg.Theta, cfg.Thresholds, cfg.Heuristic, cfg.Tier, cfg.TierLow
-	f.Allowance, f.Scale, f.Epsilon, f.DPSeed = incrementalAmple, 1, cfg.Epsilon, cfg.DPSeed
-	if mode != "dp" {
-		lb, err := dpblock.NewLevelBinner(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.AliceAnonymizer, f.BobAnonymizer, f.AliceK, f.BobK = lb, lb, 1, 1
+	f.Allowance, f.Scale = incrementalAmple, 1
+	lb, err := dpblock.NewLevelBinner(0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	f.AliceAnonymizer, f.BobAnonymizer, f.AliceK, f.BobK = lb, lb, 1, 1
 	return f
 }
 
@@ -709,7 +708,7 @@ func liveOnce(w *World, cfg core.Config, cmp core.ComparatorFactory, steps []inc
 	out := &outcome{allowance: incrementalAmple}
 	eng, err := incremental.New(w.Alice.Schema(), incremental.Config{
 		QIDs: cfg.QIDs, Theta: cfg.Theta, Thresholds: cfg.Thresholds, Heuristic: cfg.Heuristic,
-		Allowance: incrementalAmple, Tier: cfg.Tier, TierLow: cfg.TierLow, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed,
+		Allowance: incrementalAmple, Tier: cfg.Tier, TierLow: cfg.TierLow,
 		Comparator: record(cmp, out), Journal: sink, Recovered: recovered,
 	})
 	if err != nil {

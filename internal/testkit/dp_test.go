@@ -12,7 +12,6 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/dpblock"
-	"pprl/internal/incremental"
 	"pprl/internal/journal"
 	"pprl/internal/oracle"
 	"pprl/internal/session"
@@ -223,8 +222,8 @@ func (c *sentTap) Send(m *smc.Message) error {
 // TestTierRefusedUnderDP: the triage tier and a DP release refuse each
 // other on every shape, by one sentinel, before anything is published. A
 // dummy handle's CLK would tell the querying party it is padding
-// (SECURITY.md, "Noised bins"). core.Link and incremental.New refuse the
-// config; a session holder with ε refuses a query that asks for the tier
+// (SECURITY.md, "Noised bins"). core.Link refuses the config (the live
+// engine has no DP mode to refuse it in); a session holder with ε refuses a query that asks for the tier
 // before it sends its view or any encoding, and the querying party, its
 // links closed as a refusing holder's process would close them, returns
 // an error rather than wait.
@@ -234,10 +233,6 @@ func TestTierRefusedUnderDP(t *testing.T) {
 	cfg.Tier = core.TierBloom
 	if _, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg); !errors.Is(err, dpblock.ErrTierUnderDP) {
 		t.Errorf("core.Link: err = %v, want ErrTierUnderDP", err)
-	}
-	icfg := incremental.Config{QIDs: cfg.QIDs, Tier: core.TierBloom, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed}
-	if _, err := incremental.New(w.Alice.Schema(), icfg); !errors.Is(err, dpblock.ErrTierUnderDP) {
-		t.Errorf("incremental.New: err = %v, want ErrTierUnderDP", err)
 	}
 
 	qa, aq := smc.NewConnPair()

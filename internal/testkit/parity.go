@@ -24,6 +24,7 @@ const (
 
 	frozenSurfaces = SurfaceJobs | SurfaceLink
 	liveSurfaces   = SurfaceDatasets | SurfaceDedup
+	apiSurfaces    = SurfaceJobs | SurfaceDatasets
 	allSurfaces    = frozenSurfaces | liveSurfaces | SurfaceQuery
 )
 
@@ -41,8 +42,8 @@ type ParamRow struct {
 	// Anonymizer is anonymizer / -anon, which only the frozen surfaces
 	// take; the others ignore it.
 	Anonymizer string
-	// Level is the binning depth the surface takes: dp_level / -dp-level
-	// on the frozen surfaces, level / -level on the live ones.
+	// Level is the binning depth the surface takes: -dp-level on
+	// pprl-link's two-relation run, level / -level on the live surfaces.
 	Level int
 	// Unknown, when set, is the JSON key of a parameter that no longer
 	// exists, pushed beside the block with the value 0.95 (as the key in a
@@ -70,15 +71,17 @@ var ParamRows = []ParamRow{
 	{Name: "negative tier low", Params: cliutil.Params{Tier: "bloom", TierLow: -0.1}, On: allSurfaces, Refuse: allSurfaces, Want: "low must be in [0, 1)"},
 	{Name: "tier low of 1", Params: cliutil.Params{Tier: "bloom", TierLow: 1}, On: allSurfaces, Refuse: allSurfaces, Want: "low must be in [0, 1)"},
 	{Name: "tier threshold", Params: cliutil.Params{Tier: "bloom", TierLow: 0.4}, On: allSurfaces},
-	{Name: "epsilon with a k-anonymizer", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "tds", On: frozenSurfaces, Refuse: frozenSurfaces, Want: "epsilon requires"},
-	{Name: "dp without epsilon", Anonymizer: "dp", On: frozenSurfaces, Refuse: frozenSurfaces, Want: "dp requires"},
-	{Name: "dp", Params: cliutil.Params{Epsilon: 2, DPDelta: 1e-6, DPSeed: 7}, Anonymizer: "dp", Level: 2, On: frozenSurfaces | SurfaceDatasets},
-	{Name: "tier under dp", Params: cliutil.Params{Epsilon: 2, Tier: "bloom"}, Anonymizer: "dp", On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "DP blocking"},
-	{Name: "negative epsilon", Params: cliutil.Params{Epsilon: -2}, Anonymizer: "dp", On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
-	{Name: "delta without epsilon", Params: cliutil.Params{DPDelta: 1e-6}, On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
-	{Name: "delta out of range", Params: cliutil.Params{Epsilon: 2, DPDelta: 0.7}, Anonymizer: "dp", On: frozenSurfaces | SurfaceDatasets, Refuse: allSurfaces, Want: "delta must be in [0, 0.5)"},
-	{Name: "negative dp level", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "dp", Level: -1, On: frozenSurfaces, Refuse: allSurfaces, Want: "level must be ≥ 0"},
-	{Name: "dp level without epsilon", Level: 2, On: frozenSurfaces, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
+	// pprl-serve refuses DP whole (service.ErrNoDP), so the rows that
+	// check DP's own rules run on pprl-link's two-relation run alone.
+	{Name: "epsilon with a k-anonymizer", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "tds", On: SurfaceLink, Refuse: SurfaceLink, Want: "epsilon requires"},
+	{Name: "dp without epsilon", Anonymizer: "dp", On: SurfaceLink, Refuse: SurfaceLink, Want: "dp requires"},
+	{Name: "dp", Params: cliutil.Params{Epsilon: 2, DPDelta: 1e-6, DPSeed: 7}, Anonymizer: "dp", Level: 2, On: frozenSurfaces | SurfaceDatasets, Refuse: apiSurfaces, Want: "pprl-party"},
+	{Name: "tier under dp", Params: cliutil.Params{Epsilon: 2, Tier: "bloom"}, Anonymizer: "dp", On: SurfaceLink, Refuse: allSurfaces, Want: "DP blocking"},
+	{Name: "negative epsilon", Params: cliutil.Params{Epsilon: -2}, Anonymizer: "dp", On: SurfaceLink, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
+	{Name: "delta without epsilon", Params: cliutil.Params{DPDelta: 1e-6}, On: SurfaceLink, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
+	{Name: "delta out of range", Params: cliutil.Params{Epsilon: 2, DPDelta: 0.7}, Anonymizer: "dp", On: SurfaceLink, Refuse: allSurfaces, Want: "delta must be in [0, 0.5)"},
+	{Name: "negative dp level", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "dp", Level: -1, On: SurfaceLink, Refuse: allSurfaces, Want: "level must be ≥ 0"},
+	{Name: "dp level without epsilon", Level: 2, On: SurfaceLink, Refuse: allSurfaces, Want: "epsilon must be in (0, ∞)"},
 	{Name: "negative level", Level: -1, On: liveSurfaces, Refuse: allSurfaces},
 	{Name: "negative key size", Params: cliutil.Params{Secure: true, KeyBits: -1}, On: allSurfaces, Refuse: allSurfaces, Want: "must be at least 64"},
 	{Name: "key below the engine's floor", Params: cliutil.Params{Secure: true, KeyBits: 63}, On: allSurfaces, Refuse: allSurfaces, Want: "must be at least 64"},

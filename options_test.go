@@ -45,12 +45,12 @@ func TestOptionCount(t *testing.T) {
 		most int
 	}{
 		{core.Config{}, 24},
-		{incremental.Config{}, 18},
+		{incremental.Config{}, 15},
 		{session.QueryConfig{}, 15},
 		{session.HolderConfig{}, 8},
 		{cliutil.Params{}, 14},
-		{service.JobSpec{}, 11},
-		{service.DatasetSpec{}, 3},
+		{service.JobSpec{}, 10},
+		{service.DatasetSpec{}, 2},
 	}
 	listed := map[reflect.Type]bool{}
 	for _, c := range table {
