@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLaplaceBins$$' -fuzztime $(FUZZTIME) ./internal/dpblock
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveBudget$$' -fuzztime $(FUZZTIME) ./internal/resolve
 	$(GO) test -run '^$$' -fuzz '^FuzzResultStream$$' -fuzztime $(FUZZTIME) ./internal/smc
+	$(GO) test -run '^$$' -fuzz '^FuzzPlainComparator$$' -fuzztime $(FUZZTIME) ./internal/smc
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecBodies$$' -fuzztime $(FUZZTIME) ./internal/service
 
 # The end-to-end benchmark is a nested module (benchmark/), so tier-1

@@ -477,3 +477,39 @@ func TestScaleResolvesFractions(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkSquaresFarDifferences: on a domain wide enough that a squared
+// difference passes 2^63 — two records a side, 0 and 3.1e9 on [0, 1e10] —
+// both comparators buy exactly the two equal pairs. The square of 3.1e9
+// used to wrap negative, under every threshold, and all four pairs were
+// bought as matches: precision 0.5 under maximize-precision.
+func TestLinkSquaresFarDifferences(t *testing.T) {
+	schema := dataset.MustSchema(dataset.NumAttr(vgh.MustIntervalHierarchy("x", 0, 1e10, 10, 4)))
+	rel := func() *dataset.Dataset {
+		d := dataset.New(schema)
+		for i, v := range []float64{0, 3.1e9} {
+			d.MustAppend(dataset.Record{EntityID: i, Cells: []dataset.Cell{dataset.NumCell(v)}})
+		}
+		return d
+	}
+	alice, bob := rel(), rel()
+	for name, factory := range map[string]ComparatorFactory{"plain": PlainComparatorFactory, "secure": SecureComparatorFactory(256)} {
+		cfg := DefaultConfig([]string{"x"})
+		cfg.AliceK, cfg.BobK = 2, 2
+		cfg.AllowanceFraction = 1
+		cfg.Comparator = factory
+		res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Invocations != 4 {
+			t.Fatalf("%s: %d pairs purchased, want all 4", name, res.Invocations)
+		}
+		if got := res.Matches(); len(got) != 2 || res.PairMatched(0, 1) || res.PairMatched(1, 0) {
+			t.Errorf("%s: matches %v, want (0,0) and (1,1)", name, got)
+		}
+		if conf := res.Evaluate(truth(t, alice, bob, res)); conf.FalsePositives+conf.FalseNegatives != 0 {
+			t.Errorf("%s: %+v against the clear-text rule", name, conf)
+		}
+	}
+}

@@ -10,10 +10,10 @@ import (
 // labelStore holds per-pair verdicts group-major: each class pair that has
 // received a label owns two bitsets over the row-major |A| × |B| walk of
 // its members, allocated on its first label. The resolve kernel walks
-// group-major and delivers row spans, so setSpan caches the last group and
-// pays its array reads once per span, two bit operations per pair; memory
-// is 2 bits × pairs of the groups actually touched, however large the
-// allowance. A store is keyed by
+// group-major and delivers row spans, so setSpan caches the last group,
+// pays its array reads once per span and files up to 64 pairs a word;
+// memory is 2 bits × pairs of the groups actually touched, however large
+// the allowance. A store is keyed by
 // (ClassOf[i], ClassOf[j]) and sized from the two classes, so any pair is
 // storable — a journaled purchase the walk never met included.
 type labelStore struct {
@@ -49,8 +49,10 @@ func newLabelStore(block *blocking.Result, posA, posB []int32) *labelStore {
 
 // setSpan records the verdicts of record i against js, a contiguous stretch
 // of one class's Members as the resolve kernel delivers it (a lone pair is
-// the span of one): one group lookup and one row base for the whole span.
-// Setting a pair again overwrites the verdict and counts once.
+// the span of one): one group lookup and one row base for the whole span,
+// then one 64-bit word at a time — the word's verdict bits are gathered,
+// known is set with one mask, and the counts move by popcount. Setting a
+// pair again overwrites the verdict and counts once.
 func (s *labelStore) setSpan(i int, js []int, verdicts []bool) {
 	key := [2]int32{int32(s.r.ClassOf[i]), int32(s.s.ClassOf[js[0]])}
 	g := s.last
@@ -63,22 +65,26 @@ func (s *labelStore) setSpan(i int, js []int, verdicts []bool) {
 		}
 		s.lastKey, s.last = key, g
 	}
-	base := int(s.posA[i])*g.cols + int(s.posB[js[0]])
-	for x, matched := range verdicts {
-		w, m := (base+x)>>6, uint64(1)<<((base+x)&63)
-		switch {
-		case g.known[w]&m == 0:
-			g.known[w] |= m
-			g.n++
-			s.n++
-		case g.matched[w]&m != 0:
-			g.matched[w] &^= m
-			s.matched--
+	bit := int(s.posA[i])*g.cols + int(s.posB[js[0]])
+	for len(verdicts) > 0 {
+		w, lo := bit>>6, bit&63
+		n := min(64-lo, len(verdicts))
+		var v uint64
+		for x, matched := range verdicts[:n] {
+			var b uint64
+			if matched {
+				b = 1
+			}
+			v |= b << (lo + x)
 		}
-		if matched {
-			g.matched[w] |= m
-			s.matched++
-		}
+		m := (^uint64(0) >> (64 - n)) << lo
+		fresh := bits.OnesCount64(m &^ g.known[w])
+		g.n += fresh
+		s.n += int64(fresh)
+		s.matched += int64(bits.OnesCount64(v) - bits.OnesCount64(g.matched[w]&m))
+		g.known[w] |= m
+		g.matched[w] = g.matched[w]&^m | v
+		bit, verdicts = bit+n, verdicts[n:]
 	}
 }
 

@@ -8,16 +8,17 @@ import (
 	"pprl/internal/adult"
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
+	"pprl/internal/heuristic"
 )
 
 // randomClasses partitions n records into classes of random sizes — one,
-// a few, and more than a machine word's worth — in shuffled record order,
-// so member positions differ from record indices.
+// a few, and more than one and two machine words' worth — in shuffled
+// record order, so member positions differ from record indices.
 func randomClasses(rng *rand.Rand, n int) *anonymize.Result {
 	v := &anonymize.Result{ClassOf: make([]int, n)}
 	perm := rng.Perm(n)
 	for len(perm) > 0 {
-		size := []int{1, 2, 3, 9, 70}[rng.Intn(5)]
+		size := []int{1, 2, 3, 9, 70, 130}[rng.Intn(6)]
 		if size > len(perm) {
 			size = len(perm)
 		}
@@ -34,23 +35,47 @@ func randomClasses(rng *rand.Rand, n int) *anonymize.Result {
 // major row spans as the kernel delivers them, jumps to arbitrary class
 // pairs as unmet journaled purchases do, repeated pairs, both verdicts —
 // into a store and into a per-pair map: every get, every per-group count
-// and the totals must agree.
+// and the totals must agree. Rows of up to 130 pairs give spans of more
+// than a word and spans across word boundaries, and a closing pass
+// overwrites filed spans Match → NonMatch and back; the totals are
+// checked after every span.
 func TestLabelStoreMatchesReferenceMap(t *testing.T) {
+	var straddling, long int // spans across a word boundary, and of more than a word
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		nA, nB := 1+rng.Intn(200), 1+rng.Intn(200)
+		nA, nB := 1+rng.Intn(300), 1+rng.Intn(300)
 		block := &blocking.Result{R: randomClasses(rng, nA), S: randomClasses(rng, nB)}
 		store := newLabelStore(block, memberPositions(block.R), memberPositions(block.S))
 		ref := make(map[[2]int]bool)
+		var refMatched int64
+		file := func(i int, js []int, verdicts []bool) {
+			t.Helper()
+			store.setSpan(i, js, verdicts)
+			cols := block.S.Classes[block.S.ClassOf[js[0]]].Size()
+			if bit := int(store.posA[i])*cols + int(store.posB[js[0]]); bit/64 != (bit+len(js)-1)/64 {
+				straddling++
+			}
+			if len(js) > 64 {
+				long++
+			}
+			for x, j := range js {
+				if ref[[2]int{i, j}] {
+					refMatched--
+				}
+				if ref[[2]int{i, j}] = verdicts[x]; verdicts[x] {
+					refMatched++
+				}
+			}
+			if store.n != int64(len(ref)) || store.matched != refMatched {
+				t.Fatalf("seed %d: after a span of %d, totals %d labeled / %d matched; reference %d / %d", seed, len(js), store.n, store.matched, len(ref), refMatched)
+			}
+		}
 		for step := 0; step < 300; step++ {
 			a := block.R.Classes[rng.Intn(len(block.R.Classes))].Members
 			b := block.S.Classes[rng.Intn(len(block.S.Classes))].Members
 			if rng.Intn(3) == 0 {
 				// One stray pair, as a Group −1 replay lands.
-				i, j := a[rng.Intn(len(a))], b[rng.Intn(len(b))]
-				v := rng.Intn(2) == 0
-				store.setSpan(i, []int{j}, []bool{v})
-				ref[[2]int{i, j}] = v
+				file(a[rng.Intn(len(a))], []int{b[rng.Intn(len(b))]}, []bool{rng.Intn(2) == 0})
 				continue
 			}
 			// A row-major walk of part of the group in spans of random
@@ -63,12 +88,27 @@ func TestLabelStoreMatchesReferenceMap(t *testing.T) {
 						verdicts := make([]bool, span)
 						for x := range verdicts {
 							verdicts[x] = rng.Intn(3) == 0
-							ref[[2]int{i, b[m+x]}] = verdicts[x]
 						}
-						store.setSpan(i, b[m:m+span], verdicts)
+						file(i, b[m:m+span], verdicts)
 					}
 					m += span
 				}
+			}
+		}
+		// Overwrites: a stretch of one row filed all Match, a stretch
+		// overlapping it all NonMatch, then mixed verdicts over both.
+		for step := 0; step < 50; step++ {
+			a := block.R.Classes[rng.Intn(len(block.R.Classes))].Members
+			b := block.S.Classes[rng.Intn(len(block.S.Classes))].Members
+			i := a[rng.Intn(len(a))]
+			for _, fill := range []int{1, 0, 2} {
+				lo := rng.Intn(len(b))
+				hi := lo + 1 + rng.Intn(len(b)-lo)
+				verdicts := make([]bool, hi-lo)
+				for x := range verdicts {
+					verdicts[x] = fill == 1 || fill == 2 && rng.Intn(2) == 0
+				}
+				file(i, b[lo:hi], verdicts)
 			}
 		}
 
@@ -105,6 +145,9 @@ func TestLabelStoreMatchesReferenceMap(t *testing.T) {
 				}
 			}
 		}
+	}
+	if straddling == 0 || long == 0 {
+		t.Errorf("%d spans crossed a word boundary and %d were longer than a word: the streams miss a case", straddling, long)
 	}
 }
 
@@ -179,4 +222,77 @@ func BenchmarkLinkPlain(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(purchased)/b.Elapsed().Seconds(), "pairs/s")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(purchased), "B/pair")
+}
+
+// spanEvent is one span the resolve kernel hands the store.
+type spanEvent struct {
+	i        int
+	js       []int
+	verdicts []bool
+}
+
+// purchaseSpans replays a paper-shaped link's purchases as the kernel
+// delivers them: the ordered Unknown groups row by row, one span per
+// class-pair row, cut where the allowance runs out, with the link's own
+// verdicts.
+func purchaseSpans(tb testing.TB) (*Result, []spanEvent) {
+	tb.Helper()
+	alice, bob, cfg := paperShaped(tb, 3000)
+	res, err := Link(alice, bob, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var events []spanEvent
+	left := res.Invocations
+	for _, gp := range heuristic.Order(res.Block, res.Rule(), res.cfg.Heuristic, false) {
+		b := res.Block.S.Classes[gp.SI].Members
+		for _, i := range res.Block.R.Classes[gp.RI].Members {
+			if left == 0 {
+				return res, events
+			}
+			ev := spanEvent{i: i, js: b[:min(int64(len(b)), left)]}
+			for _, j := range ev.js {
+				matched, _ := res.purchased.get(i, j)
+				ev.verdicts = append(ev.verdicts, matched)
+			}
+			events = append(events, ev)
+			left -= int64(len(ev.js))
+		}
+	}
+	return res, events
+}
+
+// TestSetSpanAllocatesNothing: filing into a group that exists allocates
+// nothing per span.
+func TestSetSpanAllocatesNothing(t *testing.T) {
+	res, events := purchaseSpans(t)
+	store := newLabelStore(res.Block, memberPositions(res.Block.R), memberPositions(res.Block.S))
+	for _, ev := range events {
+		store.setSpan(ev.i, ev.js, ev.verdicts)
+	}
+	x := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		ev := events[x%len(events)]
+		store.setSpan(ev.i, ev.js, ev.verdicts)
+		x++
+	}); n != 0 {
+		t.Errorf("setSpan allocates %v times per span", n)
+	}
+}
+
+// BenchmarkLabelStoreSetSpan files a paper-shaped link's purchases, span
+// by span in walk order, into a fresh store: ns/pair, the groups' bitsets
+// included.
+func BenchmarkLabelStoreSetSpan(b *testing.B) {
+	res, events := purchaseSpans(b)
+	posA, posB := memberPositions(res.Block.R), memberPositions(res.Block.S)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		store := newLabelStore(res.Block, posA, posB)
+		for _, ev := range events {
+			store.setSpan(ev.i, ev.js, ev.verdicts)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Invocations), "ns/pair")
 }

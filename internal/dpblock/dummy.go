@@ -80,7 +80,7 @@ func DummyRow(schema *dataset.Schema, qids []int, spec *smc.Spec, isAlice bool) 
 				lo = int64(math.Round(iv.Lo * float64(spec.Scale)))
 				hi = int64(math.Round(iv.Hi * float64(spec.Scale)))
 			}
-			sep := isqrt(spec.Attrs[j].T) + 1
+			sep := smc.Isqrt(spec.Attrs[j].T) + 1
 			row[j] = hi + sep
 			if isAlice {
 				row[j] = lo - sep
@@ -92,21 +92,6 @@ func DummyRow(schema *dataset.Schema, qids []int, spec *smc.Spec, isAlice bool) 
 		return nil, fmt.Errorf("every classifier attribute is unconditionally accepted (θ ≥ 1), so DP padding cannot be hidden; tighten θ or disable DP blocking")
 	}
 	return row, nil
-}
-
-// isqrt returns ⌊√t⌋ for t ≥ 0.
-func isqrt(t int64) int64 {
-	if t <= 0 {
-		return 0
-	}
-	s := int64(math.Sqrt(float64(t)))
-	for s > 0 && s*s > t {
-		s--
-	}
-	for s < math.MaxInt32 && (s+1)*(s+1) <= t {
-		s++
-	}
-	return s
 }
 
 // PadEncodings lifts a holder's encoded records into the padded handle

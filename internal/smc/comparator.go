@@ -33,16 +33,46 @@ type Comparator interface {
 // cryptographic cost. Experiments at paper scale use it while charging
 // the cost model per invocation; TestSecureMatchesPlain pins its answers
 // to the real protocol's.
+//
+// The spec is compiled once into radius tests: a pair passes a threshold
+// attribute iff |a−b| ≤ ⌊√T⌋ and an equality one iff |a−b| ≤ 0, exact for
+// every int64; an always-true attribute is dropped. The tests run in
+// order of how often each failed, most first, with early exit: the first
+// pair of every Alice run is evaluated in full and tallies the attributes
+// it fails, and the order is re-sorted between batches. The AND does not
+// depend on the order, so neither does any verdict.
 type PlainComparator struct {
-	spec        *Spec
 	alice, bob  [][]int64
+	terms       []term
 	invocations int64
 	verdicts    []bool
 }
 
-// NewPlainComparator builds the oracle over both holders' encoded records.
+// term is one compiled attribute: a pair passes it iff |a−b| < lim on
+// column col — lim is ⌊√T⌋ + 1, 1 for equality, and 0 for a threshold
+// below zero, which nothing passes. fails counts the sampled pairs that
+// did not.
+type term struct {
+	col   int
+	lim   uint64
+	fails int64
+}
+
+// NewPlainComparator builds the oracle over both holders' encoded records:
+// O(d) work for d attributes, none per record.
 func NewPlainComparator(spec *Spec, alice, bob [][]int64) *PlainComparator {
-	return &PlainComparator{spec: spec, alice: alice, bob: bob}
+	p := &PlainComparator{alice: alice, bob: bob}
+	for col, a := range spec.Attrs {
+		switch {
+		case a.Mode == ModeEquality:
+			p.terms = append(p.terms, term{col: col, lim: 1})
+		case a.Mode == ModeThreshold && a.T < 0:
+			p.terms = append(p.terms, term{col: col})
+		case a.Mode == ModeThreshold:
+			p.terms = append(p.terms, term{col: col, lim: uint64(Isqrt(a.T)) + 1})
+		}
+	}
+	return p
 }
 
 // Compare implements Comparator.
@@ -51,29 +81,71 @@ func (p *PlainComparator) Compare(i, j int) (bool, error) {
 		return false, fmt.Errorf("smc: pair (%d,%d) out of range", i, j)
 	}
 	p.invocations++
-	return p.spec.Matches(p.alice[i], p.bob[j]), nil
+	return match(p.terms, p.alice[i], p.bob[j]), nil
 }
 
-// CompareBatch implements Comparator. The whole list is range-checked
-// before anything is counted, and Alice's record is looked up once per run
-// of pairs sharing it. The verdicts are only valid until the next call.
-func (p *PlainComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
-	for _, pr := range pairs {
-		if pr[0] < 0 || pr[0] >= len(p.alice) || pr[1] < 0 || pr[1] >= len(p.bob) {
-			return nil, fmt.Errorf("smc: pair (%d,%d) out of range", pr[0], pr[1])
+// match tests the terms in order and stops at the first one the pair
+// fails.
+func match(terms []term, a, b []int64) bool {
+	for _, t := range terms {
+		if absDiff(a[t.col], b[t.col]) >= t.lim {
+			return false
 		}
 	}
-	p.verdicts = slices.Grow(p.verdicts[:0], len(pairs))[:len(pairs)]
-	var row []int64
-	for x, last := 0, -1; x < len(pairs); x++ {
-		if pairs[x][0] != last {
-			last = pairs[x][0]
-			row = p.alice[last]
+	return true
+}
+
+// sample tests every term and tallies the ones the pair fails.
+func sample(terms []term, a, b []int64) bool {
+	ok := true
+	for k := range terms {
+		if t := &terms[k]; absDiff(a[t.col], b[t.col]) >= t.lim {
+			t.fails++
+			ok = false
 		}
-		p.verdicts[x] = p.spec.Matches(row, p.bob[pairs[x][1]])
+	}
+	return ok
+}
+
+// CompareBatch implements Comparator. Nothing is counted unless every
+// pair is in range, and Alice's record is looked up once per run of pairs
+// sharing it, whose first pair is the sample. The verdicts are only valid
+// until the next call.
+func (p *PlainComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
+	alice, bob, terms := p.alice, p.bob, p.terms
+	out := slices.Grow(p.verdicts[:0], len(pairs))[:len(pairs)]
+	p.verdicts = out
+	for x := 0; x < len(pairs); {
+		i, j := pairs[x][0], pairs[x][1]
+		if uint(i) >= uint(len(alice)) || uint(j) >= uint(len(bob)) {
+			return nil, fmt.Errorf("smc: pair (%d,%d) out of range", i, j)
+		}
+		row := alice[i]
+		out[x] = sample(terms, row, bob[j])
+		if x++; len(terms) == 0 {
+			continue // every pair matches
+		}
+		// The rest of the run: the first test's operands are held.
+		first, rest := terms[0], terms[1:]
+		a := row[first.col]
+		for ; x < len(pairs) && pairs[x][0] == i; x++ {
+			j := pairs[x][1]
+			if uint(j) >= uint(len(bob)) {
+				return nil, fmt.Errorf("smc: pair (%d,%d) out of range", i, j)
+			}
+			b := bob[j]
+			out[x] = absDiff(a, b[first.col]) < first.lim && match(rest, row, b)
+		}
 	}
 	p.invocations += int64(len(pairs))
-	return p.verdicts, nil
+	// Insertion sort, stable: the order is already sorted but for what
+	// this batch's samples moved.
+	for k := 1; k < len(terms); k++ {
+		for m := k; m > 0 && terms[m].fails > terms[m-1].fails; m-- {
+			terms[m], terms[m-1] = terms[m-1], terms[m]
+		}
+	}
+	return out, nil
 }
 
 // Invocations implements Comparator.

@@ -255,12 +255,14 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 		rec := records[m.Record]
 		out := &Message{Kind: MsgShares, Sq: make([]*big.Int, len(active)), Lin: make([]*big.Int, len(active))}
 		if err := forEachAttr(len(active), func(k int) error {
-			a := rec[active[k]]
-			sq, err := eng.noise.EncryptInt64(a * a)
+			// a² and −2a are taken exactly: both leave int64 once |a|
+			// passes 2^31.5 and 2^62.
+			a := big.NewInt(rec[active[k]])
+			sq, err := eng.noise.Encrypt(new(big.Int).Mod(new(big.Int).Mul(a, a), pk.N))
 			if err != nil {
 				return fmt.Errorf("encrypting a²: %w", err)
 			}
-			lin, err := eng.noise.EncryptInt64(-2 * a)
+			lin, err := eng.noise.Encrypt(a.Mod(a.Lsh(a, 1).Neg(a), pk.N))
 			if err != nil {
 				return fmt.Errorf("encrypting −2a: %w", err)
 			}
@@ -393,7 +395,8 @@ func blinds(pk *paillier.PublicKey) (rho, delta *big.Int, err error) {
 // blindedSlot is one attribute's packed value ρ·((a−b)² − T − 1) + δ
 // (ModeEquality has T = 0: a match iff (a−b)² < 1): the slot's base is
 // Enc(a² − 2ab) = Sq·Lin^b, in Montgomery form, and the public rest,
-// ρ·(b² − T − 1) + δ, rides in the slot's constant.
+// ρ·(b² − T − 1) + δ, exact however large b and T, rides in the slot's
+// constant.
 func blindedSlot(pk *paillier.PublicKey, sq, lin *paillier.MontCiphertext, b int64, attr AttrSpec) (paillier.Slot, error) {
 	base, err := pk.MulPow(sq, lin, b)
 	if err != nil {
@@ -403,8 +406,10 @@ func blindedSlot(pk *paillier.PublicKey, sq, lin *paillier.MontCiphertext, b int
 	if err != nil {
 		return paillier.Slot{}, err
 	}
-	add := big.NewInt(b * b)
-	add.Add(add, big.NewInt(-(attr.T + 1)))
+	add := big.NewInt(b)
+	add.Mul(add, add)
+	add.Sub(add, big.NewInt(attr.T))
+	add.Sub(add, big.NewInt(1))
 	add.Mul(add, rho)
 	return paillier.Slot{Base: base, Rho: rho.Uint64(), Add: add.Add(add, delta)}, nil
 }

@@ -128,7 +128,9 @@ func (s *Spec) BoundBySchema(schema *dataset.Schema, qids []int) {
 		} else {
 			top += math.Ceil(math.Sqrt(math.Max(float64(s.Attrs[j].T), 0))) + 1
 		}
-		b := 62 // at and beyond it int64 squares overflow; checkRecords stops checking
+		// From 2^62 on the bound is every int64's: |a−b| < 2^64, so
+		// d² < 2^{2·63+2} (slotBits), and checkRecords has nothing to refuse.
+		b := 63
 		if top < 1<<62 {
 			b = bits.Len64(uint64(top))
 		}
@@ -242,7 +244,7 @@ func (p resultPlan) frame(x, left int) (pairs, cts int) {
 // slot, which packing cannot detect after the fact (the carry lands in a
 // neighbouring slot).
 func (s *Spec) checkRecords(records [][]int64) error {
-	if s.valueBits() >= 62 {
+	if s.valueBits() >= 63 {
 		return nil
 	}
 	limit := int64(1) << uint(s.valueBits())
@@ -370,22 +372,46 @@ func CheckIntegral(schema *dataset.Schema, recs []dataset.Record, qids []int, sc
 
 // Matches evaluates the spec's integer arithmetic in the clear: the
 // reference semantics both the secure circuit and the plaintext oracle
-// must agree with.
+// must agree with. The square of a difference is taken exactly, over 128
+// bits: |a−b| of two int64 values can reach 2^64 − 1.
 func (s *Spec) Matches(a, b []int64) bool {
 	for i, att := range s.Attrs {
 		switch att.Mode {
-		case ModeAlways:
-			continue
 		case ModeEquality:
 			if a[i] != b[i] {
 				return false
 			}
 		case ModeThreshold:
-			d := a[i] - b[i]
-			if d*d > att.T {
+			d := absDiff(a[i], b[i])
+			if hi, lo := bits.Mul64(d, d); att.T < 0 || hi != 0 || lo > uint64(att.T) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// absDiff returns |a−b|, exact for every pair of int64 values.
+func absDiff(a, b int64) uint64 {
+	d := uint64(a) - uint64(b)
+	if a < b {
+		d = -d
+	}
+	return d
+}
+
+// Isqrt returns ⌊√t⌋ — the largest |a−b| a threshold attribute with bound
+// t accepts — for t ≥ 0, and 0 for t < 0.
+func Isqrt(t int64) int64 {
+	if t <= 0 {
+		return 0
+	}
+	r := uint64(math.Sqrt(float64(t))) // within one of the root
+	for hi, lo := bits.Mul64(r, r); hi != 0 || lo > uint64(t); hi, lo = bits.Mul64(r, r) {
+		r--
+	}
+	for hi, lo := bits.Mul64(r+1, r+1); hi == 0 && lo <= uint64(t); hi, lo = bits.Mul64(r+1, r+1) {
+		r++
+	}
+	return int64(r)
 }
