@@ -67,6 +67,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveBudget$$' -fuzztime $(FUZZTIME) ./internal/resolve
 	$(GO) test -run '^$$' -fuzz '^FuzzResultStream$$' -fuzztime $(FUZZTIME) ./internal/smc
 	$(GO) test -run '^$$' -fuzz '^FuzzPlainComparator$$' -fuzztime $(FUZZTIME) ./internal/smc
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/smc
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/distrib
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecBodies$$' -fuzztime $(FUZZTIME) ./internal/service
 
 # The end-to-end benchmark is a nested module (benchmark/), so tier-1
@@ -196,7 +198,8 @@ perf:
 # Code size, so the next audit reads the number instead of recounting it:
 # non-test Go lines outside the frozen benchmark/, then test lines —
 # internal/testkit counts as test code whole: only tests import it, and the
-# target fails if a non-test file elsewhere ever does — then the option
+# target fails if a non-test file elsewhere ever does, or if a non-test file
+# imports encoding/gob (peer frames are internal/wire's) — then the option
 # count (the fields of the engine configs, of the shared parameter block —
 # counted once — and of what each API body adds to it, and the flag
 # definitions under cmd/ and internal/cliutil; TestOptionCount fails, and
@@ -204,6 +207,8 @@ perf:
 loc:
 	@bad=$$(grep -l '"pprl/internal/testkit"' $$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/testkit/*' -not -path './benchmark/*' -not -path './.bench_build/*')); \
 	if [ -n "$$bad" ]; then echo "loc: non-test files import internal/testkit: $$bad"; exit 1; fi
+	@bad=$$(grep -l '"encoding/gob"' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*')); \
+	if [ -n "$$bad" ]; then echo "loc: non-test files import encoding/gob: $$bad"; exit 1; fi
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './internal/testkit/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
 	@printf 'test Go lines:     '; find . \( -name '*_test.go' -o -path './internal/testkit/*.go' \) -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
 	@out=$$($(GO) test -count=1 -run '^TestOptionCount$$' -v .); status=$$?; \

@@ -13,10 +13,11 @@ import (
 
 	"pprl/internal/metrics"
 	"pprl/internal/smc"
+	"pprl/internal/wire"
 )
 
 // recordShipChunk bounds rows per kindRecords frame, so shipping a large
-// holder never builds one giant gob buffer.
+// holder never builds one giant frame.
 const recordShipChunk = 2048
 
 // handshakeTimeout bounds the register/welcome exchange on a new
@@ -45,7 +46,7 @@ type PoolOptions struct {
 type worker struct {
 	name  string
 	lanes int
-	link  *link
+	link  *wire.Link
 	// incoming carries non-heartbeat messages from the read loop to
 	// whichever coordinator goroutine currently owns this worker (the
 	// pool serializes jobs, and within a job each worker serves one
@@ -107,20 +108,15 @@ func (p *Pool) logf(format string, args ...any) {
 // worker always speaks first.
 func (p *Pool) AddConn(conn net.Conn) error {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	l := newLink(conn)
-	reg, err := l.recv()
-	if err != nil {
+	l := wire.NewLink(conn)
+	reg := new(message)
+	if err := l.Recv(reg); err != nil {
 		conn.Close()
 		return fmt.Errorf("distrib: worker handshake: %w", err)
 	}
 	if reg.Kind != kindRegister {
 		conn.Close()
 		return fmt.Errorf("distrib: expected registration, got message kind %d", reg.Kind)
-	}
-	if reg.Proto != protocolVersion {
-		l.send(&message{Kind: kindError, Err: fmt.Sprintf("coordinator speaks protocol %d", protocolVersion)})
-		conn.Close()
-		return fmt.Errorf("distrib: worker speaks protocol %d, coordinator %d", reg.Proto, protocolVersion)
 	}
 	p.mu.Lock()
 	name := reg.Name
@@ -141,7 +137,7 @@ func (p *Pool) AddConn(conn net.Conn) error {
 	}
 	p.workers[name] = w
 	p.mu.Unlock()
-	if err := l.send(&message{Kind: kindWelcome, Proto: protocolVersion, Name: name}); err != nil {
+	if err := l.Send(&message{Kind: kindWelcome, Name: name}); err != nil {
 		p.remove(w)
 		conn.Close()
 		return fmt.Errorf("distrib: welcoming worker %s: %w", name, err)
@@ -164,8 +160,8 @@ func (p *Pool) readLoop(w *worker) {
 		p.logf("distrib: worker=%s disconnected", w.name)
 	}()
 	for {
-		m, err := w.link.recv()
-		if err != nil {
+		m := new(message)
+		if err := w.link.Recv(m); err != nil {
 			return
 		}
 		w.lastBeat.Store(time.Now().UnixNano())
@@ -272,7 +268,7 @@ func (p *Pool) Close() error {
 		p.lnMu.Unlock()
 		p.mu.Lock()
 		for _, w := range p.workers {
-			w.link.close()
+			w.link.Close()
 		}
 		p.mu.Unlock()
 	})
@@ -297,7 +293,7 @@ func (p *Pool) await(w *worker) (*message, error) {
 			return nil, fmt.Errorf("distrib: worker %s connection lost", w.name)
 		case <-t.C:
 			if silent := time.Since(time.Unix(0, w.lastBeat.Load())); silent > timeout {
-				w.link.close()
+				w.link.Close()
 				return nil, fmt.Errorf("distrib: worker %s heartbeat silent for %v (timeout %v)", w.name, silent.Round(time.Millisecond), timeout)
 			}
 		}
@@ -315,7 +311,7 @@ func (p *Pool) failWorker(w *worker, job string, chunk int, err error) {
 	// next batch's live() never offers this worker a chunk, and Workers()
 	// no longer lists it once CompareBatch returns. Messages still queued
 	// are dropped, so a readLoop caught delivering one gets to the close.
-	w.link.close()
+	w.link.Close()
 	for {
 		select {
 		case <-w.dead:
@@ -416,9 +412,8 @@ func (p *Pool) setupWorker(w *worker, spec *smc.Spec, alice, bob [][]int64, cfg 
 	setup := &message{
 		Kind: kindSetup, Job: cfg.Job, Engine: cfg.Engine, KeyBits: cfg.KeyBits,
 		Spec: spec, Lanes: cfg.Lanes,
-		Total: [2]int{len(alice), len(bob)},
 	}
-	if err := w.link.send(setup); err != nil {
+	if err := w.link.Send(setup); err != nil {
 		return fmt.Errorf("sending setup: %w", err)
 	}
 	for holder, rows := range [2][][]int64{alice, bob} {
@@ -427,12 +422,12 @@ func (p *Pool) setupWorker(w *worker, spec *smc.Spec, alice, bob [][]int64, cfg 
 			if hi > len(rows) {
 				hi = len(rows)
 			}
-			if err := w.link.send(&message{Kind: kindRecords, Holder: holder, Base: base, Rows: rows[base:hi]}); err != nil {
+			if err := w.link.Send(&message{Kind: kindRecords, Holder: holder, Base: base, Rows: rows[base:hi]}); err != nil {
 				return fmt.Errorf("shipping records: %w", err)
 			}
 		}
 	}
-	if err := w.link.send(&message{Kind: kindSetupDone, Job: cfg.Job}); err != nil {
+	if err := w.link.Send(&message{Kind: kindSetupDone, Job: cfg.Job}); err != nil {
 		return fmt.Errorf("finishing setup: %w", err)
 	}
 	for {
@@ -578,7 +573,7 @@ func (c *Comparator) CompareBatch(pairs [][2]int) ([]bool, error) {
 // doChunk runs one chunk on one worker and merges its verdicts.
 func (c *Comparator) doChunk(w *worker, ch chunkJob, pairs [][2]int, out []bool) error {
 	sub := pairs[ch.lo:ch.hi]
-	if err := w.link.send(&message{Kind: kindChunk, Job: c.cfg.Job, Chunk: ch.idx, Pairs: sub}); err != nil {
+	if err := w.link.Send(&message{Kind: kindChunk, Job: c.cfg.Job, Chunk: ch.idx, Pairs: sub}); err != nil {
 		return fmt.Errorf("sending chunk: %w", err)
 	}
 	for {
@@ -657,7 +652,7 @@ func (c *Comparator) sumStats(f func(*message) int64) int64 {
 func (c *Comparator) Close() error {
 	c.closeOnce.Do(func() {
 		for _, w := range c.live() {
-			w.link.send(&message{Kind: kindTeardown, Job: c.cfg.Job})
+			w.link.Send(&message{Kind: kindTeardown, Job: c.cfg.Job})
 		}
 		c.pool.jobMu.Unlock()
 	})

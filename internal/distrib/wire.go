@@ -18,18 +18,11 @@
 package distrib
 
 import (
-	"encoding/gob"
 	"fmt"
-	"net"
-	"sync"
 
 	"pprl/internal/smc"
+	"pprl/internal/wire"
 )
-
-// protocolVersion is negotiated in the register/welcome handshake; a
-// mismatch is a hard error because the gob message schema below is the
-// wire format.
-const protocolVersion = 1
 
 // Engine selects the comparison engine each worker builds for a job.
 type Engine int
@@ -73,11 +66,10 @@ const (
 	kindError                        // either direction: something failed
 )
 
-// message is the single gob-encoded frame type both directions share.
-// Unused fields stay zero; gob omits them cheaply.
+// message is the single frame type both directions share; Code declares
+// which fields each kind carries.
 type message struct {
-	Kind  msgKind
-	Proto int
+	Kind msgKind
 
 	// Registration.
 	Name  string
@@ -90,12 +82,11 @@ type message struct {
 	Spec    *smc.Spec
 
 	// Record shipping: rows [Base, Base+len(Rows)) of holder Holder
-	// (0 = Alice, 1 = Bob); Total carries both relation sizes in the
-	// setup message so the worker can preallocate.
+	// (0 = Alice, 1 = Bob). A holder's chunks arrive in order on one link,
+	// so Base is always the number of that holder's rows shipped so far.
 	Holder int
 	Base   int
 	Rows   [][]int64
-	Total  [2]int
 
 	// Chunk dispatch and results. Stats are cumulative per job on the
 	// sending worker, so the coordinator keeps only the latest value.
@@ -109,33 +100,47 @@ type message struct {
 	Err string
 }
 
-// link wraps a net.Conn with gob framing and a send mutex, so a worker's
-// heartbeat goroutine and its reply path (or the coordinator's parallel
-// setup senders) can interleave safely. Receiving is single-reader on
-// both ends and needs no lock.
-type link struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	mu   sync.Mutex
-}
-
-func newLink(conn net.Conn) *link {
-	return &link{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-}
-
-func (l *link) send(m *message) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.enc.Encode(m)
-}
-
-func (l *link) recv() (*message, error) {
-	var m message
-	if err := l.dec.Decode(&m); err != nil {
-		return nil, err
+// Code declares message's frame layout (PROTOCOL.md's fleet table).
+func (m *message) Code(c *wire.Coder) {
+	wire.Kind(c, &m.Kind)
+	switch m.Kind {
+	case kindRegister:
+		c.String(&m.Name)
+		wire.Int(c, &m.Lanes)
+	case kindWelcome:
+		c.String(&m.Name)
+	case kindSetup:
+		c.String(&m.Job)
+		wire.Int(c, &m.Engine)
+		wire.Int(c, &m.KeyBits)
+		wire.Opt(c, &m.Spec, func(c *wire.Coder, s *smc.Spec) { s.Code(c) })
+		wire.Int(c, &m.Lanes)
+	case kindRecords:
+		wire.Int(c, &m.Holder)
+		wire.Int(c, &m.Base)
+		wire.Slice(c, &m.Rows, func(c *wire.Coder, row *[]int64) { wire.Slice(c, row, wire.Int[int64]) })
+	case kindSetupDone, kindReady, kindTeardown:
+		c.String(&m.Job)
+	case kindChunk:
+		c.String(&m.Job)
+		wire.Int(c, &m.Chunk)
+		wire.Slice(c, &m.Pairs, func(c *wire.Coder, p *[2]int) {
+			wire.Int(c, &p[0])
+			wire.Int(c, &p[1])
+		})
+	case kindVerdicts:
+		c.String(&m.Job)
+		wire.Int(c, &m.Chunk)
+		wire.Slice(c, &m.Verdicts, (*wire.Coder).Bool)
+		wire.Int(c, &m.Bytes)
+		wire.Int(c, &m.ResultB)
+		wire.Int(c, &m.Decs)
+	case kindHeartbeat:
+	case kindError:
+		c.String(&m.Job)
+		wire.Int(c, &m.Chunk)
+		c.String(&m.Err)
+	default:
+		c.BadKind(int(m.Kind))
 	}
-	return &m, nil
 }
-
-func (l *link) close() error { return l.conn.Close() }

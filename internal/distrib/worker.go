@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pprl/internal/smc"
+	"pprl/internal/wire"
 )
 
 // WorkerOptions configures one fleet worker.
@@ -48,22 +49,16 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 			opts.Logger.Printf(format, args...)
 		}
 	}
-	l := newLink(conn)
-	if err := l.send(&message{Kind: kindRegister, Proto: protocolVersion, Name: opts.Name, Lanes: opts.Lanes}); err != nil {
+	l := wire.NewLink(conn)
+	if err := l.Send(&message{Kind: kindRegister, Name: opts.Name, Lanes: opts.Lanes}); err != nil {
 		return fmt.Errorf("distrib: register: %w", err)
 	}
-	welcome, err := l.recv()
-	if err != nil {
+	welcome := new(message)
+	if err := l.Recv(welcome); err != nil {
 		return fmt.Errorf("distrib: awaiting welcome: %w", err)
-	}
-	if welcome.Kind == kindError {
-		return fmt.Errorf("distrib: coordinator rejected registration: %s", welcome.Err)
 	}
 	if welcome.Kind != kindWelcome {
 		return fmt.Errorf("distrib: expected welcome, got message kind %d", welcome.Kind)
-	}
-	if welcome.Proto != protocolVersion {
-		return fmt.Errorf("distrib: coordinator speaks protocol %d, this worker %d", welcome.Proto, protocolVersion)
 	}
 	name := welcome.Name // the coordinator may have renamed us
 	logf("distrib-worker: registered as worker=%s lanes=%d", name, opts.Lanes)
@@ -78,7 +73,7 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 			case <-stop:
 				return
 			case <-t.C:
-				if err := l.send(&message{Kind: kindHeartbeat}); err != nil {
+				if err := l.Send(&message{Kind: kindHeartbeat}); err != nil {
 					return
 				}
 			}
@@ -103,8 +98,8 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 	}
 	defer closeEngine()
 	for {
-		m, err := l.recv()
-		if err != nil {
+		m := new(message)
+		if err := l.Recv(m); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
@@ -118,28 +113,27 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 			if m.Lanes > 0 && m.Lanes < lanes {
 				lanes = m.Lanes
 			}
-			rows[0] = make([][]int64, m.Total[0])
-			rows[1] = make([][]int64, m.Total[1])
+			rows = [2][][]int64{}
 		case kindRecords:
-			if m.Holder < 0 || m.Holder > 1 || m.Base < 0 || m.Base+len(m.Rows) > len(rows[m.Holder]) {
-				l.send(&message{Kind: kindError, Job: job, Err: fmt.Sprintf("record chunk [%d,%d) of holder %d out of range", m.Base, m.Base+len(m.Rows), m.Holder)})
+			if m.Holder < 0 || m.Holder > 1 || m.Base != len(rows[m.Holder]) {
+				l.Send(&message{Kind: kindError, Job: job, Err: fmt.Sprintf("record chunk at row %d of holder %d out of order", m.Base, m.Holder)})
 				continue
 			}
-			copy(rows[m.Holder][m.Base:], m.Rows)
+			rows[m.Holder] = append(rows[m.Holder], m.Rows...)
 		case kindSetupDone:
-			cmp, err = buildEngine(engine, spec, rows[0], rows[1], kBits, lanes)
-			if err != nil {
+			var err error
+			if cmp, err = buildEngine(engine, spec, rows[0], rows[1], kBits, lanes); err != nil {
 				logf("distrib-worker: job=%s worker=%s engine build failed: %v", job, name, err)
-				l.send(&message{Kind: kindError, Job: job, Err: err.Error()})
+				l.Send(&message{Kind: kindError, Job: job, Err: err.Error()})
 				continue
 			}
 			logf("distrib-worker: job=%s worker=%s engine=%s ready (%d×%d records)", job, name, engine, len(rows[0]), len(rows[1]))
-			if err := l.send(&message{Kind: kindReady, Job: job}); err != nil {
+			if err := l.Send(&message{Kind: kindReady, Job: job}); err != nil {
 				return fmt.Errorf("distrib: sending ready: %w", err)
 			}
 		case kindChunk:
 			if cmp == nil {
-				l.send(&message{Kind: kindError, Job: job, Chunk: m.Chunk, Err: "chunk dispatched before setup completed"})
+				l.Send(&message{Kind: kindError, Job: job, Chunk: m.Chunk, Err: "chunk dispatched before setup completed"})
 				continue
 			}
 			if opts.FailAfterChunks > 0 && served >= opts.FailAfterChunks {
@@ -149,7 +143,7 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 			}
 			verdicts, err := cmp.CompareBatch(m.Pairs)
 			if err != nil {
-				l.send(&message{Kind: kindError, Job: job, Chunk: m.Chunk, Err: err.Error()})
+				l.Send(&message{Kind: kindError, Job: job, Chunk: m.Chunk, Err: err.Error()})
 				continue
 			}
 			reply := &message{Kind: kindVerdicts, Job: job, Chunk: m.Chunk, Verdicts: verdicts, Bytes: cmp.BytesTransferred()}
@@ -159,7 +153,7 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 			if dc, ok := cmp.(interface{ Decryptions() int64 }); ok {
 				reply.Decs = dc.Decryptions()
 			}
-			if err := l.send(reply); err != nil {
+			if err := l.Send(reply); err != nil {
 				return fmt.Errorf("distrib: sending verdicts: %w", err)
 			}
 			served++
@@ -169,7 +163,7 @@ func ServeWorker(conn net.Conn, opts WorkerOptions) error {
 		case kindHeartbeat:
 			// Coordinator pings are legal but unused today.
 		default:
-			l.send(&message{Kind: kindError, Job: job, Err: fmt.Sprintf("unexpected message kind %d", m.Kind)})
+			l.Send(&message{Kind: kindError, Job: job, Err: fmt.Sprintf("unexpected message kind %d", m.Kind)})
 		}
 	}
 }

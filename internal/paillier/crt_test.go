@@ -50,109 +50,27 @@ func TestCRTAfterHomomorphicOps(t *testing.T) {
 	}
 }
 
-func TestKeyMarshalRoundTrip(t *testing.T) {
-	sk := key(t)
-	data, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored PrivateKey
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	ct, _ := sk.EncryptInt64(rand.Reader, 777)
-	got, err := restored.DecryptSigned(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 777 {
-		t.Errorf("restored key decrypts to %v", got)
-	}
-	// Restored key kept the CRT factors.
-	if restored.P == nil || restored.Q == nil {
-		t.Error("CRT factors lost in round trip")
-	}
-
-	// Public key round trip.
-	pdata, err := sk.Public().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pk PublicKey
-	if err := pk.UnmarshalBinary(pdata); err != nil {
-		t.Fatal(err)
-	}
-	ct2, err := pk.EncryptInt64(rand.Reader, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := sk.DecryptSigned(ct2); got.Int64() != 41 {
-		t.Errorf("encryption under restored public key decrypts to %v", got)
-	}
-}
-
-func TestKeyUnmarshalRejectsCorruption(t *testing.T) {
-	sk := key(t)
-	data, _ := sk.MarshalBinary()
-
-	var broken PrivateKey
-	if err := broken.UnmarshalBinary([]byte("garbage")); err == nil {
-		t.Error("garbage should fail")
-	}
-	// Tamper: flip Mu by re-encoding a wrong wireKey.
-	bad := &PrivateKey{PublicKey: sk.PublicKey, Lambda: sk.Lambda, Mu: big.NewInt(12345), P: sk.P, Q: sk.Q}
-	badData, _ := bad.MarshalBinary()
-	if err := broken.UnmarshalBinary(badData); err == nil {
-		t.Error("inconsistent Mu should fail validation")
-	}
-	// Tamper: wrong factors.
-	bad2 := &PrivateKey{PublicKey: sk.PublicKey, Lambda: sk.Lambda, Mu: sk.Mu, P: big.NewInt(17), Q: big.NewInt(19)}
-	badData2, _ := bad2.MarshalBinary()
-	if err := broken.UnmarshalBinary(badData2); err == nil {
-		t.Error("wrong CRT factors should fail validation")
-	}
-	_ = data
-}
-
-// TestKeyUnmarshalRejectsBadModulus: a modulus without an odd N² has no
-// Montgomery context, so both key forms refuse it instead of building one.
-func TestKeyUnmarshalRejectsBadModulus(t *testing.T) {
+// TestNewPublicKeyRejectsBadModulus: a modulus without an odd N² has no
+// Montgomery context, so NewPublicKey refuses it instead of building one.
+func TestNewPublicKeyRejectsBadModulus(t *testing.T) {
 	for _, n := range []int64{1, 2, 10, 1 << 40} {
-		pub, err := (&PublicKey{N: big.NewInt(n)}).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pk PublicKey
-		if err := pk.UnmarshalBinary(pub); !errors.Is(err, ErrModulus) {
-			t.Errorf("public key with N = %d: got %v, want ErrModulus", n, err)
-		}
-		priv, err := (&PrivateKey{PublicKey: PublicKey{N: big.NewInt(n)}, Lambda: one, Mu: one}).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sk PrivateKey
-		if err := sk.UnmarshalBinary(priv); !errors.Is(err, ErrModulus) {
-			t.Errorf("private key with N = %d: got %v, want ErrModulus", n, err)
-		}
 		if _, err := NewPublicKey(big.NewInt(n)); !errors.Is(err, ErrModulus) {
 			t.Errorf("NewPublicKey(%d): got %v, want ErrModulus", n, err)
 		}
 	}
 }
 
+// TestKeyWithoutFactorsStillDecrypts: a key built as a literal from N,
+// Lambda and Mu alone decrypts by the direct path.
 func TestKeyWithoutFactorsStillDecrypts(t *testing.T) {
 	sk := key(t)
-	noFactors := &PrivateKey{PublicKey: sk.PublicKey, Lambda: sk.Lambda, Mu: sk.Mu}
-	data, err := noFactors.MarshalBinary()
+	pk, err := NewPublicKey(sk.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restored PrivateKey
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	noFactors := &PrivateKey{PublicKey: *pk, Lambda: sk.Lambda, Mu: sk.Mu}
 	ct, _ := sk.EncryptInt64(rand.Reader, -9)
-	got, err := restored.DecryptSigned(ct)
+	got, err := noFactors.DecryptSigned(ct)
 	if err != nil {
 		t.Fatal(err)
 	}

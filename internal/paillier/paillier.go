@@ -69,8 +69,8 @@ type PrivateKey struct {
 	Mu *big.Int
 	// P and Q are the prime factors; when present, Decrypt uses the CRT
 	// fast path (exponentiation mod p² and q² separately), roughly 3-4×
-	// faster than the direct form. Keys deserialized without the factors
-	// still decrypt via Lambda/Mu.
+	// faster than the direct form. Keys built without the factors still
+	// decrypt via Lambda/Mu.
 	P, Q *big.Int
 
 	// CRT precomputation, derived from P and Q on first use.
@@ -79,7 +79,7 @@ type PrivateKey struct {
 
 	// halfN caches N>>1, the signed-encoding boundary DecryptSigned
 	// tests against on every call; derived lazily so keys built by
-	// struct literal (UnmarshalBinary) get it too.
+	// struct literal get it too.
 	halfN    *big.Int
 	halfOnce sync.Once
 }

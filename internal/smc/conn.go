@@ -7,23 +7,22 @@
 // querying party).
 //
 // The package separates three concerns: message transport (Conn; in-memory
-// channel pairs for tests and single-process runs, gob-over-net.Conn for
-// TCP deployments), the protocol itself (RunAlice, RunBob, QuerySession),
-// and the Comparator abstraction the linkage engine consumes. A plaintext
-// oracle Comparator evaluates the same integer arithmetic as the circuit
-// and is used — exactly as the paper's own cost model does — when a sweep
-// would need millions of decryptions; property tests pin the oracle to the
-// real protocol.
+// channel pairs for tests and single-process runs, a net.Conn for TCP
+// deployments, both carrying internal/wire frames), the protocol itself
+// (RunAlice, RunBob, QuerySession), and the Comparator abstraction the
+// linkage engine consumes. A plaintext oracle Comparator evaluates the same
+// integer arithmetic as the circuit and is used — exactly as the paper's own
+// cost model does — when a sweep would need millions of decryptions;
+// property tests pin the oracle to the real protocol.
 package smc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
+
+	"pprl/internal/wire"
 )
 
 // Conn is a reliable, ordered message pipe between two parties.
@@ -48,10 +47,8 @@ type FrameBuffered interface {
 	FrameBuffer() int
 }
 
-// chanConn is the in-memory transport: gob-encoded frames over channels,
-// one frame per message. Each direction is one gob stream, as on a
-// net.Conn — the type descriptor crosses once, with the first message — so
-// byte counts are the same as on a real wire.
+// chanConn is the in-memory transport: wire frames over channels, one
+// frame per message, so byte counts are the same as on a real wire.
 type chanConn struct {
 	in    <-chan []byte
 	out   chan<- []byte
@@ -59,22 +56,6 @@ type chanConn struct {
 	peer  *chanConn
 	sent  atomic.Int64
 	owner bool // the side that closes `done`
-
-	// A stream's frames must be queued in the order they were encoded and
-	// decoded in the order they were queued, so each lock is held across
-	// its channel operation; closing the connection releases both.
-	sendMu sync.Mutex
-	wbuf   bytes.Buffer
-	enc    *gob.Encoder // into wbuf
-	recvMu sync.Mutex
-	rbuf   bytes.Reader
-	dec    *gob.Decoder // from rbuf
-}
-
-func newChanConn(in <-chan []byte, out chan<- []byte, done chan struct{}, owner bool) *chanConn {
-	c := &chanConn{in: in, out: out, done: done, owner: owner}
-	c.enc, c.dec = gob.NewEncoder(&c.wbuf), gob.NewDecoder(&c.rbuf)
-	return c
 }
 
 // NewConnPair returns the two ends of an in-memory connection with the
@@ -93,8 +74,8 @@ func NewConnPairBuffer(buffer int) (Conn, Conn) {
 	ab := make(chan []byte, buffer)
 	ba := make(chan []byte, buffer)
 	done := make(chan struct{})
-	a := newChanConn(ba, ab, done, true)
-	b := newChanConn(ab, ba, done, false)
+	a := &chanConn{in: ba, out: ab, done: done, owner: true}
+	b := &chanConn{in: ab, out: ba, done: done}
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -105,13 +86,10 @@ func (c *chanConn) Send(m *Message) error {
 		return io.ErrClosedPipe
 	default:
 	}
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.wbuf.Reset()
-	if err := c.enc.Encode(m); err != nil {
+	frame, err := wire.Marshal(m)
+	if err != nil {
 		return fmt.Errorf("smc: encoding message: %w", err)
 	}
-	frame := bytes.Clone(c.wbuf.Bytes())
 	select {
 	case c.out <- frame:
 		c.sent.Add(int64(len(frame)))
@@ -122,8 +100,6 @@ func (c *chanConn) Send(m *Message) error {
 }
 
 func (c *chanConn) Recv() (*Message, error) {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
 	var frame []byte
 	select {
 	case frame = <-c.in:
@@ -135,9 +111,8 @@ func (c *chanConn) Recv() (*Message, error) {
 			return nil, io.EOF
 		}
 	}
-	c.rbuf.Reset(frame)
 	var m Message
-	if err := c.dec.Decode(&m); err != nil {
+	if err := wire.Unmarshal(frame, &m); err != nil {
 		return nil, fmt.Errorf("smc: decoding message: %w", err)
 	}
 	return &m, nil
@@ -159,48 +134,65 @@ func (c *chanConn) Bytes() int64 { return c.sent.Load() }
 // direction.
 func (c *chanConn) FrameBuffer() int { return cap(c.out) }
 
-// netConn is gob framing over any net.Conn (TCP in production).
-type netConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	sent atomic.Int64
-}
+// netConn is a Conn over a net.Conn (TCP in production).
+type netConn struct{ *wire.Link }
 
 // NewNetConn wraps a net.Conn as a message transport.
-func NewNetConn(conn net.Conn) Conn {
-	nc := &netConn{conn: conn}
-	cw := &countingWriter{w: conn, n: &nc.sent}
-	nc.enc = gob.NewEncoder(cw)
-	nc.dec = gob.NewDecoder(conn)
-	return nc
-}
+func NewNetConn(conn net.Conn) Conn { return netConn{wire.NewLink(conn)} }
 
-func (c *netConn) Send(m *Message) error {
-	if err := c.enc.Encode(m); err != nil {
-		return fmt.Errorf("smc: sending message: %w", err)
-	}
-	return nil
-}
+func (c netConn) Send(m *Message) error { return c.Link.Send(m) }
 
-func (c *netConn) Recv() (*Message, error) {
+func (c netConn) Recv() (*Message, error) {
 	var m Message
-	if err := c.dec.Decode(&m); err != nil {
+	if err := c.Link.Recv(&m); err != nil {
 		return nil, err
 	}
 	return &m, nil
 }
 
-func (c *netConn) Close() error { return c.conn.Close() }
-func (c *netConn) Bytes() int64 { return c.sent.Load() }
-
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
+// Code declares Message's frame layout (PROTOCOL.md's message table).
+func (m *Message) Code(c *wire.Coder) {
+	wire.Kind(c, &m.Kind)
+	switch m.Kind {
+	case MsgPublicKey:
+		c.Big(&m.N)
+	case MsgCompare:
+		wire.Int(c, &m.Record)
+		wire.Slice(c, &m.Records, wire.Int[int])
+	case MsgShares:
+		wire.Slice(c, &m.Sq, (*wire.Coder).Big)
+		wire.Slice(c, &m.Lin, (*wire.Coder).Big)
+	case MsgResult:
+		wire.Int(c, &m.Record)
+		wire.Int(c, &m.Left)
+		wire.Slice(c, &m.Res, (*wire.Coder).Big)
+	case MsgShutdown:
+	case MsgHello:
+		c.String(&m.Role)
+	case MsgParams:
+		wire.Slice(c, &m.QIDs, (*wire.Coder).String)
+		wire.Opt(c, &m.Spec, func(c *wire.Coder, s *Spec) { s.Code(c) })
+		wire.Opt(c, &m.Tier, func(c *wire.Coder, t *TierParams) {
+			wire.Int(c, &t.M)
+			wire.Int(c, &t.K)
+			wire.Int(c, &t.Q)
+		})
+	case MsgView:
+		c.Bytes(&m.View)
+	case MsgEncodings:
+		wire.Slice(c, &m.Encodings, (*wire.Coder).Bytes)
+	default:
+		c.BadKind(int(m.Kind))
+	}
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
-	return n, err
+// Code declares Spec's layout inside a frame.
+func (s *Spec) Code(c *wire.Coder) {
+	wire.Slice(c, &s.Attrs, func(c *wire.Coder, a *AttrSpec) {
+		wire.Int(c, &a.Mode)
+		wire.Int(c, &a.T)
+	})
+	wire.Int(c, &s.Scale)
+	wire.Int(c, &s.Packing)
+	wire.Int(c, &s.ValueBits)
 }

@@ -46,8 +46,8 @@ const (
 	MsgEncodings
 )
 
-// Message is the single wire format; fields are used according to Kind.
-// All fields are exported for gob.
+// Message is the single wire format; fields are used according to Kind,
+// and Code declares which ones each kind carries.
 type Message struct {
 	Kind MsgKind
 	// N is the public modulus (MsgPublicKey).

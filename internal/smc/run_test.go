@@ -397,9 +397,9 @@ func TestQueryRejectsMisalignedResult(t *testing.T) {
 }
 
 // TestTransportsCountTheSameBytes plays one conversation over the
-// in-memory transport and over gob on a net.Conn: both are one gob stream
-// per direction, so Bytes() agree exactly, and a repeated message costs
-// its payload, not a second copy of the type descriptor.
+// in-memory transport and over a net.Conn: both send the same wire frames,
+// so Bytes() agree exactly, and a repeated message costs its payload and a
+// three-byte header.
 func TestTransportsCountTheSameBytes(t *testing.T) {
 	n := new(big.Int).Lsh(big.NewInt(1), 2047)
 	forth := []*Message{
