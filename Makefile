@@ -81,8 +81,10 @@ benchmark-check:
 	$(GO) -C benchmark test -count=1 .
 
 # The end-to-end benchmark on BASE (default HEAD~1) and on this checkout,
-# RUNS runs of every workload each (default 3; a claimed gain wants 10),
-# then the bound check between them.
+# RUNS alternated rounds (default 3; a claimed gain wants 10), then the
+# bound check between them. Round r runs every workload once on each
+# side, BASE first when r is odd, so a slow spell of a shared host lands
+# on both; scripts/bench-merge.sh joins each side's rounds into one file.
 # BASE is checked out into a git worktree under .bench_build/ — run.sh
 # builds from the checkout it sits in — which is removed on every exit
 # path. Takes minutes, so it is not part of `make check`.
@@ -90,11 +92,19 @@ BASE ?= HEAD~1
 RUNS ?= 3
 perf-diff:
 	@set -e; wt=.bench_build/perf-diff-base; out=$$PWD/.bench_build/perf-diff; \
-	mkdir -p $$out; git worktree remove --force $$wt 2>/dev/null || true; \
+	mkdir -p $$out; rm -f $$out/*.json; git worktree remove --force $$wt 2>/dev/null || true; \
 	trap 'git worktree remove --force '$$wt' 2>/dev/null || true' EXIT; trap 'exit 130' INT TERM; \
 	git worktree add --detach $$wt $(BASE) >/dev/null; \
-	bash $$wt/benchmark/run.sh -runs $(RUNS) -out $$out/base.json; \
-	bash benchmark/run.sh -runs $(RUNS) -out $$out/head.json; \
+	for r in $$(seq 1 $(RUNS)); do \
+		if [ $$((r % 2)) = 1 ]; then sides="base head"; else sides="head base"; fi; \
+		for s in $$sides; do \
+			if [ $$s = base ]; then dir=$$wt; else dir=.; fi; \
+			echo "perf-diff: round $$r of $(RUNS), $$s"; \
+			bash $$dir/benchmark/run.sh -runs 1 -out $$out/$$s-$$r.json; \
+		done; \
+	done; \
+	bash scripts/bench-merge.sh $$(seq -f "$$out/base-%g.json" 1 $(RUNS)) > $$out/base.json; \
+	bash scripts/bench-merge.sh $$(seq -f "$$out/head-%g.json" 1 $(RUNS)) > $$out/head.json; \
 	bash benchmark/run.sh -compare $$out/base.json $$out/head.json
 
 # Crash injection: the conformance matrix's killed-and-resumed column.

@@ -2,12 +2,9 @@ package experiment
 
 import (
 	"bytes"
-	"math"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // smallOpts keeps the suite fast in CI while exercising every code path.
@@ -288,45 +285,6 @@ func TestTimingTable(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "secure comparison") {
 		t.Error("timing table missing secure comparison row")
-	}
-}
-
-// TestTimingPerPairIsOneCore: the secure-comparison row is one core's
-// cost per pair, so it does not follow the host's GOMAXPROCS beyond
-// noise, and Timing hands GOMAXPROCS back as it found it. A lane left on
-// two cores reads ≈ 0.55–0.65 of one. The two settings alternate, five
-// runs each, and the fastest run of each is compared: a shared host's
-// noise comes in bursts that can slow a whole run twofold.
-func TestTimingPerPairIsOneCore(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("one CPU: no second core to leak onto")
-	}
-	if testing.Short() {
-		t.Skip("times ten secure links")
-	}
-	host := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(host)
-	settings := []int{1, max(2, host)}
-	best := []time.Duration{math.MaxInt64, math.MaxInt64}
-	for range 5 {
-		for i, procs := range settings {
-			runtime.GOMAXPROCS(procs)
-			tab, err := Timing(smallOpts(), 512, 400)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := runtime.GOMAXPROCS(0); got != procs {
-				t.Fatalf("Timing left GOMAXPROCS at %d, want %d", got, procs)
-			}
-			d, err := time.ParseDuration(tab.Rows[3][1])
-			if err != nil {
-				t.Fatalf("per-pair cell %q: %v", tab.Rows[3][1], err)
-			}
-			best[i] = min(best[i], d)
-		}
-	}
-	if r := float64(best[1]) / float64(best[0]); r < 0.75 {
-		t.Errorf("per pair: %v at GOMAXPROCS=%d, %v at 1 (ratio %.2f): the row uses more than one core", best[1], settings[1], best[0], r)
 	}
 }
 

@@ -2,6 +2,8 @@ package smc
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -36,26 +38,30 @@ type Comparator interface {
 //
 // The spec is compiled once into radius tests: a pair passes a threshold
 // attribute iff |a−b| ≤ ⌊√T⌋ and an equality one iff |a−b| ≤ 0, exact for
-// every int64; an always-true attribute is dropped. The tests run in
-// order of how often each failed, most first, with early exit: the first
-// pair of every Alice run is evaluated in full and tallies the attributes
-// it fails, and the order is re-sorted between batches. The AND does not
-// depend on the order, so neither does any verdict.
+// every int64; an always-true attribute is dropped. The first comparison
+// lays every record out as one word of fields, one per test (pack), so a
+// pair's verdict is one subtraction, one addition and two masks; a test
+// whose field does not fit is checked on the rows after the word.
 type PlainComparator struct {
 	alice, bob  [][]int64
 	terms       []term
+	wa, wb      []uint64 // Alice's and Bob's records packed; nil until the first comparison
+	word        word
+	rest        []term // the tests not in the word
 	invocations int64
 	verdicts    []bool
 }
 
+// word is the packed layout's masks: bit F of every field, bit F+1, and
+// the addend that tests each field's upper limit.
+type word struct{ hf, hg, m uint64 }
+
 // term is one compiled attribute: a pair passes it iff |a−b| < lim on
 // column col — lim is ⌊√T⌋ + 1, 1 for equality, and 0 for a threshold
-// below zero, which nothing passes. fails counts the sampled pairs that
-// did not.
+// below zero, which nothing passes.
 type term struct {
-	col   int
-	lim   uint64
-	fails int64
+	col int
+	lim uint64
 }
 
 // NewPlainComparator builds the oracle over both holders' encoded records:
@@ -75,19 +81,53 @@ func NewPlainComparator(spec *Spec, alice, bob [][]int64) *PlainComparator {
 	return p
 }
 
-// Compare implements Comparator.
-func (p *PlainComparator) Compare(i, j int) (bool, error) {
-	if i < 0 || i >= len(p.alice) || j < 0 || j >= len(p.bob) {
-		return false, fmt.Errorf("smc: pair (%d,%d) out of range", i, j)
+// pack lays every record out as one word (DESIGN.md §22). A term on a
+// column spanning R = max − min over both relations takes a field of F+2
+// bits, 2^F > max(R+lim−1, 2lim−2): Alice's holds a−min+lim−1+2^F and
+// Bob's b−min. A field of A−B is then 2^F+z, z = a−b+lim−1, in [0, 2^(F+1)),
+// so no field borrows from its neighbour; |a−b| < lim iff z ≥ 0 (bit F
+// set) and z ≤ 2(lim−1) (adding 2^F−1−2(lim−1) leaves bit F+1 clear, and
+// carries out of no field). A term with lim 0, on a column spanning 2^61
+// or more, or whose field does not fit in what is left of the word, stays
+// in rest.
+func (p *PlainComparator) pack() {
+	p.wa, p.wb = make([]uint64, len(p.alice)), make([]uint64, len(p.bob))
+	shift := 0
+	for _, t := range p.terms {
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for _, rows := range [2][][]int64{p.alice, p.bob} {
+			for _, r := range rows {
+				lo, hi = min(lo, r[t.col]), max(hi, r[t.col])
+			}
+		}
+		span := uint64(hi) - uint64(lo)
+		f := bits.Len64(max(span+t.lim-1, 2*t.lim-2)) // wraps only where the first two tests below hold
+		if t.lim == 0 || span >= 1<<61 || shift+f+2 > 64 {
+			p.rest = append(p.rest, t)
+			continue
+		}
+		p.word.hf |= 1 << (shift + f)
+		p.word.hg |= 1 << (shift + f + 1)
+		p.word.m |= (1<<f - 1 - 2*(t.lim-1)) << shift
+		for i, r := range p.alice {
+			p.wa[i] |= (uint64(r[t.col]) - uint64(lo) + t.lim - 1 + 1<<f) << shift
+		}
+		for j, r := range p.bob {
+			p.wb[j] |= (uint64(r[t.col]) - uint64(lo)) << shift
+		}
+		shift += f + 2
 	}
-	p.invocations++
-	return match(p.terms, p.alice[i], p.bob[j]), nil
 }
 
-// match tests the terms in order and stops at the first one the pair
-// fails.
-func match(terms []term, a, b []int64) bool {
-	for _, t := range terms {
+// pass tests a pair's word difference y, every field at once and without
+// a branch: bit F set and bit F+1 clear after the addend, in every field.
+func (w word) pass(y uint64) bool { return (y&w.hf^w.hf)|(y+w.m)&w.hg == 0 }
+
+// matchRest tests Alice's record i against Bob's record j on the terms
+// the word leaves out.
+func (p *PlainComparator) matchRest(i, j int) bool {
+	a, b := p.alice[i], p.bob[j]
+	for _, t := range p.rest {
 		if absDiff(a[t.col], b[t.col]) >= t.lim {
 			return false
 		}
@@ -95,56 +135,43 @@ func match(terms []term, a, b []int64) bool {
 	return true
 }
 
-// sample tests every term and tallies the ones the pair fails.
-func sample(terms []term, a, b []int64) bool {
-	ok := true
-	for k := range terms {
-		if t := &terms[k]; absDiff(a[t.col], b[t.col]) >= t.lim {
-			t.fails++
-			ok = false
-		}
+// Compare implements Comparator.
+func (p *PlainComparator) Compare(i, j int) (bool, error) {
+	if i < 0 || i >= len(p.alice) || j < 0 || j >= len(p.bob) {
+		return false, fmt.Errorf("smc: pair (%d,%d) out of range", i, j)
 	}
-	return ok
+	if p.wa == nil {
+		p.pack()
+	}
+	p.invocations++
+	v := p.word.pass(p.wa[i] - p.wb[j])
+	if p.rest != nil && v {
+		v = p.matchRest(i, j)
+	}
+	return v, nil
 }
 
 // CompareBatch implements Comparator. Nothing is counted unless every
-// pair is in range, and Alice's record is looked up once per run of pairs
-// sharing it, whose first pair is the sample. The verdicts are only valid
-// until the next call.
+// pair is in range. The verdicts are only valid until the next call.
 func (p *PlainComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
-	alice, bob, terms := p.alice, p.bob, p.terms
+	if p.wa == nil {
+		p.pack()
+	}
+	wa, wb, w := p.wa, p.wb, p.word
 	out := slices.Grow(p.verdicts[:0], len(pairs))[:len(pairs)]
 	p.verdicts = out
-	for x := 0; x < len(pairs); {
-		i, j := pairs[x][0], pairs[x][1]
-		if uint(i) >= uint(len(alice)) || uint(j) >= uint(len(bob)) {
+	for x, pr := range pairs {
+		i, j := pr[0], pr[1]
+		if uint(i) >= uint(len(wa)) || uint(j) >= uint(len(wb)) {
 			return nil, fmt.Errorf("smc: pair (%d,%d) out of range", i, j)
 		}
-		row := alice[i]
-		out[x] = sample(terms, row, bob[j])
-		if x++; len(terms) == 0 {
-			continue // every pair matches
+		v := w.pass(wa[i] - wb[j])
+		if p.rest != nil && v {
+			v = p.matchRest(i, j)
 		}
-		// The rest of the run: the first test's operands are held.
-		first, rest := terms[0], terms[1:]
-		a := row[first.col]
-		for ; x < len(pairs) && pairs[x][0] == i; x++ {
-			j := pairs[x][1]
-			if uint(j) >= uint(len(bob)) {
-				return nil, fmt.Errorf("smc: pair (%d,%d) out of range", i, j)
-			}
-			b := bob[j]
-			out[x] = absDiff(a, b[first.col]) < first.lim && match(rest, row, b)
-		}
+		out[x] = v
 	}
 	p.invocations += int64(len(pairs))
-	// Insertion sort, stable: the order is already sorted but for what
-	// this batch's samples moved.
-	for k := 1; k < len(terms); k++ {
-		for m := k; m > 0 && terms[m].fails > terms[m-1].fails; m-- {
-			terms[m], terms[m-1] = terms[m-1], terms[m]
-		}
-	}
 	return out, nil
 }
 

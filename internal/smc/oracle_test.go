@@ -1,7 +1,6 @@
 package smc
 
 import (
-	"cmp"
 	"encoding/binary"
 	"math"
 	"math/big"
@@ -139,12 +138,12 @@ func (f *fuzzBytes) value() int64 {
 	}
 }
 
-// threshold draws T ∈ [0, MaxInt64]: small, a square or one below it,
-// near MaxInt64, or any.
+// threshold draws T ∈ [−128, MaxInt64]: small (negative included), a
+// square or one below it, near MaxInt64, or any non-negative T.
 func (f *fuzzBytes) threshold() int64 {
 	switch tag := f.byte(); tag % 4 {
 	case 0:
-		return int64(f.byte())
+		return int64(int8(f.byte()))
 	case 1:
 		r := int64(f.uint64() % 3037000500)
 		return r*r - int64(tag/4%2)*min(r, 1)
@@ -155,16 +154,87 @@ func (f *fuzzBytes) threshold() int64 {
 	}
 }
 
-// FuzzPlainComparator holds the compiled, self-ordering oracle to the
-// reference: random specs over every mode and thresholds up to MaxInt64,
-// rows at the int64 edges, pair lists in run order and scrambled, cut into
-// batches between which the attribute order may change. Every CompareBatch
-// and Compare verdict must equal Spec.Matches — itself checked against
-// math/big — and every pair counts one invocation.
+// packCase is a spec and two relations at an edge of the packed layout:
+// rest is how many of the spec's tests the word leaves to the rows, bits
+// how many low bits of the word its fields take.
+type packCase struct {
+	name       string
+	attrs      []AttrSpec
+	alice, bob [][]int64
+	rest, bits int
+}
+
+// √MaxInt64 + 1 is the widest radius a threshold can have; r33 and r34
+// are the spans at which R + lim − 1 reaches 2^33 − 1 and 2^33 for it.
+const (
+	limMax = 3037000500
+	r33    = 1<<33 - limMax
+	r34    = r33 + 1
+)
+
+var packCases = []packCase{
+	{"every column packs", []AttrSpec{{Mode: ModeThreshold, T: 100}, {Mode: ModeEquality}, {Mode: ModeAlways}, {Mode: ModeThreshold}},
+		[][]int64{{1, 3, 9, 4}, {20, 3, 0, 4}, {12, 5, 1, 5}}, [][]int64{{11, 3, 7, 4}, {0, 4, 2, 4}, {10, 3, 3, 5}}, 0, 14},
+	{"a column spans the int64 extremes", []AttrSpec{{Mode: ModeThreshold, T: math.MaxInt64}, {Mode: ModeEquality}},
+		[][]int64{{math.MinInt64, 1}, {math.MaxInt64, 2}}, [][]int64{{math.MinInt64 + 1, 1}, {limMax - 1, 2}, {0, 1}}, 1, 3},
+	{"fields fill the word", []AttrSpec{{Mode: ModeThreshold, T: 1 << 20}, {Mode: ModeThreshold, T: 1 << 20}, {Mode: ModeEquality}},
+		[][]int64{{0, 4e6, 0}, {4e6, 0, 16383}}, [][]int64{{1024, 4e6 - 1025, 0}, {4e6 - 1024, 1, 16383}}, 0, 64},
+	{"fields overflow the word", []AttrSpec{{Mode: ModeThreshold, T: 1 << 20}, {Mode: ModeThreshold, T: 1 << 20}, {Mode: ModeEquality}, {Mode: ModeThreshold, T: 1 << 20}, {Mode: ModeEquality}},
+		[][]int64{{0, 4e6, 0, 4e6, 0}, {4e6, 0, 16384, 1024, 3}}, [][]int64{{1024, 4e6 - 1025, 0, 4e6, 3}, {4e6 - 1024, 1, 16384, 0, 3}}, 2, 52},
+	{"lim 1, R + lim − 1 = 2^F − 1", []AttrSpec{{Mode: ModeEquality}},
+		[][]int64{{0}, {7}}, [][]int64{{0}, {1}, {6}, {7}}, 0, 5},
+	{"lim 1, R + lim − 1 = 2^F", []AttrSpec{{Mode: ModeThreshold, T: 0}},
+		[][]int64{{0}, {8}}, [][]int64{{1}, {8}, {7}}, 0, 6},
+	{"lim √MaxInt64 + 1, R + lim − 1 = 2^F − 1", []AttrSpec{{Mode: ModeThreshold, T: math.MaxInt64}},
+		[][]int64{{0}, {r33}}, [][]int64{{limMax - 1}, {limMax}, {r33}, {r33 - limMax + 1}, {r33 - limMax}}, 0, 35},
+	{"lim √MaxInt64 + 1, R + lim − 1 = 2^F", []AttrSpec{{Mode: ModeThreshold, T: math.MaxInt64}},
+		[][]int64{{0}, {r34}}, [][]int64{{limMax - 1}, {limMax}, {r34 - limMax + 1}, {r34 - limMax}}, 0, 36},
+	{"T < 0", []AttrSpec{{Mode: ModeThreshold, T: -1}, {Mode: ModeEquality}},
+		[][]int64{{0, 1}}, [][]int64{{0, 1}, {5, 1}}, 1, 2},
+	{"every attribute ModeAlways", []AttrSpec{{Mode: ModeAlways}, {Mode: ModeAlways}},
+		[][]int64{{1, 2}, {math.MinInt64, math.MaxInt64}}, [][]int64{{3, 4}}, 0, 0},
+	{"a zero-span column", []AttrSpec{{Mode: ModeThreshold, T: 4}, {Mode: ModeEquality}},
+		[][]int64{{5, 1}, {5, 2}}, [][]int64{{5, 1}, {5, 3}}, 0, 9},
+}
+
+// seed encodes the case as FuzzPlainComparator's input: every threshold
+// and value drawn exactly, every batch one pair.
+func (c packCase) seed() []byte {
+	out := []byte{byte(len(c.attrs) - 1), byte(len(c.alice) - 1), byte(len(c.bob) - 1)}
+	for _, a := range c.attrs {
+		out = append(out, byte(a.Mode))
+		switch {
+		case a.Mode != ModeThreshold:
+		case a.T < 0:
+			out = append(out, 0, byte(int8(a.T)))
+		default:
+			out = binary.LittleEndian.AppendUint64(append(out, 3), uint64(a.T)<<1)
+		}
+	}
+	for _, rows := range [][][]int64{c.alice, c.bob} {
+		for _, r := range rows {
+			for _, v := range r {
+				out = binary.LittleEndian.AppendUint64(append(out, 3), uint64(v))
+			}
+		}
+	}
+	return out
+}
+
+// FuzzPlainComparator holds the packed oracle to the reference: random
+// specs over every mode and thresholds from −128 to MaxInt64, rows at the
+// int64 edges — so columns pack, fall to the scalar remainder, or no
+// longer fit the word — and pair lists in run order and scrambled, cut
+// into batches. Every CompareBatch and Compare verdict must equal
+// Spec.Matches — itself checked against math/big — and every pair counts
+// one invocation. The seeds include every packCase.
 func FuzzPlainComparator(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 100, 1, 2, 2, 1, 52, 0, 0, 1, 52, 0, 0, 7, 9})
 	f.Add([]byte{4, 5, 1, 2, 2, 0, 3, 3, 1, 5, 1, 21, 1, 21, 1, 25, 1, 29, 0, 9, 0, 8, 255, 17})
 	f.Add([]byte{2, 3, 3, 255, 255, 255, 255, 255, 255, 255, 127, 1, 1, 1, 1, 21, 1, 25, 6, 250, 44})
+	for _, c := range packCases {
+		f.Add(c.seed())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		d, nA, nB := 1+int(in.byte()%5), 1+int(in.byte()%6), 1+int(in.byte()%6)
@@ -223,9 +293,6 @@ func FuzzPlainComparator(f *testing.F) {
 					}
 				}
 				want += 2 * int64(n)
-				if !slices.IsSortedFunc(p.terms, func(x, y term) int { return cmp.Compare(y.fails, x.fails) }) {
-					t.Fatalf("terms out of order after a batch: %+v", p.terms)
-				}
 				list = list[n:]
 			}
 		}
@@ -235,8 +302,9 @@ func FuzzPlainComparator(f *testing.F) {
 	})
 }
 
-// TestPlainCompareBatchAllocatesNothing: once its verdict buffer has grown,
-// the oracle's purchase path allocates nothing per call.
+// TestPlainCompareBatchAllocatesNothing: once its verdict buffer has grown
+// and the records are packed, the oracle's purchase path allocates nothing
+// per call.
 func TestPlainCompareBatchAllocatesNothing(t *testing.T) {
 	spec := testSpec()
 	alice, bob := benchRecords4(16, 1), benchRecords4(16, 2)
@@ -252,5 +320,19 @@ func TestPlainCompareBatchAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { p.CompareBatch(pairs) }); n != 0 {
 		t.Errorf("CompareBatch allocates %v times per call", n)
+	}
+}
+
+// TestNewPlainComparatorIsOd: construction allocates the same over 10
+// rows as over 10,000 — the records are packed on the first comparison,
+// not here, so the live engine's oracle per batch stays O(d).
+func TestNewPlainComparatorIsOd(t *testing.T) {
+	spec := testSpec()
+	allocs := func(n int) float64 {
+		alice, bob := benchRecords4(n, 1), benchRecords4(n, 2)
+		return testing.AllocsPerRun(100, func() { NewPlainComparator(spec, alice, bob) })
+	}
+	if small, large := allocs(10), allocs(10_000); small != large {
+		t.Errorf("NewPlainComparator allocates %v times over 10 rows, %v over 10,000", small, large)
 	}
 }

@@ -2,6 +2,7 @@ package smc
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"net"
 	"slices"
@@ -149,6 +150,35 @@ func TestPlainComparator(t *testing.T) {
 	}
 	if c.Invocations() != 2 {
 		t.Errorf("Invocations = %d, want 2 (failed calls don't count)", c.Invocations())
+	}
+
+	// The packed layout at its edges: every pair of every case, by batch
+	// and one at a time, against Spec.Matches.
+	for _, tc := range packCases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := &Spec{Scale: 1, Attrs: tc.attrs}
+			p := NewPlainComparator(spec, tc.alice, tc.bob)
+			var pairs [][2]int
+			for i := range tc.alice {
+				for j := range tc.bob {
+					pairs = append(pairs, [2]int{i, j})
+				}
+			}
+			got, err := p.CompareBatch(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.rest) != tc.rest || bits.Len64(p.word.hg) != tc.bits {
+				t.Errorf("%d tests left to the rows and %d bits of word, want %d and %d", len(p.rest), bits.Len64(p.word.hg), tc.rest, tc.bits)
+			}
+			for x, pr := range pairs {
+				a, b := tc.alice[pr[0]], tc.bob[pr[1]]
+				one, err := p.Compare(pr[0], pr[1])
+				if want := spec.Matches(a, b); got[x] != want || one != want || err != nil {
+					t.Errorf("%v vs %v: CompareBatch %v, Compare %v (%v), Spec.Matches %v", a, b, got[x], one, err, want)
+				}
+			}
+		})
 	}
 }
 
