@@ -8,6 +8,7 @@ import (
 
 	"pprl"
 	"pprl/internal/blocking"
+	"pprl/internal/cliutil"
 	"pprl/internal/incremental"
 	"pprl/internal/metrics"
 	"pprl/internal/oracle"
@@ -39,6 +40,9 @@ func runDedup(out io.Writer, opts options) error {
 		return fmt.Errorf("-dedup does not stripe across a worker fleet")
 	}
 	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if err := opts.OneLane(cliutil.FlagNames); err != nil {
 		return err
 	}
 	schema, qids, err := opts.LoadSchema(nil)

@@ -144,6 +144,9 @@ func runQuery(out io.Writer, opts queryOptions) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
+	if err := opts.OneLane(cliutil.FlagNames); err != nil {
+		return err
+	}
 	schema, qids, err := opts.LoadSchema(nil)
 	if err != nil {
 		return err
@@ -205,7 +208,7 @@ func runQuery(out io.Writer, opts queryOptions) error {
 	}
 	fmt.Fprintf(out, "blocking: %.2f%% of %d pairs decided; %d unknown\n",
 		100*res.BlockingEfficiency, res.TotalPairs, res.UnknownPairs)
-	if cfg.Tier != nil {
+	if cfg.Tier {
 		fmt.Fprintf(out, "tier: %d non-match labeled free; %d uncertain\n",
 			res.TierNonMatchedPairs, res.TierUncertainPairs)
 	}

@@ -54,11 +54,10 @@ func baseQuery(listen string, allowance float64) queryOptions {
 		listen: listen,
 		CLI: cliutil.CLI{
 			Params: cliutil.Params{
-				QIDs:       pprl.DefaultAdultQIDs(),
-				Theta:      0.05,
-				Heuristic:  "minAvgFirst",
-				KeyBits:    256,
-				SMCWorkers: 2,
+				QIDs:      pprl.DefaultAdultQIDs(),
+				Theta:     0.05,
+				Heuristic: "minAvgFirst",
+				KeyBits:   256,
 			},
 			AllowanceFraction: allowance,
 		},

@@ -20,7 +20,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -51,9 +50,6 @@ type options struct {
 	fleetListen     string
 	fleetWorkers    []string
 	fleetMinWorkers int
-	// publishExpvar registers the metrics registry under /debug/vars;
-	// off in tests because expvar.Publish is once-per-process.
-	publishExpvar bool
 	// ctx stops the daemon (the signal handler cancels it); ready, when
 	// non-nil, receives the bound listener address once serving.
 	ctx   context.Context
@@ -78,7 +74,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	opts.ctx = ctx
-	opts.publishExpvar = true
 
 	if err := run(os.Stderr, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "pprl-serve:", err)
@@ -102,9 +97,6 @@ func run(out io.Writer, opts options) error {
 	})
 	if err != nil {
 		return err
-	}
-	if opts.publishExpvar {
-		expvar.Publish("pprl", srv.Metrics())
 	}
 
 	// Retry the bind: after a crash-restart the old socket can linger in

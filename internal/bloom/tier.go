@@ -14,34 +14,23 @@ import (
 	"pprl/internal/dataset"
 )
 
-// The conventional CLK shape: filter bits, hash functions per q-gram, gram
-// size.
-const defaultM, defaultK, defaultQ = 1000, 30, 2
+// TierM is the tier's filter size in bits. With 30 hash functions per
+// bigram it is the conventional CLK shape, and the only one any tier
+// encodes at: nothing a peer sends sizes a holder's encoding work.
+const TierM = 1000
+
+// NewTierEncoder is the tier's encoder under key, at the fixed shape. A
+// session's holders call it with their shared secret.
+func NewTierEncoder(key []byte) (*Encoder, error) { return NewEncoder(TierM, 30, 2, key) }
 
 // NewDefaultEncoder is the encoder of the engines that host both holders
-// in one address space: the conventional shape under a fixed key. The
-// distributed session's holders take the shape from the querying party
-// (TierDefaults) and require an explicit shared secret instead.
+// in one address space: the tier's shape under a fixed key.
 func NewDefaultEncoder() *Encoder {
-	enc, err := NewEncoder(defaultM, defaultK, defaultQ, []byte("pprl-tier-default-key"))
+	enc, err := NewTierEncoder([]byte("pprl-tier-default-key"))
 	if err != nil {
-		panic(err) // the shape is a constant NewEncoder accepts
+		panic(err) // the key is not empty
 	}
 	return enc
-}
-
-// TierDefaults fills zero-valued CLK parameters with the conventional
-// 1000/30/2.
-func TierDefaults(m, k, q *int) {
-	if *m == 0 {
-		*m = defaultM
-	}
-	if *k == 0 {
-		*k = defaultK
-	}
-	if *q == 0 {
-		*q = defaultQ
-	}
 }
 
 // DefaultTierLow is the Dice threshold a zero TierLow selects: the value
@@ -64,9 +53,8 @@ func TierLow(low *float64) error {
 }
 
 // Marshal serializes the filter's bit array as little-endian 64-bit
-// words. The filter size m is not embedded — both sides already share the
-// CLK parameters out of band (MsgParams in the session protocol), and
-// omitting it keeps the wire form exactly ⌈m/64⌉·8 bytes per record.
+// words. The filter size m is not embedded — every tier encodes at TierM,
+// and omitting it keeps the wire form exactly ⌈m/64⌉·8 bytes per record.
 func (f *Filter) Marshal() []byte {
 	out := make([]byte, 8*len(f.words))
 	for i, w := range f.words {

@@ -50,7 +50,7 @@ func (c *CLI) Flags(fs *flag.FlagSet) {
 	fs.Int64Var(&c.DPSeed, "dp-seed", 0, "DP noise seed, private to each holder and separated by its role (pprl-link walks the release two pprl-party holders at this seed publish)")
 	fs.IntVar(&c.DPLevel, "dp-level", 0, "VGH binning depth for the dp method (0 = default)")
 	fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
-	fs.IntVar(&c.SMCWorkers, "smc-workers", 0, "SMC parallelism: protocol lanes for pprl-link -secure (0 = GOMAXPROCS), batch-size scaling for a pprl-party query (0 = default chunking)")
+	fs.IntVar(&c.SMCWorkers, "smc-workers", 0, "SMC protocol lanes of pprl-link's two-relation run (0 = GOMAXPROCS); -dedup and a pprl-party query run one lane and refuse it")
 	fs.StringVar(&c.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
 	fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold: an Unknown pair at or below it is labeled NonMatch for free (0 = default 0.90)")
 	fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path (crash-resumable)")

@@ -12,7 +12,6 @@ import (
 	"pprl/internal/incremental"
 	"pprl/internal/paillier"
 	"pprl/internal/session"
-	"pprl/internal/smc"
 )
 
 // DefaultKeyBits is the Paillier key size a zero KeyBits selects (the
@@ -68,7 +67,9 @@ type Params struct {
 	// pprl-party session is always secure.
 	Secure  bool `json:"secure,omitempty"`
 	KeyBits int  `json:"key_bits,omitempty"`
-	// SMCWorkers is the SMC parallelism (0 = the engine's default).
+	// SMCWorkers is the number of SMC protocol lanes of a two-relation
+	// run, core.Link's (0 = GOMAXPROCS). The live engine and a session's
+	// querying party run one lane and refuse it (OneLane).
 	SMCWorkers int `json:"smc_workers,omitempty"`
 }
 
@@ -122,6 +123,15 @@ func (p *Params) Validate(n Names) error {
 		}
 	}
 	return TierLowRange.Named(n("tier_low")).Validate(p.TierLow)
+}
+
+// OneLane refuses SMCWorkers on a surface whose engine runs one protocol
+// lane: a live dataset, pprl-link -dedup and a session's querying party.
+func (p *Params) OneLane(n Names) error {
+	if p.SMCWorkers != 0 {
+		return fmt.Errorf("%s sets the SMC lanes of a two-relation run (pprl-link, POST /v1/jobs); this engine runs one lane", n("smc_workers"))
+	}
+	return nil
 }
 
 // ValidateAnonymizer checks the anonymization method a surface that links
@@ -238,7 +248,6 @@ func (p *Params) Incremental(qids []string) (incremental.Config, error) {
 		Tier:       c.Tier,
 		TierLow:    p.TierLow,
 		Comparator: c.Comparator,
-		SMCWorkers: p.SMCWorkers,
 	}
 	return cfg, err
 }
@@ -249,17 +258,14 @@ func (p *Params) Incremental(qids []string) (incremental.Config, error) {
 func (p *Params) Query(schema *dataset.Schema, qids []string) (session.QueryConfig, error) {
 	c, err := p.Core(qids)
 	cfg := session.QueryConfig{
-		Schema:     schema,
-		QIDs:       qids,
-		Theta:      c.Theta,
-		Allowance:  p.Allowance,
-		Heuristic:  c.Heuristic,
-		KeyBits:    p.keyBits(),
-		SMCWorkers: p.SMCWorkers,
-		TierLow:    p.TierLow,
-	}
-	if c.Tier == core.TierBloom {
-		cfg.Tier = &smc.TierParams{} // the session fills the CLK defaults
+		Schema:    schema,
+		QIDs:      qids,
+		Theta:     c.Theta,
+		Allowance: p.Allowance,
+		Heuristic: c.Heuristic,
+		KeyBits:   p.keyBits(),
+		Tier:      c.Tier == core.TierBloom,
+		TierLow:   p.TierLow,
 	}
 	return cfg, err
 }

@@ -195,9 +195,6 @@ type Config struct {
 	// pairs per candidate bin.
 	DPLevel int
 
-	// Scale is the fixed-point factor for continuous values in the SMC
-	// circuit; 1 (default via DefaultConfig) is exact for integer data.
-	Scale int64
 	// Comparator builds the SMC back end; nil = plaintext oracle.
 	Comparator ComparatorFactory
 	// SMCWorkers is the parallelism of the SMC step: the number of
@@ -240,7 +237,6 @@ func DefaultConfig(qids []string) Config {
 		AliceK:            32,
 		BobK:              32,
 		AllowanceFraction: 0.015,
-		Scale:             1,
 	}
 }
 
@@ -314,12 +310,9 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 	if c.Heuristic == nil {
 		c.Heuristic = heuristic.MinAvgFirst{}
 	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
 	if c.DPEnabled() {
 		// Refuses a classifier that cannot hide padding, before anything runs.
-		spec, err := smc.SpecFromRule(rule, c.Scale)
+		spec, err := smc.SpecFromRule(rule, 1)
 		if err == nil {
 			_, err = dpblock.DummyRow(schema, qids, spec, true)
 		}

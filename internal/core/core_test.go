@@ -395,8 +395,9 @@ func TestStrategyString(t *testing.T) {
 
 // TestSecureLinkRefusesOutOfDomainRecord: the packed slot width is derived
 // from the schema's published domains, so a record outside them cannot be
-// compared. Either holder's is refused when the comparator is built,
-// before anything is encrypted.
+// compared, and the circuit compares integers, so a fractional continuous
+// value would be bought rounded (40.5 as 40). Either holder's such record
+// is refused by name before anything is encrypted.
 func TestSecureLinkRefusesOutOfDomainRecord(t *testing.T) {
 	alice, bob := workload(t, 45, 29)
 	cfg := DefaultConfig(adult.DefaultQIDs())
@@ -404,76 +405,31 @@ func TestSecureLinkRefusesOutOfDomainRecord(t *testing.T) {
 	cfg.Allowance = 20
 	cfg.Comparator = SecureComparatorFactory(256)
 	age, _ := alice.Schema().Index(adult.AttrAge)
-	outside := func(d *dataset.Dataset) *dataset.Dataset {
-		out := dataset.New(d.Schema())
-		for i, rec := range d.Records() {
-			if i == 3 {
-				rec.Cells = append([]dataset.Cell(nil), rec.Cells...)
-				rec.Cells[age] = dataset.NumCell(500) // the hierarchy ends at 81
-			}
-			out.MustAppend(rec)
-		}
-		return out
-	}
-	if _, err := Link(Holder{Data: outside(alice)}, Holder{Data: bob}, cfg); err == nil ||
-		!strings.Contains(err.Error(), "alice: record 3") || !strings.Contains(err.Error(), "published domain") {
-		t.Errorf("alice's record: error %v, want a refusal naming it", err)
-	}
-	if _, err := Link(Holder{Data: alice}, Holder{Data: outside(bob)}, cfg); err == nil ||
-		!strings.Contains(err.Error(), "bob: record 3") || !strings.Contains(err.Error(), "published domain") {
-		t.Errorf("bob's record: error %v, want a refusal naming it", err)
-	}
-}
-
-// TestScaleResolvesFractions: Scale is the circuit's fixed-point factor,
-// and a continuous attribute with fractional values needs it. 10.0 and
-// 10.4 are 0.4 apart under a threshold that admits 0.25, in a class pair
-// blocking leaves Unknown: at Scale 100 the purchased verdict is the
-// clear-text rule's NonMatch, through the oracle and the real protocol. At
-// Scale 1 both would encode as 10 and be bought as a match, so the run is
-// refused, naming the first record and attribute it would have rounded
-// (the session's and the live engine's doors have their own rows).
-func TestScaleResolvesFractions(t *testing.T) {
-	schema, err := dataset.NewSchema(dataset.NumAttr(vgh.MustIntervalHierarchy("x", 0, 16, 2, 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := func(values ...float64) *dataset.Dataset {
-		d := dataset.New(schema)
-		for i, v := range values {
-			d.MustAppend(dataset.Record{EntityID: i, Cells: []dataset.Cell{dataset.NumCell(v)}})
-		}
-		return d
-	}
-	// Both classes generalize to [10, 12): the class pair is Unknown.
-	alice, bob := rel(10.0, 11.9), rel(10.4, 11.5)
-	for name, factory := range map[string]ComparatorFactory{"plain": PlainComparatorFactory, "secure": SecureComparatorFactory(256)} {
-		for _, scale := range []int64{100, 1} {
-			cfg := DefaultConfig([]string{"x"})
-			cfg.Theta = 0.25 / 16 // a difference of 0.25 over the domain's width
-			cfg.AliceK, cfg.BobK = 2, 2
-			cfg.Allowance = 4
-			cfg.Scale = scale
-			cfg.Comparator = factory
-			res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg)
-			if scale == 1 {
-				if err == nil || !strings.Contains(err.Error(), `alice: record 1 attribute "x" value 11.9`) {
-					t.Errorf("%s, scale 1: err = %v, want alice's record 1 refused", name, err)
+	for _, c := range []struct {
+		age  float64
+		want string
+	}{
+		{500, "published domain"}, // the hierarchy ends at 81
+		{40.5, "not a whole multiple"},
+	} {
+		bad := func(d *dataset.Dataset) *dataset.Dataset {
+			out := dataset.New(d.Schema())
+			for i, rec := range d.Records() {
+				if i == 3 {
+					rec.Cells = append([]dataset.Cell(nil), rec.Cells...)
+					rec.Cells[age] = dataset.NumCell(c.age)
 				}
-				continue
+				out.MustAppend(rec)
 			}
-			if err != nil {
-				t.Fatalf("%s, scale %d: %v", name, scale, err)
-			}
-			if res.Block.UnknownPairs != 4 || res.Invocations != 4 {
-				t.Fatalf("%s, scale %d: %d Unknown pairs, %d purchased; want all 4 of both", name, scale, res.Block.UnknownPairs, res.Invocations)
-			}
-			if res.PairMatched(0, 0) {
-				t.Errorf("%s, scale %d: 10.0 against 10.4 labeled a match", name, scale)
-			}
-			if conf := res.Evaluate(truth(t, alice, bob, res)); conf.FalsePositives+conf.FalseNegatives != 0 {
-				t.Errorf("%s, scale %d: %+v against the clear-text rule", name, scale, conf)
-			}
+			return out
+		}
+		if _, err := Link(Holder{Data: bad(alice)}, Holder{Data: bob}, cfg); err == nil ||
+			!strings.Contains(err.Error(), "alice: record 3") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("alice's age %v: error %v, want a refusal naming it", c.age, err)
+		}
+		if _, err := Link(Holder{Data: alice}, Holder{Data: bad(bob)}, cfg); err == nil ||
+			!strings.Contains(err.Error(), "bob: record 3") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("bob's age %v: error %v, want a refusal naming it", c.age, err)
 		}
 	}
 }

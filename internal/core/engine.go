@@ -132,7 +132,7 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	// A fractional value would be bought rounded; refuse it before anything
 	// is journaled or encrypted.
 	for x, d := range []*dataset.Dataset{alice.Data, bob.Data} {
-		if err := smc.CheckIntegral(d.Schema(), d.Records(), qids, cfg.Scale, 0); err != nil {
+		if err := smc.CheckIntegral(d.Schema(), d.Records(), qids, 1, 0); err != nil {
 			return nil, fmt.Errorf("core: %s: %w", [2]string{"alice", "bob"}[x], err)
 		}
 	}
@@ -247,12 +247,12 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 		cfg.report("tier", 1, 1)
 	}
 
-	spec, err := smc.SpecFromRule(rule, cfg.Scale)
+	spec, err := smc.SpecFromRule(rule, 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: building SMC spec: %w", err)
 	}
 	spec.BoundBySchema(alice.Data.Schema(), qids)
-	encA, encB := smc.EncodeRecords(alice.Data, qids, cfg.Scale), smc.EncodeRecords(bob.Data, qids, cfg.Scale)
+	encA, encB := smc.EncodeRecords(alice.Data, qids, 1), smc.EncodeRecords(bob.Data, qids, 1)
 	if dp {
 		// A dummy handle answers with its side's sentinel row.
 		for x, enc := range []*[][]int64{&encA, &encB} {

@@ -79,7 +79,7 @@ func configDigest(cfg *Config, allowance int64, rec *journal.Recovered) ([32]byt
 	journal.HashField(h, "heuristic", cfg.Heuristic.Name())
 	journal.HashField(h, "strategy", cfg.Strategy.String())
 	journal.HashField(h, "allowance", strconv.FormatInt(allowance, 10))
-	journal.HashField(h, "scale", strconv.FormatInt(cfg.Scale, 10))
+	journal.HashField(h, "scale", "1") // the circuit's fixed-point factor, as every journal on disk hashed it
 	journal.HashField(h, "seed", strconv.FormatInt(cfg.Seed, 10))
 	// The DP parameters are hashed only when DP is enabled, so digests of
 	// k-anonymous runs are unchanged from before the mode existed. A dp

@@ -11,7 +11,12 @@ import (
 // job service's result endpoint and pprl-link's -json mode. It is a
 // summary view: the full pair labeling is queried via PairMatched (or
 // enumerated by the caller), not shipped.
+//
+// SingleTrustDomain is always true: core.Link holds both relations in one
+// process, so its SMC and DP padding protect no one there and are a cost
+// model of a run across real boundaries (pprl-party), not privacy.
 type ResultJSON struct {
+	SingleTrustDomain  bool                `json:"single_trust_domain"`
 	TotalPairs         int64               `json:"total_pairs"`
 	UnknownPairs       int64               `json:"unknown_pairs"`
 	BlockingEfficiency float64             `json:"blocking_efficiency"`
@@ -34,6 +39,7 @@ type ResultJSON struct {
 // Summarize builds the wire form from a Result.
 func (r *Result) Summarize() ResultJSON {
 	return ResultJSON{
+		SingleTrustDomain:  true,
 		TotalPairs:         r.Block.TotalPairs(),
 		UnknownPairs:       r.Block.UnknownPairs,
 		BlockingEfficiency: r.BlockingEfficiency(),

@@ -27,7 +27,7 @@ func TestResultMarshalJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, field := range []string{
-		"total_pairs", "unknown_pairs", "blocking_efficiency", "matched_pairs",
+		"single_trust_domain", "total_pairs", "unknown_pairs", "blocking_efficiency", "matched_pairs",
 		"allowance", "invocations", "smc_resolved_pairs", "smc_bytes",
 		"smc_workers", "strategy", "heuristic", "resume", "timings",
 	} {
@@ -49,6 +49,9 @@ func TestResultMarshalJSON(t *testing.T) {
 	}
 	if got.Strategy != "maximize-precision" || got.Heuristic != "minAvgFirst" {
 		t.Errorf("strategy/heuristic names = %q/%q", got.Strategy, got.Heuristic)
+	}
+	if !got.SingleTrustDomain {
+		t.Error("a core.Link result does not say it ran in one trust domain")
 	}
 }
 

@@ -282,7 +282,8 @@ func (r *Result) Evaluate(truth []match.Pair) metrics.Confusion {
 	}
 }
 
-// Summary renders a one-line overview for logs and CLIs.
+// Summary renders a one-line overview for logs and CLIs. It ends with the
+// single-trust-domain label ResultJSON carries.
 func (r *Result) Summary() string {
 	s := fmt.Sprintf("pairs=%d blocked=%.2f%% unknown=%d allowance=%d smc=%d matched=%d strategy=%v",
 		r.Block.TotalPairs(), 100*r.BlockingEfficiency(), r.Block.UnknownPairs,
@@ -295,7 +296,7 @@ func (r *Result) Summary() string {
 		s += fmt.Sprintf(" dp-eps=%v dp-delta=%v dummies=%d dummy-spent=%d",
 			r.DP.TotalEpsilon, r.DP.TotalDelta, r.DP.AliceDummies+r.DP.BobDummies, r.DP.DummySpent)
 	}
-	return s
+	return s + " trust=single-domain (SMC and DP padding are a cost model here)"
 }
 
 // trainResidualClassifier implements the paper's strategy 3 (classifier

@@ -9,10 +9,9 @@ import (
 	"strconv"
 )
 
-// csvParser holds the header resolution and per-row decoding shared by
-// the materializing reader (ReadCSV) and the chunked Stream: one place
-// validates cells against the schema and numbers error messages by CSV
-// row.
+// csvParser holds the header resolution and per-row decoding behind
+// ReadCSV, ReadCSVDropMissing and Stream.ReadAll: one place validates
+// cells against the schema and numbers error messages by CSV row.
 type csvParser struct {
 	schema      *Schema
 	cr          *csv.Reader
@@ -145,120 +144,31 @@ func parseFinite(raw string) (float64, error) {
 	return v, err
 }
 
-// StreamOptions parameterizes a chunked dataset stream.
-type StreamOptions struct {
-	// ChunkRecords bounds the records resident per Next call — the
-	// stream's explicit memory budget. 0 selects DefaultChunkRecords.
-	ChunkRecords int
-	// DropMissing silently skips rows with a Missing ("?") marker in any
-	// schema column, like ReadCSVDropMissing.
-	DropMissing bool
-}
+// StreamOptions is OpenStream's options. It has none: a relation is read
+// whole, as ReadCSV reads it.
+type StreamOptions struct{}
 
-// DefaultChunkRecords is the chunk size when StreamOptions leaves it 0.
-const DefaultChunkRecords = 4096
-
-// Stream is a bounded-memory CSV reader: records arrive in chunks of at
-// most ChunkRecords, so a holder can encode or ship a relation far larger
-// than RAM without ever materializing a Dataset. The chunk slice is
-// reused across Next calls — copy its elements out if they must outlive
-// the next call (the Records themselves are freshly allocated and safe to
-// retain).
+// Stream is a CSV relation opened against a schema, to be read by ReadAll.
 type Stream struct {
-	p      *csvParser
-	chunk  []Record
-	closer io.Closer
-	err    error
+	schema *Schema
+	f      *os.File
 }
 
-// OpenStream opens path for chunked streaming against the schema. Close
-// the stream to release the file.
-func OpenStream(schema *Schema, path string, opts StreamOptions) (*Stream, error) {
+// OpenStream opens path for reading against the schema. Close the stream
+// to release the file.
+func OpenStream(schema *Schema, path string, _ StreamOptions) (*Stream, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	s, err := NewStream(schema, f, opts)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.closer = f
-	return s, nil
+	return &Stream{schema: schema, f: f}, nil
 }
 
-// NewStream wraps an io.Reader as a chunked stream; the header is parsed
-// eagerly so schema mismatches surface before the first Next.
-func NewStream(schema *Schema, r io.Reader, opts StreamOptions) (*Stream, error) {
-	p, err := newCSVParser(schema, r, opts.DropMissing)
-	if err != nil {
-		return nil, err
-	}
-	n := opts.ChunkRecords
-	if n <= 0 {
-		n = DefaultChunkRecords
-	}
-	return &Stream{p: p, chunk: make([]Record, 0, n)}, nil
-}
-
-// Schema returns the stream's schema.
-func (s *Stream) Schema() *Schema { return s.p.schema }
-
-// Next returns the next chunk of records, at most ChunkRecords long, or
-// io.EOF once the input is drained. The returned slice is reused by the
-// following Next call.
-func (s *Stream) Next() ([]Record, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	s.chunk = s.chunk[:0]
-	for len(s.chunk) < cap(s.chunk) {
-		rec, ok, err := s.p.next()
-		if err != nil {
-			s.err = err
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		s.chunk = append(s.chunk, rec)
-	}
-	if len(s.chunk) == 0 {
-		s.err = io.EOF
-		return nil, io.EOF
-	}
-	return s.chunk, nil
-}
-
-// Dropped reports rows skipped so far under DropMissing.
-func (s *Stream) Dropped() int { return s.p.dropped }
-
-// Close releases the underlying file, if the stream owns one.
-func (s *Stream) Close() error {
-	if s.closer != nil {
-		return s.closer.Close()
-	}
-	return nil
-}
-
-// ReadAll drains the stream into a materialized Dataset, for pipeline
-// stages (anonymization, blocking) that need the whole relation resident.
-// Unlike ReadCSV it never holds parser row state and the final Dataset at
-// once beyond one chunk.
+// ReadAll reads the whole relation, with ReadCSV's rules and errors.
 func (s *Stream) ReadAll() (*Dataset, error) {
-	d := New(s.p.schema)
-	for {
-		chunk, err := s.Next()
-		if err == io.EOF {
-			return d, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range chunk {
-			if err := d.Append(rec); err != nil {
-				return nil, fmt.Errorf("dataset: %w", err)
-			}
-		}
-	}
+	d, _, err := readCSV(s.schema, s.f, false)
+	return d, err
 }
+
+// Close releases the file.
+func (s *Stream) Close() error { return s.f.Close() }

@@ -260,7 +260,8 @@ func TestSecureEngineFleet(t *testing.T) {
 	}
 }
 
-// TestDialWorker exercises the dial-out direction over real TCP.
+// TestDialWorker exercises the dial-out direction over real TCP: the
+// owner dials a listening worker and hands the connection to AddConn.
 func TestDialWorker(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -275,9 +276,11 @@ func TestDialWorker(t *testing.T) {
 		ServeWorker(conn, WorkerOptions{Name: "tcp-w", HeartbeatEvery: 50 * time.Millisecond})
 	}()
 	p := newTestPool(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := p.DialWorker(ctx, ln.Addr().String()); err != nil {
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddConn(conn); err != nil {
 		t.Fatal(err)
 	}
 	if ws := p.Workers(); len(ws) != 1 || ws[0] != "tcp-w" {

@@ -68,9 +68,10 @@ func (w *worker) alive() bool {
 }
 
 // Pool is the coordinator: it accepts worker registrations (Serve) or
-// dials workers (DialWorker), and hands out distributed Comparators that
-// stripe comparison chunks across the live fleet. One Pool serves any
-// number of sequential jobs; NewComparator serializes them.
+// registers workers its owner dialed (AddConn), and hands out distributed
+// Comparators that stripe comparison chunks across the live fleet. One
+// Pool serves any number of sequential jobs; NewComparator serializes
+// them.
 type Pool struct {
 	opts PoolOptions
 
@@ -210,16 +211,6 @@ func (p *Pool) Serve(ln net.Listener) error {
 			}
 		}()
 	}
-}
-
-// DialWorker connects out to a listening worker and registers it.
-func (p *Pool) DialWorker(ctx context.Context, addr string) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return fmt.Errorf("distrib: dialing worker %s: %w", addr, err)
-	}
-	return p.AddConn(conn)
 }
 
 // Workers returns the live fleet's names, sorted.

@@ -147,7 +147,7 @@ func New(schema *dataset.Schema, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	spec, err := smc.SpecFromRule(rule, cfg.Scale)
+	spec, err := smc.SpecFromRule(rule, 1)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: building SMC spec: %w", err)
 	}
@@ -282,7 +282,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	}
 	committedReplay := frame != nil && frame.Committed
 	s := e.sides[sideIdx]
-	if err := smc.CheckIntegral(s.data.Schema(), recs, e.qids, e.cfg.Scale, s.data.Len()); err != nil {
+	if err := smc.CheckIntegral(s.data.Schema(), recs, e.qids, 1, s.data.Len()); err != nil {
 		return nil, fmt.Errorf("incremental: %s: %w", [2]string{"alice", "bob"}[sideIdx], err) // refused before the batch mark is journaled
 	}
 	if frame == nil && e.cfg.Journal != nil {
@@ -300,7 +300,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 			return nil, fmt.Errorf("incremental: %w", err)
 		}
 	}
-	s.enc = smc.AppendEncoded(s.enc, s.data, e.qids, e.cfg.Scale)
+	s.enc = smc.AppendEncoded(s.enc, s.data, e.qids, 1)
 	if e.tenc != nil {
 		for i := base; i < s.data.Len(); i++ {
 			s.clk = append(s.clk, e.tenc.Encode(bloom.FieldsOf(s.data, e.qids, i)...))
@@ -511,7 +511,7 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 		if committed {
 			return nil, fmt.Errorf("committed batch %d needs a fresh purchase: journal and engine state diverged", batch)
 		}
-		c, err := e.cfg.Comparator(a.enc, b.enc, e.spec, e.cfg.SMCWorkers)
+		c, err := e.cfg.Comparator(a.enc, b.enc, e.spec, 1)
 		if err != nil {
 			return nil, fmt.Errorf("building comparator: %w", err)
 		}
@@ -532,7 +532,6 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 		},
 		Budget:     math.MaxInt64,
 		Comparator: cmp,
-		Workers:    e.cfg.SMCWorkers,
 		Sink: func(ev resolve.Event) {
 			if e.onEvent != nil {
 				e.onEvent(ev)

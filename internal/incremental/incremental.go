@@ -69,11 +69,8 @@ type Config struct {
 	// i<j, self-pairs excluded.
 	Dedup bool
 	// Comparator builds the SMC backend per batch (nil selects the
-	// plaintext oracle); SMCWorkers passes through to it.
+	// plaintext oracle), with one protocol lane.
 	Comparator core.ComparatorFactory
-	SMCWorkers int
-	// Scale is the fixed-point encoding scale (0 selects 1).
-	Scale int64
 	// Journal, when set, makes the run durable: batch marks, verdicts and
 	// commits are framed per DESIGN.md §15. Recovered must then carry the
 	// replayed state when resuming (journal.Writer.Recovered()); nil for
@@ -97,12 +94,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Comparator == nil {
 		c.Comparator = core.PlainComparatorFactory
-	}
-	if c.SMCWorkers <= 0 {
-		c.SMCWorkers = 1
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
 	}
 	if c.Tier == core.TierBloom {
 		if err := bloom.TierLow(&c.TierLow); err != nil {
@@ -142,11 +133,12 @@ func (c *Config) manifest(schema *dataset.Schema, qids []int) journal.Manifest {
 }
 
 // configDigest hashes the parameters that determine which pairs are
-// resolved and what they cost. As in the frozen engine, SMCWorkers, the
-// comparator backend and the tier knobs are excluded: they change speed
-// or free labels, never purchased verdicts. The engine makes no random
-// choice; "seed" stays in the hash, at the 0 every journal on disk was
-// written with, so those journals still resume.
+// resolved and what they cost. As in the frozen engine, the comparator
+// backend and the tier knobs are excluded: they change speed or free
+// labels, never purchased verdicts. The engine makes no random choice and
+// encodes at fixed-point factor 1; "seed" and "scale" stay in the hash, at
+// the 0 and 1 every journal on disk was written with, so those journals
+// still resume.
 func (c *Config) configDigest() [32]byte {
 	h := sha256.New()
 	for _, q := range c.QIDs {
@@ -160,7 +152,7 @@ func (c *Config) configDigest() [32]byte {
 	journal.HashField(h, "allowance", strconv.FormatInt(c.Allowance, 10))
 	journal.HashField(h, "heuristic", c.Heuristic.Name())
 	journal.HashField(h, "strategy", c.Strategy.String())
-	journal.HashField(h, "scale", strconv.FormatInt(c.Scale, 10))
+	journal.HashField(h, "scale", "1")
 	journal.HashField(h, "seed", "0")
 	journal.HashField(h, "dedup", strconv.FormatBool(c.Dedup))
 	return [32]byte(h.Sum(nil))

@@ -3,17 +3,15 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // Registry is a small operational-metrics registry: named atomic
 // counters and gauges, rendered in the Prometheus text exposition
-// format and as an expvar-compatible JSON object. It exists so the job
-// service exposes /metrics from the stdlib alone; swapping in a real
-// client library later means replacing this file, not the call sites.
+// format. It exists so the job service exposes /metrics from the stdlib
+// alone; swapping in a real client library later means replacing this
+// file, not the call sites.
 //
 // Registering is not hot-path work and takes a lock; Add/Set on the
 // returned vars are lock-free atomics safe for concurrent use.
@@ -196,36 +194,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// String renders the registry as a JSON object of name → value, which
-// makes a Registry an expvar.Var: publish it once per process with
-// expvar.Publish and it appears under /debug/vars.
-func (r *Registry) String() string {
-	r.mu.Lock()
-	entries := make(map[string]int64, len(r.vars))
-	for n, v := range r.vars {
-		entries[n] = v.Value()
-	}
-	for _, vec := range r.vecs {
-		for _, c := range vec.snapshot() {
-			entries[c.name] = c.Value()
-		}
-	}
-	r.mu.Unlock()
-	names := make([]string, 0, len(entries))
-	for n := range entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%q: %d", n, entries[n])
-	}
-	b.WriteByte('}')
-	return b.String()
 }

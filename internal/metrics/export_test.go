@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -36,21 +35,6 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	// TYPE must precede the sample line for each metric.
 	if strings.Index(out, "# TYPE pprl_jobs_running gauge") > strings.Index(out, "\npprl_jobs_running 1") {
 		t.Errorf("TYPE line does not precede sample:\n%s", out)
-	}
-}
-
-// TestRegistryExpvarString: the registry is a valid expvar.Var whose
-// String() is a JSON object of every metric.
-func TestRegistryExpvarString(t *testing.T) {
-	r := NewRegistry("svc")
-	r.Counter("a_total", "").Add(7)
-	r.Gauge("b", "").Set(-2)
-	var m map[string]int64
-	if err := json.Unmarshal([]byte(r.String()), &m); err != nil {
-		t.Fatalf("String() is not JSON: %v\n%s", err, r.String())
-	}
-	if m["svc_a_total"] != 7 || m["svc_b"] != -2 {
-		t.Errorf("expvar view = %v", m)
 	}
 }
 
@@ -121,7 +105,7 @@ func TestVarVecPrometheusFormat(t *testing.T) {
 }
 
 // TestVarVecWithReturnsSame: the same label value yields the same child,
-// and children appear in the expvar JSON view.
+// and a child's value is its sample's.
 func TestVarVecWithReturnsSame(t *testing.T) {
 	r := NewRegistry("x")
 	v := r.CounterVec("chunks_total", "worker", "")
@@ -133,12 +117,12 @@ func TestVarVecWithReturnsSame(t *testing.T) {
 	if b := v.With("w1"); b != a || b.Value() != 2 {
 		t.Fatal("children not shared per label value")
 	}
-	var m map[string]int64
-	if err := json.Unmarshal([]byte(r.String()), &m); err != nil {
-		t.Fatalf("String() is not JSON: %v\n%s", err, r.String())
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if m[`x_chunks_total{worker="w1"}`] != 2 {
-		t.Errorf("expvar view = %v", m)
+	if !strings.Contains(b.String(), `x_chunks_total{worker="w1"} 2`+"\n") {
+		t.Errorf("exposition lacks the child's sample:\n%s", b.String())
 	}
 }
 

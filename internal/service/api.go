@@ -13,7 +13,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"pprl/internal/cliutil"
@@ -44,11 +43,6 @@ type JobSpec struct {
 	// Anonymizer takes the CLI's k-anonymizer names (see cliutil); empty
 	// selects the paper's max-entropy method. "dp" is refused (ErrNoDP).
 	Anonymizer string `json:"anonymizer,omitempty"`
-	// Blocking is deprecated and ignored: there is one blocking engine
-	// (the hierarchy index). The field still decodes so older clients
-	// and persisted specs keep working — "", "dense" and "indexed" have
-	// always produced identical labels — and any other value is refused.
-	Blocking string `json:"blocking,omitempty"`
 	// Distributed stripes the SMC step across the daemon's registered
 	// worker fleet (pprl-party -role worker) instead of running it
 	// in-process. Combines with Secure: each worker then runs the real
@@ -98,14 +92,7 @@ func (s *JobSpec) Validate() error {
 		return err
 	}
 	if s.AllowanceFraction != 0 {
-		if err := cliutil.AllowanceFractionRange.Named("allowance_fraction").Validate(s.AllowanceFraction); err != nil {
-			return err
-		}
-	}
-	switch strings.ToLower(s.Blocking) {
-	case "", "dense", "indexed":
-	default:
-		return fmt.Errorf("unknown blocking mode %q (the field is deprecated; omit it)", s.Blocking)
+		return cliutil.AllowanceFractionRange.Named("allowance_fraction").Validate(s.AllowanceFraction)
 	}
 	return nil
 }

@@ -45,6 +45,9 @@ func (s *DatasetSpec) Validate(resolve func(ref string) (string, error)) error {
 	if err := s.Params.Validate(cliutil.JSONNames); err != nil {
 		return err
 	}
+	if err := s.OneLane(cliutil.JSONNames); err != nil {
+		return err
+	}
 	schema, qids, err := s.LoadSchema(resolve)
 	if err != nil {
 		return err

@@ -25,9 +25,9 @@ func dumpCore(c core.Config) string {
 	if c.BobAnonymizer != nil {
 		bob = c.BobAnonymizer.Name()
 	}
-	return fmt.Sprintf("core qids=%v theta=%v thresholds=%v k=%d/%d anonymizer=%s/%s heuristic=%s strategy=%v allowance=%d fraction=%v tier=%v[%v] epsilon=%v delta=%v dpseed=%d dplevel=%d scale=%d secure=%v workers=%d seed=%d",
+	return fmt.Sprintf("core qids=%v theta=%v thresholds=%v k=%d/%d anonymizer=%s/%s heuristic=%s strategy=%v allowance=%d fraction=%v tier=%v[%v] epsilon=%v delta=%v dpseed=%d dplevel=%d secure=%v workers=%d seed=%d",
 		c.QIDs, c.Theta, c.Thresholds, c.AliceK, c.BobK, alice, bob, c.Heuristic.Name(), c.Strategy, c.Allowance, c.AllowanceFraction,
-		c.Tier, c.TierLow, c.Epsilon, c.DPDelta, c.DPSeed, c.DPLevel, c.Scale, c.Comparator != nil, c.SMCWorkers, c.Seed)
+		c.Tier, c.TierLow, c.Epsilon, c.DPDelta, c.DPSeed, c.DPLevel, c.Comparator != nil, c.SMCWorkers, c.Seed)
 }
 
 // dumpIncremental is dumpCore for the live engine's configuration. θ is
@@ -39,15 +39,15 @@ func dumpIncremental(c incremental.Config) string {
 	if theta == 0 {
 		theta = 0.05
 	}
-	return fmt.Sprintf("incremental qids=%v theta=%v thresholds=%v level=%d heuristic=%s strategy=%v allowance=%d tier=%v[%v] dedup=%v scale=%d secure=%v workers=%d",
+	return fmt.Sprintf("incremental qids=%v theta=%v thresholds=%v level=%d heuristic=%s strategy=%v allowance=%d tier=%v[%v] dedup=%v secure=%v",
 		c.QIDs, theta, c.Thresholds, c.Level, c.Heuristic.Name(), c.Strategy, c.Allowance,
-		c.Tier, c.TierLow, c.Dedup, c.Scale, c.Comparator != nil, c.SMCWorkers)
+		c.Tier, c.TierLow, c.Dedup, c.Comparator != nil)
 }
 
 // TestSpecFixturesMaterialize: spec.json and dataset.json files written
 // before the specs embedded the shared block — testdata/specs by the
 // store of the commit before it (job-restart is the file the restart test
-// recovers, deprecated "blocking" and unknown "packing" included), the
+// recovers, the since removed "blocking" and "packing" included), the
 // two legacy datasets by older daemons still — decode, validate and
 // materialize to what that commit's JobSpec.Config and DatasetSpec.Config
 // made of them; materialized.golden is those two functions' output under
@@ -55,7 +55,7 @@ func dumpIncremental(c incremental.Config) string {
 // spec's meaning. Each file's "spec" object is also a request body of its
 // day: the strict decoder the two POST handlers use must take every key
 // the old specs declared, from the embedded block or not, and still
-// refuse exactly the keys since removed — packing and seed, the
+// refuse exactly the keys since removed — blocking, packing and seed, the
 // tier_high that went with the tier's Match band (job-full and
 // dataset-full persist "tier_high": 0.85; the recovery decode drops the
 // key, and materialized.golden lost its second threshold with it — once),
@@ -64,9 +64,9 @@ func dumpIncremental(c incremental.Config) string {
 // golden lines say so, and dumpIncremental has no DP columns left.
 func TestSpecFixturesMaterialize(t *testing.T) {
 	removedKeys := map[string][]string{
-		"job-restart/spec.json":                       {"packing"},
+		"job-restart/spec.json":                       {"blocking", "packing"},
 		"legacy-seed/datasets/ds-000001/dataset.json": {"seed"},
-		"job-full/spec.json":                          {"tier_high"},
+		"job-full/spec.json":                          {"blocking", "tier_high"},
 		"job-dp/spec.json":                            {"dp_level"},
 		"dataset-full/dataset.json":                   {"queue_depth", "tier_high"},
 	}

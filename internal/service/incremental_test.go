@@ -168,7 +168,6 @@ func frozenLink(t *testing.T, da, db *dataset.Dataset) *core.Result {
 	fcfg.AliceAnonymizer, fcfg.BobAnonymizer = lb, lb
 	fcfg.AliceK, fcfg.BobK = 1, 1
 	fcfg.Allowance = serviceAmple
-	fcfg.Scale = 1
 	frozen, err := core.Link(core.Holder{Data: da}, core.Holder{Data: db}, fcfg)
 	if err != nil {
 		t.Fatal(err)

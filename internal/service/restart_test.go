@@ -52,30 +52,23 @@ func TestServiceRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	// The crashed daemon's client still named a blocking engine: the
-	// persisted spec.json carries the deprecated field, and the restart
-	// must recover it to the control's (field-less) result.
-	legacy := spec
-	legacy.Blocking = "dense"
-	jid := submit(t, ts1, legacy).ID
-	if raw, err := os.ReadFile(filepath.Join(s1.store.Dir(jobKind, jid), "spec.json")); err != nil || !bytes.Contains(raw, []byte(`"blocking": "dense"`)) {
-		t.Fatalf("persisted spec does not carry the deprecated field (err %v):\n%s", err, raw)
-	}
+	jid := submit(t, ts1, spec).ID
 	interrupted := waitState(t, ts1, jid, StateInterrupted)
 	if interrupted.Error == "" {
 		t.Error("interrupted job carries no error")
 	}
 	ts1.Close()
 	s1.Drain()
-	// An older daemon's spec.json could also name the result encoding.
-	// Recovery decodes leniently, and the manifest never recorded the
-	// field: the job resumes packed, as every job now runs.
+	// An older daemon's spec.json could name a blocking engine and the
+	// result encoding. Recovery decodes leniently, and the manifest never
+	// recorded either field: the job resumes on the one index, packed, as
+	// every job now runs, to the control's result.
 	specPath := filepath.Join(s1.store.Dir(jobKind, jid), "spec.json")
 	raw, err := os.ReadFile(specPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = bytes.Replace(raw, []byte(`"blocking": "dense"`), []byte(`"blocking": "dense", "packing": "off"`), 1)
+	raw = bytes.Replace(raw, []byte(`"alice_path":`), []byte(`"blocking": "dense", "packing": "off", "alice_path":`), 1)
 	if err := os.WriteFile(specPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -266,9 +266,6 @@ func (s *Server) addJob(j *Job) {
 	}
 }
 
-// Metrics returns the server's registry, e.g. for expvar.Publish.
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Printf(format, args...)
@@ -745,9 +742,7 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	return nil
 }
 
-// readDataset loads a holder's relation through the chunked streaming
-// reader: anonymization needs the materialized Dataset, but parsing
-// happens in bounded chunks rather than row-state-plus-dataset at once.
+// readDataset loads a holder's relation from the data directory.
 func (s *Server) readDataset(schema *dataset.Schema, ref string) (*dataset.Dataset, error) {
 	path, err := s.store.ResolveData(ref)
 	if err != nil {

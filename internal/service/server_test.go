@@ -243,10 +243,19 @@ func TestServiceEndToEnd(t *testing.T) {
 		"# TYPE pprl_jobs_done_total counter",
 		"pprl_jobs_done_total 1",
 		"pprl_smc_comparisons_total",
+		"pprl_blocking_class_pairs_total",
+		"pprl_blocking_rule_evaluations_total",
+		"pprl_blocking_pruned_class_pairs_total",
+		"pprl_blocking_unknown_pairs_total",
 	} {
 		if !strings.Contains(string(mraw), want) {
 			t.Errorf("metrics missing %q:\n%s", want, mraw)
 		}
+	}
+	// Every job blocks on the hierarchy index, which at this scale always
+	// prunes something.
+	if strings.Contains(string(mraw), "pprl_blocking_pruned_class_pairs_total 0\n") {
+		t.Errorf("the job pruned nothing:\n%s", mraw)
 	}
 }
 
@@ -260,7 +269,6 @@ func TestServiceValidation(t *testing.T) {
 		{},                   // missing datasets
 		{AlicePath: "a.csv"}, // missing bob
 		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{Heuristic: "nope"}}, // unknown heuristic
-		{AlicePath: "a.csv", BobPath: "b.csv", Blocking: "nope"},                          // unknown blocking mode
 		{AlicePath: "../a.csv", BobPath: "b.csv"},                                         // escapes data dir
 		{AlicePath: "/etc/passwd", BobPath: "b.csv"},                                      // absolute ref
 		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{Theta: -1}},         // negative parameter
@@ -273,9 +281,9 @@ func TestServiceValidation(t *testing.T) {
 		}
 	}
 
-	// Unknown field in the body is a client error too — "packing", which
-	// older builds accepted, included.
-	for _, field := range []string{`"bogus":1`, `"packing":"off"`} {
+	// Unknown field in the body is a client error too — "packing" and
+	// "blocking", which older builds accepted, included.
+	for _, field := range []string{`"bogus":1`, `"packing":"off"`, `"blocking":"dense"`} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 			strings.NewReader(`{"alice_path":"a.csv","bob_path":"b.csv",`+field+`}`))
 		if err != nil {
@@ -314,50 +322,6 @@ func TestServiceValidation(t *testing.T) {
 	rr.Body.Close()
 	if rr.StatusCode != http.StatusConflict {
 		t.Errorf("result of failed job returned %d, want 409", rr.StatusCode)
-	}
-}
-
-// TestServiceIndexedBlocking: the deprecated "blocking" field is accepted
-// and ignored — every value it ever took returns the result of a spec
-// without it — and every job runs the hierarchy index, which feeds the
-// blocking counters (including pruned pairs).
-func TestServiceIndexedBlocking(t *testing.T) {
-	dataDir := writeDataDir(t, 120, 9)
-	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir, Workers: 1})
-
-	plain := submit(t, ts, testSpec())
-	waitState(t, ts, plain.ID, StateDone)
-	want := getResult(t, ts, plain.ID)
-
-	for _, mode := range []string{"dense", "Indexed"} {
-		spec := testSpec()
-		spec.Blocking = mode
-		legacy := submit(t, ts, spec)
-		waitState(t, ts, legacy.ID, StateDone)
-		if got := getResult(t, ts, legacy.ID); !reflect.DeepEqual(got.Matches, want.Matches) {
-			t.Fatalf("blocking %q: %d matches, %d without the field", mode, len(got.Matches), len(want.Matches))
-		}
-	}
-
-	mt, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mraw, _ := io.ReadAll(mt.Body)
-	mt.Body.Close()
-	for _, want := range []string{
-		"pprl_blocking_class_pairs_total",
-		"pprl_blocking_rule_evaluations_total",
-		"pprl_blocking_pruned_class_pairs_total",
-		"pprl_blocking_unknown_pairs_total",
-	} {
-		if !strings.Contains(string(mraw), want) {
-			t.Errorf("metrics missing %q:\n%s", want, mraw)
-		}
-	}
-	// At this scale the index always prunes something.
-	if strings.Contains(string(mraw), "pprl_blocking_pruned_class_pairs_total 0\n") {
-		t.Errorf("the jobs pruned nothing:\n%s", mraw)
 	}
 }
 

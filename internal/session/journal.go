@@ -40,9 +40,10 @@ func queryManifest(cfg *QueryConfig, block *blocking.Result, allowance int64, al
 }
 
 // queryConfigDigest hashes the classifier parameters that determine the
-// verdicts. KeyBits and SMCWorkers are deliberately excluded: they change
-// the cost of a comparison, never its outcome, so a resumed session may
-// use a different key size or pipeline depth. The triage tier (Tier, TierLow) is
+// verdicts. KeyBits is deliberately excluded: it changes the cost of a
+// comparison, never its outcome, so a resumed session may use a different
+// key size. "scale" stays in the hash at the fixed-point factor 1 every
+// journal on disk was written with. The triage tier (Tier, TierLow) is
 // excluded for the same reason: tier labels are free, deterministic,
 // and journaled as a separate record type, while purchased SMC verdicts
 // stay exact under any tier configuration — so a session journaled with
@@ -55,7 +56,7 @@ func queryConfigDigest(cfg *QueryConfig, allowance int64) [32]byte {
 	journal.HashField(h, "theta", strconv.FormatFloat(cfg.Theta, 'g', -1, 64))
 	journal.HashField(h, "heuristic", cfg.Heuristic.Name())
 	journal.HashField(h, "allowance", strconv.FormatInt(allowance, 10))
-	journal.HashField(h, "scale", strconv.FormatInt(cfg.Scale, 10))
+	journal.HashField(h, "scale", "1")
 	return [32]byte(h.Sum(nil))
 }
 

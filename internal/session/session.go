@@ -150,7 +150,7 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 	if params.Kind != smc.MsgParams || params.Spec == nil || len(params.QIDs) == 0 {
 		return fmt.Errorf("session: expected parameters, got kind %d", params.Kind)
 	}
-	if dp && params.Tier != nil {
+	if dp && params.Tier {
 		return fmt.Errorf("session: query enabled the triage tier: %w", dpblock.ErrTierUnderDP)
 	}
 	qids, err := cfg.Data.Schema().Resolve(params.QIDs)
@@ -190,15 +190,16 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 	if err := query.Send(&smc.Message{Kind: smc.MsgView, View: buf.Bytes()}); err != nil {
 		return fmt.Errorf("session: publishing view: %w", err)
 	}
-	if params.Tier != nil {
+	if params.Tier {
 		// The querying party asked for triage-tier encodings. Encode the
-		// raw records under the holders' shared key and publish only the
+		// raw records under the holders' shared key, at bloom's fixed CLK
+		// shape (nothing Q sends sizes the work), and publish only the
 		// filters: the matcher can compute Dice scores but, lacking the
 		// key, cannot build dictionaries of candidate values.
 		if len(cfg.TierKey) == 0 {
 			return fmt.Errorf("session: query enabled the triage tier but this holder has no tier key (set -tier-key)")
 		}
-		tierEnc, err := bloom.NewEncoder(params.Tier.M, params.Tier.K, params.Tier.Q, cfg.TierKey)
+		tierEnc, err := bloom.NewTierEncoder(cfg.TierKey)
 		if err != nil {
 			return fmt.Errorf("session: tier encoder: %w", err)
 		}
@@ -243,8 +244,6 @@ type QueryConfig struct {
 	Heuristic heuristic.Heuristic
 	// KeyBits is the Paillier key size (the paper uses 1024).
 	KeyBits int
-	// Scale is the fixed-point factor for continuous values (default 1).
-	Scale int64
 	// ShuffleAttributes is ignored: Bob always shuffles a pair's results,
 	// so this party never learns which attribute failed.
 	//
@@ -256,24 +255,17 @@ type QueryConfig struct {
 	// allow — and any other value is refused. The spec broadcast in
 	// MsgParams carries it to the holders.
 	Packing smc.Packing
-	// SMCWorkers scales the SMC batch size. A distributed session runs
-	// one protocol lane per transport, so unlike core.Config.SMCWorkers
-	// it cannot shard the crypto; it only keeps deeper pipelines fed so
-	// the holders' parallel per-attribute work overlaps across requests.
-	// ≤ 0 keeps the default chunking.
-	SMCWorkers int
-	// Tier, when non-nil, enables the triage tier: the holders publish
-	// CLK encodings of their raw records (keyed with a secret the
+	// Tier enables the triage tier: the holders publish CLK encodings of
+	// their raw records at bloom's fixed shape (keyed with a secret the
 	// querying party never sees), and Unknown pairs whose Dice similarity
 	// is ≤ TierLow are labeled NonMatch without spending SMC allowance —
 	// the tier never labels a Match, so every reported match stays exact.
 	// A DP holder refuses it (dpblock.ErrTierUnderDP) before publishing
 	// its view.
-	// Zero-valued M/K/Q select the conventional 1000/30/2.
 	// Like the packing mode, the tier knobs are excluded from the journal
 	// manifest: a journaled session may resume with the tier switched on,
 	// off, or retuned, and replayed purchased verdicts always win.
-	Tier *smc.TierParams
+	Tier bool
 	// TierLow is the tier's Dice threshold (≤ TierLow labels NonMatch);
 	// zero selects bloom.DefaultTierLow (0.90).
 	TierLow float64
@@ -337,9 +329,6 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if cfg.Heuristic == nil {
 		cfg.Heuristic = heuristic.MinAvgFirst{}
 	}
-	if cfg.Scale == 0 {
-		cfg.Scale = 1
-	}
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = 1024
 	}
@@ -351,13 +340,12 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := smc.SpecFromRule(rule, cfg.Scale)
+	spec, err := smc.SpecFromRule(rule, 1)
 	if err != nil {
 		return nil, err
 	}
 	spec.BoundBySchema(cfg.Schema, qids)
-	if cfg.Tier != nil {
-		bloom.TierDefaults(&cfg.Tier.M, &cfg.Tier.K, &cfg.Tier.Q)
+	if cfg.Tier {
 		if err := bloom.TierLow(&cfg.TierLow); err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
@@ -376,8 +364,8 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		return nil, fmt.Errorf("session: alice's view: %w", err)
 	}
 	var aFilters, bFilters []*bloom.Filter
-	if cfg.Tier != nil {
-		if aFilters, err = receiveEncodings(alice, cfg.Tier.M, len(aView.ClassOf)); err != nil {
+	if cfg.Tier {
+		if aFilters, err = receiveEncodings(alice, len(aView.ClassOf)); err != nil {
 			return nil, fmt.Errorf("session: alice's tier encodings: %w", err)
 		}
 	}
@@ -385,8 +373,8 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session: bob's view: %w", err)
 	}
-	if cfg.Tier != nil {
-		if bFilters, err = receiveEncodings(bob, cfg.Tier.M, len(bView.ClassOf)); err != nil {
+	if cfg.Tier {
+		if bFilters, err = receiveEncodings(bob, len(bView.ClassOf)); err != nil {
 			return nil, fmt.Errorf("session: bob's tier encodings: %w", err)
 		}
 	}
@@ -444,7 +432,7 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	}
 	ordered := heuristic.Order(block, rule, cfg.Heuristic, false)
 	var tier func(i, j int) bool
-	if cfg.Tier != nil {
+	if cfg.Tier {
 		tier = func(i, j int) bool { return aFilters[i].Dice(bFilters[j]) <= cfg.TierLow }
 	}
 	// The resolution kernel (DESIGN.md §16) spends the budget over the
@@ -462,7 +450,6 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		Journaled:  journaled,
 		Tier:       tier,
 		Comparator: sess,
-		Workers:    cfg.SMCWorkers,
 		Journal:    cfg.Journal,
 		Context:    cfg.Context,
 		Sink: func(ev resolve.Event) {
@@ -499,8 +486,8 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 
 // receiveEncodings collects a holder's CLK filters for the triage tier,
 // validating the count against the published view and every filter's
-// shape against the broadcast parameters.
-func receiveEncodings(conn smc.Conn, m, records int) ([]*bloom.Filter, error) {
+// shape against bloom's fixed CLK size.
+func receiveEncodings(conn smc.Conn, records int) ([]*bloom.Filter, error) {
 	msg, err := conn.Recv()
 	if err != nil {
 		return nil, err
@@ -513,7 +500,7 @@ func receiveEncodings(conn smc.Conn, m, records int) ([]*bloom.Filter, error) {
 	}
 	filters := make([]*bloom.Filter, len(msg.Encodings))
 	for i, data := range msg.Encodings {
-		if filters[i], err = bloom.Unmarshal(data, m); err != nil {
+		if filters[i], err = bloom.Unmarshal(data, bloom.TierM); err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
 	}

@@ -2,8 +2,10 @@ package session
 
 import (
 	"testing"
+	"time"
 
 	"pprl/internal/adult"
+	"pprl/internal/bloom"
 	"pprl/internal/smc"
 )
 
@@ -31,10 +33,10 @@ func TestSessionTierBudgetIndependence(t *testing.T) {
 	}
 	full := base
 	full.AllowanceFraction = 1.0
-	full.Tier = &smc.TierParams{}
+	full.Tier = true
 	starved := base
 	starved.Allowance = 3
-	starved.Tier = &smc.TierParams{}
+	starved.Tier = true
 
 	fullRes := runTierSession(t, 80, full)
 	starvedRes := runTierSession(t, 80, starved)
@@ -63,7 +65,7 @@ func TestHolderRequiresTierKey(t *testing.T) {
 		Kind: smc.MsgParams,
 		QIDs: adult.DefaultQIDs(),
 		Spec: &smc.Spec{Scale: 1},
-		Tier: &smc.TierParams{M: 64, K: 4, Q: 2},
+		Tier: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +90,59 @@ func TestQueryRejectsBadTierThresholds(t *testing.T) {
 			QIDs:    adult.DefaultQIDs(),
 			Theta:   0.05,
 			KeyBits: testKeyBits,
-			Tier:    &smc.TierParams{},
+			Tier:    true,
 			TierLow: low,
 		}
 		if _, err := RunQuery(qa, qb, cfg); err == nil {
 			t.Errorf("TierLow %v should fail validation", low)
+		}
+	}
+}
+
+// TestHolderEncodesAtFixedShape: the querying party asks for the tier with
+// one bit and can size nothing, so a holder with the key publishes one
+// ⌈1000/64⌉·8-byte encoding a record, whatever the query, within a
+// deadline. (When MsgParams carried the shape, a K of 2^40 kept the holder
+// hashing each bigram until the query gave up.)
+func TestHolderEncodesAtFixedShape(t *testing.T) {
+	data, _ := sessionWorkload(t, 20)
+	q, h := smc.NewConnPair()
+	defer q.Close()
+	go RunHolder(h, nil, HolderConfig{Data: data, K: 4, TierKey: []byte("k")}, true)
+	if err := q.Send(&smc.Message{Kind: smc.MsgParams, QIDs: adult.DefaultQIDs(), Spec: &smc.Spec{Scale: 1}, Tier: true}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan *smc.Message, 2)
+	go func() {
+		defer close(got)
+		for range 2 {
+			m, err := q.Recv()
+			if err != nil {
+				return
+			}
+			got <- m
+		}
+	}()
+	for _, want := range []smc.MsgKind{smc.MsgView, smc.MsgEncodings} {
+		select {
+		case m, ok := <-got:
+			if !ok || m.Kind != want {
+				t.Fatalf("got %+v, want kind %d", m, want)
+			}
+			if want != smc.MsgEncodings {
+				continue
+			}
+			if len(m.Encodings) != data.Len() {
+				t.Fatalf("%d encodings for %d records", len(m.Encodings), data.Len())
+			}
+			const size = (bloom.TierM + 63) / 64 * 8
+			for i, e := range m.Encodings {
+				if len(e) != size {
+					t.Fatalf("record %d: %d-byte encoding, want %d", i, len(e), size)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no kind %d frame within 10 s", want)
 		}
 	}
 }

@@ -172,11 +172,7 @@ func (m *Message) Code(c *wire.Coder) {
 	case MsgParams:
 		wire.Slice(c, &m.QIDs, (*wire.Coder).String)
 		wire.Opt(c, &m.Spec, func(c *wire.Coder, s *Spec) { s.Code(c) })
-		wire.Opt(c, &m.Tier, func(c *wire.Coder, t *TierParams) {
-			wire.Int(c, &t.M)
-			wire.Int(c, &t.K)
-			wire.Int(c, &t.Q)
-		})
+		c.Bool(&m.Tier)
 	case MsgView:
 		c.Bytes(&m.View)
 	case MsgEncodings:

@@ -80,21 +80,12 @@ type Message struct {
 	Spec *Spec
 	// View is a serialized anonymized view (MsgView).
 	View []byte
-	// Tier, when non-nil on MsgParams, asks the holders to also publish
-	// CLK encodings for the triage tier.
-	Tier *TierParams
+	// Tier, on MsgParams, asks the holders to also publish CLK encodings
+	// for the triage tier, at bloom's fixed shape.
+	Tier bool
 	// Encodings are a holder's serialized per-record CLK filters, indexed
 	// by record (MsgEncodings).
 	Encodings [][]byte
-}
-
-// TierParams are the public tier parameters the querying party broadcasts
-// in MsgParams: the CLK shape every holder must encode with. The Dice
-// threshold stays querying-party-local (it affects only which pairs the
-// matcher discards before spending its budget), and the encoding key is shared between the holders
-// out of band — it deliberately has no field here.
-type TierParams struct {
-	M, K, Q int
 }
 
 // blindBits is the size of the multiplicative blinding factor ρ; δ noise

@@ -30,33 +30,33 @@ var frameLayouts = []struct {
 }{
 	{"MsgPublicKey", "`N` big",
 		&Message{Kind: MsgPublicKey, N: big.NewInt(0xc35)},
-		"040100040c35"},
+		"040200040c35"},
 	{"MsgCompare", "`Record` int, `Records` []int",
 		&Message{Kind: MsgCompare, Record: 3, Records: []int{4, 5, 70}},
-		"0701010603080a8c01"},
+		"0702010603080a8c01"},
 	{"MsgShares", "`Sq` []big, `Lin` []big",
 		&Message{Kind: MsgShares, Sq: []*big.Int{big.NewInt(1), big.NewInt(0x101)}, Lin: []*big.Int{big.NewInt(2), big.NewInt(3)}},
-		"0c01020202010401010202020203"},
+		"0c02020202010401010202020203"},
 	{"MsgResult", "`Record` int, `Left` int, `Res` []big",
 		&Message{Kind: MsgResult, Record: 4, Left: 2, Res: []*big.Int{big.NewInt(0x201)}},
-		"070103080401040201"},
+		"070203080401040201"},
 	{"MsgShutdown", "—",
 		&Message{Kind: MsgShutdown},
-		"010104"},
+		"010204"},
 	{"MsgHello", "`Role` string",
 		&Message{Kind: MsgHello, Role: "alice"},
-		"07010505616c696365"},
-	{"MsgParams", "`QIDs` []string, `Spec` opt Spec, `Tier` opt Tier",
+		"07020505616c696365"},
+	{"MsgParams", "`QIDs` []string, `Spec` opt Spec, `Tier` bool",
 		&Message{Kind: MsgParams, QIDs: []string{"age", "sex"},
 			Spec: &Spec{Attrs: []AttrSpec{{Mode: ModeEquality}, {Mode: ModeThreshold, T: 9}}, Scale: 10, ValueBits: 7},
-			Tier: &TierParams{M: 1000, K: 30, Q: 2}},
-		"18010602036167650373657801020200001214000e01d00f3c04"},
+			Tier: true},
+		"14020602036167650373657801020200001214000e01"},
 	{"MsgView", "`View` bytes",
 		&Message{Kind: MsgView, View: []byte("pprl-view\t1\n")},
-		"0e01070c7070726c2d7669657709310a"},
+		"0e02070c7070726c2d7669657709310a"},
 	{"MsgEncodings", "`Encodings` []bytes",
 		&Message{Kind: MsgEncodings, Encodings: [][]byte{{1, 2}, {0xff}}},
-		"0701080202010201ff"},
+		"0702080202010201ff"},
 }
 
 // TestFrameLayout holds each kind to its golden frame, to a round trip of
@@ -103,6 +103,9 @@ func tableRow(doc []byte, kind string, b int) string {
 	return ""
 }
 
+// version1Params is a version-1 MsgParams frame with the tier's shape on.
+var version1Params, _ = hex.DecodeString("18010602036167650373657801020200001214000e01d00f3c04")
+
 // TestLinkRefusesHostileFrames: a TCP-style link refuses each hostile frame
 // with its named error, allocating under 128 KiB — the header alone is read
 // for an over-cap length or a foreign version, and a truncated body grows
@@ -120,6 +123,9 @@ func TestLinkRefusesHostileFrames(t *testing.T) {
 		{"one byte over the cap", header(wire.MaxBody+1, wire.Version), wire.ErrTooLarge},
 		{"claims the cap, sends 10 bytes", append(header(wire.MaxBody, wire.Version), make([]byte, 10)...), io.ErrUnexpectedEOF},
 		{"foreign version", append(header(1, wire.Version+1), byte(MsgShutdown)), wire.ErrVersion},
+		// Version 1's MsgParams, whose tier carried a CLK shape (M 1000,
+		// K 30, Q 2) for the holder to encode at.
+		{"version-1 params with a tier shape", version1Params, wire.ErrVersion},
 		{"unknown kind", append(header(1, wire.Version), 200), wire.ErrMalformed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

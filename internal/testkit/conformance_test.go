@@ -529,7 +529,7 @@ func sessionOnce(w *World, c cell, cfg core.Config, ref *outcome, sink journal.S
 	}
 	var tierKey []byte
 	if cfg.Tier == core.TierBloom {
-		qcfg.Tier, qcfg.TierLow, tierKey = &smc.TierParams{}, cfg.TierLow, []byte("pprl-tier-default-key")
+		qcfg.Tier, qcfg.TierLow, tierKey = true, cfg.TierLow, []byte("pprl-tier-default-key")
 	}
 	taps := [2]*requestTap{{Conn: links[2]}, {Conn: links[3]}}
 	errs := make(chan error, 2)
@@ -675,7 +675,7 @@ func (c *requestTap) Recv() (*smc.Message, error) {
 func frozenOf(t *testing.T, cfg core.Config) core.Config {
 	f := core.DefaultConfig(cfg.QIDs)
 	f.Theta, f.Thresholds, f.Heuristic, f.Tier, f.TierLow = cfg.Theta, cfg.Thresholds, cfg.Heuristic, cfg.Tier, cfg.TierLow
-	f.Allowance, f.Scale = incrementalAmple, 1
+	f.Allowance = incrementalAmple
 	lb, err := dpblock.NewLevelBinner(0)
 	if err != nil {
 		t.Fatal(err)

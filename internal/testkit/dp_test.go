@@ -253,7 +253,7 @@ func TestTierRefusedUnderDP(t *testing.T) {
 	go func() {
 		_, err := session.RunQuery(qa, qb, session.QueryConfig{
 			Schema: w.Alice.Schema(), QIDs: cfg.QIDs, Theta: cfg.Theta,
-			Allowance: 1000, KeyBits: 256, Tier: &smc.TierParams{},
+			Allowance: 1000, KeyBits: 256, Tier: true,
 		})
 		qa.Close() // the querying party's process exits
 		qb.Close()

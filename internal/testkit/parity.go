@@ -86,6 +86,9 @@ var ParamRows = []ParamRow{
 	{Name: "negative key size", Params: cliutil.Params{Secure: true, KeyBits: -1}, On: allSurfaces, Refuse: allSurfaces, Want: "must be at least 64"},
 	{Name: "key below the engine's floor", Params: cliutil.Params{Secure: true, KeyBits: 63}, On: allSurfaces, Refuse: allSurfaces, Want: "must be at least 64"},
 	{Name: "floor-sized key, not asked for", Params: cliutil.Params{KeyBits: 64}, On: allSurfaces},
+	// SMC lanes are core.Link's: the live engine and a session's querying
+	// party run one, so their surfaces refuse the knob by their own name.
+	{Name: "smc workers", Params: cliutil.Params{SMCWorkers: 2}, On: allSurfaces, Refuse: SurfaceQuery | liveSurfaces, Want: "a two-relation run"},
 	{Name: "classifier", Params: cliutil.Params{Strategy: "classifier"}, On: allSurfaces, Refuse: liveSurfaces, Want: "needs the full residual population"},
 }
 

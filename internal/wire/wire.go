@@ -23,8 +23,9 @@ import (
 	"sync/atomic"
 )
 
-// Version is the frame format's version byte.
-const Version = 1
+// Version is the frame format's version byte. Version 1's MsgParams carried
+// the tier's CLK shape; version 2's carries a bool.
+const Version = 2
 
 // MaxBody caps n. The largest frames are a holder's view and CLK encodings
 // (128 B a record at the default shape: 8 million records fit).
