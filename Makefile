@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 
 .PHONY: check tracked-files build binaries vet purego test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
 
-check: tracked-files build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper
+check: tracked-files build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
 
 # No build output in the tree: every tracked file (as staged) is under
 # 1 MiB, and none is a compiled binary — an executable file must be a

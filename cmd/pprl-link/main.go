@@ -210,13 +210,7 @@ func run(out io.Writer, opts options) error {
 			res.DP.AliceEpsilon, res.DP.TotalEpsilon, res.DP.TotalDelta, res.DP.AliceBins, res.DP.BobBins,
 			res.DP.AliceDummies+res.DP.BobDummies, res.DP.DummyPairs, res.DP.DummySpent, res.Invocations)
 	}
-	if res.TierMode() != pprl.TierOff {
-		fmt.Fprintf(out, "timings: anonymize=%v+%v blocking=%v tier=%v smc=%v\n",
-			res.Timings.AnonymizeAlice, res.Timings.AnonymizeBob, res.Timings.Blocking, res.Timings.Tier, res.Timings.SMC)
-	} else {
-		fmt.Fprintf(out, "timings: anonymize=%v+%v blocking=%v smc=%v\n",
-			res.Timings.AnonymizeAlice, res.Timings.AnonymizeBob, res.Timings.Blocking, res.Timings.SMC)
-	}
+	fmt.Fprintf(out, "timings: %v\n", res.Stages)
 	if opts.Secure {
 		fmt.Fprintf(out, "smc engine: workers=%d rate=%.1f comparisons/sec bytes=%d\n",
 			res.SMCWorkers, res.SMCRate(), res.SMCBytes)

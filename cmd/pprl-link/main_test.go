@@ -224,7 +224,7 @@ func TestRunLinkTier(t *testing.T) {
 	if !strings.Contains(out, "tier=bloom") || !strings.Contains(out, "tier-nonmatch=") {
 		t.Errorf("summary missing tier accounting: %q", out)
 	}
-	if !strings.Contains(out, "tier=") || !strings.Contains(out, "timings:") {
+	if !strings.Contains(out, "timings: anonymize-alice=") || !strings.Contains(out, " order=") || !strings.Contains(out, " tier=") {
 		t.Errorf("timings missing tier stage: %q", out)
 	}
 

@@ -27,6 +27,7 @@ import (
 	"pprl/internal/dpblock"
 	"pprl/internal/heuristic"
 	"pprl/internal/journal"
+	"pprl/internal/metrics"
 	"pprl/internal/smc"
 )
 
@@ -217,13 +218,17 @@ type Config struct {
 	// and returns an error wrapping ErrInterrupted. Nil means the run
 	// cannot be interrupted.
 	Context context.Context
-	// Progress, when set, receives coarse stage events during Link:
-	// "anonymize-alice", "anonymize-bob", "blocking" (done == total on
-	// completion), one "tier" event once both relations are CLK-encoded
-	// (TierBloom only; the labels themselves come out of the smc walk),
-	// and periodic "smc" events with comparisons done vs the allowance.
-	// Called synchronously on the linking goroutine; keep it fast.
+	// Progress, when set, receives stage events during Link, in order:
+	// "anonymize-alice", "anonymize-bob", "dp-noise" (DP only),
+	// "blocking" (rows done vs rows, then 1/1), "order" (walk ordered,
+	// journal declared), "tier" (TierBloom only: both relations
+	// CLK-encoded), "comparator" (built, keys generated) and "smc"
+	// (comparisons done vs the allowance: before the walk, every 4,096,
+	// at the end); LinkPrepared starts at "order". Result.Stages times
+	// them. Called synchronously on the linking goroutine; keep it fast.
 	Progress func(stage string, done, total int64)
+
+	stages *metrics.Stages // the run's stage clock, fed by report
 }
 
 // DefaultConfig returns the paper's Section VI defaults for the given

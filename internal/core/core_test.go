@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pprl/internal/adult"
 	"pprl/internal/anonymize"
@@ -305,36 +307,83 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestProgressCallback: Link reports every stage, in order, with the
+// tier off, with it on and under DP — repeated blocking and smc events
+// included — and its last smc event is the final position.
 func TestProgressCallback(t *testing.T) {
+	alice, bob := workload(t, 240, 53)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want []string
+	}{
+		{"tier-off", func(*Config) {},
+			[]string{"anonymize-alice", "anonymize-bob", "blocking", "order", "comparator", "smc"}},
+		{"tier-on", func(c *Config) { c.Tier = TierBloom },
+			[]string{"anonymize-alice", "anonymize-bob", "blocking", "order", "tier", "comparator", "smc"}},
+		{"dp", func(c *Config) { c.Epsilon, c.DPSeed, c.Allowance = 8, 7, 3000 },
+			[]string{"anonymize-alice", "anonymize-bob", "dp-noise", "blocking", "order", "comparator", "smc"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(adult.DefaultQIDs())
+			cfg.AliceK, cfg.BobK = 16, 16
+			tc.set(&cfg)
+			var stages []string
+			var lastDone, lastTotal int64
+			cfg.Progress = func(stage string, done, total int64) {
+				if n := len(stages); n == 0 || stages[n-1] != stage {
+					stages = append(stages, stage)
+				}
+				if stage == "smc" {
+					if done < lastDone {
+						t.Errorf("smc progress went backwards: %d after %d", done, lastDone)
+					}
+					lastDone, lastTotal = done, total
+				}
+			}
+			res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(stages, tc.want) {
+				t.Errorf("events = %v, want %v", stages, tc.want)
+			}
+			if lastDone != res.Invocations || lastTotal != res.Allowance {
+				t.Errorf("final smc progress %d/%d, want %d/%d", lastDone, lastTotal, res.Invocations, res.Allowance)
+			}
+		})
+	}
+}
+
+// TestResultStagesTileTheCall: a tier-on Link's result times every stage
+// it reported, in order, and the stages sum to no more than the call's
+// wall time.
+func TestResultStagesTileTheCall(t *testing.T) {
 	alice, bob := workload(t, 240, 53)
 	cfg := DefaultConfig(adult.DefaultQIDs())
 	cfg.AliceK, cfg.BobK = 16, 16
-	var stages []string
-	var lastDone, lastTotal int64
-	cfg.Progress = func(stage string, done, total int64) {
-		stages = append(stages, stage)
-		if stage == "smc" {
-			if done < lastDone {
-				t.Errorf("smc progress went backwards: %d after %d", done, lastDone)
-			}
-			lastDone, lastTotal = done, total
-		}
-	}
+	cfg.Tier = TierBloom
+	start := time.Now()
 	res, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg)
+	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"anonymize-alice", "anonymize-bob", "blocking"}
-	for i, w := range want {
-		if i >= len(stages) || stages[i] != w {
-			t.Fatalf("stages = %v, want prefix %v", stages, want)
-		}
+	want := []string{"anonymize-alice", "anonymize-bob", "blocking", "order", "tier", "comparator", "smc"}
+	var names []string
+	var sum time.Duration
+	for _, st := range res.Stages {
+		names = append(names, st.Name)
+		sum += st.Time
 	}
-	if stages[len(stages)-1] != "smc" {
-		t.Errorf("final stage = %q, want smc", stages[len(stages)-1])
+	if !slices.Equal(names, want) {
+		t.Errorf("stages = %v, want %v", names, want)
 	}
-	if lastDone != res.Invocations || lastTotal != res.Allowance {
-		t.Errorf("final smc progress %d/%d, want %d/%d", lastDone, lastTotal, res.Invocations, res.Allowance)
+	if sum <= 0 || sum > wall {
+		t.Errorf("stages sum to %v, the call took %v", sum, wall)
+	}
+	if res.Invocations > 0 && res.SMCRate() != float64(res.Invocations)/res.Stages.Of("smc").Seconds() {
+		t.Errorf("SMCRate %v does not read the smc stage %v", res.SMCRate(), res.Stages.Of("smc"))
 	}
 }
 

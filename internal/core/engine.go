@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
@@ -12,6 +11,7 @@ import (
 	"pprl/internal/heuristic"
 	"pprl/internal/index"
 	"pprl/internal/journal"
+	"pprl/internal/metrics"
 	"pprl/internal/resolve"
 	"pprl/internal/smc"
 )
@@ -38,56 +38,41 @@ func Link(alice, bob Holder, cfg Config) (*Result, error) {
 	}
 
 	// Step 1 — each holder anonymizes its relation independently.
-	var timings Timings
-	start := time.Now()
+	cfg.stages = new(metrics.Stages)
+	cfg.stages.Begin()
 	aView, err := cfg.AliceAnonymizer.Anonymize(alice.Data, qids, cfg.AliceK)
 	if err != nil {
 		return nil, fmt.Errorf("core: anonymizing alice: %w", err)
 	}
-	timings.AnonymizeAlice = time.Since(start)
 	cfg.report("anonymize-alice", 1, 1)
-	start = time.Now()
 	bView, err := cfg.BobAnonymizer.Anonymize(bob.Data, qids, cfg.BobK)
 	if err != nil {
 		return nil, fmt.Errorf("core: anonymizing bob: %w", err)
 	}
-	timings.AnonymizeBob = time.Since(start)
 	cfg.report("anonymize-bob", 1, 1)
 
 	// Step 1b — DP mode: each holder attaches its Laplace-noised bin
 	// counts to the view before the exchange, so the published bin sizes
-	// (not just the bins) are ε-DP. Noising is timed apart from binning
-	// so the bench can report the mechanism's own cost.
+	// (not just the bins) are ε-DP. Noising is its own stage so the bench
+	// can report the mechanism's own cost.
 	if cfg.DPEnabled() {
-		start = time.Now()
 		if err := dpblock.Publish(aView, cfg.dpParams("alice")); err != nil {
 			return nil, fmt.Errorf("core: noising alice: %w", err)
 		}
 		if err := dpblock.Publish(bView, cfg.dpParams("bob")); err != nil {
 			return nil, fmt.Errorf("core: noising bob: %w", err)
 		}
-		timings.DPNoise = time.Since(start)
 		cfg.report("dp-noise", 1, 1)
 	}
 
 	// Step 2 — blocking over the exchanged anonymized views.
-	start = time.Now()
 	block, err := blockViews(aView, bView, rule, &cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: blocking: %w", err)
 	}
-	timings.Blocking = time.Since(start)
 	cfg.report("blocking", 1, 1)
 
-	res, err := resolveBlocked(alice, bob, block, rule, qids, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Timings.AnonymizeAlice = timings.AnonymizeAlice
-	res.Timings.AnonymizeBob = timings.AnonymizeBob
-	res.Timings.DPNoise = timings.DPNoise
-	res.Timings.Blocking = timings.Blocking
-	return res, nil
+	return resolveBlocked(alice, bob, block, rule, qids, &cfg)
 }
 
 // LinkPrepared runs only the SMC-selection and residual-labeling phase
@@ -114,6 +99,8 @@ func LinkPrepared(alice, bob Holder, block *blocking.Result, cfg Config) (*Resul
 			return nil, fmt.Errorf("core: config QID %d (%d) disagrees with blocking result (%d)", i, qids[i], block.R.QIDs[i])
 		}
 	}
+	cfg.stages = new(metrics.Stages)
+	cfg.stages.Begin()
 	return resolveBlocked(alice, bob, block, rule, qids, &cfg)
 }
 
@@ -231,19 +218,18 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	posA, posB := memberPositions(block.R), memberPositions(block.S)
 	res.purchased = newLabelStore(block, posA, posB)
 	res.tiered = newLabelStore(block, posA, posB)
+	cfg.report("order", 1, 1)
 
 	// The triage tier labels the confidently dissimilar Unknown pairs
 	// NonMatch for free, in the same walk that spends the budget;
-	// CLK-encoding both relations is its dominant cost and what
-	// Timings.Tier reports.
+	// CLK-encoding both relations is its dominant cost and all its stage
+	// holds.
 	var tier func(i, j int) bool
 	if cfg.Tier == TierBloom {
-		start := time.Now()
 		enc := bloom.NewDefaultEncoder()
 		aF := bloom.EncodeRecords(enc, alice.Data, qids)
 		bF := bloom.EncodeRecords(enc, bob.Data, qids)
 		tier = func(i, j int) bool { return aF[i].Dice(bF[j]) <= cfg.TierLow }
-		res.Timings.Tier = time.Since(start)
 		cfg.report("tier", 1, 1)
 	}
 
@@ -269,13 +255,13 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	}
 	defer cmp.Close()
 	res.SMCWorkers = cfg.SMCWorkers
+	cfg.report("comparator", 1, 1)
 
 	// The resolution kernel (DESIGN.md §16) walks the ordered groups and
 	// spends the budget; this adapter supplies the class-pair walks and
 	// files every event into the label stores — a purchased verdict,
 	// journaled or live, the same way: it is exact under any tier
 	// configuration.
-	start := time.Now()
 	uncertain, err := resolve.Run(resolve.Input{
 		Groups: len(ordered),
 		Group: func(k int) resolve.Group {
@@ -312,7 +298,7 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	res.TierUncertainPairs = uncertain
 	res.Invocations = cmp.Invocations()
 	res.SMCBytes = cmp.BytesTransferred()
-	res.Timings.SMC = time.Since(start)
+	_, res.Stages = cfg.stages.Snapshot()
 
 	// Step 5 — residual labeling.
 	switch cfg.Strategy {
@@ -337,8 +323,10 @@ func sharedSchema(alice, bob Holder) (*dataset.Schema, error) {
 	return schema, nil
 }
 
-// report invokes the progress callback if configured.
+// report charges the time since the previous event to stage, then
+// invokes the progress callback if configured.
 func (c *Config) report(stage string, done, total int64) {
+	c.stages.Report(stage, done, total)
 	if c.Progress != nil {
 		c.Progress(stage, done, total)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"time"
 
 	"pprl/internal/metrics"
 )
@@ -33,7 +32,7 @@ type ResultJSON struct {
 	TierUncertainPairs int64               `json:"tier_uncertain_pairs"`
 	DP                 *DPStats            `json:"dp,omitempty"`
 	Resume             metrics.ResumeStats `json:"resume"`
-	Timings            Timings             `json:"timings"`
+	Stages             metrics.Times       `json:"stages"`
 }
 
 // Summarize builds the wire form from a Result.
@@ -56,7 +55,7 @@ func (r *Result) Summarize() ResultJSON {
 		TierUncertainPairs: r.TierUncertainPairs,
 		DP:                 r.DP,
 		Resume:             r.Resume,
-		Timings:            r.Timings,
+		Stages:             r.Stages,
 	}
 }
 
@@ -64,43 +63,4 @@ func (r *Result) Summarize() ResultJSON {
 // ResultJSON summary.
 func (r *Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Summarize())
-}
-
-// timingsJSON is Timings' wire form; durations travel as integer
-// nanoseconds (time.Duration's native representation) under explicit
-// names so consumers never guess the unit.
-type timingsJSON struct {
-	AnonymizeAliceNS int64 `json:"anonymize_alice_ns"`
-	AnonymizeBobNS   int64 `json:"anonymize_bob_ns"`
-	DPNoiseNS        int64 `json:"dp_noise_ns"`
-	BlockingNS       int64 `json:"blocking_ns"`
-	TierNS           int64 `json:"tier_ns"`
-	SMCNS            int64 `json:"smc_ns"`
-}
-
-// MarshalJSON implements json.Marshaler with stable field names.
-func (t Timings) MarshalJSON() ([]byte, error) {
-	return json.Marshal(timingsJSON{
-		AnonymizeAliceNS: int64(t.AnonymizeAlice),
-		AnonymizeBobNS:   int64(t.AnonymizeBob),
-		DPNoiseNS:        int64(t.DPNoise),
-		BlockingNS:       int64(t.Blocking),
-		TierNS:           int64(t.Tier),
-		SMCNS:            int64(t.SMC),
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (t *Timings) UnmarshalJSON(data []byte) error {
-	var w timingsJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	t.AnonymizeAlice = time.Duration(w.AnonymizeAliceNS)
-	t.AnonymizeBob = time.Duration(w.AnonymizeBobNS)
-	t.DPNoise = time.Duration(w.DPNoiseNS)
-	t.Blocking = time.Duration(w.BlockingNS)
-	t.Tier = time.Duration(w.TierNS)
-	t.SMC = time.Duration(w.SMCNS)
-	return nil
 }

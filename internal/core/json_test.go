@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func TestResultMarshalJSON(t *testing.T) {
 	for _, field := range []string{
 		"single_trust_domain", "total_pairs", "unknown_pairs", "blocking_efficiency", "matched_pairs",
 		"allowance", "invocations", "smc_resolved_pairs", "smc_bytes",
-		"smc_workers", "strategy", "heuristic", "resume", "timings",
+		"smc_workers", "strategy", "heuristic", "resume", "stages",
 	} {
 		if !strings.Contains(string(data), `"`+field+`"`) {
 			t.Errorf("wire form missing %q: %s", field, data)
@@ -41,7 +42,7 @@ func TestResultMarshalJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := res.Summarize()
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip changed the summary:\n got %+v\nwant %+v", got, want)
 	}
 	if got.MatchedPairs != res.MatchedPairCount() || got.Invocations != res.Invocations {
@@ -55,30 +56,28 @@ func TestResultMarshalJSON(t *testing.T) {
 	}
 }
 
-// TestTimingsJSONRoundTrip: durations survive exactly as nanoseconds.
+// TestTimingsJSONRoundTrip: a result's stage times survive the wire form
+// exactly, as integer nanoseconds under each stage's name, in order.
 func TestTimingsJSONRoundTrip(t *testing.T) {
-	in := Timings{
-		AnonymizeAlice: 1500 * time.Microsecond,
-		AnonymizeBob:   2 * time.Second,
-		DPNoise:        5 * time.Microsecond,
-		Blocking:       3 * time.Millisecond,
-		Tier:           40 * time.Microsecond,
-		SMC:            7 * time.Nanosecond,
-	}
+	in := ResultJSON{Stages: metrics.Times{
+		{Name: "anonymize-alice", Time: 1500 * time.Microsecond},
+		{Name: "blocking", Time: 3 * time.Millisecond},
+		{Name: "smc", Time: 7 * time.Nanosecond},
+	}}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"anonymize_alice_ns":1500000,"anonymize_bob_ns":2000000000,"dp_noise_ns":5000,"blocking_ns":3000000,"tier_ns":40000,"smc_ns":7}`
-	if string(data) != want {
-		t.Errorf("wire form = %s, want %s", data, want)
+	want := `"stages":[{"stage":"anonymize-alice","ns":1500000},{"stage":"blocking","ns":3000000},{"stage":"smc","ns":7}]`
+	if !strings.Contains(string(data), want) {
+		t.Errorf("wire form = %s, want it to hold %s", data, want)
 	}
-	var out Timings
+	var out ResultJSON
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
-		t.Errorf("round trip changed the timings: %+v -> %+v", in, out)
+	if !reflect.DeepEqual(out.Stages, in.Stages) {
+		t.Errorf("round trip changed the stages: %v -> %v", in.Stages, out.Stages)
 	}
 }
 

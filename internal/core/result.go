@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 
 	"pprl/internal/blocking"
 	"pprl/internal/dpblock"
@@ -13,19 +12,6 @@ import (
 	"pprl/internal/metrics"
 	"pprl/internal/resolve"
 )
-
-// Timings records wall-clock durations of the pipeline stages, the
-// non-cryptographic costs the paper measures in Section VI.
-type Timings struct {
-	AnonymizeAlice time.Duration
-	AnonymizeBob   time.Duration
-	// DPNoise is the cost of drawing and attaching the Laplace-noised
-	// bin counts in DP mode; zero otherwise.
-	DPNoise  time.Duration
-	Blocking time.Duration
-	Tier     time.Duration
-	SMC      time.Duration
-}
 
 // DPStats is the privacy and padding accounting of a differentially
 // private blocking run (Config.Epsilon > 0); nil otherwise. Epsilon and
@@ -88,8 +74,10 @@ type Result struct {
 	// DP is the privacy and padding accounting of a DP-blocking run;
 	// nil when Config.Epsilon was unset.
 	DP *DPStats
-	// Timings holds per-stage durations.
-	Timings Timings
+	// Stages is the wall-clock time of each stage that ran, in order
+	// (the Config.Progress events): the non-cryptographic costs the paper
+	// measures in Section VI, the comparator's setup and the smc walk.
+	Stages metrics.Times
 
 	cfg  Config
 	rule *blocking.Rule
@@ -206,9 +194,6 @@ func (r *Result) Matches() [][2]int {
 	return out
 }
 
-// TierMode reports the tier configuration this result ran under.
-func (r *Result) TierMode() TierMode { return r.cfg.Tier }
-
 // TierLow returns the Dice threshold in effect; 0 when the tier is off.
 func (r *Result) TierLow() float64 { return r.cfg.TierLow }
 
@@ -255,10 +240,11 @@ func (r *Result) SMCResolvedPairs() int64 { return r.purchased.n }
 // SMCRate returns the SMC step's throughput in comparisons per second,
 // or 0 when no comparisons ran.
 func (r *Result) SMCRate() float64 {
-	if r.Invocations == 0 || r.Timings.SMC <= 0 {
+	smc := r.Stages.Of("smc")
+	if r.Invocations == 0 || smc <= 0 {
 		return 0
 	}
-	return float64(r.Invocations) / r.Timings.SMC.Seconds()
+	return float64(r.Invocations) / smc.Seconds()
 }
 
 // BlockingEfficiency is the paper's primary blocking measure.

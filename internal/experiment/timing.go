@@ -48,7 +48,7 @@ func Timing(opts Options, keyBits, smcSamples int) (*Table, error) {
 	if sres.Invocations == 0 {
 		return nil, fmt.Errorf("timing: the secure link bought no pair")
 	}
-	perInvocation := sres.Timings.SMC / time.Duration(sres.Invocations)
+	perInvocation := sres.Stages.Of("smc") / time.Duration(sres.Invocations)
 	bytesPer := sres.SMCBytes / sres.Invocations
 
 	local := metrics.CostModel{PerInvocation: perInvocation, BytesPerInvocation: bytesPer}
@@ -62,9 +62,9 @@ func Timing(opts Options, keyBits, smcSamples int) (*Table, error) {
 		Columns: []string{"stage", "measured", "paper (2008 hw)"},
 	}
 	const modeled = ", modeled from a measured per-pair cost"
-	t.AddRow("anonymize (Alice)", res.Timings.AnonymizeAlice.Round(time.Millisecond).String(), "2.02 s")
-	t.AddRow("anonymize (Bob)", res.Timings.AnonymizeBob.Round(time.Millisecond).String(), "2.03 s")
-	t.AddRow("blocking", res.Timings.Blocking.Round(time.Millisecond).String(), "1.35 s")
+	t.AddRow("anonymize (Alice)", res.Stages.Of("anonymize-alice").Round(time.Millisecond).String(), "2.02 s")
+	t.AddRow("anonymize (Bob)", res.Stages.Of("anonymize-bob").Round(time.Millisecond).String(), "2.03 s")
+	t.AddRow("blocking", res.Stages.Of("blocking").Round(time.Millisecond).String(), "1.35 s")
 	t.AddRow(fmt.Sprintf("secure comparison (per pair on one core, %d bought by a secure link)", smcSamples), perInvocation.Round(time.Microsecond).String(), "≈ 2.15 s (5 × 0.43 s/attr)")
 	t.AddRow("secure comparison wire bytes (per pair)", fmt.Sprintf("%d B", bytesPer), "n/a")
 	t.AddRow(fmt.Sprintf("SMC step at default allowance (%d invocations)%s", res.Invocations, modeled),

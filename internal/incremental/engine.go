@@ -16,6 +16,7 @@ import (
 	"pprl/internal/dpblock"
 	"pprl/internal/index"
 	"pprl/internal/journal"
+	"pprl/internal/metrics"
 	"pprl/internal/resolve"
 	"pprl/internal/smc"
 	"pprl/internal/vgh"
@@ -76,6 +77,10 @@ type Stats struct {
 	// Epoch advances once per applied batch; readers use it to detect
 	// growth between snapshots.
 	Epoch uint64
+	// Stages is the lifetime wall-clock time of each batch stage, in order:
+	// "ingest" (records, encodings and bins grown), "blocking" (candidate
+	// groups collected and ordered), "smc" (the walk) and "commit".
+	Stages metrics.Times
 }
 
 // bin is one equivalence bin of a side: the shared fixed-level sequence
@@ -115,6 +120,7 @@ type Engine struct {
 	// deltas[b] is what batch b emitted; the log is never copied to grow.
 	deltas [][]Delta
 	stats  Stats
+	stages metrics.Stages
 	failed bool
 	// onEvent, set by the package's tests only, sees what the kernel hands
 	// the sink: the one place a row span is visible from outside. onGroups,
@@ -204,7 +210,9 @@ func (e *Engine) PendingReplay() int {
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.stats
+	st := e.stats
+	_, st.Stages = e.stages.Snapshot()
+	return st
 }
 
 // Deltas is one snapshot of the delta log: next, how many batches have
@@ -268,6 +276,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("incremental: empty batch")
 	}
+	e.stages.Begin()
 	batch := e.nextBatch
 	digest := BatchDigest(sideIdx, recs)
 
@@ -310,6 +319,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	if err != nil {
 		return nil, err
 	}
+	e.stages.Report("ingest", 1, 1)
 
 	// Candidate generation: new pairs only, labeled by the slack rule the
 	// frozen run uses.
@@ -324,11 +334,13 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		order[k] = int32(k)
 	}
 	slices.SortFunc(order, func(x, y int32) int { return e.compareGroups(&groups[x], &groups[y]) })
+	e.stages.Report("blocking", 1, 1)
 
 	spent, err := e.resolve(groups, order, batch, frame, committedReplay, &batchDeltas)
 	if err != nil {
 		return nil, err
 	}
+	e.stages.Report("smc", 1, 1)
 
 	if committedReplay && uint32(len(batchDeltas)) != frame.Commit.Deltas {
 		return nil, fmt.Errorf("incremental: batch %d replayed with %d deltas, its commit record exposed %d: journal and engine state diverged",
@@ -349,6 +361,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	e.stats.Bins[sideIdx] = len(s.bins)
 	e.stats.Deltas += len(batchDeltas)
 	e.stats.Epoch++
+	e.stages.Report("commit", 1, 1)
 	return &BatchResult{
 		Batch: batch, Side: sideIdx, Records: len(recs),
 		Deltas: batchDeltas, Spent: spent, Replayed: committedReplay,

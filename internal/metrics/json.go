@@ -2,70 +2,20 @@ package metrics
 
 import "encoding/json"
 
-// The wire forms below pin stable snake_case field names for the HTTP
-// API and machine-readable CLI output; renaming a Go field must not
-// silently rename a JSON field consumers depend on.
+// The wire forms pin stable snake_case field names for the HTTP API and
+// machine-readable CLI output (the struct tags on Confusion and
+// ResumeStats); renaming a Go field must not silently rename a JSON field
+// consumers depend on.
 
-// confusionJSON is Confusion's wire form. The derived rates are included
-// on output for consumers that plot without recomputing; input takes the
-// three counts and ignores the rates (they are always derivable).
-type confusionJSON struct {
-	TruePositives  int64    `json:"true_positives"`
-	FalsePositives int64    `json:"false_positives"`
-	FalseNegatives int64    `json:"false_negatives"`
-	Precision      *float64 `json:"precision,omitempty"`
-	Recall         *float64 `json:"recall,omitempty"`
-	F1             *float64 `json:"f1,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler with stable field names plus the
-// derived precision/recall/F1.
+// MarshalJSON writes the counts plus the derived precision, recall and
+// F1, for consumers that plot without recomputing. Input reads the counts
+// alone and ignores the rates: they are always derivable.
 func (c Confusion) MarshalJSON() ([]byte, error) {
-	p, r, f := c.Precision(), c.Recall(), c.F1()
-	return json.Marshal(confusionJSON{
-		TruePositives:  c.TruePositives,
-		FalsePositives: c.FalsePositives,
-		FalseNegatives: c.FalseNegatives,
-		Precision:      &p,
-		Recall:         &r,
-		F1:             &f,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler; only the counts are read,
-// the derived rates are recomputed on demand.
-func (c *Confusion) UnmarshalJSON(data []byte) error {
-	var w confusionJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	c.TruePositives = w.TruePositives
-	c.FalsePositives = w.FalsePositives
-	c.FalseNegatives = w.FalseNegatives
-	return nil
-}
-
-// resumeStatsJSON is ResumeStats' wire form.
-type resumeStatsJSON struct {
-	ResumedPairs      int64 `json:"resumed_pairs"`
-	ReplayedAllowance int64 `json:"replayed_allowance"`
-}
-
-// MarshalJSON implements json.Marshaler with stable field names.
-func (s ResumeStats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(resumeStatsJSON{
-		ResumedPairs:      s.ResumedPairs,
-		ReplayedAllowance: s.ReplayedAllowance,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (s *ResumeStats) UnmarshalJSON(data []byte) error {
-	var w resumeStatsJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	s.ResumedPairs = w.ResumedPairs
-	s.ReplayedAllowance = w.ReplayedAllowance
-	return nil
+	type counts Confusion // the tagged fields, without this method
+	return json.Marshal(struct {
+		counts
+		Precision float64 `json:"precision"`
+		Recall    float64 `json:"recall"`
+		F1        float64 `json:"f1"`
+	}{counts(c), c.Precision(), c.Recall(), c.F1()})
 }

@@ -13,11 +13,11 @@ import (
 // Confusion summarizes a linkage outcome against ground truth.
 type Confusion struct {
 	// TruePositives are truly matching pairs the method matched.
-	TruePositives int64
+	TruePositives int64 `json:"true_positives"`
 	// FalsePositives are non-matching pairs the method matched.
-	FalsePositives int64
+	FalsePositives int64 `json:"false_positives"`
 	// FalseNegatives are truly matching pairs the method missed.
-	FalseNegatives int64
+	FalseNegatives int64 `json:"false_negatives"`
 }
 
 // Precision returns TP / (TP + FP). The 0/0 case — no pair was labeled
@@ -96,10 +96,10 @@ func (m CostModel) Bytes(n int64) int64 { return n * m.BytesPerInvocation }
 type ResumeStats struct {
 	// ResumedPairs is the number of pair verdicts replayed from the
 	// journal rather than resolved by the comparator.
-	ResumedPairs int64
+	ResumedPairs int64 `json:"resumed_pairs"`
 	// ReplayedAllowance is the SMC allowance consumed by the replayed
 	// prefix; the live run spends only the remainder.
-	ReplayedAllowance int64
+	ReplayedAllowance int64 `json:"replayed_allowance"`
 }
 
 // Resumed reports whether any journaled state was stitched in.

@@ -149,17 +149,17 @@ func (s State) Terminal() bool {
 // Progress is the live position of a running job, fed by the core
 // pipeline's progress hook.
 type Progress struct {
-	// Phase is the pipeline stage: "anonymize-alice", "anonymize-bob",
-	// "blocking", "tier", or "smc".
+	// Phase is the latest stage event, in order "anonymize-alice",
+	// "anonymize-bob", "dp-noise" (DP only), "blocking", "order", "tier"
+	// (tier only), "comparator", "smc" (core.Config.Progress).
 	Phase string `json:"phase"`
 	// Done and Total are the stage's position; for the "smc" phase they
 	// are pairs purchased vs the resolved allowance.
 	Done  int64 `json:"done"`
 	Total int64 `json:"total"`
-	// PairsPurchased and AllowanceRemaining restate the smc position in
-	// the paper's cost-model terms (zero in earlier phases).
-	PairsPurchased     int64 `json:"pairs_purchased"`
-	AllowanceRemaining int64 `json:"allowance_remaining"`
+	// Stages is the wall-clock time of every stage so far, in order: each
+	// runs from the previous stage's last event to its own last event.
+	Stages metrics.Times `json:"stages"`
 }
 
 // JobStatus is the wire form of GET /v1/jobs/{id} and the events stream.

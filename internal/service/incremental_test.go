@@ -436,6 +436,30 @@ func TestServiceDedupDataset(t *testing.T) {
 	}
 }
 
+// TestDatasetStatusStageTimes: after two appends a live dataset's status
+// reports its engine's lifetime time in each batch stage, in order.
+func TestDatasetStatusStageTimes(t *testing.T) {
+	dataDir := writeDataDir(t, 120, 7)
+	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir})
+	ds := registerDataset(t, ts, DatasetSpec{Params: cliutil.Params{Allowance: serviceAmple}})
+	for _, req := range []AppendRequest{{Side: "alice", Path: "a.csv"}, {Side: "bob", Path: "b.csv"}} {
+		if code, _ := appendBatch(t, ts, ds.ID, req); code != http.StatusAccepted {
+			t.Fatalf("append %s returned %d", req.Path, code)
+		}
+	}
+	st := waitDataset(t, ts, ds.ID, "applied", func(st DatasetStatus) bool { return st.Applied == 2 })
+	times := st.Stats.Stages
+	want := []string{"ingest", "blocking", "smc", "commit"}
+	if len(times) != len(want) {
+		t.Fatalf("stages = %v, want %v", times, want)
+	}
+	for i, name := range want {
+		if times[i].Name != name || times[i].Time <= 0 {
+			t.Errorf("stage %d = %+v, want %s with a positive time", i, times[i], name)
+		}
+	}
+}
+
 // TestServiceDatasetValidation: registrations and appends are rejected
 // at the door with classified errors.
 func TestServiceDatasetValidation(t *testing.T) {

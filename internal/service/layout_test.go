@@ -22,8 +22,8 @@ var update = flag.Bool("update", false, "rewrite testdata/store-layout.golden")
 var (
 	// layoutTime is a time.Time as encoding/json writes it.
 	layoutTime = regexp.MustCompile(`"\d{4}-\d\d-\d\dT[0-9:.]+Z"`)
-	// layoutDuration is one of result.json's wall-clock timings.
-	layoutDuration = regexp.MustCompile(`("[a-z_]+_ns": )\d+`)
+	// layoutDuration is one of result.json's stage times.
+	layoutDuration = regexp.MustCompile(`("ns": )\d+`)
 )
 
 // dumpLayout renders every file under root, in path order: a journal as
@@ -136,5 +136,33 @@ func TestStoreLayoutPinned(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("the store's files moved:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestReadResultLegacyTimings: a result.json written before stage lists,
+// with its fixed "timings" object of *_ns fields, still loads; it carries
+// no stages.
+func TestReadResultLegacyTimings(t *testing.T) {
+	st, err := NewStore(t.TempDir(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	if err := os.MkdirAll(st.Dir(jobKind, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	legacy := `{"result":{"single_trust_domain":true,"total_pairs":6400,"matched_pairs":1,"allowance":200,"invocations":200,` +
+		`"resume":{"resumed_pairs":0,"replayed_allowance":0},` +
+		`"timings":{"anonymize_alice_ns":5,"anonymize_bob_ns":6,"dp_noise_ns":0,"blocking_ns":7,"tier_ns":0,"smc_ns":8}},` +
+		`"matches":[[40,40]]}`
+	if err := os.WriteFile(st.path(jobKind, id, "result.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.ReadResult(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Result.Invocations != 200 || res.Result.TotalPairs != 6400 || len(res.Matches) != 1 || res.Result.Stages != nil {
+		t.Errorf("legacy result read as %+v", res)
 	}
 }

@@ -1,6 +1,10 @@
 package service
 
-import "sync"
+import (
+	"sync"
+
+	"pprl/internal/metrics"
+)
 
 // notifier wakes watchers: Watch returns a channel the next Notify
 // closes, so a watcher loops read, emit, wait. A Notify nobody watches
@@ -30,41 +34,28 @@ func (n *notifier) Notify() {
 	n.mu.Unlock()
 }
 
-// tracker holds a job's latest progress snapshot; its notifier wakes the
-// job's event streams at every update and when the job settles. The core
-// pipeline calls Update synchronously on the linking goroutine (the hook
-// contract says keep it fast), so Update is a field copy plus a wake-up —
-// no I/O.
+// tracker is a job's stage clock, fed by the core pipeline's progress
+// hook; its notifier wakes the job's event streams at every update and
+// when the job settles. The pipeline calls Update synchronously on the
+// linking goroutine (the hook contract says keep it fast), so Update is
+// a clock read, a field copy and a wake-up — no I/O.
 type tracker struct {
 	notifier
-
-	mu   sync.Mutex
-	snap Progress
-	any  bool
+	stages metrics.Stages
 }
 
 // Update implements the core.Config.Progress contract.
 func (t *tracker) Update(stage string, done, total int64) {
-	t.mu.Lock()
-	t.snap = Progress{Phase: stage, Done: done, Total: total}
-	if stage == "smc" {
-		t.snap.PairsPurchased = done
-		if rem := total - done; rem > 0 {
-			t.snap.AllowanceRemaining = rem
-		}
-	}
-	t.any = true
-	t.mu.Unlock()
+	t.stages.Report(stage, done, total)
 	t.Notify()
 }
 
-// Snapshot returns the latest position, or nil before the first update.
+// Snapshot returns the latest position with the stage times so far, or
+// nil before the first update.
 func (t *tracker) Snapshot() *Progress {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.any {
+	at, times := t.stages.Snapshot()
+	if at.Stage == "" {
 		return nil
 	}
-	snap := t.snap
-	return &snap
+	return &Progress{Phase: at.Stage, Done: at.Done, Total: at.Total, Stages: times}
 }

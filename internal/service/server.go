@@ -708,6 +708,7 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	}
 	cfg.Journal = sink
 
+	job.Progress.stages.Begin()
 	res, err := core.Link(core.Holder{Data: alice}, core.Holder{Data: bob}, cfg)
 	if err != nil {
 		return err

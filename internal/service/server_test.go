@@ -22,6 +22,7 @@ import (
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
 	"pprl/internal/journal"
+	"pprl/internal/metrics"
 )
 
 // gatedSink stalls verdict appends until the gate opens, pinning its
@@ -166,6 +167,20 @@ func getResult(t *testing.T, ts *httptest.Server, id string) JobResult {
 	return res
 }
 
+// checkJobStages: a finished job's stage times run from anonymize-alice to
+// smc, every stage timed.
+func checkJobStages(t *testing.T, where string, times metrics.Times) {
+	t.Helper()
+	if len(times) < 2 || times[0].Name != "anonymize-alice" || times[len(times)-1].Name != "smc" {
+		t.Errorf("%s: stages %v, want anonymize-alice … smc", where, times)
+	}
+	for _, st := range times {
+		if st.Time <= 0 {
+			t.Errorf("%s: stage %s took %v", where, st.Name, st.Time)
+		}
+	}
+}
+
 // TestServiceEndToEnd: submit over HTTP, watch it run, fetch the result,
 // and check the operational endpoints along the way.
 func TestServiceEndToEnd(t *testing.T) {
@@ -178,8 +193,9 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 	done := waitState(t, ts, st.ID, StateDone)
 	if done.Progress == nil || done.Progress.Phase != "smc" {
-		t.Errorf("final progress = %+v, want smc phase", done.Progress)
+		t.Fatalf("final progress = %+v, want smc phase", done.Progress)
 	}
+	checkJobStages(t, "status", done.Progress.Stages)
 
 	res := getResult(t, ts, st.ID)
 	if res.Result.MatchedPairs != int64(len(res.Matches)) {
@@ -213,9 +229,11 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(strings.TrimPrefix(lines[len(lines)-1], "data: ")), &last); err != nil {
 		t.Fatalf("events payload: %v (%q)", err, raw)
 	}
-	if last.State != StateDone {
-		t.Errorf("final event state %q", last.State)
+	if last.State != StateDone || last.Progress == nil {
+		t.Fatalf("final event: %+v", last)
 	}
+	checkJobStages(t, "events frame", last.Progress.Stages)
+	checkJobStages(t, "result", res.Result.Stages)
 
 	// Operational endpoints.
 	hz, err := http.Get(ts.URL + "/healthz")

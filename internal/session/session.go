@@ -100,8 +100,8 @@ type HolderConfig struct {
 	// (out of band, like the schema) and withheld from the querying
 	// party. Required when the broadcast parameters enable the triage
 	// tier; a holder without it refuses the session rather than encode
-	// with a guessable key. A DP holder refuses the tier outright
-	// (dpblock.ErrTierUnderDP), before it publishes anything.
+	// with a guessable key, and a DP holder refuses the tier outright
+	// (dpblock.ErrTierUnderDP), both before they publish anything.
 	TierKey []byte
 }
 
@@ -150,15 +150,25 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 	if params.Kind != smc.MsgParams || params.Spec == nil || len(params.QIDs) == 0 {
 		return fmt.Errorf("session: expected parameters, got kind %d", params.Kind)
 	}
-	if dp && params.Tier {
-		return fmt.Errorf("session: query enabled the triage tier: %w", dpblock.ErrTierUnderDP)
+	// The parameters are refused, if at all, before the view is published.
+	var tierEnc *bloom.Encoder
+	if params.Tier {
+		if dp {
+			return fmt.Errorf("session: query enabled the triage tier: %w", dpblock.ErrTierUnderDP)
+		}
+		if len(cfg.TierKey) == 0 {
+			return fmt.Errorf("session: query enabled the triage tier but this holder has no tier key (set -tier-key)")
+		}
+		if tierEnc, err = bloom.NewTierEncoder(cfg.TierKey); err != nil {
+			return fmt.Errorf("session: tier encoder: %w", err)
+		}
 	}
 	qids, err := cfg.Data.Schema().Resolve(params.QIDs)
 	if err != nil {
 		return fmt.Errorf("session: resolving classifier QIDs: %w", err)
 	}
 	if err := smc.CheckIntegral(cfg.Data.Schema(), cfg.Data.Records(), qids, params.Spec.Scale, 0); err != nil {
-		return fmt.Errorf("session: %s: %w", role, err) // refused before the view is published
+		return fmt.Errorf("session: %s: %w", role, err)
 	}
 	view, err := cfg.Anonymizer.Anonymize(cfg.Data, qids, cfg.K)
 	if err != nil {
@@ -190,19 +200,12 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 	if err := query.Send(&smc.Message{Kind: smc.MsgView, View: buf.Bytes()}); err != nil {
 		return fmt.Errorf("session: publishing view: %w", err)
 	}
-	if params.Tier {
+	if tierEnc != nil {
 		// The querying party asked for triage-tier encodings. Encode the
 		// raw records under the holders' shared key, at bloom's fixed CLK
 		// shape (nothing Q sends sizes the work), and publish only the
 		// filters: the matcher can compute Dice scores but, lacking the
 		// key, cannot build dictionaries of candidate values.
-		if len(cfg.TierKey) == 0 {
-			return fmt.Errorf("session: query enabled the triage tier but this holder has no tier key (set -tier-key)")
-		}
-		tierEnc, err := bloom.NewTierEncoder(cfg.TierKey)
-		if err != nil {
-			return fmt.Errorf("session: tier encoder: %w", err)
-		}
 		filters := bloom.EncodeRecords(tierEnc, cfg.Data, qids)
 		encodings := make([][]byte, len(filters))
 		for i, f := range filters {

@@ -6,6 +6,7 @@ import (
 
 	"pprl/internal/adult"
 	"pprl/internal/bloom"
+	"pprl/internal/dataset"
 	"pprl/internal/smc"
 )
 
@@ -52,29 +53,59 @@ func TestSessionTierBudgetIndependence(t *testing.T) {
 	}
 }
 
-// TestHolderRequiresTierKey: a holder without a shared tier key must
-// refuse a query that enables the tier, before any encodings leave.
+// TestHolderRequiresTierKey: a holder refuses parameters it cannot serve
+// — the tier without a shared key, the tier under DP, a QID its schema
+// lacks, a value the circuit would round — before its view leaves: the
+// querying party's conn carries no MsgView frame.
 func TestHolderRequiresTierKey(t *testing.T) {
 	data, _ := sessionWorkload(t, 20)
-	q, h := smc.NewConnPair()
-	errs := make(chan error, 1)
-	go func() {
-		errs <- RunHolder(h, nil, HolderConfig{Data: data, K: 4}, true)
-	}()
-	if err := q.Send(&smc.Message{
-		Kind: smc.MsgParams,
-		QIDs: adult.DefaultQIDs(),
-		Spec: &smc.Spec{Scale: 1},
-		Tier: true,
-	}); err != nil {
-		t.Fatal(err)
+	schema := data.Schema()
+	age, _ := schema.Index(adult.AttrAge)
+	fractional := dataset.New(schema)
+	for i, rec := range data.Records() {
+		if i == 2 {
+			rec.Cells = append([]dataset.Cell(nil), rec.Cells...)
+			rec.Cells[age] = dataset.NumCell(40.5)
+		}
+		fractional.MustAppend(rec)
 	}
-	// The holder publishes its view, then must fail on the missing key.
-	if msg, err := q.Recv(); err != nil || msg.Kind != smc.MsgView {
-		t.Fatalf("expected the view first: kind=%v err=%v", msg, err)
-	}
-	if err := <-errs; err == nil {
-		t.Fatal("holder accepted a tier query without a tier key")
+	key := []byte("k")
+	for _, tc := range []struct {
+		name   string
+		holder HolderConfig
+		qids   []string
+		tier   bool
+	}{
+		{"missing-key", HolderConfig{Data: data, K: 4}, adult.DefaultQIDs(), true},
+		{"dp-with-tier", HolderConfig{Data: data, Epsilon: 1, TierKey: key}, adult.DefaultQIDs(), true},
+		{"unresolvable-qid", HolderConfig{Data: data, K: 4, TierKey: key}, []string{"no-such-attribute"}, true},
+		{"non-integral", HolderConfig{Data: fractional, K: 4, TierKey: key}, adult.DefaultQIDs(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, h := smc.NewConnPair()
+			errs := make(chan error, 1)
+			go func() { errs <- RunHolder(h, nil, tc.holder, true) }()
+			if err := q.Send(&smc.Message{Kind: smc.MsgParams, QIDs: tc.qids, Spec: &smc.Spec{Scale: 1}, Tier: tc.tier}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errs; err == nil {
+				t.Fatal("holder accepted the parameters")
+			}
+			q.Close() // Recv now drains what the holder sent, then fails
+			views := 0
+			for {
+				m, err := q.Recv()
+				if err != nil {
+					break
+				}
+				if m.Kind == smc.MsgView {
+					views++
+				}
+			}
+			if views != 0 {
+				t.Errorf("holder published %d view(s) before refusing", views)
+			}
+		})
 	}
 }
 
