@@ -22,8 +22,8 @@ func runDedup(out io.Writer, opts options) error {
 	if opts.bPath != "" {
 		return fmt.Errorf("-dedup links -a against itself; -b is not allowed")
 	}
-	if opts.anonName != "" || opts.Epsilon != 0 {
-		return fmt.Errorf("-dedup uses fixed-level binning (-level); -anon and -epsilon do not apply")
+	if opts.anonName != "" || opts.Epsilon != 0 || opts.kSet {
+		return fmt.Errorf("-dedup uses fixed-level binning (-level); -k, -anon and -epsilon do not apply")
 	}
 	for _, f := range []struct {
 		name string

@@ -70,9 +70,12 @@ type options struct {
 	// -worker-listen …); non-empty stripes the SMC step across them.
 	workers cliutil.WorkerAddrs
 	// dedup links -a against itself through the incremental engine
-	// (unordered pairs i < j); level is its fixed binning depth.
+	// (unordered pairs i < j); level is its fixed binning depth. kSet is
+	// -k on the command line, which -dedup refuses (32, its default, is
+	// no marker).
 	dedup     bool
 	level     int
+	kSet      bool
 	eval      bool
 	showPairs bool
 	jsonOut   bool
@@ -83,7 +86,8 @@ type options struct {
 // register defines the command line on fs: the shared block's flags and
 // pprl-link's own.
 func (opts *options) register(fs *flag.FlagSet) {
-	opts.Flags(fs)
+	opts.Flags(fs, cliutil.QueryFlags|cliutil.HolderFlags)
+	fs.IntVar(&opts.SMCWorkers, "smc-workers", 0, "SMC protocol lanes of the two-relation run (0 = GOMAXPROCS); -dedup runs one lane and refuses it")
 	fs.StringVar(&opts.aPath, "a", "", "first data holder's CSV (required)")
 	fs.StringVar(&opts.bPath, "b", "", "second data holder's CSV (required)")
 	fs.StringVar(&opts.anonName, "anon", "", "anonymization method: entropy (default), tds, datafly, mondrian, or dp (noised blocking; requires -epsilon)")
@@ -101,6 +105,7 @@ func main() {
 	var opts options
 	opts.register(flag.CommandLine)
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) { opts.kSet = opts.kSet || f.Name == "k" })
 
 	// SIGINT/SIGTERM cancel the run's context: the engine drains the
 	// in-flight SMC chunk (sharded lanes finish cleanly), checkpoints the

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pprl/internal/cliutil"
@@ -35,6 +36,9 @@ func TestSurfaceParity(t *testing.T) {
 				surface testkit.Surface
 				args    []string
 			}{{testkit.SurfaceLink, []string{"-a", "a.csv", "-b", "b.csv"}}, {testkit.SurfaceDedup, []string{"-a", "a.csv", "-dedup"}}} {
+				if row.On&s.surface == 0 {
+					continue
+				}
 				var opts options
 				fs := flag.NewFlagSet("pprl-link", flag.ContinueOnError)
 				fs.SetOutput(io.Discard)
@@ -100,5 +104,20 @@ func TestRunLinkDedupRefusesDPFlags(t *testing.T) {
 		if err := run(nil, opts); err == nil || err.Error() != flag+" applies only to -anon dp, not -dedup" {
 			t.Errorf("-dedup %s: err = %v, want the usage error", flag, err)
 		}
+	}
+}
+
+// TestRunLinkDedupRefusesK: -dedup bins at a fixed -level, so -k on its
+// command line is a usage error. k defaults to 32, so main records that
+// the flag was given (kSet); without it, K is not looked at.
+func TestRunLinkDedupRefusesK(t *testing.T) {
+	opts := baseOpts("/nonexistent-a.csv", "")
+	opts.dedup, opts.kSet = true, true
+	if err := run(nil, opts); err == nil || !strings.Contains(err.Error(), "-k, -anon and -epsilon do not apply") {
+		t.Errorf("-dedup -k: err = %v, want the usage error", err)
+	}
+	opts.kSet = false
+	if err := run(nil, opts); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("-dedup without -k: err = %v, want -a's not-found error", err)
 	}
 }

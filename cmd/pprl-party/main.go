@@ -8,15 +8,20 @@
 // their role. Alice additionally listens for Bob's direct link (used for
 // the encrypted shares of the SMC circuit).
 //
-//	# machine Q
-//	pprl-party -role query -listen :9000 -theta 0.05 -allowance 0.015
-//	# machine A
-//	pprl-party -role alice -query q:9000 -peer-listen :9001 -data a.csv -k 32
-//	# machine B
-//	pprl-party -role bob -query q:9000 -peer a:9001 -data b.csv -k 32
+//	pprl-party -role query -listen :9000 -theta 0.05 -allowance 0.015          # machine Q
+//	pprl-party -role alice -query q:9000 -peer-listen :9001 -data a.csv -k 32  # machine A
+//	pprl-party -role bob -query q:9000 -peer a:9001 -data b.csv -k 32          # machine B
 //
 // The querying party prints the matched record-index pairs; the holders
 // map indexes back to their records.
+//
+// The role comes first (-role R or -role=R), and each role takes only the
+// flags it reads, which pprl-party -role R -h lists; another role's flag
+// is a usage error. The query takes -listen, the schema, the decision
+// rule, the budget, the key size, the tier and the journal; a holder
+// -query, -peer-listen (alice) or -peer (bob), -data, the schema, k, the
+// anonymization method, the DP release and the tier key; the worker
+// -coordinator or -worker-listen, -worker-name and -lanes.
 //
 // Holders can opt into differentially private blocking instead of
 // k-anonymous generalization: -method dp -epsilon 2 -dp-seed <own seed>
@@ -33,12 +38,16 @@
 // job, and serves comparison chunks until the coordinator hangs up.
 //
 //	pprl-party -role worker -coordinator daemon:9700 -lanes 2
-//	# or listen and let the daemon dial out (-worker on pprl-serve):
-//	pprl-party -role worker -worker-listen :9701
+//	pprl-party -role worker -worker-listen :9701  # the daemon dials out (pprl-serve -worker)
+//
+// SIGINT or SIGTERM ends every role: a party waiting for its peers stops,
+// the querying party checkpoints its journal at the next batch boundary
+// and shuts the holders down, and a holder or worker closes its links.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -47,6 +56,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -57,84 +67,85 @@ import (
 	"pprl/internal/smc"
 )
 
-// queryOptions collects the querying party's parameters; flags fill it
-// in main, tests fill it directly.
+// queryOptions collects the querying party's parameters; command's flags
+// fill it, tests fill it directly.
 type queryOptions struct {
-	// CLI is the parameter block and the flags pprl-link shares.
-	cliutil.CLI
-	listen string
-	// ctx interrupts the session between SMC batches.
-	ctx context.Context
+	cliutil.CLI // the QueryFlags of the block
+	listen      string
 }
 
-// holderOptions collects a data holder's parameters. Of the shared block
-// a holder reads the schema, k and the DP parameters (-method dp).
+// holderOptions collects a data holder's parameters.
 type holderOptions struct {
-	cliutil.CLI
-	queryAddr  string
-	peerListen string // alice: where bob's peer link is accepted
-	peerAddr   string // bob: alice's peer-link address
-	dataPath   string
-	method     string
-	tierKey    string
-}
-
-// partyFlags is pprl-party's command line: the shared block and what each
-// role takes beside it.
-type partyFlags struct {
-	cliutil.CLI
-	role, listen, queryAddr, peerListen, peerAddr, data, method, tierKey string
-	coordinator, workerListen, workerName                                string
-	lanes                                                                int
-}
-
-// register defines the command line on fs.
-func (p *partyFlags) register(fs *flag.FlagSet) {
-	p.Flags(fs)
-	fs.StringVar(&p.role, "role", "", "query, alice, bob, or worker (required)")
-	fs.StringVar(&p.listen, "listen", "", "query: address to accept the two holders on")
-	fs.StringVar(&p.queryAddr, "query", "", "holders: the querying party's address")
-	fs.StringVar(&p.peerListen, "peer-listen", "", "alice: address to accept bob's peer link on")
-	fs.StringVar(&p.peerAddr, "peer", "", "bob: alice's peer-link address")
-	fs.StringVar(&p.data, "data", "", "holders: CSV file with this holder's relation")
-	fs.StringVar(&p.method, "method", "entropy", "holders: anonymization method (entropy, tds, datafly, mondrian, or dp with -epsilon)")
-	fs.StringVar(&p.tierKey, "tier-key", "", "holders: shared secret keying the tier's CLK encodings (required when the query enables the tier)")
-
-	fs.StringVar(&p.coordinator, "coordinator", "", "worker: dial this coordinator (pprl-serve -fleet-listen address) and register")
-	fs.StringVar(&p.workerListen, "worker-listen", "", "worker: listen here for a coordinator that dials out (-worker on pprl-serve)")
-	fs.StringVar(&p.workerName, "worker-name", "", "worker: advertised name (empty = coordinator-assigned)")
-	fs.IntVar(&p.lanes, "lanes", 1, "worker: parallel SMC lanes for secure jobs")
+	cliutil.CLI // the HolderFlags of the block
+	queryAddr   string
+	peer        string // alice: where bob's peer link is accepted; bob: alice's address
+	dataPath    string
+	method      string
+	tierKey     string
 }
 
 func main() {
-	var p partyFlags
-	p.register(flag.CommandLine)
-	flag.Parse()
-	// SIGINT/SIGTERM cancel the querying party's context: it checkpoints
-	// the journal at the next batch boundary, shuts the holders down, and
-	// exits. Holders just die; their state is all derivable.
+	args, role := os.Args[1:], ""
+	if len(args) > 1 && args[0] == "-role" {
+		role, args = args[1], args[2:]
+	} else if len(args) > 0 && strings.HasPrefix(args[0], "-role=") {
+		role, args = args[0][len("-role="):], args[1:]
+	}
+	fs := flag.NewFlagSet("pprl-party -role "+role, flag.ExitOnError)
+	run, cli := command(role, fs)
+	if run == nil {
+		fmt.Fprintln(os.Stderr, "usage: pprl-party -role query|alice|bob|worker [flags]; the role comes first, and -role R -h lists R's flags")
+		os.Exit(2)
+	}
+	fs.Parse(args)
+	if fs.NArg() > 0 { // parsing stopped there, so what follows would be ignored
+		fmt.Fprintf(os.Stderr, "unexpected argument %q\n", fs.Arg(0))
+		os.Exit(2)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var err error
-	switch p.role {
+	if err := run(ctx); err != nil {
+		cli.Fail("pprl-party", err)
+	}
+}
+
+// command defines role's flags on fs and returns the run they fill in,
+// with the block Fail reads (only the query journals); run is nil for an
+// unknown role.
+func command(role string, fs *flag.FlagSet) (run func(context.Context) error, cli *cliutil.CLI) {
+	switch role {
 	case "query":
-		err = runQuery(os.Stdout, queryOptions{CLI: p.CLI, listen: p.listen, ctx: ctx})
+		q := new(queryOptions)
+		q.Flags(fs, cliutil.QueryFlags)
+		fs.StringVar(&q.listen, "listen", "", "address to accept the two holders on")
+		return func(ctx context.Context) error { return runQuery(ctx, os.Stdout, *q) }, &q.CLI
 	case session.RoleAlice, session.RoleBob:
-		err = runHolder(ctx, holderOptions{CLI: p.CLI, queryAddr: p.queryAddr, peerListen: p.peerListen, peerAddr: p.peerAddr,
-			dataPath: p.data, method: p.method, tierKey: p.tierKey}, p.role)
+		h := new(holderOptions)
+		h.Flags(fs, cliutil.HolderFlags)
+		fs.Func("query", "the querying party's address", func(a string) (err error) { h.queryAddr, err = cliutil.NormalizeAddr(a); return err })
+		if role == session.RoleAlice {
+			fs.StringVar(&h.peer, "peer-listen", "", "address to accept bob's peer link on")
+		} else {
+			fs.Func("peer", "alice's peer-link address", func(a string) (err error) { h.peer, err = cliutil.NormalizeAddr(a); return err })
+		}
+		fs.StringVar(&h.dataPath, "data", "", "CSV file with this holder's relation")
+		fs.StringVar(&h.method, "method", "entropy", "anonymization method (entropy, tds, datafly, mondrian, or dp with -epsilon)")
+		fs.StringVar(&h.tierKey, "tier-key", "", "shared secret keying the tier's CLK encodings (required when the query enables the tier)")
+		return func(ctx context.Context) error { return runHolder(ctx, *h, role) }, &h.CLI
 	case "worker":
-		err = runWorker(ctx, p.coordinator, p.workerListen, p.workerName, p.lanes)
-	default:
-		err = fmt.Errorf("-role must be query, alice, bob, or worker")
+		var coordinator string
+		fs.Func("coordinator", "dial this coordinator (pprl-serve -fleet-listen address) and register", func(a string) (err error) { coordinator, err = cliutil.NormalizeAddr(a); return err })
+		listen := fs.String("worker-listen", "", "listen here for a coordinator that dials out (-worker on pprl-serve)")
+		name := fs.String("worker-name", "", "advertised name (empty = coordinator-assigned)")
+		lanes := fs.Int("lanes", 1, "parallel SMC lanes for secure jobs")
+		return func(ctx context.Context) error { return runWorker(ctx, coordinator, *listen, *name, *lanes) }, new(cliutil.CLI)
 	}
-	if err != nil {
-		p.Fail("pprl-party", err)
-	}
+	return nil, nil
 }
 
 // runQuery accepts both holders, identifies them, runs the session and
 // prints the results.
-func runQuery(out io.Writer, opts queryOptions) error {
+func runQuery(ctx context.Context, out io.Writer, opts queryOptions) error {
 	if opts.listen == "" {
 		return fmt.Errorf("query role needs -listen")
 	}
@@ -142,9 +153,6 @@ func runQuery(out io.Writer, opts queryOptions) error {
 	// journal exists or a holder can connect (one rule set, shared with
 	// pprl-link and the API).
 	if err := opts.Validate(); err != nil {
-		return err
-	}
-	if err := opts.OneLane(cliutil.FlagNames); err != nil {
 		return err
 	}
 	schema, qids, err := opts.LoadSchema(nil)
@@ -156,7 +164,7 @@ func runQuery(out io.Writer, opts queryOptions) error {
 		return err
 	}
 	cfg.AllowanceFraction = opts.AllowanceFraction
-	cfg.Context = opts.ctx
+	cfg.Context = ctx
 	jw, err := opts.OpenJournal()
 	if err != nil {
 		return err
@@ -172,16 +180,18 @@ func runQuery(out io.Writer, opts queryOptions) error {
 	defer l.Close()
 	fmt.Fprintf(os.Stderr, "query: waiting for two holders on %s\n", l.Addr())
 
+	context.AfterFunc(ctx, func() { l.Close() })
 	var alice, bob smc.Conn
 	for alice == nil || bob == nil {
 		c, err := l.Accept()
 		if err != nil {
-			return err
+			return fmt.Errorf("waiting for holders: %w", cmp.Or(ctx.Err(), err))
 		}
+		identified := context.AfterFunc(ctx, func() { c.Close() })
 		conn := smc.NewNetConn(c)
 		role, err := session.Identify(conn)
-		if err != nil {
-			return err
+		if !identified() || err != nil { // !identified(): the context closed c
+			return fmt.Errorf("waiting for holders: %w", cmp.Or(ctx.Err(), err))
 		}
 		switch {
 		case role == session.RoleAlice && alice == nil:
@@ -228,23 +238,17 @@ func runQuery(out io.Writer, opts queryOptions) error {
 // runHolder connects to the querying party, establishes the peer link,
 // and serves the session.
 func runHolder(ctx context.Context, opts holderOptions, role string) error {
-	if opts.queryAddr == "" || opts.dataPath == "" {
-		return fmt.Errorf("holder roles need -query and -data")
+	if opts.queryAddr == "" || opts.dataPath == "" || opts.peer == "" {
+		return fmt.Errorf("holder roles need -query, -data and -peer-listen (alice) or -peer (bob)")
 	}
-	queryAddr, err := cliutil.NormalizeAddr(opts.queryAddr)
-	if err != nil {
-		return fmt.Errorf("-query: %w", err)
-	}
-	peerAddr := opts.peerAddr
-	if peerAddr != "" {
-		if peerAddr, err = cliutil.NormalizeAddr(peerAddr); err != nil {
-			return fmt.Errorf("-peer: %w", err)
-		}
-	}
-	if err := opts.Validate(); err != nil {
+	if err := opts.ValidateDP(cliutil.FlagNames); err != nil {
 		return err
 	}
 	if err := opts.ValidateAnonymizer(cliutil.FlagNames, "-method", opts.method, opts.DPLevel); err != nil {
+		return err
+	}
+	schema, err := cliutil.LoadSchemaOrAdult(opts.SchemaPath)
+	if err != nil {
 		return err
 	}
 	cfg := session.HolderConfig{K: opts.K}
@@ -255,13 +259,7 @@ func runHolder(ctx context.Context, opts holderOptions, role string) error {
 	} else if cfg.Anonymizer, err = cliutil.AnonymizerByName(opts.method); err != nil {
 		return err
 	}
-	if opts.tierKey != "" {
-		cfg.TierKey = []byte(opts.tierKey)
-	}
-	schema, err := cliutil.LoadSchemaOrAdult(opts.SchemaPath)
-	if err != nil {
-		return err
-	}
+	cfg.TierKey = []byte(opts.tierKey)
 	f, err := os.Open(opts.dataPath)
 	if err != nil {
 		return err
@@ -272,43 +270,35 @@ func runHolder(ctx context.Context, opts holderOptions, role string) error {
 		return err
 	}
 
-	qc, err := dialRetry(ctx, queryAddr)
+	// A signal closes every listener and connection of the holder, which
+	// ends whatever waits on one.
+	qc, err := dialRetry(ctx, opts.queryAddr)
 	if err != nil {
 		return fmt.Errorf("dialing querying party: %w", err)
 	}
+	context.AfterFunc(ctx, func() { qc.Close() })
 	query := smc.NewNetConn(qc)
 	if err := session.Hello(query, role); err != nil {
 		return err
 	}
 
-	var peer smc.Conn
+	var pc net.Conn
 	if role == session.RoleAlice {
-		if opts.peerListen == "" {
-			return fmt.Errorf("alice needs -peer-listen")
-		}
-		pl, err := net.Listen("tcp", opts.peerListen)
+		pl, err := net.Listen("tcp", opts.peer)
 		if err != nil {
 			return err
 		}
 		defer pl.Close()
+		context.AfterFunc(ctx, func() { pl.Close() })
 		fmt.Fprintf(os.Stderr, "alice: waiting for bob on %s\n", pl.Addr())
-		pc, err := pl.Accept()
-		if err != nil {
-			return err
+		if pc, err = pl.Accept(); err != nil {
+			return fmt.Errorf("waiting for bob: %w", cmp.Or(ctx.Err(), err))
 		}
-		peer = smc.NewNetConn(pc)
-	} else {
-		if peerAddr == "" {
-			return fmt.Errorf("bob needs -peer")
-		}
-		pc, err := dialRetry(ctx, peerAddr)
-		if err != nil {
-			return fmt.Errorf("dialing alice: %w", err)
-		}
-		peer = smc.NewNetConn(pc)
+	} else if pc, err = dialRetry(ctx, opts.peer); err != nil {
+		return fmt.Errorf("dialing alice: %w", err)
 	}
-
-	return session.RunHolder(query, peer, cfg, role == session.RoleAlice)
+	context.AfterFunc(ctx, func() { pc.Close() })
+	return session.RunHolder(query, smc.NewNetConn(pc), cfg, role == session.RoleAlice)
 }
 
 // runWorker joins a coordinator's SMC worker fleet and serves comparison
@@ -322,12 +312,8 @@ func runWorker(ctx context.Context, coordinator, workerListen, name string, lane
 	case coordinator != "" && workerListen != "":
 		return fmt.Errorf("-coordinator and -worker-listen are mutually exclusive")
 	case coordinator != "":
-		addr, err := cliutil.NormalizeAddr(coordinator)
-		if err != nil {
-			return fmt.Errorf("-coordinator: %w", err)
-		}
-		conn, err = dialRetry(ctx, addr)
-		if err != nil {
+		var err error
+		if conn, err = dialRetry(ctx, coordinator); err != nil {
 			return fmt.Errorf("dialing coordinator: %w", err)
 		}
 	case workerListen != "":
@@ -337,10 +323,7 @@ func runWorker(ctx context.Context, coordinator, workerListen, name string, lane
 		}
 		defer ln.Close()
 		logger.Printf("worker: waiting for a coordinator on %s", ln.Addr())
-		go func() {
-			<-ctx.Done()
-			ln.Close()
-		}()
+		context.AfterFunc(ctx, func() { ln.Close() })
 		conn, err = ln.Accept()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -353,22 +336,15 @@ func runWorker(ctx context.Context, coordinator, workerListen, name string, lane
 	}
 	// A signal closes the connection; ServeWorker treats that as the
 	// coordinator hanging up and returns nil.
-	go func() {
-		<-ctx.Done()
-		conn.Close()
-	}()
+	context.AfterFunc(ctx, func() { conn.Close() })
 	return distrib.ServeWorker(conn, opts)
 }
 
-// dialRetry dials with exponential backoff and jitter under a deadline:
+// dialRetry dials with exponential backoff and jitter for up to a minute:
 // the peer may not be listening yet when the parties start in arbitrary
 // order, but a peer that never appears must not hang the holder forever.
 func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
-	dctx, cancel := context.WithTimeout(ctx, dialDeadline)
+	ctx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
-	return cliutil.DialRetry(dctx, "tcp", addr)
+	return cliutil.DialRetry(ctx, "tcp", addr)
 }
-
-// dialDeadline bounds how long a holder waits for a peer to start
-// listening before giving up.
-const dialDeadline = time.Minute

@@ -68,7 +68,7 @@ func baseQuery(listen string, allowance float64) queryOptions {
 func holder(queryAddr, peerListen, peerAddr, data, method, tierKey string, dp cliutil.Params) holderOptions {
 	return holderOptions{
 		CLI:       cliutil.CLI{Params: dp, K: 8},
-		queryAddr: queryAddr, peerListen: peerListen, peerAddr: peerAddr,
+		queryAddr: queryAddr, peer: peerListen + peerAddr,
 		dataPath: data, method: method, tierKey: tierKey,
 	}
 }
@@ -87,7 +87,7 @@ func TestThreePartyOverTCP(t *testing.T) {
 	go func() {
 		q := baseQuery(queryAddr, 0.002)
 		q.Journal = filepath.Join(t.TempDir(), "party.wal")
-		done <- runQuery(&out, q)
+		done <- runQuery(context.Background(), &out, q)
 	}()
 	go func() {
 		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "entropy", "", cliutil.Params{}), "alice")
@@ -113,25 +113,25 @@ func TestThreePartyOverTCP(t *testing.T) {
 }
 
 func TestRoleValidation(t *testing.T) {
-	if err := runQuery(nil, queryOptions{CLI: cliutil.CLI{Params: cliutil.Params{QIDs: []string{"age"}, Theta: 0.05, Heuristic: "minFirst", KeyBits: 256}}}); err == nil {
+	if err := runQuery(context.Background(), nil, queryOptions{CLI: cliutil.CLI{Params: cliutil.Params{QIDs: []string{"age"}, Theta: 0.05, Heuristic: "minFirst", KeyBits: 256}}}); err == nil {
 		t.Error("query without -listen should fail")
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{QIDs: []string{"age"}, Theta: 0.05, Heuristic: "bogus", KeyBits: 256}}}); err == nil {
+	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{QIDs: []string{"age"}, Theta: 0.05, Heuristic: "bogus", KeyBits: 256}}}); err == nil {
 		t.Error("bad heuristic should fail")
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Journal: "x.wal", Resume: "y.wal"}}); err == nil {
+	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Journal: "x.wal", Resume: "y.wal"}}); err == nil {
 		t.Error("-journal with -resume should fail")
 	}
-	if err := runQuery(nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Resume: "/nonexistent.wal"}}); err == nil {
+	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Resume: "/nonexistent.wal"}}); err == nil {
 		t.Error("missing resume journal should fail")
 	}
 	if err := runHolder(context.Background(), holder("", "", "", "x.csv", "entropy", "", cliutil.Params{}), "alice"); err == nil {
 		t.Error("holder without -query should fail")
 	}
-	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "", "/nonexistent.csv", "entropy", "", cliutil.Params{}), "bob"); err == nil {
+	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "127.0.0.1:1", "/nonexistent.csv", "entropy", "", cliutil.Params{}), "bob"); err == nil {
 		t.Error("missing data file should fail")
 	}
-	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "", "x.csv", "bogus", "", cliutil.Params{}), "bob"); err == nil {
+	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "127.0.0.1:1", "x.csv", "bogus", "", cliutil.Params{}), "bob"); err == nil {
 		t.Error("bad method should fail")
 	}
 }
@@ -150,7 +150,7 @@ func TestThreePartyTierOverTCP(t *testing.T) {
 	go func() {
 		q := baseQuery(queryAddr, 0.002)
 		q.Tier = "bloom"
-		done <- runQuery(&out, q)
+		done <- runQuery(context.Background(), &out, q)
 	}()
 	go func() {
 		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "entropy", "tcp-tier-secret", cliutil.Params{}), "alice")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"io"
@@ -25,18 +26,17 @@ func TestSurfaceParity(t *testing.T) {
 			continue
 		}
 		if row.Unknown != "" {
-			// A flag that no longer exists is refused at parse time.
-			var p partyFlags
-			fs := flag.NewFlagSet("pprl-party", flag.ContinueOnError)
+			// A flag the query does not take is refused at parse time.
+			fs := flag.NewFlagSet("pprl-party -role query", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			p.register(fs)
-			err := fs.Parse([]string{"-role", "query", "-listen", "127.0.0.1:99999", cliutil.FlagNames(row.Unknown), "0.95"})
+			command("query", fs)
+			err := fs.Parse([]string{"-listen", "127.0.0.1:99999", cliutil.FlagNames(row.Unknown), "0.95"})
 			if msg := row.Judge(testkit.SurfaceQuery, err); msg != "" {
 				t.Errorf("pprl-party -role query: %s", msg)
 			}
 			continue
 		}
-		err := runQuery(nil, queryOptions{listen: "127.0.0.1:99999",
+		err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:99999",
 			CLI: cliutil.CLI{Params: row.Params, AllowanceFraction: row.AllowanceFraction}})
 		var listenErr *net.OpError
 		if errors.As(err, &listenErr) {
@@ -63,7 +63,7 @@ func TestQuerySmallKeyRefusedFirst(t *testing.T) {
 	wal := filepath.Join(t.TempDir(), "party.wal")
 	q := baseQuery(taken.Addr().String(), 0.002)
 	q.KeyBits, q.Journal = 32, wal
-	if err := runQuery(nil, q); err == nil || !strings.Contains(err.Error(), "-keybits must be at least 64") {
+	if err := runQuery(context.Background(), nil, q); err == nil || !strings.Contains(err.Error(), "-keybits must be at least 64") {
 		t.Errorf("err = %v, want the -keybits refusal", err)
 	}
 	if _, statErr := os.Stat(wal); !errors.Is(statErr, fs.ErrNotExist) {

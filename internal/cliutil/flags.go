@@ -32,30 +32,42 @@ type CLI struct {
 	JournalSync int
 }
 
-// Flags registers the flags pprl-link and pprl-party share, once, with
-// the paper's defaults.
-func (c *CLI) Flags(fs *flag.FlagSet) {
+// FlagGroup selects the block's flags by the party that reads them.
+type FlagGroup uint8
+
+const (
+	QueryFlags  FlagGroup = 1 << iota // the decision rule, the budget, the key size, the tier, the journal
+	HolderFlags                       // k and the DP release
+)
+
+// Flags registers -schema, which both parties read, and the flags of
+// groups, each once, with the paper's defaults: pprl-link takes both
+// groups, a pprl-party role its own.
+func (c *CLI) Flags(fs *flag.FlagSet, groups FlagGroup) {
 	def := core.DefaultConfig(nil)
 	fs.StringVar(&c.SchemaPath, "schema", "", "schema manifest path (default: built-in Adult schema)")
-	fs.Func("qids", "comma-separated quasi-identifier attributes (default: the paper's Adult set, or every attribute of -schema)", func(s string) error {
-		c.QIDs = strings.Split(s, ",")
-		return nil
-	})
-	fs.Float64Var(&c.Theta, "theta", def.Theta, "matching threshold θ for every attribute")
-	fs.Float64Var(&c.AllowanceFraction, "allowance", def.AllowanceFraction, "SMC allowance as a fraction of all record pairs")
-	fs.StringVar(&c.Heuristic, "heuristic", "minAvgFirst", "SMC selection heuristic: minFirst, maxLast, minAvgFirst")
-	fs.IntVar(&c.K, "k", def.AliceK, "holders' anonymity requirement")
-	fs.Float64Var(&c.Epsilon, "epsilon", 0, "per-holder differential-privacy budget for the dp anonymization method")
-	fs.Float64Var(&c.DPDelta, "dp-delta", 0, "DP truncation mass (0 = default)")
-	fs.Int64Var(&c.DPSeed, "dp-seed", 0, "DP noise seed, private to each holder and separated by its role (pprl-link walks the release two pprl-party holders at this seed publish)")
-	fs.IntVar(&c.DPLevel, "dp-level", 0, "VGH binning depth for the dp method (0 = default)")
-	fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
-	fs.IntVar(&c.SMCWorkers, "smc-workers", 0, "SMC protocol lanes of pprl-link's two-relation run (0 = GOMAXPROCS); -dedup and a pprl-party query run one lane and refuse it")
-	fs.StringVar(&c.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
-	fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold: an Unknown pair at or below it is labeled NonMatch for free (0 = default 0.90)")
-	fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path (crash-resumable)")
-	fs.StringVar(&c.Resume, "resume", "", "resume an interrupted run from its journal")
-	fs.IntVar(&c.JournalSync, "journal-sync", 0, "fsync the journal every N verdicts (0 = default batching)")
+	if groups&QueryFlags != 0 {
+		fs.Func("qids", "comma-separated quasi-identifier attributes (default: the paper's Adult set, or every attribute of -schema)", func(s string) error {
+			c.QIDs = strings.Split(s, ",")
+			return nil
+		})
+		fs.Float64Var(&c.Theta, "theta", def.Theta, "matching threshold θ for every attribute")
+		fs.Float64Var(&c.AllowanceFraction, "allowance", def.AllowanceFraction, "SMC allowance as a fraction of all record pairs")
+		fs.StringVar(&c.Heuristic, "heuristic", "minAvgFirst", "SMC selection heuristic: minFirst, maxLast, minAvgFirst")
+		fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
+		fs.StringVar(&c.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
+		fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold: an Unknown pair at or below it is labeled NonMatch for free (0 = default 0.90)")
+		fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path (crash-resumable)")
+		fs.StringVar(&c.Resume, "resume", "", "resume an interrupted run from its journal")
+		fs.IntVar(&c.JournalSync, "journal-sync", 0, "fsync the journal every N verdicts (0 = default batching)")
+	}
+	if groups&HolderFlags != 0 {
+		fs.IntVar(&c.K, "k", def.AliceK, "holders' anonymity requirement")
+		fs.Float64Var(&c.Epsilon, "epsilon", 0, "per-holder differential-privacy budget for the dp anonymization method")
+		fs.Float64Var(&c.DPDelta, "dp-delta", 0, "DP truncation mass (0 = default)")
+		fs.Int64Var(&c.DPSeed, "dp-seed", 0, "DP noise seed, private to each holder and separated by its role (pprl-link walks the release two pprl-party holders at this seed publish)")
+		fs.IntVar(&c.DPLevel, "dp-level", 0, "VGH binning depth for the dp method (0 = default)")
+	}
 }
 
 // Validate refuses flag values no run could use, before any file is

@@ -68,8 +68,8 @@ type Params struct {
 	Secure  bool `json:"secure,omitempty"`
 	KeyBits int  `json:"key_bits,omitempty"`
 	// SMCWorkers is the number of SMC protocol lanes of a two-relation
-	// run, core.Link's (0 = GOMAXPROCS). The live engine and a session's
-	// querying party run one lane and refuse it (OneLane).
+	// run, core.Link's (0 = GOMAXPROCS). The live engine runs one lane and
+	// refuses it (OneLane); a session's querying party has no such flag.
 	SMCWorkers int `json:"smc_workers,omitempty"`
 }
 
@@ -109,24 +109,29 @@ func (p *Params) Validate(n Names) error {
 	if _, err := p.Core(nil); err != nil { // the heuristic, strategy and tier names resolve
 		return err
 	}
-	if p.Epsilon != 0 || p.DPDelta != 0 || p.DPSeed != 0 {
-		if err := EpsilonRange.Named(n("epsilon")).Validate(p.Epsilon); err != nil {
-			return err
-		}
-		if p.DPDelta != 0 {
-			if err := DeltaRange.Named(n("dp_delta")).Validate(p.DPDelta); err != nil {
-				return err
-			}
-		}
-		if tier, _ := TierModeByName(p.Tier); tier != core.TierOff {
-			return fmt.Errorf("%s %s excludes %s: %w", n("tier"), p.Tier, n("epsilon"), dpblock.ErrTierUnderDP)
-		}
+	if err := p.ValidateDP(n); err != nil {
+		return err
+	}
+	if tier, _ := TierModeByName(p.Tier); tier != core.TierOff && p.Epsilon != 0 {
+		return fmt.Errorf("%s %s excludes %s: %w", n("tier"), p.Tier, n("epsilon"), dpblock.ErrTierUnderDP)
 	}
 	return TierLowRange.Named(n("tier_low")).Validate(p.TierLow)
 }
 
+// ValidateDP refuses ε or δ out of range, and δ or the seed without ε:
+// the part of Validate a data holder, which sets nothing else, runs.
+func (p *Params) ValidateDP(n Names) error {
+	if p.Epsilon == 0 && p.DPDelta == 0 && p.DPSeed == 0 {
+		return nil
+	}
+	if err := EpsilonRange.Named(n("epsilon")).Validate(p.Epsilon); err != nil {
+		return err
+	}
+	return DeltaRange.Named(n("dp_delta")).Validate(p.DPDelta)
+}
+
 // OneLane refuses SMCWorkers on a surface whose engine runs one protocol
-// lane: a live dataset, pprl-link -dedup and a session's querying party.
+// lane: a live dataset and pprl-link -dedup.
 func (p *Params) OneLane(n Names) error {
 	if p.SMCWorkers != 0 {
 		return fmt.Errorf("%s sets the SMC lanes of a two-relation run (pprl-link, POST /v1/jobs); this engine runs one lane", n("smc_workers"))

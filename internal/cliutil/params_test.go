@@ -18,10 +18,11 @@ func TestFlagsCoverTheBlock(t *testing.T) {
 	var c CLI
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	c.Flags(fs)
-	// -strategy and -secure are pprl-link's alone: a session has neither
-	// choice. (-allowance carries the fraction, not the block's count.)
-	flagless := map[string]bool{"strategy": true, "secure": true}
+	c.Flags(fs, QueryFlags|HolderFlags)
+	// -strategy, -secure and -smc-workers are pprl-link's alone: a session
+	// has none of these choices. (-allowance carries the fraction, not the
+	// block's count.)
+	flagless := map[string]bool{"strategy": true, "secure": true, "smc_workers": true}
 	typ := reflect.TypeOf(Params{})
 	for i := 0; i < typ.NumField(); i++ {
 		key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")

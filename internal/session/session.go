@@ -167,7 +167,8 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 	if err != nil {
 		return fmt.Errorf("session: resolving classifier QIDs: %w", err)
 	}
-	if err := smc.CheckIntegral(cfg.Data.Schema(), cfg.Data.Records(), qids, params.Spec.Scale, 0); err != nil {
+	enc := smc.EncodeRecords(cfg.Data, qids, params.Spec.Scale)
+	if err := cmp.Or(smc.CheckIntegral(cfg.Data.Schema(), cfg.Data.Records(), qids, params.Spec.Scale, 0), params.Spec.CheckRecords(enc)); err != nil {
 		return fmt.Errorf("session: %s: %w", role, err)
 	}
 	view, err := cfg.Anonymizer.Anonymize(cfg.Data, qids, cfg.K)
@@ -215,7 +216,6 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 			return fmt.Errorf("session: publishing tier encodings: %w", err)
 		}
 	}
-	enc := smc.EncodeRecords(cfg.Data, qids, params.Spec.Scale)
 	if pad != nil {
 		// The SMC loop addresses records by published handle; dummy
 		// handles answer with the sentinel row, so a compare request

@@ -307,12 +307,12 @@ func TestBoundBySchema(t *testing.T) {
 				d.MustAppend(rec)
 			}
 			rows := EncodeRecords(d, tc.qids, tc.scale)
-			if err := spec.checkRecords(rows); err != nil {
+			if err := spec.CheckRecords(rows); err != nil {
 				t.Errorf("the domain's extreme records are refused: %v", err)
 			}
 			if active := spec.activeAttrs(); len(active) > 0 {
 				rows[0][active[0]] = 1 << tc.bits
-				if err := spec.checkRecords(rows); err == nil || !strings.Contains(err.Error(), "published domain") {
+				if err := spec.CheckRecords(rows); err == nil || !strings.Contains(err.Error(), "published domain") {
 					t.Errorf("a value of 2^%d passed the check: %v", tc.bits, err)
 				}
 			}

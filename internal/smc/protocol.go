@@ -224,7 +224,7 @@ func runAlice(query, bob Conn, records [][]int64, spec *Spec, eng *aliceEngine) 
 	if err := eng.init(pk); err != nil {
 		return fmt.Errorf("smc: alice: %w", err)
 	}
-	if err := spec.checkRecords(records); err != nil {
+	if err := spec.CheckRecords(records); err != nil {
 		return fmt.Errorf("smc: alice: %w", err)
 	}
 	active := spec.activeAttrs()
@@ -294,7 +294,7 @@ func runBob(query, alice Conn, records [][]int64, spec *Spec, eng *bobEngine) er
 		return fmt.Errorf("smc: bob: %w", err)
 	}
 	defer eng.close()
-	if err := spec.checkRecords(records); err != nil {
+	if err := spec.CheckRecords(records); err != nil {
 		return fmt.Errorf("smc: bob: %w", err)
 	}
 	plan, err := spec.resultPlan(pk.N.BitLen())

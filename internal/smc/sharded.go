@@ -49,10 +49,10 @@ func NewLocalSecureSharded(spec *Spec, alice, bob [][]int64, keyBits, workers in
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if err := spec.checkRecords(alice); err != nil {
+	if err := spec.CheckRecords(alice); err != nil {
 		return nil, fmt.Errorf("smc: alice: %w", err)
 	}
-	if err := spec.checkRecords(bob); err != nil {
+	if err := spec.CheckRecords(bob); err != nil {
 		return nil, fmt.Errorf("smc: bob: %w", err)
 	}
 	sk, err := paillier.GenerateKey(rand.Reader, keyBits)

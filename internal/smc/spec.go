@@ -114,7 +114,7 @@ func (s *Spec) BoundBySchema(schema *dataset.Schema, qids []int) {
 	s.ValueBits, s.widest = 1, ""
 	for j, q := range qids {
 		if s.Attrs[j].Mode == ModeAlways {
-			continue // exchanges no ciphertext, and checkRecords skips it
+			continue // exchanges no ciphertext, and CheckRecords skips it
 		}
 		attr := schema.Attr(q)
 		var top float64 // the largest encoded magnitude
@@ -129,7 +129,7 @@ func (s *Spec) BoundBySchema(schema *dataset.Schema, qids []int) {
 			top += math.Ceil(math.Sqrt(math.Max(float64(s.Attrs[j].T), 0))) + 1
 		}
 		// From 2^62 on the bound is every int64's: |a−b| < 2^64, so
-		// d² < 2^{2·63+2} (slotBits), and checkRecords has nothing to refuse.
+		// d² < 2^{2·63+2} (slotBits), and CheckRecords has nothing to refuse.
 		b := 63
 		if top < 1<<62 {
 			b = bits.Len64(uint64(top))
@@ -238,12 +238,12 @@ func (p resultPlan) frame(x, left int) (pairs, cts int) {
 	return 0, 0
 }
 
-// checkRecords enforces the magnitude bound on a holder's encoded records
+// CheckRecords enforces the magnitude bound on a holder's encoded records
 // before any of them is encrypted: the modulus was checked against values
 // below 2^ValueBits (fits), and a value at or beyond it could overflow its
 // slot, which packing cannot detect after the fact (the carry lands in a
 // neighbouring slot).
-func (s *Spec) checkRecords(records [][]int64) error {
+func (s *Spec) CheckRecords(records [][]int64) error {
 	if s.valueBits() >= 63 {
 		return nil
 	}

@@ -46,9 +46,10 @@ type ParamRow struct {
 	// pprl-link's two-relation run, level / -level on the live surfaces.
 	Level int
 	// Unknown, when set, is the JSON key of a parameter that no longer
-	// exists, pushed beside the block with the value 0.95 (as the key in a
-	// request body, as FlagNames(key) on a command line): every surface
-	// must refuse it as unknown, by name.
+	// exists, or that the row's surfaces do not take, pushed beside the
+	// block with the value 0.95 (as the key in a request body, as
+	// FlagNames(key) on a command line): the surfaces must refuse it as
+	// unknown, by name.
 	Unknown string
 	// On is the surfaces the row is pushed through, Refuse those of them
 	// that must refuse it (the rest must accept), and Want a substring of
@@ -86,9 +87,11 @@ var ParamRows = []ParamRow{
 	{Name: "negative key size", Params: cliutil.Params{Secure: true, KeyBits: -1}, On: allSurfaces, Refuse: allSurfaces, Want: "must be at least 64"},
 	{Name: "key below the engine's floor", Params: cliutil.Params{Secure: true, KeyBits: 63}, On: allSurfaces, Refuse: allSurfaces, Want: "must be at least 64"},
 	{Name: "floor-sized key, not asked for", Params: cliutil.Params{KeyBits: 64}, On: allSurfaces},
-	// SMC lanes are core.Link's: the live engine and a session's querying
-	// party run one, so their surfaces refuse the knob by their own name.
-	{Name: "smc workers", Params: cliutil.Params{SMCWorkers: 2}, On: allSurfaces, Refuse: SurfaceQuery | liveSurfaces, Want: "a two-relation run"},
+	// SMC lanes are core.Link's: the live engine runs one, so its surfaces
+	// refuse the knob by their own name, and a session's querying party
+	// has no such flag.
+	{Name: "smc workers", Params: cliutil.Params{SMCWorkers: 2}, On: allSurfaces &^ SurfaceQuery, Refuse: liveSurfaces, Want: "a two-relation run"},
+	{Name: "the query has no smc workers", Unknown: "smc_workers", On: SurfaceQuery, Refuse: SurfaceQuery},
 	{Name: "classifier", Params: cliutil.Params{Strategy: "classifier"}, On: allSurfaces, Refuse: liveSurfaces, Want: "needs the full residual population"},
 }
 
