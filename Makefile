@@ -213,7 +213,9 @@ perf:
 # count (the fields of the engine configs, of the shared parameter block —
 # counted once — and of what each API body adds to it, and the flag
 # definitions under cmd/ and internal/cliutil; TestOptionCount fails, and
-# this target with it, when one rises above its written cap).
+# this target with it, when one rises above its written cap) and the line
+# counts of DESIGN.md and TESTING.md, which TestDocReferences caps the same
+# way and checks every section and test reference in the documents.
 loc:
 	@bad=$$(grep -l '"pprl/internal/testkit"' $$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/testkit/*' -not -path './benchmark/*' -not -path './.bench_build/*')); \
 	if [ -n "$$bad" ]; then echo "loc: non-test files import internal/testkit: $$bad"; exit 1; fi
@@ -221,5 +223,5 @@ loc:
 	if [ -n "$$bad" ]; then echo "loc: non-test files import encoding/gob: $$bad"; exit 1; fi
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './internal/testkit/*' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
 	@printf 'test Go lines:     '; find . \( -name '*_test.go' -o -path './internal/testkit/*.go' \) -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
-	@out=$$($(GO) test -count=1 -run '^TestOptionCount$$' -v .); status=$$?; \
-	printf '%s\n' "$$out" | sed -n 's/^ *options_test.go:[0-9]*: //p'; exit $$status
+	@out=$$($(GO) test -count=1 -run '^Test(OptionCount|DocReferences)$$' -v .); status=$$?; \
+	printf '%s\n' "$$out" | sed -n 's/^ *[a-z_]*_test.go:[0-9]*: //p'; exit $$status

@@ -48,8 +48,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"pprl"
@@ -111,9 +109,7 @@ func main() {
 	// in-flight SMC chunk (sharded lanes finish cleanly), checkpoints the
 	// journal, and Link returns ErrInterrupted. A second signal kills the
 	// process the usual way.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opts.ctx = ctx
+	opts.ctx = cliutil.SignalContext()
 
 	if err := run(os.Stdout, opts); err != nil {
 		opts.Fail("pprl-link", err)

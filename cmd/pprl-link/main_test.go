@@ -14,10 +14,13 @@ import (
 )
 
 // writePair writes two small overlapping Adult CSVs.
-func writePair(t *testing.T) (a, b string) {
+func writePair(t *testing.T) (a, b string) { return writePairN(t, 120) }
+
+// writePairN writes two overlapping Adult CSVs split from n records.
+func writePairN(t *testing.T, n int) (a, b string) {
 	t.Helper()
 	schema := pprl.AdultSchema()
-	full := pprl.GenerateAdult(schema, 120, 9)
+	full := pprl.GenerateAdult(schema, n, 9)
 	da, db := pprl.SplitOverlap(full, rand.New(rand.NewSource(10)))
 	dir := t.TempDir()
 	write := func(d *pprl.Dataset, name string) string {

@@ -42,7 +42,8 @@
 //
 // SIGINT or SIGTERM ends every role: a party waiting for its peers stops,
 // the querying party checkpoints its journal at the next batch boundary
-// and shuts the holders down, and a holder or worker closes its links.
+// and shuts the holders down, and a holder or worker closes its links. A
+// second signal kills the process the usual way.
 package main
 
 import (
@@ -55,9 +56,7 @@ import (
 	"log"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"pprl"
@@ -102,9 +101,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unexpected argument %q\n", fs.Arg(0))
 		os.Exit(2)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(cliutil.SignalContext()); err != nil {
 		cli.Fail("pprl-party", err)
 	}
 }

@@ -14,7 +14,8 @@
 //	curl localhost:8642/v1/jobs/job-000001/result
 //
 // SIGTERM/SIGINT drains gracefully: running jobs checkpoint their
-// journals, queued jobs stay queued, and the next start recovers both.
+// journals, queued jobs stay queued, and the next start recovers both. A
+// second signal kills the daemon the usual way.
 package main
 
 import (
@@ -27,8 +28,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"pprl/internal/cliutil"
@@ -71,9 +70,7 @@ func main() {
 	flag.Parse()
 	opts.fleetWorkers = workerAddrs
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	opts.ctx = ctx
+	opts.ctx = cliutil.SignalContext()
 
 	if err := run(os.Stderr, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "pprl-serve:", err)

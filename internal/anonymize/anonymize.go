@@ -125,16 +125,6 @@ func (r *Result) AvgClassSize() float64 {
 	return float64(total) / float64(len(r.Classes))
 }
 
-// Discernibility returns the discernibility metric Σ |class|², a standard
-// information-loss measure: lower is better.
-func (r *Result) Discernibility() int {
-	sum := 0
-	for _, c := range r.Classes {
-		sum += c.Size() * c.Size()
-	}
-	return sum
-}
-
 // Validate checks the structural invariants: every record belongs to
 // exactly one class, sequences have one value per QID, every sequence
 // value covers the member's original value (generalizations are accurate,

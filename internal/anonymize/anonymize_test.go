@@ -170,9 +170,6 @@ func TestResultAccessors(t *testing.T) {
 	if res.AvgClassSize() < 8 {
 		t.Errorf("AvgClassSize %v < k", res.AvgClassSize())
 	}
-	if res.Discernibility() < d.Len() {
-		t.Errorf("Discernibility %d < n", res.Discernibility())
-	}
 	total := 0
 	for _, c := range res.Classes {
 		total += c.Size()

@@ -83,13 +83,3 @@ func TruePairs(a, b *dataset.Dataset, qids []int, rule *blocking.Rule) ([]Pair, 
 	}
 	return out, nil
 }
-
-// Count returns the number of truly matching pairs without materializing
-// them (it still walks the joined buckets).
-func Count(a, b *dataset.Dataset, qids []int, rule *blocking.Rule) (int64, error) {
-	pairs, err := TruePairs(a, b, qids, rule)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(pairs)), nil
-}

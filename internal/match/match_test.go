@@ -137,22 +137,6 @@ func TestRuleArityMismatch(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	schema, edu := toySchema()
-	rng := rand.New(rand.NewSource(7))
-	a := randomData(schema, edu, 30, rng)
-	b := randomData(schema, edu, 30, rng)
-	rule, err := blocking.RuleFor(schema, []int{0, 1}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, _ := TruePairs(a, b, []int{0, 1}, rule)
-	n, err := Count(a, b, []int{0, 1}, rule)
-	if err != nil || n != int64(len(pairs)) {
-		t.Errorf("Count = %d, %v; want %d", n, err, len(pairs))
-	}
-}
-
 func TestPairKey(t *testing.T) {
 	p := Pair{I: 3, J: 7}
 	if got := p.Key(100); got != 307 {

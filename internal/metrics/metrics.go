@@ -1,8 +1,8 @@
 // Package metrics provides the evaluation measures of the paper's Section
 // VI: precision, recall (the paper's accuracy proxy, since precision is
-// structurally 100%), blocking efficiency, reduction ratio, and the cost
-// model that converts SMC invocation counts to wall-clock estimates using
-// a measured per-invocation cost.
+// structurally 100%), blocking efficiency, and the cost model that
+// converts SMC invocation counts to wall-clock estimates using a measured
+// per-invocation cost.
 package metrics
 
 import (
@@ -107,15 +107,4 @@ func (s ResumeStats) Resumed() bool { return s.ResumedPairs > 0 }
 
 func (s ResumeStats) String() string {
 	return fmt.Sprintf("resumed=%d replayed-allowance=%d", s.ResumedPairs, s.ReplayedAllowance)
-}
-
-// ReductionRatio is the standard blocking measure: the fraction of the
-// |R|×|S| comparison space removed before expensive matching. An empty
-// comparison space (either relation empty) returns 0 — no work existed,
-// so none was saved — rather than the 1 a naive limit would suggest.
-func ReductionRatio(candidates, total int64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(candidates)/float64(total)
 }

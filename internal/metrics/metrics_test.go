@@ -86,15 +86,6 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
-func TestReductionRatio(t *testing.T) {
-	if got := ReductionRatio(25, 100); !almost(got, 0.75) {
-		t.Errorf("ReductionRatio = %v", got)
-	}
-	if got := ReductionRatio(0, 0); got != 0 {
-		t.Errorf("ReductionRatio(0,0) = %v", got)
-	}
-}
-
 func TestResumeStats(t *testing.T) {
 	var fresh ResumeStats
 	if fresh.Resumed() {

@@ -174,20 +174,6 @@ func (h *Hierarchy) Ancestors(n *Node) []*Node {
 	return out
 }
 
-// LCA returns the lowest common ancestor of a and b.
-func (h *Hierarchy) LCA(a, b *Node) *Node {
-	for a.depth > b.depth {
-		a = a.Parent
-	}
-	for b.depth > a.depth {
-		b = b.Parent
-	}
-	for a != b {
-		a, b = a.Parent, b.Parent
-	}
-	return a
-}
-
 // Builder incrementally constructs a Hierarchy. Nodes may be added in any
 // order as long as every parent is added before its children.
 type Builder struct {

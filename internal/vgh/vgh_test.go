@@ -168,24 +168,6 @@ func TestPathCodes(t *testing.T) {
 	}
 }
 
-func TestLCA(t *testing.T) {
-	h := education(t)
-	cases := []struct{ a, b, want string }{
-		{"Masters", "Doctorate", "Grad School"},
-		{"Masters", "Bachelors", "University"},
-		{"Masters", "9th", "ANY"},
-		{"9th", "10th", "Junior Sec."},
-		{"9th", "12th", "Secondary"},
-		{"Masters", "Masters", "Masters"},
-		{"Secondary", "11th", "Secondary"},
-	}
-	for _, c := range cases {
-		if got := h.LCA(h.MustLookup(c.a), h.MustLookup(c.b)); got.Value != c.want {
-			t.Errorf("LCA(%s, %s) = %s, want %s", c.a, c.b, got.Value, c.want)
-		}
-	}
-}
-
 func TestAncestors(t *testing.T) {
 	h := education(t)
 	anc := h.Ancestors(h.MustLookup("Masters"))
