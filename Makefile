@@ -4,9 +4,9 @@ GO ?= go
 # How long `make fuzz` spends per fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check tracked-files build binaries vet purego test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
+.PHONY: check tracked-files build binaries vet purego test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
 
-check: tracked-files build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper loc
+check: tracked-files build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
 
 # No build output in the tree: every tracked file (as staged) is under
 # 1 MiB, and none is a compiled binary — an executable file must be a
@@ -190,6 +190,11 @@ paper:
 	@untimed() { awk '/^timing — /{t=1} t&&/^$$/{t=0} t{sub(/  .*/,"")} {print}' "$$1"; }; \
 	untimed experiments_full.txt > .bench_build/paper.want; untimed .bench_build/experiments_full.txt > .bench_build/paper.got; \
 	diff -u .bench_build/paper.want .bench_build/paper.got && echo "paper: every table matches experiments_full.txt"
+
+# Every examples/ program, built and run, its stdout diffed against its
+# testdata/want.txt (≈ 2 s; also part of `make test`).
+examples:
+	$(GO) test -count=1 -run '^TestExamples$$' .
 
 # Serial-vs-sharded throughput of the secure comparator (1024-bit key).
 # End-to-end and per-layer performance is `bash benchmark/run.sh` and

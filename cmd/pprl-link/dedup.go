@@ -59,7 +59,12 @@ func runDedup(out io.Writer, opts options) error {
 		return err
 	}
 	n := int64(data.Len())
-	cfg.Allowance = int64(opts.AllowanceFraction * float64(n*(n-1)/2))
+	pairs := n * (n - 1) / 2
+	cfg.Allowance = int64(opts.AllowanceFraction * float64(pairs))
+	if cfg.Allowance == 0 && pairs > 0 {
+		// The live engine reads a zero allowance as unlimited.
+		return fmt.Errorf("-allowance %v buys no pair of the %d record pairs; -dedup needs a budget of at least one", opts.AllowanceFraction, pairs)
+	}
 
 	w, err := opts.OpenJournal()
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -313,5 +314,14 @@ func TestRunLinkDedup(t *testing.T) {
 	}
 	if err := run(nil, func() options { o := baseOpts(a, a); o.level = 2; return o }()); err == nil {
 		t.Error("-level without -dedup should fail")
+	}
+	// The live engine reads a zero allowance as unlimited, so a fraction
+	// that buys no pair is refused rather than spent without bound.
+	for _, frac := range []float64{0, 1e-7} {
+		o := baseOpts(a, "")
+		o.dedup, o.AllowanceFraction = true, frac
+		if err := run(new(bytes.Buffer), o); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("-allowance %v", frac)) || !strings.Contains(err.Error(), "record pairs") {
+			t.Errorf("-dedup -allowance %v: err = %v, want a refusal naming the fraction and the pair count", frac, err)
+		}
 	}
 }

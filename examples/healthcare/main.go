@@ -4,9 +4,11 @@
 // know which patients appear in both, without either hospital disclosing
 // records that do not match.
 //
-// The three parties run as goroutines connected by localhost TCP — the
-// same wiring works across machines with pprl.RunSMCAlice / RunSMCBob and
-// pprl.NewSMCNetConn on each host.
+// The three parties run the session roles as goroutines connected by
+// localhost TCP: each hospital calls pprl.RunHolder on its own registry,
+// and the researcher calls pprl.RunQuery. The same calls over
+// pprl.NewSMCNetConn work across machines (cmd/pprl-party wraps them as a
+// binary).
 //
 //	go run ./examples/healthcare
 package main
@@ -18,10 +20,6 @@ import (
 	"net"
 
 	"pprl"
-	"pprl/internal/blocking"
-	"pprl/internal/heuristic"
-	"pprl/internal/index"
-	"pprl/internal/smc"
 )
 
 func main() {
@@ -31,86 +29,29 @@ func main() {
 	hospitalA, hospitalB := pprl.SplitOverlap(population, rand.New(rand.NewSource(2)))
 	fmt.Printf("Hospital A: %d patients.  Hospital B: %d patients.\n", hospitalA.Len(), hospitalB.Len())
 
-	// --- The researcher's classifier -------------------------------------
-	qidNames := pprl.DefaultAdultQIDs()
-	qids, err := schema.Resolve(qidNames)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rule, err := blocking.RuleFor(schema, qids, 0.05)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// --- Step 1: each hospital publishes a k-anonymized view -------------
-	anonA, err := pprl.NewMaxEntropy().Anonymize(hospitalA, qids, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	anonB, err := pprl.NewMaxEntropy().Anonymize(hospitalB, qids, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Anonymized views: %d and %d generalization sequences (k=8).\n",
-		anonA.NumSequences(), anonB.NumSequences())
-
-	// --- Step 2: the researcher blocks on the public views ---------------
-	block, err := index.Block(anonA, anonB, rule)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Blocking: %.2f%% of %d pairs decided for free; %d pairs unknown.\n",
-		100*block.Efficiency(), block.TotalPairs(), block.UnknownPairs)
-
-	// --- Step 3: unknown pairs go to the three-party SMC protocol --------
-	spec, err := smc.SpecFromRule(rule, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	encA := smc.EncodeRecords(hospitalA, qids, 1)
-	encB := smc.EncodeRecords(hospitalB, qids, 1)
-
 	// Wire the parties over localhost TCP: researcher<->A, researcher<->B,
 	// A<->B.
 	qa, aq := tcpPair()
 	qb, bq := tcpPair()
 	ab, ba := tcpPair()
+
+	// --- The hospitals: each anonymizes its own registry (k = 8),
+	// publishes the view and serves the SMC protocol -----------------------
 	errs := make(chan error, 2)
-	go func() { errs <- smc.RunAlice(aq, ab, encA, spec) }()
-	go func() { errs <- smc.RunBob(bq, ba, encB, spec) }()
+	go func() { errs <- pprl.RunHolder(aq, ab, pprl.HolderConfig{Data: hospitalA, K: 8}, true) }()
+	go func() { errs <- pprl.RunHolder(bq, ba, pprl.HolderConfig{Data: hospitalB, K: 8}, false) }()
 
-	session, err := smc.NewQuerySession(qa, qb, spec, 1024)
+	// --- The researcher: broadcasts the classifier, blocks on the public
+	// views and resolves the unknown pairs most likely to match first,
+	// under a budget of 1.5% of all pairs ----------------------------------
+	res, err := pprl.RunQuery(qa, qb, pprl.QueryConfig{
+		Schema:            schema,
+		QIDs:              pprl.DefaultAdultQIDs(),
+		Theta:             0.05,
+		AllowanceFraction: 0.015,
+		KeyBits:           1024,
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Resolve the unknown pairs most likely to match first, under a
-	// budget of 1.5% of all pairs.
-	allowance := int64(0.015 * float64(block.TotalPairs()))
-	ordered := heuristic.Order(block, rule, heuristic.MinAvgFirst{}, false)
-	matched := 0
-	budget := allowance
-groups:
-	for _, gp := range ordered {
-		for _, i := range anonA.Classes[gp.RI].Members {
-			for _, j := range anonB.Classes[gp.SI].Members {
-				if budget <= 0 {
-					break groups
-				}
-				ok, err := session.Compare(i, j)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if ok {
-					matched++
-					fmt.Printf("  SMC match: patient A#%d ↔ B#%d\n",
-						hospitalA.Record(i).EntityID, hospitalB.Record(j).EntityID)
-				}
-				budget--
-			}
-		}
-	}
-	if err := session.Close(); err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -118,9 +59,18 @@ groups:
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("SMC step: %d invocations at 1024-bit keys over TCP, %d additional matches;\n",
-		session.Invocations(), matched)
-	fmt.Printf("%d pairs were already matched by blocking alone.\n", block.MatchedPairs)
+	fmt.Printf("Anonymized views: %d and %d generalization sequences (k=8).\n",
+		res.AliceView.NumSequences(), res.BobView.NumSequences())
+	fmt.Printf("Blocking: %.2f%% of %d pairs decided for free; %d pairs unknown.\n",
+		100*res.BlockingEfficiency, res.TotalPairs, res.UnknownPairs)
+	// The researcher holds record handles; each hospital maps its own
+	// handles back to patients.
+	for _, m := range res.Matches {
+		fmt.Printf("  match: patient A#%d ↔ B#%d\n",
+			hospitalA.Record(m.I).EntityID, hospitalB.Record(m.J).EntityID)
+	}
+	fmt.Printf("SMC step: %d invocations at 1024-bit keys over TCP; %d matched pairs in all.\n",
+		res.Invocations, len(res.Matches))
 	fmt.Println("The researcher learned only the matching pairs; the hospitals exchanged")
 	fmt.Println("only anonymized views and ciphertexts.")
 }

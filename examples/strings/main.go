@@ -22,9 +22,7 @@ import (
 
 	"pprl"
 	"pprl/internal/blocking"
-	"pprl/internal/distance"
-	"pprl/internal/heuristic"
-	"pprl/internal/index"
+	"pprl/internal/experiment"
 	"pprl/internal/names"
 )
 
@@ -37,22 +35,16 @@ func main() {
 	fmt.Printf("Alice: %d records. Bob: %d records, 30%% of surnames misspelled.\n",
 		alice.Len(), bob.Len())
 
-	metrics, thresholds, qids, err := names.Rule(schema, 0.25, 0.05)
-	if err != nil {
-		log.Fatal(err)
-	}
-	editRule, err := blocking.NewRule(metrics, thresholds)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exactMetrics := []distance.Metric{distance.Hamming{}, metrics[1], metrics[2]}
-	exactRule, err := blocking.NewRule(exactMetrics, thresholds)
+	qids, editRule, exactRule, err := experiment.StringRules(schema)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Ground truth under the edit rule (what the querying party wants).
-	truth := truePairs(alice, bob, qids, editRule)
+	truth, err := pprl.TruePairs(alice, bob, qids, editRule)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("ground truth under the edit rule: %d matching pairs\n\n", len(truth))
 
 	for _, run := range []struct {
@@ -62,84 +54,19 @@ func main() {
 		{"edit-distance rule (future-work extension)", editRule},
 		{"exact-equality baseline (Hamming on surname)", exactRule},
 	} {
-		recovered := link(alice, bob, qids, run.rule, truth)
-		fmt.Printf("%-46s recall vs edit-rule truth: %5.1f%%\n", run.name, 100*recovered)
+		// anonymize → block → heuristic-ordered resolution of 2% of all
+		// pairs, the exact rule standing in for a future secure
+		// edit-distance circuit (see the package comment).
+		block, conf, err := experiment.StringLink(alice, bob, qids, run.rule, truth)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  blocking efficiency %.2f%%, %d unknown pairs\n",
+			100*block.Efficiency(), block.UnknownPairs)
+		fmt.Printf("%-46s recall vs edit-rule truth: %5.1f%%\n", run.name, 100*conf.Recall())
 	}
 	fmt.Println(`
 The exact-equality rule silently loses every misspelled surname; the
 edit-distance rule, with prefix-hierarchy blocking bounding the metric
 exactly as sdl/sds bound Hamming, recovers them.`)
-}
-
-// link runs anonymize → block → heuristic-ordered budget resolution and
-// returns the fraction of truth pairs matched.
-func link(alice, bob *pprl.Dataset, qids []int, rule *blocking.Rule, truth map[[2]int]bool) float64 {
-	anon := pprl.NewMaxEntropy()
-	aView, err := anon.Anonymize(alice, qids, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bView, err := anon.Anonymize(bob, qids, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	block, err := index.Block(aView, bView, rule)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  blocking efficiency %.2f%%, %d unknown pairs\n",
-		100*block.Efficiency(), block.UnknownPairs)
-
-	matchedTruth := 0
-	// Pairs already matched by blocking.
-	block.EachLabeled(func(ri, si int, l blocking.Label) {
-		if l != blocking.Match {
-			return
-		}
-		for _, i := range aView.Classes[ri].Members {
-			for _, j := range bView.Classes[si].Members {
-				if truth[[2]int{i, j}] {
-					matchedTruth++
-				}
-			}
-		}
-	})
-	// Budgeted resolution of unknown pairs, most-likely matches first.
-	budget := int64(0.02 * float64(block.TotalPairs()))
-	ordered := heuristic.Order(block, rule, heuristic.MinAvgFirst{}, false)
-groups:
-	for _, gp := range ordered {
-		for _, i := range aView.Classes[gp.RI].Members {
-			for _, j := range bView.Classes[gp.SI].Members {
-				if budget <= 0 {
-					break groups
-				}
-				budget--
-				// Oracle resolution (see the package comment): the exact
-				// rule stands in for a future secure edit-distance circuit.
-				if rule.DecideExact(
-					blocking.RecordSequence(alice, qids, i),
-					blocking.RecordSequence(bob, qids, j),
-				) && truth[[2]int{i, j}] {
-					matchedTruth++
-				}
-			}
-		}
-	}
-	return float64(matchedTruth) / float64(len(truth))
-}
-
-func truePairs(alice, bob *pprl.Dataset, qids []int, rule *blocking.Rule) map[[2]int]bool {
-	truth := make(map[[2]int]bool)
-	for i := 0; i < alice.Len(); i++ {
-		for j := 0; j < bob.Len(); j++ {
-			if rule.DecideExact(
-				blocking.RecordSequence(alice, qids, i),
-				blocking.RecordSequence(bob, qids, j),
-			) {
-				truth[[2]int{i, j}] = true
-			}
-		}
-	}
-	return truth
 }

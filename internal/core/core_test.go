@@ -309,7 +309,8 @@ func TestConfigValidation(t *testing.T) {
 
 // TestProgressCallback: Link reports every stage, in order, with the
 // tier off, with it on and under DP — repeated blocking and smc events
-// included — and its last smc event is the final position.
+// included — and its last smc event is the final position. On each row
+// LinkPrepared over Prepare's block equals Link.
 func TestProgressCallback(t *testing.T) {
 	alice, bob := workload(t, 240, 53)
 	for _, tc := range []struct {
@@ -351,6 +352,22 @@ func TestProgressCallback(t *testing.T) {
 			if lastDone != res.Invocations || lastTotal != res.Allowance {
 				t.Errorf("final smc progress %d/%d, want %d/%d", lastDone, lastTotal, res.Invocations, res.Allowance)
 			}
+
+			// Prepare is Link's first half: finishing it reproduces Link.
+			cfg.Progress = nil
+			block, _, err := Prepare(Holder{Data: alice}, Holder{Data: bob}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := LinkPrepared(Holder{Data: alice}, Holder{Data: bob}, block, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := [5]int64{again.Block.MatchedPairs, again.Block.UnknownPairs, again.Invocations, again.MatchedPairCount(), again.TierNonMatchedPairs()},
+				[5]int64{res.Block.MatchedPairs, res.Block.UnknownPairs, res.Invocations, res.MatchedPairCount(), res.TierNonMatchedPairs()}; got != want {
+				t.Errorf("LinkPrepared(Prepare) blocked/unknown/invocations/matched/tiered = %v, Link %v", got, want)
+			}
+			sameLabeling(t, res, again, alice.Len(), bob.Len())
 		})
 	}
 }

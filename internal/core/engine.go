@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
 	"pprl/internal/bloom"
 	"pprl/internal/dataset"
@@ -28,13 +27,31 @@ type Holder struct {
 // |alice|×|bob| record pairs plus cost accounting. The config is taken by
 // value; defaults are filled per DefaultConfig's documentation.
 func Link(alice, bob Holder, cfg Config) (*Result, error) {
-	schema, err := sharedSchema(alice, bob)
+	block, rule, qids, err := prepare(alice, bob, &cfg)
 	if err != nil {
 		return nil, err
 	}
+	return resolveBlocked(alice, bob, block, rule, qids, &cfg)
+}
+
+// Prepare runs Link's first half — anonymization, the DP release when
+// Epsilon is set, and blocking — and returns the blocking result with the
+// decision rule it was built under; LinkPrepared finishes it.
+func Prepare(alice, bob Holder, cfg Config) (*blocking.Result, *blocking.Rule, error) {
+	block, rule, _, err := prepare(alice, bob, &cfg)
+	return block, rule, err
+}
+
+// prepare normalizes cfg and runs steps 1 and 2, starting cfg's stage
+// clock.
+func prepare(alice, bob Holder, cfg *Config) (*blocking.Result, *blocking.Rule, []int, error) {
+	schema, err := sharedSchema(alice, bob)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	qids, rule, err := cfg.normalize(schema)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
 	// Step 1 — each holder anonymizes its relation independently.
@@ -42,12 +59,12 @@ func Link(alice, bob Holder, cfg Config) (*Result, error) {
 	cfg.stages.Begin()
 	aView, err := cfg.AliceAnonymizer.Anonymize(alice.Data, qids, cfg.AliceK)
 	if err != nil {
-		return nil, fmt.Errorf("core: anonymizing alice: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: anonymizing alice: %w", err)
 	}
 	cfg.report("anonymize-alice", 1, 1)
 	bView, err := cfg.BobAnonymizer.Anonymize(bob.Data, qids, cfg.BobK)
 	if err != nil {
-		return nil, fmt.Errorf("core: anonymizing bob: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: anonymizing bob: %w", err)
 	}
 	cfg.report("anonymize-bob", 1, 1)
 
@@ -57,31 +74,32 @@ func Link(alice, bob Holder, cfg Config) (*Result, error) {
 	// can report the mechanism's own cost.
 	if cfg.DPEnabled() {
 		if err := dpblock.Publish(aView, cfg.dpParams("alice")); err != nil {
-			return nil, fmt.Errorf("core: noising alice: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: noising alice: %w", err)
 		}
 		if err := dpblock.Publish(bView, cfg.dpParams("bob")); err != nil {
-			return nil, fmt.Errorf("core: noising bob: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: noising bob: %w", err)
 		}
 		cfg.report("dp-noise", 1, 1)
 	}
 
-	// Step 2 — blocking over the exchanged anonymized views.
-	block, err := blockViews(aView, bView, rule, &cfg)
+	// Step 2 — blocking over the exchanged anonymized views, through the
+	// hierarchy index: label-identical to the exhaustive scan (DESIGN.md
+	// §10), bin intersection when the views are DP releases.
+	block, err := index.Stream(aView, bView, rule, func(done, total int64) { cfg.report("blocking", done, total) })
 	if err != nil {
-		return nil, fmt.Errorf("core: blocking: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: blocking: %w", err)
 	}
 	cfg.report("blocking", 1, 1)
-
-	return resolveBlocked(alice, bob, block, rule, qids, &cfg)
+	return block, rule, qids, nil
 }
 
 // LinkPrepared runs only the SMC-selection and residual-labeling phase
-// over a previously computed blocking result. Parameter sweeps use it to
-// reuse the (expensive) anonymization and blocking stages across
-// heuristics, strategies, and allowances: those knobs do not affect the
-// blocked labels, only how the Unknown pairs are spent. The config's rule
-// parameters (QIDs, thresholds) must be the ones the blocking result was
-// built with.
+// over a blocking result from Prepare or a previous Link. Parameter
+// sweeps use it to reuse the (expensive) anonymization and blocking
+// stages across heuristics, strategies, and allowances: those knobs do
+// not affect the blocked labels, only how the Unknown pairs are spent.
+// The config's rule parameters (QIDs, thresholds) must be the ones the
+// blocking result was built with.
 func LinkPrepared(alice, bob Holder, block *blocking.Result, cfg Config) (*Result, error) {
 	schema, err := sharedSchema(alice, bob)
 	if err != nil {
@@ -102,14 +120,6 @@ func LinkPrepared(alice, bob Holder, block *blocking.Result, cfg Config) (*Resul
 	cfg.stages = new(metrics.Stages)
 	cfg.stages.Begin()
 	return resolveBlocked(alice, bob, block, rule, qids, &cfg)
-}
-
-// blockViews runs the blocking step through the hierarchy index —
-// label-identical to the exhaustive scan (DESIGN.md §10), bin
-// intersection when the views are DP releases — reporting per-row
-// progress while it runs.
-func blockViews(aView, bView *anonymize.Result, rule *blocking.Rule, cfg *Config) (*blocking.Result, error) {
-	return index.Stream(aView, bView, rule, func(done, total int64) { cfg.report("blocking", done, total) })
 }
 
 // resolveBlocked implements steps 3-5: heuristic ordering, budgeted SMC

@@ -41,9 +41,9 @@ func Baselines(opts Options) (*Table, error) {
 	t.AddRow("pure SMC", fmt.Sprintf("%d", total), pct(1), pct(1))
 
 	// Pure sanitization: decide everything from the anonymized views.
-	pess := sanitizationOnly(p, w, false)
+	pess := sanitizationOnly(p, false)
 	t.AddRow("pure sanitization (pessimistic)", "0", pct(pess.Precision()), pct(pess.Recall()))
-	opt := sanitizationOnly(p, w, true)
+	opt := sanitizationOnly(p, true)
 	t.AddRow("pure sanitization (optimistic)", "0", pct(opt.Precision()), pct(opt.Recall()))
 
 	// Hybrid at the default allowance.
@@ -72,35 +72,21 @@ func Baselines(opts Options) (*Table, error) {
 // sanitizationOnly evaluates the anonymization-only matcher. Certain
 // labels follow the slack rule; Unknown pairs are labeled match when
 // optimistic, non-match when pessimistic.
-func sanitizationOnly(p *prepared, w Workload, optimistic bool) metrics.Confusion {
+func sanitizationOnly(p *prepared, optimistic bool) metrics.Confusion {
 	block := p.block
-	guessMatch := make([][]bool, len(block.R.Classes))
-	for ri := range block.R.Classes {
-		guesses := make([]bool, len(block.S.Classes))
-		for si := range block.S.Classes {
-			switch block.Label(ri, si) {
-			case blocking.Match:
-				guesses[si] = true
-			case blocking.Unknown:
-				guesses[si] = optimistic
-			}
-		}
-		guessMatch[ri] = guesses
+	reported := block.MatchedPairs
+	if optimistic {
+		reported += block.UnknownPairs
 	}
-	var reported, tp int64
-	for ri, guesses := range guessMatch {
-		for si, g := range guesses {
-			if !g {
-				continue
-			}
-			reported += int64(block.R.Classes[ri].Size()) * int64(block.S.Classes[si].Size())
-		}
-	}
+	var tp int64
 	for _, pr := range p.truth {
-		ri := block.R.ClassOf[pr.I]
-		si := block.S.ClassOf[pr.J]
-		if guessMatch[ri][si] {
+		switch block.Label(block.R.ClassOf[pr.I], block.S.ClassOf[pr.J]) {
+		case blocking.Match:
 			tp++
+		case blocking.Unknown:
+			if optimistic {
+				tp++
+			}
 		}
 	}
 	return metrics.Confusion{

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pprl/internal/blocking"
 	"pprl/internal/bloom"
 	"pprl/internal/dataset"
+	"pprl/internal/match"
 	"pprl/internal/metrics"
 	"pprl/internal/names"
 )
@@ -26,15 +26,14 @@ func Bloom(opts Options) (*Table, error) {
 	alice, bobClean := dataset.SplitOverlap(population, rand.New(rand.NewSource(opts.Seed+1)))
 	bob := names.Corrupt(bobClean, 0.3, opts.Seed+2)
 
-	mcs, thresholds, qids, err := names.Rule(schema, 0.25, 0.05)
+	qids, editRule, _, err := StringRules(schema)
 	if err != nil {
 		return nil, err
 	}
-	editRule, err := blocking.NewRule(mcs, thresholds)
+	truth, err := match.TruePairs(alice, bob, qids, editRule)
 	if err != nil {
 		return nil, err
 	}
-	truth := stringTruth(alice, bob, qids, editRule)
 	if len(truth) == 0 {
 		return nil, fmt.Errorf("bloom: empty ground truth")
 	}
@@ -57,32 +56,32 @@ func Bloom(opts Options) (*Table, error) {
 			pct(conf.Precision()), pct(conf.Recall()))
 	}
 
-	rec, err := stringRecall(alice, bob, qids, editRule, truth)
+	_, hybrid, err := StringLink(alice, bob, qids, editRule, truth)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("hybrid edit rule (2% SMC budget)", pct(1), pct(rec))
+	t.AddRow("hybrid edit rule (2% SMC budget)", pct(hybrid.Precision()), pct(hybrid.Recall()))
 	return t, nil
 }
 
 // bloomLink scores the all-pairs Dice threshold matcher against truth.
-func bloomLink(a, b []*bloom.Filter, tau float64, truth map[[2]int]bool) metrics.Confusion {
-	var tp, fp int64
+func bloomLink(a, b []*bloom.Filter, tau float64, truth []match.Pair) metrics.Confusion {
+	var reported, tp int64
 	for i := range a {
 		for j := range b {
-			if a[i].Dice(b[j]) < tau {
-				continue
+			if a[i].Dice(b[j]) >= tau {
+				reported++
 			}
-			if truth[[2]int{i, j}] {
-				tp++
-			} else {
-				fp++
-			}
+		}
+	}
+	for _, p := range truth {
+		if a[p.I].Dice(b[p.J]) >= tau {
+			tp++
 		}
 	}
 	return metrics.Confusion{
 		TruePositives:  tp,
-		FalsePositives: fp,
+		FalsePositives: reported - tp,
 		FalseNegatives: int64(len(truth)) - tp,
 	}
 }

@@ -196,10 +196,6 @@ func Anonymizers(opts Options) (*Table, error) {
 		Title:   "Anonymization method ablation at default k",
 		Columns: []string{"method", "sequences(A)", "blocking efficiency", "recall"},
 	}
-	qids, err := w.Alice.Schema().Resolve(w.Opts.QIDs)
-	if err != nil {
-		return nil, err
-	}
 	for _, m := range []anonymize.Anonymizer{
 		anonymize.NewMaxEntropy(), anonymize.NewTDS(), anonymize.NewDataFly(), anonymize.NewMondrian(),
 	} {
@@ -214,11 +210,7 @@ func Anonymizers(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("anonymizers: %s: %w", m.Name(), err)
 		}
-		aView, err := m.Anonymize(w.Alice, qids, cfg.AliceK)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(m.Name(), num(aView.NumSequences()), pct(p.block.Efficiency()), pct(rec))
+		t.AddRow(m.Name(), num(p.block.R.NumSequences()), pct(p.block.Efficiency()), pct(rec))
 	}
 	return t, nil
 }
@@ -238,10 +230,6 @@ func Diversity(opts Options) (*Table, error) {
 		Title:   "l-diversity extension: privacy vs. blocking accuracy at k=4",
 		Columns: []string{"l", "sequences(A)", "blocking efficiency", "recall"},
 	}
-	qids, err := w.Alice.Schema().Resolve(w.Opts.QIDs)
-	if err != nil {
-		return nil, err
-	}
 	for _, l := range []int{1, 2} {
 		a := anonymize.NewLDiverseEntropy(l)
 		cfg := w.baseConfig()
@@ -257,11 +245,7 @@ func Diversity(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("diversity: l=%d: %w", l, err)
 		}
-		view, err := a.Anonymize(w.Alice, qids, cfg.AliceK)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(num(l), num(view.NumSequences()), pct(p.block.Efficiency()), pct(rec))
+		t.AddRow(num(l), num(p.block.R.NumSequences()), pct(p.block.Efficiency()), pct(rec))
 	}
 	return t, nil
 }

@@ -10,7 +10,11 @@ import (
 	"pprl/internal/distance"
 	"pprl/internal/heuristic"
 	"pprl/internal/index"
+	"pprl/internal/match"
+	"pprl/internal/metrics"
 	"pprl/internal/names"
+	"pprl/internal/oracle"
+	"pprl/internal/resolve"
 )
 
 // Strings is the extension experiment for the paper's Section VIII future
@@ -28,16 +32,7 @@ func Strings(opts Options) (*Table, error) {
 	population := names.Generate(schema, stringWorkloadSize(opts), opts.Seed)
 	alice, bobClean := dataset.SplitOverlap(population, rand.New(rand.NewSource(opts.Seed+1)))
 
-	metrics, thresholds, qids, err := names.Rule(schema, 0.25, 0.05)
-	if err != nil {
-		return nil, err
-	}
-	editRule, err := blocking.NewRule(metrics, thresholds)
-	if err != nil {
-		return nil, err
-	}
-	exactMetrics := []distance.Metric{distance.Hamming{}, metrics[1], metrics[2]}
-	exactRule, err := blocking.NewRule(exactMetrics, thresholds)
+	qids, editRule, exactRule, err := StringRules(schema)
 	if err != nil {
 		return nil, err
 	}
@@ -49,19 +44,22 @@ func Strings(opts Options) (*Table, error) {
 	}
 	for _, rate := range []float64{0, 0.1, 0.3, 0.5} {
 		bob := names.Corrupt(bobClean, rate, opts.Seed+2)
-		truth := stringTruth(alice, bob, qids, editRule)
+		truth, err := match.TruePairs(alice, bob, qids, editRule)
+		if err != nil {
+			return nil, err
+		}
 		if len(truth) == 0 {
 			return nil, fmt.Errorf("strings: empty ground truth at rate %v", rate)
 		}
-		editRec, err := stringRecall(alice, bob, qids, editRule, truth)
+		_, edit, err := StringLink(alice, bob, qids, editRule, truth)
 		if err != nil {
 			return nil, fmt.Errorf("strings: rate %v: %w", rate, err)
 		}
-		exactRec, err := stringRecall(alice, bob, qids, exactRule, truth)
+		_, exact, err := StringLink(alice, bob, qids, exactRule, truth)
 		if err != nil {
 			return nil, fmt.Errorf("strings: rate %v: %w", rate, err)
 		}
-		t.AddRow(pct(rate), pct(editRec), pct(exactRec))
+		t.AddRow(pct(rate), pct(edit.Recall()), pct(exact.Recall()))
 	}
 	return t, nil
 }
@@ -78,67 +76,77 @@ func stringWorkloadSize(opts Options) int {
 	return n
 }
 
-// stringTruth enumerates the truly matching pairs under the rule (the
-// edit rule has no hash-joinable equality attribute, so this is a full
-// scan over the modest string workload).
-func stringTruth(alice, bob *dataset.Dataset, qids []int, rule *blocking.Rule) map[[2]int]bool {
-	truth := make(map[[2]int]bool)
-	for i := 0; i < alice.Len(); i++ {
-		a := blocking.RecordSequence(alice, qids, i)
-		for j := 0; j < bob.Len(); j++ {
-			if rule.DecideExact(a, blocking.RecordSequence(bob, qids, j)) {
-				truth[[2]int{i, j}] = true
-			}
-		}
+// StringRules returns the string arm's QIDs over the names schema and its
+// two decision rules: the edit rule (θ_edit = 0.25) and the
+// exact-equality baseline, Hamming on the surname.
+func StringRules(schema *dataset.Schema) (qids []int, edit, exact *blocking.Rule, err error) {
+	mcs, thresholds, qids, err := names.Rule(schema, 0.25, 0.05)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return truth
+	if edit, err = blocking.NewRule(mcs, thresholds); err != nil {
+		return nil, nil, nil, err
+	}
+	exact, err = blocking.NewRule([]distance.Metric{distance.Hamming{}, mcs[1], mcs[2]}, thresholds)
+	return qids, edit, exact, err
 }
 
-// stringRecall runs anonymize → block → ordered budget resolution with
-// the exact-rule oracle and scores against the supplied truth.
-func stringRecall(alice, bob *dataset.Dataset, qids []int, rule *blocking.Rule, truth map[[2]int]bool) (float64, error) {
+// StringLink runs the string arm's pipeline under rule: max-entropy views
+// at k = 8, blocking, then one resolution walk that spends 2% of all
+// pairs on the heuristic-ordered Unknown pairs, buying from the exact-rule
+// oracle (the secure circuit for edit distance is the open problem the
+// paper defers). It returns the blocking result and the confusion of its
+// matches — blocking Matches plus purchased verdicts — against truth.
+func StringLink(alice, bob *dataset.Dataset, qids []int, rule *blocking.Rule, truth []match.Pair) (block *blocking.Result, conf metrics.Confusion, err error) {
 	anon := anonymize.NewMaxEntropy()
 	aView, err := anon.Anonymize(alice, qids, 8)
 	if err != nil {
-		return 0, err
+		return nil, conf, err
 	}
 	bView, err := anon.Anonymize(bob, qids, 8)
 	if err != nil {
-		return 0, err
+		return nil, conf, err
 	}
-	block, err := index.Block(aView, bView, rule)
+	block, err = index.Block(aView, bView, rule)
 	if err != nil {
-		return 0, err
+		return nil, conf, err
 	}
-	matched := 0
-	block.EachLabeled(func(ri, si int, l blocking.Label) {
-		if l != blocking.Match {
-			return
+	o, err := oracle.New(alice, bob, qids, rule)
+	if err != nil {
+		return nil, conf, err
+	}
+	isTrue := make(map[match.Pair]bool, len(truth))
+	for _, p := range truth {
+		isTrue[p] = true
+		if block.Label(aView.ClassOf[p.I], bView.ClassOf[p.J]) == blocking.Match {
+			conf.TruePositives++
 		}
-		for _, i := range aView.Classes[ri].Members {
-			for _, j := range bView.Classes[si].Members {
-				if truth[[2]int{i, j}] {
-					matched++
-				}
-			}
-		}
-	})
-	budget := int64(0.02 * float64(block.TotalPairs()))
+	}
+	reported := block.MatchedPairs
 	ordered := heuristic.Order(block, rule, heuristic.MinAvgFirst{}, false)
-groups:
-	for _, gp := range ordered {
-		for _, i := range aView.Classes[gp.RI].Members {
-			a := blocking.RecordSequence(alice, qids, i)
-			for _, j := range bView.Classes[gp.SI].Members {
-				if budget <= 0 {
-					break groups
-				}
-				budget--
-				if rule.DecideExact(a, blocking.RecordSequence(bob, qids, j)) && truth[[2]int{i, j}] {
-					matched++
+	_, err = resolve.Run(resolve.Input{
+		Groups: len(ordered),
+		Group: func(k int) resolve.Group {
+			gp := ordered[k]
+			return resolve.Group{A: aView.Classes[gp.RI].Members, B: bView.Classes[gp.SI].Members}
+		},
+		Budget:     int64(0.02 * float64(block.TotalPairs())),
+		Comparator: o,
+		Sink: func(ev resolve.Event) {
+			for x, j := range ev.Js {
+				if ev.Verdicts[x] {
+					reported++
+					if isTrue[match.Pair{I: ev.I, J: j}] {
+						conf.TruePositives++
+					}
 				}
 			}
-		}
+		},
+	})
+	if err != nil {
+		return nil, conf, err
 	}
-	return float64(matched) / float64(len(truth)), nil
+	conf.FalsePositives = reported - conf.TruePositives
+	conf.FalseNegatives = int64(len(truth)) - conf.TruePositives
+	return block, conf, nil
 }

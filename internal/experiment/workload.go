@@ -1,15 +1,12 @@
 package experiment
 
 import (
-	"fmt"
 	"math/rand"
 
 	"pprl/internal/adult"
-	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
-	"pprl/internal/index"
 	"pprl/internal/match"
 )
 
@@ -125,40 +122,15 @@ type prepared struct {
 	truth []match.Pair
 }
 
-// prepare anonymizes both relations under cfg and blocks them, computing
-// ground truth for the rule. The result feeds core.LinkPrepared so
-// heuristic/allowance sweeps reuse it.
+// prepare runs core.Prepare under cfg and computes ground truth for its
+// rule. The result feeds core.LinkPrepared so heuristic/allowance sweeps
+// reuse it.
 func (w Workload) prepare(cfg core.Config) (*prepared, error) {
-	schema := w.Alice.Schema()
-	qids, err := schema.Resolve(cfg.QIDs)
+	block, rule, err := core.Prepare(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rule, err := blocking.RuleFor(schema, qids, cfg.Theta)
-	if err != nil {
-		return nil, err
-	}
-	anonA := cfg.AliceAnonymizer
-	if anonA == nil {
-		anonA = anonymize.NewMaxEntropy()
-	}
-	anonB := cfg.BobAnonymizer
-	if anonB == nil {
-		anonB = anonymize.NewMaxEntropy()
-	}
-	aView, err := anonA.Anonymize(w.Alice, qids, cfg.AliceK)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: anonymizing alice: %w", err)
-	}
-	bView, err := anonB.Anonymize(w.Bob, qids, cfg.BobK)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: anonymizing bob: %w", err)
-	}
-	block, err := index.Block(aView, bView, rule)
-	if err != nil {
-		return nil, err
-	}
-	truth, err := match.TruePairs(w.Alice, w.Bob, qids, rule)
+	truth, err := match.TruePairs(w.Alice, w.Bob, block.R.QIDs, rule)
 	if err != nil {
 		return nil, err
 	}

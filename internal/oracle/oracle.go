@@ -24,7 +24,6 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/metrics"
-	"pprl/internal/smc"
 	"pprl/internal/vgh"
 )
 
@@ -162,10 +161,23 @@ func (o *Oracle) CheckBlocking(block *blocking.Result) error {
 	return nil
 }
 
+// CompareBatch answers each pair with Matches: the oracle as a
+// resolution kernel's comparator, for rules no secure circuit evaluates
+// yet (edit distance).
+func (o *Oracle) CompareBatch(pairs [][2]int) ([]bool, error) {
+	verdicts := make([]bool, len(pairs))
+	for k, p := range pairs {
+		verdicts[k] = o.Matches(p[0], p[1])
+	}
+	return verdicts, nil
+}
+
 // CheckComparator verifies that an SMC comparator's verdict equals the
 // oracle's exact threshold comparison for every listed record pair,
 // through the batch path the linkage engine buys with.
-func (o *Oracle) CheckComparator(cmp smc.Comparator, pairs [][2]int) error {
+func (o *Oracle) CheckComparator(cmp interface {
+	CompareBatch(pairs [][2]int) ([]bool, error)
+}, pairs [][2]int) error {
 	verdicts, err := cmp.CompareBatch(pairs)
 	if err != nil {
 		return fmt.Errorf("oracle: comparator batch failed: %w", err)

@@ -107,8 +107,12 @@ func TestOracleCheckComparator(t *testing.T) {
 		}
 	}
 	cmp := smc.NewPlainComparator(spec, aliceEnc, bobEnc)
-	if err := o.CheckComparator(cmp, pairs); err != nil {
-		t.Errorf("plain comparator disagrees with oracle: %v", err)
+	for name, c := range map[string]interface {
+		CompareBatch([][2]int) ([]bool, error)
+	}{"plain comparator": cmp, "the oracle itself": o} {
+		if err := o.CheckComparator(c, pairs); err != nil {
+			t.Errorf("%s disagrees with oracle: %v", name, err)
+		}
 	}
 	// A comparator that inverts its verdicts must be caught with the
 	// offending pair named.

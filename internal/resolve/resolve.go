@@ -6,8 +6,8 @@
 // purchase through the comparator's batch path, journal-after-verdict,
 // the interrupt checkpoint, the completion sync and the progress cadence.
 // It knows nothing about where pairs come from or where labels go:
-// core.Link, session.RunQuery and incremental.Engine.Append are adapters
-// that hand it groups and receive events.
+// core.Link, session.RunQuery, incremental.Engine.Append and the strings
+// arm's experiment.StringLink hand it groups and receive events.
 package resolve
 
 import (

@@ -31,7 +31,7 @@
 //
 // The package is a facade: the implementation lives in internal packages
 // (vgh, dataset, anonymize, distance, blocking, paillier, smc, heuristic,
-// core, experiment), each documented independently.
+// core, session, experiment), each documented independently.
 package pprl
 
 import (
@@ -43,6 +43,7 @@ import (
 	"pprl/internal/journal"
 	"pprl/internal/match"
 	"pprl/internal/metrics"
+	"pprl/internal/session"
 	"pprl/internal/smc"
 	"pprl/internal/vgh"
 )
@@ -262,18 +263,29 @@ var (
 	TruePairs = match.TruePairs
 )
 
-// ---- Distributed SMC deployment ----
+// ---- Three-party deployment ----
 
 // SMCConn is a message transport between protocol parties.
 type SMCConn = smc.Conn
 
+// HolderConfig is one data holder's local configuration: its relation and
+// its own privacy parameters.
+type HolderConfig = session.HolderConfig
+
+// QueryConfig is the querying party's configuration: the classifier and
+// the SMC budget.
+type QueryConfig = session.QueryConfig
+
 var (
 	// NewSMCNetConn wraps a net.Conn (e.g. TCP) as a protocol transport.
 	NewSMCNetConn = smc.NewNetConn
-	// RunSMCAlice runs the first data holder's protocol loop.
-	RunSMCAlice = smc.RunAlice
-	// RunSMCBob runs the second data holder's protocol loop.
-	RunSMCBob = smc.RunBob
+	// RunHolder runs a data holder end to end: anonymize its relation,
+	// publish the view, then serve the SMC protocol as Alice or Bob.
+	RunHolder = session.RunHolder
+	// RunQuery runs the querying party: broadcast the classifier, block on
+	// the two published views and buy the ordered Unknown pairs within
+	// the allowance.
+	RunQuery = session.RunQuery
 )
 
 // ---- Adult workload ----
