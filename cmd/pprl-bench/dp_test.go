@@ -10,7 +10,7 @@ import (
 )
 
 // TestRunDPJSON: -json with the dp artifact must write a parseable
-// ε-vs-recall-vs-cost report to the -dp-out path, with both sweep arms
+// ε-vs-recall-vs-cost report to the dp report path, with both sweep arms
 // populated and the padding shrinking as ε grows (for a fixed seed).
 // Precision and spend are DPPerfReport.Gate's, which run itself enforces.
 func TestRunDPJSON(t *testing.T) {

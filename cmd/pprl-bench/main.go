@@ -5,10 +5,11 @@
 //
 // Usage:
 //
-//	pprl-bench                 # the full suite at the default scale
-//	pprl-bench -exp fig3,fig8  # selected artifacts
-//	pprl-bench -full           # paper-scale workload (30,162 records; ≈ 1.5 min)
-//	pprl-bench -records 6000   # custom scale
+//	pprl-bench                     # the full suite at the default scale
+//	pprl-bench -exp fig3,fig8      # selected artifacts
+//	pprl-bench -full               # paper-scale workload (30,162 records; ≈ 1.5 min)
+//	pprl-bench -records 6000       # custom scale
+//	pprl-bench -exp tier,dp -json  # also writes BENCH_tier.json and BENCH_dp.json here
 package main
 
 import (
@@ -29,17 +30,18 @@ func main() {
 		records = flag.Int("records", 0, "workload size (records before the overlap split); 0 = default 1800")
 		full    = flag.Bool("full", false, "paper-scale workload: 30,162 records (the whole suite ≈ 1.5 min)")
 		seed    = flag.Int64("seed", 0, "workload seed; 0 = default")
-		asJSON  = flag.Bool("json", false, "emit tables as JSON for external plotting; tier and dp additionally write their report files")
-		tierOut = flag.String("tier-out", "BENCH_tier.json", "tier: path of the machine-readable benchmark report (with -json)")
-		dpOut   = flag.String("dp-out", "BENCH_dp.json", "dp: path of the machine-readable benchmark report (with -json)")
+		asJSON  = flag.Bool("json", false, "emit tables as JSON for external plotting; tier and dp additionally write BENCH_tier.json and BENCH_dp.json")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *exps, *records, *full, *seed, *asJSON, *tierOut, *dpOut); err != nil {
+	if err := run(os.Stdout, *exps, *records, *full, *seed, *asJSON, "BENCH_tier.json", "BENCH_dp.json"); err != nil {
 		fmt.Fprintln(os.Stderr, "pprl-bench:", err)
 		os.Exit(1)
 	}
 }
 
+// run renders the selected artifacts to out. With asJSON the tier and dp
+// artifacts also write their stamped reports to tierOut and dpOut (none
+// when the path is empty).
 func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON bool, tierOut, dpOut string) error {
 	render := func(t *experiment.Table) error {
 		if asJSON {

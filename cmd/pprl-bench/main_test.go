@@ -102,7 +102,7 @@ func TestRunBaselines(t *testing.T) {
 }
 
 // TestRunTierJSON: -json with the tier artifact must write a parseable,
-// stamped three-tier-vs-baseline report to the -tier-out path, and the
+// stamped three-tier-vs-baseline report to the tier report path, and the
 // numbers must show the tier's contract: precision exactly 1 on every row,
 // recall never below the baseline's, spend never above it.
 func TestRunTierJSON(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 	"pprl/internal/blocking"
 	"pprl/internal/cliutil"
 	"pprl/internal/incremental"
+	"pprl/internal/match"
 	"pprl/internal/metrics"
-	"pprl/internal/oracle"
 )
 
 // runDedup links one relation against itself through the incremental
@@ -137,7 +137,8 @@ func runDedup(out io.Writer, opts options) error {
 
 // dedupEvaluate scores the emitted pairs against the exact decision rule
 // over the unordered pair space — computable here because this command
-// holds the (single) file.
+// holds the (single) file: the truth is the relation's self-join cut to
+// i < j.
 func dedupEvaluate(data *pprl.Dataset, qidNames []string, theta float64, deltas []incremental.Delta) (*metrics.Confusion, int, error) {
 	schema := data.Schema()
 	qids, err := schema.Resolve(qidNames)
@@ -148,32 +149,30 @@ func dedupEvaluate(data *pprl.Dataset, qidNames []string, theta float64, deltas 
 	if err != nil {
 		return nil, 0, err
 	}
-	orc, err := oracle.New(data, data, qids, rule)
+	self, err := match.TruePairs(data, data, qids, rule)
 	if err != nil {
 		return nil, 0, err
 	}
-	matched := make(map[[2]int]bool, len(deltas))
-	for _, d := range deltas {
-		matched[[2]int{d.I, d.J}] = true
-	}
-	var conf metrics.Confusion
-	truth := 0
-	for i := 0; i < data.Len(); i++ {
-		for j := i + 1; j < data.Len(); j++ {
-			want := orc.Matches(i, j)
-			got := matched[[2]int{i, j}]
-			if want {
-				truth++
-			}
-			switch {
-			case want && got:
-				conf.TruePositives++
-			case !want && got:
-				conf.FalsePositives++
-			case want && !got:
-				conf.FalseNegatives++
-			}
+	truth := make(map[match.Pair]bool, len(self))
+	for _, p := range self {
+		if p.I < p.J {
+			truth[p] = true
 		}
 	}
-	return &conf, truth, nil
+	matched := make(map[match.Pair]bool, len(deltas))
+	for _, d := range deltas {
+		if d.I < d.J {
+			matched[match.Pair{I: d.I, J: d.J}] = true
+		}
+	}
+	var conf metrics.Confusion
+	for p := range matched {
+		if truth[p] {
+			conf.TruePositives++
+		} else {
+			conf.FalsePositives++
+		}
+	}
+	conf.FalseNegatives = int64(len(truth)) - conf.TruePositives
+	return &conf, len(truth), nil
 }

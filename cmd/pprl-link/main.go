@@ -24,12 +24,15 @@
 //
 //	pprl-link -a alice.csv -b bob.csv -secure -journal run.wal
 //	# … ^C, crash, or power loss …
-//	pprl-link -a alice.csv -b bob.csv -secure -resume run.wal
+//	pprl-link -a alice.csv -b bob.csv -secure -journal run.wal
 //
 // SIGINT/SIGTERM checkpoint the journal at the next chunk boundary and
-// exit; -resume replays the purchased verdicts and spends only the
-// remaining allowance. A resume with changed flags or changed input files
-// is refused.
+// exit. The same command again resumes: the journal's manifest decides,
+// so a missing file or one cut short before its manifest became durable
+// starts a fresh run, and an intact one replays the purchased verdicts
+// and spends only the remaining allowance. A journal written with other
+// flags or other input files is refused, as is a file that is not a
+// journal.
 //
 // -dedup links one file against itself (duplicate detection inside a
 // single relation) through the incremental engine: unordered pairs

@@ -148,25 +148,21 @@ func TestRunLinkSecure(t *testing.T) {
 	}
 }
 
+// TestRunLinkJournalResume: running the same -journal command again
+// resumes the finished run — every verdict replays, nothing is bought —
+// and a run with changed flags is refused, not silently restarted.
 func TestRunLinkJournalResume(t *testing.T) {
 	a, b := writePair(t)
 	wal := filepath.Join(t.TempDir(), "run.wal")
 
 	// Journaled run.
-	var first bytes.Buffer
 	opts := baseOpts(a, b)
 	opts.Journal = wal
-	if err := run(&first, opts); err != nil {
+	if err := run(&bytes.Buffer{}, opts); err != nil {
 		t.Fatal(err)
 	}
-	// -journal refuses to clobber the existing journal.
-	if err := run(&bytes.Buffer{}, opts); err == nil || !strings.Contains(err.Error(), "resume") {
-		t.Errorf("re-running -journal over an existing file: err = %v, want refusal pointing at resume", err)
-	}
-	// -resume replays it: same summary line, zero live comparisons.
+	// The same command replays it: zero live comparisons.
 	var second bytes.Buffer
-	opts.Journal = ""
-	opts.Resume = wal
 	if err := run(&second, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +172,44 @@ func TestRunLinkJournalResume(t *testing.T) {
 	if !strings.Contains(second.String(), "smc=0 ") {
 		t.Errorf("resume of a complete journal should spend no comparisons: %q", second.String())
 	}
-	// -resume with changed flags is refused, not silently restarted.
 	opts.Theta = 0.2
 	if err := run(&bytes.Buffer{}, opts); err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Errorf("resume with changed theta: err = %v, want journal refusal", err)
+	}
+}
+
+// TestRunLinkJournalManifestless: a journal holding only its header — what
+// a run killed before its manifest became durable leaves — starts a fresh
+// run under -journal; a file that is not a journal is refused and left as
+// it was.
+func TestRunLinkJournalManifestless(t *testing.T) {
+	a, b := writePair(t)
+	wal := filepath.Join(t.TempDir(), "run.wal")
+	if err := os.WriteFile(wal, []byte("PPRLWAL\x00\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := baseOpts(a, b)
+	opts.Journal = wal
+	var out bytes.Buffer
+	if err := run(&out, opts); err != nil {
+		t.Fatalf("-journal over a header-only journal: %v", err)
+	}
+	if strings.Contains(out.String(), "journal: resumed=") {
+		t.Errorf("a header-only journal resumed: %q", out.String())
+	}
+	if rec, err := pprl.ReplayJournal(wal); err != nil || rec.Manifest.Allowance == 0 {
+		t.Errorf("the fresh run left no manifest: %v", err)
+	}
+
+	foreign := []byte("not a journal, and no run's either")
+	if err := os.WriteFile(wal, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&bytes.Buffer{}, opts); err == nil {
+		t.Error("-journal accepted a foreign file")
+	}
+	if got, err := os.ReadFile(wal); err != nil || !bytes.Equal(got, foreign) {
+		t.Errorf("the foreign file was modified: %q, %v", got, err)
 	}
 }
 
@@ -204,12 +234,6 @@ func TestRunLinkErrors(t *testing.T) {
 	}
 	if err := bad(func(o *options) { o.aPath = "/nonexistent.csv" }); err == nil {
 		t.Error("missing file should fail")
-	}
-	if err := bad(func(o *options) { o.Journal = "x.wal"; o.Resume = "y.wal" }); err == nil {
-		t.Error("-journal with -resume should fail")
-	}
-	if err := bad(func(o *options) { o.Resume = "/nonexistent.wal" }); err == nil {
-		t.Error("missing resume journal should fail")
 	}
 }
 

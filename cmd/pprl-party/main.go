@@ -43,7 +43,10 @@
 // SIGINT or SIGTERM ends every role: a party waiting for its peers stops,
 // the querying party checkpoints its journal at the next batch boundary
 // and shuts the holders down, and a holder or worker closes its links. A
-// second signal kills the process the usual way.
+// second signal kills the process the usual way. The same query command
+// again, against the same holders, resumes a journaled session: the
+// journal's manifest decides whether the run is new, and a journal of
+// other parameters or other views is refused.
 package main
 
 import (

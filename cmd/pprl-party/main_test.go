@@ -119,12 +119,6 @@ func TestRoleValidation(t *testing.T) {
 	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{QIDs: []string{"age"}, Theta: 0.05, Heuristic: "bogus", KeyBits: 256}}}); err == nil {
 		t.Error("bad heuristic should fail")
 	}
-	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Journal: "x.wal", Resume: "y.wal"}}); err == nil {
-		t.Error("-journal with -resume should fail")
-	}
-	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Resume: "/nonexistent.wal"}}); err == nil {
-		t.Error("missing resume journal should fail")
-	}
 	if err := runHolder(context.Background(), holder("", "", "", "x.csv", "entropy", "", cliutil.Params{}), "alice"); err == nil {
 		t.Error("holder without -query should fail")
 	}

@@ -26,7 +26,7 @@ import (
 // the parameter tables in README leave them out.
 var (
 	roleFlags = map[string]string{
-		"query":  "allowance heuristic journal journal-sync keybits listen qids resume schema theta tier tier-low",
+		"query":  "allowance heuristic journal journal-sync keybits listen qids schema theta tier tier-low",
 		"alice":  "data dp-delta dp-level dp-seed epsilon k method peer-listen query schema tier-key",
 		"bob":    "data dp-delta dp-level dp-seed epsilon k method peer query schema tier-key",
 		"worker": "coordinator lanes worker-listen worker-name",

@@ -24,11 +24,10 @@ type CLI struct {
 	// depth under DP blocking (0 = default).
 	K       int
 	DPLevel int
-	// Journal starts a fresh durable journal, Resume continues an
-	// interrupted one (mutually exclusive); JournalSync is the fsync
-	// cadence in verdicts (0 = default batching).
+	// Journal is the run's durable journal, opened by journal.Open: a
+	// fresh run starts it, an interrupted one continues from it.
+	// JournalSync is the fsync cadence in verdicts (0 = default batching).
 	Journal     string
-	Resume      string
 	JournalSync int
 }
 
@@ -57,8 +56,7 @@ func (c *CLI) Flags(fs *flag.FlagSet, groups FlagGroup) {
 		fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
 		fs.StringVar(&c.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
 		fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold: an Unknown pair at or below it is labeled NonMatch for free (0 = default 0.90)")
-		fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path (crash-resumable)")
-		fs.StringVar(&c.Resume, "resume", "", "resume an interrupted run from its journal")
+		fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path; run the same command again to resume it")
 		fs.IntVar(&c.JournalSync, "journal-sync", 0, "fsync the journal every N verdicts (0 = default batching)")
 	}
 	if groups&HolderFlags != 0 {
@@ -73,38 +71,32 @@ func (c *CLI) Flags(fs *flag.FlagSet, groups FlagGroup) {
 // Validate refuses flag values no run could use, before any file is
 // opened, journal created or port bound.
 func (c *CLI) Validate() error {
-	if c.Journal != "" && c.Resume != "" {
-		return fmt.Errorf("-journal and -resume are mutually exclusive (resume appends to the existing journal)")
-	}
 	if err := c.Params.Validate(FlagNames); err != nil {
 		return err
 	}
 	return AllowanceFractionRange.Validate(c.AllowanceFraction)
 }
 
-// OpenJournal creates the -journal file or resumes the -resume one; the
-// writer is nil when the run is not journaled.
+// OpenJournal opens the -journal file with journal.Open, which starts it
+// or resumes it as the file on disk says; the writer is nil when the run
+// is not journaled.
 func (c *CLI) OpenJournal() (*journal.Writer, error) {
-	opts := journal.Options{SyncEvery: c.JournalSync}
-	switch {
-	case c.Journal != "":
-		return journal.Create(c.Journal, opts)
-	case c.Resume != "":
-		return journal.Resume(c.Resume, opts)
+	if c.Journal == "" {
+		return nil, nil
 	}
-	return nil, nil
+	return journal.Open(c.Journal, journal.Options{SyncEvery: c.JournalSync})
 }
 
 // Fail reports a run's error as tool and exits: 130 when the run was
-// interrupted (with the command that continues it, if it was journaled
-// and so checkpointed), 1 otherwise.
+// interrupted (saying how to continue it, if it was journaled and so
+// checkpointed), 1 otherwise.
 func (c *CLI) Fail(tool string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 	if !errors.Is(err, core.ErrInterrupted) {
 		os.Exit(1)
 	}
-	if path := c.Journal + c.Resume; path != "" { // at most one is set
-		fmt.Fprintf(os.Stderr, "%s: checkpoint saved; continue with -resume %s\n", tool, path)
+	if c.Journal != "" {
+		fmt.Fprintf(os.Stderr, "%s: checkpoint saved to %s; run the same command again to continue\n", tool, c.Journal)
 	}
 	os.Exit(130)
 }

@@ -207,9 +207,9 @@ type Config struct {
 	Seed int64
 	// Journal, when set, receives the run manifest and one record per
 	// resolved SMC pair verdict as the comparator returns them, making
-	// the run crash-resumable: a journal.Writer from journal.Create
-	// records a fresh run, one from journal.Resume additionally replays
-	// the interrupted run's verdicts so the engine never re-spends
+	// the run crash-resumable: a journal.Writer from journal.Open records
+	// a fresh run, or, when its file holds an interrupted run of the same
+	// manifest, replays that run's verdicts so the engine never re-spends
 	// allowance on pairs already purchased. Nil disables journaling.
 	Journal journal.Sink
 	// Context, when set, is polled at SMC chunk boundaries. On

@@ -338,8 +338,9 @@ func TestDPResumeRefusals(t *testing.T) {
 // TestDPLegacyJournalRefused: testdata/legacy_dp.hex is a DP journal the
 // build before padded walks wrote (this file's dpCfg at allowance 40 over
 // workload(300, 46)): its pairs are record pairs. Resumed now, where a DP
-// journal holds handle pairs, it is refused by name — not replayed as
-// pairs it does not describe.
+// journal holds handle pairs, its config digest lacks the field that
+// says so, and the manifest check refuses it before any purchase — it is
+// not replayed as pairs it does not describe.
 func TestDPLegacyJournalRefused(t *testing.T) {
 	alice, bob := workload(t, 300, 46)
 	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_dp.hex"))
@@ -365,7 +366,10 @@ func TestDPLegacyJournalRefused(t *testing.T) {
 	cfg := dpCfg()
 	cfg.Allowance = 40
 	cfg.Journal = rw
-	if _, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg); !errors.Is(err, ErrUnpaddedJournal) || !strings.Contains(err.Error(), "padded") {
-		t.Errorf("resuming a record-pair DP journal: err = %v, want ErrUnpaddedJournal", err)
+	if _, err := Link(Holder{Data: alice}, Holder{Data: bob}, cfg); err == nil || !strings.Contains(err.Error(), "config digest mismatch") {
+		t.Errorf("resuming a record-pair DP journal: err = %v, want the config-digest refusal", err)
+	}
+	if n := rw.Recorded(); n != 0 {
+		t.Errorf("the refused resume recorded %d purchases, want none", n)
 	}
 }

@@ -210,15 +210,8 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	// verdicts already purchased by the interrupted run.
 	var journaled []journal.Verdict
 	if cfg.Journal != nil {
-		var rec *journal.Recovered
-		if w, ok := cfg.Journal.(interface{ Recovered() *journal.Recovered }); ok {
-			rec = w.Recovered()
-		}
-		m, err := runManifest(alice, bob, block, cfg, allowance, rec)
-		if err == nil {
-			journaled, err = cfg.Journal.Begin(m)
-		}
-		if err != nil {
+		var err error
+		if journaled, err = cfg.Journal.Begin(runManifest(alice, bob, block, cfg, allowance)); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}

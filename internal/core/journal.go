@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"errors"
 	"hash"
 	"strconv"
 
@@ -13,19 +12,21 @@ import (
 )
 
 // ErrInterrupted is returned (wrapped) by Link when Config.Context is
-// cancelled mid-run; a journaled run interrupted this way is resumable via
-// journal.Resume. It is the resolution kernel's sentinel (see there for
-// the checkpoint it guarantees), the same value as session.ErrInterrupted.
+// cancelled mid-run; a journaled run interrupted this way resumes when
+// Link runs again with the same config and inputs over a writer that
+// journal.Open reopens on the same file. It is the resolution kernel's
+// sentinel (see there for the checkpoint it guarantees), the same value
+// as session.ErrInterrupted.
 var ErrInterrupted = resolve.ErrInterrupted
 
 // runManifest describes the run for the journal: digests of everything
 // that determines the heuristic ordering and the pair verdicts, plus the
 // blocking summary and resolved allowance. Two runs with equal manifests
 // resolve the same pairs in the same order to the same verdicts, which is
-// what makes replaying a journaled prefix sound. rec is the journal being
-// resumed, nil for a fresh one (hashPadded).
-func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowance int64, rec *journal.Recovered) (m journal.Manifest, err error) {
-	m = journal.Manifest{
+// what makes replaying a journaled prefix sound.
+func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowance int64) journal.Manifest {
+	return journal.Manifest{
+		ConfigDigest: configDigest(cfg, allowance),
 		InputsDigest: inputsDigest(alice.Data, bob.Data),
 		TotalPairs:   block.TotalPairs(),
 		UnknownPairs: block.UnknownPairs,
@@ -33,23 +34,6 @@ func runManifest(alice, bob Holder, block *blocking.Result, cfg *Config, allowan
 		Seed:         cfg.Seed,
 		Heuristic:    cfg.Heuristic.Name(),
 	}
-	m.ConfigDigest, err = configDigest(cfg, allowance, rec)
-	return m, err
-}
-
-// ErrUnpaddedJournal refuses a DP journal written before DP runs walked
-// their padded releases: its pairs are records, not handles.
-var ErrUnpaddedJournal = errors.New("journal: a DP journal from before DP runs walked the padded release — its pairs are records, this build's are padded handles; refusing to resume, start a fresh journal")
-
-// hashPadded ends a DP config digest with the field that says its pairs
-// are padded handles, and refuses rec, the journal a run resumes (nil when
-// fresh), if its digest is the one without it: a journal of record pairs.
-func hashPadded(h hash.Hash, rec *journal.Recovered) error {
-	if rec != nil && rec.Manifest.ConfigDigest == [32]byte(h.Sum(nil)) {
-		return ErrUnpaddedJournal
-	}
-	journal.HashField(h, "dppairs", "padded handles")
-	return nil
 }
 
 // configDigest hashes the normalized run parameters. SMCWorkers and the
@@ -63,7 +47,7 @@ func hashPadded(h hash.Hash, rec *journal.Recovered) error {
 // with the tier switched on, off, or retuned: the resolution kernel
 // charges the journaled purchases first and recomputes tier labels around
 // them.
-func configDigest(cfg *Config, allowance int64, rec *journal.Recovered) ([32]byte, error) {
+func configDigest(cfg *Config, allowance int64) [32]byte {
 	h := sha256.New()
 	for _, q := range cfg.QIDs {
 		journal.HashField(h, "qid", q)
@@ -86,17 +70,18 @@ func configDigest(cfg *Config, allowance int64, rec *journal.Recovered) ([32]byt
 	// run and a k-anonymous run already differ via the anonymizer names;
 	// these fields refuse resumption across a silently changed ε, δ,
 	// noise seed or binning level — any of which changes the padded bins
-	// and therefore which handle pairs the walk buys.
+	// and therefore which handle pairs the walk buys. The last says a DP
+	// journal's pairs are padded handles: a DP journal written before the
+	// walk was padded holds record pairs, lacks the field, and so fails
+	// the manifest's config-digest check.
 	if cfg.DPEnabled() {
 		journal.HashField(h, "epsilon", strconv.FormatFloat(cfg.Epsilon, 'g', -1, 64))
 		journal.HashField(h, "dpdelta", strconv.FormatFloat(cfg.DPDelta, 'g', -1, 64))
 		journal.HashField(h, "dpseed", strconv.FormatInt(cfg.DPSeed, 10))
 		journal.HashField(h, "dplevel", strconv.Itoa(cfg.DPLevel))
-		if err := hashPadded(h, rec); err != nil {
-			return [32]byte{}, err
-		}
+		journal.HashField(h, "dppairs", "padded handles")
 	}
-	return [32]byte(h.Sum(nil)), nil
+	return [32]byte(h.Sum(nil))
 }
 
 // inputsDigest hashes both relations: schema shape plus every record's

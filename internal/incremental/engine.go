@@ -130,7 +130,7 @@ type Engine struct {
 }
 
 // New builds an engine over a schema. When resuming, cfg.Journal must be
-// a writer opened with journal.Open/Resume and cfg.Recovered its
+// a writer opened with journal.Open and cfg.Recovered its
 // Recovered() state; the engine then expects the caller to re-Append
 // every stored batch in the original order — committed batches replay
 // from the journal at zero live cost, the uncommitted tail batch

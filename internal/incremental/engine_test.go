@@ -695,7 +695,7 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	run := func(log *purchaseLog, resume bool) ([][]incremental.Delta, incremental.Stats, []byte) {
 		t.Helper()
 		path := filepath.Join(dir, "batch.wal")
-		jw, _, err := journal.Open(path, journal.Options{})
+		jw, err := journal.Open(path, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

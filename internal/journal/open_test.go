@@ -15,11 +15,11 @@ func openManifest() Manifest {
 // TestOpenCreatesFresh: no file → a fresh journal, not resumed.
 func TestOpenCreatesFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
-	w, resumed, err := Open(path, Options{})
+	w, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed {
+	if w.Recovered() != nil {
 		t.Error("fresh journal reported as resumed")
 	}
 	if _, err := w.Begin(openManifest()); err != nil {
@@ -37,7 +37,7 @@ func TestOpenCreatesFresh(t *testing.T) {
 // Begin replays the recorded verdicts.
 func TestOpenResumesExisting(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
-	w, _, err := Open(path, Options{})
+	w, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestOpenResumesExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, resumed, err := Open(path, Options{})
+	w2, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if !resumed {
+	if w2.Recovered() == nil {
 		t.Fatal("existing journal not resumed")
 	}
 	verdicts, err := w2.Begin(openManifest())
@@ -82,12 +82,12 @@ func TestOpenRecreatesManifestlessFile(t *testing.T) {
 			if err := os.WriteFile(path, contents, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			w, resumed, err := Open(path, Options{})
+			w, err := Open(path, Options{})
 			if err != nil {
 				t.Fatalf("Open should recreate a manifest-less journal: %v", err)
 			}
 			defer w.Close()
-			if resumed {
+			if w.Recovered() != nil {
 				t.Error("manifest-less journal reported as resumed")
 			}
 			if _, err := w.Begin(openManifest()); err != nil {
@@ -109,7 +109,7 @@ func TestOpenRefusesForeignFile(t *testing.T) {
 			if err := os.WriteFile(path, contents, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := Open(path, Options{}); err == nil {
+			if _, err := Open(path, Options{}); err == nil {
 				t.Fatal("Open accepted a foreign file")
 			}
 			got, err := os.ReadFile(path)

@@ -97,7 +97,7 @@ func (s *Server) startDataset(ld *liveDataset, stored []batchEntry) error {
 	if err != nil {
 		return fmt.Errorf("service: dataset %s: %w", ld.ID, err)
 	}
-	jw, resumed, err := journal.Open(s.store.JournalPath(datasetKind, ld.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
+	jw, err := journal.Open(s.store.JournalPath(datasetKind, ld.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
 	if err != nil {
 		return fmt.Errorf("service: dataset %s: %w", ld.ID, err)
 	}
@@ -105,10 +105,7 @@ func (s *Server) startDataset(ld *liveDataset, stored []batchEntry) error {
 	if s.cfg.Hooks.WrapDatasetJournal != nil {
 		sink = s.cfg.Hooks.WrapDatasetJournal(ld.ID, jw)
 	}
-	cfg.Journal = sink
-	if resumed {
-		cfg.Recovered = jw.Recovered()
-	}
+	cfg.Journal, cfg.Recovered = sink, jw.Recovered()
 	eng, err := incremental.New(schema, cfg)
 	if err != nil {
 		jw.Close()

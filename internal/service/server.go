@@ -697,7 +697,7 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 		s.logf("job=%s fleet engine=%s workers=%v", job.ID, jc.Engine, s.pool.Workers())
 	}
 
-	jw, _, err := journal.Open(s.store.JournalPath(jobKind, job.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
+	jw, err := journal.Open(s.store.JournalPath(jobKind, job.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
 	if err != nil {
 		return err
 	}

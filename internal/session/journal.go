@@ -11,17 +11,12 @@ import (
 
 // ErrInterrupted is returned (wrapped) by RunQuery when
 // QueryConfig.Context is cancelled mid-run, after the holder sessions are
-// shut down; a journaled session interrupted this way is resumable via
-// Resume. It is the resolution kernel's sentinel (see there for the
-// checkpoint it guarantees), the same value as core.ErrInterrupted.
+// shut down; a journaled session interrupted this way resumes when
+// RunQuery runs again with the same parameters against the same holders
+// over a writer that journal.Open reopens on the same file. It is the
+// resolution kernel's sentinel (see there for the checkpoint it
+// guarantees), the same value as core.ErrInterrupted.
 var ErrInterrupted = resolve.ErrInterrupted
-
-// Resume reopens an interrupted session's journal for continuation with
-// default fsync batching; set the returned writer as QueryConfig.Journal
-// and re-run RunQuery with the same parameters against the same holders.
-func Resume(path string) (*journal.Writer, error) {
-	return journal.Resume(path, journal.Options{})
-}
 
 // queryManifest describes a distributed run for the journal. The inputs
 // digest covers the raw serialized views the holders published: the

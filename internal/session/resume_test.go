@@ -83,7 +83,7 @@ func TestSessionJournalResume(t *testing.T) {
 	// Refusals: a changed classifier or budget must be refused with a
 	// descriptive error, never silently restarted.
 	t.Run("changed allowance", func(t *testing.T) {
-		rw, err := Resume(path)
+		rw, err := journal.Open(path, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestSessionJournalResume(t *testing.T) {
 		}
 	})
 	t.Run("changed views", func(t *testing.T) {
-		rw, err := Resume(path)
+		rw, err := journal.Open(path, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestSessionInterruptAndResume(t *testing.T) {
 
 	// Resume against fresh holders: the stitched session must equal the
 	// uninterrupted baseline, spending only the un-purchased remainder.
-	rw, err := Resume(path)
+	rw, err := journal.Open(path, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

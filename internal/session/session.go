@@ -274,10 +274,10 @@ type QueryConfig struct {
 	TierLow float64
 	// Journal, when set, receives the run manifest and one record per
 	// resolved SMC pair, making the session crash-resumable: a writer from
-	// journal.Create records a fresh run, one from Resume additionally
-	// replays the interrupted run's verdicts so the querying party never
-	// re-spends allowance on pairs already purchased. Nil disables
-	// journaling.
+	// journal.Open records a fresh run, or, when its file holds an
+	// interrupted session of the same manifest, replays that session's
+	// verdicts so the querying party never re-spends allowance on pairs
+	// already purchased. Nil disables journaling.
 	Journal journal.Sink
 	// Context, when set, is polled between SMC batches. On cancellation
 	// the querying party finishes the in-flight batch, syncs the journal,

@@ -92,6 +92,6 @@ func TestOptionCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count("flags", flags, 70)
+	count("flags", flags, 67)
 	t.Logf("%-22s %3d", "options", total)
 }

@@ -238,13 +238,12 @@ type JournalSink = journal.Sink
 type JournalOptions = journal.Options
 
 var (
-	// CreateJournal starts a fresh journal; it refuses to overwrite an
-	// existing file.
-	CreateJournal = journal.Create
-	// ResumeJournal reopens an interrupted run's journal, truncating any
-	// torn tail; the engine replays its verdicts without re-spending the
-	// SMC allowance.
-	ResumeJournal = journal.Resume
+	// OpenJournal starts a journal at a path, or resumes the interrupted
+	// run it holds — truncating any torn tail, after which the engine
+	// replays its verdicts without re-spending the SMC allowance. A file
+	// cut short before its manifest became durable starts over; a
+	// foreign or newer file is refused and left as it is.
+	OpenJournal = journal.Open
 	// ReplayJournal reads a journal without opening it for append.
 	ReplayJournal = journal.Replay
 )
