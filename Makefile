@@ -117,10 +117,11 @@ crash:
 
 # Job-service restart recovery under the race detector: a daemon killed
 # mid-SMC (and one drained on SIGTERM) must resume from its journals
-# with verdict-identical results and exact allowance accounting, and a
-# dataset no build can resume must come back failed and read-only.
+# with verdict-identical results and exact allowance accounting (also a
+# distributed job drained while it waits for its fleet), and a dataset no
+# build can resume must come back failed and read-only.
 restart:
-	$(GO) test -race -count=1 -run '^TestService(RestartRecovery|DrainResume)$$|^Test(Legacy|Tier)DPDatasetFailsReadOnly$$' ./internal/service
+	$(GO) test -race -count=1 -run '^TestService(RestartRecovery|DrainResume|FleetWaitInterrupted)$$|^Test(Legacy|Tier)DPDatasetFailsReadOnly$$' ./internal/service
 	$(GO) test -race -count=1 -run '^TestServeSmoke$$' ./cmd/pprl-serve
 
 # Three-tier triage vs the two-tier baseline at a smoke scale, as a gate:
@@ -132,11 +133,14 @@ tier-smoke:
 
 # The worker-death reassignment test twenty times over: the death is
 # injected with a chunk in flight, so every run must see the failure
-# counted and the fleet shrunk. (Fleet-vs-local verdict equality is the
-# conformance matrix's fleet cells, TestConformance/…,fleet,…, in
-# `make test`.)
+# counted and the fleet shrunk. Then README's fleet quickstart from built
+# binaries: pprl-serve -fleet-listen, two pprl-party workers dialing it,
+# one secure distributed job equal to the in-process run. (Fleet-vs-local
+# verdict equality is the conformance matrix's fleet cells,
+# TestConformance/…,fleet,…, in `make test`.)
 distributed-smoke:
 	$(GO) test -run '^TestWorkerDeathReassignment$$' -count=20 ./internal/distrib
+	$(GO) test -run '^TestBinaryFleet$$' -count=1 ./cmd/pprl-serve
 
 # ε-sweep of noised blocking against the k-anonymous baseline at a
 # smoke scale, as a gate: the run fails on any engine error and unless, on

@@ -36,9 +36,6 @@ func runDedup(out io.Writer, opts options) error {
 	if opts.level < 0 {
 		return fmt.Errorf("-level must be ≥ 0, got %d", opts.level)
 	}
-	if len(opts.workers) > 0 {
-		return fmt.Errorf("-dedup does not stripe across a worker fleet")
-	}
 	if err := opts.Validate(); err != nil {
 		return err
 	}

@@ -49,13 +49,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"time"
 
 	"pprl"
 	"pprl/internal/cliutil"
-	"pprl/internal/distrib"
 )
 
 // options collects everything the pipeline run needs; flags fill it in
@@ -67,9 +64,6 @@ type options struct {
 	// anonName selects the holders' anonymization method; "dp" switches
 	// to differentially private blocking and requires -epsilon.
 	anonName string
-	// workers are SMC fleet worker addresses (pprl-party -role worker
-	// -worker-listen …); non-empty stripes the SMC step across them.
-	workers cliutil.WorkerAddrs
 	// dedup links -a against itself through the incremental engine
 	// (unordered pairs i < j); level is its fixed binning depth. kSet is
 	// -k on the command line, which -dedup refuses (32, its default, is
@@ -94,7 +88,6 @@ func (opts *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&opts.anonName, "anon", "", "anonymization method: entropy (default), tds, datafly, mondrian, or dp (noised blocking; requires -epsilon)")
 	fs.StringVar(&opts.Strategy, "strategy", "precision", "residual labeling: precision, recall, classifier")
 	fs.BoolVar(&opts.Secure, "secure", false, "run the real Paillier SMC protocol instead of the cost-model oracle")
-	fs.Var(&opts.workers, "worker", "SMC fleet worker address (repeatable, or comma-separated); stripes the SMC step across the fleet")
 	fs.BoolVar(&opts.dedup, "dedup", false, "deduplicate -a against itself (unordered pairs; -b not allowed)")
 	fs.IntVar(&opts.level, "level", 0, "fixed binning depth for -dedup (0 = default)")
 	fs.BoolVar(&opts.eval, "eval", false, "score against exact ground truth (requires both files, which this command has)")
@@ -169,26 +162,6 @@ func run(out io.Writer, opts options) error {
 			return err
 		}
 		cfg.AliceAnonymizer, cfg.BobAnonymizer = anon, anon
-	}
-	if len(opts.workers) > 0 {
-		pool := distrib.NewPool(distrib.PoolOptions{Logger: log.New(os.Stderr, "pprl-link: ", log.LstdFlags)})
-		defer pool.Close()
-		dctx := opts.ctx
-		if dctx == nil {
-			dctx = context.Background()
-		}
-		dctx, cancel := context.WithTimeout(dctx, time.Minute)
-		defer cancel()
-		for _, addr := range opts.workers {
-			conn, err := cliutil.DialRetry(dctx, "tcp", addr)
-			if err != nil {
-				return fmt.Errorf("worker %s: %w", addr, err)
-			}
-			if err := pool.AddConn(conn); err != nil {
-				return fmt.Errorf("worker %s: %w", addr, err)
-			}
-		}
-		cfg.Comparator = pool.Factory(opts.FleetJob("link"))
 	}
 	cfg.Context = opts.ctx
 

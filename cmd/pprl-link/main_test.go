@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -234,6 +236,14 @@ func TestRunLinkErrors(t *testing.T) {
 	}
 	if err := bad(func(o *options) { o.aPath = "/nonexistent.csv" }); err == nil {
 		t.Error("missing file should fail")
+	}
+	// A fleet run is a pprl-serve "distributed" job; -worker is undefined
+	// (exit 2 on the command line).
+	fs := flag.NewFlagSet("pprl-link", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	new(options).register(fs)
+	if err := fs.Parse([]string{"-worker", "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "-worker") {
+		t.Errorf("-worker parsed: %v", err)
 	}
 }
 

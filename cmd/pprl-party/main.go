@@ -21,7 +21,7 @@
 // rule, the budget, the key size, the tier and the journal; a holder
 // -query, -peer-listen (alice) or -peer (bob), -data, the schema, k, the
 // anonymization method, the DP release and the tier key; the worker
-// -coordinator or -worker-listen, -worker-name and -lanes.
+// -coordinator, -worker-name and -lanes.
 //
 // Holders can opt into differentially private blocking instead of
 // k-anonymous generalization: -method dp -epsilon 2 -dp-seed <own seed>
@@ -34,11 +34,12 @@
 // two holders draw uncorrelated noise.
 //
 // A fourth role joins a pprl-serve daemon's SMC worker fleet: the worker
-// registers with the daemon's coordinator, receives encoded records per
-// job, and serves comparison chunks until the coordinator hangs up.
+// dials the daemon's coordinator (pprl-serve -fleet-listen) and
+// registers, receives encoded records per job, and serves comparison
+// chunks until the coordinator hangs up. A worker that restarts simply
+// registers again.
 //
 //	pprl-party -role worker -coordinator daemon:9700 -lanes 2
-//	pprl-party -role worker -worker-listen :9701  # the daemon dials out (pprl-serve -worker)
 //
 // SIGINT or SIGTERM ends every role: a party waiting for its peers stops,
 // the querying party checkpoints its journal at the next batch boundary
@@ -134,11 +135,10 @@ func command(role string, fs *flag.FlagSet) (run func(context.Context) error, cl
 		return func(ctx context.Context) error { return runHolder(ctx, *h, role) }, &h.CLI
 	case "worker":
 		var coordinator string
-		fs.Func("coordinator", "dial this coordinator (pprl-serve -fleet-listen address) and register", func(a string) (err error) { coordinator, err = cliutil.NormalizeAddr(a); return err })
-		listen := fs.String("worker-listen", "", "listen here for a coordinator that dials out (-worker on pprl-serve)")
+		fs.Func("coordinator", "the coordinator to dial and register with: a pprl-serve -fleet-listen address (required)", func(a string) (err error) { coordinator, err = cliutil.NormalizeAddr(a); return err })
 		name := fs.String("worker-name", "", "advertised name (empty = coordinator-assigned)")
 		lanes := fs.Int("lanes", 1, "parallel SMC lanes for secure jobs")
-		return func(ctx context.Context) error { return runWorker(ctx, coordinator, *listen, *name, *lanes) }, new(cliutil.CLI)
+		return func(ctx context.Context) error { return runWorker(ctx, coordinator, *name, *lanes) }, new(cliutil.CLI)
 	}
 	return nil, nil
 }
@@ -301,43 +301,21 @@ func runHolder(ctx context.Context, opts holderOptions, role string) error {
 	return session.RunHolder(query, smc.NewNetConn(pc), cfg, role == session.RoleAlice)
 }
 
-// runWorker joins a coordinator's SMC worker fleet and serves comparison
-// chunks until the coordinator hangs up (or ctx cancels). The worker
-// either dials the coordinator or listens for one dial-out connection.
-func runWorker(ctx context.Context, coordinator, workerListen, name string, lanes int) error {
-	logger := log.New(os.Stderr, "pprl-party: ", log.LstdFlags)
-	opts := distrib.WorkerOptions{Name: name, Lanes: lanes, Logger: logger}
-	var conn net.Conn
-	switch {
-	case coordinator != "" && workerListen != "":
-		return fmt.Errorf("-coordinator and -worker-listen are mutually exclusive")
-	case coordinator != "":
-		var err error
-		if conn, err = dialRetry(ctx, coordinator); err != nil {
-			return fmt.Errorf("dialing coordinator: %w", err)
-		}
-	case workerListen != "":
-		ln, err := net.Listen("tcp", workerListen)
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		logger.Printf("worker: waiting for a coordinator on %s", ln.Addr())
-		context.AfterFunc(ctx, func() { ln.Close() })
-		conn, err = ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-	default:
-		return fmt.Errorf("worker role needs -coordinator or -worker-listen")
+// runWorker dials a coordinator, joins its SMC worker fleet and serves
+// comparison chunks until the coordinator hangs up (or ctx cancels).
+func runWorker(ctx context.Context, coordinator, name string, lanes int) error {
+	if coordinator == "" {
+		return fmt.Errorf("worker role needs -coordinator")
+	}
+	conn, err := dialRetry(ctx, coordinator)
+	if err != nil {
+		return fmt.Errorf("dialing coordinator: %w", err)
 	}
 	// A signal closes the connection; ServeWorker treats that as the
 	// coordinator hanging up and returns nil.
 	context.AfterFunc(ctx, func() { conn.Close() })
-	return distrib.ServeWorker(conn, opts)
+	logger := log.New(os.Stderr, "pprl-party: ", log.LstdFlags)
+	return distrib.ServeWorker(conn, distrib.WorkerOptions{Name: name, Lanes: lanes, Logger: logger})
 }
 
 // dialRetry dials with exponential backoff and jitter for up to a minute:

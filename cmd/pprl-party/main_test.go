@@ -128,6 +128,9 @@ func TestRoleValidation(t *testing.T) {
 	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "127.0.0.1:1", "x.csv", "bogus", "", cliutil.Params{}), "bob"); err == nil {
 		t.Error("bad method should fail")
 	}
+	if err := runWorker(context.Background(), "", "w", 1); err == nil || !strings.Contains(err.Error(), "-coordinator") {
+		t.Errorf("worker without -coordinator: %v, want a refusal naming -coordinator", err)
+	}
 }
 
 // TestThreePartyTierOverTCP runs the distributed deployment with the

@@ -29,7 +29,7 @@ var (
 		"query":  "allowance heuristic journal journal-sync keybits listen qids schema theta tier tier-low",
 		"alice":  "data dp-delta dp-level dp-seed epsilon k method peer-listen query schema tier-key",
 		"bob":    "data dp-delta dp-level dp-seed epsilon k method peer query schema tier-key",
-		"worker": "coordinator lanes worker-listen worker-name",
+		"worker": "coordinator lanes worker-name",
 	}
 	wiring = map[string]bool{"listen": true, "query": true, "peer-listen": true, "peer": true, "data": true, "tier-key": true}
 )
@@ -189,6 +189,7 @@ func TestBinary(t *testing.T) {
 	}{
 		{"-role alice -data " + aCSV + " -k 4 -smc-workers 8 -tier-low 0.5 -heuristic maxLast -allowance 0.9 -keybits 4096 -journal x.wal -query " + l.Addr().String() + " -peer-listen 127.0.0.1:0", "-smc-workers"},
 		{"-role worker -keybits 4096", "-keybits"},
+		{"-role worker -worker-listen " + l.Addr().String(), "-worker-listen"},
 		{"-role query -listen 127.0.0.1:0 -k 3", "-k"},
 		{"-role query -listen 127.0.0.1:0 -epsilon 2", "-epsilon"},
 		{"-role=query -listen 127.0.0.1:0 -lanes 4", "-lanes"},

@@ -43,11 +43,9 @@ type options struct {
 	workers     int
 	journalSync int
 	pprof       bool
-	// fleetListen accepts SMC worker registrations; fleetWorkers are
-	// addresses the daemon dials out to; fleetMinWorkers gates
-	// distributed jobs on fleet size.
+	// fleetListen accepts SMC worker registrations; fleetMinWorkers
+	// gates distributed jobs on fleet size.
 	fleetListen     string
-	fleetWorkers    []string
 	fleetMinWorkers int
 	// ctx stops the daemon (the signal handler cancels it); ready, when
 	// non-nil, receives the bound listener address once serving.
@@ -63,12 +61,9 @@ func main() {
 	flag.IntVar(&opts.workers, "workers", 1, "concurrent linkage jobs")
 	flag.IntVar(&opts.journalSync, "journal-sync", 0, "fsync the job journal every N verdicts (0 = journal default)")
 	flag.BoolVar(&opts.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.StringVar(&opts.fleetListen, "fleet-listen", "", "accept SMC worker registrations on this address (pprl-party -role worker -coordinator)")
-	var workerAddrs cliutil.WorkerAddrs
-	flag.Var(&workerAddrs, "worker", "SMC fleet worker address to dial out to (repeatable, or comma-separated)")
+	flag.StringVar(&opts.fleetListen, "fleet-listen", "", "accept SMC worker registrations on this address (workers dial it: pprl-party -role worker -coordinator)")
 	flag.IntVar(&opts.fleetMinWorkers, "fleet-min-workers", 1, "workers a distributed job waits for before starting")
 	flag.Parse()
-	opts.fleetWorkers = workerAddrs
 
 	opts.ctx = cliutil.SignalContext()
 
@@ -88,7 +83,6 @@ func run(out io.Writer, opts options) error {
 		JournalSync:     opts.journalSync,
 		EnablePprof:     opts.pprof,
 		FleetListen:     opts.fleetListen,
-		FleetWorkers:    opts.fleetWorkers,
 		FleetMinWorkers: opts.fleetMinWorkers,
 		Logger:          logger,
 	})

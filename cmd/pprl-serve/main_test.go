@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -87,38 +86,8 @@ func TestServeSmoke(t *testing.T) {
 
 	base, stop := startDaemon(t, stateDir, dataDir)
 
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"alice_path":"a.csv","bob_path":"b.csv","k":8,"allowance":200}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit returned %d", resp.StatusCode)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	for st.State != "done" {
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-		r, err := http.Get(base + "/v1/jobs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-	}
+	id := submitJob(t, base, `{"alice_path":"a.csv","bob_path":"b.csv","k":8,"allowance":200}`)
+	waitDone(t, base, id)
 
 	hz, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -134,7 +103,7 @@ func TestServeSmoke(t *testing.T) {
 	// Second life: the state directory still knows the job.
 	base2, stop2 := startDaemon(t, stateDir, dataDir)
 	defer stop2()
-	r, err := http.Get(base2 + "/v1/jobs/" + st.ID + "/result")
+	r, err := http.Get(base2 + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}

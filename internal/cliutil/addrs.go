@@ -25,37 +25,3 @@ func NormalizeAddr(raw string) (string, error) {
 	}
 	return net.JoinHostPort(host, port), nil
 }
-
-// WorkerAddrs collects fleet worker addresses as a flag.Value: the flag
-// may repeat, each occurrence may carry a comma-separated list, and the
-// result is validated, canonicalized, and deduplicated in first-seen
-// order:
-//
-//	-worker a:9101 -worker b:9101,c:9101
-//
-// pprl-link and pprl-serve each register one as their -worker flag.
-type WorkerAddrs []string
-
-// String implements flag.Value.
-func (a *WorkerAddrs) String() string { return strings.Join(*a, ",") }
-
-// Set implements flag.Value: parse one occurrence of the flag.
-func (a *WorkerAddrs) Set(v string) error {
-	for _, raw := range strings.Split(v, ",") {
-		addr, err := NormalizeAddr(raw)
-		if err != nil {
-			return fmt.Errorf("worker address: %w", err)
-		}
-		seen := false
-		for _, have := range *a {
-			if have == addr {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			*a = append(*a, addr)
-		}
-	}
-	return nil
-}

@@ -1,40 +1,6 @@
 package cliutil
 
-import (
-	"flag"
-	"reflect"
-	"testing"
-)
-
-func TestWorkerAddrsRepeatAndCommaList(t *testing.T) {
-	var a WorkerAddrs
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	fs.Var(&a, "worker", "")
-	err := fs.Parse([]string{
-		"-worker", "alpha:9101",
-		"-worker", "beta:9101, gamma:9102",
-		"-worker", "alpha:9101", // duplicate, dropped
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := WorkerAddrs{"alpha:9101", "beta:9101", "gamma:9102"}
-	if !reflect.DeepEqual(a, want) {
-		t.Fatalf("parsed %v, want %v", a, want)
-	}
-	if a.String() != "alpha:9101,beta:9101,gamma:9102" {
-		t.Fatalf("String() = %q", a.String())
-	}
-}
-
-func TestWorkerAddrsRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{"", "no-port", "host:", "a:1,,b:2"} {
-		var a WorkerAddrs
-		if err := a.Set(bad); err == nil {
-			t.Errorf("Set(%q) accepted, want error", bad)
-		}
-	}
-}
+import "testing"
 
 func TestNormalizeAddr(t *testing.T) {
 	cases := map[string]string{

@@ -2,10 +2,14 @@ package distrib
 
 import (
 	"context"
+	"errors"
+	"log"
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -260,8 +264,8 @@ func TestSecureEngineFleet(t *testing.T) {
 	}
 }
 
-// TestDialWorker exercises the dial-out direction over real TCP: the
-// owner dials a listening worker and hands the connection to AddConn.
+// TestDialWorker registers a worker with AddConn over real TCP: the
+// handshake only needs the worker to speak first, whichever end dialed.
 func TestDialWorker(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -286,6 +290,83 @@ func TestDialWorker(t *testing.T) {
 	if ws := p.Workers(); len(ws) != 1 || ws[0] != "tcp-w" {
 		t.Fatalf("Workers() = %v", ws)
 	}
+}
+
+// flakyListener fails its first Accept the way a process out of file
+// descriptors does, then accepts normally.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if !l.failed.Swap(true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeRetriesFailedAccept: a failed Accept is logged and retried, so
+// a worker that dials after it still registers; Serve returns, wrapping
+// net.ErrClosed, only once the pool closes.
+func TestServeRetriesFailedAccept(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := new(syncBuffer)
+	p := NewPool(PoolOptions{Logger: log.New(logs, "", 0)})
+	defer p.Close()
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(&flakyListener{Listener: ln}) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go ServeWorker(conn, WorkerOptions{Name: "late", HeartbeatEvery: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := p.WaitWorkers(ctx, 1); err != nil {
+		select {
+		case err := <-served:
+			t.Fatalf("Serve returned %v after one failed Accept; no worker registered", err)
+		default:
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(logs.String(), "too many open files") {
+		t.Errorf("failed Accept not logged:\n%s", logs)
+	}
+
+	p.Close()
+	select {
+	case err := <-served:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Errorf("Serve after Close returned %v, want net.ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve did not return after Close")
+	}
+}
+
+// syncBuffer is a log sink the test reads while the pool writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
 
 // TestUnknownEngineRefused: a job naming an engine this worker does not

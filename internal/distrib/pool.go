@@ -67,11 +67,11 @@ func (w *worker) alive() bool {
 	}
 }
 
-// Pool is the coordinator: it accepts worker registrations (Serve) or
-// registers workers its owner dialed (AddConn), and hands out distributed
-// Comparators that stripe comparison chunks across the live fleet. One
-// Pool serves any number of sequential jobs; NewComparator serializes
-// them.
+// Pool is the coordinator: workers dial it and register, on a listener
+// it serves (Serve) or on connections its owner accepted (AddConn), and
+// it hands out distributed Comparators that stripe comparison chunks
+// across the live fleet. One Pool serves any number of sequential jobs;
+// NewComparator serializes them.
 type Pool struct {
 	opts PoolOptions
 
@@ -103,10 +103,9 @@ func (p *Pool) logf(format string, args ...any) {
 	}
 }
 
-// AddConn performs the registration handshake on a fresh connection and
-// adds the worker to the fleet. It works for both directions: workers
-// that dialed the coordinator and workers the coordinator dialed — the
-// worker always speaks first.
+// AddConn performs the registration handshake on a fresh worker
+// connection and adds the worker to the fleet; the worker speaks first.
+// Serve calls it for every connection it accepts.
 func (p *Pool) AddConn(conn net.Conn) error {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	l := wire.NewLink(conn)
@@ -188,28 +187,42 @@ func (p *Pool) remove(w *worker) {
 	p.mu.Unlock()
 }
 
-// Serve accepts worker registrations on ln until the pool closes. It
-// always returns a non-nil error, net/http style; after Close that
-// error wraps net.ErrClosed.
+// Serve accepts worker registrations on ln until the pool or ln closes.
+// A failed Accept (EMFILE, say) is logged and retried after a backoff
+// that doubles from 5 ms to 1 s, so one bad moment does not end
+// registration for the life of the pool. It always returns a non-nil
+// error wrapping net.ErrClosed, net/http style.
 func (p *Pool) Serve(ln net.Listener) error {
 	p.lnMu.Lock()
 	p.lns = append(p.lns, ln)
+	select {
+	case <-p.closed: // Close ran first and could not close ln
+		ln.Close()
+	default:
+	}
 	p.lnMu.Unlock()
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-p.closed:
-				return fmt.Errorf("distrib: coordinator closed: %w", net.ErrClosed)
-			default:
-				return fmt.Errorf("distrib: accept: %w", err)
-			}
+		if err == nil {
+			backoff = 0
+			go func() {
+				if err := p.AddConn(conn); err != nil {
+					p.logf("distrib: rejected connection from %s: %v", conn.RemoteAddr(), err)
+				}
+			}()
+			continue
 		}
-		go func() {
-			if err := p.AddConn(conn); err != nil {
-				p.logf("distrib: rejected connection from %s: %v", conn.RemoteAddr(), err)
-			}
-		}()
+		if errors.Is(err, net.ErrClosed) {
+			return fmt.Errorf("distrib: listener closed: %w", err)
+		}
+		backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+		p.logf("distrib: accept: %v (retrying in %v)", err, backoff)
+		select {
+		case <-p.closed:
+			return fmt.Errorf("distrib: coordinator closed: %w", net.ErrClosed)
+		case <-time.After(backoff):
+		}
 	}
 }
 

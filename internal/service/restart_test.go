@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"log"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,7 +12,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"pprl/internal/distrib"
 	"pprl/internal/journal"
 	"pprl/internal/testkit"
 )
@@ -172,6 +176,63 @@ func TestServiceDrainResume(t *testing.T) {
 	if total := res.Result.Invocations + res.Result.Resume.ReplayedAllowance; total > res.Result.Allowance {
 		t.Errorf("spent %d > allowance %d", total, res.Result.Allowance)
 	}
+}
+
+// TestServiceFleetWaitInterrupted: a distributed job still waiting for
+// its fleet is interrupted, not failed, by a drain — nothing terminal
+// reaches disk, and the next start re-queues it and runs it once a worker
+// registers — and a DELETE in the same wait settles it canceled.
+func TestServiceFleetWaitInterrupted(t *testing.T) {
+	dataDir := writeDataDir(t, 120, 35)
+	spec := testSpec()
+	spec.Distributed = true
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, DataDir: dataDir, FleetListen: "127.0.0.1:0"}
+
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	jid := submit(t, ts1, spec).ID
+	waitState(t, ts1, jid, StateRunning)
+	s1.Drain() // no worker ever registered
+	ts1.Close()
+	j, err := lookup(s1, s1.jobs, jobKind, jid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.State != StateInterrupted {
+		t.Fatalf("drained fleet wait settled as %q (%s), want interrupted", st.State, st.Error)
+	}
+
+	s2, ts2 := newTestServer(t, cfg)
+	if st := getStatus(t, ts2, jid); st.Resumed != 1 {
+		t.Fatalf("restart did not re-queue the job: %+v", st)
+	}
+	conn, err := net.Dial("tcp", s2.FleetAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go distrib.ServeWorker(conn, distrib.WorkerOptions{Name: "late", HeartbeatEvery: 50 * time.Millisecond})
+	waitState(t, ts2, jid, StateDone)
+
+	// DELETE while the job waits on a fleet that has lost its worker.
+	conn.Close()
+	waitFleet(t, s2)
+	jid = submit(t, ts2, spec).ID
+	waitState(t, ts2, jid, StateRunning)
+	req, err := http.NewRequest(http.MethodDelete, ts2.URL+"/v1/jobs/"+jid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitState(t, ts2, jid, StateCanceled)
 }
 
 // lockedBuffer is a log sink the test reads while the daemon writes.

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"pprl/internal/cliutil"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
@@ -55,10 +54,8 @@ type Config struct {
 	EnablePprof bool
 	// FleetListen, when set, binds a coordinator listener for SMC worker
 	// registrations (pprl-party -role worker -coordinator <addr>).
+	// Workers dial the daemon, so a restarted worker registers again.
 	FleetListen string
-	// FleetWorkers are worker addresses the daemon dials out to at
-	// start, for fleets whose workers listen instead of dialing.
-	FleetWorkers []string
 	// FleetMinWorkers is how many registered workers a distributed job
 	// waits for before shipping records (default 1).
 	FleetMinWorkers int
@@ -67,11 +64,6 @@ type Config struct {
 	Logger *log.Logger
 	// Hooks are test seams; leave zero in production.
 	Hooks Hooks
-}
-
-// fleetConfigured reports whether any fleet wiring was requested.
-func (c *Config) fleetConfigured() bool {
-	return c.FleetListen != "" || len(c.FleetWorkers) > 0
 }
 
 // Server is the linkage job service: it owns the store, the scheduler,
@@ -126,12 +118,12 @@ type Server struct {
 	mWorkerFailures  *metrics.VarVec
 	mWorkerHeartbeat *metrics.VarVec
 
-	// pool coordinates the SMC worker fleet; nil when no fleet is
-	// configured. fleetLn is the registration listener (when bound) and
-	// fleetCancel stops the dial-out goroutines.
-	pool        *distrib.Pool
-	fleetLn     net.Listener
-	fleetCancel context.CancelFunc
+	// pool coordinates the SMC worker fleet, fleetLn is its registration
+	// listener and fleetDone closes when Serve returns; all nil when no
+	// fleet is configured.
+	pool      *distrib.Pool
+	fleetLn   net.Listener
+	fleetDone chan struct{}
 }
 
 // New opens the service root, recovers jobs and datasets left behind by a
@@ -184,7 +176,7 @@ func New(cfg Config) (*Server, error) {
 	s.mWorkerFailures = s.reg.CounterVec("worker_failures_total", "worker", "Failures observed per fleet worker (chunks reassigned).")
 	s.mWorkerHeartbeat = s.reg.GaugeVec("worker_heartbeat_seconds", "worker", "Unix time of each fleet worker's last heartbeat.")
 
-	if cfg.fleetConfigured() {
+	if cfg.FleetListen != "" {
 		if err := s.startFleet(); err != nil {
 			return nil, err
 		}
@@ -273,39 +265,24 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // startFleet brings the SMC worker coordinator up: a registration
-// listener when FleetListen is set, plus dial-out goroutines for every
-// FleetWorkers address.
+// listener on FleetListen that workers dial.
 func (s *Server) startFleet() error {
+	ln, err := net.Listen("tcp", s.cfg.FleetListen)
+	if err != nil {
+		return fmt.Errorf("service: fleet listener: %w", err)
+	}
 	s.pool = distrib.NewPool(distrib.PoolOptions{
 		Logger:       s.cfg.Logger,
 		ChunksVec:    s.mWorkerChunks,
 		FailuresVec:  s.mWorkerFailures,
 		HeartbeatVec: s.mWorkerHeartbeat,
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	s.fleetCancel = cancel
-	if s.cfg.FleetListen != "" {
-		ln, err := net.Listen("tcp", s.cfg.FleetListen)
-		if err != nil {
-			s.pool.Close()
-			return fmt.Errorf("service: fleet listener: %w", err)
-		}
-		s.fleetLn = ln
-		s.logf("fleet: accepting worker registrations on %s", ln.Addr())
-		go s.pool.Serve(ln)
-	}
-	for _, addr := range s.cfg.FleetWorkers {
-		go func(addr string) {
-			conn, err := cliutil.DialRetry(ctx, "tcp", addr)
-			if err != nil {
-				s.logf("fleet: worker %s unreachable: %v", addr, err)
-				return
-			}
-			if err := s.pool.AddConn(conn); err != nil {
-				s.logf("fleet: worker %s registration failed: %v", addr, err)
-			}
-		}(addr)
-	}
+	s.fleetLn, s.fleetDone = ln, make(chan struct{})
+	s.logf("fleet: accepting worker registrations on %s", ln.Addr())
+	go func() {
+		defer close(s.fleetDone)
+		s.logf("fleet: registrations stopped: %v", s.pool.Serve(ln))
+	}()
 	return nil
 }
 
@@ -340,11 +317,9 @@ func (s *Server) Drain() {
 		close(s.stop)
 	}
 	s.dsWG.Wait()
-	if s.fleetCancel != nil {
-		s.fleetCancel()
-	}
 	if s.pool != nil {
 		s.pool.Close()
+		<-s.fleetDone
 	}
 }
 
@@ -492,7 +467,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) error {
 	if spec.Distributed && s.pool == nil {
 		// The spec is well-formed; it's this daemon that can't honor it —
 		// 422, terminal, so clients don't retry into the same wall.
-		return Errf(KindInvalid, "distributed jobs need a worker fleet: start the daemon with -fleet-listen or -worker")
+		return Errf(KindInvalid, "distributed jobs need a worker fleet: start the daemon with -fleet-listen")
 	}
 	// Reject unresolvable dataset references at submit time rather than
 	// letting the job fail later in the queue.
@@ -689,6 +664,12 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 		waitCtx, cancel := context.WithTimeout(ctx, time.Minute)
 		err := s.pool.WaitWorkers(waitCtx, min)
 		cancel()
+		if err != nil && ctx.Err() != nil {
+			// A drain or a DELETE ended the wait, not the fleet: settle
+			// like any interrupted run (resumed at the next start, or
+			// canceled), never as a persisted failure.
+			return fmt.Errorf("%w: %v", core.ErrInterrupted, err)
+		}
 		if err != nil {
 			return err
 		}

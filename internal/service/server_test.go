@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -568,9 +569,10 @@ func TestServiceTierJob(t *testing.T) {
 
 // TestServiceDistributedFleet runs the same job in-process and striped
 // across a two-worker fleet, and requires identical output: the fleet is
-// a transport, not a semantics change. It also checks the per-worker
-// chunk counters surface on /metrics and that a fleetless daemon rejects
-// distributed submissions at the door.
+// a transport, not a semantics change. A worker whose link drops rejoins
+// by dialing again, and the next job matches too. It also checks the
+// per-worker chunk counters surface on /metrics and that a fleetless
+// daemon rejects distributed submissions at the door.
 func TestServiceDistributedFleet(t *testing.T) {
 	dataDir := writeDataDir(t, 160, 11)
 
@@ -586,7 +588,7 @@ func TestServiceDistributedFleet(t *testing.T) {
 		FleetListen:     "127.0.0.1:0",
 		FleetMinWorkers: 2,
 	})
-	for _, name := range []string{"fw1", "fw2"} {
+	join := func(name string) net.Conn {
 		conn, err := net.Dial("tcp", s.FleetAddr())
 		if err != nil {
 			t.Fatal(err)
@@ -596,26 +598,32 @@ func TestServiceDistributedFleet(t *testing.T) {
 			Name:           name,
 			HeartbeatEvery: 50 * time.Millisecond,
 		})
+		return conn
 	}
+	fw1 := join("fw1")
+	join("fw2")
 
 	spec := testSpec()
 	spec.Distributed = true
-	job := submit(t, ts, spec)
-	waitState(t, ts, job.ID, StateDone)
-	res := getResult(t, ts, job.ID)
-
-	if !reflect.DeepEqual(res.Matches, baseRes.Matches) {
-		t.Errorf("distributed matches diverge from local run:\n fleet %v\n local %v",
-			res.Matches, baseRes.Matches)
+	runFleetJob := func(leg string) {
+		t.Helper()
+		job := submit(t, ts, spec)
+		waitState(t, ts, job.ID, StateDone)
+		res := getResult(t, ts, job.ID)
+		if !reflect.DeepEqual(res.Matches, baseRes.Matches) {
+			t.Errorf("%s: distributed matches diverge from local run:\n fleet %v\n local %v",
+				leg, res.Matches, baseRes.Matches)
+		}
+		if res.Result.Invocations != baseRes.Result.Invocations {
+			t.Errorf("%s: distributed invocations = %d, local = %d",
+				leg, res.Result.Invocations, baseRes.Result.Invocations)
+		}
+		if res.Result.MatchedPairs != baseRes.Result.MatchedPairs {
+			t.Errorf("%s: distributed matched pairs = %d, local = %d",
+				leg, res.Result.MatchedPairs, baseRes.Result.MatchedPairs)
+		}
 	}
-	if res.Result.Invocations != baseRes.Result.Invocations {
-		t.Errorf("distributed invocations = %d, local = %d",
-			res.Result.Invocations, baseRes.Result.Invocations)
-	}
-	if res.Result.MatchedPairs != baseRes.Result.MatchedPairs {
-		t.Errorf("distributed matched pairs = %d, local = %d",
-			res.Result.MatchedPairs, baseRes.Result.MatchedPairs)
-	}
+	runFleetJob("first job")
 
 	mt, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -630,9 +638,30 @@ func TestServiceDistributedFleet(t *testing.T) {
 		t.Errorf("metrics missing worker heartbeat gauge:\n%s", mraw)
 	}
 
+	// fw1's link drops; a fresh fw1 dials in, and the fleet is whole again.
+	fw1.Close()
+	waitFleet(t, s, "fw2")
+	join("fw1")
+	runFleetJob("after fw1 rejoined")
+	if got := s.FleetWorkers(); !slices.Equal(got, []string{"fw1", "fw2"}) {
+		t.Errorf("fleet after rejoin = %v, want [fw1 fw2]", got)
+	}
+
 	// A daemon without a fleet must refuse distributed work up front: the
 	// spec is well-formed but this daemon cannot honor it — 422, not 400.
 	if _, code := submitCode(t, tsLocal, spec); code != http.StatusUnprocessableEntity {
 		t.Errorf("fleetless daemon refused distributed job with HTTP %d, want 422", code)
+	}
+}
+
+// waitFleet polls until the daemon's registered workers are exactly want.
+func waitFleet(t *testing.T, s *Server, want ...string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !slices.Equal(s.FleetWorkers(), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet is %v, waiting for %v", s.FleetWorkers(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -55,7 +55,7 @@ func TestOptionCount(t *testing.T) {
 		{cliutil.Params{}, 14},
 		{service.JobSpec{}, 9},
 		{service.DatasetSpec{}, 2},
-		{service.Config{}, 10},
+		{service.Config{}, 9},
 		{distrib.PoolOptions{}, 5},
 		{distrib.WorkerOptions{}, 5},
 		{distrib.JobConfig{}, 5},
@@ -92,6 +92,6 @@ func TestOptionCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count("flags", flags, 67)
+	count("flags", flags, 64)
 	t.Logf("%-22s %3d", "options", total)
 }
