@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/smc
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/distrib
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecBodies$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltasPage$$' -fuzztime $(FUZZTIME) ./internal/service
 
 # The end-to-end benchmark is a nested module (benchmark/), so tier-1
 # `go build ./... && go test ./...` neither builds nor runs it. Its own
@@ -172,8 +173,11 @@ incremental-smoke:
 # journal writer's cost per verdict (BenchmarkWriterRecord: a verdict a
 # row at two cadences, and rows of 29 in span records), one live-ingest
 # batch's probes of the live index (BenchmarkLiveCandidates), the live
-# engine's ns and B per purchased pair behind a real journal
-# (BenchmarkEngineAppend) and the cost of one accepted batch's schedule
+# engine's ns and B per purchased pair behind a real journal, and its ns
+# per pair over the first and last quarter of batches
+# (BenchmarkEngineAppend), one 2,400-delta page written and read
+# (BenchmarkDeltasPage: ns, B and bytes per delta) and the cost of one
+# accepted batch's schedule
 # line at 16 and at 2,048 entries (BenchmarkAppendBatchEntry: must be
 # flat) and the blocking step on a 30,162-record Adult split at k = 32
 # and k = 2 (BenchmarkBlock: ns/op and class counts) from bit-rotting

@@ -122,6 +122,9 @@ type Engine struct {
 	stats  Stats
 	stages metrics.Stages
 	failed bool
+	// oracle is the comparator kept across batches when the factory's
+	// can Grow (the plaintext oracle); nil until the first purchase.
+	oracle grower
 	// onEvent, set by the package's tests only, sees what the kernel hands
 	// the sink: the one place a row span is visible from outside. onGroups,
 	// likewise, sees each batch's candidate groups before they are ordered.
@@ -517,18 +520,14 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
 	// Side b is side 1, or side 0 again when the dataset links itself.
 	a, b := e.sides[0], e.sides[len(e.sides)-1]
-	// The comparator is built at the batch's first purchase: most batches
-	// of a drained pool, and every committed replay, buy nothing, and a
-	// secure comparator costs a key generation to build.
-	cmp := &lazyComparator{build: func() (smc.Comparator, error) {
+	// The comparator is built or grown at the batch's first purchase: most
+	// batches of a drained pool, and every committed replay, buy nothing,
+	// and a secure comparator costs a key generation to build.
+	cmp := &lazyComparator{build: func() (smc.Comparator, bool, error) {
 		if committed {
-			return nil, fmt.Errorf("committed batch %d needs a fresh purchase: journal and engine state diverged", batch)
+			return nil, false, fmt.Errorf("committed batch %d needs a fresh purchase: journal and engine state diverged", batch)
 		}
-		c, err := e.cfg.Comparator(a.enc, b.enc, e.spec, 1)
-		if err != nil {
-			return nil, fmt.Errorf("building comparator: %w", err)
-		}
-		return c, nil
+		return e.comparator(a.enc, b.enc)
 	}}
 	defer cmp.close()
 
@@ -610,16 +609,46 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 	return e.stats.Used - used, nil
 }
 
-// lazyComparator is the kernel's comparator for one batch, built on the
-// first purchase.
+// grower is a comparator that follows the population as it grows
+// (smc.PlainComparator): alice and bob hold the rows it was built or last
+// grown over as their prefix.
+type grower interface {
+	smc.Comparator
+	Grow(alice, bob [][]int64)
+}
+
+// comparator is the comparator for a batch's purchases over the grown
+// encodings, and whether it outlives the batch. One that can Grow is built
+// once, at the engine's first purchase, and grown at every later one, so a
+// batch packs only its own rows; any other (the secure one) is built for
+// the batch and closed with it.
+func (e *Engine) comparator(alice, bob [][]int64) (smc.Comparator, bool, error) {
+	if e.oracle != nil {
+		e.oracle.Grow(alice, bob)
+		return e.oracle, true, nil
+	}
+	c, err := e.cfg.Comparator(alice, bob, e.spec, 1)
+	if err != nil {
+		return nil, false, fmt.Errorf("building comparator: %w", err)
+	}
+	if g, ok := c.(grower); ok {
+		e.oracle = g
+		return g, true, nil
+	}
+	return c, false, nil
+}
+
+// lazyComparator is the kernel's comparator for one batch, built or grown
+// at the first purchase.
 type lazyComparator struct {
-	build func() (smc.Comparator, error)
+	build func() (smc.Comparator, bool, error)
 	cmp   smc.Comparator
+	kept  bool // cmp outlives the batch
 }
 
 func (l *lazyComparator) CompareBatch(pairs [][2]int) (_ []bool, err error) {
 	if l.cmp == nil {
-		if l.cmp, err = l.build(); err != nil {
+		if l.cmp, l.kept, err = l.build(); err != nil {
 			return nil, err
 		}
 	}
@@ -627,7 +656,7 @@ func (l *lazyComparator) CompareBatch(pairs [][2]int) (_ []bool, err error) {
 }
 
 func (l *lazyComparator) close() {
-	if l.cmp != nil {
+	if l.cmp != nil && !l.kept {
 		l.cmp.Close()
 	}
 }

@@ -769,6 +769,128 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	}
 }
 
+// counted is a comparator factory that counts what it builds and closes;
+// with hide set, what it builds cannot Grow, as the secure comparator
+// cannot.
+type counted struct {
+	hide           bool
+	builds, closes int
+}
+
+type opaque struct {
+	smc.Comparator
+	closes *int
+}
+
+func (c opaque) Close() error {
+	*c.closes++
+	return c.Comparator.Close()
+}
+
+func (c *counted) factory(alice, bob [][]int64, spec *smc.Spec, workers int) (smc.Comparator, error) {
+	c.builds++
+	plain, err := core.PlainComparatorFactory(alice, bob, spec, workers)
+	if c.hide {
+		return opaque{plain, &c.closes}, err
+	}
+	return plain, err
+}
+
+// forgetful journals batch marks and commits but no purchase, so a
+// committed frame lacks every pair its batch bought.
+type forgetful struct{ *journal.Writer }
+
+func (forgetful) Record(i, j int, matched bool) error { return nil }
+
+// TestIncrementalComparatorBuilds counts the factory's builds. The default
+// oracle can Grow: one engine builds it once, at its first purchase, and
+// grows it at every later one. A comparator that cannot is built for each
+// batch that buys and closed with it. Both emit the same deltas. A
+// committed batch whose frame lacks a purchase refuses to buy before
+// either path builds anything.
+func TestIncrementalComparatorBuilds(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		w := testkit.Generate(seed)
+		type batch struct {
+			side int
+			recs []dataset.Record
+		}
+		var feed []batch
+		bb := batchesOf(w.Bob, w.Bob.Len()/2+1)
+		for x, a := range batchesOf(w.Alice, w.Alice.Len()/3+1) {
+			if feed = append(feed, batch{0, a}); x < len(bb) {
+				feed = append(feed, batch{1, bb[x]})
+			}
+		}
+		run := func(c *counted, sink journal.BatchSink, recovered *journal.Recovered) ([][]incremental.Delta, int, error) {
+			cfg := incrementalConfig(w, ample)
+			cfg.Comparator, cfg.Journal, cfg.Recovered = c.factory, sink, recovered
+			eng, err := incremental.New(w.Alice.Schema(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var deltas [][]incremental.Delta
+			buying := 0
+			for _, b := range feed {
+				res, err := eng.Append(b.side, b.recs)
+				if err != nil {
+					return deltas, buying, err
+				}
+				deltas = append(deltas, res.Deltas)
+				if res.Spent > 0 {
+					buying++
+				}
+			}
+			return deltas, buying, nil
+		}
+
+		kept, fresh := &counted{}, &counted{hide: true}
+		keptDeltas, buying, err := run(kept, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshDeltas, _, err := run(fresh, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buying < 2 {
+			t.Fatalf("world %d: %d batches bought; the fixture grows no comparator", seed, buying)
+		}
+		if kept.builds != 1 || kept.closes != 0 {
+			t.Errorf("world %d: the oracle was built %d times for %d buying batches; want once per engine", seed, kept.builds, buying)
+		}
+		if fresh.builds != buying || fresh.closes != buying {
+			t.Errorf("world %d: a comparator without Grow was built %d and closed %d times for %d buying batches", seed, fresh.builds, fresh.closes, buying)
+		}
+		if !reflect.DeepEqual(keptDeltas, freshDeltas) {
+			t.Errorf("world %d: the kept oracle's deltas differ from a comparator built per batch", seed)
+		}
+
+		for _, c := range []*counted{{}, {hide: true}} {
+			path := filepath.Join(t.TempDir(), "live.wal")
+			jw, err := journal.Create(path, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := run(&counted{hide: c.hide}, forgetful{jw}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := jw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			jw2, err := journal.Resume(path, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = run(c, jw2, jw2.Recovered())
+			jw2.Close()
+			if err == nil || !strings.Contains(err.Error(), "needs a fresh purchase") || c.builds != 0 {
+				t.Errorf("world %d, hide %v: a committed frame missing its purchases replayed with error %v after %d builds; want a refusal before any build", seed, c.hide, err, c.builds)
+			}
+		}
+	}
+}
+
 // TestIncrementalSecureRefusesOutOfDomainAppend: a live dataset's slot
 // width comes from the schema like a frozen run's, and the holders' bound
 // check runs over every row the batch's comparator is built on — the ones

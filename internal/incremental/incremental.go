@@ -68,8 +68,9 @@ type Config struct {
 	// Dedup links the dataset against itself: one side, unordered pairs
 	// i<j, self-pairs excluded.
 	Dedup bool
-	// Comparator builds the SMC backend per batch (nil selects the
-	// plaintext oracle), with one protocol lane.
+	// Comparator builds the SMC backend (nil selects the plaintext
+	// oracle), with one protocol lane: once per engine when what it builds
+	// can Grow (the oracle), once per purchasing batch otherwise.
 	Comparator core.ComparatorFactory
 	// Journal, when set, makes the run durable: batch marks, verdicts and
 	// commits are framed per DESIGN.md §15. Recovered must then carry the

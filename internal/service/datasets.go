@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -354,7 +355,8 @@ func (s *Server) handleDatasetDeltas(w http.ResponseWriter, r *http.Request) err
 				from = next
 			}
 			if st := ld.StatusView(); st.State == DatasetFailed {
-				fmt.Fprintf(w, "event: error\ndata: %q\n\n", st.Error)
+				msg, _ := json.Marshal(st.Error) // a string always encodes
+				fmt.Fprintf(w, "event: error\ndata: %s\n\n", msg)
 				return true
 			}
 			return false

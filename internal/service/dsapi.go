@@ -1,9 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"strconv"
-	"sync"
 	"time"
 
 	"pprl/internal/cliutil"
@@ -120,38 +117,13 @@ type AppendAck struct {
 // DeltasResponse is the body of GET /v1/datasets/{id}/deltas?from=N: the
 // Match pairs discovered by batches [from, next), which are exactly the
 // pairs a consumer who integrated batches < from is missing. Polling
-// with from=next never re-reads a delta.
+// with from=next never re-reads a delta. On the wire each delta is
+// positional, [batch,i,j,alice_id,bob_id] (deltapage.go):
+//
+//	{"dataset":"ds-000001","from":3,"next":5,"deltas":[[3,12,40,1012,2040]]}
 type DeltasResponse struct {
-	Dataset string              `json:"dataset"`
-	From    int                 `json:"from"`
-	Next    int                 `json:"next"`
-	Deltas  []incremental.Delta `json:"deltas"`
-}
-
-// pagePool holds the buffers delta pages are encoded in (≈ 150 KB a page
-// at paper scale).
-var pagePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendDeltasPage appends the DeltasResponse{dataset, from, next, deltas}
-// — deltas being the batches' deltas end to end — to buf, byte for byte as
-// encoding/json writes it (less the encoder's final newline) but without
-// reflecting over every delta; an empty page has "deltas":[].
-func appendDeltasPage(buf []byte, dataset string, from, next int, batches [][]incremental.Delta) []byte {
-	id, _ := json.Marshal(dataset) // a string always encodes; this is json's escaping
-	buf = append(append(buf, `{"dataset":`...), id...)
-	buf = strconv.AppendInt(append(buf, `,"from":`...), int64(from), 10)
-	buf = strconv.AppendInt(append(buf, `,"next":`...), int64(next), 10)
-	buf = append(buf, `,"deltas":[`...)
-	sep := ""
-	for _, deltas := range batches {
-		for _, d := range deltas {
-			buf = strconv.AppendInt(append(append(buf, sep...), `{"batch":`...), int64(d.Batch), 10)
-			buf = strconv.AppendInt(append(buf, `,"i":`...), int64(d.I), 10)
-			buf = strconv.AppendInt(append(buf, `,"j":`...), int64(d.J), 10)
-			buf = strconv.AppendInt(append(buf, `,"alice_id":`...), int64(d.AliceID), 10)
-			buf = strconv.AppendInt(append(buf, `,"bob_id":`...), int64(d.BobID), 10)
-			buf, sep = append(buf, '}'), ","
-		}
-	}
-	return append(buf, "]}"...)
+	Dataset string
+	From    int
+	Next    int
+	Deltas  []incremental.Delta
 }

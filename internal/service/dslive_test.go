@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,45 +16,8 @@ import (
 	"pprl/internal/adult"
 	"pprl/internal/cliutil"
 	"pprl/internal/dataset"
-	"pprl/internal/incremental"
 	"pprl/internal/oracle"
 )
-
-// TestDeltasPageMatchesEncodingJSON holds the hand-written page encoder to
-// the reflective one it replaced, byte for byte: a consumer parsing pages
-// must not be able to tell which build served them.
-func TestDeltasPageMatchesEncodingJSON(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	large := make([]incremental.Delta, 5000)
-	for x := range large {
-		large[x] = incremental.Delta{Batch: x / 30, I: rng.Intn(1 << 20), J: rng.Intn(1 << 20), AliceID: rng.Int(), BobID: -rng.Intn(1000)}
-	}
-	extremes := []incremental.Delta{{Batch: math.MaxInt, I: math.MinInt, J: 0, AliceID: -1, BobID: math.MaxInt32}}
-	for _, id := range []string{"ds-000001", "", `a"b\c`, "<ds>&co", "dätäset-✓", "nul\x00tab\tnl\n", "bad\xffutf8", "sep\u2028\u2029"} {
-		for _, c := range []struct {
-			name   string
-			deltas []incremental.Delta
-		}{{"empty", []incremental.Delta{}}, {"one", large[:1]}, {"extremes", extremes}, {"large", large}} {
-			var want bytes.Buffer
-			if err := json.NewEncoder(&want).Encode(DeltasResponse{Dataset: id, From: 3, Next: 170, Deltas: c.deltas}); err != nil {
-				t.Fatal(err)
-			}
-			// The log hands the page one slice a batch, some of them empty.
-			half := len(c.deltas) / 2
-			for _, batches := range [][][]incremental.Delta{{c.deltas}, {nil, c.deltas[:half], {}, c.deltas[half:], nil}} {
-				got := append(appendDeltasPage(nil, id, 3, 170, batches), '\n')
-				if !bytes.Equal(got, want.Bytes()) {
-					t.Errorf("id %q, %s page in %d slices: %d bytes differ from encoding/json's %d\n got %.200s\nwant %.200s", id, c.name, len(batches), len(got), want.Len(), got, want.Bytes())
-				}
-			}
-		}
-	}
-	// A dataset with no batches yet has an empty log; the page still says
-	// [], as the copying Deltas() always made it say.
-	if got := string(appendDeltasPage(nil, "ds-000001", 0, 0, nil)); got != `{"dataset":"ds-000001","from":0,"next":0,"deltas":[]}` {
-		t.Errorf("nil page = %s", got)
-	}
-}
 
 // TestDeltasPagesNeverTear runs an appender and a poller concurrently (the
 // race detector watches in `make race`): the poller integrates pages by

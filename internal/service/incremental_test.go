@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -262,7 +263,8 @@ func TestServiceIncrementalSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("event: error\ndata: %q\n\n", failed.Error); !strings.HasSuffix(string(raw), want) || strings.Count(string(raw), "event: error") != 1 {
+	msg, _ := json.Marshal(failed.Error)
+	if want := fmt.Sprintf("event: error\ndata: %s\n\n", msg); !strings.HasSuffix(string(raw), want) || strings.Count(string(raw), "event: error") != 1 {
 		t.Errorf("failed dataset's stream does not end on its error:\n%s", raw)
 	}
 	ts1.Close()
@@ -372,6 +374,58 @@ func TestServiceIncrementalSmoke(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.Header.Get("X-Request-Id") == "" {
 		t.Error("no request id minted for an id-less request")
+	}
+}
+
+// failingSink fails the first purchase it is asked to journal with err.
+type failingSink struct {
+	*journal.Writer
+	err error
+}
+
+func (f failingSink) Record(i, j int, matched bool) error { return f.err }
+
+// TestDatasetStreamErrorFrameIsJSON: a failed dataset's delta stream ends
+// on an error frame whose data line is JSON, like every other data line
+// the service writes, whatever bytes the message holds. Go's %q quoting
+// wrote NUL as \x00, a bell as \a and a stray byte as \xff, and
+// encoding/json refuses all three.
+func TestDatasetStreamErrorFrameIsJSON(t *testing.T) {
+	dataDir := t.TempDir()
+	da, db := dataset.SplitOverlap(adult.Generate(120, 31), rand.New(rand.NewSource(32)))
+	a, b := sliceBatches(t, dataDir, "a", da, 1), sliceBatches(t, dataDir, "b", db, 1)
+	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir, Hooks: Hooks{
+		WrapDatasetJournal: func(id string, w *journal.Writer) journal.BatchSink {
+			return failingSink{w, errors.New("disk says nul\x00 bell\a stray\xff")}
+		},
+	}})
+	ds := registerDataset(t, ts, DatasetSpec{Params: cliutil.Params{Allowance: serviceAmple}})
+	for _, req := range []AppendRequest{{Side: "alice", Path: a[0]}, {Side: "bob", Path: b[0]}} {
+		if code, _ := appendBatch(t, ts, ds.ID, req); code != http.StatusAccepted {
+			t.Fatalf("append answered %d", code)
+		}
+	}
+	failed := waitDataset(t, ts, ds.ID, "failed", func(st DatasetStatus) bool { return st.State == DatasetFailed })
+	if !strings.Contains(failed.Error, "nul\x00 bell\a stray") {
+		t.Fatalf("the dataset failed with %q, not the injected error", failed.Error)
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v1/datasets/%s/deltas?from=0&stream=1", ts.URL, ds.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, ok := strings.CutSuffix(string(raw), "\n\n")
+	_, data, found := strings.Cut(frame, "event: error\ndata: ")
+	if !ok || !found || strings.Contains(data, "\n") {
+		t.Fatalf("the stream does not end on one error frame:\n%q", raw)
+	}
+	var got string
+	if err := json.Unmarshal([]byte(data), &got); err != nil || got != failed.Error {
+		t.Errorf("error frame data %s decodes to %q (%v); want the dataset's error %q", data, got, err, failed.Error)
 	}
 }
 

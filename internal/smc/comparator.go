@@ -42,10 +42,14 @@ type Comparator interface {
 // lays every record out as one word of fields, one per test (pack), so a
 // pair's verdict is one subtraction, one addition and two masks; a test
 // whose field does not fit is checked on the rows after the word.
+//
+// A live population grows at its ends: Grow packs only the new rows into
+// the layout, so a batch costs the oracle what the batch holds.
 type PlainComparator struct {
 	alice, bob  [][]int64
 	terms       []term
 	wa, wb      []uint64 // Alice's and Bob's records packed; nil until the first comparison
+	fields      []field  // the word's layout, one field per packed term
 	word        word
 	rest        []term // the tests not in the word
 	invocations int64
@@ -62,6 +66,15 @@ type word struct{ hf, hg, m uint64 }
 type term struct {
 	col int
 	lim uint64
+}
+
+// field is a packed term's place in the word: the values its column held
+// over both relations when the word was laid out span [lo, hi], and the
+// field takes f+2 bits from bit shift.
+type field struct {
+	term
+	lo, hi   int64
+	f, shift int
 }
 
 // NewPlainComparator builds the oracle over both holders' encoded records:
@@ -92,6 +105,7 @@ func NewPlainComparator(spec *Spec, alice, bob [][]int64) *PlainComparator {
 // in rest.
 func (p *PlainComparator) pack() {
 	p.wa, p.wb = make([]uint64, len(p.alice)), make([]uint64, len(p.bob))
+	p.fields, p.word, p.rest = p.fields[:0], word{}, nil
 	shift := 0
 	for _, t := range p.terms {
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
@@ -109,14 +123,50 @@ func (p *PlainComparator) pack() {
 		p.word.hf |= 1 << (shift + f)
 		p.word.hg |= 1 << (shift + f + 1)
 		p.word.m |= (1<<f - 1 - 2*(t.lim-1)) << shift
-		for i, r := range p.alice {
-			p.wa[i] |= (uint64(r[t.col]) - uint64(lo) + t.lim - 1 + 1<<f) << shift
-		}
-		for j, r := range p.bob {
-			p.wb[j] |= (uint64(r[t.col]) - uint64(lo)) << shift
-		}
+		p.fields = append(p.fields, field{term: t, lo: lo, hi: hi, f: f, shift: shift})
 		shift += f + 2
 	}
+	p.packRows(0, 0)
+}
+
+// packRows fills the words of Alice's records from i on and Bob's from j
+// on, which must be zero.
+func (p *PlainComparator) packRows(i, j int) {
+	for _, fl := range p.fields {
+		for x, r := range p.alice[i:] {
+			p.wa[i+x] |= (uint64(r[fl.col]) - uint64(fl.lo) + fl.lim - 1 + 1<<fl.f) << fl.shift
+		}
+		for x, r := range p.bob[j:] {
+			p.wb[j+x] |= (uint64(r[fl.col]) - uint64(fl.lo)) << fl.shift
+		}
+	}
+}
+
+// Grow hands the comparator both relations grown at their ends: the rows
+// it holds must be a prefix of alice and bob, unchanged. Only the new rows
+// are packed, into the word's layout; a new value outside its field's
+// [lo, hi] lays every record out again at the next comparison. Grow
+// counts nothing.
+func (p *PlainComparator) Grow(alice, bob [][]int64) {
+	na, nb := len(p.alice), len(p.bob)
+	p.alice, p.bob = alice, bob
+	if p.wa == nil || len(alice) < na || len(bob) < nb {
+		p.wa, p.wb = nil, nil
+		return
+	}
+	for _, fl := range p.fields {
+		for _, rows := range [2][][]int64{alice[na:], bob[nb:]} {
+			for _, r := range rows {
+				if v := r[fl.col]; v < fl.lo || v > fl.hi {
+					p.wa, p.wb = nil, nil
+					return
+				}
+			}
+		}
+	}
+	p.wa = append(p.wa, make([]uint64, len(alice)-na)...)
+	p.wb = append(p.wb, make([]uint64, len(bob)-nb)...)
+	p.packRows(na, nb)
 }
 
 // pass tests a pair's word difference y, every field at once and without

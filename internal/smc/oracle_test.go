@@ -2,8 +2,10 @@ package smc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -325,7 +327,7 @@ func TestPlainCompareBatchAllocatesNothing(t *testing.T) {
 
 // TestNewPlainComparatorIsOd: construction allocates the same over 10
 // rows as over 10,000 — the records are packed on the first comparison,
-// not here, so the live engine's oracle per batch stays O(d).
+// not here.
 func TestNewPlainComparatorIsOd(t *testing.T) {
 	spec := testSpec()
 	allocs := func(n int) float64 {
@@ -334,5 +336,101 @@ func TestNewPlainComparatorIsOd(t *testing.T) {
 	}
 	if small, large := allocs(10), allocs(10_000); small != large {
 		t.Errorf("NewPlainComparator allocates %v times over 10 rows, %v over 10,000", small, large)
+	}
+}
+
+// TestPlainComparatorGrow: a comparator grown in one to four steps answers
+// every pair as a fresh NewPlainComparator over the same rows does, and
+// as Spec.Matches. Every step compares all pairs, so each Grow meets a
+// packed word. Later rows draw wider values, so some steps leave the
+// layout's [lo, hi] and lay the word out again; a negative threshold or a
+// column reaching the int64 edges leaves a term in rest. The packCases
+// grow the same way.
+func TestPlainComparatorGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var kept, relaid, rest int
+	cuts := func(n, steps int) []int {
+		out := make([]int, steps)
+		for s := range out[:steps-1] {
+			out[s] = rng.Intn(n + 1)
+		}
+		out[steps-1] = n
+		slices.Sort(out)
+		return out
+	}
+	grow := func(name string, spec *Spec, alice, bob [][]int64) {
+		steps := 1 + rng.Intn(4)
+		ca, cb := cuts(len(alice), steps), cuts(len(bob), steps)
+		p := NewPlainComparator(spec, alice[:ca[0]], bob[:cb[0]])
+		var bought int64
+		for s := range steps {
+			if s > 0 {
+				p.Grow(alice[:ca[s]], bob[:cb[s]])
+				if ca[s] > ca[s-1] || cb[s] > cb[s-1] {
+					if p.wa == nil {
+						relaid++
+					} else {
+						kept++
+					}
+				}
+			}
+			var pairs [][2]int
+			for i := range ca[s] {
+				for j := range cb[s] {
+					pairs = append(pairs, [2]int{i, j})
+				}
+			}
+			got, err := p.CompareBatch(pairs)
+			if err != nil {
+				t.Fatalf("%s, step %d: %v", name, s, err)
+			}
+			fresh, err := NewPlainComparator(spec, alice[:ca[s]], bob[:cb[s]]).CompareBatch(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x, pr := range pairs {
+				a, b := alice[pr[0]], bob[pr[1]]
+				if got[x] != fresh[x] || got[x] != spec.Matches(a, b) {
+					t.Fatalf("%s, step %d of %d, spec %+v, %v vs %v: grown %v, fresh %v, Spec.Matches %v",
+						name, s, steps, spec.Attrs, a, b, got[x], fresh[x], spec.Matches(a, b))
+				}
+			}
+			bought += int64(len(pairs))
+			if len(p.rest) > 0 && s > 0 {
+				rest++
+			}
+		}
+		if p.Invocations() != bought {
+			t.Fatalf("%s: %d invocations for %d pairs bought", name, p.Invocations(), bought)
+		}
+	}
+	for _, c := range packCases {
+		grow(c.name, &Spec{Scale: 1, Attrs: c.attrs}, c.alice, c.bob)
+	}
+	thresholds := []int64{-1, 0, 4, 100, 1 << 20, math.MaxInt64}
+	for w := range 400 {
+		spec := &Spec{Scale: 1, Attrs: make([]AttrSpec, 1+rng.Intn(4))}
+		for k := range spec.Attrs {
+			spec.Attrs[k].Mode = AttrMode(rng.Intn(3))
+			if spec.Attrs[k].Mode == ModeThreshold {
+				spec.Attrs[k].T = thresholds[rng.Intn(len(thresholds))]
+			}
+		}
+		rows := func(n int) [][]int64 {
+			out := make([][]int64, n)
+			for i := range out {
+				out[i] = make([]int64, len(spec.Attrs))
+				for k := range out[i] {
+					if out[i][k] = int64(rng.Intn(2*i+3) - i - 1); rng.Intn(40) == 0 {
+						out[i][k] = fuzzEdges[rng.Intn(len(fuzzEdges))]
+					}
+				}
+			}
+			return out
+		}
+		grow(fmt.Sprintf("world %d", w), spec, rows(1+rng.Intn(12)), rows(1+rng.Intn(12)))
+	}
+	if kept == 0 || relaid == 0 || rest == 0 {
+		t.Errorf("coverage: %d steps kept the layout, %d laid it out again, %d grew with a term in rest; want each > 0", kept, relaid, rest)
 	}
 }

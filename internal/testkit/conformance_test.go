@@ -205,8 +205,30 @@ func record(inner core.ComparatorFactory, out *outcome) core.ComparatorFactory {
 			cmp.Close()
 			return nil, fmt.Errorf("chunk hint %d outside (0, 16384]", h.ChunkHint())
 		}
-		return &recorded{cmp, alice, bob, out}, nil
+		rec := &recorded{cmp, alice, bob, out}
+		if g, ok := cmp.(grower); ok {
+			return &grownRecorded{rec, g}, nil
+		}
+		return rec, nil
 	}
+}
+
+// grower is the live engine's comparator that follows a growing
+// population (smc.PlainComparator); the recorder passes its Grow on, so
+// the live cells buy through one oracle across batches, as the engine
+// does by default.
+type grower interface {
+	Grow(alice, bob [][]int64)
+}
+
+type grownRecorded struct {
+	*recorded
+	g grower
+}
+
+func (c *grownRecorded) Grow(alice, bob [][]int64) {
+	c.alice, c.bob = alice, bob
+	c.g.Grow(alice, bob)
 }
 
 type recorded struct {
