@@ -4,9 +4,9 @@ GO ?= go
 # How long `make fuzz` spends per fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check tracked-files build binaries vet purego test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
+.PHONY: check tracked-files fmt build binaries vet purego test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
 
-check: tracked-files build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
+check: tracked-files fmt build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
 
 # No build output in the tree: every tracked file (as staged) is under
 # 1 MiB, and none is a compiled binary — an executable file must be a
@@ -19,6 +19,13 @@ tracked-files:
 		if [ "$$head" = 7f454c46 ] || { [ "$$mode" = 100755 ] && [ "$${head#2321}" = "$$head" ]; }; then \
 			echo "tracked-files: $$path is an executable, not a script"; bad=1; fi; \
 	done; exit $$bad; }
+
+# Every Go file gofmt-formatted: fails listing the files `gofmt -l` names.
+# It reads the frozen benchmark/ module too but never rewrites a file, and
+# skips the scratch checkouts under .bench_build/.
+fmt:
+	@bad=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$bad" ]; then echo "fmt: not gofmt-formatted (run gofmt -w on them):"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...

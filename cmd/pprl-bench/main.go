@@ -19,6 +19,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 
 	"pprl/internal/experiment"
@@ -39,16 +40,11 @@ func main() {
 	}
 }
 
-// run renders the selected artifacts to out. With asJSON the tier and dp
-// artifacts also write their stamped reports to tierOut and dpOut (none
-// when the path is empty).
+// run renders the selected artifacts to out, walking experiment.Arms in
+// order. An arm with a report fails the run unless its gate passes; with
+// asJSON the tier and dp reports are also written, stamped, to tierOut
+// and dpOut (none when the path is empty).
 func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON bool, tierOut, dpOut string) error {
-	render := func(t *experiment.Table) error {
-		if asJSON {
-			return t.RenderJSON(out)
-		}
-		return t.Render(out)
-	}
 	opts := experiment.Options{Records: records, Seed: seed}
 	if full {
 		opts.Records = 30162
@@ -57,111 +53,41 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 	for _, id := range strings.Split(exps, ",") {
 		wanted[strings.TrimSpace(strings.ToLower(id))] = true
 	}
-	all := wanted["all"]
-	want := func(id string) bool { return all || wanted[id] }
+	want := func(id string) bool { return wanted["all"] || wanted[id] }
+	reportOut := map[string]string{"tier": tierOut, "dp": dpOut}
 
-	if want("example") {
-		if err := printWorkedExample(out); err != nil {
-			return err
-		}
-	}
-	type gen struct {
-		id string
-		fn func(experiment.Options) (*experiment.Table, error)
-	}
-	singles := []gen{
-		{"fig2", experiment.Fig2},
-		{"fig3", experiment.Fig3},
-		{"fig4", experiment.Fig4},
-		{"fig5", experiment.Fig5},
-	}
-	for _, g := range singles {
-		if !want(g.id) {
+	for _, arm := range experiment.Arms {
+		if !slices.ContainsFunc(arm.IDs, want) {
 			continue
 		}
-		t, err := g.fn(opts)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-	}
-	if want("fig6") || want("fig7") {
-		f6, f7, err := experiment.Fig6and7(opts)
-		if err != nil {
-			return err
-		}
-		if want("fig6") {
-			if err := render(f6); err != nil {
+		if arm.Text != nil {
+			if err := arm.Text(out); err != nil {
 				return err
 			}
-		}
-		if want("fig7") {
-			if err := render(f7); err != nil {
-				return err
-			}
-		}
-	}
-	tail := []gen{
-		{"fig8", experiment.Fig8},
-		{"strategies", experiment.Strategies},
-		{"anonymizers", experiment.Anonymizers},
-		{"baselines", experiment.Baselines},
-		{"diversity", experiment.Diversity},
-		{"strings", experiment.Strings},
-		{"bloom", experiment.Bloom},
-	}
-	for _, g := range tail {
-		if !want(g.id) {
 			continue
 		}
-		t, err := g.fn(opts)
+		tables, rep, err := arm.Tables(opts)
 		if err != nil {
 			return err
 		}
-		if err := render(t); err != nil {
-			return err
-		}
-	}
-	if want("timing") {
-		t, err := experiment.Timing(opts, 1024, 256)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-	}
-	if want("tier") {
-		rep, t, err := experiment.TierPerf(opts)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if asJSON && tierOut != "" {
-			rep.Stamp = stamp()
-			if err := writeReport("tier", tierOut, rep); err != nil {
+		for _, t := range tables {
+			switch {
+			case !want(t.ID):
+			case asJSON:
+				err = t.RenderJSON(out)
+			default:
+				err = t.Render(out)
+			}
+			if err != nil {
 				return err
 			}
 		}
-		if err := rep.Gate(); err != nil {
-			return err
+		if rep == nil {
+			continue
 		}
-	}
-	if want("dp") {
-		rep, t, err := experiment.DPPerf(opts)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		if asJSON && dpOut != "" {
-			rep.Stamp = stamp()
-			if err := writeReport("dp", dpOut, rep); err != nil {
+		if path := reportOut[arm.IDs[0]]; asJSON && path != "" {
+			rep.SetStamp(stamp())
+			if err := writeReport(arm.IDs[0], path, rep); err != nil {
 				return err
 			}
 		}
@@ -187,7 +113,7 @@ func stamp() *experiment.Stamp {
 }
 
 // writeReport writes one arm's machine-readable report to path.
-func writeReport(arm, path string, rep interface{ WriteJSON(io.Writer) error }) error {
+func writeReport(arm, path string, rep experiment.Report) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("%s: %w", arm, err)
@@ -200,29 +126,5 @@ func writeReport(arm, path string, rep interface{ WriteJSON(io.Writer) error }) 
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "%s: report written to %s\n", arm, path)
-	return nil
-}
-
-// printWorkedExample renders the Section III walkthrough (Tables I & II).
-func printWorkedExample(out io.Writer) error {
-	d, err := experiment.NewWorkedExample()
-	if err != nil {
-		return err
-	}
-	res, err := experiment.WorkedExample()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "example — Section III worked example (Tables I & II)")
-	fmt.Fprintln(out, "R' classes:")
-	for _, c := range d.R.Classes {
-		fmt.Fprintf(out, "  %d× %s\n", c.Size(), c.Sequence)
-	}
-	fmt.Fprintln(out, "S' classes:")
-	for _, c := range d.S.Classes {
-		fmt.Fprintf(out, "  %d× %s\n", c.Size(), c.Sequence)
-	}
-	fmt.Fprintf(out, "slack rule labels: %d matched, %d mismatched, %d unknown of %d pairs (blocking efficiency %.0f%%)\n\n",
-		res.MatchedPairs, res.NonMatchedPairs, res.UnknownPairs, res.TotalPairs(), 100*res.Efficiency())
 	return nil
 }

@@ -19,6 +19,9 @@ import (
 // and SMC cost model as the two-party pipeline. The -allowance fraction
 // is taken of the n(n-1)/2 unordered pair space.
 func runDedup(out io.Writer, opts options) error {
+	if opts.aPath == "" {
+		return fmt.Errorf("-dedup needs -a")
+	}
 	if opts.bPath != "" {
 		return fmt.Errorf("-dedup links -a against itself; -b is not allowed")
 	}
@@ -51,7 +54,7 @@ func runDedup(out io.Writer, opts options) error {
 		return err
 	}
 	cfg.Level, cfg.Dedup = opts.level, true
-	data, err := readCSV(schema, opts.aPath)
+	data, err := cliutil.ReadRelation(schema, opts.aPath)
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,12 @@
 // Paillier protocol; without it the plaintext cost-model oracle is used
 // (same verdicts, no cryptography — see DESIGN.md §3). -eval additionally
 // scores the result against exact ground truth, which is only possible
-// because this command happens to hold both files.
+// because this command happens to hold both files. -json prints the
+// document GET /v1/jobs/{id}/result serves for the same job: the result
+// summary, the matched record-index pairs and, with -eval, the evaluation
+// (text -pairs prints entity IDs instead). The run goes through the same
+// cliutil.Job as POST /v1/jobs; only the meaning of zero differs: -k 0 is
+// refused and -allowance 0 buys nothing.
 //
 // Long runs can be made crash-resumable with a durable journal:
 //
@@ -51,8 +56,8 @@ import (
 	"io"
 	"os"
 
-	"pprl"
 	"pprl/internal/cliutil"
+	"pprl/internal/core"
 )
 
 // options collects everything the pipeline run needs; flags fill it in
@@ -91,8 +96,8 @@ func (opts *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&opts.dedup, "dedup", false, "deduplicate -a against itself (unordered pairs; -b not allowed)")
 	fs.IntVar(&opts.level, "level", 0, "fixed binning depth for -dedup (0 = default)")
 	fs.BoolVar(&opts.eval, "eval", false, "score against exact ground truth (requires both files, which this command has)")
-	fs.BoolVar(&opts.showPairs, "pairs", false, "print matched entity-ID pairs")
-	fs.BoolVar(&opts.jsonOut, "json", false, "emit one machine-readable JSON document instead of text")
+	fs.BoolVar(&opts.showPairs, "pairs", false, "print matched entity-ID pairs (-json always lists the matched record-index pairs)")
+	fs.BoolVar(&opts.jsonOut, "json", false, "emit the API's result document (GET /v1/jobs/{id}/result) instead of text")
 }
 
 func main() {
@@ -113,74 +118,43 @@ func main() {
 }
 
 func run(out io.Writer, opts options) error {
-	if opts.aPath == "" || (opts.bPath == "" && !opts.dedup) {
-		return fmt.Errorf("-a and -b are required")
-	}
 	if opts.dedup {
 		return runDedup(out, opts)
 	}
 	if opts.level != 0 {
 		return fmt.Errorf("-level applies only to -dedup")
 	}
+	// The flags' meaning of zero is the job's own: -k 0 is refused and
+	// -allowance 0 buys nothing.
+	job := cliutil.Job{AlicePath: opts.aPath, BobPath: opts.bPath, Params: opts.Params, K: opts.K,
+		AllowanceFraction: opts.AllowanceFraction, Anonymizer: opts.anonName, Evaluate: opts.eval}
 	// Everything the flags alone decide is refused here, before any file
 	// is read or journal created (one rule set, shared with the API).
-	if err := opts.Validate(); err != nil {
+	if err := job.Validate(cliutil.FlagNames); err != nil {
 		return err
 	}
-	anonName := opts.anonName
-	if anonName == "" {
-		anonName = "entropy" // the flag's default method: -epsilon alone does not imply dp
-	}
-	if err := opts.ValidateAnonymizer(cliutil.FlagNames, "-anon", anonName, opts.DPLevel); err != nil {
+	if err := job.ValidateDPLevel(cliutil.FlagNames, opts.DPLevel); err != nil {
 		return err
 	}
-	schema, qids, err := opts.LoadSchema(nil)
-	if err != nil {
-		return err
-	}
-	alice, err := readCSV(schema, opts.aPath)
-	if err != nil {
-		return err
-	}
-	bob, err := readCSV(schema, opts.bPath)
-	if err != nil {
-		return err
-	}
-
-	cfg, err := opts.Core(qids)
-	if err != nil {
-		return err
-	}
-	cfg.AliceK, cfg.BobK = opts.K, opts.K
-	cfg.AllowanceFraction = opts.AllowanceFraction
-	cfg.DPLevel = opts.DPLevel
-	if !cliutil.IsDPName(anonName) {
-		// Under dp the anonymizers stay nil: the config installs the
-		// deterministic binner from the block's parameters.
-		anon, err := cliutil.AnonymizerByName(anonName)
-		if err != nil {
-			return err
+	l, err := job.Run(nil, func(cfg *core.Config) (io.Closer, error) {
+		cfg.DPLevel = opts.DPLevel
+		cfg.Context = opts.ctx
+		w, err := opts.OpenJournal()
+		if w == nil {
+			return nil, err
 		}
-		cfg.AliceAnonymizer, cfg.BobAnonymizer = anon, anon
-	}
-	cfg.Context = opts.ctx
-
-	w, err := opts.OpenJournal()
-	if err != nil {
-		return err
-	}
-	if w != nil {
-		defer w.Close()
 		cfg.Journal = w
-	}
-
-	res, err := pprl.Link(pprl.Holder{Data: alice}, pprl.Holder{Data: bob}, cfg)
+		return w, nil
+	})
 	if err != nil {
 		return err
 	}
 	if opts.jsonOut {
-		return writeJSON(out, opts, alice, bob, res)
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(l.Doc)
 	}
+	res := l.Result
 	fmt.Fprintln(out, res.Summary())
 	if res.DP != nil {
 		fmt.Fprintf(out, "dp: ε=%v per holder (composed ε=%v, δ=%v) bins=%d+%d dummies=%d dummy-pairs=%d of which bought=%d (of smc=%d)\n",
@@ -195,60 +169,15 @@ func run(out io.Writer, opts options) error {
 	if res.Resume.Resumed() {
 		fmt.Fprintf(out, "journal: %v\n", res.Resume)
 	}
-
-	if opts.eval {
-		truth, err := pprl.TruePairs(alice, bob, res.QIDs(), res.Rule())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "evaluation: %v (|truth|=%d)\n", res.Evaluate(truth), len(truth))
+	if ev := l.Doc.Evaluation; ev != nil {
+		fmt.Fprintf(out, "evaluation: %v (|truth|=%d)\n", *ev, l.Doc.TruthPairs)
 	}
 	if opts.showPairs {
 		w := bufio.NewWriter(out)
 		defer w.Flush()
-		for _, m := range res.Matches() {
-			fmt.Fprintf(w, "%d\t%d\n", alice.Record(m[0]).EntityID, bob.Record(m[1]).EntityID)
+		for _, m := range l.Doc.Matches {
+			fmt.Fprintf(w, "%d\t%d\n", l.Alice.Record(m[0]).EntityID, l.Bob.Record(m[1]).EntityID)
 		}
 	}
 	return nil
-}
-
-// writeJSON emits the whole run as one JSON document built from the
-// stable marshalers on Result and Confusion, so scripts and the job
-// service share one wire format instead of scraping the text output.
-func writeJSON(out io.Writer, opts options, alice, bob *pprl.Dataset, res *pprl.Result) error {
-	doc := struct {
-		Result     *pprl.Result    `json:"result"`
-		Evaluation *pprl.Confusion `json:"evaluation,omitempty"`
-		TruthPairs *int            `json:"truth_pairs,omitempty"`
-		Matches    [][2]int        `json:"matches,omitempty"`
-	}{Result: res}
-	if opts.eval {
-		truth, err := pprl.TruePairs(alice, bob, res.QIDs(), res.Rule())
-		if err != nil {
-			return err
-		}
-		ev := res.Evaluate(truth)
-		n := len(truth)
-		doc.Evaluation = &ev
-		doc.TruthPairs = &n
-	}
-	if opts.showPairs {
-		doc.Matches = make([][2]int, 0)
-		for _, m := range res.Matches() {
-			doc.Matches = append(doc.Matches, [2]int{alice.Record(m[0]).EntityID, bob.Record(m[1]).EntityID})
-		}
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-func readCSV(schema *pprl.Schema, path string) (*pprl.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return pprl.ReadCSV(schema, bufio.NewReader(f))
 }

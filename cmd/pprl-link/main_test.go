@@ -90,14 +90,14 @@ func TestRunLink(t *testing.T) {
 }
 
 // TestRunLinkJSON: -json emits one parseable document built from the
-// stable marshalers, with evaluation and matches folded in.
+// stable marshalers, with evaluation and the matched record-index pairs
+// folded in — the pairs without -pairs, which only the text output reads.
 func TestRunLinkJSON(t *testing.T) {
 	a, b := writePair(t)
 	var buf bytes.Buffer
 	opts := baseOpts(a, b)
 	opts.AllowanceFraction = 1.0
 	opts.eval = true
-	opts.showPairs = true
 	opts.jsonOut = true
 	if err := run(&buf, opts); err != nil {
 		t.Fatal(err)

@@ -1,16 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"pprl/internal/cliutil"
+	"pprl/internal/service"
 	"pprl/internal/testkit"
 )
 
@@ -120,4 +127,96 @@ func TestRunLinkDedupRefusesK(t *testing.T) {
 	if err := run(nil, opts); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("-dedup without -k: err = %v, want -a's not-found error", err)
 	}
+}
+
+// TestRunLinkZeroKRefusedFirst: -k below 1 is a usage error made before
+// either relation is read or the journal exists (the parent read both
+// files and left a header-only journal before core refused k).
+func TestRunLinkZeroKRefusedFirst(t *testing.T) {
+	a, b := writePair(t)
+	wal := filepath.Join(t.TempDir(), "k0.wal")
+	for _, k := range []int{0, -1} {
+		opts := baseOpts(a, b)
+		opts.K, opts.Journal = k, wal
+		if err := run(nil, opts); err == nil || !strings.Contains(err.Error(), "-k must be ≥ 1") {
+			t.Errorf("-k %d: err = %v, want the -k refusal", k, err)
+		}
+		if _, err := os.Stat(wal); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("-k %d: the refused run left a journal behind (stat: %v)", k, err)
+		}
+	}
+}
+
+// TestDoorsAgree pushes the same two relations and parameters through
+// pprl-link -json -eval and through POST /v1/jobs with "evaluate": true:
+// what pprl-link prints and what GET /v1/jobs/{id}/result serves must be
+// one document, stage timings aside.
+func TestDoorsAgree(t *testing.T) {
+	a, b := writePair(t)
+	flags := flag.NewFlagSet("pprl-link", flag.ContinueOnError)
+	var opts options
+	opts.register(flags)
+	if err := flags.Parse([]string{"-a", a, "-b", b, "-k", "8", "-allowance", "0.05", "-heuristic", "maxLast", "-tier", "bloom", "-json", "-eval"}); err != nil {
+		t.Fatal(err)
+	}
+	var cli bytes.Buffer
+	if err := run(&cli, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := service.New(service.Config{Dir: t.TempDir(), DataDir: filepath.Dir(a), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Drain()
+	defer ts.Close()
+	body := `{"alice_path":"a.csv","bob_path":"b.csv","k":8,"allowance_fraction":0.05,"heuristic":"maxLast","tier":"bloom","evaluate":true}`
+	var st service.JobStatus
+	if code := call(t, http.MethodPost, ts.URL+"/v1/jobs", body, &st); code != http.StatusCreated {
+		t.Fatalf("POST /v1/jobs: status %d", code)
+	}
+	for deadline := time.Now().Add(time.Minute); st.State != service.StateDone; time.Sleep(10 * time.Millisecond) {
+		if st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job %s is %s (%s)", st.ID, st.State, st.Error)
+		}
+		call(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, "", &st)
+	}
+	var api map[string]any
+	if code := call(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", "", &api); code != http.StatusOK {
+		t.Fatalf("GET result: status %d", code)
+	}
+
+	var link map[string]any
+	if err := json.Unmarshal(cli.Bytes(), &link); err != nil {
+		t.Fatalf("pprl-link -json: %v\n%s", err, cli.String())
+	}
+	for _, doc := range []map[string]any{link, api} {
+		delete(doc["result"].(map[string]any), "stages")
+	}
+	if !reflect.DeepEqual(link, api) {
+		t.Errorf("the doors disagree:\npprl-link -json: %v\nGET result:      %v", link, api)
+	}
+	if matches, _ := link["matches"].([]any); len(matches) == 0 || link["evaluation"] == nil {
+		t.Errorf("the compared documents hold no matches or no evaluation: %v", link)
+	}
+}
+
+// call sends one request and decodes the JSON reply into into, returning
+// the status code.
+func call(t *testing.T, method, url, body string, into any) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	return resp.StatusCode
 }

@@ -63,7 +63,6 @@ import (
 	"strings"
 	"time"
 
-	"pprl"
 	"pprl/internal/cliutil"
 	"pprl/internal/distrib"
 	"pprl/internal/session"
@@ -241,11 +240,20 @@ func runHolder(ctx context.Context, opts holderOptions, role string) error {
 	if opts.queryAddr == "" || opts.dataPath == "" || opts.peer == "" {
 		return fmt.Errorf("holder roles need -query, -data and -peer-listen (alice) or -peer (bob)")
 	}
+	// The flags are refused before the data is read or the query dialed.
 	if err := opts.ValidateDP(cliutil.FlagNames); err != nil {
 		return err
 	}
-	if err := opts.ValidateAnonymizer(cliutil.FlagNames, "-method", opts.method, opts.DPLevel); err != nil {
+	if err := opts.ValidateAnonymizer(cliutil.FlagNames, "-method", opts.method); err != nil {
 		return err
+	}
+	if err := opts.ValidateDPLevel(cliutil.FlagNames, opts.DPLevel); err != nil {
+		return err
+	}
+	if !cliutil.IsDPName(opts.method) { // a dp holder bins at a fixed depth and ignores k
+		if err := cliutil.ValidateK(cliutil.FlagNames, opts.K); err != nil {
+			return err
+		}
 	}
 	schema, err := cliutil.LoadSchemaOrAdult(opts.SchemaPath)
 	if err != nil {
@@ -260,13 +268,7 @@ func runHolder(ctx context.Context, opts holderOptions, role string) error {
 		return err
 	}
 	cfg.TierKey = []byte(opts.tierKey)
-	f, err := os.Open(opts.dataPath)
-	if err != nil {
-		return err
-	}
-	cfg.Data, err = pprl.ReadCSV(schema, bufio.NewReader(f))
-	f.Close()
-	if err != nil {
+	if cfg.Data, err = cliutil.ReadRelation(schema, opts.dataPath); err != nil {
 		return err
 	}
 

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pprl/internal/cliutil"
 	"pprl/internal/testkit"
@@ -68,5 +69,36 @@ func TestQuerySmallKeyRefusedFirst(t *testing.T) {
 	}
 	if _, statErr := os.Stat(wal); !errors.Is(statErr, fs.ErrNotExist) {
 		t.Errorf("the refused query left a journal behind (stat: %v)", statErr)
+	}
+}
+
+// TestHolderZeroKRefusedFirst: a k-anonymizing holder refuses -k below 1
+// before it reads its data or dials the querying party (the parent read
+// the CSV, dialed and said hello, and only then did the session refuse
+// k); a dp holder bins at a fixed depth and never looks at k.
+func TestHolderZeroKRefusedFirst(t *testing.T) {
+	query, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer query.Close()
+	aCSV, _ := writePairCSVs(t)
+	h := holder(query.Addr().String(), "127.0.0.1:0", "", aCSV, "entropy", "", cliutil.Params{})
+	h.K = 0
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second) // a holder that dialed waits for its peer
+	defer cancel()
+	if err := runHolder(ctx, h, "alice"); err == nil || !strings.Contains(err.Error(), "-k must be ≥ 1") {
+		t.Errorf("-k 0: err = %v, want the -k refusal", err)
+	}
+	query.(*net.TCPListener).SetDeadline(time.Now().Add(100 * time.Millisecond))
+	if c, err := query.Accept(); err == nil {
+		c.Close()
+		t.Error("the refused holder dialed the querying party")
+	}
+
+	h = holder("127.0.0.1:1", "", "127.0.0.1:1", "/nonexistent.csv", "dp", "", cliutil.Params{Epsilon: 2})
+	h.K = 0
+	if err := runHolder(context.Background(), h, "bob"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("dp holder with -k 0: err = %v, want the data file's not-found error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -22,9 +23,9 @@ const DefaultKeyBits = 1024
 // Params is the paper's run as every surface spells it — the decision
 // rule (QIDs, θ), the purchase policy (allowance, heuristic, residual
 // strategy), the privacy and triage modes (ε/δ/seed, tier threshold) and the
-// comparator (secure, key size, lanes). POST /v1/jobs and POST
-// /v1/datasets embed it (encoding/json inlines an embedded struct, so the
-// keys below are the request bodies' and the persisted specs' own), and
+// comparator (secure, key size, lanes). POST /v1/jobs (through Job) and
+// POST /v1/datasets embed it (encoding/json inlines an embedded struct, so
+// the keys below are the request bodies' and the persisted specs' own), and
 // pprl-link, its -dedup arm and pprl-party fill it from the flags CLI
 // registers. A zero field selects its default on every surface; Validate
 // is the one copy of each range and name rule, and Core, Incremental and
@@ -82,14 +83,15 @@ func JSONNames(key string) string { return key }
 
 // FlagNames is the command line's spelling: "-dp-delta" for "dp_delta".
 func FlagNames(key string) string {
-	switch key {
-	case "key_bits":
-		return "-keybits"
-	case "schema_path":
-		return "-schema"
+	if flag, ok := flagSpellings[key]; ok {
+		return flag
 	}
 	return "-" + strings.ReplaceAll(key, "_", "-")
 }
+
+// flagSpellings are the flags not spelled after their key.
+var flagSpellings = map[string]string{"key_bits": "-keybits", "schema_path": "-schema",
+	"alice_path": "-a", "bob_path": "-b", "allowance_fraction": "-allowance", "anonymizer": "-anon"}
 
 // Validate refuses a block no engine could run, before anything is
 // opened, queued or bound.
@@ -139,26 +141,30 @@ func (p *Params) OneLane(n Names) error {
 	return nil
 }
 
-// ValidateAnonymizer checks the anonymization method a surface that links
-// two fixed relations takes beside the block — key is how the surface
-// spells that field — and the method's agreement with ε: "dp" needs ε, a
-// named k-anonymizer excludes it, and an empty name defers to ε. dpLevel
-// is the DP binning depth such a surface also takes.
-func (p *Params) ValidateAnonymizer(n Names, key, name string, dpLevel int) error {
+// ValidateAnonymizer checks the anonymization method a surface that
+// anonymizes takes beside the block — key is how the surface spells that
+// field, and an empty name selects entropy — and the method's agreement
+// with ε: "dp" needs ε, and a k-anonymizer excludes it.
+func (p *Params) ValidateAnonymizer(n Names, key, name string) error {
 	switch dp := IsDPName(name); {
 	case dp && p.Epsilon == 0:
 		return fmt.Errorf("%s dp requires %s", key, n("epsilon"))
-	case !dp && name != "" && p.Epsilon != 0:
-		return fmt.Errorf("%s requires %s dp, got %s %q", n("epsilon"), key, key, name)
+	case !dp && p.Epsilon != 0:
+		return fmt.Errorf("%s requires %s dp, got %s %q", n("epsilon"), key, key, cmp.Or(name, "entropy"))
 	case !dp:
-		if _, err := AnonymizerByName(name); err != nil {
-			return err
-		}
+		_, err := AnonymizerByName(name)
+		return err
 	}
-	if dpLevel < 0 {
-		return fmt.Errorf("%s must be ≥ 0, got %d", n("dp_level"), dpLevel)
+	return nil
+}
+
+// ValidateDPLevel refuses a negative DP binning depth, and a depth set
+// without ε.
+func (p *Params) ValidateDPLevel(n Names, level int) error {
+	if level < 0 {
+		return fmt.Errorf("%s must be ≥ 0, got %d", n("dp_level"), level)
 	}
-	if dpLevel != 0 {
+	if level != 0 {
 		return EpsilonRange.Named(n("epsilon")).Validate(p.Epsilon)
 	}
 	return nil
@@ -209,9 +215,8 @@ func (p *Params) FleetJob(job string) distrib.JobConfig {
 }
 
 // Core materializes the block over core.DefaultConfig for a frozen
-// two-relation run. The holders' k, anonymizers and DP level, the
-// allowance fraction and the run's plumbing (journal, context, progress)
-// are the caller's.
+// two-relation run; Job.Config adds the holders' k and anonymizers and the
+// allowance fraction.
 func (p *Params) Core(qids []string) (core.Config, error) {
 	cfg := core.DefaultConfig(qids)
 	if p.Theta > 0 {

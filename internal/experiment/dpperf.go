@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -49,7 +48,7 @@ type DPKPoint struct {
 // differentially private blocking against the k-anonymous sweep on the
 // Adult workload.
 type DPPerfReport struct {
-	Stamp             *Stamp  `json:"stamp,omitempty"`
+	Stamped
 	Records           int     `json:"records"`
 	Theta             float64 `json:"theta"`
 	AllowanceFraction float64 `json:"allowance_fraction"`
@@ -81,11 +80,7 @@ func (r *DPPerfReport) Gate() error {
 }
 
 // WriteJSON renders the report as indented JSON.
-func (r *DPPerfReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *DPPerfReport) WriteJSON(w io.Writer) error { return writeIndented(w, r) }
 
 // dpKSweep is the k-anonymous comparison arm; a short sweep keeps the
 // default run fast while bracketing the paper's k=32 operating point.

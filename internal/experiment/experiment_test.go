@@ -154,27 +154,56 @@ func TestAnonymizersTable(t *testing.T) {
 	}
 }
 
+// TestRenderAndAll walks the suite's arm table the way pprl-bench does:
+// every artifact is listed once, every arm renders its tables under its
+// own ids, and an arm's report passes its gate.
 func TestRenderAndAll(t *testing.T) {
 	opts := smallOpts()
 	opts.Ks = []int{2, 64}
 	opts.Thetas = []float64{0.05}
 	opts.QIDCounts = []int{5}
 	opts.Allowances = []float64{0.015}
-	tables, err := All(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 13 {
-		t.Fatalf("All returned %d tables, want 13", len(tables))
-	}
 	var buf bytes.Buffer
-	for _, tab := range tables {
-		if err := tab.Render(&buf); err != nil {
-			t.Fatal(err)
+	seen := make(map[string]bool)
+	for _, arm := range Arms {
+		for _, id := range arm.IDs {
+			if seen[id] {
+				t.Errorf("artifact %s is listed by two arms", id)
+			}
+			seen[id] = true
+		}
+		if arm.Text != nil {
+			if err := arm.Text(&buf); err != nil {
+				t.Fatalf("%v: %v", arm.IDs, err)
+			}
+			continue
+		}
+		tables, rep, err := arm.Tables(opts)
+		if err != nil {
+			t.Fatalf("%v: %v", arm.IDs, err)
+		}
+		if len(tables) != len(arm.IDs) {
+			t.Fatalf("%v: %d tables", arm.IDs, len(tables))
+		}
+		for i, tab := range tables {
+			if tab.ID != arm.IDs[i] {
+				t.Errorf("arm %v renders %s as its table %d", arm.IDs, tab.ID, i)
+			}
+			if err := tab.Render(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rep != nil {
+			if err := rep.Gate(); err != nil {
+				t.Errorf("%v: %v", arm.IDs, err)
+			}
 		}
 	}
+	if len(seen) != 17 {
+		t.Errorf("the arms list %d artifacts, want 17", len(seen))
+	}
 	out := buf.String()
-	for _, id := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "strategies", "anonymizers"} {
+	for id := range seen {
 		if !strings.Contains(out, id+" — ") {
 			t.Errorf("render output missing %s", id)
 		}

@@ -279,54 +279,3 @@ func recallSweep[T any](w Workload, id, title, param string, values []T, apply f
 	}
 	return t, nil
 }
-
-// All runs the complete suite in paper order.
-func All(opts Options) ([]*Table, error) {
-	var out []*Table
-	add := func(t *Table, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, t)
-		return nil
-	}
-	if err := add(Fig2(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig3(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig4(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig5(opts)); err != nil {
-		return nil, err
-	}
-	f6, f7, err := Fig6and7(opts)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f6, f7)
-	if err := add(Fig8(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Strategies(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Anonymizers(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Baselines(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Diversity(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Strings(opts)); err != nil {
-		return nil, err
-	}
-	if err := add(Bloom(opts)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -67,14 +67,19 @@ func (t *Table) Render(w io.Writer) error {
 // RenderJSON writes the table as a JSON object with id, title, columns
 // and rows — the machine-readable form for external plotting.
 func (t *Table) RenderJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
+	return writeIndented(w, struct {
 		ID      string     `json:"id"`
 		Title   string     `json:"title"`
 		Columns []string   `json:"columns"`
 		Rows    [][]string `json:"rows"`
 	}{t.ID, t.Title, t.Columns, t.Rows})
+}
+
+// writeIndented is the one JSON encoder of the tables and the reports.
+func writeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // pct formats a fraction as a percentage cell.

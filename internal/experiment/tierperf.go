@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -38,7 +37,7 @@ type TierPerfPoint struct {
 // Bloom triage tier against the two-tier baseline across an allowance sweep
 // on the Adult workload.
 type TierPerfReport struct {
-	Stamp        *Stamp  `json:"stamp,omitempty"`
+	Stamped
 	Records      int     `json:"records"`
 	K            int     `json:"k"`
 	Theta        float64 `json:"theta"`
@@ -50,7 +49,16 @@ type TierPerfReport struct {
 	Points []TierPerfPoint `json:"points"`
 }
 
-// Stamp says where a report was measured; pprl-bench fills it on write.
+// Stamped is the field every report starts with: where it was measured,
+// which pprl-bench fills in when it writes the report.
+type Stamped struct {
+	Stamp *Stamp `json:"stamp,omitempty"`
+}
+
+// SetStamp records where the report was measured.
+func (s *Stamped) SetStamp(st *Stamp) { s.Stamp = st }
+
+// Stamp says where a report was measured.
 type Stamp struct {
 	Host       string `json:"host"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -72,11 +80,7 @@ func (r *TierPerfReport) Gate() error {
 }
 
 // WriteJSON renders the report as indented JSON.
-func (r *TierPerfReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *TierPerfReport) WriteJSON(w io.Writer) error { return writeIndented(w, r) }
 
 // TierPerf benchmarks the three-tier pipeline against the two-tier
 // baseline on the standard Adult workload. Both arms share one blocking

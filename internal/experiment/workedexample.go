@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"fmt"
+	"io"
+
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
 	"pprl/internal/distance"
@@ -75,6 +78,31 @@ func NewWorkedExample() (*WorkedExampleData, error) {
 	}
 	d.Rule = rule
 	return d, nil
+}
+
+// WriteWorkedExample renders the Section III walkthrough (Tables I & II):
+// both generalized relations and what the slack rule labels.
+func WriteWorkedExample(out io.Writer) error {
+	d, err := NewWorkedExample()
+	if err != nil {
+		return err
+	}
+	res, err := WorkedExample()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "example — Section III worked example (Tables I & II)")
+	fmt.Fprintln(out, "R' classes:")
+	for _, c := range d.R.Classes {
+		fmt.Fprintf(out, "  %d× %s\n", c.Size(), c.Sequence)
+	}
+	fmt.Fprintln(out, "S' classes:")
+	for _, c := range d.S.Classes {
+		fmt.Fprintf(out, "  %d× %s\n", c.Size(), c.Sequence)
+	}
+	_, err = fmt.Fprintf(out, "slack rule labels: %d matched, %d mismatched, %d unknown of %d pairs (blocking efficiency %.0f%%)\n\n",
+		res.MatchedPairs, res.NonMatchedPairs, res.UnknownPairs, res.TotalPairs(), 100*res.Efficiency())
+	return err
 }
 
 // WorkedExample blocks the Section III fixture and returns the result

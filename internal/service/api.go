@@ -12,7 +12,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"pprl/internal/cliutil"
@@ -20,46 +19,33 @@ import (
 	"pprl/internal/metrics"
 )
 
-// JobSpec is the body of POST /v1/jobs: dataset references plus the
-// linkage parameters. Dataset references are server-side paths resolved
-// by the store (relative to its data directory when one is configured);
-// the daemon never accepts record data over the API. The embedded block's
-// keys (schema_path, qids, theta, allowance, heuristic, strategy, tier,
-// tier_low, secure, key_bits, smc_workers) sit beside the ones below in the
-// request body; its epsilon, dp_delta and dp_seed are refused (ErrNoDP).
+// JobSpec is the body of POST /v1/jobs: the frozen run (cliutil.Job —
+// dataset references, the parameter block, k, allowance_fraction,
+// anonymizer, seed, evaluate) plus what only the daemon does with it.
+// Dataset references are server-side paths resolved by the store
+// (relative to its data directory when one is configured); the daemon
+// never accepts record data over the API. An absent k or
+// allowance_fraction selects its default (32, 0.015); epsilon, dp_delta,
+// dp_seed and anonymizer "dp" are refused (ErrNoDP).
 type JobSpec struct {
-	// AlicePath and BobPath reference the two holders' CSV relations.
-	AlicePath string `json:"alice_path"`
-	BobPath   string `json:"bob_path"`
+	cliutil.Job
 
-	cliutil.Params
-
-	// K is the anonymity requirement for both holders (default 32).
-	K int `json:"k,omitempty"`
-	// AllowanceFraction is the SMC budget as a fraction of all record
-	// pairs (default 0.015); the block's absolute Allowance, when set,
-	// takes precedence.
-	AllowanceFraction float64 `json:"allowance_fraction,omitempty"`
-	// Anonymizer takes the CLI's k-anonymizer names (see cliutil); empty
-	// selects the paper's max-entropy method. "dp" is refused (ErrNoDP).
-	Anonymizer string `json:"anonymizer,omitempty"`
 	// Distributed stripes the SMC step across the daemon's registered
 	// worker fleet (pprl-party -role worker) instead of running it
 	// in-process. Combines with Secure: each worker then runs the real
 	// Paillier protocol under its own fresh key. Rejected at submit time
 	// when the daemon has no fleet configured.
 	Distributed bool `json:"distributed,omitempty"`
-	// Seed drives the TrainClassifier strategy's random selection.
-	Seed int64 `json:"seed,omitempty"`
-	// Evaluate additionally scores the result against exact ground
-	// truth, which the daemon can compute because it holds both files.
-	Evaluate bool `json:"evaluate,omitempty"`
 
 	// IdempotencyKey deduplicates retried submissions: a second POST
 	// with the same key returns the first job instead of spending the
 	// SMC budget twice.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
+
+// JobResult is the wire form of GET /v1/jobs/{id}/result, the document
+// the frozen run returns.
+type JobResult = cliutil.JobResult
 
 // ErrNoDP refuses differentially private blocking on both API bodies, and
 // fails a stored spec that asks for it: a job at execution, a dataset at
@@ -76,50 +62,40 @@ func refuseDP(p *cliutil.Params, anonymizer string) error {
 	return nil
 }
 
-// Validate checks the parts of a spec that must be rejected at submit
-// time (before the job ever reaches the queue).
-func (s *JobSpec) Validate() error {
-	if s.AlicePath == "" || s.BobPath == "" {
-		return fmt.Errorf("alice_path and bob_path are required")
+// job is the frozen run the spec asks for, with the API's meaning of
+// zero applied: an absent k or allowance_fraction selects its default.
+func (s *JobSpec) job() (cliutil.Job, error) {
+	j := s.Job
+	if err := refuseDP(&j.Params, j.Anonymizer); err != nil {
+		return j, err
 	}
-	if s.K < 0 {
-		return fmt.Errorf("negative parameters are invalid")
+	def := core.DefaultConfig(nil)
+	if j.K == 0 {
+		j.K = def.AliceK
 	}
-	if _, err := s.Config(nil); err != nil { // ε and the anonymizer name
-		return err
+	if j.AllowanceFraction == 0 {
+		j.AllowanceFraction = def.AllowanceFraction
 	}
-	if err := s.Params.Validate(cliutil.JSONNames); err != nil {
-		return err
-	}
-	if s.AllowanceFraction != 0 {
-		return cliutil.AllowanceFractionRange.Named("allowance_fraction").Validate(s.AllowanceFraction)
-	}
-	return nil
+	return j, nil
 }
 
-// Config materializes the core pipeline configuration the spec
-// describes. Validate must have accepted the spec.
+// Validate refuses, at submit time, a spec no run could use.
+func (s *JobSpec) Validate() error {
+	j, err := s.job()
+	if err != nil {
+		return err
+	}
+	return j.Validate(cliutil.JSONNames)
+}
+
+// Config materializes the core pipeline configuration a stored spec runs
+// under. Validate must have accepted the spec.
 func (s *JobSpec) Config(qids []string) (core.Config, error) {
-	if err := refuseDP(&s.Params, s.Anonymizer); err != nil {
+	j, err := s.job()
+	if err != nil {
 		return core.Config{}, err
 	}
-	cfg, err := s.Core(qids)
-	if err != nil {
-		return cfg, err
-	}
-	if s.K > 0 {
-		cfg.AliceK, cfg.BobK = s.K, s.K
-	}
-	if s.AllowanceFraction > 0 {
-		cfg.AllowanceFraction = s.AllowanceFraction
-	}
-	anon, err := cliutil.AnonymizerByName(s.Anonymizer)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.AliceAnonymizer, cfg.BobAnonymizer = anon, anon
-	cfg.Seed = s.Seed
-	return cfg, nil
+	return j.Config(qids)
 }
 
 // State is a job's lifecycle position.
@@ -174,18 +150,6 @@ type JobStatus struct {
 	// Progress is present while the job runs (and retains the last
 	// position afterwards).
 	Progress *Progress `json:"progress,omitempty"`
-}
-
-// JobResult is the wire form of GET /v1/jobs/{id}/result: the stable
-// Result summary, the matched record-index pairs (the querying party's
-// output), and the optional ground-truth evaluation.
-type JobResult struct {
-	Result  core.ResultJSON `json:"result"`
-	Matches [][2]int        `json:"matches"`
-	// Evaluation is present when the spec requested it.
-	Evaluation *metrics.Confusion `json:"evaluation,omitempty"`
-	// TruthPairs is the ground-truth match count behind Evaluation.
-	TruthPairs int `json:"truth_pairs,omitempty"`
 }
 
 // apiError is the uniform error body. Kind and Retryable classify the

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"pprl/internal/cliutil"
 	"pprl/internal/testkit"
 )
 
@@ -44,8 +45,8 @@ func TestSurfaceParity(t *testing.T) {
 	for _, row := range testkit.ParamRows {
 		unknown = row.Unknown
 		if row.On&testkit.SurfaceJobs != 0 {
-			spec := JobSpec{AlicePath: "a.csv", BobPath: "b.csv", K: 8, Params: row.Params,
-				AllowanceFraction: row.AllowanceFraction, Anonymizer: row.Anonymizer}
+			spec := JobSpec{Job: cliutil.Job{AlicePath: "a.csv", BobPath: "b.csv", K: 8, Params: row.Params,
+				AllowanceFraction: row.AllowanceFraction, Anonymizer: row.Anonymizer}}
 			if msg := row.Judge(testkit.SurfaceJobs, post("/v1/jobs", spec)); msg != "" {
 				t.Errorf("POST /v1/jobs: %s", msg)
 			}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pprl/internal/cliutil"
 	"pprl/internal/distrib"
 	"pprl/internal/journal"
 	"pprl/internal/testkit"
@@ -264,7 +265,7 @@ func TestTerminalWriteFailureIsKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf, err := register(st, jobKind, func(id string, seq int) specFile {
-		return specFile{ID: id, Seq: seq, Spec: JobSpec{AlicePath: "missing-a.csv", BobPath: "missing-b.csv"}}
+		return specFile{ID: id, Seq: seq, Spec: JobSpec{Job: cliutil.Job{AlicePath: "missing-a.csv", BobPath: "missing-b.csv"}}}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pprl/internal/cliutil"
 )
 
-func specN(n string) JobSpec { return JobSpec{AlicePath: n + "-a.csv", BobPath: n + "-b.csv"} }
+func specN(n string) JobSpec {
+	return JobSpec{Job: cliutil.Job{AlicePath: n + "-a.csv", BobPath: n + "-b.csv"}}
+}
 
 // waitSettled waits until j stops executing in this process — terminal
 // states and checkpointed interruptions alike.

@@ -18,7 +18,6 @@ import (
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
 	"pprl/internal/journal"
-	"pprl/internal/match"
 	"pprl/internal/metrics"
 )
 
@@ -629,85 +628,54 @@ func (s *Server) hardStop(err error) bool {
 	return s.cfg.Hooks.HardStop != nil && errors.Is(err, s.cfg.Hooks.HardStop)
 }
 
-// execute runs one job through the core pipeline under its journal.
+// execute runs one job through the frozen run under its journal, and
+// stores the result document.
 func (s *Server) execute(ctx context.Context, job *Job) error {
-	spec := job.Spec
-
-	schema, qids, err := spec.LoadSchema(s.store.ResolveData)
+	spec, err := job.Spec.job()
 	if err != nil {
 		return err
 	}
-	alice, err := s.readDataset(schema, spec.AlicePath)
-	if err != nil {
-		return fmt.Errorf("reading alice: %w", err)
-	}
-	bob, err := s.readDataset(schema, spec.BobPath)
-	if err != nil {
-		return fmt.Errorf("reading bob: %w", err)
-	}
-
-	cfg, err := spec.Config(qids)
-	if err != nil {
-		return err
-	}
-	cfg.Context = ctx
-	cfg.Progress = job.Progress.Update
-
-	if spec.Distributed {
-		if s.pool == nil {
-			return errors.New("service: distributed job but no worker fleet configured")
+	l, err := spec.Run(s.store.ResolveData, func(cfg *core.Config) (io.Closer, error) {
+		cfg.Context = ctx
+		cfg.Progress = job.Progress.Update
+		if job.Spec.Distributed {
+			if s.pool == nil {
+				return nil, errors.New("service: distributed job but no worker fleet configured")
+			}
+			waitCtx, cancel := context.WithTimeout(ctx, time.Minute)
+			err := s.pool.WaitWorkers(waitCtx, max(s.cfg.FleetMinWorkers, 1))
+			cancel()
+			if err != nil && ctx.Err() != nil {
+				// A drain or a DELETE ended the wait, not the fleet: settle
+				// like any interrupted run (resumed at the next start, or
+				// canceled), never as a persisted failure.
+				return nil, fmt.Errorf("%w: %v", core.ErrInterrupted, err)
+			}
+			if err != nil {
+				return nil, err
+			}
+			jc := job.Spec.FleetJob(job.ID)
+			cfg.Comparator = s.pool.Factory(jc)
+			s.logf("job=%s fleet engine=%s workers=%v", job.ID, jc.Engine, s.pool.Workers())
 		}
-		min := s.cfg.FleetMinWorkers
-		if min < 1 {
-			min = 1
-		}
-		waitCtx, cancel := context.WithTimeout(ctx, time.Minute)
-		err := s.pool.WaitWorkers(waitCtx, min)
-		cancel()
-		if err != nil && ctx.Err() != nil {
-			// A drain or a DELETE ended the wait, not the fleet: settle
-			// like any interrupted run (resumed at the next start, or
-			// canceled), never as a persisted failure.
-			return fmt.Errorf("%w: %v", core.ErrInterrupted, err)
-		}
+		jw, err := journal.Open(s.store.JournalPath(jobKind, job.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		jc := spec.FleetJob(job.ID)
-		cfg.Comparator = s.pool.Factory(jc)
-		s.logf("job=%s fleet engine=%s workers=%v", job.ID, jc.Engine, s.pool.Workers())
-	}
-
-	jw, err := journal.Open(s.store.JournalPath(jobKind, job.ID), journal.Options{SyncEvery: s.cfg.JournalSync})
+		cfg.Journal = jw
+		if s.cfg.Hooks.WrapJournal != nil {
+			cfg.Journal = s.cfg.Hooks.WrapJournal(job.ID, jw)
+		}
+		job.Progress.stages.Begin()
+		return jw, nil
+	})
 	if err != nil {
 		return err
 	}
-	defer jw.Close()
-	var sink journal.Sink = jw
-	if s.cfg.Hooks.WrapJournal != nil {
-		sink = s.cfg.Hooks.WrapJournal(job.ID, jw)
-	}
-	cfg.Journal = sink
-
-	job.Progress.stages.Begin()
-	res, err := core.Link(core.Holder{Data: alice}, core.Holder{Data: bob}, cfg)
-	if err != nil {
+	if err := s.store.WriteResult(job.ID, l.Doc); err != nil {
 		return err
 	}
-
-	jr := &JobResult{Result: res.Summarize(), Matches: res.Matches()}
-	if spec.Evaluate {
-		truth, err := match.TruePairs(alice, bob, res.QIDs(), res.Rule())
-		if err != nil {
-			return fmt.Errorf("computing ground truth: %w", err)
-		}
-		conf := res.Evaluate(truth)
-		jr.Evaluation = &conf
-		jr.TruthPairs = len(truth)
-	}
-	if err := s.store.WriteResult(job.ID, jr); err != nil {
-		return err
-	}
+	res := l.Result
 	s.mSMCPurchased.Add(res.Invocations)
 	s.mSMCReplayed.Add(res.Resume.ReplayedAllowance)
 	block := res.Block

@@ -63,13 +63,13 @@ func writeDataDir(t *testing.T, n int, seed int64) string {
 // testSpec is the base submission the service tests vary from: small k
 // for speed, an explicit allowance so crash points land mid-budget.
 func testSpec() JobSpec {
-	return JobSpec{
+	return JobSpec{Job: cliutil.Job{
 		AlicePath: "a.csv",
 		BobPath:   "b.csv",
 		K:         8,
 		Params:    cliutil.Params{Allowance: 200},
 		Evaluate:  true,
-	}
+	}}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -285,14 +285,14 @@ func TestServiceValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir})
 
 	cases := []JobSpec{
-		{},                   // missing datasets
-		{AlicePath: "a.csv"}, // missing bob
-		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{Heuristic: "nope"}}, // unknown heuristic
-		{AlicePath: "../a.csv", BobPath: "b.csv"},                                         // escapes data dir
-		{AlicePath: "/etc/passwd", BobPath: "b.csv"},                                      // absolute ref
-		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{Theta: -1}},         // negative parameter
-		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{KeyBits: -512}},     // negative key size
-		{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{KeyBits: 63}},       // below the engine's floor
+		{},                                     // missing datasets
+		{Job: cliutil.Job{AlicePath: "a.csv"}}, // missing bob
+		{Job: cliutil.Job{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{Heuristic: "nope"}}}, // unknown heuristic
+		{Job: cliutil.Job{AlicePath: "../a.csv", BobPath: "b.csv"}},                                         // escapes data dir
+		{Job: cliutil.Job{AlicePath: "/etc/passwd", BobPath: "b.csv"}},                                      // absolute ref
+		{Job: cliutil.Job{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{Theta: -1}}},         // negative parameter
+		{Job: cliutil.Job{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{KeyBits: -512}}},     // negative key size
+		{Job: cliutil.Job{AlicePath: "a.csv", BobPath: "b.csv", Params: cliutil.Params{KeyBits: 63}}},       // below the engine's floor
 	}
 	for i, spec := range cases {
 		if _, code := submitCode(t, ts, spec); code != http.StatusBadRequest {
@@ -328,7 +328,7 @@ func TestServiceValidation(t *testing.T) {
 	}
 
 	// A dataset that fails to load fails the job, not the daemon.
-	st := submit(t, ts, JobSpec{AlicePath: "missing.csv", BobPath: "b.csv"})
+	st := submit(t, ts, JobSpec{Job: cliutil.Job{AlicePath: "missing.csv", BobPath: "b.csv"}})
 	failed := waitState(t, ts, st.ID, StateFailed)
 	if failed.Error == "" {
 		t.Error("failed job carries no error")
