@@ -119,9 +119,11 @@ perf-diff:
 # Every generated world's core.Link run (and the first eight worlds' live
 # engine) is killed a quarter in, halfway and on the final pair, the middle
 # kill with a torn journal tail, and every shape's killed row at a seeded
-# pair; each stitched run must equal its uninterrupted reference.
+# pair; each stitched run must equal its uninterrupted reference. Then the
+# live power-loss judge: a dataset journal cut at every point past its last
+# commit resumes to the uncrashed run's deltas, each once.
 crash:
-	$(GO) test ./internal/testkit -run '^TestConformance$$/journal=killed' -count=1
+	$(GO) test ./internal/testkit -run '^(TestConformance|TestLivePowerLoss)$$/journal=killed' -count=1
 
 # Job-service restart recovery under the race detector: a daemon killed
 # mid-SMC (and one drained on SIGTERM) must resume from its journals

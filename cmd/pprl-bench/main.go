@@ -61,7 +61,13 @@ func run(out io.Writer, exps string, records int, full bool, seed int64, asJSON 
 			continue
 		}
 		if arm.Text != nil {
-			if err := arm.Text(out); err != nil {
+			var err error
+			if asJSON {
+				err = experiment.RenderTextJSON(out, arm.IDs[0], arm.Text)
+			} else {
+				err = arm.Text(out)
+			}
+			if err != nil {
 				return err
 			}
 			continue

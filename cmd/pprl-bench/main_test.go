@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,6 +89,36 @@ func TestRunJSON(t *testing.T) {
 	}
 	if tab.ID != "fig3" || len(tab.Columns) != 2 || len(tab.Rows) == 0 {
 		t.Errorf("parsed table wrong: %+v", tab)
+	}
+}
+
+// TestRunJSONStream: under -json every selected artifact is one JSON
+// value, the worked example's prose included, so the output decodes value
+// by value to its end.
+func TestRunJSONStream(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, "example,fig3", 240, false, 3, true, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&buf)
+	var ids []string
+	for {
+		var v struct {
+			ID   string `json:"id"`
+			Text string `json:"text"`
+		}
+		if err := dec.Decode(&v); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("-json output is not a JSON stream after %v: %v", ids, err)
+		}
+		if v.ID == "example" && !strings.Contains(v.Text, "6 matched, 12 mismatched, 18 unknown") {
+			t.Errorf("example text wrong: %q", v.Text)
+		}
+		ids = append(ids, v.ID)
+	}
+	if !slices.Equal(ids, []string{"example", "fig3"}) {
+		t.Errorf("decoded artifacts %v, want [example fig3]", ids)
 	}
 }
 

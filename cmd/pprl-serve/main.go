@@ -59,7 +59,7 @@ func main() {
 	flag.StringVar(&opts.dir, "dir", "pprl-serve.d", "service state directory (job specs, journals, results)")
 	flag.StringVar(&opts.dataDir, "data", "", "confine dataset references to this directory (empty = any path)")
 	flag.IntVar(&opts.workers, "workers", 1, "concurrent linkage jobs")
-	flag.IntVar(&opts.journalSync, "journal-sync", 0, "fsync the job journal every N verdicts (0 = journal default)")
+	flag.IntVar(&opts.journalSync, "journal-sync", 0, "write and fsync a job's journal every N verdicts; a dataset's batch only writes, and fsyncs once at its commit (0 = journal default)")
 	flag.BoolVar(&opts.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.StringVar(&opts.fleetListen, "fleet-listen", "", "accept SMC worker registrations on this address (workers dial it: pprl-party -role worker -coordinator)")
 	flag.IntVar(&opts.fleetMinWorkers, "fleet-min-workers", 1, "workers a distributed job waits for before starting")

@@ -26,7 +26,8 @@ type CLI struct {
 	DPLevel int
 	// Journal is the run's durable journal, opened by journal.Open: a
 	// fresh run starts it, an interrupted one continues from it.
-	// JournalSync is the fsync cadence in verdicts (0 = default batching).
+	// JournalSync is the write-and-fsync cadence in verdicts (0 = default
+	// batching); a -dedup batch is fsynced once, at its commit.
 	Journal     string
 	JournalSync int
 }
@@ -57,7 +58,7 @@ func (c *CLI) Flags(fs *flag.FlagSet, groups FlagGroup) {
 		fs.StringVar(&c.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
 		fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold: an Unknown pair at or below it is labeled NonMatch for free (0 = default 0.90)")
 		fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path; run the same command again to resume it")
-		fs.IntVar(&c.JournalSync, "journal-sync", 0, "fsync the journal every N verdicts (0 = default batching)")
+		fs.IntVar(&c.JournalSync, "journal-sync", 0, "write and fsync the journal every N verdicts; a -dedup batch only writes, and fsyncs once at its commit (0 = default batching)")
 	}
 	if groups&HolderFlags != 0 {
 		fs.IntVar(&c.K, "k", def.AliceK, "holders' anonymity requirement")

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"hash"
 	"strconv"
+	"sync"
 
 	"pprl/internal/blocking"
 	"pprl/internal/dataset"
@@ -113,17 +114,25 @@ func HashSchema(h hash.Hash, schema *dataset.Schema) {
 }
 
 // HashRecord writes one record's identity, class label and cells into a
-// manifest digest.
+// manifest digest: the HashField fields "id", "class" (when set) and a
+// "cat" or "num" per cell, appended into a pooled buffer and written once.
 func HashRecord(h hash.Hash, rec dataset.Record) {
-	journal.HashField(h, "id", strconv.Itoa(rec.EntityID))
+	bp := recordPool.Get().(*[]byte)
+	var num [32]byte
+	b := journal.AppendField((*bp)[:0], "id", strconv.AppendInt(num[:0], int64(rec.EntityID), 10))
 	if rec.Class != "" {
-		journal.HashField(h, "class", rec.Class)
+		b = journal.AppendField(b, "class", rec.Class)
 	}
 	for _, c := range rec.Cells {
 		if c.Node != nil {
-			journal.HashField(h, "cat", c.Node.Value)
+			b = journal.AppendField(b, "cat", c.Node.Value)
 		} else {
-			journal.HashField(h, "num", strconv.FormatFloat(c.Num, 'g', -1, 64))
+			b = journal.AppendField(b, "num", strconv.AppendFloat(num[:0], c.Num, 'g', -1, 64))
 		}
 	}
+	h.Write(b)
+	*bp = b
+	recordPool.Put(bp)
 }
+
+var recordPool = sync.Pool{New: func() any { return new([]byte) }}

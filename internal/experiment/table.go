@@ -75,6 +75,20 @@ func (t *Table) RenderJSON(w io.Writer) error {
 	}{t.ID, t.Title, t.Columns, t.Rows})
 }
 
+// RenderTextJSON renders a prose artifact (the worked example) as one
+// JSON value, {"id":…,"text":…}, so -json output stays a stream of JSON
+// values whatever it selects.
+func RenderTextJSON(w io.Writer, id string, text func(io.Writer) error) error {
+	var b strings.Builder
+	if err := text(&b); err != nil {
+		return err
+	}
+	return writeIndented(w, struct {
+		ID   string `json:"id"`
+		Text string `json:"text"`
+	}{id, b.String()})
+}
+
 // writeIndented is the one JSON encoder of the tables and the reports.
 func writeIndented(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)

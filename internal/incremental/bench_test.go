@@ -82,7 +82,8 @@ func TestAppendDoesNotMaterializePairs(t *testing.T) {
 // BenchmarkEngineAppend is the live engine's cost per purchased pair with
 // everything a served dataset has but the HTTP layer: Adult records, both
 // sides growing in alternating batches, a real journal at the benchmark's
-// SyncEvery 4096 (batch marks, verdicts, commits and their fsyncs). It
+// SyncEvery 4096 (batch marks, verdicts and commits, whose fsyncs are a
+// batch's only ones: a frame's windows are written, not fsynced). It
 // also reports a batch's ns per purchased pair over the first and the last
 // quarter of the batches: the population is four to eight times larger at
 // the end, so their ratio, q4/q1, stays near 1 only while a batch costs

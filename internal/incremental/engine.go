@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -377,13 +378,14 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 	s := e.sides[sideIdx]
 	touchedSet := make(map[int32]bool)
+	var kbuf [128]byte
 	for i := base; i < s.data.Len(); i++ {
 		seq, err := dpblock.BinRecord(s.data, e.qids, i, e.cfg.Level)
 		if err != nil {
 			return nil, err
 		}
-		key := seq.Key()
-		bi, ok := s.byKey[key]
+		kb := appendBinKey(kbuf[:0], seq)
+		bi, ok := s.byKey[string(kb)]
 		if !ok {
 			id, err := s.live.Insert(seq)
 			if err != nil {
@@ -394,7 +396,7 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 				return nil, fmt.Errorf("incremental: live index id %d, want %d", bi, len(s.bins))
 			}
 			s.bins = append(s.bins, bin{seq: seq})
-			s.byKey[key] = bi
+			s.byKey[string(kb)] = bi
 		}
 		s.bins[bi].members = append(s.bins[bi].members, i)
 		touchedSet[bi] = true
@@ -405,6 +407,23 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 	}
 	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
 	return touched, nil
+}
+
+// appendBinKey appends a bin's identity to kb, formatting nothing where
+// Sequence.Key prints: per value, a category's length-prefixed name or an
+// interval's two bounds' bits (+0 folds a -0 bound into 0, as Key prints
+// it). Length prefixes and fixed widths keep neighbours from aliasing.
+func appendBinKey(kb []byte, seq vgh.Sequence) []byte {
+	for _, v := range seq {
+		if v.Node != nil {
+			kb = binary.AppendUvarint(kb, uint64(len(v.Node.Value)))
+			kb = append(kb, v.Node.Value...)
+		} else {
+			kb = binary.LittleEndian.AppendUint64(kb, math.Float64bits(v.Iv.Lo+0))
+			kb = binary.LittleEndian.AppendUint64(kb, math.Float64bits(v.Iv.Hi+0))
+		}
+	}
+	return kb
 }
 
 // compareGroups is the order a batch resolves its groups in: ascending
@@ -601,7 +620,7 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 		}
 	}
 	if e.cfg.Journal != nil && !committed {
-		in.Journal = frameJournal{e.cfg.Journal}
+		in.Journal = e.cfg.Journal // its completion Sync writes; the commit fsyncs
 	}
 	if _, err := resolve.Run(in); err != nil {
 		return 0, fmt.Errorf("incremental: %w", err)
@@ -660,13 +679,6 @@ func (l *lazyComparator) close() {
 		l.cmp.Close()
 	}
 }
-
-// frameJournal is the kernel's view of the dataset journal inside an open
-// batch frame: the completion sync is left to the batch commit record,
-// which syncs — one fsync per batch, not two.
-type frameJournal struct{ journal.BatchSink }
-
-func (frameJournal) Sync() error { return nil }
 
 // delta materializes one emitted Match pair.
 func (e *Engine) delta(batch, i, j int) Delta {

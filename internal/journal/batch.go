@@ -13,7 +13,11 @@ import (
 // engine only releases a batch's Match deltas after the commit record is
 // durable, so a crash anywhere before it re-processes the batch (replaying
 // the journaled verdict prefix at zero allowance cost) and a crash after
-// it replays the batch wholesale without re-emitting a single delta.
+// it replays the batch wholesale without re-emitting a single delta. The
+// commit is also the frame's only fsync: the windows between mark and
+// commit are written at the SyncEvery cadence but not fsynced, so a
+// power loss inside the frame loses at most the batch — never a delta
+// already exposed.
 // Batch records arrived within format v1, without a version bump: a
 // frozen-run journal simply contains none.
 const (
@@ -72,13 +76,14 @@ func (w *Writer) RecordBatch(m BatchMark) error {
 	binary.LittleEndian.PutUint32(payload[6:10], m.Records)
 	copy(payload[10:42], m.Digest[:])
 	w.appendFrame(payload[:])
+	w.inFrame = true
 	return w.appended()
 }
 
 // RecordBatchCommit implements BatchSink: appends the commit record and
-// syncs. The sync is the point of the record — a batch's deltas are only
-// exposed once the commit is durable, so this call returning nil is the
-// engine's license to release them.
+// fsyncs the frame. The fsync is the point of the record — a batch's
+// deltas are only exposed once the commit is durable, so this call
+// returning nil is the engine's license to release them.
 func (w *Writer) RecordBatchCommit(c BatchCommit) error {
 	if err := w.ready("RecordBatchCommit"); err != nil {
 		return err
@@ -89,7 +94,8 @@ func (w *Writer) RecordBatchCommit(c BatchCommit) error {
 	binary.LittleEndian.PutUint32(payload[5:9], c.Deltas)
 	binary.LittleEndian.PutUint64(payload[9:17], uint64(c.Spent))
 	w.appendFrame(payload[:])
-	return w.Sync()
+	w.inFrame = false
+	return w.fsync()
 }
 
 // Recovered exposes the state replayed when the writer was opened with

@@ -191,3 +191,81 @@ func TestBatchOrderingEnforced(t *testing.T) {
 		t.Fatal("replay accepted a commit without an open batch")
 	}
 }
+
+// TestFrameFsyncsOnce: inside a batch frame the SyncEvery cadence and Sync
+// write the window without fsyncing it, and the commit is the frame's one
+// fsync — in a frame this writer opened and in the uncommitted tail frame
+// Resume recovered. Outside a frame the cadence still fsyncs.
+func TestFrameFsyncsOnce(t *testing.T) {
+	const every = 4
+	frame := func(t *testing.T, w *Writer, path string, batch uint32, mark bool) {
+		t.Helper()
+		if mark {
+			if err := w.RecordBatch(BatchMark{Batch: batch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fsyncs, size, writes := w.fsyncs, fileSize(t, path), 0
+		for i := 0; i < 3*every+1; i++ {
+			if err := w.Record(i, i, i%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+			if got := fileSize(t, path); got != size {
+				size, writes = got, writes+1
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileSize(t, path); got != size {
+			size, writes = got, writes+1
+		}
+		if w.fsyncs != fsyncs || writes < 3 {
+			t.Fatalf("batch %d before its commit: %d fsyncs and %d window writes, want 0 and ≥ 3", batch, w.fsyncs-fsyncs, writes)
+		}
+		if err := w.RecordBatchCommit(BatchCommit{Batch: batch}); err != nil {
+			t.Fatal(err)
+		}
+		if w.fsyncs != fsyncs+1 {
+			t.Fatalf("batch %d cost %d fsyncs, want the commit's one", batch, w.fsyncs-fsyncs)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "inc.wal")
+	w := beginAt(t, path, Options{SyncEvery: every})
+	frame(t, w, path, 0, true)
+	frame(t, w, path, 1, true)
+	if err := w.RecordBatch(BatchMark{Batch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil { // a clean stop inside a frame fsyncs it
+		t.Fatal(err)
+	}
+	if rec, err := Replay(path); err != nil || len(rec.Batches) != 3 || rec.Batches[2].Committed {
+		t.Fatalf("replay after a close inside batch 2: %v", err)
+	}
+	r, err := Resume(path, Options{SyncEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Begin(testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	frame(t, r, path, 2, false)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A frozen run has no frame: every window is fsynced.
+	w = beginAt(t, filepath.Join(t.TempDir(), "run.wal"), Options{SyncEvery: every})
+	defer w.Close()
+	fsyncs := w.fsyncs
+	for i := 0; i < 3*every; i++ {
+		if err := w.Record(i, i, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.fsyncs-fsyncs != 3 {
+		t.Fatalf("%d records at SyncEvery %d outside a frame cost %d fsyncs, want 3", 3*every, every, w.fsyncs-fsyncs)
+	}
+}

@@ -49,8 +49,8 @@ func TestHashFieldMatchesFmtForm(t *testing.T) {
 	}
 }
 
-// TestHashFieldDoesNotAllocate: a batch digest calls it 17 times per
-// appended record, so the field's buffer is pooled, not made per call.
+// TestHashFieldDoesNotAllocate: a digest calls it once per field, so the
+// field's buffer is pooled, not made per call.
 func TestHashFieldDoesNotAllocate(t *testing.T) {
 	h := sha256.New()
 	if avg := testing.AllocsPerRun(1000, func() { HashField(h, "num", "38.5") }); avg > 0 {

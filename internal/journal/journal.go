@@ -12,7 +12,10 @@
 // (see DESIGN.md §8 for the byte layout). Appends are group-committed
 // under the SyncEvery knob — a window of records is written and fsynced
 // together — so a crash or a kill loses at most the un-synced tail, and
-// those pairs are simply re-compared on resume. Opening a journal for
+// those pairs are simply re-compared on resume. Inside an incremental
+// batch frame a window is written but not fsynced: the frame's commit
+// record is its one durability point, so a kill still loses at most a
+// window and a power loss at most the open batch. Opening a journal for
 // resumption truncates a torn tail (a record cut short mid-write) at the
 // last intact record and refuses — with a descriptive error, never a
 // silent fresh start — to continue a run whose configuration or inputs
@@ -124,16 +127,23 @@ type Manifest struct {
 // HashField writes a length-delimited key/value into a manifest digest,
 // so adjacent fields cannot alias ("ab"+"c" vs "a"+"bc"). Every layer
 // that computes a ConfigDigest or InputsDigest builds it from these.
-// The field is "key=len:value;", built by appends and written once (a
-// batch digest is 17 per record) in a pooled buffer: what Write gets escapes.
+// The field is AppendField's, built in a pooled buffer and written once:
+// what Write gets escapes.
 func HashField(h hash.Hash, key, value string) {
 	bp := fieldPool.Get().(*[]byte)
-	b := append(append((*bp)[:0], key...), '=')
-	b = append(strconv.AppendInt(b, int64(len(value)), 10), ':')
-	b = append(append(b, value...), ';')
+	b := AppendField((*bp)[:0], key, value)
 	h.Write(b)
 	*bp = b
 	fieldPool.Put(bp)
+}
+
+// AppendField appends the bytes HashField hashes, "key=len:value;", to b,
+// so a digest of many fields (a record's, core.HashRecord) can hash them
+// in one Write.
+func AppendField[V string | []byte](b []byte, key string, value V) []byte {
+	b = append(append(b, key...), '=')
+	b = append(strconv.AppendInt(b, int64(len(value)), 10), ':')
+	return append(append(b, value...), ';')
 }
 
 var fieldPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -175,8 +185,9 @@ type Verdict struct {
 // already purchased, which the engine applies without re-spending
 // allowance. Record appends one purchased SMC pair and RecordTier one
 // tier-labeled pair — the distinction is what keeps resume accounting
-// exact. Sync makes all appended records durable regardless of the fsync
-// batching cadence.
+// exact. Sync writes all appended records regardless of the batching
+// cadence and makes them durable — except inside a batch frame
+// (BatchSink), whose records become durable with its commit record.
 type Sink interface {
 	Begin(m Manifest) ([]Verdict, error)
 	Record(i, j int, matched bool) error
@@ -189,8 +200,10 @@ type Options struct {
 	// SyncEvery is how many verdict records may accumulate before they
 	// are written and fsynced. 1 syncs every record (maximum durability,
 	// slowest); larger values amortize the write and the fsync over a
-	// window, risking at most that many re-comparisons after a crash or a
-	// kill. ≤ 0 selects the default (64).
+	// window, risking at most that many re-comparisons after a kill. Inside
+	// a batch frame the window is written but not fsynced — the commit
+	// fsyncs the frame — so a power loss there re-buys at most that batch.
+	// ≤ 0 selects the default (64).
 	SyncEvery int
 }
 
@@ -226,6 +239,13 @@ type Writer struct {
 	spanAt       int
 	spanN        int
 	spanBits     []byte
+	// inFrame is set between a batch mark — one this writer appended, or
+	// the uncommitted tail frame Resume recovered — and its commit. The
+	// cadence and Sync then write the window without fsyncing it: the
+	// commit's fsync is the frame's one durability point.
+	inFrame bool
+	// fsyncs counts the file's fsyncs, for the package's tests.
+	fsyncs int
 	// err is the first write or fsync failure. It is sticky: the file may
 	// end in a half-written window, which no good frame may follow.
 	err error
@@ -288,7 +308,8 @@ func Resume(path string, opts Options) (*Writer, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: seeking to append position: %w", err)
 	}
-	return &Writer{f: f, path: path, syncEvery: normalizeSyncEvery(opts.SyncEvery), recovered: rec}, nil
+	open := len(rec.Batches) > 0 && !rec.Batches[len(rec.Batches)-1].Committed
+	return &Writer{f: f, path: path, syncEvery: normalizeSyncEvery(opts.SyncEvery), recovered: rec, inFrame: open}, nil
 }
 
 func normalizeSyncEvery(n int) int {
@@ -312,7 +333,7 @@ func (w *Writer) Begin(m Manifest) ([]Verdict, error) {
 	}
 	w.appendFrame(encodeManifest(m))
 	// The manifest must be durable before any verdict that cites it.
-	if err := w.Sync(); err != nil {
+	if err := w.fsync(); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -446,9 +467,22 @@ func (w *Writer) flush() error {
 	return w.err
 }
 
-// Sync implements Sink: writes the window and flushes it to stable
-// storage.
+// Sync implements Sink: writes the window and, outside a batch frame,
+// flushes it to stable storage. Inside a frame the window is only
+// written; the commit record fsyncs it.
 func (w *Writer) Sync() error {
+	if !w.inFrame {
+		return w.fsync()
+	}
+	if err := w.flush(); err != nil {
+		return err
+	}
+	w.unsynced = 0
+	return nil
+}
+
+// fsync writes the window and flushes the file to stable storage.
+func (w *Writer) fsync() error {
 	if err := w.flush(); err != nil {
 		return err
 	}
@@ -456,13 +490,14 @@ func (w *Writer) Sync() error {
 		w.err = fmt.Errorf("journal: fsync: %w", err)
 		return w.err
 	}
+	w.fsyncs++
 	w.unsynced = 0
 	return nil
 }
 
-// Close syncs and releases the file.
+// Close fsyncs, inside a batch frame too, and releases the file.
 func (w *Writer) Close() error {
-	err := w.Sync()
+	err := w.fsync()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

@@ -47,7 +47,9 @@ type Config struct {
 	DataDir string
 	// Workers bounds concurrent jobs (default 1).
 	Workers int
-	// JournalSync is the journal's SyncEvery (0 = the journal default).
+	// JournalSync is the journals' SyncEvery (0 = the journal default): a
+	// job's journal is written and fsynced at that cadence, a dataset's
+	// written at it and fsynced once per batch, at the commit.
 	JournalSync int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
