@@ -12,6 +12,7 @@ import (
 	"pprl/internal/dataset"
 	"pprl/internal/incremental"
 	"pprl/internal/journal"
+	"pprl/internal/resolve"
 )
 
 // TestAppendDoesNotMaterializePairs: 64 new records in one bin facing a
@@ -87,7 +88,10 @@ func TestAppendDoesNotMaterializePairs(t *testing.T) {
 // also reports a batch's ns per purchased pair over the first and the last
 // quarter of the batches: the population is four to eight times larger at
 // the end, so their ratio, q4/q1, stays near 1 only while a batch costs
-// what it buys, not what the population holds.
+// what it buys, not what the population holds. And it reports each side's
+// batches apart, ns per purchased pair and purchased pairs per span: a
+// span is one new record against its resident bin on either side, so the
+// two sides cost alike.
 func BenchmarkEngineAppend(b *testing.B) {
 	alice, bob := dataset.SplitOverlap(adult.Generate(6000, 93), rand.New(rand.NewSource(94)))
 	const perSide = 20
@@ -96,6 +100,10 @@ func BenchmarkEngineAppend(b *testing.B) {
 	var quarter [2]struct {
 		ns    time.Duration
 		pairs int64
+	}
+	var sides [2]struct {
+		ns           time.Duration
+		pairs, spans int64
 	}
 	dir := b.TempDir()
 	b.ResetTimer()
@@ -109,18 +117,28 @@ func BenchmarkEngineAppend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		growing := 0
+		eng.ObserveEvents(func(ev resolve.Event) {
+			if ev.Kind == resolve.Purchased {
+				sides[growing].spans++
+			}
+		})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		for x := 0; x < perSide; x++ {
 			for side, d := range []*dataset.Dataset{alice, bob} {
 				t0, bought := time.Now(), eng.Stats().Purchased
+				growing = side
 				if _, err := eng.Append(side, d.Records()[x*d.Len()/perSide:(x+1)*d.Len()/perSide]); err != nil {
 					b.Fatal(err)
 				}
+				took, pairs := time.Since(t0), eng.Stats().Purchased-bought
+				sides[side].ns += took
+				sides[side].pairs += pairs
 				if q := x * 4 / perSide; q == 0 || q == 3 {
-					quarter[q/3].ns += time.Since(t0)
-					quarter[q/3].pairs += eng.Stats().Purchased - bought
+					quarter[q/3].ns += took
+					quarter[q/3].pairs += pairs
 				}
 			}
 		}
@@ -140,4 +158,9 @@ func BenchmarkEngineAppend(b *testing.B) {
 	b.ReportMetric(q1, "q1-ns/pair")
 	b.ReportMetric(q4, "q4-ns/pair")
 	b.ReportMetric(q4/q1, "q4/q1")
+	for side, name := range []string{"alice", "bob"} {
+		s := sides[side]
+		b.ReportMetric(float64(s.ns.Nanoseconds())/float64(s.pairs), name+"-ns/pair")
+		b.ReportMetric(float64(s.pairs)/float64(s.spans), name+"-pairs/span")
+	}
 }

@@ -95,6 +95,7 @@ type bin struct {
 // side is one holder's live state.
 type side struct {
 	data  *dataset.Dataset
+	ids   []int           // per record, its EntityID
 	enc   [][]int64       // per record
 	clk   []*bloom.Filter // per record, with the tier on
 	bins  []bin
@@ -118,11 +119,16 @@ type Engine struct {
 	nextBatch int
 	frames    []journal.BatchFrame
 
-	// deltas[b] is what batch b emitted; the log is never copied to grow.
-	deltas [][]Delta
-	stats  Stats
-	stages metrics.Stages
-	failed bool
+	// deltas[b] is what batch b emitted: a capped window of a chunk of
+	// the log, never written after its commit; the log is never copied to
+	// grow. chunk is the log's last chunk, filled to its length. scratch is
+	// where a batch collects its deltas, reused by the next one.
+	deltas  [][]Delta
+	chunk   []Delta
+	scratch []Delta
+	stats   Stats
+	stages  metrics.Stages
+	failed  bool
 	// oracle is the comparator kept across batches when the factory's
 	// can Grow (the plaintext oracle); nil until the first purchase.
 	oracle grower
@@ -232,10 +238,12 @@ func (e *Engine) Deltas(from int) (next int, batches [][]Delta) {
 }
 
 // group is one candidate bin pair touched by a batch, with its heuristic
-// score and its new pairs: across two datasets rows × cols in row-major
-// order, aliasing the bins' own member lists (new members × the resident
-// bin, or the reverse on a bob-side batch) so that the kernel walks row
-// spans and nothing is materialized; for dedup the unordered pairs, listed.
+// score and its new pairs: across two datasets rows × cols, aliasing the
+// bins' own member lists (new members × the resident bin, or the reverse on
+// a bob-side batch) so that nothing is materialized; for dedup the
+// unordered pairs, listed. A bob-side batch's groups are walked column by
+// column, so on either side a span is one new record against its resident
+// bin.
 type group struct {
 	a, b       int32 // cross: side-0 bin, side-1 bin; dedup: a ≤ b
 	score      float64
@@ -243,10 +251,19 @@ type group struct {
 	pairs      [][2]int32
 }
 
-// each walks the group's pairs in the order the kernel does.
-func (g *group) each(visit func(i, j int)) {
+// each walks the group's pairs in the order the kernel does: column by
+// column when columns is set.
+func (g *group) each(columns bool, visit func(i, j int)) {
 	for _, p := range g.pairs {
 		visit(int(p[0]), int(p[1]))
+	}
+	if columns {
+		for _, j := range g.cols {
+			for _, i := range g.rows {
+				visit(i, j)
+			}
+		}
+		return
 	}
 	for _, i := range g.rows {
 		for _, j := range g.cols {
@@ -312,6 +329,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		if err := s.data.Append(rec); err != nil {
 			return nil, fmt.Errorf("incremental: %w", err)
 		}
+		s.ids = append(s.ids, rec.EntityID)
 	}
 	s.enc = smc.AppendEncoded(s.enc, s.data, e.qids, 1)
 	if e.tenc != nil {
@@ -327,7 +345,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 
 	// Candidate generation: new pairs only, labeled by the slack rule the
 	// frozen run uses.
-	var batchDeltas []Delta
+	batchDeltas := e.scratch[:0]
 	groups := e.collectGroups(sideIdx, base, touched, batch, &batchDeltas)
 	if e.onGroups != nil {
 		e.onGroups(groups)
@@ -340,7 +358,8 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	slices.SortFunc(order, func(x, y int32) int { return e.compareGroups(&groups[x], &groups[y]) })
 	e.stages.Report("blocking", 1, 1)
 
-	spent, err := e.resolve(groups, order, batch, frame, committedReplay, &batchDeltas)
+	spent, err := e.resolve(groups, order, sideIdx == 1, batch, frame, committedReplay, &batchDeltas)
+	e.scratch = batchDeltas
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +377,7 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 		}
 	}
 
-	e.deltas = append(e.deltas, batchDeltas)
+	logged := e.log(batchDeltas)
 	e.nextBatch++
 	e.stats.Batches = e.nextBatch
 	e.stats.Records[sideIdx] = s.data.Len()
@@ -368,8 +387,27 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	e.stages.Report("commit", 1, 1)
 	return &BatchResult{
 		Batch: batch, Side: sideIdx, Records: len(recs),
-		Deltas: batchDeltas, Spent: spent, Replayed: committedReplay,
+		Deltas: logged, Spent: spent, Replayed: committedReplay,
 	}, nil
+}
+
+// deltaChunk is how many deltas a chunk of the log holds; a batch with
+// more gets a chunk of its own size.
+const deltaChunk = 4096
+
+// log copies a batch's deltas into the log and returns the batch's
+// window of it, capped so that no append through it reaches the next
+// batch's deltas.
+func (e *Engine) log(deltas []Delta) []Delta {
+	n := len(deltas)
+	if cap(e.chunk)-len(e.chunk) < n {
+		e.chunk = make([]Delta, 0, max(deltaChunk, n))
+	}
+	at := len(e.chunk)
+	e.chunk = append(e.chunk, deltas...)
+	logged := e.chunk[at : at+n : at+n]
+	e.deltas = append(e.deltas, logged)
+	return logged
 }
 
 // binNew assigns every record appended at or after base to its
@@ -454,7 +492,7 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 			return
 		}
 		if label == blocking.Match {
-			g.each(func(i, j int) {
+			g.each(sideIdx == 1, func(i, j int) {
 				*deltas = append(*deltas, e.delta(batch, i, j))
 				e.stats.BlockingMatches++
 			})
@@ -529,14 +567,15 @@ func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, de
 }
 
 // resolve hands the batch's uncertain groups to the resolution kernel
-// (DESIGN.md §16) in order — groups[order[k]] is the k-th — and files its
-// events into the delta log and the lifetime accounting. What stays here
-// is what only a live dataset has: the budget is what the lifetime pool
-// has left, the journaled purchases are the batch's own frame, and a
-// committed frame replays without buying or journaling anything — from the
-// frame alone: its purchases and its tier labels stand whatever the tier
-// is set to now, which applies only to batches without a committed frame.
-func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
+// (DESIGN.md §16) in order — groups[order[k]] is the k-th, walked by column
+// when columns is set — and files its events into the delta log and the
+// lifetime accounting. What stays here is what only a live dataset has:
+// the budget is what the lifetime pool has left, the journaled purchases
+// are the batch's own frame, and a committed frame replays without buying
+// or journaling anything — from the frame alone: its purchases and its
+// tier labels stand whatever the tier is set to now, which applies only to
+// batches without a committed frame.
+func (e *Engine) resolve(groups []group, order []int32, columns bool, batch int, frame *journal.BatchFrame, committed bool, deltas *[]Delta) (int64, error) {
 	// Side b is side 1, or side 0 again when the dataset links itself.
 	a, b := e.sides[0], e.sides[len(e.sides)-1]
 	// The comparator is built or grown at the batch's first purchase: most
@@ -559,7 +598,7 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 		Groups: len(groups),
 		Group: func(k int) resolve.Group {
 			g := &groups[order[k]]
-			return resolve.Group{A: g.rows, B: g.cols, Pairs: g.pairs}
+			return resolve.Group{A: g.rows, B: g.cols, Pairs: g.pairs, Columns: columns}
 		},
 		Budget:     math.MaxInt64,
 		Comparator: cmp,
@@ -576,14 +615,14 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 				}
 				e.stats.Used += n
 			}
-			for x, j := range ev.Js {
-				switch {
+			for x := range ev.Js {
+				switch i, j := ev.Pair(x); {
 				case ev.Kind != resolve.Tiered:
 					if ev.Verdicts[x] {
-						*deltas = append(*deltas, e.delta(batch, ev.I, j))
+						*deltas = append(*deltas, e.delta(batch, i, j))
 					}
-				case frameTier[[2]uint32{uint32(ev.I), uint32(j)}]:
-					*deltas = append(*deltas, e.delta(batch, ev.I, j))
+				case frameTier[[2]uint32{uint32(i), uint32(j)}]:
+					*deltas = append(*deltas, e.delta(batch, i, j))
 				default:
 					e.stats.TierNonMatches++
 				}
@@ -613,9 +652,10 @@ func (e *Engine) resolve(groups []group, order []int32, batch int, frame *journa
 		// Residuals default to match; under MaximizePrecision they are
 		// never emitted, which is what keeps precision structural.
 		in.Residual = func(ev resolve.Event) {
-			for _, j := range ev.Js {
+			for x := range ev.Js {
+				i, j := ev.Pair(x)
 				e.stats.ResidualMatches++
-				*deltas = append(*deltas, e.delta(batch, ev.I, j))
+				*deltas = append(*deltas, e.delta(batch, i, j))
 			}
 		}
 	}
@@ -680,14 +720,8 @@ func (l *lazyComparator) close() {
 	}
 }
 
-// delta materializes one emitted Match pair.
+// delta materializes one emitted Match pair; for dedup both records are
+// side 0's.
 func (e *Engine) delta(batch, i, j int) Delta {
-	d := Delta{Batch: batch, I: i, J: j}
-	d.AliceID = e.sides[0].data.Record(d.I).EntityID
-	if e.cfg.Dedup {
-		d.BobID = e.sides[0].data.Record(d.J).EntityID
-	} else {
-		d.BobID = e.sides[1].data.Record(d.J).EntityID
-	}
-	return d
+	return Delta{Batch: batch, I: i, J: j, AliceID: e.sides[0].ids[i], BobID: e.sides[len(e.sides)-1].ids[j]}
 }

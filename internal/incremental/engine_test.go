@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -714,8 +715,9 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 		eng.ObserveEvents(func(ev resolve.Event) {
 			if ev.Kind == resolve.Purchased {
 				longest[side] = max(longest[side], len(ev.Js))
-				for _, j := range ev.Js {
-					delivered = append(delivered, [2]int{ev.I, j})
+				for x := range ev.Js {
+					i, j := ev.Pair(x)
+					delivered = append(delivered, [2]int{i, j})
 				}
 			}
 		})
@@ -766,6 +768,119 @@ func TestIncrementalBuysThroughBatchPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(replayDeltas, wantDeltas) || !bytes.Equal(replayWAL, wantWAL) {
 		t.Error("committed replay changed the delta stream or the journal")
+	}
+}
+
+// TestSpansAreNewRecords: on either side a purchased span is one record
+// the batch appended against members of its resident bin — a row span on
+// an alice-side batch, a column span on a bob-side one — and both sides'
+// spans are longer than one pair.
+func TestSpansAreNewRecords(t *testing.T) {
+	w := testkit.Generate(5)
+	eng, err := incremental.New(w.Alice.Schema(), incrementalConfig(w, ample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var side, base int
+	var longest [2]int
+	eng.ObserveEvents(func(ev resolve.Event) {
+		if ev.Kind != resolve.Purchased {
+			return
+		}
+		if ev.Column != (side == 1) || ev.I < base {
+			t.Fatalf("side %d batch from record %d: span %+v is not a new record's", side, base, ev)
+		}
+		longest[side] = max(longest[side], len(ev.Js))
+	})
+	var grown [2]int
+	ab, bb := batchesOf(w.Alice, w.Alice.Len()/3+1), batchesOf(w.Bob, w.Bob.Len()/3+1)
+	for k := range max(len(ab), len(bb)) {
+		for s, batches := range [][][]dataset.Record{ab, bb} {
+			if k < len(batches) {
+				side, base = s, grown[s]
+				if _, err := eng.Append(s, batches[k]); err != nil {
+					t.Fatal(err)
+				}
+				grown[s] += len(batches[k])
+			}
+		}
+	}
+	if longest[0] < 2 || longest[1] < 2 {
+		t.Errorf("longest purchased spans: %d pairs on alice-side batches, %d on bob-side ones; want both ≥ 2", longest[0], longest[1])
+	}
+}
+
+// TestDeltaIDsAndLog: every delta's entity IDs are its records' — across
+// both sides and for dedup, where both are side 0's — and each batch's
+// deltas are a capped window of the log, so no append through one batch's
+// slice reaches the next batch's deltas.
+func TestDeltaIDsAndLog(t *testing.T) {
+	w := testkit.Generate(3)
+	all, err := w.Alice.Concat(w.Bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dedup := range []bool{false, true} {
+		cfg := incrementalConfig(w, ample)
+		cfg.Dedup = dedup
+		eng, err := incremental.New(w.Alice.Schema(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type batch struct {
+			side int
+			recs []dataset.Record
+		}
+		var feed []batch
+		grown := [2]*dataset.Dataset{dataset.New(w.Alice.Schema()), dataset.New(w.Alice.Schema())}
+		if dedup {
+			for _, b := range batchesOf(all, all.Len()/4+1) {
+				feed = append(feed, batch{0, b})
+			}
+			grown[1] = grown[0]
+		} else {
+			ab, bb := batchesOf(w.Alice, w.Alice.Len()/3+1), batchesOf(w.Bob, w.Bob.Len()/3+1)
+			for k := range ab {
+				feed = append(feed, batch{0, ab[k]}, batch{1, bb[k]})
+			}
+		}
+		var logged [][]incremental.Delta
+		n := 0
+		for _, b := range feed {
+			for _, rec := range b.recs {
+				if err := grown[b.side].Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := eng.Append(b.side, b.recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(res.Deltas) != len(res.Deltas) {
+				t.Fatalf("dedup %v: batch %d's deltas have room for %d more", dedup, res.Batch, cap(res.Deltas)-len(res.Deltas))
+			}
+			for _, d := range res.Deltas {
+				if d.AliceID != grown[0].Record(d.I).EntityID || d.BobID != grown[1].Record(d.J).EntityID {
+					t.Fatalf("dedup %v: delta %+v carries IDs other than its records' (%d, %d)",
+						dedup, d, grown[0].Record(d.I).EntityID, grown[1].Record(d.J).EntityID)
+				}
+			}
+			logged = append(logged, slices.Clone(res.Deltas))
+			n += len(res.Deltas)
+			_ = append(res.Deltas, incremental.Delta{Batch: -1}) // a consumer's append
+		}
+		if n == 0 {
+			t.Fatalf("dedup %v: the fixture emits no delta", dedup)
+		}
+		next, batches := eng.Deltas(0)
+		if next != len(feed) || !reflect.DeepEqual(batches, logged) {
+			t.Errorf("dedup %v: the log reads back other deltas than the batches returned", dedup)
+		}
+		for _, b := range batches {
+			if cap(b) != len(b) {
+				t.Errorf("dedup %v: a page's batch slice has room for %d more", dedup, cap(b)-len(b))
+			}
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package incremental_test
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,17 +39,24 @@ func pinSchedule(k int) (*dataset.Schema, []pinStep) {
 	return alice.Schema(), steps
 }
 
-// TestLiveJournalPinned holds the live engine's two outputs — the journal's
-// bytes and the delta sequence — to hashes recorded at the commit before
-// the engine handed the kernel A × B groups (PR 24): what a batch buys, in
-// which order, and what it files where are a format other processes resume
-// from, so a change to how groups are built must not move a byte (the tier
-// journal was re-pinned since, see its row, and every journal once for
-// format v2, whose span records frame a row's verdicts together;
-// no delta hash moved). The journal runs at the benchmark's SyncEvery 4096.
+// TestLiveJournalPinned holds the live engine's outputs — the journal's
+// bytes, the delta sequence and each batch's delta set — to hashes: what a
+// batch buys, in which order, and what it files where are a format other
+// processes resume from, so a change to how groups are built must not move
+// a byte. The journal runs at the benchmark's SyncEvery 4096.
+//
+// The journal and sequence hashes were re-pinned when bob-side batches
+// began walking their groups column by column (format v3, whose column
+// span records frame one new bob record's verdicts together): a batch's
+// deltas come out in walk order, so the sequence moved, while the
+// per-batch delta sets, recorded before that change, did not move for any
+// variant. They were re-pinned before that for format v2 and, for the
+// tier, when it lost its Match band (see its row).
+//
 // The tier variant's journal as the last v1 build wrote it is
 // testdata/pinned-v1-tier/ingest.wal: both files must replay to the same
-// verdicts, tier labels and batch frames.
+// batch frames, each frame's verdicts and tier labels the same multisets
+// (the v1 build walked bob-side batches row by row).
 func TestLiveJournalPinned(t *testing.T) {
 	const k = 6
 	schema, steps := pinSchedule(k)
@@ -61,31 +70,39 @@ func TestLiveJournalPinned(t *testing.T) {
 		wantWAL, wantSeq string
 		// v1 is the variant's journal as the v1 writer made it, if kept.
 		v1 string
+		// wantSet hashes each batch's exposed deltas sorted by pair: what a
+		// batch finds, whatever order its walk found it in.
+		wantSet string
 	}{
 		{"plain", func(c incremental.Config) incremental.Config { return c }, -1,
-			"6027cbd4aced56c4e15f6158a60e67671acf9caebee894262301efe4d7fdf363",
-			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3", ""},
+			"61d5fa52825ba6ad6da38a007bd814622a848544064149d19d1bad55d165e5d8",
+			"842f6384a23acdbc9b8bd6f6c43c55779033fdeca1f5200cfa385acfad2fc965", "",
+			"dc2a0ce4cf6530cd90c5274a4a482df65275dc914028e91627ab633abb81cf7c"},
 		{"tier", func(c incremental.Config) incremental.Config { c.Tier = core.TierBloom; return c }, -1,
 			// Re-pinned once, when the tier lost its Match band and its default
 			// threshold moved to 0.90: the journal now holds NonMatch tier
 			// records only, and the delta sequence is the plain run's — the
 			// tier changed no delta.
-			"f01e43d27a1979510ad528e1b770ef1665fb110aa3df8b6656a7f028dbbb3491",
-			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3",
-			filepath.Join("testdata", "pinned-v1-tier", "ingest.wal")},
+			"57c6a520a3f5cc58c96e3e83797b01cb49cd96ba016a35d522d6d359c7e5f26d",
+			"842f6384a23acdbc9b8bd6f6c43c55779033fdeca1f5200cfa385acfad2fc965",
+			filepath.Join("testdata", "pinned-v1-tier", "ingest.wal"),
+			"dc2a0ce4cf6530cd90c5274a4a482df65275dc914028e91627ab633abb81cf7c"},
 		{"bounded recall", func(c incremental.Config) incremental.Config {
 			c.Allowance, c.Strategy = 20000, core.MaximizeRecall
 			return c
 		}, -1,
-			"55dfda1478282ae1f495cb71d1a1759e538d3595e645c50d6fbd8338c1b98674",
-			"2203299694cae1db398c8aaf4514299ad83a106c7f636c4ce6ca87e21a5103d1", ""},
+			"3f722c437b7cc4663bd4837debb41f460558e107a7ba6c22f0b57c6e62cfb606",
+			"459b473d2b08e5719abc7afe582dfce8ddddee8c883f6b48fe25f1dbb3a01884", "",
+			"9f6ab8c950d003f331fbafee50257ab5822a90d5d4b85795aeedb1100622c24f"},
 		{"crash-resumed tail", func(c incremental.Config) incremental.Config { return c }, 7,
-			"6027cbd4aced56c4e15f6158a60e67671acf9caebee894262301efe4d7fdf363",
-			"eadca3e4112cb87bc26cc87409ca826d590ad9ee17a7481e48be88d827b64fb3", ""},
+			"61d5fa52825ba6ad6da38a007bd814622a848544064149d19d1bad55d165e5d8",
+			"842f6384a23acdbc9b8bd6f6c43c55779033fdeca1f5200cfa385acfad2fc965", "",
+			"dc2a0ce4cf6530cd90c5274a4a482df65275dc914028e91627ab633abb81cf7c"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ingest.wal")
 			seq := sha256.New()
+			var exposed []incremental.Delta
 			// feed appends the schedule and hashes every exposed delta; it
 			// reports the step whose append failed, or len(steps).
 			feed := func(eng *incremental.Engine) int {
@@ -103,6 +120,7 @@ func TestLiveJournalPinned(t *testing.T) {
 					for _, d := range res.Deltas {
 						fmt.Fprintf(seq, "%d:%d:%d:%d:%d;", d.Batch, d.I, d.J, d.AliceID, d.BobID)
 					}
+					exposed = append(exposed, res.Deltas...)
 				}
 				return len(steps)
 			}
@@ -159,6 +177,16 @@ func TestLiveJournalPinned(t *testing.T) {
 			if gotSeq != c.wantSeq {
 				t.Errorf("delta sequence hashes to %s, pinned %s", gotSeq, c.wantSeq)
 			}
+			slices.SortFunc(exposed, func(x, y incremental.Delta) int {
+				return cmp.Or(cmp.Compare(x.Batch, y.Batch), cmp.Compare(x.I, y.I), cmp.Compare(x.J, y.J))
+			})
+			set := sha256.New()
+			for _, d := range exposed {
+				fmt.Fprintf(set, "%d:%d:%d:%d:%d;", d.Batch, d.I, d.J, d.AliceID, d.BobID)
+			}
+			if gotSet := fmt.Sprintf("%x", set.Sum(nil)); gotSet != c.wantSet {
+				t.Errorf("per-batch delta sets hash to %s, pinned %s", gotSet, c.wantSet)
+			}
 			if c.v1 == "" {
 				return
 			}
@@ -166,26 +194,39 @@ func TestLiveJournalPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := journal.Replay(path)
+			now, err := journal.Replay(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Sorted copies: a frame's verdicts as a multiset.
+			sorted := func(vs []journal.Verdict) []journal.Verdict {
+				vs = slices.Clone(vs)
+				slices.SortFunc(vs, func(x, y journal.Verdict) int { return cmp.Or(cmp.Compare(x.I, y.I), cmp.Compare(x.J, y.J)) })
+				return vs
+			}
+			for _, r := range []*journal.Recovered{v1, now} {
+				r.Verdicts, r.TierVerdicts = sorted(r.Verdicts), sorted(r.TierVerdicts)
+				for b := range r.Batches {
+					f := &r.Batches[b]
+					f.Verdicts, f.TierVerdicts = sorted(f.Verdicts), sorted(f.TierVerdicts)
+				}
 			}
 			for _, f := range []struct {
 				name     string
 				old, new any
 			}{
-				{"manifest", v1.Manifest, v2.Manifest},
-				{"verdicts", v1.Verdicts, v2.Verdicts},
-				{"tier verdicts", v1.TierVerdicts, v2.TierVerdicts},
-				{"batch frames", v1.Batches, v2.Batches},
-				{"torn bytes", v1.TornBytes, v2.TornBytes},
+				{"manifest", v1.Manifest, now.Manifest},
+				{"verdicts", v1.Verdicts, now.Verdicts},
+				{"tier verdicts", v1.TierVerdicts, now.TierVerdicts},
+				{"batch frames", v1.Batches, now.Batches},
+				{"torn bytes", v1.TornBytes, now.TornBytes},
 			} {
 				if !reflect.DeepEqual(f.old, f.new) {
-					t.Errorf("the v1 and v2 journals of one run replay to different %s", f.name)
+					t.Errorf("the v1 and current journals of one run replay to different %s", f.name)
 				}
 			}
-			if len(v2.TierVerdicts) == 0 || len(v2.Verdicts) == 0 {
-				t.Errorf("the run journals %d purchases and %d tier labels; the comparison wants both", len(v2.Verdicts), len(v2.TierVerdicts))
+			if len(now.TierVerdicts) == 0 || len(now.Verdicts) == 0 {
+				t.Errorf("the run journals %d purchases and %d tier labels; the comparison wants both", len(now.Verdicts), len(now.TierVerdicts))
 			}
 		})
 	}
@@ -197,8 +238,10 @@ func TestLiveJournalPinned(t *testing.T) {
 // every one of its 400 deltas came from a tier Match record. Those batches
 // committed and their deltas were exposed, so a restart under this build —
 // tier on or off — must replay every frame with the deltas it committed
-// with, in order (deltas.txt, written by the same run), buy nothing, and
-// go on accepting batches, whose tier labels can only be NonMatch.
+// with (deltas.txt, written by the same run; in walk order, and that build
+// walked bob-side batches row by row, so each batch's are compared as a
+// multiset), buy nothing, and go on accepting batches, whose tier labels
+// can only be NonMatch.
 func TestLegacyTierMatchJournalRestarts(t *testing.T) {
 	fixture := filepath.Join("testdata", "legacy-tier-match")
 	wantDeltas, err := os.ReadFile(filepath.Join(fixture, "deltas.txt"))
@@ -257,7 +300,11 @@ func TestLegacyTierMatchJournalRestarts(t *testing.T) {
 				fmt.Fprintf(&got, "%d %d %d %d %d\n", d.Batch, d.I, d.J, d.AliceID, d.BobID)
 			}
 		}
-		if got.String() != string(wantDeltas) {
+		if lines := func(s string) []string {
+			l := strings.SplitAfter(s, "\n")
+			slices.Sort(l)
+			return l
+		}; !slices.Equal(lines(got.String()), lines(string(wantDeltas))) {
 			t.Errorf("tier %v: the restart moved the committed delta stream (%d bytes, the first life wrote %d)", tier, got.Len(), len(wantDeltas))
 		}
 		if st := eng.Stats(); st.Purchased != 0 || st.Used != 162 || st.Deltas != legacyMatches {

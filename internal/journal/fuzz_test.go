@@ -12,7 +12,7 @@ import (
 // invariants — a version this build reads, a manifest before any verdict,
 // no verdicts from a file whose manifest never made it to disk, and a
 // batch frame's verdicts among the flat lists'. The seed corpus covers
-// valid v2 and v1 journals and truncations/mutations of them, so the
+// valid v3, v2 and v1 journals and truncations/mutations of them, so the
 // fuzzer starts at the interesting boundaries (torn frames, flipped CRC
 // bytes, span counts and bitmaps) instead of random noise.
 func FuzzJournalReplay(f *testing.F) {
@@ -28,7 +28,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(valid[:headerLen])                 // header only
 	f.Add(valid[:headerLen+5])               // torn manifest
 	f.Add([]byte{})                          // empty
-	f.Add([]byte("PPRLWAL\x00\x03\x00"))     // newer version
+	f.Add([]byte("PPRLWAL\x00\x04\x00"))     // newer version
 	f.Add(bytes.Repeat([]byte{0xff}, 64))    // noise
 	corrupt := append([]byte(nil), valid...) // CRC-breaking flip
 	corrupt[len(corrupt)-3] ^= 0x80
@@ -42,14 +42,16 @@ func FuzzJournalReplay(f *testing.F) {
 	for _, cut := range []int{len(window) - 1, len(window) - last + 1, len(window) - last, len(window) - last - 1, len(window) / 2} {
 		f.Add(window[:cut])
 	}
-	// The v1 image of the first run, and a v1 header over span records
-	// (refused: v1 has no span type).
+	// The v1 image of the first run, and v1 and v2 headers over span
+	// records (refused: v1 has no span type, v2 no column span).
 	v1 := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint16(v1[8:10], 1)
 	f.Add(v1)
-	v1window := append([]byte(nil), window...)
-	binary.LittleEndian.PutUint16(v1window[8:10], 1)
-	f.Add(v1window)
+	for _, version := range []uint16{1, 2} {
+		old := append([]byte(nil), window...)
+		binary.LittleEndian.PutUint16(old[8:10], version)
+		f.Add(old)
+	}
 	// A span whose count, length and bitmap disagree, with its CRC fixed up.
 	span := refFrame(append([]byte(nil), valid...), spanPayload(recVerdict, []Verdict{{I: 5, J: 1}, {I: 5, J: 2, Matched: true}, {I: 5, J: 3}}))
 	f.Add(span)

@@ -4,9 +4,10 @@
 // describing the run (digests of the configuration and the input
 // relations, the blocking summary, the resolved allowance, the heuristic
 // and its seed) followed by the SMC pair verdicts, appended in resolution
-// order as the comparator returns them: one frame per row span — the
-// consecutive verdicts of one record i — and a lone verdict's frame for a
-// span of one.
+// order as the comparator returns them: one frame per span — the
+// consecutive verdicts of one record i (a row span) or, failing that, of
+// one record j (a column span) — and a lone verdict's frame for a span of
+// one.
 //
 // The on-disk format is length-prefixed, CRC-checksummed and versioned
 // (see DESIGN.md §8 for the byte layout). Appends are group-committed
@@ -36,29 +37,34 @@ import (
 // Format constants. The magic distinguishes journal files from arbitrary
 // data; the version gates forward compatibility: a reader refuses files
 // written by a newer version instead of guessing at their layout. Version
-// 2 added the span records; a v1 file is read as before and becomes a v2
-// file when it is resumed (see Resume).
+// 2 added the row span records, version 3 the column span records; an
+// older file is read as before and becomes a v3 file when it is resumed
+// (see Resume).
 const (
-	formatVersion = 2
+	formatVersion = 3
 	headerLen     = 10 // 8-byte magic + uint16 version
 )
 
 var magic = [8]byte{'P', 'P', 'R', 'L', 'W', 'A', 'L', 0}
 
 // Record types inside the framed payloads. Purchased SMC verdicts
-// (recVerdict, recSpan) and tier-labeled verdicts (recTierVerdict,
-// recTierSpan) are distinct types on disk because resume accounting treats
-// them differently: only purchased verdicts were paid for out of the
-// allowance and must never be re-spent, while tier labels are
-// deterministic and free to recompute — a resumed run replays the former
-// and regenerates the latter. A span record holds two or more consecutive
-// verdicts of one record i (format v2); a lone verdict keeps its v1 record.
+// (recVerdict, recSpan, recColSpan) and tier-labeled verdicts
+// (recTierVerdict, recTierSpan, recTierColSpan) are distinct types on disk
+// because resume accounting treats them differently: only purchased
+// verdicts were paid for out of the allowance and must never be re-spent,
+// while tier labels are deterministic and free to recompute — a resumed
+// run replays the former and regenerates the latter. A row span record
+// holds two or more consecutive verdicts of one record i (format v2), a
+// column span record those of one record j that do not share i (format
+// v3); a lone verdict keeps its v1 record.
 const (
 	recManifest    byte = 1
 	recVerdict     byte = 2
 	recTierVerdict byte = 3
 	recSpan        byte = 6
 	recTierSpan    byte = 7
+	recColSpan     byte = 8
+	recTierColSpan byte = 9
 )
 
 // maxPayload bounds a single record's payload so a corrupt length prefix
@@ -77,8 +83,9 @@ const _ = uint(maxPayload - flushBytes)
 const verdictPayloadLen = 1 + 4 + 4 + 1
 
 // spanHeaderLen is the fixed part of a span record's payload: type byte,
-// the uint32 record index i, the uint16 verdict count n. The n uint32
-// indexes j and an n-bit verdict bitmap follow.
+// the uint32 index of the span's record (i of a row span, j of a column
+// span), the uint16 verdict count n. The n uint32 indexes of the other
+// side and an n-bit verdict bitmap follow.
 const spanHeaderLen = 1 + 4 + 2
 
 // spanPayloadLen is the payload size of a span of n verdicts.
@@ -230,12 +237,15 @@ type Writer struct {
 	// sync window — which reach the file in one Write.
 	buf []byte
 	// The open span: the verdicts of consecutive Record (or RecordTier)
-	// calls on row spanI, of kind spanKind (recVerdict or recTierVerdict, 0
-	// when none is open), spanBits their bitmap. The first one waits in
-	// spanJ; from the second on, the span's frame grows unfinished at
-	// buf[spanAt:] — length prefix, header and j's so far.
+	// calls of kind spanKind (recVerdict or recTierVerdict, 0 when none is
+	// open), spanBits their bitmap. The first one, (spanI, spanJ), waits;
+	// the second decides the span's line — row spanI, or column spanJ
+	// (spanCol) when it shares only j — and from it on the span's frame
+	// grows unfinished at buf[spanAt:]: length prefix, header and the other
+	// side's indexes so far.
 	spanKind     byte
 	spanI, spanJ uint32
+	spanCol      bool
 	spanAt       int
 	spanN        int
 	spanBits     []byte
@@ -275,10 +285,11 @@ func Create(path string, opts Options) (*Writer, error) {
 // Resume opens an interrupted run's journal for continuation: it replays
 // the manifest and verdicts, truncates any torn tail at the last intact
 // record, and positions the writer to append. The recovered verdicts are
-// handed to the engine by Begin after manifest validation. A v1 file gets
-// a v2 header, synced before anything else is written, because the writer
-// appends span records: a build that reads only v1 then refuses the file
-// with ErrNewerVersion instead of meeting a record type it does not know.
+// handed to the engine by Begin after manifest validation. A v1 or v2 file
+// gets a v3 header, synced before anything else is written, because the
+// writer appends span records of either line: a build that reads only an
+// older version then refuses the file with ErrNewerVersion instead of
+// meeting a record type it does not know.
 func Resume(path string, opts Options) (*Writer, error) {
 	rec, version, err := replay(path)
 	if err != nil {
@@ -351,9 +362,11 @@ func (w *Writer) RecordTier(i, j int, matched bool) error {
 }
 
 // record adds one verdict to the open span, first closing it and opening
-// another when the verdict's kind or row differs. (A long row is cut by
-// the window bound: appended flushes, closing the span, before its payload
-// can exceed maxPayload.)
+// another when the verdict's kind differs or it is off the span's line:
+// the row of its first verdict's i, or — when the second verdict shares
+// only j — the column of its j. (A long span is cut by the window bound:
+// appended flushes, closing the span, before its payload can exceed
+// maxPayload.)
 func (w *Writer) record(kind byte, i, j int, matched bool) error {
 	if err := w.ready("Record"); err != nil {
 		return err
@@ -361,26 +374,33 @@ func (w *Writer) record(kind byte, i, j int, matched bool) error {
 	if i < 0 || j < 0 || int64(i) > int64(^uint32(0)) || int64(j) > int64(^uint32(0)) {
 		return fmt.Errorf("journal: pair (%d,%d) outside the uint32 record-index range", i, j)
 	}
+	ui, uj := uint32(i), uint32(j)
 	switch {
-	case kind != w.spanKind || uint32(i) != w.spanI:
+	case !w.extends(kind, ui, uj):
 		w.closeSpan()
-		w.spanKind, w.spanI, w.spanJ, w.spanN = kind, uint32(i), uint32(j), 0
+		w.spanKind, w.spanI, w.spanJ, w.spanN = kind, ui, uj, 0
 		w.spanBits = w.spanBits[:0]
 	case w.spanN == 1:
-		// The row's second verdict: the span's frame begins. Length and
-		// count are filled in when it closes.
-		spanType := recSpan
+		// The span's second verdict decides its line, and its frame
+		// begins. Length and count are filled in when it closes.
+		w.spanCol = ui != w.spanI
+		spanType, fixed, first, next := recSpan, w.spanI, w.spanJ, uj
+		if w.spanCol {
+			spanType, fixed, first, next = recColSpan, w.spanJ, w.spanI, ui
+		}
 		if kind == recTierVerdict {
-			spanType = recTierSpan
+			spanType++ // recTierSpan, recTierColSpan
 		}
 		w.spanAt = len(w.buf)
 		w.buf = append(w.buf, 0, 0, 0, 0, spanType)
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, w.spanI)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, fixed)
 		w.buf = append(w.buf, 0, 0)
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, w.spanJ)
-		fallthrough
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, first)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, next)
+	case w.spanCol:
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, ui)
 	default:
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(j))
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uj)
 	}
 	if w.spanN%8 == 0 {
 		w.spanBits = append(w.spanBits, 0)
@@ -393,6 +413,21 @@ func (w *Writer) record(kind byte, i, j int, matched bool) error {
 	return w.appended()
 }
 
+// extends reports whether a verdict of kind on (i, j) belongs to the open
+// span: same kind, and on its line — either one once it holds a verdict,
+// the one the second verdict chose after that.
+func (w *Writer) extends(kind byte, i, j uint32) bool {
+	switch {
+	case kind != w.spanKind:
+		return false
+	case w.spanN == 1:
+		return i == w.spanI || j == w.spanJ
+	case w.spanCol:
+		return j == w.spanJ
+	}
+	return i == w.spanI
+}
+
 // closeSpan finishes the open span's frame: a span record, or the v1
 // verdict record when it holds one verdict, so a run of one costs what it
 // always did.
@@ -401,7 +436,7 @@ func (w *Writer) closeSpan() {
 		return
 	}
 	kind := w.spanKind
-	w.spanKind = 0
+	w.spanKind, w.spanCol = 0, false
 	if w.spanN == 1 {
 		var one [verdictPayloadLen]byte
 		one[0] = kind

@@ -10,10 +10,12 @@ import (
 	"testing"
 )
 
-// legacyV1 names every v1 journal committed in the tree: files earlier
-// builds wrote, which this build must go on reading and resuming.
+// legacyV1 names every v1 journal committed in the tree, and the v2 golden
+// file: files earlier builds wrote, which this build must go on reading and
+// resuming.
 var legacyV1 = []string{
 	"testdata/golden_v1.hex",
+	"testdata/golden_v2.hex",
 	"../core/testdata/dense_era.hex",
 	"../core/testdata/legacy_dp.hex",
 	"../service/testdata/legacy-*/datasets/*/ingest.wal",
@@ -21,11 +23,11 @@ var legacyV1 = []string{
 	"../incremental/testdata/*/ingest.wal",
 }
 
-// TestLegacyV1FixturesResume replays every committed v1 journal and
-// resumes a copy of it: the resumed file's header says 2 before anything
-// is appended, it replays to what the v1 file did, and what this build
-// appends — a span, a lone verdict, a tier span — lands behind it, inside
-// the open batch frame if there is one.
+// TestLegacyV1FixturesResume replays every committed v1 journal (and the v2
+// golden file) and resumes a copy of it: the resumed file's header says 3
+// before anything is appended, it replays to what the old file did, and
+// what this build appends — a span, a lone verdict, a column span, a tier
+// span — lands behind it, inside the open batch frame if there is one.
 func TestLegacyV1FixturesResume(t *testing.T) {
 	var paths []string
 	for _, pattern := range legacyV1 {
@@ -35,8 +37,8 @@ func TestLegacyV1FixturesResume(t *testing.T) {
 		}
 		paths = append(paths, matches...)
 	}
-	if len(paths) < 8 {
-		t.Fatalf("%d v1 fixtures found, want the 8 committed ones: %v", len(paths), paths)
+	if len(paths) < 9 {
+		t.Fatalf("%d v1 and v2 fixtures found, want the 9 committed ones: %v", len(paths), paths)
 	}
 	for _, src := range paths {
 		name := strings.TrimPrefix(src, "../")
@@ -53,8 +55,8 @@ func TestLegacyV1FixturesResume(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if v := binary.LittleEndian.Uint16(raw[8:10]); v != 1 {
-				t.Fatalf("fixture is v%d, not a v1 journal", v)
+			if v := binary.LittleEndian.Uint16(raw[8:10]); v >= formatVersion {
+				t.Fatalf("fixture is v%d, not an older journal", v)
 			}
 			path := filepath.Join(t.TempDir(), "v1.wal")
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -82,7 +84,7 @@ func TestLegacyV1FixturesResume(t *testing.T) {
 			}
 			before.TornBytes = 0 // Resume truncated the torn tail
 			if !reflect.DeepEqual(upgraded, before) {
-				t.Fatalf("the upgraded file replays as %+v, the v1 file as %+v", upgraded, before)
+				t.Fatalf("the upgraded file replays as %+v, the old file as %+v", upgraded, before)
 			}
 
 			prior, err := w.Begin(before.Manifest)
@@ -97,6 +99,7 @@ func TestLegacyV1FixturesResume(t *testing.T) {
 				{kind: recVerdict, v: Verdict{I: 1 << 30, J: 2}},
 				{kind: recVerdict, v: Verdict{I: 1 << 30, J: 3, Matched: true}},
 				{kind: recVerdict, v: Verdict{I: 1<<30 + 1, J: 0}},
+				{kind: recVerdict, v: Verdict{I: 1<<30 + 2, J: 0, Matched: true}},
 				{kind: recTierVerdict, v: Verdict{I: 1 << 30, J: 4}},
 				{kind: recTierVerdict, v: Verdict{I: 1 << 30, J: 5}},
 			}

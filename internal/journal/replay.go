@@ -45,7 +45,7 @@ type Recovered struct {
 // that never made it to disk intact — are errors: there is nothing safe
 // to resume. A torn tail after the manifest is not an error; the intact
 // prefix is returned and TornBytes reports what was dropped. Every span
-// record is expanded into its verdicts, so a v1 file and a v2 file of one
+// record is expanded into its verdicts, so the v1, v2 and v3 files of one
 // run replay to the same lists.
 func Replay(path string) (*Recovered, error) {
 	rec, _, err := replay(path)
@@ -118,8 +118,12 @@ func parse(data []byte) (*Recovered, error) {
 			}
 			rec.Manifest = m
 			sawManifest = true
-		case recSpan, recTierSpan:
-			if version < 2 {
+		case recSpan, recTierSpan, recColSpan, recTierColSpan:
+			since := uint16(2) // row spans; column spans arrived in v3
+			if payload[0] == recColSpan || payload[0] == recTierColSpan {
+				since = 3
+			}
+			if version < since {
 				return nil, fmt.Errorf("journal: span record type %d at offset %d in a v%d journal", payload[0], off, version)
 			}
 			fallthrough
@@ -127,7 +131,7 @@ func parse(data []byte) (*Recovered, error) {
 			if !sawManifest {
 				return nil, fmt.Errorf("journal: verdict record before the manifest at offset %d", off)
 			}
-			tier := payload[0] == recTierVerdict || payload[0] == recTierSpan
+			tier := payload[0] == recTierVerdict || payload[0] == recTierSpan || payload[0] == recTierColSpan
 			flat := &rec.Verdicts
 			if tier {
 				flat = &rec.TierVerdicts
@@ -214,9 +218,10 @@ func nextFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
 //
 //	verdict := type | i u32 | j u32 | matched u8
 //	span    := type | i u32 | n u16 | j u32 × n | bitmap ⌈n/8⌉ bytes
+//	column  := type | j u32 | n u16 | i u32 × n | bitmap ⌈n/8⌉ bytes
 //
 // Bit x of the bitmap (byte x/8, least significant bit first) is the
-// verdict on j[x]; the bits past n are zero.
+// verdict on the x-th pair; the bits past n are zero.
 func appendVerdicts(out []Verdict, payload []byte) ([]Verdict, error) {
 	le := binary.LittleEndian
 	if payload[0] == recVerdict || payload[0] == recTierVerdict {
@@ -228,16 +233,21 @@ func appendVerdicts(out []Verdict, payload []byte) ([]Verdict, error) {
 	if len(payload) < spanHeaderLen {
 		return nil, fmt.Errorf("journal: span record has %d payload bytes, want ≥ %d", len(payload), spanHeaderLen)
 	}
-	i, n := le.Uint32(payload[1:5]), int(le.Uint16(payload[5:7]))
+	fixed, n := le.Uint32(payload[1:5]), int(le.Uint16(payload[5:7]))
+	column := payload[0] == recColSpan || payload[0] == recTierColSpan
 	if n == 0 || len(payload) != spanPayloadLen(n) {
 		return nil, fmt.Errorf("journal: span record of %d verdicts has %d payload bytes, want %d", n, len(payload), spanPayloadLen(n))
 	}
-	js, bits := payload[spanHeaderLen:spanHeaderLen+4*n], payload[spanHeaderLen+4*n:]
+	others, bits := payload[spanHeaderLen:spanHeaderLen+4*n], payload[spanHeaderLen+4*n:]
 	if bits[len(bits)-1]>>((n-1)%8+1) != 0 {
 		return nil, fmt.Errorf("journal: span record of %d verdicts sets bits past its last verdict", n)
 	}
 	for x := 0; x < n; x++ {
-		out = append(out, Verdict{I: i, J: le.Uint32(js[4*x:]), Matched: bits[x/8]>>(x%8)&1 != 0})
+		v := Verdict{I: fixed, J: le.Uint32(others[4*x:]), Matched: bits[x/8]>>(x%8)&1 != 0}
+		if column {
+			v.I, v.J = v.J, v.I
+		}
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -68,13 +68,21 @@ func refFrame(out, payload []byte) []byte {
 // of byte x/8.
 func spanPayload(kind byte, vs []Verdict) []byte {
 	le := binary.LittleEndian
-	t := byte(6)
-	if kind == recTierVerdict {
-		t = 7
+	column := vs[1].I != vs[0].I
+	t, fixed := byte(6), vs[0].I
+	if column {
+		t, fixed = 8, vs[0].J
 	}
-	p := le.AppendUint16(le.AppendUint32([]byte{t}, vs[0].I), uint16(len(vs)))
+	if kind == recTierVerdict {
+		t++
+	}
+	p := le.AppendUint16(le.AppendUint32([]byte{t}, fixed), uint16(len(vs)))
 	for _, v := range vs {
-		p = le.AppendUint32(p, v.J)
+		if column {
+			p = le.AppendUint32(p, v.I)
+		} else {
+			p = le.AppendUint32(p, v.J)
+		}
 	}
 	bits := make([]byte, (len(vs)+7)/8)
 	for x, v := range vs {
@@ -136,7 +144,9 @@ func refFrames(events []event, syncEvery int) []refFrameAt {
 			sync()
 			continue
 		case recVerdict, recTierVerdict:
-			if len(run) > 0 && (e.kind != runKind || e.v.I != run[0].I) {
+			row := len(run) > 0 && e.v.I == run[0].I && (len(run) == 1 || run[1].I == run[0].I)
+			column := len(run) > 0 && e.v.J == run[0].J && (len(run) == 1 || run[1].I != run[0].I)
+			if len(run) > 0 && (e.kind != runKind || !row && !column) {
 				closeRun()
 			}
 			run, runKind, runEnd = append(run, e.v), e.kind, k+1
@@ -168,9 +178,9 @@ func refImage(m Manifest, events []event, syncEvery int) []byte {
 }
 
 // randomEvents draws a replayable stream: verdicts and tier verdicts
-// inside and outside batch frames, most of them in runs on one row (the
-// spans the kernel delivers), dense batch marks, commits that close the
-// open frame, and stray Syncs.
+// inside and outside batch frames, most of them in runs on one row or one
+// column (the spans the kernel delivers), dense batch marks, commits that
+// close the open frame, and stray Syncs.
 func randomEvents(rng *rand.Rand, n int) []event {
 	var out []event
 	open, next := false, uint32(0)
@@ -191,8 +201,11 @@ func randomEvents(rng *rand.Rand, n int) []event {
 			if r < 6 {
 				e.kind = recTierVerdict
 			}
-			if last.kind != 0 && rng.Intn(5) != 0 {
+			switch r := rng.Intn(10); {
+			case last.kind != 0 && r < 5:
 				e.kind, e.v.I = last.kind, last.v.I // the row's run goes on
+			case last.kind != 0 && r < 8:
+				e.kind, e.v.J = last.kind, last.v.J // the column's run goes on
 			}
 			out, last = append(out, e), e
 		}
@@ -380,13 +393,17 @@ func replayEvents(m Manifest, events []event, size int) *Recovered {
 	return rec
 }
 
-// TestLongRowSplits: one row's run longer than any payload may be is cut
-// into spans by the window bound — every frame's payload at most
-// maxPayload, the file the reference framing's, every verdict replayed.
+// TestLongRowSplits: one row's run longer than any payload may be — and
+// then one column's — is cut into spans by the window bound: every frame's
+// payload at most maxPayload, the file the reference framing's, every
+// verdict replayed.
 func TestLongRowSplits(t *testing.T) {
 	var events []event
 	for j := uint32(0); j < 40000; j++ {
 		events = append(events, event{kind: recVerdict, v: Verdict{I: 9, J: j, Matched: j%7 == 0}})
+	}
+	for i := uint32(0); i < 40000; i++ {
+		events = append(events, event{kind: recVerdict, v: Verdict{I: i, J: 1 << 20, Matched: i%5 == 0}})
 	}
 	path := filepath.Join(t.TempDir(), "run.wal")
 	w := beginAt(t, path, Options{SyncEvery: 1 << 30})
@@ -406,8 +423,8 @@ func TestLongRowSplits(t *testing.T) {
 	if want := refImage(testManifest(), events, 1<<30); !bytes.Equal(got, want) {
 		t.Fatalf("file differs from the reference framing (%d vs %d bytes)", len(got), len(want))
 	}
-	if len(frames) < 3 {
-		t.Fatalf("40,000 verdicts of one row in %d frames", len(frames))
+	if len(frames) < 6 {
+		t.Fatalf("40,000 verdicts of one row and 40,000 of one column in %d frames", len(frames))
 	}
 	for _, f := range frames {
 		if n := len(f.bytes) - 8; n > maxPayload {
@@ -441,8 +458,14 @@ func windowEvents() []event {
 	events = append(events,
 		event{kind: recBatchCommit, commit: BatchCommit{Batch: 0, Deltas: 2, Spent: 4}},
 		event{kind: recBatch, mark: BatchMark{Batch: 1, Side: 1, Records: 2, Digest: [32]byte{7}}})
+	for i := uint32(50); i < 53; i++ {
+		events = append(events, event{kind: recTierVerdict, v: Verdict{I: i, J: 7}})
+	}
 	for j := uint32(41); j < 45; j++ {
 		events = append(events, event{kind: recVerdict, v: Verdict{I: 40, J: j, Matched: j == 43}})
+	}
+	for i := uint32(41); i < 45; i++ {
+		events = append(events, event{kind: recVerdict, v: Verdict{I: i, J: 44, Matched: i == 42}})
 	}
 	return events
 }

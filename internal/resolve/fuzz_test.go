@@ -16,7 +16,8 @@ import (
 // delivered exactly once and in walk order, every journaled purchase is
 // delivered exactly once — all on the flattened span stream — and that
 // every span is one group's, one record's, a contiguous stretch of that
-// group's B, inside one chunk and one progress stride.
+// group's B (of its A, in a column-major group), inside one chunk and one
+// progress stride.
 func FuzzResolveBudget(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint8(0))
 	f.Add(int64(2), uint16(0), uint8(1))
@@ -35,10 +36,19 @@ func FuzzResolveBudget(f *testing.F) {
 		for k, n := 0, rng.Intn(6); k < n; k++ {
 			var g Group
 			na, nb := 1+rng.Intn(3), 1+rng.Intn(4)
+			g.Columns = rng.Intn(2) == 0
 			var pairs [][2]int
 			for a := 0; a < na; a++ {
 				for b := 0; b < nb; b++ {
 					pairs = append(pairs, [2]int{8*k + a, b})
+				}
+			}
+			if g.Columns {
+				pairs = pairs[:0]
+				for b := 0; b < nb; b++ {
+					for a := 0; a < na; a++ {
+						pairs = append(pairs, [2]int{8*k + a, b})
+					}
 				}
 			}
 			if rng.Intn(2) == 0 {
@@ -89,9 +99,13 @@ func FuzzResolveBudget(f *testing.F) {
 					t.Fatalf("span %+v where precedence is not uniform", e)
 				}
 				g := sc.groups[e.Group]
-				at := slices.Index(g.B, e.Js[0])
-				if g.Pairs != nil || !slices.Contains(g.A, e.I) || at < 0 || at+n > len(g.B) || !slices.Equal(g.B[at:at+n], e.Js) {
-					t.Fatalf("span %+v is not a stretch of one row of group %+v", e, g)
+				fixed, others := g.A, g.B
+				if e.Column {
+					fixed, others = g.B, g.A
+				}
+				at := slices.Index(others, e.Js[0])
+				if g.Pairs != nil || e.Column != g.Columns || !slices.Contains(fixed, e.I) || at < 0 || at+n > len(others) || !slices.Equal(others[at:at+n], e.Js) {
+					t.Fatalf("span %+v is not a stretch of one row (column) of group %+v", e, g)
 				}
 				if bought%chunk+n > chunk || bought%progressStride+n > progressStride {
 					t.Fatalf("span %+v after %d purchases crosses a chunk (%d) or stride boundary", e, bought, chunk)

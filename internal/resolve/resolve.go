@@ -27,13 +27,15 @@ import (
 var ErrInterrupted = errors.New("run interrupted")
 
 // Group is one Unknown group pair: a deterministic walk over its pairs —
-// A × B in row-major order, or Pairs as listed when that is set (int32
+// A × B in row-major order (column-major when Columns is set: each record
+// of B against all of A), or Pairs as listed when that is set (int32
 // halves the candidate lists the incremental engine materializes). Under
 // DP blocking the indexes are handles of the padded releases, dummies
 // among them: a dummy is walked, and paid for, like any other pair.
 type Group struct {
-	A, B  []int
-	Pairs [][2]int32
+	A, B    []int
+	Pairs   [][2]int32
+	Columns bool
 }
 
 // Kind says how a walked pair was resolved.
@@ -46,30 +48,44 @@ const (
 	Residual              // a pair the budget could not afford
 )
 
-// Event is the resolution of a row span: record I of the group's A against
-// Js, a contiguous stretch of its B, Verdicts[x] answering (I, Js[x])
-// (false for Tiered, meaningless for Residual). Only live purchases under
-// uniform precedence travel as longer spans (DESIGN.md §22); every other
-// pair is the span of one. Group indexes the group whose walk met the span
-// (-1 for a journaled purchase the walk never met). Js and Verdicts belong
-// to the kernel and are only valid during the call that delivers them.
+// Event is the resolution of a span: one record against Js, a contiguous
+// stretch of the other side of its group. A row span is record I of the
+// group's A against a stretch of its B; a column span (Column set, met only
+// in a Columns group) is record I of B against a stretch of A. Verdicts[x]
+// answers Pair(x) (false for Tiered, meaningless for Residual). Only live
+// purchases under uniform precedence travel as longer spans (DESIGN.md
+// §22); every other pair is the row span of one. Group indexes the group
+// whose walk met the span (-1 for a journaled purchase the walk never
+// met). Js and Verdicts belong to the kernel and are only valid during the
+// call that delivers them. Column sits beside Kind so that an Event, passed
+// by value once a span, stays 72 bytes.
 type Event struct {
 	Kind     Kind
+	Column   bool
 	Group    int
 	I        int
 	Js       []int
 	Verdicts []bool
 }
 
+// Pair is the span's x-th pair as (record of A, record of B).
+func (ev *Event) Pair(x int) (i, j int) {
+	if ev.Column {
+		return ev.Js[x], ev.I
+	}
+	return ev.I, ev.Js[x]
+}
+
 // queued is an event waiting in the delivery queue, in 32 bytes however
-// long the span: a span's columns sit in run.spans, in queue order, and its
-// verdicts arrive with the chunk.
+// long the span: a span's record is i (of B for a column span), its
+// stretch sits in run.spans, in queue order, and its verdicts arrive with
+// the chunk.
 type queued struct {
-	kind    Kind
-	matched bool
-	span    bool
-	group   int
-	i, j    int
+	kind         Kind
+	matched      bool
+	span, column bool
+	group        int
+	i, j         int
 }
 
 // Input is one budgeted resolution.
@@ -244,37 +260,47 @@ func (r *run) walk() {
 			continue
 		}
 		// Where precedence is uniform — nothing journaled, no tier — a row's
-		// pairs are admitted a span at a time.
+		// (a column's) pairs are admitted a span at a time.
 		uniform := r.journaled == nil && r.in.Tier == nil
-		for _, i := range g.A {
-			for col := 0; col < len(g.B); {
+		outer, inner := g.A, g.B
+		if g.Columns {
+			outer, inner = g.B, g.A
+		}
+		for _, k := range outer {
+			for x := 0; x < len(inner); {
 				if uniform && !r.exhausted && r.budget > 0 {
-					n, ok := r.admit(i, g.B[col:])
+					n, ok := r.admit(k, inner[x:], g.Columns)
 					if !ok {
 						return
 					}
-					col += n
-				} else if r.visit(i, g.B[col]) {
-					col++
-				} else {
+					x += n
+					continue
+				}
+				i, j := k, inner[x]
+				if g.Columns {
+					i, j = j, i
+				}
+				if !r.visit(i, j) {
 					return
 				}
+				x++
 			}
 		}
 	}
 }
 
-// admit queues the purchase of record i against the longest stretch of b
-// that the budget, the chunk and the progress stride all have room for, so
-// a span never crosses a boundary where the run checkpoints or reports.
-func (r *run) admit(i int, b []int) (int, bool) {
-	n := min(len(b), r.chunk-r.pending, progressStride-int((r.done+int64(r.pending))%progressStride))
+// admit queues the purchase of record k against the longest stretch of
+// others that the budget, the chunk and the progress stride all have room
+// for, so a span never crosses a boundary where the run checkpoints or
+// reports. k is of A and others of B, or the reverse for a column span.
+func (r *run) admit(k int, others []int, column bool) (int, bool) {
+	n := min(len(others), r.chunk-r.pending, progressStride-int((r.done+int64(r.pending))%progressStride))
 	if int64(n) > r.budget {
 		n = int(r.budget)
 	}
 	r.budget -= int64(n)
-	r.queue = append(r.queue, queued{kind: Purchased, span: true, group: r.group, i: i})
-	r.spans = append(r.spans, b[:n])
+	r.queue = append(r.queue, queued{kind: Purchased, span: true, column: column, group: r.group, i: k})
+	r.spans = append(r.spans, others[:n])
 	if r.pending += n; r.pending == r.chunk {
 		return n, r.checkpoint()
 	}
@@ -348,8 +374,14 @@ func (r *run) flush() bool {
 	for x := range r.queue {
 		switch q := &r.queue[x]; {
 		case q.span:
-			for c, j := range r.spans[span] {
-				next[c] = [2]int{q.i, j}
+			if q.column {
+				for c, i := range r.spans[span] {
+					next[c] = [2]int{i, q.i}
+				}
+			} else {
+				for c, j := range r.spans[span] {
+					next[c] = [2]int{q.i, j}
+				}
 			}
 			next, span = next[len(r.spans[span]):], span+1
 		case q.kind == Purchased:
@@ -377,7 +409,7 @@ func (r *run) drain(verdicts []bool) bool {
 		ev := Event{Kind: q.kind, Group: q.group, I: q.i, Js: r.oneJ[:], Verdicts: r.oneV[:]}
 		switch {
 		case q.span:
-			ev.Js, span = r.spans[span], span+1
+			ev.Column, ev.Js, span = q.column, r.spans[span], span+1
 			ev.Verdicts, verdicts = verdicts[:len(ev.Js)], verdicts[len(ev.Js):]
 		case q.kind == Purchased:
 			r.oneJ[0], r.oneV[0], verdicts = q.j, verdicts[0], verdicts[1:]
@@ -399,15 +431,19 @@ func (r *run) deliver(ev *Event) bool {
 		return true
 	}
 	if r.in.Journal != nil && ev.Kind != Replayed {
-		for x, j := range ev.Js {
+		for x, k := range ev.Js {
+			i, j := ev.I, k
+			if ev.Column {
+				i, j = k, ev.I
+			}
 			var err error
 			if ev.Kind == Tiered {
-				err = r.in.Journal.RecordTier(ev.I, j, ev.Verdicts[x])
+				err = r.in.Journal.RecordTier(i, j, ev.Verdicts[x])
 			} else {
-				err = r.in.Journal.Record(ev.I, j, ev.Verdicts[x])
+				err = r.in.Journal.Record(i, j, ev.Verdicts[x])
 			}
 			if err != nil {
-				r.err = fmt.Errorf("journal append (%d,%d): %w", ev.I, j, err)
+				r.err = fmt.Errorf("journal append (%d,%d): %w", i, j, err)
 				return false
 			}
 		}

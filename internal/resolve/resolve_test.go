@@ -44,8 +44,9 @@ type pairEvent struct {
 
 // flatten appends ev's pairs to trace.
 func flatten(trace []pairEvent, ev Event) []pairEvent {
-	for x, j := range ev.Js {
-		trace = append(trace, pairEvent{Kind: ev.Kind, Matched: ev.Verdicts[x], Group: ev.Group, I: ev.I, J: j})
+	for x := range ev.Js {
+		i, j := ev.Pair(x)
+		trace = append(trace, pairEvent{Kind: ev.Kind, Matched: ev.Verdicts[x], Group: ev.Group, I: i, J: j})
 	}
 	return trace
 }
@@ -217,6 +218,28 @@ func TestRunTraces(t *testing.T) {
 			},
 			calls: 4, uncertain: 4, batches: []int{2, 2},
 		},
+		{
+			// A column-major group walks each record of B against all of A,
+			// on the per-pair path too: the replay, the tier label and the
+			// residual come out in column order.
+			name: "column-major",
+			sc: scenario{
+				groups:    []Group{{A: []int{0, 1, 2}, B: []int{4, 5}, Columns: true}},
+				budget:    4,
+				journaled: journaledPairs([3]int{2, 4, 1}),
+				tier:      map[[2]int]bool{{1, 5}: true},
+				residual:  true,
+			},
+			want: []pairEvent{
+				ev(Purchased, 0, 0, 4, verdictOf(0, 4)),
+				ev(Purchased, 0, 1, 4, verdictOf(1, 4)),
+				ev(Replayed, 0, 2, 4, true),
+				ev(Purchased, 0, 0, 5, verdictOf(0, 5)),
+				ev(Tiered, 0, 1, 5, false),
+				ev(Residual, 0, 2, 5, false),
+			},
+			calls: 3, uncertain: 4, batches: []int{3},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -245,6 +268,40 @@ func TestRunTraces(t *testing.T) {
 				t.Errorf("journal %v (%d syncs), want %v (1 sync)", got.journal.entries, got.journal.syncs, want)
 			}
 		})
+	}
+}
+
+// TestColumnSpans: where precedence is uniform a column-major group is
+// admitted a column at a time — record j of B fixed, a stretch of A the
+// span — cut at the budget like a row, and the comparator and the journal
+// see its pairs in walk order.
+func TestColumnSpans(t *testing.T) {
+	sc := scenario{groups: []Group{{A: []int{0, 1, 2}, B: []int{4, 5}, Columns: true}}, budget: 5}
+	got := runScenario(t, sc, nil)
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	var spans []string
+	for _, e := range got.spans {
+		spans = append(spans, fmt.Sprintf("%v %d %v", e.Column, e.I, e.Js))
+	}
+	if want := []string{"true 4 [0 1 2]", "true 5 [0 1]"}; !slices.Equal(spans, want) {
+		t.Errorf("spans %q, want %q", spans, want)
+	}
+	want := []pairEvent{
+		ev(Purchased, 0, 0, 4, verdictOf(0, 4)), ev(Purchased, 0, 1, 4, verdictOf(1, 4)), ev(Purchased, 0, 2, 4, verdictOf(2, 4)),
+		ev(Purchased, 0, 0, 5, verdictOf(0, 5)), ev(Purchased, 0, 1, 5, verdictOf(1, 5)),
+	}
+	if !reflect.DeepEqual(got.trace, want) {
+		t.Errorf("trace\n got %v\nwant %v", got.trace, want)
+	}
+	for x, e := range got.journal.entries {
+		if e.I != want[x].I || e.J != want[x].J || e.Matched != want[x].Matched {
+			t.Fatalf("journal entry %d is %v, want %v", x, e, want[x])
+		}
+	}
+	if len(got.journal.entries) != len(want) || got.calls != 5 {
+		t.Errorf("journaled %d and bought %d pairs, want %d", len(got.journal.entries), got.calls, len(want))
 	}
 }
 

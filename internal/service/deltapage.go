@@ -198,26 +198,14 @@ func (d *pageDecoder) deltas() ([]incremental.Delta, error) {
 		return out, nil
 	}
 	for {
-		var row [5]int
-		if err := d.expect('['); err != nil {
-			return nil, err
-		}
-		for k := range row {
-			if k > 0 {
-				if err := d.expect(','); err != nil {
-					return nil, d.errorf("delta %d: want 5 integers", len(out))
-				}
-			}
-			v, err := d.integer()
-			if err != nil {
+		delta, ok := d.canonical()
+		if !ok {
+			var err error
+			if delta, err = d.delta(len(out)); err != nil {
 				return nil, err
 			}
-			row[k] = v
 		}
-		if err := d.expect(']'); err != nil {
-			return nil, d.errorf("delta %d: want 5 integers", len(out))
-		}
-		out = append(out, incremental.Delta{Batch: row[0], I: row[1], J: row[2], AliceID: row[3], BobID: row[4]})
+		out = append(out, delta)
 		switch d.ws() {
 		case ',':
 			d.off++
@@ -228,6 +216,66 @@ func (d *pageDecoder) deltas() ([]incremental.Delta, error) {
 			return nil, d.errorf("want ',' or ']'")
 		}
 	}
+}
+
+// canonical reads the delta at off if it is written as appendDeltasPage
+// writes one — "[n,n,n,n,n]", no whitespace, each n an integer of at most
+// 18 digits without a leading zero — and reports whether it was; if not,
+// off has not moved, and the general path reads the delta from its start.
+func (d *pageDecoder) canonical() (incremental.Delta, bool) {
+	buf, off := d.buf, d.off
+	if off >= len(buf) || buf[off] != '[' {
+		return incremental.Delta{}, false
+	}
+	var row [5]int
+	for k := range row {
+		off++
+		neg := off < len(buf) && buf[off] == '-'
+		if neg {
+			off++
+		}
+		start := off
+		v := 0
+		for ; off < len(buf) && buf[off]-'0' <= 9; off++ {
+			v = v*10 + int(buf[off]-'0')
+		}
+		switch n := off - start; {
+		case n == 0 || n > 18 || n > 1 && buf[start] == '0':
+			return incremental.Delta{}, false
+		case off == len(buf) || k < 4 && buf[off] != ',' || k == 4 && buf[off] != ']':
+			return incremental.Delta{}, false
+		case neg:
+			v = -v
+		}
+		row[k] = v
+	}
+	d.off = off + 1
+	return incremental.Delta{Batch: row[0], I: row[1], J: row[2], AliceID: row[3], BobID: row[4]}, true
+}
+
+// delta reads the x-th delta of the page, written any way encoding/json
+// takes five integers.
+func (d *pageDecoder) delta(x int) (incremental.Delta, error) {
+	var row [5]int
+	if err := d.expect('['); err != nil {
+		return incremental.Delta{}, err
+	}
+	for k := range row {
+		if k > 0 {
+			if err := d.expect(','); err != nil {
+				return incremental.Delta{}, d.errorf("delta %d: want 5 integers", x)
+			}
+		}
+		v, err := d.integer()
+		if err != nil {
+			return incremental.Delta{}, err
+		}
+		row[k] = v
+	}
+	if err := d.expect(']'); err != nil {
+		return incremental.Delta{}, d.errorf("delta %d: want 5 integers", x)
+	}
+	return incremental.Delta{Batch: row[0], I: row[1], J: row[2], AliceID: row[3], BobID: row[4]}, nil
 }
 
 // integer reads a JSON number that is an int: no fraction, no exponent,

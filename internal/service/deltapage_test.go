@@ -132,6 +132,11 @@ func FuzzDeltasPage(f *testing.F) {
 		`{"from":1} x`,
 		`{"from":01}`,
 		`{"from":-0}`,
+		// Canonical deltas and ones the fast path hands back to the general
+		// path at their start: whitespace inside, a leading zero, -0, a
+		// 19-digit number.
+		"{\"deltas\":[[1,2,3,4,5],[ 6,7,8,9,10],[-0,1,2,3,4 ],[1,2,3,4,1234567890123456789]\n,[0,0,0,0,0]]}",
+		`{"deltas":[[1,2,3,4,5],[1,02,3,4,5]]}`,
 		`[]`,
 		`{`,
 		``,

@@ -1,10 +1,12 @@
 package smc
 
 import (
+	"cmp"
 	"crypto/rand"
 	"math/big"
 	mrand "math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,6 +91,58 @@ func wantShareSets(pairs [][2]int, window int) int64 {
 	return runs
 }
 
+// aliceMajorRef is the test's own Alice-major layout: a stable sort by the
+// place of each pair's Alice record's first occurrence.
+func aliceMajorRef(pairs [][2]int) [][2]int {
+	first := make(map[int]int)
+	for x, p := range pairs {
+		if _, ok := first[p[0]]; !ok {
+			first[p[0]] = x
+		}
+	}
+	laid := slices.Clone(pairs)
+	slices.SortStableFunc(laid, func(x, y [2]int) int { return cmp.Compare(first[x[0]], first[y[0]]) })
+	return laid
+}
+
+// TestColumnListsRegroup: the same pairs listed row by row and column by
+// column — as a live bob-side batch walks them — get the same verdicts, in
+// the order each list gives them, and cost the same share sets on one lane
+// and on two, because CompareBatch lays both out Alice-major.
+func TestColumnListsRegroup(t *testing.T) {
+	spec := testSpec()
+	alice := shardedTestRecords(7, 31)
+	bob := shardedTestRecords(3, 32)
+	rows := allPairs(len(alice), len(bob))
+	var cols [][2]int
+	for j := range bob {
+		for i := range alice {
+			cols = append(cols, [2]int{i, j})
+		}
+	}
+	for _, lanes := range []int{1, 2} {
+		c, shares := startLanes(t, spec, alice, bob, lanes, 64, testKeyBits)
+		var spent [2]int64
+		for k, pairs := range [][][2]int{rows, cols} {
+			before := shares.Load()
+			got, err := c.CompareBatch(pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x, p := range pairs {
+				if want := spec.Matches(alice[p[0]], bob[p[1]]); got[x] != want {
+					t.Fatalf("%d lanes, list %d: pair %d %v answered %v, want %v", lanes, k, x, p, got[x], want)
+				}
+			}
+			spent[k] = shares.Load() - before
+		}
+		if spent[0] != spent[1] || spent[0] > int64(len(alice)+lanes-1) {
+			t.Errorf("%d lanes: the row-major list cost %d share sets, the column-major one %d; want one a record of Alice's (a lane cut may split one)",
+				lanes, spent[0], spent[1])
+		}
+	}
+}
+
 // randomRunPairs builds a pair list out of stretches that share Alice's
 // record — lengths around 1, half a window, a window and far beyond it —
 // mixed with stretches that alternate between two of her records, which
@@ -163,12 +217,13 @@ func TestRunsMatchOracle(t *testing.T) {
 					}
 				}
 				invocations += int64(len(pairs))
-				// The lanes take contiguous stripes, each cut into runs on
-				// its own.
-				lanes := min(eng.lanes, len(pairs))
-				stripe := (len(pairs) + lanes - 1) / lanes
-				for lo := 0; lo < len(pairs); lo += stripe {
-					wantShares += wantShareSets(pairs[lo:min(lo+stripe, len(pairs))], window)
+				// The lanes take contiguous stripes of the list laid out
+				// Alice-major, each cut into runs on its own.
+				laid := aliceMajorRef(pairs)
+				lanes := min(eng.lanes, len(laid))
+				stripe := (len(laid) + lanes - 1) / lanes
+				for lo := 0; lo < len(laid); lo += stripe {
+					wantShares += wantShareSets(laid[lo:min(lo+stripe, len(laid))], window)
 				}
 				if inv := cmp.Invocations(); inv != invocations {
 					t.Fatalf("invocations = %d, want %d", inv, invocations)

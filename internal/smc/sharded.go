@@ -140,16 +140,23 @@ func (c *ShardedComparator) Compare(i, j int) (bool, error) {
 	return match, nil
 }
 
-// CompareBatch stripes the pair list across the lanes in contiguous
-// chunks and runs them concurrently. Contiguous, not interleaved: a lane
-// sees the list's runs of equal Alice records whole, and each of the W−1
-// cuts splits at most one of them. Verdicts are positionally aligned
-// with pairs; the first lane's error (in lane order) wins.
+// CompareBatch lays the pair list out Alice-major and stripes it across
+// the lanes in contiguous chunks, run concurrently. Alice-major — each of
+// her records' pairs together, records in order of first occurrence, a
+// record's pairs in list order — because a run of one Alice record costs
+// one share set however many of Bob's records it holds: a list walked
+// column by column (one Bob record against a stretch of hers) would cost a
+// share set a pair. On a list that already is Alice-major, as a row-major
+// walk is, the layout is the list itself. Contiguous, not interleaved: a
+// lane sees the runs whole, and each of the W−1 cuts splits at most one of
+// them. Verdicts are positionally aligned with pairs as given; the first
+// lane's error (in lane order) wins.
 func (c *ShardedComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
 	n := len(pairs)
 	if n == 0 {
 		return []bool{}, nil
 	}
+	laid, from := aliceMajor(pairs)
 	lanes := len(c.sessions)
 	if lanes > n {
 		lanes = n
@@ -167,7 +174,7 @@ func (c *ShardedComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
-			out, err := c.sessions[s].CompareBatch(pairs[lo:hi])
+			out, err := c.sessions[s].CompareBatch(laid[lo:hi])
 			if err != nil {
 				errs[s] = err
 				return
@@ -181,7 +188,52 @@ func (c *ShardedComparator) CompareBatch(pairs [][2]int) ([]bool, error) {
 			return nil, c.withPartyContext(err)
 		}
 	}
+	if from != nil {
+		inOrder := make([]bool, n)
+		for x, at := range from {
+			inOrder[at] = results[x]
+		}
+		results = inOrder
+	}
 	return results, nil
+}
+
+// aliceMajor returns pairs laid out Alice-major, a stable regrouping by
+// Alice's record in order of first occurrence, and from[x], the index in
+// pairs of laid[x]. A list that already is Alice-major is returned as it
+// is, with a nil from.
+func aliceMajor(pairs [][2]int) (laid [][2]int, from []int) {
+	group := make(map[int]int) // Alice's record → its group, numbered by first occurrence
+	grouped := true
+	for x, p := range pairs {
+		if x > 0 && p[0] == pairs[x-1][0] {
+			continue
+		}
+		if _, seen := group[p[0]]; seen {
+			grouped = false
+		} else {
+			group[p[0]] = len(group)
+		}
+	}
+	if grouped {
+		return pairs, nil
+	}
+	next := make([]int, len(group)) // where each group's next pair goes
+	for _, p := range pairs {
+		if g := group[p[0]]; g+1 < len(next) {
+			next[g+1]++
+		}
+	}
+	for g := 1; g < len(next); g++ {
+		next[g] += next[g-1]
+	}
+	laid, from = make([][2]int, len(pairs)), make([]int, len(pairs))
+	for x, p := range pairs {
+		g := group[p[0]]
+		laid[next[g]], from[next[g]] = p, x
+		next[g]++
+	}
+	return laid, from
 }
 
 // Invocations implements Comparator: the sum over all lanes.

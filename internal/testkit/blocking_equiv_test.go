@@ -17,7 +17,7 @@ func blockWorldViews(t *testing.T, w *World) (*anonymize.Result, *anonymize.Resu
 	schema := w.Alice.Schema()
 	qids, err := schema.Resolve(w.Cfg.QIDs)
 	if err != nil {
-		t.Fatal(repro(w, err))
+		t.Fatal(repro(t, w, err))
 	}
 	var rule *blocking.Rule
 	if w.Cfg.Thresholds != nil {
@@ -26,15 +26,15 @@ func blockWorldViews(t *testing.T, w *World) (*anonymize.Result, *anonymize.Resu
 		rule, err = blocking.RuleFor(schema, qids, w.Cfg.Theta)
 	}
 	if err != nil {
-		t.Fatal(repro(w, err))
+		t.Fatal(repro(t, w, err))
 	}
 	aView, err := w.Cfg.AliceAnonymizer.Anonymize(w.Alice, qids, w.Cfg.AliceK)
 	if err != nil {
-		t.Fatal(repro(w, err))
+		t.Fatal(repro(t, w, err))
 	}
 	bView, err := w.Cfg.BobAnonymizer.Anonymize(w.Bob, qids, w.Cfg.BobK)
 	if err != nil {
-		t.Fatal(repro(w, err))
+		t.Fatal(repro(t, w, err))
 	}
 	return aView, bView, rule
 }
@@ -57,12 +57,12 @@ func TestIndexedBlockingMatchesDenseOnWorlds(t *testing.T) {
 
 		dense, err := blocking.Block(aView, bView, rule)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 
 		indexed, err := index.Block(aView, bView, rule)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 
 		if dense.MatchedPairs != indexed.MatchedPairs ||

@@ -95,7 +95,7 @@ func TestDistributedWorkerDeathMidChunk(t *testing.T) {
 		w := Generate(seed + int64(n))
 		baseline, orcl, err := w.Run()
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		// Need at least three chunks so the death leaves work to reassign.
 		if baseline.Invocations < 9 {
@@ -121,14 +121,14 @@ func TestDistributedWorkerDeathMidChunk(t *testing.T) {
 		}
 		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 
 		name := fmt.Sprintf("world=%d kill=doomed@chunk1", w.Seed)
 		for i := 0; i < w.Alice.Len(); i++ {
 			for j := 0; j < w.Bob.Len(); j++ {
 				if baseline.PairMatched(i, j) != res.PairMatched(i, j) {
-					t.Fatal(repro(w, fmt.Errorf("%s: pair (%d,%d) labeled %v, baseline %v", name, i, j, res.PairMatched(i, j), baseline.PairMatched(i, j))))
+					t.Fatal(repro(t, w, fmt.Errorf("%s: pair (%d,%d) labeled %v, baseline %v", name, i, j, res.PairMatched(i, j), baseline.PairMatched(i, j))))
 				}
 			}
 		}
@@ -144,7 +144,7 @@ func TestDistributedWorkerDeathMidChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := orcl.CheckResult(res); err != nil {
-			t.Fatal(repro(w, fmt.Errorf("%s: %w", name, err)))
+			t.Fatal(repro(t, w, fmt.Errorf("%s: %w", name, err)))
 		}
 		// The doomed worker must actually be gone from the fleet.
 		if ws := pool.Workers(); len(ws) != 1 || ws[0] != "survivor" {

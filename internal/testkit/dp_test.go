@@ -99,27 +99,27 @@ func TestDPOracleProperties(t *testing.T) {
 		cfg := dpCfg(w, wi)
 		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		o, err := oracle.New(w.Alice, w.Bob, res.QIDs(), res.Rule())
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		rep, err := o.CheckDPBlocking(res.Block, -1) // structural invariants only
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		if _, err := o.CheckResult(res); err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		if res.DP == nil {
-			t.Fatal(repro(w, errors.New("DP run carries no accounting")))
+			t.Fatal(repro(t, w, errors.New("DP run carries no accounting")))
 		}
 		if got, want := res.DP.TotalEpsilon, 2*cfg.Epsilon; got != want {
-			t.Fatal(repro(w, fmt.Errorf("composed epsilon %v, want %v", got, want)))
+			t.Fatal(repro(t, w, fmt.Errorf("composed epsilon %v, want %v", got, want)))
 		}
 		if res.Invocations > res.Allowance || res.DP.DummySpent > res.Invocations || res.DP.DummySpent > res.DP.DummyPairs {
-			t.Fatal(repro(w, fmt.Errorf("bought %d (%d of them dummy pairs, of %d) on allowance %d",
+			t.Fatal(repro(t, w, fmt.Errorf("bought %d (%d of them dummy pairs, of %d) on allowance %d",
 				res.Invocations, res.DP.DummySpent, res.DP.DummyPairs, res.Allowance)))
 		}
 		agg.TrueMatches += rep.TrueMatches
@@ -159,11 +159,11 @@ func TestDPCrossModeResumeRefused(t *testing.T) {
 		kcfg.Strategy = core.MaximizePrecision
 		dBase, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, dcfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		kBase, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, kcfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		if dBase.Invocations < 2 || kBase.Invocations < 2 {
 			continue
@@ -200,7 +200,7 @@ func TestDPCrossModeResumeRefused(t *testing.T) {
 			_, err = core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg2)
 			rw.Close()
 			if err == nil {
-				t.Fatal(repro(w, fmt.Errorf("%s: cross-mode resume accepted; the journal digest must refuse it", dir.name)))
+				t.Fatal(repro(t, w, fmt.Errorf("%s: cross-mode resume accepted; the journal digest must refuse it", dir.name)))
 			}
 		}
 		return

@@ -1,8 +1,10 @@
 package testkit
 
 import (
+	"errors"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"pprl/internal/anonymize"
@@ -43,11 +45,28 @@ func worldCount(t testing.TB) int {
 }
 
 // repro formats the failure banner every harness fatal carries: the
-// reproducing seed plus the world's full parameter dump.
-func repro(w *World, err error) string {
+// reproducing seed, the world's full parameter dump, and the command that
+// reruns the failing test — the top-level test t runs under, subtests
+// included.
+func repro(t testing.TB, w *World, err error) string {
+	test, _, _ := strings.Cut(t.Name(), "/")
 	return "world " + w.Describe() + ": " + err.Error() +
 		"\nreproduce with: PPRL_ORACLE_SEED=" + strconv.FormatInt(w.Seed, 10) +
-		" PPRL_ORACLE_WORLDS=1 go test ./internal/testkit -run TestGeneratedWorlds -v"
+		" PPRL_ORACLE_WORLDS=1 go test ./internal/testkit -run '^" + test + "$' -v"
+}
+
+// TestReproNamesItsTest: the banner's command reruns the test that failed,
+// from inside a subtest too, not one fixed harness test.
+func TestReproNamesItsTest(t *testing.T) {
+	w := Generate(1)
+	if got := repro(t, w, errors.New("boom")); !strings.HasSuffix(got, "-run '^TestReproNamesItsTest$' -v") {
+		t.Errorf("top-level banner %q", got)
+	}
+	t.Run("sub/case", func(t *testing.T) {
+		if got := repro(t, w, errors.New("boom")); !strings.HasSuffix(got, "-run '^TestReproNamesItsTest$' -v") {
+			t.Errorf("subtest banner %q does not name its parent", got)
+		}
+	})
 }
 
 // TestGeneratedWorlds is the property harness: for every generated world
@@ -71,17 +90,17 @@ func TestGeneratedWorlds(t *testing.T) {
 		w := Generate(base + int64(wi))
 		res, o, err := w.Run()
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		if o.TrueMatchCount() == 0 {
 			t.Fatalf("world %s: no true matches; the overlap construction is broken", w.Describe())
 		}
 		if err := o.CheckBlocking(res.Block); err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		rep, err := o.CheckResult(res)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		if w.Cfg.Strategy == core.MaximizePrecision && rep.Confusion.Precision() != 1 {
 			t.Fatalf("world %s: precision %v under maximize-precision", w.Describe(), rep.Confusion.Precision())
@@ -116,12 +135,12 @@ func checkAllowanceMonotone(t *testing.T, w *World, res *core.Result, o *oracle.
 		cfg.AllowanceFraction = 0
 		r, err := core.LinkPrepared(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, res.Block, cfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		sweep = append(sweep, r)
 	}
 	if err := o.CheckMonotoneRecall(sweep, "allowance"); err != nil {
-		t.Fatal(repro(w, err))
+		t.Fatal(repro(t, w, err))
 	}
 }
 
@@ -142,7 +161,7 @@ func checkKMonotone(t *testing.T, w *World, o *oracle.Oracle) bool {
 		cfg.AllowanceFraction = 0
 		r, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		return r
 	}
@@ -154,11 +173,11 @@ func checkKMonotone(t *testing.T, w *World, o *oracle.Oracle) bool {
 	}
 	repFine, err := o.CheckResult(fine)
 	if err != nil {
-		t.Fatal(repro(w, err))
+		t.Fatal(repro(t, w, err))
 	}
 	repCoarse, err := o.CheckResult(coarse)
 	if err != nil {
-		t.Fatal(repro(w, err))
+		t.Fatal(repro(t, w, err))
 	}
 	if repCoarse.Confusion.Recall() > repFine.Confusion.Recall()+1e-12 {
 		t.Fatalf("world %s: recall grew from %.6f (k=%d) to %.6f (k=%d) despite nested views",
@@ -187,7 +206,7 @@ func TestHarnessCanaryBrokenSupremum(t *testing.T) {
 		w := Generate(base + wi)
 		res, o, err := w.Run()
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		rule := res.Rule()
 		ms := make([]distance.Metric, rule.Len())

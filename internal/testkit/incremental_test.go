@@ -147,7 +147,7 @@ func tierRetuneArm(t *testing.T, w *World, steps []incStep) {
 		icfg.Tier = first
 		free, err := incremental.New(w.Alice.Schema(), icfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		runSteps(t, free, steps)
 		if icfg.Allowance = free.Stats().Purchased / 2; icfg.Allowance < 2 {
@@ -163,7 +163,7 @@ func tierRetuneArm(t *testing.T, w *World, steps []incStep) {
 		cfg1.Journal = &firstFrameCrash{Writer: wr}
 		eng1, err := incremental.New(w.Alice.Schema(), cfg1)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		crashed := false
 		for _, s := range steps {
@@ -192,7 +192,7 @@ func tierRetuneArm(t *testing.T, w *World, steps []incStep) {
 		cfg2.Recovered = rw.Recovered()
 		eng2, err := incremental.New(w.Alice.Schema(), cfg2)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		exposed, _ := runSteps(t, eng2, steps)
 		if err := rw.Close(); err != nil {
@@ -201,19 +201,19 @@ func tierRetuneArm(t *testing.T, w *World, steps []incStep) {
 		seen := make(map[[2]int]bool, len(exposed))
 		for _, p := range exposed {
 			if seen[p] {
-				t.Fatal(repro(w, fmt.Errorf("%s: pair (%d,%d) exposed twice", name, p[0], p[1])))
+				t.Fatal(repro(t, w, fmt.Errorf("%s: pair (%d,%d) exposed twice", name, p[0], p[1])))
 			}
 			seen[p] = true
 		}
 		st := eng2.Stats()
 		if st.Used > icfg.Allowance {
-			t.Fatal(repro(w, fmt.Errorf("%s: pool overdrawn: used %d of %d", name, st.Used, icfg.Allowance)))
+			t.Fatal(repro(t, w, fmt.Errorf("%s: pool overdrawn: used %d of %d", name, st.Used, icfg.Allowance)))
 		}
 		if st.Purchased+st.Replayed != st.Used {
-			t.Fatal(repro(w, fmt.Errorf("%s: purchased %d + replayed %d ≠ used %d", name, st.Purchased, st.Replayed, st.Used)))
+			t.Fatal(repro(t, w, fmt.Errorf("%s: purchased %d + replayed %d ≠ used %d", name, st.Purchased, st.Replayed, st.Used)))
 		}
 		if journaled := int64(len(cfg2.Recovered.Verdicts)); st.Replayed != journaled {
-			t.Fatal(repro(w, fmt.Errorf("%s: replayed %d of %d journaled purchases", name, st.Replayed, journaled)))
+			t.Fatal(repro(t, w, fmt.Errorf("%s: replayed %d of %d journaled purchases", name, st.Replayed, journaled)))
 		}
 	}
 }
@@ -232,13 +232,13 @@ func TestIncrementalDedupOracle(t *testing.T) {
 		cfg.Dedup = true
 		eng, err := incremental.New(d.Schema(), cfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		var exposed [][2]int
 		for _, b := range splitRecords(d.Records(), d.Len()/4+1) {
 			res, err := eng.Append(0, b)
 			if err != nil {
-				t.Fatal(repro(w, err))
+				t.Fatal(repro(t, w, err))
 			}
 			for _, dd := range res.Deltas {
 				exposed = append(exposed, [2]int{dd.I, dd.J})
@@ -254,7 +254,7 @@ func TestIncrementalDedupOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := oracle.CheckDedupDeltas(exposed, orcl); err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 	}
 }

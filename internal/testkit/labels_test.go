@@ -139,14 +139,14 @@ func TestLabelStoreAgainstEventStream(t *testing.T) {
 			log := newEventLog(nil, -1)
 			res, err := link(log)
 			if err != nil {
-				t.Fatal(repro(w, fmt.Errorf("%s: %w", name, err)))
+				t.Fatal(repro(t, w, fmt.Errorf("%s: %w", name, err)))
 			}
 			if resumeFrom != fresh && res.Invocations >= 2 {
 				journaled := log.order[len(log.order)/2:]
 				if resumeFrom == crashHalf {
 					crashed := newEventLog(nil, len(log.order)/2)
 					if _, err := link(crashed); !errors.Is(err, ErrCrash) {
-						t.Fatal(repro(w, fmt.Errorf("%s: crashed run returned %v, want ErrCrash", name, err)))
+						t.Fatal(repro(t, w, fmt.Errorf("%s: crashed run returned %v, want ErrCrash", name, err)))
 					}
 					journaled = crashed.order
 				}
@@ -155,15 +155,15 @@ func TestLabelStoreAgainstEventStream(t *testing.T) {
 				cfg.Tier = core.TierOff
 				log = newEventLog(journaled, -1)
 				if res, err = link(log); err != nil {
-					t.Fatal(repro(w, fmt.Errorf("%s: resumed run: %w", name, err)))
+					t.Fatal(repro(t, w, fmt.Errorf("%s: resumed run: %w", name, err)))
 				}
 				if res.Resume.ResumedPairs != int64(len(journaled)) {
-					t.Fatal(repro(w, fmt.Errorf("%s: %d pairs resumed, %d were journaled", name, res.Resume.ResumedPairs, len(journaled))))
+					t.Fatal(repro(t, w, fmt.Errorf("%s: %d pairs resumed, %d were journaled", name, res.Resume.ResumedPairs, len(journaled))))
 				}
 				replays += res.Resume.ResumedPairs
 			}
 			if err := checkLabelsAgainstLog(w, res, log); err != nil {
-				t.Fatal(repro(w, fmt.Errorf("%s (strategy %v): %w", name, cfg.Strategy, err)))
+				t.Fatal(repro(t, w, fmt.Errorf("%s (strategy %v): %w", name, cfg.Strategy, err)))
 			}
 			purchases += res.SMCResolvedPairs()
 			tierLabels += res.TierNonMatchedPairs()

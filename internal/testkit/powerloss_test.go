@@ -37,7 +37,7 @@ func TestLivePowerLoss(t *testing.T) {
 		for _, tier := range []core.TierMode{core.TierOff, core.TierBloom} {
 			for _, every := range []int{1, 64} {
 				if err := powerLossArm(t, w, incrementalSteps(w), tier, every); err != nil {
-					t.Fatal(repro(w, fmt.Errorf("tier %v, SyncEvery %d: %w", tier, every, err)))
+					t.Fatal(repro(t, w, fmt.Errorf("tier %v, SyncEvery %d: %w", tier, every, err)))
 				}
 			}
 		}

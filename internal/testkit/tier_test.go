@@ -93,18 +93,18 @@ func TestTierOracleProperties(t *testing.T) {
 			cfg.Strategy = core.MaximizePrecision
 			res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 			if err != nil {
-				t.Fatal(repro(w, err))
+				t.Fatal(repro(t, w, err))
 			}
 			o, err := oracle.New(w.Alice, w.Bob, res.QIDs(), res.Rule())
 			if err != nil {
-				t.Fatal(repro(w, err))
+				t.Fatal(repro(t, w, err))
 			}
 			rep, err := o.CheckTier(res, -1) // structural invariants only
 			if err != nil {
-				t.Fatal(repro(w, err))
+				t.Fatal(repro(t, w, err))
 			}
 			if _, err := o.CheckResult(res); err != nil {
-				t.Fatal(repro(w, fmt.Errorf("core.Link, tier low %v: %w", low, err)))
+				t.Fatal(repro(t, w, fmt.Errorf("core.Link, tier low %v: %w", low, err)))
 			}
 
 			if low != 0 || degenerateThresholds(w) {
@@ -144,7 +144,7 @@ func TestTierMonotoneRecallInAllowance(t *testing.T) {
 		cfg.Strategy = core.MaximizePrecision
 		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		if res.TierUncertainPairs == 0 {
 			continue // nothing for the allowance to buy; sweep is vacuous
@@ -152,7 +152,7 @@ func TestTierMonotoneRecallInAllowance(t *testing.T) {
 		checked++
 		o, err := oracle.New(w.Alice, w.Bob, res.QIDs(), res.Rule())
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		uncertain := res.TierUncertainPairs
 		var sweep []*core.Result
@@ -162,12 +162,12 @@ func TestTierMonotoneRecallInAllowance(t *testing.T) {
 			scfg.AllowanceFraction = 0
 			r, err := core.LinkPrepared(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, res.Block, scfg)
 			if err != nil {
-				t.Fatal(repro(w, err))
+				t.Fatal(repro(t, w, err))
 			}
 			sweep = append(sweep, r)
 		}
 		if err := o.CheckMonotoneRecall(sweep, "allowance"); err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 	}
 	if checked == 0 {
@@ -197,11 +197,11 @@ func TestTierCrossModeResume(t *testing.T) {
 		// enough SMC traffic to split.
 		offBase, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, modeCfg(core.TierOff))
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		onBase, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, modeCfg(core.TierBloom))
 		if err != nil {
-			t.Fatal(repro(w, err))
+			t.Fatal(repro(t, w, err))
 		}
 		if offBase.Invocations < 2 || onBase.Invocations < 2 {
 			continue
@@ -266,14 +266,14 @@ func TestTierCrossModeResume(t *testing.T) {
 			for _, v := range recovered.Verdicts {
 				got, ok := res.SMCLabel(int(v.I), int(v.J))
 				if !ok {
-					t.Fatal(repro(w, fmt.Errorf("%s: purchased verdict (%d,%d) lost on resume", dir.name, v.I, v.J)))
+					t.Fatal(repro(t, w, fmt.Errorf("%s: purchased verdict (%d,%d) lost on resume", dir.name, v.I, v.J)))
 				}
 				if got != v.Matched {
-					t.Fatal(repro(w, fmt.Errorf("%s: purchased verdict (%d,%d) flipped from %v to %v",
+					t.Fatal(repro(t, w, fmt.Errorf("%s: purchased verdict (%d,%d) flipped from %v to %v",
 						dir.name, v.I, v.J, v.Matched, got)))
 				}
 				if res.TierLabeled(int(v.I), int(v.J)) {
-					t.Fatal(repro(w, fmt.Errorf("%s: replayed verdict (%d,%d) shadowed by a tier label", dir.name, v.I, v.J)))
+					t.Fatal(repro(t, w, fmt.Errorf("%s: replayed verdict (%d,%d) shadowed by a tier label", dir.name, v.I, v.J)))
 				}
 			}
 			if dir.second == core.TierBloom {
@@ -281,10 +281,10 @@ func TestTierCrossModeResume(t *testing.T) {
 				// invariants against the oracle.
 				o, err := oracle.New(w.Alice, w.Bob, res.QIDs(), res.Rule())
 				if err != nil {
-					t.Fatal(repro(w, err))
+					t.Fatal(repro(t, w, err))
 				}
 				if _, err := o.CheckTier(res, -1); err != nil {
-					t.Fatal(repro(w, err))
+					t.Fatal(repro(t, w, err))
 				}
 			}
 		}
