@@ -87,6 +87,8 @@ type options struct {
 // pprl-link's own.
 func (opts *options) register(fs *flag.FlagSet) {
 	opts.Flags(fs, cliutil.QueryFlags|cliutil.HolderFlags)
+	fs.StringVar(&opts.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
+	fs.Float64Var(&opts.TierLow, "tier-low", 0, "tier Dice threshold: an Unknown pair at or below it is labeled NonMatch for free (0 = default 0.90)")
 	fs.IntVar(&opts.SMCWorkers, "smc-workers", 0, "SMC protocol lanes of the two-relation run (0 = GOMAXPROCS); -dedup runs one lane and refuses it")
 	fs.StringVar(&opts.aPath, "a", "", "first data holder's CSV (required)")
 	fs.StringVar(&opts.bPath, "b", "", "second data holder's CSV (required)")

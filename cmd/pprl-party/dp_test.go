@@ -26,10 +26,10 @@ func TestThreePartyDPOverTCP(t *testing.T) {
 		done <- runQuery(context.Background(), &out, baseQuery(queryAddr, 0.02))
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "dp", "", cliutil.Params{Epsilon: 8, DPSeed: 1}), "alice")
+		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "dp", cliutil.Params{Epsilon: 8, DPSeed: 1}), "alice")
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), holder(queryAddr, "", peerAddr, bCSV, "dp", "", cliutil.Params{Epsilon: 8, DPSeed: 2}), "bob")
+		errs <- runHolder(context.Background(), holder(queryAddr, "", peerAddr, bCSV, "dp", cliutil.Params{Epsilon: 8, DPSeed: 2}), "bob")
 	}()
 	if err := <-done; err != nil {
 		t.Fatalf("query: %v", err)
@@ -57,7 +57,7 @@ func TestPartyDPFlagValidation(t *testing.T) {
 	// The data file does not exist: flags the holder accepts surface as
 	// its not-found error, after validation and before any dial.
 	dp := func(method string, p cliutil.Params, level int) error {
-		h := holder("127.0.0.1:1", "", "127.0.0.1:1", "/nonexistent.csv", method, "", p)
+		h := holder("127.0.0.1:1", "", "127.0.0.1:1", "/nonexistent.csv", method, p)
 		h.DPLevel = level
 		return runHolder(context.Background(), h, "bob")
 	}
@@ -81,8 +81,5 @@ func TestPartyDPFlagValidation(t *testing.T) {
 	}
 	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{Theta: -0.5}}}); err == nil || !strings.Contains(err.Error(), "-theta") {
 		t.Errorf("negative theta: err = %v", err)
-	}
-	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{Theta: 0.05, TierLow: 1}}}); err == nil || !strings.Contains(err.Error(), "-tier-low") {
-		t.Errorf("tier low of 1: err = %v", err)
 	}
 }

@@ -18,10 +18,12 @@
 // The role comes first (-role R or -role=R), and each role takes only the
 // flags it reads, which pprl-party -role R -h lists; another role's flag
 // is a usage error. The query takes -listen, the schema, the decision
-// rule, the budget, the key size, the tier and the journal; a holder
-// -query, -peer-listen (alice) or -peer (bob), -data, the schema, k, the
-// anonymization method, the DP release and the tier key; the worker
-// -coordinator, -worker-name and -lanes.
+// rule, the budget, the key size and the journal; a holder -query,
+// -peer-listen (alice) or -peer (bob), -data, the schema, k, the
+// anonymization method and the DP release; the worker -coordinator,
+// -worker-name and -lanes. There is no triage tier here: a session never
+// sends the querying party a CLK (pprl-link -tier runs it in one trust
+// domain).
 //
 // Holders can opt into differentially private blocking instead of
 // k-anonymous generalization: -method dp -epsilon 2 -dp-seed <own seed>
@@ -83,7 +85,6 @@ type holderOptions struct {
 	peer        string // alice: where bob's peer link is accepted; bob: alice's address
 	dataPath    string
 	method      string
-	tierKey     string
 }
 
 func main() {
@@ -130,7 +131,6 @@ func command(role string, fs *flag.FlagSet) (run func(context.Context) error, cl
 		}
 		fs.StringVar(&h.dataPath, "data", "", "CSV file with this holder's relation")
 		fs.StringVar(&h.method, "method", "entropy", "anonymization method (entropy, tds, datafly, mondrian, or dp with -epsilon)")
-		fs.StringVar(&h.tierKey, "tier-key", "", "shared secret keying the tier's CLK encodings (required when the query enables the tier)")
 		return func(ctx context.Context) error { return runHolder(ctx, *h, role) }, &h.CLI
 	case "worker":
 		var coordinator string
@@ -217,10 +217,6 @@ func runQuery(ctx context.Context, out io.Writer, opts queryOptions) error {
 	}
 	fmt.Fprintf(out, "blocking: %.2f%% of %d pairs decided; %d unknown\n",
 		100*res.BlockingEfficiency, res.TotalPairs, res.UnknownPairs)
-	if cfg.Tier {
-		fmt.Fprintf(out, "tier: %d non-match labeled free; %d uncertain\n",
-			res.TierNonMatchedPairs, res.TierUncertainPairs)
-	}
 	fmt.Fprintf(out, "smc: %d invocations of %d allowed\n", res.Invocations, res.Allowance)
 	if res.Resume.Resumed() {
 		fmt.Fprintf(out, "journal: %v\n", res.Resume)
@@ -267,7 +263,6 @@ func runHolder(ctx context.Context, opts holderOptions, role string) error {
 	} else if cfg.Anonymizer, err = cliutil.AnonymizerByName(opts.method); err != nil {
 		return err
 	}
-	cfg.TierKey = []byte(opts.tierKey)
 	if cfg.Data, err = cliutil.ReadRelation(schema, opts.dataPath); err != nil {
 		return err
 	}

@@ -65,11 +65,11 @@ func baseQuery(listen string, allowance float64) queryOptions {
 }
 
 // holder are a data holder's options: k = 8 over the given file.
-func holder(queryAddr, peerListen, peerAddr, data, method, tierKey string, dp cliutil.Params) holderOptions {
+func holder(queryAddr, peerListen, peerAddr, data, method string, dp cliutil.Params) holderOptions {
 	return holderOptions{
 		CLI:       cliutil.CLI{Params: dp, K: 8},
 		queryAddr: queryAddr, peer: peerListen + peerAddr,
-		dataPath: data, method: method, tierKey: tierKey,
+		dataPath: data, method: method,
 	}
 }
 
@@ -90,10 +90,10 @@ func TestThreePartyOverTCP(t *testing.T) {
 		done <- runQuery(context.Background(), &out, q)
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "entropy", "", cliutil.Params{}), "alice")
+		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "entropy", cliutil.Params{}), "alice")
 	}()
 	go func() {
-		errs <- runHolder(context.Background(), holder(queryAddr, "", peerAddr, bCSV, "entropy", "", cliutil.Params{}), "bob")
+		errs <- runHolder(context.Background(), holder(queryAddr, "", peerAddr, bCSV, "entropy", cliutil.Params{}), "bob")
 	}()
 	if err := <-done; err != nil {
 		t.Fatalf("query: %v", err)
@@ -119,52 +119,16 @@ func TestRoleValidation(t *testing.T) {
 	if err := runQuery(context.Background(), nil, queryOptions{listen: "127.0.0.1:0", CLI: cliutil.CLI{Params: cliutil.Params{QIDs: []string{"age"}, Theta: 0.05, Heuristic: "bogus", KeyBits: 256}}}); err == nil {
 		t.Error("bad heuristic should fail")
 	}
-	if err := runHolder(context.Background(), holder("", "", "", "x.csv", "entropy", "", cliutil.Params{}), "alice"); err == nil {
+	if err := runHolder(context.Background(), holder("", "", "", "x.csv", "entropy", cliutil.Params{}), "alice"); err == nil {
 		t.Error("holder without -query should fail")
 	}
-	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "127.0.0.1:1", "/nonexistent.csv", "entropy", "", cliutil.Params{}), "bob"); err == nil {
+	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "127.0.0.1:1", "/nonexistent.csv", "entropy", cliutil.Params{}), "bob"); err == nil {
 		t.Error("missing data file should fail")
 	}
-	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "127.0.0.1:1", "x.csv", "bogus", "", cliutil.Params{}), "bob"); err == nil {
+	if err := runHolder(context.Background(), holder("127.0.0.1:1", "", "127.0.0.1:1", "x.csv", "bogus", cliutil.Params{}), "bob"); err == nil {
 		t.Error("bad method should fail")
 	}
 	if err := runWorker(context.Background(), "", "w", 1); err == nil || !strings.Contains(err.Error(), "-coordinator") {
 		t.Errorf("worker without -coordinator: %v, want a refusal naming -coordinator", err)
-	}
-}
-
-// TestThreePartyTierOverTCP runs the distributed deployment with the
-// triage tier on: the holders share a tier key out of band, the query
-// enables -tier bloom, and the output reports the tier's free labels.
-func TestThreePartyTierOverTCP(t *testing.T) {
-	aCSV, bCSV := writePairCSVs(t)
-	queryAddr := freePort(t)
-	peerAddr := freePort(t)
-
-	errs := make(chan error, 2)
-	var out bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		q := baseQuery(queryAddr, 0.002)
-		q.Tier = "bloom"
-		done <- runQuery(context.Background(), &out, q)
-	}()
-	go func() {
-		errs <- runHolder(context.Background(), holder(queryAddr, peerAddr, "", aCSV, "entropy", "tcp-tier-secret", cliutil.Params{}), "alice")
-	}()
-	go func() {
-		errs <- runHolder(context.Background(), holder(queryAddr, "", peerAddr, bCSV, "entropy", "tcp-tier-secret", cliutil.Params{}), "bob")
-	}()
-	if err := <-done; err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("holder: %v", err)
-		}
-	}
-	text := out.String()
-	if !strings.Contains(text, "tier:") || !strings.Contains(text, "labeled free") {
-		t.Errorf("query output missing tier accounting: %q", text)
 	}
 }

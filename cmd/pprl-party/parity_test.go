@@ -83,7 +83,7 @@ func TestHolderZeroKRefusedFirst(t *testing.T) {
 	}
 	defer query.Close()
 	aCSV, _ := writePairCSVs(t)
-	h := holder(query.Addr().String(), "127.0.0.1:0", "", aCSV, "entropy", "", cliutil.Params{})
+	h := holder(query.Addr().String(), "127.0.0.1:0", "", aCSV, "entropy", cliutil.Params{})
 	h.K = 0
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second) // a holder that dialed waits for its peer
 	defer cancel()
@@ -96,7 +96,7 @@ func TestHolderZeroKRefusedFirst(t *testing.T) {
 		t.Error("the refused holder dialed the querying party")
 	}
 
-	h = holder("127.0.0.1:1", "", "127.0.0.1:1", "/nonexistent.csv", "dp", "", cliutil.Params{Epsilon: 2})
+	h = holder("127.0.0.1:1", "", "127.0.0.1:1", "/nonexistent.csv", "dp", cliutil.Params{Epsilon: 2})
 	h.K = 0
 	if err := runHolder(context.Background(), h, "bob"); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("dp holder with -k 0: err = %v, want the data file's not-found error", err)

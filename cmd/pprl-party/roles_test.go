@@ -26,12 +26,12 @@ import (
 // the parameter tables in README leave them out.
 var (
 	roleFlags = map[string]string{
-		"query":  "allowance heuristic journal journal-sync keybits listen qids schema theta tier tier-low",
-		"alice":  "data dp-delta dp-level dp-seed epsilon k method peer-listen query schema tier-key",
-		"bob":    "data dp-delta dp-level dp-seed epsilon k method peer query schema tier-key",
+		"query":  "allowance heuristic journal journal-sync keybits listen qids schema theta",
+		"alice":  "data dp-delta dp-level dp-seed epsilon k method peer-listen query schema",
+		"bob":    "data dp-delta dp-level dp-seed epsilon k method peer query schema",
 		"worker": "coordinator lanes worker-name",
 	}
-	wiring = map[string]bool{"listen": true, "query": true, "peer-listen": true, "peer": true, "data": true, "tier-key": true}
+	wiring = map[string]bool{"listen": true, "query": true, "peer-listen": true, "peer": true, "data": true}
 )
 
 // TestRoleFlags: each role's command line defines exactly its own flags,
@@ -146,7 +146,7 @@ func TestWaitingPartiesEndOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	h := holder(l.Addr().String(), freePort(t), "", aCSV, "entropy", "", cliutil.Params{})
+	h := holder(l.Addr().String(), freePort(t), "", aCSV, "entropy", cliutil.Params{})
 	returnsOnCancel("alice", func(ctx context.Context) error { return runHolder(ctx, h, "alice") }, func() {
 		c, err := l.Accept()
 		if err != nil {
@@ -192,6 +192,9 @@ func TestBinary(t *testing.T) {
 		{"-role worker -worker-listen " + l.Addr().String(), "-worker-listen"},
 		{"-role query -listen 127.0.0.1:0 -k 3", "-k"},
 		{"-role query -listen 127.0.0.1:0 -epsilon 2", "-epsilon"},
+		// The session has no triage tier: a CLK never crosses to Q.
+		{"-role query -listen 127.0.0.1:0 -tier bloom", "-tier"},
+		{"-role alice -tier-key x -data " + aCSV + " -query " + l.Addr().String() + " -peer-listen 127.0.0.1:0", "-tier-key"},
 		{"-role=query -listen 127.0.0.1:0 -lanes 4", "-lanes"},
 		{"-role bob -peer-listen 127.0.0.1:0", "-peer-listen"},
 		{"-listen :0 -role query", "-role query|alice|bob|worker"},

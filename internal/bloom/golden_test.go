@@ -65,35 +65,6 @@ func TestGoldenVectors(t *testing.T) {
 	}
 }
 
-// TestMarshalRoundTrip checks Unmarshal rebuilds the exact filter and
-// rejects payloads that cannot have come from a peer with the same
-// parameters.
-func TestMarshalRoundTrip(t *testing.T) {
-	enc, err := NewEncoder(100, 5, 2, []byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := enc.Encode("alpha", "beta")
-	got, err := Unmarshal(f.Marshal(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dice(f) != 1 || got.Ones() != f.Ones() {
-		t.Errorf("round trip changed the filter: dice=%v ones=%d want %d", got.Dice(f), got.Ones(), f.Ones())
-	}
-	if _, err := Unmarshal(f.Marshal()[:8], 100); err == nil {
-		t.Error("Unmarshal accepted a truncated payload")
-	}
-	bad := f.Marshal()
-	bad[len(bad)-1] |= 0x80 // bit 103 of an m=100 filter
-	if _, err := Unmarshal(bad, 100); err == nil {
-		t.Error("Unmarshal accepted bits beyond m")
-	}
-	if _, err := Unmarshal(nil, 4); err == nil {
-		t.Error("Unmarshal accepted an invalid filter size")
-	}
-}
-
 // TestTierLow spans the one threshold's domain: zero is the default, the
 // interval is closed at 0 (by way of the default) and open at 1 — at 1 the
 // tier would discard every pair, identical CLKs included.

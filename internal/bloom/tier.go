@@ -1,9 +1,10 @@
 // Tier support: the three-tier hybrid engine (DESIGN.md §12) triages
 // Unknown record pairs by Dice similarity over CLK encodings before any
-// SMC allowance is spent. This file holds the pieces that tier shares
-// across processes — the NonMatch threshold, a stable byte serialization
-// so holders can ship encodings to the matcher, and the canonical mapping
-// from dataset records to CLK input fields.
+// SMC allowance is spent. It runs only where both holders share one
+// address space, so no CLK ever crosses to a peer. This file holds the
+// pieces every engine with a tier shares — the encoder, the NonMatch
+// threshold, the byte form the golden vectors pin, and the canonical
+// mapping from dataset records to CLK input fields.
 package bloom
 
 import (
@@ -14,19 +15,11 @@ import (
 	"pprl/internal/dataset"
 )
 
-// TierM is the tier's filter size in bits. With 30 hash functions per
-// bigram it is the conventional CLK shape, and the only one any tier
-// encodes at: nothing a peer sends sizes a holder's encoding work.
-const TierM = 1000
-
-// NewTierEncoder is the tier's encoder under key, at the fixed shape. A
-// session's holders call it with their shared secret.
-func NewTierEncoder(key []byte) (*Encoder, error) { return NewEncoder(TierM, 30, 2, key) }
-
-// NewDefaultEncoder is the encoder of the engines that host both holders
-// in one address space: the tier's shape under a fixed key.
+// NewDefaultEncoder is the tier's encoder, for the engines that host both
+// holders in one address space: the conventional CLK shape (1,000 bits,
+// 30 hash functions a bigram) under a fixed key.
 func NewDefaultEncoder() *Encoder {
-	enc, err := NewTierEncoder([]byte("pprl-tier-default-key"))
+	enc, err := NewEncoder(1000, 30, 2, []byte("pprl-tier-default-key"))
 	if err != nil {
 		panic(err) // the key is not empty
 	}
@@ -53,8 +46,7 @@ func TierLow(low *float64) error {
 }
 
 // Marshal serializes the filter's bit array as little-endian 64-bit
-// words. The filter size m is not embedded — every tier encodes at TierM,
-// and omitting it keeps the wire form exactly ⌈m/64⌉·8 bytes per record.
+// words, ⌈m/64⌉·8 bytes; the golden vectors pin encodings in this form.
 func (f *Filter) Marshal() []byte {
 	out := make([]byte, 8*len(f.words))
 	for i, w := range f.words {
@@ -62,32 +54,6 @@ func (f *Filter) Marshal() []byte {
 	}
 	return out
 }
-
-// Unmarshal reconstructs a filter of size m from Marshal's output. Bits
-// at positions ≥ m must be zero: a foreign or truncated payload fails
-// loudly instead of skewing every Dice score it touches.
-func Unmarshal(data []byte, m int) (*Filter, error) {
-	if m < 8 {
-		return nil, fmt.Errorf("bloom: filter size %d too small", m)
-	}
-	words := (m + 63) / 64
-	if len(data) != 8*words {
-		return nil, fmt.Errorf("bloom: encoding is %d bytes, want %d for m=%d", len(data), 8*words, m)
-	}
-	f := &Filter{words: make([]uint64, words), m: m}
-	for i := range f.words {
-		f.words[i] = binary.LittleEndian.Uint64(data[8*i:])
-	}
-	if tail := m % 64; tail != 0 {
-		if f.words[words-1]&^(1<<tail-1) != 0 {
-			return nil, fmt.Errorf("bloom: encoding has bits set beyond m=%d", m)
-		}
-	}
-	return f, nil
-}
-
-// M returns the filter size in bits.
-func (f *Filter) M() int { return f.m }
 
 // FieldsOf renders record i's quasi-identifier cells as the strings the
 // CLK hashes: categorical values verbatim, numeric values in their

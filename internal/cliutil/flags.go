@@ -36,7 +36,7 @@ type CLI struct {
 type FlagGroup uint8
 
 const (
-	QueryFlags  FlagGroup = 1 << iota // the decision rule, the budget, the key size, the tier, the journal
+	QueryFlags  FlagGroup = 1 << iota // the decision rule, the budget, the key size, the journal
 	HolderFlags                       // k and the DP release
 )
 
@@ -55,8 +55,6 @@ func (c *CLI) Flags(fs *flag.FlagSet, groups FlagGroup) {
 		fs.Float64Var(&c.AllowanceFraction, "allowance", def.AllowanceFraction, "SMC allowance as a fraction of all record pairs")
 		fs.StringVar(&c.Heuristic, "heuristic", "minAvgFirst", "SMC selection heuristic: minFirst, maxLast, minAvgFirst")
 		fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
-		fs.StringVar(&c.Tier, "tier", "off", "triage tier between blocking and SMC: off or bloom (Dice over CLK encodings)")
-		fs.Float64Var(&c.TierLow, "tier-low", 0, "tier Dice threshold: an Unknown pair at or below it is labeled NonMatch for free (0 = default 0.90)")
 		fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path; run the same command again to resume it")
 		fs.IntVar(&c.JournalSync, "journal-sync", 0, "write and fsync the journal every N verdicts; a -dedup batch only writes, and fsyncs once at its commit (0 = default batching)")
 	}

@@ -263,8 +263,9 @@ func (p *Params) Incremental(qids []string) (incremental.Config, error) {
 }
 
 // Query materializes the block for the querying party of a three-party
-// session, which always runs the real protocol and labels residual pairs
-// NonMatch; the allowance fraction, journal and context are the caller's.
+// session, which always runs the real protocol, labels residual pairs
+// NonMatch and has no triage tier (its CLKs would cross to Q); the
+// allowance fraction, journal and context are the caller's.
 func (p *Params) Query(schema *dataset.Schema, qids []string) (session.QueryConfig, error) {
 	c, err := p.Core(qids)
 	cfg := session.QueryConfig{
@@ -274,8 +275,6 @@ func (p *Params) Query(schema *dataset.Schema, qids []string) (session.QueryConf
 		Allowance: p.Allowance,
 		Heuristic: c.Heuristic,
 		KeyBits:   p.keyBits(),
-		Tier:      c.Tier == core.TierBloom,
-		TierLow:   p.TierLow,
 	}
 	return cfg, err
 }

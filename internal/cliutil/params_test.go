@@ -19,10 +19,10 @@ func TestFlagsCoverTheBlock(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c.Flags(fs, QueryFlags|HolderFlags)
-	// -strategy, -secure and -smc-workers are pprl-link's alone: a session
-	// has none of these choices. (-allowance carries the fraction, not the
-	// block's count.)
-	flagless := map[string]bool{"strategy": true, "secure": true, "smc_workers": true}
+	// -strategy, -secure, -smc-workers, -tier and -tier-low are pprl-link's
+	// alone: a session has none of these choices. (-allowance carries the
+	// fraction, not the block's count.)
+	flagless := map[string]bool{"strategy": true, "secure": true, "smc_workers": true, "tier": true, "tier_low": true}
 	typ := reflect.TypeOf(Params{})
 	for i := 0; i < typ.NumField(); i++ {
 		key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
@@ -34,7 +34,7 @@ func TestFlagsCoverTheBlock(t *testing.T) {
 	if err := fs.Parse([]string{"-qids", "age,sex"}); err != nil {
 		t.Fatal(err)
 	}
-	want := CLI{Params: Params{QIDs: []string{"age", "sex"}, Theta: 0.05, Heuristic: "minAvgFirst", Tier: "off", KeyBits: 1024},
+	want := CLI{Params: Params{QIDs: []string{"age", "sex"}, Theta: 0.05, Heuristic: "minAvgFirst", KeyBits: 1024},
 		AllowanceFraction: 0.015, K: 32}
 	if !reflect.DeepEqual(c, want) {
 		t.Errorf("defaults = %+v, want %+v", c, want)

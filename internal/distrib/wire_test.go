@@ -32,37 +32,37 @@ var frameLayouts = []struct {
 }{
 	{"kindRegister", "`Name` string, `Lanes` int",
 		&message{Kind: kindRegister, Name: "w1", Lanes: 2},
-		"05020102773104"},
+		"05030102773104"},
 	{"kindWelcome", "`Name` string",
 		&message{Kind: kindWelcome, Name: "w1-3"},
-		"0602020477312d33"},
+		"0603020477312d33"},
 	{"kindSetup", "`Job` string, `Engine` int, `KeyBits` int, `Spec` opt Spec, `Lanes` int",
 		&message{Kind: kindSetup, Job: "j", Engine: EngineSecure, KeyBits: 1024, Spec: testSpec(), Lanes: 2},
-		"100203016a02801001020200001202000004"},
+		"100303016a02801001020200001202000004"},
 	{"kindRecords", "`Holder` int, `Base` int, `Rows` [][]int",
 		&message{Kind: kindRecords, Holder: 1, Base: 2048, Rows: [][]int64{{3, -1}, {70, 0}}},
-		"0c020402802002020601028c0100"},
+		"0c030402802002020601028c0100"},
 	{"kindSetupDone", "`Job` string",
 		&message{Kind: kindSetupDone, Job: "j"},
-		"030205016a"},
+		"030305016a"},
 	{"kindReady", "`Job` string",
 		&message{Kind: kindReady, Job: "j"},
-		"030206016a"},
+		"030306016a"},
 	{"kindChunk", "`Job` string, `Chunk` int, `Pairs` [](int, int)",
 		&message{Kind: kindChunk, Job: "j", Chunk: 5, Pairs: [][2]int{{0, 1}, {0, 2}}},
-		"090207016a0a0200020004"},
+		"090307016a0a0200020004"},
 	{"kindVerdicts", "`Job` string, `Chunk` int, `Verdicts` []bool, `Bytes` int, `ResultB` int, `Decs` int",
 		&message{Kind: kindVerdicts, Job: "j", Chunk: 5, Verdicts: []bool{true, false}, Bytes: 1 << 20, ResultB: 512, Decs: 2},
-		"0e0208016a0a02010080808001800804"},
+		"0e0308016a0a02010080808001800804"},
 	{"kindHeartbeat", "—",
 		&message{Kind: kindHeartbeat},
-		"010209"},
+		"010309"},
 	{"kindTeardown", "`Job` string",
 		&message{Kind: kindTeardown, Job: "j"},
-		"03020a016a"},
+		"03030a016a"},
 	{"kindError", "`Job` string, `Chunk` int, `Err` string",
 		&message{Kind: kindError, Job: "j", Chunk: 5, Err: "boom"},
-		"09020b016a0a04626f6f6d"},
+		"09030b016a0a04626f6f6d"},
 }
 
 // TestFrameLayout holds each kind to its golden frame, to a round trip of

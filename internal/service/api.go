@@ -88,16 +88,6 @@ func (s *JobSpec) Validate() error {
 	return j.Validate(cliutil.JSONNames)
 }
 
-// Config materializes the core pipeline configuration a stored spec runs
-// under. Validate must have accepted the spec.
-func (s *JobSpec) Config(qids []string) (core.Config, error) {
-	j, err := s.job()
-	if err != nil {
-		return core.Config{}, err
-	}
-	return j.Config(qids)
-}
-
 // State is a job's lifecycle position.
 type State string
 

@@ -50,10 +50,10 @@ func dumpIncremental(c incremental.Config) string {
 // recovers, the since removed "blocking" and "packing" included), the
 // two legacy datasets by older daemons still — decode, validate and
 // materialize to what that commit's JobSpec.Config and DatasetSpec.Config
-// made of them; materialized.golden is those two functions' output under
-// the dump functions above. The embedding must not move a persisted
-// spec's meaning. Each file's "spec" object is also a request body of its
-// day: the strict decoder the two POST handlers use must take every key
+// made of them (a job spec's is now its job's Config); materialized.golden
+// is those two functions' output under the dump functions above. The
+// embedding must not move a persisted spec's meaning. Each file's "spec"
+// object is also a request body of its day: the strict decoder the two POST handlers use must take every key
 // the old specs declared, from the embedded block or not, and still
 // refuse exactly the keys since removed — blocking, packing and seed, the
 // tier_high that went with the tier's Match band (job-full and
@@ -148,7 +148,11 @@ func TestSpecFixturesMaterialize(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			cfg, err := sf.Spec.Config(qids)
+			var cfg core.Config
+			job, err := sf.Spec.job()
+			if err == nil {
+				cfg, err = job.Config(qids)
+			}
 			if dump = materialize(label, sf.Spec.Validate(), err); dump == "" {
 				dump = dumpCore(cfg)
 			}

@@ -48,7 +48,9 @@ func FuzzSpecBodies(f *testing.F) {
 		var job JobSpec
 		if strict(&job) && job.Validate() == nil {
 			if _, qids, err := job.LoadSchema(noSchemas); err == nil {
-				if _, err := job.Config(qids); err != nil {
+				if j, err := job.job(); err != nil {
+					t.Errorf("job spec %s validates and its job does not: %v", body, err)
+				} else if _, err := j.Config(qids); err != nil {
 					t.Errorf("job spec %s validates and does not materialize: %v", body, err)
 				}
 			}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"pprl/internal/cliutil"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
@@ -700,10 +701,5 @@ func (s *Server) readDataset(schema *dataset.Schema, ref string) (*dataset.Datas
 	if err != nil {
 		return nil, err
 	}
-	st, err := dataset.OpenStream(schema, path, dataset.StreamOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	return st.ReadAll()
+	return cliutil.ReadRelation(schema, path)
 }

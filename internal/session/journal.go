@@ -38,11 +38,10 @@ func queryManifest(cfg *QueryConfig, block *blocking.Result, allowance int64, al
 // verdicts. KeyBits is deliberately excluded: it changes the cost of a
 // comparison, never its outcome, so a resumed session may use a different
 // key size. "scale" stays in the hash at the fixed-point factor 1 every
-// journal on disk was written with. The triage tier (Tier, TierLow) is
-// excluded for the same reason: tier labels are free, deterministic,
-// and journaled as a separate record type, while purchased SMC verdicts
-// stay exact under any tier configuration — so a session journaled with
-// the tier off may resume with it on, and vice versa.
+// journal on disk was written with. The hash never covered the triage
+// tier the session once offered, so a journal an older session wrote
+// with its tier on still resumes: its tier records are a separate record
+// type, and Begin hands back the purchased verdicts alone.
 func queryConfigDigest(cfg *QueryConfig, allowance int64) [32]byte {
 	h := sha256.New()
 	for _, q := range cfg.QIDs {

@@ -202,3 +202,88 @@ func TestSessionInterruptAndResume(t *testing.T) {
 			res.Invocations, res.Resume.ReplayedAllowance, base.Invocations)
 	}
 }
+
+// TestSessionResumesTierJournal: a journal written by a session that still
+// had a triage tier holds tier records beside its purchases. The manifest
+// never hashed the tier, so the journal resumes; its purchases replay and
+// its tier records do not: the pairs they labeled are bought live, and
+// the stitched run equals an unjournaled one.
+func TestSessionResumesTierJournal(t *testing.T) {
+	aliceData, bobData := sessionWorkload(t, 90)
+	cfg := QueryConfig{
+		Schema:    aliceData.Schema(),
+		QIDs:      adult.DefaultQIDs(),
+		Theta:     0.05,
+		Allowance: 40,
+		KeyBits:   testKeyBits,
+	}
+	dir := t.TempDir()
+	full, err := journal.Create(filepath.Join(dir, "full.wal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseCfg := cfg
+	baseCfg.Journal = full
+	base, err := runLocalSession(t, aliceData, bobData, baseCfg, HolderConfig{K: 8}, HolderConfig{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bought, err := journal.Replay(filepath.Join(dir, "full.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bought.Verdicts) < 4 {
+		t.Fatalf("the session bought %d pairs; the test needs a few", len(bought.Verdicts))
+	}
+
+	// The first half of the purchases as purchases, the rest as the tier's
+	// free NonMatch labels, interleaved as a tier-on walk records them.
+	path := filepath.Join(dir, "tier.wal")
+	w, err := journal.Create(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Begin(bought.Manifest); err != nil {
+		t.Fatal(err)
+	}
+	half := len(bought.Verdicts) / 2
+	for x, v := range bought.Verdicts {
+		if x < half {
+			err = w.Record(int(v.I), int(v.J), v.Matched)
+		} else {
+			err = w.RecordTier(int(v.I), int(v.J), false)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rw, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Journal = rw
+	res, err := runLocalSession(t, aliceData, bobData, cfg, HolderConfig{K: 8}, HolderConfig{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Resume.ResumedPairs != int64(half) || res.Resume.ReplayedAllowance != int64(half) {
+		t.Errorf("replayed %d pairs worth %d units; the journal held %d purchases", res.Resume.ResumedPairs, res.Resume.ReplayedAllowance, half)
+	}
+	if res.Invocations+res.Resume.ReplayedAllowance > res.Allowance {
+		t.Errorf("%d live + %d replayed exceed the allowance %d", res.Invocations, res.Resume.ReplayedAllowance, res.Allowance)
+	}
+	if res.Invocations+res.Resume.ReplayedAllowance != base.Invocations {
+		t.Errorf("%d live + %d replayed, the unjournaled run bought %d", res.Invocations, res.Resume.ReplayedAllowance, base.Invocations)
+	}
+	sameMatches(t, base, res, bobData.Len())
+}

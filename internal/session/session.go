@@ -13,8 +13,10 @@
 //     (the budget loop itself is internal/resolve, DESIGN.md §16).
 //
 // Raw records never leave their holder: the wire carries parameters,
-// anonymized views, and ciphertexts. cmd/pprl-party wraps the three roles
-// as a binary.
+// anonymized views, and ciphertexts. There is no triage tier here: its
+// CLKs would tell the querying party which records are equal (DESIGN.md
+// §12), so the tier stays in the single-domain engines. cmd/pprl-party
+// wraps the three roles as a binary.
 package session
 
 import (
@@ -27,7 +29,6 @@ import (
 
 	"pprl/internal/anonymize"
 	"pprl/internal/blocking"
-	"pprl/internal/bloom"
 	"pprl/internal/dataset"
 	"pprl/internal/distance"
 	"pprl/internal/dpblock"
@@ -96,13 +97,6 @@ type HolderConfig struct {
 	DPDelta float64
 	DPSeed  int64
 	DPLevel int
-	// TierKey is the CLK keyed-hash secret shared between the holders
-	// (out of band, like the schema) and withheld from the querying
-	// party. Required when the broadcast parameters enable the triage
-	// tier; a holder without it refuses the session rather than encode
-	// with a guessable key, and a DP holder refuses the tier outright
-	// (dpblock.ErrTierUnderDP), both before they publish anything.
-	TierKey []byte
 }
 
 // RunHolder executes a data holder end to end: receive the classifier
@@ -151,18 +145,6 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 		return fmt.Errorf("session: expected parameters, got kind %d", params.Kind)
 	}
 	// The parameters are refused, if at all, before the view is published.
-	var tierEnc *bloom.Encoder
-	if params.Tier {
-		if dp {
-			return fmt.Errorf("session: query enabled the triage tier: %w", dpblock.ErrTierUnderDP)
-		}
-		if len(cfg.TierKey) == 0 {
-			return fmt.Errorf("session: query enabled the triage tier but this holder has no tier key (set -tier-key)")
-		}
-		if tierEnc, err = bloom.NewTierEncoder(cfg.TierKey); err != nil {
-			return fmt.Errorf("session: tier encoder: %w", err)
-		}
-	}
 	qids, err := cfg.Data.Schema().Resolve(params.QIDs)
 	if err != nil {
 		return fmt.Errorf("session: resolving classifier QIDs: %w", err)
@@ -200,21 +182,6 @@ func RunHolder(query, peer smc.Conn, cfg HolderConfig, isAlice bool) error {
 	}
 	if err := query.Send(&smc.Message{Kind: smc.MsgView, View: buf.Bytes()}); err != nil {
 		return fmt.Errorf("session: publishing view: %w", err)
-	}
-	if tierEnc != nil {
-		// The querying party asked for triage-tier encodings. Encode the
-		// raw records under the holders' shared key, at bloom's fixed CLK
-		// shape (nothing Q sends sizes the work), and publish only the
-		// filters: the matcher can compute Dice scores but, lacking the
-		// key, cannot build dictionaries of candidate values.
-		filters := bloom.EncodeRecords(tierEnc, cfg.Data, qids)
-		encodings := make([][]byte, len(filters))
-		for i, f := range filters {
-			encodings[i] = f.Marshal()
-		}
-		if err := query.Send(&smc.Message{Kind: smc.MsgEncodings, Encodings: encodings}); err != nil {
-			return fmt.Errorf("session: publishing tier encodings: %w", err)
-		}
 	}
 	if pad != nil {
 		// The SMC loop addresses records by published handle; dummy
@@ -258,20 +225,6 @@ type QueryConfig struct {
 	// allow — and any other value is refused. The spec broadcast in
 	// MsgParams carries it to the holders.
 	Packing smc.Packing
-	// Tier enables the triage tier: the holders publish CLK encodings of
-	// their raw records at bloom's fixed shape (keyed with a secret the
-	// querying party never sees), and Unknown pairs whose Dice similarity
-	// is ≤ TierLow are labeled NonMatch without spending SMC allowance —
-	// the tier never labels a Match, so every reported match stays exact.
-	// A DP holder refuses it (dpblock.ErrTierUnderDP) before publishing
-	// its view.
-	// Like the packing mode, the tier knobs are excluded from the journal
-	// manifest: a journaled session may resume with the tier switched on,
-	// off, or retuned, and replayed purchased verdicts always win.
-	Tier bool
-	// TierLow is the tier's Dice threshold (≤ TierLow labels NonMatch);
-	// zero selects bloom.DefaultTierLow (0.90).
-	TierLow float64
 	// Journal, when set, receives the run manifest and one record per
 	// resolved SMC pair, making the session crash-resumable: a writer from
 	// journal.Open records a fresh run, or, when its file holds an
@@ -304,12 +257,6 @@ type QueryResult struct {
 	// Resume accounts for verdicts stitched in from a durable journal
 	// when the session continued an interrupted one; zero for fresh runs.
 	Resume metrics.ResumeStats
-	// TierNonMatchedPairs and TierUncertainPairs account for the triage
-	// tier: how many Unknown pairs it labeled NonMatch for free — the
-	// bound on what it can have cost in recall — and how many it passed on
-	// to compete for the allowance. Both zero when the tier is off.
-	TierNonMatchedPairs int64
-	TierUncertainPairs  int64
 	// AliceView and BobView are the published views (K, method,
 	// sequence counts — everything this party may inspect). Under DP they
 	// carry the releases' ε and δ (composed, the run's is their sum) and
@@ -348,13 +295,8 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		return nil, err
 	}
 	spec.BoundBySchema(cfg.Schema, qids)
-	if cfg.Tier {
-		if err := bloom.TierLow(&cfg.TierLow); err != nil {
-			return nil, fmt.Errorf("session: %w", err)
-		}
-	}
 
-	params := &smc.Message{Kind: smc.MsgParams, QIDs: cfg.QIDs, Spec: spec, Tier: cfg.Tier}
+	params := &smc.Message{Kind: smc.MsgParams, QIDs: cfg.QIDs, Spec: spec}
 	if err := alice.Send(params); err != nil {
 		return nil, fmt.Errorf("session: sending parameters to alice: %w", err)
 	}
@@ -366,20 +308,9 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session: alice's view: %w", err)
 	}
-	var aFilters, bFilters []*bloom.Filter
-	if cfg.Tier {
-		if aFilters, err = receiveEncodings(alice, len(aView.ClassOf)); err != nil {
-			return nil, fmt.Errorf("session: alice's tier encodings: %w", err)
-		}
-	}
 	bView, bRaw, err := receiveView(bob, cfg.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("session: bob's view: %w", err)
-	}
-	if cfg.Tier {
-		if bFilters, err = receiveEncodings(bob, len(bView.ClassOf)); err != nil {
-			return nil, fmt.Errorf("session: bob's tier encodings: %w", err)
-		}
 	}
 
 	// Both holders must agree on the blocking mode: index.Block refuses a
@@ -434,16 +365,12 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		return nil, err
 	}
 	ordered := heuristic.Order(block, rule, cfg.Heuristic, false)
-	var tier func(i, j int) bool
-	if cfg.Tier {
-		tier = func(i, j int) bool { return aFilters[i].Dice(bFilters[j]) <= cfg.TierLow }
-	}
 	// The resolution kernel (DESIGN.md §16) spends the budget over the
 	// published views' member lists. Under DP the holders have already
 	// padded those lists, so a dummy comparison is an ordinary unit-price
 	// pair here — as it is on every shape — and which purchases paid for
 	// padding only the holders know.
-	uncertain, err := resolve.Run(resolve.Input{
+	_, err = resolve.Run(resolve.Input{
 		Groups: len(ordered),
 		Group: func(k int) resolve.Group {
 			gp := ordered[k]
@@ -451,18 +378,13 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		},
 		Budget:     allowance,
 		Journaled:  journaled,
-		Tier:       tier,
 		Comparator: sess,
 		Journal:    cfg.Journal,
 		Context:    cfg.Context,
 		Sink: func(ev resolve.Event) {
-			switch ev.Kind {
-			case resolve.Replayed:
+			if ev.Kind == resolve.Replayed {
 				res.Resume.ResumedPairs++
 				res.Resume.ReplayedAllowance++
-			case resolve.Tiered:
-				res.TierNonMatchedPairs++
-				return
 			}
 			for x, j := range ev.Js {
 				if ev.Verdicts[x] {
@@ -479,35 +401,11 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		}
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	res.TierUncertainPairs = uncertain
 	res.Invocations = sess.Invocations()
 	if err := sess.Close(); err != nil {
 		return nil, fmt.Errorf("session: closing: %w", err)
 	}
 	return res, nil
-}
-
-// receiveEncodings collects a holder's CLK filters for the triage tier,
-// validating the count against the published view and every filter's
-// shape against bloom's fixed CLK size.
-func receiveEncodings(conn smc.Conn, records int) ([]*bloom.Filter, error) {
-	msg, err := conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if msg.Kind != smc.MsgEncodings {
-		return nil, fmt.Errorf("expected tier encodings, got kind %d", msg.Kind)
-	}
-	if len(msg.Encodings) != records {
-		return nil, fmt.Errorf("holder sent %d tier encodings for %d records", len(msg.Encodings), records)
-	}
-	filters := make([]*bloom.Filter, len(msg.Encodings))
-	for i, data := range msg.Encodings {
-		if filters[i], err = bloom.Unmarshal(data, bloom.TierM); err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return filters, nil
 }
 
 // receiveView returns the parsed view plus its raw serialized bytes; the

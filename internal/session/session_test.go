@@ -181,3 +181,55 @@ func TestHolderRefusesOutOfDomainRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestHolderRefusesBeforeView: a holder refuses parameters it cannot
+// serve — a QID its schema lacks, a value the circuit would round —
+// before its view leaves: the querying party's conn carries no MsgView
+// frame.
+func TestHolderRefusesBeforeView(t *testing.T) {
+	data, _ := sessionWorkload(t, 20)
+	schema := data.Schema()
+	age, _ := schema.Index(adult.AttrAge)
+	fractional := dataset.New(schema)
+	for i, rec := range data.Records() {
+		if i == 2 {
+			rec.Cells = append([]dataset.Cell(nil), rec.Cells...)
+			rec.Cells[age] = dataset.NumCell(40.5)
+		}
+		fractional.MustAppend(rec)
+	}
+	for _, tc := range []struct {
+		name   string
+		holder HolderConfig
+		qids   []string
+	}{
+		{"unresolvable-qid", HolderConfig{Data: data, K: 4}, []string{"no-such-attribute"}},
+		{"non-integral", HolderConfig{Data: fractional, K: 4}, adult.DefaultQIDs()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, h := smc.NewConnPair()
+			errs := make(chan error, 1)
+			go func() { errs <- RunHolder(h, nil, tc.holder, true) }()
+			if err := q.Send(&smc.Message{Kind: smc.MsgParams, QIDs: tc.qids, Spec: &smc.Spec{Scale: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errs; err == nil {
+				t.Fatal("holder accepted the parameters")
+			}
+			q.Close() // Recv now drains what the holder sent, then fails
+			views := 0
+			for {
+				m, err := q.Recv()
+				if err != nil {
+					break
+				}
+				if m.Kind == smc.MsgView {
+					views++
+				}
+			}
+			if views != 0 {
+				t.Errorf("holder published %d view(s) before refusing", views)
+			}
+		})
+	}
+}

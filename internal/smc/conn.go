@@ -172,11 +172,8 @@ func (m *Message) Code(c *wire.Coder) {
 	case MsgParams:
 		wire.Slice(c, &m.QIDs, (*wire.Coder).String)
 		wire.Opt(c, &m.Spec, func(c *wire.Coder, s *Spec) { s.Code(c) })
-		c.Bool(&m.Tier)
 	case MsgView:
 		c.Bytes(&m.View)
-	case MsgEncodings:
-		wire.Slice(c, &m.Encodings, (*wire.Coder).Bytes)
 	default:
 		c.BadKind(int(m.Kind))
 	}

@@ -38,12 +38,6 @@ const (
 	MsgParams
 	// MsgView carries a data holder's serialized anonymized view.
 	MsgView
-	// MsgEncodings carries a data holder's per-record CLK Bloom encodings
-	// to the querying party for the triage tier (sent after MsgView when
-	// the broadcast parameters enable the tier). The keyed-hash secret
-	// behind the encodings stays holder-side, per the bloom package
-	// contract.
-	MsgEncodings
 )
 
 // Message is the single wire format; fields are used according to Kind,
@@ -80,12 +74,6 @@ type Message struct {
 	Spec *Spec
 	// View is a serialized anonymized view (MsgView).
 	View []byte
-	// Tier, on MsgParams, asks the holders to also publish CLK encodings
-	// for the triage tier, at bloom's fixed shape.
-	Tier bool
-	// Encodings are a holder's serialized per-record CLK filters, indexed
-	// by record (MsgEncodings).
-	Encodings [][]byte
 }
 
 // blindBits is the size of the multiplicative blinding factor ρ; δ noise

@@ -30,33 +30,29 @@ var frameLayouts = []struct {
 }{
 	{"MsgPublicKey", "`N` big",
 		&Message{Kind: MsgPublicKey, N: big.NewInt(0xc35)},
-		"040200040c35"},
+		"040300040c35"},
 	{"MsgCompare", "`Record` int, `Records` []int",
 		&Message{Kind: MsgCompare, Record: 3, Records: []int{4, 5, 70}},
-		"0702010603080a8c01"},
+		"0703010603080a8c01"},
 	{"MsgShares", "`Sq` []big, `Lin` []big",
 		&Message{Kind: MsgShares, Sq: []*big.Int{big.NewInt(1), big.NewInt(0x101)}, Lin: []*big.Int{big.NewInt(2), big.NewInt(3)}},
-		"0c02020202010401010202020203"},
+		"0c03020202010401010202020203"},
 	{"MsgResult", "`Record` int, `Left` int, `Res` []big",
 		&Message{Kind: MsgResult, Record: 4, Left: 2, Res: []*big.Int{big.NewInt(0x201)}},
-		"070203080401040201"},
+		"070303080401040201"},
 	{"MsgShutdown", "—",
 		&Message{Kind: MsgShutdown},
-		"010204"},
+		"010304"},
 	{"MsgHello", "`Role` string",
 		&Message{Kind: MsgHello, Role: "alice"},
-		"07020505616c696365"},
-	{"MsgParams", "`QIDs` []string, `Spec` opt Spec, `Tier` bool",
+		"07030505616c696365"},
+	{"MsgParams", "`QIDs` []string, `Spec` opt Spec",
 		&Message{Kind: MsgParams, QIDs: []string{"age", "sex"},
-			Spec: &Spec{Attrs: []AttrSpec{{Mode: ModeEquality}, {Mode: ModeThreshold, T: 9}}, Scale: 10, ValueBits: 7},
-			Tier: true},
-		"14020602036167650373657801020200001214000e01"},
+			Spec: &Spec{Attrs: []AttrSpec{{Mode: ModeEquality}, {Mode: ModeThreshold, T: 9}}, Scale: 10, ValueBits: 7}},
+		"13030602036167650373657801020200001214000e"},
 	{"MsgView", "`View` bytes",
 		&Message{Kind: MsgView, View: []byte("pprl-view\t1\n")},
-		"0e02070c7070726c2d7669657709310a"},
-	{"MsgEncodings", "`Encodings` []bytes",
-		&Message{Kind: MsgEncodings, Encodings: [][]byte{{1, 2}, {0xff}}},
-		"0702080202010201ff"},
+		"0e03070c7070726c2d7669657709310a"},
 }
 
 // TestFrameLayout holds each kind to its golden frame, to a round trip of
@@ -103,8 +99,14 @@ func tableRow(doc []byte, kind string, b int) string {
 	return ""
 }
 
-// version1Params is a version-1 MsgParams frame with the tier's shape on.
-var version1Params, _ = hex.DecodeString("18010602036167650373657801020200001214000e01d00f3c04")
+// Frames of the tier the session once had: version 1's MsgParams with the
+// tier's shape on, version 2's with its tier bool on, and version 2's
+// MsgEncodings (kind 8), a holder's CLKs.
+var (
+	version1Params, _    = hex.DecodeString("18010602036167650373657801020200001214000e01d00f3c04")
+	version2Params, _    = hex.DecodeString("14020602036167650373657801020200001214000e01")
+	version2Encodings, _ = hex.DecodeString("0702080202010201ff")
+)
 
 // TestLinkRefusesHostileFrames: a TCP-style link refuses each hostile frame
 // with its named error, allocating under 128 KiB — the header alone is read
@@ -126,6 +128,12 @@ func TestLinkRefusesHostileFrames(t *testing.T) {
 		// Version 1's MsgParams, whose tier carried a CLK shape (M 1000,
 		// K 30, Q 2) for the holder to encode at.
 		{"version-1 params with a tier shape", version1Params, wire.ErrVersion},
+		// Version 2's, whose bool asked the holders for CLKs, and the
+		// CLKs themselves: refused by the version byte, body unread.
+		{"version-2 params with the tier on", version2Params, wire.ErrVersion},
+		{"version-2 encodings", version2Encodings, wire.ErrVersion},
+		// Kind 8 at this version is no kind at all.
+		{"encodings kind at this version", append(header(7, wire.Version), 8, 2, 2, 1, 2, 1, 0xff), wire.ErrMalformed},
 		{"unknown kind", append(header(1, wire.Version), 200), wire.ErrMalformed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,13 +171,17 @@ func TestLinkRefusesHostileFrames(t *testing.T) {
 }
 
 // FuzzFrame: no byte string panics the decoder, and one that decodes is
-// the canonical frame of what it decodes to.
+// the canonical frame of what it decodes to. The seeds are every kind's
+// golden frame and the older versions' tier frames.
 func FuzzFrame(f *testing.F) {
 	for _, tc := range frameLayouts {
 		frame, err := wire.Marshal(tc.m)
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(frame)
+	}
+	for _, frame := range [][]byte{version1Params, version2Params, version2Encodings} {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {

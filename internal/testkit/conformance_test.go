@@ -30,7 +30,7 @@ import (
 type cell struct {
 	shape   string // core, session, session-tcp, fleet, live
 	secure  bool   // the 512-bit Paillier protocol, or the plaintext oracle
-	mode    string // plain, tier, dp (never on live: the engine has no DP mode)
+	mode    string // plain, tier, dp (never tier on a session, never dp on live)
 	journal string // off, on, killed
 	procs   int    // GOMAXPROCS for the run; 0 leaves the host's
 }
@@ -59,13 +59,15 @@ var pairwise = [9]cell{
 }
 
 // row is shape s's pairwise row r. The session speaks only the secure
-// protocol, so its rows all are; the live engine has no DP mode, so its
-// dp rows run plain.
+// protocol, so its rows all are, and has no triage tier (its CLKs would
+// cross to the querying party), so its tier rows run plain; the live
+// engine has no DP mode, so its dp rows run plain.
 func row(s, r int) cell {
 	c := pairwise[r%len(pairwise)]
 	c.shape = shapes[s]
-	c.secure = c.secure || strings.HasPrefix(c.shape, "session")
-	if c.shape == "live" && c.mode == "dp" {
+	session := strings.HasPrefix(c.shape, "session")
+	c.secure = c.secure || session
+	if c.shape == "live" && c.mode == "dp" || session && c.mode == "tier" {
 		c.mode = "plain"
 	}
 	return c
@@ -549,14 +551,10 @@ func sessionOnce(w *World, c cell, cfg core.Config, ref *outcome, sink journal.S
 	if cfg.Epsilon > 0 {
 		qcfg.Allowance, qcfg.AllowanceFraction = ref.allowance, 0
 	}
-	var tierKey []byte
-	if cfg.Tier == core.TierBloom {
-		qcfg.Tier, qcfg.TierLow, tierKey = true, cfg.TierLow, []byte("pprl-tier-default-key")
-	}
 	taps := [2]*requestTap{{Conn: links[2]}, {Conn: links[3]}}
 	errs := make(chan error, 2)
 	for x, d := range []*dataset.Dataset{w.Alice, w.Bob} {
-		hc := session.HolderConfig{Data: d, TierKey: tierKey, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed}
+		hc := session.HolderConfig{Data: d, Epsilon: cfg.Epsilon, DPSeed: cfg.DPSeed}
 		if cfg.Epsilon == 0 {
 			hc.K, hc.Anonymizer = cfg.AliceK, cfg.AliceAnonymizer
 			if x == 1 {
@@ -586,7 +584,7 @@ func sessionOnce(w *World, c cell, cfg core.Config, ref *outcome, sink journal.S
 		return out, err
 	}
 	out.invocations, out.replayed, out.allowance, out.resumed = res.Invocations, res.Resume.ReplayedAllowance, res.Allowance, res.Resume.ResumedPairs
-	out.tier, out.heuristic = [3]int64{res.TierNonMatchedPairs, res.TierUncertainPairs, res.UnknownPairs}, cfg.Heuristic.Name()
+	out.tier, out.heuristic = [3]int64{0, 0, res.UnknownPairs}, cfg.Heuristic.Name()
 	if err := checkViews(w, cfg, res, ref.res); err != nil {
 		return out, err
 	}

@@ -67,11 +67,15 @@ var ParamRows = []ParamRow{
 	{Name: "negative allowance fraction", AllowanceFraction: -0.1, On: allSurfaces &^ SurfaceDatasets, Refuse: allSurfaces, Want: "must be in [0, 1]"},
 	{Name: "unknown heuristic", Params: cliutil.Params{Heuristic: "nope"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown heuristic"},
 	{Name: "unknown strategy", Params: cliutil.Params{Strategy: "nope"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown strategy"},
-	{Name: "unknown tier", Params: cliutil.Params{Tier: "paillier"}, On: allSurfaces, Refuse: allSurfaces, Want: "unknown tier mode"},
+	// The triage tier runs in one trust domain: a session's querying
+	// party has no tier, so its CLKs never cross to it.
+	{Name: "unknown tier", Params: cliutil.Params{Tier: "paillier"}, On: allSurfaces &^ SurfaceQuery, Refuse: allSurfaces, Want: "unknown tier mode"},
 	{Name: "tier high is gone", Params: cliutil.Params{Tier: "bloom"}, Unknown: "tier_high", On: allSurfaces, Refuse: allSurfaces},
-	{Name: "negative tier low", Params: cliutil.Params{Tier: "bloom", TierLow: -0.1}, On: allSurfaces, Refuse: allSurfaces, Want: "low must be in [0, 1)"},
-	{Name: "tier low of 1", Params: cliutil.Params{Tier: "bloom", TierLow: 1}, On: allSurfaces, Refuse: allSurfaces, Want: "low must be in [0, 1)"},
-	{Name: "tier threshold", Params: cliutil.Params{Tier: "bloom", TierLow: 0.4}, On: allSurfaces},
+	{Name: "negative tier low", Params: cliutil.Params{Tier: "bloom", TierLow: -0.1}, On: allSurfaces &^ SurfaceQuery, Refuse: allSurfaces, Want: "low must be in [0, 1)"},
+	{Name: "tier low of 1", Params: cliutil.Params{Tier: "bloom", TierLow: 1}, On: allSurfaces &^ SurfaceQuery, Refuse: allSurfaces, Want: "low must be in [0, 1)"},
+	{Name: "tier threshold", Params: cliutil.Params{Tier: "bloom", TierLow: 0.4}, On: allSurfaces &^ SurfaceQuery},
+	{Name: "the query has no tier", Unknown: "tier", On: SurfaceQuery, Refuse: SurfaceQuery},
+	{Name: "the query has no tier threshold", Unknown: "tier_low", On: SurfaceQuery, Refuse: SurfaceQuery},
 	// pprl-serve refuses DP whole (service.ErrNoDP), so the rows that
 	// check DP's own rules run on pprl-link's two-relation run alone.
 	{Name: "epsilon with a k-anonymizer", Params: cliutil.Params{Epsilon: 2}, Anonymizer: "tds", On: SurfaceLink, Refuse: SurfaceLink, Want: "epsilon requires"},

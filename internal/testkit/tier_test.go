@@ -291,3 +291,32 @@ func TestTierCrossModeResume(t *testing.T) {
 		return
 	}
 }
+
+// TestTierBudgetIndependence: tier labels are free, so a starved
+// allowance must not truncate the tier's labeling — on core.Link, where
+// the tier runs, its counters are the same at an allowance of 3 pairs as
+// at one that buys every uncertain pair.
+func TestTierBudgetIndependence(t *testing.T) {
+	base := baseSeed(t)
+	for wi := int64(0); wi < 8; wi++ {
+		w := Generate(base + wi)
+		cfg := tierCfg(w)
+		cfg.Strategy = core.MaximizePrecision
+		cfg.Allowance, cfg.AllowanceFraction = 3, 0
+		starved, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
+		if err != nil {
+			t.Fatal(repro(t, w, err))
+		}
+		cfg.Allowance = starved.TierUncertainPairs + 1
+		full, err := core.LinkPrepared(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, starved.Block, cfg)
+		if err != nil {
+			t.Fatal(repro(t, w, err))
+		}
+		if starved.Invocations > 3 {
+			t.Fatal(repro(t, w, fmt.Errorf("budget exceeded: %d invocations", starved.Invocations)))
+		}
+		if s, f := [2]int64{starved.TierNonMatchedPairs(), starved.TierUncertainPairs}, [2]int64{full.TierNonMatchedPairs(), full.TierUncertainPairs}; s != f {
+			t.Fatal(repro(t, w, fmt.Errorf("tier labels depend on the allowance: starved %v, full %v", s, f)))
+		}
+	}
+}

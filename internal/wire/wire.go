@@ -24,11 +24,12 @@ import (
 )
 
 // Version is the frame format's version byte. Version 1's MsgParams carried
-// the tier's CLK shape; version 2's carries a bool.
-const Version = 2
+// the tier's CLK shape; version 2's carries a bool. Version 3 has no tier:
+// MsgParams ends at its spec, and kind 8, a holder's CLK encodings, is gone.
+const Version = 3
 
-// MaxBody caps n. The largest frames are a holder's view and CLK encodings
-// (128 B a record at the default shape: 8 million records fit).
+// MaxBody caps n. The largest frames are a holder's view and the record
+// rows a fleet job ships, each a few bytes to a few dozen a record.
 const MaxBody = 1 << 30
 
 var (

@@ -50,8 +50,8 @@ func TestOptionCount(t *testing.T) {
 	}{
 		{core.Config{}, 23},
 		{incremental.Config{}, 13},
-		{session.QueryConfig{}, 13},
-		{session.HolderConfig{}, 8},
+		{session.QueryConfig{}, 11},
+		{session.HolderConfig{}, 7},
 		{cliutil.Params{}, 14},
 		{cliutil.Job{}, 7},
 		{service.JobSpec{}, 2},
@@ -93,6 +93,6 @@ func TestOptionCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count("flags", flags, 64)
+	count("flags", flags, 63)
 	t.Logf("%-22s %3d", "options", total)
 }
