@@ -4,9 +4,9 @@ GO ?= go
 # How long `make fuzz` spends per fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check tracked-files fmt build binaries vet purego test race fuzz crash restart bench perf perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
+.PHONY: check tracked-files fmt build binaries vet purego test race fuzz crash restart bench perf perf-check perf-diff benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
 
-check: tracked-files fmt build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper examples loc
+check: tracked-files fmt build binaries vet purego test race crash restart fuzz benchmark-check tier-smoke dp-smoke bench-smoke distributed-smoke incremental-smoke paper perf-check examples loc
 
 # No build output in the tree: every tracked file (as staged) is under
 # 1 MiB, and none is a compiled binary — an executable file must be a
@@ -221,11 +221,27 @@ bench:
 
 # Machine-readable reports of the paper-question arms that keep one
 # (BENCH_tier.json, BENCH_dp.json), at the paper's scale and stamped with
-# host / Go / commit (≈ 15 s together). The 1,800-record copies are
+# host / Go / commit (≈ 15 s together; `make perf-check` holds the
+# committed files to them). The 1,800-record copies are
 # fixtures of cmd/pprl-bench's tests (testdata/), not headlines.
 perf:
 	$(GO) run ./cmd/pprl-bench -full -exp tier -json
 	$(GO) run ./cmd/pprl-bench -full -exp dp -json
+
+# The committed reports as this code makes them: BENCH_tier.json and
+# BENCH_dp.json regenerated at the paper's scale under .bench_build/ (≈ 30
+# s) and diffed against the committed files, each without its "stamp"
+# object (host / Go / commit), so a change that moves a figure of either
+# report fails here until `make perf` is rerun and committed.
+perf-check:
+	@mkdir -p .bench_build/perf-check
+	$(GO) build -o .bench_build/perf-check/pprl-bench ./cmd/pprl-bench
+	cd .bench_build/perf-check && ./pprl-bench -full -exp tier,dp -json > /dev/null
+	@unstamped() { sed '/^  "stamp": {$$/,/^  },$$/d' "$$1"; }; \
+	for f in BENCH_tier.json BENCH_dp.json; do \
+		unstamped $$f > .bench_build/perf-check/$$f.want; unstamped .bench_build/perf-check/$$f > .bench_build/perf-check/$$f.got; \
+		diff -u .bench_build/perf-check/$$f.want .bench_build/perf-check/$$f.got || exit 1; \
+	done; echo "perf-check: BENCH_tier.json and BENCH_dp.json match but for their stamps"
 
 # Code size, so the next audit reads the number instead of recounting it:
 # non-test Go lines outside the frozen benchmark/, then test lines —

@@ -13,12 +13,12 @@ import (
 
 // CLI is the parameter block as pprl-link and pprl-party take it: Params
 // plus what both tools' flags add around it — the allowance as a fraction
-// of the pair matrix, the holders' k and DP binning depth, and the run's
-// journal.
+// of the walked pair space, the holders' k and DP binning depth, and the
+// run's journal.
 type CLI struct {
 	Params
-	// AllowanceFraction is -allowance: the SMC budget as a share of all
-	// record pairs. An explicit 0 buys nothing.
+	// AllowanceFraction is -allowance: the SMC budget as a share of the
+	// walked pair space (heuristic.Plan). An explicit 0 buys nothing.
 	AllowanceFraction float64
 	// K is the holders' anonymity requirement, DPLevel their VGH binning
 	// depth under DP blocking (0 = default).
@@ -52,7 +52,7 @@ func (c *CLI) Flags(fs *flag.FlagSet, groups FlagGroup) {
 			return nil
 		})
 		fs.Float64Var(&c.Theta, "theta", def.Theta, "matching threshold θ for every attribute")
-		fs.Float64Var(&c.AllowanceFraction, "allowance", def.AllowanceFraction, "SMC allowance as a fraction of all record pairs")
+		fs.Float64Var(&c.AllowanceFraction, "allowance", def.AllowanceFraction, "SMC allowance as a fraction of the walked pair space (padded handle pairs under DP)")
 		fs.StringVar(&c.Heuristic, "heuristic", "minAvgFirst", "SMC selection heuristic: minFirst, maxLast, minAvgFirst")
 		fs.IntVar(&c.KeyBits, "keybits", DefaultKeyBits, "Paillier key size")
 		fs.StringVar(&c.Journal, "journal", "", "record the run to a durable journal at this path; run the same command again to resume it")

@@ -26,8 +26,8 @@ type Job struct {
 
 	// K is the anonymity requirement of both holders.
 	K int `json:"k,omitempty"`
-	// AllowanceFraction is the SMC budget as a fraction of all record
-	// pairs; the block's absolute Allowance, when set, takes precedence.
+	// AllowanceFraction is the SMC budget as a share of the walked pairs;
+	// the block's absolute Allowance, when set, takes precedence.
 	AllowanceFraction float64 `json:"allowance_fraction,omitempty"`
 	// Anonymizer takes AnonymizerByName's names, or "dp" (which needs ε);
 	// empty selects the paper's max-entropy method.

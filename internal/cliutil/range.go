@@ -34,8 +34,8 @@ var (
 	// TierLowRange bounds the bloom tier's NonMatch threshold; 0 selects
 	// the default.
 	TierLowRange = Range{Name: "-tier-low", Lo: 0, Hi: 1, HiOpen: true}
-	// AllowanceFractionRange bounds the SMC budget as a share of all
-	// record pairs: block.TotalPairs() on a link, n(n−1)/2 under -dedup.
+	// AllowanceFractionRange bounds the SMC budget as a share of the walked
+	// pair space (padded under DP) on a link, of n(n−1)/2 under -dedup.
 	AllowanceFractionRange = Range{Name: "-allowance", Lo: 0, Hi: 1}
 )
 

@@ -147,11 +147,11 @@ type Config struct {
 	// Strategy picks the residual labeling (default MaximizePrecision).
 	Strategy Strategy
 
-	// Allowance is the absolute SMC budget in record pairs. When 0,
-	// AllowanceFraction of |R|×|S| is used instead.
+	// Allowance is the absolute SMC budget in pairs. When 0,
+	// AllowanceFraction is used instead.
 	Allowance int64
-	// AllowanceFraction is the budget as a fraction of all record pairs
-	// (paper default 0.015, i.e. 1.5%).
+	// AllowanceFraction is the budget as a fraction of the walked pair space
+	// (heuristic.Plan; paper default 0.015, i.e. 1.5%), padded under DP.
 	AllowanceFraction float64
 
 	// Tier selects the triage tier between blocking and SMC (default
@@ -273,8 +273,8 @@ func (c *Config) normalize(schema *dataset.Schema) ([]int, *blocking.Rule, error
 	if c.AliceK < 1 || c.BobK < 1 {
 		return nil, nil, fmt.Errorf("core: anonymity requirements must be ≥ 1 (got %d, %d)", c.AliceK, c.BobK)
 	}
-	if c.Allowance < 0 || c.AllowanceFraction < 0 {
-		return nil, nil, fmt.Errorf("core: negative SMC allowance")
+	if err := heuristic.CheckAllowance(c.Allowance, c.AllowanceFraction); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	if c.Epsilon != 0 || c.DPDelta != 0 || c.DPSeed != 0 || c.DPLevel != 0 {
 		if c.Epsilon == 0 {

@@ -9,7 +9,6 @@ import (
 	"pprl/internal/dpblock"
 	"pprl/internal/heuristic"
 	"pprl/internal/index"
-	"pprl/internal/journal"
 	"pprl/internal/metrics"
 	"pprl/internal/resolve"
 	"pprl/internal/smc"
@@ -169,8 +168,8 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	// record space. DummyPairs is the padding of the candidate (Unknown) bin
 	// pairs only: dummies no candidate meets cost nothing.
 	walkA, walkB := block.R, block.S
+	var err error
 	if dp {
-		var err error
 		if res.pads[0], err = dpblock.PadCopy(block.R); err == nil {
 			res.pads[1], err = dpblock.PadCopy(block.S)
 		}
@@ -197,21 +196,16 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	}
 
 	// Step 4 — resolve pairs with the SMC comparator until the allowance
-	// is exhausted.
-	allowance := cfg.Allowance
-	if allowance == 0 {
-		allowance = int64(cfg.AllowanceFraction * float64(block.TotalPairs()))
-	}
-	res.Allowance = allowance
+	// is exhausted: the walk and its budget are the purchase plan.
+	walk := heuristic.Plan(ordered, walkA, walkB, cfg.Allowance, cfg.AllowanceFraction)
+	res.Allowance = walk.Budget
 
 	// Declare the run to the journal before any cryptographic setup: a
 	// fresh journal persists the manifest, a resumed one validates it
 	// (refusing a run whose config or inputs changed) and hands back the
 	// verdicts already purchased by the interrupted run.
-	var journaled []journal.Verdict
 	if cfg.Journal != nil {
-		var err error
-		if journaled, err = cfg.Journal.Begin(runManifest(alice, bob, block, cfg, allowance)); err != nil {
+		if walk.Journaled, err = cfg.Journal.Begin(runManifest(alice, bob, block, cfg, walk.Budget)); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
@@ -227,12 +221,11 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	// NonMatch for free, in the same walk that spends the budget;
 	// CLK-encoding both relations is its dominant cost and all its stage
 	// holds.
-	var tier func(i, j int) bool
 	if cfg.Tier == TierBloom {
 		enc := bloom.NewDefaultEncoder()
 		aF := bloom.EncodeRecords(enc, alice.Data, qids)
 		bF := bloom.EncodeRecords(enc, bob.Data, qids)
-		tier = func(i, j int) bool { return aF[i].Dice(bF[j]) <= cfg.TierLow }
+		walk.Tier = func(i, j int) bool { return aF[i].Dice(bF[j]) <= cfg.TierLow }
 		cfg.report("tier", 1, 1)
 	}
 
@@ -260,41 +253,30 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	res.SMCWorkers = cfg.SMCWorkers
 	cfg.report("comparator", 1, 1)
 
-	// The resolution kernel (DESIGN.md §16) walks the ordered groups and
-	// spends the budget; this adapter supplies the class-pair walks and
-	// files every event into the label stores — a purchased verdict,
-	// journaled or live, the same way: it is exact under any tier
-	// configuration.
-	uncertain, err := resolve.Run(resolve.Input{
-		Groups: len(ordered),
-		Group: func(k int) resolve.Group {
-			gp := ordered[k]
-			return resolve.Group{A: walkA.Classes[gp.RI].Members, B: walkB.Classes[gp.SI].Members}
-		},
-		Budget:     allowance,
-		Journaled:  journaled,
-		Tier:       tier,
-		Comparator: cmp,
-		Workers:    cfg.SMCWorkers,
-		Journal:    cfg.Journal,
-		Context:    cfg.Context,
-		Progress:   func(done, total int64) { cfg.report("smc", done, total) },
-		Sink: func(ev resolve.Event) {
-			store := res.purchased
-			switch ev.Kind {
-			case resolve.Tiered:
-				store = res.tiered
-			case resolve.Replayed:
-				res.Resume.ResumedPairs++
-				res.Resume.ReplayedAllowance++
-			}
-			if dp {
-				res.fileHandles(store, ev)
-			} else {
-				store.setSpan(ev.I, ev.Js, ev.Verdicts)
-			}
-		},
-	})
+	// The resolution kernel (DESIGN.md §16) spends the plan's budget; the
+	// sink files every event into the label stores, a purchased verdict the
+	// same way journaled or live: it is exact under any tier configuration.
+	walk.Comparator = cmp
+	walk.Workers = cfg.SMCWorkers
+	walk.Journal = cfg.Journal
+	walk.Context = cfg.Context
+	walk.Progress = func(done, total int64) { cfg.report("smc", done, total) }
+	walk.Sink = func(ev resolve.Event) {
+		store := res.purchased
+		switch ev.Kind {
+		case resolve.Tiered:
+			store = res.tiered
+		case resolve.Replayed:
+			res.Resume.ResumedPairs++
+			res.Resume.ReplayedAllowance++
+		}
+		if dp {
+			res.fileHandles(store, ev)
+		} else {
+			store.setSpan(ev.I, ev.Js, ev.Verdicts)
+		}
+	}
+	uncertain, err := resolve.Run(walk)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

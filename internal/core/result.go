@@ -52,7 +52,7 @@ type DPStats struct {
 type Result struct {
 	// Block is the blocking step's outcome over the anonymized views.
 	Block *blocking.Result
-	// Allowance is the SMC budget that applied (in record pairs).
+	// Allowance is the SMC budget that applied, in walked (DP: handle) pairs.
 	Allowance int64
 	// Invocations is the number of SMC comparisons actually performed.
 	Invocations int64

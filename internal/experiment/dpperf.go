@@ -87,11 +87,11 @@ func (r *DPPerfReport) WriteJSON(w io.Writer) error { return writeIndented(w, r)
 var dpKSweep = []int{8, 32, 128}
 
 // DPPerf benchmarks differentially private blocking across an ε sweep
-// against the k-anonymous pipeline across a k sweep, both at the same
-// allowance fraction (of the real |A|·|B|) on the standard Adult workload.
-// Every arm pays for what it consumes: the DP arm's spend includes the
-// dummy pairs of its walk, so recall per unit reflects the real price of
-// the (ε,δ) guarantee.
+// against the k-anonymous pipeline across a k sweep on the standard Adult
+// workload, every row buying the k rows' allowance (the fraction of the
+// real |A|·|B|; a DP run's own is of its padded pairs). Every arm pays for
+// what it consumes: the DP arm's spend includes the dummy pairs of its
+// walk, so recall per unit reflects the real price of the (ε,δ) guarantee.
 func DPPerf(opts Options) (*DPPerfReport, *Table, error) {
 	w := NewWorkload(opts)
 	o := w.Opts
@@ -124,11 +124,33 @@ func DPPerf(opts Options) (*DPPerfReport, *Table, error) {
 		return n
 	}
 
+	for _, k := range dpKSweep {
+		cfg := w.baseConfig()
+		cfg.Strategy = core.MaximizePrecision
+		cfg.AliceK = w.capK(k)
+		cfg.BobK = w.capK(k)
+		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dpperf: k=%d: %w", k, err)
+		}
+		conf := res.Evaluate(truth)
+		pt := DPKPoint{
+			K:         w.capK(k),
+			Allowance: res.Allowance,
+			Spent:     res.Invocations,
+			Recall:    conf.Recall(),
+			Precision: conf.Precision(),
+		}
+		pt.RecallPerUnit = pt.Recall / float64(spend(pt.Spent))
+		rep.KPoints = append(rep.KPoints, pt)
+	}
+
 	for _, eps := range o.Epsilons {
 		cfg := w.baseConfig()
 		cfg.Strategy = core.MaximizePrecision
 		cfg.Epsilon = eps
 		cfg.DPSeed = o.Seed
+		cfg.Allowance = rep.KPoints[0].Allowance
 		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("dpperf: ε=%v: %w", eps, err)
@@ -156,27 +178,6 @@ func DPPerf(opts Options) (*DPPerfReport, *Table, error) {
 			rep.BestEpsilon, rep.BestEpsilonRecall = eps, pt.Recall
 		}
 		rep.EpsilonPoints = append(rep.EpsilonPoints, pt)
-	}
-
-	for _, k := range dpKSweep {
-		cfg := w.baseConfig()
-		cfg.Strategy = core.MaximizePrecision
-		cfg.AliceK = w.capK(k)
-		cfg.BobK = w.capK(k)
-		res, err := core.Link(core.Holder{Data: w.Alice}, core.Holder{Data: w.Bob}, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dpperf: k=%d: %w", k, err)
-		}
-		conf := res.Evaluate(truth)
-		pt := DPKPoint{
-			K:         w.capK(k),
-			Allowance: res.Allowance,
-			Spent:     res.Invocations,
-			Recall:    conf.Recall(),
-			Precision: conf.Precision(),
-		}
-		pt.RecallPerUnit = pt.Recall / float64(spend(pt.Spent))
-		rep.KPoints = append(rep.KPoints, pt)
 	}
 
 	t := &Table{

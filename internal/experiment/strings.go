@@ -123,27 +123,19 @@ func StringLink(alice, bob *dataset.Dataset, qids []int, rule *blocking.Rule, tr
 		}
 	}
 	reported := block.MatchedPairs
-	ordered := heuristic.Order(block, rule, heuristic.MinAvgFirst{}, false)
-	_, err = resolve.Run(resolve.Input{
-		Groups: len(ordered),
-		Group: func(k int) resolve.Group {
-			gp := ordered[k]
-			return resolve.Group{A: aView.Classes[gp.RI].Members, B: bView.Classes[gp.SI].Members}
-		},
-		Budget:     int64(0.02 * float64(block.TotalPairs())),
-		Comparator: o,
-		Sink: func(ev resolve.Event) {
-			for x, j := range ev.Js {
-				if ev.Verdicts[x] {
-					reported++
-					if isTrue[match.Pair{I: ev.I, J: j}] {
-						conf.TruePositives++
-					}
+	walk := heuristic.Plan(heuristic.Order(block, rule, heuristic.MinAvgFirst{}, false), aView, bView, 0, 0.02)
+	walk.Comparator = o
+	walk.Sink = func(ev resolve.Event) {
+		for x, j := range ev.Js {
+			if ev.Verdicts[x] {
+				reported++
+				if isTrue[match.Pair{I: ev.I, J: j}] {
+					conf.TruePositives++
 				}
 			}
-		},
-	})
-	if err != nil {
+		}
+	}
+	if _, err = resolve.Run(walk); err != nil {
 		return nil, conf, err
 	}
 	conf.FalsePositives = reported - conf.TruePositives

@@ -1,6 +1,8 @@
 package heuristic
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pprl/internal/anonymize"
@@ -169,5 +171,71 @@ func TestShuffleDeterministic(t *testing.T) {
 	}
 	if !diff {
 		t.Error("shuffle ignores the seed")
+	}
+}
+
+// TestPlan: the plan walks the ordered class pairs through the walk
+// views' members, and a fraction buys its share of the pair space those
+// views address — block.TotalPairs() when they are the blocked views, the
+// larger space when the walk runs over more handles (a padded release).
+func TestPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	h := vgh.MustParse("edu", "ANY\n  G1\n    a\n    b\n  G2\n    c\n    d\n")
+	r, s := fuzzView(rng, h, 13), fuzzView(rng, h, 9)
+	rule, err := blocking.NewRule([]distance.Metric{distance.Hamming{}}, []float64{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := blocking.Block(r, s, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := Shuffle(block, 1)
+	if len(order) == 0 {
+		t.Fatal("fixture has no Unknown class pairs")
+	}
+	walk := Plan(order, r, s, 0, 0.3)
+	if want := int64(0.3 * float64(block.TotalPairs())); walk.Budget != want || block.TotalPairs() != 13*9 {
+		t.Errorf("budget %d over %d pairs, want %d of 13×9", walk.Budget, block.TotalPairs(), want)
+	}
+	if walk.Groups != len(order) {
+		t.Fatalf("%d groups for %d class pairs", walk.Groups, len(order))
+	}
+	for k, gp := range order {
+		if g := walk.Group(k); !reflect.DeepEqual(g.A, r.Classes[gp.RI].Members) || !reflect.DeepEqual(g.B, s.Classes[gp.SI].Members) || g.Pairs != nil || g.Columns {
+			t.Errorf("group %d = %+v, want class pair %+v's members", k, g, gp)
+		}
+	}
+	if walk := Plan(order, r, s, 7, 0.3); walk.Budget != 7 {
+		t.Errorf("absolute allowance 7 gave budget %d", walk.Budget)
+	}
+
+	// A walk over padded copies: every class twice its size, under
+	// handles of its own.
+	pad := func(v *anonymize.Result) *anonymize.Result {
+		cp := *v
+		cp.Classes, cp.ClassOf = nil, nil
+		for ci, c := range v.Classes {
+			n := 2 * c.Size()
+			c.Members = nil
+			for range n {
+				c.Members = append(c.Members, len(cp.ClassOf))
+				cp.ClassOf = append(cp.ClassOf, ci)
+			}
+			cp.Classes = append(cp.Classes, c)
+		}
+		return &cp
+	}
+	if walk := Plan(order, pad(r), pad(s), 0, 0.3); walk.Budget != 140 {
+		t.Errorf("padded walk budget %d, want 140 (0.3 of 26×18)", walk.Budget)
+	}
+
+	for _, c := range [][2]float64{{-1, 0}, {0, -0.1}} {
+		if err := CheckAllowance(int64(c[0]), c[1]); err == nil || err.Error() != "negative SMC allowance" {
+			t.Errorf("allowance %v, fraction %v: %v, want the negative allowance refused", c[0], c[1], err)
+		}
+	}
+	if err := CheckAllowance(0, 0); err != nil {
+		t.Errorf("a zero budget: %v", err)
 	}
 }

@@ -205,9 +205,9 @@ type QueryConfig struct {
 	QIDs []string
 	// Theta is the uniform matching threshold.
 	Theta float64
-	// AllowanceFraction bounds the SMC budget as a fraction of all
-	// record pairs — under DP of the padded pairs, the only ones this
-	// party sees; Allowance (absolute pairs) wins when non-zero.
+	// AllowanceFraction bounds the SMC budget as a fraction of the walked
+	// pair space (heuristic.Plan), under DP the padded handles', the only
+	// ones this party sees; Allowance (absolute pairs) wins when non-zero.
 	AllowanceFraction float64
 	Allowance         int64
 	// Heuristic orders the Unknown pairs; nil = minAvgFirst.
@@ -276,6 +276,9 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if cfg.Packing != smc.PackingPacked {
 		return nil, fmt.Errorf("session: result encoding %d is not spoken here: the only one is packed (%d)", cfg.Packing, smc.PackingPacked)
 	}
+	if err := heuristic.CheckAllowance(cfg.Allowance, cfg.AllowanceFraction); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
 	if cfg.Heuristic == nil {
 		cfg.Heuristic = heuristic.MinAvgFirst{}
 	}
@@ -343,19 +346,19 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		}
 	}
 
-	allowance := cfg.Allowance
-	if allowance == 0 {
-		allowance = int64(cfg.AllowanceFraction * float64(block.TotalPairs()))
-	}
-	res.Allowance = allowance
+	// The plan walks the published views' member lists. Under DP the
+	// holders have already padded those lists, so a dummy comparison is an
+	// ordinary unit-price pair here — as it is on every shape — and which
+	// purchases paid for padding only the holders know.
+	walk := heuristic.Plan(heuristic.Order(block, rule, cfg.Heuristic, false), aView, bView, cfg.Allowance, cfg.AllowanceFraction)
+	res.Allowance = walk.Budget
 
 	// Declare the run to the journal before the Paillier handshake: a
 	// fresh journal persists the manifest, a resumed one validates it
 	// (refusing a run whose classifier or views changed) and hands back
 	// the verdicts already purchased by the interrupted run.
-	var journaled []journal.Verdict
 	if cfg.Journal != nil {
-		if journaled, err = cfg.Journal.Begin(queryManifest(&cfg, block, allowance, aRaw, bRaw)); err != nil {
+		if walk.Journaled, err = cfg.Journal.Begin(queryManifest(&cfg, block, walk.Budget, aRaw, bRaw)); err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
 	}
@@ -364,36 +367,21 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ordered := heuristic.Order(block, rule, cfg.Heuristic, false)
-	// The resolution kernel (DESIGN.md §16) spends the budget over the
-	// published views' member lists. Under DP the holders have already
-	// padded those lists, so a dummy comparison is an ordinary unit-price
-	// pair here — as it is on every shape — and which purchases paid for
-	// padding only the holders know.
-	_, err = resolve.Run(resolve.Input{
-		Groups: len(ordered),
-		Group: func(k int) resolve.Group {
-			gp := ordered[k]
-			return resolve.Group{A: aView.Classes[gp.RI].Members, B: bView.Classes[gp.SI].Members}
-		},
-		Budget:     allowance,
-		Journaled:  journaled,
-		Comparator: sess,
-		Journal:    cfg.Journal,
-		Context:    cfg.Context,
-		Sink: func(ev resolve.Event) {
-			if ev.Kind == resolve.Replayed {
-				res.Resume.ResumedPairs++
-				res.Resume.ReplayedAllowance++
+	walk.Comparator = sess
+	walk.Journal = cfg.Journal
+	walk.Context = cfg.Context
+	walk.Sink = func(ev resolve.Event) {
+		if ev.Kind == resolve.Replayed {
+			res.Resume.ResumedPairs++
+			res.Resume.ReplayedAllowance++
+		}
+		for x, j := range ev.Js {
+			if ev.Verdicts[x] {
+				res.Matches = append(res.Matches, match.Pair{I: ev.I, J: j})
 			}
-			for x, j := range ev.Js {
-				if ev.Verdicts[x] {
-					res.Matches = append(res.Matches, match.Pair{I: ev.I, J: j})
-				}
-			}
-		},
-	})
-	if err != nil {
+		}
+	}
+	if _, err = resolve.Run(walk); err != nil {
 		if errors.Is(err, ErrInterrupted) {
 			// The journal is synced; closing the session tells the holders
 			// to shut down cleanly.

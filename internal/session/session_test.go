@@ -77,6 +77,36 @@ func TestSessionValidation(t *testing.T) {
 	}
 }
 
+// TestQueryRefusesNegativeAllowance: a negative budget, absolute or
+// fractional, is refused as core.Link refuses it, and before the
+// parameters go out: neither holder receives anything.
+func TestQueryRefusesNegativeAllowance(t *testing.T) {
+	aliceData, bobData := sessionWorkload(t, 30)
+	for _, cfg := range []QueryConfig{{Allowance: -5}, {AllowanceFraction: -0.1}} {
+		cfg.Schema, cfg.QIDs, cfg.Theta, cfg.KeyBits = aliceData.Schema(), adult.DefaultQIDs(), 0.05, testKeyBits
+		qa, aq := smc.NewConnPair()
+		qb, bq := smc.NewConnPair()
+		ab, ba := smc.NewConnPair()
+		errs := make(chan error, 2)
+		go func() { errs <- RunHolder(aq, ab, HolderConfig{Data: aliceData, K: 4}, true) }()
+		go func() { errs <- RunHolder(bq, ba, HolderConfig{Data: bobData, K: 4}, false) }()
+		res, err := RunQuery(qa, qb, cfg)
+		qa.Close()
+		qb.Close()
+		if err == nil || !strings.Contains(err.Error(), "negative SMC allowance") {
+			t.Errorf("allowance %d, fraction %v: RunQuery returned %v (result %+v), want the negative allowance refused", cfg.Allowance, cfg.AllowanceFraction, err, res)
+		}
+		if qa.Bytes() != 0 || qb.Bytes() != 0 {
+			t.Errorf("allowance %d, fraction %v: the query sent %d and %d bytes before refusing", cfg.Allowance, cfg.AllowanceFraction, qa.Bytes(), qb.Bytes())
+		}
+		for range 2 {
+			if herr := <-errs; herr == nil || !strings.Contains(herr.Error(), "receiving parameters") {
+				t.Errorf("allowance %d, fraction %v: holder returned %v, want it to have waited for parameters that never came", cfg.Allowance, cfg.AllowanceFraction, herr)
+			}
+		}
+	}
+}
+
 func TestIdentifyRejectsGarbage(t *testing.T) {
 	a, b := smc.NewConnPair()
 	go a.Send(&smc.Message{Kind: smc.MsgCompare})

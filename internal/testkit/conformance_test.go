@@ -541,15 +541,9 @@ func sessionOnce(w *World, c cell, cfg core.Config, ref *outcome, sink journal.S
 	if err != nil {
 		return nil, err
 	}
-	// The session turns the fraction into an allowance as core.Link does —
-	// except under DP, where its pair space is the padded one, so it is
-	// handed the allowance core.Link computed.
 	qcfg := session.QueryConfig{
 		Schema: w.Alice.Schema(), QIDs: cfg.QIDs, Theta: cfg.Theta, Heuristic: cfg.Heuristic,
 		AllowanceFraction: cfg.AllowanceFraction, KeyBits: 512, Journal: sink,
-	}
-	if cfg.Epsilon > 0 {
-		qcfg.Allowance, qcfg.AllowanceFraction = ref.allowance, 0
 	}
 	taps := [2]*requestTap{{Conn: links[2]}, {Conn: links[3]}}
 	errs := make(chan error, 2)
