@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
+
+	"pprl/internal/cliutil"
+	"pprl/internal/core"
 )
 
 // TestRunLinkDP: -anon dp runs the pipeline under differentially
@@ -28,6 +33,28 @@ func TestRunLinkDP(t *testing.T) {
 	}
 	if !strings.Contains(out, "precision=1.0000") {
 		t.Errorf("DP run reported inexact matches: %q", out)
+	}
+
+	// The allowance is a fraction of the padded pairs the walk compares,
+	// and the summary names that space beside it.
+	job := cliutil.Job{AlicePath: a, BobPath: b, Params: opts.Params, K: opts.K,
+		AllowanceFraction: opts.AllowanceFraction, Anonymizer: opts.anonName}
+	l, err := job.Run(nil, func(*core.Config) (io.Closer, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkA, walkB := l.Result.Padded()
+	var allowance, space int
+	for _, f := range strings.Fields(out) {
+		if v, ok := strings.CutPrefix(f, "allowance="); ok {
+			allowance, _ = strconv.Atoi(v)
+		}
+		if v, ok := strings.CutPrefix(f, "dp-pairs="); ok {
+			space, _ = strconv.Atoi(v)
+		}
+	}
+	if want := len(walkA.View.ClassOf) * len(walkB.View.ClassOf); space != want || allowance == 0 || allowance > space {
+		t.Errorf("summary prints dp-pairs=%d and allowance=%d; the walk compares %d padded pairs: %q", space, allowance, want, out)
 	}
 }
 

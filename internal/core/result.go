@@ -279,8 +279,11 @@ func (r *Result) Summary() string {
 			r.cfg.Tier, r.TierNonMatchedPairs(), r.TierUncertainPairs)
 	}
 	if r.DP != nil {
-		s += fmt.Sprintf(" dp-eps=%v dp-delta=%v dummies=%d dummy-spent=%d",
-			r.DP.TotalEpsilon, r.DP.TotalDelta, r.DP.AliceDummies+r.DP.BobDummies, r.DP.DummySpent)
+		// Under DP the allowance is of the padded handle pairs the walk
+		// compares, not of the pairs= it sits beside.
+		s += fmt.Sprintf(" dp-eps=%v dp-delta=%v dp-pairs=%d dummies=%d dummy-spent=%d",
+			r.DP.TotalEpsilon, r.DP.TotalDelta, len(r.pads[0].View.ClassOf)*len(r.pads[1].View.ClassOf),
+			r.DP.AliceDummies+r.DP.BobDummies, r.DP.DummySpent)
 	}
 	return s + " trust=single-domain (SMC and DP padding are a cost model here)"
 }

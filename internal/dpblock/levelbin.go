@@ -12,22 +12,22 @@ import (
 // views are published under.
 const LevelMethodName = "bin"
 
-// BinRecord generalizes record i to its depth-level bin: one VGH ancestor
-// node (categorical) or interval bucket (continuous) per QID. The mapping
-// is a pure function of the record's own cells — it never looks at the
-// rest of the dataset — which is the property the incremental subsystem
-// rests on: a record's bin is fixed the moment it arrives and appending
-// more records never moves it.
-func BinRecord(d *dataset.Dataset, qids []int, i, level int) (vgh.Sequence, error) {
+// AppendBinRecord appends record i's depth-level bin to seq: one VGH
+// ancestor node (categorical) or interval bucket (continuous) per QID. The
+// mapping is a pure function of the record's own cells — it never looks
+// at the rest of the dataset — which is the property the incremental
+// subsystem rests on: a record's bin is fixed the moment it arrives and
+// appending more records never moves it. A caller that keeps only some
+// bins reuses one buffer for the rest.
+func AppendBinRecord(seq vgh.Sequence, d *dataset.Dataset, qids []int, i, level int) (vgh.Sequence, error) {
 	rec := d.Record(i)
-	seq := make(vgh.Sequence, len(qids))
-	for j, q := range qids {
+	for _, q := range qids {
 		attr := d.Schema().Attr(q)
 		switch attr.Kind {
 		case dataset.Categorical:
-			seq[j] = vgh.CatValue(attr.Hierarchy.GeneralizeToDepth(rec.Cells[q].Node, level))
+			seq = append(seq, vgh.CatValue(attr.Hierarchy.GeneralizeToDepth(rec.Cells[q].Node, level)))
 		case dataset.Continuous:
-			seq[j] = vgh.NumValue(attr.Intervals.At(rec.Cells[q].Num, level))
+			seq = append(seq, vgh.NumValue(attr.Intervals.At(rec.Cells[q].Num, level)))
 		default:
 			return nil, fmt.Errorf("dpblock: attribute %q has unknown kind", attr.Name)
 		}
@@ -50,7 +50,7 @@ func binSequences(d *dataset.Dataset, qids []int, level int) ([]vgh.Sequence, er
 	}
 	seqs := make([]vgh.Sequence, d.Len())
 	for i := 0; i < d.Len(); i++ {
-		seq, err := BinRecord(d, qids, i, level)
+		seq, err := AppendBinRecord(make(vgh.Sequence, 0, len(qids)), d, qids, i, level)
 		if err != nil {
 			return nil, err
 		}

@@ -15,18 +15,15 @@ import (
 	"pprl/internal/resolve"
 )
 
-// TestAppendDoesNotMaterializePairs: 64 new records in one bin facing a
-// resident bin of 4,096 are 262,144 Unknown pairs. As a [][2]int32 list that
-// was 2 MB per append before the engine handed the kernel the bins' own
-// member slices; now the append allocates what 64 records cost — their
-// cells' encodings, a group, the kernel's chunk buffers — far below it.
-func TestAppendDoesNotMaterializePairs(t *testing.T) {
-	const resident, fresh = 4096, 64
+// oneBinAges is an Adult schema, a maker of n copies of one record at a
+// given age with entity ids 0…n-1, and two ages nine years apart that the
+// live binner puts in one bin: a pair across them is Unknown, bought, and
+// never a match, so the delta log stays out of a measurement.
+func oneBinAges(t *testing.T) (*dataset.Schema, func(n int, age float64) []dataset.Record, [2]float64) {
+	t.Helper()
 	one := adult.Generate(1, 91)
 	schema, base := one.Schema(), one.Records()[0]
 	ageIdx, _ := schema.Index(adult.AttrAge)
-	// Same bin, nine years apart: every pair is bought and none matches, so
-	// the delta log stays out of the measurement.
 	repeat := func(n int, age float64) []dataset.Record {
 		recs := make([]dataset.Record, n)
 		for x := range recs {
@@ -35,8 +32,7 @@ func TestAppendDoesNotMaterializePairs(t *testing.T) {
 		}
 		return recs
 	}
-	var bin [2]float64
-	for lo := 17.0; ; lo++ { // two ages the binner puts together
+	for lo := 17.0; lo <= 80; lo++ {
 		eng, err := incremental.New(schema, incremental.Config{QIDs: adult.DefaultQIDs()})
 		if err != nil {
 			t.Fatal(err)
@@ -45,14 +41,71 @@ func TestAppendDoesNotMaterializePairs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if eng.Stats().Bins[0] == 1 {
-			bin = [2]float64{lo, lo + 9}
-			break
-		}
-		if lo > 80 {
-			t.Fatal("no age bin spans nine years; the fixture needs another attribute")
+			return schema, repeat, [2]float64{lo, lo + 9}
 		}
 	}
+	t.Fatal("no age bin spans nine years; the fixture needs another attribute")
+	return nil, nil, [2]float64{}
+}
 
+// raceDetector is set when the tests run under the race detector.
+var raceDetector bool
+
+// TestResidentBatchAllocs: a batch whose records all land in resident bins
+// allocates nothing a record at a time — the side's records, ids,
+// encodings and bin members grow amortized — and no bin sequence, touched
+// set or group list of its own: the binning buffer, the touched bins and
+// the candidate groups are the engine's, reused batch after batch.
+// Counted as the rise in allocations per Append from one record to 33,
+// which was 1.31 a record while every record's bin sequence was made.
+func TestResidentBatchAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are a plain build's")
+	}
+	schema, repeat, bin := oneBinAges(t)
+	eng, err := incremental.New(schema, incremental.Config{QIDs: adult.DefaultQIDs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Append(1, repeat(4, bin[0])); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		const runs = 20
+		batches := make([][]dataset.Record, runs+2) // AllocsPerRun warms up once
+		for x := range batches {
+			batches[x] = repeat(n, bin[1])
+		}
+		if _, err := eng.Append(0, batches[runs+1]); err != nil { // the bin is resident from here on
+			t.Fatal(err)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := eng.Append(0, batches[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	one, many := allocs(1), allocs(33)
+	perRecord := (many - one) / 32
+	t.Logf("allocations per Append: %.1f for one record, %.1f for 33: %.2f a record", one, many, perRecord)
+	if st := eng.Stats(); st.Bins != [2]int{1, 1} || st.Deltas != 0 {
+		t.Fatalf("fixture: bins %v and %d deltas, want one bin a side and none", st.Bins, st.Deltas)
+	}
+	if perRecord > 0.5 {
+		t.Errorf("a record in a resident bin costs %.2f allocations, want under half of one: only amortized growth", perRecord)
+	}
+}
+
+// TestAppendDoesNotMaterializePairs: 64 new records in one bin facing a
+// resident bin of 4,096 are 262,144 Unknown pairs. As a [][2]int32 list that
+// was 2 MB per append before the engine handed the kernel the bins' own
+// member slices; now the append allocates what 64 records cost — their
+// cells' encodings, a group, the kernel's chunk buffers — far below it.
+func TestAppendDoesNotMaterializePairs(t *testing.T) {
+	const resident, fresh = 4096, 64
+	schema, repeat, bin := oneBinAges(t)
 	eng, err := incremental.New(schema, incremental.Config{QIDs: adult.DefaultQIDs()})
 	if err != nil {
 		t.Fatal(err)

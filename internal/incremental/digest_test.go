@@ -101,7 +101,7 @@ func TestBinNewMatchesKey(t *testing.T) {
 			byKey := map[string]int{}
 			var want []bin
 			for i := 0; i < s.data.Len(); i++ {
-				seq, err := dpblock.BinRecord(s.data, e.qids, i, level)
+				seq, err := dpblock.AppendBinRecord(nil, s.data, e.qids, i, level)
 				if err != nil {
 					t.Fatal(err)
 				}

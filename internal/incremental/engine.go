@@ -122,10 +122,15 @@ type Engine struct {
 	// deltas[b] is what batch b emitted: a capped window of a chunk of
 	// the log, never written after its commit; the log is never copied to
 	// grow. chunk is the log's last chunk, filled to its length. scratch is
-	// where a batch collects its deltas, reused by the next one.
+	// where a batch collects its deltas, seq where it bins a record,
+	// touched the bins its records landed in and groups its candidate
+	// groups: each is reused by the next batch.
 	deltas  [][]Delta
 	chunk   []Delta
 	scratch []Delta
+	seq     vgh.Sequence
+	touched []int32
+	groups  []group
 	stats   Stats
 	stages  metrics.Stages
 	failed  bool
@@ -415,16 +420,18 @@ func (e *Engine) log(deltas []Delta) []Delta {
 // the touched bin ids in ascending order.
 func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 	s := e.sides[sideIdx]
-	touchedSet := make(map[int32]bool)
+	touched := e.touched[:0]
 	var kbuf [128]byte
 	for i := base; i < s.data.Len(); i++ {
-		seq, err := dpblock.BinRecord(s.data, e.qids, i, e.cfg.Level)
+		seq, err := dpblock.AppendBinRecord(e.seq[:0], s.data, e.qids, i, e.cfg.Level)
 		if err != nil {
 			return nil, err
 		}
+		e.seq = seq
 		kb := appendBinKey(kbuf[:0], seq)
 		bi, ok := s.byKey[string(kb)]
 		if !ok {
+			seq = slices.Clone(seq) // a new bin keeps its sequence
 			id, err := s.live.Insert(seq)
 			if err != nil {
 				return nil, fmt.Errorf("incremental: %w", err)
@@ -437,14 +444,11 @@ func (e *Engine) binNew(sideIdx, base int) ([]int32, error) {
 			s.byKey[string(kb)] = bi
 		}
 		s.bins[bi].members = append(s.bins[bi].members, i)
-		touchedSet[bi] = true
-	}
-	touched := make([]int32, 0, len(touchedSet))
-	for bi := range touchedSet {
 		touched = append(touched, bi)
 	}
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-	return touched, nil
+	slices.Sort(touched)
+	e.touched = slices.Compact(touched)
+	return e.touched, nil
 }
 
 // appendBinKey appends a bin's identity to kb, formatting nothing where
@@ -482,7 +486,8 @@ func (e *Engine) compareGroups(gx, gy *group) int {
 // the budget loop; everything else is a certain NonMatch and is dropped
 // unenumerated where the live index excluded it.
 func (e *Engine) collectGroups(sideIdx, base int, touched []int32, batch int, deltas *[]Delta) []group {
-	var groups []group
+	groups := e.groups[:0]
+	defer func() { e.groups = groups }()
 	buf := make([]float64, e.rule.Len())
 	s := e.sides[sideIdx]
 

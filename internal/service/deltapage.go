@@ -15,36 +15,120 @@ import (
 // A delta page is written and read by hand: at paper scale a page holds a
 // few thousand deltas, and a consumer waits for it before it sends the
 // next batch, so reflection over every delta is on the live path twice.
-// The page is the JSON object of DeltasResponse with each delta as five
-// integers in Delta's field order; encoding/json reads it into any shape
-// with a [][]int "deltas".
+// The page is the JSON object of DeltasResponse with its deltas as runs:
+// a run is a maximal stretch of consecutive deltas of one batch that
+// share one record, written as the integers
+//
+//	[batch, axis, k, k_id, o₁, o₁_id, o₂, o₂_id, …]
+//
+// With axis 0 the deltas share i, so k/k_id are i/alice_id and each
+// o/o_id a j/bob_id; with axis 1 they share j, the reverse. A lone delta
+// is an axis-0 run with one partner. A live batch's deltas come a new
+// record at a time (DESIGN.md §15), so a run holds about eleven of them
+// and the page about half the bytes of one five-integer row a delta. A
+// run has 4 + 2n integers, never five, so a reader of five-integer rows
+// refuses a run page rather than misreading it, and the reverse.
+// encoding/json reads a page into any shape with a [][]int "deltas".
 
-// pagePool holds the buffers delta pages are encoded in (≈ 70 KB a page
+// pagePool holds the buffers delta pages are encoded in (≈ 32 KB a page
 // at paper scale).
 var pagePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendDeltasPage appends the page {dataset, from, next, deltas} —
-// deltas being the batches' deltas end to end — to buf as encoding/json
-// writes it, less the encoder's final newline; an empty page has
-// "deltas":[].
+// deltas being the batches' deltas end to end, written as runs greedily
+// in log order — to buf as encoding/json writes it, less the encoder's
+// final newline; an empty page has "deltas":[].
 func appendDeltasPage(buf []byte, dataset string, from, next int, batches [][]incremental.Delta) []byte {
 	id, _ := json.Marshal(dataset) // a string always encodes; this is json's escaping
 	buf = append(append(buf, `{"dataset":`...), id...)
 	buf = strconv.AppendInt(append(buf, `,"from":`...), int64(from), 10)
 	buf = strconv.AppendInt(append(buf, `,"next":`...), int64(next), 10)
-	buf = append(buf, `,"deltas":[`...)
-	sep := ""
+	w := runWriter{buf: append(buf, `,"deltas":[`...)}
 	for _, deltas := range batches {
 		for _, d := range deltas {
-			buf = strconv.AppendInt(append(append(buf, sep...), '['), int64(d.Batch), 10)
-			buf = strconv.AppendInt(append(buf, ','), int64(d.I), 10)
-			buf = strconv.AppendInt(append(buf, ','), int64(d.J), 10)
-			buf = strconv.AppendInt(append(buf, ','), int64(d.AliceID), 10)
-			buf = strconv.AppendInt(append(buf, ','), int64(d.BobID), 10)
-			buf, sep = append(buf, ']'), ","
+			w.add(d)
 		}
 	}
-	return append(buf, "]}"...)
+	return append(w.flush(), "]}"...)
+}
+
+// runWriter writes deltas as runs. The open run's first delta is held
+// until the next one says which endpoint the run shares; from its second
+// delta on, the run is written as it grows and left unclosed.
+type runWriter struct {
+	buf  []byte
+	n    int               // deltas in the open run, 0 if none is open
+	axis int               // the open run's axis once n > 1
+	last incremental.Delta // the open run's latest delta
+	sep  bool              // a run precedes the open one
+}
+
+// shares reports whether a and b are of one batch and share the record
+// the axis names.
+func shares(a, b incremental.Delta, axis int) bool {
+	if axis == 0 {
+		return a.Batch == b.Batch && a.I == b.I && a.AliceID == b.AliceID
+	}
+	return a.Batch == b.Batch && a.J == b.J && a.BobID == b.BobID
+}
+
+// add extends the open run with d, or closes it and holds d as the next
+// run's first delta.
+func (w *runWriter) add(d incremental.Delta) {
+	switch {
+	case w.n > 1 && shares(w.last, d, w.axis):
+	case w.n == 1 && shares(w.last, d, 0):
+		w.open(w.last, 0)
+	case w.n == 1 && shares(w.last, d, 1):
+		w.open(w.last, 1)
+	default:
+		w.flush()
+		w.n, w.last = 1, d
+		return
+	}
+	w.partner(d)
+	w.n, w.last = w.n+1, d
+}
+
+// open writes the head of h's run on the axis, and h's partner.
+func (w *runWriter) open(h incremental.Delta, axis int) {
+	if w.sep {
+		w.buf = append(w.buf, ',')
+	}
+	w.axis = axis
+	k, kid := h.I, h.AliceID
+	if axis == 1 {
+		k, kid = h.J, h.BobID
+	}
+	w.buf = strconv.AppendInt(append(w.buf, '['), int64(h.Batch), 10)
+	w.buf = append(w.buf, ',', byte('0'+axis))
+	w.buf = strconv.AppendInt(append(w.buf, ','), int64(k), 10)
+	w.buf = strconv.AppendInt(append(w.buf, ','), int64(kid), 10)
+	w.partner(h)
+}
+
+// partner writes d's other endpoint.
+func (w *runWriter) partner(d incremental.Delta) {
+	o, oid := d.J, d.BobID
+	if w.axis == 1 {
+		o, oid = d.I, d.AliceID
+	}
+	w.buf = strconv.AppendInt(append(w.buf, ','), int64(o), 10)
+	w.buf = strconv.AppendInt(append(w.buf, ','), int64(oid), 10)
+}
+
+// flush closes the open run, writing a held lone delta as an axis-0 run
+// first, and returns the buffer.
+func (w *runWriter) flush() []byte {
+	if w.n == 1 {
+		w.open(w.last, 0)
+	}
+	if w.n > 0 {
+		w.buf = append(w.buf, ']')
+		w.sep = true
+	}
+	w.n = 0
+	return w.buf
 }
 
 // MarshalJSON writes the page as the server does.
@@ -56,8 +140,9 @@ func (p DeltasResponse) MarshalJSON() ([]byte, error) {
 // what encoding/json takes into the page's shape — any whitespace and key
 // order, keys matched as encoding/json matches them (exactly, else under
 // case folding), unknown keys skipped, the last of a repeated key kept,
-// null as no value — and refuses a delta that is not five integers, a
-// number that is not an int, and bytes after the page. Deltas is sized
+// null as no value — and refuses a run that is not 4 + 2n integers
+// (n ≥ 1) or whose axis is not 0 or 1, a number that is not an int, and
+// bytes after the page. Deltas is sized
 // once and replaced, not reused.
 func (p *DeltasResponse) UnmarshalJSON(data []byte) error {
 	d := pageDecoder{buf: data}
@@ -184,28 +269,31 @@ func pageField(key string) string {
 	return ""
 }
 
-// deltas reads the deltas array, sized once: every delta opens with a
-// '[', and takes at least "[0,0,0,0,0]", so the brackets left in the page,
-// capped by its bytes left, bound its length.
+// deltas reads the deltas array of runs, sized once: r runs holding n
+// deltas are written with r opening brackets and 4r + 2n - 1 commas, so
+// the brackets and commas left in the page size it (commas after the
+// array make it larger, and one written otherwise only grows it).
 func (d *pageDecoder) deltas() ([]incremental.Delta, error) {
 	if err := d.expect('['); err != nil {
 		return nil, err
 	}
 	rest := d.buf[d.off:]
-	out := make([]incremental.Delta, 0, min(bytes.Count(rest, []byte{'['}), len(rest)/len("[0,0,0,0,0]")+1))
+	n := (bytes.Count(rest, []byte{','})+1)/2 - 2*bytes.Count(rest, []byte{'['})
+	out := make([]incremental.Delta, 0, max(n, 0))
 	if d.ws() == ']' {
 		d.off++
 		return out, nil
 	}
-	for {
-		delta, ok := d.canonical()
-		if !ok {
-			var err error
-			if delta, err = d.delta(len(out)); err != nil {
-				return nil, err
-			}
+	var scratch [64]int
+	ints := scratch[:0] // the run being read, reused
+	for x := 0; ; x++ {
+		var err error
+		if ints, err = d.ints(ints[:0]); err != nil {
+			return nil, err
 		}
-		out = append(out, delta)
+		if out, err = appendRun(out, ints); err != nil {
+			return nil, d.errorf("run %d: %v", x, err)
+		}
 		switch d.ws() {
 		case ',':
 			d.off++
@@ -218,17 +306,67 @@ func (d *pageDecoder) deltas() ([]incremental.Delta, error) {
 	}
 }
 
-// canonical reads the delta at off if it is written as appendDeltasPage
-// writes one — "[n,n,n,n,n]", no whitespace, each n an integer of at most
-// 18 digits without a leading zero — and reports whether it was; if not,
-// off has not moved, and the general path reads the delta from its start.
-func (d *pageDecoder) canonical() (incremental.Delta, bool) {
+// appendRun appends the deltas of the run r, [batch, axis, k, k_id, o₁,
+// o₁_id, …], to out.
+func appendRun(out []incremental.Delta, r []int) ([]incremental.Delta, error) {
+	switch {
+	case len(r) < 6 || len(r)%2 != 0:
+		return nil, fmt.Errorf("%d integers, want 4 + 2n with n ≥ 1", len(r))
+	case r[1] != 0 && r[1] != 1:
+		return nil, fmt.Errorf("axis %d is neither 0 nor 1", r[1])
+	}
+	for p := 4; p < len(r); p += 2 {
+		d := incremental.Delta{Batch: r[0], I: r[2], AliceID: r[3], J: r[p], BobID: r[p+1]}
+		if r[1] == 1 {
+			d = incremental.Delta{Batch: r[0], J: r[2], BobID: r[3], I: r[p], AliceID: r[p+1]}
+		}
+		out = append(out, d)
+	}
+	return out, nil
+}
+
+// ints appends the integers of the array at off to dst, written any way
+// encoding/json takes an array of integers.
+func (d *pageDecoder) ints(dst []int) ([]int, error) {
+	if dst, ok := d.canonical(dst); ok {
+		return dst, nil
+	}
+	if err := d.expect('['); err != nil {
+		return nil, err
+	}
+	if d.ws() == ']' {
+		d.off++
+		return dst, nil
+	}
+	for {
+		v, err := d.integer()
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, v)
+		switch d.ws() {
+		case ',':
+			d.off++
+		case ']':
+			d.off++
+			return dst, nil
+		default:
+			return nil, d.errorf("want ',' or ']'")
+		}
+	}
+}
+
+// canonical appends the integers of the array at off to dst if it is
+// written as appendDeltasPage writes one — "[n,n,…]", no whitespace, each
+// n an integer of at most 18 digits without a leading zero — and reports
+// whether it was; if not, off has not moved, and the general path reads
+// the array from its start into dst as it was.
+func (d *pageDecoder) canonical(dst []int) ([]int, bool) {
 	buf, off := d.buf, d.off
 	if off >= len(buf) || buf[off] != '[' {
-		return incremental.Delta{}, false
+		return dst, false
 	}
-	var row [5]int
-	for k := range row {
+	for {
 		off++
 		neg := off < len(buf) && buf[off] == '-'
 		if neg {
@@ -239,43 +377,22 @@ func (d *pageDecoder) canonical() (incremental.Delta, bool) {
 		for ; off < len(buf) && buf[off]-'0' <= 9; off++ {
 			v = v*10 + int(buf[off]-'0')
 		}
-		switch n := off - start; {
-		case n == 0 || n > 18 || n > 1 && buf[start] == '0':
-			return incremental.Delta{}, false
-		case off == len(buf) || k < 4 && buf[off] != ',' || k == 4 && buf[off] != ']':
-			return incremental.Delta{}, false
-		case neg:
+		if n := off - start; n == 0 || n > 18 || n > 1 && buf[start] == '0' || off == len(buf) {
+			return dst, false
+		}
+		if neg {
 			v = -v
 		}
-		row[k] = v
-	}
-	d.off = off + 1
-	return incremental.Delta{Batch: row[0], I: row[1], J: row[2], AliceID: row[3], BobID: row[4]}, true
-}
-
-// delta reads the x-th delta of the page, written any way encoding/json
-// takes five integers.
-func (d *pageDecoder) delta(x int) (incremental.Delta, error) {
-	var row [5]int
-	if err := d.expect('['); err != nil {
-		return incremental.Delta{}, err
-	}
-	for k := range row {
-		if k > 0 {
-			if err := d.expect(','); err != nil {
-				return incremental.Delta{}, d.errorf("delta %d: want 5 integers", x)
-			}
+		dst = append(dst, v)
+		switch buf[off] {
+		case ']':
+			d.off = off + 1
+			return dst, true
+		case ',':
+		default:
+			return dst, false
 		}
-		v, err := d.integer()
-		if err != nil {
-			return incremental.Delta{}, err
-		}
-		row[k] = v
 	}
-	if err := d.expect(']'); err != nil {
-		return incremental.Delta{}, d.errorf("delta %d: want 5 integers", x)
-	}
-	return incremental.Delta{Batch: row[0], I: row[1], J: row[2], AliceID: row[3], BobID: row[4]}, nil
 }
 
 // integer reads a JSON number that is an int: no fraction, no exponent,

@@ -117,10 +117,13 @@ type AppendAck struct {
 // DeltasResponse is the body of GET /v1/datasets/{id}/deltas?from=N: the
 // Match pairs discovered by batches [from, next), which are exactly the
 // pairs a consumer who integrated batches < from is missing. Polling
-// with from=next never re-reads a delta. On the wire each delta is
-// positional, [batch,i,j,alice_id,bob_id] (deltapage.go):
+// with from=next never re-reads a delta. On the wire the deltas are
+// positional runs, each a stretch of one batch's deltas that share one
+// record, [batch,axis,k,k_id,o₁,o₁_id,…] (deltapage.go). Here batch 3
+// matched alice record 12 to bob records 40 and 41, and batch 4 bob
+// record 7 to alice records 30 and 31:
 //
-//	{"dataset":"ds-000001","from":3,"next":5,"deltas":[[3,12,40,1012,2040]]}
+//	{"dataset":"ds-000001","from":3,"next":5,"deltas":[[3,0,12,1012,40,2040,41,2041],[4,1,7,2007,30,1030,31,1031]]}
 type DeltasResponse struct {
 	Dataset string
 	From    int

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/dpblock"
+	"pprl/internal/incremental"
 	"pprl/internal/journal"
 	"pprl/internal/oracle"
 	"pprl/internal/testkit"
@@ -487,6 +489,104 @@ func TestServiceDedupDataset(t *testing.T) {
 	}
 	if err := oracle.CheckDedupDeltas(pairs, orc); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDeltasReadThreeWays: a two-sided dataset and a dedup one hand out
+// the same deltas, delta for delta and in order, as a GET page, as the SSE
+// frames of a stream followed from before the first batch, and through
+// the engine's own log. The dedup page's runs take both axes: a new
+// record is the j of its pairs with residents and the i of its pairs with
+// the batch's later records.
+func TestDeltasReadThreeWays(t *testing.T) {
+	dataDir := t.TempDir()
+	da, db := dataset.SplitOverlap(adult.Generate(400, 61), rand.New(rand.NewSource(62)))
+	as, bs := sliceBatches(t, dataDir, "a", da, 3), sliceBatches(t, dataDir, "b", db, 3)
+	ds := sliceBatches(t, dataDir, "d", adult.Generate(240, 63), 4)
+	var twoSided, dedup []AppendRequest
+	for k := range as {
+		twoSided = append(twoSided, AppendRequest{Side: "alice", Path: as[k]}, AppendRequest{Side: "bob", Path: bs[k]})
+	}
+	for _, ref := range ds {
+		dedup = append(dedup, AppendRequest{Path: ref})
+	}
+	s, ts := newTestServer(t, Config{Dir: t.TempDir(), DataDir: dataDir})
+	for _, c := range []struct {
+		name  string
+		dedup bool
+		reqs  []AppendRequest
+	}{{"two-sided", false, twoSided}, {"dedup", true, dedup}} {
+		t.Run(c.name, func(t *testing.T) {
+			st := registerDataset(t, ts, DatasetSpec{Dedup: c.dedup, Params: cliutil.Params{Allowance: serviceAmple}})
+			stream, err := http.Get(fmt.Sprintf("%s/v1/datasets/%s/deltas?from=0&stream=1", ts.URL, st.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stream.Body.Close()
+			for _, req := range c.reqs {
+				if code, _ := appendBatch(t, ts, st.ID, req); code != http.StatusAccepted {
+					t.Fatalf("append %s answered %d", req.Path, code)
+				}
+			}
+			var streamed []incremental.Delta
+			frames := 0
+			sc := bufio.NewScanner(stream.Body)
+			sc.Buffer(nil, 1<<24)
+			for next := 0; next < len(c.reqs) && sc.Scan(); {
+				line, ok := strings.CutPrefix(sc.Text(), "data: ")
+				if !ok {
+					continue
+				}
+				var frame DeltasResponse
+				if err := json.Unmarshal([]byte(line), &frame); err != nil {
+					t.Fatalf("frame %d: %v", frames, err)
+				}
+				if frame.From != next {
+					t.Fatalf("frame %d starts at batch %d, want %d", frames, frame.From, next)
+				}
+				streamed, next = append(streamed, frame.Deltas...), frame.Next
+				frames++
+			}
+
+			resp, err := http.Get(ts.URL + "/v1/datasets/" + st.ID + "/deltas?from=0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var page DeltasResponse
+			if err == nil {
+				err = json.Unmarshal(raw, &page)
+			}
+			if err != nil || page.Next != len(c.reqs) {
+				t.Fatalf("page next %d (%v), want %d", page.Next, err, len(c.reqs))
+			}
+			ld, err := s.liveOnly(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, batches := ld.eng.Deltas(0)
+			logged := slices.Concat(batches...)
+			if len(logged) == 0 || !slices.Equal(page.Deltas, logged) || !slices.Equal(streamed, logged) {
+				t.Fatalf("%d logged deltas; the page reads %d, %d SSE frames %d, not the same in order", len(logged), len(page.Deltas), frames, len(streamed))
+			}
+
+			var runs reflectivePage
+			if err := json.Unmarshal(raw, &runs); err != nil {
+				t.Fatal(err)
+			}
+			var shared [2]int // runs of two deltas or more, by axis
+			for _, r := range runs.Deltas {
+				if len(r) >= 8 {
+					shared[r[1]]++
+				}
+			}
+			t.Logf("%d deltas in %d runs (%d, %d of two or more on axis 0, 1), %d SSE frames, %.1f B a delta",
+				len(logged), len(runs.Deltas), shared[0], shared[1], frames, float64(len(raw))/float64(len(logged)))
+			if c.dedup && (shared[0] == 0 || shared[1] == 0) {
+				t.Errorf("the dedup page shares records on axis 0 in %d runs and axis 1 in %d; want both", shared[0], shared[1])
+			}
+		})
 	}
 }
 
