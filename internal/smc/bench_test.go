@@ -83,10 +83,12 @@ func BenchmarkSecureBatch(b *testing.B) {
 // BenchmarkSecureRun is the fan-out curve: throughput of the default
 // deployment geometry (5 attributes, packed results, 1024-bit key) when
 // every Alice record meets len of Bob's in a row. len=1 is the per-pair
-// protocol; at 8 and beyond a run fills half the window, the share sets
-// per pair bottom out at 1/8 and — at a slot width with room for more than
-// one pair per ciphertext — so do the ciphertexts per pair. bits=30 is the
-// width of a spec built without a schema (9 slots: one pair per
+// protocol; at 16 and beyond a run reaches the protocol's cap (half the
+// default window), the share sets per pair bottom out at 1/16 and — at a
+// slot width with room for more than one pair per ciphertext — so do the
+// ciphertexts per pair; len=8 is the cut of a 16-frame window.
+// B/pair is every byte on the three links, share sets included. bits=30
+// is the width of a spec built without a schema (9 slots: one pair per
 // ciphertext), bits=7 what BoundBySchema derives for Adult's default
 // quasi-identifiers (17 slots: three pairs).
 func BenchmarkSecureRun(b *testing.B) {
@@ -104,13 +106,14 @@ func BenchmarkSecureRun(b *testing.B) {
 			{Mode: ModeEquality}, {Mode: ModeThreshold, T: 16}, {Mode: ModeEquality},
 			{Mode: ModeThreshold, T: 64}, {Mode: ModeEquality},
 		}}
-		for _, length := range []int{1, 8, 32} {
+		for _, length := range []int{1, 8, 16, 32} {
 			b.Run(fmt.Sprintf("bits=%d/len=%d", valueBits, length), func(b *testing.B) {
 				pairs := make([][2]int, 64)
 				for k := range pairs {
 					pairs[k] = [2]int{k / length, k % len(bob)}
 				}
 				cmp, shares := startLanes(b, spec, alice, bob, 1, 64, 1024)
+				keyBytes := cmp.BytesTransferred()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -122,6 +125,7 @@ func BenchmarkSecureRun(b *testing.B) {
 				total := float64(b.N * len(pairs))
 				b.ReportMetric(total/b.Elapsed().Seconds(), "pairs/s")
 				b.ReportMetric(float64(shares.Load())/total, "share-sets/pair")
+				b.ReportMetric(float64(cmp.BytesTransferred()-keyBytes)/total, "B/pair")
 				// One decryption per ciphertext received.
 				b.ReportMetric(float64(cmp.Decryptions())/total, "ciphertexts/pair")
 				b.ReportMetric(float64(cmp.Decryptions())/float64(cmp.Invocations()), "decryptions/comparison")

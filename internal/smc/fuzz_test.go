@@ -40,7 +40,7 @@ func scriptedFrames(t *testing.T, pk *paillier.PublicKey, spec *Spec, pairs [][2
 	var held []*paillier.Ciphertext
 	for lo := 0; lo < len(pairs); {
 		n := 1
-		for lo+n < len(pairs) && n < window/2 && pairs[lo+n][0] == pairs[lo][0] {
+		for lo+n < len(pairs) && n < wantRunCap(window) && pairs[lo+n][0] == pairs[lo][0] {
 			n++
 		}
 		for x, p := range pairs[lo : lo+n] {
@@ -77,6 +77,11 @@ func FuzzResultStream(f *testing.F) {
 	f.Add(uint8(2), []byte{0x31, 0xb2, 0x43}, uint16(0), uint8(2), int8(2))
 	f.Add(uint8(0), []byte{0x01, 0x81, 0x11, 0x91}, uint16(1), uint8(1), int8(-1))
 	f.Add(uint8(0), []byte{0x05, 0x86, 0x87}, uint16(2), uint8(3), int8(0))
+	// One run of maxRun pairs, damaged past position 8, where a 16-frame
+	// window would cut it: an echo, and a packed ciphertext moved to the
+	// run's next frame.
+	f.Add(uint8(0), []byte{0x01, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8a, 0x8b, 0x8c, 0x8d, 0x8e, 0x8f, 0x80}, uint16(11), uint8(0), int8(1))
+	f.Add(uint8(0), []byte{0x01, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8a, 0x8b, 0x8c, 0x8d, 0x8e, 0x8f, 0x80}, uint16(9), uint8(3), int8(1))
 
 	f.Fuzz(func(t *testing.T, geometry uint8, list []byte, frame uint16, field uint8, delta int8) {
 		if len(list) == 0 {
@@ -99,7 +104,11 @@ func FuzzResultStream(f *testing.F) {
 		}
 		// A byte is a pair: the high bit keeps Alice's record of the pair
 		// before (a run), otherwise bits 4–6 name it; the low four are Bob's.
-		list = list[:min(len(list), 48)] // with the key, within the links' 64 frames: nothing here blocks
+		// Nobody reads the query's requests and the whole result stream is
+		// queued before the call, so whatever the window (the default, 32,
+		// here) each link holds at most the key or the shutdown and one
+		// frame a pair: 49 of its 64 frames, and nothing here blocks.
+		list = list[:min(len(list), 48)]
 		pairs := make([][2]int, len(list))
 		for k, b := range list {
 			pairs[k] = [2]int{int(b>>4) % 8, int(b & 15)}

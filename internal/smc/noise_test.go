@@ -160,12 +160,12 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec func(*Spec)
-		// perRun is the number of ciphertexts Bob sends for a run of 8.
-		perRun int
+		// perCiphertext is how many pairs share one of Bob's ciphertexts.
+		perCiphertext int
 	}{
-		{"packed", func(*Spec) {}, 8},
+		{"packed", func(*Spec) {}, 1},
 		// 60-bit slots: two pairs of two values fill a 256-bit ciphertext.
-		{"packed-across-the-run", func(s *Spec) { s.ValueBits = 7 }, 4},
+		{"packed-across-the-run", func(s *Spec) { s.ValueBits = 7 }, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := testSpec()
@@ -200,7 +200,10 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 			// as often as a run is long: same shares, same inputs, so the
 			// results differ by Bob's blinds and units alone.
 			const runs = 12 // 12 runs × ≥ 4 fair coins: no mixed run has probability 2^-36
-			run := make([][2]int, q.window/2)
+			// The longest run the session opens, and the ciphertexts Bob
+			// sends for it.
+			run := make([][2]int, wantRunCap(q.window))
+			perRun := (len(run) + tc.perCiphertext - 1) / tc.perCiphertext
 			mixed := 0
 			seen := map[string]bool{}
 			for r := 0; r < runs; r++ {
@@ -244,8 +247,8 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 						}
 					}
 				}
-				if counts[1]+counts[-1] != tc.perRun {
-					t.Fatalf("run %d: Jacobi symbols %v, want %d ciphertexts with ±1", r, counts, tc.perRun)
+				if counts[1]+counts[-1] != perRun {
+					t.Fatalf("run %d: Jacobi symbols %v, want %d ciphertexts with ±1", r, counts, perRun)
 				}
 				if counts[1] > 0 && counts[-1] > 0 {
 					mixed++
@@ -260,8 +263,8 @@ func TestBobResultsCarryUniformUnits(t *testing.T) {
 			if err := <-errs; err != nil {
 				t.Fatalf("bob: %v", err)
 			}
-			if draws := eng.pool.Draws(); draws != int64(runs*tc.perRun) {
-				t.Errorf("bob drew %d units from his pool for %d ciphertexts sent", draws, runs*tc.perRun)
+			if draws := eng.pool.Draws(); draws != int64(runs*perRun) {
+				t.Errorf("bob drew %d units from his pool for %d ciphertexts sent", draws, runs*perRun)
 			}
 		})
 	}

@@ -547,14 +547,16 @@ func verdict(vals []*big.Int) bool {
 	return true
 }
 
+// maxRun is the protocol's cap on the records of one run: Bob refuses a
+// longer list, so it is part of the frame contract, not a tuning knob.
+const maxRun = 16
+
 // defaultPipelineWindow bounds how many result frames may be in flight
 // during CompareBatch when the transport does not advertise a frame
-// buffer.
-const defaultPipelineWindow = 16
-
-// maxRun is the protocol's cap on the records of one run. A run is in
-// flight as a whole, so none can outgrow the largest window.
-const maxRun = defaultPipelineWindow
+// buffer. It is twice the run cap, so two runs of maxRun pairs are in
+// flight at once: the holders work on one while this party decrypts the
+// other.
+const defaultPipelineWindow = 2 * maxRun
 
 // pipelineWindowFor derives the pipelining depth from the connections'
 // frame buffers: with at most min(buffer) result frames in flight — and
@@ -579,14 +581,15 @@ func pipelineWindowFor(conns ...Conn) int {
 }
 
 // runLen is the length of the run that opens pairs: the consecutive pairs
-// sharing its first pair's Alice record, cut at half the window. A run is
-// sent only when the window has room for all of it; at half the window
-// the next run always fits once the previous one has drained, so the
-// holders stay busy while this party decrypts. Sizing runs to whatever
+// sharing its first pair's Alice record, cut at min(window/2, maxRun). A
+// run is sent only when the window has room for all of it; at half the
+// window the next run always fits once the previous one has drained, so
+// the holders stay busy while this party decrypts. Sizing runs to whatever
 // room the last received result left would shrink them to one pair.
 func (q *QuerySession) runLen(pairs [][2]int) int {
+	limit := min(q.window/2, maxRun)
 	n := 1
-	for n < len(pairs) && n < q.window/2 && pairs[n][0] == pairs[0][0] {
+	for n < len(pairs) && n < limit && pairs[n][0] == pairs[0][0] {
 		n++
 	}
 	return n

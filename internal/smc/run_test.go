@@ -75,11 +75,18 @@ func startLanes(t testing.TB, spec *Spec, alice, bob [][]int64, lanes, buffer, k
 	return c, shares
 }
 
+// wantRunCap is the test's own statement of the longest run a session of
+// the given window opens: half the window, at least one pair, never more
+// than the cap Bob enforces.
+func wantRunCap(window int) int {
+	return min(max(window/2, 1), maxRun)
+}
+
 // wantShareSets is the test's own count of the runs CompareBatch must cut
 // a list into: maximal stretches of one Alice record, none longer than
-// half the window.
+// wantRunCap(window).
 func wantShareSets(pairs [][2]int, window int) int64 {
-	limit := max(window/2, 1)
+	limit := wantRunCap(window)
 	var runs int64
 	for x, length := 0, 0; x < len(pairs); x++ {
 		if x == 0 || pairs[x][0] != pairs[x-1][0] || length == limit {
@@ -172,9 +179,12 @@ func TestRunsMatchOracle(t *testing.T) {
 	alice := shardedTestRecords(9, 21)
 	bob := shardedTestRecords(11, 22)
 	// The group walk is where the saving lives: at the default window
-	// 9 × 11 pairs cost two share sets per Alice record, not eleven.
-	if n := wantShareSets(allPairs(len(alice), len(bob)), defaultPipelineWindow); n != 18 {
-		t.Fatalf("the test's splitter cuts the group walk into %d runs, want 18", n)
+	// 9 × 11 pairs cost ⌈11/cap⌉ share sets per Alice record (one), not
+	// eleven.
+	limit := wantRunCap(defaultPipelineWindow)
+	want := int64(len(alice) * ((len(bob) + limit - 1) / limit))
+	if n := wantShareSets(allPairs(len(alice), len(bob)), defaultPipelineWindow); n != want {
+		t.Fatalf("the test's splitter cuts the group walk into %d runs, want %d", n, want)
 	}
 
 	t.Run("frame-plan", testRunFramePlan)
@@ -322,9 +332,11 @@ func testRunFramePlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Runs are cut at half the window: widen it (the links hold
-			// 64 frames) so that they reach the protocol's cap.
-			q.window = 2 * maxRun
+			// The links hold 64 frames, so the session's window is the
+			// default, whose runs reach the protocol's cap.
+			if wantRunCap(q.window) != n {
+				t.Fatalf("window %d cuts runs at %d, want %d", q.window, wantRunCap(q.window), n)
+			}
 			got, err := q.CompareBatch(pairs)
 			if err != nil {
 				t.Fatalf("%d bits, d=%d: %v", geo.keyBits, d, err)

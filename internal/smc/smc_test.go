@@ -340,6 +340,35 @@ func TestShuffledAttributesSameVerdicts(t *testing.T) {
 	}
 }
 
+// tcpConnPair returns the two ends of a loopback TCP connection: the
+// accepting end first, then the dialing one.
+func tcpConnPair(t testing.TB) (server Conn, client Conn) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	type res struct {
+		c   net.Conn
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		c, err := l.Accept()
+		ch <- res{c, err}
+	}()
+	cc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-ch
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return NewNetConn(r.c), NewNetConn(cc)
+}
+
 // TestSecureOverTCP runs the same protocol with all three links on real
 // TCP connections.
 func TestSecureOverTCP(t *testing.T) {
@@ -347,36 +376,9 @@ func TestSecureOverTCP(t *testing.T) {
 	alice := [][]int64{{1, 10, 0}}
 	bob := [][]int64{{1, 11, 0}, {2, 40, 0}}
 
-	dial := func() (server Conn, client Conn) {
-		t.Helper()
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		type res struct {
-			c   net.Conn
-			err error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			c, err := l.Accept()
-			ch <- res{c, err}
-		}()
-		cc, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := <-ch
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		return NewNetConn(r.c), NewNetConn(cc)
-	}
-
-	aq, qa := dial() // alice's query link / query's alice link
-	bq, qb := dial()
-	ab, ba := dial()
+	aq, qa := tcpConnPair(t) // alice's query link / query's alice link
+	bq, qb := tcpConnPair(t)
+	ab, ba := tcpConnPair(t)
 
 	errs := make(chan error, 2)
 	go func() { errs <- RunAlice(aq, ab, alice, spec) }()

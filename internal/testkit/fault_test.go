@@ -28,6 +28,16 @@ var (
 	faultBob   = [][]int64{{3, 12}, {5, 43}, {7, 100}}
 	faultPairs = [][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}, {0, 1}, {0, 0}}
 	faultWant  = []bool{true, false, false, true, false, false, false, true}
+	// faultLongRun is one run of 16 pairs — the protocol's run cap — on
+	// Alice's first record: its results 8–15 (pairs 9–16) lie past the cut
+	// at 8 that a 16-frame window makes.
+	faultLongRun = func() [][2]int {
+		pairs := make([][2]int, 16)
+		for k := range pairs {
+			pairs[k] = [2]int{0, k % len(faultBob)}
+		}
+		return pairs
+	}()
 )
 
 // faultLinks exposes every protocol connection end so a scenario can
@@ -39,12 +49,12 @@ type faultLinks struct {
 }
 
 // runFaulty wires the three-party protocol over in-memory connections,
-// lets the scenario wrap links with faults, and runs a pipelined batch
-// with the same teardown-on-party-error behavior the production
+// lets the scenario wrap links with faults, and runs pairs as a pipelined
+// batch with the same teardown-on-party-error behavior the production
 // comparator uses. It returns the query side's verdicts and error plus
 // the first party-loop error. Hang guards fail the test rather than
 // letting a deadlocked protocol stall the suite.
-func runFaulty(t *testing.T, mutate func(*faultLinks)) (verdicts []bool, queryErr, partyErr error) {
+func runFaulty(t *testing.T, pairs [][2]int, mutate func(*faultLinks)) (verdicts []bool, queryErr, partyErr error) {
 	t.Helper()
 	qa, aq := smc.NewConnPair()
 	qb, bq := smc.NewConnPair()
@@ -90,7 +100,7 @@ func runFaulty(t *testing.T, mutate func(*faultLinks)) (verdicts []bool, queryEr
 			resCh <- outcome{nil, err}
 			return
 		}
-		v, err := session.CompareBatch(faultPairs)
+		v, err := session.CompareBatch(pairs)
 		session.Close()
 		resCh <- outcome{v, err}
 	}()
@@ -136,7 +146,7 @@ func assertFailedCleanly(t *testing.T, verdicts []bool, queryErr error) {
 }
 
 func TestFaultFreeBaseline(t *testing.T) {
-	verdicts, queryErr, partyErr := runFaulty(t, func(*faultLinks) {})
+	verdicts, queryErr, partyErr := runFaulty(t, faultPairs, func(*faultLinks) {})
 	if queryErr != nil || partyErr != nil {
 		t.Fatalf("clean run failed: query=%v party=%v", queryErr, partyErr)
 	}
@@ -148,7 +158,7 @@ func TestFaultFreeBaseline(t *testing.T) {
 }
 
 func TestFaultTruncatedShares(t *testing.T) {
-	verdicts, queryErr, partyErr := runFaulty(t, func(l *faultLinks) {
+	verdicts, queryErr, partyErr := runFaulty(t, faultPairs, func(l *faultLinks) {
 		l.ab = WrapFaulty(l.ab, Fault{Pos: 0, Kind: FaultTruncate})
 	})
 	assertFailedCleanly(t, verdicts, queryErr)
@@ -161,7 +171,7 @@ func TestFaultGarbledShares(t *testing.T) {
 	// Garbling the second run's shares lets the first run finish, proving
 	// a mid-batch fault still fails the whole batch instead of returning
 	// partial verdicts.
-	verdicts, queryErr, _ := runFaulty(t, func(l *faultLinks) {
+	verdicts, queryErr, _ := runFaulty(t, faultPairs, func(l *faultLinks) {
 		l.ab = WrapFaulty(l.ab, Fault{Pos: 1, Kind: FaultGarble})
 	})
 	assertFailedCleanly(t, verdicts, queryErr)
@@ -171,7 +181,7 @@ func TestFaultGarbledShares(t *testing.T) {
 }
 
 func TestFaultGarbledResult(t *testing.T) {
-	verdicts, queryErr, _ := runFaulty(t, func(l *faultLinks) {
+	verdicts, queryErr, _ := runFaulty(t, faultPairs, func(l *faultLinks) {
 		l.bq = WrapFaulty(l.bq, Fault{Pos: 0, Kind: FaultGarble})
 	})
 	assertFailedCleanly(t, verdicts, queryErr)
@@ -181,7 +191,7 @@ func TestFaultGarbledResult(t *testing.T) {
 }
 
 func TestFaultTruncatedResult(t *testing.T) {
-	verdicts, queryErr, _ := runFaulty(t, func(l *faultLinks) {
+	verdicts, queryErr, _ := runFaulty(t, faultPairs, func(l *faultLinks) {
 		l.bq = WrapFaulty(l.bq, Fault{Pos: 0, Kind: FaultTruncate})
 	})
 	assertFailedCleanly(t, verdicts, queryErr)
@@ -191,7 +201,7 @@ func TestFaultTruncatedResult(t *testing.T) {
 }
 
 func TestFaultDroppedSharesLink(t *testing.T) {
-	verdicts, queryErr, partyErr := runFaulty(t, func(l *faultLinks) {
+	verdicts, queryErr, partyErr := runFaulty(t, faultPairs, func(l *faultLinks) {
 		l.ab = WrapFaulty(l.ab, Fault{Pos: 0, Kind: FaultDrop})
 	})
 	assertFailedCleanly(t, verdicts, queryErr)
@@ -203,7 +213,7 @@ func TestFaultDroppedSharesLink(t *testing.T) {
 func TestFaultDroppedKey(t *testing.T) {
 	// The key frame is lost and the query-alice link dies with it; the
 	// session must fail on the first comparison rather than hang.
-	verdicts, queryErr, _ := runFaulty(t, func(l *faultLinks) {
+	verdicts, queryErr, _ := runFaulty(t, faultPairs, func(l *faultLinks) {
 		l.qa = WrapFaulty(l.qa, Fault{Pos: 0, Kind: FaultDrop})
 	})
 	assertFailedCleanly(t, verdicts, queryErr)
@@ -212,7 +222,7 @@ func TestFaultDroppedKey(t *testing.T) {
 func TestFaultDelayPreservesCorrectness(t *testing.T) {
 	// Delays on the shares and result paths slow the protocol down but
 	// must not change a single verdict.
-	verdicts, queryErr, partyErr := runFaulty(t, func(l *faultLinks) {
+	verdicts, queryErr, partyErr := runFaulty(t, faultPairs, func(l *faultLinks) {
 		l.ab = WrapFaulty(l.ab, Fault{Pos: 0, Kind: FaultDelay}, Fault{Pos: 2, Kind: FaultDelay})
 		l.bq = WrapFaulty(l.bq, Fault{Pos: 1, Kind: FaultDelay})
 	})
@@ -229,23 +239,27 @@ func TestFaultDelayPreservesCorrectness(t *testing.T) {
 // TestFaultMatrixAcrossRuns walks the fault kinds over the frames a run
 // adds: a result inside a run, the last of one run and the first of the
 // next, the requests that open a run on either query link, the final
-// (two-pair) run's request. A lost, cut or garbled frame must be an error
-// on the query side with no verdicts — results are matched to requests by
-// order alone, so anything less risks a verdict on the wrong pair — and
-// must never hang; a delayed frame must change nothing.
+// (two-pair) run's request — and every result of a full-length run past
+// its eighth pair. A lost, cut or garbled frame must be an error on the
+// query side with no verdicts — results are matched to requests by order
+// alone, so anything less risks a verdict on the wrong pair — and must
+// never hang; a delayed frame must change nothing.
 func TestFaultMatrixAcrossRuns(t *testing.T) {
+	bqWrap := func(l *faultLinks, f ...Fault) { l.bq = WrapFaulty(l.bq, f...) }
 	links := []struct {
-		name string
-		wrap func(*faultLinks, ...Fault)
-		pos  []int
+		name  string
+		pairs [][2]int
+		wrap  func(*faultLinks, ...Fault)
+		pos   []int
 		// truncatable is false for Alice's requests: they carry one
 		// handle and no vector, so there is nothing to cut.
 		truncatable bool
 	}{
-		{"result", func(l *faultLinks, f ...Fault) { l.bq = WrapFaulty(l.bq, f...) }, []int{1, 2, 3, 7}, true},
-		{"shares", func(l *faultLinks, f ...Fault) { l.ab = WrapFaulty(l.ab, f...) }, []int{1, 3}, true},
-		{"bob request", func(l *faultLinks, f ...Fault) { l.qb = WrapFaulty(l.qb, f...) }, []int{1, 2, 3, 4}, true},
-		{"alice request", func(l *faultLinks, f ...Fault) { l.qa = WrapFaulty(l.qa, f...) }, []int{1, 2, 4}, false},
+		{"result", faultPairs, bqWrap, []int{1, 2, 3, 7}, true},
+		{"shares", faultPairs, func(l *faultLinks, f ...Fault) { l.ab = WrapFaulty(l.ab, f...) }, []int{1, 3}, true},
+		{"bob request", faultPairs, func(l *faultLinks, f ...Fault) { l.qb = WrapFaulty(l.qb, f...) }, []int{1, 2, 3, 4}, true},
+		{"alice request", faultPairs, func(l *faultLinks, f ...Fault) { l.qa = WrapFaulty(l.qa, f...) }, []int{1, 2, 4}, false},
+		{"long-run result", faultLongRun, bqWrap, []int{8, 9, 10, 11, 12, 13, 14, 15}, true},
 	}
 	for _, link := range links {
 		for _, pos := range link.pos {
@@ -254,7 +268,7 @@ func TestFaultMatrixAcrossRuns(t *testing.T) {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s %d %s", link.name, pos, kind), func(t *testing.T) {
-					verdicts, queryErr, partyErr := runFaulty(t, func(l *faultLinks) {
+					verdicts, queryErr, partyErr := runFaulty(t, link.pairs, func(l *faultLinks) {
 						link.wrap(l, Fault{Pos: pos, Kind: kind})
 					})
 					if kind != FaultDelay {
@@ -264,9 +278,9 @@ func TestFaultMatrixAcrossRuns(t *testing.T) {
 					if queryErr != nil || partyErr != nil {
 						t.Fatalf("delayed run failed: query=%v party=%v", queryErr, partyErr)
 					}
-					for k, want := range faultWant {
-						if verdicts[k] != want {
-							t.Errorf("pair %v: verdict %v, want %v", faultPairs[k], verdicts[k], want)
+					for k, p := range link.pairs {
+						if want := faultSpec().Matches(faultAlice[p[0]], faultBob[p[1]]); verdicts[k] != want {
+							t.Errorf("pair %v: verdict %v, want %v", p, verdicts[k], want)
 						}
 					}
 				})
@@ -282,7 +296,7 @@ func TestFaultMatrixAcrossRuns(t *testing.T) {
 // he reads Alice's shares.
 func TestFaultShortRunList(t *testing.T) {
 	for _, pos := range []int{1, 4} { // the 3-pair first run, the 2-pair last
-		verdicts, queryErr, _ := runFaulty(t, func(l *faultLinks) {
+		verdicts, queryErr, _ := runFaulty(t, faultPairs, func(l *faultLinks) {
 			l.qb = WrapFaulty(l.qb, Fault{Pos: pos, Kind: FaultTruncate})
 		})
 		assertFailedCleanly(t, verdicts, queryErr)
@@ -290,7 +304,7 @@ func TestFaultShortRunList(t *testing.T) {
 			t.Errorf("request %d: a short run should be rejected by its echo, got: %v", pos, queryErr)
 		}
 	}
-	verdicts, queryErr, partyErr := runFaulty(t, func(l *faultLinks) {
+	verdicts, queryErr, partyErr := runFaulty(t, faultPairs, func(l *faultLinks) {
 		l.qb = WrapFaulty(l.qb, Fault{Pos: 3, Kind: FaultTruncate}) // the 1-pair run
 	})
 	assertFailedCleanly(t, verdicts, queryErr)
