@@ -199,12 +199,13 @@ bench-smoke:
 # Figs. 2–8, strategies … timing; ≈ 1–2 min) and diff it against the
 # committed file. Every line must match except the measured and quoted
 # columns of the timing table, which are wall-clock: of that section only
-# the title and the stage labels (the invocation counts among them) are
-# compared.
+# the title, the stage labels (the invocation counts among them) and the
+# measured wire bytes per pair, which a fixed walk makes deterministic,
+# are compared.
 paper:
 	@mkdir -p .bench_build
 	$(GO) run ./cmd/pprl-bench -full -exp "$$(sed -n 's/^\([a-z0-9]*\) — .*/\1/p' experiments_full.txt | paste -sd, -)" > .bench_build/experiments_full.txt
-	@untimed() { awk '/^timing — /{t=1} t&&/^$$/{t=0} t{sub(/  .*/,"")} {print}' "$$1"; }; \
+	@untimed() { awk '/^timing — /{t=1} t&&/^$$/{t=0} t&&/^secure comparison wire bytes/{sub(/  +/," ")} t{sub(/  .*/,"")} {print}' "$$1"; }; \
 	untimed experiments_full.txt > .bench_build/paper.want; untimed .bench_build/experiments_full.txt > .bench_build/paper.got; \
 	diff -u .bench_build/paper.want .bench_build/paper.got && echo "paper: every table matches experiments_full.txt"
 

@@ -164,6 +164,7 @@ func run(out io.Writer, opts options) error {
 			res.DP.AliceDummies+res.DP.BobDummies, res.DP.DummyPairs, res.DP.DummySpent, res.Invocations)
 	}
 	fmt.Fprintf(out, "timings: %v\n", res.Stages)
+	fmt.Fprintf(out, "latency: %s\n", res.Latency.String())
 	if opts.Secure {
 		fmt.Fprintf(out, "smc engine: workers=%d rate=%.1f comparisons/sec bytes=%d\n",
 			res.SMCWorkers, res.SMCRate(), res.SMCBytes)

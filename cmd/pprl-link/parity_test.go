@@ -150,7 +150,7 @@ func TestRunLinkZeroKRefusedFirst(t *testing.T) {
 // TestDoorsAgree pushes the same two relations and parameters through
 // pprl-link -json -eval and through POST /v1/jobs with "evaluate": true:
 // what pprl-link prints and what GET /v1/jobs/{id}/result serves must be
-// one document, stage timings aside.
+// one document, stage timings and call latencies aside.
 func TestDoorsAgree(t *testing.T) {
 	a, b := writePair(t)
 	flags := flag.NewFlagSet("pprl-link", flag.ContinueOnError)
@@ -193,6 +193,7 @@ func TestDoorsAgree(t *testing.T) {
 	}
 	for _, doc := range []map[string]any{link, api} {
 		delete(doc["result"].(map[string]any), "stages")
+		delete(doc["result"].(map[string]any), "smc_latency")
 	}
 	if !reflect.DeepEqual(link, api) {
 		t.Errorf("the doors disagree:\npprl-link -json: %v\nGET result:      %v", link, api)

@@ -218,6 +218,7 @@ func runQuery(ctx context.Context, out io.Writer, opts queryOptions) error {
 	fmt.Fprintf(out, "blocking: %.2f%% of %d pairs decided; %d unknown\n",
 		100*res.BlockingEfficiency, res.TotalPairs, res.UnknownPairs)
 	fmt.Fprintf(out, "smc: %d invocations of %d allowed\n", res.Invocations, res.Allowance)
+	fmt.Fprintf(out, "latency: %s\n", res.Latency.String())
 	if res.Resume.Resumed() {
 		fmt.Fprintf(out, "journal: %v\n", res.Resume)
 	}

@@ -14,29 +14,30 @@ import (
 // condition under which the rule itself would return NonMatch.
 type Stats struct {
 	// RClasses and SClasses are the views' equivalence-class counts.
-	RClasses, SClasses int
+	RClasses int `json:"r_classes"`
+	SClasses int `json:"s_classes"`
 	// ClassPairs = RClasses × SClasses.
-	ClassPairs int64
+	ClassPairs int64 `json:"class_pairs"`
 	// RuleEvaluations counts class pairs the slack rule actually scored.
-	RuleEvaluations int64
+	RuleEvaluations int64 `json:"rule_evaluations"`
 	// PrunedClassPairs counts class pairs the index excluded; always
 	// ClassPairs − RuleEvaluations.
-	PrunedClassPairs int64
+	PrunedClassPairs int64 `json:"pruned_class_pairs"`
 	// Attrs holds one entry per rule attribute (index-built results only).
-	Attrs []AttrStats
+	Attrs []AttrStats `json:"attrs"`
 }
 
 // AttrStats is one attribute's contribution to index pruning.
 type AttrStats struct {
 	// Name is the metric name ("hamming", "euclidean", …).
-	Name string
+	Name string `json:"name"`
 	// Indexed reports whether the attribute constrains candidates: an
 	// attribute whose threshold admits every S class (e.g. Hamming with
 	// θ ≥ 1) or whose metric the index does not understand is skipped.
-	Indexed bool
+	Indexed bool `json:"indexed"`
 	// Admitted sums, over all R classes, the S classes this attribute
 	// alone would admit; lower means the attribute prunes harder.
-	Admitted int64
+	Admitted int64 `json:"admitted"`
 }
 
 // PrunedFraction is the share of class pairs never enumerated.

@@ -258,6 +258,7 @@ func resolveBlocked(alice, bob Holder, block *blocking.Result, rule *blocking.Ru
 	// same way journaled or live: it is exact under any tier configuration.
 	walk.Comparator = cmp
 	walk.Workers = cfg.SMCWorkers
+	walk.Latency = &res.Latency
 	walk.Journal = cfg.Journal
 	walk.Context = cfg.Context
 	walk.Progress = func(done, total int64) { cfg.report("smc", done, total) }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 
+	"pprl/internal/blocking"
 	"pprl/internal/metrics"
 )
 
@@ -33,29 +34,38 @@ type ResultJSON struct {
 	DP                 *DPStats            `json:"dp,omitempty"`
 	Resume             metrics.ResumeStats `json:"resume"`
 	Stages             metrics.Times       `json:"stages"`
+	// Blocking is the blocking step's work, and BlockingMatchedPairs the
+	// record pairs it labeled Match.
+	Blocking             *blocking.Stats `json:"blocking,omitempty"`
+	BlockingMatchedPairs int64           `json:"blocking_matched_pairs"`
+	// SMCLatency is the duration of each comparator call of the walk.
+	SMCLatency metrics.Histogram `json:"smc_latency"`
 }
 
 // Summarize builds the wire form from a Result.
 func (r *Result) Summarize() ResultJSON {
 	return ResultJSON{
-		SingleTrustDomain:  true,
-		TotalPairs:         r.Block.TotalPairs(),
-		UnknownPairs:       r.Block.UnknownPairs,
-		BlockingEfficiency: r.BlockingEfficiency(),
-		MatchedPairs:       r.MatchedPairCount(),
-		Allowance:          r.Allowance,
-		Invocations:        r.Invocations,
-		SMCResolvedPairs:   r.SMCResolvedPairs(),
-		SMCBytes:           r.SMCBytes,
-		SMCWorkers:         r.SMCWorkers,
-		Strategy:           r.cfg.Strategy.String(),
-		Heuristic:          r.cfg.Heuristic.Name(),
-		Tier:               r.cfg.Tier.String(),
-		TierNonMatched:     r.TierNonMatchedPairs(),
-		TierUncertainPairs: r.TierUncertainPairs,
-		DP:                 r.DP,
-		Resume:             r.Resume,
-		Stages:             r.Stages,
+		SingleTrustDomain:    true,
+		TotalPairs:           r.Block.TotalPairs(),
+		UnknownPairs:         r.Block.UnknownPairs,
+		BlockingEfficiency:   r.BlockingEfficiency(),
+		MatchedPairs:         r.MatchedPairCount(),
+		Allowance:            r.Allowance,
+		Invocations:          r.Invocations,
+		SMCResolvedPairs:     r.SMCResolvedPairs(),
+		SMCBytes:             r.SMCBytes,
+		SMCWorkers:           r.SMCWorkers,
+		Strategy:             r.cfg.Strategy.String(),
+		Heuristic:            r.cfg.Heuristic.Name(),
+		Tier:                 r.cfg.Tier.String(),
+		TierNonMatched:       r.TierNonMatchedPairs(),
+		TierUncertainPairs:   r.TierUncertainPairs,
+		DP:                   r.DP,
+		Resume:               r.Resume,
+		Stages:               r.Stages,
+		Blocking:             r.Block.Stats,
+		BlockingMatchedPairs: r.Block.MatchedPairs,
+		SMCLatency:           r.Latency,
 	}
 }
 

@@ -78,6 +78,8 @@ type Result struct {
 	// (the Config.Progress events): the non-cryptographic costs the paper
 	// measures in Section VI, the comparator's setup and the smc walk.
 	Stages metrics.Times
+	// Latency is the duration of each comparator call of the SMC walk.
+	Latency metrics.Histogram
 
 	cfg  Config
 	rule *blocking.Rule

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"pprl/internal/metrics"
 	"pprl/internal/smc"
 )
 
@@ -111,12 +110,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	bob := testRecords(30, 4)
 	pairs := allPairs(len(alice), len(bob))
 
-	reg := metrics.NewRegistry("pprl")
-	p := NewPool(PoolOptions{
-		HeartbeatTimeout: 5 * time.Second,
-		ChunksVec:        reg.CounterVec("worker_chunks_total", "worker", ""),
-		FailuresVec:      reg.CounterVec("worker_failures_total", "worker", ""),
-	})
+	p := NewPool(PoolOptions{HeartbeatTimeout: 5 * time.Second})
 	defer p.Close()
 	startWorker(t, p, WorkerOptions{Name: "doomed", HeartbeatEvery: 50 * time.Millisecond, FailAfterChunks: 1})
 	p.mu.Lock()
@@ -147,10 +141,9 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	if ws := p.Workers(); len(ws) != 1 || ws[0] != "survivor" {
 		t.Errorf("fleet after death = %v, want [survivor]", ws)
 	}
-	var text strings.Builder
-	reg.WritePrometheus(&text)
-	if !strings.Contains(text.String(), `pprl_worker_failures_total{worker="doomed"} 1`) {
-		t.Errorf("failure counter missing:\n%s", text.String())
+	recs := p.Records()
+	if len(recs) != 2 || recs[0].Name != "doomed" || recs[0].Live || recs[0].Failures != 1 {
+		t.Errorf("failure counter missing: the pool's records are %+v", recs)
 	}
 }
 
@@ -386,5 +379,47 @@ func TestUnknownEngineRefused(t *testing.T) {
 	_, err = p.NewComparator(testSpec(), testRecords(4, 9), testRecords(4, 10), JobConfig{Engine: EngineSecure, KeyBits: 64})
 	if err == nil || !strings.Contains(err.Error(), "use a larger key") {
 		t.Fatalf("64-bit secure job returned %v, want the worker's modulus-fit refusal", err)
+	}
+}
+
+// TestRecordsWhileServing: the pool's records are read while chunks land
+// (run under -race), and once the batch is done every chunk is in exactly
+// one worker's record with a round trip.
+func TestRecordsWhileServing(t *testing.T) {
+	spec := testSpec()
+	alice, bob := testRecords(20, 7), testRecords(20, 8)
+	p := newTestPool(t)
+	startWorker(t, p, WorkerOptions{Name: "w1", HeartbeatEvery: 50 * time.Millisecond})
+	startWorker(t, p, WorkerOptions{Name: "w2", HeartbeatEvery: 50 * time.Millisecond})
+	cmp, err := p.NewComparator(spec, alice, bob, JobConfig{Job: "records", ChunkPairs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cmp.Close()
+	done := make(chan error)
+	go func() {
+		_, err := cmp.CompareBatch(allPairs(20, 20))
+		done <- err
+	}()
+	for served := false; !served; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			served = true
+		default:
+			p.Records()
+		}
+	}
+	var chunks int64
+	for _, r := range p.Records() {
+		if !r.Live || r.Failures != 0 || r.LastBeat.IsZero() || r.Chunks.Ns <= 0 && r.Chunks.Count() > 0 {
+			t.Errorf("record %+v", r)
+		}
+		chunks += r.Chunks.Count()
+	}
+	if chunks != 400/8 {
+		t.Errorf("the records hold %d chunks, want %d", chunks, 400/8)
 	}
 }

@@ -34,12 +34,25 @@ type PoolOptions struct {
 	// 30s. Workers beacon every second by default, so the timeout
 	// tolerates long GC pauses and slow crypto without false positives.
 	HeartbeatTimeout time.Duration
-	// ChunksVec/FailuresVec/HeartbeatVec are optional per-worker metric
-	// families (label: worker): chunks completed, failures observed, and
-	// the unix time of the last heartbeat.
-	ChunksVec    *metrics.VarVec
-	FailuresVec  *metrics.VarVec
-	HeartbeatVec *metrics.VarVec
+}
+
+// WorkerRecord is the pool's account of one worker name: it outlives the
+// worker's removal and carries on when the name registers again.
+type WorkerRecord struct {
+	Name     string
+	Live     bool      // registered now
+	Failures int64     // failures that dropped it from a job
+	LastBeat time.Time // its last message, heartbeat or any other
+	// Chunks is every answered chunk's round trip, send to verdicts.
+	Chunks metrics.Histogram
+}
+
+// record is a worker name's record as the pool keeps it; w is the name's
+// latest registration.
+type record struct {
+	w        *worker
+	failures atomic.Int64
+	chunks   metrics.Histogram
 }
 
 // worker is the coordinator's view of one fleet member.
@@ -56,6 +69,7 @@ type worker struct {
 	// nanos of the most recent message of any kind.
 	dead     chan struct{}
 	lastBeat atomic.Int64
+	rec      *record
 }
 
 func (w *worker) alive() bool {
@@ -77,6 +91,7 @@ type Pool struct {
 
 	mu      sync.Mutex
 	workers map[string]*worker
+	records map[string]*record
 	seq     int
 
 	jobMu  sync.Mutex
@@ -94,7 +109,7 @@ func NewPool(opts PoolOptions) *Pool {
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 30 * time.Second
 	}
-	return &Pool{opts: opts, workers: make(map[string]*worker), closed: make(chan struct{})}
+	return &Pool{opts: opts, workers: make(map[string]*worker), records: make(map[string]*record), closed: make(chan struct{})}
 }
 
 func (p *Pool) logf(format string, args ...any) {
@@ -129,12 +144,13 @@ func (p *Pool) AddConn(conn net.Conn) error {
 		name = fmt.Sprintf("%s-%d", reg.Name, p.seq)
 	}
 	w := &worker{name: name, lanes: reg.Lanes, link: l, incoming: make(chan *message, 8), dead: make(chan struct{})}
+	// Registration is the first proof of life.
 	w.lastBeat.Store(time.Now().UnixNano())
-	// Registration is the first proof of life; seed the gauge so the
-	// worker is visible on /metrics before its first beacon.
-	if p.opts.HeartbeatVec != nil {
-		p.opts.HeartbeatVec.With(name).Set(time.Now().Unix())
+	if w.rec = p.records[name]; w.rec == nil {
+		w.rec = new(record)
+		p.records[name] = w.rec
 	}
+	w.rec.w = w
 	p.workers[name] = w
 	p.mu.Unlock()
 	if err := l.Send(&message{Kind: kindWelcome, Name: name}); err != nil {
@@ -166,9 +182,6 @@ func (p *Pool) readLoop(w *worker) {
 		}
 		w.lastBeat.Store(time.Now().UnixNano())
 		if m.Kind == kindHeartbeat {
-			if p.opts.HeartbeatVec != nil {
-				p.opts.HeartbeatVec.With(w.name).Set(time.Now().Unix())
-			}
 			continue
 		}
 		select {
@@ -227,15 +240,28 @@ func (p *Pool) Serve(ln net.Listener) error {
 }
 
 // Workers returns the live fleet's names, sorted.
-func (p *Pool) Workers() []string {
+func (p *Pool) Workers() (names []string) {
+	for _, r := range p.Records() {
+		if r.Live {
+			names = append(names, r.Name)
+		}
+	}
+	return names
+}
+
+// Records returns every worker name's record, sorted by name.
+func (p *Pool) Records() []WorkerRecord {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	names := make([]string, 0, len(p.workers))
-	for n := range p.workers {
-		names = append(names, n)
+	out := make([]WorkerRecord, 0, len(p.records))
+	for name, r := range p.records {
+		wr := WorkerRecord{Name: name, Live: p.workers[name] == r.w, Failures: r.failures.Load(),
+			LastBeat: time.Unix(0, r.w.lastBeat.Load())}
+		wr.Chunks.Merge(&r.chunks)
+		out = append(out, wr)
 	}
-	sort.Strings(names)
-	return names
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // WaitWorkers blocks until at least n workers are registered or the
@@ -306,9 +332,7 @@ func (p *Pool) await(w *worker) (*message, error) {
 
 // failWorker drops a worker from the fleet after a mid-job failure.
 func (p *Pool) failWorker(w *worker, job string, chunk int, err error) {
-	if p.opts.FailuresVec != nil {
-		p.opts.FailuresVec.With(w.name).Inc()
-	}
+	w.rec.failures.Add(1)
 	p.logf("distrib: job=%s chunk=%d worker=%s failed: %v (reassigning)", job, chunk, w.name, err)
 	// readLoop observes the close, removes the worker and marks it dead.
 	// Waiting for that keeps the death inside the batch that met it: the
@@ -576,7 +600,7 @@ func (c *Comparator) CompareBatch(pairs [][2]int) ([]bool, error) {
 
 // doChunk runs one chunk on one worker and merges its verdicts.
 func (c *Comparator) doChunk(w *worker, ch chunkJob, pairs [][2]int, out []bool) error {
-	sub := pairs[ch.lo:ch.hi]
+	sub, start := pairs[ch.lo:ch.hi], time.Now()
 	if err := w.link.Send(&message{Kind: kindChunk, Job: c.cfg.Job, Chunk: ch.idx, Pairs: sub}); err != nil {
 		return fmt.Errorf("sending chunk: %w", err)
 	}
@@ -597,9 +621,7 @@ func (c *Comparator) doChunk(w *worker, ch chunkJob, pairs [][2]int, out []bool)
 			c.statsMu.Lock()
 			c.stats[w.name] = m
 			c.statsMu.Unlock()
-			if c.pool.opts.ChunksVec != nil {
-				c.pool.opts.ChunksVec.With(w.name).Inc()
-			}
+			w.rec.chunks.Observe(time.Since(start))
 			c.pool.logf("distrib: job=%s chunk=%d worker=%s pairs=%d done", c.cfg.Job, ch.idx, w.name, len(sub))
 			return nil
 		case kindError:

@@ -82,6 +82,11 @@ type Stats struct {
 	// "ingest" (records, encodings and bins grown), "blocking" (candidate
 	// groups collected and ordered), "smc" (the walk) and "commit".
 	Stages metrics.Times
+	// Latency is the duration of every comparator call of the walks.
+	Latency metrics.Histogram
+	// Replay is the share of Batches, Records (both sides), Deltas and Used
+	// that batches replayed whole from committed journal frames hold.
+	Replay struct{ Batches, Records, Deltas, Spent int64 }
 }
 
 // bin is one equivalence bin of a side: the shared fixed-level sequence
@@ -388,6 +393,9 @@ func (e *Engine) append(sideIdx int, recs []dataset.Record) (*BatchResult, error
 	e.stats.Records[sideIdx] = s.data.Len()
 	e.stats.Bins[sideIdx] = len(s.bins)
 	e.stats.Deltas += len(batchDeltas)
+	if r := &e.stats.Replay; committedReplay {
+		r.Batches, r.Records, r.Deltas, r.Spent = r.Batches+1, r.Records+int64(len(recs)), r.Deltas+int64(len(batchDeltas)), r.Spent+spent
+	}
 	e.stats.Epoch++
 	e.stages.Report("commit", 1, 1)
 	return &BatchResult{
@@ -607,6 +615,7 @@ func (e *Engine) resolve(groups []group, order []int32, columns bool, batch int,
 		},
 		Budget:     math.MaxInt64,
 		Comparator: cmp,
+		Latency:    &e.stats.Latency,
 		Sink: func(ev resolve.Event) {
 			if e.onEvent != nil {
 				e.onEvent(ev)

@@ -2,7 +2,10 @@
 // VI: precision, recall (the paper's accuracy proxy, since precision is
 // structurally 100%), blocking efficiency, and the cost model that
 // converts SMC invocation counts to wall-clock estimates using a measured
-// per-invocation cost.
+// per-invocation cost. It also holds what a run's record measures — the
+// stage clock (Stages) and the latency histogram (Histogram) — and the
+// Prometheus text writer (Exposition) a status surface renders records
+// with at scrape time: there is no registry of hand-kept counters.
 package metrics
 
 import (

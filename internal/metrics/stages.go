@@ -30,6 +30,18 @@ func (t Times) Of(stage string) time.Duration {
 	return 0
 }
 
+// Add adds u's stage times to t's, by name, and returns t.
+func (t Times) Add(u Times) Times {
+	for _, s := range u {
+		i := slices.IndexFunc(t, func(x Stage) bool { return x.Name == s.Name })
+		if i < 0 {
+			t, i = append(t, Stage{Name: s.Name}), len(t)
+		}
+		t[i].Time += s.Time
+	}
+	return t
+}
+
 // String renders every stage as name=duration, in order.
 func (t Times) String() string {
 	parts := make([]string, len(t))

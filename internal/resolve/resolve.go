@@ -15,8 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"pprl/internal/journal"
+	"pprl/internal/metrics"
 )
 
 // ErrInterrupted is returned (wrapped) by Run when Input.Context is
@@ -114,6 +116,8 @@ type Input struct {
 		CompareBatch(pairs [][2]int) ([]bool, error)
 	}
 	Workers int
+	// Latency, when set, sees the duration of every CompareBatch call.
+	Latency *metrics.Histogram
 	// Journal, when set, records every Purchased and Tiered event before
 	// the sink sees it and is synced at an interrupt and at completion.
 	// The caller has already declared the run to it (Begin).
@@ -388,7 +392,11 @@ func (r *run) flush() bool {
 			next[0], next = [2]int{q.i, q.j}, next[1:]
 		}
 	}
+	start := time.Now()
 	verdicts, err := r.in.Comparator.CompareBatch(r.pairs)
+	if r.in.Latency != nil {
+		r.in.Latency.Observe(time.Since(start))
+	}
 	if err != nil {
 		r.err = fmt.Errorf("SMC batch: %w", err)
 		return false

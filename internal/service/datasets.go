@@ -47,6 +47,10 @@ type liveDataset struct {
 	jw     *journal.Writer
 	queue  chan ingestBatch
 
+	// recovered is set on a dataset this process found on disk, not one
+	// registered over its API.
+	recovered bool
+
 	mu       sync.Mutex
 	state    DatasetState
 	errMsg   string
@@ -170,14 +174,6 @@ func (s *Server) applyBatch(ld *liveDataset, ib ingestBatch) bool {
 		s.failDataset(ld, ib.entry, err)
 		return false
 	}
-	if br.Replayed {
-		s.mDatasetReplayed.Inc()
-	} else {
-		s.mDatasetBatches.Inc()
-		s.mDatasetRecords.Add(int64(br.Records))
-		s.mDatasetDeltas.Add(int64(len(br.Deltas)))
-		s.mDatasetSpent.Add(br.Spent)
-	}
 	s.logf("dataset=%s batch=%d side=%d records=%d deltas=%d spent=%d replayed=%v",
 		ld.ID, br.Batch, br.Side, br.Records, len(br.Deltas), br.Spent, br.Replayed)
 	ld.Notify()
@@ -225,7 +221,6 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) err
 	s.mu.Lock()
 	s.datasets[ld.ID] = ld
 	s.mu.Unlock()
-	s.mDatasets.Inc()
 	s.logf("req=%s dataset=%s registered dedup=%v", requestID(r.Context()), ld.ID, spec.Dedup)
 	writeAPI(w, http.StatusCreated, ld.StatusView())
 	return nil

@@ -22,8 +22,10 @@ var update = flag.Bool("update", false, "rewrite testdata/store-layout.golden")
 var (
 	// layoutTime is a time.Time as encoding/json writes it.
 	layoutTime = regexp.MustCompile(`"\d{4}-\d\d-\d\dT[0-9:.]+Z"`)
-	// layoutDuration is one of result.json's stage times.
+	// layoutDuration is one of result.json's stage times or its latency
+	// histogram's total, layoutBuckets that histogram's bucket counts.
 	layoutDuration = regexp.MustCompile(`("ns": )\d+`)
+	layoutBuckets  = regexp.MustCompile(`("buckets": )\[[^\]]*\]`)
 )
 
 // dumpLayout renders every file under root, in path order: a journal as
@@ -51,6 +53,7 @@ func dumpLayout(t *testing.T, root string) string {
 		}
 		raw = layoutTime.ReplaceAll(raw, []byte(`"<time>"`))
 		raw = layoutDuration.ReplaceAll(raw, []byte("${1}0"))
+		raw = layoutBuckets.ReplaceAll(raw, []byte("${1}[]"))
 		fmt.Fprintf(&b, "%s:\n%s", filepath.ToSlash(rel), raw)
 		return nil
 	})

@@ -122,10 +122,10 @@ func TestServiceRestartRecovery(t *testing.T) {
 	}
 
 	// The daemon's counters agree with the per-job accounting.
-	if v := s2.mSMCReplayed.Value(); v != crashAfter {
+	if v := scrapeValue(t, ts2, "pprl_smc_replayed_allowance_total"); v != crashAfter {
 		t.Errorf("smc_replayed_allowance_total = %d, want %d", v, crashAfter)
 	}
-	if v := s2.mSMCPurchased.Value(); v+crashAfter != want.Result.Invocations {
+	if v := scrapeValue(t, ts2, "pprl_smc_comparisons_total"); v+crashAfter != want.Result.Invocations {
 		t.Errorf("smc_comparisons_total = %d, want %d", v, want.Result.Invocations-crashAfter)
 	}
 }
@@ -211,7 +211,7 @@ func TestServiceFleetWaitInterrupted(t *testing.T) {
 	if st := getStatus(t, ts2, jid); st.Resumed != 1 {
 		t.Fatalf("restart did not re-queue the job: %+v", st)
 	}
-	conn, err := net.Dial("tcp", s2.FleetAddr())
+	conn, err := net.Dial("tcp", s2.fleetLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

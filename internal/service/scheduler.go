@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"pprl/internal/core"
 )
 
 // Job is one submitted linkage run moving through the service: queued,
@@ -25,6 +28,8 @@ type Job struct {
 	resumed      int
 	cancel       context.CancelFunc
 	userCanceled bool
+	// result is the run's record once this process completed it.
+	result atomic.Pointer[core.ResultJSON]
 }
 
 func newJob(id string, spec JobSpec, submitted time.Time) *Job {

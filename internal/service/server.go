@@ -12,12 +12,14 @@ import (
 	"net/http/pprof"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pprl/internal/cliutil"
 	"pprl/internal/core"
 	"pprl/internal/dataset"
 	"pprl/internal/distrib"
+	"pprl/internal/incremental"
 	"pprl/internal/journal"
 	"pprl/internal/metrics"
 )
@@ -75,7 +77,6 @@ type Server struct {
 	cfg   Config
 	store *Store
 	sched *Scheduler
-	reg   *metrics.Registry
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -87,38 +88,9 @@ type Server struct {
 	stop chan struct{}
 	dsWG sync.WaitGroup
 
-	mJobsSubmitted *metrics.Var
-	mJobsDone      *metrics.Var
-	mJobsFailed    *metrics.Var
-	mJobsCanceled  *metrics.Var
-	mJobsRecovered *metrics.Var
-	mJobsQueued    *metrics.Var
-	mJobsRunning   *metrics.Var
-	mSMCPurchased  *metrics.Var
-	mSMCReplayed   *metrics.Var
-	mHTTPRequests  *metrics.Var
-
-	mBlockClasses    *metrics.Var
-	mBlockClassPairs *metrics.Var
-	mBlockEvals      *metrics.Var
-	mBlockPruned     *metrics.Var
-	mBlockMatched    *metrics.Var
-	mBlockNonMatched *metrics.Var
-	mBlockUnknown    *metrics.Var
-
-	mTierNonMatched *metrics.Var
-	mTierUncertain  *metrics.Var
-
-	mDatasets        *metrics.Var
-	mDatasetBatches  *metrics.Var
-	mDatasetRecords  *metrics.Var
-	mDatasetDeltas   *metrics.Var
-	mDatasetSpent    *metrics.Var
-	mDatasetReplayed *metrics.Var
-
-	mWorkerChunks    *metrics.VarVec
-	mWorkerFailures  *metrics.VarVec
-	mWorkerHeartbeat *metrics.VarVec
+	// The job lifecycle and request counts are all /metrics keeps for
+	// itself; every other series is read off the records at scrape time.
+	jobsSubmitted, jobsDone, jobsFailed, jobsCanceled, jobsRecovered, requests atomic.Int64
 
 	// pool coordinates the SMC worker fleet, fleetLn is its registration
 	// listener and fleetDone closes when Serve returns; all nil when no
@@ -143,41 +115,11 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		store:    store,
-		reg:      metrics.NewRegistry("pprl"),
 		jobs:     make(map[string]*Job),
 		byKey:    make(map[string]string),
 		datasets: make(map[string]*liveDataset),
 		stop:     make(chan struct{}),
 	}
-	s.mJobsSubmitted = s.reg.Counter("jobs_submitted_total", "Jobs accepted over the API.")
-	s.mJobsDone = s.reg.Counter("jobs_done_total", "Jobs completed successfully.")
-	s.mJobsFailed = s.reg.Counter("jobs_failed_total", "Jobs ended by an error.")
-	s.mJobsCanceled = s.reg.Counter("jobs_canceled_total", "Jobs ended by DELETE.")
-	s.mJobsRecovered = s.reg.Counter("jobs_recovered_total", "Jobs re-queued from their journals at daemon start.")
-	s.mJobsQueued = s.reg.Gauge("jobs_queued", "Jobs waiting for a worker slot.")
-	s.mJobsRunning = s.reg.Gauge("jobs_running", "Jobs executing right now.")
-	s.mSMCPurchased = s.reg.Counter("smc_comparisons_total", "Live SMC comparisons purchased across completed jobs.")
-	s.mSMCReplayed = s.reg.Counter("smc_replayed_allowance_total", "Allowance satisfied from journals instead of live SMC across completed jobs.")
-	s.mHTTPRequests = s.reg.Counter("http_requests_total", "API requests served.")
-	s.mBlockClasses = s.reg.Counter("blocking_classes_total", "Equivalence classes blocked across completed jobs (both relations).")
-	s.mBlockClassPairs = s.reg.Counter("blocking_class_pairs_total", "Class pairs in the blocking candidate space across completed jobs.")
-	s.mBlockEvals = s.reg.Counter("blocking_rule_evaluations_total", "Class pairs the slack rule actually evaluated (indexed jobs skip pruned pairs).")
-	s.mBlockPruned = s.reg.Counter("blocking_pruned_class_pairs_total", "Class pairs the hierarchy index pruned without a rule evaluation.")
-	s.mBlockMatched = s.reg.Counter("blocking_matched_pairs_total", "Record pairs blocking labeled Match across completed jobs.")
-	s.mBlockNonMatched = s.reg.Counter("blocking_nonmatched_pairs_total", "Record pairs blocking labeled NonMatch across completed jobs.")
-	s.mBlockUnknown = s.reg.Counter("blocking_unknown_pairs_total", "Record pairs blocking left Unknown for SMC across completed jobs.")
-	s.mTierNonMatched = s.reg.Counter("tier_nonmatched_pairs_total", "Unknown pairs the triage tier labeled NonMatch for free across completed jobs.")
-	s.mTierUncertain = s.reg.Counter("tier_uncertain_pairs_total", "Unknown pairs the tier left for the SMC allowance across completed jobs.")
-	s.mDatasets = s.reg.Counter("datasets_registered_total", "Live datasets registered over the API.")
-	s.mDatasetBatches = s.reg.Counter("dataset_batches_total", "Append batches applied across live datasets (excluding journal replays).")
-	s.mDatasetRecords = s.reg.Counter("dataset_records_total", "Records ingested across live datasets (excluding journal replays).")
-	s.mDatasetDeltas = s.reg.Counter("dataset_deltas_total", "Delta Match pairs emitted across live datasets (excluding journal replays).")
-	s.mDatasetSpent = s.reg.Counter("dataset_allowance_spent_total", "SMC allowance consumed by live-dataset appends (excluding journal replays).")
-	s.mDatasetReplayed = s.reg.Counter("dataset_batches_replayed_total", "Committed batches reconstructed from ingest journals at daemon start.")
-	s.mWorkerChunks = s.reg.CounterVec("worker_chunks_total", "worker", "Comparison chunks completed per fleet worker.")
-	s.mWorkerFailures = s.reg.CounterVec("worker_failures_total", "worker", "Failures observed per fleet worker (chunks reassigned).")
-	s.mWorkerHeartbeat = s.reg.GaugeVec("worker_heartbeat_seconds", "worker", "Unix time of each fleet worker's last heartbeat.")
-
 	if cfg.FleetListen != "" {
 		if err := s.startFleet(); err != nil {
 			return nil, err
@@ -214,7 +156,7 @@ func (s *Server) recover() error {
 			j.finish(f.Verdict.State, f.Verdict.Error)
 		default: // in flight at the previous daemon's death
 			j.markRecovered()
-			s.mJobsRecovered.Inc()
+			s.jobsRecovered.Add(1)
 			if err := s.sched.Enqueue(j); err != nil {
 				return err
 			}
@@ -230,6 +172,7 @@ func (s *Server) recover() error {
 			return err
 		}
 		ld := newLiveDataset(f.Head, len(stored))
+		ld.recovered = true
 		s.datasets[ld.ID] = ld
 		failed := f.Verdict.Error
 		if f.Verdict.State == "" {
@@ -273,12 +216,7 @@ func (s *Server) startFleet() error {
 	if err != nil {
 		return fmt.Errorf("service: fleet listener: %w", err)
 	}
-	s.pool = distrib.NewPool(distrib.PoolOptions{
-		Logger:       s.cfg.Logger,
-		ChunksVec:    s.mWorkerChunks,
-		FailuresVec:  s.mWorkerFailures,
-		HeartbeatVec: s.mWorkerHeartbeat,
-	})
+	s.pool = distrib.NewPool(distrib.PoolOptions{Logger: s.cfg.Logger})
 	s.fleetLn, s.fleetDone = ln, make(chan struct{})
 	s.logf("fleet: accepting worker registrations on %s", ln.Addr())
 	go func() {
@@ -286,23 +224,6 @@ func (s *Server) startFleet() error {
 		s.logf("fleet: registrations stopped: %v", s.pool.Serve(ln))
 	}()
 	return nil
-}
-
-// FleetAddr returns the bound worker-registration address, empty when
-// no fleet listener is up.
-func (s *Server) FleetAddr() string {
-	if s.fleetLn == nil {
-		return ""
-	}
-	return s.fleetLn.Addr().String()
-}
-
-// FleetWorkers returns the names of the currently registered workers.
-func (s *Server) FleetWorkers() []string {
-	if s.pool == nil {
-		return nil
-	}
-	return s.pool.Workers()
 }
 
 // Drain stops the scheduler for shutdown: running jobs checkpoint their
@@ -349,7 +270,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return withRequestID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.mHTTPRequests.Inc()
+		s.requests.Add(1)
 		mux.ServeHTTP(w, r)
 	}))
 }
@@ -502,7 +423,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) error {
 	if err := s.sched.Enqueue(j); err != nil {
 		return Errf(KindUnavailable, "%v", err)
 	}
-	s.mJobsSubmitted.Inc()
+	s.jobsSubmitted.Add(1)
 	s.logf("req=%s job=%s state=queued", requestID(r.Context()), j.ID)
 	writeAPI(w, http.StatusCreated, j.Status())
 	return nil
@@ -578,12 +499,125 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// scrape is one /metrics render's reading of the records: the
+// scheduler's counts, the result record of every job this process
+// completed, the live datasets' stats and the fleet's worker records.
+type scrape struct {
+	*Server
+	queued, running, registered int64
+	jobs                        []core.ResultJSON
+	stats                       []incremental.Stats
+	workers                     []distrib.WorkerRecord
+}
+
+// sum folds f, if set, over the records: a series of every completed job
+// or live dataset. "Excluding journal replays" is a total less its Replay
+// share.
+func sum[T any](records []T, f func(*T) int64) (n int64) {
+	for i := 0; f != nil && i < len(records); i++ {
+		n += f(&records[i])
+	}
+	return n
+}
+
+// series are the /metrics series read off a scrape, in order: each is a
+// value of the scrape, a sum over the jobs' records or the datasets'
+// stats, or one sample per worker record.
+var series = []struct {
+	name, typ, help string
+	value           func(c *scrape) int64
+	job             func(r *core.ResultJSON) int64
+	ds              func(st *incremental.Stats) int64
+	worker          func(w *distrib.WorkerRecord) float64
+}{
+	{name: "jobs_submitted_total", typ: "counter", help: "Jobs accepted over the API.", value: func(c *scrape) int64 { return c.jobsSubmitted.Load() }},
+	{name: "jobs_done_total", typ: "counter", help: "Jobs completed successfully.", value: func(c *scrape) int64 { return c.jobsDone.Load() }},
+	{name: "jobs_failed_total", typ: "counter", help: "Jobs ended by an error.", value: func(c *scrape) int64 { return c.jobsFailed.Load() }},
+	{name: "jobs_canceled_total", typ: "counter", help: "Jobs ended by DELETE.", value: func(c *scrape) int64 { return c.jobsCanceled.Load() }},
+	{name: "jobs_recovered_total", typ: "counter", help: "Jobs re-queued from their journals at daemon start.", value: func(c *scrape) int64 { return c.jobsRecovered.Load() }},
+	{name: "jobs_queued", typ: "gauge", help: "Jobs waiting for a worker slot.", value: func(c *scrape) int64 { return c.queued }},
+	{name: "jobs_running", typ: "gauge", help: "Jobs executing right now.", value: func(c *scrape) int64 { return c.running }},
+	{name: "http_requests_total", typ: "counter", help: "API requests served.", value: func(c *scrape) int64 { return c.requests.Load() }},
+	{name: "smc_comparisons_total", typ: "counter", help: "Live SMC comparisons purchased across completed jobs.", job: func(r *core.ResultJSON) int64 { return r.Invocations }},
+	{name: "smc_replayed_allowance_total", typ: "counter", help: "Allowance satisfied from journals instead of live SMC across completed jobs.", job: func(r *core.ResultJSON) int64 { return r.Resume.ReplayedAllowance }},
+	{name: "blocking_classes_total", typ: "counter", help: "Equivalence classes blocked across completed jobs (both relations).", job: func(r *core.ResultJSON) int64 { return int64(r.Blocking.RClasses + r.Blocking.SClasses) }},
+	{name: "blocking_class_pairs_total", typ: "counter", help: "Class pairs in the blocking candidate space across completed jobs.", job: func(r *core.ResultJSON) int64 { return r.Blocking.ClassPairs }},
+	{name: "blocking_rule_evaluations_total", typ: "counter", help: "Class pairs the slack rule actually evaluated (indexed jobs skip pruned pairs).", job: func(r *core.ResultJSON) int64 { return r.Blocking.RuleEvaluations }},
+	{name: "blocking_pruned_class_pairs_total", typ: "counter", help: "Class pairs the hierarchy index pruned without a rule evaluation.", job: func(r *core.ResultJSON) int64 { return r.Blocking.PrunedClassPairs }},
+	{name: "blocking_matched_pairs_total", typ: "counter", help: "Record pairs blocking labeled Match across completed jobs.", job: func(r *core.ResultJSON) int64 { return r.BlockingMatchedPairs }},
+	{name: "blocking_nonmatched_pairs_total", typ: "counter", help: "Record pairs blocking labeled NonMatch across completed jobs.", job: func(r *core.ResultJSON) int64 { return r.TotalPairs - r.UnknownPairs - r.BlockingMatchedPairs }},
+	{name: "blocking_unknown_pairs_total", typ: "counter", help: "Record pairs blocking left Unknown for SMC across completed jobs.", job: func(r *core.ResultJSON) int64 { return r.UnknownPairs }},
+	{name: "tier_nonmatched_pairs_total", typ: "counter", help: "Unknown pairs the triage tier labeled NonMatch for free across completed jobs.", job: func(r *core.ResultJSON) int64 { return r.TierNonMatched }},
+	{name: "tier_uncertain_pairs_total", typ: "counter", help: "Unknown pairs the tier left for the SMC allowance across completed jobs.", job: func(r *core.ResultJSON) int64 { return r.TierUncertainPairs }},
+	{name: "datasets_registered_total", typ: "counter", help: "Live datasets registered over the API.", value: func(c *scrape) int64 { return c.registered }},
+	{name: "dataset_batches_total", typ: "counter", help: "Append batches applied across live datasets (excluding journal replays).", ds: func(st *incremental.Stats) int64 { return int64(st.Batches) - st.Replay.Batches }},
+	{name: "dataset_records_total", typ: "counter", help: "Records ingested across live datasets (excluding journal replays).", ds: func(st *incremental.Stats) int64 { return int64(st.Records[0]+st.Records[1]) - st.Replay.Records }},
+	{name: "dataset_deltas_total", typ: "counter", help: "Delta Match pairs emitted across live datasets (excluding journal replays).", ds: func(st *incremental.Stats) int64 { return int64(st.Deltas) - st.Replay.Deltas }},
+	{name: "dataset_allowance_spent_total", typ: "counter", help: "SMC allowance consumed by live-dataset appends (excluding journal replays).", ds: func(st *incremental.Stats) int64 { return st.Used - st.Replay.Spent }},
+	{name: "dataset_batches_replayed_total", typ: "counter", help: "Committed batches reconstructed from ingest journals at daemon start.", ds: func(st *incremental.Stats) int64 { return st.Replay.Batches }},
+	{name: "worker_chunks_total", typ: "counter", help: "Comparison chunks completed per fleet worker.", worker: func(w *distrib.WorkerRecord) float64 { return float64(w.Chunks.Count()) }},
+	{name: "worker_failures_total", typ: "counter", help: "Failures observed per fleet worker (chunks reassigned).", worker: func(w *distrib.WorkerRecord) float64 { return float64(w.Failures) }},
+	{name: "worker_heartbeat_seconds", typ: "gauge", help: "Unix time of each fleet worker's last heartbeat.", worker: func(w *distrib.WorkerRecord) float64 { return float64(w.LastBeat.Unix()) }},
+}
+
+// handleMetrics renders /metrics: the kept counts and every series read
+// off the records. Stage times and comparator latencies fold the jobs'
+// records and the datasets' stats together.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	c := &scrape{Server: s}
 	queued, running := s.sched.Counts()
-	s.mJobsQueued.Set(int64(queued))
-	s.mJobsRunning.Set(int64(running))
+	c.queued, c.running = int64(queued), int64(running)
+	var stages metrics.Times
+	var latency metrics.Histogram
+	for _, r := range list(s, s.jobs, func(j *Job) *core.ResultJSON { return j.result.Load() }) {
+		if r != nil {
+			c.jobs = append(c.jobs, *r)
+			stages = stages.Add(r.Stages)
+			latency.Merge(&r.SMCLatency)
+		}
+	}
+	for _, ld := range list(s, s.datasets, func(ld *liveDataset) *liveDataset { return ld }) {
+		if !ld.recovered {
+			c.registered++
+		}
+		if ld.eng != nil {
+			st := ld.eng.Stats()
+			c.stats = append(c.stats, st)
+			stages = stages.Add(st.Stages)
+			latency.Merge(&st.Latency)
+		}
+	}
+	if s.pool != nil {
+		c.workers = s.pool.Records()
+	}
+
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
+	e := &metrics.Exposition{W: w}
+	for _, m := range series {
+		name := "pprl_" + m.name
+		e.Family(name, m.typ, m.help)
+		if m.worker != nil {
+			for i := range c.workers {
+				e.Sample(name, metrics.Label("worker", c.workers[i].Name), m.worker(&c.workers[i]))
+			}
+			continue
+		}
+		v := sum(c.jobs, m.job) + sum(c.stats, m.ds)
+		if m.value != nil {
+			v += m.value(c)
+		}
+		e.Sample(name, "", float64(v))
+	}
+	e.Family("pprl_stage_seconds_total", "counter", "Wall-clock seconds per stage across completed jobs and live datasets.")
+	for _, st := range stages {
+		e.Sample("pprl_stage_seconds_total", metrics.Label("stage", st.Name), st.Time.Seconds())
+	}
+	e.Family("pprl_smc_call_seconds", "histogram", "Duration of each SMC comparator call across completed jobs and live datasets.")
+	e.Histogram("pprl_smc_call_seconds", "", &latency)
+	e.Family("pprl_worker_chunk_seconds", "histogram", "Round trip of each comparison chunk per fleet worker.")
+	for i := range c.workers {
+		e.Histogram("pprl_worker_chunk_seconds", metrics.Label("worker", c.workers[i].Name), &c.workers[i].Chunks)
+	}
 }
 
 // runJob is the scheduler's executor: it settles the job's state from
@@ -597,7 +631,7 @@ func (s *Server) runJob(ctx context.Context, job *Job) {
 	switch {
 	case err == nil:
 		job.finish(StateDone, "")
-		s.mJobsDone.Inc()
+		s.jobsDone.Add(1)
 	case errors.Is(err, core.ErrInterrupted) && job.UserCanceled():
 		s.settleJob(job, StateCanceled, err.Error())
 	case errors.Is(err, core.ErrInterrupted), s.hardStop(err):
@@ -620,9 +654,9 @@ func (s *Server) runJob(ctx context.Context, job *Job) {
 func (s *Server) settleJob(j *Job, state State, msg string) {
 	j.finish(state, s.persistTerminal(jobKind, j.ID, state, msg))
 	if state == StateCanceled {
-		s.mJobsCanceled.Inc()
+		s.jobsCanceled.Add(1)
 	} else {
-		s.mJobsFailed.Inc()
+		s.jobsFailed.Add(1)
 	}
 }
 
@@ -678,20 +712,8 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	if err := s.store.WriteResult(job.ID, l.Doc); err != nil {
 		return err
 	}
-	res := l.Result
-	s.mSMCPurchased.Add(res.Invocations)
-	s.mSMCReplayed.Add(res.Resume.ReplayedAllowance)
-	block := res.Block
-	s.mBlockClasses.Add(int64(len(block.R.Classes) + len(block.S.Classes)))
-	classPairs := int64(len(block.R.Classes)) * int64(len(block.S.Classes))
-	s.mBlockClassPairs.Add(classPairs)
-	s.mBlockEvals.Add(block.Stats.RuleEvaluations)
-	s.mBlockPruned.Add(block.Stats.PrunedClassPairs)
-	s.mBlockMatched.Add(block.MatchedPairs)
-	s.mBlockNonMatched.Add(block.NonMatchedPairs)
-	s.mBlockUnknown.Add(block.UnknownPairs)
-	s.mTierNonMatched.Add(res.TierNonMatchedPairs())
-	s.mTierUncertain.Add(res.TierUncertainPairs)
+	rec := l.Doc.Result
+	job.result.Store(&rec)
 	return nil
 }
 

@@ -589,7 +589,7 @@ func TestServiceDistributedFleet(t *testing.T) {
 		FleetMinWorkers: 2,
 	})
 	join := func(name string) net.Conn {
-		conn, err := net.Dial("tcp", s.FleetAddr())
+		conn, err := net.Dial("tcp", s.fleetLn.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -643,7 +643,7 @@ func TestServiceDistributedFleet(t *testing.T) {
 	waitFleet(t, s, "fw2")
 	join("fw1")
 	runFleetJob("after fw1 rejoined")
-	if got := s.FleetWorkers(); !slices.Equal(got, []string{"fw1", "fw2"}) {
+	if got := s.pool.Workers(); !slices.Equal(got, []string{"fw1", "fw2"}) {
 		t.Errorf("fleet after rejoin = %v, want [fw1 fw2]", got)
 	}
 
@@ -658,9 +658,9 @@ func TestServiceDistributedFleet(t *testing.T) {
 func waitFleet(t *testing.T, s *Server, want ...string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for !slices.Equal(s.FleetWorkers(), want) {
+	for !slices.Equal(s.pool.Workers(), want) {
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet is %v, waiting for %v", s.FleetWorkers(), want)
+			t.Fatalf("fleet is %v, waiting for %v", s.pool.Workers(), want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

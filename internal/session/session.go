@@ -257,6 +257,8 @@ type QueryResult struct {
 	// Resume accounts for verdicts stitched in from a durable journal
 	// when the session continued an interrupted one; zero for fresh runs.
 	Resume metrics.ResumeStats
+	// Latency is the duration of each batch of comparisons the walk bought.
+	Latency metrics.Histogram
 	// AliceView and BobView are the published views (K, method,
 	// sequence counts — everything this party may inspect). Under DP they
 	// carry the releases' ε and δ (composed, the run's is their sum) and
@@ -368,6 +370,7 @@ func RunQuery(alice, bob smc.Conn, cfg QueryConfig) (*QueryResult, error) {
 		return nil, err
 	}
 	walk.Comparator = sess
+	walk.Latency = &res.Latency
 	walk.Journal = cfg.Journal
 	walk.Context = cfg.Context
 	walk.Sink = func(ev resolve.Event) {

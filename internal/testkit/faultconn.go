@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"math/big"
+	"net"
 	"sync"
 	"time"
 
@@ -109,6 +110,20 @@ func (c *FaultConn) FrameBuffer() int {
 		return fb.FrameBuffer()
 	}
 	return 0
+}
+
+// DelayConn is FaultDelay on every frame of a byte stream: a net.Conn
+// (the fleet link, say) whose writes each wait Delay first, then deliver
+// intact and in order — a slow link, not a broken one.
+type DelayConn struct {
+	net.Conn
+	Delay time.Duration
+}
+
+// Write implements net.Conn.
+func (c DelayConn) Write(b []byte) (int, error) {
+	time.Sleep(c.Delay)
+	return c.Conn.Write(b)
 }
 
 // truncateMessage returns a copy with its vectors — ciphertexts, a run's

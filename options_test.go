@@ -57,7 +57,7 @@ func TestOptionCount(t *testing.T) {
 		{service.JobSpec{}, 2},
 		{service.DatasetSpec{}, 2},
 		{service.Config{}, 9},
-		{distrib.PoolOptions{}, 5},
+		{distrib.PoolOptions{}, 2},
 		{distrib.WorkerOptions{}, 5},
 		{distrib.JobConfig{}, 5},
 		{journal.Options{}, 1},
